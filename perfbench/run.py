@@ -25,11 +25,12 @@ import subprocess
 import sys
 import time
 
+from frontier import MAX_H
+
 HERE = pathlib.Path(__file__).resolve().parent
 SETUP_REPEATS = 4  # fresh interpreters timed for setup_s, the workload's included
 WORKER_GRACE_S = 60.0  # beyond --seconds, before a workload process is killed
 FRONTIER_BUDGET_S = 8.0  # per attempt; stackelberg h=3 takes ~65 s at the baseline
-FRONTIER_MAX_H = 6
 FRONTIER_TOTAL_S = 90.0
 TAIL_MIN_BEYOND = 10
 WORKLOADS = ("solve", "dynamics", "verify")
@@ -106,8 +107,7 @@ def probe_frontier(root, env, reference) -> tuple[dict, list[str]]:
     pending = list(CRITERIA)
     stop_all = time.monotonic() + FRONTIER_TOTAL_S
     while pending:
-        cmd = [sys.executable, str(HERE / "frontier.py"), *pending,
-               "--max-h", str(FRONTIER_MAX_H), "--root", str(root)]
+        cmd = [sys.executable, str(HERE / "frontier.py"), *pending, "--root", str(root)]
         proc = subprocess.Popen(cmd, cwd=root, env=env, stdout=subprocess.PIPE,
                                 stderr=subprocess.DEVNULL)
         buf = bytearray()
@@ -138,7 +138,7 @@ def probe_frontier(root, env, reference) -> tuple[dict, list[str]]:
                         frontier[criterion] = h
                 elif rest[0] == "error":
                     errors.append(f"frontier {criterion} h={h} raised {rest[1:]}")
-                if rest[0] != "solved" or h == FRONTIER_MAX_H:
+                if rest[0] != "solved" or h == MAX_H:
                     pending.pop(0)
                 deadline = min(time.monotonic() + WORKER_GRACE_S, stop_all)
         finally:
@@ -194,6 +194,7 @@ def main(argv=None) -> int:
         "kernel_s": out["kernel_s"],
         "setups_s": setups,
         "failures": out["failures"] + errors,
+        **({"spans_file": out["spans_file"]} if "spans_file" in out else {}),
         "nproc": len(os.sched_getaffinity(0)),
         "machine": platform.machine(),
         **out["versions"],

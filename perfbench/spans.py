@@ -4,14 +4,17 @@
 every ``occupancy_games`` module that imported the original object (for
 example ``verify.step`` and ``solve.linprog``), so calls between modules are
 traced as well as calls from the benchmark.  Spans are kept in memory as
-``[name, start, end, parent, item]`` and reduced to per-layer self times and
-counts by ``layer_metrics``.  Nothing under ``src/`` is modified on disk.
+``[name, start, end, parent, item]``, written out by ``dump`` and reduced to
+per-layer self times and counts by ``layer_metrics``.  Nothing under ``src/``
+is modified on disk.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import json
+import pathlib
 import statistics
 import sys
 import time
@@ -179,6 +182,19 @@ def bind(bindings: list[tuple], traced: bool):
     """Switch every binding to its wrapper (traced) or back to the original."""
     for mod, key, original, wrapper in bindings:
         setattr(mod, key, wrapper if traced else original)
+
+
+def dump(path: pathlib.Path, tracer: Tracer, parse_spans: list[list]):
+    """Write the raw spans (parsing's and the traced rounds'), counters and
+    maxima as one JSON object; times are raw ``perf_counter`` seconds."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps({
+        "fields": ["name", "start", "end", "parent", "item"],
+        "parse_spans": parse_spans,
+        "spans": tracer.spans,
+        "counts": tracer.counts,
+        "maxima": tracer.maxima,
+    }))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ Rounds repeat the workload's fixed list of calls; their number is
 reported in reference seconds (see ``calibrate.py``); a round's time is the
 sum of its items' latencies, so checks and calibration are not in it.  With
 ``--trace 1`` rounds alternate untraced and traced (at least one of each);
-the tracer's wrappers are bound only during traced rounds.
+the tracer's wrappers are bound only during traced rounds, and the raw spans
+are written to ``.bench_build/perfbench/spans-<workload>-<seed>.json`` in the
+checkout at the end.
 """
 
 from __future__ import annotations
@@ -159,6 +161,10 @@ def main(argv=None) -> int:
         out["layers"] = tr.layer_metrics(
             tracer, parse_spans, walls[True], walls[False], traced_ref / traced_raw, setup_factor
         )
+        spans_file = pathlib.Path(".bench_build", "perfbench",
+                                  f"spans-{args.workload}-{args.seed}.json")
+        tr.dump(args.root / spans_file, tracer, parse_spans)
+        out["spans_file"] = str(spans_file)
     print(json.dumps(out))
     return 0
 
