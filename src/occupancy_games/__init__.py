@@ -24,9 +24,7 @@ from .occupancy import (
     MarginalOccupancy,
     Mixture,
     OccupancyState,
-    PlanTimeHistory,
     PrivateOccupancyState,
-    PrivatePlanTimeHistory,
     decompose,
     expected_reward,
     factorize,
@@ -52,16 +50,13 @@ from .policies import (
     enumerate_pure_policies,
     policy_from_json,
     policy_to_json,
-    project_plan_time,
 )
 from .evaluate import (
-    QTable,
     SimResult,
     ValueTable,
     evaluate_history,
     evaluate_occupancy,
     linear_eval,
-    q_tables,
     sim_result_to_csv,
     simulate,
     value_table_to_csv,

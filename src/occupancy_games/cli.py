@@ -50,17 +50,35 @@ class _SweepSpecError(Exception):
 def _load_model(args) -> PosgModel:
     with open(args.model, "r", encoding="utf-8") as fh:
         model = parse_posg(fh.read())
-    if getattr(args, "start", None):
+    if getattr(args, "start", None) is not None:
         if len(args.start) != model.n_states:
             raise ModelValidationError(
                 f"--start needs {model.n_states} probabilities, got {len(args.start)}"
             )
         model = model.with_start(args.start)
-    if getattr(args, "horizon", None):
+    if getattr(args, "horizon", None) is not None:
         model = model.with_horizon(args.horizon)
-    if getattr(args, "criterion", None):
+    if getattr(args, "criterion", None) is not None:
         model = reinterpret_criterion(model, args.criterion)
     return model
+
+
+def _caps(args) -> dict:
+    if args.cap is None:
+        return {}
+    return {"cap_per_agent": args.cap, "cap_joint": args.cap}
+
+
+def _count_at_least(minimum: int):
+    """argparse type: an integer no smaller than ``minimum``."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return count
 
 
 def _fmt(x: float) -> str:
@@ -88,9 +106,7 @@ def cmd_parse(args) -> int:
 def cmd_solve(args) -> int:
     model = _load_model(args)
     started = time.monotonic()
-    caps = {}
-    if args.cap:
-        caps = {"cap_per_agent": args.cap, "cap_joint": args.cap}
+    caps = _caps(args)
     if model.criterion == "zerosum":
         tolerance = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
         eq = solve_zero_sum(model, tolerance=tolerance, **caps)
@@ -143,7 +159,7 @@ def cmd_evaluate(args) -> int:
 def cmd_verify(args) -> int:
     model = _load_model(args)
     kwargs = {}
-    if args.tolerance:
+    if args.tolerance is not None:
         kwargs = {"tolerance_solver": args.tolerance}
     reports = run_suite(
         model,
@@ -165,12 +181,13 @@ def cmd_sweep(args) -> int:
         )
     if args.grid < 2:
         raise _SweepSpecError("--grid must be at least 2")
+    caps = _caps(args)
     rows = []
     header = "belief,value"
     for b in np.linspace(0.0, 1.0, args.grid):
         m = model.with_start([float(b), float(1.0 - b)])
         if m.criterion == "zerosum":
-            (A,), _ = induced_normal_form(m, m.horizon, [0])
+            (A,), _ = induced_normal_form(m, m.horizon, [0], **caps)
             sol = matrix_game_value(
                 A, args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
             )
@@ -183,9 +200,9 @@ def cmd_sweep(args) -> int:
                 ",".join([_fmt(b), _fmt(sol.value)] + [_fmt(v) for v in components])
             )
         elif m.criterion == "common":
-            rows.append(f"{_fmt(b)},{_fmt(solve_dec(m).values[0])}")
+            rows.append(f"{_fmt(b)},{_fmt(solve_dec(m, **caps).values[0])}")
         elif m.criterion == "stackelberg":
-            (L, F), _ = induced_normal_form(m, m.horizon, [0, 1])
+            (L, F), _ = induced_normal_form(m, m.horizon, [0, 1], **caps)
             value, _, _ = stackelberg_from_matrices(L, F)
             rows.append(f"{_fmt(b)},{_fmt(value)}")
         else:
@@ -236,7 +253,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="evaluate a joint policy exactly and by simulation")
     common(p)
     p.add_argument("--policy", default=None, help="policy JSON file (default: seeded random)")
-    p.add_argument("--episodes", type=int, default=0, help="Monte Carlo episodes")
+    p.add_argument(
+        "--episodes", type=_count_at_least(0), default=0,
+        help="Monte Carlo episodes (0: no simulation)",
+    )
     p.add_argument("--dump-policy", default=None, help="write the evaluated policy as JSON")
     p.set_defaults(func=cmd_evaluate)
 
@@ -247,7 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="comma-separated: sufficiency, slave, master, lipschitz, controls, or all",
     )
-    p.add_argument("--samples", type=int, default=50, help="samples per check")
+    p.add_argument(
+        "--samples", type=_count_at_least(1), default=50, help="samples per check"
+    )
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="value curve over a belief grid, as CSV")

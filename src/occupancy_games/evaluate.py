@@ -19,15 +19,13 @@ import numpy as np
 from .model import PosgModel
 from .occupancy import OccupancyState
 from .policies import (
-    BehavioralPolicy,
     DecisionRule,
     JointHistory,
     JointPolicy,
-    PolicyTree,
     PrivateHistory,
+    agent_rules,
     empty_joint_history,
     joint_action_dist,
-    tree_to_rules,
 )
 
 
@@ -45,32 +43,11 @@ class ValueTable:
 
 
 @dataclass(frozen=True)
-class QTable:
-    agent: int
-    t: int
-    values: Mapping[tuple[int, JointHistory, int], float]
-
-    def value(self, x: int, o: JointHistory, u: int) -> float:
-        return self.values.get((x, o, u), 0.0)
-
-
-@dataclass(frozen=True)
 class SimResult:
     episodes: int
     means: tuple[float, ...]
     stderrs: tuple[float, ...]
     seed: int
-
-
-def _possible_obs(model: PosgModel) -> list[np.ndarray]:
-    """For each joint action, the joint observations possible under any
-    (state, next state) pair."""
-    out = []
-    for u in range(model.n_joint_actions):
-        reachable_next = model.transition[u].max(axis=0) > 0.0
-        possible = (model.observation[u][reachable_next] > 0.0).any(axis=0)
-        out.append(np.nonzero(possible)[0])
-    return out
 
 
 def value_tables(
@@ -89,7 +66,8 @@ def value_tables(
     horizon = model.horizon
     if seed_histories is None:
         seed_histories = [empty_joint_history(model.n_agents)]
-    possible = _possible_obs(model)
+    # per joint action, the per-agent observations possible from any state
+    possible: dict[int, dict[tuple[int, ...], None]] = {}
 
     reachable: list[list[JointHistory]] = [list(seed_histories)]
     for t in range(t0, horizon - 1):
@@ -98,13 +76,14 @@ def value_tables(
         for o in reachable[-1]:
             for u in joint_action_dist(model, rules, o):
                 us = model.split_joint_action(u)
-                for z in possible[u]:
-                    zs, w = model.split_joint_obs(int(z))
-                    agent_obs = tuple(
-                        model.agent_obs_index(i, zs[i], w)
-                        for i in range(model.n_agents)
-                    )
-                    nxt.setdefault(o.child(us, agent_obs))
+                if u not in possible:
+                    possible[u] = {
+                        obs: None
+                        for x in range(model.n_states)
+                        for _, _, obs, _ in model.successors(u, x)
+                    }
+                for obs in possible[u]:
+                    nxt.setdefault(o.child(us, obs))
         reachable.append(list(nxt))
 
     tables: list[ValueTable] = [ValueTable(agent, horizon, {})]
@@ -120,16 +99,8 @@ def value_tables(
                     q = model.rewards[agent, x, u]
                     if t + 1 < horizon:
                         us = model.split_joint_action(u)
-                        dyn = model.transition[u, x][:, None] * model.observation[u]
-                        for x2, z in zip(*np.nonzero(dyn)):
-                            zs, w = model.split_joint_obs(int(z))
-                            agent_obs = tuple(
-                                model.agent_obs_index(i, zs[i], w)
-                                for i in range(model.n_agents)
-                            )
-                            q += model.discount * dyn[x2, z] * nxt.value(
-                                int(x2), o.child(us, agent_obs)
-                            )
+                        for x2, _, obs, dyn in model.successors(u, x):
+                            q += model.discount * dyn * nxt.value(x2, o.child(us, obs))
                     total += a_p * q
                 values[(x, o)] = total
         tables.insert(0, ValueTable(agent, t, values))
@@ -147,35 +118,6 @@ def evaluate_history(
             f"policy horizon {policy.horizon} != model horizon {model.horizon}"
         )
     return value_tables(model, policy.joint_rules(model), agent)
-
-
-def q_tables(model: PosgModel, policy: JointPolicy, agent: int) -> list[QTable]:
-    """Action-value tables derived from the state-value recursion: immediate
-    reward plus the discounted expectation of the successor table."""
-    tables = evaluate_history(model, policy, agent)
-    out: list[QTable] = []
-    for t in range(model.horizon):
-        nxt = tables[t + 1]
-        values: dict[tuple[int, JointHistory, int], float] = {}
-        for (x, o) in tables[t].values:
-            for u in range(model.n_joint_actions):
-                q = model.rewards[agent, x, u]
-                if t + 1 < model.horizon:
-                    us = model.split_joint_action(u)
-                    dyn = model.transition[u, x][:, None] * model.observation[u]
-                    for x2, z in zip(*np.nonzero(dyn)):
-                        zs, w = model.split_joint_obs(int(z))
-                        obs = tuple(
-                            model.agent_obs_index(i, zs[i], w)
-                            for i in range(model.n_agents)
-                        )
-                        q += model.discount * dyn[x2, z] * nxt.value(
-                            int(x2), o.child(us, obs)
-                        )
-                values[(x, o, u)] = float(q)
-        out.append(QTable(agent, t, values))
-    out.append(QTable(agent, model.horizon, {}))
-    return out
 
 
 def value_table_to_csv(model: PosgModel, table: ValueTable) -> str:
@@ -249,12 +191,7 @@ def _rule_arrays(
 ) -> tuple[list[np.ndarray], list[dict]]:
     """Dense per-step (row -> action distribution) arrays plus row indices for
     every history reachable under the policy, for vectorized lookups."""
-    if isinstance(agent_policy, PolicyTree):
-        rules = tree_to_rules(model, agent_policy)
-    elif isinstance(agent_policy, BehavioralPolicy):
-        rules = agent_policy.rules
-    else:
-        raise TypeError("expected a tree or behavioral policy")
+    rules = agent_rules(model, agent_policy)
     n_u = len(model.actions[agent])
     n_z = model.n_agent_obs(agent)
     dists: list[np.ndarray] = []

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +41,9 @@ from .errors import ModelValidationError, PosgParseError
 STOCHASTIC_ATOL = 1e-9
 
 CRITERIA = ("zerosum", "common", "stackelberg", "general")
+
+# (next state, public observation, per-agent observations, probability)
+Outcome = tuple[int, int, tuple[int, ...], float]
 
 
 @dataclass(frozen=True)
@@ -148,6 +152,37 @@ class PosgModel:
         if len(self.public_obs) == 1:
             return self.private_obs[agent][z_priv]
         return f"{self.private_obs[agent][z_priv]}|{self.public_obs[w]}"
+
+    # -- one-step dynamics -----------------------------------------------------
+
+    def successors(self, u: int, x: int) -> tuple[Outcome, ...]:
+        """Outcomes of joint action ``u`` in state ``x`` with positive
+        probability, as ``(next state, public observation, per-agent
+        observations, probability)`` in row-major (next state, joint
+        observation) order.
+
+        The probabilities are the nonzero entries of ``joint_dynamics`` and
+        the per-agent observations are flattened as in ``agent_obs_index``.
+        """
+        return self._successor_table[u][x]
+
+    @cached_property
+    def _successor_table(self) -> list[list[tuple[Outcome, ...]]]:
+        table = []
+        for u in range(self.n_joint_actions):
+            row = []
+            for x in range(self.n_states):
+                dyn = joint_dynamics(self, x, u)
+                outcomes = []
+                for x2, z in zip(*np.nonzero(dyn)):
+                    zs, w = self.split_joint_obs(int(z))
+                    obs = tuple(
+                        self.agent_obs_index(i, zs[i], w) for i in range(self.n_agents)
+                    )
+                    outcomes.append((int(x2), w, obs, float(dyn[x2, z])))
+                row.append(tuple(outcomes))
+            table.append(row)
+        return table
 
     # -- variants --------------------------------------------------------------
 

@@ -134,42 +134,6 @@ class Mixture:
             raise ValueError("mixture anchors must be pairwise distinct")
 
 
-@dataclass(frozen=True)
-class PlanTimeHistory:
-    """Central-planner data: initial belief, issued joint decision rules, and
-    the public observation stream."""
-
-    start: tuple[float, ...]
-    rules: tuple[tuple[DecisionRule, ...], ...]
-    public_stream: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if len(self.public_stream) != len(self.rules):
-            raise ValueError("one public observation per issued decision rule")
-
-    @property
-    def t(self) -> int:
-        return len(self.rules)
-
-
-@dataclass(frozen=True)
-class PrivatePlanTimeHistory:
-    """One agent's plan-time data: initial belief, own history, others' rules."""
-
-    start: tuple[float, ...]
-    agent: int
-    history: PrivateHistory
-    others_rules: tuple[tuple[DecisionRule, ...], ...]
-
-    def __post_init__(self):
-        if len(self.others_rules) != self.history.t:
-            raise ValueError("one rule profile per own history step")
-
-    @property
-    def t(self) -> int:
-        return self.history.t
-
-
 # ---------------------------------------------------------------------------
 # occupancy dynamics
 # ---------------------------------------------------------------------------
@@ -202,16 +166,11 @@ def step(
     for (x, o), p in s.entries.items():
         for u, a_p in joint_action_dist(model, rules, o).items():
             us = model.split_joint_action(u)
-            dyn = model.transition[u, x][:, None] * model.observation[u]
-            for x2, z in zip(*np.nonzero(dyn)):
-                weight = p * a_p * dyn[x2, z]
+            for x2, w, obs, dyn in model.successors(u, x):
+                weight = p * a_p * dyn
                 if weight <= 0.0:
                     continue
-                zs, w = model.split_joint_obs(int(z))
-                agent_obs = tuple(
-                    model.agent_obs_index(i, zs[i], w) for i in range(model.n_agents)
-                )
-                key = (int(x2), o.child(us, agent_obs))
+                key = (x2, o.child(us, obs))
                 buckets[w][key] = buckets[w].get(key, 0.0) + weight
                 totals[w] += weight
     out = []
@@ -327,24 +286,18 @@ def private_step(
     so only joint observations whose public component matches contribute.
     """
     agent = s_i.agent
-    z_priv_i, w_i = divmod(z_i, len(model.public_obs))
     bucket: dict[Entry, float] = {}
     prob = 0.0
     for (x, o), p in s_i.entries.items():
         for partial, a_p in _others_action_dists(model, agent, others_rules, o).items():
             us = tuple(u_i if j == agent else partial[j] for j in range(model.n_agents))
             u = model.joint_action_index(us)
-            dyn = model.transition[u, x][:, None] * model.observation[u]
-            for x2, z in zip(*np.nonzero(dyn)):
-                zs, w = model.split_joint_obs(int(z))
-                if zs[agent] != z_priv_i or w != w_i:
+            for x2, _, obs, dyn in model.successors(u, x):
+                if obs[agent] != z_i:
                     continue
-                weight = p * a_p * dyn[x2, z]
+                weight = p * a_p * dyn
                 prob += weight
-                agent_obs = tuple(
-                    model.agent_obs_index(j, zs[j], w) for j in range(model.n_agents)
-                )
-                key = (int(x2), o.child(us, agent_obs))
+                key = (x2, o.child(us, obs))
                 bucket[key] = bucket.get(key, 0.0) + weight
     if prob <= 0.0:
         raise ImpossibleObservationError(

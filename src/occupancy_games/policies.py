@@ -175,12 +175,7 @@ class JointPolicy:
         """Per-step tuples of decision rules; undefined for mixtures."""
         if self.is_mixed:
             raise ValueError("mixture policies have no single decision-rule form")
-        per_agent = []
-        for a in self.agents:
-            if isinstance(a, BehavioralPolicy):
-                per_agent.append(a.rules)
-            else:
-                per_agent.append(tree_to_rules(model, a))
+        per_agent = [agent_rules(model, a) for a in self.agents]
         return [tuple(rules[t] for rules in per_agent) for t in range(self.horizon)]
 
 
@@ -253,12 +248,32 @@ def decision_at(policy: PolicyTree, history: PrivateHistory) -> dict[int, float]
     return {node.action: 1.0}
 
 
+def agent_rules(model: PosgModel, policy: AgentPolicy) -> tuple[DecisionRule, ...]:
+    """Per-step decision rules of one agent's tree or behavioral policy."""
+    if isinstance(policy, PolicyTree):
+        return tree_to_rules(model, policy)
+    if isinstance(policy, BehavioralPolicy):
+        return policy.rules
+    raise TypeError("expected a tree or behavioral policy")
+
+
 def tree_to_rules(model: PosgModel, tree: PolicyTree) -> tuple[DecisionRule, ...]:
     """Decision rules over the tree's on-support histories."""
-    n_u = len(model.actions[tree.agent])
+    return rules_from_trees(model, tree.agent, {PrivateHistory(tree.agent): tree})
+
+
+def rules_from_trees(
+    model: PosgModel,
+    agent: int,
+    roots: Mapping[PrivateHistory, PolicyTree],
+    t0: int = 0,
+) -> tuple[DecisionRule, ...]:
+    """Decision rules from ``t0`` onward for trees of equal depth rooted at
+    the given length-``t0`` histories, over their on-support histories."""
+    n_u = len(model.actions[agent])
     rules = []
-    level = {PrivateHistory(tree.agent): tree}
-    for t in range(tree.horizon):
+    level = dict(roots)
+    while level:
         probs = {}
         nxt = {}
         for hist, node in level.items():
@@ -267,15 +282,9 @@ def tree_to_rules(model: PosgModel, tree: PolicyTree) -> tuple[DecisionRule, ...
             probs[hist] = tuple(dist)
             for z, child in enumerate(node.children):
                 nxt[hist.child(node.action, z)] = child
-        rules.append(DecisionRule(tree.agent, t, probs))
+        rules.append(DecisionRule(agent, t0 + len(rules), probs))
         level = nxt
     return tuple(rules)
-
-
-def project_plan_time(y_private) -> PrivateHistory:
-    """Strip the initial belief and the others' policy from a private
-    plan-time history, keeping the agent's own history."""
-    return y_private.history
 
 
 # ---------------------------------------------------------------------------

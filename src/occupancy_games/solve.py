@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.optimize import linprog
@@ -37,14 +37,14 @@ from .occupancy import (
 from .errors import ImpossibleObservationError
 from .evaluate import evaluate_occupancy, linear_eval, value_tables
 from .policies import (
-    BehavioralPolicy,
     DecisionRule,
     JointPolicy,
     PolicyTree,
     PrivateHistory,
+    agent_rules,
     enumerate_pure_policies,
     pure_policy_count,
-    tree_to_rules,
+    rules_from_trees,
 )
 
 DEFAULT_TOLERANCE = 1e-9
@@ -195,12 +195,7 @@ def _others_profiles(
         entries = dict(others)
     per_agent: dict[int, Sequence[DecisionRule]] = {}
     for j, pol in entries.items():
-        if isinstance(pol, BehavioralPolicy):
-            per_agent[j] = pol.rules
-        elif isinstance(pol, PolicyTree):
-            per_agent[j] = tree_to_rules(model, pol)
-        else:
-            raise TypeError("others' policies must be trees or behavioral policies")
+        per_agent[j] = agent_rules(model, pol)
         if len(per_agent[j]) < horizon:
             raise ValueError("others' policy horizon shorter than the model horizon")
     return [{j: rules[t] for j, rules in per_agent.items()} for t in range(horizon)]
@@ -254,7 +249,6 @@ def _history_br_from_measures(
     horizon = model.horizon
     n_u = len(model.actions[agent])
     n_z = model.n_agent_obs(agent)
-    n_pub = len(model.public_obs)
     gamma = model.discount
 
     q_out: dict[PrivateHistory, tuple[float, ...]] = {}
@@ -277,17 +271,10 @@ def _history_br_from_measures(
                     reward += p * a_p * model.rewards[agent, x, u]
                     if t + 1 >= horizon:
                         continue
-                    dyn = model.transition[u, x][:, None] * model.observation[u]
-                    for x2, z in zip(*np.nonzero(dyn)):
-                        zs, w = model.split_joint_obs(int(z))
-                        z_i = zs[agent] * n_pub + w
-                        agent_obs = tuple(
-                            model.agent_obs_index(j, zs[j], w)
-                            for j in range(model.n_agents)
-                        )
-                        key = (int(x2), o.child(us, agent_obs))
-                        bucket = children_beta.setdefault(z_i, {})
-                        bucket[key] = bucket.get(key, 0.0) + p * a_p * dyn[x2, z]
+                    for x2, _, obs, dyn in model.successors(u, x):
+                        key = (x2, o.child(us, obs))
+                        bucket = children_beta.setdefault(obs[agent], {})
+                        bucket[key] = bucket.get(key, 0.0) + p * a_p * dyn
             q_u = reward
             subtrees = []
             for z_i in range(n_z):
@@ -331,17 +318,16 @@ def best_response_value_from(
     return value
 
 
-def best_response_private(
-    model: PosgModel, others, agent: int, horizon: int | None = None
-) -> BestResponse:
-    """Dynamic programming over the private occupancy-state MDP.
+def _private_dp(
+    model: PosgModel, profiles: list[dict[int, DecisionRule]], agent: int
+) -> Callable[[PrivateOccupancyState, int], tuple[float, tuple[float, ...]]]:
+    """Memoized Bellman optimality over private occupancy states: returns
+    ``V(s_i, t) -> (value, q per own action)``.
 
     Values are memoized on the occupancy state itself (canonical rounded
     form), so histories inducing the same posterior share one subproblem.
     """
-    horizon = model.horizon if horizon is None else horizon
-    model = model.with_horizon(horizon)
-    profiles = _others_profiles(model, others, agent, horizon)
+    horizon = model.horizon
     n_u = len(model.actions[agent])
     n_z = model.n_agent_obs(agent)
     memo: dict = {}
@@ -366,6 +352,19 @@ def best_response_private(
         result = (qs[_argmax_lowest(qs)], tuple(qs))
         memo[key] = result
         return result
+
+    return V
+
+
+def best_response_private(
+    model: PosgModel, others, agent: int, horizon: int | None = None
+) -> BestResponse:
+    """Dynamic programming over the private occupancy-state MDP."""
+    horizon = model.horizon if horizon is None else horizon
+    model = model.with_horizon(horizon)
+    profiles = _others_profiles(model, others, agent, horizon)
+    n_z = model.n_agent_obs(agent)
+    V = _private_dp(model, profiles, agent)
 
     def greedy_tree(s_i: PrivateOccupancyState, t: int) -> PolicyTree:
         _, qs = V(s_i, t)
@@ -410,31 +409,7 @@ def best_response_private_from(
 ) -> float:
     """Private-route best-response value from one private occupancy state."""
     profiles = _others_profiles(model, others, agent, model.horizon)
-    n_u = len(model.actions[agent])
-    n_z = model.n_agent_obs(agent)
-    memo: dict = {}
-
-    def V(state: PrivateOccupancyState, t: int) -> float:
-        if t >= model.horizon:
-            return 0.0
-        key = (t, state.canonical_key())
-        if key in memo:
-            return memo[key]
-        qs = []
-        for u_i in range(n_u):
-            q = private_reward(model, state, profiles[t], u_i)
-            if t + 1 < model.horizon:
-                for z_i in range(n_z):
-                    try:
-                        omega, nxt = private_step(model, state, profiles[t], u_i, z_i)
-                    except ImpossibleObservationError:
-                        continue
-                    q += model.discount * omega * V(nxt, t + 1)
-            qs.append(q)
-        memo[key] = max(qs)
-        return memo[key]
-
-    return V(s_i, t0)
+    return _private_dp(model, profiles, agent)(s_i, t0)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -652,31 +627,6 @@ def _anchored_space(
     return out
 
 
-def _anchored_rules(
-    model: PosgModel,
-    agent: int,
-    assignment: Mapping[PrivateHistory, PolicyTree],
-    t0: int,
-) -> list[DecisionRule]:
-    """Decision rules from ``t0`` onward for an anchored suffix policy."""
-    horizon = model.horizon
-    n_u = len(model.actions[agent])
-    level: dict[PrivateHistory, PolicyTree] = dict(assignment)
-    rules = []
-    for t in range(t0, horizon):
-        probs = {}
-        nxt = {}
-        for hist, node in level.items():
-            dist = [0.0] * n_u
-            dist[node.action] = 1.0
-            probs[hist] = tuple(dist)
-            for z, child in enumerate(node.children):
-                nxt[hist.child(node.action, z)] = child
-        rules.append(DecisionRule(agent, t, probs))
-        level = nxt
-    return rules
-
-
 def _suffix_payoffs_fast(
     model: PosgModel,
     s: OccupancyState,
@@ -736,9 +686,9 @@ def suffix_normal_form(
     mats = [np.zeros((len(spaces[0]), len(spaces[1]))) for _ in agents_of_interest]
     seeds = sorted({o for (_, o) in s.entries}, key=lambda o: o.sort_key())
     for j, row_assign in enumerate(spaces[0]):
-        row_rules = _anchored_rules(model, 0, row_assign, t)
+        row_rules = rules_from_trees(model, 0, row_assign, t)
         for k, col_assign in enumerate(spaces[1]):
-            col_rules = _anchored_rules(model, 1, col_assign, t)
+            col_rules = rules_from_trees(model, 1, col_assign, t)
             rules_by_step = [[]] * t + [
                 (row_rules[d], col_rules[d]) for d in range(depth)
             ]

@@ -46,14 +46,13 @@ from .policies import (
     DecisionRule,
     JointHistory,
     JointPolicy,
-    PolicyTree,
     PrivateHistory,
+    agent_rules,
     empty_joint_history,
-    tree_to_rules,
+    rules_from_trees,
 )
 from .sampling import random_decision_rule, random_joint_policy
 from .solve import (
-    _anchored_rules,
     _anchored_space,
     _anchors,
     best_response_private_from,
@@ -454,14 +453,6 @@ def check_sufficiency_private(
 # ---------------------------------------------------------------------------
 
 
-def _policy_rules(model: PosgModel, policy) -> tuple[DecisionRule, ...]:
-    if isinstance(policy, PolicyTree):
-        return tree_to_rules(model, policy)
-    if isinstance(policy, BehavioralPolicy):
-        return policy.rules
-    raise TypeError("expected a tree or behavioral policy")
-
-
 def _sample_prefix_occupancy(
     model: PosgModel,
     t: int,
@@ -519,7 +510,7 @@ def check_slave_structure(
         }
     else:
         others = dict(others_policy)
-    others_rules = {j: _policy_rules(model, p) for j, p in others.items()}
+    others_rules = {j: agent_rules(model, p) for j, p in others.items()}
     worst_lin = 0.0
     worst_cert = 0.0
     for k in range(n_samples):
@@ -593,7 +584,7 @@ def _pwlc_certificate(
     seeds = sorted({o for (_, o) in s.entries}, key=lambda o: o.sort_key())
     best = -np.inf
     for assign in space:
-        own_rules = _anchored_rules(model, agent, assign, t)
+        own_rules = rules_from_trees(model, agent, assign, t)
         rules_by_step = [None] * t + [
             tuple(
                 own_rules[tau - t] if j == agent else others_rules[j][tau]

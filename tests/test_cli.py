@@ -171,3 +171,31 @@ def test_verify_lipschitz_on_zs(capsys):
         capsys, "verify", TIGER_ZS, "--suite", "lipschitz", "--samples", "5"
     )
     assert code == 0 and "lipschitz-zerosum" in out
+
+
+def exit_code(argv):
+    """Exit code of one invocation; argparse usage errors raise SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["solve", TIGER, "--horizon", "0"], 2),
+        (["solve", TIGER, "--cap", "0"], 3),
+        (["sweep", ONE_STAGE, "--criterion", "zerosum", "--grid", "3", "--cap", "1"], 3),
+        (["verify", ONE_STAGE, "--suite", "master", "--tolerance", "0"], 1),
+        (["evaluate", ONE_STAGE, "--episodes", "-5"], 2),
+        (["verify", ONE_STAGE, "--samples", "0"], 2),
+        (["verify", ONE_STAGE, "--samples", "-3"], 2),
+    ],
+)
+def test_flags_at_zero_and_bad_counts(capsys, argv, code):
+    assert exit_code(argv) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 2 and argv[-2] in ("--episodes", "--samples"):
+        assert err.startswith("usage:")

@@ -252,24 +252,6 @@ def test_simulate_rejects_bad_episode_count(one_stage):
         simulate(one_stage, tree_policy(0, 0), episodes=0, seed=0)
 
 
-def test_q_tables_consistent_with_values(tiger):
-    from occupancy_games.evaluate import q_tables
-
-    rng = np.random.default_rng(6)
-    policy = random_joint_policy(tiger, rng)
-    rules = policy.joint_rules(tiger)
-    v_tables = evaluate_history(tiger, policy, 0)
-    q = q_tables(tiger, policy, 0)
-    assert q[-1].values == {}  # boundary
-    for t in range(tiger.horizon):
-        for (x, o), v in v_tables[t].values.items():
-            mixed = sum(
-                a_p * q[t].value(x, o, u)
-                for u, a_p in joint_action_dist(tiger, rules[t], o).items()
-            )
-            assert mixed == pytest.approx(v, abs=1e-9)
-
-
 def test_csv_dumps(tiger):
     from occupancy_games.evaluate import sim_result_to_csv, value_table_to_csv
 

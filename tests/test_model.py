@@ -128,9 +128,30 @@ def test_joint_dynamics_minimal(minimal):
 def test_joint_dynamics_sums_to_one(seed):
     rng = np.random.default_rng(seed)
     m = random_posg(rng, n_states=3, n_actions=(2, 2), n_obs=(2, 2))
+    # a second, three-agent model with public observations for the successor table
+    m3 = random_posg(rng, n_actions=(2, 2, 2), n_obs=(2, 1, 2), n_public=2)
     for x in range(m.n_states):
         for u in range(m.n_joint_actions):
             assert abs(joint_dynamics(m, x, u).sum() - 1.0) < 1e-9
+    for model in (m, m3):
+        for x in range(model.n_states):
+            for u in range(model.n_joint_actions):
+                # the nonzero cells of joint_dynamics, in row-major order
+                dyn = joint_dynamics(model, x, u)
+                expected = [
+                    (
+                        int(x2),
+                        model.public_of_joint_obs(int(z)),
+                        tuple(
+                            model.agent_obs_of_joint(i, int(z))
+                            for i in range(model.n_agents)
+                        ),
+                        dyn[x2, z],
+                    )
+                    for x2, z in zip(*np.nonzero(dyn))
+                ]
+                assert list(model.successors(u, x)) == expected
+                assert abs(sum(p for *_, p in model.successors(u, x)) - 1.0) < 1e-9
 
 
 def test_horizon_for_epsilon_values():

@@ -443,13 +443,3 @@ def test_decompose_with_public_observations():
             assert back.entries.keys() == s1.entries.keys()
             for k, v in s1.entries.items():
                 assert back.entries[k] == pytest.approx(v, abs=1e-12)
-
-
-def test_plan_time_history_invariants(tiger):
-    from occupancy_games.occupancy import PlanTimeHistory
-
-    rules = root_rules(tiger, (0, 0))
-    y1 = PlanTimeHistory(tuple(tiger.start), (rules,), (0,))
-    assert y1.t == 1
-    with pytest.raises(ValueError, match="public observation"):
-        PlanTimeHistory(tuple(tiger.start), (rules,), ())

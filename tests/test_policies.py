@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from occupancy_games.errors import CapExceededError, UnreachableHistoryError
-from occupancy_games.occupancy import PrivatePlanTimeHistory
 from occupancy_games.policies import (
     DecisionRule,
     JointPolicy,
@@ -12,7 +11,6 @@ from occupancy_games.policies import (
     enumerate_pure_policies,
     policy_from_json,
     policy_to_json,
-    project_plan_time,
     pure_policy_count,
     tree_to_rules,
 )
@@ -95,16 +93,6 @@ def test_tree_to_rules_roundtrip(tiger):
             assert decision_at(tree, hist) == {
                 int(np.argmax(dist)): 1.0
             }
-
-
-def test_project_plan_time(tiger):
-    rule = DecisionRule(1, 0, {PrivateHistory(1): (1.0, 0.0, 0.0)})
-    empty = PrivatePlanTimeHistory(tuple(tiger.start), 0, PrivateHistory(0), ())
-    assert project_plan_time(empty) == PrivateHistory(0)
-    h = PrivateHistory(0, ((0, 1),))
-    y = PrivatePlanTimeHistory(tuple(tiger.start), 0, h, ({1: rule},))
-    assert project_plan_time(y) == h
-    assert project_plan_time(y).t == y.t == 1
 
 
 def test_policy_json_roundtrip(tiger):

@@ -2,19 +2,32 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from occupancy_games.errors import CapExceededError, ModelValidationError
 from occupancy_games.evaluate import evaluate_occupancy
-from occupancy_games.occupancy import initial_occupancy, step
+from occupancy_games.occupancy import (
+    expected_reward,
+    initial_occupancy,
+    initial_private_occupancy,
+    step,
+)
 from occupancy_games.policies import (
     JointPolicy,
     PolicyTree,
     PrivateHistory,
 )
-from occupancy_games.sampling import random_behavioral_policy, random_decision_rule
+from occupancy_games.sampling import (
+    random_behavioral_policy,
+    random_decision_rule,
+    random_joint_policy,
+    random_posg,
+)
 from occupancy_games.solve import (
     best_response_history,
     best_response_private,
+    best_response_private_from,
+    best_response_value_from,
     dec_value_from,
     matrix_game_value,
     solve_dec,
@@ -174,6 +187,37 @@ def test_best_response_q_tables_agree(tiger):
     for hist, qs in a.q.items():
         if hist in b.q:
             assert np.allclose(qs, b.q[hist], atol=1e-9)
+
+
+@settings(max_examples=3, deadline=None)
+@given(seed=st.integers(0, 10**6), agent=st.integers(0, 2))
+def test_three_agent_routes_agree(seed, agent):
+    rng = np.random.default_rng(seed)
+    m = random_posg(
+        rng, n_states=2, n_actions=(2, 2, 2), n_obs=(2, 1, 2), n_public=2, horizon=3
+    )
+    policy = random_joint_policy(m, rng)
+    rules = policy.joint_rules(m)
+    s0 = initial_occupancy(m)
+    # branch-weighted rollout along the occupancy update vs the value tables
+    branches = [[(1.0, s0)]]
+    for t in range(m.horizon - 1):
+        branches.append(
+            [(p * q, s2) for p, s in branches[-1] for _, q, s2 in step(m, s, rules[t])]
+        )
+    for i in range(m.n_agents):
+        rollout = sum(
+            m.discount**t * p * expected_reward(m, s, rules[t], i)
+            for t in range(m.horizon)
+            for p, s in branches[t]
+        )
+        assert abs(rollout - evaluate_occupancy(m, policy, s0, i)) <= 1e-9
+    # both best-response routes and their mid-game twins, from the start
+    value = best_response_history(m, policy, agent).value
+    assert abs(best_response_private(m, policy, agent).value - value) <= 1e-9
+    assert abs(best_response_value_from(m, policy, agent, s0) - value) <= 1e-9
+    root = initial_private_occupancy(m, agent)
+    assert abs(best_response_private_from(m, policy, agent, root, 0) - value) <= 1e-9
 
 
 # -- solve_dec -------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from occupancy_games import verify
 from occupancy_games.errors import UnknownSuiteError
 from occupancy_games.sampling import random_behavioral_policy, random_posg
 from occupancy_games.verify import (
@@ -165,3 +166,23 @@ def test_report_line_format(tiger):
     line = report.line()
     for key in ("property=", "fixture=tiger", "samples=2", "seed=1", "passed=true"):
         assert key in line
+
+
+def _names(code) -> set[str]:
+    """Global and attribute names a code object uses, nested ones included."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            names |= _names(const)
+    return names
+
+
+def test_raw_oracles_stay_off_the_production_dynamics():
+    oracles = [
+        fn for name, fn in vars(verify).items()
+        if name == "_expand_once" or name.startswith("_raw_")
+    ]
+    assert len(oracles) >= 7
+    for fn in oracles:
+        used = _names(fn.__code__)
+        assert not used & {"successors", "step", "private_step"}, fn.__name__
