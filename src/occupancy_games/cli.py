@@ -26,12 +26,10 @@ from .policies import policy_from_json, policy_to_json
 from .sampling import random_joint_policy
 from .solve import (
     DEFAULT_TOLERANCE,
-    induced_normal_form,
-    matrix_game_value,
+    Equilibrium,
     solve_dec,
     solve_stackelberg,
     solve_zero_sum,
-    stackelberg_from_matrices,
 )
 from .verify import report_lines, run_suite
 
@@ -63,10 +61,20 @@ def _load_model(args) -> PosgModel:
     return model
 
 
-def _caps(args) -> dict:
-    if args.cap is None:
-        return {}
-    return {"cap_per_agent": args.cap, "cap_joint": args.cap}
+def _solve(model: PosgModel, args) -> Equilibrium:
+    """The solver of the model's criterion, with the --cap and --tolerance
+    overrides applied."""
+    caps = {} if args.cap is None else {"cap_per_agent": args.cap, "cap_joint": args.cap}
+    if model.criterion == "zerosum":
+        tolerance = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
+        return solve_zero_sum(model, tolerance=tolerance, **caps)
+    if model.criterion == "common":
+        return solve_dec(model, **caps)
+    if model.criterion == "stackelberg":
+        return solve_stackelberg(model, **caps)
+    raise ModelValidationError(
+        "no solver for criterion 'general'; pass --criterion to choose one"
+    )
 
 
 def _count_at_least(minimum: int):
@@ -106,18 +114,7 @@ def cmd_parse(args) -> int:
 def cmd_solve(args) -> int:
     model = _load_model(args)
     started = time.monotonic()
-    caps = _caps(args)
-    if model.criterion == "zerosum":
-        tolerance = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
-        eq = solve_zero_sum(model, tolerance=tolerance, **caps)
-    elif model.criterion == "common":
-        eq = solve_dec(model, **caps)
-    elif model.criterion == "stackelberg":
-        eq = solve_stackelberg(model, **caps)
-    else:
-        raise ModelValidationError(
-            "no solver for criterion 'general'; pass --criterion to choose one"
-        )
+    eq = _solve(model, args)
     runtime = time.monotonic() - started
     print(f"criterion: {eq.criterion}")
     print(f"horizon: {model.horizon}")
@@ -181,32 +178,19 @@ def cmd_sweep(args) -> int:
         )
     if args.grid < 2:
         raise _SweepSpecError("--grid must be at least 2")
-    caps = _caps(args)
+    if model.criterion == "general":
+        raise _SweepSpecError("sweep needs a zerosum/common/stackelberg criterion")
     rows = []
     header = "belief,value"
     for b in np.linspace(0.0, 1.0, args.grid):
-        m = model.with_start([float(b), float(1.0 - b)])
-        if m.criterion == "zerosum":
-            (A,), _ = induced_normal_form(m, m.horizon, [0], **caps)
-            sol = matrix_game_value(
-                A, args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
-            )
-            components = A.min(axis=1)
+        eq = _solve(model.with_start([float(b), float(1.0 - b)]), args)
+        fields = [_fmt(b), _fmt(eq.values[0])]
+        if eq.criterion == "zerosum":
+            components = eq.metadata["row_guarantees"]
             if not rows:
-                header += "," + ",".join(
-                    f"component_{j}" for j in range(components.shape[0])
-                )
-            rows.append(
-                ",".join([_fmt(b), _fmt(sol.value)] + [_fmt(v) for v in components])
-            )
-        elif m.criterion == "common":
-            rows.append(f"{_fmt(b)},{_fmt(solve_dec(m, **caps).values[0])}")
-        elif m.criterion == "stackelberg":
-            (L, F), _ = induced_normal_form(m, m.horizon, [0, 1], **caps)
-            value, _, _ = stackelberg_from_matrices(L, F)
-            rows.append(f"{_fmt(b)},{_fmt(value)}")
-        else:
-            raise _SweepSpecError("sweep needs a zerosum/common/stackelberg criterion")
+                header += "," + ",".join(f"component_{j}" for j in range(len(components)))
+            fields += [_fmt(v) for v in components]
+        rows.append(",".join(fields))
     text = header + "\n" + "\n".join(rows) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
@@ -224,34 +208,42 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, criterion=True):
+    shared = {
+        "--seed": dict(type=int, default=0, help="RNG seed (default 0)"),
+        "--tolerance": dict(
+            type=float,
+            default=None,
+            help="tolerance override: the zero-sum matrix game in solve and sweep, "
+            "the master and lipschitz suites in verify",
+        ),
+        "--cap": dict(type=int, default=None, help="enumeration cap override"),
+        "--horizon": dict(type=int, default=None, help="horizon override"),
+        "--start": dict(
+            type=float, nargs="+", default=None, help="start belief override"
+        ),
+        "--criterion": dict(
+            choices=CRITERIA,
+            default=None,
+            help="reinterpret the game under this criterion "
+            "(rebuilds opponent rewards from agent 1's table)",
+        ),
+    }
+
+    def common(p, *flags):
         p.add_argument("model", help="path to a .posg model file")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-        p.add_argument("--tolerance", type=float, default=None, help="tolerance override")
-        p.add_argument("--cap", type=int, default=None, help="enumeration cap override")
-        p.add_argument("--horizon", type=int, default=None, help="horizon override")
-        p.add_argument(
-            "--start", type=float, nargs="+", default=None, help="start belief override"
-        )
-        if criterion:
-            p.add_argument(
-                "--criterion",
-                choices=CRITERIA,
-                default=None,
-                help="reinterpret the game under this criterion "
-                "(rebuilds opponent rewards from agent 1's table)",
-            )
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
 
     p = sub.add_parser("parse", help="parse and validate a model, print a summary")
-    common(p)
+    common(p, "--horizon", "--start", "--criterion")
     p.set_defaults(func=cmd_parse)
 
     p = sub.add_parser("solve", help="solve for the model's criterion at the start belief")
-    common(p)
+    common(p, "--tolerance", "--cap", "--horizon", "--start", "--criterion")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("evaluate", help="evaluate a joint policy exactly and by simulation")
-    common(p)
+    common(p, "--seed", "--horizon", "--start", "--criterion")
     p.add_argument("--policy", default=None, help="policy JSON file (default: seeded random)")
     p.add_argument(
         "--episodes", type=_count_at_least(0), default=0,
@@ -261,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("verify", help="run numerical verification suites")
-    common(p)
+    common(p, "--seed", "--tolerance", "--horizon", "--start", "--criterion")
     p.add_argument(
         "--suite",
         default="all",
@@ -273,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="value curve over a belief grid, as CSV")
-    common(p)
+    common(p, "--tolerance", "--cap", "--horizon", "--criterion")
     p.add_argument("--grid", type=int, default=101, help="number of belief points")
     p.add_argument("--output", default=None, help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_sweep)
@@ -285,10 +277,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (PosgParseError, ModelValidationError) as exc:
+    except (FileNotFoundError, PosgParseError, ModelValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except CapExceededError as exc:

@@ -10,7 +10,6 @@ bit for a given seed regardless of platform.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -163,7 +162,7 @@ def evaluate_occupancy(
 
 
 def linear_eval(s: OccupancyState, table: ValueTable) -> float:
-    """Pairing sum(s(x,o) * table(x,o)); missing table entries count as zero."""
+    """Pairing sum(s(x,o) * table(x,o)); every entry of ``s`` needs a value."""
     if table.t != s.t:
         raise ValueError(f"time-step mismatch: occupancy t={s.t}, table t={table.t}")
     missing = 0
@@ -174,10 +173,7 @@ def linear_eval(s: OccupancyState, table: ValueTable) -> float:
         else:
             missing += 1
     if missing:
-        warnings.warn(
-            f"{missing} occupancy entries missing from value table; counted as 0",
-            stacklevel=2,
-        )
+        raise ValueError(f"{missing} occupancy entries missing from value table")
     return total
 
 

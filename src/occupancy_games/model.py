@@ -260,23 +260,12 @@ def _validate(model: PosgModel) -> None:
 def classify(model: PosgModel) -> str:
     """Strictest criterion tag consistent with the reward tables.
 
-    ``stackelberg`` is a commitment protocol, not a reward property, so it is
-    returned only when declared.  Ties between zerosum and common (all-zero
-    rewards, two agents) resolve to zerosum.
+    A declared criterion is returned as is (``_validate`` checks declared
+    zerosum and common tables; ``stackelberg`` is a commitment protocol, not a
+    reward property).  Ties between zerosum and common resolve to zerosum.
     """
-    if model.criterion == "stackelberg":
-        return "stackelberg"
-    if model.criterion == "zerosum":
-        if model.n_agents != 2 or not np.allclose(
-            model.rewards[0], -model.rewards[1], atol=STOCHASTIC_ATOL
-        ):
-            raise ModelValidationError("declared zerosum but r1 != -r2")
-        return "zerosum"
-    if model.criterion == "common":
-        for i in range(1, model.n_agents):
-            if not np.allclose(model.rewards[0], model.rewards[i], atol=STOCHASTIC_ATOL):
-                raise ModelValidationError("declared common but rewards differ")
-        return "common"
+    if model.criterion != "general":
+        return model.criterion
     return _infer_reward_tag(model)
 
 

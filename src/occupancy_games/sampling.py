@@ -125,6 +125,3 @@ def random_joint_policy(
         )
     )
 
-
-def random_belief(model: PosgModel, rng: np.random.Generator) -> np.ndarray:
-    return rng.dirichlet(np.ones(model.n_states))

@@ -6,17 +6,20 @@ programming over private occupancy states with normalized Bayesian updates.
 Equality of their values on every input is the operational form of the
 sufficiency of private occupancy states.
 
-Equilibrium solvers work on the induced normal form over reduced pure policy
-trees (exact at desk scale under perfect recall): zero-sum games reduce to a
-matrix game, common-payoff games to an argmax over joint pure policies, and
-Stackelberg games to one incentive-constrained linear program per follower
-pure policy (strong equilibrium: follower ties break in the leader's favor).
+Equilibrium solvers work on one normal form rooted at an occupancy state (the
+initial one for the start-belief solvers): one tensor axis per agent over
+reduced pure policy trees, one tree per private history in the support (exact
+at desk scale under perfect recall).  Zero-sum games reduce to a matrix game,
+common-payoff games to an argmax over the tensor, and Stackelberg games to one
+incentive-constrained linear program per follower pure policy (strong
+equilibrium: follower ties break in the leader's favor).
 Ties everywhere break toward the lowest enumeration index.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -35,7 +38,7 @@ from .occupancy import (
     _others_action_dists,
 )
 from .errors import ImpossibleObservationError
-from .evaluate import evaluate_occupancy, linear_eval, value_tables
+from .evaluate import linear_eval, value_tables
 from .policies import (
     DecisionRule,
     JointPolicy,
@@ -43,7 +46,6 @@ from .policies import (
     PrivateHistory,
     agent_rules,
     enumerate_pure_policies,
-    pure_policy_count,
     rules_from_trees,
 )
 
@@ -413,13 +415,90 @@ def best_response_private_from(
 
 
 # ---------------------------------------------------------------------------
-# induced normal forms
+# the occupancy-rooted normal form
 # ---------------------------------------------------------------------------
 
 
-def _check_joint_cap(count: int, cap: int):
+def _anchors(s: OccupancyState, agent: int) -> list[PrivateHistory]:
+    return sorted({o.privates[agent] for (_, o) in s.entries}, key=lambda h: h.steps)
+
+
+def _anchored_space(
+    model: PosgModel,
+    agent: int,
+    anchors: Sequence[PrivateHistory],
+    depth: int,
+    cap: int = CAP_PER_AGENT,
+) -> list[dict[PrivateHistory, PolicyTree]]:
+    """Pure policy suffixes: one depth-``depth`` tree per anchor history."""
+    trees = enumerate_pure_policies(model, agent, depth, cap)
+    count = len(trees) ** len(anchors)
     if count > cap:
-        raise CapExceededError("joint enumeration", count, cap)
+        raise CapExceededError("anchored policy enumeration", count, cap)
+    combos = itertools.product(trees, repeat=len(anchors))
+    return [dict(zip(anchors, combo)) for combo in combos]
+
+
+def _normal_form(
+    model: PosgModel,
+    s: OccupancyState,
+    agents_of_interest: Sequence[int],
+    cap_per_agent: int,
+    cap_joint: int,
+) -> tuple[list[np.ndarray], list[list[dict]]]:
+    """Payoff tensors, one axis per agent, over anchored pure policy suffixes
+    from occupancy ``s``, with each agent's assignment space."""
+    t, depth = s.t, model.horizon - s.t
+    if depth < 1:
+        raise ValueError("occupancy state is already at the horizon")
+    anchors = [_anchors(s, i) for i in range(model.n_agents)]
+    spaces = [
+        _anchored_space(model, i, anchors[i], depth, cap_per_agent)
+        for i in range(model.n_agents)
+    ]
+    shape = tuple(len(space) for space in spaces)
+    if math.prod(shape) > cap_joint:
+        raise CapExceededError("joint enumeration", math.prod(shape), cap_joint)
+    mats = [np.zeros(shape) for _ in agents_of_interest]
+    if depth == 1:
+        # one step left: gather each entry's reward at every cell's joint action
+        n_us = tuple(len(labels) for labels in model.actions)
+        index = [{a: k for k, a in enumerate(anc)} for anc in anchors]
+        actions = [
+            np.array([[assign[a].action for a in anc] for assign in space], dtype=int)
+            for anc, space in zip(anchors, spaces)
+        ]
+        for (x, o), p in s.entries.items():
+            cells = np.ix_(
+                *(acts[:, idx[h]] for acts, idx, h in zip(actions, index, o.privates))
+            )
+            for pos, agent in enumerate(agents_of_interest):
+                mats[pos] += (p * model.rewards[agent, x].reshape(n_us))[cells]
+        return mats, spaces
+    seeds = sorted({o for (_, o) in s.entries}, key=lambda o: o.sort_key())
+    rules = [
+        [rules_from_trees(model, i, assign, t) for assign in space]
+        for i, space in enumerate(spaces)
+    ]
+    for cell in itertools.product(*(range(n) for n in shape)):
+        profile = [rules[i][c] for i, c in enumerate(cell)]
+        rules_by_step = [[]] * t + [tuple(r[d] for r in profile) for d in range(depth)]
+        for pos, agent in enumerate(agents_of_interest):
+            tables = value_tables(model, rules_by_step, agent, t, seeds)
+            mats[pos][cell] = linear_eval(s, tables[0])
+    return mats, spaces
+
+
+def suffix_normal_form(
+    model: PosgModel,
+    s: OccupancyState,
+    agents_of_interest: Sequence[int] = (0,),
+    cap_per_agent: int = CAP_PER_AGENT,
+    cap_joint: int = CAP_JOINT,
+) -> tuple[list[np.ndarray], list[list[dict]]]:
+    """Payoff tensors over anchored pure policy suffixes from occupancy ``s``;
+    axis ``i`` indexes agent ``i``'s assignments of one tree per anchor."""
+    return _normal_form(model, s, agents_of_interest, cap_per_agent, cap_joint)
 
 
 def induced_normal_form(
@@ -429,21 +508,25 @@ def induced_normal_form(
     cap_per_agent: int = CAP_PER_AGENT,
     cap_joint: int = CAP_JOINT,
 ) -> tuple[list[np.ndarray], list[list[PolicyTree]]]:
-    """Payoff matrices over reduced pure policy pairs (two-agent models)."""
-    if model.n_agents != 2:
-        raise ModelValidationError("normal-form construction expects 2 agents")
-    spaces = [
-        enumerate_pure_policies(model, i, horizon, cap_per_agent) for i in range(2)
-    ]
-    _check_joint_cap(len(spaces[0]) * len(spaces[1]), cap_joint)
-    s0 = initial_occupancy(model)
-    mats = [np.zeros((len(spaces[0]), len(spaces[1]))) for _ in agents_of_interest]
-    for j, row_tree in enumerate(spaces[0]):
-        for k, col_tree in enumerate(spaces[1]):
-            joint = JointPolicy((row_tree, col_tree))
-            for a_pos, agent in enumerate(agents_of_interest):
-                mats[a_pos][j, k] = evaluate_occupancy(model, joint, s0, agent)
-    return mats, spaces
+    """Payoff tensors over reduced pure policy profiles at the start belief,
+    one axis per agent: the occupancy-rooted normal form at the initial
+    occupancy state, each one-anchor assignment unwrapped to its tree."""
+    m = model.with_horizon(horizon)
+    mats, spaces = _normal_form(
+        m, initial_occupancy(m), agents_of_interest, cap_per_agent, cap_joint
+    )
+    roots = [PrivateHistory(i) for i in range(m.n_agents)]
+    return mats, [[a[root] for a in space] for root, space in zip(roots, spaces)]
+
+
+def _game_at(
+    model: PosgModel, horizon: int | None, criterion: str, solver: str
+) -> PosgModel:
+    """The model at ``horizon`` (default: its own), which must be ``criterion``."""
+    m = model.with_horizon(model.horizon if horizon is None else horizon)
+    if m.criterion != criterion:
+        raise ModelValidationError(f"{solver} needs a {criterion} model, got {m.criterion}")
+    return m
 
 
 def solve_zero_sum(
@@ -455,11 +538,8 @@ def solve_zero_sum(
 ) -> Equilibrium:
     """Saddle value and optimal mixtures of a zero-sum game at the start
     belief, on the induced normal form over pure policies."""
-    horizon = model.horizon if horizon is None else horizon
-    m = model.with_horizon(horizon)
-    if m.criterion != "zerosum":
-        raise ModelValidationError(f"solve_zero_sum needs a zerosum model, got {m.criterion}")
-    (A,), spaces = induced_normal_form(m, horizon, [0], cap_per_agent, cap_joint)
+    m = _game_at(model, horizon, "zerosum", "solve_zero_sum")
+    (A,), spaces = induced_normal_form(m, m.horizon, [0], cap_per_agent, cap_joint)
     sol = matrix_game_value(A, tolerance)
     residual = max(
         float(sol.value - (sol.row_mix @ A).min()),
@@ -479,6 +559,7 @@ def solve_zero_sum(
             "method": f"normal-form+{sol.method}",
             "shape": A.shape,
             "residual": residual,
+            "row_guarantees": tuple(float(v) for v in A.min(axis=1)),
         },
     )
 
@@ -496,35 +577,16 @@ def solve_dec(
     """Optimal joint policy of a common-payoff game by exhaustive search over
     reduced pure policies; ties go to the lexicographically smallest index
     tuple."""
-    horizon = model.horizon if horizon is None else horizon
-    m = model.with_horizon(horizon)
-    if m.criterion != "common":
-        raise ModelValidationError(f"solve_dec needs a common-payoff model, got {m.criterion}")
-    spaces = [
-        enumerate_pure_policies(m, i, horizon, cap_per_agent)
-        for i in range(m.n_agents)
-    ]
-    total = 1
-    for space in spaces:
-        total *= len(space)
-    _check_joint_cap(total, cap_joint)
-    s0 = initial_occupancy(m)
-    best_value = -np.inf
-    best_combo: tuple[int, ...] | None = None
-    for combo in itertools.product(*(range(len(space)) for space in spaces)):
-        joint = JointPolicy(tuple(spaces[i][c] for i, c in enumerate(combo)))
-        v = evaluate_occupancy(m, joint, s0, 0)
-        if v > best_value:
-            best_value, best_combo = v, combo
-    assert best_combo is not None
-    mixtures = tuple({c: 1.0} for c in best_combo)
-    policies = tuple({c: spaces[i][c]} for i, c in enumerate(best_combo))
+    m = _game_at(model, horizon, "common", "solve_dec")
+    (values,), spaces = induced_normal_form(m, m.horizon, [0], cap_per_agent, cap_joint)
+    # np.argmax returns the first maximum in C order: the smallest index tuple
+    best = tuple(int(c) for c in np.unravel_index(np.argmax(values), values.shape))
     return Equilibrium(
         criterion="common",
-        values=(float(best_value),) * m.n_agents,
-        mixtures=mixtures,
-        policies=policies,
-        metadata={"method": "normal-form-argmax", "joint_policies": total},
+        values=(float(values[best]),) * m.n_agents,
+        mixtures=tuple({c: 1.0} for c in best),
+        policies=tuple({c: spaces[i][c]} for i, c in enumerate(best)),
+        metadata={"method": "normal-form-argmax", "joint_policies": values.size},
     )
 
 
@@ -575,13 +637,8 @@ def solve_stackelberg(
     cap_joint: int = CAP_JOINT,
 ) -> Equilibrium:
     """Strong Stackelberg equilibrium with agent 1 committing publicly."""
-    horizon = model.horizon if horizon is None else horizon
-    m = model.with_horizon(horizon)
-    if m.criterion != "stackelberg":
-        raise ModelValidationError(
-            f"solve_stackelberg needs a stackelberg model, got {m.criterion}"
-        )
-    (L, F), spaces = induced_normal_form(m, horizon, [0, 1], cap_per_agent, cap_joint)
+    m = _game_at(model, horizon, "stackelberg", "solve_stackelberg")
+    (L, F), spaces = induced_normal_form(m, m.horizon, [0, 1], cap_per_agent, cap_joint)
     value, sigma, k = stackelberg_from_matrices(L, F)
     follower_value = float(sigma @ F[:, k])
     mixtures = (_support_dict(sigma), {int(k): 1.0})
@@ -601,101 +658,6 @@ def solve_stackelberg(
 # ---------------------------------------------------------------------------
 # values from mid-game occupancy states
 # ---------------------------------------------------------------------------
-
-
-def _anchors(s: OccupancyState, agent: int) -> list[PrivateHistory]:
-    return sorted({o.privates[agent] for (_, o) in s.entries}, key=lambda h: h.steps)
-
-
-def _anchored_space(
-    model: PosgModel,
-    agent: int,
-    anchors: Sequence[PrivateHistory],
-    depth: int,
-    cap: int = CAP_PER_AGENT,
-) -> list[dict[PrivateHistory, PolicyTree]]:
-    """Pure policy suffixes: one depth-``depth`` tree per anchor history."""
-    trees = enumerate_pure_policies(model, agent, depth, cap)
-    count = pure_policy_count(
-        len(model.actions[agent]), model.n_agent_obs(agent), depth
-    ) ** len(anchors)
-    if count > cap:
-        raise CapExceededError("anchored policy enumeration", count, cap)
-    out = []
-    for combo in itertools.product(range(len(trees)), repeat=len(anchors)):
-        out.append({anchor: trees[i] for anchor, i in zip(anchors, combo)})
-    return out
-
-
-def _suffix_payoffs_fast(
-    model: PosgModel,
-    s: OccupancyState,
-    agents_of_interest: Sequence[int],
-    row_space: list[dict],
-    col_space: list[dict],
-    row_anchors: list[PrivateHistory],
-    col_anchors: list[PrivateHistory],
-) -> list[np.ndarray]:
-    """One-step-left payoff matrices by direct gathering (t = horizon - 1)."""
-    n_u0 = len(model.actions[0])
-    n_u1 = len(model.actions[1])
-    row_idx = {a: i for i, a in enumerate(row_anchors)}
-    col_idx = {a: i for i, a in enumerate(col_anchors)}
-    J = np.array(
-        [[assign[a].action for a in row_anchors] for assign in row_space], dtype=int
-    )
-    K = np.array(
-        [[assign[a].action for a in col_anchors] for assign in col_space], dtype=int
-    )
-    mats = [np.zeros((len(row_space), len(col_space))) for _ in agents_of_interest]
-    for (x, o), p in s.entries.items():
-        a0 = row_idx[o.privates[0]]
-        a1 = col_idx[o.privates[1]]
-        for pos, agent in enumerate(agents_of_interest):
-            G = p * model.rewards[agent, x].reshape(n_u0, n_u1)
-            mats[pos] += G[np.ix_(J[:, a0], K[:, a1])]
-    return mats
-
-
-def suffix_normal_form(
-    model: PosgModel,
-    s: OccupancyState,
-    agents_of_interest: Sequence[int] = (0,),
-    cap_per_agent: int = CAP_PER_AGENT,
-    cap_joint: int = CAP_JOINT,
-) -> tuple[list[np.ndarray], list[list[dict]]]:
-    """Payoff matrices over anchored pure policy suffixes from occupancy ``s``.
-
-    Rows belong to agent 1, columns to agent 2 (two-agent models only).
-    """
-    if model.n_agents != 2:
-        raise ModelValidationError("suffix normal form expects 2 agents")
-    t, depth = s.t, model.horizon - s.t
-    if depth < 1:
-        raise ValueError("occupancy state is already at the horizon")
-    anchors = [_anchors(s, i) for i in range(2)]
-    spaces = [
-        _anchored_space(model, i, anchors[i], depth, cap_per_agent) for i in range(2)
-    ]
-    _check_joint_cap(len(spaces[0]) * len(spaces[1]), cap_joint)
-    if depth == 1:
-        mats = _suffix_payoffs_fast(
-            model, s, agents_of_interest, spaces[0], spaces[1], anchors[0], anchors[1]
-        )
-        return mats, spaces
-    mats = [np.zeros((len(spaces[0]), len(spaces[1]))) for _ in agents_of_interest]
-    seeds = sorted({o for (_, o) in s.entries}, key=lambda o: o.sort_key())
-    for j, row_assign in enumerate(spaces[0]):
-        row_rules = rules_from_trees(model, 0, row_assign, t)
-        for k, col_assign in enumerate(spaces[1]):
-            col_rules = rules_from_trees(model, 1, col_assign, t)
-            rules_by_step = [[]] * t + [
-                (row_rules[d], col_rules[d]) for d in range(depth)
-            ]
-            for pos, agent in enumerate(agents_of_interest):
-                tables = value_tables(model, rules_by_step, agent, t, seeds)
-                mats[pos][j, k] = linear_eval(s, tables[0])
-    return mats, spaces
 
 
 def zero_sum_value_from(

@@ -191,11 +191,36 @@ def exit_code(argv):
         (["evaluate", ONE_STAGE, "--episodes", "-5"], 2),
         (["verify", ONE_STAGE, "--samples", "0"], 2),
         (["verify", ONE_STAGE, "--samples", "-3"], 2),
+        # flags a subcommand does not read are not accepted
+        (["verify", ONE_STAGE, "--suite", "master", "--cap", "0"], 2),
+        (["evaluate", ONE_STAGE, "--cap", "0"], 2),
+        (["parse", ONE_STAGE, "--cap", "0"], 2),
+        (["evaluate", ONE_STAGE, "--tolerance", "0"], 2),
+        (["parse", ONE_STAGE, "--tolerance", "0"], 2),
+        (["parse", ONE_STAGE, "--seed", "1"], 2),
+        (["solve", ONE_STAGE, "--seed", "1"], 2),
+        (["sweep", ONE_STAGE, "--seed", "1"], 2),
+        (["sweep", ONE_STAGE, "--start", "0.5", "0.5"], 2),
     ],
 )
 def test_flags_at_zero_and_bad_counts(capsys, argv, code):
     assert exit_code(argv) == code
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    if code == 2 and argv[-2] in ("--episodes", "--samples"):
-        assert err.startswith("usage:")
+    if code == 2:  # --horizon 0 fails validation; the rest are usage errors
+        assert err.startswith("error:" if "--horizon" in argv else "usage:")
+
+
+@pytest.mark.parametrize("criterion", ["zerosum", "common", "stackelberg"])
+def test_sweep_rows_match_solve(capsys, criterion):
+    code, out, _ = run(capsys, "sweep", ONE_STAGE, "--criterion", criterion, "--grid", "5")
+    assert code == 0
+    for row in out.splitlines()[1:]:
+        belief, value = row.split(",")[:2]
+        b = float(belief)
+        code, solved, _ = run(
+            capsys, "solve", ONE_STAGE, "--criterion", criterion,
+            "--start", repr(b), repr(1.0 - b),
+        )
+        assert code == 0
+        assert f"value_1: {value}" in solved.splitlines()

@@ -152,7 +152,7 @@ def test_linear_eval_time_mismatch(one_stage):
         linear_eval(s0, tables[1])
 
 
-def test_linear_eval_warns_on_missing_entries(tiger):
+def test_linear_eval_rejects_missing_entries(tiger):
     rng = np.random.default_rng(5)
     policy = random_joint_policy(tiger, rng)
     tables = evaluate_history(tiger, policy, 0)
@@ -160,7 +160,7 @@ def test_linear_eval_warns_on_missing_entries(tiger):
     missing_table = dataclasses.replace(
         tables[0], values=dict(list(tables[0].values.items())[:1])
     )
-    with pytest.warns(UserWarning, match="missing"):
+    with pytest.raises(ValueError, match="missing"):
         linear_eval(s0, missing_table)
 
 

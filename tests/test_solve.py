@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -16,6 +17,7 @@ from occupancy_games.policies import (
     JointPolicy,
     PolicyTree,
     PrivateHistory,
+    enumerate_pure_policies,
 )
 from occupancy_games.sampling import (
     random_behavioral_policy,
@@ -29,6 +31,7 @@ from occupancy_games.solve import (
     best_response_private_from,
     best_response_value_from,
     dec_value_from,
+    induced_normal_form,
     matrix_game_value,
     solve_dec,
     solve_stackelberg,
@@ -250,6 +253,54 @@ def test_solve_dec_requires_common(one_stage_zs):
 def test_solve_dec_respects_cap(tiger):
     with pytest.raises(CapExceededError):
         solve_dec(tiger, cap_joint=100)
+
+
+def three_agent_common(horizon: int):
+    rng = np.random.default_rng(17)
+    return random_posg(
+        rng, n_actions=(2, 2, 2), n_obs=(1, 1, 2), horizon=horizon, criterion="common"
+    )
+
+
+@pytest.mark.parametrize("horizon", [1, 2])
+@pytest.mark.parametrize("name", ["tiger_zs", "st_tiger", "three_agent"])
+def test_normal_form_cells_match_per_cell_evaluation(request, name, horizon):
+    # the per-cell route the normal form replaced: evaluate every pure profile
+    if name == "three_agent":
+        m = three_agent_common(horizon)
+    else:
+        m = request.getfixturevalue(name).with_horizon(horizon)
+    agents = list(range(m.n_agents))
+    mats, spaces = induced_normal_form(m, m.horizon, agents)
+    s0 = initial_occupancy(m)
+    for cell in itertools.product(*(range(len(space)) for space in spaces)):
+        profile = JointPolicy(tuple(space[c] for space, c in zip(spaces, cell)))
+        for agent in agents:
+            expected = evaluate_occupancy(m, profile, s0, agent)
+            assert abs(mats[agent][cell] - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("horizon", [1, 2])
+@pytest.mark.parametrize("tied", [False, True])
+def test_solve_dec_three_agents_matches_brute_force(horizon, tied):
+    m = three_agent_common(horizon)
+    if tied:  # reward 1 whenever agent 1 plays its second action: many maximisers
+        first = np.array([m.split_joint_action(u)[0] for u in range(m.n_joint_actions)])
+        rewards = np.broadcast_to(first == 1, m.rewards.shape).astype(float)
+        m = dataclasses.replace(m, rewards=rewards)
+    spaces = [enumerate_pure_policies(m, i, horizon) for i in range(3)]
+    s0 = initial_occupancy(m)
+    best_value, best_combo = -np.inf, None
+    for combo in itertools.product(*(range(len(space)) for space in spaces)):
+        profile = JointPolicy(tuple(space[c] for space, c in zip(spaces, combo)))
+        v = evaluate_occupancy(m, profile, s0, 0)
+        if v > best_value:  # strict: keeps the lexicographically first maximiser
+            best_value, best_combo = v, combo
+    eq = solve_dec(m)
+    assert all(abs(v - best_value) <= 1e-12 for v in eq.values)
+    assert eq.mixtures == tuple({c: 1.0} for c in best_combo)
+    assert all(type(c) is int for mix in eq.mixtures for c in mix)
+    assert eq.policies == tuple({c: space[c]} for space, c in zip(spaces, best_combo))
 
 
 # -- solve_zero_sum ---------------------------------------------------------------
