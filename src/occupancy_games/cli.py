@@ -19,10 +19,10 @@ from .errors import (
     PosgParseError,
     UnknownSuiteError,
 )
-from .evaluate import evaluate_occupancy, simulate
+from .evaluate import check_policy_fits, evaluate_occupancy, simulate
 from .model import CRITERIA, PosgModel, classify, parse_posg, reinterpret_criterion
 from .occupancy import initial_occupancy
-from .policies import policy_from_json, policy_to_json
+from .policies import JointPolicy, policy_from_json, policy_to_json
 from .sampling import random_joint_policy
 from .solve import (
     DEFAULT_TOLERANCE,
@@ -59,6 +59,18 @@ def _load_model(args) -> PosgModel:
     if getattr(args, "criterion", None) is not None:
         model = reinterpret_criterion(model, args.criterion)
     return model
+
+
+def _load_policy(model: PosgModel, path: str) -> JointPolicy:
+    """The joint policy in a JSON file; any way the file fails to be a policy
+    for ``model`` is one ``ModelValidationError`` naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            policy = policy_from_json(model, fh.read())
+        check_policy_fits(model, policy)
+    except (OSError, ValueError, KeyError, TypeError, IndexError, AttributeError) as exc:
+        raise ModelValidationError(f"policy file {path}: {exc}") from exc
+    return policy
 
 
 def _solve(model: PosgModel, args) -> Equilibrium:
@@ -131,8 +143,7 @@ def cmd_solve(args) -> int:
 def cmd_evaluate(args) -> int:
     model = _load_model(args)
     if args.policy:
-        with open(args.policy, "r", encoding="utf-8") as fh:
-            policy = policy_from_json(model, fh.read())
+        policy = _load_policy(model, args.policy)
     else:
         rng = np.random.default_rng(args.seed)
         policy = random_joint_policy(model, rng)
@@ -277,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, PosgParseError, ModelValidationError) as exc:
+    except (OSError, UnicodeDecodeError, PosgParseError, ModelValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except CapExceededError as exc:

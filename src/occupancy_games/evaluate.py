@@ -106,16 +106,22 @@ def value_tables(
     return tables
 
 
+def check_policy_fits(model: PosgModel, policy: JointPolicy) -> None:
+    """Raise ``ValueError`` unless the policy has one agent policy per model
+    agent, each spanning the model horizon."""
+    horizons = [a.horizon for a in policy.agents]
+    if horizons != [model.horizon] * model.n_agents:
+        raise ValueError(
+            f"policy horizons {horizons} != model horizon {model.horizon} "
+            f"for each of {model.n_agents} agents"
+        )
+
+
 def evaluate_history(
     model: PosgModel, policy: JointPolicy, agent: int
 ) -> list[ValueTable]:
     """State-value tables for every time step under a fixed joint policy."""
-    if policy.is_mixed:
-        raise ValueError("value tables are defined for tree or behavioral policies")
-    if policy.horizon != model.horizon:
-        raise ValueError(
-            f"policy horizon {policy.horizon} != model horizon {model.horizon}"
-        )
+    check_policy_fits(model, policy)
     return value_tables(model, policy.joint_rules(model), agent)
 
 
@@ -147,6 +153,7 @@ def evaluate_occupancy(
     """Expected return from occupancy state ``s`` onward under the policy.
 
     Mixtures are evaluated as weight-averaged pure-policy values."""
+    check_policy_fits(model, policy)
     if policy.is_mixed:
         return sum(
             w * evaluate_occupancy(model, pure, s, agent)
@@ -246,6 +253,7 @@ def simulate(
     belief; deterministic for a given seed."""
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
+    check_policy_fits(model, policy)
     rng = np.random.Generator(np.random.PCG64(seed))
     horizon = policy.horizon
     returns = np.zeros((model.n_agents, episodes))

@@ -7,7 +7,9 @@ occupancy state conditions instead on one agent's own history plus the fixed
 policy of the others.  Both support exact Bayesian one-step updates, and any
 occupancy state reachable under a joint policy splits into a mixture of one
 agent's private occupancy states, weighted by the marginal probability of
-that agent's histories.
+that agent's histories.  Every update pushes mass through one kernel,
+``expand``; a private update is the joint one with the agent's own action a
+point-mass rule, split by its own observation instead of the public one.
 
 Entries below ``PRUNE_EPS`` are dropped and the remaining mass renormalized;
 two states are considered equal when their pruned supports coincide and no
@@ -148,37 +150,62 @@ def initial_occupancy(model: PosgModel) -> OccupancyState:
     return OccupancyState(0, _pruned(entries))
 
 
+def expand(
+    model: PosgModel,
+    entries: Mapping[Entry, float],
+    rules: Sequence[DecisionRule],
+    agent: int | None = None,
+    only: int | None = None,
+    push: bool = True,
+) -> tuple[float, dict[int, float], dict[int, dict[Entry, float]]]:
+    """Push a measure over (state, joint history) through one joint decision
+    rule and the model dynamics.
+
+    Returns the immediate expected reward of ``agent`` (0.0 when None) and,
+    unless ``push`` is off, the unnormalized next measure and mass of every
+    branch with positive mass.  Branches are keyed by the public observation,
+    or by ``agent``'s own observation when given; ``only`` keeps one branch
+    and builds no history for the others.  Sums accumulate in (entry, joint
+    action, outcome) order.
+    """
+    reward = 0.0
+    masses: dict[int, float] = {}
+    buckets: dict[int, dict[Entry, float]] = {}
+    for (x, o), p in entries.items():
+        for u, a_p in joint_action_dist(model, rules, o).items():
+            pa = p * a_p
+            if agent is not None:
+                reward += pa * model.rewards[agent, x, u]
+            if not push:
+                continue
+            us = model.split_joint_action(u)
+            for x2, w, obs, dyn in model.successors(u, x):
+                b = w if agent is None else obs[agent]
+                if only is not None and b != only:
+                    continue
+                weight = pa * dyn
+                if weight <= 0.0:
+                    continue
+                key = (x2, o.child(us, obs))
+                bucket = buckets.setdefault(b, {})
+                bucket[key] = bucket.get(key, 0.0) + weight
+                masses[b] = masses.get(b, 0.0) + weight
+    return reward, masses, buckets
+
+
 def step(
     model: PosgModel, s: OccupancyState, rules: Sequence[DecisionRule]
 ) -> list[tuple[int, float, OccupancyState]]:
     """One exact update: returns (public observation, probability, next state)
-    for every public branch with positive probability.
-
-    The next state accumulates, for every support pair, action weighted by the
-    joint rule and (state, observation) weighted by the model dynamics; each
-    public branch is normalized by its own probability.
-    """
+    for every public branch with positive probability, in increasing public
+    observation; each branch is normalized by its own probability."""
     if len(rules) != model.n_agents:
         raise ValueError("one decision rule per agent required")
-    n_pub = len(model.public_obs)
-    buckets: list[dict[Entry, float]] = [dict() for _ in range(n_pub)]
-    totals = [0.0] * n_pub
-    for (x, o), p in s.entries.items():
-        for u, a_p in joint_action_dist(model, rules, o).items():
-            us = model.split_joint_action(u)
-            for x2, w, obs, dyn in model.successors(u, x):
-                weight = p * a_p * dyn
-                if weight <= 0.0:
-                    continue
-                key = (x2, o.child(us, obs))
-                buckets[w][key] = buckets[w].get(key, 0.0) + weight
-                totals[w] += weight
+    _, masses, buckets = expand(model, s.entries, rules)
     out = []
-    for w in range(n_pub):
-        if totals[w] <= 0.0:
-            continue
-        entries = {k: v / totals[w] for k, v in buckets[w].items()}
-        out.append((w, totals[w], OccupancyState(s.t + 1, _pruned(entries))))
+    for w in sorted(masses):
+        entries = {k: v / masses[w] for k, v in buckets[w].items()}
+        out.append((w, masses[w], OccupancyState(s.t + 1, _pruned(entries))))
     return out
 
 
@@ -186,11 +213,7 @@ def expected_reward(
     model: PosgModel, s: OccupancyState, rules: Sequence[DecisionRule], agent: int
 ) -> float:
     """Immediate expected reward of one agent under a joint decision rule."""
-    total = 0.0
-    for (x, o), p in s.entries.items():
-        for u, a_p in joint_action_dist(model, rules, o).items():
-            total += p * a_p * model.rewards[agent, x, u]
-    return total
+    return expand(model, s.entries, rules, agent, push=False)[0]
 
 
 def factorize(
@@ -216,20 +239,12 @@ def recompose(
 ) -> OccupancyState:
     if marginal.agent != conditional.agent:
         raise ValueError("marginal and conditional must describe the same agent")
+    i = marginal.agent
     entries: dict[Entry, float] = {}
     for own, m in marginal.probs.items():
         for (x, others), c in conditional.slices[own].items():
-            joint = _join(own, others, marginal.agent)
-            entries[(x, joint)] = m * c
+            entries[(x, JointHistory(others[:i] + (own,) + others[i:]))] = m * c
     return OccupancyState(t, entries)
-
-
-def _join(
-    own: PrivateHistory, others: tuple[PrivateHistory, ...], agent: int
-) -> JointHistory:
-    privates = list(others)
-    privates.insert(agent, own)
-    return JointHistory(tuple(privates))
 
 
 # ---------------------------------------------------------------------------
@@ -244,32 +259,42 @@ def initial_private_occupancy(model: PosgModel, agent: int, start=None) -> Priva
     return PrivateOccupancyState(agent, PrivateHistory(agent), _pruned(entries))
 
 
-def _others_action_dists(
+def anchored_rules(
     model: PosgModel,
-    agent: int,
+    anchor: PrivateHistory,
     others_rules: Mapping[int, DecisionRule],
-    o: JointHistory,
-) -> dict[tuple[int, ...], float]:
-    """Distribution over the *other* agents' action combinations, as full
-    joint action tuples with the anchored agent's slot left as None."""
-    idx = [j for j in range(model.n_agents) if j != agent]
-    dists = [others_rules[j].dist(o.privates[j]) for j in idx]
-    out: dict[tuple[int, ...], float] = {}
+    u_i: int,
+) -> tuple[DecisionRule, ...]:
+    """Joint decision rule whose anchored agent plays ``u_i`` for sure at its
+    anchor history, next to the others' rules."""
+    point = [0.0] * len(model.actions[anchor.agent])
+    point[u_i] = 1.0
+    own = DecisionRule(anchor.agent, anchor.t, {anchor: tuple(point)})
+    return tuple(
+        own if j == anchor.agent else others_rules[j] for j in range(model.n_agents)
+    )
 
-    def rec(k: int, acc: list[int | None], p: float):
-        if p <= 0.0:
-            return
-        if k == len(idx):
-            out[tuple(acc)] = out.get(tuple(acc), 0.0) + p
-            return
-        for u, q in enumerate(dists[k]):
-            if q > 0.0:
-                acc2 = list(acc)
-                acc2[idx[k]] = u
-                rec(k + 1, acc2, p * q)
 
-    rec(0, [None] * model.n_agents, 1.0)
-    return out
+def private_branches(
+    model: PosgModel,
+    s_i: PrivateOccupancyState,
+    others_rules: Mapping[int, DecisionRule],
+    u_i: int,
+    only: int | None = None,
+    push: bool = True,
+) -> tuple[float, list[tuple[int, float, PrivateOccupancyState]]]:
+    """The joint update with the agent's own action a point-mass rule: its
+    immediate reward for ``u_i`` and, unless ``push`` is off, ``(z_i,
+    probability, next private occupancy state)`` for every own observation
+    with positive probability (only ``only`` when given), in increasing z_i."""
+    rules = anchored_rules(model, s_i.anchor, others_rules, u_i)
+    reward, masses, buckets = expand(model, s_i.entries, rules, s_i.agent, only, push)
+    children = []
+    for z_i in sorted(masses):
+        entries = {k: v / masses[z_i] for k, v in buckets[z_i].items()}
+        nxt = PrivateOccupancyState(s_i.agent, s_i.anchor.child(u_i, z_i), _pruned(entries))
+        children.append((z_i, masses[z_i], nxt))
+    return reward, children
 
 
 def private_step(
@@ -285,28 +310,12 @@ def private_step(
     ``z_i`` is the agent's flattened observation (private and public parts),
     so only joint observations whose public component matches contribute.
     """
-    agent = s_i.agent
-    bucket: dict[Entry, float] = {}
-    prob = 0.0
-    for (x, o), p in s_i.entries.items():
-        for partial, a_p in _others_action_dists(model, agent, others_rules, o).items():
-            us = tuple(u_i if j == agent else partial[j] for j in range(model.n_agents))
-            u = model.joint_action_index(us)
-            for x2, _, obs, dyn in model.successors(u, x):
-                if obs[agent] != z_i:
-                    continue
-                weight = p * a_p * dyn
-                prob += weight
-                key = (x2, o.child(us, obs))
-                bucket[key] = bucket.get(key, 0.0) + weight
-    if prob <= 0.0:
+    _, children = private_branches(model, s_i, others_rules, u_i, only=z_i)
+    if not children:
         raise ImpossibleObservationError(
-            f"observation {z_i} has probability 0 after action {u_i} for agent {agent}"
+            f"observation {z_i} has probability 0 after action {u_i} for agent {s_i.agent}"
         )
-    entries = {k: v / prob for k, v in bucket.items()}
-    next_state = PrivateOccupancyState(
-        agent, s_i.anchor.child(u_i, z_i), _pruned(entries)
-    )
+    _, prob, next_state = children[0]
     return prob, next_state
 
 
@@ -318,13 +327,7 @@ def private_reward(
 ) -> float:
     """Immediate expected reward of the anchored agent for its action, the
     others acting by their rules."""
-    agent = s_i.agent
-    total = 0.0
-    for (x, o), p in s_i.entries.items():
-        for partial, a_p in _others_action_dists(model, agent, others_rules, o).items():
-            us = tuple(u_i if j == agent else partial[j] for j in range(model.n_agents))
-            total += p * a_p * model.rewards[agent, x, model.joint_action_index(us)]
-    return total
+    return private_branches(model, s_i, others_rules, u_i, push=False)[0]
 
 
 def private_occupancy(

@@ -182,15 +182,21 @@ class JointPolicy:
 def joint_action_dist(
     model: PosgModel, rules: Sequence[DecisionRule], joint: JointHistory
 ) -> dict[int, float]:
-    """Product distribution over joint action ids at one joint history."""
-    dists = [rule.dist(h) for rule, h in zip(rules, joint.privates)]
-    out: dict[int, float] = {}
-    for combo in itertools.product(*(range(len(d)) for d in dists)):
-        p = 1.0
-        for d, u in zip(dists, combo):
-            p *= d[u]
-        if p > 0.0:
-            out[model.joint_action_index(combo)] = p
+    """Product distribution over joint action ids at one joint history, over
+    positive-probability joint actions in increasing id order.
+
+    Per-agent probabilities are multiplied in agent order starting from 1.0.
+    """
+    out = {0: 1.0}
+    for rule, h, labels in zip(rules, joint.privates, model.actions):
+        n = len(labels)
+        dist = rule.dist(h)
+        out = {
+            k * n + u: r
+            for k, p in out.items()
+            for u, q in enumerate(dist)
+            if (r := p * q) > 0.0
+        }
     return out
 
 
@@ -311,10 +317,6 @@ def _tree_from_obj(model: PosgModel, agent: int, obj: dict) -> PolicyTree:
     return PolicyTree(agent, action, children)
 
 
-def _history_key(model: PosgModel, hist: PrivateHistory) -> str:
-    return hist.label(model)
-
-
 def _history_from_key(model: PosgModel, agent: int, key: str) -> PrivateHistory:
     if key == "()":
         return PrivateHistory(agent)
@@ -341,7 +343,7 @@ def policy_to_json(model: PosgModel, policy: JointPolicy) -> str:
                 entry = {}
                 for hist in sorted(rule.probs, key=lambda h: h.steps):
                     dist = rule.probs[hist]
-                    entry[_history_key(model, hist)] = {
+                    entry[hist.label(model)] = {
                         model.actions[a.agent][u]: p for u, p in enumerate(dist) if p > 0
                     }
                 rules.append(entry)

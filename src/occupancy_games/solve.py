@@ -31,13 +31,12 @@ from .model import PosgModel
 from .occupancy import (
     OccupancyState,
     PrivateOccupancyState,
+    anchored_rules,
+    expand,
     initial_occupancy,
     initial_private_occupancy,
-    private_reward,
-    private_step,
-    _others_action_dists,
+    private_branches,
 )
-from .errors import ImpossibleObservationError
 from .evaluate import linear_eval, value_tables
 from .policies import (
     DecisionRule,
@@ -195,6 +194,9 @@ def _others_profiles(
         entries = {j: p for j, p in enumerate(others.agents) if j != agent}
     else:
         entries = dict(others)
+    missing = [j + 1 for j in range(model.n_agents) if j != agent and j not in entries]
+    if missing:
+        raise ValueError(f"no policy for agent(s) {', '.join(map(str, missing))}")
     per_agent: dict[int, Sequence[DecisionRule]] = {}
     for j, pol in entries.items():
         per_agent[j] = agent_rules(model, pol)
@@ -228,80 +230,56 @@ def best_response_history(
     renormalization is ever needed; reported q-values are normalized by each
     history's probability.
     """
-    horizon = model.horizon if horizon is None else horizon
-    model = model.with_horizon(horizon)
-    profiles = _others_profiles(model, others, agent, horizon)
-    root = initial_private_occupancy(model, agent).entries  # mass-1 measure
-    value, tree, q = _history_br_from_measures(
-        model, profiles, agent, {PrivateHistory(agent): dict(root)}, 0
-    )
-    return BestResponse(agent, value, tree[PrivateHistory(agent)], q, "history-dp")
+    model = model.with_horizon(model.horizon if horizon is None else horizon)
+    value, trees, q = _history_br(model, others, agent, initial_occupancy(model))
+    return BestResponse(agent, value, trees[PrivateHistory(agent)], q, "history-dp")
 
 
-def _history_br_from_measures(
-    model: PosgModel,
-    profiles: list[dict[int, DecisionRule]],
-    agent: int,
-    seeds: dict[PrivateHistory, dict],
-    t0: int,
+def _history_br(
+    model: PosgModel, others, agent: int, s: OccupancyState
 ) -> tuple[float, dict[PrivateHistory, PolicyTree], dict]:
-    """Backward induction over private histories from unnormalized seed
-    measures; returns (total mass-weighted value, greedy tree per seed,
-    normalized q per visited history)."""
+    """Backward induction over private histories from the unnormalized
+    measure ``s`` puts on each of the agent's histories; returns (total
+    mass-weighted value, greedy tree per seed history, normalized q per
+    visited history)."""
     horizon = model.horizon
+    profiles = _others_profiles(model, others, agent, horizon)
     n_u = len(model.actions[agent])
     n_z = model.n_agent_obs(agent)
-    gamma = model.discount
-
+    seeds: dict[PrivateHistory, dict] = {}
+    for (x, o), p in s.entries.items():
+        seeds.setdefault(o.privates[agent], {})[(x, o)] = p
     q_out: dict[PrivateHistory, tuple[float, ...]] = {}
 
     def solve_node(hist: PrivateHistory, beta: dict, t: int) -> tuple[float, PolicyTree]:
         mass = sum(beta.values())
+        last = t + 1 >= horizon
         q_tilde = []
         best_children: list[tuple[PolicyTree, ...]] = []
         for u_i in range(n_u):
-            reward = 0.0
-            children_beta: dict[int, dict] = {}
-            for (x, o), p in beta.items():
-                for partial, a_p in _others_action_dists(
-                    model, agent, profiles[t], o
-                ).items():
-                    us = tuple(
-                        u_i if j == agent else partial[j] for j in range(model.n_agents)
-                    )
-                    u = model.joint_action_index(us)
-                    reward += p * a_p * model.rewards[agent, x, u]
-                    if t + 1 >= horizon:
-                        continue
-                    for x2, _, obs, dyn in model.successors(u, x):
-                        key = (x2, o.child(us, obs))
-                        bucket = children_beta.setdefault(obs[agent], {})
-                        bucket[key] = bucket.get(key, 0.0) + p * a_p * dyn
-            q_u = reward
+            rules = anchored_rules(model, hist, profiles[t], u_i)
+            q_u, _, children_beta = expand(model, beta, rules, agent, push=not last)
             subtrees = []
-            for z_i in range(n_z):
-                child = children_beta.get(z_i)
-                if t + 1 < horizon:
-                    if child and sum(child.values()) > 0.0:
-                        v_child, tree_child = solve_node(
-                            hist.child(u_i, z_i), child, t + 1
-                        )
-                        q_u += gamma * v_child
-                    else:
-                        tree_child = _filler_tree(agent, n_z, horizon - t - 1)
-                    subtrees.append(tree_child)
+            for z_i in range(0 if last else n_z):
+                if z_i in children_beta:
+                    v_child, tree_child = solve_node(
+                        hist.child(u_i, z_i), children_beta[z_i], t + 1
+                    )
+                    q_u += model.discount * v_child
+                else:
+                    tree_child = _filler_tree(agent, n_z, horizon - t - 1)
+                subtrees.append(tree_child)
             q_tilde.append(q_u)
             best_children.append(tuple(subtrees))
         best = _argmax_lowest(q_tilde)
         if mass > 0.0:
             q_out[hist] = tuple(v / mass for v in q_tilde)
-        tree = PolicyTree(agent, best, best_children[best] if t + 1 < horizon else ())
-        return q_tilde[best], tree
+        return q_tilde[best], PolicyTree(agent, best, best_children[best])
 
     total = 0.0
     trees: dict[PrivateHistory, PolicyTree] = {}
     for hist in sorted(seeds, key=lambda h: h.steps):
-        v, tree = solve_node(hist, seeds[hist], t0)
+        v, tree = solve_node(hist, seeds[hist], s.t)
         total += v
         trees[hist] = tree
     return total, trees, q_out
@@ -311,13 +289,7 @@ def best_response_value_from(
     model: PosgModel, others, agent: int, s: OccupancyState
 ) -> float:
     """History-route best-response value starting from an occupancy state."""
-    profiles = _others_profiles(model, others, agent, model.horizon)
-    seeds: dict[PrivateHistory, dict] = {}
-    for (x, o), p in s.entries.items():
-        own = o.privates[agent]
-        seeds.setdefault(own, {})[(x, o)] = p
-    value, _, _ = _history_br_from_measures(model, profiles, agent, seeds, s.t)
-    return value
+    return _history_br(model, others, agent, s)[0]
 
 
 def _private_dp(
@@ -331,7 +303,6 @@ def _private_dp(
     """
     horizon = model.horizon
     n_u = len(model.actions[agent])
-    n_z = model.n_agent_obs(agent)
     memo: dict = {}
 
     def V(s_i: PrivateOccupancyState, t: int) -> tuple[float, tuple[float, ...]]:
@@ -342,14 +313,11 @@ def _private_dp(
             return memo[key]
         qs = []
         for u_i in range(n_u):
-            q = private_reward(model, s_i, profiles[t], u_i)
-            if t + 1 < horizon:
-                for z_i in range(n_z):
-                    try:
-                        omega, nxt = private_step(model, s_i, profiles[t], u_i, z_i)
-                    except ImpossibleObservationError:
-                        continue
-                    q += model.discount * omega * V(nxt, t + 1)[0]
+            q, children = private_branches(
+                model, s_i, profiles[t], u_i, push=t + 1 < horizon
+            )
+            for _, omega, nxt in children:
+                q += model.discount * omega * V(nxt, t + 1)[0]
             qs.append(q)
         result = (qs[_argmax_lowest(qs)], tuple(qs))
         memo[key] = result
@@ -361,48 +329,34 @@ def _private_dp(
 def best_response_private(
     model: PosgModel, others, agent: int, horizon: int | None = None
 ) -> BestResponse:
-    """Dynamic programming over the private occupancy-state MDP."""
+    """Dynamic programming over the private occupancy-state MDP; one walk of
+    the greedy tree collects the policy and the q-table."""
     horizon = model.horizon if horizon is None else horizon
     model = model.with_horizon(horizon)
     profiles = _others_profiles(model, others, agent, horizon)
     n_z = model.n_agent_obs(agent)
     V = _private_dp(model, profiles, agent)
+    q_out: dict[PrivateHistory, tuple[float, ...]] = {}
 
-    def greedy_tree(s_i: PrivateOccupancyState, t: int) -> PolicyTree:
+    def walk(s_i: PrivateOccupancyState, t: int) -> PolicyTree:
         _, qs = V(s_i, t)
+        q_out[s_i.anchor] = qs
         u_i = _argmax_lowest(qs)
         if t + 1 >= horizon:
             return PolicyTree(agent, u_i)
-        children = []
-        for z_i in range(n_z):
-            try:
-                _, nxt = private_step(model, s_i, profiles[t], u_i, z_i)
-            except ImpossibleObservationError:
-                children.append(_filler_tree(agent, n_z, horizon - t - 1))
-                continue
-            children.append(greedy_tree(nxt, t + 1))
-        return PolicyTree(agent, u_i, tuple(children))
-
-    def collect_q(
-        s_i: PrivateOccupancyState, t: int, hist: PrivateHistory, q_out: dict
-    ):
-        value, qs = V(s_i, t)
-        q_out[hist] = qs
-        if t + 1 >= horizon:
-            return
-        u_i = _argmax_lowest(qs)
-        for z_i in range(n_z):
-            try:
-                _, nxt = private_step(model, s_i, profiles[t], u_i, z_i)
-            except ImpossibleObservationError:
-                continue
-            collect_q(nxt, t + 1, hist.child(u_i, z_i), q_out)
+        _, children = private_branches(model, s_i, profiles[t], u_i)
+        reached = {z_i: nxt for z_i, _, nxt in children}
+        children = tuple(
+            walk(reached[z_i], t + 1)
+            if z_i in reached
+            else _filler_tree(agent, n_z, horizon - t - 1)
+            for z_i in range(n_z)
+        )
+        return PolicyTree(agent, u_i, children)
 
     root = initial_private_occupancy(model, agent)
     value, _ = V(root, 0)
-    tree = greedy_tree(root, 0)
-    q_out: dict[PrivateHistory, tuple[float, ...]] = {}
-    collect_q(root, 0, PrivateHistory(agent), q_out)
+    tree = walk(root, 0)
     return BestResponse(agent, value, tree, q_out, "private-occupancy-dp")
 
 

@@ -211,6 +211,32 @@ def test_flags_at_zero_and_bad_counts(capsys, argv, code):
         assert err.startswith("error:" if "--horizon" in argv else "usage:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parse", str(model_path("tiger").parent)],
+        ["parse", "{tmp}/latin1.posg"],
+        ["evaluate", TIGER, "--policy", "{tmp}/brace.json"],
+        ["evaluate", TIGER, "--policy", "{tmp}/list.json"],
+        ["evaluate", ONE_STAGE, "--policy", "{tmp}/tiger.json"],
+        ["evaluate", TIGER, "--policy", "{tmp}/tiger.json", "--horizon", "3"],
+        [
+            "evaluate", TIGER, "--policy", "{tmp}/tiger.json", "--horizon", "1",
+            "--episodes", "20000", "--seed", "3",
+        ],
+    ],
+)
+def test_unreadable_inputs_exit_2(tmp_path, capsys, argv):
+    (tmp_path / "latin1.posg").write_bytes(b"agents: 2\nstates: \xe9t\xe9\n")
+    (tmp_path / "brace.json").write_text("{")
+    (tmp_path / "list.json").write_text("[1]")
+    assert main(["evaluate", TIGER, "--dump-policy", str(tmp_path / "tiger.json")]) == 0
+    capsys.readouterr()
+    assert exit_code([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("criterion", ["zerosum", "common", "stackelberg"])
 def test_sweep_rows_match_solve(capsys, criterion):
     code, out, _ = run(capsys, "sweep", ONE_STAGE, "--criterion", criterion, "--grid", "5")

@@ -170,6 +170,15 @@ def test_evaluate_history_rejects_horizon_mismatch(tiger):
         evaluate_history(tiger, short, 0)
 
 
+def test_evaluate_and_simulate_reject_horizon_mismatch(tiger):
+    policy = random_joint_policy(tiger, np.random.default_rng(3))
+    short = tiger.with_horizon(1)
+    with pytest.raises(ValueError, match="horizon"):
+        evaluate_occupancy(short, policy, initial_occupancy(short), 0)
+    with pytest.raises(ValueError, match="horizon"):
+        simulate(short, policy, episodes=10, seed=0)
+
+
 def test_mixture_evaluation_is_weighted_average(one_stage):
     listen = PolicyTree(0, 0)
     open_ = PolicyTree(0, 1)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,16 +7,23 @@ from hypothesis import given, settings, strategies as st
 from occupancy_games.errors import CapExceededError, UnreachableHistoryError
 from occupancy_games.policies import (
     DecisionRule,
+    JointHistory,
     JointPolicy,
     PrivateHistory,
     decision_at,
     enumerate_pure_policies,
+    joint_action_dist,
     policy_from_json,
     policy_to_json,
     pure_policy_count,
     tree_to_rules,
 )
-from occupancy_games.sampling import random_joint_policy, random_posg
+from occupancy_games.sampling import (
+    all_histories,
+    random_decision_rule,
+    random_joint_policy,
+    random_posg,
+)
 
 
 def brute_force_count(n_actions: int, n_obs: int, horizon: int) -> int:
@@ -117,3 +126,23 @@ def test_decision_rule_validates():
         DecisionRule(0, 0, {PrivateHistory(0): (0.5, 0.2)})
     with pytest.raises(ValueError, match="time step"):
         DecisionRule(0, 1, {PrivateHistory(0): (1.0,)})
+
+
+@pytest.mark.parametrize("n_actions", [(3,), (2, 3), (3, 2, 2)])
+@pytest.mark.parametrize("support", [1, 2, None])
+def test_joint_action_dist_matches_brute_force_product(n_actions, support):
+    rng = np.random.default_rng(10 * len(n_actions) + (support or 0))
+    m = random_posg(rng, n_actions=n_actions, n_obs=(2,) * len(n_actions))
+    rules = [random_decision_rule(m, i, 1, rng, support=support) for i in range(m.n_agents)]
+    histories = [all_histories(m, i, 1) for i in range(m.n_agents)]
+    for privates in itertools.product(*histories):
+        dists = [rule.dist(h) for rule, h in zip(rules, privates)]
+        expected = {}
+        for combo in itertools.product(*(range(len(d)) for d in dists)):
+            p = 1.0
+            for d, u in zip(dists, combo):
+                p *= d[u]
+            if p > 0.0:
+                expected[m.joint_action_index(combo)] = p
+        got = joint_action_dist(m, rules, JointHistory(privates))
+        assert list(got.items()) == sorted(expected.items())

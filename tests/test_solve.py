@@ -223,6 +223,44 @@ def test_three_agent_routes_agree(seed, agent):
     assert abs(best_response_private_from(m, policy, agent, root, 0) - value) <= 1e-9
 
 
+def _reached_histories(m, policy, agent, tree):
+    """Own histories of ``agent`` with positive probability when it plays
+    ``tree`` against the others' policies, by rolling the occupancy update."""
+    agents = list(policy.agents)
+    agents[agent] = tree
+    rules = JointPolicy(tuple(agents)).joint_rules(m)
+    level, reached = [initial_occupancy(m)], set()
+    for t in range(m.horizon):
+        reached |= {o.privates[agent] for s in level for (_, o) in s.entries}
+        if t + 1 < m.horizon:
+            level = [s2 for s in level for _, _, s2 in step(m, s, rules[t])]
+    return reached
+
+
+@pytest.mark.parametrize("case", ["three-agent", "tiger-h3"])
+def test_private_q_table_is_its_greedy_tree(tiger, case):
+    rng = np.random.default_rng(29)
+    if case == "three-agent":
+        m = random_posg(
+            rng, n_states=2, n_actions=(2, 2, 2), n_obs=(2, 1, 2), n_public=2, horizon=3
+        )
+    else:
+        m = tiger.with_horizon(3)
+    policy = random_joint_policy(m, rng)
+    for agent in range(m.n_agents):
+        private = best_response_private(m, policy, agent)
+        history = best_response_history(m, policy, agent)
+        assert set(private.q) == _reached_histories(m, policy, agent, private.policy)
+        for hist, qs in private.q.items():
+            assert np.allclose(qs, history.q[hist], rtol=0.0, atol=1e-9)
+
+
+def test_best_responses_name_a_missing_agent(tiger):
+    for route in (best_response_history, best_response_private):
+        with pytest.raises(ValueError, match=r"agent\(s\) 2"):
+            route(tiger, {}, 0)
+
+
 # -- solve_dec -------------------------------------------------------------------
 
 
