@@ -47,7 +47,11 @@ class _SweepSpecError(Exception):
 
 def _load_model(args) -> PosgModel:
     with open(args.model, "r", encoding="utf-8") as fh:
-        model = parse_posg(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ModelValidationError(f"model file {args.model}: {exc}") from exc
+    model = parse_posg(text)
     if getattr(args, "start", None) is not None:
         if len(args.start) != model.n_states:
             raise ModelValidationError(
@@ -288,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, UnicodeDecodeError, PosgParseError, ModelValidationError) as exc:
+    except (OSError, PosgParseError, ModelValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except CapExceededError as exc:

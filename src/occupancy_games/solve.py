@@ -9,10 +9,13 @@ sufficiency of private occupancy states.
 Equilibrium solvers work on one normal form rooted at an occupancy state (the
 initial one for the start-belief solvers): one tensor axis per agent over
 reduced pure policy trees, one tree per private history in the support (exact
-at desk scale under perfect recall).  Zero-sum games reduce to a matrix game,
+at desk scale under perfect recall).  It is built as a sequence-form payoff
+tensor, from one forward walk below the state, contracted with each agent's
+0/1 realization matrix.  Zero-sum games reduce to a matrix game,
 common-payoff games to an argmax over the tensor, and Stackelberg games to one
-incentive-constrained linear program per follower pure policy (strong
-equilibrium: follower ties break in the leader's favor).
+incentive-constrained linear program per follower pure policy that could still
+raise the leader's value (strong equilibrium: follower ties break in the
+leader's favor).
 Ties everywhere break toward the lowest enumeration index.
 """
 
@@ -37,7 +40,6 @@ from .occupancy import (
     initial_private_occupancy,
     private_branches,
 )
-from .evaluate import linear_eval, value_tables
 from .policies import (
     DecisionRule,
     JointPolicy,
@@ -45,7 +47,6 @@ from .policies import (
     PrivateHistory,
     agent_rules,
     enumerate_pure_policies,
-    rules_from_trees,
 )
 
 DEFAULT_TOLERANCE = 1e-9
@@ -393,6 +394,100 @@ def _anchored_space(
     return [dict(zip(anchors, combo)) for combo in combos]
 
 
+def _sequence_payoffs(
+    model: PosgModel,
+    s: OccupancyState,
+    anchors: Sequence[Sequence[PrivateHistory]],
+    agents_of_interest: Sequence[int],
+) -> tuple[np.ndarray, list[dict[tuple[int, int, int], int]]]:
+    """Sequence-form payoff tensor below occupancy ``s``.
+
+    One forward walk over every joint action and outcome pushes the mass of
+    ``s`` through (state, per-agent information set) pairs.  Agent ``i``'s
+    sets are numbered as they are reached: set ``a`` is its anchor
+    ``anchors[i][a]``, and ``kids[i][(j, u, z)]`` is the set after own action
+    ``u`` and observation ``z`` at set ``j``.  Sequence ``j * n_u + u`` is
+    action ``u`` at set ``j``.  The tensor has one axis per agent over its
+    sequences and a last axis over ``agents_of_interest``: the discounted
+    reward at those joint sequences, weighted by the probability of the
+    outcomes along them.
+    """
+    n = model.n_agents
+    n_us = tuple(len(labels) for labels in model.actions)
+    pos = [{h: a for a, h in enumerate(anc)} for anc in anchors]
+    kids: list[dict[tuple[int, int, int], int]] = [{} for _ in range(n)]
+    level: dict[tuple[int, tuple[int, ...]], float] = {}
+    for (x, o), p in s.entries.items():
+        key = (x, tuple(pos[i][h] for i, h in enumerate(o.privates)))
+        level[key] = level.get(key, 0.0) + p
+    visited = list(level.items())
+    for _ in range(model.horizon - s.t - 1):
+        nxt: dict[tuple[int, tuple[int, ...]], float] = {}
+        for (x, sets), p in level.items():
+            for u in range(model.n_joint_actions):
+                us = model.split_joint_action(u)
+                for x2, _, obs, dyn in model.successors(u, x):
+                    children = tuple(
+                        kids[i].setdefault(
+                            (sets[i], us[i], obs[i]), len(anchors[i]) + len(kids[i])
+                        )
+                        for i in range(n)
+                    )
+                    key = (x2, children)
+                    nxt[key] = nxt.get(key, 0.0) + p * model.discount * dyn
+        level = nxt
+        visited += level.items()
+    # rewards[x, u_0, ..., u_{n-1}, k] for the k-th agent of interest
+    rewards = np.moveaxis(model.rewards[list(agents_of_interest)], 0, -1)
+    rewards = rewards.reshape((model.n_states,) + n_us + (-1,))
+    xs = np.array([x for (x, _), _ in visited], dtype=np.intp)
+    ids = np.array([sets for (_, sets), _ in visited], dtype=np.intp).reshape(-1, n)
+    mass = np.array([p for _, p in visited]).reshape((-1,) + (1,) * (n + 1))
+    n_sets = [len(anc) + len(k) for anc, k in zip(anchors, kids)]
+    # axes (set_0, u_0, ..., set_{n-1}, u_{n-1}, k), merged below into
+    # sequence axes j * n_u + u
+    G = np.zeros(tuple(itertools.chain(*zip(n_sets, n_us))) + rewards.shape[-1:])
+    index = tuple(itertools.chain(*((ids[:, i], slice(None)) for i in range(n))))
+    np.add.at(G, index + (slice(None),), mass * rewards[xs])
+    shape = tuple(k * n_u for k, n_u in zip(n_sets, n_us))
+    return G.reshape(shape + rewards.shape[-1:]), kids
+
+
+def _realization(
+    n_u: int,
+    anchors: Sequence[PrivateHistory],
+    space: Sequence[Mapping[PrivateHistory, PolicyTree]],
+    kids: Mapping[tuple[int, int, int], int],
+) -> np.ndarray:
+    """0/1 matrix over (assignment, sequence of ``_sequence_payoffs``): 1
+    where the assignment's tree at the sequence's anchor plays every action
+    along it."""
+    index: dict[int, int] = {}  # id(tree) -> k
+    trees: list[PolicyTree] = []
+    which = np.empty((len(space), len(anchors)), dtype=np.intp)
+    for r, assign in enumerate(space):
+        for a, h in enumerate(anchors):
+            tree = assign[h]
+            if id(tree) not in index:
+                index[id(tree)] = len(trees)
+                trees.append(tree)
+            which[r, a] = index[id(tree)]
+    # plays[k, a]: the sequences tree k plays when rooted at anchor a
+    plays = np.zeros((len(trees), len(anchors), (len(anchors) + len(kids)) * n_u))
+
+    def mark(k: int, a: int, node: PolicyTree, j: int) -> None:
+        plays[k, a, j * n_u + node.action] = 1.0
+        for z, child in enumerate(node.children):
+            c = kids.get((j, node.action, z))
+            if c is not None:  # None: the walk never reached it
+                mark(k, a, child, c)
+
+    for k, tree in enumerate(trees):
+        for a in range(len(anchors)):
+            mark(k, a, tree, a)
+    return sum(plays[which[:, a], a] for a in range(len(anchors)))
+
+
 def _normal_form(
     model: PosgModel,
     s: OccupancyState,
@@ -401,8 +496,14 @@ def _normal_form(
     cap_joint: int,
 ) -> tuple[list[np.ndarray], list[list[dict]]]:
     """Payoff tensors, one axis per agent, over anchored pure policy suffixes
-    from occupancy ``s``, with each agent's assignment space."""
-    t, depth = s.t, model.horizon - s.t
+    from occupancy ``s``, with each agent's assignment space.
+
+    Under perfect recall a pure profile's payoff is multilinear in the
+    agents' 0/1 sequence realizations, so every tensor is the sequence-form
+    payoff contracted with each agent's realization matrix (for two agents,
+    ``R_0 @ G @ R_1.T``).
+    """
+    depth = model.horizon - s.t
     if depth < 1:
         raise ValueError("occupancy state is already at the horizon")
     anchors = [_anchors(s, i) for i in range(model.n_agents)]
@@ -413,34 +514,11 @@ def _normal_form(
     shape = tuple(len(space) for space in spaces)
     if math.prod(shape) > cap_joint:
         raise CapExceededError("joint enumeration", math.prod(shape), cap_joint)
-    mats = [np.zeros(shape) for _ in agents_of_interest]
-    if depth == 1:
-        # one step left: gather each entry's reward at every cell's joint action
-        n_us = tuple(len(labels) for labels in model.actions)
-        index = [{a: k for k, a in enumerate(anc)} for anc in anchors]
-        actions = [
-            np.array([[assign[a].action for a in anc] for assign in space], dtype=int)
-            for anc, space in zip(anchors, spaces)
-        ]
-        for (x, o), p in s.entries.items():
-            cells = np.ix_(
-                *(acts[:, idx[h]] for acts, idx, h in zip(actions, index, o.privates))
-            )
-            for pos, agent in enumerate(agents_of_interest):
-                mats[pos] += (p * model.rewards[agent, x].reshape(n_us))[cells]
-        return mats, spaces
-    seeds = sorted({o for (_, o) in s.entries}, key=lambda o: o.sort_key())
-    rules = [
-        [rules_from_trees(model, i, assign, t) for assign in space]
-        for i, space in enumerate(spaces)
-    ]
-    for cell in itertools.product(*(range(n) for n in shape)):
-        profile = [rules[i][c] for i, c in enumerate(cell)]
-        rules_by_step = [[]] * t + [tuple(r[d] for r in profile) for d in range(depth)]
-        for pos, agent in enumerate(agents_of_interest):
-            tables = value_tables(model, rules_by_step, agent, t, seeds)
-            mats[pos][cell] = linear_eval(s, tables[0])
-    return mats, spaces
+    out, kids = _sequence_payoffs(model, s, anchors, agents_of_interest)
+    for i, space in enumerate(spaces):
+        R = _realization(len(model.actions[i]), anchors[i], space, kids[i])
+        out = np.tensordot(out, R, axes=([0], [1]))  # moves agent i's axis last
+    return list(out), spaces
 
 
 def suffix_normal_form(
@@ -530,11 +608,13 @@ def solve_dec(
 ) -> Equilibrium:
     """Optimal joint policy of a common-payoff game by exhaustive search over
     reduced pure policies; ties go to the lexicographically smallest index
-    tuple."""
+    tuple whose value is within ``1e-12 * max(1, |max|)`` of the maximum, so
+    the pick does not depend on the order the payoffs were summed in."""
     m = _game_at(model, horizon, "common", "solve_dec")
     (values,), spaces = induced_normal_form(m, m.horizon, [0], cap_per_agent, cap_joint)
-    # np.argmax returns the first maximum in C order: the smallest index tuple
-    best = tuple(int(c) for c in np.unravel_index(np.argmax(values), values.shape))
+    top = values.max()
+    first = np.flatnonzero(values >= top - 1e-12 * max(1.0, abs(top)))[0]
+    best = tuple(int(c) for c in np.unravel_index(first, values.shape))
     return Equilibrium(
         criterion="common",
         values=(float(values[best]),) * m.n_agents,
@@ -573,6 +653,8 @@ def stackelberg_from_matrices(
     leader mixture, follower pure response)."""
     best = None
     for k in range(F.shape[1]):
+        if best is not None and L[:, k].max() <= best[0] + 1e-12:
+            continue  # even the leader's best row cannot beat ``best``
         out = _sse_leader_lp(L[:, k], F, k)
         if out is None:
             continue

@@ -232,9 +232,12 @@ def test_unreadable_inputs_exit_2(tmp_path, capsys, argv):
     (tmp_path / "list.json").write_text("[1]")
     assert main(["evaluate", TIGER, "--dump-policy", str(tmp_path / "tiger.json")]) == 0
     capsys.readouterr()
-    assert exit_code([arg.format(tmp=tmp_path) for arg in argv]) == 2
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert exit_code(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    culprit = argv[argv.index("--policy") + 1] if "--policy" in argv else argv[1]
+    assert culprit in err
 
 
 @pytest.mark.parametrize("criterion", ["zerosum", "common", "stackelberg"])

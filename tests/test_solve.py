@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 
 import numpy as np
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from occupancy_games.errors import CapExceededError, ModelValidationError
-from occupancy_games.evaluate import evaluate_occupancy
+from occupancy_games import solve
+from occupancy_games.evaluate import evaluate_occupancy, linear_eval, value_tables
 from occupancy_games.occupancy import (
     expected_reward,
     initial_occupancy,
@@ -18,6 +20,7 @@ from occupancy_games.policies import (
     PolicyTree,
     PrivateHistory,
     enumerate_pure_policies,
+    rules_from_trees,
 )
 from occupancy_games.sampling import (
     random_behavioral_policy,
@@ -37,6 +40,7 @@ from occupancy_games.solve import (
     solve_stackelberg,
     solve_zero_sum,
     stackelberg_from_matrices,
+    suffix_normal_form,
     zero_sum_value_from,
 )
 
@@ -341,6 +345,93 @@ def test_solve_dec_three_agents_matches_brute_force(horizon, tied):
     assert eq.policies == tuple({c: space[c]} for space, c in zip(spaces, best_combo))
 
 
+def per_cell_value(m, s, spaces, cell, agent):
+    """The per-cell route: each agent's anchored trees as decision rules from
+    ``s.t`` on, one backward pass over the reachable histories, paired with
+    ``s``."""
+    assigned = [space[c] for space, c in zip(spaces, cell)]
+    profile = [rules_from_trees(m, i, a, s.t) for i, a in enumerate(assigned)]
+    depth = m.horizon - s.t
+    rules_by_step = [[]] * s.t + [tuple(r[d] for r in profile) for d in range(depth)]
+    seeds = sorted({o for (_, o) in s.entries}, key=lambda o: o.sort_key())
+    tables = value_tables(m, rules_by_step, agent, s.t, seeds)
+    return linear_eval(s, tables[0])
+
+
+def one_step_states(m, seed, support):
+    """The t=1 occupancy states of every public branch under a seeded rule."""
+    rng = np.random.default_rng(seed)
+    rules = tuple(
+        random_decision_rule(m, i, 0, rng, support=support) for i in range(m.n_agents)
+    )
+    return [s1 for _, _, s1 in step(m, initial_occupancy(m), rules)]
+
+
+@pytest.mark.parametrize("name", ["tiger_zs", "st_tiger", "random_public"])
+def test_mid_game_normal_form_matches_per_cell_route(request, name):
+    if name == "random_public":
+        rng = np.random.default_rng(23)
+        m = random_posg(rng, n_actions=(2, 2), n_obs=(2, 1), n_public=2, horizon=2)
+        states = one_step_states(m, 31, support=None)
+    else:
+        m = request.getfixturevalue(name).with_horizon(2)
+        states = one_step_states(m, 31, support=1)
+    assert len(states) == (2 if name == "random_public" else 1)
+    for s in states:
+        mats, spaces = suffix_normal_form(m, s, (0, 1))
+        assert min(len(space[0]) for space in spaces) >= 2  # several anchors per agent
+        for cell in itertools.product(*(range(len(space)) for space in spaces)):
+            for agent in (0, 1):
+                expected = per_cell_value(m, s, spaces, cell, agent)
+                assert abs(mats[agent][cell] - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("discount", [1.0, 0.95])
+def test_deep_normal_form_cells_match_per_cell_route(st_tiger, discount):
+    m = dataclasses.replace(st_tiger.with_horizon(3), discount=discount)
+    s0 = initial_occupancy(m)
+    mats, spaces = suffix_normal_form(m, s0, (0, 1))
+    assert mats[0].shape == (128, 128)
+    rng = np.random.default_rng(41)
+    for cell in zip(rng.integers(128, size=50), rng.integers(128, size=50)):
+        for agent in (0, 1):
+            expected = per_cell_value(m, s0, spaces, cell, agent)
+            assert abs(mats[agent][cell] - expected) <= 1e-12
+
+
+def test_solve_dec_tie_rule_ignores_summation_order(tiger):
+    # seven joint policies are worth 2.4 here, some of them 1 ulp above it
+    b = float(np.linspace(0.0, 1.0, 21)[3])
+    m = tiger.with_start([b, 1.0 - b])
+    spaces = [enumerate_pure_policies(m, i, m.horizon) for i in range(2)]
+    s0 = initial_occupancy(m)
+    values = np.array([
+        [evaluate_occupancy(m, JointPolicy((row, col)), s0, 0) for col in spaces[1]]
+        for row in spaces[0]
+    ])
+    top = values.max()
+    tied = np.argwhere(values >= top - 1e-12 * max(1.0, abs(top)))
+    assert len(tied) == 7 and abs(top - 2.4) <= 1e-12
+    eq = solve_dec(m)
+    assert eq.mixtures == tuple({int(c): 1.0} for c in tied[0])
+    assert abs(eq.values[0] - top) <= 1e-12
+
+
+def _names(code) -> set[str]:
+    """Global and attribute names a code object uses, nested ones included."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            names |= _names(const)
+    return names
+
+
+def test_normal_form_stays_off_the_per_cell_route():
+    # the payoff tensors come from one sequence-form walk, never per cell
+    code = compile(inspect.getsource(solve), solve.__file__, "exec")
+    assert not _names(code) & {"value_tables", "linear_eval"}
+
+
 # -- solve_zero_sum ---------------------------------------------------------------
 
 
@@ -404,6 +495,44 @@ def test_sse_degenerate_leader():
     value, sigma, k = stackelberg_from_matrices(L, F)
     assert value == pytest.approx(5.0)
     assert k == 0
+
+
+def test_sse_pruning_keeps_the_unpruned_result(monkeypatch):
+    calls, real = [], solve.linprog
+    monkeypatch.setattr(solve, "linprog", lambda *a, **k: calls.append(1) or real(*a, **k))
+    unpruned = pruned = 0
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        m, n = rng.integers(2, 7, size=2)
+        # small integer payoffs make ties between columns common
+        L = rng.integers(-3, 4, size=(m, n)).astype(float)
+        F = rng.integers(-3, 4, size=(m, n)).astype(float)
+        calls.clear()
+        best = None  # the loop without the pruning test
+        for k in range(n):
+            out = solve._sse_leader_lp(L[:, k], F, k)
+            if out is not None and (best is None or out[0] > best[0] + 1e-12):
+                best = (out[0], out[1], k)
+        before = len(calls)
+        calls.clear()
+        value, sigma, k = stackelberg_from_matrices(L, F)
+        assert len(calls) <= before
+        unpruned, pruned = unpruned + before, pruned + len(calls)
+        assert value == best[0] and k == best[2]
+        assert np.array_equal(sigma, best[1])
+    assert pruned < unpruned
+
+
+def test_solve_stackelberg_three_steps(st_tiger):
+    eq = solve_stackelberg(st_tiger.with_horizon(3))
+    assert abs(eq.values[0] - 3.13975625) <= 1e-9
+    (L, F), _ = induced_normal_form(st_tiger, 3, [0, 1])
+    sigma = np.zeros(L.shape[0])
+    for idx, w in eq.mixtures[0].items():
+        sigma[idx] = w
+    (k,) = eq.mixtures[1]
+    assert sigma @ F[:, k] >= (sigma @ F).max() - 1e-9
+    assert abs(eq.values[1] - sigma @ F[:, k]) <= 1e-9
 
 
 def test_solve_stackelberg_one_stage(one_stage_st):
