@@ -30,6 +30,7 @@ from .solve import (
     solve_dec,
     solve_stackelberg,
     solve_zero_sum,
+    zero_sum_guarantees,
 )
 from .verify import report_lines, run_suite
 
@@ -77,13 +78,19 @@ def _load_policy(model: PosgModel, path: str) -> JointPolicy:
     return policy
 
 
+def _per_agent_cap(args) -> dict:
+    return {} if args.cap is None else {"cap_per_agent": args.cap}
+
+
 def _solve(model: PosgModel, args) -> Equilibrium:
     """The solver of the model's criterion, with the --cap and --tolerance
-    overrides applied."""
-    caps = {} if args.cap is None else {"cap_per_agent": args.cap, "cap_joint": args.cap}
+    overrides applied to the caps and tolerance it reads."""
+    caps = _per_agent_cap(args)
     if model.criterion == "zerosum":
         tolerance = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
         return solve_zero_sum(model, tolerance=tolerance, **caps)
+    if args.cap is not None:
+        caps["cap_joint"] = args.cap
     if model.criterion == "common":
         return solve_dec(model, **caps)
     if model.criterion == "stackelberg":
@@ -198,10 +205,11 @@ def cmd_sweep(args) -> int:
     rows = []
     header = "belief,value"
     for b in np.linspace(0.0, 1.0, args.grid):
-        eq = _solve(model.with_start([float(b), float(1.0 - b)]), args)
+        at_b = model.with_start([float(b), float(1.0 - b)])
+        eq = _solve(at_b, args)
         fields = [_fmt(b), _fmt(eq.values[0])]
         if eq.criterion == "zerosum":
-            components = eq.metadata["row_guarantees"]
+            components = zero_sum_guarantees(at_b, **_per_agent_cap(args))
             if not rows:
                 header += "," + ",".join(f"component_{j}" for j in range(len(components)))
             fields += [_fmt(v) for v in components]
@@ -228,10 +236,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--tolerance": dict(
             type=float,
             default=None,
-            help="tolerance override: the zero-sum matrix game in solve and sweep, "
-            "the master and lipschitz suites in verify",
+            help="tolerance override: in solve and sweep, the largest zero-sum "
+            "certificate (duality gap plus both exploitabilities) per unit of the "
+            "largest payoff entry; in verify, the largest violation the master and "
+            "lipschitz suites accept",
         ),
-        "--cap": dict(type=int, default=None, help="enumeration cap override"),
+        "--cap": dict(
+            type=int,
+            default=None,
+            help="cap override: zerosum counts sequences per agent (sweep also "
+            "agent 1's pure policies); common and stackelberg count pure policies "
+            "per agent and joint profiles",
+        ),
         "--horizon": dict(type=int, default=None, help="horizon override"),
         "--start": dict(
             type=float, nargs="+", default=None, help="start belief override"

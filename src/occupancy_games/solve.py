@@ -6,15 +6,19 @@ programming over private occupancy states with normalized Bayesian updates.
 Equality of their values on every input is the operational form of the
 sufficiency of private occupancy states.
 
-Equilibrium solvers work on one normal form rooted at an occupancy state (the
-initial one for the start-belief solvers): one tensor axis per agent over
-reduced pure policy trees, one tree per private history in the support (exact
-at desk scale under perfect recall).  It is built as a sequence-form payoff
-tensor, from one forward walk below the state, contracted with each agent's
-0/1 realization matrix.  Zero-sum games reduce to a matrix game,
-common-payoff games to an argmax over the tensor, and Stackelberg games to one
-incentive-constrained linear program per follower pure policy that could still
-raise the leader's value (strong equilibrium: follower ties break in the
+Every equilibrium solver starts from one forward walk below an occupancy state
+(the initial one for the start-belief solvers) that builds a sequence-form
+payoff tensor over the agents' sequences: one per own action at each
+information set, i.e. private history below an anchor of the state (exact
+under perfect recall).  Zero-sum games solve as one realization-plan linear
+program over that tensor (Koller, Megiddo & von Stengel 1996), read back as
+mixtures over pure policy trees; a game where each agent has a single
+information set is the matrix game itself and keeps its closed forms.
+Common-payoff and Stackelberg games contract the tensor with each agent's 0/1
+realization matrix into the normal form over reduced pure policy trees, one
+tree per anchor: common-payoff games take an argmax over it, Stackelberg games
+one incentive-constrained linear program per follower pure policy that could
+still raise the leader's value (strong equilibrium: follower ties break in the
 leader's favor).
 Ties everywhere break toward the lowest enumeration index.
 """
@@ -27,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import CapExceededError, ModelValidationError
 from .model import PosgModel
@@ -54,6 +57,15 @@ CAP_PER_AGENT = 10**4
 CAP_JOINT = 10**6
 
 
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on first use: ``scipy.optimize``
+    is most of the package's import time and many commands never solve an
+    LP."""
+    from scipy.optimize import linprog as highs_linprog
+
+    return highs_linprog(*args, **kwargs)
+
+
 @dataclass(frozen=True)
 class MatrixGame:
     """Zero-sum payoff matrix for the row maximizer."""
@@ -76,6 +88,7 @@ class MatrixGameSolution:
     row_mix: np.ndarray
     col_mix: np.ndarray
     method: str
+    gap: float = 0.0  # LP duality gap; 0 for closed forms
 
 
 @dataclass(frozen=True)
@@ -107,8 +120,8 @@ def matrix_game_value(
     """Minimax value and eps-optimal mixtures of a zero-sum matrix game.
 
     Degenerate shapes and 2x2 games use closed forms; anything larger goes to
-    a linear program (one per player), with the duality gap checked against
-    the tolerance.
+    the realization-plan LP with one information set per player, with the
+    duality gap checked against the tolerance.
     """
     A = game.payoffs if isinstance(game, MatrixGame) else MatrixGame(game).payoffs
     m, n = A.shape
@@ -126,7 +139,11 @@ def matrix_game_value(
         return MatrixGameSolution(float(A[j, 0]), row, np.ones(1), "closed-form")
     if m == 2 and n == 2:
         return _solve_2x2(A)
-    return _solve_lp(A, tolerance)
+    one_set = np.full(1, -1, dtype=np.intp)
+    value, row, col, gap = _realization_plan_lp(A, (one_set, one_set), (m, n))
+    if gap > max(tolerance, 1e-7) * max(1.0, np.abs(A).max()):
+        raise RuntimeError(f"matrix game duality gap {gap:.3g} exceeds tolerance")
+    return MatrixGameSolution(value, row, col, "lp", gap)
 
 
 def _solve_2x2(A: np.ndarray) -> MatrixGameSolution:
@@ -147,39 +164,6 @@ def _solve_2x2(A: np.ndarray) -> MatrixGameSolution:
     row = np.array([(d - c) / denom, (a - b) / denom])
     col = np.array([(d - b) / denom, (a - c) / denom])
     return MatrixGameSolution(float(value), row, col, "closed-form")
-
-
-def _one_sided_lp(A: np.ndarray) -> tuple[float, np.ndarray]:
-    """max_x min_k (x^T A)_k over the simplex, via HiGHS."""
-    m, n = A.shape
-    # variables: x_1..x_m, v; minimize -v
-    c = np.zeros(m + 1)
-    c[-1] = -1.0
-    A_ub = np.hstack([-A.T, np.ones((n, 1))])
-    b_ub = np.zeros(n)
-    A_eq = np.concatenate([np.ones(m), [0.0]])[None, :]
-    res = linprog(
-        c,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=A_eq,
-        b_eq=[1.0],
-        bounds=[(0, None)] * m + [(None, None)],
-        method="highs",
-    )
-    if not res.success:  # pragma: no cover - LP over a simplex is always feasible
-        raise RuntimeError(f"matrix game LP failed: {res.message}")
-    x = np.clip(res.x[:m], 0.0, None)
-    return float(res.x[-1]), x / x.sum()
-
-
-def _solve_lp(A: np.ndarray, tolerance: float) -> MatrixGameSolution:
-    v_row, row = _one_sided_lp(A)
-    v_col_neg, col = _one_sided_lp(-A.T)
-    gap = abs(v_row + v_col_neg)
-    if gap > max(tolerance, 1e-7) * max(1.0, np.abs(A).max()):
-        raise RuntimeError(f"matrix game duality gap {gap:.3g} exceeds tolerance")
-    return MatrixGameSolution(v_row, row, col, "lp")
 
 
 # ---------------------------------------------------------------------------
@@ -561,39 +545,230 @@ def _game_at(
     return m
 
 
+# ---------------------------------------------------------------------------
+# zero-sum games in sequence form
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SequenceFormSolution:
+    """Saddle point of the zero-sum game below an occupancy state.
+
+    Sets and sequences are numbered as in ``_sequence_payoffs``: agent ``i``'s
+    set ``a`` is its anchor ``anchors[i][a]``, ``kids[i][(j, u, z)]`` is the set
+    after own action ``u`` and observation ``z`` at set ``j``, and sequence
+    ``j * n_u + u`` is action ``u`` at set ``j``.  ``plans[i]`` is agent
+    ``i``'s realization plan: mass 1 over the actions at each anchor, and each
+    sequence's mass spread over the actions at every set below it.
+    """
+
+    value: float
+    plans: tuple[np.ndarray, ...]
+    anchors: tuple[tuple[PrivateHistory, ...], ...]
+    kids: tuple[Mapping[tuple[int, int, int], int], ...]
+    metadata: Mapping[str, object]
+
+
+def _sequence_count(model: PosgModel, agent: int, n_anchors: int, depth: int) -> int:
+    """Sequences of the agent's full trie, ``depth`` steps below
+    ``n_anchors`` anchors."""
+    n_u, n_z = len(model.actions[agent]), model.n_agent_obs(agent)
+    return n_anchors * n_u * sum((n_u * n_z) ** d for d in range(depth))
+
+
+def _parents(kids: Mapping[tuple[int, int, int], int], n_sets: int, n_u: int) -> np.ndarray:
+    """Parent sequence of each information set, -1 at the anchors."""
+    parents = np.full(n_sets, -1, dtype=np.intp)
+    for (j, u, _), c in kids.items():
+        parents[c] = j * n_u + u
+    return parents
+
+
+def _trie_best(g: np.ndarray, parents: np.ndarray, n_u: int, best) -> np.ndarray:
+    """Best total of per-sequence payoffs ``g[..., sequence]`` over one
+    agent's pure plans (``best``: ``np.max`` or ``np.min``), for each index of
+    the leading axes.  One reverse pass folds each set's best action into its
+    parent sequence; sets are numbered after their parents, so a set is
+    complete when it is folded."""
+    v = g.reshape(g.shape[:-1] + (len(parents), n_u)).copy()
+    for c in range(len(parents) - 1, -1, -1):
+        p = parents[c]
+        if p >= 0:
+            v[..., p // n_u, p % n_u] += best(v[..., c, :], axis=-1)
+    return best(v[..., parents < 0, :], axis=-1).sum(axis=-1)
+
+
+def _plan_constraints(parents: np.ndarray, n_u: int):
+    """Sparse ``E`` and right-hand side ``e`` of ``E x = e``: one row per set,
+    its actions' mass minus its parent sequence's mass, 1 at the anchors."""
+    from scipy import sparse
+
+    n_sets = len(parents)
+    below = np.flatnonzero(parents >= 0)
+    rows = np.concatenate([np.repeat(np.arange(n_sets), n_u), below])
+    cols = np.concatenate([np.arange(n_sets * n_u), parents[below]])
+    vals = np.concatenate([np.ones(n_sets * n_u), -np.ones(len(below))])
+    E = sparse.csr_matrix((vals, (rows, cols)), shape=(n_sets, n_sets * n_u))
+    return E, (parents < 0).astype(float)
+
+
+def _realization_plan_lp(
+    G: np.ndarray, parents: Sequence[np.ndarray], n_us: Sequence[int]
+) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """max f^T q  s.t.  E x = e, x >= 0, F^T q <= G^T x, via HiGHS.
+
+    ``x`` is agent 0's realization plan and ``q`` one free value per set of
+    agent 1; the duals of the ``F^T q <= G^T x`` rows are agent 1's plan.
+    Returns (value, x, y, duality gap)."""
+    from scipy import sparse
+
+    E, e = _plan_constraints(parents[0], n_us[0])
+    F, f = _plan_constraints(parents[1], n_us[1])
+    n_x, n_q = E.shape[1], F.shape[0]
+    res = linprog(
+        np.concatenate([np.zeros(n_x), -f]),
+        A_ub=sparse.hstack([sparse.csr_matrix(-G.T), F.T]),
+        b_ub=np.zeros(G.shape[1]),
+        A_eq=sparse.hstack([E, sparse.csr_matrix((E.shape[0], n_q))]),
+        b_eq=e,
+        bounds=[(0, None)] * n_x + [(None, None)] * n_q,
+        method="highs",
+    )
+    if not res.success:  # pragma: no cover - plans exist and payoffs are bounded
+        raise RuntimeError(f"sequence-form LP failed: {res.message}")
+    x = np.clip(res.x[:n_x], 0.0, None)
+    y = np.clip(-res.ineqlin.marginals, 0.0, None)
+    gap = abs(float(res.fun - e @ res.eqlin.marginals))
+    return -float(res.fun), x, y, gap
+
+
+def _zero_sum_kernel(
+    model: PosgModel, s: OccupancyState, tolerance: float, cap_per_agent: int
+) -> tuple[SequenceFormSolution, np.ndarray]:
+    """Saddle point below occupancy ``s`` and agent 0's sequence-form payoff
+    matrix ``G``.
+
+    The certificate, the duality gap plus each side's exploitability (what
+    the opponent's best pure plan gains against it), must stay within
+    ``max(tolerance, 1e-7)`` times the largest payoff magnitude."""
+    depth = model.horizon - s.t
+    if depth < 1:
+        raise ValueError("occupancy state is already at the horizon")
+    anchors = [_anchors(s, i) for i in range(2)]
+    n_us = [len(model.actions[i]) for i in range(2)]
+    for i in range(2):
+        count = _sequence_count(model, i, len(anchors[i]), depth)
+        if count > cap_per_agent:
+            raise CapExceededError(f"sequence form of agent {i + 1}", count, cap_per_agent)
+    G, kids = _sequence_payoffs(model, s, anchors, [0])
+    G = G[..., 0]
+    parents = [_parents(kids[i], len(anchors[i]) + len(kids[i]), n_us[i]) for i in range(2)]
+    if all(len(p) == 1 for p in parents):  # one set each: G is the matrix game
+        sol = matrix_game_value(G, tolerance)
+        value, x, y, gap = sol.value, sol.row_mix, sol.col_mix, sol.gap
+        method = f"normal-form+{sol.method}"
+    else:
+        value, x, y, gap = _realization_plan_lp(G, parents, n_us)
+        method = "sequence-form-lp"
+    exploitability = (
+        max(0.0, value - float(_trie_best(x @ G, parents[1], n_us[1], np.min))),
+        max(0.0, float(_trie_best(G @ y, parents[0], n_us[0], np.max)) - value),
+    )
+    certificate = gap + sum(exploitability)
+    if certificate > max(tolerance, 1e-7) * max(1.0, float(np.abs(G).max())):
+        raise RuntimeError(f"zero-sum certificate {certificate:.3g} exceeds tolerance")
+    metadata = {
+        "method": method,
+        "sequences": G.shape,
+        "duality_gap": gap,
+        "exploitability": exploitability,
+        "residual": max(exploitability),
+    }
+    solution = SequenceFormSolution(
+        value, (x, y), tuple(map(tuple, anchors)), tuple(kids), metadata
+    )
+    return solution, G
+
+
+def _kuhn_mixture(
+    model: PosgModel,
+    agent: int,
+    plan: np.ndarray,
+    kids: Mapping[tuple[int, int, int], int],
+) -> tuple[dict[int, float], dict[int, PolicyTree]]:
+    """Pure policy trees whose mixture realizes ``plan`` (one anchor, at the
+    start), keyed by their ``enumerate_pure_policies`` index: the preorder
+    actions read as a base-``n_u`` number.
+
+    Each round takes the tree playing the heaviest remaining action at every
+    set it reaches (action 0 below sets the walk never reached), weighs it by
+    the least remaining mass on its sequences and subtracts it; that empties
+    at least one sequence, so there are at most ``len(plan)`` trees."""
+    n_u, n_z = len(model.actions[agent]), model.n_agent_obs(agent)
+    rest = plan.copy()
+    weights: dict[int, float] = {}
+    trees: dict[int, PolicyTree] = {}
+    for _ in range(len(plan)):
+        played: list[int] = []
+        index = 0
+
+        def build(j: int | None, depth: int) -> PolicyTree:
+            nonlocal index
+            u = 0 if j is None else int(np.argmax(rest[j * n_u : (j + 1) * n_u]))
+            index = index * n_u + u
+            if j is not None:
+                played.append(j * n_u + u)
+            if depth == 1:
+                return PolicyTree(agent, u)
+            below = (None if j is None else kids.get((j, u, z)) for z in range(n_z))
+            return PolicyTree(agent, u, tuple(build(c, depth - 1) for c in below))
+
+        tree = build(0, model.horizon)
+        w = float(rest[played].min())
+        if w <= 1e-12:  # what is left is LP round-off
+            break
+        rest[played] -= w
+        rest[rest <= 1e-12] = 0.0
+        weights[index] = weights.get(index, 0.0) + w
+        trees[index] = tree
+    return weights, trees
+
+
 def solve_zero_sum(
     model: PosgModel,
     horizon: int | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
     cap_per_agent: int = CAP_PER_AGENT,
-    cap_joint: int = CAP_JOINT,
 ) -> Equilibrium:
-    """Saddle value and optimal mixtures of a zero-sum game at the start
-    belief, on the induced normal form over pure policies."""
+    """Saddle value of a zero-sum game at the start belief, from one
+    realization-plan LP, with each agent's optimal plan as a mixture over pure
+    policy trees.  ``cap_per_agent`` caps each agent's sequences."""
     m = _game_at(model, horizon, "zerosum", "solve_zero_sum")
-    (A,), spaces = induced_normal_form(m, m.horizon, [0], cap_per_agent, cap_joint)
-    sol = matrix_game_value(A, tolerance)
-    residual = max(
-        float(sol.value - (sol.row_mix @ A).min()),
-        float((A @ sol.col_mix).max() - sol.value),
-        0.0,
-    )
-    mixtures = tuple(_support_dict(mix) for mix in (sol.row_mix, sol.col_mix))
-    policies = tuple(
-        {idx: spaces[i][idx] for idx in mixtures[i]} for i in range(2)
+    sol, _ = _zero_sum_kernel(m, initial_occupancy(m), tolerance, cap_per_agent)
+    mixtures, policies = zip(
+        *(_kuhn_mixture(m, i, sol.plans[i], sol.kids[i]) for i in range(2))
     )
     return Equilibrium(
         criterion="zerosum",
         values=(sol.value, -sol.value),
         mixtures=mixtures,
         policies=policies,
-        metadata={
-            "method": f"normal-form+{sol.method}",
-            "shape": A.shape,
-            "residual": residual,
-            "row_guarantees": tuple(float(v) for v in A.min(axis=1)),
-        },
+        metadata=dict(sol.metadata),
     )
+
+
+def zero_sum_guarantees(model: PosgModel, cap_per_agent: int = CAP_PER_AGENT) -> np.ndarray:
+    """What each of agent 0's pure policy trees (``enumerate_pure_policies``
+    order) guarantees it at the start belief of a zero-sum game: the
+    components of the value's max-of-concave decomposition.  Each tree's
+    realization times ``G``, minimised over agent 1's pure plans."""
+    root = PrivateHistory(0)
+    trees = enumerate_pure_policies(model, 0, model.horizon, cap_per_agent)
+    anchors = [[PrivateHistory(i)] for i in range(2)]
+    G, kids = _sequence_payoffs(model, initial_occupancy(model), anchors, [0])
+    R = _realization(len(model.actions[0]), [root], [{root: t} for t in trees], kids[0])
+    n_u = len(model.actions[1])
+    return _trie_best(R @ G[..., 0], _parents(kids[1], 1 + len(kids[1]), n_u), n_u, np.min)
 
 
 def _support_dict(mix: np.ndarray, atol: float = 1e-12) -> dict[int, float]:
@@ -701,11 +876,11 @@ def zero_sum_value_from(
     s: OccupancyState,
     tolerance: float = DEFAULT_TOLERANCE,
     cap_per_agent: int = CAP_PER_AGENT,
-) -> tuple[float, MatrixGameSolution, np.ndarray]:
-    """Saddle value of the zero-sum subgame rooted at occupancy ``s``."""
-    (A,), _ = suffix_normal_form(model, s, (0,), cap_per_agent)
-    sol = matrix_game_value(A, tolerance)
-    return sol.value, sol, A
+) -> tuple[float, SequenceFormSolution, np.ndarray]:
+    """Saddle value of the zero-sum subgame rooted at occupancy ``s``, with
+    the saddle point and agent 0's sequence-form payoff matrix."""
+    sol, G = _zero_sum_kernel(model, s, tolerance, cap_per_agent)
+    return sol.value, sol, G
 
 
 def dec_value_from(

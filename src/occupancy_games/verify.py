@@ -704,7 +704,7 @@ def _zs_structure(model, rng, n_samples, negative_control) -> tuple[float, dict]
     for k in range(n_samples):
         if t == 0:
             s_mix = _belief_occupancy(model, rng.dirichlet(np.ones(model.n_states)))
-            v_mix, sol, A = zero_sum_value_from(model, s_mix)
+            v_mix, sol, G = zero_sum_value_from(model, s_mix)
             if negative_control:
                 v_mix += _CORRUPTION
         else:
@@ -721,19 +721,19 @@ def _zs_structure(model, rng, n_samples, negative_control) -> tuple[float, dict]
             v_a, _, _ = zero_sum_value_from(model, s_a)
             v_b, _, _ = zero_sum_value_from(model, s_b)
             s_mix = mix_occupancies([s_a, s_b], [lam, 1 - lam])
-            v_mix, sol, A = zero_sum_value_from(model, s_mix)
+            v_mix, sol, G = zero_sum_value_from(model, s_mix)
             if negative_control:
                 v_mix += _BIG_CORRUPTION
             worst = max(worst, _convexity_violation(v_mix, lam, v_a, v_b))
             # convexity over marginals at a fixed conditional (opponent factor)
             worst = max(worst, _marginal_convexity(model, s_a, rng, negative_control))
-        # max-of-concave certificate: the optimal leader mixture achieves the
-        # value, arbitrary mixtures never exceed it
-        achieve = v_mix - float((sol.row_mix @ A).min())
+        # max-of-concave certificate: the optimal leader plan achieves the
+        # value, arbitrary leader plans never exceed it
+        achieve = v_mix - _follower_reply(model, sol, sol.plans[0] @ G)
         worst = max(worst, abs(achieve))
         for _ in range(3):
-            sigma = rng.dirichlet(np.ones(A.shape[0]))
-            worst = max(worst, float((sigma @ A).min()) - v_mix)
+            x = _random_leader_plan(model, sol, rng)
+            worst = max(worst, _follower_reply(model, sol, x @ G) - v_mix)
     notes: dict[str, object] = {}
     if model.n_states == 2 and model.horizon == 1:
         cert, gap, grid_points = _zs_grid_certificate(model, rng, negative_control)
@@ -742,6 +742,48 @@ def _zs_structure(model, rng, n_samples, negative_control) -> tuple[float, dict]
         notes["grid_points"] = grid_points
     notes["norm"] = "l1"
     return worst, notes
+
+
+def _sets_below(kids) -> dict[tuple[int, int], list[int]]:
+    """Information sets right after each (set, own action) pair."""
+    below: dict[tuple[int, int], list[int]] = {}
+    for (j, u, _), c in kids.items():
+        below.setdefault((j, u), []).append(c)
+    return below
+
+
+def _follower_reply(model: PosgModel, sol, g: np.ndarray) -> float:
+    """Leader payoff after the follower's best reply, where ``g`` holds the
+    leader's payoff per follower sequence (a leader plan times ``G``): a
+    backward min over the follower's information sets, set by set."""
+    n_u = len(model.actions[1])
+    below = _sets_below(sol.kids[1])
+
+    def worst_case(j: int) -> float:
+        return min(
+            g[j * n_u + u] + sum(worst_case(c) for c in below.get((j, u), ()))
+            for u in range(n_u)
+        )
+
+    return float(sum(worst_case(a) for a in range(len(sol.anchors[1]))))
+
+
+def _random_leader_plan(model: PosgModel, sol, rng) -> np.ndarray:
+    """Realization plan of a random behavioral leader strategy: Dirichlet
+    action weights at each set, times the mass of the sequence leading to it."""
+    n_u = len(model.actions[0])
+    below = _sets_below(sol.kids[0])
+    x = np.zeros((len(sol.anchors[0]) + len(sol.kids[0])) * n_u)
+
+    def spread(j: int, mass: float) -> None:
+        x[j * n_u : (j + 1) * n_u] = mass * rng.dirichlet(np.ones(n_u))
+        for u in range(n_u):
+            for c in below.get((j, u), ()):
+                spread(c, x[j * n_u + u])
+
+    for a in range(len(sol.anchors[0])):
+        spread(a, 1.0)
+    return x
 
 
 def _belief_occupancy(model: PosgModel, belief) -> OccupancyState:
@@ -782,15 +824,15 @@ def _zs_grid_certificate(model, rng, negative_control) -> tuple[float, float, in
     worst = 0.0
     for b in grid:
         s = _belief_occupancy(model, np.array([b, 1.0 - b]))
-        v, sol, A = zero_sum_value_from(model, s)
+        v, sol, G = zero_sum_value_from(model, s)
         values.append(v)
-        achieve = v - float((sol.row_mix @ A).min())
+        achieve = v - _follower_reply(model, sol, sol.plans[0] @ G)
         if negative_control:
             achieve += _CORRUPTION
         worst = max(worst, abs(achieve))
         for _ in range(2):
-            sigma = rng.dirichlet(np.ones(A.shape[0]))
-            worst = max(worst, float((sigma @ A).min()) - v)
+            x = _random_leader_plan(model, sol, rng)
+            worst = max(worst, _follower_reply(model, sol, x @ G) - v)
     # expected-positive diagnostic: convexity on the standard basis fails
     gap = 0.0
     values = np.array(values)

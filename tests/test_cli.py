@@ -1,6 +1,8 @@
 import pytest
 
 from occupancy_games.cli import main
+from occupancy_games.model import parse_posg
+from occupancy_games.solve import induced_normal_form
 
 from conftest import model_path
 
@@ -52,6 +54,20 @@ def test_solve_zerosum_one_stage_point_mass(capsys):
 def test_solve_cap_exceeded(capsys):
     code, _, err = run(capsys, "solve", TIGER, "--cap", "3")
     assert code == 3 and "cap" in err
+
+
+def test_zero_sum_cap_counts_sequences(capsys):
+    # tiger-zs at its horizon 2 has 21 sequences per agent
+    code, _, err = run(capsys, "solve", TIGER_ZS, "--cap", "20")
+    assert code == 3 and "21 exceeds cap 20" in err
+    code, out, _ = run(capsys, "solve", TIGER_ZS, "--cap", "21")
+    assert code == 0 and "value_1: 0" in out
+
+
+def test_solve_zero_sum_four_steps(capsys):
+    code, out, _ = run(capsys, "solve", TIGER_ZS, "--horizon", "4")
+    assert code == 0
+    assert "value_1: 0" in out.splitlines() and "method: sequence-form-lp" in out
 
 
 def test_verify_sufficiency(capsys):
@@ -253,3 +269,18 @@ def test_sweep_rows_match_solve(capsys, criterion):
         )
         assert code == 0
         assert f"value_1: {value}" in solved.splitlines()
+
+
+def test_sweep_zero_sum_components_are_row_minima(capsys):
+    code, out, _ = run(capsys, "sweep", TIGER_ZS, "--grid", "5")
+    assert code == 0
+    model = parse_posg(model_path("tiger-zs").read_text())
+    rows = out.splitlines()[1:]
+    assert len(rows) == 5
+    for row in rows:
+        belief, _, *components = row.split(",")
+        b = float(belief)
+        (A,), _ = induced_normal_form(model.with_start([b, 1.0 - b]), model.horizon, [0])
+        minima = A.min(axis=1)
+        assert len(components) == len(minima) == 27
+        assert max(abs(float(c) - v) for c, v in zip(components, minima)) <= 1e-9

@@ -1,6 +1,10 @@
 import dataclasses
 import inspect
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +20,8 @@ from occupancy_games.occupancy import (
     step,
 )
 from occupancy_games.policies import (
+    BehavioralPolicy,
+    DecisionRule,
     JointPolicy,
     PolicyTree,
     PrivateHistory,
@@ -23,6 +29,7 @@ from occupancy_games.policies import (
     rules_from_trees,
 )
 from occupancy_games.sampling import (
+    all_histories,
     random_behavioral_policy,
     random_decision_rule,
     random_joint_policy,
@@ -575,3 +582,209 @@ def test_solve_dec_argmax_certificate(one_stage):
         for col in spaces[1]:
             v = evaluate_occupancy(one_stage, JointPolicy((row, col)), s0, 0)
             assert eq.values[0] >= v - 1e-12
+
+
+# -- zero-sum games in sequence form ------------------------------------------------
+
+
+def brute_force_zero_sum(m, s) -> float:
+    """The old route: the matrix game over anchored pure policy suffixes."""
+    (A,), _ = suffix_normal_form(m, s, (0,))
+    return matrix_game_value(A).value
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    horizon=st.integers(1, 2),
+    n_public=st.integers(1, 2),
+)
+def test_zero_sum_sequence_form_matches_normal_form(seed, horizon, n_public):
+    rng = np.random.default_rng(seed)
+    m = random_posg(
+        rng, n_actions=(2, 3), n_obs=(2, 1), n_public=n_public, horizon=horizon,
+        discount=0.9, criterion="zerosum",
+    )
+    s0 = initial_occupancy(m)
+    states = [s0]
+    if horizon == 2:  # t=1 states, several anchors per agent
+        rules = tuple(random_decision_rule(m, i, 0, rng) for i in range(2))
+        states += [s1 for _, _, s1 in step(m, s0, rules)]
+    for s in states:
+        v, sol, _ = zero_sum_value_from(m, s)
+        assert abs(v - brute_force_zero_sum(m, s)) <= 1e-9
+        if s.t == 1:
+            assert min(len(anchors) for anchors in sol.anchors) >= 2
+    assert abs(solve_zero_sum(m).values[0] - brute_force_zero_sum(m, s0)) <= 1e-9
+
+
+def test_zero_sum_sequence_form_matches_normal_form_three_steps():
+    rng = np.random.default_rng(5)
+    m = random_posg(
+        rng, n_actions=(2, 2), n_obs=(2, 2), horizon=3, discount=0.9, criterion="zerosum"
+    )
+    s0 = initial_occupancy(m)
+    eq = solve_zero_sum(m)
+    assert eq.metadata["method"] == "sequence-form-lp"
+    assert abs(eq.values[0] - brute_force_zero_sum(m, s0)) <= 1e-9
+
+
+def plan_from_tree(m, agent, sol, tree) -> np.ndarray:
+    """0/1 realization of a tree rooted at the single anchor."""
+    n_u = len(m.actions[agent])
+    x = np.zeros(len(sol.plans[agent]))
+
+    def mark(node, j):
+        x[j * n_u + node.action] = 1.0
+        for z, child in enumerate(node.children):
+            c = sol.kids[agent].get((j, node.action, z))
+            if c is not None:
+                mark(child, c)
+
+    mark(tree, 0)
+    return x
+
+
+def set_histories(sol, agent) -> dict:
+    """Private history of each of the agent's information sets."""
+    hist = dict(enumerate(sol.anchors[agent]))
+    for (j, u, z), c in sorted(sol.kids[agent].items(), key=lambda kv: kv[1]):
+        hist[c] = hist[j].child(u, z)
+    return hist
+
+
+def parent_sequences(sol, agent, n_u) -> dict:
+    return {c: j * n_u + u for (j, u, _), c in sol.kids[agent].items()}
+
+
+def behavioral_from_plan(m, agent, sol) -> BehavioralPolicy:
+    """pi(u | j) = x[j, u] / x[parent(j)] on the sets the walk reached (each
+    set's mass checked against its parent's), uniform elsewhere."""
+    x = sol.plans[agent]
+    n_u = len(m.actions[agent])
+    parents = parent_sequences(sol, agent, n_u)
+    sets = {h: j for j, h in set_histories(sol, agent).items()}
+    rules = []
+    for t in range(m.horizon):
+        probs = {}
+        for h in all_histories(m, agent, t):
+            j = sets.get(h)
+            mass = 0.0 if j is None else x[parents[j]] if j in parents else 1.0
+            if mass <= 1e-12:
+                probs[h] = (1.0 / n_u,) * n_u
+                continue
+            row = x[j * n_u : (j + 1) * n_u]
+            assert abs(row.sum() - mass) <= 1e-12
+            probs[h] = tuple(row / row.sum())
+        rules.append(DecisionRule(agent, t, probs))
+    return BehavioralPolicy(agent, tuple(rules))
+
+
+def realization_of(m, agent, sol, policy) -> np.ndarray:
+    """Realization plan of a behavioral policy over the agent's sets."""
+    n_u = len(m.actions[agent])
+    parents = parent_sequences(sol, agent, n_u)
+    x = np.zeros(len(sol.plans[agent]))
+    for j, h in sorted(set_histories(sol, agent).items()):  # parents first
+        mass = x[parents[j]] if j in parents else 1.0
+        x[j * n_u : (j + 1) * n_u] = mass * np.array(policy.rules[h.t].dist(h))
+    return x
+
+
+def random_zero_sum(seed=3, horizon=2):
+    rng = np.random.default_rng(seed)
+    return random_posg(
+        rng, n_actions=(2, 3), n_obs=(2, 1), n_public=2, horizon=horizon,
+        discount=0.9, criterion="zerosum",
+    )
+
+
+@pytest.mark.parametrize(
+    "name, horizon", [("tiger_zs", 1), ("tiger_zs", 2), ("tiger_zs", 3), ("random", 2)]
+)
+def test_zero_sum_exploitability_matches_history_best_response(request, name, horizon):
+    if name == "random":
+        m = random_zero_sum(horizon=horizon)
+    else:
+        m = request.getfixturevalue(name).with_horizon(horizon)
+    eq = solve_zero_sum(m)
+    v, sol, G = zero_sum_value_from(m, initial_occupancy(m))
+    assert v == eq.values[0]
+    if name == "random":
+        assert abs(v) > 0.05  # tiger-zs is worth 0 everywhere: no sign check
+    for agent in (0, 1):
+        opponent = 1 - agent
+        br = best_response_history(m, {agent: behavioral_from_plan(m, agent, sol)}, opponent)
+        gain = br.value - eq.values[opponent]
+        assert abs(gain - eq.metadata["exploitability"][agent]) <= 1e-9
+    assert eq.metadata["residual"] == max(eq.metadata["exploitability"])
+    assert eq.metadata["duality_gap"] <= 1e-9
+    # the trie max also prices plans far from optimal
+    rng = np.random.default_rng(11)
+    n_u = len(m.actions[0])
+    parents = solve._parents(sol.kids[0], len(sol.plans[0]) // n_u, n_u)
+    for _ in range(3):
+        pi = random_behavioral_policy(m, 1, rng)
+        br = best_response_history(m, {1: pi}, 0)
+        y = realization_of(m, 1, sol, pi)
+        assert abs(float(solve._trie_best(G @ y, parents, n_u, np.max)) - br.value) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "name, horizon",
+    [("tiger_zs", 1), ("tiger_zs", 2), ("tiger_zs", 3), ("random", 1), ("random", 2)],
+)
+def test_zero_sum_kuhn_mixtures_realize_the_plans(request, name, horizon):
+    if name == "random":
+        m = random_zero_sum(horizon=horizon)
+    else:
+        m = request.getfixturevalue(name).with_horizon(horizon)
+    eq = solve_zero_sum(m)
+    _, sol, _ = zero_sum_value_from(m, initial_occupancy(m))
+    mixed = 0
+    for agent in (0, 1):
+        mixture, trees = eq.mixtures[agent], eq.policies[agent]
+        assert abs(sum(mixture.values()) - 1.0) <= 1e-9
+        assert set(trees) == set(mixture)
+        enumerated = enumerate_pure_policies(m, agent, horizon, cap=10**4)
+        realized = np.zeros(len(sol.plans[agent]))
+        for i, w in mixture.items():
+            assert enumerated[i] == trees[i]
+            realized += w * plan_from_tree(m, agent, sol, trees[i])
+        assert np.abs(realized - sol.plans[agent]).max() <= 1e-9
+        assert len(mixture) <= len(sol.plans[agent])
+        mixed += len(mixture) > 1
+    if name == "random":
+        assert mixed  # a mixed saddle point
+
+
+def test_zero_sum_cap_counts_sequences_before_the_walk(tiger_zs, monkeypatch):
+    # tiger-zs: 3 actions x 2 observations, 3 * sum(6^d, d < h) sequences per agent
+    assert solve_zero_sum(tiger_zs, cap_per_agent=21).metadata["sequences"] == (21, 21)
+    with pytest.raises(CapExceededError):
+        solve_zero_sum(tiger_zs, cap_per_agent=20)
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked past the cap")
+
+    monkeypatch.setattr(solve, "_sequence_payoffs", no_walk)
+    with pytest.raises(CapExceededError) as info:
+        solve_zero_sum(tiger_zs.with_horizon(6))
+    assert info.value.count == 27_993
+
+
+def test_zero_sum_four_steps(tiger_zs):
+    eq = solve_zero_sum(tiger_zs.with_horizon(4))
+    assert abs(eq.values[0]) <= 1e-9
+    assert eq.metadata["sequences"] == (777, 777)
+    assert eq.metadata["residual"] <= 1e-9
+
+
+def test_package_import_leaves_scipy_optimize_unloaded():
+    src = pathlib.Path(solve.__file__).resolve().parents[1]
+    code = "import sys, occupancy_games; print('scipy.optimize' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
