@@ -89,8 +89,6 @@ def _solve(model: PosgModel, args) -> Equilibrium:
     if model.criterion == "zerosum":
         tolerance = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
         return solve_zero_sum(model, tolerance=tolerance, **caps)
-    if args.cap is not None:
-        caps["cap_joint"] = args.cap
     if model.criterion == "common":
         return solve_dec(model, **caps)
     if model.criterion == "stackelberg":
@@ -244,9 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--cap": dict(
             type=int,
             default=None,
-            help="cap override: zerosum counts sequences per agent (sweep also "
-            "agent 1's pure policies); common and stackelberg count pure policies "
-            "per agent and joint profiles",
+            help="cap override: zerosum counts sequences per agent (sweep's "
+            "components also pure policies per agent); common and stackelberg "
+            "count pure policies per agent",
         ),
         "--horizon": dict(type=int, default=None, help="horizon override"),
         "--start": dict(

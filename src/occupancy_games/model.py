@@ -217,8 +217,9 @@ def _validate(model: PosgModel) -> None:
         )
     if model.rewards.shape != (n, nx, nu):
         raise ModelValidationError(f"rewards shape {model.rewards.shape} != {(n, nx, nu)}")
-    if not np.isfinite(model.rewards).all():
-        raise ModelValidationError("rewards must be finite")
+    for name in ("rewards", "transition", "observation", "start"):
+        if not np.isfinite(getattr(model, name)).all():
+            raise ModelValidationError(f"{name} must be finite")
 
     if np.any(model.transition < -STOCHASTIC_ATOL) or np.any(model.observation < -STOCHASTIC_ATOL):
         raise ModelValidationError("negative probability entry")

@@ -14,12 +14,13 @@ under perfect recall).  Zero-sum games solve as one realization-plan linear
 program over that tensor (Koller, Megiddo & von Stengel 1996), read back as
 mixtures over pure policy trees; a game where each agent has a single
 information set is the matrix game itself and keeps its closed forms.
-Common-payoff and Stackelberg games contract the tensor with each agent's 0/1
-realization matrix into the normal form over reduced pure policy trees, one
-tree per anchor: common-payoff games take an argmax over it, Stackelberg games
-one incentive-constrained linear program per follower pure policy that could
-still raise the leader's value (strong equilibrium: follower ties break in the
-leader's favor).
+Common-payoff and Stackelberg games enumerate reduced pure policy trees (one
+per anchor) for all agents but one and keep that agent in sequence form: the
+last agent of a common-payoff game best-responds to each enumerated profile by
+one reverse max over its information sets; a Stackelberg leader's realization
+plan is the variable of one incentive-constrained linear program per follower
+pure policy that could still raise its value (Conitzer & Sandholm 2006; strong
+equilibrium: follower ties break in the leader's favor).
 Ties everywhere break toward the lowest enumeration index.
 """
 
@@ -50,6 +51,7 @@ from .policies import (
     PrivateHistory,
     agent_rules,
     enumerate_pure_policies,
+    pure_policy_count,
 )
 
 DEFAULT_TOLERANCE = 1e-9
@@ -407,15 +409,14 @@ def _sequence_payoffs(
     visited = list(level.items())
     for _ in range(model.horizon - s.t - 1):
         nxt: dict[tuple[int, tuple[int, ...]], float] = {}
+        joint = [model.split_joint_action(u) for u in range(model.n_joint_actions)]
+        n_anchors = [len(anc) for anc in anchors]
         for (x, sets), p in level.items():
-            for u in range(model.n_joint_actions):
-                us = model.split_joint_action(u)
+            for u, us in enumerate(joint):
                 for x2, _, obs, dyn in model.successors(u, x):
                     children = tuple(
-                        kids[i].setdefault(
-                            (sets[i], us[i], obs[i]), len(anchors[i]) + len(kids[i])
-                        )
-                        for i in range(n)
+                        kid.setdefault((j, a, z), n_anc + len(kid))
+                        for kid, n_anc, j, a, z in zip(kids, n_anchors, sets, us, obs)
                     )
                     key = (x2, children)
                     nxt[key] = nxt.get(key, 0.0) + p * model.discount * dyn
@@ -477,32 +478,44 @@ def _normal_form(
     s: OccupancyState,
     agents_of_interest: Sequence[int],
     cap_per_agent: int,
-    cap_joint: int,
-) -> tuple[list[np.ndarray], list[list[dict]]]:
+    keep: int | None = None,
+) -> tuple[list[np.ndarray], list[list[dict] | None], list[dict]]:
     """Payoff tensors, one axis per agent, over anchored pure policy suffixes
-    from occupancy ``s``, with each agent's assignment space.
+    from occupancy ``s``, with each agent's assignment space and the ``kids``
+    of ``_sequence_payoffs``.
 
     Under perfect recall a pure profile's payoff is multilinear in the
     agents' 0/1 sequence realizations, so every tensor is the sequence-form
     payoff contracted with each agent's realization matrix (for two agents,
-    ``R_0 @ G @ R_1.T``).
+    ``R_0 @ G @ R_1.T``).  Agent ``keep``, if given, is left uncontracted:
+    its axis stays over its sequences and its space is ``None``; its pure
+    policies are counted against the cap but not enumerated.
     """
     depth = model.horizon - s.t
     if depth < 1:
         raise ValueError("occupancy state is already at the horizon")
     anchors = [_anchors(s, i) for i in range(model.n_agents)]
-    spaces = [
-        _anchored_space(model, i, anchors[i], depth, cap_per_agent)
-        for i in range(model.n_agents)
-    ]
-    shape = tuple(len(space) for space in spaces)
-    if math.prod(shape) > cap_joint:
-        raise CapExceededError("joint enumeration", math.prod(shape), cap_joint)
+    spaces: list[list[dict] | None] = []
+    for i in range(model.n_agents):
+        if i != keep:
+            spaces.append(_anchored_space(model, i, anchors[i], depth, cap_per_agent))
+            continue
+        n_trees = pure_policy_count(len(model.actions[i]), model.n_agent_obs(i), depth)
+        count = n_trees ** len(anchors[i])
+        if count > cap_per_agent:
+            raise CapExceededError("anchored policy enumeration", count, cap_per_agent)
+        spaces.append(None)
+    count = math.prod(len(space) for space in spaces if space is not None)
+    if count > CAP_JOINT:
+        raise CapExceededError("joint enumeration", count, CAP_JOINT)
     out, kids = _sequence_payoffs(model, s, anchors, agents_of_interest)
     for i, space in enumerate(spaces):
-        R = _realization(len(model.actions[i]), anchors[i], space, kids[i])
-        out = np.tensordot(out, R, axes=([0], [1]))  # moves agent i's axis last
-    return list(out), spaces
+        if space is None:
+            out = np.moveaxis(out, 0, -1)
+        else:
+            R = _realization(len(model.actions[i]), anchors[i], space, kids[i])
+            out = np.tensordot(out, R, axes=([0], [1]))  # moves agent i's axis last
+    return list(out), spaces, kids
 
 
 def suffix_normal_form(
@@ -510,11 +523,11 @@ def suffix_normal_form(
     s: OccupancyState,
     agents_of_interest: Sequence[int] = (0,),
     cap_per_agent: int = CAP_PER_AGENT,
-    cap_joint: int = CAP_JOINT,
 ) -> tuple[list[np.ndarray], list[list[dict]]]:
     """Payoff tensors over anchored pure policy suffixes from occupancy ``s``;
     axis ``i`` indexes agent ``i``'s assignments of one tree per anchor."""
-    return _normal_form(model, s, agents_of_interest, cap_per_agent, cap_joint)
+    mats, spaces, _ = _normal_form(model, s, agents_of_interest, cap_per_agent)
+    return mats, spaces
 
 
 def induced_normal_form(
@@ -522,15 +535,12 @@ def induced_normal_form(
     horizon: int,
     agents_of_interest: Sequence[int],
     cap_per_agent: int = CAP_PER_AGENT,
-    cap_joint: int = CAP_JOINT,
 ) -> tuple[list[np.ndarray], list[list[PolicyTree]]]:
     """Payoff tensors over reduced pure policy profiles at the start belief,
     one axis per agent: the occupancy-rooted normal form at the initial
     occupancy state, each one-anchor assignment unwrapped to its tree."""
     m = model.with_horizon(horizon)
-    mats, spaces = _normal_form(
-        m, initial_occupancy(m), agents_of_interest, cap_per_agent, cap_joint
-    )
+    mats, spaces, _ = _normal_form(m, initial_occupancy(m), agents_of_interest, cap_per_agent)
     roots = [PrivateHistory(i) for i in range(m.n_agents)]
     return mats, [[a[root] for a in space] for root, space in zip(roots, spaces)]
 
@@ -546,7 +556,8 @@ def _game_at(
 
 
 # ---------------------------------------------------------------------------
-# zero-sum games in sequence form
+# equilibria in sequence form: both agents in zero-sum games, one agent in
+# common-payoff and Stackelberg games
 # ---------------------------------------------------------------------------
 
 
@@ -578,10 +589,10 @@ def _sequence_count(model: PosgModel, agent: int, n_anchors: int, depth: int) ->
 
 def _parents(kids: Mapping[tuple[int, int, int], int], n_sets: int, n_u: int) -> np.ndarray:
     """Parent sequence of each information set, -1 at the anchors."""
-    parents = np.full(n_sets, -1, dtype=np.intp)
+    parents = [-1] * n_sets
     for (j, u, _), c in kids.items():
         parents[c] = j * n_u + u
-    return parents
+    return np.array(parents, dtype=np.intp)
 
 
 def _trie_best(g: np.ndarray, parents: np.ndarray, n_u: int, best) -> np.ndarray:
@@ -598,17 +609,13 @@ def _trie_best(g: np.ndarray, parents: np.ndarray, n_u: int, best) -> np.ndarray
     return best(v[..., parents < 0, :], axis=-1).sum(axis=-1)
 
 
-def _plan_constraints(parents: np.ndarray, n_u: int):
-    """Sparse ``E`` and right-hand side ``e`` of ``E x = e``: one row per set,
-    its actions' mass minus its parent sequence's mass, 1 at the anchors."""
-    from scipy import sparse
-
-    n_sets = len(parents)
-    below = np.flatnonzero(parents >= 0)
-    rows = np.concatenate([np.repeat(np.arange(n_sets), n_u), below])
-    cols = np.concatenate([np.arange(n_sets * n_u), parents[below]])
-    vals = np.concatenate([np.ones(n_sets * n_u), -np.ones(len(below))])
-    E = sparse.csr_matrix((vals, (rows, cols)), shape=(n_sets, n_sets * n_u))
+def _plan_constraints(parents: np.ndarray, n_u: int) -> tuple[np.ndarray, np.ndarray]:
+    """``E`` and right-hand side ``e`` of ``E x = e``: one row per set, its
+    actions' mass minus its parent sequence's mass, 1 at the anchors."""
+    E = np.eye(len(parents)).repeat(n_u, axis=1)
+    for c, p in enumerate(parents.tolist()):
+        if p >= 0:
+            E[c, p] = -1.0
     return E, (parents < 0).astype(float)
 
 
@@ -757,112 +764,120 @@ def solve_zero_sum(
     )
 
 
+def _one_sided(model: PosgModel, s: OccupancyState, cap_per_agent: int, best) -> tuple:
+    """Agents 0..n-2 enumerated below occupancy ``s`` against the last agent in
+    sequence form: agent 0's payoff for each enumerated profile (C order) when
+    the last agent plays its ``best`` (``np.max`` or ``np.min``) pure plan, one
+    reverse trie pass each; the profiles' payoffs ``Y`` over its sequences; the
+    enumerated spaces; its ``kids``.  No joint tensor is built."""
+    last = model.n_agents - 1
+    (Y,), spaces, kids = _normal_form(model, s, [0], cap_per_agent, keep=last)
+    n_u = len(model.actions[last])
+    Y = Y.reshape(-1, Y.shape[-1])
+    values = _trie_best(Y, _parents(kids[last], Y.shape[-1] // n_u, n_u), n_u, best)
+    return values, Y, spaces[:last], kids[last]
+
+
 def zero_sum_guarantees(model: PosgModel, cap_per_agent: int = CAP_PER_AGENT) -> np.ndarray:
     """What each of agent 0's pure policy trees (``enumerate_pure_policies``
     order) guarantees it at the start belief of a zero-sum game: the
-    components of the value's max-of-concave decomposition.  Each tree's
-    realization times ``G``, minimised over agent 1's pure plans."""
-    root = PrivateHistory(0)
-    trees = enumerate_pure_policies(model, 0, model.horizon, cap_per_agent)
-    anchors = [[PrivateHistory(i)] for i in range(2)]
-    G, kids = _sequence_payoffs(model, initial_occupancy(model), anchors, [0])
-    R = _realization(len(model.actions[0]), [root], [{root: t} for t in trees], kids[0])
-    n_u = len(model.actions[1])
-    return _trie_best(R @ G[..., 0], _parents(kids[1], 1 + len(kids[1]), n_u), n_u, np.min)
-
-
-def _support_dict(mix: np.ndarray, atol: float = 1e-12) -> dict[int, float]:
-    return {int(i): float(w) for i, w in enumerate(mix) if w > atol}
+    components of the value's max-of-concave decomposition, each tree's
+    payoff minimised over agent 1's pure plans."""
+    return _one_sided(model, initial_occupancy(model), cap_per_agent, np.min)[0]
 
 
 def solve_dec(
-    model: PosgModel,
-    horizon: int | None = None,
-    cap_per_agent: int = CAP_PER_AGENT,
-    cap_joint: int = CAP_JOINT,
+    model: PosgModel, horizon: int | None = None, cap_per_agent: int = CAP_PER_AGENT
 ) -> Equilibrium:
-    """Optimal joint policy of a common-payoff game by exhaustive search over
-    reduced pure policies; ties go to the lexicographically smallest index
-    tuple whose value is within ``1e-12 * max(1, |max|)`` of the maximum, so
-    the pick does not depend on the order the payoffs were summed in."""
+    """Optimal joint policy of a common-payoff game: every agent but the last
+    enumerates its reduced pure policies, the last best-responds in sequence
+    form.  Ties go to the lexicographically smallest index tuple whose value is
+    within ``1e-12 * max(1, |max|)`` of the maximum (the first such profile of
+    the others, then the last agent's first such policy), so the pick does not
+    depend on the order the payoffs were summed in."""
     m = _game_at(model, horizon, "common", "solve_dec")
-    (values,), spaces = induced_normal_form(m, m.horizon, [0], cap_per_agent, cap_joint)
+    values, Y, spaces, kids = _one_sided(m, initial_occupancy(m), cap_per_agent, np.max)
     top = values.max()
-    first = np.flatnonzero(values >= top - 1e-12 * max(1.0, abs(top)))[0]
-    best = tuple(int(c) for c in np.unravel_index(first, values.shape))
+    tol = 1e-12 * max(1.0, abs(top))
+    row = int(np.flatnonzero(values >= top - tol)[0])
+    last = m.n_agents - 1
+    root = PrivateHistory(last)
+    trees = enumerate_pure_policies(m, last, m.horizon, cap_per_agent)
+    R = _realization(len(m.actions[last]), [root], [{root: t} for t in trees], kids)
+    cells = R.dot(Y[row])
+    col = int(np.flatnonzero(cells >= top - tol)[0])
+    best = np.unravel_index(row, [len(space) for space in spaces]) + (col,)
+    chosen = [space[c][PrivateHistory(i)] for i, (space, c) in enumerate(zip(spaces, best))]
     return Equilibrium(
         criterion="common",
-        values=(float(values[best]),) * m.n_agents,
-        mixtures=tuple({c: 1.0} for c in best),
-        policies=tuple({c: spaces[i][c]} for i, c in enumerate(best)),
-        metadata={"method": "normal-form-argmax", "joint_policies": values.size},
+        values=(float(cells[col]),) * m.n_agents,
+        mixtures=tuple({int(c): 1.0} for c in best),
+        policies=tuple({int(c): tree} for c, tree in zip(best, chosen + [trees[col]])),
+        metadata={"method": "sequence-form-argmax", "shape": (len(values), Y.shape[-1])},
     )
 
 
-def _sse_leader_lp(L_col: np.ndarray, F: np.ndarray, k: int):
-    """max_sigma sigma^T L[:,k] s.t. k is a follower best response."""
-    m, n = F.shape
-    c = -L_col
-    rows = [F[:, kp] - F[:, k] for kp in range(n) if kp != k]
-    A_ub = np.vstack(rows) if rows else None
-    b_ub = np.zeros(len(rows)) if rows else None
-    res = linprog(
-        c,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=np.ones((1, m)),
-        b_eq=[1.0],
-        bounds=[(0, None)] * m,
-        method="highs",
-    )
-    if not res.success:
-        return None
-    sigma = np.clip(res.x, 0.0, None)
-    return -res.fun, sigma / sigma.sum()
+def _sse_leader_lp(L_col: np.ndarray, F: np.ndarray, k: int, E: np.ndarray, e: np.ndarray):
+    """max_x x^T L[:,k] over leader realization plans (E x = e, x >= 0)
+    under which the follower's pure plan k is a best response."""
+    A_ub = F.T - F[:, k]  # row k is 0 <= 0; x >= 0 is linprog's default bound
+    res = linprog(-L_col, A_ub=A_ub, b_ub=np.zeros(len(A_ub)), A_eq=E, b_eq=e, method="highs")
+    return (-res.fun, np.clip(res.x, 0.0, None)) if res.success else None
 
 
-def stackelberg_from_matrices(
-    L: np.ndarray, F: np.ndarray
+def _multiple_lp(
+    L: np.ndarray, F: np.ndarray, parents: np.ndarray, n_u: int
 ) -> tuple[float, np.ndarray, int]:
-    """Strong Stackelberg equilibrium of a bimatrix game: (leader value,
-    leader mixture, follower pure response)."""
+    """Strong Stackelberg equilibrium, one LP per follower pure plan (Conitzer
+    & Sandholm 2006; follower ties break in the leader's favor): (leader value,
+    leader realization plan, follower plan).  Rows of ``L`` and ``F`` are the
+    leader's sequences, numbered by ``parents`` as in ``_trie_best``; columns
+    are the follower's pure plans, tried in index order."""
+    E, e = _plan_constraints(parents, n_u)  # dense, like the best-response rows
+    bounds = _trie_best(L.T, parents, n_u, np.max)
     best = None
     for k in range(F.shape[1]):
-        if best is not None and L[:, k].max() <= best[0] + 1e-12:
-            continue  # even the leader's best row cannot beat ``best``
-        out = _sse_leader_lp(L[:, k], F, k)
-        if out is None:
-            continue
-        value, sigma = out
-        if best is None or value > best[0] + 1e-12:
-            best = (value, sigma, k)
-    if best is None:  # pragma: no cover - some column is always a best response
-        raise RuntimeError("no follower column admits an incentive-compatible leader mix")
+        if best is not None and bounds[k] <= best[0] + 1e-12:
+            continue  # even the leader's best pure plan cannot beat ``best``
+        out = _sse_leader_lp(L[:, k], F, k, E, e)
+        if out is not None and (best is None or out[0] > best[0] + 1e-12):
+            best = (*out, k)
+    if best is None:  # pragma: no cover - some plan is always a best response
+        raise RuntimeError("no follower plan admits an incentive-compatible leader plan")
     return best
 
 
+def stackelberg_from_matrices(L: np.ndarray, F: np.ndarray) -> tuple[float, np.ndarray, int]:
+    """Strong Stackelberg equilibrium of a bimatrix game: (leader value,
+    leader mixture, follower pure response); one leader information set."""
+    return _multiple_lp(L, F, np.full(1, -1, dtype=np.intp), L.shape[0])
+
+
+def _stackelberg_kernel(model: PosgModel, s: OccupancyState, cap_per_agent: int) -> tuple:
+    """Strong Stackelberg equilibrium below occupancy ``s``, the follower's
+    pure plans enumerated and the leader in sequence form: (leader value, its
+    realization plan, follower plan, follower payoffs ``F`` over (leader
+    sequence, follower plan), follower space, leader ``kids``)."""
+    (L, F), spaces, kids = _normal_form(model, s, [0, 1], cap_per_agent, keep=0)
+    n_u = len(model.actions[0])
+    value, x, k = _multiple_lp(L, F, _parents(kids[0], L.shape[0] // n_u, n_u), n_u)
+    return value, x, k, F, spaces[1], kids[0]
+
+
 def solve_stackelberg(
-    model: PosgModel,
-    horizon: int | None = None,
-    cap_per_agent: int = CAP_PER_AGENT,
-    cap_joint: int = CAP_JOINT,
+    model: PosgModel, horizon: int | None = None, cap_per_agent: int = CAP_PER_AGENT
 ) -> Equilibrium:
-    """Strong Stackelberg equilibrium with agent 1 committing publicly."""
+    """Strong Stackelberg equilibrium with agent 1 committing publicly; its
+    plan is returned as a mixture over pure policy trees (Kuhn)."""
     m = _game_at(model, horizon, "stackelberg", "solve_stackelberg")
-    (L, F), spaces = induced_normal_form(m, m.horizon, [0, 1], cap_per_agent, cap_joint)
-    value, sigma, k = stackelberg_from_matrices(L, F)
-    follower_value = float(sigma @ F[:, k])
-    mixtures = (_support_dict(sigma), {int(k): 1.0})
-    policies = (
-        {idx: spaces[0][idx] for idx in mixtures[0]},
-        {int(k): spaces[1][k]},
-    )
+    value, x, k, F, space, kids = _stackelberg_kernel(m, initial_occupancy(m), cap_per_agent)
+    mixture, trees = _kuhn_mixture(m, 0, x, kids)
     return Equilibrium(
         criterion="stackelberg",
-        values=(float(value), follower_value),
-        mixtures=mixtures,
-        policies=policies,
-        metadata={"method": "multiple-lp", "shape": L.shape},
+        values=(float(value), float(x @ F[:, k])),
+        mixtures=(mixture, {k: 1.0}),
+        policies=(trees, {k: space[k][PrivateHistory(1)]}),
+        metadata={"method": "multiple-lp", "shape": F.shape},
     )
 
 
@@ -886,37 +901,12 @@ def zero_sum_value_from(
 def dec_value_from(
     model: PosgModel, s: OccupancyState, cap_per_agent: int = CAP_PER_AGENT
 ) -> float:
-    """Optimal common-payoff value from occupancy ``s`` onward.
-
-    One step from the horizon the inner maximization separates per anchor of
-    the second agent, which keeps the search linear in the row space.
-    """
-    depth = model.horizon - s.t
-    if model.n_agents == 2 and depth == 1:
-        anchors = [_anchors(s, i) for i in range(2)]
-        n_u0, n_u1 = (len(model.actions[i]) for i in range(2))
-        row_idx = {a: i for i, a in enumerate(anchors[0])}
-        col_idx = {a: i for i, a in enumerate(anchors[1])}
-        # accumulated payoff per (row anchor, row action, col anchor, col action)
-        W = np.zeros((len(anchors[0]), n_u0, len(anchors[1]), n_u1))
-        for (x, o), p in s.entries.items():
-            W[row_idx[o.privates[0]], :, col_idx[o.privates[1]], :] += (
-                p * model.rewards[0, x].reshape(n_u0, n_u1)
-            )
-        best = -np.inf
-        for combo in itertools.product(range(n_u0), repeat=len(anchors[0])):
-            gathered = W[np.arange(len(anchors[0])), combo]  # (rows anchors, col anchors, n_u1)
-            total = gathered.sum(axis=0).max(axis=1).sum()
-            best = max(best, float(total))
-        return best
-    mats, _ = suffix_normal_form(model, s, (0,), cap_per_agent)
-    return float(mats[0].max())
+    """Optimal common-payoff value from occupancy ``s`` onward."""
+    return float(_one_sided(model, s, cap_per_agent, np.max)[0].max())
 
 
 def stackelberg_value_from(
     model: PosgModel, s: OccupancyState, cap_per_agent: int = CAP_PER_AGENT
 ) -> float:
     """Strong Stackelberg leader value from occupancy ``s`` onward."""
-    (L, F), _ = suffix_normal_form(model, s, (0, 1), cap_per_agent)
-    value, _, _ = stackelberg_from_matrices(L, F)
-    return float(value)
+    return float(_stackelberg_kernel(model, s, cap_per_agent)[0])

@@ -22,7 +22,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import UnknownSuiteError
+from .errors import ImpossibleObservationError, UnknownSuiteError
 from .evaluate import linear_eval, value_tables
 from .model import PosgModel
 from .occupancy import (
@@ -429,7 +429,7 @@ def check_sufficiency_private(
         for z_i in range(model.n_agent_obs(agent)):
             try:
                 omega, nxt = private_step(model, s_i, profiles[t], u_i, z_i)
-            except Exception:
+            except ImpossibleObservationError:
                 omega, nxt = 0.0, None
             worst = max(worst, abs(om_raw[z_i] - omega))
             if nxt is not None and om_raw[z_i] > 1e-12:
@@ -628,7 +628,7 @@ def check_master_structure(
         raise ValueError(
             f"criterion mismatch: model is {model.criterion}, asked for {criterion}"
         )
-    model = model.with_horizon(horizon or model.horizon)
+    model = model.with_horizon(model.horizon if horizon is None else horizon)
     rng = np.random.default_rng(seed)
     notes: dict[str, object] = {}
     if negative_control:
@@ -683,8 +683,8 @@ def _dec_structure(model, rng, n_samples, negative_control) -> float:
         if negative_control:
             v_mix += _BIG_CORRUPTION
         worst = max(worst, _convexity_violation(v_mix, lam, v_a, v_b))
-        # PWLC certificate: separable search equals brute-force max of
-        # linear functions on the full suffix product
+        # PWLC certificate: the one-sided search equals the brute-force max
+        # of linear functions on the full suffix product
         if k < 8:
             mats, _ = suffix_normal_form(model, s_a, (0,))
             brute = float(mats[0].max())
@@ -884,7 +884,7 @@ def check_lipschitz(
     distance between same-step occupancy states."""
     if model.criterion != "zerosum":
         raise ValueError("Lipschitz suite applies to zerosum models")
-    model = model.with_horizon(horizon or model.horizon)
+    model = model.with_horizon(model.horizon if horizon is None else horizon)
     rng = np.random.default_rng(seed)
     c = model.reward_bound
     worst = 0.0

@@ -256,6 +256,31 @@ def test_unreadable_inputs_exit_2(tmp_path, capsys, argv):
     assert culprit in err
 
 
+@pytest.mark.parametrize(
+    "line, command",
+    [
+        ("start: 0.5 0.5", "solve"),
+        ("T: listen listen : tiger-left : tiger-left : 1.0", "solve"),
+        ("O: listen listen : tiger-left : hear-left hear-left : 0.7225", "evaluate"),
+    ],
+    ids=["start", "transition", "observation"],
+)
+def test_non_finite_tables_exit_2(tmp_path, capsys, line, command):
+    text = model_path("tiger").read_text()
+    assert line in text
+    path = tmp_path / "nan.posg"
+    path.write_text(text.replace(line, line.rsplit(" ", 1)[0] + " nan"))
+    assert exit_code([command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "must be finite" in err and "Traceback" not in err
+
+
+def test_solve_common_three_steps(capsys):
+    code, out, _ = run(capsys, "solve", TIGER, "--horizon", "3")
+    assert code == 0
+    assert "value_1: 3.4" in out.splitlines()
+
+
 @pytest.mark.parametrize("criterion", ["zerosum", "common", "stackelberg"])
 def test_sweep_rows_match_solve(capsys, criterion):
     code, out, _ = run(capsys, "sweep", ONE_STAGE, "--criterion", criterion, "--grid", "5")

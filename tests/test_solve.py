@@ -300,8 +300,10 @@ def test_solve_dec_requires_common(one_stage_zs):
 
 
 def test_solve_dec_respects_cap(tiger):
-    with pytest.raises(CapExceededError):
-        solve_dec(tiger, cap_joint=100)
+    # 27 pure policies per agent at horizon 2
+    assert solve_dec(tiger, cap_per_agent=27).values[0] == pytest.approx(2.4)
+    with pytest.raises(CapExceededError, match="27 exceeds cap 26"):
+        solve_dec(tiger, cap_per_agent=26)
 
 
 def three_agent_common(horizon: int):
@@ -424,6 +426,14 @@ def test_solve_dec_tie_rule_ignores_summation_order(tiger):
     assert abs(eq.values[0] - top) <= 1e-12
 
 
+def test_solve_dec_tie_rule_takes_the_first_cell_within_tolerance(one_stage):
+    # listen/listen is worth 1 and listen/open 1e-13 more: both are ties
+    rewards = np.zeros_like(one_stage.rewards)
+    rewards[:, :, 0], rewards[:, :, 1] = 1.0, 1.0 + 1e-13
+    eq = solve_dec(dataclasses.replace(one_stage, rewards=rewards))
+    assert eq.mixtures == ({0: 1.0}, {0: 1.0}) and eq.values[0] == 1.0
+
+
 def _names(code) -> set[str]:
     """Global and attribute names a code object uses, nested ones included."""
     names = set(code.co_names)
@@ -437,6 +447,20 @@ def test_normal_form_stays_off_the_per_cell_route():
     # the payoff tensors come from one sequence-form walk, never per cell
     code = compile(inspect.getsource(solve), solve.__file__, "exec")
     assert not _names(code) & {"value_tables", "linear_eval"}
+
+
+def test_one_sided_solvers_stay_off_the_joint_normal_form():
+    # common payoff and Stackelberg enumerate one agent, the other stays in
+    # sequence form: no joint tensor and no cap on joint profiles
+    for fn in (
+        solve_dec, solve_stackelberg, dec_value_from, solve.stackelberg_value_from,
+        solve._one_sided, solve._stackelberg_kernel, solve._multiple_lp,
+    ):
+        code = compile(inspect.getsource(fn), solve.__file__, "exec")
+        (body,) = [c for c in code.co_consts if hasattr(c, "co_varnames")]
+        used = _names(code) | set(body.co_varnames)
+        assert not used & {"induced_normal_form", "suffix_normal_form", "cap_joint"}, fn
+    assert "cap_joint" not in inspect.getsource(solve)
 
 
 # -- solve_zero_sum ---------------------------------------------------------------
@@ -516,8 +540,9 @@ def test_sse_pruning_keeps_the_unpruned_result(monkeypatch):
         F = rng.integers(-3, 4, size=(m, n)).astype(float)
         calls.clear()
         best = None  # the loop without the pruning test
+        E, e = np.ones((1, m)), np.ones(1)  # the leader's one information set
         for k in range(n):
-            out = solve._sse_leader_lp(L[:, k], F, k)
+            out = solve._sse_leader_lp(L[:, k], F, k, E, e)
             if out is not None and (best is None or out[0] > best[0] + 1e-12):
                 best = (out[0], out[1], k)
         before = len(calls)
@@ -788,3 +813,83 @@ def test_package_import_leaves_scipy_optimize_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "False"
+
+
+# -- common payoff and Stackelberg: one agent enumerated, one in sequence form ----
+
+
+def start_and_step_states(m, rng):
+    """The initial occupancy state and, at horizon 2, the t=1 states ``step``
+    reaches under seeded random rules (several anchors per agent)."""
+    s0 = initial_occupancy(m)
+    if m.horizon < 2:
+        return [s0]
+    rules = tuple(random_decision_rule(m, i, 0, rng) for i in range(2))
+    return [s0] + [s1 for _, _, s1 in step(m, s0, rules)]
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    horizon=st.integers(1, 2),
+    n_public=st.integers(1, 2),
+)
+def test_common_one_sided_kernel_matches_normal_form(seed, horizon, n_public):
+    rng = np.random.default_rng(seed)
+    m = random_posg(
+        rng, n_actions=(3, 2), n_obs=(1, 2), n_public=n_public, horizon=horizon,
+        discount=0.9, criterion="common",
+    )
+    for s in start_and_step_states(m, rng):
+        (A,), _ = suffix_normal_form(m, s, (0,))
+        assert abs(dec_value_from(m, s) - A.max()) <= 1e-12
+    (A,), _ = induced_normal_form(m, m.horizon, [0])
+    top = A.max()
+    first = np.flatnonzero(A >= top - 1e-12 * max(1.0, abs(top)))[0]
+    eq = solve_dec(m)
+    assert eq.mixtures == tuple({int(c): 1.0} for c in np.unravel_index(first, A.shape))
+    assert abs(eq.values[0] - top) <= 1e-12
+
+
+def leader_realization(m, mixture, kids) -> np.ndarray:
+    """Realization plan of a mixture over the leader's pure policy trees."""
+    root = PrivateHistory(0)
+    trees = enumerate_pure_policies(m, 0, m.horizon)
+    R = solve._realization(len(m.actions[0]), [root], [{root: t} for t in trees], kids)
+    return sum(w * R[i] for i, w in mixture.items())
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    horizon=st.integers(1, 2),
+    n_public=st.integers(1, 2),
+)
+def test_stackelberg_sequence_form_leader_matches_normal_form(seed, horizon, n_public):
+    rng = np.random.default_rng(seed)
+    m = random_posg(
+        rng, n_actions=(2, 3), n_obs=(2, 1), n_public=n_public, horizon=horizon,
+        discount=0.9, criterion="stackelberg",
+    )
+    for s in start_and_step_states(m, rng):
+        (L, F), _ = suffix_normal_form(m, s, (0, 1))
+        value, _, k = stackelberg_from_matrices(L, F)
+        v, x, k_seq, F_seq, _, kids = solve._stackelberg_kernel(m, s, solve.CAP_PER_AGENT)
+        assert abs(v - value) <= 1e-9 and k_seq == k
+        assert x @ F_seq[:, k] >= (x @ F_seq).max() - 1e-9  # k is a best response
+        assert abs(solve.stackelberg_value_from(m, s) - value) <= 1e-9
+    s0 = initial_occupancy(m)
+    (L, F), _ = suffix_normal_form(m, s0, (0, 1))
+    value, _, k = stackelberg_from_matrices(L, F)
+    _, x, _, _, _, kids = solve._stackelberg_kernel(m, s0, solve.CAP_PER_AGENT)
+    eq = solve_stackelberg(m)
+    assert abs(eq.values[0] - value) <= 1e-9 and eq.mixtures[1] == {k: 1.0}
+    assert abs(sum(eq.mixtures[0].values()) - 1.0) <= 1e-9
+    assert np.abs(leader_realization(m, eq.mixtures[0], kids) - x).max() <= 1e-9
+
+
+def test_stackelberg_leader_in_sequence_form_three_steps(st_tiger):
+    # one LP per follower plan over the leader's 42 sequences, not its 128 trees
+    eq = solve_stackelberg(st_tiger.with_horizon(3))
+    assert eq.metadata["shape"] == (42, 128)
+    assert abs(eq.values[0] - 3.13975625) <= 1e-9

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from occupancy_games import verify
-from occupancy_games.errors import UnknownSuiteError
+from occupancy_games.errors import ModelValidationError, UnknownSuiteError
 from occupancy_games.sampling import random_behavioral_policy, random_posg
 from occupancy_games.verify import (
     check_lipschitz,
@@ -47,6 +47,16 @@ def test_sufficiency_private_negative_control(tiger):
         tiger, 0, n_samples=3, seed=7, negative_control=True
     )
     assert not report.passed
+
+
+def test_sufficiency_private_propagates_step_faults(tiger, monkeypatch):
+    # only an impossible observation is an expected outcome of private_step
+    def broken(*args, **kwargs):
+        raise RuntimeError("broken private_step")
+
+    monkeypatch.setattr(verify, "private_step", broken)
+    with pytest.raises(RuntimeError, match="broken private_step"):
+        check_sufficiency_private(tiger, 0, n_samples=3, seed=7)
 
 
 def test_sufficiency_with_public_observations():
@@ -119,6 +129,13 @@ def test_lipschitz_tiger(tiger_zs):
 def test_lipschitz_negative_control(tiger_zs):
     report = check_lipschitz(tiger_zs, n_samples=3, seed=5, negative_control=True)
     assert not report.passed
+
+
+def test_horizon_zero_is_applied_not_ignored(tiger_zs):
+    with pytest.raises(ModelValidationError, match="horizon must be >= 1"):
+        check_lipschitz(tiger_zs, horizon=0, n_samples=1)
+    with pytest.raises(ModelValidationError, match="horizon must be >= 1"):
+        check_master_structure(tiger_zs, horizon=0, n_samples=1)
 
 
 def test_lipschitz_requires_zerosum(tiger):
