@@ -64,7 +64,6 @@ from .evaluate import (
 from .solve import (
     BestResponse,
     Equilibrium,
-    MatrixGame,
     best_response_history,
     best_response_private,
     matrix_game_value,

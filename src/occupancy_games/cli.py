@@ -8,6 +8,7 @@ stdout carries data, stderr carries diagnostics.  Exit codes: 0 ok,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -108,6 +109,17 @@ def _count_at_least(minimum: int):
         return value
 
     return count
+
+
+def _tolerance(text: str) -> float:
+    """argparse type: a finite number no smaller than 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text}")
+    return value
 
 
 def _fmt(x: float) -> str:
@@ -230,9 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     shared = {
-        "--seed": dict(type=int, default=0, help="RNG seed (default 0)"),
+        "--seed": dict(type=_count_at_least(0), default=0, help="RNG seed (default 0)"),
         "--tolerance": dict(
-            type=float,
+            type=_tolerance,
             default=None,
             help="tolerance override: in solve and sweep, the largest zero-sum "
             "certificate (duality gap plus both exploitabilities) per unit of the "
@@ -242,9 +254,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--cap": dict(
             type=int,
             default=None,
-            help="cap override: zerosum counts sequences per agent (sweep's "
-            "components also pure policies per agent); common and stackelberg "
-            "count pure policies per agent",
+            help="cap override on what is built per agent: sequences for an "
+            "agent kept in sequence form (both zerosum agents, the last common "
+            "agent, the stackelberg leader), anchored pure policies for an "
+            "enumerated one",
         ),
         "--horizon": dict(type=int, default=None, help="horizon override"),
         "--start": dict(

@@ -191,49 +191,33 @@ def linear_eval(s: OccupancyState, table: ValueTable) -> float:
 
 def _rule_arrays(
     model: PosgModel, agent_policy, agent: int, horizon: int
-) -> tuple[list[np.ndarray], list[dict]]:
-    """Dense per-step (row -> action distribution) arrays plus row indices for
-    every history reachable under the policy, for vectorized lookups."""
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per step, a dense (row -> action distribution) array over the histories
+    reachable under the policy and, below the last step, next_row[row, u, z]
+    (-1 where the policy never plays u), for vectorized lookups.  Rows are
+    numbered in the pass that fills the children's table."""
     rules = agent_rules(model, agent_policy)
     n_u = len(model.actions[agent])
     n_z = model.n_agent_obs(agent)
     dists: list[np.ndarray] = []
-    index: list[dict] = []
+    children: list[np.ndarray] = []
     rows = {(): 0}
     for t in range(horizon):
-        rule = rules[t]
         arr = np.zeros((len(rows), n_u))
         for steps, r in rows.items():
-            arr[r] = rule.dist(PrivateHistory(agent, steps))
+            arr[r] = rules[t].dist(PrivateHistory(agent, steps))
         dists.append(arr)
-        index.append(rows)
-        nxt = {}
+        if t + 1 == horizon:
+            break
+        table = np.full((len(rows), n_u, n_z), -1, dtype=np.int64)
+        nxt: dict = {}
         for steps, r in rows.items():
             for u in np.nonzero(arr[r])[0]:
                 for z in range(n_z):
-                    nxt.setdefault(steps + ((int(u), z),), len(nxt))
+                    table[r, u, z] = nxt.setdefault(steps + ((int(u), z),), len(nxt))
+        children.append(table)
         rows = nxt
-    return dists, index
-
-
-def _child_tables(
-    model: PosgModel, index: list[dict], agent: int, horizon: int
-) -> list[np.ndarray]:
-    """next_row[row, u, z] per step; -1 marks transitions the policy never takes."""
-    n_u = len(model.actions[agent])
-    n_z = model.n_agent_obs(agent)
-    tables = []
-    for t in range(horizon - 1):
-        cur, nxt = index[t], index[t + 1]
-        table = np.full((len(cur), n_u, n_z), -1, dtype=np.int64)
-        for steps, r in cur.items():
-            for u in range(n_u):
-                for z in range(n_z):
-                    key = steps + ((u, z),)
-                    if key in nxt:
-                        table[r, u, z] = nxt[key]
-        tables.append(table)
-    return tables
+    return dists, children
 
 
 def _draw_rows(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
@@ -295,9 +279,9 @@ def _simulate_pure(
     dists = []
     children = []
     for i, agent_policy in enumerate(policy.agents):
-        d, idx = _rule_arrays(model, agent_policy, i, horizon)
+        d, c = _rule_arrays(model, agent_policy, i, horizon)
         dists.append(d)
-        children.append(_child_tables(model, idx, i, horizon))
+        children.append(c)
 
     # per-(joint action, state) distribution over flattened (x', z) outcomes
     n_x, n_z = model.n_states, model.n_joint_obs

@@ -499,23 +499,22 @@ def _index_of(labels: tuple[str, ...], token: str, lineno: int, raw: str) -> lis
         ) from None
 
 
+def _mixed_radix(choices: list[list[int]], radix: list[int]) -> list[int]:
+    """Flat index of every combination of one choice per digit, the first
+    digit most significant and varying slowest."""
+    out = [0]
+    for options, base in zip(choices, radix):
+        out = [idx * base + c for idx in out for c in options]
+    return out
+
+
 def _action_combos(b: _Builder, tokens: list[str], lineno: int, raw: str) -> list[int]:
     if len(tokens) != b.n_agents:
         raise PosgParseError(
             f"expected {b.n_agents} action labels, got {len(tokens)}", lineno
         )
-    combos = [[]]
-    for i, tok in enumerate(tokens):
-        choices = _index_of(tuple(b.actions[i]), tok, lineno, raw)
-        combos = [c + [u] for c in combos for u in choices]
-    radix = [len(a) for a in b.actions]
-    out = []
-    for combo in combos:
-        idx = 0
-        for base, u in zip(radix, combo):
-            idx = idx * base + u
-        out.append(idx)
-    return out
+    choices = [_index_of(tuple(b.actions[i]), tok, lineno, raw) for i, tok in enumerate(tokens)]
+    return _mixed_radix(choices, [len(a) for a in b.actions])
 
 
 def _assemble(b: _Builder) -> PosgModel:
@@ -555,7 +554,7 @@ def _assemble(b: _Builder) -> PosgModel:
                 for x2 in x2s:
                     transition[u, x, x2] = prob
 
-    obs_radix = [len(z) for z in b.private_obs]
+    obs_radix = [len(z) for z in b.private_obs] + [len(public)]
     for lineno, raw, a_field, s2_field, z_field, p_field in b.o_entries:
         us = _action_combos(b, a_field.split(), lineno, raw)
         x2s = _index_of(states, s2_field, lineno, raw)
@@ -573,17 +572,10 @@ def _assemble(b: _Builder) -> PosgModel:
             _index_of(public, z_tokens[-1], lineno, raw) if len(public) > 1 else [0]
         )
         prob = _parse_float(p_field, lineno, raw)
-        combos = [[]]
-        for choices in z_choices:
-            combos = [c + [z] for c in combos for z in choices]
+        zs = _mixed_radix(z_choices + [w_choices], obs_radix)
         for u in us:
             for x2 in x2s:
-                for combo in combos:
-                    idx = 0
-                    for base, z in zip(obs_radix, combo):
-                        idx = idx * base + z
-                    for w in w_choices:
-                        observation[u, x2, idx * len(public) + w] = prob
+                observation[u, x2, zs] = prob
 
     for lineno, raw, agent, a_field, s_field, v_field in b.r_entries:
         if not (1 <= agent <= b.n_agents):

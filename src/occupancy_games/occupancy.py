@@ -21,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-import numpy as np
-
 from .errors import (
     ImpossibleObservationError,
     InconsistentOccupancyError,
@@ -73,10 +71,10 @@ class OccupancyState:
     def items(self):
         return _sorted_items(self.entries)
 
-    def equals(self, other: "OccupancyState", atol: float = EQUALITY_ATOL) -> bool:
+    def equals(self, other: "OccupancyState") -> bool:
         if self.t != other.t or self.entries.keys() != other.entries.keys():
             return False
-        return all(abs(v - other.entries[k]) <= atol for k, v in self.entries.items())
+        return all(abs(v - other.entries[k]) <= EQUALITY_ATOL for k, v in self.entries.items())
 
 
 @dataclass(frozen=True)
@@ -252,10 +250,9 @@ def recompose(
 # ---------------------------------------------------------------------------
 
 
-def initial_private_occupancy(model: PosgModel, agent: int, start=None) -> PrivateOccupancyState:
-    belief = model.start if start is None else np.asarray(start, dtype=float)
+def initial_private_occupancy(model: PosgModel, agent: int) -> PrivateOccupancyState:
     empty = empty_joint_history(model.n_agents)
-    entries = {(x, empty): float(p) for x, p in enumerate(belief) if p > PRUNE_EPS}
+    entries = {(x, empty): float(p) for x, p in enumerate(model.start) if p > PRUNE_EPS}
     return PrivateOccupancyState(agent, PrivateHistory(agent), _pruned(entries))
 
 
@@ -332,16 +329,15 @@ def private_reward(
 
 def private_occupancy(
     model: PosgModel,
-    start,
     others_rules_by_step: Sequence[Mapping[int, DecisionRule]],
     o_i: PrivateHistory,
 ) -> PrivateOccupancyState:
     """Private occupancy state reached by filtering the agent's history
-    through the others' fixed policy, starting from ``start``.
+    through the others' fixed policy, starting from the model's start belief.
 
     Raises for histories with zero probability under that data.
     """
-    s = initial_private_occupancy(model, o_i.agent, start)
+    s = initial_private_occupancy(model, o_i.agent)
     for k, (u, z) in enumerate(o_i.steps):
         try:
             _, s = private_step(model, s, others_rules_by_step[k], u, z)
@@ -362,14 +358,13 @@ def decompose(
     model: PosgModel,
     policy: JointPolicy | Sequence[tuple[DecisionRule, ...]],
     agent: int,
-    atol: float = EQUALITY_ATOL,
 ) -> Mixture:
     """Express ``s`` on the basis of one agent's private occupancy states.
 
     The generating joint policy pins down both the weights (the marginal
     probability of each of the agent's histories) and the components (the
     filtered private occupancy states).  An occupancy state that recombination
-    fails to reproduce within ``atol`` is rejected as inconsistent.
+    fails to reproduce within ``EQUALITY_ATOL`` is rejected as inconsistent.
     """
     rules_by_step = (
         policy.joint_rules(model) if isinstance(policy, JointPolicy) else list(policy)
@@ -382,37 +377,32 @@ def decompose(
     components = []
     for own in sorted(marginal.probs, key=lambda h: h.steps):
         try:
-            comp = private_occupancy(model, model.start, others_by_step, own)
+            comp = private_occupancy(model, others_by_step, own)
         except UnreachableHistoryError as exc:
             raise InconsistentOccupancyError(
                 f"support history {own.steps} unreachable under the generating policy"
             ) from exc
         components.append((marginal.probs[own], comp))
     mixture = Mixture(agent, tuple(components))
-    recombined = recombine(mixture, s.t)
+    recombined = recombine(mixture)
     for key in set(s.entries) | set(recombined.entries):
-        if abs(s.entries.get(key, 0.0) - recombined.entries.get(key, 0.0)) > atol:
+        if abs(s.entries.get(key, 0.0) - recombined.entries.get(key, 0.0)) > EQUALITY_ATOL:
             raise InconsistentOccupancyError(
                 "occupancy state is inconsistent with the generating policy"
             )
     return mixture
 
 
-def recombine(mixture: Mixture, t: int | None = None) -> OccupancyState:
+def recombine(mixture: Mixture) -> OccupancyState:
     """Pointwise weighted sum of the mixture components."""
-    entries: dict[Entry, float] = {}
-    for w, comp in mixture.components:
-        for key, p in comp.entries.items():
-            entries[key] = entries.get(key, 0.0) + w * p
-    if t is None:
-        t = mixture.components[0][1].t
-    return OccupancyState(t, entries)
+    weights, components = zip(*mixture.components)
+    return mix_occupancies(components, weights)
 
 
 def mix_occupancies(
-    states: Sequence[OccupancyState], weights: Sequence[float]
+    states: Sequence[OccupancyState | PrivateOccupancyState], weights: Sequence[float]
 ) -> OccupancyState:
-    """Convex combination of occupancy states at a common time step."""
+    """Convex combination of (private) occupancy states at a common time step."""
     ts = {s.t for s in states}
     if len(ts) != 1:
         raise ValueError("can only mix occupancy states at one time step")

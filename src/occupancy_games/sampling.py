@@ -72,7 +72,6 @@ def random_decision_rule(
     t: int,
     rng: np.random.Generator,
     support: int | None = None,
-    histories: list[PrivateHistory] | None = None,
 ) -> DecisionRule:
     """Dirichlet action distributions over all length-t histories.
 
@@ -80,10 +79,8 @@ def random_decision_rule(
     ``support=1`` yields a uniformly random deterministic rule.
     """
     n_u = len(model.actions[agent])
-    if histories is None:
-        histories = all_histories(model, agent, t)
     probs = {}
-    for hist in histories:
+    for hist in all_histories(model, agent, t):
         if support is None or support >= n_u:
             dist = rng.dirichlet(np.ones(n_u))
         else:
@@ -102,26 +99,14 @@ def random_behavioral_policy(
     agent: int,
     rng: np.random.Generator,
     horizon: int | None = None,
-    support: int | None = None,
 ) -> BehavioralPolicy:
     horizon = model.horizon if horizon is None else horizon
-    rules = tuple(
-        random_decision_rule(model, agent, t, rng, support=support)
-        for t in range(horizon)
-    )
+    rules = tuple(random_decision_rule(model, agent, t, rng) for t in range(horizon))
     return BehavioralPolicy(agent, rules)
 
 
-def random_joint_policy(
-    model: PosgModel,
-    rng: np.random.Generator,
-    horizon: int | None = None,
-    support: int | None = None,
-) -> JointPolicy:
+def random_joint_policy(model: PosgModel, rng: np.random.Generator) -> JointPolicy:
     return JointPolicy(
-        tuple(
-            random_behavioral_policy(model, i, rng, horizon, support)
-            for i in range(model.n_agents)
-        )
+        tuple(random_behavioral_policy(model, i, rng) for i in range(model.n_agents))
     )
 

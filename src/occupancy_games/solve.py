@@ -22,6 +22,12 @@ plan is the variable of one incentive-constrained linear program per follower
 pure policy that could still raise its value (Conitzer & Sandholm 2006; strong
 equilibrium: follower ties break in the leader's favor).
 Ties everywhere break toward the lowest enumeration index.
+
+``_normal_form`` is the one set-up of that walk.  ``cap_per_agent`` caps what
+it builds for each agent: sequences for an agent kept in sequence form (both
+zero-sum agents, the last common-payoff agent, the Stackelberg leader) and
+anchored pure policies for an enumerated one.  Every solver reads the model's
+own horizon; ``PosgModel.with_horizon`` sets another.
 """
 
 from __future__ import annotations
@@ -51,7 +57,6 @@ from .policies import (
     PrivateHistory,
     agent_rules,
     enumerate_pure_policies,
-    pure_policy_count,
 )
 
 DEFAULT_TOLERANCE = 1e-9
@@ -66,22 +71,6 @@ def linprog(*args, **kwargs):
     from scipy.optimize import linprog as highs_linprog
 
     return highs_linprog(*args, **kwargs)
-
-
-@dataclass(frozen=True)
-class MatrixGame:
-    """Zero-sum payoff matrix for the row maximizer."""
-
-    payoffs: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.payoffs, dtype=float)
-        if arr.ndim != 2 or arr.size == 0:
-            raise ValueError("payoff matrix must be a nonempty 2-d array")
-        if not np.isfinite(arr).all():
-            raise ValueError("payoff entries must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "payoffs", arr)
 
 
 @dataclass(frozen=True)
@@ -116,16 +105,19 @@ class Equilibrium:
 # ---------------------------------------------------------------------------
 
 
-def matrix_game_value(
-    game: MatrixGame | np.ndarray, tolerance: float = DEFAULT_TOLERANCE
-) -> MatrixGameSolution:
-    """Minimax value and eps-optimal mixtures of a zero-sum matrix game.
+def matrix_game_value(payoffs, tolerance: float = DEFAULT_TOLERANCE) -> MatrixGameSolution:
+    """Minimax value and eps-optimal mixtures of the zero-sum matrix game
+    ``payoffs`` for the row maximizer.
 
     Degenerate shapes and 2x2 games use closed forms; anything larger goes to
     the realization-plan LP with one information set per player, with the
     duality gap checked against the tolerance.
     """
-    A = game.payoffs if isinstance(game, MatrixGame) else MatrixGame(game).payoffs
+    A = np.asarray(payoffs, dtype=float)
+    if A.ndim != 2 or A.size == 0:
+        raise ValueError("payoff matrix must be a nonempty 2-d array")
+    if not np.isfinite(A).all():
+        raise ValueError("payoff entries must be finite")
     m, n = A.shape
     if m == 1 and n == 1:
         return MatrixGameSolution(float(A[0, 0]), np.ones(1), np.ones(1), "closed-form")
@@ -173,9 +165,7 @@ def _solve_2x2(A: np.ndarray) -> MatrixGameSolution:
 # ---------------------------------------------------------------------------
 
 
-def _others_profiles(
-    model: PosgModel, others, agent: int, horizon: int
-) -> list[dict[int, DecisionRule]]:
+def _others_profiles(model: PosgModel, others, agent: int) -> list[dict[int, DecisionRule]]:
     """Per-step rule dictionaries for every agent except ``agent``."""
     if isinstance(others, JointPolicy):
         entries = {j: p for j, p in enumerate(others.agents) if j != agent}
@@ -187,9 +177,9 @@ def _others_profiles(
     per_agent: dict[int, Sequence[DecisionRule]] = {}
     for j, pol in entries.items():
         per_agent[j] = agent_rules(model, pol)
-        if len(per_agent[j]) < horizon:
+        if len(per_agent[j]) < model.horizon:
             raise ValueError("others' policy horizon shorter than the model horizon")
-    return [{j: rules[t] for j, rules in per_agent.items()} for t in range(horizon)]
+    return [{j: rules[t] for j, rules in per_agent.items()} for t in range(model.horizon)]
 
 
 def _filler_tree(agent: int, n_obs: int, depth: int) -> PolicyTree:
@@ -208,16 +198,13 @@ def _argmax_lowest(values: Sequence[float]) -> int:
     return best
 
 
-def best_response_history(
-    model: PosgModel, others, agent: int, horizon: int | None = None
-) -> BestResponse:
+def best_response_history(model: PosgModel, others, agent: int) -> BestResponse:
     """Bellman optimality over the agent's private histories.
 
     Carries unnormalized conditional measures forward, so no per-branch
     renormalization is ever needed; reported q-values are normalized by each
     history's probability.
     """
-    model = model.with_horizon(model.horizon if horizon is None else horizon)
     value, trees, q = _history_br(model, others, agent, initial_occupancy(model))
     return BestResponse(agent, value, trees[PrivateHistory(agent)], q, "history-dp")
 
@@ -230,7 +217,7 @@ def _history_br(
     mass-weighted value, greedy tree per seed history, normalized q per
     visited history)."""
     horizon = model.horizon
-    profiles = _others_profiles(model, others, agent, horizon)
+    profiles = _others_profiles(model, others, agent)
     n_u = len(model.actions[agent])
     n_z = model.n_agent_obs(agent)
     seeds: dict[PrivateHistory, dict] = {}
@@ -313,14 +300,11 @@ def _private_dp(
     return V
 
 
-def best_response_private(
-    model: PosgModel, others, agent: int, horizon: int | None = None
-) -> BestResponse:
+def best_response_private(model: PosgModel, others, agent: int) -> BestResponse:
     """Dynamic programming over the private occupancy-state MDP; one walk of
     the greedy tree collects the policy and the q-table."""
-    horizon = model.horizon if horizon is None else horizon
-    model = model.with_horizon(horizon)
-    profiles = _others_profiles(model, others, agent, horizon)
+    horizon = model.horizon
+    profiles = _others_profiles(model, others, agent)
     n_z = model.n_agent_obs(agent)
     V = _private_dp(model, profiles, agent)
     q_out: dict[PrivateHistory, tuple[float, ...]] = {}
@@ -351,7 +335,7 @@ def best_response_private_from(
     model: PosgModel, others, agent: int, s_i: PrivateOccupancyState, t0: int
 ) -> float:
     """Private-route best-response value from one private occupancy state."""
-    profiles = _others_profiles(model, others, agent, model.horizon)
+    profiles = _others_profiles(model, others, agent)
     return _private_dp(model, profiles, agent)(s_i, t0)[0]
 
 
@@ -473,23 +457,40 @@ def _realization(
     return sum(plays[which[:, a], a] for a in range(len(anchors)))
 
 
+def _sequence_count(model: PosgModel, agent: int, n_anchors: int, depth: int) -> int:
+    """Sequences of the agent's full trie, ``depth`` steps below
+    ``n_anchors`` anchors."""
+    n_u, n_z = len(model.actions[agent]), model.n_agent_obs(agent)
+    return n_anchors * n_u * sum((n_u * n_z) ** d for d in range(depth))
+
+
+def _parents(kids: Mapping[tuple[int, int, int], int], n_sets: int, n_u: int) -> np.ndarray:
+    """Parent sequence of each information set, -1 at the anchors."""
+    parents = [-1] * n_sets
+    for (j, u, _), c in kids.items():
+        parents[c] = j * n_u + u
+    return np.array(parents, dtype=np.intp)
+
+
 def _normal_form(
     model: PosgModel,
     s: OccupancyState,
     agents_of_interest: Sequence[int],
     cap_per_agent: int,
-    keep: int | None = None,
-) -> tuple[list[np.ndarray], list[list[dict] | None], list[dict]]:
-    """Payoff tensors, one axis per agent, over anchored pure policy suffixes
-    from occupancy ``s``, with each agent's assignment space and the ``kids``
-    of ``_sequence_payoffs``.
+    keep: Sequence[int] = (),
+) -> tuple[list[np.ndarray], list[list[dict] | None], list[dict], list[np.ndarray | None]]:
+    """Payoff tensors below occupancy ``s``, one per agent of interest and one
+    axis per agent, with each agent's assignment space, the ``kids`` of
+    ``_sequence_payoffs`` and each kept agent's parent sequences.
 
     Under perfect recall a pure profile's payoff is multilinear in the
     agents' 0/1 sequence realizations, so every tensor is the sequence-form
     payoff contracted with each agent's realization matrix (for two agents,
-    ``R_0 @ G @ R_1.T``).  Agent ``keep``, if given, is left uncontracted:
-    its axis stays over its sequences and its space is ``None``; its pure
-    policies are counted against the cap but not enumerated.
+    ``R_0 @ G @ R_1.T``).  The agents in ``keep`` are left uncontracted:
+    their axes stay over their sequences, their spaces and the others'
+    parents are ``None``.  ``cap_per_agent`` caps each agent's sequences if
+    kept and its anchored pure policies otherwise, all checked before the
+    walk.
     """
     depth = model.horizon - s.t
     if depth < 1:
@@ -497,25 +498,28 @@ def _normal_form(
     anchors = [_anchors(s, i) for i in range(model.n_agents)]
     spaces: list[list[dict] | None] = []
     for i in range(model.n_agents):
-        if i != keep:
+        if i not in keep:
             spaces.append(_anchored_space(model, i, anchors[i], depth, cap_per_agent))
             continue
-        n_trees = pure_policy_count(len(model.actions[i]), model.n_agent_obs(i), depth)
-        count = n_trees ** len(anchors[i])
+        count = _sequence_count(model, i, len(anchors[i]), depth)
         if count > cap_per_agent:
-            raise CapExceededError("anchored policy enumeration", count, cap_per_agent)
+            raise CapExceededError(f"sequence form of agent {i + 1}", count, cap_per_agent)
         spaces.append(None)
     count = math.prod(len(space) for space in spaces if space is not None)
     if count > CAP_JOINT:
         raise CapExceededError("joint enumeration", count, CAP_JOINT)
     out, kids = _sequence_payoffs(model, s, anchors, agents_of_interest)
+    parents: list[np.ndarray | None] = []
     for i, space in enumerate(spaces):
+        n_u = len(model.actions[i])
         if space is None:
             out = np.moveaxis(out, 0, -1)
+            parents.append(_parents(kids[i], len(anchors[i]) + len(kids[i]), n_u))
         else:
-            R = _realization(len(model.actions[i]), anchors[i], space, kids[i])
+            R = _realization(n_u, anchors[i], space, kids[i])
             out = np.tensordot(out, R, axes=([0], [1]))  # moves agent i's axis last
-    return list(out), spaces, kids
+            parents.append(None)
+    return list(out), spaces, kids, parents
 
 
 def suffix_normal_form(
@@ -526,33 +530,28 @@ def suffix_normal_form(
 ) -> tuple[list[np.ndarray], list[list[dict]]]:
     """Payoff tensors over anchored pure policy suffixes from occupancy ``s``;
     axis ``i`` indexes agent ``i``'s assignments of one tree per anchor."""
-    mats, spaces, _ = _normal_form(model, s, agents_of_interest, cap_per_agent)
+    mats, spaces, _, _ = _normal_form(model, s, agents_of_interest, cap_per_agent)
     return mats, spaces
 
 
 def induced_normal_form(
     model: PosgModel,
-    horizon: int,
     agents_of_interest: Sequence[int],
     cap_per_agent: int = CAP_PER_AGENT,
 ) -> tuple[list[np.ndarray], list[list[PolicyTree]]]:
     """Payoff tensors over reduced pure policy profiles at the start belief,
     one axis per agent: the occupancy-rooted normal form at the initial
     occupancy state, each one-anchor assignment unwrapped to its tree."""
-    m = model.with_horizon(horizon)
-    mats, spaces, _ = _normal_form(m, initial_occupancy(m), agents_of_interest, cap_per_agent)
-    roots = [PrivateHistory(i) for i in range(m.n_agents)]
+    s0 = initial_occupancy(model)
+    mats, spaces, _, _ = _normal_form(model, s0, agents_of_interest, cap_per_agent)
+    roots = [PrivateHistory(i) for i in range(model.n_agents)]
     return mats, [[a[root] for a in space] for root, space in zip(roots, spaces)]
 
 
-def _game_at(
-    model: PosgModel, horizon: int | None, criterion: str, solver: str
-) -> PosgModel:
-    """The model at ``horizon`` (default: its own), which must be ``criterion``."""
-    m = model.with_horizon(model.horizon if horizon is None else horizon)
-    if m.criterion != criterion:
-        raise ModelValidationError(f"{solver} needs a {criterion} model, got {m.criterion}")
-    return m
+def _require(model: PosgModel, criterion: str, solver: str) -> None:
+    """Raise unless ``model`` is a ``criterion`` game."""
+    if model.criterion != criterion:
+        raise ModelValidationError(f"{solver} needs a {criterion} model, got {model.criterion}")
 
 
 # ---------------------------------------------------------------------------
@@ -578,21 +577,6 @@ class SequenceFormSolution:
     anchors: tuple[tuple[PrivateHistory, ...], ...]
     kids: tuple[Mapping[tuple[int, int, int], int], ...]
     metadata: Mapping[str, object]
-
-
-def _sequence_count(model: PosgModel, agent: int, n_anchors: int, depth: int) -> int:
-    """Sequences of the agent's full trie, ``depth`` steps below
-    ``n_anchors`` anchors."""
-    n_u, n_z = len(model.actions[agent]), model.n_agent_obs(agent)
-    return n_anchors * n_u * sum((n_u * n_z) ** d for d in range(depth))
-
-
-def _parents(kids: Mapping[tuple[int, int, int], int], n_sets: int, n_u: int) -> np.ndarray:
-    """Parent sequence of each information set, -1 at the anchors."""
-    parents = [-1] * n_sets
-    for (j, u, _), c in kids.items():
-        parents[c] = j * n_u + u
-    return np.array(parents, dtype=np.intp)
 
 
 def _trie_best(g: np.ndarray, parents: np.ndarray, n_u: int, best) -> np.ndarray:
@@ -658,18 +642,8 @@ def _zero_sum_kernel(
     The certificate, the duality gap plus each side's exploitability (what
     the opponent's best pure plan gains against it), must stay within
     ``max(tolerance, 1e-7)`` times the largest payoff magnitude."""
-    depth = model.horizon - s.t
-    if depth < 1:
-        raise ValueError("occupancy state is already at the horizon")
-    anchors = [_anchors(s, i) for i in range(2)]
+    (G,), _, kids, parents = _normal_form(model, s, [0], cap_per_agent, keep=(0, 1))
     n_us = [len(model.actions[i]) for i in range(2)]
-    for i in range(2):
-        count = _sequence_count(model, i, len(anchors[i]), depth)
-        if count > cap_per_agent:
-            raise CapExceededError(f"sequence form of agent {i + 1}", count, cap_per_agent)
-    G, kids = _sequence_payoffs(model, s, anchors, [0])
-    G = G[..., 0]
-    parents = [_parents(kids[i], len(anchors[i]) + len(kids[i]), n_us[i]) for i in range(2)]
     if all(len(p) == 1 for p in parents):  # one set each: G is the matrix game
         sol = matrix_game_value(G, tolerance)
         value, x, y, gap = sol.value, sol.row_mix, sol.col_mix, sol.gap
@@ -691,9 +665,8 @@ def _zero_sum_kernel(
         "exploitability": exploitability,
         "residual": max(exploitability),
     }
-    solution = SequenceFormSolution(
-        value, (x, y), tuple(map(tuple, anchors)), tuple(kids), metadata
-    )
+    anchors = tuple(tuple(_anchors(s, i)) for i in range(2))
+    solution = SequenceFormSolution(value, (x, y), anchors, tuple(kids), metadata)
     return solution, G
 
 
@@ -743,17 +716,16 @@ def _kuhn_mixture(
 
 def solve_zero_sum(
     model: PosgModel,
-    horizon: int | None = None,
     tolerance: float = DEFAULT_TOLERANCE,
     cap_per_agent: int = CAP_PER_AGENT,
 ) -> Equilibrium:
     """Saddle value of a zero-sum game at the start belief, from one
     realization-plan LP, with each agent's optimal plan as a mixture over pure
-    policy trees.  ``cap_per_agent`` caps each agent's sequences."""
-    m = _game_at(model, horizon, "zerosum", "solve_zero_sum")
-    sol, _ = _zero_sum_kernel(m, initial_occupancy(m), tolerance, cap_per_agent)
+    policy trees."""
+    _require(model, "zerosum", "solve_zero_sum")
+    sol, _ = _zero_sum_kernel(model, initial_occupancy(model), tolerance, cap_per_agent)
     mixtures, policies = zip(
-        *(_kuhn_mixture(m, i, sol.plans[i], sol.kids[i]) for i in range(2))
+        *(_kuhn_mixture(model, i, sol.plans[i], sol.kids[i]) for i in range(2))
     )
     return Equilibrium(
         criterion="zerosum",
@@ -771,10 +743,9 @@ def _one_sided(model: PosgModel, s: OccupancyState, cap_per_agent: int, best) ->
     reverse trie pass each; the profiles' payoffs ``Y`` over its sequences; the
     enumerated spaces; its ``kids``.  No joint tensor is built."""
     last = model.n_agents - 1
-    (Y,), spaces, kids = _normal_form(model, s, [0], cap_per_agent, keep=last)
-    n_u = len(model.actions[last])
+    (Y,), spaces, kids, parents = _normal_form(model, s, [0], cap_per_agent, keep=(last,))
     Y = Y.reshape(-1, Y.shape[-1])
-    values = _trie_best(Y, _parents(kids[last], Y.shape[-1] // n_u, n_u), n_u, best)
+    values = _trie_best(Y, parents[last], len(model.actions[last]), best)
     return values, Y, spaces[:last], kids[last]
 
 
@@ -786,31 +757,29 @@ def zero_sum_guarantees(model: PosgModel, cap_per_agent: int = CAP_PER_AGENT) ->
     return _one_sided(model, initial_occupancy(model), cap_per_agent, np.min)[0]
 
 
-def solve_dec(
-    model: PosgModel, horizon: int | None = None, cap_per_agent: int = CAP_PER_AGENT
-) -> Equilibrium:
+def solve_dec(model: PosgModel, cap_per_agent: int = CAP_PER_AGENT) -> Equilibrium:
     """Optimal joint policy of a common-payoff game: every agent but the last
     enumerates its reduced pure policies, the last best-responds in sequence
     form.  Ties go to the lexicographically smallest index tuple whose value is
     within ``1e-12 * max(1, |max|)`` of the maximum (the first such profile of
     the others, then the last agent's first such policy), so the pick does not
     depend on the order the payoffs were summed in."""
-    m = _game_at(model, horizon, "common", "solve_dec")
-    values, Y, spaces, kids = _one_sided(m, initial_occupancy(m), cap_per_agent, np.max)
+    _require(model, "common", "solve_dec")
+    values, Y, spaces, kids = _one_sided(model, initial_occupancy(model), cap_per_agent, np.max)
     top = values.max()
     tol = 1e-12 * max(1.0, abs(top))
     row = int(np.flatnonzero(values >= top - tol)[0])
-    last = m.n_agents - 1
+    last = model.n_agents - 1
     root = PrivateHistory(last)
-    trees = enumerate_pure_policies(m, last, m.horizon, cap_per_agent)
-    R = _realization(len(m.actions[last]), [root], [{root: t} for t in trees], kids)
+    trees = enumerate_pure_policies(model, last, model.horizon, cap_per_agent)
+    R = _realization(len(model.actions[last]), [root], [{root: t} for t in trees], kids)
     cells = R.dot(Y[row])
     col = int(np.flatnonzero(cells >= top - tol)[0])
     best = np.unravel_index(row, [len(space) for space in spaces]) + (col,)
     chosen = [space[c][PrivateHistory(i)] for i, (space, c) in enumerate(zip(spaces, best))]
     return Equilibrium(
         criterion="common",
-        values=(float(cells[col]),) * m.n_agents,
+        values=(float(cells[col]),) * model.n_agents,
         mixtures=tuple({int(c): 1.0} for c in best),
         policies=tuple({int(c): tree} for c, tree in zip(best, chosen + [trees[col]])),
         metadata={"method": "sequence-form-argmax", "shape": (len(values), Y.shape[-1])},
@@ -858,20 +827,18 @@ def _stackelberg_kernel(model: PosgModel, s: OccupancyState, cap_per_agent: int)
     pure plans enumerated and the leader in sequence form: (leader value, its
     realization plan, follower plan, follower payoffs ``F`` over (leader
     sequence, follower plan), follower space, leader ``kids``)."""
-    (L, F), spaces, kids = _normal_form(model, s, [0, 1], cap_per_agent, keep=0)
-    n_u = len(model.actions[0])
-    value, x, k = _multiple_lp(L, F, _parents(kids[0], L.shape[0] // n_u, n_u), n_u)
+    (L, F), spaces, kids, parents = _normal_form(model, s, [0, 1], cap_per_agent, keep=(0,))
+    value, x, k = _multiple_lp(L, F, parents[0], len(model.actions[0]))
     return value, x, k, F, spaces[1], kids[0]
 
 
-def solve_stackelberg(
-    model: PosgModel, horizon: int | None = None, cap_per_agent: int = CAP_PER_AGENT
-) -> Equilibrium:
+def solve_stackelberg(model: PosgModel, cap_per_agent: int = CAP_PER_AGENT) -> Equilibrium:
     """Strong Stackelberg equilibrium with agent 1 committing publicly; its
     plan is returned as a mixture over pure policy trees (Kuhn)."""
-    m = _game_at(model, horizon, "stackelberg", "solve_stackelberg")
-    value, x, k, F, space, kids = _stackelberg_kernel(m, initial_occupancy(m), cap_per_agent)
-    mixture, trees = _kuhn_mixture(m, 0, x, kids)
+    _require(model, "stackelberg", "solve_stackelberg")
+    s0 = initial_occupancy(model)
+    value, x, k, F, space, kids = _stackelberg_kernel(model, s0, cap_per_agent)
+    mixture, trees = _kuhn_mixture(model, 0, x, kids)
     return Equilibrium(
         criterion="stackelberg",
         values=(float(value), float(x @ F[:, k])),

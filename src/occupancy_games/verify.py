@@ -414,9 +414,7 @@ def check_sufficiency_private(
             steps.append((u_i, z_i))
 
         raw = _raw_private_occupancy(model, agent, profiles[:t], steps)
-        s_i = private_occupancy(
-            model, model.start, profiles, PrivateHistory(agent, tuple(steps))
-        )
+        s_i = private_occupancy(model, profiles, PrivateHistory(agent, tuple(steps)))
         u_i = int(rng.integers(0, n_u))
         # reward sufficiency
         r_raw = _raw_private_reward(model, agent, raw, profiles[t], u_i)
@@ -457,10 +455,9 @@ def _sample_prefix_occupancy(
     model: PosgModel,
     t: int,
     rng: np.random.Generator,
-    support: int = 2,
     fixed_rules: Mapping[int, Sequence[DecisionRule]] | None = None,
 ) -> tuple[OccupancyState, list[tuple[DecisionRule, ...]]]:
-    """Occupancy state reached at time t under random small-support prefix
+    """Occupancy state reached at time t under random two-action prefix
     rules (optionally pinning some agents' rules), sampling public branches."""
     s = initial_occupancy(model)
     prefix: list[tuple[DecisionRule, ...]] = []
@@ -468,7 +465,7 @@ def _sample_prefix_occupancy(
         rules = tuple(
             fixed_rules[i][tau]
             if fixed_rules and i in fixed_rules
-            else random_decision_rule(model, i, tau, rng, support=support)
+            else random_decision_rule(model, i, tau, rng, support=2)
             for i in range(model.n_agents)
         )
         branches = step(model, s, rules)
@@ -515,17 +512,12 @@ def check_slave_structure(
     worst_cert = 0.0
     for k in range(n_samples):
         t = int(rng.integers(1, model.horizon)) if model.horizon > 1 else 0
-        s, prefix = _sample_prefix_occupancy(
-            model, t, rng, support=2, fixed_rules=others_rules
-        )
-        joint_prefix = prefix
-        mixture = decompose(s, model, joint_prefix, agent)
+        s, prefix = _sample_prefix_occupancy(model, t, rng, fixed_rules=others_rules)
+        mixture = decompose(s, model, prefix, agent)
         weights = np.array([w for w, _ in mixture.components])
         comps = [c for _, c in mixture.components]
         lam = rng.dirichlet(np.ones(len(comps))) if len(comps) > 1 else np.ones(1)
-        s_mix = mix_occupancies(
-            [OccupancyState(t, c.entries) for c in comps], lam
-        )
+        s_mix = mix_occupancies(comps, lam)
         lhs = best_response_value_from(model, others, agent, s_mix)
         if negative_control:
             lhs += _CORRUPTION
@@ -535,7 +527,7 @@ def check_slave_structure(
         )
         worst_lin = max(worst_lin, abs(lhs - rhs))
         # also the natural weights, recombining to the sampled state itself
-        lhs0 = best_response_value_from(model, others, agent, recombine(mixture, t))
+        lhs0 = best_response_value_from(model, others, agent, recombine(mixture))
         rhs0 = sum(
             float(w) * best_response_private_from(model, others, agent, c, t)
             for w, c in zip(weights, comps)
@@ -943,7 +935,6 @@ def run_suite(
     seed: int = 0,
     n_samples: int = 50,
     fixture: str = "model",
-    tolerance_exact: float = EXACT_TOL,
     tolerance_solver: float = SOLVER_TOL,
 ) -> list[PropertyReport]:
     """Run the selected verification suites; deterministic given the seed.
@@ -968,22 +959,14 @@ def run_suite(
     has_master = model.criterion in ("common", "zerosum", "stackelberg")
     for name in names:
         if name == "sufficiency":
-            reports.append(
-                check_sufficiency_master(model, n_samples, seed, fixture, tolerance_exact)
-            )
+            reports.append(check_sufficiency_master(model, n_samples, seed, fixture))
             for agent in range(model.n_agents):
                 reports.append(
-                    check_sufficiency_private(
-                        model, agent, n_samples, seed + agent + 1, fixture, tolerance_exact
-                    )
+                    check_sufficiency_private(model, agent, n_samples, seed + agent + 1, fixture)
                 )
         elif name == "slave":
             others = _suite_others_policy(model, seed)
-            reports.append(
-                check_slave_structure(
-                    model, others, 0, n_samples, seed, fixture, tolerance_exact
-                )
-            )
+            reports.append(check_slave_structure(model, others, 0, n_samples, seed, fixture))
         elif name == "master":
             if has_master:
                 reports.append(

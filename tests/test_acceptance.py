@@ -85,7 +85,7 @@ def test_acceptance_2_basis_decomposition(tiger):
     mixture = decompose(s1, tiger, [rules], 0)
     weights = [w for w, _ in mixture.components]
     comps = [c for _, c in mixture.components]
-    back = recombine(mixture, s1.t)
+    back = recombine(mixture)
     ok = (
         weights == [0.5, 0.5]
         and all(len(c.entries) == 4 for c in comps)

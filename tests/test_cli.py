@@ -64,6 +64,16 @@ def test_zero_sum_cap_counts_sequences(capsys):
     assert code == 0 and "value_1: 0" in out
 
 
+def test_stackelberg_cap_counts_leader_sequences(capsys):
+    # stackelberg-tiger at its horizon 2: the leader stays in sequence form
+    # with 10 sequences; the follower's 8 pure policies are enumerated
+    path = str(model_path("stackelberg-tiger"))
+    code, _, err = run(capsys, "solve", path, "--cap", "9")
+    assert code == 3 and "sequence form of agent 1 too large: 10 exceeds cap 9" in err
+    code, out, _ = run(capsys, "solve", path, "--cap", "10")
+    assert code == 0 and "method: multiple-lp" in out
+
+
 def test_solve_zero_sum_four_steps(capsys):
     code, out, _ = run(capsys, "solve", TIGER_ZS, "--horizon", "4")
     assert code == 0
@@ -89,7 +99,7 @@ def test_verify_unknown_suite(capsys):
 def test_verify_failure_exit_code(capsys):
     code, out, _ = run(
         capsys, "verify", TIGER, "--suite", "master", "--samples", "2",
-        "--tolerance=-1",
+        "--tolerance", "0",
     )
     assert code == 1
     assert "passed=false" in out
@@ -217,6 +227,15 @@ def exit_code(argv):
         (["solve", ONE_STAGE, "--seed", "1"], 2),
         (["sweep", ONE_STAGE, "--seed", "1"], 2),
         (["sweep", ONE_STAGE, "--start", "0.5", "0.5"], 2),
+        # seeds are >= 0; tolerances are finite and >= 0
+        (["evaluate", ONE_STAGE, "--seed", "-1"], 2),
+        (["verify", ONE_STAGE, "--suite", "master", "--seed", "-1"], 2),
+        (["solve", ONE_STAGE, "--criterion", "zerosum", "--tolerance", "nan"], 2),
+        (["sweep", ONE_STAGE, "--criterion", "zerosum", "--grid", "3", "--tolerance", "nan"], 2),
+        (["verify", ONE_STAGE, "--suite", "master", "--tolerance", "nan"], 2),
+        (["verify", ONE_STAGE, "--suite", "master,lipschitz", "--tolerance", "inf"], 2),
+        (["verify", ONE_STAGE, "--suite", "master", "--tolerance=-1e-9"], 2),
+        (["solve", ONE_STAGE, "--criterion", "zerosum", "--tolerance", "-1"], 2),
     ],
 )
 def test_flags_at_zero_and_bad_counts(capsys, argv, code):
@@ -305,7 +324,7 @@ def test_sweep_zero_sum_components_are_row_minima(capsys):
     for row in rows:
         belief, _, *components = row.split(",")
         b = float(belief)
-        (A,), _ = induced_normal_form(model.with_start([b, 1.0 - b]), model.horizon, [0])
+        (A,), _ = induced_normal_form(model.with_start([b, 1.0 - b]), [0])
         minima = A.min(axis=1)
         assert len(components) == len(minima) == 27
         assert max(abs(float(c) - v) for c, v in zip(components, minima)) <= 1e-9

@@ -190,7 +190,7 @@ def test_factorize_recompose_roundtrip(seed):
 
 
 def test_private_occupancy_boundary(tiger):
-    s = private_occupancy(tiger, tiger.start, [], PrivateHistory(0))
+    s = private_occupancy(tiger, [], PrivateHistory(0))
     empty = empty_joint_history(2)
     assert s.entries == {(0, empty): 0.5, (1, empty): 0.5}
     assert s.anchor == PrivateHistory(0)
@@ -199,7 +199,7 @@ def test_private_occupancy_boundary(tiger):
 def test_private_occupancy_basis_decomposition_component(tiger):
     # Calvin listened and heard left while Susie opened the left door
     others = [{1: det_rule(tiger, 1, 0, 1, [PrivateHistory(1)])}]
-    s = private_occupancy(tiger, tiger.start, others, PrivateHistory(0, ((0, 0),)))
+    s = private_occupancy(tiger, others, PrivateHistory(0, ((0, 0),)))
     assert len(s.entries) == 4
     assert all(v == pytest.approx(0.25, abs=1e-15) for v in s.entries.values())
     assert all(o.privates[0] == s.anchor for (_, o) in s.entries)
@@ -227,7 +227,7 @@ O: * * : * : y y : 1.0
     )
     others = [{1: det_rule(one_hot, 1, 0, 0, [PrivateHistory(1)])}]
     with pytest.raises(UnreachableHistoryError):
-        private_occupancy(one_hot, one_hot.start, others, PrivateHistory(0, ((0, 1),)))
+        private_occupancy(one_hot, others, PrivateHistory(0, ((0, 1),)))
 
 
 def test_one_sided_private_occupancy_collapses_to_belief(one_sided):
@@ -238,7 +238,7 @@ def test_one_sided_private_occupancy_collapses_to_belief(one_sided):
     rng = np.random.default_rng(1)
     a1_rule = random_decision_rule(m, 0, 0, rng)
     anchor = PrivateHistory(1, ((0, m.agent_obs_index(1, 0, 0)),))  # (stay, L-hl)
-    s = private_occupancy(m, m.start, [{0: a1_rule}], anchor)
+    s = private_occupancy(m, [{0: a1_rule}], anchor)
     histories = {o for (_, o) in s.entries}
     assert len(histories) == 1  # unique joint history: o1 is revealed
     o1 = next(iter(histories)).privates[0]
@@ -273,7 +273,7 @@ def test_private_step_observation_probabilities(tiger):
     omega, _ = private_step(tiger, s0, others, 0, 0)
     assert omega == pytest.approx(0.5 * 0.85 + 0.5 * 0.15, abs=1e-12)
 
-    anchored = initial_private_occupancy(tiger, 0, [1.0, 0.0])
+    anchored = initial_private_occupancy(tiger.with_start([1.0, 0.0]), 0)
     omega, _ = private_step(tiger, anchored, others, 0, 0)
     assert omega == pytest.approx(0.85, abs=1e-12)
 
@@ -346,7 +346,7 @@ def test_decompose_basis_decomposition(tiger):
     for _, comp in mixture.components:
         assert len(comp.entries) == 4
         assert all(v == pytest.approx(0.25, abs=1e-15) for v in comp.entries.values())
-    back = recombine(mixture, s1.t)
+    back = recombine(mixture)
     assert back.entries.keys() == s1.entries.keys()
     for k, v in s1.entries.items():
         assert back.entries[k] == v  # exact
@@ -369,7 +369,7 @@ def test_decompose_roundtrip_random_policies(tiger):
         (_, _, s1), = step(tiger, initial_occupancy(tiger), rules[0])
         for agent in range(2):
             mixture = decompose(s1, tiger, rules, agent)
-            back = recombine(mixture, s1.t)
+            back = recombine(mixture)
             assert back.entries.keys() == s1.entries.keys()
             for key, v in s1.entries.items():
                 assert back.entries[key] == pytest.approx(v, abs=1e-12)
@@ -439,7 +439,7 @@ def test_decompose_with_public_observations():
     for _, _, s1 in branches:
         for agent in range(2):
             mixture = decompose(s1, m, [rules], agent)
-            back = recombine(mixture, s1.t)
+            back = recombine(mixture)
             assert back.entries.keys() == s1.entries.keys()
             for k, v in s1.entries.items():
                 assert back.entries[k] == pytest.approx(v, abs=1e-12)

@@ -1,4 +1,6 @@
 import dataclasses
+import importlib
+import importlib.util
 import inspect
 import itertools
 import os
@@ -322,7 +324,7 @@ def test_normal_form_cells_match_per_cell_evaluation(request, name, horizon):
     else:
         m = request.getfixturevalue(name).with_horizon(horizon)
     agents = list(range(m.n_agents))
-    mats, spaces = induced_normal_form(m, m.horizon, agents)
+    mats, spaces = induced_normal_form(m, agents)
     s0 = initial_occupancy(m)
     for cell in itertools.product(*(range(len(space)) for space in spaces)):
         profile = JointPolicy(tuple(space[c] for space, c in zip(spaces, cell)))
@@ -463,6 +465,14 @@ def test_one_sided_solvers_stay_off_the_joint_normal_form():
     assert "cap_joint" not in inspect.getsource(solve)
 
 
+def test_only_normal_form_sets_up_a_sequence_form():
+    # depth check, cap, walk and parent numbering live in _normal_form alone
+    for fn in (solve._zero_sum_kernel, solve._one_sided, solve._stackelberg_kernel):
+        code = compile(inspect.getsource(fn), solve.__file__, "exec")
+        assert not _names(code) & {"_sequence_payoffs", "_sequence_count", "_parents"}, fn
+    assert "pure_policy_count" not in inspect.getsource(solve)
+
+
 # -- solve_zero_sum ---------------------------------------------------------------
 
 
@@ -558,7 +568,7 @@ def test_sse_pruning_keeps_the_unpruned_result(monkeypatch):
 def test_solve_stackelberg_three_steps(st_tiger):
     eq = solve_stackelberg(st_tiger.with_horizon(3))
     assert abs(eq.values[0] - 3.13975625) <= 1e-9
-    (L, F), _ = induced_normal_form(st_tiger, 3, [0, 1])
+    (L, F), _ = induced_normal_form(st_tiger.with_horizon(3), [0, 1])
     sigma = np.zeros(L.shape[0])
     for idx, w in eq.mixtures[0].items():
         sigma[idx] = w
@@ -577,7 +587,7 @@ def test_sse_leader_value_at_least_maxmin(one_stage_st, st_tiger):
     for model in (one_stage_st, st_tiger):
         from occupancy_games.solve import induced_normal_form
 
-        (L, F), _ = induced_normal_form(model, model.horizon, [0, 1])
+        (L, F), _ = induced_normal_form(model, [0, 1])
         sse_value, _, _ = stackelberg_from_matrices(L, F)
         maxmin = matrix_game_value(L).value
         assert sse_value >= maxmin - 1e-9
@@ -815,6 +825,18 @@ def test_package_import_leaves_scipy_optimize_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_benchmark_span_targets_resolve():
+    # perfbench/spans.py binds its spans by (module, attribute); read the list
+    # without installing, so nothing is rebound
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    for _, module, attr, _ in spans.TARGETS:
+        assert callable(getattr(importlib.import_module(f"occupancy_games.{module}"), attr))
+
+
 # -- common payoff and Stackelberg: one agent enumerated, one in sequence form ----
 
 
@@ -843,7 +865,7 @@ def test_common_one_sided_kernel_matches_normal_form(seed, horizon, n_public):
     for s in start_and_step_states(m, rng):
         (A,), _ = suffix_normal_form(m, s, (0,))
         assert abs(dec_value_from(m, s) - A.max()) <= 1e-12
-    (A,), _ = induced_normal_form(m, m.horizon, [0])
+    (A,), _ = induced_normal_form(m, [0])
     top = A.max()
     first = np.flatnonzero(A >= top - 1e-12 * max(1.0, abs(top)))[0]
     eq = solve_dec(m)
