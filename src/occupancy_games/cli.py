@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
             "lipschitz suites accept",
         ),
         "--cap": dict(
-            type=int,
+            type=_count_at_least(0),
             default=None,
             help="cap override on what is built per agent: sequences for an "
             "agent kept in sequence form (both zerosum agents, the last common "

@@ -184,6 +184,22 @@ class PosgModel:
             table.append(row)
         return table
 
+    @cached_property
+    def _successor_arrays(self) -> tuple[np.ndarray, ...]:
+        """``successors`` as flat arrays over (state, joint action, outcome):
+        ``begin[x]:begin[x + 1]`` are the outcomes in state ``x``, each with
+        the per-agent actions and observations (outcome x agent arrays), the
+        next state and the probability."""
+        rows = [
+            (x, self.split_joint_action(u), obs, x2, p)
+            for x in range(self.n_states)
+            for u in range(self.n_joint_actions)
+            for x2, _, obs, p in self.successors(u, x)
+        ]
+        xs, acts, obs, nxt, prob = (np.array(column) for column in zip(*rows))
+        begin = np.searchsorted(xs, np.arange(self.n_states + 1))
+        return begin, acts, obs, nxt, prob
+
     # -- variants --------------------------------------------------------------
 
     def with_horizon(self, horizon: int) -> "PosgModel":

@@ -134,7 +134,7 @@ def matrix_game_value(payoffs, tolerance: float = DEFAULT_TOLERANCE) -> MatrixGa
     if m == 2 and n == 2:
         return _solve_2x2(A)
     one_set = np.full(1, -1, dtype=np.intp)
-    value, row, col, gap = _realization_plan_lp(A, (one_set, one_set), (m, n))
+    value, row, col, gap = _realization_plan_lp(_block_diagonal([A]), (one_set, one_set), (m, n))
     if gap > max(tolerance, 1e-7) * max(1.0, np.abs(A).max()):
         raise RuntimeError(f"matrix game duality gap {gap:.3g} exceeds tolerance")
     return MatrixGameSolution(value, row, col, "lp", gap)
@@ -369,57 +369,117 @@ def _sequence_payoffs(
     s: OccupancyState,
     anchors: Sequence[Sequence[PrivateHistory]],
     agents_of_interest: Sequence[int],
-) -> tuple[np.ndarray, list[dict[tuple[int, int, int], int]]]:
-    """Sequence-form payoff tensor below occupancy ``s``.
+) -> tuple[list[np.ndarray], list[dict[tuple[int, int, int], int]]]:
+    """Sequence-form payoff tensor below occupancy ``s``, one block per depth.
 
-    One forward walk over every joint action and outcome pushes the mass of
-    ``s`` through (state, per-agent information set) pairs.  Agent ``i``'s
-    sets are numbered as they are reached: set ``a`` is its anchor
-    ``anchors[i][a]``, and ``kids[i][(j, u, z)]`` is the set after own action
-    ``u`` and observation ``z`` at set ``j``.  Sequence ``j * n_u + u`` is
-    action ``u`` at set ``j``.  The tensor has one axis per agent over its
-    sequences and a last axis over ``agents_of_interest``: the discounted
-    reward at those joint sequences, weighted by the probability of the
-    outcomes along them.
+    One forward walk, level by level, pushes the mass of ``s`` through
+    (state, per-agent information set) pairs, every joint action and outcome
+    of a level at once.  Agent ``i``'s sets are numbered level by level: set
+    ``a`` is its anchor ``anchors[i][a]``, then each level's reached sets
+    follow in (parent set, own action, own observation) order, and
+    ``kids[i][(j, u, z)]`` is the set after action ``u`` and observation ``z``
+    at set ``j``.  Sets the walk never reaches get no number.  Sequence
+    ``j * n_u + u`` is action ``u`` at set ``j``, so the sequences of one
+    depth are contiguous, and a sequence pairs only with the others'
+    sequences of its depth: ``blocks[d]`` has one axis per agent over its
+    depth-``d`` sequences and a last axis over ``agents_of_interest``, the
+    discounted reward at those joint sequences weighted by the probability
+    of the outcomes along them.  The full tensor is block diagonal in them.
     """
-    n = model.n_agents
     n_us = tuple(len(labels) for labels in model.actions)
-    pos = [{h: a for a, h in enumerate(anc)} for anc in anchors]
-    kids: list[dict[tuple[int, int, int], int]] = [{} for _ in range(n)]
-    level: dict[tuple[int, tuple[int, ...]], float] = {}
-    for (x, o), p in s.entries.items():
-        key = (x, tuple(pos[i][h] for i, h in enumerate(o.privates)))
-        level[key] = level.get(key, 0.0) + p
-    visited = list(level.items())
-    for _ in range(model.horizon - s.t - 1):
-        nxt: dict[tuple[int, tuple[int, ...]], float] = {}
-        joint = [model.split_joint_action(u) for u in range(model.n_joint_actions)]
-        n_anchors = [len(anc) for anc in anchors]
-        for (x, sets), p in level.items():
-            for u, us in enumerate(joint):
-                for x2, _, obs, dyn in model.successors(u, x):
-                    children = tuple(
-                        kid.setdefault((j, a, z), n_anc + len(kid))
-                        for kid, n_anc, j, a, z in zip(kids, n_anchors, sets, us, obs)
-                    )
-                    key = (x2, children)
-                    nxt[key] = nxt.get(key, 0.0) + p * model.discount * dyn
-        level = nxt
-        visited += level.items()
     # rewards[x, u_0, ..., u_{n-1}, k] for the k-th agent of interest
     rewards = np.moveaxis(model.rewards[list(agents_of_interest)], 0, -1)
     rewards = rewards.reshape((model.n_states,) + n_us + (-1,))
-    xs = np.array([x for (x, _), _ in visited], dtype=np.intp)
-    ids = np.array([sets for (_, sets), _ in visited], dtype=np.intp).reshape(-1, n)
-    mass = np.array([p for _, p in visited]).reshape((-1,) + (1,) * (n + 1))
-    n_sets = [len(anc) + len(k) for anc, k in zip(anchors, kids)]
-    # axes (set_0, u_0, ..., set_{n-1}, u_{n-1}, k), merged below into
-    # sequence axes j * n_u + u
-    G = np.zeros(tuple(itertools.chain(*zip(n_sets, n_us))) + rewards.shape[-1:])
-    index = tuple(itertools.chain(*((ids[:, i], slice(None)) for i in range(n))))
-    np.add.at(G, index + (slice(None),), mass * rewards[xs])
-    shape = tuple(k * n_u for k, n_u in zip(n_sets, n_us))
-    return G.reshape(shape + rewards.shape[-1:]), kids
+    pos = [{h: a for a, h in enumerate(anc)} for anc in anchors]
+    start: dict[tuple[int, ...], float] = {}
+    for (x, o), p in s.entries.items():
+        key = (x,) + tuple(pos[i][h] for i, h in enumerate(o.privates))
+        start[key] = start.get(key, 0.0) + p
+    # a level: states, per-agent set ids counted from the level's first set,
+    # and mass
+    xs, *ids = np.array(list(start), dtype=np.intp).reshape(-1, model.n_agents + 1).T
+    mass = np.array(list(start.values()))
+    n_sets = [len(anc) for anc in anchors]
+    first = [0] * model.n_agents  # id of the level's first set, per agent
+    kids: list[dict[tuple[int, int, int], int]] = [{} for _ in anchors]
+    blocks = [_payoff_block(xs, ids, mass, n_sets, rewards)]
+    for _ in range(model.horizon - s.t - 1):
+        xs, ids, mass = _next_level(model, xs, ids, mass, n_sets, first, kids)
+        blocks.append(_payoff_block(xs, ids, mass, n_sets, rewards))
+    return blocks, kids
+
+
+def _next_level(
+    model: PosgModel,
+    xs: np.ndarray,
+    ids: list[np.ndarray],
+    mass: np.ndarray,
+    n_sets: list[int],
+    first: list[int],
+    kids: list[dict[tuple[int, int, int], int]],
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
+    """The walk's next level: every outcome of every joint action from each
+    entry, equal (state, sets) keys merged.  Numbers the reached sets into
+    ``kids`` and moves ``n_sets`` and ``first`` on to the new level, in
+    place."""
+    begin, acts, obs, nxt, prob = model._successor_arrays
+    # outcome out[t] of entry entry[t], in (entry, joint action, outcome) order
+    counts = begin[xs + 1] - begin[xs]
+    entry = np.repeat(np.arange(len(xs)), counts)
+    out = np.arange(len(entry)) + np.repeat(begin[xs] + counts - np.cumsum(counts), counts)
+    child_mass = mass[entry] * model.discount
+    child_mass *= prob[out]
+    key = nxt[out]
+    for i, n_u in enumerate(len(labels) for labels in model.actions):
+        n_z = model.n_agent_obs(i)
+        code = ids[i][entry] * (n_u * n_z)
+        code += (acts[:, i] * n_z + obs[:, i])[out]
+        reached, child = _rank(code, n_sets[i] * n_u * n_z)
+        del code  # the outcome-long arrays go as soon as they are used
+        j, uz = np.divmod(reached, n_u * n_z)
+        base = first[i] + n_sets[i]
+        kids[i].update(zip(
+            zip((j + first[i]).tolist(), *(c.tolist() for c in np.divmod(uz, n_z))),
+            range(base, base + len(reached)),
+        ))
+        first[i], n_sets[i] = base, len(reached)
+        key *= n_sets[i]
+        key += child
+    del entry, out, child
+    merged, where = np.unique(key, return_inverse=True)
+    del key
+    mass = np.bincount(where, weights=child_mass, minlength=len(merged))
+    xs, *ids = np.unravel_index(merged, [model.n_states] + n_sets)
+    return xs, ids, mass
+
+
+def _rank(codes: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(codes, return_inverse=True)`` for codes in ``[0, space)``,
+    with one flag per possible code in place of a sort: one agent's codes
+    range over the children its sets could have, a space no larger than its
+    full trie level."""
+    hit = np.zeros(space, dtype=bool)
+    hit[codes] = True
+    return np.flatnonzero(hit), (np.cumsum(hit) - 1)[codes]
+
+
+def _payoff_block(
+    xs: np.ndarray, ids: Sequence[np.ndarray], mass: np.ndarray, n_sets: Sequence[int],
+    rewards: np.ndarray,
+) -> np.ndarray:
+    """One level's payoff block: the level's mass at each (state, set per
+    agent) times the reward of each joint action, summed over states, with
+    axes (sequence per agent, agent of interest)."""
+    n_us = rewards.shape[1:-1]
+    at = np.zeros((len(rewards),) + tuple(n_sets))
+    at[(xs, *ids)] = mass
+    # axes (set_0, u_0, ..., set_{n-1}, u_{n-1}, k), merged into sequences
+    at_shape = tuple(itertools.chain(*((k, 1) for k in n_sets))) + (1,)
+    r_shape = tuple(itertools.chain(*((1, n_u) for n_u in n_us))) + rewards.shape[-1:]
+    block = at[0].reshape(at_shape) * rewards[0].reshape(r_shape)
+    for x in range(1, len(rewards)):
+        block += at[x].reshape(at_shape) * rewards[x].reshape(r_shape)
+    return block.reshape(tuple(k * n_u for k, n_u in zip(n_sets, n_us)) + rewards.shape[-1:])
 
 
 def _realization(
@@ -486,11 +546,13 @@ def _normal_form(
     Under perfect recall a pure profile's payoff is multilinear in the
     agents' 0/1 sequence realizations, so every tensor is the sequence-form
     payoff contracted with each agent's realization matrix (for two agents,
-    ``R_0 @ G @ R_1.T``).  The agents in ``keep`` are left uncontracted:
-    their axes stay over their sequences, their spaces and the others'
-    parents are ``None``.  ``cap_per_agent`` caps each agent's sequences if
-    kept and its anchored pure policies otherwise, all checked before the
-    walk.
+    ``R_0 @ G @ R_1.T``), taken one depth block at a time.  The agents in
+    ``keep`` are left uncontracted: their axes stay over their sequences,
+    their spaces and the others' parents are ``None``.  When both agents of a
+    two-agent game are kept, each tensor is the block-diagonal ``G`` itself,
+    as a ``scipy.sparse`` CSR array.  ``cap_per_agent`` caps each agent's
+    sequences if kept and its anchored pure policies otherwise, all checked
+    before the walk.
     """
     depth = model.horizon - s.t
     if depth < 1:
@@ -508,18 +570,58 @@ def _normal_form(
     count = math.prod(len(space) for space in spaces if space is not None)
     if count > CAP_JOINT:
         raise CapExceededError("joint enumeration", count, CAP_JOINT)
-    out, kids = _sequence_payoffs(model, s, anchors, agents_of_interest)
+    blocks, kids = _sequence_payoffs(model, s, anchors, agents_of_interest)
     parents: list[np.ndarray | None] = []
+    realizations: list[np.ndarray | None] = []
     for i, space in enumerate(spaces):
         n_u = len(model.actions[i])
         if space is None:
-            out = np.moveaxis(out, 0, -1)
             parents.append(_parents(kids[i], len(anchors[i]) + len(kids[i]), n_u))
+            realizations.append(None)
         else:
-            R = _realization(n_u, anchors[i], space, kids[i])
-            out = np.tensordot(out, R, axes=([0], [1]))  # moves agent i's axis last
             parents.append(None)
-    return list(out), spaces, kids, parents
+            realizations.append(_realization(n_u, anchors[i], space, kids[i]))
+    parts = []
+    lo = [0] * model.n_agents  # each agent's first sequence of the block
+    for block in blocks:
+        out = block
+        for i, R in enumerate(realizations):
+            hi = lo[i] + block.shape[i]
+            if R is None:
+                out = np.moveaxis(out, 0, -1)
+            else:  # moves agent i's axis last
+                out = np.tensordot(out, R[:, lo[i] : hi], axes=([0], [1]))
+            lo[i] = hi
+        parts.append(out)
+    # axes (agent of interest, agent 0, ..., agent n-1)
+    kept = sorted(keep)
+    if not kept:
+        return list(sum(parts)), spaces, kids, parents
+    if len(kept) == 1:
+        return list(np.concatenate(parts, axis=1 + kept[0])), spaces, kids, parents
+    # both agents of a two-agent game kept: block diagonal, stored sparse
+    mats = [_block_diagonal([part[k] for part in parts]) for k in range(len(agents_of_interest))]
+    return mats, spaces, kids, parents
+
+
+def _block_diagonal(blocks: Sequence[np.ndarray]):
+    """The block-diagonal matrix of dense 2-d ``blocks`` as a ``scipy.sparse``
+    CSR array that stores their nonzero entries only."""
+    from scipy import sparse
+
+    indptr, indices, data = [np.zeros(1, dtype=np.int64)], [], []
+    n_cols = 0
+    for block in blocks:
+        nonzero = block != 0.0
+        indptr.append(indptr[-1][-1] + np.cumsum(np.count_nonzero(nonzero, axis=1)))
+        indices.append(np.flatnonzero(nonzero) % block.shape[1] + n_cols)
+        data.append(block[nonzero])
+        n_cols += block.shape[1]
+    n_rows = sum(block.shape[0] for block in blocks)
+    return sparse.csr_array(
+        (np.concatenate(data), np.concatenate(indices), np.concatenate(indptr)),
+        shape=(n_rows, n_cols),
+    )
 
 
 def suffix_normal_form(
@@ -565,11 +667,13 @@ class SequenceFormSolution:
     """Saddle point of the zero-sum game below an occupancy state.
 
     Sets and sequences are numbered as in ``_sequence_payoffs``: agent ``i``'s
-    set ``a`` is its anchor ``anchors[i][a]``, ``kids[i][(j, u, z)]`` is the set
-    after own action ``u`` and observation ``z`` at set ``j``, and sequence
-    ``j * n_u + u`` is action ``u`` at set ``j``.  ``plans[i]`` is agent
-    ``i``'s realization plan: mass 1 over the actions at each anchor, and each
-    sequence's mass spread over the actions at every set below it.
+    set ``a`` is its anchor ``anchors[i][a]``, then each depth's reached sets
+    follow in (parent set, own action, own observation) order;
+    ``kids[i][(j, u, z)]`` is the set after own action ``u`` and observation
+    ``z`` at set ``j``, and sequence ``j * n_u + u`` is action ``u`` at set
+    ``j``.  ``plans[i]`` is agent ``i``'s realization plan: mass 1 over the
+    actions at each anchor, and each sequence's mass spread over the actions
+    at every set below it.
     """
 
     value: float
@@ -579,34 +683,47 @@ class SequenceFormSolution:
     metadata: Mapping[str, object]
 
 
-def _trie_best(g: np.ndarray, parents: np.ndarray, n_u: int, best) -> np.ndarray:
-    """Best total of per-sequence payoffs ``g[..., sequence]`` over one
-    agent's pure plans (``best``: ``np.max`` or ``np.min``), for each index of
-    the leading axes.  One reverse pass folds each set's best action into its
-    parent sequence; sets are numbered after their parents, so a set is
+def _trie_fold(g: np.ndarray, parents: np.ndarray, n_u: int, best) -> np.ndarray:
+    """Per-sequence payoffs ``g[..., sequence]`` plus the ``best`` (``np.max``
+    or ``np.min``) pure continuation below each sequence, over (set, action)
+    in the last two axes.  One reverse pass folds each set's best action into
+    its parent sequence; sets are numbered after their parents, so a set is
     complete when it is folded."""
     v = g.reshape(g.shape[:-1] + (len(parents), n_u)).copy()
     for c in range(len(parents) - 1, -1, -1):
         p = parents[c]
         if p >= 0:
             v[..., p // n_u, p % n_u] += best(v[..., c, :], axis=-1)
+    return v
+
+
+def _trie_best(g: np.ndarray, parents: np.ndarray, n_u: int, best) -> np.ndarray:
+    """Best total of per-sequence payoffs ``g[..., sequence]`` over one
+    agent's pure plans, for each index of the leading axes."""
+    v = _trie_fold(g, parents, n_u, best)
     return best(v[..., parents < 0, :], axis=-1).sum(axis=-1)
 
 
-def _plan_constraints(parents: np.ndarray, n_u: int) -> tuple[np.ndarray, np.ndarray]:
-    """``E`` and right-hand side ``e`` of ``E x = e``: one row per set, its
-    actions' mass minus its parent sequence's mass, 1 at the anchors."""
-    E = np.eye(len(parents)).repeat(n_u, axis=1)
-    for c, p in enumerate(parents.tolist()):
-        if p >= 0:
-            E[c, p] = -1.0
+def _plan_constraints(parents: np.ndarray, n_u: int):
+    """Sparse ``E`` and right-hand side ``e`` of ``E x = e``: one row per set,
+    its actions' mass minus its parent sequence's mass, 1 at the anchors."""
+    from scipy import sparse
+
+    n = len(parents)
+    # row c: -1 at its parent sequence (none at an anchor), then 1 at its own
+    cols = np.column_stack([parents, np.arange(n * n_u).reshape(n, n_u)])
+    values = np.column_stack([-np.ones(n), np.ones((n, n_u))])
+    stored = cols >= 0
+    indptr = np.concatenate([[0], np.cumsum(stored.sum(axis=1))])
+    E = sparse.csr_array((values[stored], cols[stored], indptr), shape=(n, n * n_u))
     return E, (parents < 0).astype(float)
 
 
 def _realization_plan_lp(
-    G: np.ndarray, parents: Sequence[np.ndarray], n_us: Sequence[int]
+    G, parents: Sequence[np.ndarray], n_us: Sequence[int]
 ) -> tuple[float, np.ndarray, np.ndarray, float]:
-    """max f^T q  s.t.  E x = e, x >= 0, F^T q <= G^T x, via HiGHS.
+    """max f^T q  s.t.  E x = e, x >= 0, F^T q <= G^T x, via HiGHS, with
+    ``G`` a ``scipy.sparse`` array.
 
     ``x`` is agent 0's realization plan and ``q`` one free value per set of
     agent 1; the duals of the ``F^T q <= G^T x`` rows are agent 1's plan.
@@ -618,9 +735,9 @@ def _realization_plan_lp(
     n_x, n_q = E.shape[1], F.shape[0]
     res = linprog(
         np.concatenate([np.zeros(n_x), -f]),
-        A_ub=sparse.hstack([sparse.csr_matrix(-G.T), F.T]),
+        A_ub=sparse.hstack([-G.T, F.T]),
         b_ub=np.zeros(G.shape[1]),
-        A_eq=sparse.hstack([E, sparse.csr_matrix((E.shape[0], n_q))]),
+        A_eq=sparse.hstack([E, sparse.csr_array((E.shape[0], n_q))]),
         b_eq=e,
         bounds=[(0, None)] * n_x + [(None, None)] * n_q,
         method="highs",
@@ -635,9 +752,9 @@ def _realization_plan_lp(
 
 def _zero_sum_kernel(
     model: PosgModel, s: OccupancyState, tolerance: float, cap_per_agent: int
-) -> tuple[SequenceFormSolution, np.ndarray]:
+) -> tuple[SequenceFormSolution, object]:
     """Saddle point below occupancy ``s`` and agent 0's sequence-form payoff
-    matrix ``G``.
+    matrix ``G`` (a ``scipy.sparse`` CSR array).
 
     The certificate, the duality gap plus each side's exploitability (what
     the opponent's best pure plan gains against it), must stay within
@@ -645,7 +762,7 @@ def _zero_sum_kernel(
     (G,), _, kids, parents = _normal_form(model, s, [0], cap_per_agent, keep=(0, 1))
     n_us = [len(model.actions[i]) for i in range(2)]
     if all(len(p) == 1 for p in parents):  # one set each: G is the matrix game
-        sol = matrix_game_value(G, tolerance)
+        sol = matrix_game_value(G.toarray(), tolerance)
         value, x, y, gap = sol.value, sol.row_mix, sol.col_mix, sol.gap
         method = f"normal-form+{sol.method}"
     else:
@@ -656,7 +773,7 @@ def _zero_sum_kernel(
         max(0.0, float(_trie_best(G @ y, parents[0], n_us[0], np.max)) - value),
     )
     certificate = gap + sum(exploitability)
-    if certificate > max(tolerance, 1e-7) * max(1.0, float(np.abs(G).max())):
+    if certificate > max(tolerance, 1e-7) * max(1.0, float(np.abs(G.data).max(initial=0.0))):
         raise RuntimeError(f"zero-sum certificate {certificate:.3g} exceeds tolerance")
     metadata = {
         "method": method,
@@ -670,6 +787,33 @@ def _zero_sum_kernel(
     return solution, G
 
 
+def _pure_tree(
+    model: PosgModel, agent: int, kids: Mapping[tuple[int, int, int], int], pick
+) -> tuple[int, PolicyTree, list[int]]:
+    """The pure policy tree (one anchor, at the start) that plays ``pick(j)``
+    at each set ``j`` the walk reached, asked in preorder, and action 0 below
+    sets it never reached; with its ``enumerate_pure_policies`` index (the
+    preorder actions read as a base-``n_u`` number) and the sequences it
+    plays."""
+    n_u, n_z = len(model.actions[agent]), model.n_agent_obs(agent)
+    played: list[int] = []
+    index = 0
+
+    def build(j: int | None, depth: int) -> PolicyTree:
+        nonlocal index
+        u = 0 if j is None else pick(j)
+        index = index * n_u + u
+        if j is not None:
+            played.append(j * n_u + u)
+        if depth == 1:
+            return PolicyTree(agent, u)
+        below = (None if j is None else kids.get((j, u, z)) for z in range(n_z))
+        return PolicyTree(agent, u, tuple(build(c, depth - 1) for c in below))
+
+    tree = build(0, model.horizon)
+    return index, tree, played
+
+
 def _kuhn_mixture(
     model: PosgModel,
     agent: int,
@@ -677,33 +821,20 @@ def _kuhn_mixture(
     kids: Mapping[tuple[int, int, int], int],
 ) -> tuple[dict[int, float], dict[int, PolicyTree]]:
     """Pure policy trees whose mixture realizes ``plan`` (one anchor, at the
-    start), keyed by their ``enumerate_pure_policies`` index: the preorder
-    actions read as a base-``n_u`` number.
+    start), keyed by their ``enumerate_pure_policies`` index.
 
     Each round takes the tree playing the heaviest remaining action at every
-    set it reaches (action 0 below sets the walk never reached), weighs it by
-    the least remaining mass on its sequences and subtracts it; that empties
-    at least one sequence, so there are at most ``len(plan)`` trees."""
-    n_u, n_z = len(model.actions[agent]), model.n_agent_obs(agent)
+    set it reaches, weighs it by the least remaining mass on its sequences
+    and subtracts it; that empties at least one sequence, so there are at
+    most ``len(plan)`` trees."""
+    n_u = len(model.actions[agent])
     rest = plan.copy()
     weights: dict[int, float] = {}
     trees: dict[int, PolicyTree] = {}
     for _ in range(len(plan)):
-        played: list[int] = []
-        index = 0
-
-        def build(j: int | None, depth: int) -> PolicyTree:
-            nonlocal index
-            u = 0 if j is None else int(np.argmax(rest[j * n_u : (j + 1) * n_u]))
-            index = index * n_u + u
-            if j is not None:
-                played.append(j * n_u + u)
-            if depth == 1:
-                return PolicyTree(agent, u)
-            below = (None if j is None else kids.get((j, u, z)) for z in range(n_z))
-            return PolicyTree(agent, u, tuple(build(c, depth - 1) for c in below))
-
-        tree = build(0, model.horizon)
+        index, tree, played = _pure_tree(
+            model, agent, kids, lambda j: int(np.argmax(rest[j * n_u : (j + 1) * n_u]))
+        )
         w = float(rest[played].min())
         if w <= 1e-12:  # what is left is LP round-off
             break
@@ -741,12 +872,13 @@ def _one_sided(model: PosgModel, s: OccupancyState, cap_per_agent: int, best) ->
     sequence form: agent 0's payoff for each enumerated profile (C order) when
     the last agent plays its ``best`` (``np.max`` or ``np.min``) pure plan, one
     reverse trie pass each; the profiles' payoffs ``Y`` over its sequences; the
-    enumerated spaces; its ``kids``.  No joint tensor is built."""
+    enumerated spaces; its ``kids`` and parent sequences.  No joint tensor is
+    built."""
     last = model.n_agents - 1
     (Y,), spaces, kids, parents = _normal_form(model, s, [0], cap_per_agent, keep=(last,))
     Y = Y.reshape(-1, Y.shape[-1])
     values = _trie_best(Y, parents[last], len(model.actions[last]), best)
-    return values, Y, spaces[:last], kids[last]
+    return values, Y, spaces[:last], kids[last], parents[last]
 
 
 def zero_sum_guarantees(model: PosgModel, cap_per_agent: int = CAP_PER_AGENT) -> np.ndarray:
@@ -763,25 +895,37 @@ def solve_dec(model: PosgModel, cap_per_agent: int = CAP_PER_AGENT) -> Equilibri
     form.  Ties go to the lexicographically smallest index tuple whose value is
     within ``1e-12 * max(1, |max|)`` of the maximum (the first such profile of
     the others, then the last agent's first such policy), so the pick does not
-    depend on the order the payoffs were summed in."""
+    depend on the order the payoffs were summed in.  The last agent's policy
+    comes from one preorder pass over its sets: at each, the lowest action
+    whose best completion still reaches that bound."""
     _require(model, "common", "solve_dec")
-    values, Y, spaces, kids = _one_sided(model, initial_occupancy(model), cap_per_agent, np.max)
+    s0 = initial_occupancy(model)
+    values, Y, spaces, kids, parents = _one_sided(model, s0, cap_per_agent, np.max)
     top = values.max()
     tol = 1e-12 * max(1.0, abs(top))
     row = int(np.flatnonzero(values >= top - tol)[0])
     last = model.n_agents - 1
-    root = PrivateHistory(last)
-    trees = enumerate_pure_policies(model, last, model.horizon, cap_per_agent)
-    R = _realization(len(model.actions[last]), [root], [{root: t} for t in trees], kids)
-    cells = R.dot(Y[row])
-    col = int(np.flatnonzero(cells >= top - tol)[0])
+    n_u = len(model.actions[last])
+    v = _trie_fold(Y[row], parents, n_u, np.max)
+    slack = v[0].max() - (top - tol)  # what the picks below may still lose
+
+    def lowest_within(j: int) -> int:
+        nonlocal slack
+        loss = v[j].max() - v[j]
+        u = int(np.flatnonzero(loss <= slack)[0])
+        slack -= loss[u]
+        return u
+
+    col, tree, played = _pure_tree(model, last, kids, lowest_within)
+    realization = np.zeros(Y.shape[-1])
+    realization[played] = 1.0
     best = np.unravel_index(row, [len(space) for space in spaces]) + (col,)
     chosen = [space[c][PrivateHistory(i)] for i, (space, c) in enumerate(zip(spaces, best))]
     return Equilibrium(
         criterion="common",
-        values=(float(cells[col]),) * model.n_agents,
+        values=(float(realization @ Y[row]),) * model.n_agents,
         mixtures=tuple({int(c): 1.0} for c in best),
-        policies=tuple({int(c): tree} for c, tree in zip(best, chosen + [trees[col]])),
+        policies=tuple({int(c): t} for c, t in zip(best, chosen + [tree])),
         metadata={"method": "sequence-form-argmax", "shape": (len(values), Y.shape[-1])},
     )
 
@@ -802,7 +946,8 @@ def _multiple_lp(
     leader realization plan, follower plan).  Rows of ``L`` and ``F`` are the
     leader's sequences, numbered by ``parents`` as in ``_trie_best``; columns
     are the follower's pure plans, tried in index order."""
-    E, e = _plan_constraints(parents, n_u)  # dense, like the best-response rows
+    E, e = _plan_constraints(parents, n_u)
+    E = E.toarray()  # dense, like the best-response rows
     bounds = _trie_best(L.T, parents, n_u, np.max)
     best = None
     for k in range(F.shape[1]):
@@ -858,9 +1003,10 @@ def zero_sum_value_from(
     s: OccupancyState,
     tolerance: float = DEFAULT_TOLERANCE,
     cap_per_agent: int = CAP_PER_AGENT,
-) -> tuple[float, SequenceFormSolution, np.ndarray]:
+) -> tuple[float, SequenceFormSolution, object]:
     """Saddle value of the zero-sum subgame rooted at occupancy ``s``, with
-    the saddle point and agent 0's sequence-form payoff matrix."""
+    the saddle point and agent 0's sequence-form payoff matrix (a
+    ``scipy.sparse`` CSR array)."""
     sol, G = _zero_sum_kernel(model, s, tolerance, cap_per_agent)
     return sol.value, sol, G
 

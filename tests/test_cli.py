@@ -1,8 +1,9 @@
 import pytest
 
+from occupancy_games import cli
 from occupancy_games.cli import main
 from occupancy_games.model import parse_posg
-from occupancy_games.solve import induced_normal_form
+from occupancy_games.solve import induced_normal_form, solve_zero_sum
 
 from conftest import model_path
 
@@ -78,6 +79,23 @@ def test_solve_zero_sum_four_steps(capsys):
     code, out, _ = run(capsys, "solve", TIGER_ZS, "--horizon", "4")
     assert code == 0
     assert "value_1: 0" in out.splitlines() and "method: sequence-form-lp" in out
+
+
+def test_solve_zero_sum_five_steps(capsys, monkeypatch):
+    # 4,665 sequences per agent; the walk builds G one depth block at a time
+    solved = []
+
+    def solve_and_keep(*args, **kwargs):
+        solved.append(solve_zero_sum(*args, **kwargs))
+        return solved[-1]
+
+    monkeypatch.setattr(cli, "solve_zero_sum", solve_and_keep)
+    code, out, _ = run(capsys, "solve", TIGER_ZS, "--horizon", "5")
+    assert code == 0
+    assert "value_1: 0" in out.splitlines() and "method: sequence-form-lp" in out
+    (eq,) = solved
+    assert eq.metadata["sequences"] == (4665, 4665)
+    assert eq.metadata["residual"] <= 1e-9 and eq.metadata["duality_gap"] <= 1e-9
 
 
 def test_verify_sufficiency(capsys):
@@ -236,6 +254,9 @@ def exit_code(argv):
         (["verify", ONE_STAGE, "--suite", "master,lipschitz", "--tolerance", "inf"], 2),
         (["verify", ONE_STAGE, "--suite", "master", "--tolerance=-1e-9"], 2),
         (["solve", ONE_STAGE, "--criterion", "zerosum", "--tolerance", "-1"], 2),
+        # caps are >= 0; --cap 0 is honoured above
+        (["solve", TIGER_ZS, "--cap", "-5"], 2),
+        (["sweep", ONE_STAGE, "--criterion", "zerosum", "--grid", "3", "--cap", "-1"], 2),
     ],
 )
 def test_flags_at_zero_and_bad_counts(capsys, argv, code):

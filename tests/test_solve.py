@@ -915,3 +915,162 @@ def test_stackelberg_leader_in_sequence_form_three_steps(st_tiger):
     eq = solve_stackelberg(st_tiger.with_horizon(3))
     assert eq.metadata["shape"] == (42, 128)
     assert abs(eq.values[0] - 3.13975625) <= 1e-9
+
+
+# -- the array walk: set numbering, depth blocks, differential checks -------------
+
+
+def set_levels(sol, agent) -> dict:
+    """Depth of each of the agent's information sets below its anchors."""
+    level = {a: 0 for a in range(len(sol.anchors[agent]))}
+    for (j, _, _), c in sorted(sol.kids[agent].items(), key=lambda kv: kv[1]):
+        level[c] = level[j] + 1
+    return level
+
+
+def assert_sorted_numbering(sol, agent):
+    # anchors first, then each level's sets in (parent, action, observation)
+    # order, right after the level above
+    level = set_levels(sol, agent)
+    assert sorted(level) == list(range(len(level)))
+    assert [level[c] for c in sorted(level)] == sorted(level.values())
+    for d in range(1, max(level.values(), default=0) + 1):
+        keys = [k for k, c in sorted(sol.kids[agent].items(), key=lambda kv: kv[1]) if level[c] == d]
+        assert keys == sorted(keys)
+
+
+def reached_histories(m, s) -> list[set]:
+    """Each agent's private histories strictly below ``s`` that some joint
+    action sequence reaches with positive probability, read off the raw
+    transition and observation tables."""
+    level = {(x, o.privates) for (x, o) in s.entries}
+    out = [set() for _ in range(m.n_agents)]
+    for _ in range(s.t, m.horizon - 1):
+        nxt = set()
+        for x, privates in level:
+            for u in range(m.n_joint_actions):
+                us = m.split_joint_action(u)
+                for x2, z in itertools.product(range(m.n_states), range(m.n_joint_obs)):
+                    if m.transition[u, x, x2] * m.observation[u, x2, z] > 0.0:
+                        zs, w = m.split_joint_obs(z)
+                        nxt.add((x2, tuple(
+                            h.child(us[i], m.agent_obs_index(i, zs[i], w))
+                            for i, h in enumerate(privates)
+                        )))
+        level = nxt
+        for _, privates in level:
+            for i, h in enumerate(privates):
+                out[i].add(h)
+    return out
+
+
+def realization_matrix(m, agent, sol, space) -> np.ndarray:
+    return solve._realization(len(m.actions[agent]), sol.anchors[agent], space, sol.kids[agent])
+
+
+def check_walk_against_brute_force(m, s, rng, cells=12):
+    """The zero-sum walk below ``s``: numbering, reached sets, block-diagonal
+    ``G`` and value against the anchored normal form, and sampled cells of
+    that normal form against the per-cell route."""
+    v, sol, G = zero_sum_value_from(m, s)
+    (A,), spaces = suffix_normal_form(m, s, (0,))
+    assert abs(v - matrix_game_value(A).value) <= 1e-9
+    R = [realization_matrix(m, i, sol, spaces[i]) for i in range(2)]
+    assert np.abs(R[0] @ G @ R[1].T - A).max() <= 1e-12
+    for i in range(2):
+        assert_sorted_numbering(sol, i)
+        below = {h for c, h in set_histories(sol, i).items() if c >= len(sol.anchors[i])}
+        assert below == reached_histories(m, s)[i]
+    levels = [set_levels(sol, i) for i in range(2)]
+    n_us = [len(m.actions[i]) for i in range(2)]
+    rows, cols = G.nonzero()
+    assert all(levels[0][r // n_us[0]] == levels[1][c // n_us[1]] for r, c in zip(rows, cols))
+    for cell in zip(rng.integers(len(spaces[0]), size=cells), rng.integers(len(spaces[1]), size=cells)):
+        assert abs(A[cell] - per_cell_value(m, s, spaces, cell, 0)) <= 1e-12
+    return sol
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_walk_matches_brute_force_with_public_observations_three_steps(seed):
+    rng = np.random.default_rng(seed)
+    m = random_posg(
+        rng, n_actions=(2, 2), n_obs=(1, 1), n_public=2, horizon=3,
+        discount=0.9, criterion="zerosum",
+    )
+    s0 = initial_occupancy(m)
+    check_walk_against_brute_force(m, s0, rng)
+    # the other criteria on the same dynamics, against the same normal form
+    common = dataclasses.replace(m, rewards=np.repeat(m.rewards[:1], 2, axis=0), criterion="common")
+    (A,), _ = induced_normal_form(common, [0])
+    assert abs(solve_dec(common).values[0] - A.max()) <= 1e-12
+    leader = dataclasses.replace(m, criterion="stackelberg")
+    (L, F), _ = induced_normal_form(leader, [0, 1])
+    assert abs(solve_stackelberg(leader).values[0] - stackelberg_from_matrices(L, F)[0]) <= 1e-9
+
+
+def test_walk_matches_brute_force_below_mid_game_states():
+    rng = np.random.default_rng(29)
+    m = random_posg(
+        rng, n_actions=(2, 2), n_obs=(1, 1), n_public=2, horizon=3,
+        discount=0.9, criterion="zerosum",
+    )
+    rules = tuple(random_decision_rule(m, i, 0, rng) for i in range(2))
+    states = [s1 for _, _, s1 in step(m, initial_occupancy(m), rules)]
+    assert len(states) == 2
+    for s in states:
+        sol = check_walk_against_brute_force(m, s, rng)
+        assert min(len(anchors) for anchors in sol.anchors) >= 2
+
+
+def test_walk_keeps_unreached_sets_unnumbered():
+    # the state never moves and agent 1 hears it, agent 2 hears nothing: after
+    # its first observation agent 1's next one is fixed, so 8 of its 16
+    # depth-2 sets have probability 0
+    rng = np.random.default_rng(31)
+    m = random_posg(rng, n_actions=(2, 2), n_obs=(2, 1), horizon=3, discount=0.9, criterion="zerosum")
+    transition = np.broadcast_to(np.eye(m.n_states), m.transition.shape)
+    observation = np.zeros_like(m.observation)
+    for x2 in range(m.n_states):
+        observation[:, x2, m.joint_obs_index((x2, 0), 0)] = 1.0
+    m = dataclasses.replace(m, transition=transition, observation=observation)
+    s0 = initial_occupancy(m)
+    sol = check_walk_against_brute_force(m, s0, rng)
+    assert [len(kids) for kids in sol.kids] == [4 + 8, 2 + 4]
+    # and below a mid-game state whose anchors already split on the state
+    rules = tuple(random_decision_rule(m, i, 0, rng) for i in range(2))
+    (s1,) = [s1 for _, _, s1 in step(m, s0, rules)]
+    check_walk_against_brute_force(m, s1, rng)
+
+
+def test_walk_on_three_agents_matches_brute_force():
+    m = three_agent_common(3)
+    (A,), spaces = induced_normal_form(m, [0])
+    eq = solve_dec(m)
+    top = A.max()
+    first = np.flatnonzero(A >= top - 1e-12 * max(1.0, abs(top)))[0]
+    assert eq.mixtures == tuple({int(c): 1.0} for c in np.unravel_index(first, A.shape))
+    assert abs(eq.values[0] - top) <= 1e-12
+    s0 = initial_occupancy(m)
+    rng = np.random.default_rng(37)
+    for cell in zip(*(rng.integers(len(space), size=8) for space in spaces)):
+        profile = JointPolicy(tuple(space[c] for space, c in zip(spaces, cell)))
+        assert abs(A[cell] - evaluate_occupancy(m, profile, s0, 0)) <= 1e-12
+    rules = tuple(random_decision_rule(m, i, 0, rng, support=1) for i in range(3))
+    for _, _, s1 in step(m, s0, rules):
+        (A,), _ = suffix_normal_form(m, s1, (0,))
+        assert abs(dec_value_from(m, s1) - A.max()) <= 1e-12
+
+
+def test_solve_dec_does_not_enumerate_the_last_agent(tiger, monkeypatch):
+    # the last agent's policy comes from its trie, so the cap counts its
+    # sequences only: tiger h=3 has 129 of them and 3^43 pure trees
+    calls = []
+    enumerate_all = solve.enumerate_pure_policies
+
+    def counted(model, agent, *args, **kwargs):
+        calls.append(agent)
+        return enumerate_all(model, agent, *args, **kwargs)
+
+    monkeypatch.setattr(solve, "enumerate_pure_policies", counted)
+    eq = solve_dec(tiger.with_horizon(3))
+    assert calls == [0] and abs(eq.values[0] - 3.4) <= 1e-12
