@@ -157,6 +157,10 @@ def cmd_solve(args) -> int:
         text = " ".join(f"{idx}:{_fmt(w)}" for idx, w in sorted(mix.items()))
         print(f"mixture_{i + 1}: {text}")
     print(f"method: {eq.metadata.get('method', '')}")
+    if eq.criterion == "zerosum":
+        print(f"sequences: {' '.join(map(str, eq.metadata['sequences']))}")
+        print(f"duality_gap: {_fmt(eq.metadata['duality_gap'])}")
+        print(f"residual: {_fmt(eq.metadata['residual'])}")
     print(f"runtime_s: {runtime:.3f}", file=sys.stderr)
     return EXIT_OK
 

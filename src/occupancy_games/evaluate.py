@@ -2,7 +2,11 @@
 
 The history-space route computes tabular state-value functions by the
 backward recursion over (state, joint history) pairs; the occupancy route is
-the linear pairing of those tables with an occupancy state.  Simulation draws
+the linear pairing of those values with an occupancy state.  Both push their
+levels forward through the array kernel ``occupancy.next_level`` and pull
+the values back over the same rows: the tables over every state at each
+reachable history, the occupancy route over the entries its support reaches.
+Simulation draws
 batched episodes from one seeded PCG64 stream with a fixed draw order
 (episode-major within each time step), so results are reproducible bit for
 bit for a given seed regardless of platform.
@@ -16,7 +20,18 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .model import PosgModel
-from .occupancy import OccupancyState
+from .occupancy import (
+    Level,
+    OccupancyState,
+    action_probs,
+    child_histories,
+    entries_of,
+    level_of,
+    next_level,
+    rule_arrays,
+    sum_in_order,
+    to_level,
+)
 from .policies import (
     DecisionRule,
     JointHistory,
@@ -24,7 +39,6 @@ from .policies import (
     PrivateHistory,
     agent_rules,
     empty_joint_history,
-    joint_action_dist,
 )
 
 
@@ -59,51 +73,74 @@ def value_tables(
     """Backward recursion from the horizon down to ``t0``.
 
     Only histories reachable under the joint policy from the seed set are
-    populated; unreachable values never influence any occupancy evaluation.
-    Returns tables indexed t0..horizon (the last one empty).
+    populated, each at every state; unreachable values never influence any
+    occupancy evaluation.  Returns tables indexed t0..horizon (the last one
+    empty).
     """
-    horizon = model.horizon
     if seed_histories is None:
         seed_histories = [empty_joint_history(model.n_agents)]
-    # per joint action, the per-agent observations possible from any state
-    possible: dict[int, dict[tuple[int, ...], None]] = {}
-
-    reachable: list[list[JointHistory]] = [list(seed_histories)]
-    for t in range(t0, horizon - 1):
-        rules = rules_by_step[t]
-        nxt: dict[JointHistory, None] = {}
-        for o in reachable[-1]:
-            for u in joint_action_dist(model, rules, o):
-                us = model.split_joint_action(u)
-                if u not in possible:
-                    possible[u] = {
-                        obs: None
-                        for x in range(model.n_states)
-                        for _, _, obs, _ in model.successors(u, x)
-                    }
-                for obs in possible[u]:
-                    nxt.setdefault(o.child(us, obs))
-        reachable.append(list(nxt))
-
-    tables: list[ValueTable] = [ValueTable(agent, horizon, {})]
-    for t in range(horizon - 1, t0 - 1, -1):
-        rules = rules_by_step[t]
-        nxt = tables[0]
-        values: dict[tuple[int, JointHistory], float] = {}
-        for o in reachable[t - t0]:
-            dists = joint_action_dist(model, rules, o)
-            for x in range(model.n_states):
-                total = 0.0
-                for u, a_p in dists.items():
-                    q = model.rewards[agent, x, u]
-                    if t + 1 < horizon:
-                        us = model.split_joint_action(u)
-                        for x2, _, obs, dyn in model.successors(u, x):
-                            q += model.discount * dyn * nxt.value(x2, o.child(us, obs))
-                    total += a_p * q
-                values[(x, o)] = total
-        tables.insert(0, ValueTable(agent, t, values))
+    # one entry per seed history, then every state at each
+    level, hists = to_level(model, {(0, o): 1.0 for o in seed_histories})
+    levels = _pull(model, rules_by_step, agent, t0, _every_state(model, level)[0], hists, True)
+    tables = [ValueTable(agent, model.horizon, {})]
+    for t, (level, hists, v) in reversed(list(enumerate(levels, t0))):
+        tables.insert(0, ValueTable(agent, t, entries_of(level._replace(mass=v), hists)))
     return tables
+
+
+def _pull(
+    model: PosgModel,
+    rules_by_step: Sequence[Sequence[DecisionRule]],
+    agent: int,
+    t0: int,
+    level: Level,
+    hists,
+    every_state: bool,
+) -> list[tuple[Level, tuple, np.ndarray]]:
+    """Per step from ``t0`` on: the level (every state at each of its joint
+    histories if ``every_state``), its histories and each entry's value.
+
+    The levels are pushed forward once at unit mass; the values are pulled
+    back over the same rows, so an entry's value depends only on the entries
+    below it, whichever level it sits in."""
+    levels, pulls = [], []
+    for t in range(t0, model.horizon):
+        a = action_probs(model, level, rule_arrays(model, rules_by_step[t], hists))
+        levels.append((level, hists, (a * model.rewards[agent][level.xs]).sum(axis=1)))
+        if t + 1 == model.horizon:
+            break
+        unit = level._replace(mass=np.ones(len(level.xs)))
+        ((_, pushed),) = next_level(model, unit, a, rows=True)
+        level, place = pushed.level, np.arange(len(pushed.level.xs))
+        if every_state:
+            level, place = _every_state(model, level)
+        pulls.append((pushed.entry, place[pushed.where], pushed.weight))
+        hists = child_histories(model, hists, pushed.reached)
+    for k in range(len(pulls) - 1, -1, -1):
+        entry, child, weight = pulls[k]
+        below = levels[k + 1][2]
+        level, hists, v = levels[k]
+        v = v + model.discount * np.bincount(entry, weight * below[child], len(v))
+        levels[k] = (level, hists, v)
+    return levels
+
+
+def _every_state(model: PosgModel, level: Level) -> tuple[Level, np.ndarray]:
+    """Every state at each joint history of ``level`` (histories in id
+    order, states inner, mass 1), and the place of each entry of ``level``
+    in it."""
+    code = np.zeros(len(level.xs), dtype=np.int64)
+    for ids, n in zip(level.ids, level.n_sets):
+        code = code * n + ids
+    codes, history = np.unique(code, return_inverse=True)
+    n_x = model.n_states
+    grid = Level(
+        np.tile(np.arange(n_x), len(codes)),
+        tuple(np.repeat(k, n_x) for k in np.unravel_index(codes, level.n_sets)),
+        np.ones(len(codes) * n_x),
+        level.n_sets,
+    )
+    return grid, history * n_x + level.xs
 
 
 def check_policy_fits(model: PosgModel, policy: JointPolicy) -> None:
@@ -150,7 +187,9 @@ def sim_result_to_csv(result: SimResult) -> str:
 def evaluate_occupancy(
     model: PosgModel, policy: JointPolicy, s: OccupancyState, agent: int
 ) -> float:
-    """Expected return from occupancy state ``s`` onward under the policy.
+    """Expected return from occupancy state ``s`` onward under the policy: the
+    pairing of ``s`` with the values pulled back over the levels its support
+    reaches, equal to the pairing with its value table.
 
     Mixtures are evaluated as weight-averaged pure-policy values."""
     check_policy_fits(model, policy)
@@ -161,11 +200,9 @@ def evaluate_occupancy(
         )
     if s.t >= model.horizon:
         return 0.0
-    seeds = sorted({o for (_, o) in s.entries}, key=lambda o: o.sort_key())
-    tables = value_tables(
-        model, policy.joint_rules(model), agent, t0=s.t, seed_histories=seeds
-    )
-    return linear_eval(s, tables[0])
+    level, hists = level_of(model, s)
+    levels = _pull(model, policy.joint_rules(model), agent, s.t, level, hists, False)
+    return sum_in_order(level.mass * levels[0][2])
 
 
 def linear_eval(s: OccupancyState, table: ValueTable) -> float:

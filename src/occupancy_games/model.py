@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +45,21 @@ CRITERIA = ("zerosum", "common", "stackelberg", "general")
 
 # (next state, public observation, per-agent observations, probability)
 Outcome = tuple[int, int, tuple[int, ...], float]
+
+
+class SuccessorArrays(NamedTuple):
+    """``successors`` as flat arrays over (state, joint action, outcome):
+    ``begin[x]:begin[x + 1]`` are the outcomes in state ``x``, each with its
+    joint action, the per-agent actions and observations (outcome x agent
+    arrays), the public observation, the next state and the probability."""
+
+    begin: np.ndarray
+    joint: np.ndarray
+    acts: np.ndarray
+    obs: np.ndarray
+    pub: np.ndarray
+    nxt: np.ndarray
+    prob: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -89,11 +105,11 @@ class PosgModel:
     def n_states(self) -> int:
         return len(self.states)
 
-    @property
+    @cached_property
     def n_joint_actions(self) -> int:
         return int(np.prod([len(a) for a in self.actions]))
 
-    @property
+    @cached_property
     def n_joint_obs(self) -> int:
         return int(np.prod([len(z) for z in self.private_obs])) * len(self.public_obs)
 
@@ -185,20 +201,17 @@ class PosgModel:
         return table
 
     @cached_property
-    def _successor_arrays(self) -> tuple[np.ndarray, ...]:
-        """``successors`` as flat arrays over (state, joint action, outcome):
-        ``begin[x]:begin[x + 1]`` are the outcomes in state ``x``, each with
-        the per-agent actions and observations (outcome x agent arrays), the
-        next state and the probability."""
+    def _successor_arrays(self) -> SuccessorArrays:
+        """``successors`` as flat arrays, built once per model."""
         rows = [
-            (x, self.split_joint_action(u), obs, x2, p)
+            (x, u, self.split_joint_action(u), obs, w, x2, p)
             for x in range(self.n_states)
             for u in range(self.n_joint_actions)
-            for x2, _, obs, p in self.successors(u, x)
+            for x2, w, obs, p in self.successors(u, x)
         ]
-        xs, acts, obs, nxt, prob = (np.array(column) for column in zip(*rows))
+        xs, joint, acts, obs, pub, nxt, prob = (np.array(column) for column in zip(*rows))
         begin = np.searchsorted(xs, np.arange(self.n_states + 1))
-        return begin, acts, obs, nxt, prob
+        return SuccessorArrays(begin, joint, acts, obs, pub, nxt, prob)
 
     # -- variants --------------------------------------------------------------
 

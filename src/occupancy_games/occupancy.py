@@ -7,9 +7,18 @@ occupancy state conditions instead on one agent's own history plus the fixed
 policy of the others.  Both support exact Bayesian one-step updates, and any
 occupancy state reachable under a joint policy splits into a mixture of one
 agent's private occupancy states, weighted by the marginal probability of
-that agent's histories.  Every update pushes mass through one kernel,
-``expand``; a private update is the joint one with the agent's own action a
-point-mass rule, split by its own observation instead of the public one.
+that agent's histories.
+
+Every update pushes mass through one array kernel, ``next_level``, which
+works level by level over integer history ids: a level holds a state, one
+history id per agent and a mass per entry (``Level``), and the kernel expands
+it through every joint action and outcome at once, weighted by per-agent
+rule arrays indexed by (history id, own action).  A joint update splits the
+children by the public observation; a private update is the joint one with
+the agent's own action a point-mass rule, split by its own observation.
+History objects are built only at the public boundary, once per private
+history and once per returned entry, and each returned state keeps its level
+so that the next update skips the conversion from its entries.
 
 Entries below ``PRUNE_EPS`` are dropped and the remaining mass renormalized;
 two states are considered equal when their pruned supports coincide and no
@@ -18,8 +27,10 @@ entry differs by more than ``EQUALITY_ATOL``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import (
     ImpossibleObservationError,
@@ -33,21 +44,12 @@ from .policies import (
     JointPolicy,
     PrivateHistory,
     empty_joint_history,
-    joint_action_dist,
 )
 
 PRUNE_EPS = 1e-12
 EQUALITY_ATOL = 1e-9
 
 Entry = tuple[int, JointHistory]
-
-
-def _pruned(entries: dict[Entry, float]) -> dict[Entry, float]:
-    kept = {k: v for k, v in entries.items() if v > PRUNE_EPS}
-    total = sum(kept.values())
-    if total <= 0.0:
-        raise ValueError("cannot normalize an empty or zero-mass distribution")
-    return {k: v / total for k, v in kept.items()}
 
 
 def _sorted_items(entries: Mapping[Entry, float]):
@@ -60,6 +62,8 @@ class OccupancyState:
 
     t: int
     entries: Mapping[Entry, float]
+    # (Level, histories) once converted or pushed; entries are not mutated
+    _level: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def support(self):
@@ -103,6 +107,7 @@ class PrivateOccupancyState:
     agent: int
     anchor: PrivateHistory
     entries: Mapping[Entry, float]
+    _level: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def t(self) -> int:
@@ -135,60 +140,286 @@ class Mixture:
 
 
 # ---------------------------------------------------------------------------
+# the level kernel
+# ---------------------------------------------------------------------------
+
+
+class Level(NamedTuple):
+    """A measure over (state, joint history) as arrays: entry ``k`` is state
+    ``xs[k]`` with agent ``i``'s history ``ids[i][k]``, one of its
+    ``n_sets[i]`` histories at the level, and has mass ``mass[k]``."""
+
+    xs: np.ndarray
+    ids: tuple[np.ndarray, ...]
+    mass: np.ndarray
+    n_sets: tuple[int, ...]
+
+
+Histories = tuple[list[PrivateHistory], ...]  # each agent's histories by id
+
+
+class Pushed(NamedTuple):
+    """One branch of ``next_level``: the children; each agent's child codes
+    ``(parent id * n_u + u) * n_z + z``, child ``c`` of agent ``i`` having
+    code ``reached[i][c]``; and, if asked for, each row's (one outcome of one
+    joint action at one entry) entry, child entry and mass."""
+
+    level: Level
+    reached: tuple[np.ndarray, ...]
+    entry: np.ndarray | None = None
+    where: np.ndarray | None = None
+    weight: np.ndarray | None = None
+
+
+def next_level(
+    model: PosgModel,
+    level: Level,
+    a: np.ndarray | None = None,
+    branch: np.ndarray | None = None,
+    only: int | None = None,
+    rows: bool = False,
+    first_seen: bool = False,
+) -> list[tuple[int | None, Pushed]]:
+    """Every outcome of every joint action at each entry of ``level``, equal
+    (state, joint history) keys merged: the one push behind every occupancy
+    update, value table, best response and sequence-form walk.
+
+    ``a`` holds (entry, joint action) probabilities (``action_probs``): a row
+    carries entry mass x action probability x outcome probability, and rows
+    without mass are dropped.  Without ``a`` every row is kept at entry mass
+    x outcome probability, so each agent's actions stay sequences.
+    ``branch`` maps each outcome of ``model._successor_arrays`` to a key,
+    such as the public observation or one agent's own observation: there is
+    one ``(key, Pushed)`` per key reached, in increasing key, each numbered
+    on its own, and ``only`` (with ``a``) keeps one key.  Without ``branch``
+    there is one, keyed None.  Children are numbered by their codes, merged
+    entries by (state, child id per agent) or, with ``first_seen``, in order
+    of first appearance, and each entry's mass is summed over its rows in row
+    order: (entry, joint action, outcome)."""
+    arrays = model._successor_arrays
+    begin = arrays.begin
+    counts = begin[level.xs + 1] - begin[level.xs]
+    # outcome out[r] of entry entry[r], in (entry, joint action, outcome) order
+    entry = np.repeat(np.arange(len(level.xs)), counts)
+    out = np.arange(len(entry)) + np.repeat(begin[level.xs] + counts - np.cumsum(counts), counts)
+    weight = level.mass[entry]
+    if a is not None:
+        weight *= a[entry, arrays.joint[out]]
+    weight *= arrays.prob[out]
+    if a is not None:
+        keep = weight > 0.0
+        if only is not None:
+            keep &= branch[out] == only
+        entry, out, weight = entry[keep], out[keep], weight[keep]
+    if branch is None:
+        parts = [(None, entry, out, weight)]
+    else:
+        keys = branch[out]
+        order = np.argsort(keys, kind="stable")
+        parts = [
+            (int(keys[part[0]]), entry[part], out[part], weight[part])
+            for part in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
+            if len(part)
+        ]
+    del entry, out, weight  # each branch's row arrays go as soon as they are used
+    pushed = []
+    while parts:
+        b, entry, out, weight = parts.pop(0)
+        key = arrays.nxt[out]
+        reached = []
+        for i, n_sets in enumerate(level.n_sets):
+            n_u, n_z = len(model.actions[i]), model.n_agent_obs(i)
+            code = level.ids[i][entry] * (n_u * n_z)
+            code += (arrays.acts[:, i] * n_z + arrays.obs[:, i])[out]
+            codes, child = _rank(code, n_sets * n_u * n_z)
+            del code
+            key *= len(codes)
+            key += child
+            reached.append(codes)
+        del out, child
+        if not rows:
+            entry = None
+        if not first_seen:
+            merged, where = np.unique(key, return_inverse=True)
+        else:
+            merged, first, where = np.unique(key, return_index=True, return_inverse=True)
+            order = np.argsort(first)
+            rank = np.empty_like(order)
+            rank[order] = np.arange(len(order))
+            merged, where = merged[order], rank[where]
+        del key
+        n_sets = tuple(len(codes) for codes in reached)
+        xs, *ids = np.unravel_index(merged, (model.n_states,) + n_sets)
+        mass = np.bincount(where, weights=weight, minlength=len(merged))
+        children = Level(xs, tuple(ids), mass, n_sets)
+        if rows:
+            pushed.append((b, Pushed(children, tuple(reached), entry, where, weight)))
+        else:
+            pushed.append((b, Pushed(children, tuple(reached))))
+    return pushed
+
+
+def _rank(codes: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(codes, return_inverse=True)`` for codes in ``[0, space)``,
+    with one flag per possible code in place of a sort: one agent's codes
+    range over the children its histories could have, a space no larger than
+    its full trie level."""
+    hit = np.zeros(space, dtype=bool)
+    hit[codes] = True
+    return np.flatnonzero(hit), (np.cumsum(hit) - 1)[codes]
+
+
+def action_probs(
+    model: PosgModel, level: Level, probs: Sequence[np.ndarray | None]
+) -> np.ndarray:
+    """(entry, joint action) probabilities under per-agent rule arrays
+    ``probs[i][history id, own action]``, multiplied in agent order; an agent
+    whose array is None plays each action with weight 1."""
+    n = len(level.xs)
+    a = np.ones((n, 1))
+    for i, p in enumerate(probs):
+        own = np.ones((n, len(model.actions[i]))) if p is None else p[level.ids[i]]
+        a = (a[:, :, None] * own[:, None, :]).reshape(n, a.shape[1] * own.shape[1])
+    return a
+
+
+def rule_arrays(
+    model: PosgModel,
+    rules: Sequence[DecisionRule | None],
+    hists: Sequence[Sequence[PrivateHistory]],
+) -> list[np.ndarray | None]:
+    """Each agent's rule as an array over (history id, own action); None
+    where its rule is None."""
+    return [
+        None
+        if rule is None
+        else np.array([rule.dist(h) for h in hs], dtype=float).reshape(len(hs), len(labels))
+        for rule, hs, labels in zip(rules, hists, model.actions)
+    ]
+
+
+def level_reward(model: PosgModel, level: Level, a: np.ndarray, agent: int) -> float:
+    """The level's expected immediate reward of ``agent``."""
+    return sum_in_order((level.mass[:, None] * a * model.rewards[agent][level.xs]).ravel())
+
+
+def sum_in_order(values: np.ndarray) -> float:
+    """Left-to-right sum: every mass and reward here is summed in entry
+    (and joint action) order, so a result depends on that order only, not
+    on how numpy blocks a reduction."""
+    return float(np.cumsum(values)[-1]) if len(values) else 0.0
+
+
+def child_histories(
+    model: PosgModel,
+    hists: Sequence[Sequence[PrivateHistory]],
+    reached: Sequence[np.ndarray],
+) -> tuple[list[PrivateHistory], ...]:
+    """Each agent's histories at the next level, in child id order, built
+    once per history from its parent's."""
+    out = []
+    for i, (parents, codes) in enumerate(zip(hists, reached)):
+        n_z = model.n_agent_obs(i)
+        j, uz = np.divmod(codes, len(model.actions[i]) * n_z)
+        u, z = np.divmod(uz, n_z)
+        out.append([parents[p].child(b, c) for p, b, c in zip(j.tolist(), u.tolist(), z.tolist())])
+    return tuple(out)
+
+
+def level_of(model: PosgModel, s) -> tuple[Level, Histories]:
+    """The level of a (private) occupancy state and each agent's histories by
+    id, converted from its entries once and kept on the state."""
+    if s._level is None:
+        object.__setattr__(s, "_level", to_level(model, s.entries))
+    return s._level
+
+
+def to_level(model: PosgModel, entries: Mapping[Entry, float]) -> tuple[Level, Histories]:
+    """``entries`` as a level, each agent's histories numbered in order of
+    first appearance."""
+    index: list[dict[PrivateHistory, int]] = [{} for _ in range(model.n_agents)]
+    hists: Histories = tuple([] for _ in range(model.n_agents))
+    ids: list[list[int]] = [[] for _ in range(model.n_agents)]
+    for _, o in entries:
+        for i, h in enumerate(o.privates):
+            k = index[i].get(h)
+            if k is None:
+                k = index[i][h] = len(hists[i])
+                hists[i].append(h)
+            ids[i].append(k)
+    level = Level(
+        np.array([x for x, _ in entries], dtype=np.intp),
+        tuple(np.array(k, dtype=np.intp) for k in ids),
+        np.array(list(entries.values()), dtype=float),
+        tuple(len(h) for h in hists),
+    )
+    return level, hists
+
+
+def _normalized(level: Level, hists: Histories, mass: float) -> tuple[Level, Histories]:
+    """``level`` over ``mass``, entries at or below ``PRUNE_EPS`` dropped and
+    the rest renormalized; histories left without entries are dropped too."""
+    p = level.mass / mass
+    keep = p > PRUNE_EPS
+    if not keep.any():
+        raise ValueError("cannot normalize an empty or zero-mass distribution")
+    if not keep.all():
+        ids, kept = [], []
+        for i, hs in enumerate(hists):
+            used, inverse = np.unique(level.ids[i][keep], return_inverse=True)
+            ids.append(inverse)
+            kept.append([hs[k] for k in used.tolist()])
+        level = Level(level.xs[keep], tuple(ids), p[keep], tuple(len(hs) for hs in kept))
+        hists, p = tuple(kept), p[keep]
+    return level._replace(mass=p / sum_in_order(p)), hists
+
+
+def entries_of(level: Level, hists: Histories) -> dict[Entry, float]:
+    """The public form of a level: one joint history per entry."""
+    privates = zip(*([hs[k] for k in ids.tolist()] for hs, ids in zip(hists, level.ids)))
+    keys = zip(level.xs.tolist(), map(JointHistory, privates))
+    return dict(zip(keys, level.mass.tolist()))
+
+
+def _with_level(s, level: tuple[Level, Histories]):
+    object.__setattr__(s, "_level", level)
+    return s
+
+
+def _branches(
+    model: PosgModel,
+    level: Level,
+    hists: Histories,
+    a: np.ndarray,
+    branch: np.ndarray,
+    only: int | None = None,
+) -> list[tuple[int, float, dict[Entry, float], tuple[Level, Histories]]]:
+    """An exact update's branches, each normalized by its probability:
+    ``(key, probability, entries, (level, histories))``."""
+    out = []
+    for key, pushed in next_level(model, level, a, branch, only, rows=True, first_seen=True):
+        mass = sum_in_order(pushed.weight)
+        nxt = _normalized(pushed.level, child_histories(model, hists, pushed.reached), mass)
+        out.append((key, mass, entries_of(*nxt), nxt))
+    return out
+
+
+# ---------------------------------------------------------------------------
 # occupancy dynamics
 # ---------------------------------------------------------------------------
 
 
+def _start_entries(model: PosgModel) -> dict[Entry, float]:
+    """The start belief over states, every history empty, pruned."""
+    empty = empty_joint_history(model.n_agents)
+    kept = {(x, empty): float(p) for x, p in enumerate(model.start) if p > PRUNE_EPS}
+    mass = sum(kept.values())
+    return {k: v / mass for k, v in kept.items()}
+
+
 def initial_occupancy(model: PosgModel) -> OccupancyState:
     """t=0 occupancy: the initial belief over states, histories empty."""
-    empty = empty_joint_history(model.n_agents)
-    entries = {
-        (x, empty): float(p) for x, p in enumerate(model.start) if p > PRUNE_EPS
-    }
-    return OccupancyState(0, _pruned(entries))
-
-
-def expand(
-    model: PosgModel,
-    entries: Mapping[Entry, float],
-    rules: Sequence[DecisionRule],
-    agent: int | None = None,
-    only: int | None = None,
-    push: bool = True,
-) -> tuple[float, dict[int, float], dict[int, dict[Entry, float]]]:
-    """Push a measure over (state, joint history) through one joint decision
-    rule and the model dynamics.
-
-    Returns the immediate expected reward of ``agent`` (0.0 when None) and,
-    unless ``push`` is off, the unnormalized next measure and mass of every
-    branch with positive mass.  Branches are keyed by the public observation,
-    or by ``agent``'s own observation when given; ``only`` keeps one branch
-    and builds no history for the others.  Sums accumulate in (entry, joint
-    action, outcome) order.
-    """
-    reward = 0.0
-    masses: dict[int, float] = {}
-    buckets: dict[int, dict[Entry, float]] = {}
-    for (x, o), p in entries.items():
-        for u, a_p in joint_action_dist(model, rules, o).items():
-            pa = p * a_p
-            if agent is not None:
-                reward += pa * model.rewards[agent, x, u]
-            if not push:
-                continue
-            us = model.split_joint_action(u)
-            for x2, w, obs, dyn in model.successors(u, x):
-                b = w if agent is None else obs[agent]
-                if only is not None and b != only:
-                    continue
-                weight = pa * dyn
-                if weight <= 0.0:
-                    continue
-                key = (x2, o.child(us, obs))
-                bucket = buckets.setdefault(b, {})
-                bucket[key] = bucket.get(key, 0.0) + weight
-                masses[b] = masses.get(b, 0.0) + weight
-    return reward, masses, buckets
+    return OccupancyState(0, _start_entries(model))
 
 
 def step(
@@ -199,19 +430,21 @@ def step(
     observation; each branch is normalized by its own probability."""
     if len(rules) != model.n_agents:
         raise ValueError("one decision rule per agent required")
-    _, masses, buckets = expand(model, s.entries, rules)
-    out = []
-    for w in sorted(masses):
-        entries = {k: v / masses[w] for k, v in buckets[w].items()}
-        out.append((w, masses[w], OccupancyState(s.t + 1, _pruned(entries))))
-    return out
+    level, hists = level_of(model, s)
+    a = action_probs(model, level, rule_arrays(model, rules, hists))
+    return [
+        (w, p, _with_level(OccupancyState(s.t + 1, entries), nxt))
+        for w, p, entries, nxt in _branches(model, level, hists, a, model._successor_arrays.pub)
+    ]
 
 
 def expected_reward(
     model: PosgModel, s: OccupancyState, rules: Sequence[DecisionRule], agent: int
 ) -> float:
     """Immediate expected reward of one agent under a joint decision rule."""
-    return expand(model, s.entries, rules, agent, push=False)[0]
+    level, hists = level_of(model, s)
+    a = action_probs(model, level, rule_arrays(model, rules, hists))
+    return level_reward(model, level, a, agent)
 
 
 def factorize(
@@ -251,9 +484,7 @@ def recompose(
 
 
 def initial_private_occupancy(model: PosgModel, agent: int) -> PrivateOccupancyState:
-    empty = empty_joint_history(model.n_agents)
-    entries = {(x, empty): float(p) for x, p in enumerate(model.start) if p > PRUNE_EPS}
-    return PrivateOccupancyState(agent, PrivateHistory(agent), _pruned(entries))
+    return PrivateOccupancyState(agent, PrivateHistory(agent), _start_entries(model))
 
 
 def anchored_rules(
@@ -284,13 +515,17 @@ def private_branches(
     immediate reward for ``u_i`` and, unless ``push`` is off, ``(z_i,
     probability, next private occupancy state)`` for every own observation
     with positive probability (only ``only`` when given), in increasing z_i."""
+    level, hists = level_of(model, s_i)
     rules = anchored_rules(model, s_i.anchor, others_rules, u_i)
-    reward, masses, buckets = expand(model, s_i.entries, rules, s_i.agent, only, push)
+    a = action_probs(model, level, rule_arrays(model, rules, hists))
+    reward = level_reward(model, level, a, s_i.agent)
+    if not push:
+        return reward, []
+    own_obs = model._successor_arrays.obs[:, s_i.agent]
     children = []
-    for z_i in sorted(masses):
-        entries = {k: v / masses[z_i] for k, v in buckets[z_i].items()}
-        nxt = PrivateOccupancyState(s_i.agent, s_i.anchor.child(u_i, z_i), _pruned(entries))
-        children.append((z_i, masses[z_i], nxt))
+    for z_i, p, entries, nxt in _branches(model, level, hists, a, own_obs, only):
+        state = PrivateOccupancyState(s_i.agent, s_i.anchor.child(u_i, z_i), entries)
+        children.append((z_i, p, _with_level(state, nxt)))
     return reward, children
 
 

@@ -1,8 +1,11 @@
 """Best-response and equilibrium solvers at desk scale.
 
 Best responses come in two exchangeable routes: backward induction over the
-agent's private histories carrying unnormalized measures, and dynamic
-programming over private occupancy states with normalized Bayesian updates.
+agent's private histories carrying unnormalized measures (one forward walk
+with the agent's actions as sequences, then one reverse fold over its
+histories), and dynamic programming over private occupancy states with
+normalized Bayesian updates.  Both break ties toward the lowest action within
+``1e-12 * max(1, |max|)`` of the best.
 Equality of their values on every input is the operational form of the
 sufficiency of private occupancy states.
 
@@ -42,13 +45,17 @@ import numpy as np
 from .errors import CapExceededError, ModelValidationError
 from .model import PosgModel
 from .occupancy import (
+    Level,
     OccupancyState,
     PrivateOccupancyState,
-    anchored_rules,
-    expand,
+    action_probs,
+    child_histories,
     initial_occupancy,
     initial_private_occupancy,
+    level_of,
+    next_level,
     private_branches,
+    rule_arrays,
 )
 from .policies import (
     DecisionRule,
@@ -182,20 +189,13 @@ def _others_profiles(model: PosgModel, others, agent: int) -> list[dict[int, Dec
     return [{j: rules[t] for j, rules in per_agent.items()} for t in range(model.horizon)]
 
 
-def _filler_tree(agent: int, n_obs: int, depth: int) -> PolicyTree:
-    """Canonical all-lowest-action subtree for unreachable branches."""
-    if depth == 1:
-        return PolicyTree(agent, 0)
-    child = _filler_tree(agent, n_obs, depth - 1)
-    return PolicyTree(agent, 0, tuple(child for _ in range(n_obs)))
-
-
 def _argmax_lowest(values: Sequence[float]) -> int:
-    best, best_v = 0, values[0]
-    for i in range(1, len(values)):
-        if values[i] > best_v:
-            best, best_v = i, values[i]
-    return best
+    """The lowest index whose value is within ``1e-12 * max(1, |max|)`` of the
+    maximum, so that the pick does not depend on the order the values were
+    summed in."""
+    values = np.asarray(values)
+    top = values.max()
+    return int(np.flatnonzero(values >= top - 1e-12 * max(1.0, abs(top)))[0])
 
 
 def best_response_history(model: PosgModel, others, agent: int) -> BestResponse:
@@ -215,47 +215,52 @@ def _history_br(
     """Backward induction over private histories from the unnormalized
     measure ``s`` puts on each of the agent's histories; returns (total
     mass-weighted value, greedy tree per seed history, normalized q per
-    visited history)."""
-    horizon = model.horizon
+    visited history).
+
+    One forward walk keeps every own action as a sequence, the others acting
+    by their rules, and collects each sequence's mass-weighted reward; one
+    reverse fold over the agent's histories (numbered level by level, as in
+    ``_sequence_payoffs``) then adds each history's best discounted
+    continuation to its parent sequence."""
     profiles = _others_profiles(model, others, agent)
     n_u = len(model.actions[agent])
-    n_z = model.n_agent_obs(agent)
-    seeds: dict[PrivateHistory, dict] = {}
-    for (x, o), p in s.entries.items():
-        seeds.setdefault(o.privates[agent], {})[(x, o)] = p
-    q_out: dict[PrivateHistory, tuple[float, ...]] = {}
-
-    def solve_node(hist: PrivateHistory, beta: dict, t: int) -> tuple[float, PolicyTree]:
-        mass = sum(beta.values())
-        last = t + 1 >= horizon
-        q_tilde = []
-        best_children: list[tuple[PolicyTree, ...]] = []
-        for u_i in range(n_u):
-            rules = anchored_rules(model, hist, profiles[t], u_i)
-            q_u, _, children_beta = expand(model, beta, rules, agent, push=not last)
-            subtrees = []
-            for z_i in range(0 if last else n_z):
-                if z_i in children_beta:
-                    v_child, tree_child = solve_node(
-                        hist.child(u_i, z_i), children_beta[z_i], t + 1
-                    )
-                    q_u += model.discount * v_child
-                else:
-                    tree_child = _filler_tree(agent, n_z, horizon - t - 1)
-                subtrees.append(tree_child)
-            q_tilde.append(q_u)
-            best_children.append(tuple(subtrees))
-        best = _argmax_lowest(q_tilde)
-        if mass > 0.0:
-            q_out[hist] = tuple(v / mass for v in q_tilde)
-        return q_tilde[best], PolicyTree(agent, best, best_children[best])
-
-    total = 0.0
-    trees: dict[PrivateHistory, PolicyTree] = {}
-    for hist in sorted(seeds, key=lambda h: h.steps):
-        v, tree = solve_node(hist, seeds[hist], s.t)
-        total += v
-        trees[hist] = tree
+    own_action = np.unravel_index(
+        np.arange(model.n_joint_actions), [len(labels) for labels in model.actions]
+    )[agent]
+    level, hists = level_of(model, s)
+    seeds = hists[agent]
+    own_hists = list(seeds)
+    parents = [-1] * len(seeds)
+    kids: dict[tuple[int, int, int], int] = {}
+    g, mass = [], []
+    for t in range(s.t, model.horizon):
+        rules = [None if j == agent else profiles[t][j] for j in range(model.n_agents)]
+        a = action_probs(model, level, rule_arrays(model, rules, hists))
+        reward = level.mass[:, None] * a * model.rewards[agent][level.xs]
+        seq = level.ids[agent][:, None] * n_u + own_action
+        g.append(np.bincount(seq.ravel(), reward.ravel(), level.n_sets[agent] * n_u))
+        mass.append(np.bincount(level.ids[agent], level.mass, level.n_sets[agent]))
+        if t + 1 == model.horizon:
+            break
+        ((_, pushed),) = next_level(model, level, a)
+        first = len(own_hists) - level.n_sets[agent]
+        for c, (j, u, z) in enumerate(_kid_keys(model, agent, pushed.reached[agent], first)):
+            kids[(j, u, z)] = len(own_hists) + c
+            parents.append(j * n_u + u)
+        hists = child_histories(model, hists, pushed.reached)
+        own_hists.extend(hists[agent])
+        level = pushed.level
+    v = _trie_fold(np.concatenate(g), np.array(parents), n_u, np.max, model.discount)
+    mass = np.concatenate(mass)
+    q_out = {
+        h: tuple((v[j] / mass[j]).tolist()) for j, h in enumerate(own_hists) if mass[j] > 0.0
+    }
+    depth = model.horizon - s.t
+    trees = {
+        h: _pure_tree(model, agent, kids, lambda j: _argmax_lowest(v[j]), root, depth)[1]
+        for root, h in enumerate(seeds)
+    }
+    total = float(sum(v[root].max() for root in range(len(seeds))))
     return total, trees, q_out
 
 
@@ -293,7 +298,7 @@ def _private_dp(
             for _, omega, nxt in children:
                 q += model.discount * omega * V(nxt, t + 1)[0]
             qs.append(q)
-        result = (qs[_argmax_lowest(qs)], tuple(qs))
+        result = (max(qs), tuple(qs))
         memo[key] = result
         return result
 
@@ -320,7 +325,7 @@ def best_response_private(model: PosgModel, others, agent: int) -> BestResponse:
         children = tuple(
             walk(reached[z_i], t + 1)
             if z_i in reached
-            else _filler_tree(agent, n_z, horizon - t - 1)
+            else _pure_tree(model, agent, {}, None, None, horizon - t - 1)[1]
             for z_i in range(n_z)
         )
         return PolicyTree(agent, u_i, children)
@@ -395,84 +400,41 @@ def _sequence_payoffs(
     for (x, o), p in s.entries.items():
         key = (x,) + tuple(pos[i][h] for i, h in enumerate(o.privates))
         start[key] = start.get(key, 0.0) + p
-    # a level: states, per-agent set ids counted from the level's first set,
-    # and mass
     xs, *ids = np.array(list(start), dtype=np.intp).reshape(-1, model.n_agents + 1).T
-    mass = np.array(list(start.values()))
-    n_sets = [len(anc) for anc in anchors]
+    n_sets = tuple(len(anc) for anc in anchors)
+    level = Level(xs, tuple(ids), np.array(list(start.values())), n_sets)
     first = [0] * model.n_agents  # id of the level's first set, per agent
     kids: list[dict[tuple[int, int, int], int]] = [{} for _ in anchors]
-    blocks = [_payoff_block(xs, ids, mass, n_sets, rewards)]
+    blocks = [_payoff_block(level, rewards)]
     for _ in range(model.horizon - s.t - 1):
-        xs, ids, mass = _next_level(model, xs, ids, mass, n_sets, first, kids)
-        blocks.append(_payoff_block(xs, ids, mass, n_sets, rewards))
+        level = level._replace(mass=level.mass * model.discount)
+        ((_, pushed),) = next_level(model, level, None)
+        for i, codes in enumerate(pushed.reached):
+            base = first[i] + level.n_sets[i]
+            keys = _kid_keys(model, i, codes, first[i])
+            kids[i].update(zip(keys, range(base, base + len(codes))))
+            first[i] = base
+        level = pushed.level
+        blocks.append(_payoff_block(level, rewards))
     return blocks, kids
 
 
-def _next_level(
-    model: PosgModel,
-    xs: np.ndarray,
-    ids: list[np.ndarray],
-    mass: np.ndarray,
-    n_sets: list[int],
-    first: list[int],
-    kids: list[dict[tuple[int, int, int], int]],
-) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
-    """The walk's next level: every outcome of every joint action from each
-    entry, equal (state, sets) keys merged.  Numbers the reached sets into
-    ``kids`` and moves ``n_sets`` and ``first`` on to the new level, in
-    place."""
-    begin, acts, obs, nxt, prob = model._successor_arrays
-    # outcome out[t] of entry entry[t], in (entry, joint action, outcome) order
-    counts = begin[xs + 1] - begin[xs]
-    entry = np.repeat(np.arange(len(xs)), counts)
-    out = np.arange(len(entry)) + np.repeat(begin[xs] + counts - np.cumsum(counts), counts)
-    child_mass = mass[entry] * model.discount
-    child_mass *= prob[out]
-    key = nxt[out]
-    for i, n_u in enumerate(len(labels) for labels in model.actions):
-        n_z = model.n_agent_obs(i)
-        code = ids[i][entry] * (n_u * n_z)
-        code += (acts[:, i] * n_z + obs[:, i])[out]
-        reached, child = _rank(code, n_sets[i] * n_u * n_z)
-        del code  # the outcome-long arrays go as soon as they are used
-        j, uz = np.divmod(reached, n_u * n_z)
-        base = first[i] + n_sets[i]
-        kids[i].update(zip(
-            zip((j + first[i]).tolist(), *(c.tolist() for c in np.divmod(uz, n_z))),
-            range(base, base + len(reached)),
-        ))
-        first[i], n_sets[i] = base, len(reached)
-        key *= n_sets[i]
-        key += child
-    del entry, out, child
-    merged, where = np.unique(key, return_inverse=True)
-    del key
-    mass = np.bincount(where, weights=child_mass, minlength=len(merged))
-    xs, *ids = np.unravel_index(merged, [model.n_states] + n_sets)
-    return xs, ids, mass
+def _kid_keys(model: PosgModel, agent: int, codes: np.ndarray, first: int):
+    """``(parent set, own action, own observation)`` of each child code, the
+    parent numbered from ``first``."""
+    n_z = model.n_agent_obs(agent)
+    j, uz = np.divmod(codes, len(model.actions[agent]) * n_z)
+    return zip((j + first).tolist(), *(c.tolist() for c in np.divmod(uz, n_z)))
 
 
-def _rank(codes: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(codes, return_inverse=True)`` for codes in ``[0, space)``,
-    with one flag per possible code in place of a sort: one agent's codes
-    range over the children its sets could have, a space no larger than its
-    full trie level."""
-    hit = np.zeros(space, dtype=bool)
-    hit[codes] = True
-    return np.flatnonzero(hit), (np.cumsum(hit) - 1)[codes]
-
-
-def _payoff_block(
-    xs: np.ndarray, ids: Sequence[np.ndarray], mass: np.ndarray, n_sets: Sequence[int],
-    rewards: np.ndarray,
-) -> np.ndarray:
+def _payoff_block(level: Level, rewards: np.ndarray) -> np.ndarray:
     """One level's payoff block: the level's mass at each (state, set per
     agent) times the reward of each joint action, summed over states, with
     axes (sequence per agent, agent of interest)."""
     n_us = rewards.shape[1:-1]
+    n_sets = level.n_sets
     at = np.zeros((len(rewards),) + tuple(n_sets))
-    at[(xs, *ids)] = mass
+    at[(level.xs, *level.ids)] = level.mass
     # axes (set_0, u_0, ..., set_{n-1}, u_{n-1}, k), merged into sequences
     at_shape = tuple(itertools.chain(*((k, 1) for k in n_sets))) + (1,)
     r_shape = tuple(itertools.chain(*((1, n_u) for n_u in n_us))) + rewards.shape[-1:]
@@ -683,17 +645,19 @@ class SequenceFormSolution:
     metadata: Mapping[str, object]
 
 
-def _trie_fold(g: np.ndarray, parents: np.ndarray, n_u: int, best) -> np.ndarray:
+def _trie_fold(
+    g: np.ndarray, parents: np.ndarray, n_u: int, best, discount: float = 1.0
+) -> np.ndarray:
     """Per-sequence payoffs ``g[..., sequence]`` plus the ``best`` (``np.max``
-    or ``np.min``) pure continuation below each sequence, over (set, action)
-    in the last two axes.  One reverse pass folds each set's best action into
-    its parent sequence; sets are numbered after their parents, so a set is
-    complete when it is folded."""
+    or ``np.min``) pure continuation below each sequence, times ``discount``
+    per step, over (set, action) in the last two axes.  One reverse pass
+    folds each set's best action into its parent sequence; sets are numbered
+    after their parents, so a set is complete when it is folded."""
     v = g.reshape(g.shape[:-1] + (len(parents), n_u)).copy()
     for c in range(len(parents) - 1, -1, -1):
         p = parents[c]
         if p >= 0:
-            v[..., p // n_u, p % n_u] += best(v[..., c, :], axis=-1)
+            v[..., p // n_u, p % n_u] += discount * best(v[..., c, :], axis=-1)
     return v
 
 
@@ -761,16 +725,18 @@ def _zero_sum_kernel(
     ``max(tolerance, 1e-7)`` times the largest payoff magnitude."""
     (G,), _, kids, parents = _normal_form(model, s, [0], cap_per_agent, keep=(0, 1))
     n_us = [len(model.actions[i]) for i in range(2)]
+    payoffs = G
     if all(len(p) == 1 for p in parents):  # one set each: G is the matrix game
-        sol = matrix_game_value(G.toarray(), tolerance)
+        payoffs = G.toarray()
+        sol = matrix_game_value(payoffs, tolerance)
         value, x, y, gap = sol.value, sol.row_mix, sol.col_mix, sol.gap
         method = f"normal-form+{sol.method}"
     else:
         value, x, y, gap = _realization_plan_lp(G, parents, n_us)
         method = "sequence-form-lp"
     exploitability = (
-        max(0.0, value - float(_trie_best(x @ G, parents[1], n_us[1], np.min))),
-        max(0.0, float(_trie_best(G @ y, parents[0], n_us[0], np.max)) - value),
+        max(0.0, value - float(_trie_best(x @ payoffs, parents[1], n_us[1], np.min))),
+        max(0.0, float(_trie_best(payoffs @ y, parents[0], n_us[0], np.max)) - value),
     )
     certificate = gap + sum(exploitability)
     if certificate > max(tolerance, 1e-7) * max(1.0, float(np.abs(G.data).max(initial=0.0))):
@@ -788,13 +754,19 @@ def _zero_sum_kernel(
 
 
 def _pure_tree(
-    model: PosgModel, agent: int, kids: Mapping[tuple[int, int, int], int], pick
+    model: PosgModel,
+    agent: int,
+    kids: Mapping[tuple[int, int, int], int],
+    pick,
+    root: int = 0,
+    depth: int | None = None,
 ) -> tuple[int, PolicyTree, list[int]]:
-    """The pure policy tree (one anchor, at the start) that plays ``pick(j)``
-    at each set ``j`` the walk reached, asked in preorder, and action 0 below
-    sets it never reached; with its ``enumerate_pure_policies`` index (the
-    preorder actions read as a base-``n_u`` number) and the sequences it
-    plays."""
+    """The depth-``depth`` (default: the horizon) pure policy tree rooted at
+    set ``root`` that plays ``pick(j)`` at each set ``j`` the walk reached,
+    asked in preorder, and action 0 below sets it never reached (everywhere,
+    for root None: the filler of unreached branches); with its
+    ``enumerate_pure_policies`` index (the preorder actions read as a
+    base-``n_u`` number) and the sequences it plays."""
     n_u, n_z = len(model.actions[agent]), model.n_agent_obs(agent)
     played: list[int] = []
     index = 0
@@ -810,7 +782,7 @@ def _pure_tree(
         below = (None if j is None else kids.get((j, u, z)) for z in range(n_z))
         return PolicyTree(agent, u, tuple(build(c, depth - 1) for c in below))
 
-    tree = build(0, model.horizon)
+    tree = build(root, model.horizon if depth is None else depth)
     return index, tree, played
 
 

@@ -1,0 +1,416 @@
+"""Differential tests of the level kernel against verify's naive oracles.
+
+Every occupancy update, reward, value table and best response runs through
+``occupancy.next_level``; here each is checked against the raw trajectory-tree
+expansions of ``verify`` (``_expand_once``, ``_raw_private_occupancy``,
+``_raw_reward``) on random models: 1e-12 on values, identical supports.  Each
+check has a negative control: the same comparison with the production route on
+a copy of the model whose outcome probabilities and rewards are off by 1e-6
+must fail.
+"""
+
+import dataclasses
+import inspect
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from occupancy_games import evaluate, occupancy, solve
+from occupancy_games.errors import ImpossibleObservationError
+from occupancy_games.evaluate import evaluate_occupancy, linear_eval, simulate, value_tables
+from occupancy_games.occupancy import (
+    PRUNE_EPS,
+    expected_reward,
+    initial_occupancy,
+    initial_private_occupancy,
+    private_reward,
+    private_step,
+    step,
+)
+from occupancy_games.policies import (
+    BehavioralPolicy,
+    JointPolicy,
+    PrivateHistory,
+    empty_joint_history,
+    enumerate_pure_policies,
+    rules_from_trees,
+)
+from occupancy_games.sampling import random_decision_rule, random_posg
+from occupancy_games.solve import (
+    best_response_history,
+    best_response_private,
+    best_response_private_from,
+    best_response_value_from,
+)
+from occupancy_games.verify import (
+    _expand_once,
+    _raw_master_occupancy,
+    _raw_private_obs_dist,
+    _raw_private_occupancy,
+    _raw_private_reward,
+    _raw_reward,
+)
+
+TOL = 1e-12
+
+# (actions, observations, public observations, horizon, discount)
+SHAPES = [
+    ((2, 2), (2, 2), 1, 3, 1.0),
+    ((3, 2), (2, 1), 2, 3, 0.9),  # public observations, discount < 1
+    ((2, 2, 2), (2, 1, 2), 2, 2, 1.0),  # three agents
+    ((2, 3), (1, 2), 2, 3, 0.7),
+]
+# best responses enumerate the responder's pure trees
+BR_SHAPES = [
+    ((2, 2), (2, 2), 1, 2, 1.0),
+    ((3, 2), (1, 2), 2, 2, 0.9),
+    ((2, 2, 2), (2, 1, 2), 2, 2, 1.0),
+]
+CONTROL_SEEDS = range(3)
+
+
+def sparse_posg(seed: int, shape):
+    """Random model with about two thirds of its transition and observation
+    entries set to zero (one entry per row kept), so that some observations
+    have probability zero."""
+    rng = np.random.default_rng(seed)
+    n_actions, n_obs, n_public, horizon, discount = shape
+    m = random_posg(rng, 2, n_actions, n_obs, n_public, horizon, discount)
+    tables = {}
+    for name in ("transition", "observation"):
+        table = np.array(getattr(m, name))
+        zero = rng.random(table.shape) < 0.65
+        zero[..., rng.integers(table.shape[-1])] = False
+        table[zero] = 0.0
+        tables[name] = table / table.sum(axis=-1, keepdims=True)
+    return dataclasses.replace(m, **tables)
+
+
+def corrupted(model):
+    """The model with every other outcome probability and every reward off by
+    1e-6, in the arrays the kernel reads; the raw oracles never see it."""
+    bad = dataclasses.replace(model, rewards=model.rewards * (1 + 1e-6) + 1e-6)
+    arrays = model._successor_arrays
+    prob = arrays.prob.copy()
+    prob[::2] *= 1 + 1e-6
+    bad.__dict__["_successor_arrays"] = arrays._replace(prob=prob)
+    return bad
+
+
+def random_rules(model, rng):
+    """One rule per agent and step; a third of them deterministic and a third
+    with two actions, so that rules have zero entries."""
+    supports = [None, 1, 2]
+    return [
+        tuple(
+            random_decision_rule(model, i, t, rng, support=supports[rng.integers(3)])
+            for i in range(model.n_agents)
+        )
+        for t in range(model.horizon)
+    ]
+
+
+def policy_of(rules_by_step, model) -> JointPolicy:
+    return JointPolicy(
+        tuple(
+            BehavioralPolicy(i, tuple(rules[i] for rules in rules_by_step))
+            for i in range(model.n_agents)
+        )
+    )
+
+
+def mid_game(model, production, rules_by_step, rng):
+    """A random time step, a public stream drawn along the production route,
+    the production state there and the raw distribution of the same stream."""
+    t = int(rng.integers(model.horizon))
+    s, w_stream = initial_occupancy(production), []
+    for tau in range(t):
+        branches = step(production, s, rules_by_step[tau])
+        probs = np.array([p for _, p, _ in branches])
+        w, _, s = branches[rng.choice(len(branches), p=probs / probs.sum())]
+        w_stream.append(w)
+    return t, s, _raw_master_occupancy(model, rules_by_step[:t], w_stream)
+
+
+def normalized(dist: dict) -> dict:
+    mass = sum(dist.values())
+    return {k: v / mass for k, v in dist.items() if v / mass > PRUNE_EPS}
+
+
+def compare(raw: dict, got) -> float:
+    """Worst difference of two distributions over the same support; inf when
+    the supports differ."""
+    if raw.keys() != got.keys():
+        return np.inf
+    return max((abs(v - got[k]) for k, v in raw.items()), default=0.0)
+
+
+def raw_return(model, dist: dict, rules_by_step, t0: int, agent: int) -> float:
+    """Discounted return of ``agent`` from the unnormalized ``dist`` at ``t0``,
+    rolled out by the raw expansion."""
+    total, scale = 0.0, 1.0
+    for t in range(t0, model.horizon):
+        total += scale * _raw_reward(model, dist, rules_by_step[t], agent)
+        if t + 1 < model.horizon:
+            dist = _expand_once(model, dist, rules_by_step[t], None)
+        scale *= model.discount
+    return total
+
+
+# -- step and expected_reward -----------------------------------------------------
+
+
+def step_gap(seed: int, shape, production=lambda m: m) -> float:
+    model = sparse_posg(seed, shape)
+    bad = production(model)
+    rng = np.random.default_rng(seed + 1)
+    rules_by_step = random_rules(model, rng)
+    t, s, raw = mid_game(model, bad, rules_by_step, rng)
+    rules = rules_by_step[t]
+    worst = max(
+        abs(expected_reward(bad, s, rules, i) - _raw_reward(model, raw, rules, i))
+        for i in range(model.n_agents)
+    )
+    if t + 1 == model.horizon:
+        return worst
+    n_pub = len(model.public_obs)
+    by_w: dict[int, dict] = {}
+    for key, v in _expand_once(model, raw, rules, None).items():
+        w = key[1].privates[0].steps[-1][1] % n_pub
+        by_w.setdefault(w, {})[key] = v
+    branches = step(bad, s, rules)
+    if [w for w, _, _ in branches] != sorted(by_w):
+        return np.inf
+    for w, p, nxt in branches:
+        raw_w = by_w[w]
+        worst = max(worst, abs(p - sum(raw_w.values())), compare(normalized(raw_w), nxt.entries))
+    return worst
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 10**6), shape=st.sampled_from(SHAPES))
+def test_step_and_reward_match_raw_expansion(seed, shape):
+    assert step_gap(seed, shape) <= TOL
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_step_and_reward_control(shape):
+    assert all(step_gap(seed, shape, corrupted) > TOL for seed in CONTROL_SEEDS)
+
+
+# -- private_step and private_reward -----------------------------------------------
+
+
+def private_gap(seed: int, shape, production=lambda m: m) -> float:
+    model = sparse_posg(seed, shape)
+    bad = production(model)
+    rng = np.random.default_rng(seed + 2)
+    agent = int(rng.integers(model.n_agents))
+    rules_by_step = random_rules(model, rng)
+    profiles = [{j: r[j] for j in range(model.n_agents) if j != agent} for r in rules_by_step]
+    n_u = len(model.actions[agent])
+    s_i, steps, worst = initial_private_occupancy(bad, agent), [], 0.0
+    for t in range(model.horizon):
+        raw = _raw_private_occupancy(model, agent, profiles[:t], steps)
+        worst = max(worst, compare(normalized(raw), s_i.entries))
+        for u in range(n_u):
+            got = private_reward(bad, s_i, profiles[t], u)
+            worst = max(worst, abs(got - _raw_private_reward(model, agent, raw, profiles[t], u)))
+        if t + 1 == model.horizon:
+            break
+        u = int(rng.integers(n_u))
+        omega = _raw_private_obs_dist(model, agent, raw, profiles[t], u)
+        children = {}
+        for z in range(model.n_agent_obs(agent)):
+            try:
+                children[z] = private_step(bad, s_i, profiles[t], u, z)
+            except ImpossibleObservationError:
+                children[z] = (0.0, None)
+            worst = max(worst, abs(children[z][0] - omega[z]))
+        if (omega > 0).tolist() != [c is not None for _, c in children.values()]:
+            return np.inf
+        z = int(rng.choice(len(omega), p=omega / omega.sum()))
+        s_i = children[z][1]
+        steps.append((u, z))
+    return worst
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 10**6), shape=st.sampled_from(SHAPES))
+def test_private_step_and_reward_match_raw_expansion(seed, shape):
+    assert private_gap(seed, shape) <= TOL
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_private_step_and_reward_control(shape):
+    assert all(private_gap(seed, shape, corrupted) > TOL for seed in CONTROL_SEEDS)
+
+
+# -- value_tables and evaluate_occupancy -------------------------------------------
+
+
+def value_gap(seed: int, shape, production=lambda m: m) -> float:
+    model = sparse_posg(seed, shape)
+    bad = production(model)
+    rng = np.random.default_rng(seed + 3)
+    rules_by_step = random_rules(model, rng)
+    t, s, _ = mid_game(model, bad, rules_by_step, rng)
+    policy = policy_of(rules_by_step, model)
+    seeds = sorted({o for (_, o) in s.entries}, key=lambda o: o.sort_key())
+    worst = 0.0
+    for agent in range(model.n_agents):
+        exact = raw_return(model, dict(s.entries), rules_by_step, t, agent)
+        tables = value_tables(bad, rules_by_step, agent, t, seeds)
+        worst = max(
+            worst,
+            abs(evaluate_occupancy(bad, policy, s, agent) - exact),
+            abs(linear_eval(s, tables[0]) - exact),
+        )
+        # the tables hold every state at each history the raw expansion reaches
+        histories = set(seeds)
+        for tau, table in enumerate(tables[:-1], t):
+            if {o for _, o in table.values} != histories or len(table.values) != len(
+                histories
+            ) * model.n_states:
+                return np.inf
+            grid = {(x, o): 1.0 for o in histories for x in range(model.n_states)}
+            expanded = _expand_once(model, grid, rules_by_step[tau], None)
+            histories = {o for _, o in expanded} if tau + 1 < model.horizon else set()
+    return worst
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 10**6), shape=st.sampled_from(SHAPES))
+def test_values_match_raw_rollout(seed, shape):
+    assert value_gap(seed, shape) <= TOL
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_values_control(shape):
+    assert all(value_gap(seed, shape, corrupted) > TOL for seed in CONTROL_SEEDS)
+
+
+# -- both best-response routes and their *_from twins --------------------------------
+
+
+def best_raw(model, agent, rules_by_step, dist, t0, anchors) -> float:
+    """Best return of ``agent`` from ``dist`` at ``t0`` by enumeration: at
+    each anchor its best pure tree (anchors are information sets), the others
+    by their rules."""
+    total = 0.0
+    for anchor in anchors:
+        part = {k: v for k, v in dist.items() if k[1].privates[agent] == anchor}
+        values = []
+        for tree in enumerate_pure_policies(model, agent, model.horizon - t0):
+            own = rules_from_trees(model, agent, {anchor: tree}, t0)
+            rules = [None] * t0 + [
+                tuple(own[t - t0] if j == agent else r for j, r in enumerate(rules_by_step[t]))
+                for t in range(t0, model.horizon)
+            ]
+            values.append(raw_return(model, part, rules, t0, agent))
+        total += max(values)
+    return total
+
+
+def br_gap(seed: int, shape, production=lambda m: m) -> float:
+    model = sparse_posg(seed, shape)
+    bad = production(model)
+    rng = np.random.default_rng(seed + 4)
+    agent = int(rng.integers(model.n_agents))
+    rules_by_step = random_rules(model, rng)
+    others = {
+        j: a for j, a in enumerate(policy_of(rules_by_step, model).agents) if j != agent
+    }
+    start = {(x, empty_joint_history(model.n_agents)): float(p) for x, p in enumerate(model.start)}
+    root = PrivateHistory(agent)
+    best = best_raw(model, agent, rules_by_step, start, 0, [root])
+    worst = 0.0
+    for route in (best_response_history, best_response_private):
+        br = route(bad, others, agent)
+        agents = [br.policy if j == agent else others[j] for j in range(model.n_agents)]
+        played = JointPolicy(tuple(agents)).joint_rules(model)
+        worst = max(
+            worst, abs(br.value - best), abs(raw_return(model, start, played, 0, agent) - best)
+        )
+    # the twins, one step in
+    s = step(bad, initial_occupancy(bad), rules_by_step[0])[0][2]
+    anchors = sorted({o.privates[agent] for _, o in s.entries}, key=lambda h: h.steps)
+    best = best_raw(model, agent, rules_by_step, dict(s.entries), 1, anchors)
+    worst = max(worst, abs(best_response_value_from(bad, others, agent, s) - best))
+    profiles = [{j: r[j] for j in others} for r in rules_by_step]
+    for z in range(model.n_agent_obs(agent)):
+        try:
+            _, s_i = private_step(bad, initial_private_occupancy(bad, agent), profiles[0], 0, z)
+            break
+        except ImpossibleObservationError:
+            continue
+    best = best_raw(model, agent, rules_by_step, dict(s_i.entries), 1, [s_i.anchor])
+    return max(worst, abs(best_response_private_from(bad, others, agent, s_i, 1) - best))
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10**6), shape=st.sampled_from(BR_SHAPES))
+def test_best_responses_match_enumeration(seed, shape):
+    assert br_gap(seed, shape) <= TOL
+
+
+@pytest.mark.parametrize("shape", BR_SHAPES)
+def test_best_responses_control(shape):
+    assert all(br_gap(seed, shape, corrupted) > TOL for seed in CONTROL_SEEDS)
+
+
+# -- exact values against simulation ---------------------------------------------------
+
+
+def simulate_z(seed: int, shift: float = 0.0) -> float:
+    """Largest distance, in standard errors, between each agent's exact value
+    (plus ``shift``) and its Monte Carlo estimate."""
+    model = sparse_posg(seed, SHAPES[1])
+    policy = policy_of(random_rules(model, np.random.default_rng(seed + 5)), model)
+    sim = simulate(model, policy, 20_000, seed)
+    s0 = initial_occupancy(model)
+    return max(
+        abs(sim.means[i] - evaluate_occupancy(model, policy, s0, i) - shift) / sim.stderrs[i]
+        for i in range(model.n_agents)
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_values_match_simulation(seed):
+    assert simulate_z(seed) <= 5.0
+
+
+def test_exact_values_match_simulation_control():
+    # an exact value off by 0.1 is many standard errors away at 20,000 episodes
+    assert all(simulate_z(seed, shift=0.1) > 5.0 for seed in range(4))
+
+
+# -- one push ---------------------------------------------------------------------------
+
+
+def _names(code) -> set[str]:
+    """Global and attribute names a code object uses, nested ones included."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            names |= _names(const)
+    return names
+
+
+def _module_names(module) -> set[str]:
+    return _names(compile(inspect.getsource(module), module.__file__, "exec"))
+
+
+def test_dynamics_go_through_the_level_kernel():
+    # outcomes reach occupancy, evaluate and solve only as successor arrays
+    for module in (occupancy, evaluate, solve):
+        assert not _module_names(module) & {"joint_action_dist", "successors"}, module
+
+
+def test_dynamics_guard_control():
+    snippet = (
+        "def f(model, rules, o):\n"
+        "    return joint_action_dist(model, rules, o), model.successors(0, 0)\n"
+    )
+    assert _names(compile(snippet, "<snippet>", "exec")) >= {"joint_action_dist", "successors"}

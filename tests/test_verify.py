@@ -201,7 +201,10 @@ def test_raw_oracles_stay_off_the_production_dynamics():
         or name.startswith("_raw_")
     ]
     assert len(oracles) >= 9
-    production = {"successors", "step", "private_step", "expand", "joint_action_dist"}
+    production = {
+        "successors", "_successor_arrays", "step", "private_step", "expand", "next_level",
+        "joint_action_dist",
+    }
     for fn in oracles:
         used = _names(fn.__code__)
         assert not used & production, fn.__name__
