@@ -322,9 +322,7 @@ def _simulate_pure(
 
     # per-(joint action, state) distribution over flattened (x', z) outcomes
     n_x, n_z = model.n_states, model.n_joint_obs
-    outcome = (
-        model.transition[:, :, :, None] * model.observation[:, None, :, :]
-    ).reshape(model.n_joint_actions, n_x, n_x * n_z)
+    outcome = model._dynamics.reshape(model.n_joint_actions, n_x, n_x * n_z)
 
     agent_obs_of = [
         np.array([model.agent_obs_of_joint(i, z) for z in range(n_z)])

@@ -43,15 +43,14 @@ STOCHASTIC_ATOL = 1e-9
 
 CRITERIA = ("zerosum", "common", "stackelberg", "general")
 
-# (next state, public observation, per-agent observations, probability)
-Outcome = tuple[int, int, tuple[int, ...], float]
-
 
 class SuccessorArrays(NamedTuple):
-    """``successors`` as flat arrays over (state, joint action, outcome):
-    ``begin[x]:begin[x + 1]`` are the outcomes in state ``x``, each with its
-    joint action, the per-agent actions and observations (outcome x agent
-    arrays), the public observation, the next state and the probability."""
+    """The positive-probability outcomes of one step as flat arrays over
+    (state, joint action, outcome): ``begin[x]:begin[x + 1]`` are the
+    outcomes in state ``x``, each with its joint action, the per-agent
+    actions and observations (outcome x agent arrays, observations flattened
+    as in ``agent_obs_index``), the public observation, the next state and
+    the probability."""
 
     begin: np.ndarray
     joint: np.ndarray
@@ -171,45 +170,27 @@ class PosgModel:
 
     # -- one-step dynamics -----------------------------------------------------
 
-    def successors(self, u: int, x: int) -> tuple[Outcome, ...]:
-        """Outcomes of joint action ``u`` in state ``x`` with positive
-        probability, as ``(next state, public observation, per-agent
-        observations, probability)`` in row-major (next state, joint
-        observation) order.
-
-        The probabilities are the nonzero entries of ``joint_dynamics`` and
-        the per-agent observations are flattened as in ``agent_obs_index``.
-        """
-        return self._successor_table[u][x]
-
     @cached_property
-    def _successor_table(self) -> list[list[tuple[Outcome, ...]]]:
-        table = []
-        for u in range(self.n_joint_actions):
-            row = []
-            for x in range(self.n_states):
-                dyn = joint_dynamics(self, x, u)
-                outcomes = []
-                for x2, z in zip(*np.nonzero(dyn)):
-                    zs, w = self.split_joint_obs(int(z))
-                    obs = tuple(
-                        self.agent_obs_index(i, zs[i], w) for i in range(self.n_agents)
-                    )
-                    outcomes.append((int(x2), w, obs, float(dyn[x2, z])))
-                row.append(tuple(outcomes))
-            table.append(row)
-        return table
+    def _dynamics(self) -> np.ndarray:
+        """Read-only (joint action, state, next state, joint observation)
+        array of ``transition[u, x, x'] * observation[u, x', z]``, formed
+        once per model."""
+        product = self.transition[:, :, :, None] * self.observation[:, None, :, :]
+        product.setflags(write=False)
+        return product
 
     @cached_property
     def _successor_arrays(self) -> SuccessorArrays:
-        """``successors`` as flat arrays, built once per model."""
-        rows = [
-            (x, u, self.split_joint_action(u), obs, w, x2, p)
-            for x in range(self.n_states)
-            for u in range(self.n_joint_actions)
-            for x2, w, obs, p in self.successors(u, x)
-        ]
-        xs, joint, acts, obs, pub, nxt, prob = (np.array(column) for column in zip(*rows))
+        """The nonzero cells of ``_dynamics`` in (state, joint action, next
+        state, joint observation) order, built once per model."""
+        cells = self._dynamics.transpose(1, 0, 2, 3)
+        xs, joint, nxt, z = np.nonzero(cells)
+        prob = cells[xs, joint, nxt, z]
+        acts = np.stack(np.unravel_index(joint, [len(a) for a in self.actions]), axis=1)
+        *own, pub = np.unravel_index(
+            z, [len(o) for o in self.private_obs] + [len(self.public_obs)]
+        )
+        obs = np.stack(own, axis=1) * len(self.public_obs) + pub[:, None]
         begin = np.searchsorted(xs, np.arange(self.n_states + 1))
         return SuccessorArrays(begin, joint, acts, obs, pub, nxt, prob)
 
@@ -343,13 +324,14 @@ def joint_dynamics(model: PosgModel, x: int, u: int) -> np.ndarray:
 
     Entry [x', z] is the transition probability into x' times the probability
     of joint observation z given x'; rows of both tables are stochastic, so
-    the result sums to 1.
+    the result sums to 1.  The result is a read-only view of the model's
+    product.
     """
     if not (0 <= x < model.n_states):
         raise IndexError(f"state index {x} out of range")
     if not (0 <= u < model.n_joint_actions):
         raise IndexError(f"joint action index {u} out of range")
-    return model.transition[u, x][:, None] * model.observation[u]
+    return model._dynamics[u, x]
 
 
 def horizon_for_epsilon(gamma: float, c: float, epsilon: float) -> int:

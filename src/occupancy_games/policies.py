@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Union
 
 from .errors import (
     CapExceededError,
@@ -177,27 +177,6 @@ class JointPolicy:
             raise ValueError("mixture policies have no single decision-rule form")
         per_agent = [agent_rules(model, a) for a in self.agents]
         return [tuple(rules[t] for rules in per_agent) for t in range(self.horizon)]
-
-
-def joint_action_dist(
-    model: PosgModel, rules: Sequence[DecisionRule], joint: JointHistory
-) -> dict[int, float]:
-    """Product distribution over joint action ids at one joint history, over
-    positive-probability joint actions in increasing id order.
-
-    Per-agent probabilities are multiplied in agent order starting from 1.0.
-    """
-    out = {0: 1.0}
-    for rule, h, labels in zip(rules, joint.privates, model.actions):
-        n = len(labels)
-        dist = rule.dist(h)
-        out = {
-            k * n + u: r
-            for k, p in out.items()
-            for u, q in enumerate(dist)
-            if (r := p * q) > 0.0
-        }
-    return out
 
 
 def pure_policy_count(n_actions: int, n_obs: int, horizon: int) -> int:

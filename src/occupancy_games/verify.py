@@ -3,6 +3,12 @@
 Each check contrasts two computational routes: a raw-definition oracle that
 expands full trajectory trees from the model primitives, and the production
 path through occupancy updates, best-response solvers, and normal forms.
+The oracles share one naive enumerator, ``_outcomes``: every positive-
+probability outcome of one step from a raw (state, joint history) measure,
+read straight from the transition and observation tables, with three small
+reducers for the next measure, an observation distribution and the reward.
+The sufficiency checks carry the unnormalized raw measure forward one
+expansion per step and normalize it only where a distribution is read.
 Reports carry the worst observed discrepancy against a tolerance: 1e-9 for
 exact identities (sufficiency, mixtures, linearity), 1e-6 for quantities
 routed through iterative solvers (convexity, saddle certificates, Lipschitz
@@ -44,7 +50,6 @@ from .occupancy import (
 from .policies import (
     BehavioralPolicy,
     DecisionRule,
-    JointHistory,
     JointPolicy,
     PrivateHistory,
     agent_rules,
@@ -115,10 +120,9 @@ def report_lines(reports: Sequence[PropertyReport]) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _action_product(
-    model: PosgModel, rules: Sequence[DecisionRule], o: JointHistory
-) -> list[tuple[tuple[int, ...], float]]:
-    dists = [rule.dist(h) for rule, h in zip(rules, o.privates)]
+def _action_product(dists: Sequence[Sequence[float]]) -> list[tuple[tuple[int, ...], float]]:
+    """Positive-probability joint actions under per-agent action
+    distributions, each with its probability multiplied in agent order."""
     out = []
     for combo in itertools.product(*(range(len(d)) for d in dists)):
         p = 1.0
@@ -129,32 +133,33 @@ def _action_product(
     return out
 
 
-def _others_product(
-    model: PosgModel, agent: int, profile: Mapping[int, DecisionRule], o: JointHistory
-) -> list[tuple[dict[int, int], float]]:
-    idx = [j for j in range(model.n_agents) if j != agent]
-    dists = [profile[j].dist(o.privates[j]) for j in idx]
-    out = []
-    for combo in itertools.product(*(range(len(d)) for d in dists)):
-        p = 1.0
-        for d, u in zip(dists, combo):
-            p *= d[u]
-        if p > 0.0:
-            out.append((dict(zip(idx, combo)), p))
-    return out
+def _played(rules: Sequence[DecisionRule]):
+    """Each agent's action distribution at a joint history under ``rules``."""
+    return lambda o: [rule.dist(h) for rule, h in zip(rules, o.privates)]
 
 
-def _expand_once(
-    model: PosgModel,
-    dist: dict,
-    rules: Sequence[DecisionRule],
-    w_target: int | None,
-) -> dict:
-    """One unnormalized trajectory-tree expansion, keeping only branches whose
-    public observation matches ``w_target`` (all branches when None)."""
-    new: dict = {}
-    for (x, o), p in dist.items():
-        for us, a_p in _action_product(model, rules, o):
+def _anchored(model: PosgModel, agent: int, profile: Mapping[int, DecisionRule], u_i: int):
+    """The others' distributions under ``profile``, and a point mass on
+    ``u_i`` for ``agent``."""
+    point = tuple(float(u == u_i) for u in range(len(model.actions[agent])))
+    return lambda o: [
+        point if j == agent else profile[j].dist(h) for j, h in enumerate(o.privates)
+    ]
+
+
+def _start_measure(model: PosgModel) -> dict:
+    empty = empty_joint_history(model.n_agents)
+    return {(x, empty): float(p) for x, p in enumerate(model.start) if p > 0.0}
+
+
+def _outcomes(model: PosgModel, measure: Mapping, dists):
+    """Every positive-probability outcome of one step from the raw measure
+    ``{(state, joint history): mass}``, where ``dists(o)`` lists each agent's
+    action distribution at joint history ``o``: (next state, history, joint
+    actions, joint observation, mass), in (entry, joint action, next state,
+    joint observation) order."""
+    for (x, o), p in measure.items():
+        for us, a_p in _action_product(dists(o)):
             u = model.joint_action_index(us)
             for x2 in range(model.n_states):
                 t_p = model.transition[u, x, x2]
@@ -162,149 +167,43 @@ def _expand_once(
                     continue
                 for z in range(model.n_joint_obs):
                     o_p = model.observation[u, x2, z]
-                    if o_p == 0.0:
-                        continue
-                    zs, w = model.split_joint_obs(z)
-                    if w_target is not None and w != w_target:
-                        continue
-                    agent_obs = tuple(
-                        model.agent_obs_index(i, zs[i], w)
-                        for i in range(model.n_agents)
-                    )
-                    key = (x2, o.child(us, agent_obs))
-                    new[key] = new.get(key, 0.0) + p * a_p * t_p * o_p
+                    if o_p > 0.0:
+                        yield x2, o, us, z, p * a_p * t_p * o_p
+
+
+def _next_measure(model: PosgModel, outcomes, of=None, seen=None) -> dict:
+    """The unnormalized measure one step on, over the outcomes whose joint
+    observation ``z`` has ``of(z) == seen`` (every outcome without ``of``)."""
+    new: dict = {}
+    for x2, o, us, z, mass in outcomes:
+        if of is not None and of(z) != seen:
+            continue
+        zs, w = model.split_joint_obs(z)
+        obs = tuple(model.agent_obs_index(i, zs[i], w) for i in range(model.n_agents))
+        key = (x2, o.child(us, obs))
+        new[key] = new.get(key, 0.0) + mass
     return new
 
 
-def _raw_master_occupancy(
-    model: PosgModel,
-    rules_by_step: Sequence[Sequence[DecisionRule]],
-    w_stream: Sequence[int],
-) -> dict:
-    """Pr{state, joint history | plan-time data} by full enumeration."""
-    dist = {
-        (x, empty_joint_history(model.n_agents)): float(p)
-        for x, p in enumerate(model.start)
-        if p > 0.0
-    }
-    for rules, w in zip(rules_by_step, w_stream):
-        dist = _expand_once(model, dist, rules, int(w))
-    total = sum(dist.values())
-    return {k: v / total for k, v in dist.items()}
-
-
-def _raw_public_dist(
-    model: PosgModel, raw_dist: dict, rules: Sequence[DecisionRule]
-) -> np.ndarray:
-    om = np.zeros(len(model.public_obs))
-    for (x, o), p in raw_dist.items():
-        for us, a_p in _action_product(model, rules, o):
-            u = model.joint_action_index(us)
-            for x2 in range(model.n_states):
-                t_p = model.transition[u, x, x2]
-                if t_p == 0.0:
-                    continue
-                for z in range(model.n_joint_obs):
-                    o_p = model.observation[u, x2, z]
-                    if o_p > 0.0:
-                        om[model.public_of_joint_obs(z)] += p * a_p * t_p * o_p
+def _obs_dist(outcomes, size: int, of) -> np.ndarray:
+    """Mass per observation ``of(z)`` of each outcome's joint observation."""
+    om = np.zeros(size)
+    for _, _, _, z, mass in outcomes:
+        om[of(z)] += mass
     return om
 
 
-def _raw_reward(
-    model: PosgModel, raw_dist: dict, rules: Sequence[DecisionRule], agent: int
-) -> float:
+def _raw_reward(model: PosgModel, measure: Mapping, dists, agent: int) -> float:
     total = 0.0
-    for (x, o), p in raw_dist.items():
-        for us, a_p in _action_product(model, rules, o):
+    for (x, o), p in measure.items():
+        for us, a_p in _action_product(dists(o)):
             total += p * a_p * model.rewards[agent, x, model.joint_action_index(us)]
     return total
 
 
-def _raw_private_occupancy(
-    model: PosgModel,
-    agent: int,
-    profiles: Sequence[Mapping[int, DecisionRule]],
-    steps: Sequence[tuple[int, int]],
-) -> dict:
-    """Pr{state, joint history | own history, others' rules} by enumeration."""
-    dist = {
-        (x, empty_joint_history(model.n_agents)): float(p)
-        for x, p in enumerate(model.start)
-        if p > 0.0
-    }
-    n_pub = len(model.public_obs)
-    for profile, (u_i, z_i) in zip(profiles, steps):
-        z_priv_i, w_i = divmod(z_i, n_pub)
-        new: dict = {}
-        for (x, o), p in dist.items():
-            for partial, a_p in _others_product(model, agent, profile, o):
-                us = tuple(
-                    u_i if j == agent else partial[j] for j in range(model.n_agents)
-                )
-                u = model.joint_action_index(us)
-                for x2 in range(model.n_states):
-                    t_p = model.transition[u, x, x2]
-                    if t_p == 0.0:
-                        continue
-                    for z in range(model.n_joint_obs):
-                        o_p = model.observation[u, x2, z]
-                        if o_p == 0.0:
-                            continue
-                        zs, w = model.split_joint_obs(z)
-                        if zs[agent] != z_priv_i or w != w_i:
-                            continue
-                        agent_obs = tuple(
-                            model.agent_obs_index(j, zs[j], w)
-                            for j in range(model.n_agents)
-                        )
-                        key = (x2, o.child(us, agent_obs))
-                        new[key] = new.get(key, 0.0) + p * a_p * t_p * o_p
-        dist = new
-    total = sum(dist.values())
-    if total <= 0.0:
-        raise ValueError("private history has probability zero")
-    return {k: v / total for k, v in dist.items()}
-
-
-def _raw_private_obs_dist(
-    model: PosgModel,
-    agent: int,
-    raw_dist: dict,
-    profile: Mapping[int, DecisionRule],
-    u_i: int,
-) -> np.ndarray:
-    om = np.zeros(model.n_agent_obs(agent))
-    n_pub = len(model.public_obs)
-    for (x, o), p in raw_dist.items():
-        for partial, a_p in _others_product(model, agent, profile, o):
-            us = tuple(u_i if j == agent else partial[j] for j in range(model.n_agents))
-            u = model.joint_action_index(us)
-            for x2 in range(model.n_states):
-                t_p = model.transition[u, x, x2]
-                if t_p == 0.0:
-                    continue
-                for z in range(model.n_joint_obs):
-                    o_p = model.observation[u, x2, z]
-                    if o_p > 0.0:
-                        zs, w = model.split_joint_obs(z)
-                        om[zs[agent] * n_pub + w] += p * a_p * t_p * o_p
-    return om
-
-
-def _raw_private_reward(
-    model: PosgModel,
-    agent: int,
-    raw_dist: dict,
-    profile: Mapping[int, DecisionRule],
-    u_i: int,
-) -> float:
-    total = 0.0
-    for (x, o), p in raw_dist.items():
-        for partial, a_p in _others_product(model, agent, profile, o):
-            us = tuple(u_i if j == agent else partial[j] for j in range(model.n_agents))
-            total += p * a_p * model.rewards[agent, x, model.joint_action_index(us)]
-    return total
+def _normalized(measure: Mapping) -> dict:
+    total = sum(measure.values())
+    return {k: v / total for k, v in measure.items()}
 
 
 def _dist_diff(a: Mapping, b: Mapping) -> float:
@@ -328,6 +227,7 @@ def check_sufficiency_master(
     """Reward, public-observation, and next-state predictions from occupancy
     states match the raw plan-time definitions on random plan-time data."""
     rng = np.random.default_rng(seed)
+    n_pub = len(model.public_obs)
     worst = 0.0
     for _ in range(n_samples):
         t = int(rng.integers(0, model.horizon))
@@ -338,39 +238,44 @@ def check_sufficiency_master(
             )
             for tau in range(t + 1)
         ]
-        # sample a positive-probability public stream from the raw route
-        w_stream: list[int] = []
-        for tau in range(t):
-            raw = _raw_master_occupancy(model, rules_by_step[:tau], w_stream)
-            om = _raw_public_dist(model, raw, rules_by_step[tau])
-            w_stream.append(int(rng.choice(len(om), p=om / om.sum())))
-
-        raw = _raw_master_occupancy(model, rules_by_step[:t], w_stream)
+        # sample a positive-probability public stream from the raw route,
+        # carrying the unnormalized raw measure forward
+        measure = _start_measure(model)
         s = initial_occupancy(model)
         for tau in range(t):
-            branches = {w: nxt for w, _, nxt in step(model, s, rules_by_step[tau])}
-            s = branches[w_stream[tau]]
+            played = _played(rules_by_step[tau])
+            om = _obs_dist(
+                _outcomes(model, _normalized(measure), played), n_pub, model.public_of_joint_obs
+            )
+            w = int(rng.choice(len(om), p=om / om.sum()))
+            measure = _next_measure(
+                model, _outcomes(model, measure, played), model.public_of_joint_obs, w
+            )
+            branches = {b: nxt for b, _, nxt in step(model, s, rules_by_step[tau])}
+            s = branches[w]
 
+        raw = _normalized(measure)
         a_t = rules_by_step[t]
+        played = _played(a_t)
         # reward sufficiency
-        r_raw = _raw_reward(model, raw, a_t, 0)
+        r_raw = _raw_reward(model, raw, played, 0)
         r_impl = expected_reward(model, s, a_t, 0)
         if negative_control:
             r_impl += _CORRUPTION
         worst = max(worst, abs(r_raw - r_impl))
         # public observation sufficiency
-        om_raw = _raw_public_dist(model, raw, a_t)
+        om_raw = _obs_dist(_outcomes(model, raw, played), n_pub, model.public_of_joint_obs)
         branches = step(model, s, a_t)
-        om_impl = np.zeros(len(model.public_obs))
+        om_impl = np.zeros(n_pub)
         for w, p, _ in branches:
             om_impl[w] = p
         worst = max(worst, float(np.abs(om_raw - om_impl).max()))
         # next-state sufficiency, every positive public branch
         for w, p, nxt in branches:
-            raw_next = _raw_master_occupancy(
-                model, rules_by_step[: t + 1], w_stream + [w]
+            raw_next = _next_measure(
+                model, _outcomes(model, measure, played), model.public_of_joint_obs, w
             )
-            worst = max(worst, _dist_diff(raw_next, nxt.entries))
+            worst = max(worst, _dist_diff(_normalized(raw_next), nxt.entries))
     return _report(
         "sufficiency-master",
         fixture,
@@ -394,6 +299,11 @@ def check_sufficiency_private(
     """Private-side analogue over random private plan-time histories."""
     rng = np.random.default_rng(seed)
     n_u = len(model.actions[agent])
+    n_obs = model.n_agent_obs(agent)
+
+    def own_obs(z):
+        return model.agent_obs_of_joint(agent, z)
+
     worst = 0.0
     for _ in range(n_samples):
         t = int(rng.integers(0, model.horizon))
@@ -405,36 +315,39 @@ def check_sufficiency_private(
             }
             for tau in range(t + 1)
         ]
+        # sample a positive-probability own history from the raw route,
+        # carrying the unnormalized raw measure forward
+        measure = _start_measure(model)
         steps: list[tuple[int, int]] = []
         for tau in range(t):
             u_i = int(rng.integers(0, n_u))
-            raw = _raw_private_occupancy(model, agent, profiles[:tau], steps)
-            om = _raw_private_obs_dist(model, agent, raw, profiles[tau], u_i)
+            dists = _anchored(model, agent, profiles[tau], u_i)
+            om = _obs_dist(_outcomes(model, _normalized(measure), dists), n_obs, own_obs)
             z_i = int(rng.choice(len(om), p=om / om.sum()))
             steps.append((u_i, z_i))
+            measure = _next_measure(model, _outcomes(model, measure, dists), own_obs, z_i)
 
-        raw = _raw_private_occupancy(model, agent, profiles[:t], steps)
+        raw = _normalized(measure)
         s_i = private_occupancy(model, profiles, PrivateHistory(agent, tuple(steps)))
         u_i = int(rng.integers(0, n_u))
+        dists = _anchored(model, agent, profiles[t], u_i)
         # reward sufficiency
-        r_raw = _raw_private_reward(model, agent, raw, profiles[t], u_i)
+        r_raw = _raw_reward(model, raw, dists, agent)
         r_impl = private_reward(model, s_i, profiles[t], u_i)
         if negative_control:
             r_impl += _CORRUPTION
         worst = max(worst, abs(r_raw - r_impl))
         # observation and next-state sufficiency
-        om_raw = _raw_private_obs_dist(model, agent, raw, profiles[t], u_i)
-        for z_i in range(model.n_agent_obs(agent)):
+        om_raw = _obs_dist(_outcomes(model, raw, dists), n_obs, own_obs)
+        for z_i in range(n_obs):
             try:
                 omega, nxt = private_step(model, s_i, profiles[t], u_i, z_i)
             except ImpossibleObservationError:
                 omega, nxt = 0.0, None
             worst = max(worst, abs(om_raw[z_i] - omega))
             if nxt is not None and om_raw[z_i] > 1e-12:
-                raw_next = _raw_private_occupancy(
-                    model, agent, profiles[: t + 1], steps + [(u_i, z_i)]
-                )
-                worst = max(worst, _dist_diff(raw_next, nxt.entries))
+                raw_next = _next_measure(model, _outcomes(model, measure, dists), own_obs, z_i)
+                worst = max(worst, _dist_diff(_normalized(raw_next), nxt.entries))
     return _report(
         f"sufficiency-private-agent{agent + 1}",
         fixture,
@@ -941,22 +854,26 @@ def run_suite(
 
     ``controls`` reruns each applicable check with its corruption enabled and
     reports a meta-property that passes exactly when the corrupted check
-    fails.
+    fails.  ``all`` skips the suites that do not apply to the model's
+    criterion; naming one of them raises ``UnknownSuiteError``.
     """
     if isinstance(suites, str):
         names = [s.strip() for s in suites.split(",")] if suites != "all" else ["all"]
     else:
         names = list(suites)
     if names == ["all"]:
-        names = [s for s in SUITES if s != "controls"]
+        names = [s for s in SUITES if s != "controls" and _applies(model, s)]
     for name in names:
         if name not in SUITES:
             raise UnknownSuiteError(
                 f"unknown suite {name!r}; expected one of {', '.join(SUITES)} or 'all'"
             )
+        if not _applies(model, name):
+            raise UnknownSuiteError(
+                f"suite {name!r} does not apply to criterion {model.criterion!r}"
+            )
 
     reports: list[PropertyReport] = []
-    has_master = model.criterion in ("common", "zerosum", "stackelberg")
     for name in names:
         if name == "sufficiency":
             reports.append(check_sufficiency_master(model, n_samples, seed, fixture))
@@ -968,28 +885,33 @@ def run_suite(
             others = _suite_others_policy(model, seed)
             reports.append(check_slave_structure(model, others, 0, n_samples, seed, fixture))
         elif name == "master":
-            if has_master:
-                reports.append(
-                    check_master_structure(
-                        model,
-                        model.criterion,
-                        model.horizon,
-                        n_samples,
-                        seed,
-                        fixture,
-                        tolerance_solver,
-                    )
+            reports.append(
+                check_master_structure(
+                    model,
+                    model.criterion,
+                    model.horizon,
+                    n_samples,
+                    seed,
+                    fixture,
+                    tolerance_solver,
                 )
+            )
         elif name == "lipschitz":
-            if model.criterion == "zerosum":
-                reports.append(
-                    check_lipschitz(
-                        model, model.horizon, n_samples, seed, fixture, tolerance_solver
-                    )
-                )
+            reports.append(
+                check_lipschitz(model, model.horizon, n_samples, seed, fixture, tolerance_solver)
+            )
         elif name == "controls":
             reports.extend(_negative_controls(model, seed, fixture))
     return reports
+
+
+def _applies(model: PosgModel, suite: str) -> bool:
+    """Whether ``suite`` has a property for the model's criterion."""
+    if suite == "master":
+        return model.criterion in ("common", "zerosum", "stackelberg")
+    if suite == "lipschitz":
+        return model.criterion == "zerosum"
+    return True
 
 
 def _suite_others_policy(model: PosgModel, seed: int):
@@ -1028,7 +950,7 @@ def _negative_controls(model, seed, fixture) -> list[PropertyReport]:
             ),
         ),
     ]
-    if model.criterion in ("common", "zerosum", "stackelberg"):
+    if _applies(model, "master"):
         checks.append(
             (
                 "master-structure",
@@ -1043,7 +965,7 @@ def _negative_controls(model, seed, fixture) -> list[PropertyReport]:
                 ),
             )
         )
-    if model.criterion == "zerosum":
+    if _applies(model, "lipschitz"):
         checks.append(
             (
                 "lipschitz",

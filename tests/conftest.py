@@ -48,6 +48,16 @@ O: a : s : z : 1.0
 """
 
 
+def code_names(code) -> set[str]:
+    """Global and attribute names a code object uses, nested ones included:
+    the guard tests read which names a module or function reaches."""
+    names = set(code.co_names)
+    for const in code.co_consts:
+        if hasattr(const, "co_names"):
+            names |= code_names(const)
+    return names
+
+
 def model_path(name: str) -> pathlib.Path:
     return MODELS / f"{name}.posg"
 

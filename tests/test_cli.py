@@ -1,5 +1,6 @@
 import pytest
 
+from occupancy_games import verify
 from occupancy_games.cli import main
 from occupancy_games.model import parse_posg
 from occupancy_games.solve import induced_normal_form
@@ -107,13 +108,38 @@ def test_verify_unknown_suite(capsys):
     assert code == 4 and "unknown suite" in err
 
 
-def test_verify_failure_exit_code(capsys):
-    code, out, _ = run(
-        capsys, "verify", TIGER, "--suite", "master", "--samples", "2",
-        "--tolerance", "0",
-    )
+def test_verify_failure_exit_code(capsys, monkeypatch):
+    argv = ("verify", TIGER, "--suite", "master", "--samples", "2")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and "passed=true" in out
+    # the certificate compares dec_value_from against a brute-force maximum:
+    # a production value off by 0.1 must fail it
+    dec_value_from = verify.dec_value_from
+    monkeypatch.setattr(verify, "dec_value_from", lambda *a: dec_value_from(*a) + 0.1)
+    code, out, _ = run(capsys, *argv)
     assert code == 1
     assert "passed=false" in out
+
+
+def test_verify_tolerance_zero_is_applied(capsys):
+    code, out, err = run(capsys, "verify", ONE_STAGE, "--suite", "master", "--tolerance", "0")
+    # whether a 1e-16 residue fails at tolerance 0 is round-off; the contract
+    # is that the flag reaches the report
+    assert code in (0, 1) and "Traceback" not in err
+    assert " tolerance=0 " in out
+
+
+@pytest.mark.parametrize(
+    "argv, suite, criterion",
+    [
+        (["--suite", "lipschitz"], "lipschitz", "common"),
+        (["--criterion", "general", "--suite", "master"], "master", "general"),
+    ],
+)
+def test_verify_refuses_a_named_suite_that_does_not_apply(capsys, argv, suite, criterion):
+    code, out, err = run(capsys, "verify", TIGER, *argv)
+    assert code == 4 and out == ""
+    assert err.startswith("error:") and f"'{suite}'" in err and f"'{criterion}'" in err
 
 
 def test_sweep_dec_curve(tmp_path, capsys):
@@ -224,7 +250,7 @@ def exit_code(argv):
         (["solve", TIGER, "--horizon", "0"], 2),
         (["solve", TIGER, "--cap", "0"], 3),
         (["sweep", ONE_STAGE, "--criterion", "zerosum", "--grid", "3", "--cap", "1"], 3),
-        (["verify", ONE_STAGE, "--suite", "master", "--tolerance", "0"], 1),
+        (["verify", ONE_STAGE, "--suite", "lipschitz", "--tolerance", "0"], 4),
         (["evaluate", ONE_STAGE, "--episodes", "-5"], 2),
         (["verify", ONE_STAGE, "--samples", "0"], 2),
         (["verify", ONE_STAGE, "--samples", "-3"], 2),

@@ -19,9 +19,9 @@ from occupancy_games.policies import (
     PolicyTree,
     PrivateHistory,
     empty_joint_history,
-    joint_action_dist,
 )
 from occupancy_games.sampling import random_joint_policy, random_posg
+from occupancy_games.verify import _action_product
 
 CONSTANT_REWARD = """
 agents: 1
@@ -101,9 +101,10 @@ def test_bellman_identity_pointwise(tiger):
         nxt = tables[t + 1]
         for (x, o), v in tables[t].values.items():
             total = 0.0
-            for u, a_p in joint_action_dist(tiger, rules[t], o).items():
+            dists = [rule.dist(h) for rule, h in zip(rules[t], o.privates)]
+            for us, a_p in _action_product(dists):
+                u = tiger.joint_action_index(us)
                 q = tiger.rewards[0, x, u]
-                us = tiger.split_joint_action(u)
                 for x2 in range(tiger.n_states):
                     for z in range(tiger.n_joint_obs):
                         pr = tiger.transition[u, x, x2] * tiger.observation[u, x2, z]

@@ -2,11 +2,11 @@
 
 Every occupancy update, reward, value table and best response runs through
 ``occupancy.next_level``; here each is checked against the raw trajectory-tree
-expansions of ``verify`` (``_expand_once``, ``_raw_private_occupancy``,
-``_raw_reward``) on random models: 1e-12 on values, identical supports.  Each
-check has a negative control: the same comparison with the production route on
-a copy of the model whose outcome probabilities and rewards are off by 1e-6
-must fail.
+expansions of ``verify`` (its one-step enumerator ``_outcomes`` and the
+reducers ``_next_measure``, ``_obs_dist`` and ``_raw_reward``) on random
+models: 1e-12 on values, identical supports.  Each check has a negative
+control: the same comparison with the production route on a copy of the
+model whose outcome probabilities and rewards are off by 1e-6 must fail.
 """
 
 import dataclasses
@@ -44,13 +44,17 @@ from occupancy_games.solve import (
     best_response_value_from,
 )
 from occupancy_games.verify import (
-    _expand_once,
-    _raw_master_occupancy,
-    _raw_private_obs_dist,
-    _raw_private_occupancy,
-    _raw_private_reward,
+    _anchored,
+    _next_measure,
+    _normalized,
+    _obs_dist,
+    _outcomes,
+    _played,
     _raw_reward,
+    _start_measure,
 )
+
+from conftest import code_names
 
 TOL = 1e-12
 
@@ -120,17 +124,23 @@ def policy_of(rules_by_step, model) -> JointPolicy:
     )
 
 
+def expand(model, measure: dict, rules, *only) -> dict:
+    """The raw measure one step on under ``rules``; ``only`` is an
+    observation function and the value to keep, as in ``_next_measure``."""
+    return _next_measure(model, _outcomes(model, measure, _played(rules)), *only)
+
+
 def mid_game(model, production, rules_by_step, rng):
     """A random time step, a public stream drawn along the production route,
     the production state there and the raw distribution of the same stream."""
     t = int(rng.integers(model.horizon))
-    s, w_stream = initial_occupancy(production), []
+    s, raw = initial_occupancy(production), _start_measure(model)
     for tau in range(t):
         branches = step(production, s, rules_by_step[tau])
         probs = np.array([p for _, p, _ in branches])
         w, _, s = branches[rng.choice(len(branches), p=probs / probs.sum())]
-        w_stream.append(w)
-    return t, s, _raw_master_occupancy(model, rules_by_step[:t], w_stream)
+        raw = expand(model, raw, rules_by_step[tau], model.public_of_joint_obs, w)
+    return t, s, _normalized(raw)
 
 
 def normalized(dist: dict) -> dict:
@@ -151,9 +161,9 @@ def raw_return(model, dist: dict, rules_by_step, t0: int, agent: int) -> float:
     rolled out by the raw expansion."""
     total, scale = 0.0, 1.0
     for t in range(t0, model.horizon):
-        total += scale * _raw_reward(model, dist, rules_by_step[t], agent)
+        total += scale * _raw_reward(model, dist, _played(rules_by_step[t]), agent)
         if t + 1 < model.horizon:
-            dist = _expand_once(model, dist, rules_by_step[t], None)
+            dist = expand(model, dist, rules_by_step[t])
         scale *= model.discount
     return total
 
@@ -169,14 +179,14 @@ def step_gap(seed: int, shape, production=lambda m: m) -> float:
     t, s, raw = mid_game(model, bad, rules_by_step, rng)
     rules = rules_by_step[t]
     worst = max(
-        abs(expected_reward(bad, s, rules, i) - _raw_reward(model, raw, rules, i))
+        abs(expected_reward(bad, s, rules, i) - _raw_reward(model, raw, _played(rules), i))
         for i in range(model.n_agents)
     )
     if t + 1 == model.horizon:
         return worst
     n_pub = len(model.public_obs)
     by_w: dict[int, dict] = {}
-    for key, v in _expand_once(model, raw, rules, None).items():
+    for key, v in expand(model, raw, rules).items():
         w = key[1].privates[0].steps[-1][1] % n_pub
         by_w.setdefault(w, {})[key] = v
     branches = step(bad, s, rules)
@@ -210,17 +220,23 @@ def private_gap(seed: int, shape, production=lambda m: m) -> float:
     rules_by_step = random_rules(model, rng)
     profiles = [{j: r[j] for j in range(model.n_agents) if j != agent} for r in rules_by_step]
     n_u = len(model.actions[agent])
-    s_i, steps, worst = initial_private_occupancy(bad, agent), [], 0.0
+
+    def own_obs(z):
+        return model.agent_obs_of_joint(agent, z)
+
+    s_i, measure, worst = initial_private_occupancy(bad, agent), _start_measure(model), 0.0
     for t in range(model.horizon):
-        raw = _raw_private_occupancy(model, agent, profiles[:t], steps)
+        raw = _normalized(measure)
         worst = max(worst, compare(normalized(raw), s_i.entries))
         for u in range(n_u):
             got = private_reward(bad, s_i, profiles[t], u)
-            worst = max(worst, abs(got - _raw_private_reward(model, agent, raw, profiles[t], u)))
+            exact = _raw_reward(model, raw, _anchored(model, agent, profiles[t], u), agent)
+            worst = max(worst, abs(got - exact))
         if t + 1 == model.horizon:
             break
         u = int(rng.integers(n_u))
-        omega = _raw_private_obs_dist(model, agent, raw, profiles[t], u)
+        dists = _anchored(model, agent, profiles[t], u)
+        omega = _obs_dist(_outcomes(model, raw, dists), model.n_agent_obs(agent), own_obs)
         children = {}
         for z in range(model.n_agent_obs(agent)):
             try:
@@ -232,7 +248,7 @@ def private_gap(seed: int, shape, production=lambda m: m) -> float:
             return np.inf
         z = int(rng.choice(len(omega), p=omega / omega.sum()))
         s_i = children[z][1]
-        steps.append((u, z))
+        measure = _next_measure(model, _outcomes(model, measure, dists), own_obs, z)
     return worst
 
 
@@ -275,7 +291,7 @@ def value_gap(seed: int, shape, production=lambda m: m) -> float:
             ) * model.n_states:
                 return np.inf
             grid = {(x, o): 1.0 for o in histories for x in range(model.n_states)}
-            expanded = _expand_once(model, grid, rules_by_step[tau], None)
+            expanded = expand(model, grid, rules_by_step[tau])
             histories = {o for _, o in expanded} if tau + 1 < model.horizon else set()
     return worst
 
@@ -386,31 +402,27 @@ def test_exact_values_match_simulation_control():
     assert all(simulate_z(seed, shift=0.1) > 5.0 for seed in range(4))
 
 
-# -- one push ---------------------------------------------------------------------------
-
-
-def _names(code) -> set[str]:
-    """Global and attribute names a code object uses, nested ones included."""
-    names = set(code.co_names)
-    for const in code.co_consts:
-        if hasattr(const, "co_names"):
-            names |= _names(const)
-    return names
+# -- one form of the dynamics ----------------------------------------------------------
 
 
 def _module_names(module) -> set[str]:
-    return _names(compile(inspect.getsource(module), module.__file__, "exec"))
+    return code_names(compile(inspect.getsource(module), module.__file__, "exec"))
+
+
+FACTORS = {"transition", "observation", "joint_dynamics"}
 
 
 def test_dynamics_go_through_the_level_kernel():
-    # outcomes reach occupancy, evaluate and solve only as successor arrays
+    # occupancy, evaluate and solve read the dynamics only as the model's own
+    # product (its successor arrays, or the dense product in simulate), never
+    # the transition and observation tables it is formed from
     for module in (occupancy, evaluate, solve):
-        assert not _module_names(module) & {"joint_action_dist", "successors"}, module
+        assert not _module_names(module) & FACTORS, module
 
 
 def test_dynamics_guard_control():
     snippet = (
-        "def f(model, rules, o):\n"
-        "    return joint_action_dist(model, rules, o), model.successors(0, 0)\n"
+        "def f(model, x, u):\n"
+        "    return joint_dynamics(model, x, u), model.transition[u, x] * model.observation[u]\n"
     )
-    assert _names(compile(snippet, "<snippet>", "exec")) >= {"joint_action_dist", "successors"}
+    assert code_names(compile(snippet, "<snippet>", "exec")) >= FACTORS

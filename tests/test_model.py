@@ -123,35 +123,66 @@ def test_joint_dynamics_minimal(minimal):
     assert d.shape == (1, 1) and d[0, 0] == 1.0
 
 
+def successor_rows(model, arrays) -> list[tuple]:
+    """Every outcome of ``arrays`` as (state, joint action, per-agent actions,
+    per-agent observations, public observation, next state, probability)."""
+    return [
+        (
+            x,
+            int(arrays.joint[r]),
+            tuple(arrays.acts[r].tolist()),
+            tuple(arrays.obs[r].tolist()),
+            int(arrays.pub[r]),
+            int(arrays.nxt[r]),
+            float(arrays.prob[r]),
+        )
+        for x in range(model.n_states)
+        for r in range(arrays.begin[x], arrays.begin[x + 1])
+    ]
+
+
+def dynamics_rows(model) -> list[tuple]:
+    """The nonzero cells of ``joint_dynamics`` in the same form, in (state,
+    joint action, next state, joint observation) order."""
+    rows = []
+    for x in range(model.n_states):
+        for u in range(model.n_joint_actions):
+            dyn = joint_dynamics(model, x, u)
+            for x2, z in zip(*np.nonzero(dyn)):
+                rows.append(
+                    (
+                        x,
+                        u,
+                        model.split_joint_action(u),
+                        tuple(model.agent_obs_of_joint(i, int(z)) for i in range(model.n_agents)),
+                        model.public_of_joint_obs(int(z)),
+                        int(x2),
+                        float(dyn[x2, z]),
+                    )
+                )
+    return rows
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10**6))
 def test_joint_dynamics_sums_to_one(seed):
     rng = np.random.default_rng(seed)
     m = random_posg(rng, n_states=3, n_actions=(2, 2), n_obs=(2, 2))
-    # a second, three-agent model with public observations for the successor table
+    # a second, three-agent model with public observations for the successor arrays
     m3 = random_posg(rng, n_actions=(2, 2, 2), n_obs=(2, 1, 2), n_public=2)
     for x in range(m.n_states):
         for u in range(m.n_joint_actions):
             assert abs(joint_dynamics(m, x, u).sum() - 1.0) < 1e-9
     for model in (m, m3):
-        for x in range(model.n_states):
-            for u in range(model.n_joint_actions):
-                # the nonzero cells of joint_dynamics, in row-major order
-                dyn = joint_dynamics(model, x, u)
-                expected = [
-                    (
-                        int(x2),
-                        model.public_of_joint_obs(int(z)),
-                        tuple(
-                            model.agent_obs_of_joint(i, int(z))
-                            for i in range(model.n_agents)
-                        ),
-                        dyn[x2, z],
-                    )
-                    for x2, z in zip(*np.nonzero(dyn))
-                ]
-                assert list(model.successors(u, x)) == expected
-                assert abs(sum(p for *_, p in model.successors(u, x)) - 1.0) < 1e-9
+        # every field equal, probabilities bit for bit
+        arrays = model._successor_arrays
+        expected = dynamics_rows(model)
+        assert successor_rows(model, arrays) == expected
+        # control: one probability one ulp off is caught
+        prob = arrays.prob.copy()
+        k = int(rng.integers(len(prob)))
+        prob[k] = np.nextafter(prob[k], 2.0)
+        assert successor_rows(model, arrays._replace(prob=prob)) != expected
 
 
 def test_horizon_for_epsilon_values():

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from occupancy_games.errors import CapExceededError, UnreachableHistoryError
+from occupancy_games.occupancy import Level, action_probs, rule_arrays
 from occupancy_games.policies import (
     DecisionRule,
-    JointHistory,
     JointPolicy,
     PrivateHistory,
     decision_at,
     enumerate_pure_policies,
-    joint_action_dist,
     policy_from_json,
     policy_to_json,
     pure_policy_count,
@@ -131,18 +130,27 @@ def test_decision_rule_validates():
 @pytest.mark.parametrize("n_actions", [(3,), (2, 3), (3, 2, 2)])
 @pytest.mark.parametrize("support", [1, 2, None])
 def test_joint_action_dist_matches_brute_force_product(n_actions, support):
+    # the kernel's (entry, joint action) product, one entry per joint history
     rng = np.random.default_rng(10 * len(n_actions) + (support or 0))
     m = random_posg(rng, n_actions=n_actions, n_obs=(2,) * len(n_actions))
     rules = [random_decision_rule(m, i, 1, rng, support=support) for i in range(m.n_agents)]
     histories = [all_histories(m, i, 1) for i in range(m.n_agents)]
-    for privates in itertools.product(*histories):
+    joints = list(itertools.product(*histories))
+    ids = np.array(list(itertools.product(*(range(len(hs)) for hs in histories))))
+    level = Level(
+        np.zeros(len(joints), dtype=int),
+        tuple(ids.T),
+        np.ones(len(joints)),
+        tuple(len(hs) for hs in histories),
+    )
+    got = action_probs(m, level, rule_arrays(m, rules, histories))
+    for privates, row in zip(joints, got):
         dists = [rule.dist(h) for rule, h in zip(rules, privates)]
-        expected = {}
+        expected = [0.0] * m.n_joint_actions
         for combo in itertools.product(*(range(len(d)) for d in dists)):
             p = 1.0
             for d, u in zip(dists, combo):
                 p *= d[u]
             if p > 0.0:
                 expected[m.joint_action_index(combo)] = p
-        got = joint_action_dist(m, rules, JointHistory(privates))
-        assert list(got.items()) == sorted(expected.items())
+        assert row.tolist() == expected

@@ -53,6 +53,8 @@ from occupancy_games.solve import (
     zero_sum_value_from,
 )
 
+from conftest import code_names
+
 
 # -- independent support-enumeration oracle for matrix games -------------------
 
@@ -436,19 +438,10 @@ def test_solve_dec_tie_rule_takes_the_first_cell_within_tolerance(one_stage):
     assert eq.mixtures == ({0: 1.0}, {0: 1.0}) and eq.values[0] == 1.0
 
 
-def _names(code) -> set[str]:
-    """Global and attribute names a code object uses, nested ones included."""
-    names = set(code.co_names)
-    for const in code.co_consts:
-        if hasattr(const, "co_names"):
-            names |= _names(const)
-    return names
-
-
 def test_normal_form_stays_off_the_per_cell_route():
     # the payoff tensors come from one sequence-form walk, never per cell
     code = compile(inspect.getsource(solve), solve.__file__, "exec")
-    assert not _names(code) & {"value_tables", "linear_eval"}
+    assert not code_names(code) & {"value_tables", "linear_eval"}
 
 
 def test_one_sided_solvers_stay_off_the_joint_normal_form():
@@ -460,7 +453,7 @@ def test_one_sided_solvers_stay_off_the_joint_normal_form():
     ):
         code = compile(inspect.getsource(fn), solve.__file__, "exec")
         (body,) = [c for c in code.co_consts if hasattr(c, "co_varnames")]
-        used = _names(code) | set(body.co_varnames)
+        used = code_names(code) | set(body.co_varnames)
         assert not used & {"induced_normal_form", "suffix_normal_form", "cap_joint"}, fn
     assert "cap_joint" not in inspect.getsource(solve)
 
@@ -469,7 +462,7 @@ def test_only_normal_form_sets_up_a_sequence_form():
     # depth check, cap, walk and parent numbering live in _normal_form alone
     for fn in (solve._zero_sum_kernel, solve._one_sided, solve._stackelberg_kernel):
         code = compile(inspect.getsource(fn), solve.__file__, "exec")
-        assert not _names(code) & {"_sequence_payoffs", "_sequence_count", "_parents"}, fn
+        assert not code_names(code) & {"_sequence_payoffs", "_sequence_count", "_parents"}, fn
     assert "pure_policy_count" not in inspect.getsource(solve)
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,8 @@ from occupancy_games.verify import (
     report_lines,
     run_suite,
 )
+
+from conftest import code_names
 
 
 def test_sufficiency_master_tiger(tiger):
@@ -185,26 +189,39 @@ def test_report_line_format(tiger):
         assert key in line
 
 
-def _names(code) -> set[str]:
-    """Global and attribute names a code object uses, nested ones included."""
-    names = set(code.co_names)
-    for const in code.co_consts:
-        if hasattr(const, "co_names"):
-            names |= _names(const)
-    return names
+@pytest.mark.parametrize(
+    "criterion, suite", [(None, "lipschitz"), ("general", "master"), ("general", "lipschitz")]
+)
+def test_run_suite_refuses_a_named_suite_that_does_not_apply(tiger, criterion, suite):
+    model = dataclasses.replace(tiger, criterion=criterion) if criterion else tiger
+    with pytest.raises(UnknownSuiteError, match=f"'{suite}'.*'{model.criterion}'"):
+        run_suite(model, f"sufficiency,{suite}", seed=0, n_samples=1)
+
+
+def test_run_suite_all_skips_the_suites_that_do_not_apply(tiger):
+    general = dataclasses.replace(tiger, criterion="general")
+    names = [r.name for r in run_suite(general, "all", seed=0, n_samples=1)]
+    assert names == [
+        "sufficiency-master",
+        "sufficiency-private-agent1",
+        "sufficiency-private-agent2",
+        "slave-structure-agent1",
+    ]
+
+
+ORACLES = (
+    "_action_product", "_played", "_anchored", "_start_measure", "_outcomes",
+    "_next_measure", "_obs_dist", "_raw_reward", "_normalized",
+)
 
 
 def test_raw_oracles_stay_off_the_production_dynamics():
-    oracles = [
-        fn for name, fn in vars(verify).items()
-        if name in ("_expand_once", "_action_product", "_others_product")
-        or name.startswith("_raw_")
-    ]
-    assert len(oracles) >= 9
     production = {
-        "successors", "_successor_arrays", "step", "private_step", "expand", "next_level",
-        "joint_action_dist",
+        "_dynamics", "_successor_arrays", "joint_dynamics", "step", "private_step",
+        "next_level", "action_probs",
     }
-    for fn in oracles:
-        used = _names(fn.__code__)
-        assert not used & production, fn.__name__
+    for name in ORACLES:
+        fn = getattr(verify, name)
+        assert not code_names(fn.__code__) & production, name
+    # control: the checks themselves do reach the production route
+    assert code_names(verify.check_sufficiency_master.__code__) & production
