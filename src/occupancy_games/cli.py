@@ -1,8 +1,8 @@
 """Command-line entry points: parse, solve, evaluate, verify, sweep.
 
 stdout carries data, stderr carries diagnostics.  Exit codes: 0 ok,
-1 property failure, 2 parse/validation error, 3 enumeration cap exceeded,
-4 unknown suite, 5 bad sweep specification.
+1 property failure, 2 parse/validation or usage error, 3 byte budget (--cap)
+exceeded, 4 unknown suite, 5 bad sweep specification.
 """
 
 from __future__ import annotations
@@ -26,14 +26,13 @@ from .occupancy import initial_occupancy
 from .policies import JointPolicy, policy_from_json, policy_to_json
 from .sampling import random_joint_policy
 from .solve import (
-    DEFAULT_TOLERANCE,
     Equilibrium,
     solve_dec,
     solve_stackelberg,
     solve_zero_sum,
     zero_sum_guarantees,
 )
-from .verify import report_lines, run_suite
+from .verify import TOLERANCE_SUITES, report_lines, run_suite, selected_suites
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
@@ -45,6 +44,10 @@ EXIT_BAD_SWEEP = 5
 
 class _SweepSpecError(Exception):
     pass
+
+
+class _UnreadFlagError(Exception):
+    """A flag was given that nothing the command runs reads."""
 
 
 def _load_model(args) -> PosgModel:
@@ -79,21 +82,24 @@ def _load_policy(model: PosgModel, path: str) -> JointPolicy:
     return policy
 
 
-def _per_agent_cap(args) -> dict:
-    return {} if args.cap is None else {"cap_per_agent": args.cap}
+def _cap(args) -> dict:
+    return {} if args.cap is None else {"cap_bytes": args.cap}
 
 
 def _solve(model: PosgModel, args) -> Equilibrium:
     """The solver of the model's criterion, with the --cap and --tolerance
-    overrides applied to the caps and tolerance it reads."""
-    caps = _per_agent_cap(args)
+    overrides applied; --tolerance is a usage error where no solver reads
+    it."""
+    caps = _cap(args)
+    tolerance = {} if args.tolerance is None else {"tolerance": args.tolerance}
+    if tolerance and model.criterion == "common":
+        raise _UnreadFlagError("--tolerance: the common-payoff solver has no tolerance")
     if model.criterion == "zerosum":
-        tolerance = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
-        return solve_zero_sum(model, tolerance=tolerance, **caps)
+        return solve_zero_sum(model, **tolerance, **caps)
     if model.criterion == "common":
         return solve_dec(model, **caps)
     if model.criterion == "stackelberg":
-        return solve_stackelberg(model, **caps)
+        return solve_stackelberg(model, **tolerance, **caps)
     raise ModelValidationError(
         "no solver for criterion 'general'; pass --criterion to choose one"
     )
@@ -161,6 +167,8 @@ def cmd_solve(args) -> int:
         print(f"sequences: {' '.join(map(str, eq.metadata['sequences']))}")
         print(f"duality_gap: {_fmt(eq.metadata['duality_gap'])}")
         print(f"residual: {_fmt(eq.metadata['residual'])}")
+    if eq.criterion == "stackelberg":
+        print(f"follower_regret: {_fmt(eq.metadata['follower_regret'])}")
     print(f"runtime_s: {runtime:.3f}", file=sys.stderr)
     return EXIT_OK
 
@@ -191,12 +199,17 @@ def cmd_evaluate(args) -> int:
 
 def cmd_verify(args) -> int:
     model = _load_model(args)
+    suites = selected_suites(model, args.suite)
     kwargs = {}
     if args.tolerance is not None:
+        if not set(suites) & set(TOLERANCE_SUITES):
+            raise _UnreadFlagError(
+                f"--tolerance: only the {' and '.join(TOLERANCE_SUITES)} suites read it"
+            )
         kwargs = {"tolerance_solver": args.tolerance}
     reports = run_suite(
         model,
-        suites=args.suite,
+        suites=suites,
         seed=args.seed,
         n_samples=args.samples,
         fixture=args.model,
@@ -223,7 +236,7 @@ def cmd_sweep(args) -> int:
         eq = _solve(at_b, args)
         fields = [_fmt(b), _fmt(eq.values[0])]
         if eq.criterion == "zerosum":
-            components = zero_sum_guarantees(at_b, **_per_agent_cap(args))
+            components = zero_sum_guarantees(at_b, **_cap(args))
             if not rows:
                 header += "," + ",".join(f"component_{j}" for j in range(len(components)))
             fields += [_fmt(v) for v in components]
@@ -251,17 +264,19 @@ def build_parser() -> argparse.ArgumentParser:
             type=_tolerance,
             default=None,
             help="tolerance override: in solve and sweep, the largest zero-sum "
-            "certificate (duality gap plus both exploitabilities) per unit of the "
-            "largest payoff entry; in verify, the largest violation the master and "
-            "lipschitz suites accept",
+            "certificate (duality gap plus both exploitabilities) or Stackelberg "
+            "follower regret per unit of the largest payoff entry; in verify, the "
+            "largest violation the master and lipschitz suites accept; a usage "
+            "error where nothing reads it",
         ),
         "--cap": dict(
             type=_count_at_least(0),
             default=None,
-            help="cap override on what is built per agent: sequences for an "
-            "agent kept in sequence form (both zerosum agents, the last common "
-            "agent, the stackelberg leader), anchored pure policies for an "
-            "enumerated one",
+            help="budget in bytes for the dense arrays a solver builds: every "
+            "depth block of the sequence-form walk, each enumerated agent's "
+            "realization matrix and the payoffs contracted with it, predicted "
+            "from the full tries before anything is built (default 2**30); it "
+            "does not bound peak memory, which runs 2-3 times higher",
         ),
         "--horizon": dict(type=int, default=None, help="horizon override"),
         "--start": dict(
@@ -276,6 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     }
 
     def common(p, *flags):
+        p.set_defaults(usage_error=p.error)
         p.add_argument("model", help="path to a .posg model file")
         for flag in flags:
             p.add_argument(flag, **shared[flag])
@@ -335,6 +351,8 @@ def main(argv: list[str] | None = None) -> int:
     except _SweepSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_SWEEP
+    except _UnreadFlagError as exc:
+        args.usage_error(str(exc))  # exits 2 with the subcommand's usage
 
 
 if __name__ == "__main__":

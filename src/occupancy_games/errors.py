@@ -30,12 +30,13 @@ class ModelValidationError(OccupancyGamesError):
 
 
 class CapExceededError(OccupancyGamesError):
-    """Raised when an enumeration would exceed the configured cap."""
+    """Raised when an enumeration, or the bytes a solver would build, would
+    exceed the configured cap; ``unit`` follows both numbers."""
 
-    def __init__(self, what: str, count: int, cap: int):
+    def __init__(self, what: str, count: int, cap: int, unit: str = ""):
         self.count = count
         self.cap = cap
-        super().__init__(f"{what} too large: {count} exceeds cap {cap}")
+        super().__init__(f"{what} too large: {count}{unit} exceeds cap {cap}{unit}")
 
 
 class UnreachableHistoryError(OccupancyGamesError):

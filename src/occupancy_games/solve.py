@@ -21,16 +21,19 @@ Common-payoff and Stackelberg games enumerate reduced pure policy trees (one
 per anchor) for all agents but one and keep that agent in sequence form: the
 last agent of a common-payoff game best-responds to each enumerated profile by
 one reverse max over its information sets; a Stackelberg leader's realization
-plan is the variable of one incentive-constrained linear program per follower
-pure policy that could still raise its value (Conitzer & Sandholm 2006; strong
-equilibrium: follower ties break in the leader's favor).
+plan is the variable of one linear program per follower pure plan, tried in
+descending order of what the leader could get against it (Conitzer & Sandholm
+2006; strong equilibrium: follower ties break in the leader's favor), with the
+follower's optimality written by LP duality as one value per follower
+information set (Bošanský & Čermák 2015).
 Ties everywhere break toward the lowest enumeration index.
 
-``_normal_form`` is the one set-up of that walk.  ``cap_per_agent`` caps what
-it builds for each agent: sequences for an agent kept in sequence form (both
-zero-sum agents, the last common-payoff agent, the Stackelberg leader) and
-anchored pure policies for an enumerated one.  Every solver reads the model's
-own horizon; ``PosgModel.with_horizon`` sets another.
+``_normal_form`` is the one set-up of that walk.  ``cap_bytes`` is one budget
+for every criterion: the bytes of the dense arrays it would build, predicted
+from the agents' full tries before any walk or enumeration.  It leaves out
+the per-policy Python objects, the LP matrices and intermediate copies, so
+it does not bound peak memory.  Every solver
+reads the model's own horizon; ``PosgModel.with_horizon`` sets another.
 """
 
 from __future__ import annotations
@@ -67,8 +70,7 @@ from .policies import (
 )
 
 DEFAULT_TOLERANCE = 1e-9
-CAP_PER_AGENT = 10**4
-CAP_JOINT = 10**6
+CAP_BYTES = 2**30
 
 
 def linprog(*args, **kwargs):
@@ -354,17 +356,12 @@ def _anchors(s: OccupancyState, agent: int) -> list[PrivateHistory]:
 
 
 def _anchored_space(
-    model: PosgModel,
-    agent: int,
-    anchors: Sequence[PrivateHistory],
-    depth: int,
-    cap: int = CAP_PER_AGENT,
+    model: PosgModel, agent: int, anchors: Sequence[PrivateHistory], depth: int
 ) -> list[dict[PrivateHistory, PolicyTree]]:
-    """Pure policy suffixes: one depth-``depth`` tree per anchor history."""
-    trees = enumerate_pure_policies(model, agent, depth, cap)
-    count = len(trees) ** len(anchors)
-    if count > cap:
-        raise CapExceededError("anchored policy enumeration", count, cap)
+    """Pure policy suffixes: one depth-``depth`` tree per anchor history.
+    Callers bound their count, ``_trie_size``, before enumerating."""
+    plans = _trie_size(model, agent, len(anchors), depth)[1]
+    trees = enumerate_pure_policies(model, agent, depth, cap=plans)
     combos = itertools.product(trees, repeat=len(anchors))
     return [dict(zip(anchors, combo)) for combo in combos]
 
@@ -479,11 +476,39 @@ def _realization(
     return sum(plays[which[:, a], a] for a in range(len(anchors)))
 
 
-def _sequence_count(model: PosgModel, agent: int, n_anchors: int, depth: int) -> int:
-    """Sequences of the agent's full trie, ``depth`` steps below
-    ``n_anchors`` anchors."""
+def _trie_size(model: PosgModel, agent: int, n_anchors: int, depth: int) -> tuple[list[int], int]:
+    """Sequences per depth of the agent's full trie ``depth`` steps below
+    ``n_anchors`` anchors, and its anchored pure plans: ``n_u`` to the power
+    of the trie's nodes, one tree per anchor."""
     n_u, n_z = len(model.actions[agent]), model.n_agent_obs(agent)
-    return n_anchors * n_u * sum((n_u * n_z) ** d for d in range(depth))
+    per_depth = [n_anchors * n_u * (n_u * n_z) ** d for d in range(depth)]
+    return per_depth, n_u ** (n_anchors * sum(n_z**d for d in range(depth)))
+
+
+def _predicted_bytes(
+    model: PosgModel,
+    n_anchors: Sequence[int],
+    depth: int,
+    keep: Sequence[int],
+    n_contracted: int,
+    n_uncontracted: int,
+) -> int:
+    """What ``_normal_form`` builds, in bytes of doubles on the agents' full
+    tries: every depth block of the walk, and, when some agent is enumerated,
+    each enumerated agent's realization matrix, the tensors contracted with
+    them and the dense sequence-form matrices of the uncontracted agents of
+    interest.  The policy trees, the LP matrices and intermediate copies are
+    not counted: peak memory runs 2-3 times this at the bundled frontier."""
+    tries = [_trie_size(model, i, n_anchors[i], depth) for i in range(model.n_agents)]
+    seqs = [sum(per_depth) for per_depth, _ in tries]
+    n_interest = n_contracted + n_uncontracted
+    doubles = n_interest * sum(math.prod(t[0][d] for t in tries) for d in range(depth))
+    enumerated = [i for i in range(model.n_agents) if i not in keep]
+    if enumerated:
+        doubles += sum(tries[i][1] * seqs[i] for i in enumerated)
+        axes = [tries[i][1] if i in enumerated else seqs[i] for i in range(model.n_agents)]
+        doubles += n_contracted * math.prod(axes) + n_uncontracted * math.prod(seqs)
+    return 8 * doubles
 
 
 def _parents(kids: Mapping[tuple[int, int, int], int], n_sets: int, n_u: int) -> np.ndarray:
@@ -498,55 +523,60 @@ def _normal_form(
     model: PosgModel,
     s: OccupancyState,
     agents_of_interest: Sequence[int],
-    cap_per_agent: int,
+    cap_bytes: int,
     keep: Sequence[int] = (),
-) -> tuple[list[np.ndarray], list[list[dict] | None], list[dict], list[np.ndarray | None]]:
+    uncontracted: Sequence[int] = (),
+) -> tuple[list, list[list[dict] | None], list[dict], list[np.ndarray]]:
     """Payoff tensors below occupancy ``s``, one per agent of interest and one
     axis per agent, with each agent's assignment space, the ``kids`` of
-    ``_sequence_payoffs`` and each kept agent's parent sequences.
+    ``_sequence_payoffs`` and each agent's parent sequences.
 
     Under perfect recall a pure profile's payoff is multilinear in the
     agents' 0/1 sequence realizations, so every tensor is the sequence-form
     payoff contracted with each agent's realization matrix (for two agents,
     ``R_0 @ G @ R_1.T``), taken one depth block at a time.  The agents in
-    ``keep`` are left uncontracted: their axes stay over their sequences,
-    their spaces and the others' parents are ``None``.  When both agents of a
-    two-agent game are kept, each tensor is the block-diagonal ``G`` itself,
-    as a ``scipy.sparse`` CSR array.  ``cap_per_agent`` caps each agent's
-    sequences if kept and its anchored pure policies otherwise, all checked
-    before the walk.
+    ``keep`` are left uncontracted: their axes stay over their sequences and
+    their spaces are ``None``.  When both agents of a two-agent game are
+    kept, each tensor is the block-diagonal ``G`` itself, as a
+    ``scipy.sparse`` CSR array.  The payoffs of the agents in
+    ``uncontracted`` follow, each the dense block-diagonal ``G`` over the two
+    agents' sequences.  ``_predicted_bytes`` must stay within ``cap_bytes``,
+    checked before the walk and any enumeration.
     """
     depth = model.horizon - s.t
     if depth < 1:
         raise ValueError("occupancy state is already at the horizon")
     anchors = [_anchors(s, i) for i in range(model.n_agents)]
-    spaces: list[list[dict] | None] = []
-    for i in range(model.n_agents):
-        if i not in keep:
-            spaces.append(_anchored_space(model, i, anchors[i], depth, cap_per_agent))
-            continue
-        count = _sequence_count(model, i, len(anchors[i]), depth)
-        if count > cap_per_agent:
-            raise CapExceededError(f"sequence form of agent {i + 1}", count, cap_per_agent)
-        spaces.append(None)
-    count = math.prod(len(space) for space in spaces if space is not None)
-    if count > CAP_JOINT:
-        raise CapExceededError("joint enumeration", count, CAP_JOINT)
-    blocks, kids = _sequence_payoffs(model, s, anchors, agents_of_interest)
-    parents: list[np.ndarray | None] = []
-    realizations: list[np.ndarray | None] = []
-    for i, space in enumerate(spaces):
-        n_u = len(model.actions[i])
-        if space is None:
-            parents.append(_parents(kids[i], len(anchors[i]) + len(kids[i]), n_u))
-            realizations.append(None)
-        else:
-            parents.append(None)
-            realizations.append(_realization(n_u, anchors[i], space, kids[i]))
+    n_bytes = _predicted_bytes(
+        model, [len(a) for a in anchors], depth, keep, len(agents_of_interest), len(uncontracted)
+    )
+    if n_bytes > cap_bytes:
+        raise CapExceededError("normal form", n_bytes, cap_bytes, " bytes")
+    spaces = [
+        None if i in keep else _anchored_space(model, i, anchors[i], depth)
+        for i in range(model.n_agents)
+    ]
+    blocks, kids = _sequence_payoffs(
+        model, s, anchors, list(agents_of_interest) + list(uncontracted)
+    )
+    parents = [
+        _parents(kids[i], len(anchors[i]) + len(kids[i]), len(model.actions[i]))
+        for i in range(model.n_agents)
+    ]
+    realizations = [
+        None if space is None else _realization(len(model.actions[i]), anchors[i], space, kids[i])
+        for i, space in enumerate(spaces)
+    ]
+    n_c = len(agents_of_interest)
+    if uncontracted:
+        from scipy.linalg import block_diag
+    dense = [
+        block_diag(*(block[..., n_c + k] for block in blocks)) for k in range(len(uncontracted))
+    ]
     parts = []
     lo = [0] * model.n_agents  # each agent's first sequence of the block
     for block in blocks:
-        out = block
+        out = block[..., :n_c]
         for i, R in enumerate(realizations):
             hi = lo[i] + block.shape[i]
             if R is None:
@@ -558,17 +588,17 @@ def _normal_form(
     # axes (agent of interest, agent 0, ..., agent n-1)
     kept = sorted(keep)
     if not kept:
-        return list(sum(parts)), spaces, kids, parents
-    if len(kept) == 1:
-        return list(np.concatenate(parts, axis=1 + kept[0])), spaces, kids, parents
-    # both agents of a two-agent game kept: block diagonal, stored sparse
-    mats = [_block_diagonal([part[k] for part in parts]) for k in range(len(agents_of_interest))]
-    return mats, spaces, kids, parents
+        mats = list(sum(parts))
+    elif len(kept) == 1:
+        mats = list(np.concatenate(parts, axis=1 + kept[0]))
+    else:  # both agents of a two-agent game kept: block diagonal, stored sparse
+        mats = [_block_diagonal([part[k] for part in parts]) for k in range(n_c)]
+    return mats + dense, spaces, kids, parents
 
 
 def _block_diagonal(blocks: Sequence[np.ndarray]):
-    """The block-diagonal matrix of dense 2-d ``blocks`` as a ``scipy.sparse``
-    CSR array that stores their nonzero entries only."""
+    """The block-diagonal matrix of 2-d ``blocks`` as a ``scipy.sparse`` CSR
+    array that stores their nonzero entries only."""
     from scipy import sparse
 
     indptr, indices, data = [np.zeros(1, dtype=np.int64)], [], []
@@ -590,24 +620,24 @@ def suffix_normal_form(
     model: PosgModel,
     s: OccupancyState,
     agents_of_interest: Sequence[int] = (0,),
-    cap_per_agent: int = CAP_PER_AGENT,
+    cap_bytes: int = CAP_BYTES,
 ) -> tuple[list[np.ndarray], list[list[dict]]]:
     """Payoff tensors over anchored pure policy suffixes from occupancy ``s``;
     axis ``i`` indexes agent ``i``'s assignments of one tree per anchor."""
-    mats, spaces, _, _ = _normal_form(model, s, agents_of_interest, cap_per_agent)
+    mats, spaces, _, _ = _normal_form(model, s, agents_of_interest, cap_bytes)
     return mats, spaces
 
 
 def induced_normal_form(
     model: PosgModel,
     agents_of_interest: Sequence[int],
-    cap_per_agent: int = CAP_PER_AGENT,
+    cap_bytes: int = CAP_BYTES,
 ) -> tuple[list[np.ndarray], list[list[PolicyTree]]]:
     """Payoff tensors over reduced pure policy profiles at the start belief,
     one axis per agent: the occupancy-rooted normal form at the initial
     occupancy state, each one-anchor assignment unwrapped to its tree."""
     s0 = initial_occupancy(model)
-    mats, spaces, _, _ = _normal_form(model, s0, agents_of_interest, cap_per_agent)
+    mats, spaces, _, _ = _normal_form(model, s0, agents_of_interest, cap_bytes)
     roots = [PrivateHistory(i) for i in range(model.n_agents)]
     return mats, [[a[root] for a in space] for root, space in zip(roots, spaces)]
 
@@ -668,19 +698,24 @@ def _trie_best(g: np.ndarray, parents: np.ndarray, n_u: int, best) -> np.ndarray
     return best(v[..., parents < 0, :], axis=-1).sum(axis=-1)
 
 
-def _plan_constraints(parents: np.ndarray, n_u: int):
-    """Sparse ``E`` and right-hand side ``e`` of ``E x = e``: one row per set,
-    its actions' mass minus its parent sequence's mass, 1 at the anchors."""
-    from scipy import sparse
-
+def _plan_constraints(parents: np.ndarray, n_u: int, dense: bool = False):
+    """``E`` (``scipy.sparse`` unless ``dense``) and right-hand side ``e`` of
+    ``E x = e``: one row per set, its actions' mass minus its parent
+    sequence's mass, 1 at the anchors."""
     n = len(parents)
     # row c: -1 at its parent sequence (none at an anchor), then 1 at its own
     cols = np.column_stack([parents, np.arange(n * n_u).reshape(n, n_u)])
     values = np.column_stack([-np.ones(n), np.ones((n, n_u))])
     stored = cols >= 0
+    e = (parents < 0).astype(float)
+    if dense:
+        E = np.zeros((n, n * n_u))
+        E[np.nonzero(stored)[0], cols[stored]] = values[stored]
+        return E, e
+    from scipy import sparse
+
     indptr = np.concatenate([[0], np.cumsum(stored.sum(axis=1))])
-    E = sparse.csr_array((values[stored], cols[stored], indptr), shape=(n, n * n_u))
-    return E, (parents < 0).astype(float)
+    return sparse.csr_array((values[stored], cols[stored], indptr), shape=(n, n * n_u)), e
 
 
 def _realization_plan_lp(
@@ -715,7 +750,7 @@ def _realization_plan_lp(
 
 
 def _zero_sum_kernel(
-    model: PosgModel, s: OccupancyState, tolerance: float, cap_per_agent: int
+    model: PosgModel, s: OccupancyState, tolerance: float, cap_bytes: int
 ) -> tuple[SequenceFormSolution, object]:
     """Saddle point below occupancy ``s`` and agent 0's sequence-form payoff
     matrix ``G`` (a ``scipy.sparse`` CSR array).
@@ -723,7 +758,7 @@ def _zero_sum_kernel(
     The certificate, the duality gap plus each side's exploitability (what
     the opponent's best pure plan gains against it), must stay within
     ``max(tolerance, 1e-7)`` times the largest payoff magnitude."""
-    (G,), _, kids, parents = _normal_form(model, s, [0], cap_per_agent, keep=(0, 1))
+    (G,), _, kids, parents = _normal_form(model, s, [0], cap_bytes, keep=(0, 1))
     n_us = [len(model.actions[i]) for i in range(2)]
     payoffs = G
     if all(len(p) == 1 for p in parents):  # one set each: G is the matrix game
@@ -820,13 +855,13 @@ def _kuhn_mixture(
 def solve_zero_sum(
     model: PosgModel,
     tolerance: float = DEFAULT_TOLERANCE,
-    cap_per_agent: int = CAP_PER_AGENT,
+    cap_bytes: int = CAP_BYTES,
 ) -> Equilibrium:
     """Saddle value of a zero-sum game at the start belief, from one
     realization-plan LP, with each agent's optimal plan as a mixture over pure
     policy trees."""
     _require(model, "zerosum", "solve_zero_sum")
-    sol, _ = _zero_sum_kernel(model, initial_occupancy(model), tolerance, cap_per_agent)
+    sol, _ = _zero_sum_kernel(model, initial_occupancy(model), tolerance, cap_bytes)
     mixtures, policies = zip(
         *(_kuhn_mixture(model, i, sol.plans[i], sol.kids[i]) for i in range(2))
     )
@@ -839,7 +874,7 @@ def solve_zero_sum(
     )
 
 
-def _one_sided(model: PosgModel, s: OccupancyState, cap_per_agent: int, best) -> tuple:
+def _one_sided(model: PosgModel, s: OccupancyState, cap_bytes: int, best) -> tuple:
     """Agents 0..n-2 enumerated below occupancy ``s`` against the last agent in
     sequence form: agent 0's payoff for each enumerated profile (C order) when
     the last agent plays its ``best`` (``np.max`` or ``np.min``) pure plan, one
@@ -847,21 +882,21 @@ def _one_sided(model: PosgModel, s: OccupancyState, cap_per_agent: int, best) ->
     enumerated spaces; its ``kids`` and parent sequences.  No joint tensor is
     built."""
     last = model.n_agents - 1
-    (Y,), spaces, kids, parents = _normal_form(model, s, [0], cap_per_agent, keep=(last,))
+    (Y,), spaces, kids, parents = _normal_form(model, s, [0], cap_bytes, keep=(last,))
     Y = Y.reshape(-1, Y.shape[-1])
     values = _trie_best(Y, parents[last], len(model.actions[last]), best)
     return values, Y, spaces[:last], kids[last], parents[last]
 
 
-def zero_sum_guarantees(model: PosgModel, cap_per_agent: int = CAP_PER_AGENT) -> np.ndarray:
+def zero_sum_guarantees(model: PosgModel, cap_bytes: int = CAP_BYTES) -> np.ndarray:
     """What each of agent 0's pure policy trees (``enumerate_pure_policies``
     order) guarantees it at the start belief of a zero-sum game: the
     components of the value's max-of-concave decomposition, each tree's
     payoff minimised over agent 1's pure plans."""
-    return _one_sided(model, initial_occupancy(model), cap_per_agent, np.min)[0]
+    return _one_sided(model, initial_occupancy(model), cap_bytes, np.min)[0]
 
 
-def solve_dec(model: PosgModel, cap_per_agent: int = CAP_PER_AGENT) -> Equilibrium:
+def solve_dec(model: PosgModel, cap_bytes: int = CAP_BYTES) -> Equilibrium:
     """Optimal joint policy of a common-payoff game: every agent but the last
     enumerates its reduced pure policies, the last best-responds in sequence
     form.  Ties go to the lexicographically smallest index tuple whose value is
@@ -872,7 +907,7 @@ def solve_dec(model: PosgModel, cap_per_agent: int = CAP_PER_AGENT) -> Equilibri
     whose best completion still reaches that bound."""
     _require(model, "common", "solve_dec")
     s0 = initial_occupancy(model)
-    values, Y, spaces, kids, parents = _one_sided(model, s0, cap_per_agent, np.max)
+    values, Y, spaces, kids, parents = _one_sided(model, s0, cap_bytes, np.max)
     top = values.max()
     tol = 1e-12 * max(1.0, abs(top))
     row = int(np.flatnonzero(values >= top - tol)[0])
@@ -902,66 +937,129 @@ def solve_dec(model: PosgModel, cap_per_agent: int = CAP_PER_AGENT) -> Equilibri
     )
 
 
-def _sse_leader_lp(L_col: np.ndarray, F: np.ndarray, k: int, E: np.ndarray, e: np.ndarray):
-    """max_x x^T L[:,k] over leader realization plans (E x = e, x >= 0)
-    under which the follower's pure plan k is a best response."""
-    A_ub = F.T - F[:, k]  # row k is 0 <= 0; x >= 0 is linprog's default bound
-    res = linprog(-L_col, A_ub=A_ub, b_ub=np.zeros(len(A_ub)), A_eq=E, b_eq=e, method="highs")
-    return (-res.fun, np.clip(res.x, 0.0, None)) if res.success else None
-
-
 def _multiple_lp(
-    L: np.ndarray, F: np.ndarray, parents: np.ndarray, n_u: int
-) -> tuple[float, np.ndarray, int]:
+    L: np.ndarray,
+    G_F,
+    realize: Callable[[int], np.ndarray],
+    parents: Sequence[np.ndarray],
+    n_us: Sequence[int],
+) -> tuple[float, np.ndarray, int, float, float]:
     """Strong Stackelberg equilibrium, one LP per follower pure plan (Conitzer
-    & Sandholm 2006; follower ties break in the leader's favor): (leader value,
-    leader realization plan, follower plan).  Rows of ``L`` and ``F`` are the
-    leader's sequences, numbered by ``parents`` as in ``_trie_best``; columns
-    are the follower's pure plans, tried in index order."""
-    E, e = _plan_constraints(parents, n_u)
-    E = E.toarray()  # dense, like the best-response rows
-    bounds = _trie_best(L.T, parents, n_u, np.max)
-    best = None
-    for k in range(F.shape[1]):
-        if best is not None and bounds[k] <= best[0] + 1e-12:
-            continue  # even the leader's best pure plan cannot beat ``best``
-        out = _sse_leader_lp(L[:, k], F, k, E, e)
-        if out is not None and (best is None or out[0] > best[0] + 1e-12):
-            best = (*out, k)
-    if best is None:  # pragma: no cover - some plan is always a best response
+    & Sandholm 2006; follower ties break in the leader's favor): (leader
+    value, leader realization plan ``x``, follower plan ``k``, follower value
+    ``x G_F r_k``, follower regret).
+
+    Rows of ``L`` (leader payoff over follower plans) and of ``G_F`` (follower
+    payoff over follower sequences) are the leader's sequences;
+    ``realize(k)`` is plan ``k``'s 0/1 realization ``r_k``.  Plan ``k`` is a
+    best response to ``x`` when some value ``v`` per follower set has
+    ``F^T v >= G_F^T x`` and ``f^T v <= x G_F r_k`` (LP duality on the
+    follower's plans ``F r = f``; Bošanský & Čermák 2015), so each LP has
+    one row per follower sequence, not one per plan.  Plans are tried in
+    descending order of the leader's best pure value against them, until
+    that bound falls below the best LP value less 1e-12; ties go to the
+    lowest plan whose value is within 1e-12 of the best."""
+    E, e = _plan_constraints(parents[0], n_us[0], dense=True)
+    F, f = _plan_constraints(parents[1], n_us[1], dense=True)
+    n_x, n_v = E.shape[1], F.shape[0]
+    # G_F^T x - F^T v <= 0, then f^T v - x G_F r_k <= 0 (set per plan)
+    A_ub = np.zeros((G_F.shape[1] + 1, n_x + n_v))
+    A_ub[:-1, :n_x] = G_F.T
+    A_ub[:-1, n_x:] = -F.T
+    A_ub[-1, n_x:] = f
+    A_eq = np.hstack([E, np.zeros((len(e), n_v))])
+    bounds = [(0, None)] * n_x + [(None, None)] * n_v
+    top = _trie_best(L.T, parents[0], n_us[0], np.max)
+    solved: dict[int, tuple[float, np.ndarray, np.ndarray]] = {}
+    best = -np.inf
+    for k in np.argsort(-top, kind="stable").tolist():
+        if top[k] < best - 1e-12:
+            break  # neither this plan nor any later one can reach ``best``
+        r = realize(k)
+        A_ub[-1, :n_x] = -(G_F @ r)
+        res = linprog(
+            np.concatenate([-L[:, k], np.zeros(n_v)]),
+            A_ub=A_ub, b_ub=np.zeros(len(A_ub)), A_eq=A_eq, b_eq=e,
+            bounds=bounds, method="highs",
+        )
+        if res.success:
+            solved[k] = (-float(res.fun), np.clip(res.x[:n_x], 0.0, None), r)
+            best = max(best, solved[k][0])
+    if not solved:  # pragma: no cover - some plan is always a best response
         raise RuntimeError("no follower plan admits an incentive-compatible leader plan")
-    return best
+    k = min(j for j, (v, _, _) in solved.items() if v >= best - 1e-12)
+    value, x, r = solved[k]
+    payoffs = x @ G_F
+    follower = float(payoffs @ r)
+    regret = max(0.0, float(_trie_best(payoffs, parents[1], n_us[1], np.max)) - follower)
+    return value, x, k, follower, regret
 
 
 def stackelberg_from_matrices(L: np.ndarray, F: np.ndarray) -> tuple[float, np.ndarray, int]:
     """Strong Stackelberg equilibrium of a bimatrix game: (leader value,
-    leader mixture, follower pure response); one leader information set."""
-    return _multiple_lp(L, F, np.full(1, -1, dtype=np.intp), L.shape[0])
+    leader mixture, follower pure response); one information set each."""
+    one_set = np.full(1, -1, dtype=np.intp)
+    unit = np.eye(F.shape[1])
+    value, x, k, _, _ = _multiple_lp(L, F, lambda k: unit[k], (one_set, one_set), F.shape)
+    return value, x, k
 
 
-def _stackelberg_kernel(model: PosgModel, s: OccupancyState, cap_per_agent: int) -> tuple:
+@dataclass(frozen=True)
+class StackelbergSolution:
+    """Strong Stackelberg equilibrium below an occupancy state: the leader's
+    realization plan ``plan`` over its sequences (numbered by ``kids`` as in
+    ``SequenceFormSolution``) and the follower's pure plan ``k``, its index
+    in the follower's anchored space and ``assignment`` its tree per anchor."""
+
+    values: tuple[float, float]
+    plan: np.ndarray
+    k: int
+    assignment: Mapping[PrivateHistory, PolicyTree]
+    kids: Mapping[tuple[int, int, int], int]
+    metadata: Mapping[str, object]
+
+
+def _stackelberg_kernel(
+    model: PosgModel, s: OccupancyState, tolerance: float, cap_bytes: int
+) -> StackelbergSolution:
     """Strong Stackelberg equilibrium below occupancy ``s``, the follower's
-    pure plans enumerated and the leader in sequence form: (leader value, its
-    realization plan, follower plan, follower payoffs ``F`` over (leader
-    sequence, follower plan), follower space, leader ``kids``)."""
-    (L, F), spaces, kids, parents = _normal_form(model, s, [0, 1], cap_per_agent, keep=(0,))
-    value, x, k = _multiple_lp(L, F, parents[0], len(model.actions[0]))
-    return value, x, k, F, spaces[1], kids[0]
+    pure plans enumerated and the leader in sequence form.
+
+    The certificate, the follower's regret (its best pure plan's value
+    against the leader's plan less the chosen plan's), must stay within
+    ``max(tolerance, 1e-7)`` times the follower's largest payoff magnitude."""
+    (L, G_F), spaces, kids, parents = _normal_form(
+        model, s, [0], cap_bytes, keep=(0,), uncontracted=(1,)
+    )
+    anchors, space = _anchors(s, 1), spaces[1]
+    n_us = [len(model.actions[i]) for i in range(2)]
+
+    def realize(k: int) -> np.ndarray:
+        return _realization(n_us[1], anchors, space[k : k + 1], kids[1])[0]
+
+    value, x, k, follower, regret = _multiple_lp(L, G_F, realize, parents, n_us)
+    if regret > max(tolerance, 1e-7) * max(1.0, float(np.abs(G_F).max(initial=0.0))):
+        raise RuntimeError(f"stackelberg follower regret {regret:.3g} exceeds tolerance")
+    metadata = {"method": "multiple-lp", "shape": L.shape, "follower_regret": regret}
+    return StackelbergSolution((value, follower), x, k, space[k], kids[0], metadata)
 
 
-def solve_stackelberg(model: PosgModel, cap_per_agent: int = CAP_PER_AGENT) -> Equilibrium:
+def solve_stackelberg(
+    model: PosgModel,
+    tolerance: float = DEFAULT_TOLERANCE,
+    cap_bytes: int = CAP_BYTES,
+) -> Equilibrium:
     """Strong Stackelberg equilibrium with agent 1 committing publicly; its
     plan is returned as a mixture over pure policy trees (Kuhn)."""
     _require(model, "stackelberg", "solve_stackelberg")
-    s0 = initial_occupancy(model)
-    value, x, k, F, space, kids = _stackelberg_kernel(model, s0, cap_per_agent)
-    mixture, trees = _kuhn_mixture(model, 0, x, kids)
+    sol = _stackelberg_kernel(model, initial_occupancy(model), tolerance, cap_bytes)
+    mixture, trees = _kuhn_mixture(model, 0, sol.plan, sol.kids)
     return Equilibrium(
         criterion="stackelberg",
-        values=(float(value), float(x @ F[:, k])),
-        mixtures=(mixture, {k: 1.0}),
-        policies=(trees, {k: space[k][PrivateHistory(1)]}),
-        metadata={"method": "multiple-lp", "shape": F.shape},
+        values=sol.values,
+        mixtures=(mixture, {sol.k: 1.0}),
+        policies=(trees, {sol.k: sol.assignment[PrivateHistory(1)]}),
+        metadata=dict(sol.metadata),
     )
 
 
@@ -974,24 +1072,24 @@ def zero_sum_value_from(
     model: PosgModel,
     s: OccupancyState,
     tolerance: float = DEFAULT_TOLERANCE,
-    cap_per_agent: int = CAP_PER_AGENT,
+    cap_bytes: int = CAP_BYTES,
 ) -> tuple[float, SequenceFormSolution, object]:
     """Saddle value of the zero-sum subgame rooted at occupancy ``s``, with
     the saddle point and agent 0's sequence-form payoff matrix (a
     ``scipy.sparse`` CSR array)."""
-    sol, G = _zero_sum_kernel(model, s, tolerance, cap_per_agent)
+    sol, G = _zero_sum_kernel(model, s, tolerance, cap_bytes)
     return sol.value, sol, G
 
 
 def dec_value_from(
-    model: PosgModel, s: OccupancyState, cap_per_agent: int = CAP_PER_AGENT
+    model: PosgModel, s: OccupancyState, cap_bytes: int = CAP_BYTES
 ) -> float:
     """Optimal common-payoff value from occupancy ``s`` onward."""
-    return float(_one_sided(model, s, cap_per_agent, np.max)[0].max())
+    return float(_one_sided(model, s, cap_bytes, np.max)[0].max())
 
 
 def stackelberg_value_from(
-    model: PosgModel, s: OccupancyState, cap_per_agent: int = CAP_PER_AGENT
+    model: PosgModel, s: OccupancyState, cap_bytes: int = CAP_BYTES
 ) -> float:
     """Strong Stackelberg leader value from occupancy ``s`` onward."""
-    return float(_stackelberg_kernel(model, s, cap_per_agent)[0])
+    return _stackelberg_kernel(model, s, DEFAULT_TOLERANCE, cap_bytes).values[0]

@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ImpossibleObservationError, UnknownSuiteError
+from .errors import CapExceededError, ImpossibleObservationError, UnknownSuiteError
 from .evaluate import linear_eval, value_tables
 from .model import PosgModel
 from .occupancy import (
@@ -60,6 +60,7 @@ from .sampling import random_decision_rule, random_joint_policy
 from .solve import (
     _anchored_space,
     _anchors,
+    _trie_size,
     best_response_private_from,
     best_response_value_from,
     dec_value_from,
@@ -70,6 +71,7 @@ from .solve import (
 
 EXACT_TOL = 1e-9
 SOLVER_TOL = 1e-6
+ORACLE_PLANS = 10**4  # the pwlc certificate evaluates each anchored plan on its own
 _CORRUPTION = 1e-3
 _BIG_CORRUPTION = 100.0
 
@@ -485,6 +487,9 @@ def _pwlc_certificate(
     """|DP best-response value - max over pure suffixes of linear evals|."""
     t = s.t
     anchors = _anchors(s, agent)
+    plans = _trie_size(model, agent, len(anchors), model.horizon - t)[1]
+    if plans > ORACLE_PLANS:
+        raise CapExceededError("anchored plans of the pwlc certificate", plans, ORACLE_PLANS)
     space = _anchored_space(model, agent, anchors, model.horizon - t)
     seeds = sorted({o for (_, o) in s.entries}, key=lambda o: o.sort_key())
     best = -np.inf
@@ -840,23 +845,14 @@ def lipschitz_constant(gamma: float, c: float, horizon: int, t: int) -> float:
 # ---------------------------------------------------------------------------
 
 SUITES = ("sufficiency", "slave", "master", "lipschitz", "controls")
+TOLERANCE_SUITES = ("master", "lipschitz")  # the suites ``tolerance_solver`` reaches
 
 
-def run_suite(
-    model: PosgModel,
-    suites: str | Sequence[str] = "all",
-    seed: int = 0,
-    n_samples: int = 50,
-    fixture: str = "model",
-    tolerance_solver: float = SOLVER_TOL,
-) -> list[PropertyReport]:
-    """Run the selected verification suites; deterministic given the seed.
-
-    ``controls`` reruns each applicable check with its corruption enabled and
-    reports a meta-property that passes exactly when the corrupted check
-    fails.  ``all`` skips the suites that do not apply to the model's
-    criterion; naming one of them raises ``UnknownSuiteError``.
-    """
+def selected_suites(model: PosgModel, suites: str | Sequence[str] = "all") -> list[str]:
+    """The suite names ``suites`` selects for ``model``: a comma-separated
+    string or a sequence of names, where ``all`` stands for every suite that
+    applies to the model's criterion except ``controls``.  An unknown name, or
+    one that does not apply, raises ``UnknownSuiteError``."""
     if isinstance(suites, str):
         names = [s.strip() for s in suites.split(",")] if suites != "all" else ["all"]
     else:
@@ -872,7 +868,25 @@ def run_suite(
             raise UnknownSuiteError(
                 f"suite {name!r} does not apply to criterion {model.criterion!r}"
             )
+    return names
 
+
+def run_suite(
+    model: PosgModel,
+    suites: str | Sequence[str] = "all",
+    seed: int = 0,
+    n_samples: int = 50,
+    fixture: str = "model",
+    tolerance_solver: float = SOLVER_TOL,
+) -> list[PropertyReport]:
+    """Run the suites ``selected_suites`` picks; deterministic given the
+    seed.
+
+    ``controls`` reruns each applicable check with its corruption enabled and
+    reports a meta-property that passes exactly when the corrupted check
+    fails.  ``tolerance_solver`` is read by ``TOLERANCE_SUITES`` only.
+    """
+    names = selected_suites(model, suites)
     reports: list[PropertyReport] = []
     for name in names:
         if name == "sufficiency":

@@ -53,26 +53,59 @@ def test_solve_zerosum_one_stage_point_mass(capsys):
 
 
 def test_solve_cap_exceeded(capsys):
-    code, _, err = run(capsys, "solve", TIGER, "--cap", "3")
-    assert code == 3 and "cap" in err
+    # tiger at its horizon 2, in doubles: the walk's depth blocks 3^2 + 18^2,
+    # agent 1's 27 x 21 realization matrix and the 21 x 27 payoffs
+    # contracted with it, 1,467 in all
+    code, _, err = run(capsys, "solve", TIGER, "--cap", "11735")
+    assert code == 3 and "normal form too large: 11736 bytes exceeds cap 11735 bytes" in err
+    code, out, _ = run(capsys, "solve", TIGER, "--cap", "11736")
+    assert code == 0 and "value_1: 2.4" in out.splitlines()
 
 
 def test_zero_sum_cap_counts_sequences(capsys):
-    # tiger-zs at its horizon 2 has 21 sequences per agent
-    code, _, err = run(capsys, "solve", TIGER_ZS, "--cap", "20")
-    assert code == 3 and "21 exceeds cap 20" in err
-    code, out, _ = run(capsys, "solve", TIGER_ZS, "--cap", "21")
+    # tiger-zs at its horizon 2 keeps both agents' 3 + 18 sequences: depth
+    # blocks of 3^2 + 18^2 doubles
+    code, _, err = run(capsys, "solve", TIGER_ZS, "--cap", "2663")
+    assert code == 3 and "2664 bytes exceeds cap 2663 bytes" in err
+    code, out, _ = run(capsys, "solve", TIGER_ZS, "--cap", "2664")
     assert code == 0 and "value_1: 0" in out
 
 
 def test_stackelberg_cap_counts_leader_sequences(capsys):
     # stackelberg-tiger at its horizon 2: the leader stays in sequence form
-    # with 10 sequences; the follower's 8 pure policies are enumerated
+    # with 2 + 8 sequences, the follower's 8 pure policies are enumerated;
+    # in doubles, 2 x (2^2 + 8^2) for the depth blocks of both payoffs,
+    # 8 x 10 for the follower's realization matrix, 10 x 8 for the leader's
+    # payoffs contracted with it and 10 x 10 for the follower's sequence form
     path = str(model_path("stackelberg-tiger"))
-    code, _, err = run(capsys, "solve", path, "--cap", "9")
-    assert code == 3 and "sequence form of agent 1 too large: 10 exceeds cap 9" in err
-    code, out, _ = run(capsys, "solve", path, "--cap", "10")
+    code, _, err = run(capsys, "solve", path, "--cap", "3167")
+    assert code == 3 and "normal form too large: 3168 bytes exceeds cap 3167 bytes" in err
+    code, out, _ = run(capsys, "solve", path, "--cap", "3168")
     assert code == 0 and "method: multiple-lp" in out
+
+
+def test_solve_stackelberg_prints_the_follower_regret(capsys):
+    path = str(model_path("stackelberg-tiger"))
+    code, out, _ = run(capsys, "solve", path, "--horizon", "3", "--tolerance", "0")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[lines.index("method: multiple-lp") + 1].startswith("follower_regret: ")
+    assert float(lines[-1].split(": ")[1]) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", TIGER, "--suite", "sufficiency,slave", "--samples", "1", "--tolerance", "0"],
+        ["solve", TIGER, "--tolerance", "0"],
+        ["sweep", ONE_STAGE, "--grid", "3", "--tolerance", "0"],
+    ],
+    ids=["verify-without-master-or-lipschitz", "solve-common", "sweep-common"],
+)
+def test_tolerance_that_nothing_reads_is_a_usage_error(capsys, argv):
+    assert exit_code(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage:") and "--tolerance" in err and "Traceback" not in err
 
 
 def test_solve_zero_sum_four_steps(capsys):

@@ -304,10 +304,11 @@ def test_solve_dec_requires_common(one_stage_zs):
 
 
 def test_solve_dec_respects_cap(tiger):
-    # 27 pure policies per agent at horizon 2
-    assert solve_dec(tiger, cap_per_agent=27).values[0] == pytest.approx(2.4)
-    with pytest.raises(CapExceededError, match="27 exceeds cap 26"):
-        solve_dec(tiger, cap_per_agent=26)
+    # tiger at horizon 2, in doubles: depth blocks 3^2 + 18^2, agent 1's
+    # 27 x 21 realization matrix and the 21 x 27 payoffs contracted with it
+    assert solve_dec(tiger, cap_bytes=11_736).values[0] == pytest.approx(2.4)
+    with pytest.raises(CapExceededError, match="11736 bytes exceeds cap 11735 bytes"):
+        solve_dec(tiger, cap_bytes=11_735)
 
 
 def three_agent_common(horizon: int):
@@ -462,7 +463,8 @@ def test_only_normal_form_sets_up_a_sequence_form():
     # depth check, cap, walk and parent numbering live in _normal_form alone
     for fn in (solve._zero_sum_kernel, solve._one_sided, solve._stackelberg_kernel):
         code = compile(inspect.getsource(fn), solve.__file__, "exec")
-        assert not code_names(code) & {"_sequence_payoffs", "_sequence_count", "_parents"}, fn
+        forbidden = {"_sequence_payoffs", "_trie_size", "_predicted_bytes", "_parents"}
+        assert not code_names(code) & forbidden, fn
     assert "pure_policy_count" not in inspect.getsource(solve)
 
 
@@ -531,10 +533,30 @@ def test_sse_degenerate_leader():
     assert k == 0
 
 
+def dense_row_sse(L, F, parents, n_u):
+    """Oracle: strong Stackelberg equilibrium by one LP per follower pure plan
+    ``k``, each with one row per follower plan (``F.T - F[:, k]``), every
+    plan tried in index order and a later plan kept only when it beats the
+    best so far by more than 1e-12.  Rows of ``L`` and ``F`` are the
+    leader's sequences, numbered by ``parents``.  Returns (value, leader
+    plan, k)."""
+    E, e = solve._plan_constraints(parents, n_u, dense=True)
+    best = None
+    for k in range(F.shape[1]):
+        res = solve.linprog(
+            -L[:, k], A_ub=F.T - F[:, k], b_ub=np.zeros(F.shape[1]), A_eq=E, b_eq=e,
+            method="highs",
+        )
+        if res.success and (best is None or -res.fun > best[0] + 1e-12):
+            best = (-res.fun, np.clip(res.x, 0.0, None), k)
+    return best
+
+
 def test_sse_pruning_keeps_the_unpruned_result(monkeypatch):
     calls, real = [], solve.linprog
     monkeypatch.setattr(solve, "linprog", lambda *a, **k: calls.append(1) or real(*a, **k))
     unpruned = pruned = 0
+    one_set = np.full(1, -1, dtype=np.intp)
     for seed in range(20):
         rng = np.random.default_rng(seed)
         m, n = rng.integers(2, 7, size=2)
@@ -542,12 +564,7 @@ def test_sse_pruning_keeps_the_unpruned_result(monkeypatch):
         L = rng.integers(-3, 4, size=(m, n)).astype(float)
         F = rng.integers(-3, 4, size=(m, n)).astype(float)
         calls.clear()
-        best = None  # the loop without the pruning test
-        E, e = np.ones((1, m)), np.ones(1)  # the leader's one information set
-        for k in range(n):
-            out = solve._sse_leader_lp(L[:, k], F, k, E, e)
-            if out is not None and (best is None or out[0] > best[0] + 1e-12):
-                best = (out[0], out[1], k)
+        best = dense_row_sse(L, F, one_set, m)
         before = len(calls)
         calls.clear()
         value, sigma, k = stackelberg_from_matrices(L, F)
@@ -786,19 +803,43 @@ def test_zero_sum_kuhn_mixtures_realize_the_plans(request, name, horizon):
         assert mixed  # a mixed saddle point
 
 
-def test_zero_sum_cap_counts_sequences_before_the_walk(tiger_zs, monkeypatch):
-    # tiger-zs: 3 actions x 2 observations, 3 * sum(6^d, d < h) sequences per agent
-    assert solve_zero_sum(tiger_zs, cap_per_agent=21).metadata["sequences"] == (21, 21)
+def test_zero_sum_cap_counts_sequences_before_the_walk(tiger_zs):
+    # tiger-zs: 3 actions x 2 observations, 3 * 6^d sequences per agent at
+    # depth d; the walk's depth blocks hold sum over d < h of (3 * 6^d)^2
+    # doubles (h=6, refused before the walk, is a case of the test below)
+    assert solve_zero_sum(tiger_zs, cap_bytes=2_664).metadata["sequences"] == (21, 21)
     with pytest.raises(CapExceededError):
-        solve_zero_sum(tiger_zs, cap_per_agent=20)
+        solve_zero_sum(tiger_zs, cap_bytes=2_663)
 
-    def no_walk(*args, **kwargs):
-        raise AssertionError("walked past the cap")
 
-    monkeypatch.setattr(solve, "_sequence_payoffs", no_walk)
+def no_build(*args, **kwargs):
+    raise AssertionError("built past the budget")
+
+
+@pytest.mark.parametrize(
+    "name, solver, horizon, doubles",
+    [
+        # both agents' depth blocks, the last one (3 * 6^5)^2 doubles
+        ("tiger_zs", solve_zero_sum, 6, sum((3 * 6**d) ** 2 for d in range(6))),
+        # 3^15 agent-1 trees over 777 sequences, and the payoffs contracted
+        # with them
+        ("tiger", solve_dec, 4, sum((3 * 6**d) ** 2 for d in range(4)) + 2 * 3**15 * 777),
+        # 2^31 follower trees over 682 sequences, the leader's payoffs
+        # contracted with them, the follower's dense sequence form
+        (
+            "st_tiger", solve_stackelberg, 5,
+            2 * sum((2 * 4**d) ** 2 for d in range(5)) + 2 * 2**31 * 682 + 682**2,
+        ),
+    ],
+)
+def test_budget_refuses_before_any_walk_or_enumeration(
+    request, monkeypatch, name, solver, horizon, doubles
+):
+    monkeypatch.setattr(solve, "_sequence_payoffs", no_build)
+    monkeypatch.setattr(solve, "enumerate_pure_policies", no_build)
     with pytest.raises(CapExceededError) as info:
-        solve_zero_sum(tiger_zs.with_horizon(6))
-    assert info.value.count == 27_993
+        solver(request.getfixturevalue(name).with_horizon(horizon))
+    assert info.value.count == 8 * doubles and info.value.cap == solve.CAP_BYTES == 2**30
 
 
 def test_zero_sum_four_steps(tiger_zs):
@@ -874,6 +915,37 @@ def leader_realization(m, mixture, kids) -> np.ndarray:
     return sum(w * R[i] for i, w in mixture.items())
 
 
+def random_stackelberg(seed, horizon, n_public):
+    rng = np.random.default_rng(seed)
+    m = random_posg(
+        rng, n_actions=(2, 3), n_obs=(2, 1), n_public=n_public, horizon=horizon,
+        discount=0.9, criterion="stackelberg",
+    )
+    return m, rng
+
+
+def dense_row_oracle(m, s):
+    """``dense_row_sse`` below ``s`` on the leader-sequence by follower-plan
+    payoffs: (leader value, follower plan, follower payoffs ``F``)."""
+    (L, F), _, _, parents = solve._normal_form(m, s, [0, 1], solve.CAP_BYTES, keep=(0,))
+    value, _, k = dense_row_sse(L, F, parents[0], len(m.actions[0]))
+    return value, k, F
+
+
+def check_kernel_against_dense_rows(m, s, tolerance=solve.DEFAULT_TOLERANCE):
+    """The Stackelberg kernel below ``s`` against ``dense_row_sse`` on the
+    same leader-sequence by follower-plan payoffs: values within 1e-12, the
+    same follower plan, and that plan a best response to the kernel's leader
+    plan on the oracle's ``F``."""
+    value, k, F = dense_row_oracle(m, s)
+    sol = solve._stackelberg_kernel(m, s, tolerance, solve.CAP_BYTES)
+    assert abs(sol.values[0] - value) <= 1e-12 and sol.k == k
+    assert abs(sol.values[1] - sol.plan @ F[:, k]) <= 1e-12
+    assert (sol.plan @ F).max() - sol.plan @ F[:, k] <= 1e-9  # k is a best response
+    assert sol.metadata["follower_regret"] <= 1e-9
+    return sol
+
+
 @settings(max_examples=12, deadline=None)
 @given(
     seed=st.integers(0, 10**6),
@@ -881,26 +953,60 @@ def leader_realization(m, mixture, kids) -> np.ndarray:
     n_public=st.integers(1, 2),
 )
 def test_stackelberg_sequence_form_leader_matches_normal_form(seed, horizon, n_public):
-    rng = np.random.default_rng(seed)
-    m = random_posg(
-        rng, n_actions=(2, 3), n_obs=(2, 1), n_public=n_public, horizon=horizon,
-        discount=0.9, criterion="stackelberg",
-    )
+    m, rng = random_stackelberg(seed, horizon, n_public)
+    one_set = np.full(1, -1, dtype=np.intp)
     for s in start_and_step_states(m, rng):
+        sol = check_kernel_against_dense_rows(m, s)
+        # the leader mixing over its anchored pure plans reaches the same value
         (L, F), _ = suffix_normal_form(m, s, (0, 1))
-        value, _, k = stackelberg_from_matrices(L, F)
-        v, x, k_seq, F_seq, _, kids = solve._stackelberg_kernel(m, s, solve.CAP_PER_AGENT)
-        assert abs(v - value) <= 1e-9 and k_seq == k
-        assert x @ F_seq[:, k] >= (x @ F_seq).max() - 1e-9  # k is a best response
+        value, _, k = dense_row_sse(L, F, one_set, L.shape[0])
+        assert abs(sol.values[0] - value) <= 1e-9 and sol.k == k
         assert abs(solve.stackelberg_value_from(m, s) - value) <= 1e-9
     s0 = initial_occupancy(m)
-    (L, F), _ = suffix_normal_form(m, s0, (0, 1))
-    value, _, k = stackelberg_from_matrices(L, F)
-    _, x, _, _, _, kids = solve._stackelberg_kernel(m, s0, solve.CAP_PER_AGENT)
+    sol = solve._stackelberg_kernel(m, s0, solve.DEFAULT_TOLERANCE, solve.CAP_BYTES)
     eq = solve_stackelberg(m)
-    assert abs(eq.values[0] - value) <= 1e-9 and eq.mixtures[1] == {k: 1.0}
+    assert eq.values == sol.values and eq.mixtures[1] == {sol.k: 1.0}
     assert abs(sum(eq.mixtures[0].values()) - 1.0) <= 1e-9
-    assert np.abs(leader_realization(m, eq.mixtures[0], kids) - x).max() <= 1e-9
+    assert np.abs(leader_realization(m, eq.mixtures[0], sol.kids) - sol.plan).max() <= 1e-9
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3])
+def test_stackelberg_tiger_matches_the_dense_rows(st_tiger, horizon):
+    m = st_tiger.with_horizon(horizon)
+    check_kernel_against_dense_rows(m, initial_occupancy(m))
+
+
+def test_dense_rows_catch_a_dropped_dual_row(monkeypatch):
+    # without the dual row of the follower's first sequence the follower may
+    # seem to best-respond when it does not: the kernel's value or plan
+    # leaves the oracle's, taken before the row is dropped, and the kernel's
+    # own certificate, the follower's regret, fails
+    m, _ = random_stackelberg(4, 2, 1)
+    s0 = initial_occupancy(m)
+    check_kernel_against_dense_rows(m, s0)
+    value, k, _ = dense_row_oracle(m, s0)
+    real = solve.linprog
+
+    def drop_first_row(c, A_ub, b_ub, **kwargs):
+        return real(c, A_ub=A_ub[1:], b_ub=b_ub[1:], **kwargs)
+
+    monkeypatch.setattr(solve, "linprog", drop_first_row)
+    sol = solve._stackelberg_kernel(m, s0, np.inf, solve.CAP_BYTES)
+    assert abs(sol.values[0] - value) > 1e-6 and sol.k != k
+    with pytest.raises(RuntimeError, match="follower regret"):
+        solve._stackelberg_kernel(m, s0, solve.DEFAULT_TOLERANCE, solve.CAP_BYTES)
+
+
+def test_stackelberg_four_steps_in_one_lp(st_tiger, monkeypatch):
+    # 32,768 follower plans; the leader's best pure value against the first
+    # one in descending order already falls short of no other plan's LP
+    calls, real = [], solve.linprog
+    monkeypatch.setattr(solve, "linprog", lambda *a, **k: calls.append(1) or real(*a, **k))
+    eq = solve_stackelberg(st_tiger.with_horizon(4))
+    assert abs(eq.values[0] - 4.3214405625) <= 1e-9
+    assert len(calls) == 1
+    assert eq.metadata["follower_regret"] <= 1e-9
+    assert eq.metadata["shape"] == (170, 32768)
 
 
 def test_stackelberg_leader_in_sequence_form_three_steps(st_tiger):
