@@ -14,8 +14,9 @@ works level by level over integer history ids: a level holds a state, one
 history id per agent and a mass per entry (``Level``), and the kernel expands
 it through every joint action and outcome at once, weighted by per-agent
 rule arrays indexed by (history id, own action).  A joint update splits the
-children by the public observation; a private update is the joint one with
-the agent's own action a point-mass rule, split by its own observation.
+children by the public observation; a private update pushes every own action
+of the agent at once, the others acting by their rules, and splits the
+children by its own (action, observation).
 History objects are built only at the public boundary, once per private
 history and once per returned entry, and each returned state keeps its level
 so that the next update skips the conversion from its entries.
@@ -115,12 +116,6 @@ class PrivateOccupancyState:
 
     def items(self):
         return _sorted_items(self.entries)
-
-    def canonical_key(self):
-        """Hashable key identifying the state up to 1e-12 rounding."""
-        return tuple(
-            (x, o.sort_key(), round(p, 12)) for (x, o), p in _sorted_items(self.entries)
-        )
 
 
 @dataclass(frozen=True)
@@ -283,6 +278,12 @@ def action_probs(
     return a
 
 
+def own_actions(model: PosgModel, agent: int) -> np.ndarray:
+    """``agent``'s own action in each joint action."""
+    shape = [len(labels) for labels in model.actions]
+    return np.unravel_index(np.arange(model.n_joint_actions), shape)[agent]
+
+
 def rule_arrays(
     model: PosgModel,
     rules: Sequence[DecisionRule | None],
@@ -296,11 +297,6 @@ def rule_arrays(
         else np.array([rule.dist(h) for h in hs], dtype=float).reshape(len(hs), len(labels))
         for rule, hs, labels in zip(rules, hists, model.actions)
     ]
-
-
-def level_reward(model: PosgModel, level: Level, a: np.ndarray, agent: int) -> float:
-    """The level's expected immediate reward of ``agent``."""
-    return sum_in_order((level.mass[:, None] * a * model.rewards[agent][level.xs]).ravel())
 
 
 def sum_in_order(values: np.ndarray) -> float:
@@ -444,7 +440,7 @@ def expected_reward(
     """Immediate expected reward of one agent under a joint decision rule."""
     level, hists = level_of(model, s)
     a = action_probs(model, level, rule_arrays(model, rules, hists))
-    return level_reward(model, level, a, agent)
+    return sum_in_order((level.mass[:, None] * a * model.rewards[agent][level.xs]).ravel())
 
 
 def factorize(
@@ -487,46 +483,38 @@ def initial_private_occupancy(model: PosgModel, agent: int) -> PrivateOccupancyS
     return PrivateOccupancyState(agent, PrivateHistory(agent), _start_entries(model))
 
 
-def anchored_rules(
-    model: PosgModel,
-    anchor: PrivateHistory,
-    others_rules: Mapping[int, DecisionRule],
-    u_i: int,
-) -> tuple[DecisionRule, ...]:
-    """Joint decision rule whose anchored agent plays ``u_i`` for sure at its
-    anchor history, next to the others' rules."""
-    point = [0.0] * len(model.actions[anchor.agent])
-    point[u_i] = 1.0
-    own = DecisionRule(anchor.agent, anchor.t, {anchor: tuple(point)})
-    return tuple(
-        own if j == anchor.agent else others_rules[j] for j in range(model.n_agents)
-    )
-
-
 def private_branches(
     model: PosgModel,
     s_i: PrivateOccupancyState,
     others_rules: Mapping[int, DecisionRule],
-    u_i: int,
-    only: int | None = None,
+    only: tuple[int, int] | None = None,
     push: bool = True,
-) -> tuple[float, list[tuple[int, float, PrivateOccupancyState]]]:
-    """The joint update with the agent's own action a point-mass rule: its
-    immediate reward for ``u_i`` and, unless ``push`` is off, ``(z_i,
-    probability, next private occupancy state)`` for every own observation
-    with positive probability (only ``only`` when given), in increasing z_i."""
+) -> tuple[list[float], list[tuple[int, int, float, PrivateOccupancyState]]]:
+    """The joint update with every own action of the anchored agent at once,
+    the others acting by their rules: its immediate reward for each own
+    action and, unless ``push`` is off, ``(u_i, z_i, probability, next
+    private occupancy state)`` for every own action and observation with
+    positive probability (only the pair ``only`` when given), in increasing
+    ``(u_i, z_i)``.  The agent's own rule is None, weight 1 per own action,
+    so each action's rows carry what a point-mass rule on it would."""
+    agent = s_i.agent
     level, hists = level_of(model, s_i)
-    rules = anchored_rules(model, s_i.anchor, others_rules, u_i)
+    rules = [None if j == agent else others_rules[j] for j in range(model.n_agents)]
     a = action_probs(model, level, rule_arrays(model, rules, hists))
-    reward = level_reward(model, level, a, s_i.agent)
+    arrays, n_z = model._successor_arrays, model.n_agent_obs(agent)
+    reward = level.mass[:, None] * a * model.rewards[agent][level.xs]
+    own = own_actions(model, agent)
+    rewards = [sum_in_order(reward[:, own == u].ravel()) for u in range(len(model.actions[agent]))]
     if not push:
-        return reward, []
-    own_obs = model._successor_arrays.obs[:, s_i.agent]
+        return rewards, []
+    own_step = arrays.acts[:, agent] * n_z + arrays.obs[:, agent]
+    key = None if only is None else only[0] * n_z + only[1]
     children = []
-    for z_i, p, entries, nxt in _branches(model, level, hists, a, own_obs, only):
-        state = PrivateOccupancyState(s_i.agent, s_i.anchor.child(u_i, z_i), entries)
-        children.append((z_i, p, _with_level(state, nxt)))
-    return reward, children
+    for k, p, entries, nxt in _branches(model, level, hists, a, own_step, key):
+        u_i, z_i = divmod(k, n_z)
+        state = PrivateOccupancyState(agent, s_i.anchor.child(u_i, z_i), entries)
+        children.append((u_i, z_i, p, _with_level(state, nxt)))
+    return rewards, children
 
 
 def private_step(
@@ -542,12 +530,12 @@ def private_step(
     ``z_i`` is the agent's flattened observation (private and public parts),
     so only joint observations whose public component matches contribute.
     """
-    _, children = private_branches(model, s_i, others_rules, u_i, only=z_i)
+    _, children = private_branches(model, s_i, others_rules, only=(u_i, z_i))
     if not children:
         raise ImpossibleObservationError(
             f"observation {z_i} has probability 0 after action {u_i} for agent {s_i.agent}"
         )
-    _, prob, next_state = children[0]
+    _, _, prob, next_state = children[0]
     return prob, next_state
 
 
@@ -559,7 +547,7 @@ def private_reward(
 ) -> float:
     """Immediate expected reward of the anchored agent for its action, the
     others acting by their rules."""
-    return private_branches(model, s_i, others_rules, u_i, push=False)[0]
+    return private_branches(model, s_i, others_rules, push=False)[0][u_i]
 
 
 def private_occupancy(

@@ -4,7 +4,8 @@ Best responses come in two exchangeable routes: backward induction over the
 agent's private histories carrying unnormalized measures (one forward walk
 with the agent's actions as sequences, then one reverse fold over its
 histories), and dynamic programming over private occupancy states with
-normalized Bayesian updates.  Both break ties toward the lowest action within
+normalized Bayesian updates (one recursion that pushes each state once, all
+own actions in that push).  Both break ties toward the lowest action within
 ``1e-12 * max(1, |max|)`` of the best.
 Equality of their values on every input is the operational form of the
 sufficiency of private occupancy states.
@@ -57,6 +58,7 @@ from .occupancy import (
     initial_private_occupancy,
     level_of,
     next_level,
+    own_actions,
     private_branches,
     rule_arrays,
 )
@@ -226,9 +228,7 @@ def _history_br(
     continuation to its parent sequence."""
     profiles = _others_profiles(model, others, agent)
     n_u = len(model.actions[agent])
-    own_action = np.unravel_index(
-        np.arange(model.n_joint_actions), [len(labels) for labels in model.actions]
-    )[agent]
+    own_action = own_actions(model, agent)
     level, hists = level_of(model, s)
     seeds = hists[agent]
     own_hists = list(seeds)
@@ -274,76 +274,56 @@ def best_response_value_from(
 
 
 def _private_dp(
-    model: PosgModel, profiles: list[dict[int, DecisionRule]], agent: int
-) -> Callable[[PrivateOccupancyState, int], tuple[float, tuple[float, ...]]]:
-    """Memoized Bellman optimality over private occupancy states: returns
-    ``V(s_i, t) -> (value, q per own action)``.
+    model: PosgModel,
+    profiles: list[dict[int, DecisionRule]],
+    agent: int,
+    s_i: PrivateOccupancyState,
+    t: int,
+) -> tuple[float, PolicyTree, dict[PrivateHistory, tuple[float, ...]]]:
+    """Bellman optimality over private occupancy states below ``s_i`` at step
+    ``t``: its value, its greedy tree, and the q per own action on every
+    history that tree reaches.
 
-    Values are memoized on the occupancy state itself (canonical rounded
-    form), so histories inducing the same posterior share one subproblem.
-    """
-    horizon = model.horizon
-    n_u = len(model.actions[agent])
-    memo: dict = {}
-
-    def V(s_i: PrivateOccupancyState, t: int) -> tuple[float, tuple[float, ...]]:
-        if t >= horizon:
-            return 0.0, ()
-        key = (t, s_i.canonical_key())
-        if key in memo:
-            return memo[key]
-        qs = []
-        for u_i in range(n_u):
-            q, children = private_branches(
-                model, s_i, profiles[t], u_i, push=t + 1 < horizon
-            )
-            for _, omega, nxt in children:
-                q += model.discount * omega * V(nxt, t + 1)[0]
-            qs.append(q)
-        result = (max(qs), tuple(qs))
-        memo[key] = result
-        return result
-
-    return V
+    Each state is pushed once, every own action in that one push, and each
+    action's q adds its branches' discounted values in increasing own
+    observation."""
+    rewards, children = private_branches(model, s_i, profiles[t], push=t + 1 < model.horizon)
+    qs, below = list(rewards), {}
+    for u_i, z_i, omega, nxt in children:
+        below[u_i, z_i] = _private_dp(model, profiles, agent, nxt, t + 1)
+        qs[u_i] += model.discount * omega * below[u_i, z_i][0]
+    u_i = _argmax_lowest(qs)
+    q = {s_i.anchor: tuple(qs)}
+    if t + 1 >= model.horizon:
+        return max(qs), PolicyTree(agent, u_i), q
+    subtrees = []
+    for z_i in range(model.n_agent_obs(agent)):
+        if (u_i, z_i) in below:
+            _, tree, q_below = below[u_i, z_i]
+            q.update(q_below)
+        else:
+            tree = _pure_tree(model, agent, {}, None, None, model.horizon - t - 1)[1]
+        subtrees.append(tree)
+    return max(qs), PolicyTree(agent, u_i, tuple(subtrees)), q
 
 
 def best_response_private(model: PosgModel, others, agent: int) -> BestResponse:
-    """Dynamic programming over the private occupancy-state MDP; one walk of
-    the greedy tree collects the policy and the q-table."""
-    horizon = model.horizon
+    """Dynamic programming over the private occupancy-state MDP from the
+    start, with the greedy tree and its q-table."""
     profiles = _others_profiles(model, others, agent)
-    n_z = model.n_agent_obs(agent)
-    V = _private_dp(model, profiles, agent)
-    q_out: dict[PrivateHistory, tuple[float, ...]] = {}
-
-    def walk(s_i: PrivateOccupancyState, t: int) -> PolicyTree:
-        _, qs = V(s_i, t)
-        q_out[s_i.anchor] = qs
-        u_i = _argmax_lowest(qs)
-        if t + 1 >= horizon:
-            return PolicyTree(agent, u_i)
-        _, children = private_branches(model, s_i, profiles[t], u_i)
-        reached = {z_i: nxt for z_i, _, nxt in children}
-        children = tuple(
-            walk(reached[z_i], t + 1)
-            if z_i in reached
-            else _pure_tree(model, agent, {}, None, None, horizon - t - 1)[1]
-            for z_i in range(n_z)
-        )
-        return PolicyTree(agent, u_i, children)
-
     root = initial_private_occupancy(model, agent)
-    value, _ = V(root, 0)
-    tree = walk(root, 0)
-    return BestResponse(agent, value, tree, q_out, "private-occupancy-dp")
+    value, tree, q = _private_dp(model, profiles, agent, root, 0)
+    return BestResponse(agent, value, tree, q, "private-occupancy-dp")
 
 
 def best_response_private_from(
     model: PosgModel, others, agent: int, s_i: PrivateOccupancyState, t0: int
 ) -> float:
-    """Private-route best-response value from one private occupancy state."""
-    profiles = _others_profiles(model, others, agent)
-    return _private_dp(model, profiles, agent)(s_i, t0)[0]
+    """Private-route best-response value from one private occupancy state;
+    0 at or past the horizon."""
+    if t0 >= model.horizon:
+        return 0.0
+    return _private_dp(model, _others_profiles(model, others, agent), agent, s_i, t0)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -575,14 +575,7 @@ def _dec_structure(model, rng, n_samples, negative_control) -> float:
     for k in range(n_samples):
         if t == 0:
             s_a = initial_occupancy(model)
-            s_b = OccupancyState(
-                0,
-                {
-                    (x, empty_joint_history(model.n_agents)): float(p)
-                    for x, p in enumerate(rng.dirichlet(np.ones(model.n_states)))
-                    if p > 1e-12
-                },
-            )
+            s_b = _belief_occupancy(model, rng.dirichlet(np.ones(model.n_states)))
         else:
             s_a, _ = _sample_prefix_occupancy(model, t, rng)
             s_b, _ = _sample_prefix_occupancy(model, t, rng)

@@ -19,6 +19,7 @@ from occupancy_games.occupancy import (
     expected_reward,
     initial_occupancy,
     initial_private_occupancy,
+    private_step,
     step,
 )
 from occupancy_games.policies import (
@@ -268,6 +269,42 @@ def test_private_q_table_is_its_greedy_tree(tiger, case):
         assert set(private.q) == _reached_histories(m, policy, agent, private.policy)
         for hist, qs in private.q.items():
             assert np.allclose(qs, history.q[hist], rtol=0.0, atol=1e-9)
+
+
+def _pushed_anchors(monkeypatch) -> list[PrivateHistory]:
+    """The anchor of every private occupancy state the private route pushes,
+    one per ``private_branches`` call."""
+    anchors = []
+    push = solve.private_branches
+
+    def counted(model, s_i, *args, **kwargs):
+        anchors.append(s_i.anchor)
+        return push(model, s_i, *args, **kwargs)
+
+    monkeypatch.setattr(solve, "private_branches", counted)
+    return anchors
+
+
+def test_private_route_pushes_each_state_once(tiger, monkeypatch):
+    # against a full-support opponent every one of agent 1's 1 + 6 + 36
+    # histories of tiger h=3 is reached, and each state is pushed once with
+    # all its own actions
+    m = tiger.with_horizon(3)
+    other = random_behavioral_policy(m, 1, np.random.default_rng(5))
+    anchors = _pushed_anchors(monkeypatch)
+    best_response_private(m, {1: other}, 0)
+    assert len(anchors) == len(set(anchors)) == 43
+
+
+def test_private_route_pushes_each_state_once_from_a_mid_game_state(tiger, monkeypatch):
+    # a t=1 state of tiger h=3 and its 3 x 2 children
+    m = tiger.with_horizon(3)
+    other = random_behavioral_policy(m, 1, np.random.default_rng(5))
+    _, s_i = private_step(m, initial_private_occupancy(m, 0), {1: other.rules[0]}, 2, 1)
+    anchors = _pushed_anchors(monkeypatch)
+    best_response_private_from(m, {1: other}, 0, s_i, 1)
+    assert len(anchors) == len(set(anchors)) == 7
+    assert all(h.steps[0] == (2, 1) for h in anchors)
 
 
 def test_best_responses_name_a_missing_agent(tiger):
