@@ -18,8 +18,9 @@ under perfect recall).  Zero-sum games solve as one realization-plan linear
 program over that tensor (Koller, Megiddo & von Stengel 1996), read back as
 mixtures over pure policy trees; a game where each agent has a single
 information set is the matrix game itself and keeps its closed forms.
-Common-payoff and Stackelberg games enumerate reduced pure policy trees (one
-per anchor) for all agents but one and keep that agent in sequence form: the
+Common-payoff and Stackelberg games enumerate pure plans (a reduced policy
+tree per anchor, each plan an index whose base-``n_u`` digits are its
+actions) for all agents but one and keep that agent in sequence form: the
 last agent of a common-payoff game best-responds to each enumerated profile by
 one reverse max over its information sets; a Stackelberg leader's realization
 plan is the variable of one linear program per follower pure plan, tried in
@@ -32,9 +33,9 @@ Ties everywhere break toward the lowest enumeration index.
 ``_normal_form`` is the one set-up of that walk.  ``cap_bytes`` is one budget
 for every criterion: the bytes of the dense arrays it would build, predicted
 from the agents' full tries before any walk or enumeration.  It leaves out
-the per-policy Python objects, the LP matrices and intermediate copies, so
-it does not bound peak memory.  Every solver
-reads the model's own horizon; ``PosgModel.with_horizon`` sets another.
+the LP matrices and intermediate copies, so it does not bound peak memory.
+Every solver reads the model's own horizon; ``PosgModel.with_horizon`` sets
+another.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -258,10 +259,11 @@ def _history_br(
         h: tuple((v[j] / mass[j]).tolist()) for j, h in enumerate(own_hists) if mass[j] > 0.0
     }
     depth = model.horizon - s.t
-    trees = {
-        h: _pure_tree(model, agent, kids, lambda j: _argmax_lowest(v[j]), root, depth)[1]
-        for root, h in enumerate(seeds)
-    }
+    greedy = [
+        _pure_tree(model, agent, kids, lambda j: _argmax_lowest(v[j]), root, depth)[0]
+        for root in range(len(seeds))
+    ]
+    trees = {h: _tree(model, agent, k, depth) for h, k in zip(seeds, greedy)}
     total = float(sum(v[root].max() for root in range(len(seeds))))
     return total, trees, q_out
 
@@ -302,7 +304,7 @@ def _private_dp(
             _, tree, q_below = below[u_i, z_i]
             q.update(q_below)
         else:
-            tree = _pure_tree(model, agent, {}, None, None, model.horizon - t - 1)[1]
+            tree = _tree(model, agent, 0, model.horizon - t - 1)
         subtrees.append(tree)
     return max(qs), PolicyTree(agent, u_i, tuple(subtrees)), q
 
@@ -338,8 +340,9 @@ def _anchors(s: OccupancyState, agent: int) -> list[PrivateHistory]:
 def _anchored_space(
     model: PosgModel, agent: int, anchors: Sequence[PrivateHistory], depth: int
 ) -> list[dict[PrivateHistory, PolicyTree]]:
-    """Pure policy suffixes: one depth-``depth`` tree per anchor history.
-    Callers bound their count, ``_trie_size``, before enumerating."""
+    """Pure policy suffixes as trees, one depth-``depth`` tree per anchor, in
+    plan index order; for the tree-space normal forms, never on the solver
+    path.  Callers bound their count, ``_trie_size``, before enumerating."""
     plans = _trie_size(model, agent, len(anchors), depth)[1]
     trees = enumerate_pure_policies(model, agent, depth, cap=plans)
     combos = itertools.product(trees, repeat=len(anchors))
@@ -421,39 +424,36 @@ def _payoff_block(level: Level, rewards: np.ndarray) -> np.ndarray:
     return block.reshape(tuple(k * n_u for k, n_u in zip(n_sets, n_us)) + rewards.shape[-1:])
 
 
-def _realization(
-    n_u: int,
-    anchors: Sequence[PrivateHistory],
-    space: Sequence[Mapping[PrivateHistory, PolicyTree]],
-    kids: Mapping[tuple[int, int, int], int],
+def _plan_realization(
+    model: PosgModel, agent: int, n_anchors: int, kids: Mapping, depth: int
 ) -> np.ndarray:
-    """0/1 matrix over (assignment, sequence of ``_sequence_payoffs``): 1
-    where the assignment's tree at the sequence's anchor plays every action
-    along it."""
-    index: dict[int, int] = {}  # id(tree) -> k
-    trees: list[PolicyTree] = []
-    which = np.empty((len(space), len(anchors)), dtype=np.intp)
-    for r, assign in enumerate(space):
-        for a, h in enumerate(anchors):
-            tree = assign[h]
-            if id(tree) not in index:
-                index[id(tree)] = len(trees)
-                trees.append(tree)
-            which[r, a] = index[id(tree)]
-    # plays[k, a]: the sequences tree k plays when rooted at anchor a
-    plays = np.zeros((len(trees), len(anchors), (len(anchors) + len(kids)) * n_u))
+    """0/1 matrix over (pure plan, sequence of ``_sequence_payoffs``): 1 where
+    the plan plays every action along the sequence.
 
-    def mark(k: int, a: int, node: PolicyTree, j: int) -> None:
-        plays[k, a, j * n_u + node.action] = 1.0
-        for z, child in enumerate(node.children):
-            c = kids.get((j, node.action, z))
-            if c is not None:  # None: the walk never reached it
-                mark(k, a, child, c)
-
-    for k, tree in enumerate(trees):
-        for a in range(len(anchors)):
-            mark(k, a, tree, a)
-    return sum(plays[which[:, a], a] for a in range(len(anchors)))
+    Plan ``k`` plays the base-``n_u`` digits of ``k``, most significant first,
+    in preorder over each anchor's full depth-``depth`` trie, anchor 0 first
+    (the order of ``_anchored_space``).  Sequence ``(c, u)``'s column is
+    (``k``'s digit at set ``c``'s trie position is ``u``) times its parent
+    sequence's column.  A reached set sits 1 + ``z`` subtries below its
+    parent set's position, ``z`` its own observation."""
+    n_u, n_z = len(model.actions[agent]), model.n_agent_obs(agent)
+    nodes = [sum(n_z**e for e in range(d)) for d in range(depth + 1)]  # of a d-level trie
+    n_digits = n_anchors * nodes[depth]
+    pos = [a * nodes[depth] for a in range(n_anchors)]
+    levels = [depth] * n_anchors  # levels of each set's subtrie, itself included
+    above = [-1] * n_anchors  # parent sequence
+    for (j, u, z), _ in sorted(kids.items(), key=lambda kv: kv[1]):
+        pos.append(pos[j] + 1 + z * nodes[levels[j] - 1])
+        levels.append(levels[j] - 1)
+        above.append(j * n_u + u)
+    plans = np.arange(n_u**n_digits)
+    plays = np.empty((len(pos) * n_u, len(plans)), dtype=bool)  # (sequence, plan)
+    for c, (p, a) in enumerate(zip(pos, above)):
+        seqs = slice(c * n_u, (c + 1) * n_u)
+        plays[seqs] = plans // n_u ** (n_digits - 1 - p) % n_u == np.arange(n_u)[:, None]
+        if a >= 0:
+            plays[seqs] &= plays[a]
+    return np.ascontiguousarray(plays.T, dtype=float)
 
 
 def _trie_size(model: PosgModel, agent: int, n_anchors: int, depth: int) -> tuple[list[int], int]:
@@ -477,8 +477,9 @@ def _predicted_bytes(
     tries: every depth block of the walk, and, when some agent is enumerated,
     each enumerated agent's realization matrix, the tensors contracted with
     them and the dense sequence-form matrices of the uncontracted agents of
-    interest.  The policy trees, the LP matrices and intermediate copies are
-    not counted: peak memory runs 2-3 times this at the bundled frontier."""
+    interest.  Plans are indices, not objects; the LP matrices and
+    intermediate copies are not counted: peak memory runs 1.6-3.2 times this
+    at the bundled frontier."""
     tries = [_trie_size(model, i, n_anchors[i], depth) for i in range(model.n_agents)]
     seqs = [sum(per_depth) for per_depth, _ in tries]
     n_interest = n_contracted + n_uncontracted
@@ -506,17 +507,18 @@ def _normal_form(
     cap_bytes: int,
     keep: Sequence[int] = (),
     uncontracted: Sequence[int] = (),
-) -> tuple[list, list[list[dict] | None], list[dict], list[np.ndarray]]:
+) -> tuple[list, list[np.ndarray | None], list[dict], list[np.ndarray]]:
     """Payoff tensors below occupancy ``s``, one per agent of interest and one
-    axis per agent, with each agent's assignment space, the ``kids`` of
+    axis per agent, with each agent's realization matrix, the ``kids`` of
     ``_sequence_payoffs`` and each agent's parent sequences.
 
     Under perfect recall a pure profile's payoff is multilinear in the
     agents' 0/1 sequence realizations, so every tensor is the sequence-form
     payoff contracted with each agent's realization matrix (for two agents,
-    ``R_0 @ G @ R_1.T``), taken one depth block at a time.  The agents in
-    ``keep`` are left uncontracted: their axes stay over their sequences and
-    their spaces are ``None``.  When both agents of a two-agent game are
+    ``R_0 @ G @ R_1.T``, ``_plan_realization``), taken one depth block at a
+    time.  The agents in ``keep`` are left uncontracted: their axes stay over
+    their sequences and their matrices are ``None``.  When both agents of a
+    two-agent game are
     kept, each tensor is the block-diagonal ``G`` itself, as a
     ``scipy.sparse`` CSR array.  The payoffs of the agents in
     ``uncontracted`` follow, each the dense block-diagonal ``G`` over the two
@@ -532,10 +534,6 @@ def _normal_form(
     )
     if n_bytes > cap_bytes:
         raise CapExceededError("normal form", n_bytes, cap_bytes, " bytes")
-    spaces = [
-        None if i in keep else _anchored_space(model, i, anchors[i], depth)
-        for i in range(model.n_agents)
-    ]
     blocks, kids = _sequence_payoffs(
         model, s, anchors, list(agents_of_interest) + list(uncontracted)
     )
@@ -544,8 +542,8 @@ def _normal_form(
         for i in range(model.n_agents)
     ]
     realizations = [
-        None if space is None else _realization(len(model.actions[i]), anchors[i], space, kids[i])
-        for i, space in enumerate(spaces)
+        None if i in keep else _plan_realization(model, i, len(anchors[i]), kids[i], depth)
+        for i in range(model.n_agents)
     ]
     n_c = len(agents_of_interest)
     if uncontracted:
@@ -573,7 +571,7 @@ def _normal_form(
         mats = list(np.concatenate(parts, axis=1 + kept[0]))
     else:  # both agents of a two-agent game kept: block diagonal, stored sparse
         mats = [_block_diagonal([part[k] for part in parts]) for k in range(n_c)]
-    return mats + dense, spaces, kids, parents
+    return mats + dense, realizations, kids, parents
 
 
 def _block_diagonal(blocks: Sequence[np.ndarray]):
@@ -604,8 +602,9 @@ def suffix_normal_form(
 ) -> tuple[list[np.ndarray], list[list[dict]]]:
     """Payoff tensors over anchored pure policy suffixes from occupancy ``s``;
     axis ``i`` indexes agent ``i``'s assignments of one tree per anchor."""
-    mats, spaces, _, _ = _normal_form(model, s, agents_of_interest, cap_bytes)
-    return mats, spaces
+    mats, _, _, _ = _normal_form(model, s, agents_of_interest, cap_bytes)
+    depth = model.horizon - s.t
+    return mats, [_anchored_space(model, i, _anchors(s, i), depth) for i in range(model.n_agents)]
 
 
 def induced_normal_form(
@@ -616,9 +615,9 @@ def induced_normal_form(
     """Payoff tensors over reduced pure policy profiles at the start belief,
     one axis per agent: the occupancy-rooted normal form at the initial
     occupancy state, each one-anchor assignment unwrapped to its tree."""
-    s0 = initial_occupancy(model)
-    mats, spaces, _, _ = _normal_form(model, s0, agents_of_interest, cap_bytes)
+    mats, _, _, _ = _normal_form(model, initial_occupancy(model), agents_of_interest, cap_bytes)
     roots = [PrivateHistory(i) for i in range(model.n_agents)]
+    spaces = [_anchored_space(model, i, [root], model.horizon) for i, root in enumerate(roots)]
     return mats, [[a[root] for a in space] for root, space in zip(roots, spaces)]
 
 
@@ -775,30 +774,38 @@ def _pure_tree(
     pick,
     root: int = 0,
     depth: int | None = None,
-) -> tuple[int, PolicyTree, list[int]]:
+) -> tuple[int, list[int]]:
     """The depth-``depth`` (default: the horizon) pure policy tree rooted at
     set ``root`` that plays ``pick(j)`` at each set ``j`` the walk reached,
-    asked in preorder, and action 0 below sets it never reached (everywhere,
-    for root None: the filler of unreached branches); with its
-    ``enumerate_pure_policies`` index (the preorder actions read as a
-    base-``n_u`` number) and the sequences it plays."""
+    asked in preorder, and action 0 below sets it never reached: its index
+    for ``_tree`` (the preorder actions as a base-``n_u`` number) and the
+    sequences it plays."""
     n_u, n_z = len(model.actions[agent]), model.n_agent_obs(agent)
     played: list[int] = []
     index = 0
 
-    def build(j: int | None, depth: int) -> PolicyTree:
+    def visit(j: int | None, depth: int) -> None:
         nonlocal index
         u = 0 if j is None else pick(j)
         index = index * n_u + u
         if j is not None:
             played.append(j * n_u + u)
-        if depth == 1:
-            return PolicyTree(agent, u)
-        below = (None if j is None else kids.get((j, u, z)) for z in range(n_z))
-        return PolicyTree(agent, u, tuple(build(c, depth - 1) for c in below))
+        for z in range(n_z if depth > 1 else 0):
+            visit(None if j is None else kids.get((j, u, z)), depth - 1)
 
-    tree = build(root, model.horizon if depth is None else depth)
-    return index, tree, played
+    visit(root, model.horizon if depth is None else depth)
+    return index, played
+
+
+def _tree(model: PosgModel, agent: int, index: int, depth: int) -> PolicyTree:
+    """``enumerate_pure_policies(model, agent, depth)[index]``: the tree whose
+    preorder actions are the base-``n_u`` digits of ``index``, most
+    significant first."""
+    n_u, n_z = len(model.actions[agent]), model.n_agent_obs(agent)
+    n_sub = n_u ** sum(n_z**d for d in range(depth - 1))  # trees one step shorter
+    u, rest = divmod(index, n_sub**n_z)
+    below = [rest // n_sub**e % n_sub for e in range(n_z - 1, -1, -1)] if depth > 1 else []
+    return PolicyTree(agent, u, tuple(_tree(model, agent, k, depth - 1) for k in below))
 
 
 def _kuhn_mixture(
@@ -817,9 +824,8 @@ def _kuhn_mixture(
     n_u = len(model.actions[agent])
     rest = plan.copy()
     weights: dict[int, float] = {}
-    trees: dict[int, PolicyTree] = {}
     for _ in range(len(plan)):
-        index, tree, played = _pure_tree(
+        index, played = _pure_tree(
             model, agent, kids, lambda j: int(np.argmax(rest[j * n_u : (j + 1) * n_u]))
         )
         w = float(rest[played].min())
@@ -828,8 +834,7 @@ def _kuhn_mixture(
         rest[played] -= w
         rest[rest <= 1e-12] = 0.0
         weights[index] = weights.get(index, 0.0) + w
-        trees[index] = tree
-    return weights, trees
+    return weights, {index: _tree(model, agent, index, model.horizon) for index in weights}
 
 
 def solve_zero_sum(
@@ -859,13 +864,13 @@ def _one_sided(model: PosgModel, s: OccupancyState, cap_bytes: int, best) -> tup
     sequence form: agent 0's payoff for each enumerated profile (C order) when
     the last agent plays its ``best`` (``np.max`` or ``np.min``) pure plan, one
     reverse trie pass each; the profiles' payoffs ``Y`` over its sequences; the
-    enumerated spaces; its ``kids`` and parent sequences.  No joint tensor is
-    built."""
+    enumerated agents' plan counts; its ``kids`` and parent sequences.  No
+    joint tensor is built."""
     last = model.n_agents - 1
-    (Y,), spaces, kids, parents = _normal_form(model, s, [0], cap_bytes, keep=(last,))
-    Y = Y.reshape(-1, Y.shape[-1])
-    values = _trie_best(Y, parents[last], len(model.actions[last]), best)
-    return values, Y, spaces[:last], kids[last], parents[last]
+    (Y,), _, kids, parents = _normal_form(model, s, [0], cap_bytes, keep=(last,))
+    flat = Y.reshape(-1, Y.shape[-1])
+    values = _trie_best(flat, parents[last], len(model.actions[last]), best)
+    return values, flat, Y.shape[:-1], kids[last], parents[last]
 
 
 def zero_sum_guarantees(model: PosgModel, cap_bytes: int = CAP_BYTES) -> np.ndarray:
@@ -887,7 +892,7 @@ def solve_dec(model: PosgModel, cap_bytes: int = CAP_BYTES) -> Equilibrium:
     whose best completion still reaches that bound."""
     _require(model, "common", "solve_dec")
     s0 = initial_occupancy(model)
-    values, Y, spaces, kids, parents = _one_sided(model, s0, cap_bytes, np.max)
+    values, Y, n_plans, kids, parents = _one_sided(model, s0, cap_bytes, np.max)
     top = values.max()
     tol = 1e-12 * max(1.0, abs(top))
     row = int(np.flatnonzero(values >= top - tol)[0])
@@ -903,16 +908,15 @@ def solve_dec(model: PosgModel, cap_bytes: int = CAP_BYTES) -> Equilibrium:
         slack -= loss[u]
         return u
 
-    col, tree, played = _pure_tree(model, last, kids, lowest_within)
+    col, played = _pure_tree(model, last, kids, lowest_within)
     realization = np.zeros(Y.shape[-1])
     realization[played] = 1.0
-    best = np.unravel_index(row, [len(space) for space in spaces]) + (col,)
-    chosen = [space[c][PrivateHistory(i)] for i, (space, c) in enumerate(zip(spaces, best))]
+    best = [int(c) for c in np.unravel_index(row, n_plans)] + [col]
     return Equilibrium(
         criterion="common",
         values=(float(realization @ Y[row]),) * model.n_agents,
-        mixtures=tuple({int(c): 1.0} for c in best),
-        policies=tuple({int(c): t} for c, t in zip(best, chosen + [tree])),
+        mixtures=tuple({c: 1.0} for c in best),
+        policies=tuple({c: _tree(model, i, c, model.horizon)} for i, c in enumerate(best)),
         metadata={"method": "sequence-form-argmax", "shape": (len(values), Y.shape[-1])},
     )
 
@@ -920,7 +924,7 @@ def solve_dec(model: PosgModel, cap_bytes: int = CAP_BYTES) -> Equilibrium:
 def _multiple_lp(
     L: np.ndarray,
     G_F,
-    realize: Callable[[int], np.ndarray],
+    R_F: np.ndarray,
     parents: Sequence[np.ndarray],
     n_us: Sequence[int],
 ) -> tuple[float, np.ndarray, int, float, float]:
@@ -930,8 +934,8 @@ def _multiple_lp(
     ``x G_F r_k``, follower regret).
 
     Rows of ``L`` (leader payoff over follower plans) and of ``G_F`` (follower
-    payoff over follower sequences) are the leader's sequences;
-    ``realize(k)`` is plan ``k``'s 0/1 realization ``r_k``.  Plan ``k`` is a
+    payoff over follower sequences) are the leader's sequences; row ``k`` of
+    ``R_F`` is follower plan ``k``'s 0/1 realization ``r_k``.  Plan ``k`` is a
     best response to ``x`` when some value ``v`` per follower set has
     ``F^T v >= G_F^T x`` and ``f^T v <= x G_F r_k`` (LP duality on the
     follower's plans ``F r = f``; Bošanský & Čermák 2015), so each LP has
@@ -955,7 +959,7 @@ def _multiple_lp(
     for k in np.argsort(-top, kind="stable").tolist():
         if top[k] < best - 1e-12:
             break  # neither this plan nor any later one can reach ``best``
-        r = realize(k)
+        r = R_F[k]
         A_ub[-1, :n_x] = -(G_F @ r)
         res = linprog(
             np.concatenate([-L[:, k], np.zeros(n_v)]),
@@ -979,8 +983,7 @@ def stackelberg_from_matrices(L: np.ndarray, F: np.ndarray) -> tuple[float, np.n
     """Strong Stackelberg equilibrium of a bimatrix game: (leader value,
     leader mixture, follower pure response); one information set each."""
     one_set = np.full(1, -1, dtype=np.intp)
-    unit = np.eye(F.shape[1])
-    value, x, k, _, _ = _multiple_lp(L, F, lambda k: unit[k], (one_set, one_set), F.shape)
+    value, x, k, _, _ = _multiple_lp(L, F, np.eye(F.shape[1]), (one_set, one_set), F.shape)
     return value, x, k
 
 
@@ -988,13 +991,11 @@ def stackelberg_from_matrices(L: np.ndarray, F: np.ndarray) -> tuple[float, np.n
 class StackelbergSolution:
     """Strong Stackelberg equilibrium below an occupancy state: the leader's
     realization plan ``plan`` over its sequences (numbered by ``kids`` as in
-    ``SequenceFormSolution``) and the follower's pure plan ``k``, its index
-    in the follower's anchored space and ``assignment`` its tree per anchor."""
+    ``SequenceFormSolution``) and the index ``k`` of the follower's pure plan."""
 
     values: tuple[float, float]
     plan: np.ndarray
     k: int
-    assignment: Mapping[PrivateHistory, PolicyTree]
     kids: Mapping[tuple[int, int, int], int]
     metadata: Mapping[str, object]
 
@@ -1008,20 +1009,15 @@ def _stackelberg_kernel(
     The certificate, the follower's regret (its best pure plan's value
     against the leader's plan less the chosen plan's), must stay within
     ``max(tolerance, 1e-7)`` times the follower's largest payoff magnitude."""
-    (L, G_F), spaces, kids, parents = _normal_form(
+    (L, G_F), (_, R_F), kids, parents = _normal_form(
         model, s, [0], cap_bytes, keep=(0,), uncontracted=(1,)
     )
-    anchors, space = _anchors(s, 1), spaces[1]
     n_us = [len(model.actions[i]) for i in range(2)]
-
-    def realize(k: int) -> np.ndarray:
-        return _realization(n_us[1], anchors, space[k : k + 1], kids[1])[0]
-
-    value, x, k, follower, regret = _multiple_lp(L, G_F, realize, parents, n_us)
+    value, x, k, follower, regret = _multiple_lp(L, G_F, R_F, parents, n_us)
     if regret > max(tolerance, 1e-7) * max(1.0, float(np.abs(G_F).max(initial=0.0))):
         raise RuntimeError(f"stackelberg follower regret {regret:.3g} exceeds tolerance")
     metadata = {"method": "multiple-lp", "shape": L.shape, "follower_regret": regret}
-    return StackelbergSolution((value, follower), x, k, space[k], kids[0], metadata)
+    return StackelbergSolution((value, follower), x, k, kids[0], metadata)
 
 
 def solve_stackelberg(
@@ -1038,7 +1034,7 @@ def solve_stackelberg(
         criterion="stackelberg",
         values=sol.values,
         mixtures=(mixture, {sol.k: 1.0}),
-        policies=(trees, {sol.k: sol.assignment[PrivateHistory(1)]}),
+        policies=(trees, {sol.k: _tree(model, 1, sol.k, model.horizon)}),
         metadata=dict(sol.metadata),
     )
 

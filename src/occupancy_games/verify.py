@@ -751,9 +751,9 @@ def _zs_grid_certificate(model, rng, negative_control) -> tuple[float, float, in
 
 
 def _st_structure(model, rng, n_samples, negative_control) -> float:
+    if model.horizon < 2:  # only the initial state: no two states to mix
+        raise ValueError("the stackelberg master property needs horizon >= 2")
     worst = 0.0
-    if model.horizon < 2:
-        return worst
     t = model.horizon - 1
     lams = _lambda_grid(n_samples)
     for k in range(n_samples):
@@ -858,8 +858,9 @@ def selected_suites(model: PosgModel, suites: str | Sequence[str] = "all") -> li
                 f"unknown suite {name!r}; expected one of {', '.join(SUITES)} or 'all'"
             )
         if not _applies(model, name):
+            at = f" at horizon {model.horizon}" if _applies(model.with_horizon(2), name) else ""
             raise UnknownSuiteError(
-                f"suite {name!r} does not apply to criterion {model.criterion!r}"
+                f"suite {name!r} does not apply to criterion {model.criterion!r}{at}"
             )
     return names
 
@@ -913,9 +914,10 @@ def run_suite(
 
 
 def _applies(model: PosgModel, suite: str) -> bool:
-    """Whether ``suite`` has a property for the model's criterion."""
-    if suite == "master":
-        return model.criterion in ("common", "zerosum", "stackelberg")
+    """Whether ``suite`` has a property for the model's criterion and horizon."""
+    if suite == "master":  # the Stackelberg property mixes states at t >= 1
+        stackelberg = model.criterion == "stackelberg" and model.horizon > 1
+        return stackelberg or model.criterion in ("common", "zerosum")
     if suite == "lipschitz":
         return model.criterion == "zerosum"
     return True

@@ -10,6 +10,7 @@ from conftest import model_path
 TIGER = str(model_path("tiger"))
 TIGER_ZS = str(model_path("tiger-zs"))
 ONE_STAGE = str(model_path("tiger-one-stage"))
+ST_TIGER = str(model_path("stackelberg-tiger"))
 
 
 def run(capsys, *argv):
@@ -173,6 +174,34 @@ def test_verify_refuses_a_named_suite_that_does_not_apply(capsys, argv, suite, c
     code, out, err = run(capsys, "verify", TIGER, *argv)
     assert code == 4 and out == ""
     assert err.startswith("error:") and f"'{suite}'" in err and f"'{criterion}'" in err
+
+
+def test_verify_stackelberg_master_is_refused_below_two_steps(capsys):
+    code, out, err = run(capsys, "verify", ST_TIGER, "--horizon", "1", "--suite", "master")
+    assert code == 4 and out == ""
+    assert err.startswith("error:") and "'master'" in err and "'stackelberg' at horizon 1" in err
+    code, out, _ = run(capsys, "verify", ST_TIGER, "--horizon", "1", "--samples", "2")
+    assert code == 0 and "master-structure" not in out
+    # the master control could not fail at horizon 1, so controls exited 1
+    code, out, _ = run(capsys, "verify", ST_TIGER, "--horizon", "1", "--suite", "controls")
+    assert code == 0 and len(out.splitlines()) == 3 and "master-structure" not in out
+
+
+def test_verify_stackelberg_master_still_runs_at_two_steps(capsys):
+    code, out, _ = run(
+        capsys, "verify", ST_TIGER, "--horizon", "2", "--suite", "master", "--samples", "5"
+    )
+    (line,) = out.splitlines()
+    fields = dict(f.split("=", 1) for f in line.split(" ")[:-1])  # all but the notes
+    assert code == 0 and float(fields.pop("max_violation")) <= 1e-12
+    assert fields == {
+        "property": "master-structure-stackelberg", "fixture": ST_TIGER, "samples": "5",
+        "seed": "0", "tolerance": "1e-06", "passed": "true",
+    }
+    code, out, _ = run(capsys, "verify", ST_TIGER, "--horizon", "2", "--suite", "controls")
+    last = out.splitlines()[-1]
+    assert code == 0 and last.startswith("property=master-structure-negative-control")
+    assert "passed=true" in last
 
 
 def test_sweep_dec_curve(tmp_path, capsys):

@@ -711,20 +711,30 @@ def test_zero_sum_sequence_form_matches_normal_form_three_steps():
     assert abs(eq.values[0] - brute_force_zero_sum(m, s0)) <= 1e-9
 
 
+def marked_realization(m, agent, anchors, kids, space) -> np.ndarray:
+    """0/1 realization of each assignment of one tree per anchor (rows in
+    ``space`` order), marked by one walk down each tree from its anchor's
+    set along the sets ``kids`` numbers."""
+    n_u = len(m.actions[agent])
+    R = np.zeros((len(space), (len(anchors) + len(kids)) * n_u))
+
+    def mark(r, node, j):
+        R[r, j * n_u + node.action] = 1.0
+        for z, child in enumerate(node.children):
+            c = kids.get((j, node.action, z))
+            if c is not None:
+                mark(r, child, c)
+
+    for r, assign in enumerate(space):
+        for a, h in enumerate(anchors):
+            mark(r, assign[h], a)
+    return R
+
+
 def plan_from_tree(m, agent, sol, tree) -> np.ndarray:
     """0/1 realization of a tree rooted at the single anchor."""
-    n_u = len(m.actions[agent])
-    x = np.zeros(len(sol.plans[agent]))
-
-    def mark(node, j):
-        x[j * n_u + node.action] = 1.0
-        for z, child in enumerate(node.children):
-            c = sol.kids[agent].get((j, node.action, z))
-            if c is not None:
-                mark(child, c)
-
-    mark(tree, 0)
-    return x
+    (root,) = sol.anchors[agent]
+    return marked_realization(m, agent, [root], sol.kids[agent], [{root: tree}])[0]
 
 
 def set_histories(sol, agent) -> dict:
@@ -873,6 +883,7 @@ def test_budget_refuses_before_any_walk_or_enumeration(
     request, monkeypatch, name, solver, horizon, doubles
 ):
     monkeypatch.setattr(solve, "_sequence_payoffs", no_build)
+    monkeypatch.setattr(solve, "_plan_realization", no_build)
     monkeypatch.setattr(solve, "enumerate_pure_policies", no_build)
     with pytest.raises(CapExceededError) as info:
         solver(request.getfixturevalue(name).with_horizon(horizon))
@@ -947,8 +958,8 @@ def test_common_one_sided_kernel_matches_normal_form(seed, horizon, n_public):
 def leader_realization(m, mixture, kids) -> np.ndarray:
     """Realization plan of a mixture over the leader's pure policy trees."""
     root = PrivateHistory(0)
-    trees = enumerate_pure_policies(m, 0, m.horizon)
-    R = solve._realization(len(m.actions[0]), [root], [{root: t} for t in trees], kids)
+    space = [{root: t} for t in enumerate_pure_policies(m, 0, m.horizon)]
+    R = marked_realization(m, 0, [root], kids, space)
     return sum(w * R[i] for i, w in mixture.items())
 
 
@@ -1101,7 +1112,7 @@ def reached_histories(m, s) -> list[set]:
 
 
 def realization_matrix(m, agent, sol, space) -> np.ndarray:
-    return solve._realization(len(m.actions[agent]), sol.anchors[agent], space, sol.kids[agent])
+    return marked_realization(m, agent, sol.anchors[agent], sol.kids[agent], space)
 
 
 def check_walk_against_brute_force(m, s, rng, cells=12):
@@ -1158,17 +1169,21 @@ def test_walk_matches_brute_force_below_mid_game_states():
         assert min(len(anchors) for anchors in sol.anchors) >= 2
 
 
-def test_walk_keeps_unreached_sets_unnumbered():
-    # the state never moves and agent 1 hears it, agent 2 hears nothing: after
-    # its first observation agent 1's next one is fixed, so 8 of its 16
-    # depth-2 sets have probability 0
+def unreached_sets_model():
+    """A model whose state never moves, heard by agent 1 and not by agent 2:
+    after its first observation agent 1's next one is fixed, so 8 of its 16
+    depth-2 sets have probability 0.  Returns it with its generator."""
     rng = np.random.default_rng(31)
     m = random_posg(rng, n_actions=(2, 2), n_obs=(2, 1), horizon=3, discount=0.9, criterion="zerosum")
     transition = np.broadcast_to(np.eye(m.n_states), m.transition.shape)
     observation = np.zeros_like(m.observation)
     for x2 in range(m.n_states):
         observation[:, x2, m.joint_obs_index((x2, 0), 0)] = 1.0
-    m = dataclasses.replace(m, transition=transition, observation=observation)
+    return dataclasses.replace(m, transition=transition, observation=observation), rng
+
+
+def test_walk_keeps_unreached_sets_unnumbered():
+    m, rng = unreached_sets_model()
     s0 = initial_occupancy(m)
     sol = check_walk_against_brute_force(m, s0, rng)
     assert [len(kids) for kids in sol.kids] == [4 + 8, 2 + 4]
@@ -1201,12 +1216,178 @@ def test_solve_dec_does_not_enumerate_the_last_agent(tiger, monkeypatch):
     # the last agent's policy comes from its trie, so the cap counts its
     # sequences only: tiger h=3 has 129 of them and 3^43 pure trees
     calls = []
-    enumerate_all = solve.enumerate_pure_policies
+    build = solve._plan_realization
 
-    def counted(model, agent, *args, **kwargs):
+    def counted(model, agent, *args):
         calls.append(agent)
-        return enumerate_all(model, agent, *args, **kwargs)
+        return build(model, agent, *args)
 
-    monkeypatch.setattr(solve, "enumerate_pure_policies", counted)
+    monkeypatch.setattr(solve, "_plan_realization", counted)
     eq = solve_dec(tiger.with_horizon(3))
     assert calls == [0] and abs(eq.values[0] - 3.4) <= 1e-12
+
+
+# -- pure plans as indices: realization rows from digits, trees on demand ---------
+
+
+def check_plan_realizations(m, s, keep=()):
+    """``_normal_form``'s realization matrices below ``s``, built from plan
+    index digits, against the naive marker over ``_anchored_space``'s trees,
+    bit for bit, for every enumerated agent; returns the matrices and
+    ``kids``."""
+    _, realizations, kids, _ = solve._normal_form(m, s, [0], solve.CAP_BYTES, keep=keep)
+    depth = m.horizon - s.t
+    for i, R in enumerate(realizations):
+        if i in keep:
+            assert R is None
+            continue
+        anchors = solve._anchors(s, i)
+        space = solve._anchored_space(m, i, anchors, depth)
+        expected = marked_realization(m, i, anchors, kids[i], space)
+        assert R.shape == expected.shape and np.abs(R - expected).max() == 0.0
+    return realizations, kids
+
+
+def first_step_states(m, seed):
+    rng = np.random.default_rng(seed)
+    rules = tuple(random_decision_rule(m, i, 0, rng) for i in range(m.n_agents))
+    return [s1 for _, _, s1 in step(m, initial_occupancy(m), rules)]
+
+
+@pytest.mark.parametrize("horizon", [2, 3])
+def test_plan_realization_matches_the_marker_at_the_start(tiger, horizon):
+    m = tiger.with_horizon(horizon)
+    check_plan_realizations(m, initial_occupancy(m), keep=(1,))
+
+
+def test_plan_realization_matches_the_marker_for_a_mid_game_follower(st_tiger):
+    # several follower anchors at t=1 and t=2: anchor 0's digits come first
+    m = st_tiger.with_horizon(3)
+    s1 = first_step_states(m, 5)
+    rng = np.random.default_rng(6)
+    rules = tuple(random_decision_rule(m, i, 1, rng) for i in range(2))
+    s2 = [s for _, _, s in step(m, s1[0], rules)]
+    for s in s1 + s2[:2]:
+        assert len(solve._anchors(s, 1)) >= 2
+        check_plan_realizations(m, s, keep=(0,))
+    m, _ = random_stackelberg(8, 2, 2)
+    for s in first_step_states(m, 9):
+        check_plan_realizations(m, s, keep=(0,))
+
+
+def test_plan_realization_matches_the_marker_with_unreached_sets():
+    m, _ = unreached_sets_model()
+    _, kids = check_plan_realizations(m, initial_occupancy(m))
+    assert len(kids[0]) == 4 + 8 < 4 + 16  # 8 depth-2 sets of agent 1 unreached
+    for s in first_step_states(m, 32):
+        check_plan_realizations(m, s)
+
+
+def test_plan_realization_matches_the_marker_on_three_agents():
+    m = three_agent_common(3)
+    check_plan_realizations(m, initial_occupancy(m))
+    for s in first_step_states(m, 38):
+        check_plan_realizations(m, s, keep=(2,))
+
+
+def reversed_digits(k, n_u, n_digits):
+    out = 0
+    for _ in range(n_digits):
+        k, d = divmod(k, n_u)
+        out = out * n_u + d
+    return out
+
+
+@pytest.mark.parametrize("order", ["reversed anchors", "little-endian"])
+def test_plan_realization_check_catches_a_wrong_plan_order(st_tiger, order):
+    # negative control: the marker over the same plans in another order has
+    # the same rows, and the bit-for-bit check tells the orders apart
+    m = st_tiger.with_horizon(3)
+    s = first_step_states(m, 5)[0]
+    (_, R), kids = check_plan_realizations(m, s, keep=(0,))
+    anchors = solve._anchors(s, 1)
+    depth = m.horizon - s.t
+    if order == "reversed anchors":
+        space = solve._anchored_space(m, 1, anchors[::-1], depth)
+    else:
+        space = solve._anchored_space(m, 1, anchors, depth)
+        n_digits = len(anchors) * 3  # 2 actions, 1 + 2 nodes per anchor's trie
+        assert len(space) == 2**n_digits
+        space = [space[reversed_digits(k, 2, n_digits)] for k in range(len(space))]
+    wrong = marked_realization(m, 1, anchors, kids[1], space)
+    assert np.array_equal(np.unique(wrong, axis=0), np.unique(R, axis=0))
+    assert np.abs(R - wrong).max() == 1.0
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3])
+def test_tree_decodes_every_enumerated_index(tiger, st_tiger, horizon):
+    for m, agents in ((tiger, (0, 1)), (st_tiger, (1,))):
+        for i in agents:
+            trees = enumerate_pure_policies(m, i, horizon, cap=10**4)
+            assert [solve._tree(m, i, k, horizon) for k in range(len(trees))] == trees
+
+
+def picked_tree(m, agent, kids, pick, j, depth):
+    """Oracle: the tree playing ``pick(j)`` at each reached set ``j`` in
+    preorder and action 0 below unreached ones."""
+    u = 0 if j is None else pick(j)
+    if depth == 1:
+        return PolicyTree(agent, u)
+    below = [None if j is None else kids.get((j, u, z)) for z in range(m.n_agent_obs(agent))]
+    return PolicyTree(
+        agent, u, tuple(picked_tree(m, agent, kids, pick, c, depth - 1) for c in below)
+    )
+
+
+@pytest.mark.parametrize("name", ["tiger", "unreached"])
+def test_pure_tree_index_round_trips_through_tree(request, name):
+    if name == "unreached":
+        m, _ = unreached_sets_model()
+    else:
+        m = request.getfixturevalue(name).with_horizon(3)
+    s0 = initial_occupancy(m)
+    _, _, kids, _ = solve._normal_form(m, s0, [0], solve.CAP_BYTES, keep=(0, 1))
+    rng = np.random.default_rng(41)
+    for agent in range(2):
+        n_u = len(m.actions[agent])
+        trees = enumerate_pure_policies(m, agent, m.horizon, cap=10**4)
+        R = solve._plan_realization(m, agent, 1, kids[agent], m.horizon)
+        for _ in range(5):
+            picks = rng.integers(n_u, size=1 + len(kids[agent]))
+            index, played = solve._pure_tree(m, agent, kids[agent], lambda j: int(picks[j]))
+            tree = picked_tree(m, agent, kids[agent], lambda j: int(picks[j]), 0, m.horizon)
+            assert solve._tree(m, agent, index, m.horizon) == tree == trees[index]
+            assert sorted(played) == np.flatnonzero(R[index]).tolist()
+
+
+def reached_solve_names(fn) -> set[str]:
+    """Names ``fn`` uses, and those of every ``solve`` function it reaches."""
+    names, todo = set(), [fn]
+    while todo:
+        code = compile(inspect.getsource(todo.pop()), solve.__file__, "exec")
+        for name in code_names(code) - names:
+            names.add(name)
+            g = getattr(solve, name, None)
+            if inspect.isfunction(g) and g.__module__ == solve.__name__:
+                todo.append(g)
+    return names
+
+
+def test_solver_path_builds_no_policy_tree_space():
+    # the solvers read enumerated plans as indices: no tree space on their
+    # path (the tree-space builders are reachable, as the check shows on
+    # suffix_normal_form), and trees only from _tree or the private DP
+    tree_spaces = {"enumerate_pure_policies", "_anchored_space"}
+    for fn in (
+        solve._normal_form, solve._one_sided, solve_dec, solve._stackelberg_kernel,
+        solve._multiple_lp,
+    ):
+        assert not reached_solve_names(fn) & tree_spaces, fn
+    assert reached_solve_names(suffix_normal_form) >= tree_spaces
+    assert not hasattr(solve, "_realization")
+    for name, fn in vars(solve).items():
+        if inspect.isfunction(fn) and fn.__module__ == solve.__name__:
+            code = compile(inspect.getsource(fn), solve.__file__, "exec")
+            (body,) = [c for c in code.co_consts if hasattr(c, "co_varnames")]
+            if "PolicyTree" in code_names(body):  # in the body, not an annotation
+                assert name in {"_tree", "_private_dp"}, name

@@ -110,6 +110,19 @@ def test_master_structure_stackelberg(st_tiger):
     assert report.passed, report.line()
 
 
+def test_master_structure_stackelberg_needs_two_steps(st_tiger):
+    # at horizon 1 the only state is the initial one: nothing to mix, so the
+    # property is refused rather than passed with nothing checked
+    short = st_tiger.with_horizon(1)
+    with pytest.raises(ValueError, match="horizon >= 2"):
+        check_master_structure(short, "stackelberg", n_samples=3)
+    assert not verify._applies(short, "master") and verify._applies(st_tiger, "master")
+    names = [r.name for r in run_suite(short, "all", n_samples=2)]
+    assert names and not any(name.startswith("master") for name in names)
+    with pytest.raises(UnknownSuiteError, match="at horizon 1"):
+        verify.selected_suites(short, "master")
+
+
 def test_master_structure_criterion_mismatch(tiger):
     with pytest.raises(ValueError, match="criterion mismatch"):
         check_master_structure(tiger, "zerosum")
