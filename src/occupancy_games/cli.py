@@ -32,7 +32,7 @@ from .solve import (
     solve_zero_sum,
     zero_sum_guarantees,
 )
-from .verify import TOLERANCE_SUITES, report_lines, run_suite, selected_suites
+from .verify import _reads_tolerance, report_lines, run_suite, selected_suites
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAILURE = 1
@@ -202,9 +202,9 @@ def cmd_verify(args) -> int:
     suites = selected_suites(model, args.suite)
     kwargs = {}
     if args.tolerance is not None:
-        if not set(suites) & set(TOLERANCE_SUITES):
+        if not _reads_tolerance(model, suites):
             raise _UnreadFlagError(
-                f"--tolerance: only the {' and '.join(TOLERANCE_SUITES)} suites read it"
+                "--tolerance: only the master and lipschitz checks and their controls read it"
             )
         kwargs = {"tolerance_solver": args.tolerance}
     reports = run_suite(
@@ -266,8 +266,9 @@ def build_parser() -> argparse.ArgumentParser:
             help="tolerance override: in solve and sweep, the largest zero-sum "
             "certificate (duality gap plus both exploitabilities) or Stackelberg "
             "follower regret per unit of the largest payoff entry; in verify, the "
-            "largest violation the master and lipschitz suites accept; a usage "
-            "error where nothing reads it",
+            "largest violation the master and lipschitz checks accept, also in "
+            "their negative controls (each control reruns its check at the "
+            "check's tolerance and seed); a usage error where nothing reads it",
         ),
         "--cap": dict(
             type=_count_at_least(0),

@@ -34,8 +34,9 @@ Ties everywhere break toward the lowest enumeration index.
 for every criterion: the bytes of the dense arrays it would build, predicted
 from the agents' full tries before any walk or enumeration.  It leaves out
 the LP matrices and intermediate copies, so it does not bound peak memory.
-Every solver reads the model's own horizon; ``PosgModel.with_horizon`` sets
-another.
+The normal forms and the values from mid-game states keep the default
+``CAP_BYTES``.  Every solver reads the model's own horizon;
+``PosgModel.with_horizon`` sets another.
 """
 
 from __future__ import annotations
@@ -595,27 +596,22 @@ def _block_diagonal(blocks: Sequence[np.ndarray]):
 
 
 def suffix_normal_form(
-    model: PosgModel,
-    s: OccupancyState,
-    agents_of_interest: Sequence[int] = (0,),
-    cap_bytes: int = CAP_BYTES,
+    model: PosgModel, s: OccupancyState, agents_of_interest: Sequence[int] = (0,)
 ) -> tuple[list[np.ndarray], list[list[dict]]]:
     """Payoff tensors over anchored pure policy suffixes from occupancy ``s``;
     axis ``i`` indexes agent ``i``'s assignments of one tree per anchor."""
-    mats, _, _, _ = _normal_form(model, s, agents_of_interest, cap_bytes)
+    mats, _, _, _ = _normal_form(model, s, agents_of_interest, CAP_BYTES)
     depth = model.horizon - s.t
     return mats, [_anchored_space(model, i, _anchors(s, i), depth) for i in range(model.n_agents)]
 
 
 def induced_normal_form(
-    model: PosgModel,
-    agents_of_interest: Sequence[int],
-    cap_bytes: int = CAP_BYTES,
+    model: PosgModel, agents_of_interest: Sequence[int]
 ) -> tuple[list[np.ndarray], list[list[PolicyTree]]]:
     """Payoff tensors over reduced pure policy profiles at the start belief,
     one axis per agent: the occupancy-rooted normal form at the initial
     occupancy state, each one-anchor assignment unwrapped to its tree."""
-    mats, _, _, _ = _normal_form(model, initial_occupancy(model), agents_of_interest, cap_bytes)
+    mats, _, _, _ = _normal_form(model, initial_occupancy(model), agents_of_interest, CAP_BYTES)
     roots = [PrivateHistory(i) for i in range(model.n_agents)]
     spaces = [_anchored_space(model, i, [root], model.horizon) for i, root in enumerate(roots)]
     return mats, [[a[root] for a in space] for root, space in zip(roots, spaces)]
@@ -661,13 +657,16 @@ def _trie_fold(
     or ``np.min``) pure continuation below each sequence, times ``discount``
     per step, over (set, action) in the last two axes.  One reverse pass
     folds each set's best action into its parent sequence; sets are numbered
-    after their parents, so a set is complete when it is folded."""
-    v = g.reshape(g.shape[:-1] + (len(parents), n_u)).copy()
+    after their parents, so a set is complete when it is folded.  The pass
+    runs on a copy with (set, action) leading, so each step reads one
+    contiguous block."""
+    k = g.ndim - 1
+    v = g.reshape(g.shape[:-1] + (len(parents), n_u)).transpose(k, k + 1, *range(k)).copy()
     for c in range(len(parents) - 1, -1, -1):
         p = parents[c]
         if p >= 0:
-            v[..., p // n_u, p % n_u] += discount * best(v[..., c, :], axis=-1)
-    return v
+            v[p // n_u, p % n_u] += discount * best(v[c], axis=0)
+    return v.transpose(*range(2, k + 2), 0, 1)
 
 
 def _trie_best(g: np.ndarray, parents: np.ndarray, n_u: int, best) -> np.ndarray:
@@ -1045,27 +1044,20 @@ def solve_stackelberg(
 
 
 def zero_sum_value_from(
-    model: PosgModel,
-    s: OccupancyState,
-    tolerance: float = DEFAULT_TOLERANCE,
-    cap_bytes: int = CAP_BYTES,
+    model: PosgModel, s: OccupancyState
 ) -> tuple[float, SequenceFormSolution, object]:
     """Saddle value of the zero-sum subgame rooted at occupancy ``s``, with
     the saddle point and agent 0's sequence-form payoff matrix (a
     ``scipy.sparse`` CSR array)."""
-    sol, G = _zero_sum_kernel(model, s, tolerance, cap_bytes)
+    sol, G = _zero_sum_kernel(model, s, DEFAULT_TOLERANCE, CAP_BYTES)
     return sol.value, sol, G
 
 
-def dec_value_from(
-    model: PosgModel, s: OccupancyState, cap_bytes: int = CAP_BYTES
-) -> float:
+def dec_value_from(model: PosgModel, s: OccupancyState) -> float:
     """Optimal common-payoff value from occupancy ``s`` onward."""
-    return float(_one_sided(model, s, cap_bytes, np.max)[0].max())
+    return float(_one_sided(model, s, CAP_BYTES, np.max)[0].max())
 
 
-def stackelberg_value_from(
-    model: PosgModel, s: OccupancyState, cap_bytes: int = CAP_BYTES
-) -> float:
+def stackelberg_value_from(model: PosgModel, s: OccupancyState) -> float:
     """Strong Stackelberg leader value from occupancy ``s`` onward."""
-    return _stackelberg_kernel(model, s, DEFAULT_TOLERANCE, cap_bytes).values[0]
+    return _stackelberg_kernel(model, s, DEFAULT_TOLERANCE, CAP_BYTES).values[0]

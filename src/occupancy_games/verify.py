@@ -16,7 +16,10 @@ bounds).
 
 Every check accepts ``negative_control=True``, which injects a deliberate
 corruption into the production route; a suite that still passes under the
-corruption would be vacuous.
+corruption would be vacuous.  ``_checks`` is the one list of check calls
+that apply to a model: ``run_suite`` runs the selected suites' entries, and
+the ``controls`` suite reruns every entry with its corruption injected, at
+the check's own tolerance and seed.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -99,7 +103,9 @@ class PropertyReport:
         )
 
 
-def _report(name, fixture, samples, violation, tol, seed, notes=None) -> PropertyReport:
+def _report(
+    name, fixture, samples, violation, tol, seed, negative_control, notes=()
+) -> PropertyReport:
     violation = float(violation)
     return PropertyReport(
         name=name,
@@ -109,7 +115,7 @@ def _report(name, fixture, samples, violation, tol, seed, notes=None) -> Propert
         tolerance=tol,
         passed=violation <= tol,
         seed=seed,
-        notes=notes or {},
+        notes={**dict(notes), **({"negative_control": True} if negative_control else {})},
     )
 
 
@@ -223,7 +229,6 @@ def check_sufficiency_master(
     n_samples: int = 100,
     seed: int = 0,
     fixture: str = "model",
-    tolerance: float = EXACT_TOL,
     negative_control: bool = False,
 ) -> PropertyReport:
     """Reward, public-observation, and next-state predictions from occupancy
@@ -279,13 +284,7 @@ def check_sufficiency_master(
             )
             worst = max(worst, _dist_diff(_normalized(raw_next), nxt.entries))
     return _report(
-        "sufficiency-master",
-        fixture,
-        n_samples,
-        worst,
-        tolerance,
-        seed,
-        {"negative_control": negative_control} if negative_control else {},
+        "sufficiency-master", fixture, n_samples, worst, EXACT_TOL, seed, negative_control
     )
 
 
@@ -295,7 +294,6 @@ def check_sufficiency_private(
     n_samples: int = 100,
     seed: int = 0,
     fixture: str = "model",
-    tolerance: float = EXACT_TOL,
     negative_control: bool = False,
 ) -> PropertyReport:
     """Private-side analogue over random private plan-time histories."""
@@ -355,9 +353,9 @@ def check_sufficiency_private(
         fixture,
         n_samples,
         worst,
-        tolerance,
+        EXACT_TOL,
         seed,
-        {"negative_control": negative_control} if negative_control else {},
+        negative_control,
     )
 
 
@@ -403,7 +401,6 @@ def check_slave_structure(
     n_samples: int = 50,
     seed: int = 0,
     fixture: str = "model",
-    tolerance: float = EXACT_TOL,
     negative_control: bool = False,
     certificate_samples: int = 8,
 ) -> PropertyReport:
@@ -467,13 +464,10 @@ def check_slave_structure(
         fixture,
         n_samples,
         worst,
-        tolerance,
+        EXACT_TOL,
         seed,
-        {
-            "linearity_violation": worst_lin,
-            "pwlc_violation": worst_cert,
-            **({"negative_control": True} if negative_control else {}),
-        },
+        negative_control,
+        {"linearity_violation": worst_lin, "pwlc_violation": worst_cert},
     )
 
 
@@ -540,15 +534,11 @@ def check_master_structure(
         )
     model = model.with_horizon(model.horizon if horizon is None else horizon)
     rng = np.random.default_rng(seed)
-    notes: dict[str, object] = {}
-    if negative_control:
-        notes["negative_control"] = True
-
+    notes: Mapping[str, object] = {}
     if criterion == "common":
         worst = _dec_structure(model, rng, n_samples, negative_control)
     elif criterion == "zerosum":
-        worst, extra = _zs_structure(model, rng, n_samples, negative_control)
-        notes.update(extra)
+        worst, notes = _zs_structure(model, rng, n_samples, negative_control)
     elif criterion == "stackelberg":
         worst = _st_structure(model, rng, n_samples, negative_control)
     else:
@@ -560,6 +550,7 @@ def check_master_structure(
         worst,
         tolerance,
         seed,
+        negative_control,
         notes,
     )
 
@@ -816,11 +807,8 @@ def check_lipschitz(
         max(worst, 0.0),
         tolerance,
         seed,
-        {
-            "norm": "l1",
-            "kappa": {str(t): k for t, k in sorted(kappas.items())},
-            **({"negative_control": True} if negative_control else {}),
-        },
+        negative_control,
+        {"norm": "l1", "kappa": {str(t): k for t, k in sorted(kappas.items())}},
     )
 
 
@@ -838,7 +826,7 @@ def lipschitz_constant(gamma: float, c: float, horizon: int, t: int) -> float:
 # ---------------------------------------------------------------------------
 
 SUITES = ("sufficiency", "slave", "master", "lipschitz", "controls")
-TOLERANCE_SUITES = ("master", "lipschitz")  # the suites ``tolerance_solver`` reaches
+CONTROL_SAMPLES = 4  # each corruption is injected into every sample
 
 
 def selected_suites(model: PosgModel, suites: str | Sequence[str] = "all") -> list[str]:
@@ -873,43 +861,23 @@ def run_suite(
     fixture: str = "model",
     tolerance_solver: float = SOLVER_TOL,
 ) -> list[PropertyReport]:
-    """Run the suites ``selected_suites`` picks; deterministic given the
-    seed.
+    """Run the checks of the suites ``selected_suites`` picks, each at
+    ``n_samples``; deterministic given the seed.  ``tolerance_solver`` is the
+    tolerance of the master and lipschitz checks.
 
-    ``controls`` reruns each applicable check with its corruption enabled and
-    reports a meta-property that passes exactly when the corrupted check
-    fails.  ``tolerance_solver`` is read by ``TOLERANCE_SUITES`` only.
+    ``controls`` reruns every check that applies to the model, at the check's
+    own tolerance and seed, on ``CONTROL_SAMPLES`` with its corruption
+    injected, and reports a meta-property that passes exactly when the
+    corrupted check fails.
     """
     names = selected_suites(model, suites)
+    checks = _checks(model, seed, fixture, tolerance_solver)
     reports: list[PropertyReport] = []
     for name in names:
-        if name == "sufficiency":
-            reports.append(check_sufficiency_master(model, n_samples, seed, fixture))
-            for agent in range(model.n_agents):
-                reports.append(
-                    check_sufficiency_private(model, agent, n_samples, seed + agent + 1, fixture)
-                )
-        elif name == "slave":
-            others = _suite_others_policy(model, seed)
-            reports.append(check_slave_structure(model, others, 0, n_samples, seed, fixture))
-        elif name == "master":
-            reports.append(
-                check_master_structure(
-                    model,
-                    model.criterion,
-                    model.horizon,
-                    n_samples,
-                    seed,
-                    fixture,
-                    tolerance_solver,
-                )
-            )
-        elif name == "lipschitz":
-            reports.append(
-                check_lipschitz(model, model.horizon, n_samples, seed, fixture, tolerance_solver)
-            )
-        elif name == "controls":
-            reports.extend(_negative_controls(model, seed, fixture))
+        if name == "controls":
+            reports.extend(_negative_controls(checks))
+        else:
+            reports.extend(check(n_samples=n_samples) for suite, check in checks if suite == name)
     return reports
 
 
@@ -923,78 +891,58 @@ def _applies(model: PosgModel, suite: str) -> bool:
     return True
 
 
-def _suite_others_policy(model: PosgModel, seed: int):
-    rng = np.random.default_rng(seed + 10_000)
-    policy = random_joint_policy(model, rng)
-    return {j: policy.agents[j] for j in range(model.n_agents) if j != 0}
-
-
-def _negative_controls(model, seed, fixture) -> list[PropertyReport]:
-    """Each check must fail when its computation is deliberately corrupted."""
-    out = []
-    checks = [
-        (
-            "sufficiency-master",
-            lambda: check_sufficiency_master(
-                model, 5, seed, fixture, negative_control=True
-            ),
-        ),
-        (
-            "sufficiency-private",
-            lambda: check_sufficiency_private(
-                model, 0, 5, seed, fixture, negative_control=True
-            ),
-        ),
-        (
-            "slave-structure",
-            lambda: check_slave_structure(
-                model,
-                _suite_others_policy(model, seed),
-                0,
-                4,
-                seed,
-                fixture,
-                negative_control=True,
-                certificate_samples=1,
-            ),
-        ),
-    ]
+def _checks(
+    model: PosgModel, seed: int = 0, fixture: str = "model", tolerance_solver: float = SOLVER_TOL
+) -> list[tuple[str, partial]]:
+    """Every check call that applies to ``model``, after its suite's name:
+    each bound to its model, agent, seed and fixture, and the master and
+    lipschitz checks to ``tolerance_solver``; only the samples are left."""
+    policy = random_joint_policy(model, np.random.default_rng(seed + 10_000))
+    others = {j: policy.agents[j] for j in range(model.n_agents) if j != 0}
+    at = dict(seed=seed, fixture=fixture)
+    checks = [("sufficiency", partial(check_sufficiency_master, model, **at))]
+    for i in range(model.n_agents):
+        private = partial(check_sufficiency_private, model, i, seed=seed + i + 1, fixture=fixture)
+        checks.append(("sufficiency", private))
+    checks.append(("slave", partial(check_slave_structure, model, others, 0, **at)))
+    solver = dict(at, tolerance=tolerance_solver)
     if _applies(model, "master"):
-        checks.append(
-            (
-                "master-structure",
-                lambda: check_master_structure(
-                    model,
-                    model.criterion,
-                    model.horizon,
-                    4,
-                    seed,
-                    fixture,
-                    negative_control=True,
-                ),
-            )
-        )
+        checks.append(("master", partial(check_master_structure, model, **solver)))
     if _applies(model, "lipschitz"):
-        checks.append(
-            (
-                "lipschitz",
-                lambda: check_lipschitz(
-                    model, model.horizon, 4, seed, fixture, negative_control=True
-                ),
-            )
-        )
-    for name, run in checks:
-        inner = run()
+        checks.append(("lipschitz", partial(check_lipschitz, model, **solver)))
+    return checks
+
+
+def _reads_tolerance(model: PosgModel, suites: Sequence[str]) -> bool:
+    """Whether a check that ``suites`` runs on ``model`` reads
+    ``tolerance_solver``; ``controls`` reruns every check."""
+    return any(
+        "tolerance" in check.keywords
+        for suite, check in _checks(model)
+        if suite in suites or "controls" in suites
+    )
+
+
+def _negative_controls(checks) -> list[PropertyReport]:
+    """Each check of ``checks`` must fail when its computation is
+    deliberately corrupted."""
+    out = []
+    for suite, check in checks:
+        fewer = {"certificate_samples": 1} if suite == "slave" else {}
+        inner = check(n_samples=CONTROL_SAMPLES, negative_control=True, **fewer)
         out.append(
             PropertyReport(
-                name=f"{name}-negative-control",
-                fixture=fixture,
+                name=f"{inner.name}-negative-control",
+                fixture=inner.fixture,
                 samples=inner.samples,
                 max_violation=0.0 if not inner.passed else float("inf"),
                 tolerance=0.0,
                 passed=not inner.passed,
-                seed=seed,
-                notes={"corrupted_check_violation": inner.max_violation},
+                seed=inner.seed,
+                notes={
+                    "corrupted_check_tolerance": inner.tolerance,
+                    "corrupted_check_violation": inner.max_violation,
+                },
             )
         )
     return out

@@ -163,6 +163,28 @@ def test_verify_tolerance_zero_is_applied(capsys):
     assert " tolerance=0 " in out
 
 
+def test_verify_controls_rerun_the_checks_at_their_tolerance(capsys):
+    # at tolerance 1000 the injected corruptions (100 and about 98) pass the
+    # master and lipschitz checks, so their controls must fail
+    argv = ("--suite", "master,lipschitz,controls", "--samples", "3", "--tolerance", "1000")
+    code, out, _ = run(capsys, "verify", TIGER_ZS, *argv)
+    lines = {line.split(" ")[0]: line for line in out.splitlines()}
+    assert code == 1
+    for name in ("master-structure-zerosum", "lipschitz-zerosum"):
+        control = lines[f"property={name}-negative-control"]
+        assert "passed=false" in control and '"corrupted_check_tolerance": 1000' in control
+    assert "passed=false" not in lines["property=sufficiency-master-negative-control"]
+
+
+def test_verify_controls_read_the_tolerance_where_a_solver_check_applies(capsys):
+    code, out, _ = run(capsys, "verify", TIGER_ZS, "--suite", "controls", "--tolerance", "1e-6")
+    assert code == 0 and "passed=false" not in out
+    general = ["verify", TIGER_ZS, "--suite", "controls", "--tolerance", "1e-6"]
+    assert exit_code(general + ["--criterion", "general"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--tolerance" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv, suite, criterion",
     [
@@ -184,7 +206,7 @@ def test_verify_stackelberg_master_is_refused_below_two_steps(capsys):
     assert code == 0 and "master-structure" not in out
     # the master control could not fail at horizon 1, so controls exited 1
     code, out, _ = run(capsys, "verify", ST_TIGER, "--horizon", "1", "--suite", "controls")
-    assert code == 0 and len(out.splitlines()) == 3 and "master-structure" not in out
+    assert code == 0 and len(out.splitlines()) == 4 and "master-structure" not in out
 
 
 def test_verify_stackelberg_master_still_runs_at_two_steps(capsys):
@@ -200,7 +222,7 @@ def test_verify_stackelberg_master_still_runs_at_two_steps(capsys):
     }
     code, out, _ = run(capsys, "verify", ST_TIGER, "--horizon", "2", "--suite", "controls")
     last = out.splitlines()[-1]
-    assert code == 0 and last.startswith("property=master-structure-negative-control")
+    assert code == 0 and last.startswith("property=master-structure-stackelberg-negative-control")
     assert "passed=true" in last
 
 

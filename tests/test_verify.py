@@ -17,7 +17,7 @@ from occupancy_games.verify import (
     run_suite,
 )
 
-from conftest import code_names
+from conftest import code_names, load
 
 
 def test_sufficiency_master_tiger(tiger):
@@ -193,6 +193,21 @@ def test_run_suite_controls_fail_the_corrupted_checks(tiger_zs):
     reports = run_suite(tiger_zs, "controls", seed=4, n_samples=3)
     assert reports and all(r.passed for r in reports)
     assert all(r.name.endswith("negative-control") for r in reports)
+
+
+@pytest.mark.parametrize(
+    "name, horizon",
+    [("tiger", None), ("tiger-zs", None), ("tiger-one-stage", None),
+     ("stackelberg-tiger", None), ("stackelberg-tiger", 1)],
+)
+def test_each_check_has_one_control_from_the_same_call(name, horizon):
+    model = load(name)
+    model = model if horizon is None else model.with_horizon(horizon)
+    checks = run_suite(model, "all", seed=3, n_samples=1)
+    controls = run_suite(model, "controls", seed=3)
+    assert [c.name for c in controls] == [f"{r.name}-negative-control" for r in checks]
+    assert [c.seed for c in controls] == [r.seed for r in checks]
+    assert all(c.passed for c in controls), report_lines(controls)
 
 
 def test_report_line_format(tiger):
