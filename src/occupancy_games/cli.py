@@ -165,6 +165,8 @@ def cmd_solve(args) -> int:
     print(f"method: {eq.metadata.get('method', '')}")
     if eq.criterion == "zerosum":
         print(f"sequences: {' '.join(map(str, eq.metadata['sequences']))}")
+        if "iterations" in eq.metadata:  # the double oracle's restricted sets
+            print(f"iterations: {eq.metadata['iterations']}")
         print(f"duality_gap: {_fmt(eq.metadata['duality_gap'])}")
         print(f"residual: {_fmt(eq.metadata['residual'])}")
     if eq.criterion == "stackelberg":
@@ -276,8 +278,11 @@ def build_parser() -> argparse.ArgumentParser:
             help="budget in bytes for the dense arrays a solver builds: every "
             "depth block of the sequence-form walk, each enumerated agent's "
             "realization matrix and the payoffs contracted with it, predicted "
-            "from the full tries before anything is built (default 2**30); it "
-            "does not bound peak memory, which runs 2-3 times higher",
+            "from the full tries before anything is built (default 2**30).  A "
+            "zero-sum solve over it runs the double oracle instead, within the "
+            "same budget: its restricted walk's depth blocks and the widest "
+            "level of each best response's walk, checked before each walk.  "
+            "It does not bound peak memory, which runs 2-4 times higher",
         ),
         "--horizon": dict(type=int, default=None, help="horizon override"),
         "--start": dict(

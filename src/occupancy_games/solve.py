@@ -17,7 +17,11 @@ information set, i.e. private history below an anchor of the state (exact
 under perfect recall).  Zero-sum games solve as one realization-plan linear
 program over that tensor (Koller, Megiddo & von Stengel 1996), read back as
 mixtures over pure policy trees; a game where each agent has a single
-information set is the matrix game itself and keeps its closed forms.
+information set is the matrix game itself and keeps its closed forms.  Where
+that tensor is over the budget, the start-belief solver runs the
+sequence-form double oracle (Bošanský, Kiekintveld, Lisý & Pěchouček 2014)
+instead: the same walk and LP over restricted sets of sequences, grown by
+history-route best responses until the full LP's certificate closes.
 Common-payoff and Stackelberg games enumerate pure plans (a reduced policy
 tree per anchor, each plan an index whose base-``n_u`` digits are its
 actions) for all agents but one and keep that agent in sequence form: the
@@ -32,8 +36,10 @@ Ties everywhere break toward the lowest enumeration index.
 
 ``_normal_form`` is the one set-up of that walk.  ``cap_bytes`` is one budget
 for every criterion: the bytes of the dense arrays it would build, predicted
-from the agents' full tries before any walk or enumeration.  It leaves out
-the LP matrices and intermediate copies, so it does not bound peak memory.
+from the agents' full tries before any walk or enumeration (for the double
+oracle, ``_restricted_bytes`` before each iteration's walks and
+``_br_walk_bytes`` before each best response).  It leaves out the LP
+matrices and intermediate copies, so it does not bound peak memory.
 The normal forms and the values from mid-game states keep the default
 ``CAP_BYTES``.  Every solver reads the model's own horizon;
 ``PosgModel.with_horizon`` sets another.
@@ -43,7 +49,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -65,6 +71,7 @@ from .occupancy import (
     rule_arrays,
 )
 from .policies import (
+    BehavioralPolicy,
     DecisionRule,
     JointPolicy,
     PolicyTree,
@@ -355,7 +362,8 @@ def _sequence_payoffs(
     s: OccupancyState,
     anchors: Sequence[Sequence[PrivateHistory]],
     agents_of_interest: Sequence[int],
-) -> tuple[list[np.ndarray], list[dict[tuple[int, int, int], int]]]:
+    restricted: Sequence[Sequence[np.ndarray]] | None = None,
+) -> tuple[list[np.ndarray], list[dict[tuple[int, int, int], int]], list[np.ndarray] | None]:
     """Sequence-form payoff tensor below occupancy ``s``, one block per depth.
 
     One forward walk, level by level, pushes the mass of ``s`` through
@@ -371,8 +379,15 @@ def _sequence_payoffs(
     depth-``d`` sequences and a last axis over ``agents_of_interest``, the
     discounted reward at those joint sequences weighted by the probability
     of the outcomes along them.  The full tensor is block diagonal in them.
+
+    With ``restricted``, agent ``i`` plays only the depth-``d`` sequences
+    whose trie codes (``_tree_codes``) ``restricted[i][d]`` lists: each
+    level's 0/1 masks are ``next_level``'s action probabilities, so only
+    pairs of restricted sequences are pushed, and the third item is each
+    agent's mask over its sequences (None without ``restricted``).
     """
     n_us = tuple(len(labels) for labels in model.actions)
+    n_zs = tuple(model.n_agent_obs(i) for i in range(model.n_agents))
     # rewards[x, u_0, ..., u_{n-1}, k] for the k-th agent of interest
     rewards = np.moveaxis(model.rewards[list(agents_of_interest)], 0, -1)
     rewards = rewards.reshape((model.n_states,) + n_us + (-1,))
@@ -386,18 +401,30 @@ def _sequence_payoffs(
     level = Level(xs, tuple(ids), np.array(list(start.values())), n_sets)
     first = [0] * model.n_agents  # id of the level's first set, per agent
     kids: list[dict[tuple[int, int, int], int]] = [{} for _ in anchors]
-    blocks = [_payoff_block(level, rewards)]
-    for _ in range(model.horizon - s.t - 1):
+    trie = [np.arange(n) for n in n_sets]  # trie code of each set of the level
+    masks: list[list[np.ndarray]] = [[] for _ in anchors]
+    blocks, a = [], None
+    for d in range(model.horizon - s.t):
+        if restricted is not None:
+            for i, codes in enumerate(trie):
+                seqs = codes[:, None] * n_us[i] + np.arange(n_us[i])
+                masks[i].append(np.isin(seqs, restricted[i][d]))
+            a = action_probs(model, level, [m[-1].astype(float) for m in masks])
+        blocks.append(_payoff_block(level, rewards))
+        if d + 1 == model.horizon - s.t:
+            break
         level = level._replace(mass=level.mass * model.discount)
-        ((_, pushed),) = next_level(model, level, None)
+        ((_, pushed),) = next_level(model, level, a)
         for i, codes in enumerate(pushed.reached):
             base = first[i] + level.n_sets[i]
             keys = _kid_keys(model, i, codes, first[i])
             kids[i].update(zip(keys, range(base, base + len(codes))))
             first[i] = base
+            j, uz = np.divmod(codes, n_us[i] * n_zs[i])
+            trie[i] = trie[i][j] * (n_us[i] * n_zs[i]) + uz
         level = pushed.level
-        blocks.append(_payoff_block(level, rewards))
-    return blocks, kids
+    played = None if restricted is None else [np.concatenate(m, axis=None) for m in masks]
+    return blocks, kids, played
 
 
 def _kid_keys(model: PosgModel, agent: int, codes: np.ndarray, first: int):
@@ -493,6 +520,28 @@ def _predicted_bytes(
     return 8 * doubles
 
 
+def _br_walk_bytes(model: PosgModel, agent: int, other_hists: Sequence[int]) -> int:
+    """The widest level of ``_history_br``'s walk from the start, in bytes of
+    doubles: its (entry, joint action) array, with an entry per state, per
+    history of the agent's full trie and per history the other agent
+    reaches, ``other_hists[d]`` at depth ``d``."""
+    n_uz = len(model.actions[agent]) * model.n_agent_obs(agent)
+    widest = max(n_uz**d * n for d, n in enumerate(other_hists))
+    return 8 * model.n_states * model.n_joint_actions * widest
+
+
+def _restricted_bytes(model: PosgModel, restricted: Sequence[Sequence[np.ndarray]]) -> int:
+    """What one double-oracle iteration builds, in bytes of doubles: the
+    largest of the restricted walk's depth blocks (every history a restricted
+    sequence leaves from taken as reached) and each best response's walk
+    against an opponent on those histories (``_br_walk_bytes``).  The walks
+    run one after another; the LP matrices and copies are not counted."""
+    n_us = [len(labels) for labels in model.actions]
+    hists = [[len(np.unique(c // n_u)) for c in r] for r, n_u in zip(restricted, n_us)]
+    blocks = sum(math.prod(h[d] * n_u for h, n_u in zip(hists, n_us)) for d in range(len(hists[0])))
+    return max(8 * blocks, *(_br_walk_bytes(model, i, hists[1 - i]) for i in range(2)))
+
+
 def _parents(kids: Mapping[tuple[int, int, int], int], n_sets: int, n_u: int) -> np.ndarray:
     """Parent sequence of each information set, -1 at the anchors."""
     parents = [-1] * n_sets
@@ -508,6 +557,7 @@ def _normal_form(
     cap_bytes: int,
     keep: Sequence[int] = (),
     uncontracted: Sequence[int] = (),
+    restricted: Sequence[Sequence[np.ndarray]] | None = None,
 ) -> tuple[list, list[np.ndarray | None], list[dict], list[np.ndarray]]:
     """Payoff tensors below occupancy ``s``, one per agent of interest and one
     axis per agent, with each agent's realization matrix, the ``kids`` of
@@ -525,18 +575,27 @@ def _normal_form(
     ``uncontracted`` follow, each the dense block-diagonal ``G`` over the two
     agents' sequences.  ``_predicted_bytes`` must stay within ``cap_bytes``,
     checked before the walk and any enumeration.
+
+    With ``restricted`` (both agents kept, start of a double-oracle
+    iteration), the walk pushes restricted sequence pairs only
+    (``_sequence_payoffs``), the second item is each agent's 0/1 mask of
+    restricted sequences, and ``_restricted_bytes`` is checked instead.
     """
     depth = model.horizon - s.t
     if depth < 1:
         raise ValueError("occupancy state is already at the horizon")
     anchors = [_anchors(s, i) for i in range(model.n_agents)]
-    n_bytes = _predicted_bytes(
-        model, [len(a) for a in anchors], depth, keep, len(agents_of_interest), len(uncontracted)
-    )
+    if restricted is None:
+        what, n_bytes = "normal form", _predicted_bytes(
+            model, [len(a) for a in anchors], depth, keep, len(agents_of_interest),
+            len(uncontracted),
+        )
+    else:
+        what, n_bytes = "restricted game", _restricted_bytes(model, restricted)
     if n_bytes > cap_bytes:
-        raise CapExceededError("normal form", n_bytes, cap_bytes, " bytes")
-    blocks, kids = _sequence_payoffs(
-        model, s, anchors, list(agents_of_interest) + list(uncontracted)
+        raise CapExceededError(what, n_bytes, cap_bytes, " bytes")
+    blocks, kids, played = _sequence_payoffs(
+        model, s, anchors, list(agents_of_interest) + list(uncontracted), restricted
     )
     parents = [
         _parents(kids[i], len(anchors[i]) + len(kids[i]), len(model.actions[i]))
@@ -572,7 +631,7 @@ def _normal_form(
         mats = list(np.concatenate(parts, axis=1 + kept[0]))
     else:  # both agents of a two-agent game kept: block diagonal, stored sparse
         mats = [_block_diagonal([part[k] for part in parts]) for k in range(n_c)]
-    return mats + dense, realizations, kids, parents
+    return mats + dense, realizations if played is None else played, kids, parents
 
 
 def _block_diagonal(blocks: Sequence[np.ndarray]):
@@ -697,32 +756,45 @@ def _plan_constraints(parents: np.ndarray, n_u: int, dense: bool = False):
 
 
 def _realization_plan_lp(
-    G, parents: Sequence[np.ndarray], n_us: Sequence[int]
+    G,
+    parents: Sequence[np.ndarray],
+    n_us: Sequence[int],
+    played: Sequence[np.ndarray] | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray, float]:
     """max f^T q  s.t.  E x = e, x >= 0, F^T q <= G^T x, via HiGHS, with
     ``G`` a ``scipy.sparse`` array.
 
     ``x`` is agent 0's realization plan and ``q`` one free value per set of
     agent 1; the duals of the ``F^T q <= G^T x`` rows are agent 1's plan.
-    Returns (value, x, y, duality gap)."""
+    With 0/1 masks ``played`` over each agent's sequences, agent 0's
+    masked-out sequences are held at 0 and agent 1's have no row, so both
+    plans stay on the played sequences.  Returns (value, x, y, duality gap)."""
     from scipy import sparse
 
     E, e = _plan_constraints(parents[0], n_us[0])
     F, f = _plan_constraints(parents[1], n_us[1])
     n_x, n_q = E.shape[1], F.shape[0]
+    A_ub = sparse.hstack([-G.T, F.T])
+    x_bounds = [(0, None)] * n_x
+    rows = slice(None)
+    if played is not None:
+        rows = played[1]
+        A_ub = sparse.csr_array(A_ub)[rows]
+        x_bounds = [(0, None if p else 0) for p in played[0]]
     res = linprog(
         np.concatenate([np.zeros(n_x), -f]),
-        A_ub=sparse.hstack([-G.T, F.T]),
-        b_ub=np.zeros(G.shape[1]),
+        A_ub=A_ub,
+        b_ub=np.zeros(A_ub.shape[0]),
         A_eq=sparse.hstack([E, sparse.csr_array((E.shape[0], n_q))]),
         b_eq=e,
-        bounds=[(0, None)] * n_x + [(None, None)] * n_q,
+        bounds=x_bounds + [(None, None)] * n_q,
         method="highs",
     )
     if not res.success:  # pragma: no cover - plans exist and payoffs are bounded
         raise RuntimeError(f"sequence-form LP failed: {res.message}")
     x = np.clip(res.x[:n_x], 0.0, None)
-    y = np.clip(-res.ineqlin.marginals, 0.0, None)
+    y = np.zeros(G.shape[1])
+    y[rows] = np.clip(-res.ineqlin.marginals, 0.0, None)
     gap = abs(float(res.fun - e @ res.eqlin.marginals))
     return -float(res.fun), x, y, gap
 
@@ -836,16 +908,130 @@ def _kuhn_mixture(
     return weights, {index: _tree(model, agent, index, model.horizon) for index in weights}
 
 
+def _tree_codes(model: PosgModel, tree: PolicyTree) -> list[np.ndarray]:
+    """Trie codes of the sequences a pure tree from the start plays, sorted,
+    one array per depth.  A set's code is 0 at the root and
+    ``(code * n_u + u) * n_z + z`` after own action ``u`` and observation
+    ``z``; a sequence's code is ``code * n_u + u``."""
+    n_u, n_z = len(model.actions[tree.agent]), model.n_agent_obs(tree.agent)
+    codes, level = [], [(0, tree)]
+    while level:
+        seqs = [c * n_u + node.action for c, node in level]
+        codes.append(np.sort(seqs))
+        level = [
+            (q * n_z + z, child)
+            for q, (_, node) in zip(seqs, level)
+            for z, child in enumerate(node.children)
+        ]
+    return codes
+
+
+def _behavioural(
+    model: PosgModel, agent: int, mixture: Mapping[int, float], trees: Mapping[int, PolicyTree]
+) -> BehavioralPolicy:
+    """Kuhn's behavioural form of a mixture of pure trees: at each history a
+    tree of the mixture reaches, each action's weight among those trees."""
+    n_u = len(model.actions[agent])
+    level = [(PrivateHistory(agent), trees[k], w) for k, w in mixture.items()]
+    rules = []
+    while level:
+        weights: dict[PrivateHistory, np.ndarray] = {}
+        for h, node, w in level:
+            weights.setdefault(h, np.zeros(n_u))[node.action] += w
+        probs = {h: tuple((m / m.sum()).tolist()) for h, m in weights.items()}
+        rules.append(DecisionRule(agent, len(rules), probs))
+        level = [
+            (h.child(node.action, z), child, w)
+            for h, node, w in level
+            for z, child in enumerate(node.children)
+        ]
+    return BehavioralPolicy(agent, tuple(rules))
+
+
+def _double_oracle(model: PosgModel, tolerance: float, cap_bytes: int) -> Equilibrium:
+    """Saddle point at the start belief by the sequence-form double oracle
+    (Bošanský, Kiekintveld, Lisý & Pěchouček 2014), for games whose full
+    sequence form is over ``cap_bytes``.
+
+    Each agent keeps a restricted set of sequences, by trie code
+    (``_tree_codes``) so that it is stable across iterations: a union of
+    whole pure trees, seeded with plan 0, so closed under prefixes and with
+    a restricted action at every set below a restricted sequence.  Each
+    iteration walks the payoffs of restricted sequence pairs only, solves the
+    restricted realization-plan LP, reads each plan back as a Kuhn mixture of
+    pure trees and prices it by the opponent's history-route best response to
+    its behavioural form.  The certificate is the full LP's: the duality gap
+    plus both exploitabilities, within ``max(tolerance, 1e-7)`` times the largest
+    restricted payoff magnitude, which is no larger than the full one.
+    Otherwise both best-response trees join the restricted sets; an iteration
+    that adds no sequence raises.  ``cap_bytes`` bounds
+    ``_restricted_bytes``, checked before each iteration's walks, and each
+    best response's walk against the mixture it prices."""
+    s0 = initial_occupancy(model)
+    # best responses score agent 2 by exactly -R1, as G does
+    priced = replace(model, rewards=np.stack([model.rewards[0], -model.rewards[0]]))
+    n_us = [len(labels) for labels in model.actions]
+    restricted = [_tree_codes(model, _tree(model, i, 0, model.horizon)) for i in range(2)]
+
+    def sizes(sets) -> tuple[int, ...]:
+        return tuple(sum(map(len, codes)) for codes in sets)
+
+    for iteration in itertools.count(1):
+        (G,), played, kids, parents = _normal_form(
+            model, s0, [0], cap_bytes, keep=(0, 1), restricted=restricted
+        )
+        value, x, y, gap = _realization_plan_lp(G, parents, n_us, played)
+        mixtures, policies = zip(
+            *(_kuhn_mixture(model, i, plan, kids[i]) for i, plan in enumerate((x, y)))
+        )
+        responses = []
+        for i in range(2):  # agent i best-responds to the other's mixture
+            other = _behavioural(model, 1 - i, mixtures[1 - i], policies[1 - i])
+            n_bytes = _br_walk_bytes(model, i, [len(rule.probs) for rule in other.rules])
+            if n_bytes > cap_bytes:
+                raise CapExceededError("best-response walk", n_bytes, cap_bytes, " bytes")
+            responses.append(best_response_history(priced, {1 - i: other}, i))
+        exploitability = (
+            max(0.0, value + responses[1].value),
+            max(0.0, responses[0].value - value),
+        )
+        certificate = gap + sum(exploitability)
+        bound = max(tolerance, 1e-7) * max(1.0, float(np.abs(G.data).max(initial=0.0)))
+        if certificate <= bound:
+            break
+        grown = [
+            [np.union1d(a, b) for a, b in zip(codes, _tree_codes(model, br.policy))]
+            for codes, br in zip(restricted, responses)
+        ]
+        if sizes(grown) == sizes(restricted):
+            raise RuntimeError(f"zero-sum certificate {certificate:.3g} exceeds tolerance")
+        restricted = grown
+    metadata = {
+        "method": "sequence-form-double-oracle",
+        "sequences": sizes(restricted),
+        "iterations": iteration,
+        "duality_gap": gap,
+        "exploitability": exploitability,
+        "residual": max(exploitability),
+    }
+    return Equilibrium("zerosum", (value, -value), mixtures, policies, metadata)
+
+
 def solve_zero_sum(
     model: PosgModel,
     tolerance: float = DEFAULT_TOLERANCE,
     cap_bytes: int = CAP_BYTES,
 ) -> Equilibrium:
-    """Saddle value of a zero-sum game at the start belief, from one
-    realization-plan LP, with each agent's optimal plan as a mixture over pure
-    policy trees."""
+    """Saddle value of a zero-sum game at the start belief, with each agent's
+    optimal plan as a mixture over pure policy trees: from one
+    realization-plan LP over the full sequence form where its walk fits
+    ``cap_bytes``, by the double oracle (``_double_oracle``) where it does
+    not."""
     _require(model, "zerosum", "solve_zero_sum")
-    sol, _ = _zero_sum_kernel(model, initial_occupancy(model), tolerance, cap_bytes)
+    try:
+        sol, _ = _zero_sum_kernel(model, initial_occupancy(model), tolerance, cap_bytes)
+    except CapExceededError:
+        return _double_oracle(model, tolerance, cap_bytes)
     mixtures, policies = zip(
         *(_kuhn_mixture(model, i, sol.plans[i], sol.kids[i]) for i in range(2))
     )

@@ -582,7 +582,7 @@ def _dec_structure(model, rng, n_samples, negative_control) -> float:
         if k < 8:
             mats, _ = suffix_normal_form(model, s_a, (0,))
             brute = float(mats[0].max())
-            sep = dec_value_from(model, s_a)
+            sep = v_a
             if negative_control:
                 sep += _CORRUPTION
             worst = max(worst, abs(brute - sep))
@@ -795,8 +795,8 @@ def check_lipschitz(
         kappas[t] = kappa
         v_a, _, _ = zero_sum_value_from(model, s_a)
         v_b, _, _ = zero_sum_value_from(model, s_b)
-        if negative_control:
-            v_a += _BIG_CORRUPTION
+        if negative_control:  # ||s_a - s_b||_1 <= 2: over the bound by construction
+            v_a += _BIG_CORRUPTION + 4.0 * kappa
         worst = max(
             worst, abs(v_a - v_b) - kappa * occupancy_l1(s_a, s_b)
         )

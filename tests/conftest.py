@@ -77,6 +77,11 @@ def tiger_zs():
 
 
 @pytest.fixture(scope="session")
+def tiger_duel():
+    return load("tiger-duel")
+
+
+@pytest.fixture(scope="session")
 def one_stage():
     return load("tiger-one-stage")
 

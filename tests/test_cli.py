@@ -65,11 +65,20 @@ def test_solve_cap_exceeded(capsys):
 
 def test_zero_sum_cap_counts_sequences(capsys):
     # tiger-zs at its horizon 2 keeps both agents' 3 + 18 sequences: depth
-    # blocks of 3^2 + 18^2 doubles
+    # blocks of 3^2 + 18^2 doubles.  Under that the double oracle runs, and
+    # its second iteration's best-response walk (2 states x 6 own x 4
+    # opponent histories x 9 joint actions, in doubles) is over the cap too
     code, _, err = run(capsys, "solve", TIGER_ZS, "--cap", "2663")
-    assert code == 3 and "2664 bytes exceeds cap 2663 bytes" in err
+    assert code == 3 and "restricted game too large: 3456 bytes exceeds cap 2663 bytes" in err
     code, out, _ = run(capsys, "solve", TIGER_ZS, "--cap", "2664")
     assert code == 0 and "value_1: 0" in out
+    assert "method: sequence-form-lp" in out and "iterations" not in out
+    # at h=3 the full form holds 95,976 bytes and the loop fits under it
+    code, out, _ = run(capsys, "solve", TIGER_ZS, "--horizon", "3", "--cap", "95975")
+    lines = out.splitlines()
+    assert code == 0 and "value_1: 0" in lines
+    method = lines.index("method: sequence-form-double-oracle")
+    assert lines[method + 1 : method + 3] == ["sequences: 7 14", "iterations: 2"]
 
 
 def test_stackelberg_cap_counts_leader_sequences(capsys):

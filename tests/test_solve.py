@@ -12,7 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from occupancy_games.errors import CapExceededError, ModelValidationError
+from occupancy_games.errors import (
+    CapExceededError,
+    ModelValidationError,
+    UnreachableHistoryError,
+)
 from occupancy_games import solve
 from occupancy_games.evaluate import evaluate_occupancy, linear_eval, value_tables
 from occupancy_games.occupancy import (
@@ -28,6 +32,7 @@ from occupancy_games.policies import (
     JointPolicy,
     PolicyTree,
     PrivateHistory,
+    decision_at,
     enumerate_pure_policies,
     rules_from_trees,
 )
@@ -54,7 +59,7 @@ from occupancy_games.solve import (
     zero_sum_value_from,
 )
 
-from conftest import code_names
+from conftest import code_names, load
 
 
 # -- independent support-enumeration oracle for matrix games -------------------
@@ -498,7 +503,9 @@ def test_one_sided_solvers_stay_off_the_joint_normal_form():
 
 def test_only_normal_form_sets_up_a_sequence_form():
     # depth check, cap, walk and parent numbering live in _normal_form alone
-    for fn in (solve._zero_sum_kernel, solve._one_sided, solve._stackelberg_kernel):
+    for fn in (
+        solve._zero_sum_kernel, solve._double_oracle, solve._one_sided, solve._stackelberg_kernel
+    ):
         code = compile(inspect.getsource(fn), solve.__file__, "exec")
         forbidden = {"_sequence_payoffs", "_trie_size", "_predicted_bytes", "_parents"}
         assert not code_names(code) & forbidden, fn
@@ -853,21 +860,41 @@ def test_zero_sum_kuhn_mixtures_realize_the_plans(request, name, horizon):
 def test_zero_sum_cap_counts_sequences_before_the_walk(tiger_zs):
     # tiger-zs: 3 actions x 2 observations, 3 * 6^d sequences per agent at
     # depth d; the walk's depth blocks hold sum over d < h of (3 * 6^d)^2
-    # doubles (h=6, refused before the walk, is a case of the test below)
+    # doubles.  One byte under that, the double oracle takes over with its
+    # own count: at h=2 its second iteration's best-response walk (2 states
+    # x 6 own histories x 4 opponent histories x 9 joint actions) outgrows
+    # the full form and is refused; at h=3 it fits and solves
     assert solve_zero_sum(tiger_zs, cap_bytes=2_664).metadata["sequences"] == (21, 21)
-    with pytest.raises(CapExceededError):
+    with pytest.raises(CapExceededError) as info:
         solve_zero_sum(tiger_zs, cap_bytes=2_663)
+    assert info.value.count == 8 * 2 * 6 * 4 * 9
+    full = 8 * sum((3 * 6**d) ** 2 for d in range(3))
+    eq = solve_zero_sum(tiger_zs.with_horizon(3), cap_bytes=full - 1)
+    assert eq.metadata["method"] == "sequence-form-double-oracle"
+    assert eq.metadata["sequences"] == (7, 14) and eq.metadata["iterations"] == 2
+    # the loop's largest prediction there is 41,472 bytes
+    with pytest.raises(CapExceededError, match="restricted game too large: 41472 bytes"):
+        solve_zero_sum(tiger_zs.with_horizon(3), cap_bytes=41_471)
 
 
 def no_build(*args, **kwargs):
     raise AssertionError("built past the budget")
 
 
+def value_from_the_start(m):
+    return zero_sum_value_from(m, initial_occupancy(m))
+
+
 @pytest.mark.parametrize(
     "name, solver, horizon, doubles",
     [
-        # both agents' depth blocks, the last one (3 * 6^5)^2 doubles
-        ("tiger_zs", solve_zero_sum, 6, sum((3 * 6**d) ** 2 for d in range(6))),
+        # the mid-game route keeps the full form: both agents' depth blocks,
+        # the last one (3 * 6^5)^2 doubles
+        ("tiger_zs", value_from_the_start, 6, sum((3 * 6**d) ** 2 for d in range(6))),
+        # the double oracle's first best-response walk against the seed tree
+        # at its widest level: 2 states x 6^7 own histories x 2^7 opponent
+        # histories x 9 joint actions
+        ("tiger_zs", solve_zero_sum, 8, 2 * 6**7 * 2**7 * 9),
         # 3^15 agent-1 trees over 777 sequences, and the payoffs contracted
         # with them
         ("tiger", solve_dec, 4, sum((3 * 6**d) ** 2 for d in range(4)) + 2 * 3**15 * 777),
@@ -885,6 +912,7 @@ def test_budget_refuses_before_any_walk_or_enumeration(
     monkeypatch.setattr(solve, "_sequence_payoffs", no_build)
     monkeypatch.setattr(solve, "_plan_realization", no_build)
     monkeypatch.setattr(solve, "enumerate_pure_policies", no_build)
+    monkeypatch.setattr(solve, "best_response_history", no_build)
     with pytest.raises(CapExceededError) as info:
         solver(request.getfixturevalue(name).with_horizon(horizon))
     assert info.value.count == 8 * doubles and info.value.cap == solve.CAP_BYTES == 2**30
@@ -895,6 +923,152 @@ def test_zero_sum_four_steps(tiger_zs):
     assert abs(eq.values[0]) <= 1e-9
     assert eq.metadata["sequences"] == (777, 777)
     assert eq.metadata["residual"] <= 1e-9
+
+
+# -- the double oracle past the budget -----------------------------------------
+
+
+@pytest.mark.parametrize(
+    "b, h, expected",
+    [(b, 2, v) for b, v in zip((0.0, 0.25, 0.5, 0.75, 1.0), (0.5, 0.25, 0.5, 0.25, 0.5))]
+    + [(b, 3, v) for b, v in zip((0.0, 0.25, 0.5, 0.75, 1.0), (1.0, 0.75, 0.5, 0.75, 1.0))],
+)
+def test_tiger_duel_values_depend_on_the_belief(tiger_duel, b, h, expected):
+    m = tiger_duel.with_horizon(h).with_start([b, 1.0 - b])
+    value = solve_zero_sum(m).values[0]
+    assert abs(value - expected) <= 1e-9
+    if h == 2:
+        assert abs(value - brute_force_zero_sum(m, initial_occupancy(m))) <= 1e-9
+
+
+def loop_models():
+    """tiger-zs at h=1..5, tiger-duel at h=2..4 and three beliefs, and the
+    random zero-sum models of this file."""
+    zs, duel = load("tiger-zs"), load("tiger-duel")
+    cases = [(f"tiger-zs-{h}", zs.with_horizon(h)) for h in range(1, 6)]
+    cases += [
+        (f"tiger-duel-{h}-{b}", duel.with_horizon(h).with_start([b, 1.0 - b]))
+        for h in (2, 3, 4)
+        for b in (0.25, 0.5, 0.9)
+    ]
+    cases += [(f"random-3-{h}", random_zero_sum(horizon=h)) for h in (1, 2)]
+    for seed, h, n_public in [(0, 1, 1), (1, 2, 1), (2, 2, 2), (4, 2, 2)]:
+        rng = np.random.default_rng(seed)
+        m = random_posg(
+            rng, n_actions=(2, 3), n_obs=(2, 1), n_public=n_public, horizon=h,
+            discount=0.9, criterion="zerosum",
+        )
+        cases.append((f"random-{seed}-{h}-{n_public}", m))
+    rng = np.random.default_rng(5)
+    cases.append(("random-5-3", random_posg(
+        rng, n_actions=(2, 2), n_obs=(2, 2), horizon=3, discount=0.9, criterion="zerosum"
+    )))
+    cases += [(f"sees-opponent-{seed}-3", sees_opponent(seed)) for seed in (3, 6)]
+    return cases
+
+
+def sees_opponent(seed):
+    """A random zero-sum model at h=3 where agent 1 observes agent 2's last
+    action: its sets after an action agent 2's restricted set lacks go
+    unreached in the restricted walk."""
+    rng = np.random.default_rng(seed)
+    m = random_posg(
+        rng, n_actions=(2, 3), n_obs=(3, 2), horizon=3, discount=0.9, criterion="zerosum"
+    )
+    observation = np.zeros_like(m.observation)
+    for u0, u1 in itertools.product(range(2), range(3)):
+        for x2 in range(m.n_states):
+            p = rng.dirichlet(np.ones(2))
+            for z1 in range(2):
+                joint = m.joint_obs_index((u1, z1), 0)
+                observation[m.joint_action_index((u0, u1)), x2, joint] = p[z1]
+    return dataclasses.replace(m, observation=observation)
+
+
+@pytest.mark.parametrize("name, m", loop_models(), ids=[name for name, _ in loop_models()])
+def test_double_oracle_matches_the_full_lp(name, m):
+    # the loop itself, as solve_zero_sum runs it where the full form is over
+    # the budget (at h <= 2 its best-response walks outgrow the full form, so
+    # no cap reaches it there)
+    full = solve_zero_sum(m)
+    assert full.metadata["method"] != "sequence-form-double-oracle"
+    loop = solve._double_oracle(m, solve.DEFAULT_TOLERANCE, solve.CAP_BYTES)
+    assert loop.metadata["method"] == "sequence-form-double-oracle"
+    assert abs(loop.values[0] - full.values[0]) <= 1e-9
+    assert loop.values[1] == -loop.values[0]
+    scale = max(1.0, m.reward_bound * m.horizon)
+    assert loop.metadata["duality_gap"] + sum(loop.metadata["exploitability"]) <= 1e-9 * scale
+    for agent in (0, 1):  # the returned mixtures are the certified plans
+        mixture, trees = loop.mixtures[agent], loop.policies[agent]
+        assert abs(sum(mixture.values()) - 1.0) <= 1e-9 and set(trees) == set(mixture)
+        opponent = 1 - agent
+        br = best_response_history(m, {agent: mixture_behaviour(m, mixture, trees)}, opponent)
+        gain = br.value - loop.values[opponent]
+        assert abs(gain - loop.metadata["exploitability"][agent]) <= 1e-9 * scale
+
+
+def mixture_behaviour(m, mixture, trees) -> BehavioralPolicy:
+    """Behavioural form of a mixture of trees, one history at a time: each
+    action's weight among the trees whose ``decision_at`` the history
+    reaches, uniform where none does."""
+    (agent,) = {tree.agent for tree in trees.values()}
+    n_u = len(m.actions[agent])
+    rules = []
+    for t in range(m.horizon):
+        probs = {}
+        for h in all_histories(m, agent, t):
+            w = np.zeros(n_u)
+            for k, p in mixture.items():
+                try:
+                    w[next(iter(decision_at(trees[k], h)))] += p
+                except UnreachableHistoryError:
+                    pass
+            probs[h] = tuple(w / w.sum()) if w.sum() > 0 else (1.0 / n_u,) * n_u
+        rules.append(DecisionRule(agent, t, probs))
+    return BehavioralPolicy(agent, tuple(rules))
+
+
+@pytest.mark.parametrize("name", ["tiger_zs", "tiger_duel"])
+def test_solve_zero_sum_six_steps(request, name):
+    # the full form would hold 4.5 GB of depth blocks; the double oracle
+    # walks restricted pairs only
+    m = request.getfixturevalue(name).with_horizon(6)
+    eq = solve_zero_sum(m)
+    assert eq.metadata["method"] == "sequence-form-double-oracle"
+    certificate = eq.metadata["duality_gap"] + sum(eq.metadata["exploitability"])
+    assert certificate <= solve.DEFAULT_TOLERANCE * max(1.0, m.reward_bound * m.horizon)
+    if name == "tiger_zs":
+        assert abs(eq.values[0]) <= 1e-9
+    assert max(eq.metadata["sequences"]) <= 200  # of 27,993 per agent
+
+
+def never_playing(action: int, instead: int):
+    """A best response whose tree plays ``instead`` wherever the true one
+    plays ``action``, with the true best response's value."""
+    real = solve.best_response_history
+
+    def relabel(tree):
+        u = instead if tree.action == action else tree.action
+        return dataclasses.replace(tree, action=u, children=tuple(map(relabel, tree.children)))
+
+    def best_response(model, others, agent):
+        br = real(model, others, agent)
+        return dataclasses.replace(br, policy=relabel(br.policy))
+
+    return best_response
+
+
+def test_double_oracle_control_raises_on_a_best_response_that_skips_an_action(
+    tiger_duel, monkeypatch
+):
+    # without open-left the restricted sets stop growing while the honest
+    # best-response values still show a gap: the loop must raise, not return
+    m = tiger_duel.with_horizon(3)
+    loop = solve._double_oracle(m, solve.DEFAULT_TOLERANCE, solve.CAP_BYTES)
+    assert abs(loop.values[0] - 0.5) <= 1e-9
+    monkeypatch.setattr(solve, "best_response_history", never_playing(1, 0))
+    with pytest.raises(RuntimeError, match="zero-sum certificate"):
+        solve._double_oracle(m, solve.DEFAULT_TOLERANCE, solve.CAP_BYTES)
 
 
 def test_package_import_leaves_scipy_optimize_unloaded():
@@ -1380,7 +1554,7 @@ def test_solver_path_builds_no_policy_tree_space():
     tree_spaces = {"enumerate_pure_policies", "_anchored_space"}
     for fn in (
         solve._normal_form, solve._one_sided, solve_dec, solve._stackelberg_kernel,
-        solve._multiple_lp,
+        solve._multiple_lp, solve_zero_sum,
     ):
         assert not reached_solve_names(fn) & tree_spaces, fn
     assert reached_solve_names(suffix_normal_form) >= tree_spaces

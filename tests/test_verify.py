@@ -148,6 +148,32 @@ def test_lipschitz_negative_control(tiger_zs):
     assert not report.passed
 
 
+@pytest.mark.parametrize("scale", [100.0, 1e4])
+def test_lipschitz_control_fails_the_check_at_any_reward_scale(tiger_zs, scale):
+    # kappa_t grows with the rewards; a corruption of 100 + 4 kappa_t still
+    # clears |v_a - v_b| + kappa_t ||s_a - s_b||_1 <= 4 kappa_t by 100
+    scaled = dataclasses.replace(tiger_zs, rewards=tiger_zs.rewards * scale)
+    reports = {r.name: r for r in run_suite(scaled, "lipschitz,controls", n_samples=3)}
+    assert reports["lipschitz-zerosum"].passed
+    control = reports["lipschitz-zerosum-negative-control"]
+    assert control.passed, control.line()
+    assert control.notes["corrupted_check_violation"] >= 100.0
+
+
+def test_dec_structure_solves_each_state_once(tiger, monkeypatch):
+    # 4 samples of (s_a, s_b, their mixture); the pwlc certificate of the
+    # first 8 samples reuses s_a's value
+    solved, real = [], verify.dec_value_from
+
+    def counted(model, s):
+        solved.append(s)
+        return real(model, s)
+
+    monkeypatch.setattr(verify, "dec_value_from", counted)
+    report = check_master_structure(tiger, "common", n_samples=4, seed=3)
+    assert report.passed and len(solved) == 12
+
+
 def test_horizon_zero_is_applied_not_ignored(tiger_zs):
     with pytest.raises(ModelValidationError, match="horizon must be >= 1"):
         check_lipschitz(tiger_zs, horizon=0, n_samples=1)
@@ -208,6 +234,16 @@ def test_each_check_has_one_control_from_the_same_call(name, horizon):
     assert [c.name for c in controls] == [f"{r.name}-negative-control" for r in checks]
     assert [c.seed for c in controls] == [r.seed for r in checks]
     assert all(c.passed for c in controls), report_lines(controls)
+
+
+def test_tiger_duel_passes_every_check_and_fails_every_control():
+    # the zero-sum model with belief-dependent values, at its horizon 2
+    model = load("tiger-duel")
+    checks = run_suite(model, "all", seed=3, n_samples=5)
+    assert {r.name for r in checks} >= {"master-structure-zerosum", "lipschitz-zerosum"}
+    assert all(r.passed for r in checks), report_lines(checks)
+    controls = run_suite(model, "controls", seed=3)
+    assert len(controls) == len(checks) and all(c.passed for c in controls)
 
 
 def test_report_line_format(tiger):
