@@ -9,13 +9,15 @@ reachable history, the occupancy route over the entries its support reaches.
 Simulation draws
 batched episodes from one seeded PCG64 stream with a fixed draw order
 (episode-major within each time step), so results are reproducible bit for
-bit for a given seed regardless of platform.
+bit for a given seed regardless of platform.  Each categorical table is
+cumulated once per call, and a draw counts its row's cumulative sums below
+the episode's uniform one column at a time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -257,11 +259,32 @@ def _rule_arrays(
     return dists, children
 
 
-def _draw_rows(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
-    """One categorical draw per row of ``probs``."""
-    cum = np.cumsum(probs, axis=1)
-    r = rng.random(probs.shape[0])
-    return (r[:, None] > cum).sum(axis=1)
+class _Cumulative(NamedTuple):
+    """A table of categorical rows, cumulated once: ``cum[j]`` holds column
+    ``j`` of every row's cumulative sums and ``last`` each row's last column
+    with positive probability."""
+
+    cum: np.ndarray
+    last: np.ndarray
+
+
+def _cumulative(probs: np.ndarray) -> _Cumulative:
+    """``probs`` (row, column) as a table to draw from."""
+    positive = probs[:, ::-1] > 0.0
+    last = probs.shape[1] - 1 - np.argmax(positive, axis=1)
+    return _Cumulative(np.ascontiguousarray(np.cumsum(probs, axis=1).T), last)
+
+
+def _draw(rng: np.random.Generator, table: _Cumulative, key: np.ndarray) -> np.ndarray:
+    """One categorical draw from row ``key[e]`` of ``table`` per episode
+    ``e``: the number of the row's cumulative sums below one uniform, at
+    most the row's last positive column (a row may sum to a little less
+    than 1)."""
+    r = rng.random(len(key))
+    out = np.zeros(len(key), dtype=np.intp)
+    for column in table.cum:
+        out += r > column.take(key)
+    return np.minimum(out, table.last.take(key))
 
 
 def simulate(
@@ -282,8 +305,8 @@ def simulate(
     if policy.is_mixed:
         # sample one pure component per episode, then merge by episode index
         combos = list(policy.pure_expansions())
-        weights = np.array([w for w, _ in combos])
-        picks = _draw_rows(rng, np.tile(weights, (episodes, 1)))
+        weights = _cumulative(np.array([[w for w, _ in combos]]))
+        picks = _draw(rng, weights, np.zeros(episodes, dtype=np.intp))
         for c, (_, pure) in enumerate(combos):
             mask = picks == c
             if not mask.any():
@@ -317,32 +340,32 @@ def _simulate_pure(
     children = []
     for i, agent_policy in enumerate(policy.agents):
         d, c = _rule_arrays(model, agent_policy, i, horizon)
-        dists.append(d)
+        dists.append([_cumulative(rule) for rule in d])
         children.append(c)
 
-    # per-(joint action, state) distribution over flattened (x', z) outcomes
+    # per (joint action, state) row, a distribution over flattened (x', z)
     n_x, n_z = model.n_states, model.n_joint_obs
-    outcome = model._dynamics.reshape(model.n_joint_actions, n_x, n_x * n_z)
+    outcome = _cumulative(model._dynamics.reshape(model.n_joint_actions * n_x, n_x * n_z))
 
     agent_obs_of = [
         np.array([model.agent_obs_of_joint(i, z) for z in range(n_z)])
         for i in range(n_agents)
     ]
 
-    x = _draw_rows(rng, np.tile(model.start, (episodes, 1)))
-    rows = [np.zeros(episodes, dtype=np.int64) for _ in range(n_agents)]
+    x = _draw(rng, _cumulative(model.start[None, :]), np.zeros(episodes, dtype=np.intp))
+    rows = [np.zeros(episodes, dtype=np.intp) for _ in range(n_agents)]
     returns = np.zeros((n_agents, episodes))
     gamma_t = 1.0
     for t in range(horizon):
-        us = [_draw_rows(rng, dists[i][t][rows[i]]) for i in range(n_agents)]
-        u = np.zeros(episodes, dtype=np.int64)
+        us = [_draw(rng, dists[i][t], rows[i]) for i in range(n_agents)]
+        u = np.zeros(episodes, dtype=np.intp)
         for i in range(n_agents):
             u = u * len(model.actions[i]) + us[i]
         for i in range(n_agents):
             returns[i] += gamma_t * model.rewards[i, x, u]
         gamma_t *= model.discount
         if t + 1 < horizon:
-            flat = _draw_rows(rng, outcome[u, x])
+            flat = _draw(rng, outcome, u * n_x + x)
             x, z = np.divmod(flat, n_z)
             for i in range(n_agents):
                 rows[i] = children[i][t][rows[i], us[i], agent_obs_of[i][z]]

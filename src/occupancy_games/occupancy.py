@@ -17,9 +17,11 @@ rule arrays indexed by (history id, own action).  A joint update splits the
 children by the public observation; a private update pushes every own action
 of the agent at once, the others acting by their rules, and splits the
 children by its own (action, observation).
-History objects are built only at the public boundary, once per private
-history and once per returned entry, and each returned state keeps its level
-so that the next update skips the conversion from its entries.
+History objects are built only at the public boundary: once per private
+history of a pushed level, and, the first time a returned state's
+``entries`` is read, once per entry.  Each returned state keeps its level, so
+the next update skips the conversion from its entries and a state that is
+only pushed on or priced never builds its joint histories.
 
 Entries below ``PRUNE_EPS`` are dropped and the remaining mass renormalized;
 two states are considered equal when their pruned supports coincide and no
@@ -57,12 +59,36 @@ def _sorted_items(entries: Mapping[Entry, float]):
     return sorted(entries.items(), key=lambda kv: (kv[0][0], kv[0][1].sort_key()))
 
 
+class _PushedEntries:
+    """``entries`` of a state returned by an update: it carries only its
+    level, and its entries dict is built from that level on first read and
+    kept, so pushes whose children are only pushed on or priced build no
+    joint history."""
+
+    def __getattr__(self, name: str):
+        if name != "entries":
+            raise AttributeError(name)
+        entries = entries_of(*self._level)
+        object.__setattr__(self, "entries", entries)
+        return entries
+
+
+def _pushed(cls, level: tuple[Level, Histories], **fields):
+    """A ``cls`` state with ``fields`` and ``level`` whose entries are built
+    on first read."""
+    s = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(s, name, value)
+    object.__setattr__(s, "_level", level)
+    return s
+
+
 @dataclass(frozen=True)
-class OccupancyState:
+class OccupancyState(_PushedEntries):
     """Sparse posterior over (state, joint history) at one time step."""
 
     t: int
-    entries: Mapping[Entry, float]
+    entries: dict[Entry, float]
     # (Level, histories) once converted or pushed; entries are not mutated
     _level: object = field(default=None, init=False, repr=False, compare=False)
 
@@ -100,14 +126,14 @@ class ConditionalOccupancy:
 
 
 @dataclass(frozen=True)
-class PrivateOccupancyState:
+class PrivateOccupancyState(_PushedEntries):
     """Posterior over (state, joint history) given one agent's history and the
     others' fixed policy; every support history agrees with the anchor on the
     agent's own component."""
 
     agent: int
     anchor: PrivateHistory
-    entries: Mapping[Entry, float]
+    entries: dict[Entry, float]
     _level: object = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -377,11 +403,6 @@ def entries_of(level: Level, hists: Histories) -> dict[Entry, float]:
     return dict(zip(keys, level.mass.tolist()))
 
 
-def _with_level(s, level: tuple[Level, Histories]):
-    object.__setattr__(s, "_level", level)
-    return s
-
-
 def _branches(
     model: PosgModel,
     level: Level,
@@ -389,14 +410,14 @@ def _branches(
     a: np.ndarray,
     branch: np.ndarray,
     only: int | None = None,
-) -> list[tuple[int, float, dict[Entry, float], tuple[Level, Histories]]]:
+) -> list[tuple[int, float, tuple[Level, Histories]]]:
     """An exact update's branches, each normalized by its probability:
-    ``(key, probability, entries, (level, histories))``."""
+    ``(key, probability, (level, histories))``."""
     out = []
     for key, pushed in next_level(model, level, a, branch, only, rows=True, first_seen=True):
         mass = sum_in_order(pushed.weight)
         nxt = _normalized(pushed.level, child_histories(model, hists, pushed.reached), mass)
-        out.append((key, mass, entries_of(*nxt), nxt))
+        out.append((key, mass, nxt))
     return out
 
 
@@ -429,8 +450,8 @@ def step(
     level, hists = level_of(model, s)
     a = action_probs(model, level, rule_arrays(model, rules, hists))
     return [
-        (w, p, _with_level(OccupancyState(s.t + 1, entries), nxt))
-        for w, p, entries, nxt in _branches(model, level, hists, a, model._successor_arrays.pub)
+        (w, p, _pushed(OccupancyState, nxt, t=s.t + 1))
+        for w, p, nxt in _branches(model, level, hists, a, model._successor_arrays.pub)
     ]
 
 
@@ -510,10 +531,10 @@ def private_branches(
     own_step = arrays.acts[:, agent] * n_z + arrays.obs[:, agent]
     key = None if only is None else only[0] * n_z + only[1]
     children = []
-    for k, p, entries, nxt in _branches(model, level, hists, a, own_step, key):
+    for k, p, nxt in _branches(model, level, hists, a, own_step, key):
         u_i, z_i = divmod(k, n_z)
-        state = PrivateOccupancyState(agent, s_i.anchor.child(u_i, z_i), entries)
-        children.append((u_i, z_i, p, _with_level(state, nxt)))
+        state = _pushed(PrivateOccupancyState, nxt, agent=agent, anchor=s_i.anchor.child(u_i, z_i))
+        children.append((u_i, z_i, p, state))
     return rewards, children
 
 

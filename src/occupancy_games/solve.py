@@ -521,13 +521,22 @@ def _predicted_bytes(
 
 
 def _br_walk_bytes(model: PosgModel, agent: int, other_hists: Sequence[int]) -> int:
-    """The widest level of ``_history_br``'s walk from the start, in bytes of
-    doubles: its (entry, joint action) array, with an entry per state, per
-    history of the agent's full trie and per history the other agent
-    reaches, ``other_hists[d]`` at depth ``d``."""
+    """The most ``_history_br``'s walk from the start holds at once, in bytes.
+
+    A level has an entry per state, per history of the agent's full trie and
+    per history the other agent reaches, ``other_hists[d]`` at depth ``d``.
+    It holds four (entry, joint action) arrays at once: the action
+    probabilities beside the reward's two factors and product, or beside the
+    sequence ids and their partial sum.  Below the last level, three of them
+    stay while its push builds six arrays over its rows, one row per nonzero
+    dynamics cell of the entry's state: entry, outcome and mass, before and
+    after the rows without mass are dropped."""
     n_uz = len(model.actions[agent]) * model.n_agent_obs(agent)
-    widest = max(n_uz**d * n for d, n in enumerate(other_hists))
-    return 8 * model.n_states * model.n_joint_actions * widest
+    n_j = model.n_joint_actions
+    pushed = max(4 * n_j, 3 * n_j + 6 * int(np.diff(model._successor_arrays.begin).max()))
+    last = len(other_hists) - 1
+    held = [n_uz**d * n * (4 * n_j if d == last else pushed) for d, n in enumerate(other_hists)]
+    return 8 * model.n_states * max(held)
 
 
 def _restricted_bytes(model: PosgModel, restricted: Sequence[Sequence[np.ndarray]]) -> int:

@@ -11,6 +11,7 @@ TIGER = str(model_path("tiger"))
 TIGER_ZS = str(model_path("tiger-zs"))
 ONE_STAGE = str(model_path("tiger-one-stage"))
 ST_TIGER = str(model_path("stackelberg-tiger"))
+TIGER_DUEL = str(model_path("tiger-duel"))
 
 
 def run(capsys, *argv):
@@ -66,19 +67,59 @@ def test_solve_cap_exceeded(capsys):
 def test_zero_sum_cap_counts_sequences(capsys):
     # tiger-zs at its horizon 2 keeps both agents' 3 + 18 sequences: depth
     # blocks of 3^2 + 18^2 doubles.  Under that the double oracle runs, and
-    # its second iteration's best-response walk (2 states x 6 own x 4
-    # opponent histories x 9 joint actions, in doubles) is over the cap too
+    # its first best-response walk (the push from the start: 2 states x
+    # (3 x 9 joint actions + 6 x 68 dynamics rows), in doubles) is over the
+    # cap too
     code, _, err = run(capsys, "solve", TIGER_ZS, "--cap", "2663")
-    assert code == 3 and "restricted game too large: 3456 bytes exceeds cap 2663 bytes" in err
+    assert code == 3 and "restricted game too large: 6960 bytes exceeds cap 2663 bytes" in err
     code, out, _ = run(capsys, "solve", TIGER_ZS, "--cap", "2664")
     assert code == 0 and "value_1: 0" in out
     assert "method: sequence-form-lp" in out and "iterations" not in out
-    # at h=3 the full form holds 95,976 bytes and the loop fits under it
-    code, out, _ = run(capsys, "solve", TIGER_ZS, "--horizon", "3", "--cap", "95975")
+    # at h=4 the full form holds 3,455,208 bytes and the loop fits under it
+    code, out, _ = run(capsys, "solve", TIGER_ZS, "--horizon", "4", "--cap", "3455207")
     lines = out.splitlines()
     assert code == 0 and "value_1: 0" in lines
     method = lines.index("method: sequence-form-double-oracle")
-    assert lines[method + 1 : method + 3] == ["sequences: 7 14", "iterations: 2"]
+    assert lines[method + 1 : method + 3] == ["sequences: 15 30", "iterations: 2"]
+
+
+def test_solve_tiger_duel(capsys):
+    # at its horizon 2 the value follows the belief: 0.5 at 1/2, 0.25 at 1/4
+    code, out, _ = run(capsys, "solve", TIGER_DUEL)
+    lines = out.splitlines()
+    assert code == 0 and lines[:4] == [
+        "criterion: zerosum", "horizon: 2", "value_1: 0.5", "value_2: -0.5"
+    ]
+    assert "method: sequence-form-lp" in lines
+    code, out, _ = run(capsys, "solve", TIGER_DUEL, "--start", "0.25", "0.75")
+    assert code == 0 and "value_1: 0.25" in out.splitlines()
+    # under the full form's 2,664 bytes the loop's first walk is refused too
+    code, out, err = run(capsys, "solve", TIGER_DUEL, "--cap", "2663")
+    assert code == 3 and out == ""
+    assert "restricted game too large: 6912 bytes exceeds cap 2663 bytes" in err
+
+
+def test_verify_tiger_duel(capsys):
+    code, out, _ = run(capsys, "verify", TIGER_DUEL, "--samples", "5")
+    names = [line.split(" ")[0] for line in out.splitlines()]
+    assert code == 0 and "passed=false" not in out
+    assert names == [
+        "property=sufficiency-master",
+        "property=sufficiency-private-agent1",
+        "property=sufficiency-private-agent2",
+        "property=slave-structure-agent1",
+        "property=master-structure-zerosum",
+        "property=lipschitz-zerosum",
+    ]
+    # at tolerance 1000 the master and lipschitz checks accept their
+    # corruptions, so their controls fail
+    argv = ("--suite", "master,lipschitz,controls", "--samples", "3", "--tolerance", "1000")
+    code, out, _ = run(capsys, "verify", TIGER_DUEL, *argv)
+    failed = [line.split(" ")[0] for line in out.splitlines() if "passed=false" in line]
+    assert code == 1 and failed == [
+        "property=master-structure-zerosum-negative-control",
+        "property=lipschitz-zerosum-negative-control",
+    ]
 
 
 def test_stackelberg_cap_counts_leader_sequences(capsys):

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from occupancy_games import evaluate
 from occupancy_games.evaluate import (
     evaluate_history,
     evaluate_occupancy,
@@ -13,6 +14,7 @@ from occupancy_games.evaluate import (
 from occupancy_games.model import parse_posg
 from occupancy_games.occupancy import initial_occupancy, step
 from occupancy_games.policies import (
+    BehavioralPolicy,
     DecisionRule,
     JointPolicy,
     PolicyMixture,
@@ -255,6 +257,115 @@ def test_simulate_mixture_policy(one_stage):
     result = simulate(one_stage, mix, episodes=20_000, seed=3)
     exact = evaluate_occupancy(one_stage, mix, initial_occupancy(one_stage), 0)
     assert abs(result.means[0] - exact) <= 3.0 * max(result.stderrs[0], 1e-9)
+
+
+# -- the categorical draw --------------------------------------------------------
+
+
+class FixedUniforms:
+    """A stand-in generator whose uniforms are given, in order."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+
+    def random(self, n):
+        return np.broadcast_to(np.asarray(self.draws.pop(0), dtype=float), (n,)).copy()
+
+
+def naive_draw(r, probs, key):
+    """The definition: per episode, the number of its row's cumulative sums
+    below its uniform."""
+    return (r[:, None] > np.cumsum(probs[key], axis=1)).sum(axis=1)
+
+
+def draw_mismatches(draw, n_tables=400, seed=0) -> int:
+    """Random tables on which ``draw`` and the definition differ: integer
+    weights give zero columns and tied cumulative sums, some rows have one
+    positive column, widths run from 1; uniforms run up to each row's total
+    and include 0 and each cumulative sum itself."""
+    rng = np.random.default_rng(seed)
+    bad = 0
+    for _ in range(n_tables):
+        width, n_rows, n = int(rng.integers(1, 6)), int(rng.integers(1, 5)), 60
+        probs = rng.integers(0, 4, (n_rows, width)).astype(float)
+        one_hot = rng.random(n_rows) < 0.3
+        probs[one_hot] = np.eye(width)[rng.integers(width, size=one_hot.sum())]
+        probs[probs.sum(axis=1) == 0, 0] = 1.0
+        probs /= probs.sum(axis=1, keepdims=True)
+        key = rng.integers(n_rows, size=n)
+        cum = np.cumsum(probs[key], axis=1)
+        r = rng.random(n) * cum[:, -1]
+        tie = rng.random(n) < 0.4
+        r[tie] = cum[tie, rng.integers(width, size=n)[tie]]
+        r[rng.random(n) < 0.05] = 0.0
+        got = draw(FixedUniforms(r), evaluate._cumulative(probs), key)
+        bad += not np.array_equal(got, naive_draw(r, probs, key))
+    return bad
+
+
+def test_draw_matches_the_definition():
+    assert draw_mismatches(evaluate._draw) == 0
+
+
+def test_draw_control_with_an_off_by_one_column_loop_fails():
+    def late_draw(rng, table, key):
+        r = rng.random(len(key))
+        out = np.zeros(len(key), dtype=np.intp)
+        for column in table.cum[1:]:
+            out += r > column.take(key)
+        return np.minimum(out, table.last.take(key))
+
+    assert draw_mismatches(late_draw) > 0
+
+
+def test_draw_stays_on_a_row_that_sums_to_less_than_one():
+    # validation accepts sums within 1e-9 of 1; a uniform past the row's
+    # total lands on its last positive column, not past the row
+    probs = np.array([[0.3, 0.3, 0.4 - 5e-10, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0, 0.0]])
+    key = np.array([0, 1, 0])
+    r = 1.0 - 1e-12
+    assert naive_draw(np.full(3, r), probs, key).tolist() == [5, 0, 5]
+    got = evaluate._draw(FixedUniforms(r), evaluate._cumulative(probs), key)
+    assert got.tolist() == [2, 0, 2]
+
+
+def test_simulate_keeps_a_short_rule_on_its_agent(tiger):
+    # agent 2's rule sums to 1 - 5e-10; its draw past the total stays on its
+    # last positive action instead of carrying into agent 1's digit of the
+    # joint action (both open the left door, not agent 1 opening it alone)
+    m = tiger.with_horizon(1)
+    root = [PrivateHistory(i) for i in range(2)]
+
+    def policy(dist):
+        rules = [DecisionRule(0, 0, {root[0]: (0.0, 1.0, 0.0)}), DecisionRule(1, 0, {root[1]: dist})]
+        return JointPolicy(tuple(BehavioralPolicy(i, (rule,)) for i, rule in enumerate(rules)))
+
+    stub = lambda: FixedUniforms(*[1.0 - 1e-12] * 3)  # start, then each agent's action
+    short = evaluate._simulate_pure(m, policy((0.5, 0.5 - 5e-10, 0.0)), 4, stub(), 1)
+    exact = evaluate._simulate_pure(m, policy((0.5, 0.5, 0.0)), 4, stub(), 1)
+    assert np.array_equal(short, exact)
+    assert np.array_equal(exact, np.full((2, 4), 2.0))  # treasure behind the left door
+
+
+def test_simulate_draws_exactly_as_the_definition(tiger, monkeypatch):
+    # the same episodes, bit for bit, when every draw gathers its rows and
+    # counts them by the definition
+    rng = np.random.default_rng(11)
+    m = random_posg(rng, n_states=2, n_actions=(2, 3), n_obs=(2, 2), n_public=2, horizon=3)
+    cases = [(tiger.with_horizon(3), random_joint_policy(tiger.with_horizon(3), rng))]
+    cases.append((m, random_joint_policy(m, rng)))
+    fast = [evaluate._simulate_pure(mi, p, 500, np.random.default_rng(3), 3) for mi, p in cases]
+    mix = JointPolicy(
+        (PolicyMixture(0, ((0.25, PolicyTree(0, 0)), (0.75, PolicyTree(0, 1)))), PolicyTree(1, 1))
+    )
+    fast_mix = simulate(tiger.with_horizon(1), mix, 300, 4)
+    monkeypatch.setattr(evaluate, "_cumulative", lambda probs: probs)
+    monkeypatch.setattr(
+        evaluate, "_draw", lambda rng, probs, key: naive_draw(rng.random(len(key)), probs, key)
+    )
+    for (mi, p), returns in zip(cases, fast):
+        assert np.array_equal(returns, evaluate._simulate_pure(mi, p, 500, np.random.default_rng(3), 3))
+    assert simulate(tiger.with_horizon(1), mix, 300, 4) == fast_mix
 
 
 def test_simulate_rejects_bad_episode_count(one_stage):

@@ -9,14 +9,20 @@ from occupancy_games.errors import (
     UnreachableHistoryError,
 )
 from occupancy_games.model import parse_posg
+from occupancy_games import occupancy
 from occupancy_games.occupancy import (
     OccupancyState,
+    PrivateOccupancyState,
     decompose,
     expected_reward,
     factorize,
+    entries_of,
     initial_occupancy,
+    initial_private_occupancy,
+    level_of,
     occupancy_to_csv,
     occupancy_to_tree_text,
+    private_branches,
     private_occupancy,
     private_reward,
     private_step,
@@ -30,11 +36,13 @@ from occupancy_games.policies import (
     PrivateHistory,
     empty_joint_history,
 )
+from occupancy_games.solve import best_response_private
 from occupancy_games.sampling import (
     random_decision_rule,
     random_joint_policy,
     random_posg,
 )
+from occupancy_games.verify import _anchored, _next_measure, _normalized, _outcomes, _played
 
 
 def det_rule(model, agent, t, action, histories):
@@ -443,3 +451,66 @@ def test_decompose_with_public_observations():
             assert back.entries.keys() == s1.entries.keys()
             for k, v in s1.entries.items():
                 assert back.entries[k] == pytest.approx(v, abs=1e-12)
+
+
+# -- entries of pushed states, built on first read --------------------------------
+
+
+def pushed_children(m, rng):
+    """``step``, ``private_branches`` and ``private_step`` children from the
+    start under a random policy, each with its entries by the raw
+    definition (``verify``'s enumerator, normalized per branch)."""
+    rules = random_joint_policy(m, rng).joint_rules(m)[0]
+    s0 = initial_occupancy(m)
+    public = lambda z: m.split_joint_obs(z)[1]
+    outcomes = list(_outcomes(m, s0.entries, _played(rules)))
+    out = [
+        (s, _normalized(_next_measure(m, outcomes, public, w)))
+        for w, _, s in step(m, s0, rules)
+    ]
+    s_i, others = initial_private_occupancy(m, 0), {1: rules[1]}
+    own = lambda z: m.agent_obs_of_joint(0, z)
+    _, branches = private_branches(m, s_i, others)
+    for u, z, _, s in branches:
+        outcomes = list(_outcomes(m, s_i.entries, _anchored(m, 0, others, u)))
+        out.append((s, _normalized(_next_measure(m, outcomes, own, z))))
+    u, z, _, _ = branches[-1]
+    out.append((private_step(m, s_i, others, u, z)[1], out[-1][1]))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pushed_states_build_their_entries_on_first_read(seed):
+    rng = np.random.default_rng(seed)
+    m = random_posg(rng, n_states=2, n_actions=(2, 3), n_obs=(2, 2), n_public=2, horizon=2)
+    for s, raw in pushed_children(m, rng):
+        assert "entries" not in vars(s)  # nothing built yet
+        first = s.entries
+        assert s.entries is first and first == entries_of(*level_of(m, s))
+        assert type(first) is dict
+        if isinstance(s, OccupancyState):
+            copy = OccupancyState(s.t, dict(first))
+            assert s.equals(OccupancyState(s.t, raw)) and copy.equals(s)
+        else:
+            copy = PrivateOccupancyState(s.agent, s.anchor, dict(first))
+            assert first.keys() == raw.keys()
+            assert all(abs(p - raw[k]) <= 1e-12 for k, p in first.items())
+            assert all(o.privates[0] == s.anchor for _, o in first)
+        assert s == copy and copy == s and repr(s) == repr(copy)
+    # equality reads entries: two branches of one update differ
+    rules = random_joint_policy(m, rng).joint_rules(m)[0]
+    (_, _, a), (_, _, b), *_ = step(m, initial_occupancy(m), rules)
+    assert a != b and not a.equals(b)
+
+
+def test_private_best_response_builds_no_joint_history(tiger, monkeypatch):
+    calls = []
+    real = occupancy.entries_of
+    monkeypatch.setattr(occupancy, "entries_of", lambda *a: calls.append(1) or real(*a))
+    m = tiger.with_horizon(3)
+    policy = random_joint_policy(m, np.random.default_rng(5))
+    br = best_response_private(m, {1: policy.agents[1]}, 0)
+    assert calls == [] and np.isfinite(br.value)
+    # a pushed state still builds them when read, once
+    _, _, s = step(m, initial_occupancy(m), policy.joint_rules(m)[0])[0]
+    assert s.entries is s.entries and calls == [1]

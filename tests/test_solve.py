@@ -861,20 +861,23 @@ def test_zero_sum_cap_counts_sequences_before_the_walk(tiger_zs):
     # tiger-zs: 3 actions x 2 observations, 3 * 6^d sequences per agent at
     # depth d; the walk's depth blocks hold sum over d < h of (3 * 6^d)^2
     # doubles.  One byte under that, the double oracle takes over with its
-    # own count: at h=2 its second iteration's best-response walk (2 states
-    # x 6 own histories x 4 opponent histories x 9 joint actions) outgrows
-    # the full form and is refused; at h=3 it fits and solves
+    # own count.  At h=2 and h=3 its best-response walks outgrow the full
+    # form: at h=2 the first one's push from the start already holds 2
+    # states x (3 x 9 joint actions + 6 x 68 dynamics rows) doubles.  At
+    # h=4 the loop fits and solves
     assert solve_zero_sum(tiger_zs, cap_bytes=2_664).metadata["sequences"] == (21, 21)
     with pytest.raises(CapExceededError) as info:
         solve_zero_sum(tiger_zs, cap_bytes=2_663)
-    assert info.value.count == 8 * 2 * 6 * 4 * 9
-    full = 8 * sum((3 * 6**d) ** 2 for d in range(3))
-    eq = solve_zero_sum(tiger_zs.with_horizon(3), cap_bytes=full - 1)
+    assert info.value.count == 8 * 2 * (3 * 9 + 6 * 68)
+    full = 8 * sum((3 * 6**d) ** 2 for d in range(4))
+    eq = solve_zero_sum(tiger_zs.with_horizon(4), cap_bytes=full - 1)
     assert eq.metadata["method"] == "sequence-form-double-oracle"
-    assert eq.metadata["sequences"] == (7, 14) and eq.metadata["iterations"] == 2
-    # the loop's largest prediction there is 41,472 bytes
-    with pytest.raises(CapExceededError, match="restricted game too large: 41472 bytes"):
-        solve_zero_sum(tiger_zs.with_horizon(3), cap_bytes=41_471)
+    assert eq.metadata["sequences"] == (15, 30) and eq.metadata["iterations"] == 2
+    # the loop's largest prediction there: its second iteration's walk
+    # against an opponent on two trees, 2 states x 6^2 own x 8 opponent
+    # histories at depth 2, each entry with its push's rows
+    with pytest.raises(CapExceededError, match="restricted game too large: 2004480 bytes"):
+        solve_zero_sum(tiger_zs.with_horizon(4), cap_bytes=2_004_479)
 
 
 def no_build(*args, **kwargs):
@@ -892,9 +895,10 @@ def value_from_the_start(m):
         # the last one (3 * 6^5)^2 doubles
         ("tiger_zs", value_from_the_start, 6, sum((3 * 6**d) ** 2 for d in range(6))),
         # the double oracle's first best-response walk against the seed tree
-        # at its widest level: 2 states x 6^7 own histories x 2^7 opponent
-        # histories x 9 joint actions
-        ("tiger_zs", solve_zero_sum, 8, 2 * 6**7 * 2**7 * 9),
+        # at its largest level: 2 states x 6^5 own histories x 2^5 opponent
+        # histories at depth 5, each entry with 3 (entry, joint action)
+        # arrays over 9 joint actions beside 6 arrays over its push's 68 rows
+        ("tiger_zs", solve_zero_sum, 7, 2 * 6**5 * 2**5 * (3 * 9 + 6 * 68)),
         # 3^15 agent-1 trees over 777 sequences, and the payoffs contracted
         # with them
         ("tiger", solve_dec, 4, sum((3 * 6**d) ** 2 for d in range(4)) + 2 * 3**15 * 777),
@@ -939,6 +943,23 @@ def test_tiger_duel_values_depend_on_the_belief(tiger_duel, b, h, expected):
     assert abs(value - expected) <= 1e-9
     if h == 2:
         assert abs(value - brute_force_zero_sum(m, initial_occupancy(m))) <= 1e-9
+
+
+def distinct_strategies_value(m) -> float:
+    """The brute-force joint normal form's value, each agent's duplicate
+    pure trees (equal payoff rows or columns) kept once: dropping a copy of
+    a strategy leaves a matrix game's value unchanged."""
+    (A,), _ = suffix_normal_form(m, initial_occupancy(m), (0,))
+    return matrix_game_value(np.unique(np.unique(A, axis=0), axis=1)).value
+
+
+@pytest.mark.parametrize("b, expected", [(0.25, 0.75), (0.5, 0.5), (0.9, 0.9)])
+def test_tiger_duel_three_steps_match_the_brute_force_normal_form(tiger_duel, b, expected):
+    # 3^7 = 2,187 pure trees per agent
+    m = tiger_duel.with_horizon(3).with_start([b, 1.0 - b])
+    value = solve_zero_sum(m).values[0]
+    assert abs(value - distinct_strategies_value(m)) <= 1e-12
+    assert abs(value - expected) <= 1e-12
 
 
 def loop_models():
