@@ -280,9 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
             "realization matrix and the payoffs contracted with it, predicted "
             "from the full tries before anything is built (default 2**30).  A "
             "zero-sum solve over it runs the double oracle instead, within the "
-            "same budget: its restricted walk's depth blocks and the widest "
-            "level of each best response's walk, checked before each walk.  "
-            "It does not bound peak memory, which runs 2-4 times higher",
+            "same budget: the most each of its walks holds at once, counted "
+            "before the walk.  The full form's count does not bound "
+            "peak memory, which runs 2-4 times higher",
         ),
         "--horizon": dict(type=int, default=None, help="horizon override"),
         "--start": dict(

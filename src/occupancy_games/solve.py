@@ -20,8 +20,11 @@ mixtures over pure policy trees; a game where each agent has a single
 information set is the matrix game itself and keeps its closed forms.  Where
 that tensor is over the budget, the start-belief solver runs the
 sequence-form double oracle (Bošanský, Kiekintveld, Lisý & Pěchouček 2014)
-instead: the same walk and LP over restricted sets of sequences, grown by
-history-route best responses until the full LP's certificate closes.
+instead, in sequence form throughout: restricted sets of sequences and the
+opponents' mixtures are rows of action weights by trie code, every step is
+the same walk under those weights, the LP or a reverse fold over one
+agent's trie (its best reply), and trees are decoded only for the returned
+mixtures.  It stops when the full LP's certificate closes.
 Common-payoff and Stackelberg games enumerate pure plans (a reduced policy
 tree per anchor, each plan an index whose base-``n_u`` digits are its
 actions) for all agents but one and keep that agent in sequence form: the
@@ -36,10 +39,11 @@ Ties everywhere break toward the lowest enumeration index.
 
 ``_normal_form`` is the one set-up of that walk.  ``cap_bytes`` is one budget
 for every criterion: the bytes of the dense arrays it would build, predicted
-from the agents' full tries before any walk or enumeration (for the double
-oracle, ``_restricted_bytes`` before each iteration's walks and
-``_br_walk_bytes`` before each best response).  It leaves out the LP
-matrices and intermediate copies, so it does not bound peak memory.
+from the agents' full tries before any walk or enumeration.  That count
+leaves out the LP matrices and intermediate copies, so it does not bound
+peak memory.  For the double oracle it is ``_restricted_bytes`` instead,
+checked before each walk: the most that walk holds at once, without the
+LP's matrices.
 The normal forms and the values from mid-game states keep the default
 ``CAP_BYTES``.  Every solver reads the model's own horizon;
 ``PosgModel.with_horizon`` sets another.
@@ -49,7 +53,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -71,7 +75,6 @@ from .occupancy import (
     rule_arrays,
 )
 from .policies import (
-    BehavioralPolicy,
     DecisionRule,
     JointPolicy,
     PolicyTree,
@@ -131,7 +134,9 @@ def matrix_game_value(payoffs, tolerance: float = DEFAULT_TOLERANCE) -> MatrixGa
 
     Degenerate shapes and 2x2 games use closed forms; anything larger goes to
     the realization-plan LP with one information set per player, with the
-    duality gap checked against the tolerance.
+    duality gap checked against the tolerance.  A copy of a row or column
+    changes no value, so the LP sees each distinct one once and its weight
+    goes to its first copy.
     """
     A = np.asarray(payoffs, dtype=float)
     if A.ndim != 2 or A.size == 0:
@@ -153,11 +158,24 @@ def matrix_game_value(payoffs, tolerance: float = DEFAULT_TOLERANCE) -> MatrixGa
         return MatrixGameSolution(float(A[j, 0]), row, np.ones(1), "closed-form")
     if m == 2 and n == 2:
         return _solve_2x2(A)
+    rows, cols = _first_copies(A), _first_copies(A.T)
     one_set = np.full(1, -1, dtype=np.intp)
-    value, row, col, gap = _realization_plan_lp(_block_diagonal([A]), (one_set, one_set), (m, n))
+    value, x, y, gap = _realization_plan_lp(
+        _block_diagonal([A[np.ix_(rows, cols)]]), (one_set, one_set), (len(rows), len(cols))
+    )
     if gap > max(tolerance, 1e-7) * max(1.0, np.abs(A).max()):
         raise RuntimeError(f"matrix game duality gap {gap:.3g} exceeds tolerance")
+    row, col = np.zeros(m), np.zeros(n)
+    row[rows], col[cols] = x, y
     return MatrixGameSolution(value, row, col, "lp", gap)
+
+
+def _first_copies(M: np.ndarray) -> np.ndarray:
+    """Increasing index of the first copy of each distinct row of ``M``."""
+    first: dict[bytes, int] = {}
+    for i, row in enumerate(M):
+        first.setdefault(row.tobytes(), i)
+    return np.fromiter(first.values(), dtype=np.intp)
 
 
 def _solve_2x2(A: np.ndarray) -> MatrixGameSolution:
@@ -362,8 +380,8 @@ def _sequence_payoffs(
     s: OccupancyState,
     anchors: Sequence[Sequence[PrivateHistory]],
     agents_of_interest: Sequence[int],
-    restricted: Sequence[Sequence[np.ndarray]] | None = None,
-) -> tuple[list[np.ndarray], list[dict[tuple[int, int, int], int]], list[np.ndarray] | None]:
+    weights: Sequence[Sequence[tuple[np.ndarray, np.ndarray]] | None] | None = None,
+) -> tuple[list[np.ndarray], list[dict[tuple[int, int, int], int]], list | None]:
     """Sequence-form payoff tensor below occupancy ``s``, one block per depth.
 
     One forward walk, level by level, pushes the mass of ``s`` through
@@ -380,11 +398,13 @@ def _sequence_payoffs(
     discounted reward at those joint sequences weighted by the probability
     of the outcomes along them.  The full tensor is block diagonal in them.
 
-    With ``restricted``, agent ``i`` plays only the depth-``d`` sequences
-    whose trie codes (``_tree_codes``) ``restricted[i][d]`` lists: each
-    level's 0/1 masks are ``next_level``'s action probabilities, so only
-    pairs of restricted sequences are pushed, and the third item is each
-    agent's mask over its sequences (None without ``restricted``).
+    With ``weights``, agent ``i`` plays ``rows[k]`` at the set of trie code
+    ``codes[k]`` (``weights[i][d] = (codes, rows)`` at depth ``d``, as
+    ``_plan_rows`` builds them; every set the walk reaches listed) as
+    ``next_level``'s action probabilities, so only weighted actions are
+    pushed, and the third item is each agent's weight per sequence (None
+    without ``weights``).  An agent whose weights are None plays each action
+    with weight 1, as every agent does without ``weights``.
     """
     n_us = tuple(len(labels) for labels in model.actions)
     n_zs = tuple(model.n_agent_obs(i) for i in range(model.n_agents))
@@ -402,14 +422,16 @@ def _sequence_payoffs(
     first = [0] * model.n_agents  # id of the level's first set, per agent
     kids: list[dict[tuple[int, int, int], int]] = [{} for _ in anchors]
     trie = [np.arange(n) for n in n_sets]  # trie code of each set of the level
-    masks: list[list[np.ndarray]] = [[] for _ in anchors]
+    played: list[list[np.ndarray]] = [[] for _ in anchors]  # weights by set, per level
     blocks, a = [], None
     for d in range(model.horizon - s.t):
-        if restricted is not None:
-            for i, codes in enumerate(trie):
-                seqs = codes[:, None] * n_us[i] + np.arange(n_us[i])
-                masks[i].append(np.isin(seqs, restricted[i][d]))
-            a = action_probs(model, level, [m[-1].astype(float) for m in masks])
+        if weights is not None:
+            for i, (codes, w) in enumerate(zip(trie, weights)):
+                played[i].append(
+                    np.ones((len(codes), n_us[i])) if w is None
+                    else w[d][1][np.searchsorted(w[d][0], codes)]
+                )
+            a = action_probs(model, level, [p[-1] for p in played])
         blocks.append(_payoff_block(level, rewards))
         if d + 1 == model.horizon - s.t:
             break
@@ -423,8 +445,9 @@ def _sequence_payoffs(
             j, uz = np.divmod(codes, n_us[i] * n_zs[i])
             trie[i] = trie[i][j] * (n_us[i] * n_zs[i]) + uz
         level = pushed.level
-    played = None if restricted is None else [np.concatenate(m, axis=None) for m in masks]
-    return blocks, kids, played
+    if weights is None:
+        return blocks, kids, None
+    return blocks, kids, [np.concatenate(p, axis=None) for p in played]
 
 
 def _kid_keys(model: PosgModel, agent: int, codes: np.ndarray, first: int):
@@ -520,35 +543,40 @@ def _predicted_bytes(
     return 8 * doubles
 
 
-def _br_walk_bytes(model: PosgModel, agent: int, other_hists: Sequence[int]) -> int:
-    """The most ``_history_br``'s walk from the start holds at once, in bytes.
-
-    A level has an entry per state, per history of the agent's full trie and
-    per history the other agent reaches, ``other_hists[d]`` at depth ``d``.
-    It holds four (entry, joint action) arrays at once: the action
-    probabilities beside the reward's two factors and product, or beside the
-    sequence ids and their partial sum.  Below the last level, three of them
-    stay while its push builds six arrays over its rows, one row per nonzero
-    dynamics cell of the entry's state: entry, outcome and mass, before and
-    after the rows without mass are dropped."""
-    n_uz = len(model.actions[agent]) * model.n_agent_obs(agent)
-    n_j = model.n_joint_actions
-    pushed = max(4 * n_j, 3 * n_j + 6 * int(np.diff(model._successor_arrays.begin).max()))
-    last = len(other_hists) - 1
-    held = [n_uz**d * n * (4 * n_j if d == last else pushed) for d, n in enumerate(other_hists)]
-    return 8 * model.n_states * max(held)
-
-
-def _restricted_bytes(model: PosgModel, restricted: Sequence[Sequence[np.ndarray]]) -> int:
-    """What one double-oracle iteration builds, in bytes of doubles: the
-    largest of the restricted walk's depth blocks (every history a restricted
-    sequence leaves from taken as reached) and each best response's walk
-    against an opponent on those histories (``_br_walk_bytes``).  The walks
-    run one after another; the LP matrices and copies are not counted."""
+def _restricted_bytes(
+    model: PosgModel,
+    weights: Sequence[Sequence[tuple[np.ndarray, np.ndarray]] | None],
+    depth: int,
+) -> int:
+    """The most a double-oracle walk holds at once, in bytes, from each
+    agent's sets per depth: those its ``weights`` list, or its whole trie.
+    A depth of ``n`` joint sets has at most ``n_states * n`` entries and
+    ``n * prod(n_u)`` payoff cells.  The walk holds the blocks above, three
+    arrays over the cells and, per entry, the level's four arrays, its
+    joint-action probabilities and, above the last depth, six arrays over
+    its push's rows (one per nonzero dynamics cell of the entry's state);
+    building the sparse ``G`` holds six items per cell.  A restricted pair
+    counts as the larger of both best replies' walks against its sets,
+    which hold more at every depth, so an iteration that does not fit is
+    refused before its first walk."""
+    if all(w is not None for w in weights):
+        replies = ([None, weights[1]], [weights[0], None])
+        return max(_restricted_bytes(model, w, depth) for w in replies)
     n_us = [len(labels) for labels in model.actions]
-    hists = [[len(np.unique(c // n_u)) for c in r] for r, n_u in zip(restricted, n_us)]
-    blocks = sum(math.prod(h[d] * n_u for h, n_u in zip(hists, n_us)) for d in range(len(hists[0])))
-    return max(8 * blocks, *(_br_walk_bytes(model, i, hists[1 - i]) for i in range(2)))
+    sets = [
+        [n // n_u for n in _trie_size(model, i, 1, depth)[0]]
+        if w is None else [len(codes) for codes, _ in w]
+        for i, (w, n_u) in enumerate(zip(weights, n_us))
+    ]
+    joint = [math.prod(n[d] for n in sets) for d in range(depth)]
+    cells = [n * math.prod(n_us) for n in joint]
+    rows = int(np.diff(model._successor_arrays.begin).max())
+    walk = max(
+        sum(cells[:d]) + 3 * cells[d]
+        + model.n_states * n * (model.n_joint_actions + 4 + 6 * rows * (d + 1 < depth))
+        for d, n in enumerate(joint)
+    )
+    return 8 * max(walk, 6 * sum(cells))
 
 
 def _parents(kids: Mapping[tuple[int, int, int], int], n_sets: int, n_u: int) -> np.ndarray:
@@ -566,7 +594,7 @@ def _normal_form(
     cap_bytes: int,
     keep: Sequence[int] = (),
     uncontracted: Sequence[int] = (),
-    restricted: Sequence[Sequence[np.ndarray]] | None = None,
+    weights: Sequence[Sequence[tuple[np.ndarray, np.ndarray]] | None] | None = None,
 ) -> tuple[list, list[np.ndarray | None], list[dict], list[np.ndarray]]:
     """Payoff tensors below occupancy ``s``, one per agent of interest and one
     axis per agent, with each agent's realization matrix, the ``kids`` of
@@ -585,26 +613,26 @@ def _normal_form(
     agents' sequences.  ``_predicted_bytes`` must stay within ``cap_bytes``,
     checked before the walk and any enumeration.
 
-    With ``restricted`` (both agents kept, start of a double-oracle
-    iteration), the walk pushes restricted sequence pairs only
-    (``_sequence_payoffs``), the second item is each agent's 0/1 mask of
-    restricted sequences, and ``_restricted_bytes`` is checked instead.
+    With ``weights`` (both agents kept, from the start: a walk of the double
+    oracle), the walk pushes weighted actions only (``_sequence_payoffs``),
+    the second item is each agent's weight per sequence, and
+    ``_restricted_bytes`` is checked instead.
     """
     depth = model.horizon - s.t
     if depth < 1:
         raise ValueError("occupancy state is already at the horizon")
     anchors = [_anchors(s, i) for i in range(model.n_agents)]
-    if restricted is None:
+    if weights is None:
         what, n_bytes = "normal form", _predicted_bytes(
             model, [len(a) for a in anchors], depth, keep, len(agents_of_interest),
             len(uncontracted),
         )
     else:
-        what, n_bytes = "restricted game", _restricted_bytes(model, restricted)
+        what, n_bytes = "restricted game", _restricted_bytes(model, weights, depth)
     if n_bytes > cap_bytes:
         raise CapExceededError(what, n_bytes, cap_bytes, " bytes")
     blocks, kids, played = _sequence_payoffs(
-        model, s, anchors, list(agents_of_interest) + list(uncontracted), restricted
+        model, s, anchors, list(agents_of_interest) + list(uncontracted), weights
     )
     parents = [
         _parents(kids[i], len(anchors[i]) + len(kids[i]), len(model.actions[i]))
@@ -640,7 +668,7 @@ def _normal_form(
         mats = list(np.concatenate(parts, axis=1 + kept[0]))
     else:  # both agents of a two-agent game kept: block diagonal, stored sparse
         mats = [_block_diagonal([part[k] for part in parts]) for k in range(n_c)]
-    return mats + dense, realizations if played is None else played, kids, parents
+    return mats + dense, realizations if weights is None else played, kids, parents
 
 
 def _block_diagonal(blocks: Sequence[np.ndarray]):
@@ -808,6 +836,22 @@ def _realization_plan_lp(
     return -float(res.fun), x, y, gap
 
 
+def _certificate(
+    value: float, gap: float, replies: Sequence[float], G, tolerance: float
+) -> tuple[dict[str, object], RuntimeError | None]:
+    """A saddle point's certificate as metadata: the duality gap and what
+    each side's opponent gains by its best pure reply (``replies``, agent
+    0's then agent 1's, in agent 0's payoff); and the error to raise if
+    their sum exceeds ``max(tolerance, 1e-7)`` times ``G``'s largest |entry|."""
+    exploitability = (max(0.0, value - replies[1]), max(0.0, replies[0] - value))
+    certificate = gap + sum(exploitability)
+    error = None
+    if certificate > max(tolerance, 1e-7) * max(1.0, float(np.abs(G.data).max(initial=0.0))):
+        error = RuntimeError(f"zero-sum certificate {certificate:.3g} exceeds tolerance")
+    metadata = {"duality_gap": gap, "exploitability": exploitability, "residual": max(exploitability)}
+    return metadata, error
+
+
 def _zero_sum_kernel(
     model: PosgModel, s: OccupancyState, tolerance: float, cap_bytes: int
 ) -> tuple[SequenceFormSolution, object]:
@@ -828,20 +872,14 @@ def _zero_sum_kernel(
     else:
         value, x, y, gap = _realization_plan_lp(G, parents, n_us)
         method = "sequence-form-lp"
-    exploitability = (
-        max(0.0, value - float(_trie_best(x @ payoffs, parents[1], n_us[1], np.min))),
-        max(0.0, float(_trie_best(payoffs @ y, parents[0], n_us[0], np.max)) - value),
+    replies = (
+        float(_trie_best(payoffs @ y, parents[0], n_us[0], np.max)),
+        float(_trie_best(x @ payoffs, parents[1], n_us[1], np.min)),
     )
-    certificate = gap + sum(exploitability)
-    if certificate > max(tolerance, 1e-7) * max(1.0, float(np.abs(G.data).max(initial=0.0))):
-        raise RuntimeError(f"zero-sum certificate {certificate:.3g} exceeds tolerance")
-    metadata = {
-        "method": method,
-        "sequences": G.shape,
-        "duality_gap": gap,
-        "exploitability": exploitability,
-        "residual": max(exploitability),
-    }
+    certificate, error = _certificate(value, gap, replies, G, tolerance)
+    if error is not None:
+        raise error
+    metadata = {"method": method, "sequences": G.shape, **certificate}
     anchors = tuple(tuple(_anchors(s, i)) for i in range(2))
     solution = SequenceFormSolution(value, (x, y), anchors, tuple(kids), metadata)
     return solution, G
@@ -893,9 +931,9 @@ def _kuhn_mixture(
     agent: int,
     plan: np.ndarray,
     kids: Mapping[tuple[int, int, int], int],
-) -> tuple[dict[int, float], dict[int, PolicyTree]]:
-    """Pure policy trees whose mixture realizes ``plan`` (one anchor, at the
-    start), keyed by their ``enumerate_pure_policies`` index.
+) -> dict[int, float]:
+    """The weights of pure policy trees whose mixture realizes ``plan`` (one
+    anchor, at the start), keyed by their index (``_tree`` decodes them).
 
     Each round takes the tree playing the heaviest remaining action at every
     set it reaches, weighs it by the least remaining mass on its sequences
@@ -914,116 +952,118 @@ def _kuhn_mixture(
         rest[played] -= w
         rest[rest <= 1e-12] = 0.0
         weights[index] = weights.get(index, 0.0) + w
-    return weights, {index: _tree(model, agent, index, model.horizon) for index in weights}
+    return weights
 
 
-def _tree_codes(model: PosgModel, tree: PolicyTree) -> list[np.ndarray]:
-    """Trie codes of the sequences a pure tree from the start plays, sorted,
-    one array per depth.  A set's code is 0 at the root and
-    ``(code * n_u + u) * n_z + z`` after own action ``u`` and observation
-    ``z``; a sequence's code is ``code * n_u + u``."""
-    n_u, n_z = len(model.actions[tree.agent]), model.n_agent_obs(tree.agent)
-    codes, level = [], [(0, tree)]
-    while level:
-        seqs = [c * n_u + node.action for c, node in level]
-        codes.append(np.sort(seqs))
-        level = [
-            (q * n_z + z, child)
-            for q, (_, node) in zip(seqs, level)
-            for z, child in enumerate(node.children)
-        ]
-    return codes
+def _plan_rows(
+    model: PosgModel, agent: int, mixture: Mapping[int, float]
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Kuhn's behavioural form of a mixture of pure trees from the start
+    (weights by tree index), by trie code: per depth, the sorted codes of
+    every set of each tree, action-0 defaults included, and per set each
+    action's share of the weight of the trees there.  A set's code is 0 at
+    the root and ``(code * n_u + u) * n_z + z`` after own action ``u`` and
+    observation ``z``; a tree's index digits are its actions in preorder
+    (``_tree``)."""
+    n_u, n_z, depth = len(model.actions[agent]), model.n_agent_obs(agent), model.horizon
+    played: list[list[tuple[int, int, float]]] = [[] for _ in range(depth)]
+    for index, w in mixture.items():
+        nodes = [(0, 0)]  # (depth, set code), popped in preorder
+        for e in range(sum(n_z**d for d in range(depth)) - 1, -1, -1):
+            d, code = nodes.pop()
+            u = index // n_u**e % n_u
+            played[d].append((code, u, w))
+            if d + 1 < depth:
+                nodes += [(d + 1, (code * n_u + u) * n_z + z) for z in range(n_z - 1, -1, -1)]
+    out = []
+    for code, u, w in (map(np.array, zip(*at_depth)) for at_depth in played):
+        codes, where = np.unique(code, return_inverse=True)
+        rows = np.zeros((len(codes), n_u))
+        np.add.at(rows, (where, u), w)
+        out.append((codes, rows / rows.sum(axis=1, keepdims=True)))
+    return out
 
 
-def _behavioural(
-    model: PosgModel, agent: int, mixture: Mapping[int, float], trees: Mapping[int, PolicyTree]
-) -> BehavioralPolicy:
-    """Kuhn's behavioural form of a mixture of pure trees: at each history a
-    tree of the mixture reaches, each action's weight among those trees."""
-    n_u = len(model.actions[agent])
-    level = [(PrivateHistory(agent), trees[k], w) for k, w in mixture.items()]
-    rules = []
-    while level:
-        weights: dict[PrivateHistory, np.ndarray] = {}
-        for h, node, w in level:
-            weights.setdefault(h, np.zeros(n_u))[node.action] += w
-        probs = {h: tuple((m / m.sum()).tolist()) for h, m in weights.items()}
-        rules.append(DecisionRule(agent, len(rules), probs))
-        level = [
-            (h.child(node.action, z), child, w)
-            for h, node, w in level
-            for z, child in enumerate(node.children)
-        ]
-    return BehavioralPolicy(agent, tuple(rules))
+def _best_reply(
+    model: PosgModel,
+    s0: OccupancyState,
+    agent: int,
+    rows: Sequence[tuple[np.ndarray, np.ndarray]],
+    cap_bytes: int,
+) -> tuple[float, int]:
+    """The value in agent 0's payoff (the most for agent 0, the least for
+    agent 1) and the tree index of the agent's best pure reply from the
+    initial state ``s0`` to the other playing ``rows`` (``_plan_rows``): one
+    walk of the agent's whole trie against those weights, ``G`` times the
+    other's weight per sequence folded over the trie.  Ties break as in
+    ``_argmax_lowest``; sets the walk never reaches play action 0."""
+    weights = [None, rows] if agent == 0 else [rows, None]
+    (G,), played, kids, parents = _normal_form(
+        model, s0, [0], cap_bytes, keep=(0, 1), weights=weights
+    )
+    sign, best = (1.0, np.max) if agent == 0 else (-1.0, np.min)
+    g = G @ played[1] if agent == 0 else played[0] @ G
+    v = _trie_fold(g, parents[agent], len(model.actions[agent]), best)
+    index, _ = _pure_tree(model, agent, kids[agent], lambda j: _argmax_lowest(sign * v[j]))
+    return float(best(v[0])), index
 
 
-def _double_oracle(model: PosgModel, tolerance: float, cap_bytes: int) -> Equilibrium:
+def _double_oracle(
+    model: PosgModel, tolerance: float, cap_bytes: int
+) -> tuple[float, list[dict[int, float]], dict[str, object]]:
     """Saddle point at the start belief by the sequence-form double oracle
     (Bošanský, Kiekintveld, Lisý & Pěchouček 2014), for games whose full
-    sequence form is over ``cap_bytes``.
+    sequence form is over ``cap_bytes``: agent 0's value, each agent's Kuhn
+    mixture of pure trees by index, and the metadata.
 
-    Each agent keeps a restricted set of sequences, by trie code
-    (``_tree_codes``) so that it is stable across iterations: a union of
-    whole pure trees, seeded with plan 0, so closed under prefixes and with
-    a restricted action at every set below a restricted sequence.  Each
-    iteration walks the payoffs of restricted sequence pairs only, solves the
-    restricted realization-plan LP, reads each plan back as a Kuhn mixture of
-    pure trees and prices it by the opponent's history-route best response to
-    its behavioural form.  The certificate is the full LP's: the duality gap
-    plus both exploitabilities, within ``max(tolerance, 1e-7)`` times the largest
-    restricted payoff magnitude, which is no larger than the full one.
-    Otherwise both best-response trees join the restricted sets; an iteration
-    that adds no sequence raises.  ``cap_bytes`` bounds
-    ``_restricted_bytes``, checked before each iteration's walks, and each
-    best response's walk against the mixture it prices."""
+    Each restricted set of sequences is a union of whole pure trees seeded
+    with plan 0, so closed under prefixes, held as 0/1 rows by trie code
+    (``_plan_rows``).  Each iteration walks restricted sequence pairs, solves
+    the restricted LP, reads each plan as a Kuhn mixture and prices it by
+    the opponent's best reply (``_best_reply``).  It stops on the full LP's
+    certificate (``_certificate``, scaled by the largest restricted payoff,
+    which is no larger than the full one); otherwise both replies' trees
+    join the sets, and an iteration that adds no sequence raises."""
     s0 = initial_occupancy(model)
-    # best responses score agent 2 by exactly -R1, as G does
-    priced = replace(model, rewards=np.stack([model.rewards[0], -model.rewards[0]]))
     n_us = [len(labels) for labels in model.actions]
-    restricted = [_tree_codes(model, _tree(model, i, 0, model.horizon)) for i in range(2)]
+
+    def restricted(trees) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+        """Each agent's 0/1 rows of the sequences its trees play."""
+        return [
+            [(codes, (rows > 0.0) * 1.0) for codes, rows in _plan_rows(model, i, t)]
+            for i, t in enumerate(trees)
+        ]
 
     def sizes(sets) -> tuple[int, ...]:
-        return tuple(sum(map(len, codes)) for codes in sets)
+        return tuple(int(sum(rows.sum() for _, rows in per_depth)) for per_depth in sets)
 
+    trees: list[dict[int, float]] = [{0: 1.0}, {0: 1.0}]  # each set's trees, by index
+    sets = restricted(trees)
     for iteration in itertools.count(1):
         (G,), played, kids, parents = _normal_form(
-            model, s0, [0], cap_bytes, keep=(0, 1), restricted=restricted
+            model, s0, [0], cap_bytes, keep=(0, 1), weights=sets
         )
-        value, x, y, gap = _realization_plan_lp(G, parents, n_us, played)
-        mixtures, policies = zip(
-            *(_kuhn_mixture(model, i, plan, kids[i]) for i, plan in enumerate((x, y)))
-        )
-        responses = []
-        for i in range(2):  # agent i best-responds to the other's mixture
-            other = _behavioural(model, 1 - i, mixtures[1 - i], policies[1 - i])
-            n_bytes = _br_walk_bytes(model, i, [len(rule.probs) for rule in other.rules])
-            if n_bytes > cap_bytes:
-                raise CapExceededError("best-response walk", n_bytes, cap_bytes, " bytes")
-            responses.append(best_response_history(priced, {1 - i: other}, i))
-        exploitability = (
-            max(0.0, value + responses[1].value),
-            max(0.0, responses[0].value - value),
-        )
-        certificate = gap + sum(exploitability)
-        bound = max(tolerance, 1e-7) * max(1.0, float(np.abs(G.data).max(initial=0.0)))
-        if certificate <= bound:
-            break
-        grown = [
-            [np.union1d(a, b) for a, b in zip(codes, _tree_codes(model, br.policy))]
-            for codes, br in zip(restricted, responses)
+        value, x, y, gap = _realization_plan_lp(G, parents, n_us, [p > 0.0 for p in played])
+        mixtures = [_kuhn_mixture(model, i, plan, kids[i]) for i, plan in enumerate((x, y))]
+        replies = [
+            _best_reply(model, s0, i, _plan_rows(model, 1 - i, mixtures[1 - i]), cap_bytes)
+            for i in range(2)
         ]
-        if sizes(grown) == sizes(restricted):
-            raise RuntimeError(f"zero-sum certificate {certificate:.3g} exceeds tolerance")
-        restricted = grown
+        certificate, error = _certificate(value, gap, [v for v, _ in replies], G, tolerance)
+        if error is None:
+            break
+        trees = [{**t, index: 1.0} for t, (_, index) in zip(trees, replies)]
+        grown = restricted(trees)
+        if sizes(grown) == sizes(sets):
+            raise error
+        sets = grown
     metadata = {
         "method": "sequence-form-double-oracle",
-        "sequences": sizes(restricted),
+        "sequences": sizes(sets),
         "iterations": iteration,
-        "duality_gap": gap,
-        "exploitability": exploitability,
-        "residual": max(exploitability),
+        **certificate,
     }
-    return Equilibrium("zerosum", (value, -value), mixtures, policies, metadata)
+    return value, mixtures, metadata
 
 
 def solve_zero_sum(
@@ -1040,16 +1080,19 @@ def solve_zero_sum(
     try:
         sol, _ = _zero_sum_kernel(model, initial_occupancy(model), tolerance, cap_bytes)
     except CapExceededError:
-        return _double_oracle(model, tolerance, cap_bytes)
-    mixtures, policies = zip(
-        *(_kuhn_mixture(model, i, sol.plans[i], sol.kids[i]) for i in range(2))
-    )
+        value, mixtures, metadata = _double_oracle(model, tolerance, cap_bytes)
+    else:
+        value, metadata = sol.value, dict(sol.metadata)
+        mixtures = [_kuhn_mixture(model, i, sol.plans[i], sol.kids[i]) for i in range(2)]
     return Equilibrium(
         criterion="zerosum",
-        values=(sol.value, -sol.value),
-        mixtures=mixtures,
-        policies=policies,
-        metadata=dict(sol.metadata),
+        values=(value, -value),
+        mixtures=tuple(mixtures),
+        policies=tuple(
+            {k: _tree(model, i, k, model.horizon) for k in mixture}
+            for i, mixture in enumerate(mixtures)
+        ),
+        metadata=metadata,
     )
 
 
@@ -1223,12 +1266,15 @@ def solve_stackelberg(
     plan is returned as a mixture over pure policy trees (Kuhn)."""
     _require(model, "stackelberg", "solve_stackelberg")
     sol = _stackelberg_kernel(model, initial_occupancy(model), tolerance, cap_bytes)
-    mixture, trees = _kuhn_mixture(model, 0, sol.plan, sol.kids)
+    mixture = _kuhn_mixture(model, 0, sol.plan, sol.kids)
     return Equilibrium(
         criterion="stackelberg",
         values=sol.values,
         mixtures=(mixture, {sol.k: 1.0}),
-        policies=(trees, {sol.k: _tree(model, 1, sol.k, model.horizon)}),
+        policies=(
+            {k: _tree(model, 0, k, model.horizon) for k in mixture},
+            {sol.k: _tree(model, 1, sol.k, model.horizon)},
+        ),
         metadata=dict(sol.metadata),
     )
 

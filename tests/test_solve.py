@@ -145,6 +145,25 @@ def test_matrix_game_saddle_certificate():
         assert sol.col_mix.sum() == pytest.approx(1.0, abs=1e-9)
 
 
+def test_matrix_game_lp_drops_duplicate_rows_and_columns():
+    # copies change no value; the mixtures keep their weight on first copies
+    for k in range(5):
+        rng = np.random.default_rng(700 + k)
+        A = rng.uniform(-1, 1, size=(3, 4))
+        rows, cols = [0, 1, 0, 2, 1, 2], [3, 0, 3, 1, 2, 0, 1]
+        B = A[np.ix_(rows, cols)]
+        a, b = matrix_game_value(A), matrix_game_value(B)
+        assert a.method == b.method == "lp" and abs(a.value - b.value) <= 1e-12
+        first_rows, first_cols = [0, 1, 3], [1, 3, 4, 0]  # A's rows and columns
+        assert np.abs(b.row_mix[first_rows] - a.row_mix).max() <= 1e-9
+        assert np.abs(b.col_mix[first_cols] - a.col_mix).max() <= 1e-9
+        assert b.row_mix.sum() == b.row_mix[first_rows].sum()
+        assert b.col_mix.sum() == b.col_mix[first_cols].sum()
+    # a matrix with two copies of one row still goes to the LP, not the 2x2
+    # closed form
+    assert matrix_game_value(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 2.0]])).method == "lp"
+
+
 def test_matrix_game_rejects_bad_input():
     with pytest.raises(ValueError):
         matrix_game_value(np.zeros((0, 2)))
@@ -504,7 +523,8 @@ def test_one_sided_solvers_stay_off_the_joint_normal_form():
 def test_only_normal_form_sets_up_a_sequence_form():
     # depth check, cap, walk and parent numbering live in _normal_form alone
     for fn in (
-        solve._zero_sum_kernel, solve._double_oracle, solve._one_sided, solve._stackelberg_kernel
+        solve._zero_sum_kernel, solve._double_oracle, solve._best_reply, solve._one_sided,
+        solve._stackelberg_kernel,
     ):
         code = compile(inspect.getsource(fn), solve.__file__, "exec")
         forbidden = {"_sequence_payoffs", "_trie_size", "_predicted_bytes", "_parents"}
@@ -861,23 +881,45 @@ def test_zero_sum_cap_counts_sequences_before_the_walk(tiger_zs):
     # tiger-zs: 3 actions x 2 observations, 3 * 6^d sequences per agent at
     # depth d; the walk's depth blocks hold sum over d < h of (3 * 6^d)^2
     # doubles.  One byte under that, the double oracle takes over with its
-    # own count.  At h=2 and h=3 its best-response walks outgrow the full
-    # form: at h=2 the first one's push from the start already holds 2
-    # states x (3 x 9 joint actions + 6 x 68 dynamics rows) doubles.  At
-    # h=4 the loop fits and solves
+    # own count (_restricted_bytes, in 8-byte items), which covers each
+    # restricted pair's walk and both best replies' walks against it.  At
+    # h=2 and h=3 the loop outgrows the full form.  At h=2 each walk of the
+    # first iteration counts most at the start: three arrays over its 9
+    # payoff cells, and for each of its 2 entries the 9 joint actions, the
+    # level's 4 arrays and 6 arrays over the push's 68 dynamics rows
     assert solve_zero_sum(tiger_zs, cap_bytes=2_664).metadata["sequences"] == (21, 21)
     with pytest.raises(CapExceededError) as info:
         solve_zero_sum(tiger_zs, cap_bytes=2_663)
-    assert info.value.count == 8 * 2 * (3 * 9 + 6 * 68)
+    first = 8 * (3 * 9 + 2 * (9 + 4 + 6 * 68))
+    assert info.value.count == first == 6_952
+    loop = solve._double_oracle
+    with pytest.raises(CapExceededError, match="too large: 6952 bytes exceeds cap 6951"):
+        loop(tiger_zs, solve.DEFAULT_TOLERANCE, first - 1)
+    # at that cap the first iteration runs; the second reaches agent 1's
+    # restricted set of two trees, and agent 0's best reply over its 6 sets
+    # against those 4 sets builds G from 1 + 6 * 4 joint sets of 9 cells,
+    # six items per cell
+    second = 8 * 6 * 9 * (1 + 6 * 4)
+    with pytest.raises(CapExceededError, match=f"too large: {second} bytes exceeds cap 6952"):
+        loop(tiger_zs, solve.DEFAULT_TOLERANCE, first)
+    with pytest.raises(CapExceededError, match=f"too large: {second} bytes"):
+        loop(tiger_zs, solve.DEFAULT_TOLERANCE, second - 1)
+    assert loop(tiger_zs, solve.DEFAULT_TOLERANCE, second)[2]["sequences"] == (3, 6)
+    # at h=4 the loop fits under the full form and solves
     full = 8 * sum((3 * 6**d) ** 2 for d in range(4))
     eq = solve_zero_sum(tiger_zs.with_horizon(4), cap_bytes=full - 1)
     assert eq.metadata["method"] == "sequence-form-double-oracle"
     assert eq.metadata["sequences"] == (15, 30) and eq.metadata["iterations"] == 2
-    # the loop's largest prediction there: its second iteration's walk
-    # against an opponent on two trees, 2 states x 6^2 own x 8 opponent
-    # histories at depth 2, each entry with its push's rows
-    with pytest.raises(CapExceededError, match="restricted game too large: 2004480 bytes"):
-        solve_zero_sum(tiger_zs.with_horizon(4), cap_bytes=2_004_479)
+    # the loop's largest count there: in its second iteration, agent 0's
+    # best reply over its 6^2 sets at depth 2 against agent 1's 8 there
+    # (two trees): the 9 * (1 + 6 * 4) cells above, three arrays over
+    # 9 * 288 cells, and 2 * 288 entries with 9 + 4 + 6 * 68 items each
+    largest = 8 * (9 * (1 + 6 * 4) + 3 * 9 * 288 + 2 * 288 * (9 + 4 + 6 * 68))
+    assert largest == 2_003_976
+    with pytest.raises(CapExceededError, match="restricted game too large: 2003976 bytes"):
+        solve_zero_sum(tiger_zs.with_horizon(4), cap_bytes=largest - 1)
+    eq = solve_zero_sum(tiger_zs.with_horizon(4), cap_bytes=largest)
+    assert eq.metadata["sequences"] == (15, 30) and eq.metadata["iterations"] == 2
 
 
 def no_build(*args, **kwargs):
@@ -894,11 +936,16 @@ def value_from_the_start(m):
         # the mid-game route keeps the full form: both agents' depth blocks,
         # the last one (3 * 6^5)^2 doubles
         ("tiger_zs", value_from_the_start, 6, sum((3 * 6**d) ** 2 for d in range(6))),
-        # the double oracle's first best-response walk against the seed tree
-        # at its largest level: 2 states x 6^5 own histories x 2^5 opponent
-        # histories at depth 5, each entry with 3 (entry, joint action)
-        # arrays over 9 joint actions beside 6 arrays over its push's 68 rows
-        ("tiger_zs", solve_zero_sum, 7, 2 * 6**5 * 2**5 * (3 * 9 + 6 * 68)),
+        # the double oracle's first restricted pair covers agent 0's best
+        # reply over its whole trie against agent 1's seed tree: 6^d * 2^d
+        # joint sets at depth d, 9 cells each, largest at depth 5 with the
+        # cells above, three arrays over its cells and 2 entries per joint
+        # set, each with 9 joint actions, 4 level arrays and 6 arrays over
+        # its push's 68 rows
+        (
+            "tiger_zs", solve_zero_sum, 7,
+            9 * sum(12**d for d in range(5)) + 3 * 9 * 12**5 + 2 * 12**5 * (9 + 4 + 6 * 68),
+        ),
         # 3^15 agent-1 trees over 777 sequences, and the payoffs contracted
         # with them
         ("tiger", solve_dec, 4, sum((3 * 6**d) ** 2 for d in range(4)) + 2 * 3**15 * 777),
@@ -917,9 +964,13 @@ def test_budget_refuses_before_any_walk_or_enumeration(
     monkeypatch.setattr(solve, "_plan_realization", no_build)
     monkeypatch.setattr(solve, "enumerate_pure_policies", no_build)
     monkeypatch.setattr(solve, "best_response_history", no_build)
+    m = request.getfixturevalue(name).with_horizon(horizon)
     with pytest.raises(CapExceededError) as info:
-        solver(request.getfixturevalue(name).with_horizon(horizon))
+        solver(m)
     assert info.value.count == 8 * doubles and info.value.cap == solve.CAP_BYTES == 2**30
+    if solver is not value_from_the_start:  # at exactly the count, the walk starts
+        with pytest.raises(AssertionError, match="built past the budget"):
+            solver(m, cap_bytes=8 * doubles)
 
 
 def test_zero_sum_four_steps(tiger_zs):
@@ -946,11 +997,10 @@ def test_tiger_duel_values_depend_on_the_belief(tiger_duel, b, h, expected):
 
 
 def distinct_strategies_value(m) -> float:
-    """The brute-force joint normal form's value, each agent's duplicate
-    pure trees (equal payoff rows or columns) kept once: dropping a copy of
-    a strategy leaves a matrix game's value unchanged."""
+    """The brute-force joint normal form's value (``matrix_game_value``
+    keeps each agent's duplicate pure trees once)."""
     (A,), _ = suffix_normal_form(m, initial_occupancy(m), (0,))
-    return matrix_game_value(np.unique(np.unique(A, axis=0), axis=1)).value
+    return matrix_game_value(A).value
 
 
 @pytest.mark.parametrize("b, expected", [(0.25, 0.75), (0.5, 0.5), (0.9, 0.9)])
@@ -1009,23 +1059,106 @@ def sees_opponent(seed):
 @pytest.mark.parametrize("name, m", loop_models(), ids=[name for name, _ in loop_models()])
 def test_double_oracle_matches_the_full_lp(name, m):
     # the loop itself, as solve_zero_sum runs it where the full form is over
-    # the budget (at h <= 2 its best-response walks outgrow the full form, so
-    # no cap reaches it there)
+    # the budget (at h <= 3 its walks outgrow the full form, so no cap lets
+    # solve_zero_sum finish it there)
     full = solve_zero_sum(m)
     assert full.metadata["method"] != "sequence-form-double-oracle"
-    loop = solve._double_oracle(m, solve.DEFAULT_TOLERANCE, solve.CAP_BYTES)
-    assert loop.metadata["method"] == "sequence-form-double-oracle"
-    assert abs(loop.values[0] - full.values[0]) <= 1e-9
-    assert loop.values[1] == -loop.values[0]
+    value, mixtures, metadata = solve._double_oracle(m, solve.DEFAULT_TOLERANCE, solve.CAP_BYTES)
+    assert metadata["method"] == "sequence-form-double-oracle"
+    assert abs(value - full.values[0]) <= 1e-9
+    values = (value, -value)
     scale = max(1.0, m.reward_bound * m.horizon)
-    assert loop.metadata["duality_gap"] + sum(loop.metadata["exploitability"]) <= 1e-9 * scale
+    assert metadata["duality_gap"] + sum(metadata["exploitability"]) <= 1e-9 * scale
     for agent in (0, 1):  # the returned mixtures are the certified plans
-        mixture, trees = loop.mixtures[agent], loop.policies[agent]
-        assert abs(sum(mixture.values()) - 1.0) <= 1e-9 and set(trees) == set(mixture)
+        mixture = mixtures[agent]
+        assert abs(sum(mixture.values()) - 1.0) <= 1e-9
         opponent = 1 - agent
-        br = best_response_history(m, {agent: mixture_behaviour(m, mixture, trees)}, opponent)
-        gain = br.value - loop.values[opponent]
-        assert abs(gain - loop.metadata["exploitability"][agent]) <= 1e-9 * scale
+        gain = agent_zero_reply(m, opponent, mixture) * (1 if opponent == 0 else -1)
+        gain -= values[opponent]
+        assert abs(gain - metadata["exploitability"][agent]) <= 1e-9 * scale
+
+
+def agent_zero_reply(m, agent, mixture) -> float:
+    """Oracle: the best reply of ``agent`` to the other's Kuhn mixture (tree
+    weights by index), by the history route against the mixture's
+    behavioural form, in agent 0's payoff (the models here score agent 1
+    by -R1)."""
+    other = 1 - agent
+    trees = {k: solve._tree(m, other, k, m.horizon) for k in mixture}
+    value = best_response_history(m, {other: mixture_behaviour(m, mixture, trees)}, agent).value
+    return value if agent == 0 else -value
+
+
+def tree_index(tree, n_u: int) -> int:
+    """The index ``solve._tree`` decodes to ``tree``: its preorder actions as
+    base-``n_u`` digits, most significant first."""
+    index, stack = 0, [tree]
+    while stack:
+        node = stack.pop()
+        index = index * n_u + node.action
+        stack.extend(reversed(node.children))
+    return index
+
+
+def recorded_replies(m, monkeypatch, default: int = 0) -> list:
+    """Every best reply the double oracle prices on ``m``, in order: (agent,
+    the other's Kuhn mixture, the reply's value).  With ``default`` not 0,
+    the loop reads each mixture with that action (modulo the agent's action
+    count) below the sets its restricted walk never reached, while the
+    mixture recorded keeps action 0 there, as the returned trees do."""
+    real_kuhn, real_pure, real_reply = solve._kuhn_mixture, solve._pure_tree, solve._best_reply
+    mixtures, calls = [], []
+
+    def kuhn(model, agent, plan, kids):
+        relabelled = {}
+
+        def pure(model, agent, kids, pick, root=0, depth=None):
+            index, played = real_pure(model, agent, kids, pick, root, depth)
+            tree = picked_tree(model, agent, kids, pick, root, model.horizon, default)
+            relabelled[index] = tree_index(tree, len(model.actions[agent]))
+            assert default != 0 or relabelled[index] == index
+            return index, played
+
+        monkeypatch.setattr(solve, "_pure_tree", pure)
+        mixtures.append(real_kuhn(model, agent, plan, kids))
+        monkeypatch.setattr(solve, "_pure_tree", real_pure)
+        return {relabelled[k]: w for k, w in mixtures[-1].items()}
+
+    def reply(model, s0, agent, rows, cap_bytes):
+        value, index = real_reply(model, s0, agent, rows, cap_bytes)
+        calls.append((agent, mixtures[-1] if agent == 0 else mixtures[-2], value))
+        return value, index
+
+    monkeypatch.setattr(solve, "_kuhn_mixture", kuhn)
+    monkeypatch.setattr(solve, "_best_reply", reply)
+    try:
+        solve._double_oracle(m, solve.DEFAULT_TOLERANCE, solve.CAP_BYTES)
+    except RuntimeError:  # a corrupted loop may stop short of a certificate
+        assert default != 0
+    return calls
+
+
+@pytest.mark.parametrize("name, m", loop_models(), ids=[name for name, _ in loop_models()])
+def test_best_reply_matches_the_history_route(name, m, monkeypatch):
+    # the loop's best replies, trie folds over its own walk against the
+    # mixture's trie-code weights, at the first iteration's plans and at
+    # every grown restricted set, against the history route on the
+    # behavioural form of the same trees
+    calls = recorded_replies(m, monkeypatch)
+    assert len(calls) >= 4 and {agent for agent, _, _ in calls} == {0, 1}
+    for agent, mixture, value in calls:
+        assert abs(value - agent_zero_reply(m, agent, mixture)) <= 1e-9
+
+
+def test_best_reply_control_reads_the_last_action_below_unreached_sets(monkeypatch):
+    # weights that play each agent's last action, not action 0, below the
+    # sets the restricted walk never reached price another mixture than the
+    # returned trees: where agent 1 sees agent 2's action, agent 2's best
+    # reply reaches those sets
+    calls = recorded_replies(sees_opponent(3), monkeypatch, default=-1)
+    worst = max(abs(value - agent_zero_reply(sees_opponent(3), agent, mixture))
+                for agent, mixture, value in calls)
+    assert worst > 1e-3
 
 
 def mixture_behaviour(m, mixture, trees) -> BehavioralPolicy:
@@ -1061,35 +1194,67 @@ def test_solve_zero_sum_six_steps(request, name):
     if name == "tiger_zs":
         assert abs(eq.values[0]) <= 1e-9
     assert max(eq.metadata["sequences"]) <= 200  # of 27,993 per agent
+    assert eq.values[1] == -eq.values[0]
+    for i in range(2):  # trees decoded for the returned mixtures only
+        assert set(eq.policies[i]) == set(eq.mixtures[i])
+        assert all(solve._tree(m, i, k, 6) == tree for k, tree in eq.policies[i].items())
 
 
 def never_playing(action: int, instead: int):
-    """A best response whose tree plays ``instead`` wherever the true one
-    plays ``action``, with the true best response's value."""
-    real = solve.best_response_history
+    """A best reply whose tree plays ``instead`` wherever the true one plays
+    ``action``, with the true best reply's value."""
+    real = solve._best_reply
 
     def relabel(tree):
         u = instead if tree.action == action else tree.action
         return dataclasses.replace(tree, action=u, children=tuple(map(relabel, tree.children)))
 
-    def best_response(model, others, agent):
-        br = real(model, others, agent)
-        return dataclasses.replace(br, policy=relabel(br.policy))
+    def best_reply(model, s0, agent, rows, cap_bytes):
+        value, index = real(model, s0, agent, rows, cap_bytes)
+        tree = relabel(solve._tree(model, agent, index, model.horizon))
+        return value, tree_index(tree, len(model.actions[agent]))
 
-    return best_response
+    return best_reply
 
 
 def test_double_oracle_control_raises_on_a_best_response_that_skips_an_action(
     tiger_duel, monkeypatch
 ):
     # without open-left the restricted sets stop growing while the honest
-    # best-response values still show a gap: the loop must raise, not return
+    # best-reply values still show a gap: the loop must raise, not return
     m = tiger_duel.with_horizon(3)
-    loop = solve._double_oracle(m, solve.DEFAULT_TOLERANCE, solve.CAP_BYTES)
-    assert abs(loop.values[0] - 0.5) <= 1e-9
-    monkeypatch.setattr(solve, "best_response_history", never_playing(1, 0))
+    value, _, _ = solve._double_oracle(m, solve.DEFAULT_TOLERANCE, solve.CAP_BYTES)
+    assert abs(value - 0.5) <= 1e-9
+    monkeypatch.setattr(solve, "_best_reply", never_playing(1, 0))
     with pytest.raises(RuntimeError, match="zero-sum certificate"):
         solve._double_oracle(m, solve.DEFAULT_TOLERANCE, solve.CAP_BYTES)
+
+
+def test_double_oracle_builds_no_history_or_policy_object(tiger_duel, monkeypatch):
+    # past its start state the loop builds no private history, rule, policy
+    # or tree: each class's constructor is counted while it runs
+    built = []
+
+    def counted(init):
+        def counting_init(self, *args, **kwargs):
+            built.append(type(self))
+            init(self, *args, **kwargs)
+
+        return counting_init
+
+    for cls in (PrivateHistory, DecisionRule, BehavioralPolicy, PolicyTree):
+        monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
+    m = tiger_duel.with_horizon(3)
+    initial_occupancy(m)
+    start = list(built)
+    assert start == [PrivateHistory, PrivateHistory]
+    value, _, _ = solve._double_oracle(m, solve.DEFAULT_TOLERANCE, solve.CAP_BYTES)
+    assert built == start * 2 and abs(value - 0.5) <= 1e-9
+    # control: the history-route best response builds them
+    other = {1: solve._tree(m, 1, 0, m.horizon)}
+    before = len(built)
+    best_response_history(m, other, 0)
+    assert {PrivateHistory, DecisionRule, PolicyTree} <= set(built[before:])
 
 
 def test_package_import_leaves_scipy_optimize_unloaded():
@@ -1522,15 +1687,17 @@ def test_tree_decodes_every_enumerated_index(tiger, st_tiger, horizon):
             assert [solve._tree(m, i, k, horizon) for k in range(len(trees))] == trees
 
 
-def picked_tree(m, agent, kids, pick, j, depth):
+def picked_tree(m, agent, kids, pick, j, depth, default=0):
     """Oracle: the tree playing ``pick(j)`` at each reached set ``j`` in
-    preorder and action 0 below unreached ones."""
-    u = 0 if j is None else pick(j)
+    preorder and action ``default`` (modulo the action count; 0 in the
+    solvers) below unreached ones."""
+    u = default % len(m.actions[agent]) if j is None else pick(j)
     if depth == 1:
         return PolicyTree(agent, u)
     below = [None if j is None else kids.get((j, u, z)) for z in range(m.n_agent_obs(agent))]
     return PolicyTree(
-        agent, u, tuple(picked_tree(m, agent, kids, pick, c, depth - 1) for c in below)
+        agent, u,
+        tuple(picked_tree(m, agent, kids, pick, c, depth - 1, default) for c in below),
     )
 
 
@@ -1552,14 +1719,18 @@ def test_pure_tree_index_round_trips_through_tree(request, name):
             index, played = solve._pure_tree(m, agent, kids[agent], lambda j: int(picks[j]))
             tree = picked_tree(m, agent, kids[agent], lambda j: int(picks[j]), 0, m.horizon)
             assert solve._tree(m, agent, index, m.horizon) == tree == trees[index]
+            assert tree_index(tree, n_u) == index
             assert sorted(played) == np.flatnonzero(R[index]).tolist()
 
 
 def reached_solve_names(fn) -> set[str]:
-    """Names ``fn`` uses, and those of every ``solve`` function it reaches."""
+    """Names ``fn`` (a function or its source) uses, and those of every
+    ``solve`` function it reaches."""
     names, todo = set(), [fn]
     while todo:
-        code = compile(inspect.getsource(todo.pop()), solve.__file__, "exec")
+        fn = todo.pop()
+        source = fn if isinstance(fn, str) else inspect.getsource(fn)
+        code = compile(source, solve.__file__, "exec")
         for name in code_names(code) - names:
             names.add(name)
             g = getattr(solve, name, None)
@@ -1579,6 +1750,21 @@ def test_solver_path_builds_no_policy_tree_space():
     ):
         assert not reached_solve_names(fn) & tree_spaces, fn
     assert reached_solve_names(suffix_normal_form) >= tree_spaces
+    # the double oracle stays in sequence form until it returns: no
+    # history-route best response and no policy object; solve_zero_sum
+    # decodes the returned mixtures' trees
+    policy_objects = {
+        "best_response_history", "_history_br", "_others_profiles", "BehavioralPolicy",
+        "DecisionRule", "PolicyTree",
+    }
+    assert not reached_solve_names(solve._double_oracle) & policy_objects
+    # control: a history-route best response put back in the loop is caught
+    source = inspect.getsource(solve._double_oracle)
+    put_back = source.replace("_best_reply(model, s0, i,", "best_response_history(model, s0, i,")
+    assert put_back != source
+    assert reached_solve_names(put_back) & policy_objects >= {
+        "best_response_history", "_history_br", "_others_profiles", "PolicyTree"
+    }
     assert not hasattr(solve, "_realization")
     for name, fn in vars(solve).items():
         if inspect.isfunction(fn) and fn.__module__ == solve.__name__:

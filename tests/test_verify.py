@@ -246,6 +246,21 @@ def test_tiger_duel_passes_every_check_and_fails_every_control():
     assert len(controls) == len(checks) and all(c.passed for c in controls)
 
 
+def test_tiger_duel_three_steps_master_and_lipschitz_with_their_controls():
+    # at h=3 the master and lipschitz checks pass and their corruptions fail
+    # them.  The two controls run from the same check calls: "controls" in
+    # run_suite reruns every check, the slave one too, whose pwlc
+    # certificate enumerates 3^16 anchored plans at h=3
+    model = load("tiger-duel").with_horizon(3)
+    reports = run_suite(model, "master,lipschitz", n_samples=5)
+    assert [r.name for r in reports] == ["master-structure-zerosum", "lipschitz-zerosum"]
+    assert all(r.passed for r in reports), report_lines(reports)
+    checks = [(suite, c) for suite, c in verify._checks(model) if suite in ("master", "lipschitz")]
+    controls = verify._negative_controls(checks)
+    assert [c.name for c in controls] == [f"{r.name}-negative-control" for r in reports]
+    assert all(c.passed for c in controls), report_lines(controls)
+
+
 def test_report_line_format(tiger):
     report = check_sufficiency_master(tiger, n_samples=2, seed=1, fixture="tiger")
     line = report.line()
