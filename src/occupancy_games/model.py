@@ -30,6 +30,7 @@ required exactly when the declared public space has more than one label.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -139,13 +140,14 @@ class PosgModel:
         return idx * len(self.public_obs) + w
 
     def split_joint_obs(self, z: int) -> tuple[tuple[int, ...], int]:
-        w = z % len(self.public_obs)
-        z //= len(self.public_obs)
-        out = []
-        for labels in reversed(self.private_obs):
-            out.append(z % len(labels))
-            z //= len(labels)
-        return tuple(reversed(out)), w
+        return self._joint_obs_parts[z]
+
+    @cached_property
+    def _joint_obs_parts(self) -> tuple[tuple[tuple[int, ...], int], ...]:
+        """(private observations, public observation) of every joint
+        observation, in index order, built once per model on first use."""
+        ranges = [range(len(labels)) for labels in (*self.private_obs, self.public_obs)]
+        return tuple((zw[:-1], zw[-1]) for zw in itertools.product(*ranges))
 
     def public_of_joint_obs(self, z: int) -> int:
         return z % len(self.public_obs)

@@ -399,7 +399,7 @@ def _normalized(level: Level, hists: Histories, mass: float) -> tuple[Level, His
 def entries_of(level: Level, hists: Histories) -> dict[Entry, float]:
     """The public form of a level: one joint history per entry."""
     privates = zip(*([hs[k] for k in ids.tolist()] for hs, ids in zip(hists, level.ids)))
-    keys = zip(level.xs.tolist(), map(JointHistory, privates))
+    keys = zip(level.xs.tolist(), map(JointHistory.unchecked, privates))
     return dict(zip(keys, level.mass.tolist()))
 
 

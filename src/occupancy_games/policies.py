@@ -2,16 +2,23 @@
 
 Private histories are interleaved (action, observation) id sequences; the
 observation component is the flattened per-agent observation (private and
-public parts combined).  Policy trees are reduced: a node fixes one action and
-branches only on the observation, so decisions exist exactly for histories
-reachable under the tree's own past actions.
+public parts combined).  Histories are trie nodes: ``child`` keeps each child
+on its parent, keyed by the step that grew it, so equal histories grown from
+one root are one object, and a trie's nodes are freed with its root unless
+held elsewhere (there is no cache outside the trie).  Each history stores
+its hash at construction, the hash of its fields, so a dict lookup within
+one trie costs one stored hash and an identity test, and equal histories
+from different roots still compare and hash equal.  Policy trees are
+reduced: a node fixes one action and branches only on the observation, so
+decisions exist exactly for histories reachable under the tree's own past
+actions.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Union
 
 from .errors import (
@@ -22,19 +29,48 @@ from .errors import (
 from .model import PosgModel
 
 
-@dataclass(frozen=True)
+_set = object.__setattr__
+
+
+@dataclass(frozen=True, eq=False)
 class PrivateHistory:
     """One agent's (action, observation) stream; the empty tuple at t=0."""
 
     agent: int
     steps: tuple[tuple[int, int], ...] = ()
+    _hash: int = field(init=False, repr=False)
+    _kids: dict | None = field(init=False, repr=False, default=None)
+
+    def __post_init__(self):
+        _set(self, "_hash", hash((self.agent, self.steps)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not PrivateHistory:
+            return NotImplemented
+        return (
+            self._hash == other._hash
+            and self.agent == other.agent
+            and self.steps == other.steps
+        )
 
     @property
     def t(self) -> int:
         return len(self.steps)
 
     def child(self, action: int, obs: int) -> "PrivateHistory":
-        return PrivateHistory(self.agent, self.steps + ((action, obs),))
+        """The history one step on: one object per (action, observation)."""
+        if self._kids is None:
+            _set(self, "_kids", {})
+        step = (action, obs)
+        kid = self._kids.get(step)
+        if kid is None:
+            kid = self._kids[step] = PrivateHistory(self.agent, self.steps + (step,))
+        return kid
 
     def label(self, model: PosgModel) -> str:
         if not self.steps:
@@ -45,25 +81,56 @@ class PrivateHistory:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointHistory:
     """Per-agent private histories of equal length."""
 
     privates: tuple[PrivateHistory, ...]
+    _hash: int = field(init=False, repr=False)
+    _kids: dict | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         lengths = {h.t for h in self.privates}
         if len(lengths) > 1:
             raise ValueError("joint history components must share one length")
+        _set(self, "_hash", hash((self.privates,)))
+
+    @classmethod
+    def unchecked(cls, privates: tuple[PrivateHistory, ...]) -> "JointHistory":
+        """The joint history of ``privates``, of equal length by
+        construction, without the check."""
+        o = object.__new__(cls)
+        _set(o, "privates", privates)
+        _set(o, "_hash", hash((privates,)))
+        _set(o, "_kids", None)
+        return o
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not JointHistory:
+            return NotImplemented
+        return self._hash == other._hash and self.privates == other.privates
 
     @property
     def t(self) -> int:
         return self.privates[0].t
 
     def child(self, actions: tuple[int, ...], obs: tuple[int, ...]) -> "JointHistory":
-        return JointHistory(
-            tuple(h.child(u, z) for h, u, z in zip(self.privates, actions, obs))
-        )
+        """The joint history one step on: one object per (joint action,
+        per-agent observations), its components its privates' children."""
+        if self._kids is None:
+            _set(self, "_kids", {})
+        step = (actions, obs)
+        kid = self._kids.get(step)
+        if kid is None:
+            kid = self._kids[step] = JointHistory.unchecked(
+                tuple(h.child(u, z) for h, u, z in zip(self.privates, actions, obs))
+            )
+        return kid
 
     def others(self, agent: int) -> tuple[PrivateHistory, ...]:
         return tuple(h for i, h in enumerate(self.privates) if i != agent)

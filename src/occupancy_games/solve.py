@@ -42,8 +42,10 @@ for every criterion: the bytes of the dense arrays it would build, predicted
 from the agents' full tries before any walk or enumeration.  That count
 leaves out the LP matrices and intermediate copies, so it does not bound
 peak memory.  For the double oracle it is ``_restricted_bytes`` instead,
-checked before each walk: the most that walk holds at once, without the
-LP's matrices.
+checked before each walk: the most that walk holds at once without the
+LP's matrices, its arrays counted item by item plus ``WALK_FIXED_BYTES`` for
+its constant costs, which puts it at or above the walk's ``tracemalloc``
+peak on every model measured, tiny ones included.
 The normal forms and the values from mid-game states keep the default
 ``CAP_BYTES``.  Every solver reads the model's own horizon;
 ``PosgModel.with_horizon`` sets another.
@@ -85,6 +87,13 @@ from .policies import (
 
 DEFAULT_TOLERANCE = 1e-9
 CAP_BYTES = 2**30
+# what a double-oracle walk holds besides the arrays ``_restricted_bytes``
+# counts item by item: the ``kids`` dicts, the start dict, array headers and
+# the scratch of ``np.unique`` and the sparse ``G``.  Below about 1 MB these
+# outweigh the counted arrays (tiger-zs's full-trie walk peaks at 7 KB at
+# h=1 and 626 KB at h=3 against 432 bytes and 576 KB counted); above that
+# the count's surplus on large arrays covers them.
+WALK_FIXED_BYTES = 2**17
 
 
 def linprog(*args, **kwargs):
@@ -555,10 +564,10 @@ def _restricted_bytes(
     arrays over the cells and, per entry, the level's four arrays, its
     joint-action probabilities and, above the last depth, six arrays over
     its push's rows (one per nonzero dynamics cell of the entry's state);
-    building the sparse ``G`` holds six items per cell.  A restricted pair
-    counts as the larger of both best replies' walks against its sets,
-    which hold more at every depth, so an iteration that does not fit is
-    refused before its first walk."""
+    building the sparse ``G`` holds six items per cell.  ``WALK_FIXED_BYTES``
+    is added for the rest.  A restricted pair counts as the larger of both
+    best replies' walks against its sets, which hold more at every depth, so
+    an iteration that does not fit is refused before its first walk."""
     if all(w is not None for w in weights):
         replies = ([None, weights[1]], [weights[0], None])
         return max(_restricted_bytes(model, w, depth) for w in replies)
@@ -576,7 +585,7 @@ def _restricted_bytes(
         + model.n_states * n * (model.n_joint_actions + 4 + 6 * rows * (d + 1 < depth))
         for d, n in enumerate(joint)
     )
-    return 8 * max(walk, 6 * sum(cells))
+    return 8 * max(walk, 6 * sum(cells)) + WALK_FIXED_BYTES
 
 
 def _parents(kids: Mapping[tuple[int, int, int], int], n_sets: int, n_u: int) -> np.ndarray:

@@ -69,10 +69,11 @@ def test_zero_sum_cap_counts_sequences(capsys):
     # blocks of 3^2 + 18^2 doubles.  Under that the double oracle runs, and
     # its first walk is over the cap too: 8-byte items for three arrays over
     # the 9 payoff cells at the start and, for each of its 2 entries, 9
-    # joint actions, 4 level arrays and 6 arrays over 68 dynamics rows,
-    # 8 * (3 * 9 + 2 * (9 + 4 + 6 * 68)) = 6,952 bytes
+    # joint actions, 4 level arrays and 6 arrays over 68 dynamics rows, plus
+    # the walk's fixed 2^17 bytes,
+    # 8 * (3 * 9 + 2 * (9 + 4 + 6 * 68)) + 131,072 = 138,024 bytes
     code, _, err = run(capsys, "solve", TIGER_ZS, "--cap", "2663")
-    assert code == 3 and "restricted game too large: 6952 bytes exceeds cap 2663 bytes" in err
+    assert code == 3 and "restricted game too large: 138024 bytes exceeds cap 2663 bytes" in err
     code, out, _ = run(capsys, "solve", TIGER_ZS, "--cap", "2664")
     assert code == 0 and "value_1: 0" in out
     assert "method: sequence-form-lp" in out and "iterations" not in out
@@ -96,10 +97,10 @@ def test_solve_tiger_duel(capsys):
     assert code == 0 and "value_1: 0.25" in out.splitlines()
     # under the full form's 2,664 bytes the loop's first walk is refused too:
     # as for tiger-zs, with tiger-duel's 60 dynamics rows per state,
-    # 8 * (3 * 9 + 2 * (9 + 4 + 6 * 60)) = 6,184 bytes
+    # 8 * (3 * 9 + 2 * (9 + 4 + 6 * 60)) + 131,072 = 137,256 bytes
     code, out, err = run(capsys, "solve", TIGER_DUEL, "--cap", "2663")
     assert code == 3 and out == ""
-    assert "restricted game too large: 6184 bytes exceeds cap 2663 bytes" in err
+    assert "restricted game too large: 137256 bytes exceeds cap 2663 bytes" in err
 
 
 def test_verify_tiger_duel(capsys):

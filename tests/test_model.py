@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -244,3 +246,26 @@ O: * * : s1 : y y w1 : 1.0
     # the public label is required in O lines once declared
     with pytest.raises(PosgParseError, match="expected 3 observation labels"):
         parse_posg(text.replace("O: * * : s0 : y y w0 : 1.0", "O: * * : s0 : y y : 1.0"))
+
+
+@pytest.mark.parametrize("n_public", [1, 2])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_split_joint_obs_reads_one_table_that_inverts_the_index(seed, n_public):
+    rng = np.random.default_rng(seed)
+    n_obs = tuple(int(k) for k in rng.integers(1, 4, size=int(rng.integers(1, 4))))
+    m = random_posg(rng, n_actions=(2,) * len(n_obs), n_obs=n_obs, n_public=n_public)
+    cells = []
+    for zs in itertools.product(*map(range, n_obs)):
+        for w in range(n_public):
+            z = m.joint_obs_index(zs, w)
+            cells.append(z)
+            assert m.split_joint_obs(z) == (zs, w)
+            for i in range(m.n_agents):
+                assert m.agent_obs_of_joint(i, z) == zs[i] * n_public + w
+    assert sorted(cells) == list(range(m.n_joint_obs))
+    table = m._joint_obs_parts
+    assert type(table) is tuple and len(table) == m.n_joint_obs
+    assert all(type(zs) is tuple for zs, _ in table)
+    assert m._joint_obs_parts is table  # built once per model
+    with pytest.raises(TypeError):
+        table[0] = table[-1]

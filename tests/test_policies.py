@@ -1,15 +1,19 @@
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from occupancy_games.errors import CapExceededError, UnreachableHistoryError
-from occupancy_games.occupancy import Level, action_probs, rule_arrays
+from occupancy_games.occupancy import Level, action_probs, initial_occupancy, rule_arrays, step
 from occupancy_games.policies import (
     DecisionRule,
+    JointHistory,
     JointPolicy,
     PrivateHistory,
+    empty_joint_history,
     decision_at,
     enumerate_pure_policies,
     policy_from_json,
@@ -154,3 +158,86 @@ def test_joint_action_dist_matches_brute_force_product(n_actions, support):
             if p > 0.0:
                 expected[m.joint_action_index(combo)] = p
         assert row.tolist() == expected
+
+
+# -- histories as trie nodes ---------------------------------------------------
+
+
+@st.composite
+def joint_streams(draw):
+    """An agent count and joint (actions, observations) streams, to be grown
+    from one root, so that they share prefixes."""
+    n = draw(st.integers(1, 3))
+    ids = st.tuples(*[st.integers(0, 2)] * n)
+    return n, draw(st.lists(st.lists(st.tuples(ids, ids), max_size=3), min_size=1, max_size=8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(joint_streams())
+def test_grown_histories_are_the_built_ones_and_one_object_per_history(case):
+    n, streams = case
+    root = empty_joint_history(n)
+    for stream in streams:
+        o = root
+        for us, zs in stream:
+            o = o.child(us, zs)
+        privates = tuple(
+            PrivateHistory(i, tuple((us[i], zs[i]) for us, zs in stream)) for i in range(n)
+        )
+        built = JointHistory(privates)
+        # equal to the constructor's history, with the dataclass hash formulas
+        assert o == built and built == o
+        assert hash(o) == hash(built) == hash((privates,))
+        for grown, h in zip(o.privates, privates):
+            assert grown == h and hash(grown) == hash((h.agent, h.steps))
+        assert {o: 1}[built] == 1 and {built: 1}[o] == 1
+        # a repeated child is the same object, in the joint trie and in each
+        # private one
+        again = root
+        for us, zs in stream:
+            again = again.child(us, zs)
+        assert again is o
+        for i, h in enumerate(root.privates):
+            for us, zs in stream:
+                h = h.child(us[i], zs[i])
+            assert h is o.privates[i]
+
+
+def test_a_memo_keyed_on_the_action_alone_fails_the_property(monkeypatch):
+    # negative control: a child memo that ignores the observation hands the
+    # first child grown after an action to every observation after it
+    def child(self, action, obs):
+        if self._kids is None:
+            object.__setattr__(self, "_kids", {})
+        if action not in self._kids:
+            self._kids[action] = PrivateHistory(self.agent, self.steps + ((action, obs),))
+        return self._kids[action]
+
+    monkeypatch.setattr(PrivateHistory, "child", child)
+    with pytest.raises(AssertionError):
+        test_grown_histories_are_the_built_ones_and_one_object_per_history()
+
+
+def test_joint_history_components_must_share_one_length():
+    with pytest.raises(ValueError, match="share one length"):
+        JointHistory((PrivateHistory(0), PrivateHistory(1, ((0, 0),))))
+    o = empty_joint_history(2).child((0, 1), (1, 0))
+    assert o.t == 1 and JointHistory(o.privates) == o
+
+
+def test_a_trie_is_freed_with_its_root_and_states(tiger):
+    # no cache outside the trie: once the root and the states holding its
+    # histories are gone, so is a grandchild
+    rules = random_joint_policy(tiger, np.random.default_rng(3)).joint_rules(tiger)
+    root = empty_joint_history(2)
+    grandchild = root.child((0, 0), (1, 0)).child((0, 0), (0, 0))
+    s0 = initial_occupancy(tiger)
+    s2 = step(tiger, step(tiger, s0, rules[0])[0][2], rules[1])[0][2]
+    (_, o), = itertools.islice(s2.entries, 1)
+    refs = [weakref.ref(h) for h in (grandchild, *grandchild.privates, *o.privates)]
+    del grandchild, o, s2
+    gc.collect()
+    assert all(ref() is not None for ref in refs)  # held by the tries' roots
+    del root, s0
+    gc.collect()
+    assert all(ref() is None for ref in refs)

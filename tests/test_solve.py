@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -881,26 +882,28 @@ def test_zero_sum_cap_counts_sequences_before_the_walk(tiger_zs):
     # tiger-zs: 3 actions x 2 observations, 3 * 6^d sequences per agent at
     # depth d; the walk's depth blocks hold sum over d < h of (3 * 6^d)^2
     # doubles.  One byte under that, the double oracle takes over with its
-    # own count (_restricted_bytes, in 8-byte items), which covers each
-    # restricted pair's walk and both best replies' walks against it.  At
-    # h=2 and h=3 the loop outgrows the full form.  At h=2 each walk of the
-    # first iteration counts most at the start: three arrays over its 9
-    # payoff cells, and for each of its 2 entries the 9 joint actions, the
-    # level's 4 arrays and 6 arrays over the push's 68 dynamics rows
+    # own count (_restricted_bytes, in 8-byte items plus WALK_FIXED_BYTES),
+    # which covers each restricted pair's walk and both best replies' walks
+    # against it.  At h=2 and h=3 the loop outgrows the full form.  At h=2
+    # each walk of the first iteration counts most at the start: three
+    # arrays over its 9 payoff cells, and for each of its 2 entries the 9
+    # joint actions, the level's 4 arrays and 6 arrays over the push's 68
+    # dynamics rows
+    fixed = solve.WALK_FIXED_BYTES
     assert solve_zero_sum(tiger_zs, cap_bytes=2_664).metadata["sequences"] == (21, 21)
     with pytest.raises(CapExceededError) as info:
         solve_zero_sum(tiger_zs, cap_bytes=2_663)
-    first = 8 * (3 * 9 + 2 * (9 + 4 + 6 * 68))
-    assert info.value.count == first == 6_952
+    first = 8 * (3 * 9 + 2 * (9 + 4 + 6 * 68)) + fixed
+    assert info.value.count == first == 6_952 + 131_072
     loop = solve._double_oracle
-    with pytest.raises(CapExceededError, match="too large: 6952 bytes exceeds cap 6951"):
+    with pytest.raises(CapExceededError, match=f"too large: {first} bytes exceeds cap {first - 1}"):
         loop(tiger_zs, solve.DEFAULT_TOLERANCE, first - 1)
     # at that cap the first iteration runs; the second reaches agent 1's
     # restricted set of two trees, and agent 0's best reply over its 6 sets
     # against those 4 sets builds G from 1 + 6 * 4 joint sets of 9 cells,
     # six items per cell
-    second = 8 * 6 * 9 * (1 + 6 * 4)
-    with pytest.raises(CapExceededError, match=f"too large: {second} bytes exceeds cap 6952"):
+    second = 8 * 6 * 9 * (1 + 6 * 4) + fixed
+    with pytest.raises(CapExceededError, match=f"too large: {second} bytes exceeds cap {first}"):
         loop(tiger_zs, solve.DEFAULT_TOLERANCE, first)
     with pytest.raises(CapExceededError, match=f"too large: {second} bytes"):
         loop(tiger_zs, solve.DEFAULT_TOLERANCE, second - 1)
@@ -914,9 +917,9 @@ def test_zero_sum_cap_counts_sequences_before_the_walk(tiger_zs):
     # best reply over its 6^2 sets at depth 2 against agent 1's 8 there
     # (two trees): the 9 * (1 + 6 * 4) cells above, three arrays over
     # 9 * 288 cells, and 2 * 288 entries with 9 + 4 + 6 * 68 items each
-    largest = 8 * (9 * (1 + 6 * 4) + 3 * 9 * 288 + 2 * 288 * (9 + 4 + 6 * 68))
-    assert largest == 2_003_976
-    with pytest.raises(CapExceededError, match="restricted game too large: 2003976 bytes"):
+    largest = 8 * (9 * (1 + 6 * 4) + 3 * 9 * 288 + 2 * 288 * (9 + 4 + 6 * 68)) + fixed
+    assert largest == 2_003_976 + 131_072
+    with pytest.raises(CapExceededError, match=f"restricted game too large: {largest} bytes"):
         solve_zero_sum(tiger_zs.with_horizon(4), cap_bytes=largest - 1)
     eq = solve_zero_sum(tiger_zs.with_horizon(4), cap_bytes=largest)
     assert eq.metadata["sequences"] == (15, 30) and eq.metadata["iterations"] == 2
@@ -967,10 +970,12 @@ def test_budget_refuses_before_any_walk_or_enumeration(
     m = request.getfixturevalue(name).with_horizon(horizon)
     with pytest.raises(CapExceededError) as info:
         solver(m)
-    assert info.value.count == 8 * doubles and info.value.cap == solve.CAP_BYTES == 2**30
+    # the double oracle's count adds the walk's fixed costs
+    n_bytes = 8 * doubles + (solve.WALK_FIXED_BYTES if solver is solve_zero_sum else 0)
+    assert info.value.count == n_bytes and info.value.cap == solve.CAP_BYTES == 2**30
     if solver is not value_from_the_start:  # at exactly the count, the walk starts
         with pytest.raises(AssertionError, match="built past the budget"):
-            solver(m, cap_bytes=8 * doubles)
+            solver(m, cap_bytes=n_bytes)
 
 
 def test_zero_sum_four_steps(tiger_zs):
@@ -1076,6 +1081,47 @@ def test_double_oracle_matches_the_full_lp(name, m):
         gain = agent_zero_reply(m, opponent, mixture) * (1 if opponent == 0 else -1)
         gain -= values[opponent]
         assert abs(gain - metadata["exploitability"][agent]) <= 1e-9 * scale
+
+
+
+@pytest.mark.parametrize(
+    "case", ["tiger-zs-1", "tiger-zs-2", "tiger-zs-3", "tiger-zs-4"]
+    + ["loop:tiger-zs-3", "loop:tiger-duel-3-0.25", "loop:random-5-3"],
+)
+def test_restricted_count_is_at_least_the_walks_peak(monkeypatch, case):
+    # every double-oracle walk (_normal_form with weights) against its
+    # tracemalloc peak: on tiger-zs h=1..4 one walk of both agents' whole
+    # tries, on a "loop:" case every walk of the loop on that loop_models()
+    # case
+    from scipy import sparse  # noqa: F401  (imported for the first G, before any walk)
+
+    walk, seen = solve._normal_form, []
+
+    def traced(model, s, *args, **kwargs):
+        if kwargs.get("weights") is None:
+            return walk(model, s, *args, **kwargs)
+        count = solve._restricted_bytes(model, kwargs["weights"], model.horizon - s.t)
+        model._successor_arrays  # built once per model, before the walk
+        tracemalloc.start()
+        try:
+            out = walk(model, s, *args, **kwargs)
+            seen.append((count, tracemalloc.get_traced_memory()[1]))
+        finally:
+            tracemalloc.stop()
+        return out
+
+    monkeypatch.setattr(solve, "_normal_form", traced)
+    if case.startswith("loop:"):
+        m = dict(loop_models())[case.removeprefix("loop:")]
+        solve._double_oracle(m, solve.DEFAULT_TOLERANCE, solve.CAP_BYTES)
+    else:
+        m = load("tiger-zs").with_horizon(int(case[-1]))
+        solve._normal_form(
+            m, initial_occupancy(m), [0], solve.CAP_BYTES, keep=(0, 1), weights=[None, None]
+        )
+    assert seen and all(count >= peak for count, peak in seen), seen
+    if m.horizon <= 3:  # the walks' fixed costs outweigh the arrays counted
+        assert any(count - solve.WALK_FIXED_BYTES < peak for count, peak in seen), seen
 
 
 def agent_zero_reply(m, agent, mixture) -> float:
