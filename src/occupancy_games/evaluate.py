@@ -200,10 +200,24 @@ def evaluate_occupancy(
             w * evaluate_occupancy(model, pure, s, agent)
             for w, pure in policy.pure_expansions()
         )
+    return occupancy_value(model, policy.joint_rules(model), agent, s)
+
+
+def occupancy_value(
+    model: PosgModel,
+    rules_by_step: Sequence[Sequence[DecisionRule]],
+    agent: int,
+    s: OccupancyState,
+) -> float:
+    """The pairing of ``s`` with the values of ``rules_by_step`` (one tuple of
+    rules per step from ``s.t`` on) pulled back over the levels its support
+    reaches, in entry order: equal to ``linear_eval`` with its value table.
+    ``s`` is converted to a level once and kept, so pricing many plans on one
+    state converts it once."""
     if s.t >= model.horizon:
         return 0.0
     level, hists = level_of(model, s)
-    levels = _pull(model, policy.joint_rules(model), agent, s.t, level, hists, False)
+    levels = _pull(model, rules_by_step, agent, s.t, level, hists, False)
     return sum_in_order(level.mass * levels[0][2])
 
 

@@ -5,10 +5,12 @@ expands full trajectory trees from the model primitives, and the production
 path through occupancy updates, best-response solvers, and normal forms.
 The oracles share one naive enumerator, ``_outcomes``: every positive-
 probability outcome of one step from a raw (state, joint history) measure,
-read straight from the transition and observation tables, with three small
-reducers for the next measure, an observation distribution and the reward.
-The sufficiency checks carry the unnormalized raw measure forward one
-expansion per step and normalize it only where a distribution is read.
+read straight from the transition and observation rows (as Python floats,
+once per step), with three small reducers: the next measure per observation,
+an observation distribution and the reward.  The sufficiency checks carry
+the unnormalized raw measure forward one expansion per step and normalize it
+only where a distribution is read; a step's one enumeration gives the next
+measure of every branch (public observation, or the agent's own) at once.
 Reports carry the worst observed discrepancy against a tolerance: 1e-9 for
 exact identities (sufficiency, mixtures, linearity), 1e-6 for quantities
 routed through iterative solvers (convexity, saddle certificates, Lipschitz
@@ -18,8 +20,9 @@ Every check accepts ``negative_control=True``, which injects a deliberate
 corruption into the production route; a suite that still passes under the
 corruption would be vacuous.  ``_checks`` is the one list of check calls
 that apply to a model: ``run_suite`` runs the selected suites' entries, and
-the ``controls`` suite reruns every entry with its corruption injected, at
-the check's own tolerance and seed.
+the ``controls`` suite reruns the entries of the suites named beside it (all
+of them if it is named alone) with their corruptions injected, at each
+check's own tolerance and seed.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import CapExceededError, ImpossibleObservationError, UnknownSuiteError
-from .evaluate import linear_eval, value_tables
+from .evaluate import occupancy_value
 from .model import PosgModel
 from .occupancy import (
     MarginalOccupancy,
@@ -166,31 +169,34 @@ def _outcomes(model: PosgModel, measure: Mapping, dists):
     action distribution at joint history ``o``: (next state, history, joint
     actions, joint observation, mass), in (entry, joint action, next state,
     joint observation) order."""
+    transition = model.transition.tolist()
+    observation = model.observation.tolist()
     for (x, o), p in measure.items():
         for us, a_p in _action_product(dists(o)):
             u = model.joint_action_index(us)
-            for x2 in range(model.n_states):
-                t_p = model.transition[u, x, x2]
+            for x2, t_p in enumerate(transition[u][x]):
                 if t_p == 0.0:
                     continue
-                for z in range(model.n_joint_obs):
-                    o_p = model.observation[u, x2, z]
+                for z, o_p in enumerate(observation[u][x2]):
                     if o_p > 0.0:
                         yield x2, o, us, z, p * a_p * t_p * o_p
 
 
-def _next_measure(model: PosgModel, outcomes, of=None, seen=None) -> dict:
-    """The unnormalized measure one step on, over the outcomes whose joint
-    observation ``z`` has ``of(z) == seen`` (every outcome without ``of``)."""
-    new: dict = {}
-    for x2, o, us, z, mass in outcomes:
-        if of is not None and of(z) != seen:
-            continue
+def _next_measures(model: PosgModel, outcomes, of) -> dict:
+    """The unnormalized measure one step on per observation ``of(z)`` of the
+    outcomes' joint observations ``z``: ``{of(z): measure}``, each measure
+    summed in outcome order over the outcomes of its observation.  Each
+    joint observation is split into the agents' observations once."""
+    agent_obs = []
+    for z in range(model.n_joint_obs):
         zs, w = model.split_joint_obs(z)
-        obs = tuple(model.agent_obs_index(i, zs[i], w) for i in range(model.n_agents))
-        key = (x2, o.child(us, obs))
+        agent_obs.append(tuple(model.agent_obs_index(i, zs[i], w) for i in range(model.n_agents)))
+    by_obs: dict = {}
+    for x2, o, us, z, mass in outcomes:
+        new = by_obs.setdefault(of(z), {})
+        key = (x2, o.child(us, agent_obs[z]))
         new[key] = new.get(key, 0.0) + mass
-    return new
+    return by_obs
 
 
 def _obs_dist(outcomes, size: int, of) -> np.ndarray:
@@ -215,8 +221,9 @@ def _normalized(measure: Mapping) -> dict:
 
 
 def _dist_diff(a: Mapping, b: Mapping) -> float:
-    keys = set(a) | set(b)
-    return max((abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys), default=0.0)
+    """The largest absolute difference over the keys of either measure."""
+    shared = max((abs(p - b.get(k, 0.0)) for k, p in a.items()), default=0.0)
+    return max(shared, max((abs(p) for k, p in b.items() if k not in a), default=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +262,9 @@ def check_sufficiency_master(
                 _outcomes(model, _normalized(measure), played), n_pub, model.public_of_joint_obs
             )
             w = int(rng.choice(len(om), p=om / om.sum()))
-            measure = _next_measure(
-                model, _outcomes(model, measure, played), model.public_of_joint_obs, w
-            )
+            measure = _next_measures(
+                model, _outcomes(model, measure, played), model.public_of_joint_obs
+            )[w]
             branches = {b: nxt for b, _, nxt in step(model, s, rules_by_step[tau])}
             s = branches[w]
 
@@ -278,11 +285,10 @@ def check_sufficiency_master(
             om_impl[w] = p
         worst = max(worst, float(np.abs(om_raw - om_impl).max()))
         # next-state sufficiency, every positive public branch
+        outcomes = _outcomes(model, measure, played)
+        raw_next = _next_measures(model, outcomes, model.public_of_joint_obs)
         for w, p, nxt in branches:
-            raw_next = _next_measure(
-                model, _outcomes(model, measure, played), model.public_of_joint_obs, w
-            )
-            worst = max(worst, _dist_diff(_normalized(raw_next), nxt.entries))
+            worst = max(worst, _dist_diff(_normalized(raw_next.get(w, {})), nxt.entries))
     return _report(
         "sufficiency-master", fixture, n_samples, worst, EXACT_TOL, seed, negative_control
     )
@@ -325,7 +331,7 @@ def check_sufficiency_private(
             om = _obs_dist(_outcomes(model, _normalized(measure), dists), n_obs, own_obs)
             z_i = int(rng.choice(len(om), p=om / om.sum()))
             steps.append((u_i, z_i))
-            measure = _next_measure(model, _outcomes(model, measure, dists), own_obs, z_i)
+            measure = _next_measures(model, _outcomes(model, measure, dists), own_obs)[z_i]
 
         raw = _normalized(measure)
         s_i = private_occupancy(model, profiles, PrivateHistory(agent, tuple(steps)))
@@ -339,6 +345,7 @@ def check_sufficiency_private(
         worst = max(worst, abs(r_raw - r_impl))
         # observation and next-state sufficiency
         om_raw = _obs_dist(_outcomes(model, raw, dists), n_obs, own_obs)
+        raw_next = _next_measures(model, _outcomes(model, measure, dists), own_obs)
         for z_i in range(n_obs):
             try:
                 omega, nxt = private_step(model, s_i, profiles[t], u_i, z_i)
@@ -346,8 +353,7 @@ def check_sufficiency_private(
                 omega, nxt = 0.0, None
             worst = max(worst, abs(om_raw[z_i] - omega))
             if nxt is not None and om_raw[z_i] > 1e-12:
-                raw_next = _next_measure(model, _outcomes(model, measure, dists), own_obs, z_i)
-                worst = max(worst, _dist_diff(_normalized(raw_next), nxt.entries))
+                worst = max(worst, _dist_diff(_normalized(raw_next.get(z_i, {})), nxt.entries))
     return _report(
         f"sufficiency-private-agent{agent + 1}",
         fixture,
@@ -478,26 +484,12 @@ def _pwlc_certificate(
     s: OccupancyState,
     negative_control: bool = False,
 ) -> float:
-    """|DP best-response value - max over pure suffixes of linear evals|."""
-    t = s.t
-    anchors = _anchors(s, agent)
-    plans = _trie_size(model, agent, len(anchors), model.horizon - t)[1]
-    if plans > ORACLE_PLANS:
-        raise CapExceededError("anchored plans of the pwlc certificate", plans, ORACLE_PLANS)
-    space = _anchored_space(model, agent, anchors, model.horizon - t)
-    seeds = sorted({o for (_, o) in s.entries}, key=lambda o: o.sort_key())
-    best = -np.inf
-    for assign in space:
-        own_rules = rules_from_trees(model, agent, assign, t)
-        rules_by_step = [None] * t + [
-            tuple(
-                own_rules[tau - t] if j == agent else others_rules[j][tau]
-                for j in range(model.n_agents)
-            )
-            for tau in range(t, model.horizon)
-        ]
-        tables = value_tables(model, rules_by_step, agent, t, seeds)
-        best = max(best, linear_eval(s, tables[0]))
+    """|DP best-response value - max over pure suffixes of linear evals|,
+    each suffix priced on ``s``'s own level."""
+    best = max(
+        occupancy_value(model, rules_by_step, agent, s)
+        for rules_by_step in _anchored_plans(model, others_rules, agent, s)
+    )
     others = {
         j: BehavioralPolicy(j, tuple(rules)) for j, rules in others_rules.items()
     }
@@ -505,6 +497,31 @@ def _pwlc_certificate(
     if negative_control:
         dp += _CORRUPTION
     return abs(dp - best)
+
+
+def _anchored_plans(
+    model: PosgModel,
+    others_rules: Mapping[int, Sequence[DecisionRule]],
+    agent: int,
+    s: OccupancyState,
+):
+    """Every pure suffix of ``agent`` from the anchors of ``s`` against
+    ``others_rules``, as rules by step (None before ``s.t``); refused above
+    ``ORACLE_PLANS``."""
+    t = s.t
+    anchors = _anchors(s, agent)
+    plans = _trie_size(model, agent, len(anchors), model.horizon - t)[1]
+    if plans > ORACLE_PLANS:
+        raise CapExceededError("anchored plans of the pwlc certificate", plans, ORACLE_PLANS)
+    for assign in _anchored_space(model, agent, anchors, model.horizon - t):
+        own_rules = rules_from_trees(model, agent, assign, t)
+        yield [None] * t + [
+            tuple(
+                own_rules[tau - t] if j == agent else others_rules[j][tau]
+                for j in range(model.n_agents)
+            )
+            for tau in range(t, model.horizon)
+        ]
 
 
 def check_master_structure(
@@ -865,17 +882,19 @@ def run_suite(
     ``n_samples``; deterministic given the seed.  ``tolerance_solver`` is the
     tolerance of the master and lipschitz checks.
 
-    ``controls`` reruns every check that applies to the model, at the check's
-    own tolerance and seed, on ``CONTROL_SAMPLES`` with its corruption
-    injected, and reports a meta-property that passes exactly when the
-    corrupted check fails.
+    ``controls`` reruns the checks of the other suites named beside it, or
+    every check that applies to the model if it is named alone, each at the
+    check's own tolerance and seed, on ``CONTROL_SAMPLES`` with its
+    corruption injected, and reports a meta-property that passes exactly
+    when the corrupted check fails.
     """
     names = selected_suites(model, suites)
     checks = _checks(model, seed, fixture, tolerance_solver)
     reports: list[PropertyReport] = []
     for name in names:
         if name == "controls":
-            reports.extend(_negative_controls(checks))
+            rerun = _suites_run(names)
+            reports.extend(_negative_controls([c for c in checks if c[0] in rerun]))
         else:
             reports.extend(check(n_samples=n_samples) for suite, check in checks if suite == name)
     return reports
@@ -913,13 +932,20 @@ def _checks(
     return checks
 
 
+def _suites_run(names: Sequence[str]) -> Sequence[str]:
+    """The suites whose checks ``names`` runs, as checks or as controls:
+    those named beside ``controls``, or every suite if ``controls`` is
+    named alone."""
+    return [name for name in names if name != "controls"] or SUITES
+
+
 def _reads_tolerance(model: PosgModel, suites: Sequence[str]) -> bool:
-    """Whether a check that ``suites`` runs on ``model`` reads
-    ``tolerance_solver``; ``controls`` reruns every check."""
+    """Whether a check that ``suites`` runs on ``model``, or reruns as a
+    control, reads ``tolerance_solver``."""
     return any(
         "tolerance" in check.keywords
         for suite, check in _checks(model)
-        if suite in suites or "controls" in suites
+        if suite in _suites_run(suites)
     )
 
 

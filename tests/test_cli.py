@@ -227,7 +227,36 @@ def test_verify_controls_rerun_the_checks_at_their_tolerance(capsys):
     for name in ("master-structure-zerosum", "lipschitz-zerosum"):
         control = lines[f"property={name}-negative-control"]
         assert "passed=false" in control and '"corrupted_check_tolerance": 1000' in control
-    assert "passed=false" not in lines["property=sufficiency-master-negative-control"]
+    # named beside other suites, controls reruns only their checks
+    assert "property=sufficiency-master-negative-control" not in lines
+    assert len(lines) == 4
+
+
+def test_verify_controls_beside_other_suites_read_the_tolerance_only_through_them(capsys):
+    # controls beside sufficiency reruns only the sufficiency checks, which
+    # never read --tolerance; named alone it reruns the master check too
+    argv = ["verify", TIGER_ZS, "--tolerance", "1e-6", "--samples", "1"]
+    assert exit_code(argv + ["--suite", "sufficiency,controls"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--tolerance" in captured.err
+    assert exit_code(argv + ["--suite", "lipschitz,controls"]) == 0
+
+
+def test_verify_controls_beside_other_suites_skip_the_slave_certificate(capsys):
+    # at h=3 the slave check's pwlc certificate would enumerate 3^16 anchored
+    # plans and exit 3; controls named beside master and lipschitz never runs it
+    argv = ("--horizon", "3", "--suite", "master,lipschitz,controls", "--samples", "3")
+    code, out, err = run(capsys, "verify", TIGER_DUEL, *argv)
+    names = [line.split(" ")[0] for line in out.splitlines()]
+    assert code == 0 and err == "" and "passed=false" not in out
+    assert names == [
+        "property=master-structure-zerosum",
+        "property=lipschitz-zerosum",
+        "property=master-structure-zerosum-negative-control",
+        "property=lipschitz-zerosum-negative-control",
+    ]
+    # the corruptions fail their checks
+    assert out.count('"corrupted_check_tolerance": 1e-06') == 2
 
 
 def test_verify_controls_read_the_tolerance_where_a_solver_check_applies(capsys):

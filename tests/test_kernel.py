@@ -3,7 +3,7 @@
 Every occupancy update, reward, value table and best response runs through
 ``occupancy.next_level``; here each is checked against the raw trajectory-tree
 expansions of ``verify`` (its one-step enumerator ``_outcomes`` and the
-reducers ``_next_measure``, ``_obs_dist`` and ``_raw_reward``) on random
+reducers ``_next_measures``, ``_obs_dist`` and ``_raw_reward``) on random
 models: 1e-12 on values, identical supports.  Each check has a negative
 control: the same comparison with the production route on a copy of the
 model whose outcome probabilities and rewards are off by 1e-6 must fail.
@@ -45,7 +45,7 @@ from occupancy_games.solve import (
 )
 from occupancy_games.verify import (
     _anchored,
-    _next_measure,
+    _next_measures,
     _normalized,
     _obs_dist,
     _outcomes,
@@ -124,10 +124,10 @@ def policy_of(rules_by_step, model) -> JointPolicy:
     )
 
 
-def expand(model, measure: dict, rules, *only) -> dict:
-    """The raw measure one step on under ``rules``; ``only`` is an
-    observation function and the value to keep, as in ``_next_measure``."""
-    return _next_measure(model, _outcomes(model, measure, _played(rules)), *only)
+def expand(model, measure: dict, rules, of=lambda z: None, seen=None) -> dict:
+    """The raw measure one step on under ``rules``, over the outcomes whose
+    joint observation ``z`` has ``of(z) == seen`` (every outcome by default)."""
+    return _next_measures(model, _outcomes(model, measure, _played(rules)), of).get(seen, {})
 
 
 def mid_game(model, production, rules_by_step, rng):
@@ -248,7 +248,7 @@ def private_gap(seed: int, shape, production=lambda m: m) -> float:
             return np.inf
         z = int(rng.choice(len(omega), p=omega / omega.sum()))
         s_i = children[z][1]
-        measure = _next_measure(model, _outcomes(model, measure, dists), own_obs, z)
+        measure = _next_measures(model, _outcomes(model, measure, dists), own_obs)[z]
     return worst
 
 

@@ -42,7 +42,7 @@ from occupancy_games.sampling import (
     random_joint_policy,
     random_posg,
 )
-from occupancy_games.verify import _anchored, _next_measure, _normalized, _outcomes, _played
+from occupancy_games.verify import _anchored, _next_measures, _normalized, _outcomes, _played
 
 
 def det_rule(model, agent, t, action, histories):
@@ -463,17 +463,14 @@ def pushed_children(m, rng):
     rules = random_joint_policy(m, rng).joint_rules(m)[0]
     s0 = initial_occupancy(m)
     public = lambda z: m.split_joint_obs(z)[1]
-    outcomes = list(_outcomes(m, s0.entries, _played(rules)))
-    out = [
-        (s, _normalized(_next_measure(m, outcomes, public, w)))
-        for w, _, s in step(m, s0, rules)
-    ]
+    raw = _next_measures(m, _outcomes(m, s0.entries, _played(rules)), public)
+    out = [(s, _normalized(raw[w])) for w, _, s in step(m, s0, rules)]
     s_i, others = initial_private_occupancy(m, 0), {1: rules[1]}
     own = lambda z: m.agent_obs_of_joint(0, z)
     _, branches = private_branches(m, s_i, others)
     for u, z, _, s in branches:
-        outcomes = list(_outcomes(m, s_i.entries, _anchored(m, 0, others, u)))
-        out.append((s, _normalized(_next_measure(m, outcomes, own, z))))
+        raw = _next_measures(m, _outcomes(m, s_i.entries, _anchored(m, 0, others, u)), own)
+        out.append((s, _normalized(raw[z])))
     u, z, _, _ = branches[-1]
     out.append((private_step(m, s_i, others, u, z)[1], out[-1][1]))
     return out

@@ -2,10 +2,13 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from occupancy_games import verify
 from occupancy_games.errors import ModelValidationError, UnknownSuiteError
-from occupancy_games.sampling import random_behavioral_policy, random_posg
+from occupancy_games.evaluate import linear_eval, occupancy_value, value_tables
+from occupancy_games.policies import agent_rules
+from occupancy_games.sampling import random_behavioral_policy, random_decision_rule, random_posg
 from occupancy_games.verify import (
     check_lipschitz,
     check_master_structure,
@@ -248,17 +251,25 @@ def test_tiger_duel_passes_every_check_and_fails_every_control():
 
 def test_tiger_duel_three_steps_master_and_lipschitz_with_their_controls():
     # at h=3 the master and lipschitz checks pass and their corruptions fail
-    # them.  The two controls run from the same check calls: "controls" in
-    # run_suite reruns every check, the slave one too, whose pwlc
-    # certificate enumerates 3^16 anchored plans at h=3
+    # them.  Named beside them, "controls" reruns only their two checks, not
+    # the slave one, whose pwlc certificate enumerates 3^16 anchored plans
     model = load("tiger-duel").with_horizon(3)
-    reports = run_suite(model, "master,lipschitz", n_samples=5)
-    assert [r.name for r in reports] == ["master-structure-zerosum", "lipschitz-zerosum"]
-    assert all(r.passed for r in reports), report_lines(reports)
-    checks = [(suite, c) for suite, c in verify._checks(model) if suite in ("master", "lipschitz")]
-    controls = verify._negative_controls(checks)
-    assert [c.name for c in controls] == [f"{r.name}-negative-control" for r in reports]
+    reports = run_suite(model, "master,lipschitz,controls", n_samples=5)
+    checks, controls = reports[:2], reports[2:]
+    assert [r.name for r in checks] == ["master-structure-zerosum", "lipschitz-zerosum"]
+    assert all(r.passed for r in checks), report_lines(checks)
+    assert [c.name for c in controls] == [f"{r.name}-negative-control" for r in checks]
     assert all(c.passed for c in controls), report_lines(controls)
+
+
+def test_controls_named_beside_other_suites_rerun_only_their_checks(tiger):
+    reports = run_suite(tiger, "sufficiency,controls", seed=2, n_samples=1)
+    checks = ["sufficiency-master", "sufficiency-private-agent1", "sufficiency-private-agent2"]
+    assert [r.name for r in reports] == checks + [f"{c}-negative-control" for c in checks]
+    assert all(r.passed for r in reports), report_lines(reports)
+    # named alone, it reruns every check that applies
+    alone = [r.name for r in run_suite(tiger, "controls", seed=2)]
+    assert alone == [f"{r.name}-negative-control" for r in run_suite(tiger, "all", n_samples=1)]
 
 
 def test_report_line_format(tiger):
@@ -290,7 +301,7 @@ def test_run_suite_all_skips_the_suites_that_do_not_apply(tiger):
 
 ORACLES = (
     "_action_product", "_played", "_anchored", "_start_measure", "_outcomes",
-    "_next_measure", "_obs_dist", "_raw_reward", "_normalized",
+    "_next_measures", "_obs_dist", "_raw_reward", "_normalized", "_dist_diff",
 )
 
 
@@ -304,3 +315,169 @@ def test_raw_oracles_stay_off_the_production_dynamics():
         assert not code_names(fn.__code__) & production, name
     # control: the checks themselves do reach the production route
     assert code_names(verify.check_sufficiency_master.__code__) & production
+
+
+# -- the slave check's pricing on the state's own level ------------------------
+
+
+PRICING_CASES = ("tiger", "tiger-zs", "stackelberg-tiger", 1, 2)
+
+
+def pricing_case(case):
+    """A bundled h=2 tiger model, or a random h=2 model with ``case`` public
+    observations, with a seeded generator."""
+    if isinstance(case, str):
+        return load(case), np.random.default_rng(31)
+    rng = np.random.default_rng(40 + case)
+    return random_posg(rng, n_states=3, n_actions=(2, 3), n_public=case), rng
+
+
+def slave_states(model, rng, n=3):
+    """States the slave check samples at t >= 1 against a random fixed
+    policy of agent 2, each with that policy's rules."""
+    others = {1: agent_rules(model, random_behavioral_policy(model, 1, rng))}
+    for _ in range(n):
+        t = int(rng.integers(1, model.horizon))
+        yield others, verify._sample_prefix_occupancy(model, t, rng, fixed_rules=others)[0]
+
+
+def plan_prices(model, rng):
+    """For every anchored plan of agent 1 on each sampled state: the state,
+    the plan's price as the pwlc certificate takes it, and its value table."""
+    for others, s in slave_states(model, rng):
+        seeds = sorted({o for (_, o) in s.entries}, key=lambda o: o.sort_key())
+        for rules in verify._anchored_plans(model, others, 0, s):
+            table = value_tables(model, rules, 0, s.t, seeds)[0]
+            yield s, occupancy_value(model, rules, 0, s), table
+
+
+@pytest.mark.parametrize("case", PRICING_CASES)
+def test_slave_pricing_equals_the_value_table_pairing(case):
+    priced = 0
+    for s, price, table in plan_prices(*pricing_case(case)):
+        assert price == linear_eval(s, table)
+        priced += 1
+    assert priced > 0
+
+
+def test_slave_pricing_control_pairing_in_reversed_entry_order_fails():
+    # the comparison is exact: the same products summed the other way round
+    # differ in the last bits on some plan
+    differ = 0
+    for case in PRICING_CASES:
+        for s, price, table in plan_prices(*pricing_case(case)):
+            backwards = 0.0
+            for key, p in reversed(list(s.entries.items())):
+                backwards += p * table.values[key]
+            differ += backwards != price
+    assert differ > 0
+
+
+def test_the_pwlc_certificate_prices_every_anchored_plan(monkeypatch):
+    priced = []
+
+    def counting(*args):
+        priced.append(args)
+        return occupancy_value(*args)
+
+    monkeypatch.setattr(verify, "occupancy_value", counting)
+    for case in PRICING_CASES:
+        model, rng = pricing_case(case)
+        for others, s in slave_states(model, rng, n=2):
+            priced.clear()
+            verify._pwlc_certificate(model, others, 0, s)
+            depth = model.horizon - s.t
+            plans = verify._trie_size(model, 0, len(verify._anchors(s, 0)), depth)[1]
+            assert len(priced) == plans > 1
+
+
+# -- the raw oracles' reducers ---------------------------------------------------
+
+
+def filtered_next_measure(model, outcomes, of, seen) -> dict:
+    """The unnormalized measure one step on over the outcomes whose joint
+    observation ``z`` has ``of(z) == seen``: the per-branch reducer the
+    grouped one replaces, kept here as its reference."""
+    new: dict = {}
+    for x2, o, us, z, mass in outcomes:
+        if of(z) != seen:
+            continue
+        zs, w = model.split_joint_obs(z)
+        obs = tuple(model.agent_obs_index(i, zs[i], w) for i in range(model.n_agents))
+        key = (x2, o.child(us, obs))
+        new[key] = new.get(key, 0.0) + mass
+    return new
+
+
+def grouped_cases():
+    """Each step's outcomes along a raw run under random rules, with each
+    observation function that branches them and its number of values, on
+    random models with one and two public observations."""
+    for n_public in (1, 2):
+        for seed in range(3):
+            rng = np.random.default_rng(seed + 10 * n_public)
+            model = random_posg(rng, 2, (2, 3), (2, 2), n_public, horizon=2)
+            observers = [(model.public_of_joint_obs, n_public)] + [
+                (lambda z, i=i: model.agent_obs_of_joint(i, z), model.n_agent_obs(i))
+                for i in range(model.n_agents)
+            ]
+            measure = verify._start_measure(model)
+            for t in range(model.horizon):
+                rules = [random_decision_rule(model, i, t, rng) for i in range(model.n_agents)]
+                outcomes = list(verify._outcomes(model, measure, verify._played(rules)))
+                for of, n in observers:
+                    yield model, outcomes, of, n
+                measure = filtered_next_measure(model, outcomes, lambda z: 0, 0)
+
+
+def test_grouped_next_measures_equal_the_filtered_ones():
+    for model, outcomes, of, n in grouped_cases():
+        grouped = verify._next_measures(model, outcomes, of)
+        assert set(grouped) <= set(range(n)) and all(grouped.values())
+        for seen in range(n):
+            # same keys, in the same order, with the same values
+            want = filtered_next_measure(model, outcomes, of, seen)
+            assert list(grouped.get(seen, {}).items()) == list(want.items())
+
+
+def test_grouped_next_measures_control_reversed_outcomes_fail():
+    # outcomes taken in the other order build each measure in another key
+    # order, which the comparison above must see
+    differ = 0
+    for model, outcomes, of, n in grouped_cases():
+        grouped = verify._next_measures(model, outcomes[::-1], of)
+        for seen in range(n):
+            want = filtered_next_measure(model, outcomes, of, seen)
+            differ += list(grouped.get(seen, {}).items()) != list(want.items())
+    assert differ > 0
+
+
+def union_diff(a, b) -> float:
+    """The largest absolute difference over the union of the keys."""
+    keys = set(a) | set(b)
+    return max((abs(a.get(k, 0.0) - b.get(k, 0.0)) for k in keys), default=0.0)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ({}, {}),
+        ({1: 0.5}, {}),
+        ({}, {2: -0.25}),
+        ({1: 0.5, 2: 0.5}, {3: 0.75, 4: 0.25}),  # disjoint
+        ({1: 0.5, 2: 0.5}, {2: 0.25, 1: 0.75, 5: 0.1}),
+        ({1: 0.3}, {1: 0.3}),
+    ],
+)
+def test_dist_diff_is_the_largest_difference_over_the_union(a, b):
+    assert verify._dist_diff(a, b) == union_diff(a, b)
+    assert verify._dist_diff(b, a) == union_diff(b, a)
+
+
+measures = st.dictionaries(st.integers(0, 8), st.floats(-2.0, 2.0), max_size=6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=measures, b=measures)
+def test_dist_diff_matches_the_union_definition(a, b):
+    assert verify._dist_diff(a, b) == union_diff(a, b)
