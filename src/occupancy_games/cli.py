@@ -275,14 +275,15 @@ def build_parser() -> argparse.ArgumentParser:
         "--cap": dict(
             type=_count_at_least(0),
             default=None,
-            help="budget in bytes for the dense arrays a solver builds: every "
-            "depth block of the sequence-form walk, each enumerated agent's "
+            help="budget in bytes, checked before anything is built (default "
+            "2**30).  Common payoff, Stackelberg and a zero-sum sweep's "
+            "component columns: the dense arrays a solver builds, every depth "
+            "block of the sequence-form walk, each enumerated agent's "
             "realization matrix and the payoffs contracted with it, predicted "
-            "from the full tries before anything is built (default 2**30).  A "
-            "zero-sum solve over it runs the double oracle instead, within the "
-            "same budget: the most each of its walks holds at once, counted "
-            "before the walk.  The full form's count does not bound "
-            "peak memory, which runs 2-4 times higher",
+            "from the full tries; that count does not bound peak memory, which "
+            "runs 2-4 times higher.  Zero-sum: the most each walk of the double "
+            "oracle holds at once, counted before the walk; it starts from the "
+            "whole tries only where that walk fits",
         ),
         "--horizon": dict(type=int, default=None, help="horizon override"),
         "--start": dict(

@@ -14,17 +14,19 @@ Every equilibrium solver starts from one forward walk below an occupancy state
 (the initial one for the start-belief solvers) that builds a sequence-form
 payoff tensor over the agents' sequences: one per own action at each
 information set, i.e. private history below an anchor of the state (exact
-under perfect recall).  Zero-sum games solve as one realization-plan linear
-program over that tensor (Koller, Megiddo & von Stengel 1996), read back as
-mixtures over pure policy trees; a game where each agent has a single
-information set is the matrix game itself and keeps its closed forms.  Where
-that tensor is over the budget, the start-belief solver runs the
-sequence-form double oracle (Bošanský, Kiekintveld, Lisý & Pěchouček 2014)
-instead, in sequence form throughout: restricted sets of sequences and the
-opponents' mixtures are rows of action weights by trie code, every step is
-the same walk under those weights, the LP or a reverse fold over one
-agent's trie (its best reply), and trees are decoded only for the returned
-mixtures.  It stops when the full LP's certificate closes.
+under perfect recall).  Zero-sum games, from the start belief or any
+occupancy state, solve by one loop: the sequence-form double oracle
+(Bošanský, Kiekintveld, Lisý & Pěchouček 2014) over the realization-plan
+linear program (Koller, Megiddo & von Stengel 1996), in sequence form
+throughout.  Each agent's set of sequences is its whole trie or a union of
+pure plans; restricted sets and the opponents' mixtures are rows of action
+weights by trie code, every step is the same walk under those weights, the
+LP or a reverse fold over one agent's trie (its best reply), and trees are
+decoded only for the returned mixtures.  It stops when the full LP's
+certificate closes.  Where the whole tries' walk holds no more than the
+loop's first restricted iteration, both sets start whole and the loop is
+the full LP, done in one iteration; a game where each agent then has a
+single information set is the matrix game itself and keeps its closed forms.
 Common-payoff and Stackelberg games enumerate pure plans (a reduced policy
 tree per anchor, each plan an index whose base-``n_u`` digits are its
 actions) for all agents but one and keep that agent in sequence form: the
@@ -38,16 +40,16 @@ information set (Bošanský & Čermák 2015).
 Ties everywhere break toward the lowest enumeration index.
 
 ``_normal_form`` is the one set-up of that walk.  ``cap_bytes`` is one budget
-for every criterion: the bytes of the dense arrays it would build, predicted
-from the agents' full tries before any walk or enumeration.  That count
+for every criterion, checked before each walk.  For common payoff and
+Stackelberg it bounds the bytes of the dense arrays the walk and the
+enumeration would build, predicted from the agents' full tries; that count
 leaves out the LP matrices and intermediate copies, so it does not bound
-peak memory.  For the double oracle it is ``_restricted_bytes`` instead,
-checked before each walk: the most that walk holds at once without the
-LP's matrices, its arrays counted item by item plus ``WALK_FIXED_BYTES`` for
-its constant costs, which puts it at or above the walk's ``tracemalloc``
-peak on every model measured, tiny ones included.
-The normal forms and the values from mid-game states keep the default
-``CAP_BYTES``.  Every solver reads the model's own horizon;
+peak memory.  For zero-sum it bounds ``_restricted_bytes``: the most a walk
+of the loop holds at once without the LP's matrices, its arrays counted item
+by item plus ``WALK_FIXED_BYTES`` for its constant costs, which puts it at
+or above the walk's ``tracemalloc`` peak on every model measured, tiny ones
+included.  The normal forms and the values from mid-game states keep the
+default ``CAP_BYTES``.  Every solver reads the model's own horizon;
 ``PosgModel.with_horizon`` sets another.
 """
 
@@ -87,11 +89,11 @@ from .policies import (
 
 DEFAULT_TOLERANCE = 1e-9
 CAP_BYTES = 2**30
-# what a double-oracle walk holds besides the arrays ``_restricted_bytes``
-# counts item by item: the ``kids`` dicts, the start dict, array headers and
-# the scratch of ``np.unique`` and the sparse ``G``.  Below about 1 MB these
-# outweigh the counted arrays (tiger-zs's full-trie walk peaks at 7 KB at
-# h=1 and 626 KB at h=3 against 432 bytes and 576 KB counted); above that
+# what a zero-sum walk holds besides the arrays ``_restricted_bytes`` counts
+# item by item: the ``kids`` dicts, the start dict, array headers and the
+# scratch of ``np.unique`` and the sparse ``G``.  On small walks these
+# outweigh the counted arrays (tiger-zs's whole-trie walk peaks at 7 KB at
+# h=1 and 24 KB at h=2 against 432 bytes and 16 KB counted); on larger ones
 # the count's surplus on large arrays covers them.
 WALK_FIXED_BYTES = 2**17
 
@@ -295,7 +297,7 @@ def _history_br(
     }
     depth = model.horizon - s.t
     greedy = [
-        _pure_tree(model, agent, kids, lambda j: _argmax_lowest(v[j]), root, depth)[0]
+        _pure_tree(model, agent, kids, lambda j: _argmax_lowest(v[j]), (root,), depth)[0]
         for root in range(len(seeds))
     ]
     trees = {h: _tree(model, agent, k, depth) for h, k in zip(seeds, greedy)}
@@ -413,8 +415,11 @@ def _sequence_payoffs(
     ``next_level``'s action probabilities, so only weighted actions are
     pushed, and the third item is each agent's weight per sequence (None
     without ``weights``).  An agent whose weights are None plays each action
-    with weight 1, as every agent does without ``weights``.
+    with weight 1, as every agent does without ``weights``; weights that are
+    all None are no weights.
     """
+    if weights is not None and all(w is None for w in weights):
+        weights = None
     n_us = tuple(len(labels) for labels in model.actions)
     n_zs = tuple(model.n_agent_obs(i) for i in range(model.n_agents))
     # rewards[x, u_0, ..., u_{n-1}, k] for the k-th agent of interest
@@ -554,11 +559,14 @@ def _predicted_bytes(
 
 def _restricted_bytes(
     model: PosgModel,
-    weights: Sequence[Sequence[tuple[np.ndarray, np.ndarray]] | None],
+    n_anchors: Sequence[int],
     depth: int,
+    sets: Sequence[Sequence[int] | None],
 ) -> int:
-    """The most a double-oracle walk holds at once, in bytes, from each
-    agent's sets per depth: those its ``weights`` list, or its whole trie.
+    """The most a zero-sum walk ``depth`` steps below ``n_anchors`` anchors
+    per agent holds at once, in bytes, from each agent's information sets
+    per depth: ``sets[i][d]`` of them, or its whole trie's where ``sets[i]``
+    is None.
     A depth of ``n`` joint sets has at most ``n_states * n`` entries and
     ``n * prod(n_u)`` payoff cells.  The walk holds the blocks above, three
     arrays over the cells and, per entry, the level's four arrays, its
@@ -568,22 +576,24 @@ def _restricted_bytes(
     is added for the rest.  A restricted pair counts as the larger of both
     best replies' walks against its sets, which hold more at every depth, so
     an iteration that does not fit is refused before its first walk."""
-    if all(w is not None for w in weights):
-        replies = ([None, weights[1]], [weights[0], None])
-        return max(_restricted_bytes(model, w, depth) for w in replies)
+    if all(n is not None for n in sets):
+        replies = ([None, sets[1]], [sets[0], None])
+        return max(_restricted_bytes(model, n_anchors, depth, w) for w in replies)
     n_us = [len(labels) for labels in model.actions]
     sets = [
-        [n // n_u for n in _trie_size(model, i, 1, depth)[0]]
-        if w is None else [len(codes) for codes, _ in w]
-        for i, (w, n_u) in enumerate(zip(weights, n_us))
+        [k // n_u for k in _trie_size(model, i, n_anchors[i], depth)[0]] if n is None else n
+        for i, (n, n_u) in enumerate(zip(sets, n_us))
     ]
     joint = [math.prod(n[d] for n in sets) for d in range(depth)]
     cells = [n * math.prod(n_us) for n in joint]
     rows = int(np.diff(model._successor_arrays.begin).max())
     walk = max(
-        sum(cells[:d]) + 3 * cells[d]
-        + model.n_states * n * (model.n_joint_actions + 4 + 6 * rows * (d + 1 < depth))
-        for d, n in enumerate(joint)
+        (
+            sum(cells[:d]) + 3 * cells[d]
+            + model.n_states * n * (model.n_joint_actions + 4 + 6 * rows * (d + 1 < depth))
+            for d, n in enumerate(joint)
+        ),
+        default=0,  # no depth below the horizon: ``_normal_form`` refuses the walk
     )
     return 8 * max(walk, 6 * sum(cells)) + WALK_FIXED_BYTES
 
@@ -622,10 +632,10 @@ def _normal_form(
     agents' sequences.  ``_predicted_bytes`` must stay within ``cap_bytes``,
     checked before the walk and any enumeration.
 
-    With ``weights`` (both agents kept, from the start: a walk of the double
-    oracle), the walk pushes weighted actions only (``_sequence_payoffs``),
-    the second item is each agent's weight per sequence, and
-    ``_restricted_bytes`` is checked instead.
+    With ``weights`` (both agents kept: a walk of the zero-sum loop), the
+    walk pushes weighted actions only (``_sequence_payoffs``), the second
+    item is each agent's weight per sequence (None when no agent has
+    weights), and ``_restricted_bytes`` is checked instead.
     """
     depth = model.horizon - s.t
     if depth < 1:
@@ -637,7 +647,10 @@ def _normal_form(
             len(uncontracted),
         )
     else:
-        what, n_bytes = "restricted game", _restricted_bytes(model, weights, depth)
+        sets = [None if w is None else [len(codes) for codes, _ in w] for w in weights]
+        what, n_bytes = "restricted game", _restricted_bytes(
+            model, [len(a) for a in anchors], depth, sets
+        )
     if n_bytes > cap_bytes:
         raise CapExceededError(what, n_bytes, cap_bytes, " bytes")
     blocks, kids, played = _sequence_payoffs(
@@ -736,7 +749,8 @@ def _require(model: PosgModel, criterion: str, solver: str) -> None:
 
 @dataclass(frozen=True)
 class SequenceFormSolution:
-    """Saddle point of the zero-sum game below an occupancy state.
+    """Saddle point of the zero-sum game below an occupancy state, over the
+    sets the loop's last walk reached.
 
     Sets and sequences are numbered as in ``_sequence_payoffs``: agent ``i``'s
     set ``a`` is its anchor ``anchors[i][a]``, then each depth's reached sets
@@ -845,68 +859,21 @@ def _realization_plan_lp(
     return -float(res.fun), x, y, gap
 
 
-def _certificate(
-    value: float, gap: float, replies: Sequence[float], G, tolerance: float
-) -> tuple[dict[str, object], RuntimeError | None]:
-    """A saddle point's certificate as metadata: the duality gap and what
-    each side's opponent gains by its best pure reply (``replies``, agent
-    0's then agent 1's, in agent 0's payoff); and the error to raise if
-    their sum exceeds ``max(tolerance, 1e-7)`` times ``G``'s largest |entry|."""
-    exploitability = (max(0.0, value - replies[1]), max(0.0, replies[0] - value))
-    certificate = gap + sum(exploitability)
-    error = None
-    if certificate > max(tolerance, 1e-7) * max(1.0, float(np.abs(G.data).max(initial=0.0))):
-        error = RuntimeError(f"zero-sum certificate {certificate:.3g} exceeds tolerance")
-    metadata = {"duality_gap": gap, "exploitability": exploitability, "residual": max(exploitability)}
-    return metadata, error
-
-
-def _zero_sum_kernel(
-    model: PosgModel, s: OccupancyState, tolerance: float, cap_bytes: int
-) -> tuple[SequenceFormSolution, object]:
-    """Saddle point below occupancy ``s`` and agent 0's sequence-form payoff
-    matrix ``G`` (a ``scipy.sparse`` CSR array).
-
-    The certificate, the duality gap plus each side's exploitability (what
-    the opponent's best pure plan gains against it), must stay within
-    ``max(tolerance, 1e-7)`` times the largest payoff magnitude."""
-    (G,), _, kids, parents = _normal_form(model, s, [0], cap_bytes, keep=(0, 1))
-    n_us = [len(model.actions[i]) for i in range(2)]
-    payoffs = G
-    if all(len(p) == 1 for p in parents):  # one set each: G is the matrix game
-        payoffs = G.toarray()
-        sol = matrix_game_value(payoffs, tolerance)
-        value, x, y, gap = sol.value, sol.row_mix, sol.col_mix, sol.gap
-        method = f"normal-form+{sol.method}"
-    else:
-        value, x, y, gap = _realization_plan_lp(G, parents, n_us)
-        method = "sequence-form-lp"
-    replies = (
-        float(_trie_best(payoffs @ y, parents[0], n_us[0], np.max)),
-        float(_trie_best(x @ payoffs, parents[1], n_us[1], np.min)),
-    )
-    certificate, error = _certificate(value, gap, replies, G, tolerance)
-    if error is not None:
-        raise error
-    metadata = {"method": method, "sequences": G.shape, **certificate}
-    anchors = tuple(tuple(_anchors(s, i)) for i in range(2))
-    solution = SequenceFormSolution(value, (x, y), anchors, tuple(kids), metadata)
-    return solution, G
-
-
 def _pure_tree(
     model: PosgModel,
     agent: int,
     kids: Mapping[tuple[int, int, int], int],
     pick,
-    root: int = 0,
+    roots: Sequence[int] = (0,),
     depth: int | None = None,
 ) -> tuple[int, list[int]]:
-    """The depth-``depth`` (default: the horizon) pure policy tree rooted at
-    set ``root`` that plays ``pick(j)`` at each set ``j`` the walk reached,
-    asked in preorder, and action 0 below sets it never reached: its index
-    for ``_tree`` (the preorder actions as a base-``n_u`` number) and the
-    sequences it plays."""
+    """The pure plan of one depth-``depth`` (default: the horizon) policy
+    tree per set of ``roots``, in order, that plays ``pick(j)`` at each set
+    ``j`` the walk reached, asked in preorder, and action 0 below sets it
+    never reached: its index (each tree's preorder actions as base-``n_u``
+    digits, the first tree's most significant, as ``_plan_realization``
+    orders them; ``_tree`` decodes a one-tree plan) and the sequences it
+    plays."""
     n_u, n_z = len(model.actions[agent]), model.n_agent_obs(agent)
     played: list[int] = []
     index = 0
@@ -920,7 +887,8 @@ def _pure_tree(
         for z in range(n_z if depth > 1 else 0):
             visit(None if j is None else kids.get((j, u, z)), depth - 1)
 
-    visit(root, model.horizon if depth is None else depth)
+    for root in roots:
+        visit(root, model.horizon if depth is None else depth)
     return index, played
 
 
@@ -940,20 +908,24 @@ def _kuhn_mixture(
     agent: int,
     plan: np.ndarray,
     kids: Mapping[tuple[int, int, int], int],
+    n_anchors: int = 1,
+    depth: int | None = None,
 ) -> dict[int, float]:
-    """The weights of pure policy trees whose mixture realizes ``plan`` (one
-    anchor, at the start), keyed by their index (``_tree`` decodes them).
+    """The weights of pure plans, one depth-``depth`` (default: the horizon)
+    tree per anchor, whose mixture realizes ``plan``, keyed by their index
+    (``_pure_tree``; ``_tree`` decodes a one-anchor plan).
 
-    Each round takes the tree playing the heaviest remaining action at every
+    Each round takes the plan playing the heaviest remaining action at every
     set it reaches, weighs it by the least remaining mass on its sequences
     and subtracts it; that empties at least one sequence, so there are at
-    most ``len(plan)`` trees."""
+    most ``len(plan)`` plans."""
     n_u = len(model.actions[agent])
     rest = plan.copy()
     weights: dict[int, float] = {}
     for _ in range(len(plan)):
         index, played = _pure_tree(
-            model, agent, kids, lambda j: int(np.argmax(rest[j * n_u : (j + 1) * n_u]))
+            model, agent, kids, lambda j: int(np.argmax(rest[j * n_u : (j + 1) * n_u])),
+            range(n_anchors), depth,
         )
         w = float(rest[played].min())
         if w <= 1e-12:  # what is left is LP round-off
@@ -965,20 +937,20 @@ def _kuhn_mixture(
 
 
 def _plan_rows(
-    model: PosgModel, agent: int, mixture: Mapping[int, float]
+    model: PosgModel, agent: int, mixture: Mapping[int, float], n_anchors: int, depth: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Kuhn's behavioural form of a mixture of pure trees from the start
-    (weights by tree index), by trie code: per depth, the sorted codes of
-    every set of each tree, action-0 defaults included, and per set each
-    action's share of the weight of the trees there.  A set's code is 0 at
-    the root and ``(code * n_u + u) * n_z + z`` after own action ``u`` and
-    observation ``z``; a tree's index digits are its actions in preorder
-    (``_tree``)."""
-    n_u, n_z, depth = len(model.actions[agent]), model.n_agent_obs(agent), model.horizon
+    """Kuhn's behavioural form of a mixture of pure plans (weights by plan
+    index), one depth-``depth`` tree per anchor, by trie code: per depth,
+    the sorted codes of every set of each plan, action-0 defaults included,
+    and per set each action's share of the weight of the plans there.  A
+    set's code is ``a`` at anchor ``a`` and ``(code * n_u + u) * n_z + z``
+    after own action ``u`` and observation ``z``; a plan's index digits are
+    its actions in preorder, anchor 0's tree first (``_pure_tree``)."""
+    n_u, n_z = len(model.actions[agent]), model.n_agent_obs(agent)
     played: list[list[tuple[int, int, float]]] = [[] for _ in range(depth)]
     for index, w in mixture.items():
-        nodes = [(0, 0)]  # (depth, set code), popped in preorder
-        for e in range(sum(n_z**d for d in range(depth)) - 1, -1, -1):
+        nodes = [(0, a) for a in range(n_anchors - 1, -1, -1)]  # (depth, code), popped in preorder
+        for e in range(n_anchors * sum(n_z**d for d in range(depth)) - 1, -1, -1):
             d, code = nodes.pop()
             u = index // n_u**e % n_u
             played[d].append((code, u, w))
@@ -995,84 +967,115 @@ def _plan_rows(
 
 def _best_reply(
     model: PosgModel,
-    s0: OccupancyState,
+    s: OccupancyState,
     agent: int,
     rows: Sequence[tuple[np.ndarray, np.ndarray]],
     cap_bytes: int,
 ) -> tuple[float, int]:
     """The value in agent 0's payoff (the most for agent 0, the least for
-    agent 1) and the tree index of the agent's best pure reply from the
-    initial state ``s0`` to the other playing ``rows`` (``_plan_rows``): one
-    walk of the agent's whole trie against those weights, ``G`` times the
-    other's weight per sequence folded over the trie.  Ties break as in
-    ``_argmax_lowest``; sets the walk never reaches play action 0."""
+    agent 1) and the plan index of the agent's best pure reply below
+    occupancy ``s`` to the other playing ``rows`` (``_plan_rows``), one tree
+    per anchor: one walk of the agent's whole trie against those weights,
+    ``G`` times the other's weight per sequence folded over the trie.  Ties
+    break as in ``_argmax_lowest``; sets the walk never reaches play action
+    0."""
     weights = [None, rows] if agent == 0 else [rows, None]
     (G,), played, kids, parents = _normal_form(
-        model, s0, [0], cap_bytes, keep=(0, 1), weights=weights
+        model, s, [0], cap_bytes, keep=(0, 1), weights=weights
     )
     sign, best = (1.0, np.max) if agent == 0 else (-1.0, np.min)
     g = G @ played[1] if agent == 0 else played[0] @ G
     v = _trie_fold(g, parents[agent], len(model.actions[agent]), best)
-    index, _ = _pure_tree(model, agent, kids[agent], lambda j: _argmax_lowest(sign * v[j]))
-    return float(best(v[0])), index
+    roots = np.flatnonzero(parents[agent] < 0)
+    index, _ = _pure_tree(
+        model, agent, kids[agent], lambda j: _argmax_lowest(sign * v[j]), roots.tolist(),
+        model.horizon - s.t,
+    )
+    return float(best(v[roots], axis=-1).sum()), index
 
 
 def _double_oracle(
-    model: PosgModel, tolerance: float, cap_bytes: int
-) -> tuple[float, list[dict[int, float]], dict[str, object]]:
-    """Saddle point at the start belief by the sequence-form double oracle
-    (Bošanský, Kiekintveld, Lisý & Pěchouček 2014), for games whose full
-    sequence form is over ``cap_bytes``: agent 0's value, each agent's Kuhn
-    mixture of pure trees by index, and the metadata.
+    model: PosgModel, s: OccupancyState, tolerance: float, cap_bytes: int
+) -> tuple[SequenceFormSolution, object]:
+    """Saddle point below occupancy ``s`` by the sequence-form double oracle
+    (Bošanský, Kiekintveld, Lisý & Pěchouček 2014), with agent 0's payoff
+    matrix ``G`` of its last walk (a ``scipy.sparse`` CSR array).
 
-    Each restricted set of sequences is a union of whole pure trees seeded
-    with plan 0, so closed under prefixes, held as 0/1 rows by trie code
-    (``_plan_rows``).  Each iteration walks restricted sequence pairs, solves
-    the restricted LP, reads each plan as a Kuhn mixture and prices it by
-    the opponent's best reply (``_best_reply``).  It stops on the full LP's
-    certificate (``_certificate``, scaled by the largest restricted payoff,
-    which is no larger than the full one); otherwise both replies' trees
-    join the sets, and an iteration that adds no sequence raises."""
-    s0 = initial_occupancy(model)
+    Each agent's set of sequences is its whole trie (None) or a union of
+    pure plans, one tree per anchor, held as 0/1 rows by trie code
+    (``_plan_rows``).  Both start whole where the whole pair's walk fits
+    ``cap_bytes`` and holds no more than the first restricted iteration:
+    one walk and two reply walks of the seed pair, plan 0 each
+    (``_restricted_bytes``).  Each iteration walks the pair, solves its LP
+    and prices each plan by the opponent's best reply: a fold over ``G`` on
+    whole sets, so that one iteration is the full LP (``sequence-form-lp``,
+    or ``normal-form+…`` for the matrix game of one set each), and
+    ``_best_reply`` against the plan's Kuhn mixture on restricted ones.  It
+    stops when the full LP's certificate, the duality gap plus what each
+    side's opponent gains by its best reply, is within ``max(tolerance,
+    1e-7)`` times the largest payoff in ``G`` (no larger than the full
+    one); otherwise the replies join the restricted sets, and an iteration
+    that adds no sequence raises."""
+    depth = model.horizon - s.t
+    anchors = tuple(tuple(_anchors(s, i)) for i in range(2))
+    n_anchors = [len(a) for a in anchors]
     n_us = [len(labels) for labels in model.actions]
 
-    def restricted(trees) -> list[list[tuple[np.ndarray, np.ndarray]]]:
-        """Each agent's 0/1 rows of the sequences its trees play."""
-        return [
-            [(codes, (rows > 0.0) * 1.0) for codes, rows in _plan_rows(model, i, t)]
-            for i, t in enumerate(trees)
-        ]
+    def restricted(plans) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+        """Each agent's 0/1 rows of the sequences its plans play."""
+        rows = [_plan_rows(model, i, p, n_anchors[i], depth) for i, p in enumerate(plans)]
+        return [[(codes, (w > 0.0) * 1.0) for codes, w in per_depth] for per_depth in rows]
 
     def sizes(sets) -> tuple[int, ...]:
         return tuple(int(sum(rows.sum() for _, rows in per_depth)) for per_depth in sets)
 
-    trees: list[dict[int, float]] = [{0: 1.0}, {0: 1.0}]  # each set's trees, by index
-    sets = restricted(trees)
+    # plan 0's sets per depth: one per own observation path below each anchor
+    seed = [[n * model.n_agent_obs(i) ** d for d in range(depth)] for i, n in enumerate(n_anchors)]
+    full = _restricted_bytes(model, n_anchors, depth, [None, None])
+    whole = full <= min(cap_bytes, 3 * _restricted_bytes(model, n_anchors, depth, seed))
+    plans: list[dict[int, float]] = [{0: 1.0}, {0: 1.0}]  # each set's plans, by index
+    sets = [None, None] if whole else restricted(plans)
     for iteration in itertools.count(1):
         (G,), played, kids, parents = _normal_form(
-            model, s0, [0], cap_bytes, keep=(0, 1), weights=sets
+            model, s, [0], cap_bytes, keep=(0, 1), weights=sets
         )
-        value, x, y, gap = _realization_plan_lp(G, parents, n_us, [p > 0.0 for p in played])
-        mixtures = [_kuhn_mixture(model, i, plan, kids[i]) for i, plan in enumerate((x, y))]
-        replies = [
-            _best_reply(model, s0, i, _plan_rows(model, 1 - i, mixtures[1 - i]), cap_bytes)
-            for i in range(2)
-        ]
-        certificate, error = _certificate(value, gap, [v for v, _ in replies], G, tolerance)
-        if error is None:
+        payoffs, method = G, "sequence-form-lp" if whole else "sequence-form-double-oracle"
+        if whole and all(len(p) == 1 for p in parents):  # G is the matrix game
+            payoffs = G.toarray()
+            game = matrix_game_value(payoffs, tolerance)
+            value, x, y, gap = game.value, game.row_mix, game.col_mix, game.gap
+            method = f"normal-form+{game.method}"
+        else:
+            masks = None if whole else [p > 0.0 for p in played]
+            value, x, y, gap = _realization_plan_lp(G, parents, n_us, masks)
+        if whole:
+            replies = [
+                (float(_trie_best(payoffs @ y, parents[0], n_us[0], np.max)), None),
+                (float(_trie_best(x @ payoffs, parents[1], n_us[1], np.min)), None),
+            ]
+        else:
+            kuhn = [
+                _kuhn_mixture(model, i, plan, kids[i], n_anchors[i], depth)
+                for i, plan in enumerate((x, y))
+            ]
+            rows = [_plan_rows(model, i, kuhn[i], n_anchors[i], depth) for i in range(2)]
+            replies = [_best_reply(model, s, i, rows[1 - i], cap_bytes) for i in range(2)]
+        exploitability = (max(0.0, value - replies[1][0]), max(0.0, replies[0][0] - value))
+        certificate = gap + sum(exploitability)
+        if certificate <= max(tolerance, 1e-7) * max(1.0, float(np.abs(G.data).max(initial=0.0))):
             break
-        trees = [{**t, index: 1.0} for t, (_, index) in zip(trees, replies)]
-        grown = restricted(trees)
-        if sizes(grown) == sizes(sets):
-            raise error
+        if not whole:
+            plans = [{**p, index: 1.0} for p, (_, index) in zip(plans, replies)]
+            grown = restricted(plans)
+        if whole or sizes(grown) == sizes(sets):  # nothing left to add
+            raise RuntimeError(f"zero-sum certificate {certificate:.3g} exceeds tolerance")
         sets = grown
+    grew = {"sequences": G.shape} if whole else {"sequences": sizes(sets), "iterations": iteration}
     metadata = {
-        "method": "sequence-form-double-oracle",
-        "sequences": sizes(sets),
-        "iterations": iteration,
-        **certificate,
+        "method": method, **grew, "duality_gap": gap, "exploitability": exploitability,
+        "residual": max(exploitability),
     }
-    return value, mixtures, metadata
+    return SequenceFormSolution(value, (x, y), anchors, tuple(kids), metadata), G
 
 
 def solve_zero_sum(
@@ -1081,27 +1084,21 @@ def solve_zero_sum(
     cap_bytes: int = CAP_BYTES,
 ) -> Equilibrium:
     """Saddle value of a zero-sum game at the start belief, with each agent's
-    optimal plan as a mixture over pure policy trees: from one
-    realization-plan LP over the full sequence form where its walk fits
-    ``cap_bytes``, by the double oracle (``_double_oracle``) where it does
-    not."""
+    optimal plan as a mixture over pure policy trees: the loop of
+    ``_double_oracle`` at the initial occupancy state, each plan split into
+    a Kuhn mixture."""
     _require(model, "zerosum", "solve_zero_sum")
-    try:
-        sol, _ = _zero_sum_kernel(model, initial_occupancy(model), tolerance, cap_bytes)
-    except CapExceededError:
-        value, mixtures, metadata = _double_oracle(model, tolerance, cap_bytes)
-    else:
-        value, metadata = sol.value, dict(sol.metadata)
-        mixtures = [_kuhn_mixture(model, i, sol.plans[i], sol.kids[i]) for i in range(2)]
+    sol, _ = _double_oracle(model, initial_occupancy(model), tolerance, cap_bytes)
+    mixtures = [_kuhn_mixture(model, i, sol.plans[i], sol.kids[i]) for i in range(2)]
     return Equilibrium(
         criterion="zerosum",
-        values=(value, -value),
+        values=(sol.value, -sol.value),
         mixtures=tuple(mixtures),
         policies=tuple(
             {k: _tree(model, i, k, model.horizon) for k in mixture}
             for i, mixture in enumerate(mixtures)
         ),
-        metadata=metadata,
+        metadata=dict(sol.metadata),
     )
 
 
@@ -1297,9 +1294,10 @@ def zero_sum_value_from(
     model: PosgModel, s: OccupancyState
 ) -> tuple[float, SequenceFormSolution, object]:
     """Saddle value of the zero-sum subgame rooted at occupancy ``s``, with
-    the saddle point and agent 0's sequence-form payoff matrix (a
-    ``scipy.sparse`` CSR array)."""
-    sol, G = _zero_sum_kernel(model, s, DEFAULT_TOLERANCE, CAP_BYTES)
+    the saddle point and agent 0's sequence-form payoff matrix of the
+    loop's last walk (a ``scipy.sparse`` CSR array): over both agents' whole
+    tries unless the method is ``sequence-form-double-oracle``."""
+    sol, G = _double_oracle(model, s, DEFAULT_TOLERANCE, CAP_BYTES)
     return sol.value, sol, G
 
 

@@ -615,7 +615,7 @@ def _zs_structure(model, rng, n_samples, negative_control) -> tuple[float, dict]
     for k in range(n_samples):
         if t == 0:
             s_mix = _belief_occupancy(model, rng.dirichlet(np.ones(model.n_states)))
-            v_mix, sol, G = zero_sum_value_from(model, s_mix)
+            v_mix, sol, G = _zs_priced(model, s_mix)
             if negative_control:
                 v_mix += _CORRUPTION
         else:
@@ -632,7 +632,7 @@ def _zs_structure(model, rng, n_samples, negative_control) -> tuple[float, dict]
             v_a, _, _ = zero_sum_value_from(model, s_a)
             v_b, _, _ = zero_sum_value_from(model, s_b)
             s_mix = mix_occupancies([s_a, s_b], [lam, 1 - lam])
-            v_mix, sol, G = zero_sum_value_from(model, s_mix)
+            v_mix, sol, G = _zs_priced(model, s_mix)
             if negative_control:
                 v_mix += _BIG_CORRUPTION
             worst = max(worst, _convexity_violation(v_mix, lam, v_a, v_b))
@@ -653,6 +653,21 @@ def _zs_structure(model, rng, n_samples, negative_control) -> tuple[float, dict]
         notes["grid_points"] = grid_points
     notes["norm"] = "l1"
     return worst, notes
+
+
+def _zs_priced(model: PosgModel, s: OccupancyState):
+    """``zero_sum_value_from`` at ``s`` for the max-of-concave certificates,
+    which price leader plans on its ``G``: refused (``CapExceededError``)
+    unless that ``G`` spans both agents' whole tries, for a restricted one
+    lacks the follower replies outside the loop's sets.  The count is the
+    sequences of both full tries, the cap the sequences the loop kept."""
+    v, sol, G = zero_sum_value_from(model, s)
+    if sol.metadata["method"] == "sequence-form-double-oracle":
+        depth = model.horizon - s.t
+        full = sum(sum(_trie_size(model, i, len(sol.anchors[i]), depth)[0]) for i in range(2))
+        kept = sum(sol.metadata["sequences"])
+        raise CapExceededError("sequence form of the leader-plan check", full, kept, " sequences")
+    return v, sol, G
 
 
 def _sets_below(kids) -> dict[tuple[int, int], list[int]]:
@@ -735,7 +750,7 @@ def _zs_grid_certificate(model, rng, negative_control) -> tuple[float, float, in
     worst = 0.0
     for b in grid:
         s = _belief_occupancy(model, np.array([b, 1.0 - b]))
-        v, sol, G = zero_sum_value_from(model, s)
+        v, sol, G = _zs_priced(model, s)
         values.append(v)
         achieve = v - _follower_reply(model, sol, sol.plans[0] @ G)
         if negative_control:

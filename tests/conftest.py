@@ -58,6 +58,21 @@ def code_names(code) -> set[str]:
     return names
 
 
+def restricted_start(monkeypatch) -> None:
+    """Make the zero-sum loop start from the seed pair at every depth: the
+    whole pair's walk counts over any cap."""
+    from occupancy_games import solve
+
+    count = solve._restricted_bytes
+
+    def over_any_cap(model, n_anchors, depth, sets):
+        if all(n is None for n in sets):
+            return 2**63
+        return count(model, n_anchors, depth, sets)
+
+    monkeypatch.setattr(solve, "_restricted_bytes", over_any_cap)
+
+
 def model_path(name: str) -> pathlib.Path:
     return MODELS / f"{name}.posg"
 

@@ -65,24 +65,27 @@ def test_solve_cap_exceeded(capsys):
 
 
 def test_zero_sum_cap_counts_sequences(capsys):
-    # tiger-zs at its horizon 2 keeps both agents' 3 + 18 sequences: depth
-    # blocks of 3^2 + 18^2 doubles.  Under that the double oracle runs, and
-    # its first walk is over the cap too: 8-byte items for three arrays over
-    # the 9 payoff cells at the start and, for each of its 2 entries, 9
-    # joint actions, 4 level arrays and 6 arrays over 68 dynamics rows, plus
-    # the walk's fixed 2^17 bytes,
-    # 8 * (3 * 9 + 2 * (9 + 4 + 6 * 68)) + 131,072 = 138,024 bytes
-    code, _, err = run(capsys, "solve", TIGER_ZS, "--cap", "2663")
-    assert code == 3 and "restricted game too large: 138024 bytes exceeds cap 2663 bytes" in err
-    code, out, _ = run(capsys, "solve", TIGER_ZS, "--cap", "2664")
+    # tiger-zs at its horizon 2.  The loop starts from both agents' whole
+    # tries where that walk fits the cap (and counts no more than three
+    # walks of the seed pair, 3 x 138,024 bytes).  The whole walk counts
+    # most where it builds the sparse G: 8-byte items, six per cell of its
+    # 9 + 36 * 9 payoff cells, plus the walk's fixed 2^17 bytes,
+    # 8 * 6 * (9 + 36 * 9) + 131,072 = 147,056 bytes
+    code, out, _ = run(capsys, "solve", TIGER_ZS, "--cap", "147056")
     assert code == 0 and "value_1: 0" in out
     assert "method: sequence-form-lp" in out and "iterations" not in out
-    # at h=4 the full form holds 3,455,208 bytes and the loop fits under it
-    code, out, _ = run(capsys, "solve", TIGER_ZS, "--horizon", "4", "--cap", "3455207")
+    # one byte under, the loop starts from plan 0 for each agent; its first
+    # walk counts three arrays over the 9 payoff cells at the start and, for
+    # each of its 2 entries, 9 joint actions, 4 level arrays and 6 arrays
+    # over 68 dynamics rows, 8 * (3 * 9 + 2 * (9 + 4 + 6 * 68)) + 131,072 =
+    # 138,024 bytes; its second iteration's largest walk counts 141,872
+    code, out, _ = run(capsys, "solve", TIGER_ZS, "--cap", "147055")
     lines = out.splitlines()
     assert code == 0 and "value_1: 0" in lines
     method = lines.index("method: sequence-form-double-oracle")
-    assert lines[method + 1 : method + 3] == ["sequences: 15 30", "iterations: 2"]
+    assert lines[method + 1 : method + 3] == ["sequences: 3 6", "iterations: 2"]
+    code, _, err = run(capsys, "solve", TIGER_ZS, "--cap", "138023")
+    assert code == 3 and "restricted game too large: 138024 bytes exceeds cap 138023 bytes" in err
 
 
 def test_solve_tiger_duel(capsys):
@@ -95,12 +98,16 @@ def test_solve_tiger_duel(capsys):
     assert "method: sequence-form-lp" in lines
     code, out, _ = run(capsys, "solve", TIGER_DUEL, "--start", "0.25", "0.75")
     assert code == 0 and "value_1: 0.25" in out.splitlines()
-    # under the full form's 2,664 bytes the loop's first walk is refused too:
-    # as for tiger-zs, with tiger-duel's 60 dynamics rows per state,
+    # the whole walk counts the same 147,056 bytes as tiger-zs's; under it
+    # the loop starts from the seed pair, whose first walk counts as
+    # tiger-zs's with tiger-duel's 60 dynamics rows per state,
     # 8 * (3 * 9 + 2 * (9 + 4 + 6 * 60)) + 131,072 = 137,256 bytes
-    code, out, err = run(capsys, "solve", TIGER_DUEL, "--cap", "2663")
+    code, out, _ = run(capsys, "solve", TIGER_DUEL, "--cap", "147055")
+    assert code == 0 and "value_1: 0.5" in out.splitlines()
+    assert "method: sequence-form-double-oracle" in out
+    code, out, err = run(capsys, "solve", TIGER_DUEL, "--cap", "137255")
     assert code == 3 and out == ""
-    assert "restricted game too large: 137256 bytes exceeds cap 2663 bytes" in err
+    assert "restricted game too large: 137256 bytes exceeds cap 137255 bytes" in err
 
 
 def test_verify_tiger_duel(capsys):
@@ -164,19 +171,23 @@ def test_tolerance_that_nothing_reads_is_a_usage_error(capsys, argv):
 
 
 def test_solve_zero_sum_four_steps(capsys):
+    # the whole tries' walk (777 sequences per agent) counts more than three
+    # seed walks: the loop starts from the seed pair
     code, out, _ = run(capsys, "solve", TIGER_ZS, "--horizon", "4")
     assert code == 0
-    assert "value_1: 0" in out.splitlines() and "method: sequence-form-lp" in out
+    lines = out.splitlines()
+    assert "value_1: 0" in lines and "method: sequence-form-double-oracle" in lines
+    assert "sequences: 15 30" in lines and "iterations: 2" in lines
 
 
 def test_solve_zero_sum_five_steps(capsys):
-    # 4,665 sequences per agent; the walk builds G one depth block at a time
+    # of 4,665 sequences per agent, the loop keeps 31 and 62
     code, out, _ = run(capsys, "solve", TIGER_ZS, "--horizon", "5")
     assert code == 0
     lines = out.splitlines()
-    assert "value_1: 0" in lines and "method: sequence-form-lp" in lines
+    assert "value_1: 0" in lines and "method: sequence-form-double-oracle" in lines
     fields = dict(line.split(": ", 1) for line in lines)
-    assert fields["sequences"] == "4665 4665"
+    assert fields["sequences"] == "31 62" and fields["iterations"] == "2"
     assert float(fields["residual"]) <= 1e-9 and float(fields["duality_gap"]) <= 1e-9
 
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from occupancy_games import verify
-from occupancy_games.errors import ModelValidationError, UnknownSuiteError
+from occupancy_games import solve, verify
+from occupancy_games.errors import CapExceededError, ModelValidationError, UnknownSuiteError
 from occupancy_games.evaluate import linear_eval, occupancy_value, value_tables
 from occupancy_games.policies import agent_rules
 from occupancy_games.sampling import random_behavioral_policy, random_decision_rule, random_posg
@@ -20,7 +20,7 @@ from occupancy_games.verify import (
     run_suite,
 )
 
-from conftest import code_names, load
+from conftest import code_names, load, restricted_start
 
 
 def test_sufficiency_master_tiger(tiger):
@@ -106,6 +106,24 @@ def test_master_structure_zs_grid(one_stage_zs):
 def test_master_structure_zs_tiger(tiger_zs):
     report = check_master_structure(tiger_zs, "zerosum", n_samples=10, seed=3)
     assert report.passed, report.line()
+
+
+@pytest.mark.parametrize("name", ["one_stage_zs", "tiger_zs"])
+def test_master_structure_zs_refuses_a_restricted_g(request, monkeypatch, name):
+    # the max-of-concave certificates price leader plans on the G that
+    # zero_sum_value_from returns.  With the loop forced to start from the
+    # seed pair at these depth-1 states (the whole pair counted over any
+    # cap), that G lacks the follower replies outside the loop's sets: the
+    # check refuses (exit 3) and does not pass
+    model = request.getfixturevalue(name)
+    assert check_master_structure(model, "zerosum", n_samples=3, seed=3).passed
+    restricted_start(monkeypatch)
+    with pytest.raises(CapExceededError, match="sequence form of the leader-plan check"):
+        check_master_structure(model, "zerosum", n_samples=3, seed=3)
+    t = model.horizon - 1  # the priced states' step: depth 1 below them
+    s, _ = verify._sample_prefix_occupancy(model, t, np.random.default_rng(0))
+    _, sol, _ = solve.zero_sum_value_from(model, s)
+    assert sol.metadata["method"] == "sequence-form-double-oracle"
 
 
 def test_master_structure_stackelberg(st_tiger):
