@@ -54,12 +54,10 @@ from .policies import (
 from .evaluate import (
     SimResult,
     ValueTable,
-    evaluate_history,
     evaluate_occupancy,
     linear_eval,
     sim_result_to_csv,
     simulate,
-    value_table_to_csv,
 )
 from .solve import (
     BestResponse,

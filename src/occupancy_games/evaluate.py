@@ -156,29 +156,6 @@ def check_policy_fits(model: PosgModel, policy: JointPolicy) -> None:
         )
 
 
-def evaluate_history(
-    model: PosgModel, policy: JointPolicy, agent: int
-) -> list[ValueTable]:
-    """State-value tables for every time step under a fixed joint policy."""
-    check_policy_fits(model, policy)
-    return value_tables(model, policy.joint_rules(model), agent)
-
-
-def value_table_to_csv(model: PosgModel, table: ValueTable) -> str:
-    header = (
-        "t,state,"
-        + ",".join(f"history_{i + 1}" for i in range(model.n_agents))
-        + ",value"
-    )
-    rows = [header]
-    for (x, o), v in sorted(
-        table.values.items(), key=lambda kv: (kv[0][0], kv[0][1].sort_key())
-    ):
-        hist = ",".join(h.label(model) for h in o.privates)
-        rows.append(f"{table.t},{model.states[x]},{hist},{v:.10g}")
-    return "\n".join(rows) + "\n"
-
-
 def sim_result_to_csv(result: SimResult) -> str:
     rows = ["agent,mean,stderr,episodes,seed"]
     for i, (mean, err) in enumerate(zip(result.means, result.stderrs)):

@@ -36,7 +36,11 @@ plan is the variable of one linear program per follower pure plan, tried in
 descending order of what the leader could get against it (Conitzer & Sandholm
 2006; strong equilibrium: follower ties break in the leader's favor), with the
 follower's optimality written by LP duality as one value per follower
-information set (Bošanský & Čermák 2015).
+information set (Bošanský & Čermák 2015).  The saddle point and the strong
+Stackelberg equilibrium below an occupancy state are one record,
+``SequenceFormSolution``: a realization plan and a value per agent, the
+follower's plan the 0/1 realization of its pure plan.  ``_equilibrium``
+decodes every start-belief solver's mixtures of plan indices to trees.
 Ties everywhere break toward the lowest enumeration index.
 
 ``_normal_form`` is the one set-up of that walk.  ``cap_bytes`` is one budget
@@ -749,8 +753,12 @@ def _require(model: PosgModel, criterion: str, solver: str) -> None:
 
 @dataclass(frozen=True)
 class SequenceFormSolution:
-    """Saddle point of the zero-sum game below an occupancy state, over the
-    sets the loop's last walk reached.
+    """Equilibrium of a two-agent game below an occupancy state as a pair of
+    realization plans: the zero-sum saddle point of ``_double_oracle``, over
+    the sets its last walk reached, or the strong Stackelberg equilibrium of
+    ``_stackelberg_kernel``, over every set the walk reached.  ``values`` is
+    each agent's payoff: ``(v, -v)`` for zero sum, (leader, follower) for
+    Stackelberg.
 
     Sets and sequences are numbered as in ``_sequence_payoffs``: agent ``i``'s
     set ``a`` is its anchor ``anchors[i][a]``, then each depth's reached sets
@@ -759,10 +767,11 @@ class SequenceFormSolution:
     ``z`` at set ``j``, and sequence ``j * n_u + u`` is action ``u`` at set
     ``j``.  ``plans[i]`` is agent ``i``'s realization plan: mass 1 over the
     actions at each anchor, and each sequence's mass spread over the actions
-    at every set below it.
+    at every set below it.  The Stackelberg follower's plan is its pure
+    plan's 0/1 realization, which ``_kuhn_mixture`` returns as that plan.
     """
 
-    value: float
+    values: tuple[float, ...]
     plans: tuple[np.ndarray, ...]
     anchors: tuple[tuple[PrivateHistory, ...], ...]
     kids: tuple[Mapping[tuple[int, int, int], int], ...]
@@ -1075,7 +1084,28 @@ def _double_oracle(
         "method": method, **grew, "duality_gap": gap, "exploitability": exploitability,
         "residual": max(exploitability),
     }
-    return SequenceFormSolution(value, (x, y), anchors, tuple(kids), metadata), G
+    return SequenceFormSolution((value, -value), (x, y), anchors, tuple(kids), metadata), G
+
+
+def _equilibrium(
+    model: PosgModel,
+    criterion: str,
+    values: Sequence[float],
+    mixtures: Sequence[Mapping[int, float]],
+    metadata: Mapping[str, object],
+) -> Equilibrium:
+    """The start-belief equilibrium of each agent's mixture (weights by plan
+    index), every plan decoded to its tree."""
+    return Equilibrium(
+        criterion=criterion,
+        values=tuple(values),
+        mixtures=tuple(mixtures),
+        policies=tuple(
+            {k: _tree(model, i, k, model.horizon) for k in mixture}
+            for i, mixture in enumerate(mixtures)
+        ),
+        metadata=dict(metadata),
+    )
 
 
 def solve_zero_sum(
@@ -1089,17 +1119,8 @@ def solve_zero_sum(
     a Kuhn mixture."""
     _require(model, "zerosum", "solve_zero_sum")
     sol, _ = _double_oracle(model, initial_occupancy(model), tolerance, cap_bytes)
-    mixtures = [_kuhn_mixture(model, i, sol.plans[i], sol.kids[i]) for i in range(2)]
-    return Equilibrium(
-        criterion="zerosum",
-        values=(sol.value, -sol.value),
-        mixtures=tuple(mixtures),
-        policies=tuple(
-            {k: _tree(model, i, k, model.horizon) for k in mixture}
-            for i, mixture in enumerate(mixtures)
-        ),
-        metadata=dict(sol.metadata),
-    )
+    mixtures = [_kuhn_mixture(model, i, plan, sol.kids[i]) for i, plan in enumerate(sol.plans)]
+    return _equilibrium(model, "zerosum", sol.values, mixtures, sol.metadata)
 
 
 def _one_sided(model: PosgModel, s: OccupancyState, cap_bytes: int, best) -> tuple:
@@ -1155,12 +1176,10 @@ def solve_dec(model: PosgModel, cap_bytes: int = CAP_BYTES) -> Equilibrium:
     realization = np.zeros(Y.shape[-1])
     realization[played] = 1.0
     best = [int(c) for c in np.unravel_index(row, n_plans)] + [col]
-    return Equilibrium(
-        criterion="common",
-        values=(float(realization @ Y[row]),) * model.n_agents,
-        mixtures=tuple({c: 1.0} for c in best),
-        policies=tuple({c: _tree(model, i, c, model.horizon)} for i, c in enumerate(best)),
-        metadata={"method": "sequence-form-argmax", "shape": (len(values), Y.shape[-1])},
+    return _equilibrium(
+        model, "common", (float(realization @ Y[row]),) * model.n_agents,
+        [{c: 1.0} for c in best],
+        {"method": "sequence-form-argmax", "shape": (len(values), Y.shape[-1])},
     )
 
 
@@ -1230,24 +1249,12 @@ def stackelberg_from_matrices(L: np.ndarray, F: np.ndarray) -> tuple[float, np.n
     return value, x, k
 
 
-@dataclass(frozen=True)
-class StackelbergSolution:
-    """Strong Stackelberg equilibrium below an occupancy state: the leader's
-    realization plan ``plan`` over its sequences (numbered by ``kids`` as in
-    ``SequenceFormSolution``) and the index ``k`` of the follower's pure plan."""
-
-    values: tuple[float, float]
-    plan: np.ndarray
-    k: int
-    kids: Mapping[tuple[int, int, int], int]
-    metadata: Mapping[str, object]
-
-
 def _stackelberg_kernel(
     model: PosgModel, s: OccupancyState, tolerance: float, cap_bytes: int
-) -> StackelbergSolution:
+) -> SequenceFormSolution:
     """Strong Stackelberg equilibrium below occupancy ``s``, the follower's
-    pure plans enumerated and the leader in sequence form.
+    pure plans enumerated and the leader in sequence form; the follower's
+    plan is its chosen pure plan's 0/1 realization.
 
     The certificate, the follower's regret (its best pure plan's value
     against the leader's plan less the chosen plan's), must stay within
@@ -1259,8 +1266,9 @@ def _stackelberg_kernel(
     value, x, k, follower, regret = _multiple_lp(L, G_F, R_F, parents, n_us)
     if regret > max(tolerance, 1e-7) * max(1.0, float(np.abs(G_F).max(initial=0.0))):
         raise RuntimeError(f"stackelberg follower regret {regret:.3g} exceeds tolerance")
+    anchors = tuple(tuple(_anchors(s, i)) for i in range(2))
     metadata = {"method": "multiple-lp", "shape": L.shape, "follower_regret": regret}
-    return StackelbergSolution((value, follower), x, k, kids[0], metadata)
+    return SequenceFormSolution((value, follower), (x, R_F[k]), anchors, tuple(kids), metadata)
 
 
 def solve_stackelberg(
@@ -1269,20 +1277,12 @@ def solve_stackelberg(
     cap_bytes: int = CAP_BYTES,
 ) -> Equilibrium:
     """Strong Stackelberg equilibrium with agent 1 committing publicly; its
-    plan is returned as a mixture over pure policy trees (Kuhn)."""
+    plan is returned as a mixture over pure policy trees (Kuhn), the
+    follower's as its one pure plan."""
     _require(model, "stackelberg", "solve_stackelberg")
     sol = _stackelberg_kernel(model, initial_occupancy(model), tolerance, cap_bytes)
-    mixture = _kuhn_mixture(model, 0, sol.plan, sol.kids)
-    return Equilibrium(
-        criterion="stackelberg",
-        values=sol.values,
-        mixtures=(mixture, {sol.k: 1.0}),
-        policies=(
-            {k: _tree(model, 0, k, model.horizon) for k in mixture},
-            {sol.k: _tree(model, 1, sol.k, model.horizon)},
-        ),
-        metadata=dict(sol.metadata),
-    )
+    mixtures = [_kuhn_mixture(model, i, plan, sol.kids[i]) for i, plan in enumerate(sol.plans)]
+    return _equilibrium(model, "stackelberg", sol.values, mixtures, sol.metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -1298,7 +1298,7 @@ def zero_sum_value_from(
     loop's last walk (a ``scipy.sparse`` CSR array): over both agents' whole
     tries unless the method is ``sequence-form-double-oracle``."""
     sol, G = _double_oracle(model, s, DEFAULT_TOLERANCE, CAP_BYTES)
-    return sol.value, sol, G
+    return sol.values[0], sol, G
 
 
 def dec_value_from(model: PosgModel, s: OccupancyState) -> float:

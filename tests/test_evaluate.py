@@ -5,7 +5,6 @@ import pytest
 
 from occupancy_games import evaluate
 from occupancy_games.evaluate import (
-    evaluate_history,
     evaluate_occupancy,
     linear_eval,
     simulate,
@@ -44,23 +43,23 @@ def tree_policy(*roots):
     return JointPolicy(tuple(PolicyTree(i, a) for i, a in enumerate(roots)))
 
 
-def test_evaluate_history_one_stage(one_stage):
-    tables = evaluate_history(one_stage, tree_policy(0, 0), 0)
+def test_value_tables_one_stage(one_stage):
+    tables = value_tables(one_stage, tree_policy(0, 0).joint_rules(one_stage), 0)
     empty = empty_joint_history(2)
     assert tables[0].value(0, empty) == pytest.approx(1.0)
     assert tables[0].value(1, empty) == pytest.approx(1.0)
     assert tables[1].values == {}  # boundary
 
-    tables = evaluate_history(one_stage, tree_policy(1, 1), 0)
+    tables = value_tables(one_stage, tree_policy(1, 1).joint_rules(one_stage), 0)
     treasure = one_stage.states.index("treasure")
     tiger_x = one_stage.states.index("tiger")
     assert tables[0].value(treasure, empty) == pytest.approx(2.0)
     assert tables[0].value(tiger_x, empty) == pytest.approx(-2.0)
 
 
-def test_evaluate_history_zero_rewards(one_stage):
+def test_value_tables_zero_rewards(one_stage):
     zero = dataclasses.replace(one_stage, rewards=np.zeros_like(one_stage.rewards))
-    tables = evaluate_history(zero, tree_policy(0, 1), 0)
+    tables = value_tables(zero, tree_policy(0, 1).joint_rules(zero), 0)
     assert all(v == 0.0 for table in tables for v in table.values.values())
 
 
@@ -86,7 +85,7 @@ def test_evaluate_occupancy_matches_state_weighted_history(tiger):
     policy = random_joint_policy(tiger, rng)
     s0 = initial_occupancy(tiger)
     for agent in range(2):
-        tables = evaluate_history(tiger, policy, agent)
+        tables = value_tables(tiger, policy.joint_rules(tiger), agent)
         weighted = sum(
             p * tables[0].value(x, o) for (x, o), p in s0.entries.items()
         )
@@ -98,7 +97,7 @@ def test_bellman_identity_pointwise(tiger):
     rng = np.random.default_rng(11)
     policy = random_joint_policy(tiger, rng)
     rules = policy.joint_rules(tiger)
-    tables = evaluate_history(tiger, policy, 0)
+    tables = value_tables(tiger, policy.joint_rules(tiger), 0)
     for t in range(tiger.horizon):
         nxt = tables[t + 1]
         for (x, o), v in tables[t].values.items():
@@ -125,7 +124,7 @@ def test_linear_eval_point_mass_and_linearity(one_stage):
     s_a = initial_occupancy(one_stage.with_start([1.0, 0.0]))
     s_b = initial_occupancy(one_stage.with_start([0.0, 1.0]))
     s_mid = initial_occupancy(one_stage)
-    tables = evaluate_history(one_stage, tree_policy(1, 1), 0)
+    tables = value_tables(one_stage, tree_policy(1, 1).joint_rules(one_stage), 0)
     va = linear_eval(s_a, tables[0])
     vb = linear_eval(s_b, tables[0])
     assert va == pytest.approx(2.0)
@@ -149,7 +148,7 @@ def test_linear_eval_cross_operation(tiger):
 
 
 def test_linear_eval_time_mismatch(one_stage):
-    tables = evaluate_history(one_stage, tree_policy(0, 0), 0)
+    tables = value_tables(one_stage, tree_policy(0, 0).joint_rules(one_stage), 0)
     s0 = initial_occupancy(one_stage)
     with pytest.raises(ValueError, match="time-step"):
         linear_eval(s0, tables[1])
@@ -158,7 +157,7 @@ def test_linear_eval_time_mismatch(one_stage):
 def test_linear_eval_rejects_missing_entries(tiger):
     rng = np.random.default_rng(5)
     policy = random_joint_policy(tiger, rng)
-    tables = evaluate_history(tiger, policy, 0)
+    tables = value_tables(tiger, policy.joint_rules(tiger), 0)
     s0 = initial_occupancy(tiger)
     missing_table = dataclasses.replace(
         tables[0], values=dict(list(tables[0].values.items())[:1])
@@ -170,7 +169,7 @@ def test_linear_eval_rejects_missing_entries(tiger):
 def test_evaluate_history_rejects_horizon_mismatch(tiger):
     short = JointPolicy((PolicyTree(0, 0), PolicyTree(1, 0)))
     with pytest.raises(ValueError, match="horizon"):
-        evaluate_history(tiger, short, 0)
+        evaluate_occupancy(tiger, short, initial_occupancy(tiger), 0)
 
 
 def test_evaluate_and_simulate_reject_horizon_mismatch(tiger):
@@ -374,15 +373,10 @@ def test_simulate_rejects_bad_episode_count(one_stage):
 
 
 def test_csv_dumps(tiger):
-    from occupancy_games.evaluate import sim_result_to_csv, value_table_to_csv
+    from occupancy_games.evaluate import sim_result_to_csv
 
     rng = np.random.default_rng(6)
     policy = random_joint_policy(tiger, rng)
-    tables = evaluate_history(tiger, policy, 0)
-    csv = value_table_to_csv(tiger, tables[0])
-    assert csv.splitlines()[0] == "t,state,history_1,history_2,value"
-    assert len(csv.splitlines()) == 1 + len(tables[0].values)
-
     result = simulate(tiger, policy, episodes=10, seed=4)
     csv = sim_result_to_csv(result)
     assert csv.splitlines()[0] == "agent,mean,stderr,episodes,seed"

@@ -20,6 +20,7 @@ from occupancy_games.errors import (
 )
 from occupancy_games import solve
 from occupancy_games.evaluate import evaluate_occupancy, linear_eval, value_tables
+from occupancy_games.model import reinterpret_criterion
 from occupancy_games.occupancy import (
     expected_reward,
     initial_occupancy,
@@ -718,7 +719,7 @@ def full_lp(m, s):
     (G,), _, kids, parents = solve._normal_form(m, s, [0], solve.CAP_BYTES, keep=(0, 1))
     value, x, y, _ = solve._realization_plan_lp(G, parents, [len(u) for u in m.actions])
     anchors = tuple(tuple(solve._anchors(s, i)) for i in range(2))
-    return solve.SequenceFormSolution(value, (x, y), anchors, tuple(kids), {}), G
+    return solve.SequenceFormSolution((value, -value), (x, y), anchors, tuple(kids), {}), G
 
 
 @settings(max_examples=12, deadline=None)
@@ -860,7 +861,7 @@ def test_zero_sum_exploitability_matches_history_best_response(request, name, ho
     # the trie max also prices plans far from optimal, on the full G (at
     # h=3 the solver's loop ends on restricted sets)
     full, G = full_lp(m, initial_occupancy(m))
-    assert abs(full.value - v) <= 1e-9
+    assert abs(full.values[0] - v) <= 1e-9
     rng = np.random.default_rng(11)
     n_u = len(m.actions[0])
     parents = solve._parents(full.kids[0], len(full.plans[0]) // n_u, n_u)
@@ -1113,7 +1114,7 @@ def test_double_oracle_matches_the_full_lp(name, m, monkeypatch):
     eq = solve_zero_sum(m)
     metadata = eq.metadata
     assert metadata["method"] == "sequence-form-double-oracle"
-    assert abs(eq.values[0] - full.value) <= 1e-9
+    assert abs(eq.values[0] - full.values[0]) <= 1e-9
     scale = max(1.0, m.reward_bound * m.horizon)
     assert metadata["duality_gap"] + sum(metadata["exploitability"]) <= 1e-9 * scale
     for agent in (0, 1):  # the returned mixtures are the certified plans
@@ -1148,9 +1149,9 @@ def test_zero_sum_matches_the_full_lp(name, m):
     full, _ = full_lp(m, s0)
     eq = solve_zero_sum(m)
     v, sol, _ = zero_sum_value_from(m, s0)
-    assert v == eq.values[0] and abs(v - full.value) <= 1e-9
+    assert v == eq.values[0] and abs(v - full.values[0]) <= 1e-9
     if sol.metadata["method"] == "sequence-form-lp":
-        assert v == full.value
+        assert v == full.values[0]
         assert all((a == b).all() for a, b in zip(sol.plans, full.plans))
     if m.horizon >= 3 and name.startswith("tiger"):
         assert sol.metadata["method"] == "sequence-form-double-oracle"
@@ -1167,7 +1168,7 @@ def test_zero_sum_below_mid_game_roots_matches_the_full_lp(name, h, t):
     s = mid_game_root(m, t)
     v, sol, _ = zero_sum_value_from(m, s)
     full, _ = full_lp(m, s)
-    assert abs(v - full.value) <= 1e-9
+    assert abs(v - full.values[0]) <= 1e-9
     assert min(len(anchors) for anchors in sol.anchors) >= 2
     if name.startswith("tiger") and t == 1:
         assert sol.metadata["method"] == "sequence-form-double-oracle"
@@ -1389,7 +1390,7 @@ def test_double_oracle_control_raises_on_a_best_response_that_skips_an_action(
         assert min(len(solve._anchors(s, i)) for i in range(2)) >= 2
     sol, _ = solve._double_oracle(m, s, solve.DEFAULT_TOLERANCE, solve.CAP_BYTES)
     assert sol.metadata["method"] == "sequence-form-double-oracle"
-    assert abs(sol.value - full_lp(m, s)[0].value) <= 1e-9
+    assert abs(sol.values[0] - full_lp(m, s)[0].values[0]) <= 1e-9
     monkeypatch.setattr(solve, "_best_reply", never_playing(1, 0))
     with pytest.raises(RuntimeError, match="zero-sum certificate"):
         solve._double_oracle(m, s, solve.DEFAULT_TOLERANCE, solve.CAP_BYTES)
@@ -1417,7 +1418,7 @@ def test_double_oracle_builds_no_history_or_policy_object(tiger_duel, monkeypatc
         m, initial_occupancy(m), solve.DEFAULT_TOLERANCE, solve.CAP_BYTES
     )
     assert sol.metadata["method"] == "sequence-form-double-oracle"
-    assert built == start * 2 and abs(sol.value - 0.5) <= 1e-9
+    assert built == start * 2 and abs(sol.values[0] - 0.5) <= 1e-9
     # control: the history-route best response builds them
     other = {1: solve._tree(m, 1, 0, m.horizon)}
     before = len(built)
@@ -1508,6 +1509,16 @@ def dense_row_oracle(m, s):
     return value, k, F
 
 
+def follower_plan(m, s, sol) -> int:
+    """The index of the follower's pure plan in a Stackelberg record: the one
+    plan ``_kuhn_mixture`` splits its 0/1 realization into."""
+    ((k, w),) = solve._kuhn_mixture(
+        m, 1, sol.plans[1], sol.kids[1], len(sol.anchors[1]), m.horizon - s.t
+    ).items()
+    assert w == 1.0
+    return k
+
+
 def check_kernel_against_dense_rows(m, s, tolerance=solve.DEFAULT_TOLERANCE):
     """The Stackelberg kernel below ``s`` against ``dense_row_sse`` on the
     same leader-sequence by follower-plan payoffs: values within 1e-12, the
@@ -1515,9 +1526,10 @@ def check_kernel_against_dense_rows(m, s, tolerance=solve.DEFAULT_TOLERANCE):
     plan on the oracle's ``F``."""
     value, k, F = dense_row_oracle(m, s)
     sol = solve._stackelberg_kernel(m, s, tolerance, solve.CAP_BYTES)
-    assert abs(sol.values[0] - value) <= 1e-12 and sol.k == k
-    assert abs(sol.values[1] - sol.plan @ F[:, k]) <= 1e-12
-    assert (sol.plan @ F).max() - sol.plan @ F[:, k] <= 1e-9  # k is a best response
+    x = sol.plans[0]
+    assert abs(sol.values[0] - value) <= 1e-12 and follower_plan(m, s, sol) == k
+    assert abs(sol.values[1] - x @ F[:, k]) <= 1e-12
+    assert (x @ F).max() - x @ F[:, k] <= 1e-9  # k is a best response
     assert sol.metadata["follower_regret"] <= 1e-9
     return sol
 
@@ -1536,20 +1548,137 @@ def test_stackelberg_sequence_form_leader_matches_normal_form(seed, horizon, n_p
         # the leader mixing over its anchored pure plans reaches the same value
         (L, F), _ = suffix_normal_form(m, s, (0, 1))
         value, _, k = dense_row_sse(L, F, one_set, L.shape[0])
-        assert abs(sol.values[0] - value) <= 1e-9 and sol.k == k
+        assert abs(sol.values[0] - value) <= 1e-9 and follower_plan(m, s, sol) == k
         assert abs(solve.stackelberg_value_from(m, s) - value) <= 1e-9
     s0 = initial_occupancy(m)
     sol = solve._stackelberg_kernel(m, s0, solve.DEFAULT_TOLERANCE, solve.CAP_BYTES)
     eq = solve_stackelberg(m)
-    assert eq.values == sol.values and eq.mixtures[1] == {sol.k: 1.0}
+    assert eq.values == sol.values and eq.mixtures[1] == {follower_plan(m, s0, sol): 1.0}
     assert abs(sum(eq.mixtures[0].values()) - 1.0) <= 1e-9
-    assert np.abs(leader_realization(m, eq.mixtures[0], sol.kids) - sol.plan).max() <= 1e-9
+    realized = leader_realization(m, eq.mixtures[0], sol.kids[0])
+    assert np.abs(realized - sol.plans[0]).max() <= 1e-9
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 3])
 def test_stackelberg_tiger_matches_the_dense_rows(st_tiger, horizon):
     m = st_tiger.with_horizon(horizon)
     check_kernel_against_dense_rows(m, initial_occupancy(m))
+
+
+# -- one record for both mixed equilibria ---------------------------------------
+
+
+def record_cases():
+    """Zero-sum and Stackelberg models, bundled and random, each at its start
+    state and, past one stage, at one mid-game state with several anchors
+    per agent (tiger-duel at h=3 and h=4 go through restricted sets)."""
+    one_stage = load("tiger-one-stage")
+    models = [
+        ("tiger-zs-3", load("tiger-zs").with_horizon(3)),
+        ("tiger-duel-3", load("tiger-duel").with_horizon(3)),
+        ("tiger-duel-4", load("tiger-duel").with_horizon(4)),
+        ("one-stage-zerosum", reinterpret_criterion(one_stage, "zerosum")),
+        ("random-zerosum", random_zero_sum(horizon=2)),
+        ("sees-opponent", sees_opponent(3)),
+        ("stackelberg-tiger-3", load("stackelberg-tiger").with_horizon(3)),
+        ("one-stage-stackelberg", reinterpret_criterion(one_stage, "stackelberg")),
+        ("random-stackelberg-1", random_stackelberg(0, 2, 1)[0]),
+        ("random-stackelberg-2", random_stackelberg(1, 2, 2)[0]),
+        ("zeroed-observations", zeroed_observation_stackelberg(2)),
+    ]
+    cases = [pytest.param(m, initial_occupancy(m), id=f"{name}-start") for name, m in models]
+    cases += [
+        pytest.param(m, mid_game_root(m, 1), id=f"{name}-mid") for name, m in models if m.horizon > 1
+    ]
+    return cases
+
+
+def zeroed_observation_stackelberg(seed, silent=None):
+    """A random Stackelberg model at h=2 whose follower never sees its second
+    own observation after the actions in ``silent`` (default: action 0 and
+    each other one by a seeded coin): those sets go unreached."""
+    rng = np.random.default_rng(seed)
+    m = random_posg(
+        rng, n_actions=(2, 3), n_obs=(2, 2), horizon=2, discount=0.9, criterion="stackelberg"
+    )
+    if silent is None:
+        silent = [u1 for u1 in range(3) if u1 == 0 or rng.random() < 0.5]
+    observation = m.observation.copy()
+    for u0, u1, z0 in itertools.product(range(2), silent, range(2)):
+        observation[m.joint_action_index((u0, u1)), :, m.joint_obs_index((z0, 1), 0)] = 0.0
+    observation /= observation.sum(axis=-1, keepdims=True)
+    return dataclasses.replace(m, observation=observation)
+
+
+@pytest.mark.parametrize("m, s", record_cases())
+def test_the_record_means_the_same_for_both_kernels(m, s):
+    # each plan is a realization plan over the record's own sets, and each
+    # value its agent's payoff at the pair of plans: on the loop's last G for
+    # zero sum, on the whole tries' G_i for Stackelberg
+    if m.criterion == "zerosum":
+        sol, G = solve._double_oracle(m, s, solve.DEFAULT_TOLERANCE, solve.CAP_BYTES)
+        payoffs = [G, -G]
+    else:
+        sol = solve._stackelberg_kernel(m, s, solve.DEFAULT_TOLERANCE, solve.CAP_BYTES)
+        payoffs, _, _, _ = solve._normal_form(m, s, [0, 1], solve.CAP_BYTES, keep=(0, 1))
+    for i, (plan, kids) in enumerate(zip(sol.plans, sol.kids)):
+        assert sol.anchors[i] == tuple(solve._anchors(s, i))
+        n_u = len(m.actions[i])
+        parents = solve._parents(kids, len(sol.anchors[i]) + len(kids), n_u)
+        E, e = solve._plan_constraints(parents, n_u)
+        assert len(plan) == len(parents) * n_u and plan.min() >= 0.0
+        assert np.abs(E @ plan - e).max() <= 1e-9
+    x, y = sol.plans
+    for value, G_i in zip(sol.values, payoffs):
+        assert abs(value - x @ G_i @ y) <= 1e-9
+
+
+def kernel_pick(m, s) -> int:
+    """The index of the follower plan ``_multiple_lp`` picks below ``s``."""
+    (L, G_F), (_, R_F), _, parents = solve._normal_form(
+        m, s, [0], solve.CAP_BYTES, keep=(0,), uncontracted=(1,)
+    )
+    return solve._multiple_lp(L, G_F, R_F, parents, [len(u) for u in m.actions])[2]
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_follower_plan_round_trips_through_kuhn(seed):
+    # the follower's 0/1 plan decodes to exactly the plan the kernel picks,
+    # which is the oracle's, also where zero observation probabilities
+    # leave sets unreached and so give plans of equal realization
+    m = zeroed_observation_stackelberg(seed)
+    for s in start_and_step_states(m, np.random.default_rng(seed)):
+        sol = check_kernel_against_dense_rows(m, s)
+        assert follower_plan(m, s, sol) == kernel_pick(m, s)
+    eq = solve_stackelberg(m)
+    assert eq.mixtures[1] == {kernel_pick(m, initial_occupancy(m)): 1.0}
+
+
+def test_follower_round_trip_control(monkeypatch):
+    # plan k + 1 differs from the kernel's pick k only at the follower's set
+    # after its first action and second observation, which the walk never
+    # reaches: the same realization, which decodes to k.  A picker that kept
+    # the higher index of the two fails the round trip
+    m = zeroed_observation_stackelberg(0, silent=range(3))
+    s0 = initial_occupancy(m)
+    k = kernel_pick(m, s0)
+    sol = solve._stackelberg_kernel(m, s0, solve.DEFAULT_TOLERANCE, solve.CAP_BYTES)
+    n_u = len(m.actions[1])
+    # digits in preorder: the first action, then one per own observation
+    assert (0, k // n_u**2, 1) not in sol.kids[1] and k % n_u == 0
+    R = solve._plan_realization(m, 1, 1, sol.kids[1], m.horizon)
+    assert np.array_equal(R[k + 1], R[k]) and np.array_equal(R[k], sol.plans[1])
+    assert follower_plan(m, s0, sol) == k
+    real = solve._multiple_lp
+
+    def higher(*args):
+        value, x, pick, follower, regret = real(*args)
+        return value, x, pick + 1, follower, regret
+
+    monkeypatch.setattr(solve, "_multiple_lp", higher)
+    sol = solve._stackelberg_kernel(m, s0, solve.DEFAULT_TOLERANCE, solve.CAP_BYTES)
+    assert kernel_pick(m, s0) == k + 1 and follower_plan(m, s0, sol) == k
 
 
 def test_dense_rows_catch_a_dropped_dual_row(monkeypatch):
@@ -1568,7 +1697,7 @@ def test_dense_rows_catch_a_dropped_dual_row(monkeypatch):
 
     monkeypatch.setattr(solve, "linprog", drop_first_row)
     sol = solve._stackelberg_kernel(m, s0, np.inf, solve.CAP_BYTES)
-    assert abs(sol.values[0] - value) > 1e-6 and sol.k != k
+    assert abs(sol.values[0] - value) > 1e-6 and follower_plan(m, s0, sol) != k
     with pytest.raises(RuntimeError, match="follower regret"):
         solve._stackelberg_kernel(m, s0, solve.DEFAULT_TOLERANCE, solve.CAP_BYTES)
 
