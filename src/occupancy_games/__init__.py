@@ -55,7 +55,6 @@ from .evaluate import (
     SimResult,
     ValueTable,
     evaluate_occupancy,
-    linear_eval,
     sim_result_to_csv,
     simulate,
 )

@@ -188,30 +188,14 @@ def occupancy_value(
 ) -> float:
     """The pairing of ``s`` with the values of ``rules_by_step`` (one tuple of
     rules per step from ``s.t`` on) pulled back over the levels its support
-    reaches, in entry order: equal to ``linear_eval`` with its value table.
-    ``s`` is converted to a level once and kept, so pricing many plans on one
-    state converts it once."""
+    reaches: ``s(x, o)`` times the value table's ``value(x, o)``, summed
+    over the entries of ``s`` in entry order.  ``s`` is converted to a level
+    once and kept, so pricing many plans on one state converts it once."""
     if s.t >= model.horizon:
         return 0.0
     level, hists = level_of(model, s)
     levels = _pull(model, rules_by_step, agent, s.t, level, hists, False)
     return sum_in_order(level.mass * levels[0][2])
-
-
-def linear_eval(s: OccupancyState, table: ValueTable) -> float:
-    """Pairing sum(s(x,o) * table(x,o)); every entry of ``s`` needs a value."""
-    if table.t != s.t:
-        raise ValueError(f"time-step mismatch: occupancy t={s.t}, table t={table.t}")
-    missing = 0
-    total = 0.0
-    for key, p in s.entries.items():
-        if key in table.values:
-            total += p * table.values[key]
-        else:
-            missing += 1
-    if missing:
-        raise ValueError(f"{missing} occupancy entries missing from value table")
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ children by its own (action, observation).
 History objects are built only at the public boundary: once per private
 history of a pushed level, and, the first time a returned state's
 ``entries`` is read, once per entry.  Each returned state keeps its level, so
-the next update skips the conversion from its entries and a state that is
-only pushed on or priced never builds its joint histories.
+the next update skips the conversion from its entries, and a state that is
+only pushed on, priced or solved from never builds its joint histories.
 
 Entries below ``PRUNE_EPS`` are dropped and the remaining mass renormalized;
 two states are considered equal when their pruned supports coincide and no

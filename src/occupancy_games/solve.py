@@ -5,8 +5,8 @@ agent's private histories carrying unnormalized measures (one forward walk
 with the agent's actions as sequences, then one reverse fold over its
 histories), and dynamic programming over private occupancy states with
 normalized Bayesian updates (one recursion that pushes each state once, all
-own actions in that push).  Both break ties toward the lowest action within
-``1e-12 * max(1, |max|)`` of the best.
+own actions in that push).  Both break ties toward the lowest action whose
+value ties with the best.
 Equality of their values on every input is the operational form of the
 sufficiency of private occupancy states.
 
@@ -41,20 +41,26 @@ Stackelberg equilibrium below an occupancy state are one record,
 ``SequenceFormSolution``: a realization plan and a value per agent, the
 follower's plan the 0/1 realization of its pure plan.  ``_equilibrium``
 decodes every start-belief solver's mixtures of plan indices to trees.
-Ties everywhere break toward the lowest enumeration index.
+Ties everywhere break toward the lowest action or enumeration index, within
+one window written once, ``_tie_floor``: a value ties with the best value
+``top`` when it is at least ``top - 1e-12 * max(1, |top|)``, relative to the
+payoffs' scale above 1.
 
-``_normal_form`` is the one set-up of that walk.  ``cap_bytes`` is one budget
-for every criterion, checked before each walk.  For common payoff and
-Stackelberg it bounds the bytes of the dense arrays the walk and the
-enumeration would build, predicted from the agents' full tries; that count
-leaves out the LP matrices and intermediate copies, so it does not bound
-peak memory.  For zero-sum it bounds ``_restricted_bytes``: the most a walk
-of the loop holds at once without the LP's matrices, its arrays counted item
-by item plus ``WALK_FIXED_BYTES`` for its constant costs, which puts it at
-or above the walk's ``tracemalloc`` peak on every model measured, tiny ones
-included.  The normal forms and the values from mid-game states keep the
-default ``CAP_BYTES``.  Every solver reads the model's own horizon;
-``PosgModel.with_horizon`` sets another.
+``_normal_form`` is the one set-up of that walk, and it starts from the
+state's level (``occupancy.level_of``), never from its entries.
+``cap_bytes`` is one budget for every criterion, checked before each walk,
+and what it bounds follows from the agents the walk keeps in sequence form.
+Where some agent is enumerated (common payoff and Stackelberg) it bounds the
+bytes of the dense arrays the walk and the enumeration would build,
+predicted from the agents' full tries; that count leaves out the LP
+matrices and intermediate copies, so it does not bound peak memory.  Where
+every agent is kept (each walk of the zero-sum loop) it bounds
+``_restricted_bytes``: the most a walk holds at once without the LP's
+matrices, its arrays counted item by item plus ``WALK_FIXED_BYTES`` for its
+constant costs, which puts it at or above the walk's ``tracemalloc`` peak on
+every model measured, tiny ones included.  The normal forms and the values
+from mid-game states keep the default ``CAP_BYTES``.  Every solver reads the
+model's own horizon; ``PosgModel.with_horizon`` sets another.
 """
 
 from __future__ import annotations
@@ -235,13 +241,17 @@ def _others_profiles(model: PosgModel, others, agent: int) -> list[dict[int, Dec
     return [{j: rules[t] for j, rules in per_agent.items()} for t in range(model.horizon)]
 
 
+def _tie_floor(top: float) -> float:
+    """The least value that ties with the best value ``top``: the one tie
+    window, ``1e-12 * max(1, |top|)``, of every solver's pick, so that a
+    pick does not depend on the order the values were summed in."""
+    return top - 1e-12 * max(1.0, abs(top))
+
+
 def _argmax_lowest(values: Sequence[float]) -> int:
-    """The lowest index whose value is within ``1e-12 * max(1, |max|)`` of the
-    maximum, so that the pick does not depend on the order the values were
-    summed in."""
+    """The lowest index whose value ties with the maximum (``_tie_floor``)."""
     values = np.asarray(values)
-    top = values.max()
-    return int(np.flatnonzero(values >= top - 1e-12 * max(1.0, abs(top)))[0])
+    return int(np.flatnonzero(values >= _tie_floor(values.max()))[0])
 
 
 def best_response_history(model: PosgModel, others, agent: int) -> BestResponse:
@@ -374,8 +384,10 @@ def best_response_private_from(
 # ---------------------------------------------------------------------------
 
 
-def _anchors(s: OccupancyState, agent: int) -> list[PrivateHistory]:
-    return sorted({o.privates[agent] for (_, o) in s.entries}, key=lambda h: h.steps)
+def _anchors(model: PosgModel, s: OccupancyState, agent: int) -> list[PrivateHistory]:
+    """The agent's histories in ``s``, read from its level and sorted by
+    steps: anchor ``a`` of every walk below ``s``."""
+    return sorted(level_of(model, s)[1][agent], key=lambda h: h.steps)
 
 
 def _anchored_space(
@@ -401,17 +413,18 @@ def _sequence_payoffs(
 
     One forward walk, level by level, pushes the mass of ``s`` through
     (state, per-agent information set) pairs, every joint action and outcome
-    of a level at once.  Agent ``i``'s sets are numbered level by level: set
-    ``a`` is its anchor ``anchors[i][a]``, then each level's reached sets
-    follow in (parent set, own action, own observation) order, and
-    ``kids[i][(j, u, z)]`` is the set after action ``u`` and observation ``z``
-    at set ``j``.  Sets the walk never reaches get no number.  Sequence
-    ``j * n_u + u`` is action ``u`` at set ``j``, so the sequences of one
-    depth are contiguous, and a sequence pairs only with the others'
-    sequences of its depth: ``blocks[d]`` has one axis per agent over its
-    depth-``d`` sequences and a last axis over ``agents_of_interest``, the
-    discounted reward at those joint sequences weighted by the probability
-    of the outcomes along them.  The full tensor is block diagonal in them.
+    of a level at once, starting from the level of ``s`` (``level_of``).
+    Agent ``i``'s sets are numbered level by level: set ``a`` is its anchor
+    ``anchors[i][a]``, then each level's reached sets follow in (parent set,
+    own action, own observation) order, and ``kids[i][(j, u, z)]`` is the
+    set after action ``u`` and observation ``z`` at set ``j``.  Sets the walk
+    never reaches get no number.  Sequence ``j * n_u + u`` is action ``u`` at
+    set ``j``, so the sequences of one depth are contiguous, and a sequence
+    pairs only with the others' sequences of its depth: ``blocks[d]`` has one
+    axis per agent over its depth-``d`` sequences and a last axis over
+    ``agents_of_interest``, the discounted reward at those joint sequences
+    weighted by the probability of the outcomes along them.  The full tensor
+    is block diagonal in them.
 
     With ``weights``, agent ``i`` plays ``rows[k]`` at the set of trie code
     ``codes[k]`` (``weights[i][d] = (codes, rows)`` at depth ``d``, as
@@ -419,24 +432,20 @@ def _sequence_payoffs(
     ``next_level``'s action probabilities, so only weighted actions are
     pushed, and the third item is each agent's weight per sequence (None
     without ``weights``).  An agent whose weights are None plays each action
-    with weight 1, as every agent does without ``weights``; weights that are
-    all None are no weights.
+    with weight 1, as every agent does without ``weights``.
     """
-    if weights is not None and all(w is None for w in weights):
-        weights = None
     n_us = tuple(len(labels) for labels in model.actions)
     n_zs = tuple(model.n_agent_obs(i) for i in range(model.n_agents))
     # rewards[x, u_0, ..., u_{n-1}, k] for the k-th agent of interest
     rewards = np.moveaxis(model.rewards[list(agents_of_interest)], 0, -1)
     rewards = rewards.reshape((model.n_states,) + n_us + (-1,))
+    level, hists = level_of(model, s)
+    # each agent's history ids renumbered from first appearance to anchor order
     pos = [{h: a for a, h in enumerate(anc)} for anc in anchors]
-    start: dict[tuple[int, ...], float] = {}
-    for (x, o), p in s.entries.items():
-        key = (x,) + tuple(pos[i][h] for i, h in enumerate(o.privates))
-        start[key] = start.get(key, 0.0) + p
-    xs, *ids = np.array(list(start), dtype=np.intp).reshape(-1, model.n_agents + 1).T
-    n_sets = tuple(len(anc) for anc in anchors)
-    level = Level(xs, tuple(ids), np.array(list(start.values())), n_sets)
+    level = level._replace(ids=tuple(
+        np.array([p[h] for h in hs], dtype=np.intp)[k] for p, hs, k in zip(pos, hists, level.ids)
+    ))
+    n_sets = level.n_sets
     first = [0] * model.n_agents  # id of the level's first set, per agent
     kids: list[dict[tuple[int, int, int], int]] = [{} for _ in anchors]
     trie = [np.arange(n) for n in n_sets]  # trie code of each set of the level
@@ -629,32 +638,34 @@ def _normal_form(
     ``R_0 @ G @ R_1.T``, ``_plan_realization``), taken one depth block at a
     time.  The agents in ``keep`` are left uncontracted: their axes stay over
     their sequences and their matrices are ``None``.  When both agents of a
-    two-agent game are
-    kept, each tensor is the block-diagonal ``G`` itself, as a
-    ``scipy.sparse`` CSR array.  The payoffs of the agents in
+    two-agent game are kept, each tensor is the block-diagonal ``G`` itself,
+    as a ``scipy.sparse`` CSR array.  The payoffs of the agents in
     ``uncontracted`` follow, each the dense block-diagonal ``G`` over the two
-    agents' sequences.  ``_predicted_bytes`` must stay within ``cap_bytes``,
-    checked before the walk and any enumeration.
+    agents' sequences.
 
-    With ``weights`` (both agents kept: a walk of the zero-sum loop), the
-    walk pushes weighted actions only (``_sequence_payoffs``), the second
-    item is each agent's weight per sequence (None when no agent has
-    weights), and ``_restricted_bytes`` is checked instead.
+    The byte count follows from the agents kept, and must stay within
+    ``cap_bytes``, checked before the walk and any enumeration: where some
+    agent is enumerated, ``_predicted_bytes``; where every agent is kept (a
+    walk of the zero-sum loop), ``_restricted_bytes`` over each agent's sets
+    in ``weights``, or its whole trie where it has none.  With ``weights``
+    the walk pushes weighted actions only (``_sequence_payoffs``), and the
+    second item is each agent's weight per sequence.
     """
     depth = model.horizon - s.t
     if depth < 1:
         raise ValueError("occupancy state is already at the horizon")
-    anchors = [_anchors(s, i) for i in range(model.n_agents)]
-    if weights is None:
+    anchors = [_anchors(model, s, i) for i in range(model.n_agents)]
+    n_anchors = [len(a) for a in anchors]
+    if len(keep) < model.n_agents:
         what, n_bytes = "normal form", _predicted_bytes(
-            model, [len(a) for a in anchors], depth, keep, len(agents_of_interest),
-            len(uncontracted),
+            model, n_anchors, depth, keep, len(agents_of_interest), len(uncontracted)
         )
     else:
-        sets = [None if w is None else [len(codes) for codes, _ in w] for w in weights]
-        what, n_bytes = "restricted game", _restricted_bytes(
-            model, [len(a) for a in anchors], depth, sets
-        )
+        sets = [
+            None if w is None else [len(codes) for codes, _ in w]
+            for w in weights or [None] * model.n_agents
+        ]
+        what, n_bytes = "restricted game", _restricted_bytes(model, n_anchors, depth, sets)
     if n_bytes > cap_bytes:
         raise CapExceededError(what, n_bytes, cap_bytes, " bytes")
     blocks, kids, played = _sequence_payoffs(
@@ -724,7 +735,8 @@ def suffix_normal_form(
     axis ``i`` indexes agent ``i``'s assignments of one tree per anchor."""
     mats, _, _, _ = _normal_form(model, s, agents_of_interest, CAP_BYTES)
     depth = model.horizon - s.t
-    return mats, [_anchored_space(model, i, _anchors(s, i), depth) for i in range(model.n_agents)]
+    anchors = [_anchors(model, s, i) for i in range(model.n_agents)]
+    return mats, [_anchored_space(model, i, a, depth) for i, a in enumerate(anchors)]
 
 
 def induced_normal_form(
@@ -1026,7 +1038,7 @@ def _double_oracle(
     one); otherwise the replies join the restricted sets, and an iteration
     that adds no sequence raises."""
     depth = model.horizon - s.t
-    anchors = tuple(tuple(_anchors(s, i)) for i in range(2))
+    anchors = tuple(tuple(_anchors(model, s, i)) for i in range(2))
     n_anchors = [len(a) for a in anchors]
     n_us = [len(labels) for labels in model.actions]
 
@@ -1043,7 +1055,7 @@ def _double_oracle(
     full = _restricted_bytes(model, n_anchors, depth, [None, None])
     whole = full <= min(cap_bytes, 3 * _restricted_bytes(model, n_anchors, depth, seed))
     plans: list[dict[int, float]] = [{0: 1.0}, {0: 1.0}]  # each set's plans, by index
-    sets = [None, None] if whole else restricted(plans)
+    sets = None if whole else restricted(plans)
     for iteration in itertools.count(1):
         (G,), played, kids, parents = _normal_form(
             model, s, [0], cap_bytes, keep=(0, 1), weights=sets
@@ -1148,22 +1160,20 @@ def zero_sum_guarantees(model: PosgModel, cap_bytes: int = CAP_BYTES) -> np.ndar
 def solve_dec(model: PosgModel, cap_bytes: int = CAP_BYTES) -> Equilibrium:
     """Optimal joint policy of a common-payoff game: every agent but the last
     enumerates its reduced pure policies, the last best-responds in sequence
-    form.  Ties go to the lexicographically smallest index tuple whose value is
-    within ``1e-12 * max(1, |max|)`` of the maximum (the first such profile of
-    the others, then the last agent's first such policy), so the pick does not
-    depend on the order the payoffs were summed in.  The last agent's policy
+    form.  Ties go to the lexicographically smallest index tuple whose value
+    ties with the maximum (``_tie_floor``): the first such profile of the
+    others, then the last agent's first such policy.  The last agent's policy
     comes from one preorder pass over its sets: at each, the lowest action
-    whose best completion still reaches that bound."""
+    whose best completion still reaches that floor."""
     _require(model, "common", "solve_dec")
     s0 = initial_occupancy(model)
     values, Y, n_plans, kids, parents = _one_sided(model, s0, cap_bytes, np.max)
-    top = values.max()
-    tol = 1e-12 * max(1.0, abs(top))
-    row = int(np.flatnonzero(values >= top - tol)[0])
+    floor = _tie_floor(values.max())
+    row = int(np.flatnonzero(values >= floor)[0])
     last = model.n_agents - 1
     n_u = len(model.actions[last])
     v = _trie_fold(Y[row], parents, n_u, np.max)
-    slack = v[0].max() - (top - tol)  # what the picks below may still lose
+    slack = v[0].max() - floor  # what the picks below may still lose
 
     def lowest_within(j: int) -> int:
         nonlocal slack
@@ -1203,8 +1213,9 @@ def _multiple_lp(
     follower's plans ``F r = f``; Bošanský & Čermák 2015), so each LP has
     one row per follower sequence, not one per plan.  Plans are tried in
     descending order of the leader's best pure value against them, until
-    that bound falls below the best LP value less 1e-12; ties go to the
-    lowest plan whose value is within 1e-12 of the best."""
+    that bound no longer ties with the best LP value (``_tie_floor``); the
+    pick is the lowest plan whose LP value ties with the best, so it does
+    not depend on the payoffs' scale."""
     E, e = _plan_constraints(parents[0], n_us[0], dense=True)
     F, f = _plan_constraints(parents[1], n_us[1], dense=True)
     n_x, n_v = E.shape[1], F.shape[0]
@@ -1219,7 +1230,7 @@ def _multiple_lp(
     solved: dict[int, tuple[float, np.ndarray, np.ndarray]] = {}
     best = -np.inf
     for k in np.argsort(-top, kind="stable").tolist():
-        if top[k] < best - 1e-12:
+        if top[k] < _tie_floor(best):
             break  # neither this plan nor any later one can reach ``best``
         r = R_F[k]
         A_ub[-1, :n_x] = -(G_F @ r)
@@ -1233,7 +1244,7 @@ def _multiple_lp(
             best = max(best, solved[k][0])
     if not solved:  # pragma: no cover - some plan is always a best response
         raise RuntimeError("no follower plan admits an incentive-compatible leader plan")
-    k = min(j for j, (v, _, _) in solved.items() if v >= best - 1e-12)
+    k = min(j for j, (v, _, _) in solved.items() if v >= _tie_floor(best))
     value, x, r = solved[k]
     payoffs = x @ G_F
     follower = float(payoffs @ r)
@@ -1266,7 +1277,7 @@ def _stackelberg_kernel(
     value, x, k, follower, regret = _multiple_lp(L, G_F, R_F, parents, n_us)
     if regret > max(tolerance, 1e-7) * max(1.0, float(np.abs(G_F).max(initial=0.0))):
         raise RuntimeError(f"stackelberg follower regret {regret:.3g} exceeds tolerance")
-    anchors = tuple(tuple(_anchors(s, i)) for i in range(2))
+    anchors = tuple(tuple(_anchors(model, s, i)) for i in range(2))
     metadata = {"method": "multiple-lp", "shape": L.shape, "follower_regret": regret}
     return SequenceFormSolution((value, follower), (x, R_F[k]), anchors, tuple(kids), metadata)
 

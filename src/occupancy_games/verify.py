@@ -55,7 +55,7 @@ from .occupancy import (
     step,
 )
 from .policies import (
-    BehavioralPolicy,
+    AgentPolicy,
     DecisionRule,
     JointPolicy,
     PrivateHistory,
@@ -439,30 +439,24 @@ def check_slave_structure(
         lhs = best_response_value_from(model, others, agent, s_mix)
         if negative_control:
             lhs += _CORRUPTION
-        rhs = sum(
-            float(l) * best_response_private_from(model, others, agent, c, t)
-            for l, c in zip(lam, comps)
-        )
+        # each component priced once, for both weightings
+        values = [best_response_private_from(model, others, agent, c, t) for c in comps]
+        rhs = sum(float(l) * v for l, v in zip(lam, values))
         worst_lin = max(worst_lin, abs(lhs - rhs))
         # also the natural weights, recombining to the sampled state itself
         lhs0 = best_response_value_from(model, others, agent, recombine(mixture))
-        rhs0 = sum(
-            float(w) * best_response_private_from(model, others, agent, c, t)
-            for w, c in zip(weights, comps)
-        )
+        rhs0 = sum(float(w) * v for w, v in zip(weights, values))
         worst_lin = max(worst_lin, abs(lhs0 - rhs0))
 
         if k < certificate_samples:
             worst_cert = max(
                 worst_cert,
-                _pwlc_certificate(model, others_rules, agent, s, negative_control),
+                _pwlc_certificate(model, others, others_rules, agent, s, negative_control),
             )
     # the full game itself (t=0) is one more certificate point
+    s0 = initial_occupancy(model)
     worst_cert = max(
-        worst_cert,
-        _pwlc_certificate(
-            model, others_rules, agent, initial_occupancy(model), negative_control
-        ),
+        worst_cert, _pwlc_certificate(model, others, others_rules, agent, s0, negative_control)
     )
     worst = max(worst_lin, worst_cert)
     return _report(
@@ -479,20 +473,19 @@ def check_slave_structure(
 
 def _pwlc_certificate(
     model: PosgModel,
+    others: Mapping[int, AgentPolicy],
     others_rules: Mapping[int, Sequence[DecisionRule]],
     agent: int,
     s: OccupancyState,
     negative_control: bool = False,
 ) -> float:
-    """|DP best-response value - max over pure suffixes of linear evals|,
-    each suffix priced on ``s``'s own level."""
+    """|DP best-response value - max over pure suffixes of linear evals|
+    against the others' policies ``others`` (their rules by step
+    ``others_rules``), each suffix priced on ``s``'s own level."""
     best = max(
         occupancy_value(model, rules_by_step, agent, s)
         for rules_by_step in _anchored_plans(model, others_rules, agent, s)
     )
-    others = {
-        j: BehavioralPolicy(j, tuple(rules)) for j, rules in others_rules.items()
-    }
     dp = best_response_value_from(model, others, agent, s)
     if negative_control:
         dp += _CORRUPTION
@@ -509,7 +502,7 @@ def _anchored_plans(
     ``others_rules``, as rules by step (None before ``s.t``); refused above
     ``ORACLE_PLANS``."""
     t = s.t
-    anchors = _anchors(s, agent)
+    anchors = _anchors(model, s, agent)
     plans = _trie_size(model, agent, len(anchors), model.horizon - t)[1]
     if plans > ORACLE_PLANS:
         raise CapExceededError("anchored plans of the pwlc certificate", plans, ORACLE_PLANS)

@@ -58,6 +58,15 @@ def code_names(code) -> set[str]:
     return names
 
 
+def pairing(s, table) -> float:
+    """The state's pairing with a value table: ``s(x, o) * table.value(x, o)``
+    added up over the entries of ``s`` in entry order."""
+    total = 0.0
+    for (x, o), p in s.entries.items():
+        total += p * table.value(x, o)
+    return total
+
+
 def restricted_start(monkeypatch) -> None:
     """Make the zero-sum loop start from the seed pair at every depth: the
     whole pair's walk counts over any cap."""

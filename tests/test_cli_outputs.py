@@ -2,10 +2,13 @@
 the repository root and must print what ``tests/cli_outputs/<name>.txt``
 holds (its first line the exit code, the rest stdout).
 
-Tokens compare one by one: text and integers exactly, and a pair of numbers
-of which either is a float within 1e-9 relative or 1e-12 absolute, so that
-other numpy and scipy releases may move residuals near 1e-16 in their last
-bits.  To record again after a change that is meant to change the output:
+The recorder also writes ``tests/cli_outputs/VERSIONS``: the Python, numpy
+and scipy versions and the machine the recordings come from.  Where the
+running versions match it, every line must be byte-identical.  Elsewhere
+tokens compare one by one: text and integers exactly, and a pair of numbers of
+which either is a float within 1e-9 relative or 1e-12 absolute, so that other
+numpy and scipy releases may move residuals near 1e-16 in their last bits.  To
+record again after a change that is meant to change the output:
 
     PYTHONPATH=src python tests/test_cli_outputs.py
 """
@@ -15,16 +18,28 @@ import io
 import math
 import os
 import pathlib
+import platform
 import re
 import sys
 
+import numpy
 import pytest
+import scipy
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 RECORDED = ROOT / "tests" / "cli_outputs"
 
 ONE_STAGE = ["models/tiger-one-stage.posg", "--start", "0.3", "0.7"]
 CASES = {
+    "parse-tiger-duel": ["parse", "models/tiger-duel.posg"],
+    "parse-tiger-zerosum-h3": [
+        "parse", "models/tiger.posg", "--horizon", "3", "--criterion", "zerosum",
+        "--start", "0.2", "0.8",
+    ],
+    "evaluate-tiger-h3": [
+        "evaluate", "models/tiger.posg", "--horizon", "3", "--episodes", "20000", "--seed", "5",
+    ],
+    "evaluate-stackelberg-tiger": ["evaluate", "models/stackelberg-tiger.posg", "--seed", "2"],
     **{f"solve-{name}": ["solve", f"models/{name}.posg"] for name in (
         "tiger", "tiger-zs", "tiger-duel", "stackelberg-tiger", "tiger-one-stage",
     )},
@@ -70,6 +85,16 @@ NUMBER = r"[-+]?(?:\d+\.\d*|\.\d+|\d+)(?:[eE][-+]?\d+)?"
 TOKEN = re.compile(rf"{NUMBER}|[A-Za-z_]+|\S")
 
 
+def versions() -> str:
+    """The releases and machine that the printed floats depend on."""
+    return (f"python {platform.python_version()}\nnumpy {numpy.__version__}\n"
+            f"scipy {scipy.__version__}\nmachine {platform.machine()}\n")
+
+
+VERSIONS = RECORDED / "VERSIONS"
+EXACT = VERSIONS.is_file() and VERSIONS.read_text() == versions()
+
+
 def run(argv: list[str]) -> tuple[int, str]:
     """Exit code and stdout of ``ogs argv`` run in this process from the
     repository root; stderr is dropped."""
@@ -86,9 +111,11 @@ def run(argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-def same_token(a: str, b: str) -> bool:
+def same_token(a: str, b: str, exact: bool = EXACT) -> bool:
     if a == b:
         return True
+    if exact:
+        return False
     if not (re.fullmatch(NUMBER, a) and re.fullmatch(NUMBER, b)):
         return False
     if not re.search(r"[.eE]", a + b):  # two integers
@@ -108,18 +135,27 @@ def test_cli_output_matches_the_recording(name):
         tokens, recorded_tokens = TOKEN.findall(line), TOKEN.findall(recorded)
         assert len(tokens) == len(recorded_tokens), (line, recorded)
         assert all(map(same_token, tokens, recorded_tokens)), (line, recorded)
+        assert not EXACT or line == recorded, (line, recorded)
 
 
 def test_token_comparison_control():
     """The comparison is no looser than stated: integers and text exactly,
-    floats to 1e-9 relative or 1e-12 absolute."""
-    assert same_token("1.1e-16", "0") and same_token("4.321440563", "4.3214405630001")
-    assert not same_token("3", "4") and not same_token("value_1", "value_2")
-    assert not same_token("0.5", "0.5001") and not same_token("2e-12", "0")
+    floats to 1e-9 relative or 1e-12 absolute, and nothing but equal tokens
+    where the recording's versions match."""
+    def same(a, b):
+        return same_token(a, b, exact=False)
+
+    assert same("1.1e-16", "0") and same("4.321440563", "4.3214405630001")
+    assert not same("3", "4") and not same("value_1", "value_2")
+    assert not same("0.5", "0.5001") and not same("2e-12", "0")
+    assert same("4.321440563", "4.321440564")
+    assert not same_token("4.321440563", "4.321440564", exact=True)
+    assert same_token("4.321440563", "4.321440563", exact=True)
 
 
 if __name__ == "__main__":
     RECORDED.mkdir(exist_ok=True)
+    VERSIONS.write_text(versions())
     for name, argv in CASES.items():
         code, out = run(argv)
         (RECORDED / f"{name}.txt").write_text(f"exit: {code}\n{out}")

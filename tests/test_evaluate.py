@@ -6,12 +6,11 @@ import pytest
 from occupancy_games import evaluate
 from occupancy_games.evaluate import (
     evaluate_occupancy,
-    linear_eval,
     simulate,
     value_tables,
 )
 from occupancy_games.model import parse_posg
-from occupancy_games.occupancy import initial_occupancy, step
+from occupancy_games.occupancy import initial_occupancy, mix_occupancies, step
 from occupancy_games.policies import (
     BehavioralPolicy,
     DecisionRule,
@@ -23,6 +22,8 @@ from occupancy_games.policies import (
 )
 from occupancy_games.sampling import random_joint_policy, random_posg
 from occupancy_games.verify import _action_product
+
+from conftest import pairing
 
 CONSTANT_REWARD = """
 agents: 1
@@ -121,14 +122,16 @@ def test_bellman_identity_pointwise(tiger):
 
 
 def test_linear_eval_point_mass_and_linearity(one_stage):
+    # evaluate_occupancy is linear over a mixture of two states
     s_a = initial_occupancy(one_stage.with_start([1.0, 0.0]))
     s_b = initial_occupancy(one_stage.with_start([0.0, 1.0]))
-    s_mid = initial_occupancy(one_stage)
-    tables = value_tables(one_stage, tree_policy(1, 1).joint_rules(one_stage), 0)
-    va = linear_eval(s_a, tables[0])
-    vb = linear_eval(s_b, tables[0])
-    assert va == pytest.approx(2.0)
-    assert linear_eval(s_mid, tables[0]) == pytest.approx(0.5 * va + 0.5 * vb)
+    policy = tree_policy(1, 1)
+    va, vb = (evaluate_occupancy(one_stage, policy, s, 0) for s in (s_a, s_b))
+    assert va == pytest.approx(2.0) and vb != pytest.approx(va)
+    for w in (0.5, 0.3):
+        mixed = mix_occupancies([s_a, s_b], [w, 1.0 - w])
+        value = evaluate_occupancy(one_stage, policy, mixed, 0)
+        assert value == pytest.approx(w * va + (1.0 - w) * vb, abs=1e-12)
 
 
 def test_linear_eval_cross_operation(tiger):
@@ -142,28 +145,9 @@ def test_linear_eval_cross_operation(tiger):
     policy = JointPolicy((listen_tree, listen_tree2))
     seeds = sorted({o for (_, o) in s1.entries}, key=lambda o: o.sort_key())
     tables = value_tables(tiger, policy.joint_rules(tiger), 0, 1, seeds)
-    assert linear_eval(s1, tables[0]) == pytest.approx(
+    assert pairing(s1, tables[0]) == pytest.approx(
         evaluate_occupancy(tiger, policy, s1, 0), abs=1e-12
     )
-
-
-def test_linear_eval_time_mismatch(one_stage):
-    tables = value_tables(one_stage, tree_policy(0, 0).joint_rules(one_stage), 0)
-    s0 = initial_occupancy(one_stage)
-    with pytest.raises(ValueError, match="time-step"):
-        linear_eval(s0, tables[1])
-
-
-def test_linear_eval_rejects_missing_entries(tiger):
-    rng = np.random.default_rng(5)
-    policy = random_joint_policy(tiger, rng)
-    tables = value_tables(tiger, policy.joint_rules(tiger), 0)
-    s0 = initial_occupancy(tiger)
-    missing_table = dataclasses.replace(
-        tables[0], values=dict(list(tables[0].values.items())[:1])
-    )
-    with pytest.raises(ValueError, match="missing"):
-        linear_eval(s0, missing_table)
 
 
 def test_evaluate_history_rejects_horizon_mismatch(tiger):

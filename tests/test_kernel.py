@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from occupancy_games import evaluate, occupancy, solve
 from occupancy_games.errors import ImpossibleObservationError
-from occupancy_games.evaluate import evaluate_occupancy, linear_eval, simulate, value_tables
+from occupancy_games.evaluate import evaluate_occupancy, simulate, value_tables
 from occupancy_games.occupancy import (
     PRUNE_EPS,
     expected_reward,
@@ -54,7 +54,7 @@ from occupancy_games.verify import (
     _start_measure,
 )
 
-from conftest import code_names
+from conftest import code_names, pairing
 
 TOL = 1e-12
 
@@ -281,7 +281,7 @@ def value_gap(seed: int, shape, production=lambda m: m) -> float:
         worst = max(
             worst,
             abs(evaluate_occupancy(bad, policy, s, agent) - exact),
-            abs(linear_eval(s, tables[0]) - exact),
+            abs(pairing(s, tables[0]) - exact),
         )
         # the tables hold every state at each history the raw expansion reaches
         histories = set(seeds)

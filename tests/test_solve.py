@@ -18,13 +18,16 @@ from occupancy_games.errors import (
     ModelValidationError,
     UnreachableHistoryError,
 )
-from occupancy_games import solve
-from occupancy_games.evaluate import evaluate_occupancy, linear_eval, value_tables
+from occupancy_games import solve, verify
+from occupancy_games.evaluate import evaluate_occupancy, value_tables
 from occupancy_games.model import reinterpret_criterion
 from occupancy_games.occupancy import (
+    OccupancyState,
     expected_reward,
     initial_occupancy,
     initial_private_occupancy,
+    level_of,
+    mix_occupancies,
     private_step,
     step,
 )
@@ -57,11 +60,12 @@ from occupancy_games.solve import (
     solve_stackelberg,
     solve_zero_sum,
     stackelberg_from_matrices,
+    stackelberg_value_from,
     suffix_normal_form,
     zero_sum_value_from,
 )
 
-from conftest import code_names, load, restricted_start
+from conftest import code_names, load, pairing, restricted_start
 
 
 # -- independent support-enumeration oracle for matrix games -------------------
@@ -432,7 +436,7 @@ def per_cell_value(m, s, spaces, cell, agent):
     rules_by_step = [[]] * s.t + [tuple(r[d] for r in profile) for d in range(depth)]
     seeds = sorted({o for (_, o) in s.entries}, key=lambda o: o.sort_key())
     tables = value_tables(m, rules_by_step, agent, s.t, seeds)
-    return linear_eval(s, tables[0])
+    return pairing(s, tables[0])
 
 
 def one_step_states(m, seed, support):
@@ -505,7 +509,7 @@ def test_solve_dec_tie_rule_takes_the_first_cell_within_tolerance(one_stage):
 def test_normal_form_stays_off_the_per_cell_route():
     # the payoff tensors come from one sequence-form walk, never per cell
     code = compile(inspect.getsource(solve), solve.__file__, "exec")
-    assert not code_names(code) & {"value_tables", "linear_eval"}
+    assert not code_names(code) & {"value_tables", "occupancy_value"}
 
 
 def test_one_sided_solvers_stay_off_the_joint_normal_form():
@@ -604,6 +608,15 @@ def test_sse_degenerate_leader():
     value, sigma, k = stackelberg_from_matrices(L, F)
     assert value == pytest.approx(5.0)
     assert k == 0
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e4])
+def test_sse_follower_tie_window_scales_with_the_payoffs(scale):
+    # the leader gets 1 - 5e-13 and 1 against the follower's two plans, which
+    # tie; within the one tie window both are the best LP value at any scale,
+    # so the follower's pick is the lowest plan
+    value, _, k = stackelberg_from_matrices(scale * np.array([[1 - 5e-13, 1.0]]), np.zeros((1, 2)))
+    assert k == 0 and value == scale * (1 - 5e-13)
 
 
 def dense_row_sse(L, F, parents, n_u):
@@ -718,7 +731,7 @@ def full_lp(m, s):
     numbered as the solver numbers its sets, and ``G``."""
     (G,), _, kids, parents = solve._normal_form(m, s, [0], solve.CAP_BYTES, keep=(0, 1))
     value, x, y, _ = solve._realization_plan_lp(G, parents, [len(u) for u in m.actions])
-    anchors = tuple(tuple(solve._anchors(s, i)) for i in range(2))
+    anchors = tuple(tuple(solve._anchors(m, s, i)) for i in range(2))
     return solve.SequenceFormSolution((value, -value), (x, y), anchors, tuple(kids), {}), G
 
 
@@ -1190,8 +1203,8 @@ def test_tiger_duel_five_steps_by_the_loop(tiger_duel):
     + ["loop:tiger-zs-3", "loop:tiger-duel-3-0.25", "loop:random-5-3"],
 )
 def test_restricted_count_is_at_least_the_walks_peak(monkeypatch, case):
-    # every walk of the zero-sum loop (_normal_form with weights) against
-    # its tracemalloc peak: on tiger-zs h=1..4 one walk of both agents'
+    # every walk of the zero-sum loop (_normal_form keeping both agents)
+    # against its tracemalloc peak: on tiger-zs h=1..4 one walk of both agents'
     # whole tries, on a "loop:" case every walk of the loop from the seed
     # pair on that loop_models() case
     from scipy import sparse  # noqa: F401  (imported for the first G, before any walk)
@@ -1199,10 +1212,11 @@ def test_restricted_count_is_at_least_the_walks_peak(monkeypatch, case):
     walk, seen = solve._normal_form, []
 
     def traced(model, s, *args, **kwargs):
-        if kwargs.get("weights") is None:
+        if kwargs.get("keep") != (0, 1):
             return walk(model, s, *args, **kwargs)
-        n_anchors = [len(solve._anchors(s, i)) for i in range(2)]
-        sets = [None if w is None else [len(c) for c, _ in w] for w in kwargs["weights"]]
+        n_anchors = [len(solve._anchors(model, s, i)) for i in range(2)]
+        weights = kwargs.get("weights") or [None, None]
+        sets = [None if w is None else [len(c) for c, _ in w] for w in weights]
         count = solve._restricted_bytes(model, n_anchors, model.horizon - s.t, sets)
         model._successor_arrays  # built once per model, before the walk
         tracemalloc.start()
@@ -1220,9 +1234,7 @@ def test_restricted_count_is_at_least_the_walks_peak(monkeypatch, case):
         solve._double_oracle(m, initial_occupancy(m), solve.DEFAULT_TOLERANCE, solve.CAP_BYTES)
     else:
         m = load("tiger-zs").with_horizon(int(case[-1]))
-        solve._normal_form(
-            m, initial_occupancy(m), [0], solve.CAP_BYTES, keep=(0, 1), weights=[None, None]
-        )
+        solve._normal_form(m, initial_occupancy(m), [0], solve.CAP_BYTES, keep=(0, 1))
     assert seen and all(count >= peak for count, peak in seen), seen
     # the walks' fixed costs outweigh the arrays counted; the whole-trie
     # walk pushes no weights, and at h=3 it peaks at 437 KB, under its
@@ -1364,7 +1376,8 @@ def never_playing(action: int, instead: int):
     def best_reply(model, s, agent, rows, cap_bytes):
         value, index = real(model, s, agent, rows, cap_bytes)
         n_u, n_z = len(model.actions[agent]), model.n_agent_obs(agent)
-        nodes = len(solve._anchors(s, agent)) * sum(n_z**d for d in range(model.horizon - s.t))
+        n_anchors = len(solve._anchors(model, s, agent))
+        nodes = n_anchors * sum(n_z**d for d in range(model.horizon - s.t))
         relabelled = 0
         for e in range(nodes - 1, -1, -1):  # the plan's actions, in preorder
             u = index // n_u**e % n_u
@@ -1387,7 +1400,7 @@ def test_double_oracle_control_raises_on_a_best_response_that_skips_an_action(
     else:
         m = tiger_duel.with_horizon(4)
         s = mid_game_root(m, 1)
-        assert min(len(solve._anchors(s, i)) for i in range(2)) >= 2
+        assert min(len(solve._anchors(m, s, i)) for i in range(2)) >= 2
     sol, _ = solve._double_oracle(m, s, solve.DEFAULT_TOLERANCE, solve.CAP_BYTES)
     assert sol.metadata["method"] == "sequence-form-double-oracle"
     assert abs(sol.values[0] - full_lp(m, s)[0].values[0]) <= 1e-9
@@ -1622,7 +1635,7 @@ def test_the_record_means_the_same_for_both_kernels(m, s):
         sol = solve._stackelberg_kernel(m, s, solve.DEFAULT_TOLERANCE, solve.CAP_BYTES)
         payoffs, _, _, _ = solve._normal_form(m, s, [0, 1], solve.CAP_BYTES, keep=(0, 1))
     for i, (plan, kids) in enumerate(zip(sol.plans, sol.kids)):
-        assert sol.anchors[i] == tuple(solve._anchors(s, i))
+        assert sol.anchors[i] == tuple(solve._anchors(m, s, i))
         n_u = len(m.actions[i])
         parents = solve._parents(kids, len(sol.anchors[i]) + len(kids), n_u)
         E, e = solve._plan_constraints(parents, n_u)
@@ -1722,6 +1735,79 @@ def test_stackelberg_leader_in_sequence_form_three_steps(st_tiger):
 
 
 # -- the array walk: set numbering, depth blocks, differential checks -------------
+
+
+@pytest.mark.parametrize(
+    "name, value_from",
+    [("tiger-duel", lambda m, s: zero_sum_value_from(m, s)[0]), ("tiger", dec_value_from),
+     ("stackelberg-tiger", stackelberg_value_from)],
+    ids=["tiger-duel", "tiger", "stackelberg-tiger"],
+)
+def test_solving_below_a_step_state_builds_no_joint_history(name, value_from):
+    # the walk starts from the state's level: a state that ``step`` returned
+    # keeps its entries unbuilt, and its value is the one below a copy built
+    # from those entries
+    m = load(name).with_horizon(3)
+    s, _ = verify._sample_prefix_occupancy(m, 1, np.random.default_rng(4))
+    value = value_from(m, s)
+    assert "entries" not in vars(s)
+    assert value == value_from(m, OccupancyState(s.t, dict(s.entries)))
+
+
+def test_anchors_are_the_histories_of_the_entries_sorted_by_steps(tiger):
+    m = tiger.with_horizon(3)
+    rng = np.random.default_rng(11)
+    states = [verify._sample_prefix_occupancy(m, t, rng)[0] for t in (1, 1, 2, 2)]
+    states += [mix_occupancies(states[:2], [0.4, 0.6]), mix_occupancies(states[2:], [0.5, 0.5])]
+    states += [verify._belief_occupancy(m, [0.3, 0.7]), reversed_entries(states[2])]
+    for s in states:
+        for i in range(2):
+            anchors = solve._anchors(m, s, i)
+            assert anchors == sorted({o.privates[i] for (_, o) in s.entries}, key=lambda h: h.steps)
+
+
+def reversed_entries(s):
+    """``s`` rebuilt from its entries in reverse order, so that its level
+    numbers each agent's histories in an order other than by steps."""
+    return OccupancyState(s.t, dict(reversed(list(s.entries.items()))))
+
+
+def anchored_solution(m, s) -> list:
+    """What a solve below ``s`` ties to the anchors: the common-payoff value
+    of each of agent 1's anchored plans, or both Stackelberg plans' indices."""
+    if m.criterion == "common":
+        return solve._one_sided(m, s, solve.CAP_BYTES, np.max)[0].tolist()
+    sol = solve._stackelberg_kernel(m, s, solve.DEFAULT_TOLERANCE, solve.CAP_BYTES)
+    depth = m.horizon - s.t
+    return [
+        solve._kuhn_mixture(m, i, plan, kids, len(anchors), depth)
+        for i, (plan, kids, anchors) in enumerate(zip(sol.plans, sol.kids, sol.anchors))
+    ]
+
+
+@pytest.mark.parametrize("control", [False, True], ids=["renumbered", "control"])
+@pytest.mark.parametrize("name", ["tiger", "stackelberg-tiger"])
+def test_the_walk_numbers_anchors_by_steps_whatever_the_entry_order(name, control, monkeypatch):
+    # a state whose level numbers its histories out of step order solves
+    # as the state does; the control, a walk that keeps the level's
+    # first-appearance ids as anchor numbers, changes a value or a plan
+    m = load(name).with_horizon(3)
+    s = verify._sample_prefix_occupancy(m, 1, np.random.default_rng(4))[0]
+    out_of_order = reversed_entries(s)
+    hists = level_of(m, out_of_order)[1]
+    assert any(list(hs) != solve._anchors(m, out_of_order, i) for i, hs in enumerate(hists))
+    want = anchored_solution(m, s)
+    if control:
+        real = solve.level_of
+
+        def in_step_order(model, state):
+            level, hists = real(model, state)
+            return level, tuple(sorted(hs, key=lambda h: h.steps) for hs in hists)
+
+        monkeypatch.setattr(solve, "level_of", in_step_order)
+    got = anchored_solution(m, out_of_order)
+    assert (np.allclose(got, want, rtol=0.0, atol=1e-12) if m.criterion == "common"
+            else got == want) != control
 
 
 def set_levels(sol, agent) -> dict:
@@ -1898,7 +1984,7 @@ def check_plan_realizations(m, s, keep=()):
         if i in keep:
             assert R is None
             continue
-        anchors = solve._anchors(s, i)
+        anchors = solve._anchors(m, s, i)
         space = solve._anchored_space(m, i, anchors, depth)
         expected = marked_realization(m, i, anchors, kids[i], space)
         assert R.shape == expected.shape and np.abs(R - expected).max() == 0.0
@@ -1925,7 +2011,7 @@ def test_plan_realization_matches_the_marker_for_a_mid_game_follower(st_tiger):
     rules = tuple(random_decision_rule(m, i, 1, rng) for i in range(2))
     s2 = [s for _, _, s in step(m, s1[0], rules)]
     for s in s1 + s2[:2]:
-        assert len(solve._anchors(s, 1)) >= 2
+        assert len(solve._anchors(m, s, 1)) >= 2
         check_plan_realizations(m, s, keep=(0,))
     m, _ = random_stackelberg(8, 2, 2)
     for s in first_step_states(m, 9):
@@ -1962,7 +2048,7 @@ def test_plan_realization_check_catches_a_wrong_plan_order(st_tiger, order):
     m = st_tiger.with_horizon(3)
     s = first_step_states(m, 5)[0]
     (_, R), kids = check_plan_realizations(m, s, keep=(0,))
-    anchors = solve._anchors(s, 1)
+    anchors = solve._anchors(m, s, 1)
     depth = m.horizon - s.t
     if order == "reversed anchors":
         space = solve._anchored_space(m, 1, anchors[::-1], depth)
@@ -2009,7 +2095,7 @@ def test_plan_index_round_trips_below_several_anchors():
     rng = np.random.default_rng(43)
     for agent in range(2):
         n_u, n_z = len(m.actions[agent]), m.n_agent_obs(agent)
-        n_anchors = len(solve._anchors(s, agent))
+        n_anchors = len(solve._anchors(m, s, agent))
         assert n_anchors >= 2
         R = solve._plan_realization(m, agent, n_anchors, kids[agent], depth)
         code, level = list(range(n_anchors)), [0] * n_anchors  # per set

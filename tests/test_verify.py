@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from occupancy_games import solve, verify
 from occupancy_games.errors import CapExceededError, ModelValidationError, UnknownSuiteError
-from occupancy_games.evaluate import linear_eval, occupancy_value, value_tables
-from occupancy_games.policies import agent_rules
+from occupancy_games.evaluate import occupancy_value, value_tables
+from occupancy_games.policies import BehavioralPolicy, agent_rules
 from occupancy_games.sampling import random_behavioral_policy, random_decision_rule, random_posg
 from occupancy_games.verify import (
     check_lipschitz,
@@ -20,7 +20,7 @@ from occupancy_games.verify import (
     run_suite,
 )
 
-from conftest import code_names, load, restricted_start
+from conftest import code_names, load, pairing, restricted_start
 
 
 def test_sufficiency_master_tiger(tiger):
@@ -373,7 +373,7 @@ def plan_prices(model, rng):
 def test_slave_pricing_equals_the_value_table_pairing(case):
     priced = 0
     for s, price, table in plan_prices(*pricing_case(case)):
-        assert price == linear_eval(s, table)
+        assert price == pairing(s, table)
         priced += 1
     assert priced > 0
 
@@ -403,9 +403,10 @@ def test_the_pwlc_certificate_prices_every_anchored_plan(monkeypatch):
         model, rng = pricing_case(case)
         for others, s in slave_states(model, rng, n=2):
             priced.clear()
-            verify._pwlc_certificate(model, others, 0, s)
+            policies = {j: BehavioralPolicy(j, rules) for j, rules in others.items()}
+            verify._pwlc_certificate(model, policies, others, 0, s)
             depth = model.horizon - s.t
-            plans = verify._trie_size(model, 0, len(verify._anchors(s, 0)), depth)[1]
+            plans = verify._trie_size(model, 0, len(verify._anchors(model, s, 0)), depth)[1]
             assert len(priced) == plans > 1
 
 
