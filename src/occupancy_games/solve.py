@@ -4,9 +4,10 @@ Best responses come in two exchangeable routes: backward induction over the
 agent's private histories carrying unnormalized measures (one forward walk
 with the agent's actions as sequences, then one reverse fold over its
 histories), and dynamic programming over private occupancy states with
-normalized Bayesian updates (one recursion that pushes each state once, all
-own actions in that push).  Both break ties toward the lowest action whose
-value ties with the best.
+normalized Bayesian updates (states pushed in batches of consecutive own
+histories, depth first, each state once with all its own actions, each
+normalized on its own and backed up as ``γ·ω·V``).  Both break ties toward
+the lowest action whose value ties with the best.
 Equality of their values on every input is the operational form of the
 sufficiency of private occupancy states.
 
@@ -75,9 +76,12 @@ import numpy as np
 from .errors import CapExceededError, ModelValidationError
 from .model import PosgModel
 from .occupancy import (
+    PRUNE_EPS,
+    Histories,
     Level,
     OccupancyState,
     PrivateOccupancyState,
+    _rank,
     action_probs,
     child_histories,
     initial_occupancy,
@@ -85,7 +89,6 @@ from .occupancy import (
     level_of,
     next_level,
     own_actions,
-    private_branches,
     rule_arrays,
 )
 from .policies import (
@@ -106,6 +109,11 @@ CAP_BYTES = 2**30
 # h=1 and 24 KB at h=2 against 432 bytes and 16 KB counted); on larger ones
 # the count's surplus on large arrays covers them.
 WALK_FIXED_BYTES = 2**17
+# the most rows (entry, joint action, outcome) one batch of the private DP
+# pushes at once, unless one state alone has more: tiger h=5's private best
+# response peaks at about 54 MB of RSS under it, 65 MB under 2**18, 42 MB
+# with one state per batch and 1.1 GB with each step's states in one batch
+PRIVATE_BATCH_ROWS = 2**17
 
 
 def linprog(*args, **kwargs):
@@ -337,27 +345,111 @@ def _private_dp(
     ``t``: its value, its greedy tree, and the q per own action on every
     history that tree reaches.
 
-    Each state is pushed once, every own action in that one push, and each
-    action's q adds its branches' discounted values in increasing own
-    observation."""
-    rewards, children = private_branches(model, s_i, profiles[t], push=t + 1 < model.horizon)
-    qs, below = list(rewards), {}
-    for u_i, z_i, omega, nxt in children:
-        below[u_i, z_i] = _private_dp(model, profiles, agent, nxt, t + 1)
-        qs[u_i] += model.discount * omega * below[u_i, z_i][0]
-    u_i = _argmax_lowest(qs)
-    q = {s_i.anchor: tuple(qs)}
-    if t + 1 >= model.horizon:
-        return max(qs), PolicyTree(agent, u_i), q
-    subtrees = []
-    for z_i in range(model.n_agent_obs(agent)):
-        if (u_i, z_i) in below:
-            _, tree, q_below = below[u_i, z_i]
-            q.update(q_below)
-        else:
-            tree = _tree(model, agent, 0, model.horizon - t - 1)
-        subtrees.append(tree)
-    return max(qs), PolicyTree(agent, u_i, tuple(subtrees)), q
+    The states are pushed in batches (``_private_batch``), depth first, each
+    state in one batch; own histories are numbered from ``s_i``'s anchor, 0,
+    as their parents' pushes reach them, and the greedy tree is decoded from
+    the q-table as the history route decodes its own (``_pure_tree``)."""
+    batches: list[tuple[int, list[PrivateHistory], np.ndarray]] = []
+    kids: dict[tuple[int, int, int], int] = {}
+    level, hists = level_of(model, s_i)
+    probs = _others_rule_arrays(model, profiles[t], agent, hists)
+    _private_batch(model, profiles, agent, level, hists, probs, t, 0, batches, kids)
+    batches.sort(key=lambda batch: batch[0])
+    own = [h for _, hs, _ in batches for h in hs]
+    n_u = len(model.actions[agent])
+    q = np.concatenate([qs for _, _, qs in batches]).reshape(-1, n_u)
+    depth = model.horizon - t
+    index, played = _pure_tree(model, agent, kids, lambda j: _argmax_lowest(q[j]), (0,), depth)
+    table = {own[j]: tuple(q[j].tolist()) for j in (np.array(played) // n_u).tolist()}
+    return float(q[0].max()), _tree(model, agent, index, depth), table
+
+
+def _others_rule_arrays(
+    model: PosgModel, rules: Mapping[int, DecisionRule], agent: int, hists: Histories
+) -> list[np.ndarray | None]:
+    """``rule_arrays`` of the others' ``rules`` at ``hists``; None for the
+    agent, which plays each own action with weight 1."""
+    return rule_arrays(
+        model, [None if j == agent else rules[j] for j in range(model.n_agents)], hists
+    )
+
+
+def _private_batch(
+    model: PosgModel,
+    profiles: list[dict[int, DecisionRule]],
+    agent: int,
+    level: Level,
+    hists: Histories,
+    probs: list[np.ndarray | None],
+    t: int,
+    first: int,
+    batches: list,
+    kids: dict[tuple[int, int, int], int],
+) -> np.ndarray:
+    """The values at step ``t`` of a batch of private occupancy states: one
+    per own history of ``level`` (numbered from ``first``), whose entries
+    are those states' entries, each state normalized on its own.
+
+    One push weighs every own action 1, the others acting by their rules;
+    each own action's reward is its rows' sum per state, and each child
+    state, one per (state, own action, own observation) reached, takes its
+    probability ``ω`` from its rows, drops its entries at or below
+    ``PRUNE_EPS`` and renormalizes the rest (``occupancy._normalized``).
+    The children go on in batches of consecutive states whose own push
+    holds at most ``PRIVATE_BATCH_ROWS`` rows (at least one state each), and
+    each q then adds ``γ·ω·V`` of its children in increasing own
+    observation.  Appends ``(first, own histories, flat q)`` to ``batches``
+    and each child's number to ``kids``, and returns each state's best q."""
+    n_u, n_z = len(model.actions[agent]), model.n_agent_obs(agent)
+    n = level.n_sets[agent]
+    a = action_probs(model, level, probs)
+    reward = level.mass[:, None] * a * model.rewards[agent][level.xs]
+    seq = level.ids[agent][:, None] * n_u + own_actions(model, agent)
+    q = np.bincount(seq.ravel(), reward.ravel(), n * n_u)
+    batches.append((first, hists[agent], q))
+    if t + 1 == model.horizon:
+        return q.reshape(n, n_u).max(axis=1)
+    ((_, pushed),) = next_level(model, level, a, rows=True, first_seen=True)
+    del a, reward, seq  # the children are solved depth first: hold no more than needed
+    codes = pushed.reached[agent]
+    base = 1 + len(kids)  # the first child's number
+    kids.update(zip(_kid_keys(model, agent, codes, first), range(base, base + len(codes))))
+    level, hists = pushed.level, child_histories(model, hists, pushed.reached)
+    probs = _others_rule_arrays(model, profiles[t + 1], agent, hists)
+    node = level.ids[agent]
+    omega = np.bincount(node[pushed.where], pushed.weight, len(codes))
+    del pushed
+    p = level.mass / omega[node]
+    # kept entries grouped by child state, each state's in their order
+    keep = np.flatnonzero(p > PRUNE_EPS)
+    keep = keep[np.argsort(node[keep], kind="stable")]
+    node, p = node[keep], p[keep]
+    p /= np.bincount(node, p, len(codes))[node]
+    # child states lo..hi-1 hold entries ends[lo]:ends[hi] and push
+    # rows[hi] - rows[lo] rows
+    ends = np.concatenate([[0], np.cumsum(np.bincount(node, minlength=len(codes)))])
+    counts = np.diff(model._successor_arrays.begin)[level.xs[keep]]
+    rows = np.concatenate([[0.0], np.cumsum(np.bincount(node, counts, len(codes)))])
+    v = np.empty(len(codes))
+    lo = 0
+    while lo < len(codes):
+        hi = int(np.searchsorted(rows, rows[lo] + PRIVATE_BATCH_ROWS, side="right")) - 1
+        hi = max(lo + 1, hi)
+        entries = keep[ends[lo] : ends[hi]]
+        # each agent's histories in the batch, renumbered in order
+        used, ids = zip(*(_rank(i[entries], size) for i, size in zip(level.ids, level.n_sets)))
+        sub = Level(level.xs[entries], ids, p[ends[lo] : ends[hi]], tuple(map(len, used)))
+        v[lo:hi] = _private_batch(
+            model, profiles, agent, sub,
+            tuple([hs[k] for k in u.tolist()] for hs, u in zip(hists, used)),
+            [None if rule is None else rule[u] for rule, u in zip(probs, used)],
+            t + 1, base + lo, batches, kids,
+        )
+        lo = hi
+    for z in range(n_z):  # increasing own observation within each (state, action)
+        at = codes % n_z == z
+        q[codes[at] // n_z] += model.discount * omega[at] * v[at]
+    return q.reshape(n, n_u).max(axis=1)
 
 
 def best_response_private(model: PosgModel, others, agent: int) -> BestResponse:
@@ -588,27 +680,30 @@ def _restricted_bytes(
     building the sparse ``G`` holds six items per cell.  ``WALK_FIXED_BYTES``
     is added for the rest.  A restricted pair counts as the larger of both
     best replies' walks against its sets, which hold more at every depth, so
-    an iteration that does not fit is refused before its first walk."""
-    if all(n is not None for n in sets):
-        replies = ([None, sets[1]], [sets[0], None])
-        return max(_restricted_bytes(model, n_anchors, depth, w) for w in replies)
+    it covers the pair's own walk and its reply walks."""
     n_us = [len(labels) for labels in model.actions]
-    sets = [
-        [k // n_u for k in _trie_size(model, i, n_anchors[i], depth)[0]] if n is None else n
-        for i, (n, n_u) in enumerate(zip(sets, n_us))
-    ]
-    joint = [math.prod(n[d] for n in sets) for d in range(depth)]
-    cells = [n * math.prod(n_us) for n in joint]
     rows = int(np.diff(model._successor_arrays.begin).max())
-    walk = max(
-        (
-            sum(cells[:d]) + 3 * cells[d]
-            + model.n_states * n * (model.n_joint_actions + 4 + 6 * rows * (d + 1 < depth))
-            for d, n in enumerate(joint)
-        ),
-        default=0,  # no depth below the horizon: ``_normal_form`` refuses the walk
-    )
-    return 8 * max(walk, 6 * sum(cells)) + WALK_FIXED_BYTES
+    whole = [
+        [k // n_u for k in _trie_size(model, i, n_anchors[i], depth)[0]]
+        for i, n_u in enumerate(n_us)
+    ]
+
+    def walk(sets) -> int:
+        joint = [math.prod(n[d] for n in sets) for d in range(depth)]
+        cells = [n * math.prod(n_us) for n in joint]
+        peak = max(
+            (
+                sum(cells[:d]) + 3 * cells[d]
+                + model.n_states * n * (model.n_joint_actions + 4 + 6 * rows * (d + 1 < depth))
+                for d, n in enumerate(joint)
+            ),
+            default=0,  # no depth below the horizon: ``_normal_form`` refuses the walk
+        )
+        return 8 * max(peak, 6 * sum(cells)) + WALK_FIXED_BYTES
+
+    if all(n is not None for n in sets):
+        return max(walk([whole[0], sets[1]]), walk([sets[0], whole[1]]))
+    return walk([w if n is None else n for w, n in zip(whole, sets)])
 
 
 def _parents(kids: Mapping[tuple[int, int, int], int], n_sets: int, n_u: int) -> np.ndarray:
@@ -652,8 +747,6 @@ def _normal_form(
     second item is each agent's weight per sequence.
     """
     depth = model.horizon - s.t
-    if depth < 1:
-        raise ValueError("occupancy state is already at the horizon")
     anchors = [_anchors(model, s, i) for i in range(model.n_agents)]
     n_anchors = [len(a) for a in anchors]
     if len(keep) < model.n_agents:
@@ -661,13 +754,37 @@ def _normal_form(
             model, n_anchors, depth, keep, len(agents_of_interest), len(uncontracted)
         )
     else:
-        sets = [
-            None if w is None else [len(codes) for codes, _ in w]
-            for w in weights or [None] * model.n_agents
-        ]
-        what, n_bytes = "restricted game", _restricted_bytes(model, n_anchors, depth, sets)
+        what, n_bytes = "restricted game", _restricted_bytes(
+            model, n_anchors, depth, _set_counts(weights or [None] * model.n_agents)
+        )
     if n_bytes > cap_bytes:
         raise CapExceededError(what, n_bytes, cap_bytes, " bytes")
+    return _walk(model, s, anchors, agents_of_interest, keep, uncontracted, weights)
+
+
+def _set_counts(
+    weights: Sequence[Sequence[tuple[np.ndarray, np.ndarray]] | None],
+) -> list[list[int] | None]:
+    """Each agent's information sets per depth in its ``weights`` rows, None
+    where it has none: the ``sets`` of ``_restricted_bytes``."""
+    return [None if w is None else [len(codes) for codes, _ in w] for w in weights]
+
+
+def _walk(
+    model: PosgModel,
+    s: OccupancyState,
+    anchors: Sequence[Sequence[PrivateHistory]],
+    agents_of_interest: Sequence[int],
+    keep: Sequence[int] = (),
+    uncontracted: Sequence[int] = (),
+    weights: Sequence[Sequence[tuple[np.ndarray, np.ndarray]] | None] | None = None,
+) -> tuple[list, list[np.ndarray | None], list[dict], list[np.ndarray]]:
+    """``_normal_form`` from ``s``'s ``anchors`` after its byte count was
+    checked: by ``_normal_form``, or by the zero-sum loop, which counts each
+    pair it walks once."""
+    depth = model.horizon - s.t
+    if depth < 1:
+        raise ValueError("occupancy state is already at the horizon")
     blocks, kids, played = _sequence_payoffs(
         model, s, anchors, list(agents_of_interest) + list(uncontracted), weights
     )
@@ -1027,16 +1144,18 @@ def _double_oracle(
     (``_plan_rows``).  Both start whole where the whole pair's walk fits
     ``cap_bytes`` and holds no more than the first restricted iteration:
     one walk and two reply walks of the seed pair, plan 0 each
-    (``_restricted_bytes``).  Each iteration walks the pair, solves its LP
-    and prices each plan by the opponent's best reply: a fold over ``G`` on
-    whole sets, so that one iteration is the full LP (``sequence-form-lp``,
-    or ``normal-form+…`` for the matrix game of one set each), and
-    ``_best_reply`` against the plan's Kuhn mixture on restricted ones.  It
-    stops when the full LP's certificate, the duality gap plus what each
-    side's opponent gains by its best reply, is within ``max(tolerance,
-    1e-7)`` times the largest payoff in ``G`` (no larger than the full
-    one); otherwise the replies join the restricted sets, and an iteration
-    that adds no sequence raises."""
+    (``_restricted_bytes``).  Each pair is counted once, before its first
+    walk, and refused over ``cap_bytes``.  Each iteration walks the pair,
+    solves its LP and prices each plan by the opponent's best reply: a fold
+    over ``G`` on whole sets, so that one iteration is the full LP
+    (``sequence-form-lp``, or ``normal-form+…`` for the matrix game of one
+    set each), and ``_best_reply`` against the plan's Kuhn mixture on
+    restricted ones, a walk that ``_normal_form`` counts.  It stops when the
+    full LP's certificate, the duality gap plus what each side's opponent
+    gains by its best reply, is within ``max(tolerance, 1e-7)`` times the
+    largest payoff in ``G`` (no larger than the full one); otherwise the
+    replies join the restricted sets, and an iteration that adds no
+    sequence raises."""
     depth = model.horizon - s.t
     anchors = tuple(tuple(_anchors(model, s, i)) for i in range(2))
     n_anchors = [len(a) for a in anchors]
@@ -1053,13 +1172,14 @@ def _double_oracle(
     # plan 0's sets per depth: one per own observation path below each anchor
     seed = [[n * model.n_agent_obs(i) ** d for d in range(depth)] for i, n in enumerate(n_anchors)]
     full = _restricted_bytes(model, n_anchors, depth, [None, None])
-    whole = full <= min(cap_bytes, 3 * _restricted_bytes(model, n_anchors, depth, seed))
+    n_bytes = _restricted_bytes(model, n_anchors, depth, seed)
+    whole = full <= min(cap_bytes, 3 * n_bytes)
     plans: list[dict[int, float]] = [{0: 1.0}, {0: 1.0}]  # each set's plans, by index
-    sets = None if whole else restricted(plans)
+    sets, n_bytes = (None, full) if whole else (restricted(plans), n_bytes)
     for iteration in itertools.count(1):
-        (G,), played, kids, parents = _normal_form(
-            model, s, [0], cap_bytes, keep=(0, 1), weights=sets
-        )
+        if n_bytes > cap_bytes:
+            raise CapExceededError("restricted game", n_bytes, cap_bytes, " bytes")
+        (G,), played, kids, parents = _walk(model, s, anchors, [0], (0, 1), weights=sets)
         payoffs, method = G, "sequence-form-lp" if whole else "sequence-form-double-oracle"
         if whole and all(len(p) == 1 for p in parents):  # G is the matrix game
             payoffs = G.toarray()
@@ -1091,6 +1211,7 @@ def _double_oracle(
         if whole or sizes(grown) == sizes(sets):  # nothing left to add
             raise RuntimeError(f"zero-sum certificate {certificate:.3g} exceeds tolerance")
         sets = grown
+        n_bytes = _restricted_bytes(model, n_anchors, depth, _set_counts(sets))
     grew = {"sequences": G.shape} if whole else {"sequences": sizes(sets), "iterations": iteration}
     metadata = {
         "method": method, **grew, "duality_gap": gap, "exploitability": exploitability,

@@ -28,6 +28,7 @@ from occupancy_games.occupancy import (
     initial_private_occupancy,
     level_of,
     mix_occupancies,
+    private_branches,
     private_step,
     step,
 )
@@ -301,40 +302,146 @@ def test_private_q_table_is_its_greedy_tree(tiger, case):
             assert np.allclose(qs, history.q[hist], rtol=0.0, atol=1e-9)
 
 
-def _pushed_anchors(monkeypatch) -> list[PrivateHistory]:
-    """The anchor of every private occupancy state the private route pushes,
-    one per ``private_branches`` call."""
-    anchors = []
-    push = solve.private_branches
+def recursion_private_dp(model, profiles, agent, s_i, t):
+    """The private route as one recursion per private occupancy state, each
+    pushed by ``private_branches`` with every own action: the differential
+    oracle of the batched ``solve._private_dp``, with its (value, greedy
+    tree, q-table)."""
+    rewards, children = private_branches(model, s_i, profiles[t], push=t + 1 < model.horizon)
+    qs, below = list(rewards), {}
+    for u_i, z_i, omega, nxt in children:
+        below[u_i, z_i] = recursion_private_dp(model, profiles, agent, nxt, t + 1)
+        qs[u_i] += model.discount * omega * below[u_i, z_i][0]
+    u_i = solve._argmax_lowest(qs)
+    q = {s_i.anchor: tuple(qs)}
+    if t + 1 >= model.horizon:
+        return max(qs), PolicyTree(agent, u_i), q
+    subtrees = []
+    for z_i in range(model.n_agent_obs(agent)):
+        if (u_i, z_i) in below:
+            _, tree, q_below = below[u_i, z_i]
+            q.update(q_below)
+        else:
+            tree = solve._tree(model, agent, 0, model.horizon - t - 1)
+        subtrees.append(tree)
+    return max(qs), PolicyTree(agent, u_i, tuple(subtrees)), q
 
-    def counted(model, s_i, *args, **kwargs):
-        anchors.append(s_i.anchor)
-        return push(model, s_i, *args, **kwargs)
 
-    monkeypatch.setattr(solve, "private_branches", counted)
-    return anchors
+def _private_cases():
+    """The bundled models at h=1-3 and tiger at h=4, and random models with
+    two public observations, with three agents, with a discount, and with
+    outcomes so unlikely that their entries are pruned (``PRUNE_EPS``)."""
+    cases = [
+        pytest.param(load(name).with_horizon(h), h, id=f"{name}-h{h}")
+        for name in ("tiger", "tiger-zs", "tiger-duel", "stackelberg-tiger", "tiger-one-stage")
+        for h in (1, 2, 3)
+    ]
+    cases.append(pytest.param(load("tiger").with_horizon(4), 4, id="tiger-h4"))
+    for seed in range(4):
+        rng = np.random.default_rng(300 + seed)
+        two_public = random_posg(
+            rng, n_states=2, n_actions=(3, 3), n_obs=(2, 2), n_public=2, horizon=3,
+            discount=0.9 if seed % 2 else 1.0,
+        )
+        cases.append(pytest.param(two_public, seed, id=f"random-{seed}"))
+        observation = two_public.observation.copy()
+        observation[..., 0] = 1e-13  # every agent's first observation at once
+        observation /= observation.sum(axis=-1, keepdims=True)
+        pruned = dataclasses.replace(two_public, observation=observation)
+        cases.append(pytest.param(pruned, seed, id=f"pruned-{seed}"))
+        three = random_posg(
+            rng, n_states=2, n_actions=(2, 2, 2), n_obs=(2, 1, 2), n_public=2, horizon=3
+        )
+        cases.append(pytest.param(three, seed, id=f"three-agent-{seed}"))
+    return cases
+
+
+@pytest.mark.parametrize("budget", ["default", "one-state"])
+@pytest.mark.parametrize("m, seed", _private_cases())
+def test_private_batches_equal_the_per_state_recursion(m, seed, budget, monkeypatch):
+    # value, greedy tree and q-table are equal, not close, to one recursion
+    # per state, from the start and from a mid-game root, whatever the batch
+    if budget == "one-state":
+        monkeypatch.setattr(solve, "PRIVATE_BATCH_ROWS", 1)
+    rng = np.random.default_rng(700 + seed)
+    policy = random_joint_policy(m, rng)
+    for agent in range(m.n_agents):
+        profiles = solve._others_profiles(m, policy, agent)
+        root = initial_private_occupancy(m, agent)
+        expected = recursion_private_dp(m, profiles, agent, root, 0)
+        br = best_response_private(m, policy, agent)
+        assert (br.value, br.policy, br.q) == expected
+        assert list(br.q) == list(expected[2])
+        if m.horizon < 2:
+            continue
+        # a mid-game root: the last own action and observation of positive
+        # probability
+        _, children = private_branches(m, root, profiles[0])
+        _, _, _, s_i = children[-1]
+        below = recursion_private_dp(m, profiles, agent, s_i, 1)
+        assert solve._private_dp(m, profiles, agent, s_i, 1) == below
+        assert best_response_private_from(m, policy, agent, s_i, 1) == below[0]
+
+
+def _batches(monkeypatch) -> tuple[list[list[PrivateHistory]], list[tuple[int, int]]]:
+    """The own histories of every batch agent 0's private route makes, and
+    the states and rows (before rows without mass are dropped) of each of
+    its pushes (``next_level`` calls)."""
+    batches, pushes = [], []
+    batch, push = solve._private_batch, solve.next_level
+
+    def recorded_batch(model, profiles, agent, level, hists, *args):
+        batches.append(list(hists[agent]))
+        return batch(model, profiles, agent, level, hists, *args)
+
+    def recorded_push(model, level, *args, **kwargs):
+        rows = int(np.diff(model._successor_arrays.begin)[level.xs].sum())
+        pushes.append((level.n_sets[0], rows))
+        return push(model, level, *args, **kwargs)
+
+    monkeypatch.setattr(solve, "_private_batch", recorded_batch)
+    monkeypatch.setattr(solve, "next_level", recorded_push)
+    return batches, pushes
 
 
 def test_private_route_pushes_each_state_once(tiger, monkeypatch):
     # against a full-support opponent every one of agent 1's 1 + 6 + 36
-    # histories of tiger h=3 is reached, and each state is pushed once with
-    # all its own actions
+    # histories of tiger h=3 is reached; each is in exactly one batch, and
+    # the default budget pushes the root and then its 6 children at once
     m = tiger.with_horizon(3)
     other = random_behavioral_policy(m, 1, np.random.default_rng(5))
-    anchors = _pushed_anchors(monkeypatch)
+    batches, pushes = _batches(monkeypatch)
     best_response_private(m, {1: other}, 0)
-    assert len(anchors) == len(set(anchors)) == 43
+    hists = [h for batch in batches for h in batch]
+    assert len(hists) == len(set(hists)) == 43
+    assert [states for states, _ in pushes] == [1, 6]
 
 
 def test_private_route_pushes_each_state_once_from_a_mid_game_state(tiger, monkeypatch):
-    # a t=1 state of tiger h=3 and its 3 x 2 children
+    # a t=1 state of tiger h=3 and its 3 x 2 children, in one push
     m = tiger.with_horizon(3)
     other = random_behavioral_policy(m, 1, np.random.default_rng(5))
     _, s_i = private_step(m, initial_private_occupancy(m, 0), {1: other.rules[0]}, 2, 1)
-    anchors = _pushed_anchors(monkeypatch)
+    batches, pushes = _batches(monkeypatch)
     best_response_private_from(m, {1: other}, 0, s_i, 1)
-    assert len(anchors) == len(set(anchors)) == 7
-    assert all(h.steps[0] == (2, 1) for h in anchors)
+    hists = [h for batch in batches for h in batch]
+    assert len(hists) == len(set(hists)) == 7
+    assert all(h.steps[0] == (2, 1) for h in hists)
+    assert [states for states, _ in pushes] == [1]
+
+
+@pytest.mark.parametrize("budget", [2000, solve.PRIVATE_BATCH_ROWS])
+def test_private_batches_keep_within_the_row_budget(tiger, budget, monkeypatch):
+    # tiger h=4's pushes hold at most the budget's rows, or one state each,
+    # and the budget splits a step into several batches
+    m = tiger.with_horizon(4)
+    other = random_behavioral_policy(m, 1, np.random.default_rng(5))
+    monkeypatch.setattr(solve, "PRIVATE_BATCH_ROWS", budget)
+    _, pushes = _batches(monkeypatch)
+    best_response_private(m, {1: other}, 0)
+    assert all(rows <= budget or states == 1 for states, rows in pushes), pushes
+    assert sum(states for states, _ in pushes) == 1 + 6 + 36 and len(pushes) > 3
+    assert any(states > 1 for states, _ in pushes[1:])
 
 
 def test_best_responses_name_a_missing_agent(tiger):
@@ -913,6 +1020,27 @@ def test_zero_sum_kuhn_mixtures_realize_the_plans(request, name, horizon):
         assert mixed  # a mixed saddle point
 
 
+def test_zero_sum_loop_counts_each_pair_once(one_stage_zs, tiger_zs, monkeypatch):
+    # the start rule counts the whole pair and the seed pair, and the loop
+    # walks whichever it picks without counting it again; past the seed, each
+    # grown pair is counted once, and each reply walk once by _normal_form
+    count, pairs = solve._restricted_bytes, []
+
+    def counted(model, n_anchors, depth, sets):
+        pairs.append(sets)
+        return count(model, n_anchors, depth, sets)
+
+    monkeypatch.setattr(solve, "_restricted_bytes", counted)
+    solve_zero_sum(one_stage_zs)
+    assert pairs == [[None, None], [[1], [1]]]
+    pairs.clear()
+    eq = solve_zero_sum(tiger_zs.with_horizon(3))
+    assert eq.metadata["iterations"] == 2
+    both = [sets for sets in pairs if None not in sets]
+    replies = [sets for sets in pairs if sets.count(None) == 1]
+    assert len(both) == 2 and len(replies) == 2 * 2 and len(pairs) == 1 + 2 + 4
+
+
 def test_zero_sum_cap_counts_sequences_before_the_walk(tiger_zs):
     # tiger-zs: 3 actions x 2 observations.  The loop starts from both
     # agents' whole tries where that walk fits the cap and counts no more
@@ -1203,31 +1331,31 @@ def test_tiger_duel_five_steps_by_the_loop(tiger_duel):
     + ["loop:tiger-zs-3", "loop:tiger-duel-3-0.25", "loop:random-5-3"],
 )
 def test_restricted_count_is_at_least_the_walks_peak(monkeypatch, case):
-    # every walk of the zero-sum loop (_normal_form keeping both agents)
-    # against its tracemalloc peak: on tiger-zs h=1..4 one walk of both agents'
-    # whole tries, on a "loop:" case every walk of the loop from the seed
-    # pair on that loop_models() case
+    # every walk of the zero-sum loop (_walk keeping both agents) against its
+    # tracemalloc peak: on tiger-zs h=1..4 one walk of both agents' whole
+    # tries, on a "loop:" case every walk of the loop from the seed pair on
+    # that loop_models() case, its pairs' walks and its reply walks
     from scipy import sparse  # noqa: F401  (imported for the first G, before any walk)
 
-    walk, seen = solve._normal_form, []
+    walk, seen = solve._walk, []
 
-    def traced(model, s, *args, **kwargs):
-        if kwargs.get("keep") != (0, 1):
-            return walk(model, s, *args, **kwargs)
-        n_anchors = [len(solve._anchors(model, s, i)) for i in range(2)]
-        weights = kwargs.get("weights") or [None, None]
-        sets = [None if w is None else [len(c) for c, _ in w] for w in weights]
-        count = solve._restricted_bytes(model, n_anchors, model.horizon - s.t, sets)
+    def traced(model, s, anchors, agents, keep=(), uncontracted=(), weights=None):
+        if keep != (0, 1):
+            return walk(model, s, anchors, agents, keep, uncontracted, weights)
+        sets = solve._set_counts(weights or [None, None])
+        count = solve._restricted_bytes(
+            model, [len(a) for a in anchors], model.horizon - s.t, sets
+        )
         model._successor_arrays  # built once per model, before the walk
         tracemalloc.start()
         try:
-            out = walk(model, s, *args, **kwargs)
+            out = walk(model, s, anchors, agents, keep, uncontracted, weights)
             seen.append((count, tracemalloc.get_traced_memory()[1]))
         finally:
             tracemalloc.stop()
         return out
 
-    monkeypatch.setattr(solve, "_normal_form", traced)
+    monkeypatch.setattr(solve, "_walk", traced)
     if case.startswith("loop:"):
         m = dict(loop_models())[case.removeprefix("loop:")]
         restricted_start(monkeypatch)
@@ -2155,7 +2283,7 @@ def reached_solve_names(fn) -> set[str]:
 def test_solver_path_builds_no_policy_tree_space():
     # the solvers read enumerated plans as indices: no tree space on their
     # path (the tree-space builders are reachable, as the check shows on
-    # suffix_normal_form), and trees only from _tree or the private DP
+    # suffix_normal_form), and trees only from _tree
     tree_spaces = {"enumerate_pure_policies", "_anchored_space"}
     for fn in (
         solve._normal_form, solve._one_sided, solve_dec, solve._stackelberg_kernel,
@@ -2179,9 +2307,11 @@ def test_solver_path_builds_no_policy_tree_space():
         "best_response_history", "_history_br", "_others_profiles", "PolicyTree"
     }
     assert not hasattr(solve, "_realization")
+    tree_makers = set()
     for name, fn in vars(solve).items():
         if inspect.isfunction(fn) and fn.__module__ == solve.__name__:
             code = compile(inspect.getsource(fn), solve.__file__, "exec")
             (body,) = [c for c in code.co_consts if hasattr(c, "co_varnames")]
             if "PolicyTree" in code_names(body):  # in the body, not an annotation
-                assert name in {"_tree", "_private_dp"}, name
+                tree_makers.add(name)
+    assert tree_makers == {"_tree"}
