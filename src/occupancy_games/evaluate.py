@@ -112,7 +112,7 @@ def _pull(
         if t + 1 == model.horizon:
             break
         unit = level._replace(mass=np.ones(len(level.xs)))
-        ((_, pushed),) = next_level(model, unit, a, rows=True)
+        pushed = next_level(model, unit, a, rows=True)
         level, place = pushed.level, np.arange(len(pushed.level.xs))
         if every_state:
             level, place = _every_state(model, level)

@@ -50,14 +50,13 @@ class SuccessorArrays(NamedTuple):
     (state, joint action, outcome): ``begin[x]:begin[x + 1]`` are the
     outcomes in state ``x``, each with its joint action, the per-agent
     actions and observations (outcome x agent arrays, observations flattened
-    as in ``agent_obs_index``), the public observation, the next state and
-    the probability."""
+    as in ``agent_obs_index``, so each ends in the public observation), the
+    next state and the probability."""
 
     begin: np.ndarray
     joint: np.ndarray
     acts: np.ndarray
     obs: np.ndarray
-    pub: np.ndarray
     nxt: np.ndarray
     prob: np.ndarray
 
@@ -194,7 +193,7 @@ class PosgModel:
         )
         obs = np.stack(own, axis=1) * len(self.public_obs) + pub[:, None]
         begin = np.searchsorted(xs, np.arange(self.n_states + 1))
-        return SuccessorArrays(begin, joint, acts, obs, pub, nxt, prob)
+        return SuccessorArrays(begin, joint, acts, obs, nxt, prob)
 
     # -- variants --------------------------------------------------------------
 

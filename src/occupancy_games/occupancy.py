@@ -13,19 +13,21 @@ Every update pushes mass through one array kernel, ``next_level``, which
 works level by level over integer history ids: a level holds a state, one
 history id per agent and a mass per entry (``Level``), and the kernel expands
 it through every joint action and outcome at once, weighted by per-agent
-rule arrays indexed by (history id, own action).  A joint update splits the
-children by the public observation; a private update pushes every own action
-of the agent at once, the others acting by their rules, and splits the
-children by its own (action, observation).
+rule arrays indexed by (history id, own action).  An update then groups the
+children it pushed and normalizes each group on its own
+(``normalized_groups``): a joint update groups them by the public
+observation, a private update by the agent's own child history, with the
+agent's rule a point mass on the action it played.
 History objects are built only at the public boundary: once per private
 history of a pushed level, and, the first time a returned state's
 ``entries`` is read, once per entry.  Each returned state keeps its level, so
 the next update skips the conversion from its entries, and a state that is
 only pushed on, priced or solved from never builds its joint histories.
 
-Entries below ``PRUNE_EPS`` are dropped and the remaining mass renormalized;
-two states are considered equal when their pruned supports coincide and no
-entry differs by more than ``EQUALITY_ATOL``.
+Within each group, entries whose mass over the group's probability is at or
+below ``PRUNE_EPS`` are dropped and the rest renormalized; two states are
+considered equal when their pruned supports coincide and no entry differs by
+more than ``EQUALITY_ATOL``.
 """
 
 from __future__ import annotations
@@ -180,7 +182,7 @@ Histories = tuple[list[PrivateHistory], ...]  # each agent's histories by id
 
 
 class Pushed(NamedTuple):
-    """One branch of ``next_level``: the children; each agent's child codes
+    """What ``next_level`` returns: the children; each agent's child codes
     ``(parent id * n_u + u) * n_z + z``, child ``c`` of agent ``i`` having
     code ``reached[i][c]``; and, if asked for, each row's (one outcome of one
     joint action at one entry) entry, child entry and mass."""
@@ -196,11 +198,9 @@ def next_level(
     model: PosgModel,
     level: Level,
     a: np.ndarray | None = None,
-    branch: np.ndarray | None = None,
-    only: int | None = None,
     rows: bool = False,
     first_seen: bool = False,
-) -> list[tuple[int | None, Pushed]]:
+) -> Pushed:
     """Every outcome of every joint action at each entry of ``level``, equal
     (state, joint history) keys merged: the one push behind every occupancy
     update, value table, best response and sequence-form walk.
@@ -208,15 +208,12 @@ def next_level(
     ``a`` holds (entry, joint action) probabilities (``action_probs``): a row
     carries entry mass x action probability x outcome probability, and rows
     without mass are dropped.  Without ``a`` every row is kept at entry mass
-    x outcome probability, so each agent's actions stay sequences.
-    ``branch`` maps each outcome of ``model._successor_arrays`` to a key,
-    such as the public observation or one agent's own observation: there is
-    one ``(key, Pushed)`` per key reached, in increasing key, each numbered
-    on its own, and ``only`` (with ``a``) keeps one key.  Without ``branch``
-    there is one, keyed None.  Children are numbered by their codes, merged
-    entries by (state, child id per agent) or, with ``first_seen``, in order
-    of first appearance, and each entry's mass is summed over its rows in row
-    order: (entry, joint action, outcome)."""
+    x outcome probability, so each agent's actions stay sequences.  Children
+    are numbered by their codes, merged entries by (state, child id per
+    agent) or, with ``first_seen``, in order of first appearance, and each
+    entry's mass is summed over its rows in row order: (entry, joint action,
+    outcome).  An update splits the children into groups afterwards
+    (``normalized_groups``)."""
     arrays = model._successor_arrays
     begin = arrays.begin
     counts = begin[level.xs + 1] - begin[level.xs]
@@ -229,55 +226,35 @@ def next_level(
     weight *= arrays.prob[out]
     if a is not None:
         keep = weight > 0.0
-        if only is not None:
-            keep &= branch[out] == only
         entry, out, weight = entry[keep], out[keep], weight[keep]
-    if branch is None:
-        parts = [(None, entry, out, weight)]
+    key = arrays.nxt[out]
+    reached = []
+    for i, n_sets in enumerate(level.n_sets):
+        n_u, n_z = len(model.actions[i]), model.n_agent_obs(i)
+        code = level.ids[i][entry] * (n_u * n_z)
+        code += (arrays.acts[:, i] * n_z + arrays.obs[:, i])[out]
+        codes, child = _rank(code, n_sets * n_u * n_z)
+        del code
+        key *= len(codes)
+        key += child
+        reached.append(codes)
+    del out, child
+    if not first_seen:
+        merged, where = np.unique(key, return_inverse=True)
     else:
-        keys = branch[out]
-        order = np.argsort(keys, kind="stable")
-        parts = [
-            (int(keys[part[0]]), entry[part], out[part], weight[part])
-            for part in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1)
-            if len(part)
-        ]
-    del entry, out, weight  # each branch's row arrays go as soon as they are used
-    pushed = []
-    while parts:
-        b, entry, out, weight = parts.pop(0)
-        key = arrays.nxt[out]
-        reached = []
-        for i, n_sets in enumerate(level.n_sets):
-            n_u, n_z = len(model.actions[i]), model.n_agent_obs(i)
-            code = level.ids[i][entry] * (n_u * n_z)
-            code += (arrays.acts[:, i] * n_z + arrays.obs[:, i])[out]
-            codes, child = _rank(code, n_sets * n_u * n_z)
-            del code
-            key *= len(codes)
-            key += child
-            reached.append(codes)
-        del out, child
-        if not rows:
-            entry = None
-        if not first_seen:
-            merged, where = np.unique(key, return_inverse=True)
-        else:
-            merged, first, where = np.unique(key, return_index=True, return_inverse=True)
-            order = np.argsort(first)
-            rank = np.empty_like(order)
-            rank[order] = np.arange(len(order))
-            merged, where = merged[order], rank[where]
-        del key
-        n_sets = tuple(len(codes) for codes in reached)
-        xs, *ids = np.unravel_index(merged, (model.n_states,) + n_sets)
-        mass = np.bincount(where, weights=weight, minlength=len(merged))
-        children = Level(xs, tuple(ids), mass, n_sets)
-        if rows:
-            pushed.append((b, Pushed(children, tuple(reached), entry, where, weight)))
-        else:
-            pushed.append((b, Pushed(children, tuple(reached))))
-    return pushed
+        merged, first, where = np.unique(key, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        merged, where = merged[order], rank[where]
+    del key
+    n_sets = tuple(len(codes) for codes in reached)
+    xs, *ids = np.unravel_index(merged, (model.n_states,) + n_sets)
+    mass = np.bincount(where, weights=weight, minlength=len(merged))
+    children = Level(xs, tuple(ids), mass, n_sets)
+    if not rows:
+        return Pushed(children, tuple(reached))
+    return Pushed(children, tuple(reached), entry, where, weight)
 
 
 def _rank(codes: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
@@ -304,12 +281,6 @@ def action_probs(
     return a
 
 
-def own_actions(model: PosgModel, agent: int) -> np.ndarray:
-    """``agent``'s own action in each joint action."""
-    shape = [len(labels) for labels in model.actions]
-    return np.unravel_index(np.arange(model.n_joint_actions), shape)[agent]
-
-
 def rule_arrays(
     model: PosgModel,
     rules: Sequence[DecisionRule | None],
@@ -323,6 +294,28 @@ def rule_arrays(
         else np.array([rule.dist(h) for h in hs], dtype=float).reshape(len(hs), len(labels))
         for rule, hs, labels in zip(rules, hists, model.actions)
     ]
+
+
+def others_rule_arrays(
+    model: PosgModel, rules: Mapping[int, DecisionRule], agent: int, hists: Histories
+) -> list[np.ndarray | None]:
+    """``rule_arrays`` of the others' ``rules`` at ``hists``; None for
+    ``agent``, which plays each own action with weight 1."""
+    return rule_arrays(
+        model, [None if j == agent else rules[j] for j in range(model.n_agents)], hists
+    )
+
+
+def own_rewards(model: PosgModel, level: Level, a: np.ndarray, agent: int) -> np.ndarray:
+    """``agent``'s immediate reward on ``level`` under the (entry, joint
+    action) probabilities ``a``, mass-weighted and summed per own sequence
+    (history id * n_u + own action) in (entry, joint action) order."""
+    n_u = len(model.actions[agent])
+    shape = [len(labels) for labels in model.actions]
+    own = np.unravel_index(np.arange(model.n_joint_actions), shape)[agent]
+    reward = level.mass[:, None] * a * model.rewards[agent][level.xs]
+    seq = level.ids[agent][:, None] * n_u + own
+    return np.bincount(seq.ravel(), reward.ravel(), level.n_sets[agent] * n_u)
 
 
 def sum_in_order(values: np.ndarray) -> float:
@@ -378,24 +371,6 @@ def to_level(model: PosgModel, entries: Mapping[Entry, float]) -> tuple[Level, H
     return level, hists
 
 
-def _normalized(level: Level, hists: Histories, mass: float) -> tuple[Level, Histories]:
-    """``level`` over ``mass``, entries at or below ``PRUNE_EPS`` dropped and
-    the rest renormalized; histories left without entries are dropped too."""
-    p = level.mass / mass
-    keep = p > PRUNE_EPS
-    if not keep.any():
-        raise ValueError("cannot normalize an empty or zero-mass distribution")
-    if not keep.all():
-        ids, kept = [], []
-        for i, hs in enumerate(hists):
-            used, inverse = np.unique(level.ids[i][keep], return_inverse=True)
-            ids.append(inverse)
-            kept.append([hs[k] for k in used.tolist()])
-        level = Level(level.xs[keep], tuple(ids), p[keep], tuple(len(hs) for hs in kept))
-        hists, p = tuple(kept), p[keep]
-    return level._replace(mass=p / sum_in_order(p)), hists
-
-
 def entries_of(level: Level, hists: Histories) -> dict[Entry, float]:
     """The public form of a level: one joint history per entry."""
     privates = zip(*([hs[k] for k in ids.tolist()] for hs, ids in zip(hists, level.ids)))
@@ -403,22 +378,34 @@ def entries_of(level: Level, hists: Histories) -> dict[Entry, float]:
     return dict(zip(keys, level.mass.tolist()))
 
 
-def _branches(
-    model: PosgModel,
-    level: Level,
-    hists: Histories,
-    a: np.ndarray,
-    branch: np.ndarray,
-    only: int | None = None,
-) -> list[tuple[int, float, tuple[Level, Histories]]]:
-    """An exact update's branches, each normalized by its probability:
-    ``(key, probability, (level, histories))``."""
-    out = []
-    for key, pushed in next_level(model, level, a, branch, only, rows=True, first_seen=True):
-        mass = sum_in_order(pushed.weight)
-        nxt = _normalized(pushed.level, child_histories(model, hists, pushed.reached), mass)
-        out.append((key, mass, nxt))
-    return out
+def normalized_groups(
+    pushed: Pushed, group: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The children of a push (with ``rows``) split into ``n`` groups, child
+    entry ``k`` in group ``group[k]``, each normalized on its own: every
+    group's probability ``ω``, its rows' mass summed in row order, and the
+    entries kept, those whose mass over ``ω`` is above ``PRUNE_EPS``, at
+    that ratio renormalized within their group.  Returns ``(ω, kept
+    entries, their masses, ends)``: the kept entries in increasing group,
+    each group's in entry order, group ``g``'s at ``ends[g]:ends[g + 1]``."""
+    omega = np.bincount(group[pushed.where], pushed.weight, n)
+    p = pushed.level.mass / omega[group]
+    keep = np.flatnonzero(p > PRUNE_EPS)
+    keep = keep[np.argsort(group[keep], kind="stable")]
+    group, p = group[keep], p[keep]
+    p /= np.bincount(group, p, n)[group]
+    return omega, keep, p, np.concatenate([[0], np.cumsum(np.bincount(group, minlength=n))])
+
+
+def sub_level(
+    level: Level, hists: Histories, entries: np.ndarray, mass: np.ndarray
+) -> tuple[Level, Histories, tuple[np.ndarray, ...]]:
+    """The ``entries`` of ``level`` at ``mass``, each agent's histories
+    renumbered in id order and those left without an entry dropped; with
+    each agent's kept ids."""
+    used, ids = zip(*(_rank(i[entries], size) for i, size in zip(level.ids, level.n_sets)))
+    sub = Level(level.xs[entries], ids, mass, tuple(map(len, used)))
+    return sub, tuple([hs[k] for k in u.tolist()] for hs, u in zip(hists, used)), used
 
 
 # ---------------------------------------------------------------------------
@@ -449,10 +436,17 @@ def step(
         raise ValueError("one decision rule per agent required")
     level, hists = level_of(model, s)
     a = action_probs(model, level, rule_arrays(model, rules, hists))
-    return [
-        (w, p, _pushed(OccupancyState, nxt, t=s.t + 1))
-        for w, p, nxt in _branches(model, level, hists, a, model._successor_arrays.pub)
-    ]
+    pushed = next_level(model, level, a, rows=True, first_seen=True)
+    n_pub = len(model.public_obs)
+    # a child's public observation ends each agent's observation code
+    public = pushed.reached[0][pushed.level.ids[0]] % n_pub
+    omega, keep, p, ends = normalized_groups(pushed, public, n_pub)
+    hists = child_histories(model, hists, pushed.reached)
+    out = []
+    for w in np.flatnonzero(omega).tolist():
+        nxt = sub_level(pushed.level, hists, keep[ends[w] : ends[w + 1]], p[ends[w] : ends[w + 1]])
+        out.append((w, float(omega[w]), _pushed(OccupancyState, nxt[:2], t=s.t + 1)))
+    return out
 
 
 def expected_reward(
@@ -504,40 +498,6 @@ def initial_private_occupancy(model: PosgModel, agent: int) -> PrivateOccupancyS
     return PrivateOccupancyState(agent, PrivateHistory(agent), _start_entries(model))
 
 
-def private_branches(
-    model: PosgModel,
-    s_i: PrivateOccupancyState,
-    others_rules: Mapping[int, DecisionRule],
-    only: tuple[int, int] | None = None,
-    push: bool = True,
-) -> tuple[list[float], list[tuple[int, int, float, PrivateOccupancyState]]]:
-    """The joint update with every own action of the anchored agent at once,
-    the others acting by their rules: its immediate reward for each own
-    action and, unless ``push`` is off, ``(u_i, z_i, probability, next
-    private occupancy state)`` for every own action and observation with
-    positive probability (only the pair ``only`` when given), in increasing
-    ``(u_i, z_i)``.  The agent's own rule is None, weight 1 per own action,
-    so each action's rows carry what a point-mass rule on it would."""
-    agent = s_i.agent
-    level, hists = level_of(model, s_i)
-    rules = [None if j == agent else others_rules[j] for j in range(model.n_agents)]
-    a = action_probs(model, level, rule_arrays(model, rules, hists))
-    arrays, n_z = model._successor_arrays, model.n_agent_obs(agent)
-    reward = level.mass[:, None] * a * model.rewards[agent][level.xs]
-    own = own_actions(model, agent)
-    rewards = [sum_in_order(reward[:, own == u].ravel()) for u in range(len(model.actions[agent]))]
-    if not push:
-        return rewards, []
-    own_step = arrays.acts[:, agent] * n_z + arrays.obs[:, agent]
-    key = None if only is None else only[0] * n_z + only[1]
-    children = []
-    for k, p, nxt in _branches(model, level, hists, a, own_step, key):
-        u_i, z_i = divmod(k, n_z)
-        state = _pushed(PrivateOccupancyState, nxt, agent=agent, anchor=s_i.anchor.child(u_i, z_i))
-        children.append((u_i, z_i, p, state))
-    return rewards, children
-
-
 def private_step(
     model: PosgModel,
     s_i: PrivateOccupancyState,
@@ -550,14 +510,26 @@ def private_step(
 
     ``z_i`` is the agent's flattened observation (private and public parts),
     so only joint observations whose public component matches contribute.
+    The agent's rule is a point mass on ``u_i``, so only that action's rows
+    are pushed; its children are grouped by the agent's own history.
     """
-    _, children = private_branches(model, s_i, others_rules, only=(u_i, z_i))
-    if not children:
+    agent = s_i.agent
+    level, hists = level_of(model, s_i)
+    probs = others_rule_arrays(model, others_rules, agent, hists)
+    probs[agent] = np.eye(len(model.actions[agent]))[np.full(level.n_sets[agent], u_i)]
+    pushed = next_level(model, level, action_probs(model, level, probs), rows=True, first_seen=True)
+    codes = pushed.reached[agent]
+    hit = np.flatnonzero(codes == u_i * model.n_agent_obs(agent) + z_i)
+    if not len(hit):
         raise ImpossibleObservationError(
-            f"observation {z_i} has probability 0 after action {u_i} for agent {s_i.agent}"
+            f"observation {z_i} has probability 0 after action {u_i} for agent {agent}"
         )
-    _, _, prob, next_state = children[0]
-    return prob, next_state
+    omega, keep, p, ends = normalized_groups(pushed, pushed.level.ids[agent], len(codes))
+    lo, hi = ends[hit[0]], ends[hit[0] + 1]
+    hists = child_histories(model, hists, pushed.reached)
+    nxt = sub_level(pushed.level, hists, keep[lo:hi], p[lo:hi])[:2]
+    anchor = s_i.anchor.child(u_i, z_i)
+    return float(omega[hit[0]]), _pushed(PrivateOccupancyState, nxt, agent=agent, anchor=anchor)
 
 
 def private_reward(
@@ -568,7 +540,9 @@ def private_reward(
 ) -> float:
     """Immediate expected reward of the anchored agent for its action, the
     others acting by their rules."""
-    return private_branches(model, s_i, others_rules, push=False)[0][u_i]
+    level, hists = level_of(model, s_i)
+    a = action_probs(model, level, others_rule_arrays(model, others_rules, s_i.agent, hists))
+    return float(own_rewards(model, level, a, s_i.agent)[u_i])
 
 
 def private_occupancy(

@@ -76,20 +76,20 @@ import numpy as np
 from .errors import CapExceededError, ModelValidationError
 from .model import PosgModel
 from .occupancy import (
-    PRUNE_EPS,
     Histories,
     Level,
     OccupancyState,
     PrivateOccupancyState,
-    _rank,
     action_probs,
     child_histories,
     initial_occupancy,
     initial_private_occupancy,
     level_of,
     next_level,
-    own_actions,
-    rule_arrays,
+    normalized_groups,
+    others_rule_arrays,
+    own_rewards,
+    sub_level,
 )
 from .policies import (
     DecisionRule,
@@ -110,9 +110,10 @@ CAP_BYTES = 2**30
 # the count's surplus on large arrays covers them.
 WALK_FIXED_BYTES = 2**17
 # the most rows (entry, joint action, outcome) one batch of the private DP
-# pushes at once, unless one state alone has more: tiger h=5's private best
-# response peaks at about 54 MB of RSS under it, 65 MB under 2**18, 42 MB
-# with one state per batch and 1.1 GB with each step's states in one batch
+# pushes at once, or, at the last step, (entry, joint action) pairs it
+# prices, unless one state alone has more: tiger h=5's private best response
+# peaks at about 52 MB of RSS under it, 65 MB under 2**18, 42 MB with one
+# state per batch and 1.1 GB with each step's states in one batch
 PRIVATE_BATCH_ROWS = 2**17
 
 
@@ -288,7 +289,6 @@ def _history_br(
     continuation to its parent sequence."""
     profiles = _others_profiles(model, others, agent)
     n_u = len(model.actions[agent])
-    own_action = own_actions(model, agent)
     level, hists = level_of(model, s)
     seeds = hists[agent]
     own_hists = list(seeds)
@@ -296,15 +296,12 @@ def _history_br(
     kids: dict[tuple[int, int, int], int] = {}
     g, mass = [], []
     for t in range(s.t, model.horizon):
-        rules = [None if j == agent else profiles[t][j] for j in range(model.n_agents)]
-        a = action_probs(model, level, rule_arrays(model, rules, hists))
-        reward = level.mass[:, None] * a * model.rewards[agent][level.xs]
-        seq = level.ids[agent][:, None] * n_u + own_action
-        g.append(np.bincount(seq.ravel(), reward.ravel(), level.n_sets[agent] * n_u))
+        a = action_probs(model, level, others_rule_arrays(model, profiles[t], agent, hists))
+        g.append(own_rewards(model, level, a, agent))
         mass.append(np.bincount(level.ids[agent], level.mass, level.n_sets[agent]))
         if t + 1 == model.horizon:
             break
-        ((_, pushed),) = next_level(model, level, a)
+        pushed = next_level(model, level, a)
         first = len(own_hists) - level.n_sets[agent]
         for c, (j, u, z) in enumerate(_kid_keys(model, agent, pushed.reached[agent], first)):
             kids[(j, u, z)] = len(own_hists) + c
@@ -352,7 +349,7 @@ def _private_dp(
     batches: list[tuple[int, list[PrivateHistory], np.ndarray]] = []
     kids: dict[tuple[int, int, int], int] = {}
     level, hists = level_of(model, s_i)
-    probs = _others_rule_arrays(model, profiles[t], agent, hists)
+    probs = others_rule_arrays(model, profiles[t], agent, hists)
     _private_batch(model, profiles, agent, level, hists, probs, t, 0, batches, kids)
     batches.sort(key=lambda batch: batch[0])
     own = [h for _, hs, _ in batches for h in hs]
@@ -362,16 +359,6 @@ def _private_dp(
     index, played = _pure_tree(model, agent, kids, lambda j: _argmax_lowest(q[j]), (0,), depth)
     table = {own[j]: tuple(q[j].tolist()) for j in (np.array(played) // n_u).tolist()}
     return float(q[0].max()), _tree(model, agent, index, depth), table
-
-
-def _others_rule_arrays(
-    model: PosgModel, rules: Mapping[int, DecisionRule], agent: int, hists: Histories
-) -> list[np.ndarray | None]:
-    """``rule_arrays`` of the others' ``rules`` at ``hists``; None for the
-    agent, which plays each own action with weight 1."""
-    return rule_arrays(
-        model, [None if j == agent else rules[j] for j in range(model.n_agents)], hists
-    )
 
 
 def _private_batch(
@@ -391,57 +378,50 @@ def _private_batch(
     are those states' entries, each state normalized on its own.
 
     One push weighs every own action 1, the others acting by their rules;
-    each own action's reward is its rows' sum per state, and each child
-    state, one per (state, own action, own observation) reached, takes its
-    probability ``ω`` from its rows, drops its entries at or below
-    ``PRUNE_EPS`` and renormalizes the rest (``occupancy._normalized``).
-    The children go on in batches of consecutive states whose own push
-    holds at most ``PRIVATE_BATCH_ROWS`` rows (at least one state each), and
-    each q then adds ``γ·ω·V`` of its children in increasing own
-    observation.  Appends ``(first, own histories, flat q)`` to ``batches``
-    and each child's number to ``kids``, and returns each state's best q."""
+    each own action's reward is its rows' sum per state (``own_rewards``),
+    and the children are grouped by the agent's own history, one child
+    state per (state, own action, own observation) reached, each normalized
+    on its own with its probability ``ω`` (``normalized_groups``).  The
+    children go on in batches of consecutive states (at least one each)
+    that hold at most ``PRIVATE_BATCH_ROWS`` rows: the rows their own push
+    holds or, at the last step, which pushes nothing, their (entry, joint
+    action) pairs.  Each q then adds ``γ·ω·V`` of its children in increasing
+    own observation.  Appends ``(first, own histories, flat q)`` to
+    ``batches`` and each child's number to ``kids``, and returns each
+    state's best q."""
     n_u, n_z = len(model.actions[agent]), model.n_agent_obs(agent)
     n = level.n_sets[agent]
     a = action_probs(model, level, probs)
-    reward = level.mass[:, None] * a * model.rewards[agent][level.xs]
-    seq = level.ids[agent][:, None] * n_u + own_actions(model, agent)
-    q = np.bincount(seq.ravel(), reward.ravel(), n * n_u)
+    q = own_rewards(model, level, a, agent)
     batches.append((first, hists[agent], q))
     if t + 1 == model.horizon:
         return q.reshape(n, n_u).max(axis=1)
-    ((_, pushed),) = next_level(model, level, a, rows=True, first_seen=True)
-    del a, reward, seq  # the children are solved depth first: hold no more than needed
+    pushed = next_level(model, level, a, rows=True, first_seen=True)
+    del a  # the children are solved depth first: hold no more than needed
     codes = pushed.reached[agent]
     base = 1 + len(kids)  # the first child's number
     kids.update(zip(_kid_keys(model, agent, codes, first), range(base, base + len(codes))))
+    omega, keep, p, ends = normalized_groups(pushed, pushed.level.ids[agent], len(codes))
     level, hists = pushed.level, child_histories(model, hists, pushed.reached)
-    probs = _others_rule_arrays(model, profiles[t + 1], agent, hists)
-    node = level.ids[agent]
-    omega = np.bincount(node[pushed.where], pushed.weight, len(codes))
     del pushed
-    p = level.mass / omega[node]
-    # kept entries grouped by child state, each state's in their order
-    keep = np.flatnonzero(p > PRUNE_EPS)
-    keep = keep[np.argsort(node[keep], kind="stable")]
-    node, p = node[keep], p[keep]
-    p /= np.bincount(node, p, len(codes))[node]
-    # child states lo..hi-1 hold entries ends[lo]:ends[hi] and push
-    # rows[hi] - rows[lo] rows
-    ends = np.concatenate([[0], np.cumsum(np.bincount(node, minlength=len(codes)))])
-    counts = np.diff(model._successor_arrays.begin)[level.xs[keep]]
-    rows = np.concatenate([[0.0], np.cumsum(np.bincount(node, counts, len(codes)))])
+    probs = others_rule_arrays(model, profiles[t + 1], agent, hists)
+    # child states lo..hi-1 hold entries ends[lo]:ends[hi] and cost
+    # rows[hi] - rows[lo]: the rows they push or, at the last step, which
+    # pushes nothing, their (entry, joint action) pairs
+    if t + 2 == model.horizon:
+        rows = ends * model.n_joint_actions
+    else:
+        counts = np.diff(model._successor_arrays.begin)[level.xs[keep]]
+        rows = np.concatenate([[0], np.cumsum(counts)])[ends]
     v = np.empty(len(codes))
     lo = 0
     while lo < len(codes):
         hi = int(np.searchsorted(rows, rows[lo] + PRIVATE_BATCH_ROWS, side="right")) - 1
         hi = max(lo + 1, hi)
-        entries = keep[ends[lo] : ends[hi]]
-        # each agent's histories in the batch, renumbered in order
-        used, ids = zip(*(_rank(i[entries], size) for i, size in zip(level.ids, level.n_sets)))
-        sub = Level(level.xs[entries], ids, p[ends[lo] : ends[hi]], tuple(map(len, used)))
+        entries = slice(ends[lo], ends[hi])
+        sub, sub_hists, used = sub_level(level, hists, keep[entries], p[entries])
         v[lo:hi] = _private_batch(
-            model, profiles, agent, sub,
-            tuple([hs[k] for k in u.tolist()] for hs, u in zip(hists, used)),
+            model, profiles, agent, sub, sub_hists,
             [None if rule is None else rule[u] for rule, u in zip(probs, used)],
             t + 1, base + lo, batches, kids,
         )
@@ -555,7 +535,7 @@ def _sequence_payoffs(
         if d + 1 == model.horizon - s.t:
             break
         level = level._replace(mass=level.mass * model.discount)
-        ((_, pushed),) = next_level(model, level, a)
+        pushed = next_level(model, level, a)
         for i, codes in enumerate(pushed.reached):
             base = first[i] + level.n_sets[i]
             keys = _kid_keys(model, i, codes, first[i])

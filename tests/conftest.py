@@ -1,3 +1,4 @@
+import itertools
 import pathlib
 
 import pytest
@@ -56,6 +57,39 @@ def code_names(code) -> set[str]:
         if hasattr(const, "co_names"):
             names |= code_names(const)
     return names
+
+
+def private_children(model, s_i, others_rules) -> list[tuple]:
+    """``(u_i, z_i, probability, next private occupancy state)`` for every own
+    action and observation of positive probability below ``s_i``, in
+    increasing ``(u_i, z_i)``: one ``private_step`` per pair."""
+    from occupancy_games.errors import ImpossibleObservationError
+    from occupancy_games.occupancy import private_step
+
+    out = []
+    for u_i, z_i in itertools.product(
+        range(len(model.actions[s_i.agent])), range(model.n_agent_obs(s_i.agent))
+    ):
+        try:
+            out.append((u_i, z_i, *private_step(model, s_i, others_rules, u_i, z_i)))
+        except ImpossibleObservationError:
+            pass
+    return out
+
+
+def recorded_pushes(monkeypatch) -> list:
+    """Every ``Pushed`` that ``occupancy.next_level`` returns to the
+    occupancy updates from here on, in call order."""
+    from occupancy_games import occupancy
+
+    pushes, push = [], occupancy.next_level
+
+    def recorded(*args, **kwargs):
+        pushes.append(push(*args, **kwargs))
+        return pushes[-1]
+
+    monkeypatch.setattr(occupancy, "next_level", recorded)
+    return pushes
 
 
 def pairing(s, table) -> float:

@@ -54,7 +54,7 @@ from occupancy_games.verify import (
     _start_measure,
 )
 
-from conftest import code_names, pairing
+from conftest import code_names, pairing, recorded_pushes
 
 TOL = 1e-12
 
@@ -207,6 +207,72 @@ def test_step_and_reward_match_raw_expansion(seed, shape):
 @pytest.mark.parametrize("shape", SHAPES)
 def test_step_and_reward_control(shape):
     assert all(step_gap(seed, shape, corrupted) > TOL for seed in CONTROL_SEEDS)
+
+
+def rare_first_observation(seed: int, n_obs):
+    """A random model with two public observations whose first joint
+    observation has probability 1e-13 (before renormalizing): with one
+    private observation per agent that is the first public observation, so
+    its whole branch is that unlikely; with two, it is one outcome within
+    the branch."""
+    rng = np.random.default_rng(seed)
+    m = random_posg(rng, 2, (3, 3), n_obs, 2, 2, 1.0)
+    observation = m.observation.copy()
+    observation[..., 0] = 1e-13
+    observation /= observation.sum(axis=-1, keepdims=True)
+    return dataclasses.replace(m, observation=observation)
+
+
+def branch_gap(model, rules, branches: dict) -> float:
+    """Worst difference of ``{public observation: next entries}`` from the
+    raw expansion of the start under ``rules``, each branch normalized by
+    its own mass, pruned (``normalized``) and renormalized over the entries
+    kept; inf when a branch or a support differs."""
+    n_pub = len(model.public_obs)
+    by_w: dict[int, dict] = {}
+    for key, v in expand(model, _start_measure(model), rules).items():
+        by_w.setdefault(key[1].privates[0].steps[-1][1] % n_pub, {})[key] = v
+    if sorted(branches) != sorted(by_w):
+        return np.inf
+    return max(compare(normalized(normalized(by_w[w])), branches[w]) for w in by_w)
+
+
+def misnormalized(model, s, pushed, whole: bool) -> dict:
+    """The branches of ``step``'s push normalized in a wrong order: with
+    ``whole``, pruned against the mass of the whole push before each branch
+    is renormalized on its own; without, each branch renormalized before
+    the drop and not after."""
+    level = pushed.level
+    hists = occupancy.child_histories(model, occupancy.level_of(model, s)[1], pushed.reached)
+    public = pushed.reached[0][level.ids[0]] % len(model.public_obs)
+    branches: dict[int, dict] = {}
+    for (key, v), w in zip(occupancy.entries_of(level, hists).items(), public.tolist()):
+        branches.setdefault(w, {})[key] = v
+    if not whole:
+        return {w: normalized(b) for w, b in branches.items()}
+    total = level.mass.sum()
+    kept = {w: {k: v for k, v in b.items() if v / total > PRUNE_EPS} for w, b in branches.items()}
+    return {w: normalized(b) for w, b in kept.items() if b}
+
+
+@pytest.mark.parametrize("n_obs", [(1, 1), (2, 2)])
+@pytest.mark.parametrize("seed", range(3))
+def test_step_prunes_each_branch_on_its_own(seed, n_obs, monkeypatch):
+    m = rare_first_observation(seed, n_obs)
+    rules = random_rules(m, np.random.default_rng(seed))[0]
+    pushes = recorded_pushes(monkeypatch)
+    s = initial_occupancy(m)
+    branches = step(m, s, rules)
+    assert branch_gap(m, rules, {w: nxt.entries for w, _, nxt in branches}) <= 1e-14
+    if n_obs == (1, 1):
+        # the first public branch is less likely than PRUNE_EPS and keeps its
+        # entries, which pruning against the whole push would drop
+        assert branches[0][1] < PRUNE_EPS
+    else:
+        # the unlikely outcome's entries are dropped within their branch,
+        # and the rest renormalized
+        assert sum(len(nxt.entries) for _, _, nxt in branches) < len(pushes[0].level.xs)
+    assert branch_gap(m, rules, misnormalized(m, s, pushes[0], n_obs == (1, 1))) > 1e-14
 
 
 # -- private_step and private_reward -----------------------------------------------

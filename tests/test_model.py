@@ -127,14 +127,13 @@ def test_joint_dynamics_minimal(minimal):
 
 def successor_rows(model, arrays) -> list[tuple]:
     """Every outcome of ``arrays`` as (state, joint action, per-agent actions,
-    per-agent observations, public observation, next state, probability)."""
+    per-agent observations, next state, probability)."""
     return [
         (
             x,
             int(arrays.joint[r]),
             tuple(arrays.acts[r].tolist()),
             tuple(arrays.obs[r].tolist()),
-            int(arrays.pub[r]),
             int(arrays.nxt[r]),
             float(arrays.prob[r]),
         )
@@ -157,7 +156,6 @@ def dynamics_rows(model) -> list[tuple]:
                         u,
                         model.split_joint_action(u),
                         tuple(model.agent_obs_of_joint(i, int(z)) for i in range(model.n_agents)),
-                        model.public_of_joint_obs(int(z)),
                         int(x2),
                         float(dyn[x2, z]),
                     )

@@ -13,6 +13,7 @@ from occupancy_games import occupancy
 from occupancy_games.occupancy import (
     OccupancyState,
     PrivateOccupancyState,
+    action_probs,
     decompose,
     expected_reward,
     factorize,
@@ -22,7 +23,7 @@ from occupancy_games.occupancy import (
     level_of,
     occupancy_to_csv,
     occupancy_to_tree_text,
-    private_branches,
+    others_rule_arrays,
     private_occupancy,
     private_reward,
     private_step,
@@ -43,6 +44,8 @@ from occupancy_games.sampling import (
     random_posg,
 )
 from occupancy_games.verify import _anchored, _next_measures, _normalized, _outcomes, _played
+
+from conftest import private_children, recorded_pushes
 
 
 def det_rule(model, agent, t, action, histories):
@@ -320,6 +323,45 @@ def test_private_reward_one_stage(one_stage_zs):
     assert private_reward(one_stage_zs, s0, others, 1) == pytest.approx(0.0)
 
 
+def test_private_step_pushes_only_the_rows_of_its_own_action(tiger, monkeypatch):
+    # tiger h=2 from the start and from a t=1 state: each private_step makes
+    # one push, which holds the rows of its own action under the others'
+    # weighted actions only; private_reward pushes nothing, step once
+    m = tiger.with_horizon(2)
+    rules = random_joint_policy(m, np.random.default_rng(3)).joint_rules(m)
+    s0 = initial_private_occupancy(m, 0)
+    arrays, n_u = m._successor_arrays, len(m.actions[0])
+    pushes = recorded_pushes(monkeypatch)
+
+    def own_rows(s_i, t, u):
+        """The rows of own action ``u`` at ``s_i`` whose others' action has
+        weight, and the rows of every own action."""
+        level, hists = level_of(m, s_i)
+        entry = np.repeat(np.arange(len(level.xs)), np.diff(arrays.begin)[level.xs])
+        out = np.concatenate([np.arange(arrays.begin[x], arrays.begin[x + 1]) for x in level.xs])
+        other = others_rule_arrays(m, {1: rules[t][1]}, 0, hists)[1]
+        weighted = other[level.ids[1][entry], arrays.acts[out, 1]] > 0.0
+        return int((weighted & (arrays.acts[out, 0] == u)).sum()), int(weighted.sum())
+
+    _, s1 = private_step(m, s0, {1: rules[0][1]}, 0, 1)
+    del pushes[:]
+    for t, s_i in enumerate((s0, s1)):
+        for u in range(n_u):
+            private_reward(m, s_i, {1: rules[t][1]}, u)
+            assert pushes == []
+            private_step(m, s_i, {1: rules[t][1]}, u, 0)
+            (pushed,) = pushes
+            assert len(pushed.weight) == own_rows(s_i, t, u)[0]
+            del pushes[:]
+    step(m, initial_occupancy(m), rules[0])
+    assert len(pushes) == 1
+    # control: a push with weight 1 on every own action holds more rows
+    level, hists = level_of(m, s1)
+    a = action_probs(m, level, others_rule_arrays(m, {1: rules[1][1]}, 0, hists))
+    every = occupancy.next_level(m, level, a, rows=True)
+    assert len(every.weight) == own_rows(s1, 1, 0)[1] != own_rows(s1, 1, 0)[0]
+
+
 def test_private_step_impossible_observation():
     m = parse_posg(
         """
@@ -457,9 +499,9 @@ def test_decompose_with_public_observations():
 
 
 def pushed_children(m, rng):
-    """``step``, ``private_branches`` and ``private_step`` children from the
-    start under a random policy, each with its entries by the raw
-    definition (``verify``'s enumerator, normalized per branch)."""
+    """``step`` and ``private_step`` children from the start under a random
+    policy, each with its entries by the raw definition (``verify``'s
+    enumerator, normalized per branch)."""
     rules = random_joint_policy(m, rng).joint_rules(m)[0]
     s0 = initial_occupancy(m)
     public = lambda z: m.split_joint_obs(z)[1]
@@ -467,12 +509,9 @@ def pushed_children(m, rng):
     out = [(s, _normalized(raw[w])) for w, _, s in step(m, s0, rules)]
     s_i, others = initial_private_occupancy(m, 0), {1: rules[1]}
     own = lambda z: m.agent_obs_of_joint(0, z)
-    _, branches = private_branches(m, s_i, others)
-    for u, z, _, s in branches:
+    for u, z, _, s in private_children(m, s_i, others):
         raw = _next_measures(m, _outcomes(m, s_i.entries, _anchored(m, 0, others, u)), own)
         out.append((s, _normalized(raw[z])))
-    u, z, _, _ = branches[-1]
-    out.append((private_step(m, s_i, others, u, z)[1], out[-1][1]))
     return out
 
 

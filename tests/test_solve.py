@@ -28,7 +28,7 @@ from occupancy_games.occupancy import (
     initial_private_occupancy,
     level_of,
     mix_occupancies,
-    private_branches,
+    private_reward,
     private_step,
     step,
 )
@@ -66,7 +66,7 @@ from occupancy_games.solve import (
     zero_sum_value_from,
 )
 
-from conftest import code_names, load, pairing, restricted_start
+from conftest import code_names, load, pairing, private_children, restricted_start
 
 
 # -- independent support-enumeration oracle for matrix games -------------------
@@ -304,14 +304,15 @@ def test_private_q_table_is_its_greedy_tree(tiger, case):
 
 def recursion_private_dp(model, profiles, agent, s_i, t):
     """The private route as one recursion per private occupancy state, each
-    pushed by ``private_branches`` with every own action: the differential
-    oracle of the batched ``solve._private_dp``, with its (value, greedy
-    tree, q-table)."""
-    rewards, children = private_branches(model, s_i, profiles[t], push=t + 1 < model.horizon)
-    qs, below = list(rewards), {}
-    for u_i, z_i, omega, nxt in children:
-        below[u_i, z_i] = recursion_private_dp(model, profiles, agent, nxt, t + 1)
-        qs[u_i] += model.discount * omega * below[u_i, z_i][0]
+    priced by ``private_reward`` and pushed by ``private_step`` once per own
+    action and observation: the differential oracle of the batched
+    ``solve._private_dp``, with its (value, greedy tree, q-table)."""
+    qs = [private_reward(model, s_i, profiles[t], u) for u in range(len(model.actions[agent]))]
+    below = {}
+    if t + 1 < model.horizon:
+        for u_i, z_i, omega, nxt in private_children(model, s_i, profiles[t]):
+            below[u_i, z_i] = recursion_private_dp(model, profiles, agent, nxt, t + 1)
+            qs[u_i] += model.discount * omega * below[u_i, z_i][0]
     u_i = solve._argmax_lowest(qs)
     q = {s_i.anchor: tuple(qs)}
     if t + 1 >= model.horizon:
@@ -376,8 +377,7 @@ def test_private_batches_equal_the_per_state_recursion(m, seed, budget, monkeypa
             continue
         # a mid-game root: the last own action and observation of positive
         # probability
-        _, children = private_branches(m, root, profiles[0])
-        _, _, _, s_i = children[-1]
+        _, _, _, s_i = private_children(m, root, profiles[0])[-1]
         below = recursion_private_dp(m, profiles, agent, s_i, 1)
         assert solve._private_dp(m, profiles, agent, s_i, 1) == below
         assert best_response_private_from(m, policy, agent, s_i, 1) == below[0]
@@ -442,6 +442,27 @@ def test_private_batches_keep_within_the_row_budget(tiger, budget, monkeypatch):
     assert all(rows <= budget or states == 1 for states, rows in pushes), pushes
     assert sum(states for states, _ in pushes) == 1 + 6 + 36 and len(pushes) > 3
     assert any(states > 1 for states, _ in pushes[1:])
+
+
+def test_last_step_batches_are_sized_by_what_they_hold(tiger, monkeypatch):
+    # tiger h=3's 36 last-step states push nothing; each holds 72 entries x 9
+    # joint actions, so a budget of 2000 packs them three to a batch (their
+    # push would hold 2,592 rows, which would leave one state per batch)
+    m = tiger.with_horizon(3)
+    other = random_behavioral_policy(m, 1, np.random.default_rng(5))
+    monkeypatch.setattr(solve, "PRIVATE_BATCH_ROWS", 2000)
+    leaves, batch = [], solve._private_batch
+
+    def recorded_batch(model, profiles, agent, level, hists, probs, t, *args):
+        if t + 1 == model.horizon:
+            leaves.append((len(hists[agent]), len(level.xs) * model.n_joint_actions))
+        return batch(model, profiles, agent, level, hists, probs, t, *args)
+
+    monkeypatch.setattr(solve, "_private_batch", recorded_batch)
+    best_response_private(m, {1: other}, 0)
+    assert sum(states for states, _ in leaves) == 36
+    assert all(pairs <= 2000 for _, pairs in leaves), leaves
+    assert len(leaves) == 12
 
 
 def test_best_responses_name_a_missing_agent(tiger):
