@@ -2,6 +2,7 @@
 
 from .errors import (
     CapExceededError,
+    CertificateError,
     ImpossibleObservationError,
     InconsistentOccupancyError,
     ModelValidationError,

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     CapExceededError,
+    CertificateError,
     ModelValidationError,
     PosgParseError,
     UnknownSuiteError,
@@ -40,6 +41,7 @@ EXIT_PARSE = 2
 EXIT_CAP = 3
 EXIT_UNKNOWN_SUITE = 4
 EXIT_BAD_SWEEP = 5
+EXIT_UNCERTIFIED = 6
 
 
 class _SweepSpecError(Exception):
@@ -48,6 +50,14 @@ class _SweepSpecError(Exception):
 
 class _UnreadFlagError(Exception):
     """A flag was given that nothing the command runs reads."""
+
+
+# the exit code of each error ``main`` reports on one ``error:`` line
+_EXIT_CODES = {
+    OSError: EXIT_PARSE, PosgParseError: EXIT_PARSE, ModelValidationError: EXIT_PARSE,
+    CapExceededError: EXIT_CAP, UnknownSuiteError: EXIT_UNKNOWN_SUITE,
+    _SweepSpecError: EXIT_BAD_SWEEP, CertificateError: EXIT_UNCERTIFIED,
+}
 
 
 def _load_model(args) -> PosgModel:
@@ -348,18 +358,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, PosgParseError, ModelValidationError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except CapExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except UnknownSuiteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNKNOWN_SUITE
-    except _SweepSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_SWEEP
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
     except _UnreadFlagError as exc:
         args.usage_error(str(exc))  # exits 2 with the subcommand's usage
 

@@ -57,3 +57,9 @@ class InconsistentOccupancyError(OccupancyGamesError):
 
 class UnknownSuiteError(OccupancyGamesError):
     """Raised for unrecognized verification suite names."""
+
+
+class CertificateError(OccupancyGamesError, RuntimeError):
+    """Raised when a solver cannot certify its result within the tolerance:
+    the zero-sum loop's certificate, a matrix game's duality gap or a
+    Stackelberg follower's regret."""

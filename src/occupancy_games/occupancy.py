@@ -398,14 +398,13 @@ def normalized_groups(
 
 
 def sub_level(
-    level: Level, hists: Histories, entries: np.ndarray, mass: np.ndarray
-) -> tuple[Level, Histories, tuple[np.ndarray, ...]]:
+    level: Level, entries: np.ndarray, mass: np.ndarray
+) -> tuple[Level, tuple[np.ndarray, ...]]:
     """The ``entries`` of ``level`` at ``mass``, each agent's histories
     renumbered in id order and those left without an entry dropped; with
     each agent's kept ids."""
     used, ids = zip(*(_rank(i[entries], size) for i, size in zip(level.ids, level.n_sets)))
-    sub = Level(level.xs[entries], ids, mass, tuple(map(len, used)))
-    return sub, tuple([hs[k] for k in u.tolist()] for hs, u in zip(hists, used)), used
+    return Level(level.xs[entries], ids, mass, tuple(map(len, used))), used
 
 
 # ---------------------------------------------------------------------------
@@ -441,11 +440,11 @@ def step(
     # a child's public observation ends each agent's observation code
     public = pushed.reached[0][pushed.level.ids[0]] % n_pub
     omega, keep, p, ends = normalized_groups(pushed, public, n_pub)
-    hists = child_histories(model, hists, pushed.reached)
     out = []
     for w in np.flatnonzero(omega).tolist():
-        nxt = sub_level(pushed.level, hists, keep[ends[w] : ends[w + 1]], p[ends[w] : ends[w + 1]])
-        out.append((w, float(omega[w]), _pushed(OccupancyState, nxt[:2], t=s.t + 1)))
+        sub, used = sub_level(pushed.level, keep[ends[w] : ends[w + 1]], p[ends[w] : ends[w + 1]])
+        nxt = (sub, child_histories(model, hists, [r[u] for r, u in zip(pushed.reached, used)]))
+        out.append((w, float(omega[w]), _pushed(OccupancyState, nxt, t=s.t + 1)))
     return out
 
 
@@ -526,9 +525,9 @@ def private_step(
         )
     omega, keep, p, ends = normalized_groups(pushed, pushed.level.ids[agent], len(codes))
     lo, hi = ends[hit[0]], ends[hit[0] + 1]
-    hists = child_histories(model, hists, pushed.reached)
-    nxt = sub_level(pushed.level, hists, keep[lo:hi], p[lo:hi])[:2]
+    sub, used = sub_level(pushed.level, keep[lo:hi], p[lo:hi])
     anchor = s_i.anchor.child(u_i, z_i)
+    nxt = (sub, child_histories(model, hists, [r[u] for r, u in zip(pushed.reached, used)]))
     return float(omega[hit[0]]), _pushed(PrivateOccupancyState, nxt, agent=agent, anchor=anchor)
 
 

@@ -6,8 +6,10 @@ with the agent's actions as sequences, then one reverse fold over its
 histories), and dynamic programming over private occupancy states with
 normalized Bayesian updates (states pushed in batches of consecutive own
 histories, depth first, each state once with all its own actions, each
-normalized on its own and backed up as ``γ·ω·V``).  Both break ties toward
-the lowest action whose value ties with the best.
+normalized on its own and backed up as ``γ·ω·V``; the others play action
+rows looked up by trie code, their decision rules turned into rows once at
+the root).  Both break ties toward the lowest action whose value ties with
+the best.
 Equality of their values on every input is the operational form of the
 sufficiency of private occupancy states.
 
@@ -21,13 +23,15 @@ occupancy state, solve by one loop: the sequence-form double oracle
 linear program (Koller, Megiddo & von Stengel 1996), in sequence form
 throughout.  Each agent's set of sequences is its whole trie or a union of
 pure plans; restricted sets and the opponents' mixtures are rows of action
-weights by trie code, every step is the same walk under those weights, the
-LP or a reverse fold over one agent's trie (its best reply), and trees are
-decoded only for the returned mixtures.  It stops when the full LP's
-certificate closes.  Where the whole tries' walk holds no more than the
-loop's first restricted iteration, both sets start whole and the loop is
-the full LP, done in one iteration; a game where each agent then has a
-single information set is the matrix game itself and keeps its closed forms.
+weights by trie code.  Every step is the same walk under those weights, the
+LP, or a best reply: the private occupancy-state DP above from the state's
+level, one root per anchor, against the other's rows; trees are decoded
+only for the returned mixtures.  It stops when the full LP's certificate
+closes.  Where the whole tries' walk counts no more than four walks of the
+seed pair, both sets start whole and the loop is the full LP, done in one
+iteration; a game where each agent then has a single information set is
+the matrix game itself and keeps its closed forms.  Where a solver cannot
+certify its result within the tolerance it raises ``CertificateError``.
 Common-payoff and Stackelberg games enumerate pure plans (a reduced policy
 tree per anchor, each plan an index whose base-``n_u`` digits are its
 actions) for all agents but one and keep that agent in sequence form: the
@@ -47,21 +51,26 @@ one window written once, ``_tie_floor``: a value ties with the best value
 ``top`` when it is at least ``top - 1e-12 * max(1, |top|)``, relative to the
 payoffs' scale above 1.
 
-``_normal_form`` is the one set-up of that walk, and it starts from the
-state's level (``occupancy.level_of``), never from its entries.
+``_walk`` is the one set-up of that walk (behind ``_normal_form``, and
+called directly by the zero-sum loop, which counts its own walks), and it
+starts from the state's level (``occupancy.level_of``), never from its
+entries.
 ``cap_bytes`` is one budget for every criterion, checked before each walk,
 and what it bounds follows from the agents the walk keeps in sequence form.
 Where some agent is enumerated (common payoff and Stackelberg) it bounds the
 bytes of the dense arrays the walk and the enumeration would build,
 predicted from the agents' full tries; that count leaves out the LP
-matrices and intermediate copies, so it does not bound peak memory.  Where
-every agent is kept (each walk of the zero-sum loop) it bounds
-``_restricted_bytes``: the most a walk holds at once without the LP's
+matrices and intermediate copies, so it does not bound peak memory.  In the
+zero-sum loop, which keeps every agent, it bounds each pair's walk by
+``_restricted_bytes``: the most the walk holds at once without the LP's
 matrices, its arrays counted item by item plus ``WALK_FIXED_BYTES`` for its
 constant costs, which puts it at or above the walk's ``tracemalloc`` peak on
-every model measured, tiny ones included.  The normal forms and the values
-from mid-game states keep the default ``CAP_BYTES``.  Every solver reads the
-model's own horizon; ``PosgModel.with_horizon`` sets another.
+every model measured, tiny ones included.  The loop's best replies are not
+counted: the private DP pushes the state's own level once and the levels
+below it in batches of at most ``PRIVATE_BATCH_ROWS`` rows.  The normal
+forms and the values from mid-game states keep the default ``CAP_BYTES``.
+Every solver reads the model's own horizon; ``PosgModel.with_horizon`` sets
+another.
 """
 
 from __future__ import annotations
@@ -73,7 +82,12 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapExceededError, ModelValidationError
+from .errors import (
+    CapExceededError,
+    CertificateError,
+    ModelValidationError,
+    UndefinedDecisionRuleError,
+)
 from .model import PosgModel
 from .occupancy import (
     Histories,
@@ -194,7 +208,7 @@ def matrix_game_value(payoffs, tolerance: float = DEFAULT_TOLERANCE) -> MatrixGa
         _block_diagonal([A[np.ix_(rows, cols)]]), (one_set, one_set), (len(rows), len(cols))
     )
     if gap > max(tolerance, 1e-7) * max(1.0, np.abs(A).max()):
-        raise RuntimeError(f"matrix game duality gap {gap:.3g} exceeds tolerance")
+        raise CertificateError(f"matrix game duality gap {gap:.3g} exceeds tolerance")
     row, col = np.zeros(m), np.zeros(n)
     row[rows], col[cols] = x, y
     return MatrixGameSolution(value, row, col, "lp", gap)
@@ -339,35 +353,95 @@ def _private_dp(
     t: int,
 ) -> tuple[float, PolicyTree, dict[PrivateHistory, tuple[float, ...]]]:
     """Bellman optimality over private occupancy states below ``s_i`` at step
-    ``t``: its value, its greedy tree, and the q per own action on every
-    history that tree reaches.
-
-    The states are pushed in batches (``_private_batch``), depth first, each
-    state in one batch; own histories are numbered from ``s_i``'s anchor, 0,
-    as their parents' pushes reach them, and the greedy tree is decoded from
-    the q-table as the history route decodes its own (``_pure_tree``)."""
-    batches: list[tuple[int, list[PrivateHistory], np.ndarray]] = []
-    kids: dict[tuple[int, int, int], int] = {}
+    ``t`` (``_private_best``, the others' rules turned into rows once): its
+    value, its greedy tree, and the q per own action on every history that
+    tree reaches, the only own histories built."""
     level, hists = level_of(model, s_i)
-    probs = others_rule_arrays(model, profiles[t], agent, hists)
-    _private_batch(model, profiles, agent, level, hists, probs, t, 0, batches, kids)
+    others = [
+        None if j == agent
+        else {k: _rule_rows(model, j, profiles[k][j], hs, t) for k in range(t, len(profiles))}
+        for j, hs in enumerate(hists)
+    ]
+    value, index, played, q, kids = _private_best(model, agent, level, others, t)
+    above = {c: key for key, c in kids.items()}
+    own = {0: s_i.anchor}
+    for j in (np.array(played[1:], dtype=np.intp) // len(model.actions[agent])).tolist():
+        parent, u, z = above[j]  # played in preorder: a parent comes first
+        own[j] = own[parent].child(u, z)
+    table = {h: tuple(q[j].tolist()) for j, h in own.items()}
+    return value, _tree(model, agent, index, model.horizon - t), table
+
+
+def _rule_rows(
+    model: PosgModel, agent: int, rule: DecisionRule, roots: Sequence[PrivateHistory], t: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The agent's decision rule as action rows by trie code below its
+    histories ``roots`` at step ``t`` (``_plan_rows``' form, code ``a`` at
+    ``roots[a]``); entries below no root are left out."""
+    n_u, n_z = len(model.actions[agent]), model.n_agent_obs(agent)
+    at = {h.steps: a for a, h in enumerate(roots)}
+    rows = {}
+    for h, dist in rule.probs.items():
+        if h.steps[:t] in at:
+            code = at[h.steps[:t]]
+            for u, z in h.steps[t:]:
+                code = (code * n_u + u) * n_z + z
+            rows[code] = dist
+    codes = sorted(rows)
+    table = np.array([rows[c] for c in codes], dtype=float).reshape(len(codes), n_u)
+    return np.array(codes, dtype=np.intp), table
+
+
+def _rows_at(rows: tuple[np.ndarray, np.ndarray], codes: np.ndarray) -> np.ndarray:
+    """The action row ``rows`` (sorted trie codes, one row each, as
+    ``_plan_rows`` builds them) holds at each of ``codes``."""
+    keys, table = rows
+    if not np.isin(codes, keys).all():
+        raise UndefinedDecisionRuleError("undefined decision rule at a reached history")
+    return table[np.searchsorted(keys, codes)]
+
+
+def _child_codes(
+    model: PosgModel, codes: Sequence[np.ndarray], reached: Sequence[np.ndarray]
+) -> tuple[np.ndarray, ...]:
+    """Each agent's trie code per child id of a push (``next_level``'s
+    ``reached``) from its code per parent id: ``(code * n_u + u) * n_z + z``."""
+    widths = [len(u) * model.n_agent_obs(i) for i, u in enumerate(model.actions)]
+    return tuple(c[r // w] * w + r % w for c, r, w in zip(codes, reached, widths))
+
+
+def _private_best(
+    model: PosgModel,
+    agent: int,
+    level: Level,
+    others: Sequence[Mapping[int, tuple[np.ndarray, np.ndarray]] | None],
+    t: int,
+) -> tuple[float, int, list[int], np.ndarray, dict[tuple[int, int, int], int]]:
+    """The agent's best response at step ``t`` by the batched private DP
+    (``_private_batch``), one root state per own history ``a`` of ``level``
+    at its mass, the others playing ``others[j][step]`` by trie code, code
+    ``a`` at their history ``a``.  Returns the roots' best q summed, the
+    greedy plan's index (one tree per root, ``_pure_tree``) and sequences,
+    the q per state and the ``kids`` numbering the states, roots first."""
+    n = level.n_sets[agent]
+    batches: list[tuple[int, np.ndarray]] = []
+    kids = {(-1, 0, a): a for a in range(n)}  # the roots, children of no state
+    codes = tuple(np.arange(k) for k in level.n_sets)
+    _private_batch(model, agent, level, codes, others, t, 0, batches, kids)
     batches.sort(key=lambda batch: batch[0])
-    own = [h for _, hs, _ in batches for h in hs]
-    n_u = len(model.actions[agent])
-    q = np.concatenate([qs for _, _, qs in batches]).reshape(-1, n_u)
-    depth = model.horizon - t
-    index, played = _pure_tree(model, agent, kids, lambda j: _argmax_lowest(q[j]), (0,), depth)
-    table = {own[j]: tuple(q[j].tolist()) for j in (np.array(played) // n_u).tolist()}
-    return float(q[0].max()), _tree(model, agent, index, depth), table
+    q = np.concatenate([qs for _, qs in batches]).reshape(-1, len(model.actions[agent]))
+    index, played = _pure_tree(
+        model, agent, kids, lambda j: _argmax_lowest(q[j]), range(n), model.horizon - t
+    )
+    return float(q[:n].max(axis=1).sum()), index, played, q, kids
 
 
 def _private_batch(
     model: PosgModel,
-    profiles: list[dict[int, DecisionRule]],
     agent: int,
     level: Level,
-    hists: Histories,
-    probs: list[np.ndarray | None],
+    codes: tuple[np.ndarray, ...],
+    others: Sequence[Mapping[int, tuple[np.ndarray, np.ndarray]] | None],
     t: int,
     first: int,
     batches: list,
@@ -375,36 +449,37 @@ def _private_batch(
 ) -> np.ndarray:
     """The values at step ``t`` of a batch of private occupancy states: one
     per own history of ``level`` (numbered from ``first``), whose entries
-    are those states' entries, each state normalized on its own.
+    are those states' entries, each state normalized on its own; ``codes[i]``
+    is agent ``i``'s trie code per history id.
 
-    One push weighs every own action 1, the others acting by their rules;
-    each own action's reward is its rows' sum per state (``own_rewards``),
-    and the children are grouped by the agent's own history, one child
-    state per (state, own action, own observation) reached, each normalized
-    on its own with its probability ``ω`` (``normalized_groups``).  The
-    children go on in batches of consecutive states (at least one each)
-    that hold at most ``PRIVATE_BATCH_ROWS`` rows: the rows their own push
-    holds or, at the last step, which pushes nothing, their (entry, joint
-    action) pairs.  Each q then adds ``γ·ω·V`` of its children in increasing
-    own observation.  Appends ``(first, own histories, flat q)`` to
-    ``batches`` and each child's number to ``kids``, and returns each
-    state's best q."""
+    One push weighs every own action 1, the others acting by their rows at
+    their codes (``_rows_at``); each own action's reward is its rows' sum
+    per state (``own_rewards``), and the children are grouped by the agent's
+    own history, one child state per (state, own action, own observation)
+    reached, each normalized on its own with its probability ``ω``
+    (``normalized_groups``).  The children go on in batches of consecutive
+    states (at least one each) that hold at most ``PRIVATE_BATCH_ROWS``
+    rows: the rows their own push holds or, at the last step, which pushes
+    nothing, their (entry, joint action) pairs.  Each q then adds ``γ·ω·V``
+    of its children in increasing own observation.  Appends ``(first, flat
+    q)`` to ``batches`` and each child's number to ``kids``, and returns
+    each state's best q."""
     n_u, n_z = len(model.actions[agent]), model.n_agent_obs(agent)
     n = level.n_sets[agent]
+    probs = [None if rows is None else _rows_at(rows[t], c) for rows, c in zip(others, codes)]
     a = action_probs(model, level, probs)
     q = own_rewards(model, level, a, agent)
-    batches.append((first, hists[agent], q))
+    batches.append((first, q))
     if t + 1 == model.horizon:
         return q.reshape(n, n_u).max(axis=1)
     pushed = next_level(model, level, a, rows=True, first_seen=True)
     del a  # the children are solved depth first: hold no more than needed
-    codes = pushed.reached[agent]
-    base = 1 + len(kids)  # the first child's number
-    kids.update(zip(_kid_keys(model, agent, codes, first), range(base, base + len(codes))))
-    omega, keep, p, ends = normalized_groups(pushed, pushed.level.ids[agent], len(codes))
-    level, hists = pushed.level, child_histories(model, hists, pushed.reached)
+    reached = pushed.reached[agent]
+    base = len(kids)  # the first child's number
+    kids.update(zip(_kid_keys(model, agent, reached, first), range(base, base + len(reached))))
+    omega, keep, p, ends = normalized_groups(pushed, pushed.level.ids[agent], len(reached))
+    level, codes = pushed.level, _child_codes(model, codes, pushed.reached)
     del pushed
-    probs = others_rule_arrays(model, profiles[t + 1], agent, hists)
     # child states lo..hi-1 hold entries ends[lo]:ends[hi] and cost
     # rows[hi] - rows[lo]: the rows they push or, at the last step, which
     # pushes nothing, their (entry, joint action) pairs
@@ -413,22 +488,21 @@ def _private_batch(
     else:
         counts = np.diff(model._successor_arrays.begin)[level.xs[keep]]
         rows = np.concatenate([[0], np.cumsum(counts)])[ends]
-    v = np.empty(len(codes))
+    v = np.empty(len(reached))
     lo = 0
-    while lo < len(codes):
+    while lo < len(reached):
         hi = int(np.searchsorted(rows, rows[lo] + PRIVATE_BATCH_ROWS, side="right")) - 1
         hi = max(lo + 1, hi)
         entries = slice(ends[lo], ends[hi])
-        sub, sub_hists, used = sub_level(level, hists, keep[entries], p[entries])
+        sub, used = sub_level(level, keep[entries], p[entries])
         v[lo:hi] = _private_batch(
-            model, profiles, agent, sub, sub_hists,
-            [None if rule is None else rule[u] for rule, u in zip(probs, used)],
+            model, agent, sub, tuple(c[u] for c, u in zip(codes, used)), others,
             t + 1, base + lo, batches, kids,
         )
         lo = hi
     for z in range(n_z):  # increasing own observation within each (state, action)
-        at = codes % n_z == z
-        q[codes[at] // n_z] += model.discount * omega[at] * v[at]
+        at = reached % n_z == z
+        q[reached[at] // n_z] += model.discount * omega[at] * v[at]
     return q.reshape(n, n_u).max(axis=1)
 
 
@@ -485,7 +559,7 @@ def _sequence_payoffs(
 
     One forward walk, level by level, pushes the mass of ``s`` through
     (state, per-agent information set) pairs, every joint action and outcome
-    of a level at once, starting from the level of ``s`` (``level_of``).
+    of a level at once, starting from the level of ``s`` (``_anchored_level``).
     Agent ``i``'s sets are numbered level by level: set ``a`` is its anchor
     ``anchors[i][a]``, then each level's reached sets follow in (parent set,
     own action, own observation) order, and ``kids[i][(j, u, z)]`` is the
@@ -507,16 +581,10 @@ def _sequence_payoffs(
     with weight 1, as every agent does without ``weights``.
     """
     n_us = tuple(len(labels) for labels in model.actions)
-    n_zs = tuple(model.n_agent_obs(i) for i in range(model.n_agents))
     # rewards[x, u_0, ..., u_{n-1}, k] for the k-th agent of interest
     rewards = np.moveaxis(model.rewards[list(agents_of_interest)], 0, -1)
     rewards = rewards.reshape((model.n_states,) + n_us + (-1,))
-    level, hists = level_of(model, s)
-    # each agent's history ids renumbered from first appearance to anchor order
-    pos = [{h: a for a, h in enumerate(anc)} for anc in anchors]
-    level = level._replace(ids=tuple(
-        np.array([p[h] for h in hs], dtype=np.intp)[k] for p, hs, k in zip(pos, hists, level.ids)
-    ))
+    level = _anchored_level(model, s, anchors)
     n_sets = level.n_sets
     first = [0] * model.n_agents  # id of the level's first set, per agent
     kids: list[dict[tuple[int, int, int], int]] = [{} for _ in anchors]
@@ -526,10 +594,8 @@ def _sequence_payoffs(
     for d in range(model.horizon - s.t):
         if weights is not None:
             for i, (codes, w) in enumerate(zip(trie, weights)):
-                played[i].append(
-                    np.ones((len(codes), n_us[i])) if w is None
-                    else w[d][1][np.searchsorted(w[d][0], codes)]
-                )
+                ones = w is None
+                played[i].append(np.ones((len(codes), n_us[i])) if ones else _rows_at(w[d], codes))
             a = action_probs(model, level, [p[-1] for p in played])
         blocks.append(_payoff_block(level, rewards))
         if d + 1 == model.horizon - s.t:
@@ -541,12 +607,23 @@ def _sequence_payoffs(
             keys = _kid_keys(model, i, codes, first[i])
             kids[i].update(zip(keys, range(base, base + len(codes))))
             first[i] = base
-            j, uz = np.divmod(codes, n_us[i] * n_zs[i])
-            trie[i] = trie[i][j] * (n_us[i] * n_zs[i]) + uz
+        trie = _child_codes(model, trie, pushed.reached)
         level = pushed.level
     if weights is None:
         return blocks, kids, None
     return blocks, kids, [np.concatenate(p, axis=None) for p in played]
+
+
+def _anchored_level(
+    model: PosgModel, s: OccupancyState, anchors: Sequence[Sequence[PrivateHistory]]
+) -> Level:
+    """The level of ``s`` (``level_of``), each agent's history ids renumbered
+    from first appearance to the order of its ``anchors``."""
+    level, hists = level_of(model, s)
+    pos = [{h: a for a, h in enumerate(anc)} for anc in anchors]
+    return level._replace(ids=tuple(
+        np.array([p[h] for h in hs], dtype=np.intp)[k] for p, hs, k in zip(pos, hists, level.ids)
+    ))
 
 
 def _kid_keys(model: PosgModel, agent: int, codes: np.ndarray, first: int):
@@ -658,32 +735,24 @@ def _restricted_bytes(
     joint-action probabilities and, above the last depth, six arrays over
     its push's rows (one per nonzero dynamics cell of the entry's state);
     building the sparse ``G`` holds six items per cell.  ``WALK_FIXED_BYTES``
-    is added for the rest.  A restricted pair counts as the larger of both
-    best replies' walks against its sets, which hold more at every depth, so
-    it covers the pair's own walk and its reply walks."""
+    is added for the rest."""
     n_us = [len(labels) for labels in model.actions]
     rows = int(np.diff(model._successor_arrays.begin).max())
-    whole = [
-        [k // n_u for k in _trie_size(model, i, n_anchors[i], depth)[0]]
-        for i, n_u in enumerate(n_us)
+    per_depth = [
+        [k // n_u for k in _trie_size(model, i, n_anchors[i], depth)[0]] if n is None else n
+        for i, (n_u, n) in enumerate(zip(n_us, sets))
     ]
-
-    def walk(sets) -> int:
-        joint = [math.prod(n[d] for n in sets) for d in range(depth)]
-        cells = [n * math.prod(n_us) for n in joint]
-        peak = max(
-            (
-                sum(cells[:d]) + 3 * cells[d]
-                + model.n_states * n * (model.n_joint_actions + 4 + 6 * rows * (d + 1 < depth))
-                for d, n in enumerate(joint)
-            ),
-            default=0,  # no depth below the horizon: ``_normal_form`` refuses the walk
-        )
-        return 8 * max(peak, 6 * sum(cells)) + WALK_FIXED_BYTES
-
-    if all(n is not None for n in sets):
-        return max(walk([whole[0], sets[1]]), walk([sets[0], whole[1]]))
-    return walk([w if n is None else n for w, n in zip(whole, sets)])
+    joint = [math.prod(n[d] for n in per_depth) for d in range(depth)]
+    cells = [n * math.prod(n_us) for n in joint]
+    peak = max(
+        (
+            sum(cells[:d]) + 3 * cells[d]
+            + model.n_states * n * (model.n_joint_actions + 4 + 6 * rows * (d + 1 < depth))
+            for d, n in enumerate(joint)
+        ),
+        default=0,  # no depth below the horizon: ``_walk`` refuses the walk
+    )
+    return 8 * max(peak, 6 * sum(cells)) + WALK_FIXED_BYTES
 
 
 def _parents(kids: Mapping[tuple[int, int, int], int], n_sets: int, n_u: int) -> np.ndarray:
@@ -701,7 +770,6 @@ def _normal_form(
     cap_bytes: int,
     keep: Sequence[int] = (),
     uncontracted: Sequence[int] = (),
-    weights: Sequence[Sequence[tuple[np.ndarray, np.ndarray]] | None] | None = None,
 ) -> tuple[list, list[np.ndarray | None], list[dict], list[np.ndarray]]:
     """Payoff tensors below occupancy ``s``, one per agent of interest and one
     axis per agent, with each agent's realization matrix, the ``kids`` of
@@ -718,36 +786,18 @@ def _normal_form(
     ``uncontracted`` follow, each the dense block-diagonal ``G`` over the two
     agents' sequences.
 
-    The byte count follows from the agents kept, and must stay within
-    ``cap_bytes``, checked before the walk and any enumeration: where some
-    agent is enumerated, ``_predicted_bytes``; where every agent is kept (a
-    walk of the zero-sum loop), ``_restricted_bytes`` over each agent's sets
-    in ``weights``, or its whole trie where it has none.  With ``weights``
-    the walk pushes weighted actions only (``_sequence_payoffs``), and the
-    second item is each agent's weight per sequence.
+    ``_predicted_bytes`` must stay within ``cap_bytes``, checked before the
+    walk and any enumeration.  The zero-sum loop counts its own walks
+    (``_restricted_bytes``) and calls ``_walk`` directly.
     """
     depth = model.horizon - s.t
     anchors = [_anchors(model, s, i) for i in range(model.n_agents)]
-    n_anchors = [len(a) for a in anchors]
-    if len(keep) < model.n_agents:
-        what, n_bytes = "normal form", _predicted_bytes(
-            model, n_anchors, depth, keep, len(agents_of_interest), len(uncontracted)
-        )
-    else:
-        what, n_bytes = "restricted game", _restricted_bytes(
-            model, n_anchors, depth, _set_counts(weights or [None] * model.n_agents)
-        )
+    n_bytes = _predicted_bytes(
+        model, [len(a) for a in anchors], depth, keep, len(agents_of_interest), len(uncontracted)
+    )
     if n_bytes > cap_bytes:
-        raise CapExceededError(what, n_bytes, cap_bytes, " bytes")
-    return _walk(model, s, anchors, agents_of_interest, keep, uncontracted, weights)
-
-
-def _set_counts(
-    weights: Sequence[Sequence[tuple[np.ndarray, np.ndarray]] | None],
-) -> list[list[int] | None]:
-    """Each agent's information sets per depth in its ``weights`` rows, None
-    where it has none: the ``sets`` of ``_restricted_bytes``."""
-    return [None if w is None else [len(codes) for codes, _ in w] for w in weights]
+        raise CapExceededError("normal form", n_bytes, cap_bytes, " bytes")
+    return _walk(model, s, anchors, agents_of_interest, keep, uncontracted)
 
 
 def _walk(
@@ -761,7 +811,9 @@ def _walk(
 ) -> tuple[list, list[np.ndarray | None], list[dict], list[np.ndarray]]:
     """``_normal_form`` from ``s``'s ``anchors`` after its byte count was
     checked: by ``_normal_form``, or by the zero-sum loop, which counts each
-    pair it walks once."""
+    pair it walks once.  With ``weights`` the walk pushes weighted actions
+    only (``_sequence_payoffs``), and the second item is each agent's weight
+    per sequence."""
     depth = model.horizon - s.t
     if depth < 1:
         raise ValueError("occupancy state is already at the horizon")
@@ -1083,35 +1135,6 @@ def _plan_rows(
     return out
 
 
-def _best_reply(
-    model: PosgModel,
-    s: OccupancyState,
-    agent: int,
-    rows: Sequence[tuple[np.ndarray, np.ndarray]],
-    cap_bytes: int,
-) -> tuple[float, int]:
-    """The value in agent 0's payoff (the most for agent 0, the least for
-    agent 1) and the plan index of the agent's best pure reply below
-    occupancy ``s`` to the other playing ``rows`` (``_plan_rows``), one tree
-    per anchor: one walk of the agent's whole trie against those weights,
-    ``G`` times the other's weight per sequence folded over the trie.  Ties
-    break as in ``_argmax_lowest``; sets the walk never reaches play action
-    0."""
-    weights = [None, rows] if agent == 0 else [rows, None]
-    (G,), played, kids, parents = _normal_form(
-        model, s, [0], cap_bytes, keep=(0, 1), weights=weights
-    )
-    sign, best = (1.0, np.max) if agent == 0 else (-1.0, np.min)
-    g = G @ played[1] if agent == 0 else played[0] @ G
-    v = _trie_fold(g, parents[agent], len(model.actions[agent]), best)
-    roots = np.flatnonzero(parents[agent] < 0)
-    index, _ = _pure_tree(
-        model, agent, kids[agent], lambda j: _argmax_lowest(sign * v[j]), roots.tolist(),
-        model.horizon - s.t,
-    )
-    return float(best(v[roots], axis=-1).sum()), index
-
-
 def _double_oracle(
     model: PosgModel, s: OccupancyState, tolerance: float, cap_bytes: int
 ) -> tuple[SequenceFormSolution, object]:
@@ -1121,25 +1144,28 @@ def _double_oracle(
 
     Each agent's set of sequences is its whole trie (None) or a union of
     pure plans, one tree per anchor, held as 0/1 rows by trie code
-    (``_plan_rows``).  Both start whole where the whole pair's walk fits
-    ``cap_bytes`` and holds no more than the first restricted iteration:
-    one walk and two reply walks of the seed pair, plan 0 each
-    (``_restricted_bytes``).  Each pair is counted once, before its first
-    walk, and refused over ``cap_bytes``.  Each iteration walks the pair,
-    solves its LP and prices each plan by the opponent's best reply: a fold
-    over ``G`` on whole sets, so that one iteration is the full LP
-    (``sequence-form-lp``, or ``normal-form+…`` for the matrix game of one
-    set each), and ``_best_reply`` against the plan's Kuhn mixture on
-    restricted ones, a walk that ``_normal_form`` counts.  It stops when the
-    full LP's certificate, the duality gap plus what each side's opponent
-    gains by its best reply, is within ``max(tolerance, 1e-7)`` times the
-    largest payoff in ``G`` (no larger than the full one); otherwise the
-    replies join the restricted sets, and an iteration that adds no
-    sequence raises."""
+    (``_plan_rows``).  Each pair's walk is counted once, before it
+    (``_restricted_bytes``), and refused over ``cap_bytes``.  Both sets start
+    whole where the whole pair's walk fits ``cap_bytes`` and counts no more
+    than four walks of the seed pair, plan 0 each (on the bundled and test
+    models that ratio is at most 3.6 or at least 4.4).  Each iteration walks
+    the pair, solves its LP and prices each plan by the opponent's best
+    reply: a fold over ``G`` on whole sets, so that one iteration is the
+    full LP (``sequence-form-lp``, or ``normal-form+…`` for the matrix game
+    of one set each), and on restricted ones the batched private DP
+    (``_private_best``) from the level of ``s``, one root per anchor,
+    against the plan's Kuhn mixture as action rows by trie code; agent 1's
+    reply is priced in its own payoff, ``-G``.  It stops when the full LP's
+    certificate, the duality gap plus what each side's opponent gains by its
+    best reply, is within ``max(tolerance, 1e-7)`` times the largest payoff
+    in ``G`` (no larger than the full one); otherwise the replies join the
+    restricted sets, and an iteration that adds no sequence raises
+    ``CertificateError``."""
     depth = model.horizon - s.t
     anchors = tuple(tuple(_anchors(model, s, i)) for i in range(2))
     n_anchors = [len(a) for a in anchors]
     n_us = [len(labels) for labels in model.actions]
+    level = _anchored_level(model, s, anchors)
 
     def restricted(plans) -> list[list[tuple[np.ndarray, np.ndarray]]]:
         """Each agent's 0/1 rows of the sequences its plans play."""
@@ -1153,7 +1179,7 @@ def _double_oracle(
     seed = [[n * model.n_agent_obs(i) ** d for d in range(depth)] for i, n in enumerate(n_anchors)]
     full = _restricted_bytes(model, n_anchors, depth, [None, None])
     n_bytes = _restricted_bytes(model, n_anchors, depth, seed)
-    whole = full <= min(cap_bytes, 3 * n_bytes)
+    whole = full <= min(cap_bytes, 4 * n_bytes)
     plans: list[dict[int, float]] = [{0: 1.0}, {0: 1.0}]  # each set's plans, by index
     sets, n_bytes = (None, full) if whole else (restricted(plans), n_bytes)
     for iteration in itertools.count(1):
@@ -1180,7 +1206,11 @@ def _double_oracle(
                 for i, plan in enumerate((x, y))
             ]
             rows = [_plan_rows(model, i, kuhn[i], n_anchors[i], depth) for i in range(2)]
-            replies = [_best_reply(model, s, i, rows[1 - i], cap_bytes) for i in range(2)]
+            replies = []
+            for i in range(2):  # agent 1 replies in its own payoff, -G
+                others = [None if j == i else dict(enumerate(rows[j], s.t)) for j in range(2)]
+                best, index, *_ = _private_best(model, i, level, others, s.t)
+                replies.append((best if i == 0 else -best, index))
         exploitability = (max(0.0, value - replies[1][0]), max(0.0, replies[0][0] - value))
         certificate = gap + sum(exploitability)
         if certificate <= max(tolerance, 1e-7) * max(1.0, float(np.abs(G.data).max(initial=0.0))):
@@ -1189,9 +1219,10 @@ def _double_oracle(
             plans = [{**p, index: 1.0} for p, (_, index) in zip(plans, replies)]
             grown = restricted(plans)
         if whole or sizes(grown) == sizes(sets):  # nothing left to add
-            raise RuntimeError(f"zero-sum certificate {certificate:.3g} exceeds tolerance")
+            raise CertificateError(f"zero-sum certificate {certificate:.3g} exceeds tolerance")
         sets = grown
-        n_bytes = _restricted_bytes(model, n_anchors, depth, _set_counts(sets))
+        counts = [[len(codes) for codes, _ in per_depth] for per_depth in sets]
+        n_bytes = _restricted_bytes(model, n_anchors, depth, counts)
     grew = {"sequences": G.shape} if whole else {"sequences": sizes(sets), "iterations": iteration}
     metadata = {
         "method": method, **grew, "duality_gap": gap, "exploitability": exploitability,
@@ -1377,7 +1408,7 @@ def _stackelberg_kernel(
     n_us = [len(model.actions[i]) for i in range(2)]
     value, x, k, follower, regret = _multiple_lp(L, G_F, R_F, parents, n_us)
     if regret > max(tolerance, 1e-7) * max(1.0, float(np.abs(G_F).max(initial=0.0))):
-        raise RuntimeError(f"stackelberg follower regret {regret:.3g} exceeds tolerance")
+        raise CertificateError(f"stackelberg follower regret {regret:.3g} exceeds tolerance")
     anchors = tuple(tuple(_anchors(model, s, i)) for i in range(2))
     metadata = {"method": "multiple-lp", "shape": L.shape, "follower_regret": regret}
     return SequenceFormSolution((value, follower), (x, R_F[k]), anchors, tuple(kids), metadata)

@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from occupancy_games import verify
+from occupancy_games import solve, verify
 from occupancy_games.cli import main
 from occupancy_games.model import parse_posg
 from occupancy_games.solve import induced_normal_form
@@ -66,8 +67,8 @@ def test_solve_cap_exceeded(capsys):
 
 def test_zero_sum_cap_counts_sequences(capsys):
     # tiger-zs at its horizon 2.  The loop starts from both agents' whole
-    # tries where that walk fits the cap (and counts no more than three
-    # walks of the seed pair, 3 x 138,024 bytes).  The whole walk counts
+    # tries where that walk fits the cap (and counts no more than four
+    # walks of the seed pair, 4 x 138,024 bytes).  The whole walk counts
     # most where it builds the sparse G: 8-byte items, six per cell of its
     # 9 + 36 * 9 payoff cells, plus the walk's fixed 2^17 bytes,
     # 8 * 6 * (9 + 36 * 9) + 131,072 = 147,056 bytes
@@ -78,12 +79,14 @@ def test_zero_sum_cap_counts_sequences(capsys):
     # walk counts three arrays over the 9 payoff cells at the start and, for
     # each of its 2 entries, 9 joint actions, 4 level arrays and 6 arrays
     # over 68 dynamics rows, 8 * (3 * 9 + 2 * (9 + 4 + 6 * 68)) + 131,072 =
-    # 138,024 bytes; its second iteration's largest walk counts 141,872
-    code, out, _ = run(capsys, "solve", TIGER_ZS, "--cap", "147055")
-    lines = out.splitlines()
-    assert code == 0 and "value_1: 0" in lines
-    method = lines.index("method: sequence-form-double-oracle")
-    assert lines[method + 1 : method + 3] == ["sequences: 3 6", "iterations: 2"]
+    # 138,024 bytes; its second pair counts most at the start too, the same
+    # 138,024, and the best replies count nothing
+    for cap in ("147055", "138024"):
+        code, out, _ = run(capsys, "solve", TIGER_ZS, "--cap", cap)
+        lines = out.splitlines()
+        assert code == 0 and "value_1: 0" in lines
+        method = lines.index("method: sequence-form-double-oracle")
+        assert lines[method + 1 : method + 3] == ["sequences: 3 6", "iterations: 2"]
     code, _, err = run(capsys, "solve", TIGER_ZS, "--cap", "138023")
     assert code == 3 and "restricted game too large: 138024 bytes exceeds cap 138023 bytes" in err
 
@@ -101,13 +104,34 @@ def test_solve_tiger_duel(capsys):
     # the whole walk counts the same 147,056 bytes as tiger-zs's; under it
     # the loop starts from the seed pair, whose first walk counts as
     # tiger-zs's with tiger-duel's 60 dynamics rows per state,
-    # 8 * (3 * 9 + 2 * (9 + 4 + 6 * 60)) + 131,072 = 137,256 bytes
-    code, out, _ = run(capsys, "solve", TIGER_DUEL, "--cap", "147055")
-    assert code == 0 and "value_1: 0.5" in out.splitlines()
-    assert "method: sequence-form-double-oracle" in out
+    # 8 * (3 * 9 + 2 * (9 + 4 + 6 * 60)) + 131,072 = 137,256 bytes, and so
+    # does its second pair
+    for cap in ("147055", "137256"):
+        code, out, _ = run(capsys, "solve", TIGER_DUEL, "--cap", cap)
+        assert code == 0 and "value_1: 0.5" in out.splitlines()
+        assert "method: sequence-form-double-oracle" in out
     code, out, err = run(capsys, "solve", TIGER_DUEL, "--cap", "137255")
     assert code == 3 and out == ""
     assert "restricted game too large: 137256 bytes exceeds cap 137255 bytes" in err
+
+
+def test_an_uncertified_solve_exits_6(capsys, monkeypatch):
+    # an LP whose plan for agent 1 is off by 1e-3 (mixed with plan 0, which
+    # every restricted set holds) leaves the zero-sum loop's certificate
+    # open until its sets stop growing: an error line and exit 6
+    real = solve._realization_plan_lp
+
+    def off(G, parents, n_us, played=None):
+        value, x, y, gap = real(G, parents, n_us, played)
+        plan_0 = np.zeros_like(x)
+        for c, p in enumerate(parents[0]):  # sets follow their parents
+            plan_0[c * n_us[0]] = 1.0 if p < 0 else plan_0[p] * (p % n_us[0] == 0)
+        return value, (1 - 1e-3) * x + 1e-3 * plan_0, y, gap
+
+    monkeypatch.setattr(solve, "_realization_plan_lp", off)
+    code, out, err = run(capsys, "solve", TIGER_DUEL, "--horizon", "3")
+    assert code == 6 and out == "" and "Traceback" not in err
+    assert err.startswith("error: zero-sum certificate") and "exceeds tolerance" in err
 
 
 def test_verify_tiger_duel(capsys):
@@ -171,7 +195,7 @@ def test_tolerance_that_nothing_reads_is_a_usage_error(capsys, argv):
 
 
 def test_solve_zero_sum_four_steps(capsys):
-    # the whole tries' walk (777 sequences per agent) counts more than three
+    # the whole tries' walk (777 sequences per agent) counts more than four
     # seed walks: the loop starts from the seed pair
     code, out, _ = run(capsys, "solve", TIGER_ZS, "--horizon", "4")
     assert code == 0

@@ -383,16 +383,16 @@ def test_private_batches_equal_the_per_state_recursion(m, seed, budget, monkeypa
         assert best_response_private_from(m, policy, agent, s_i, 1) == below[0]
 
 
-def _batches(monkeypatch) -> tuple[list[list[PrivateHistory]], list[tuple[int, int]]]:
-    """The own histories of every batch agent 0's private route makes, and
-    the states and rows (before rows without mass are dropped) of each of
-    its pushes (``next_level`` calls)."""
+def _batches(monkeypatch) -> tuple[list[list[tuple[int, int]]], list[tuple[int, int]]]:
+    """The own histories, as (step, trie code), of every batch agent 0's
+    private route makes, and the states and rows (before rows without mass
+    are dropped) of each of its pushes (``next_level`` calls)."""
     batches, pushes = [], []
     batch, push = solve._private_batch, solve.next_level
 
-    def recorded_batch(model, profiles, agent, level, hists, *args):
-        batches.append(list(hists[agent]))
-        return batch(model, profiles, agent, level, hists, *args)
+    def recorded_batch(model, agent, level, codes, others, t, *args):
+        batches.append([(t, code) for code in codes[agent].tolist()])
+        return batch(model, agent, level, codes, others, t, *args)
 
     def recorded_push(model, level, *args, **kwargs):
         rows = int(np.diff(model._successor_arrays.begin)[level.xs].sum())
@@ -425,8 +425,8 @@ def test_private_route_pushes_each_state_once_from_a_mid_game_state(tiger, monke
     batches, pushes = _batches(monkeypatch)
     best_response_private_from(m, {1: other}, 0, s_i, 1)
     hists = [h for batch in batches for h in batch]
-    assert len(hists) == len(set(hists)) == 7
-    assert all(h.steps[0] == (2, 1) for h in hists)
+    # the root, code 0 at t=1, and its 6 children below it, codes 0..5 at t=2
+    assert sorted(hists) == [(1, 0)] + [(2, code) for code in range(6)]
     assert [states for states, _ in pushes] == [1]
 
 
@@ -453,10 +453,10 @@ def test_last_step_batches_are_sized_by_what_they_hold(tiger, monkeypatch):
     monkeypatch.setattr(solve, "PRIVATE_BATCH_ROWS", 2000)
     leaves, batch = [], solve._private_batch
 
-    def recorded_batch(model, profiles, agent, level, hists, probs, t, *args):
+    def recorded_batch(model, agent, level, codes, others, t, *args):
         if t + 1 == model.horizon:
-            leaves.append((len(hists[agent]), len(level.xs) * model.n_joint_actions))
-        return batch(model, profiles, agent, level, hists, probs, t, *args)
+            leaves.append((level.n_sets[agent], len(level.xs) * model.n_joint_actions))
+        return batch(model, agent, level, codes, others, t, *args)
 
     monkeypatch.setattr(solve, "_private_batch", recorded_batch)
     best_response_private(m, {1: other}, 0)
@@ -657,7 +657,7 @@ def test_one_sided_solvers_stay_off_the_joint_normal_form():
 def test_only_normal_form_sets_up_a_sequence_form():
     # depth check, cap, walk and parent numbering live in _normal_form alone
     for fn in (
-        solve._double_oracle, solve._best_reply, solve._one_sided, solve._stackelberg_kernel,
+        solve._double_oracle, solve._private_best, solve._one_sided, solve._stackelberg_kernel,
     ):
         code = compile(inspect.getsource(fn), solve.__file__, "exec")
         forbidden = {"_sequence_payoffs", "_trie_size", "_predicted_bytes", "_parents"}
@@ -1044,7 +1044,7 @@ def test_zero_sum_kuhn_mixtures_realize_the_plans(request, name, horizon):
 def test_zero_sum_loop_counts_each_pair_once(one_stage_zs, tiger_zs, monkeypatch):
     # the start rule counts the whole pair and the seed pair, and the loop
     # walks whichever it picks without counting it again; past the seed, each
-    # grown pair is counted once, and each reply walk once by _normal_form
+    # grown pair is counted once, and the best replies count nothing
     count, pairs = solve._restricted_bytes, []
 
     def counted(model, n_anchors, depth, sets):
@@ -1057,25 +1057,23 @@ def test_zero_sum_loop_counts_each_pair_once(one_stage_zs, tiger_zs, monkeypatch
     pairs.clear()
     eq = solve_zero_sum(tiger_zs.with_horizon(3))
     assert eq.metadata["iterations"] == 2
-    both = [sets for sets in pairs if None not in sets]
-    replies = [sets for sets in pairs if sets.count(None) == 1]
-    assert len(both) == 2 and len(replies) == 2 * 2 and len(pairs) == 1 + 2 + 4
+    assert pairs == [[None, None], [[1, 2, 4], [1, 2, 4]], [[1, 2, 4], [1, 4, 8]]]
 
 
 def test_zero_sum_cap_counts_sequences_before_the_walk(tiger_zs):
     # tiger-zs: 3 actions x 2 observations.  The loop starts from both
     # agents' whole tries where that walk fits the cap and counts no more
-    # than three walks of the seed pair (plan 0 each): its first restricted
-    # walk and two reply walks.  _restricted_bytes counts 8-byte items plus
-    # WALK_FIXED_BYTES.  At h=2 the whole walk counts most where it builds
-    # the sparse G: six items per cell of its 9 + 36 * 9 payoff cells
+    # than four walks of the seed pair (plan 0 each).  _restricted_bytes
+    # counts 8-byte items plus WALK_FIXED_BYTES.  At h=2 the whole walk
+    # counts most where it builds the sparse G: six items per cell of its
+    # 9 + 36 * 9 payoff cells
     fixed = solve.WALK_FIXED_BYTES
     whole = 8 * 6 * (9 + 36 * 9) + fixed
-    # each seed walk counts most at the start: three arrays over its 9 payoff
+    # the seed walk counts most at the start: three arrays over its 9 payoff
     # cells, and for each of its 2 entries the 9 joint actions, the level's
     # 4 arrays and 6 arrays over the push's 68 dynamics rows
     seed = 8 * (3 * 9 + 2 * (9 + 4 + 6 * 68)) + fixed
-    assert (whole, seed) == (15_984 + 131_072, 6_952 + 131_072) and whole <= 3 * seed
+    assert (whole, seed) == (15_984 + 131_072, 6_952 + 131_072) and whole <= 4 * seed
     eq = solve_zero_sum(tiger_zs, cap_bytes=whole)
     assert eq.metadata["method"] == "sequence-form-lp" and eq.metadata["sequences"] == (21, 21)
     assert "iterations" not in eq.metadata
@@ -1083,34 +1081,27 @@ def test_zero_sum_cap_counts_sequences_before_the_walk(tiger_zs):
     # under the seed's own count it is refused
     with pytest.raises(CapExceededError, match=f"restricted game too large: {seed} bytes"):
         solve_zero_sum(tiger_zs, cap_bytes=seed - 1)
-    # at the seed's count the first iteration runs; the second reaches agent
-    # 1's restricted set of two trees, and agent 0's best reply over its 6
-    # sets against those 4 sets builds G from 1 + 6 * 4 joint sets of 9
-    # cells, six items per cell
-    second = 8 * 6 * 9 * (1 + 6 * 4) + fixed
-    with pytest.raises(CapExceededError, match=f"too large: {second} bytes exceeds cap {seed}"):
-        solve_zero_sum(tiger_zs, cap_bytes=seed)
-    with pytest.raises(CapExceededError, match=f"too large: {second} bytes"):
-        solve_zero_sum(tiger_zs, cap_bytes=second - 1)
-    for cap in (second, whole - 1):
+    # at the seed's count the loop runs: its second pair, agent 1's set of
+    # two trees against agent 0's one, counts most at the start too
+    for cap in (seed, whole - 1):
         eq = solve_zero_sum(tiger_zs, cap_bytes=cap)
         assert eq.metadata["method"] == "sequence-form-double-oracle"
         assert eq.metadata["sequences"] == (3, 6) and eq.metadata["iterations"] == 2
-    # at h=3 the whole walk's 6 * 9 * (1 + 36 + 1296) items are over three
+    # at h=3 the whole walk's 6 * 9 * (1 + 36 + 1296) items are over four
     # seed walks, each largest at depth 1: the 9 cells above, three arrays
-    # over 12 * 9 cells and 2 entries on each of 12 joint sets with
+    # over 4 * 9 cells and 2 entries on each of 4 joint sets with
     # 9 + 4 + 6 * 68 items
     whole = 8 * 6 * 9 * (1 + 36 + 1296) + fixed
-    seed = 8 * (9 + 3 * 108 + 2 * 12 * (9 + 4 + 6 * 68)) + fixed
-    assert (whole, seed) == (706_928, 214_568) and whole > 3 * seed
+    seed = 8 * (9 + 3 * 36 + 2 * 4 * (9 + 4 + 6 * 68)) + fixed
+    assert (whole, seed) == (706_928, 158_952) and whole > 4 * seed
     eq = solve_zero_sum(tiger_zs.with_horizon(3))
     assert eq.metadata["method"] == "sequence-form-double-oracle"
-    # at h=4 the loop's largest count: in its second iteration, agent 0's
-    # best reply over its 6^2 sets at depth 2 against agent 1's 8 there
-    # (two trees): the 9 * (1 + 6 * 4) cells above, three arrays over
-    # 9 * 288 cells, and 2 * 288 entries with 9 + 4 + 6 * 68 items each
-    largest = 8 * (9 * (1 + 6 * 4) + 3 * 9 * 288 + 2 * 288 * (9 + 4 + 6 * 68)) + fixed
-    assert largest == 2_003_976 + 131_072
+    # at h=4 the loop's largest count is its second pair's, at depth 2:
+    # agent 0's 4 sets there against agent 1's 8 (two trees), the
+    # 9 * (1 + 8) cells above, three arrays over 9 * 32 cells, and 2 * 32
+    # entries with 9 + 4 + 6 * 68 items each
+    largest = 8 * (9 * (1 + 8) + 3 * 9 * 32 + 2 * 32 * (9 + 4 + 6 * 68)) + fixed
+    assert largest == 223_112 + 131_072
     with pytest.raises(CapExceededError, match=f"restricted game too large: {largest} bytes"):
         solve_zero_sum(tiger_zs.with_horizon(4), cap_bytes=largest - 1)
     eq = solve_zero_sum(tiger_zs.with_horizon(4), cap_bytes=largest)
@@ -1128,15 +1119,15 @@ def value_from_the_start(m):
 @pytest.mark.parametrize(
     "name, solver, horizon, doubles",
     [
-        # the loop's first restricted pair covers agent 0's best reply over
-        # its whole trie against agent 1's seed tree: 6^d * 2^d joint sets at
-        # depth d, 9 cells each, largest at depth 5 with the cells above,
-        # three arrays over its cells and 2 entries per joint set, each with
-        # 9 joint actions, 4 level arrays and 6 arrays over its push's 68
-        # rows; the mid-game route runs the same loop
+        # the loop's seed pair, plan 0 each: 2^d * 2^d joint sets at depth d,
+        # 9 cells each, largest at depth 9 with the cells above, three arrays
+        # over its cells and 2 entries per joint set, each with 9 joint
+        # actions, 4 level arrays and 6 arrays over its push's 68 rows; h=11
+        # is the first horizon whose seed pair counts over 2^30 bytes (1.8
+        # GB; h=10 counts 457 MB), and the mid-game route runs the same loop
         *(
-            ("tiger_zs", solver, 7,
-             9 * sum(12**d for d in range(5)) + 3 * 9 * 12**5 + 2 * 12**5 * (9 + 4 + 6 * 68))
+            ("tiger_zs", solver, 11,
+             9 * sum(4**d for d in range(9)) + 3 * 9 * 4**9 + 2 * 4**9 * (9 + 4 + 6 * 68))
             for solver in (value_from_the_start, solve_zero_sum)
         ),
         # 3^15 agent-1 trees over 777 sequences, and the payoffs contracted
@@ -1354,8 +1345,8 @@ def test_tiger_duel_five_steps_by_the_loop(tiger_duel):
 def test_restricted_count_is_at_least_the_walks_peak(monkeypatch, case):
     # every walk of the zero-sum loop (_walk keeping both agents) against its
     # tracemalloc peak: on tiger-zs h=1..4 one walk of both agents' whole
-    # tries, on a "loop:" case every walk of the loop from the seed pair on
-    # that loop_models() case, its pairs' walks and its reply walks
+    # tries, on a "loop:" case every pair's walk of the loop from the seed
+    # pair on that loop_models() case
     from scipy import sparse  # noqa: F401  (imported for the first G, before any walk)
 
     walk, seen = solve._walk, []
@@ -1363,10 +1354,8 @@ def test_restricted_count_is_at_least_the_walks_peak(monkeypatch, case):
     def traced(model, s, anchors, agents, keep=(), uncontracted=(), weights=None):
         if keep != (0, 1):
             return walk(model, s, anchors, agents, keep, uncontracted, weights)
-        sets = solve._set_counts(weights or [None, None])
-        count = solve._restricted_bytes(
-            model, [len(a) for a in anchors], model.horizon - s.t, sets
-        )
+        sets = [None if w is None else [len(c) for c, _ in w] for w in weights or [None, None]]
+        count = solve._restricted_bytes(model, [len(a) for a in anchors], model.horizon - s.t, sets)
         model._successor_arrays  # built once per model, before the walk
         tracemalloc.start()
         try:
@@ -1392,14 +1381,16 @@ def test_restricted_count_is_at_least_the_walks_peak(monkeypatch, case):
         assert any(count - solve.WALK_FIXED_BYTES < peak for count, peak in seen), seen
 
 
-def agent_zero_reply(m, agent, mixture) -> float:
-    """Oracle: the best reply of ``agent`` to the other's Kuhn mixture (tree
-    weights by index), by the history route against the mixture's
+def agent_zero_reply(m, agent, mixture, s=None) -> float:
+    """Oracle: the best reply of ``agent`` below occupancy ``s`` (default: the
+    start) to the other's Kuhn mixture (plan weights by index, one tree per
+    anchor of ``s``), by the history route against the mixture's
     behavioural form, in agent 0's payoff (the models here score agent 1
     by -R1)."""
+    s = initial_occupancy(m) if s is None else s
     other = 1 - agent
-    trees = {k: solve._tree(m, other, k, m.horizon) for k in mixture}
-    value = best_response_history(m, {other: mixture_behaviour(m, mixture, trees)}, agent).value
+    behaviour = mixture_behaviour(m, other, mixture, solve._anchors(m, s, other))
+    value = best_response_value_from(m, {other: behaviour}, agent, s)
     return value if agent == 0 else -value
 
 
@@ -1414,24 +1405,29 @@ def tree_index(tree, n_u: int) -> int:
     return index
 
 
-def recorded_replies(m, monkeypatch, default: int = 0) -> list:
-    """Every best reply the zero-sum loop prices on ``m`` from the seed
-    pair, in order: (agent,
-    the other's Kuhn mixture, the reply's value).  With ``default`` not 0,
-    the loop reads each mixture with that action (modulo the agent's action
-    count) below the sets its restricted walk never reached, while the
-    mixture recorded keeps action 0 there, as the returned trees do."""
-    real_kuhn, real_pure, real_reply = solve._kuhn_mixture, solve._pure_tree, solve._best_reply
+def recorded_replies(m, monkeypatch, default: int = 0, s=None) -> list:
+    """Every best reply the zero-sum loop prices on ``m`` below occupancy
+    ``s`` (default: the start) from the seed pair, in order: (agent, the
+    other's Kuhn mixture, the reply's value in agent 0's payoff).  With
+    ``default`` not 0, the loop reads each mixture with that action (modulo
+    the agent's action count) below the sets its restricted walk never
+    reached, while the mixture recorded keeps action 0 there, as the
+    returned trees do."""
+    s = initial_occupancy(m) if s is None else s
+    real_kuhn, real_pure, real_best = solve._kuhn_mixture, solve._pure_tree, solve._private_best
     mixtures, calls = [], []
 
     def kuhn(model, agent, plan, kids, n_anchors=1, depth=None):
         relabelled = {}
+        n_u, depth = len(model.actions[agent]), model.horizon if depth is None else depth
+        nodes = sum(model.n_agent_obs(agent) ** d for d in range(depth))
 
         def pure(model, agent, kids, pick, roots=(0,), depth=None):
             index, played = real_pure(model, agent, kids, pick, roots, depth)
-            (root,) = roots  # the loop runs from the start here
-            tree = picked_tree(model, agent, kids, pick, root, model.horizon, default)
-            relabelled[index] = tree_index(tree, len(model.actions[agent]))
+            relabelled[index] = 0
+            for root in roots:  # one tree per anchor, anchor 0's digits first
+                tree = picked_tree(model, agent, kids, pick, root, depth, default)
+                relabelled[index] = relabelled[index] * n_u**nodes + tree_index(tree, n_u)
             assert default != 0 or relabelled[index] == index
             return index, played
 
@@ -1440,16 +1436,17 @@ def recorded_replies(m, monkeypatch, default: int = 0) -> list:
         monkeypatch.setattr(solve, "_pure_tree", real_pure)
         return {relabelled[k]: w for k, w in mixtures[-1].items()}
 
-    def reply(model, s, agent, rows, cap_bytes):
-        value, index = real_reply(model, s, agent, rows, cap_bytes)
-        calls.append((agent, mixtures[-1] if agent == 0 else mixtures[-2], value))
-        return value, index
+    def reply(model, agent, level, others, t):
+        value, *rest = real_best(model, agent, level, others, t)
+        mixture = mixtures[-1] if agent == 0 else mixtures[-2]
+        calls.append((agent, mixture, value if agent == 0 else -value))
+        return (value, *rest)
 
     restricted_start(monkeypatch)
     monkeypatch.setattr(solve, "_kuhn_mixture", kuhn)
-    monkeypatch.setattr(solve, "_best_reply", reply)
+    monkeypatch.setattr(solve, "_private_best", reply)
     try:
-        solve._double_oracle(m, initial_occupancy(m), solve.DEFAULT_TOLERANCE, solve.CAP_BYTES)
+        solve._double_oracle(m, s, solve.DEFAULT_TOLERANCE, solve.CAP_BYTES)
     except RuntimeError:  # a corrupted loop may stop short of a certificate
         assert default != 0
     return calls
@@ -1457,14 +1454,35 @@ def recorded_replies(m, monkeypatch, default: int = 0) -> list:
 
 @pytest.mark.parametrize("name, m", loop_models(), ids=[name for name, _ in loop_models()])
 def test_best_reply_matches_the_history_route(name, m, monkeypatch):
-    # the loop's best replies, trie folds over its own walk against the
-    # mixture's trie-code weights, at the first iteration's plans and at
-    # every grown restricted set, against the history route on the
-    # behavioural form of the same trees
+    # the loop's best replies, the batched private DP against the mixture's
+    # trie-code rows, at the first iteration's plans and at every grown
+    # restricted set, against the history route on the behavioural form of
+    # the same trees
     calls = recorded_replies(m, monkeypatch)
     assert len(calls) >= 4 and {agent for agent, _, _ in calls} == {0, 1}
     for agent, mixture, value in calls:
         assert abs(value - agent_zero_reply(m, agent, mixture)) <= 1e-9
+
+
+@pytest.mark.parametrize("order", ["stepped", "entries-reversed"])
+def test_best_reply_matches_the_history_route_below_several_anchors(
+    tiger_duel, monkeypatch, order
+):
+    # below a t=1 state of tiger-duel h=4 each agent has several anchors, so
+    # each reply is one DP with one root per anchor, its value the roots'
+    # best q summed; the same state with its entries reversed numbers its
+    # histories out of step order, and the roots still follow the anchors
+    m = tiger_duel.with_horizon(4)
+    s = mid_game_root(m, 1)
+    if order == "entries-reversed":
+        s = reversed_entries(s)
+        hists = level_of(m, s)[1]
+        assert any(list(hs) != solve._anchors(m, s, i) for i, hs in enumerate(hists))
+    assert min(len(solve._anchors(m, s, i)) for i in range(2)) >= 2
+    calls = recorded_replies(m, monkeypatch, s=s)
+    assert len(calls) >= 4 and {agent for agent, _, _ in calls} == {0, 1}
+    for agent, mixture, value in calls:
+        assert abs(value - agent_zero_reply(m, agent, mixture, s)) <= 1e-9
 
 
 def test_best_reply_control_reads_the_last_action_below_unreached_sets(monkeypatch):
@@ -1478,23 +1496,34 @@ def test_best_reply_control_reads_the_last_action_below_unreached_sets(monkeypat
     assert worst > 1e-3
 
 
-def mixture_behaviour(m, mixture, trees) -> BehavioralPolicy:
-    """Behavioural form of a mixture of trees, one history at a time: each
-    action's weight among the trees whose ``decision_at`` the history
-    reaches, uniform where none does."""
-    (agent,) = {tree.agent for tree in trees.values()}
-    n_u = len(m.actions[agent])
-    rules = []
-    for t in range(m.horizon):
+def mixture_behaviour(m, agent, mixture, anchors) -> BehavioralPolicy:
+    """Behavioural form of a mixture of plans (weights by plan index, one
+    tree per anchor, anchor 0's digits first) from the anchors' step on, one
+    history at a time: each action's weight among the plans whose tree at
+    the history's anchor reaches it (``decision_at``), uniform where none
+    does; the rules before that step are empty."""
+    n_u, n_z = len(m.actions[agent]), m.n_agent_obs(agent)
+    t0 = anchors[0].t
+    depth = m.horizon - t0
+    nodes = sum(n_z**d for d in range(depth))
+    trees = {
+        k: [solve._tree(m, agent, k // n_u ** (nodes * e) % n_u**nodes, depth)
+            for e in range(len(anchors) - 1, -1, -1)]
+        for k in mixture
+    }
+    rules = [DecisionRule(agent, t, {}) for t in range(t0)]
+    for t in range(t0, m.horizon):
         probs = {}
-        for h in all_histories(m, agent, t):
-            w = np.zeros(n_u)
-            for k, p in mixture.items():
-                try:
-                    w[next(iter(decision_at(trees[k], h)))] += p
-                except UnreachableHistoryError:
-                    pass
-            probs[h] = tuple(w / w.sum()) if w.sum() > 0 else (1.0 / n_u,) * n_u
+        for a, anchor in enumerate(anchors):
+            for below in all_histories(m, agent, t - t0):
+                w = np.zeros(n_u)
+                for k, p in mixture.items():
+                    try:
+                        w[next(iter(decision_at(trees[k][a], below)))] += p
+                    except UnreachableHistoryError:
+                        pass
+                h = PrivateHistory(agent, anchor.steps + below.steps)
+                probs[h] = tuple(w / w.sum()) if w.sum() > 0 else (1.0 / n_u,) * n_u
         rules.append(DecisionRule(agent, t, probs))
     return BehavioralPolicy(agent, tuple(rules))
 
@@ -1520,18 +1549,17 @@ def test_solve_zero_sum_six_steps(request, name):
 def never_playing(action: int, instead: int):
     """A best reply whose plan plays ``instead`` wherever the true one plays
     ``action``, with the true best reply's value."""
-    real = solve._best_reply
+    real = solve._private_best
 
-    def best_reply(model, s, agent, rows, cap_bytes):
-        value, index = real(model, s, agent, rows, cap_bytes)
+    def best_reply(model, agent, level, others, t):
+        value, index, *rest = real(model, agent, level, others, t)
         n_u, n_z = len(model.actions[agent]), model.n_agent_obs(agent)
-        n_anchors = len(solve._anchors(model, s, agent))
-        nodes = n_anchors * sum(n_z**d for d in range(model.horizon - s.t))
+        nodes = level.n_sets[agent] * sum(n_z**d for d in range(model.horizon - t))
         relabelled = 0
         for e in range(nodes - 1, -1, -1):  # the plan's actions, in preorder
             u = index // n_u**e % n_u
             relabelled = relabelled * n_u + (instead if u == action else u)
-        return value, relabelled
+        return (value, relabelled, *rest)
 
     return best_reply
 
@@ -1553,7 +1581,7 @@ def test_double_oracle_control_raises_on_a_best_response_that_skips_an_action(
     sol, _ = solve._double_oracle(m, s, solve.DEFAULT_TOLERANCE, solve.CAP_BYTES)
     assert sol.metadata["method"] == "sequence-form-double-oracle"
     assert abs(sol.values[0] - full_lp(m, s)[0].values[0]) <= 1e-9
-    monkeypatch.setattr(solve, "_best_reply", never_playing(1, 0))
+    monkeypatch.setattr(solve, "_private_best", never_playing(1, 0))
     with pytest.raises(RuntimeError, match="zero-sum certificate"):
         solve._double_oracle(m, s, solve.DEFAULT_TOLERANCE, solve.CAP_BYTES)
 
@@ -2322,7 +2350,7 @@ def test_solver_path_builds_no_policy_tree_space():
     assert not reached_solve_names(solve._double_oracle) & policy_objects
     # control: a history-route best response put back in the loop is caught
     source = inspect.getsource(solve._double_oracle)
-    put_back = source.replace("_best_reply(model, s, i,", "best_response_history(model, s, i,")
+    put_back = source.replace("_private_best(model, i, level,", "best_response_history(model,")
     assert put_back != source
     assert reached_solve_names(put_back) & policy_objects >= {
         "best_response_history", "_history_br", "_others_profiles", "PolicyTree"
