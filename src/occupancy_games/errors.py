@@ -29,6 +29,10 @@ class ModelValidationError(OccupancyGamesError):
     """Raised when a parsed model violates a structural invariant."""
 
 
+# the byte budget of the solvers' arrays and of a simulation's episodes
+CAP_BYTES = 2**30
+
+
 class CapExceededError(OccupancyGamesError):
     """Raised when an enumeration, or the bytes a solver would build, would
     exceed the configured cap; ``unit`` follows both numbers."""

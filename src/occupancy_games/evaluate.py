@@ -10,8 +10,16 @@ Simulation draws
 batched episodes from one seeded PCG64 stream with a fixed draw order
 (episode-major within each time step), so results are reproducible bit for
 bit for a given seed regardless of platform.  Each categorical table is
-cumulated once per call, and a draw counts its row's cumulative sums below
-the episode's uniform one column at a time.
+cumulated once per call.  A draw is the number of its row's cumulative sums
+below the episode's uniform, at most the row's last positive column.  A
+guide table (Chen and Asau's index table) answers it with one gather: per
+row and per bin of [0, 1) in ``_BINS`` equal bins, the last open above, it
+holds the answer where that is the same for every uniform in the bin.  The
+episodes whose bin holds one of the row's sums, and every draw from a table
+with fewer draws than guide entries, count the sums one column at a time,
+so the guide changes neither the draw order nor any result.  Before its
+first draw, ``simulate`` counts the bytes of its per-episode arrays against
+``CAP_BYTES``.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .errors import CAP_BYTES, CapExceededError
 from .model import PosgModel
 from .occupancy import (
     Level,
@@ -234,32 +243,70 @@ def _rule_arrays(
     return dists, children
 
 
+# the bins of a guide table: [k, k + 1) / _BINS for k < _BINS - 1, the last
+# bin open above; a power of two, so a uniform's bin is exact
+_BINS = 2**8
+
+
 class _Cumulative(NamedTuple):
     """A table of categorical rows, cumulated once: ``cum[j]`` holds column
-    ``j`` of every row's cumulative sums and ``last`` each row's last column
-    with positive probability."""
+    ``j`` of every row's cumulative sums, ``last`` each row's last column
+    with positive probability, and ``guide[row * _BINS + k]`` the draw's
+    answer for every uniform in bin ``k``, or -1 where one of the row's
+    cumulative sums lies in the bin (``None`` where no guide was built)."""
 
     cum: np.ndarray
     last: np.ndarray
+    guide: np.ndarray | None
 
 
-def _cumulative(probs: np.ndarray) -> _Cumulative:
-    """``probs`` (row, column) as a table to draw from."""
+def _cumulative(probs: np.ndarray, draws: float = np.inf) -> _Cumulative:
+    """``probs`` (row, column) as a table to draw from, with a guide if
+    ``draws`` are at least as many as its entries: a table of many rows
+    drawn by few episodes counts its columns instead."""
+    n_rows, width = probs.shape
     positive = probs[:, ::-1] > 0.0
-    last = probs.shape[1] - 1 - np.argmax(positive, axis=1)
-    return _Cumulative(np.ascontiguousarray(np.cumsum(probs, axis=1).T), last)
+    last = width - 1 - np.argmax(positive, axis=1)
+    cum = np.cumsum(probs, axis=1)
+    table = _Cumulative(np.ascontiguousarray(cum.T), last, None)
+    if n_rows * _BINS > draws:
+        return table
+    bins = np.minimum(cum * _BINS, _BINS - 1).astype(np.intp)
+    rows = np.arange(n_rows)[:, None] * _BINS
+    hits = np.bincount((rows + bins).ravel(), minlength=n_rows * _BINS).reshape(n_rows, _BINS)
+    # the sums below each bin, clamped to the last positive column
+    guide = np.cumsum(hits, axis=1)
+    guide -= hits
+    np.minimum(guide, last[:, None], out=guide)
+    guide[hits > 0] = -1
+    return table._replace(guide=guide.ravel())
 
 
 def _draw(rng: np.random.Generator, table: _Cumulative, key: np.ndarray) -> np.ndarray:
     """One categorical draw from row ``key[e]`` of ``table`` per episode
     ``e``: the number of the row's cumulative sums below one uniform, at
     most the row's last positive column (a row may sum to a little less
-    than 1)."""
+    than 1).  The guide answers the uniforms whose bin holds none of the
+    row's sums; the rest count the sums one column at a time."""
     r = rng.random(len(key))
-    out = np.zeros(len(key), dtype=np.intp)
+    if table.guide is None:
+        return _count(table, r, key)
+    at = (r * _BINS).astype(np.intp)
+    np.minimum(at, _BINS - 1, out=at)
+    at += key * _BINS
+    out = table.guide.take(at)
+    miss = np.flatnonzero(out < 0)
+    out[miss] = _count(table, r[miss], key[miss])
+    return out
+
+
+def _count(table: _Cumulative, r: np.ndarray, key: np.ndarray) -> np.ndarray:
+    """The number of row ``key[e]``'s cumulative sums below ``r[e]``, at
+    most the row's last positive column."""
+    n = np.zeros(len(key), dtype=np.intp)
     for column in table.cum:
-        out += r > column.take(key)
-    return np.minimum(out, table.last.take(key))
+        n += r > column.take(key)
+    return np.minimum(n, table.last.take(key))
 
 
 def simulate(
@@ -273,14 +320,17 @@ def simulate(
     if episodes < 1:
         raise ValueError("episodes must be >= 1")
     check_policy_fits(model, policy)
+    n_bytes = _simulate_bytes(model, episodes)
+    if n_bytes > CAP_BYTES:
+        raise CapExceededError("simulation", n_bytes, CAP_BYTES, " bytes")
     rng = np.random.Generator(np.random.PCG64(seed))
     horizon = policy.horizon
-    returns = np.zeros((model.n_agents, episodes))
 
     if policy.is_mixed:
         # sample one pure component per episode, then merge by episode index
+        returns = np.zeros((model.n_agents, episodes))
         combos = list(policy.pure_expansions())
-        weights = _cumulative(np.array([[w for w, _ in combos]]))
+        weights = _cumulative(np.array([[w for w, _ in combos]]), episodes)
         picks = _draw(rng, weights, np.zeros(episodes, dtype=np.intp))
         for c, (_, pure) in enumerate(combos):
             mask = picks == c
@@ -303,6 +353,16 @@ def simulate(
     )
 
 
+def _simulate_bytes(model: PosgModel, episodes: int) -> int:
+    """The most ``simulate`` holds at once in arrays of one number per
+    episode, counted high: five per agent (its return, history row and
+    action, and its reward as read and as discounted) and seven for the
+    state, the joint action and the working arrays of a draw.  The drawing
+    tables are left out: a guide holds at most one entry per episode, and
+    the rest grow with the histories the policy reaches."""
+    return 8 * episodes * (5 * model.n_agents + 7)
+
+
 def _simulate_pure(
     model: PosgModel,
     policy: JointPolicy,
@@ -311,23 +371,26 @@ def _simulate_pure(
     horizon: int,
 ) -> np.ndarray:
     n_agents = model.n_agents
+    n_u = [len(actions) for actions in model.actions]
     dists = []
     children = []
     for i, agent_policy in enumerate(policy.agents):
         d, c = _rule_arrays(model, agent_policy, i, horizon)
-        dists.append([_cumulative(rule) for rule in d])
-        children.append(c)
+        dists.append([_cumulative(rule, episodes) for rule in d])
+        children.append([table.ravel() for table in c])
 
-    # per (joint action, state) row, a distribution over flattened (x', z)
+    # per (joint action, state) row, a distribution over flattened (x', z),
+    # and per flattened (x', z) the next state and each agent's observation
     n_x, n_z = model.n_states, model.n_joint_obs
-    outcome = _cumulative(model._dynamics.reshape(model.n_joint_actions * n_x, n_x * n_z))
-
-    agent_obs_of = [
-        np.array([model.agent_obs_of_joint(i, z) for z in range(n_z)])
+    outcome = _cumulative(model._dynamics.reshape(model.n_joint_actions * n_x, n_x * n_z), episodes)
+    next_x = np.repeat(np.arange(n_x), n_z)
+    own_obs = [
+        np.tile([model.agent_obs_of_joint(i, z) for z in range(n_z)], n_x)
         for i in range(n_agents)
     ]
+    rewards = model.rewards.reshape(n_agents, -1)
 
-    x = _draw(rng, _cumulative(model.start[None, :]), np.zeros(episodes, dtype=np.intp))
+    x = _draw(rng, _cumulative(model.start[None, :], episodes), np.zeros(episodes, dtype=np.intp))
     rows = [np.zeros(episodes, dtype=np.intp) for _ in range(n_agents)]
     returns = np.zeros((n_agents, episodes))
     gamma_t = 1.0
@@ -335,13 +398,13 @@ def _simulate_pure(
         us = [_draw(rng, dists[i][t], rows[i]) for i in range(n_agents)]
         u = np.zeros(episodes, dtype=np.intp)
         for i in range(n_agents):
-            u = u * len(model.actions[i]) + us[i]
-        for i in range(n_agents):
-            returns[i] += gamma_t * model.rewards[i, x, u]
+            u = u * n_u[i] + us[i]
+        returns += gamma_t * rewards.take(x * model.n_joint_actions + u, axis=1)
         gamma_t *= model.discount
         if t + 1 < horizon:
             flat = _draw(rng, outcome, u * n_x + x)
-            x, z = np.divmod(flat, n_z)
+            x = next_x.take(flat)
             for i in range(n_agents):
-                rows[i] = children[i][t][rows[i], us[i], agent_obs_of[i][z]]
+                own = (rows[i] * n_u[i] + us[i]) * model.n_agent_obs(i) + own_obs[i].take(flat)
+                rows[i] = children[i][t].take(own)
     return returns

@@ -83,6 +83,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import (
+    CAP_BYTES,
     CapExceededError,
     CertificateError,
     ModelValidationError,
@@ -115,7 +116,6 @@ from .policies import (
 )
 
 DEFAULT_TOLERANCE = 1e-9
-CAP_BYTES = 2**30
 # what a zero-sum walk holds besides the arrays ``_restricted_bytes`` counts
 # item by item: the ``kids`` dicts, the start dict, array headers and the
 # scratch of ``np.unique`` and the sparse ``G``.  On small walks these

@@ -431,6 +431,16 @@ def test_evaluate_with_policy_roundtrip(tmp_path, capsys):
     assert first_value in out2
 
 
+def test_evaluate_refuses_too_many_episodes(capsys):
+    # 10^12 episodes of two agents would hold 8 x 10^12 x (5 x 2 + 7) bytes
+    code, out, err = run(capsys, "evaluate", TIGER, "--episodes", "1000000000000")
+    assert code == 3 and "value_1:" in out and "simulated_1" not in out
+    assert err.splitlines()[-1] == (
+        "error: simulation too large: 136000000000000 bytes exceeds cap 1073741824 bytes"
+    )
+    assert "Traceback" not in err
+
+
 def test_verify_lipschitz_on_zs(capsys):
     code, out, _ = run(
         capsys, "verify", TIGER_ZS, "--suite", "lipschitz", "--samples", "5"

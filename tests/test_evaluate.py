@@ -1,9 +1,11 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from occupancy_games import evaluate
+from occupancy_games.errors import CapExceededError
 from occupancy_games.evaluate import (
     evaluate_occupancy,
     simulate,
@@ -261,28 +263,58 @@ def naive_draw(r, probs, key):
     return (r[:, None] > np.cumsum(probs[key], axis=1)).sum(axis=1)
 
 
-def draw_mismatches(draw, n_tables=400, seed=0) -> int:
-    """Random tables on which ``draw`` and the definition differ: integer
-    weights give zero columns and tied cumulative sums, some rows have one
-    positive column, widths run from 1; uniforms run up to each row's total
-    and include 0 and each cumulative sum itself."""
+def last_positive(probs):
+    return probs.shape[1] - 1 - np.argmax(probs[:, ::-1] > 0, axis=1)
+
+
+def draw_mismatches(draw, n_tables=400, seed=0, edges=False) -> int:
+    """Random tables on which ``draw`` and the definition, clamped to each
+    row's last positive column, differ: integer weights give zero columns
+    and tied cumulative sums, some rows have one positive column, widths run
+    from 1; uniforms run up to each row's total and include 0 and each
+    cumulative sum itself.
+
+    With ``edges``, the guide table's edge cases: dyadic weights in units of
+    1/256 put the cumulative sums on bin edges (some rows scaled a little
+    short of 1, some to half), widths run to 16 and rows to 40, and
+    uniforms also fall on bin edges, just below them, at 1.0 and past the
+    row's total."""
     rng = np.random.default_rng(seed)
+    bins = evaluate._BINS
     bad = 0
     for _ in range(n_tables):
-        width, n_rows, n = int(rng.integers(1, 6)), int(rng.integers(1, 5)), 60
-        probs = rng.integers(0, 4, (n_rows, width)).astype(float)
+        if edges:
+            width, n_rows, n = int(rng.integers(1, 17)), int(rng.integers(1, 41)), 400
+            cuts = np.sort(rng.integers(0, bins + 1, (n_rows, width - 1)), axis=1)
+            whole = np.hstack([np.zeros((n_rows, 1)), cuts, np.full((n_rows, 1), bins)])
+            probs = np.diff(whole, axis=1) / bins
+            probs[rng.random(n_rows) < 0.3] *= 1.0 - 2.0**-30
+            probs[rng.random(n_rows) < 0.1] *= 0.5
+        else:
+            width, n_rows, n = int(rng.integers(1, 6)), int(rng.integers(1, 5)), 60
+            probs = rng.integers(0, 4, (n_rows, width)).astype(float)
         one_hot = rng.random(n_rows) < 0.3
         probs[one_hot] = np.eye(width)[rng.integers(width, size=one_hot.sum())]
         probs[probs.sum(axis=1) == 0, 0] = 1.0
-        probs /= probs.sum(axis=1, keepdims=True)
+        if not edges:
+            probs /= probs.sum(axis=1, keepdims=True)
         key = rng.integers(n_rows, size=n)
         cum = np.cumsum(probs[key], axis=1)
         r = rng.random(n) * cum[:, -1]
         tie = rng.random(n) < 0.4
         r[tie] = cum[tie, rng.integers(width, size=n)[tie]]
         r[rng.random(n) < 0.05] = 0.0
+        if edges:
+            edge = rng.integers(bins + 1, size=n) / bins
+            on, below = rng.random(n) < 0.2, rng.random(n) < 0.1
+            r[on] = edge[on]
+            r[below] = np.nextafter(edge[below], -1.0)
+            past = rng.random(n) < 0.1
+            r[past] = rng.choice([1.0, 1.0 + 1.0 / bins, 1.5], past.sum())
+            r[past] = np.maximum(r[past], np.nextafter(cum[past, -1], 2.0))
+        want = np.minimum(naive_draw(r, probs, key), last_positive(probs)[key])
         got = draw(FixedUniforms(r), evaluate._cumulative(probs), key)
-        bad += not np.array_equal(got, naive_draw(r, probs, key))
+        bad += not np.array_equal(got, want)
     return bad
 
 
@@ -299,6 +331,51 @@ def test_draw_control_with_an_off_by_one_column_loop_fails():
         return np.minimum(out, table.last.take(key))
 
     assert draw_mismatches(late_draw) > 0
+
+
+def test_draw_matches_the_definition_on_guide_table_edges():
+    assert draw_mismatches(evaluate._draw, n_tables=200, seed=1, edges=True) == 0
+
+    # and without a guide, as for a table of more entries than draws
+    def unguided_draw(rng, table, key):
+        return evaluate._draw(rng, table._replace(guide=None), key)
+
+    assert draw_mismatches(unguided_draw, n_tables=200, seed=1, edges=True) == 0
+
+
+def test_draw_control_that_trusts_the_guide_in_every_bin_fails():
+    # every uniform answered as its bin's low edge, as a guide would answer
+    # it with no fallback where a cumulative sum lies inside the bin
+    def trusting_draw(rng, table, key):
+        bins = evaluate._BINS
+        low = np.minimum(np.floor(rng.random(len(key)) * bins), bins - 1) / bins
+        return evaluate._draw(FixedUniforms(low), table, key)
+
+    assert draw_mismatches(trusting_draw) > 0
+    assert draw_mismatches(trusting_draw, n_tables=200, seed=1, edges=True) > 0
+
+
+def test_a_table_drawn_fewer_times_than_its_guide_has_entries_builds_none(tiger, monkeypatch):
+    probs = np.full((4, 2), 0.5)
+    assert evaluate._cumulative(probs, 4 * evaluate._BINS).guide is not None
+    assert evaluate._cumulative(probs, 4 * evaluate._BINS - 1).guide is None
+    # tiger h=3 draws from each agent's rules (1, 6 and 36 rows), the
+    # dynamics (18 rows) and the start (1 row)
+    built = []
+    cumulative = evaluate._cumulative
+
+    def recording(probs, draws):
+        table = cumulative(probs, draws)
+        built.append((len(probs), table.guide is not None))
+        return table
+
+    monkeypatch.setattr(evaluate, "_cumulative", recording)
+    m = tiger.with_horizon(3)
+    policy = random_joint_policy(m, np.random.default_rng(14))
+    simulate(m, policy, 1000, 0)
+    simulate(m, policy, 18 * evaluate._BINS, 0)
+    rows = [1, 6, 36, 1, 6, 36, 18, 1]
+    assert built == [(n, n <= 3) for n in rows] + [(n, n <= 18) for n in rows]
 
 
 def test_draw_stays_on_a_row_that_sums_to_less_than_one():
@@ -332,23 +409,76 @@ def test_simulate_keeps_a_short_rule_on_its_agent(tiger):
 
 def test_simulate_draws_exactly_as_the_definition(tiger, monkeypatch):
     # the same episodes, bit for bit, when every draw gathers its rows and
-    # counts them by the definition
+    # counts them by the definition: a small random model at 500 episodes,
+    # and the dynamics workload's shapes under full-support policies at
+    # 2 x 10^4 (tiger, and 3 x 3 actions with 2 public observations)
     rng = np.random.default_rng(11)
-    m = random_posg(rng, n_states=2, n_actions=(2, 3), n_obs=(2, 2), n_public=2, horizon=3)
-    cases = [(tiger.with_horizon(3), random_joint_policy(tiger.with_horizon(3), rng))]
-    cases.append((m, random_joint_policy(m, rng)))
-    fast = [evaluate._simulate_pure(mi, p, 500, np.random.default_rng(3), 3) for mi, p in cases]
-    mix = JointPolicy(
-        (PolicyMixture(0, ((0.25, PolicyTree(0, 0)), (0.75, PolicyTree(0, 1)))), PolicyTree(1, 1))
-    )
-    fast_mix = simulate(tiger.with_horizon(1), mix, 300, 4)
-    monkeypatch.setattr(evaluate, "_cumulative", lambda probs: probs)
+    tiger3 = tiger.with_horizon(3)
+    small = random_posg(rng, n_states=2, n_actions=(2, 3), n_obs=(2, 2), n_public=2, horizon=3)
+    wide = random_posg(rng, n_states=2, n_actions=(3, 3), n_obs=(2, 2), n_public=2, horizon=3)
+    cases = [(m, random_joint_policy(m, rng), n) for m, n in ((tiger3, 500), (small, 500))]
+    cases += [(m, random_joint_policy(m, rng), 20_000) for m in (tiger3, wide)]
+    fast = [evaluate._simulate_pure(m, p, n, np.random.default_rng(3), 3) for m, p, n in cases]
+    trees = PolicyMixture(0, ((0.25, PolicyTree(0, 0)), (0.75, PolicyTree(0, 1))))
+    rules = PolicyMixture(0, ((0.4, cases[2][1].agents[0]), (0.6, cases[0][1].agents[0])))
+    mixes = [
+        (tiger.with_horizon(1), 300, JointPolicy((trees, PolicyTree(1, 1)))),
+        (tiger3, 20_000, JointPolicy((rules, cases[2][1].agents[1]))),
+    ]
+    fast_mixes = [simulate(m, mix, n, 4) for m, n, mix in mixes]
+    monkeypatch.setattr(evaluate, "_cumulative", lambda probs, draws: probs)
     monkeypatch.setattr(
         evaluate, "_draw", lambda rng, probs, key: naive_draw(rng.random(len(key)), probs, key)
     )
-    for (mi, p), returns in zip(cases, fast):
-        assert np.array_equal(returns, evaluate._simulate_pure(mi, p, 500, np.random.default_rng(3), 3))
-    assert simulate(tiger.with_horizon(1), mix, 300, 4) == fast_mix
+    for (m, p, n), returns in zip(cases, fast):
+        slow = evaluate._simulate_pure(m, p, n, np.random.default_rng(3), 3)
+        assert np.array_equal(returns, slow)
+    for (m, n, mix), result in zip(mixes, fast_mixes):
+        assert simulate(m, mix, n, 4) == result
+
+
+def test_simulate_counts_at_least_what_it_holds(tiger):
+    # the byte count against the tracemalloc peak at 2 x 10^5 episodes, on
+    # the dynamics workload's shapes, a one-agent model and a mixture
+    rng = np.random.default_rng(12)
+    tiger3 = tiger.with_horizon(3)
+    wide = random_posg(rng, n_states=2, n_actions=(3, 3), n_obs=(2, 2), n_public=2, horizon=3)
+    alone = random_posg(rng, n_states=2, n_actions=(3,), n_obs=(2,), horizon=3)
+    runs = []
+    for m in (tiger3, wide, alone):
+        p = random_joint_policy(m, rng)
+        runs.append((m, lambda m=m, p=p: evaluate._simulate_pure(m, p, 200_000, rng, 3)))
+    one, other = random_joint_policy(tiger3, rng), random_joint_policy(tiger3, rng)
+    mixed = PolicyMixture(0, ((0.5, one.agents[0]), (0.5, other.agents[0])))
+    mix = JointPolicy((mixed, one.agents[1]))
+    runs.append((tiger3, lambda: simulate(tiger3, mix, 200_000, 5)))
+    for m, run in runs:
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= evaluate._simulate_bytes(m, 200_000)
+
+
+def test_simulate_refuses_before_its_first_draw(tiger, monkeypatch):
+    policy = random_joint_policy(tiger, np.random.default_rng(13))
+    draws = []
+    draw = evaluate._draw
+    monkeypatch.setattr(evaluate, "_draw", lambda *args: draws.append(1) or draw(*args))
+    with pytest.raises(CapExceededError) as info:
+        simulate(tiger, policy, 10**12, 0)
+    assert info.value.count == evaluate._simulate_bytes(tiger, 10**12) and not draws
+    # both sides of the cap at 1,000 episodes: 8 x 1,000 x (5 x 2 + 7) bytes
+    n_bytes = evaluate._simulate_bytes(tiger, 1000)
+    assert n_bytes == 136_000
+    monkeypatch.setattr(evaluate, "CAP_BYTES", n_bytes - 1)
+    with pytest.raises(CapExceededError):
+        simulate(tiger, policy, 1000, 0)
+    assert not draws
+    monkeypatch.setattr(evaluate, "CAP_BYTES", n_bytes)
+    assert simulate(tiger, policy, 1000, 0).episodes == 1000 and draws
 
 
 def test_simulate_rejects_bad_episode_count(one_stage):
