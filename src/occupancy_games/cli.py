@@ -1,8 +1,10 @@
 """Command-line entry points: parse, solve, evaluate, verify, sweep.
 
 stdout carries data, stderr carries diagnostics.  Exit codes: 0 ok,
-1 property failure, 2 parse/validation or usage error, 3 byte budget (--cap)
-exceeded, 4 unknown suite, 5 bad sweep specification.
+1 property failure, 2 parse/validation or usage error (a policy file that
+leaves a reached history undefined included), 3 byte budget (--cap)
+exceeded, 4 unknown suite, 5 bad sweep specification, 6 a solver result not
+certified within the tolerance.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .errors import (
     CertificateError,
     ModelValidationError,
     PosgParseError,
+    UndefinedDecisionRuleError,
     UnknownSuiteError,
 )
 from .evaluate import check_policy_fits, evaluate_occupancy, simulate
@@ -55,6 +58,7 @@ class _UnreadFlagError(Exception):
 # the exit code of each error ``main`` reports on one ``error:`` line
 _EXIT_CODES = {
     OSError: EXIT_PARSE, PosgParseError: EXIT_PARSE, ModelValidationError: EXIT_PARSE,
+    UndefinedDecisionRuleError: EXIT_PARSE,
     CapExceededError: EXIT_CAP, UnknownSuiteError: EXIT_UNKNOWN_SUITE,
     _SweepSpecError: EXIT_BAD_SWEEP, CertificateError: EXIT_UNCERTIFIED,
 }

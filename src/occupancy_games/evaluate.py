@@ -5,20 +5,21 @@ backward recursion over (state, joint history) pairs; the occupancy route is
 the linear pairing of those values with an occupancy state.  Both push their
 levels forward through the array kernel ``occupancy.next_level`` and pull
 the values back over the same rows: the tables over every state at each
-reachable history, the occupancy route over the entries its support reaches.
-Simulation draws
+reachable history, the occupancy route over the entries its support reaches,
+each step's bytes checked against ``CAP_BYTES`` before it.  Simulation draws
 batched episodes from one seeded PCG64 stream with a fixed draw order
 (episode-major within each time step), so results are reproducible bit for
-bit for a given seed regardless of platform.  Each categorical table is
-cumulated once per call.  A draw is the number of its row's cumulative sums
-below the episode's uniform, at most the row's last positive column.  A
-guide table (Chen and Asau's index table) answers it with one gather: per
-row and per bin of [0, 1) in ``_BINS`` equal bins, the last open above, it
-holds the answer where that is the same for every uniform in the bin.  The
-episodes whose bin holds one of the row's sums, and every draw from a table
-with fewer draws than guide entries, count the sums one column at a time,
-so the guide changes neither the draw order nor any result.  Before its
-first draw, ``simulate`` counts the bytes of its per-episode arrays against
+bit for a given seed regardless of platform.  Rule rows go by trie code
+(``occupancy.rule_rows``).  Each categorical table is cumulated once per
+call.  A draw is the number of its row's cumulative sums below the
+episode's uniform, at most the row's last positive column.  A guide table
+(Chen and Asau's index table) answers it with one gather: per row and per
+bin of [0, 1) in ``_BINS`` equal bins, the last open above, it holds the
+answer where that is the same for every uniform in the bin.  The episodes
+whose bin holds one of the row's sums, and every draw from a table with
+fewer draws than guide entries, count the sums one column at a time, so the
+guide changes neither the draw order nor any result.  Before its first
+draw, ``simulate`` counts the bytes of its per-episode arrays against
 ``CAP_BYTES``.
 """
 
@@ -29,7 +30,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import CAP_BYTES, CapExceededError
+from .errors import CAP_BYTES, WALK_FIXED_BYTES, CapExceededError
 from .model import PosgModel
 from .occupancy import (
     Level,
@@ -39,7 +40,9 @@ from .occupancy import (
     entries_of,
     level_of,
     next_level,
+    rows_at,
     rule_arrays,
+    rule_rows,
     sum_in_order,
     to_level,
 )
@@ -113,9 +116,18 @@ def _pull(
 
     The levels are pushed forward once at unit mass; the values are pulled
     back over the same rows, so an entry's value depends only on the entries
-    below it, whichever level it sits in."""
+    below it, whichever level it sits in.  Before each step (and its push)
+    its bytes, ``_pull_bytes``, are checked against ``CAP_BYTES``."""
     levels, pulls = [], []
+    rows = entries = 0  # rows pushed and entries held so far
+    begin = model._successor_arrays.begin
     for t in range(t0, model.horizon):
+        push = 0 if t + 1 == model.horizon else int((begin[level.xs + 1] - begin[level.xs]).sum())
+        entries += len(level.xs)
+        n_bytes = _pull_bytes(model, rows, entries, len(level.xs), push)
+        if n_bytes > CAP_BYTES:
+            raise CapExceededError("exact evaluation", n_bytes, CAP_BYTES, " bytes")
+        rows += push
         a = action_probs(model, level, rule_arrays(model, rules_by_step[t], hists))
         levels.append((level, hists, (a * model.rewards[agent][level.xs]).sum(axis=1)))
         if t + 1 == model.horizon:
@@ -134,6 +146,15 @@ def _pull(
         v = v + model.discount * np.bincount(entry, weight * below[child], len(v))
         levels[k] = (level, hists, v)
     return levels
+
+
+def _pull_bytes(model: PosgModel, rows: int, entries: int, n: int, push: int) -> int:
+    """The most ``_pull`` holds at a step of ``n`` entries and a ``push``-row
+    push, counted high: 3 numbers per earlier row (entry, child, weight),
+    ``n_agents + 3`` per entry held, 3 per (entry, joint action) and 9 per
+    row pushed, plus ``WALK_FIXED_BYTES``; value tables' dicts left out."""
+    items = 3 * rows + (model.n_agents + 3) * entries + 3 * model.n_joint_actions * n
+    return 8 * (items + 9 * push) + WALK_FIXED_BYTES
 
 
 def _every_state(model: PosgModel, level: Level) -> tuple[Level, np.ndarray]:
@@ -215,31 +236,28 @@ def occupancy_value(
 def _rule_arrays(
     model: PosgModel, agent_policy, agent: int, horizon: int
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per step, a dense (row -> action distribution) array over the histories
-    reachable under the policy and, below the last step, next_row[row, u, z]
-    (-1 where the policy never plays u), for vectorized lookups.  Rows are
-    numbered in the pass that fills the children's table."""
+    """Per step, the agent's rule as action rows by trie code below the empty
+    history (``rule_rows``) and, below the last step, next_row[row, u, z]:
+    the row of the child after ``u`` and ``z``, -1 where the policy never
+    plays ``u`` or never reaches the row.  Raises
+    ``UndefinedDecisionRuleError`` where a played child has no row."""
     rules = agent_rules(model, agent_policy)
-    n_u = len(model.actions[agent])
-    n_z = model.n_agent_obs(agent)
-    dists: list[np.ndarray] = []
-    children: list[np.ndarray] = []
-    rows = {(): 0}
-    for t in range(horizon):
-        arr = np.zeros((len(rows), n_u))
-        for steps, r in rows.items():
-            arr[r] = rules[t].dist(PrivateHistory(agent, steps))
-        dists.append(arr)
-        if t + 1 == horizon:
-            break
-        table = np.full((len(rows), n_u, n_z), -1, dtype=np.int64)
-        nxt: dict = {}
-        for steps, r in rows.items():
-            for u in np.nonzero(arr[r])[0]:
-                for z in range(n_z):
-                    table[r, u, z] = nxt.setdefault(steps + ((int(u), z),), len(nxt))
+    n_u, n_z = len(model.actions[agent]), model.n_agent_obs(agent)
+    root = [PrivateHistory(agent)]
+    rows = rule_rows(model, agent, rules[0], root, 0)
+    reached = rows_at(rows, np.zeros(1, dtype=np.intp), agent, 0)
+    dists, children = [rows[1]], []
+    for t in range(1, horizon):
+        codes, probs = rows
+        kids = (codes[:, None, None] * n_u + np.arange(n_u)[:, None]) * n_z + np.arange(n_z)
+        played = np.zeros(probs.shape, dtype=bool)
+        played[reached] = probs[reached] > 0.0
+        played = np.broadcast_to(played[:, :, None], kids.shape)
+        rows = rule_rows(model, agent, rules[t], root, 0)
+        table = np.full(kids.shape, -1, dtype=np.intp)
+        table[played] = reached = rows_at(rows, kids[played], agent, t)
+        dists.append(rows[1])
         children.append(table)
-        rows = nxt
     return dists, children
 
 

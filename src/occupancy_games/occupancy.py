@@ -18,6 +18,8 @@ children it pushed and normalizes each group on its own
 (``normalized_groups``): a joint update groups them by the public
 observation, a private update by the agent's own child history, with the
 agent's rule a point mass on the action it played.
+A level numbers each agent's histories in steps order, which pushes keep
+and ``to_level`` sorts into; below a level they go by trie code.
 History objects are built only at the public boundary: once per private
 history of a pushed level, and, the first time a returned state's
 ``entries`` is read, once per entry.  Each returned state keeps its level, so
@@ -40,6 +42,7 @@ import numpy as np
 from .errors import (
     ImpossibleObservationError,
     InconsistentOccupancyError,
+    UndefinedDecisionRuleError,
     UnreachableHistoryError,
 )
 from .model import PosgModel
@@ -341,6 +344,45 @@ def child_histories(
     return tuple(out)
 
 
+def child_codes(
+    model: PosgModel, codes: Sequence[np.ndarray], reached: Sequence[np.ndarray]
+) -> tuple[np.ndarray, ...]:
+    """Each agent's trie code per child id of a push (``next_level``'s
+    ``reached``) from its code per parent id: ``(code * n_u + u) * n_z + z``."""
+    widths = [len(u) * model.n_agent_obs(i) for i, u in enumerate(model.actions)]
+    return tuple(c[r // w] * w + r % w for c, r, w in zip(codes, reached, widths))
+
+
+def rule_rows(
+    model: PosgModel, agent: int, rule: DecisionRule, roots: Sequence[PrivateHistory], t: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The agent's decision rule as action rows by trie code below its
+    histories ``roots`` at step ``t``: sorted codes and one row each, code
+    ``a`` at ``roots[a]``; entries below no root are left out."""
+    n_u, n_z = len(model.actions[agent]), model.n_agent_obs(agent)
+    at = {h.steps: a for a, h in enumerate(roots)}
+    rows = {}
+    for h, dist in rule.probs.items():
+        if h.steps[:t] in at:
+            code = at[h.steps[:t]]
+            for u, z in h.steps[t:]:
+                code = (code * n_u + u) * n_z + z
+            rows[code] = dist
+    codes = sorted(rows)
+    table = np.array([rows[c] for c in codes], dtype=float).reshape(len(codes), n_u)
+    return np.array(codes, dtype=np.intp), table
+
+
+def rows_at(rows: tuple[np.ndarray, np.ndarray], codes: np.ndarray, agent: int, t: int):
+    """The position of each of ``codes`` among ``rows``' sorted trie codes
+    (``rule_rows``' form); a code without a row raises
+    ``UndefinedDecisionRuleError``, naming the agent and the step ``t``."""
+    at = np.searchsorted(rows[0], codes)
+    if not np.array_equal(np.append(rows[0], -1)[at], codes):  # -1 equals no code
+        raise UndefinedDecisionRuleError(f"undefined decision rule for agent {agent} (t={t})")
+    return at
+
+
 def level_of(model: PosgModel, s) -> tuple[Level, Histories]:
     """The level of a (private) occupancy state and each agent's histories by
     id, converted from its entries once and kept on the state."""
@@ -350,25 +392,22 @@ def level_of(model: PosgModel, s) -> tuple[Level, Histories]:
 
 
 def to_level(model: PosgModel, entries: Mapping[Entry, float]) -> tuple[Level, Histories]:
-    """``entries`` as a level, each agent's histories numbered in order of
-    first appearance."""
-    index: list[dict[PrivateHistory, int]] = [{} for _ in range(model.n_agents)]
-    hists: Histories = tuple([] for _ in range(model.n_agents))
-    ids: list[list[int]] = [[] for _ in range(model.n_agents)]
-    for _, o in entries:
-        for i, h in enumerate(o.privates):
-            k = index[i].get(h)
-            if k is None:
-                k = index[i][h] = len(hists[i])
-                hists[i].append(h)
-            ids[i].append(k)
+    """``entries`` as a level, each agent's histories numbered in steps
+    order: the order of their trie codes, which every push keeps."""
+    privates = [o.privates for _, o in entries]
+    hists, ids = [], []
+    for i in range(model.n_agents):
+        own = [o[i] for o in privates]
+        hists.append(sorted(set(own), key=lambda h: h.steps))
+        index = {h: k for k, h in enumerate(hists[-1])}
+        ids.append(np.array([index[h] for h in own], dtype=np.intp))
     level = Level(
         np.array([x for x, _ in entries], dtype=np.intp),
-        tuple(np.array(k, dtype=np.intp) for k in ids),
+        tuple(ids),
         np.array(list(entries.values()), dtype=float),
         tuple(len(h) for h in hists),
     )
-    return level, hists
+    return level, tuple(hists)
 
 
 def entries_of(level: Level, hists: Histories) -> dict[Entry, float]:

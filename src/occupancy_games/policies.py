@@ -195,7 +195,7 @@ class BehavioralPolicy:
 
 @dataclass(frozen=True)
 class PolicyMixture:
-    """Weighted pure policies for one agent; weights sum to 1."""
+    """Weighted pure policies for one agent of one horizon; weights sum to 1."""
 
     agent: int
     components: tuple[tuple[float, PolicyTree], ...]
@@ -203,6 +203,9 @@ class PolicyMixture:
     def __post_init__(self):
         if abs(sum(w for w, _ in self.components) - 1.0) > 1e-9:
             raise ValueError("mixture weights must sum to 1")
+        horizons = sorted({tree.horizon for _, tree in self.components})
+        if len(horizons) > 1:
+            raise ValueError(f"mixture components differ in horizon: {horizons}")
 
     @property
     def horizon(self) -> int:

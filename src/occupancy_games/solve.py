@@ -54,21 +54,17 @@ payoffs' scale above 1.
 ``_walk`` is the one set-up of that walk (behind ``_normal_form``, and
 called directly by the zero-sum loop, which counts its own walks), and it
 starts from the state's level (``occupancy.level_of``), never from its
-entries.
-``cap_bytes`` is one budget for every criterion, checked before each walk,
-and what it bounds follows from the agents the walk keeps in sequence form.
+entries: a level numbers each agent's histories in steps order, so its ids
+are the anchor numbers, and below it histories go by trie code.
+``cap_bytes`` is one budget for every criterion, checked before each walk.
 Where some agent is enumerated (common payoff and Stackelberg) it bounds the
-bytes of the dense arrays the walk and the enumeration would build,
-predicted from the agents' full tries; that count leaves out the LP
-matrices and intermediate copies, so it does not bound peak memory.  In the
-zero-sum loop, which keeps every agent, it bounds each pair's walk by
-``_restricted_bytes``: the most the walk holds at once without the LP's
-matrices, its arrays counted item by item plus ``WALK_FIXED_BYTES`` for its
-constant costs, which puts it at or above the walk's ``tracemalloc`` peak on
-every model measured, tiny ones included.  The loop's best replies are not
-counted: the private DP pushes the state's own level once and the levels
-below it in batches of at most ``PRIVATE_BATCH_ROWS`` rows.  The normal
-forms and the values from mid-game states keep the default ``CAP_BYTES``.
+dense arrays the walk and the enumeration would build, predicted from the
+agents' full tries (not the LP matrices, so not peak memory); in the
+zero-sum loop it bounds each pair's walk (``_restricted_bytes``), at or
+above its ``tracemalloc`` peak on every model measured.  The loop's best
+replies are not counted: the private DP pushes in batches of at most
+``PRIVATE_BATCH_ROWS`` rows.  The normal forms and the values from mid-game
+states keep the default ``CAP_BYTES``.
 Every solver reads the model's own horizon; ``PosgModel.with_horizon`` sets
 another.
 """
@@ -84,10 +80,10 @@ import numpy as np
 
 from .errors import (
     CAP_BYTES,
+    WALK_FIXED_BYTES,
     CapExceededError,
     CertificateError,
     ModelValidationError,
-    UndefinedDecisionRuleError,
 )
 from .model import PosgModel
 from .occupancy import (
@@ -96,6 +92,7 @@ from .occupancy import (
     OccupancyState,
     PrivateOccupancyState,
     action_probs,
+    child_codes,
     child_histories,
     initial_occupancy,
     initial_private_occupancy,
@@ -104,6 +101,8 @@ from .occupancy import (
     normalized_groups,
     others_rule_arrays,
     own_rewards,
+    rows_at,
+    rule_rows,
     sub_level,
 )
 from .policies import (
@@ -116,13 +115,6 @@ from .policies import (
 )
 
 DEFAULT_TOLERANCE = 1e-9
-# what a zero-sum walk holds besides the arrays ``_restricted_bytes`` counts
-# item by item: the ``kids`` dicts, the start dict, array headers and the
-# scratch of ``np.unique`` and the sparse ``G``.  On small walks these
-# outweigh the counted arrays (tiger-zs's whole-trie walk peaks at 7 KB at
-# h=1 and 24 KB at h=2 against 432 bytes and 16 KB counted); on larger ones
-# the count's surplus on large arrays covers them.
-WALK_FIXED_BYTES = 2**17
 # the most rows (entry, joint action, outcome) one batch of the private DP
 # pushes at once, or, at the last step, (entry, joint action) pairs it
 # prices, unless one state alone has more: tiger h=5's private best response
@@ -188,18 +180,10 @@ def matrix_game_value(payoffs, tolerance: float = DEFAULT_TOLERANCE) -> MatrixGa
     if not np.isfinite(A).all():
         raise ValueError("payoff entries must be finite")
     m, n = A.shape
-    if m == 1 and n == 1:
-        return MatrixGameSolution(float(A[0, 0]), np.ones(1), np.ones(1), "closed-form")
-    if m == 1:
-        k = int(np.argmin(A[0]))
-        col = np.zeros(n)
-        col[k] = 1.0
-        return MatrixGameSolution(float(A[0, k]), np.ones(1), col, "closed-form")
-    if n == 1:
-        j = int(np.argmax(A[:, 0]))
-        row = np.zeros(m)
-        row[j] = 1.0
-        return MatrixGameSolution(float(A[j, 0]), row, np.ones(1), "closed-form")
+    if m == 1 or n == 1:  # the player with a choice picks its best action
+        j = int(np.argmax(A[:, 0])) if n == 1 else 0
+        k = int(np.argmin(A[0])) if m == 1 else 0
+        return MatrixGameSolution(float(A[j, k]), np.eye(m)[j], np.eye(n)[k], "closed-form")
     if m == 2 and n == 2:
         return _solve_2x2(A)
     rows, cols = _first_copies(A), _first_copies(A.T)
@@ -359,7 +343,7 @@ def _private_dp(
     level, hists = level_of(model, s_i)
     others = [
         None if j == agent
-        else {k: _rule_rows(model, j, profiles[k][j], hs, t) for k in range(t, len(profiles))}
+        else {k: rule_rows(model, j, profiles[k][j], hs, t) for k in range(t, len(profiles))}
         for j, hs in enumerate(hists)
     ]
     value, index, played, q, kids = _private_best(model, agent, level, others, t)
@@ -370,44 +354,6 @@ def _private_dp(
         own[j] = own[parent].child(u, z)
     table = {h: tuple(q[j].tolist()) for j, h in own.items()}
     return value, _tree(model, agent, index, model.horizon - t), table
-
-
-def _rule_rows(
-    model: PosgModel, agent: int, rule: DecisionRule, roots: Sequence[PrivateHistory], t: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The agent's decision rule as action rows by trie code below its
-    histories ``roots`` at step ``t`` (``_plan_rows``' form, code ``a`` at
-    ``roots[a]``); entries below no root are left out."""
-    n_u, n_z = len(model.actions[agent]), model.n_agent_obs(agent)
-    at = {h.steps: a for a, h in enumerate(roots)}
-    rows = {}
-    for h, dist in rule.probs.items():
-        if h.steps[:t] in at:
-            code = at[h.steps[:t]]
-            for u, z in h.steps[t:]:
-                code = (code * n_u + u) * n_z + z
-            rows[code] = dist
-    codes = sorted(rows)
-    table = np.array([rows[c] for c in codes], dtype=float).reshape(len(codes), n_u)
-    return np.array(codes, dtype=np.intp), table
-
-
-def _rows_at(rows: tuple[np.ndarray, np.ndarray], codes: np.ndarray) -> np.ndarray:
-    """The action row ``rows`` (sorted trie codes, one row each, as
-    ``_plan_rows`` builds them) holds at each of ``codes``."""
-    keys, table = rows
-    if not np.isin(codes, keys).all():
-        raise UndefinedDecisionRuleError("undefined decision rule at a reached history")
-    return table[np.searchsorted(keys, codes)]
-
-
-def _child_codes(
-    model: PosgModel, codes: Sequence[np.ndarray], reached: Sequence[np.ndarray]
-) -> tuple[np.ndarray, ...]:
-    """Each agent's trie code per child id of a push (``next_level``'s
-    ``reached``) from its code per parent id: ``(code * n_u + u) * n_z + z``."""
-    widths = [len(u) * model.n_agent_obs(i) for i, u in enumerate(model.actions)]
-    return tuple(c[r // w] * w + r % w for c, r, w in zip(codes, reached, widths))
 
 
 def _private_best(
@@ -453,7 +399,7 @@ def _private_batch(
     is agent ``i``'s trie code per history id.
 
     One push weighs every own action 1, the others acting by their rows at
-    their codes (``_rows_at``); each own action's reward is its rows' sum
+    their codes (``rows_at``); each own action's reward is its rows' sum
     per state (``own_rewards``), and the children are grouped by the agent's
     own history, one child state per (state, own action, own observation)
     reached, each normalized on its own with its probability ``ω``
@@ -466,7 +412,8 @@ def _private_batch(
     each state's best q."""
     n_u, n_z = len(model.actions[agent]), model.n_agent_obs(agent)
     n = level.n_sets[agent]
-    probs = [None if rows is None else _rows_at(rows[t], c) for rows, c in zip(others, codes)]
+    probs = [None if r is None else r[t][1][rows_at(r[t], c, j, t)]
+             for j, (r, c) in enumerate(zip(others, codes))]
     a = action_probs(model, level, probs)
     q = own_rewards(model, level, a, agent)
     batches.append((first, q))
@@ -478,7 +425,7 @@ def _private_batch(
     base = len(kids)  # the first child's number
     kids.update(zip(_kid_keys(model, agent, reached, first), range(base, base + len(reached))))
     omega, keep, p, ends = normalized_groups(pushed, pushed.level.ids[agent], len(reached))
-    level, codes = pushed.level, _child_codes(model, codes, pushed.reached)
+    level, codes = pushed.level, child_codes(model, codes, pushed.reached)
     del pushed
     # child states lo..hi-1 hold entries ends[lo]:ends[hi] and cost
     # rows[hi] - rows[lo]: the rows they push or, at the last step, which
@@ -530,12 +477,6 @@ def best_response_private_from(
 # ---------------------------------------------------------------------------
 
 
-def _anchors(model: PosgModel, s: OccupancyState, agent: int) -> list[PrivateHistory]:
-    """The agent's histories in ``s``, read from its level and sorted by
-    steps: anchor ``a`` of every walk below ``s``."""
-    return sorted(level_of(model, s)[1][agent], key=lambda h: h.steps)
-
-
 def _anchored_space(
     model: PosgModel, agent: int, anchors: Sequence[PrivateHistory], depth: int
 ) -> list[dict[PrivateHistory, PolicyTree]]:
@@ -551,7 +492,6 @@ def _anchored_space(
 def _sequence_payoffs(
     model: PosgModel,
     s: OccupancyState,
-    anchors: Sequence[Sequence[PrivateHistory]],
     agents_of_interest: Sequence[int],
     weights: Sequence[Sequence[tuple[np.ndarray, np.ndarray]] | None] | None = None,
 ) -> tuple[list[np.ndarray], list[dict[tuple[int, int, int], int]], list | None]:
@@ -559,18 +499,18 @@ def _sequence_payoffs(
 
     One forward walk, level by level, pushes the mass of ``s`` through
     (state, per-agent information set) pairs, every joint action and outcome
-    of a level at once, starting from the level of ``s`` (``_anchored_level``).
+    of a level at once, starting from the level of ``s`` (``level_of``).
     Agent ``i``'s sets are numbered level by level: set ``a`` is its anchor
-    ``anchors[i][a]``, then each level's reached sets follow in (parent set,
-    own action, own observation) order, and ``kids[i][(j, u, z)]`` is the
-    set after action ``u`` and observation ``z`` at set ``j``.  Sets the walk
-    never reaches get no number.  Sequence ``j * n_u + u`` is action ``u`` at
-    set ``j``, so the sequences of one depth are contiguous, and a sequence
-    pairs only with the others' sequences of its depth: ``blocks[d]`` has one
-    axis per agent over its depth-``d`` sequences and a last axis over
-    ``agents_of_interest``, the discounted reward at those joint sequences
-    weighted by the probability of the outcomes along them.  The full tensor
-    is block diagonal in them.
+    ``a`` (history ``a`` of the level of ``s``), then each level's reached
+    sets follow in (parent set, own action, own observation) order, and
+    ``kids[i][(j, u, z)]`` is the set after action ``u`` and observation
+    ``z`` at set ``j``.  Sets the walk never reaches get no number.
+    Sequence ``j * n_u + u`` is action ``u`` at set ``j``, so the sequences
+    of one depth are contiguous, and a sequence pairs only with the others'
+    sequences of its depth: ``blocks[d]`` has one axis per agent over its
+    depth-``d`` sequences and a last axis over ``agents_of_interest``, the
+    discounted reward at those joint sequences weighted by the probability
+    of the outcomes along them.  The full tensor is block diagonal in them.
 
     With ``weights``, agent ``i`` plays ``rows[k]`` at the set of trie code
     ``codes[k]`` (``weights[i][d] = (codes, rows)`` at depth ``d``, as
@@ -584,18 +524,18 @@ def _sequence_payoffs(
     # rewards[x, u_0, ..., u_{n-1}, k] for the k-th agent of interest
     rewards = np.moveaxis(model.rewards[list(agents_of_interest)], 0, -1)
     rewards = rewards.reshape((model.n_states,) + n_us + (-1,))
-    level = _anchored_level(model, s, anchors)
+    level = level_of(model, s)[0]
     n_sets = level.n_sets
     first = [0] * model.n_agents  # id of the level's first set, per agent
-    kids: list[dict[tuple[int, int, int], int]] = [{} for _ in anchors]
+    kids: list[dict[tuple[int, int, int], int]] = [{} for _ in n_sets]
     trie = [np.arange(n) for n in n_sets]  # trie code of each set of the level
-    played: list[list[np.ndarray]] = [[] for _ in anchors]  # weights by set, per level
+    played: list[list[np.ndarray]] = [[] for _ in n_sets]  # weights by set, per level
     blocks, a = [], None
     for d in range(model.horizon - s.t):
         if weights is not None:
             for i, (codes, w) in enumerate(zip(trie, weights)):
-                ones = w is None
-                played[i].append(np.ones((len(codes), n_us[i])) if ones else _rows_at(w[d], codes))
+                at = None if w is None else rows_at(w[d], codes, i, s.t + d)
+                played[i].append(np.ones((len(codes), n_us[i])) if w is None else w[d][1][at])
             a = action_probs(model, level, [p[-1] for p in played])
         blocks.append(_payoff_block(level, rewards))
         if d + 1 == model.horizon - s.t:
@@ -607,23 +547,11 @@ def _sequence_payoffs(
             keys = _kid_keys(model, i, codes, first[i])
             kids[i].update(zip(keys, range(base, base + len(codes))))
             first[i] = base
-        trie = _child_codes(model, trie, pushed.reached)
+        trie = child_codes(model, trie, pushed.reached)
         level = pushed.level
     if weights is None:
         return blocks, kids, None
     return blocks, kids, [np.concatenate(p, axis=None) for p in played]
-
-
-def _anchored_level(
-    model: PosgModel, s: OccupancyState, anchors: Sequence[Sequence[PrivateHistory]]
-) -> Level:
-    """The level of ``s`` (``level_of``), each agent's history ids renumbered
-    from first appearance to the order of its ``anchors``."""
-    level, hists = level_of(model, s)
-    pos = [{h: a for a, h in enumerate(anc)} for anc in anchors]
-    return level._replace(ids=tuple(
-        np.array([p[h] for h in hs], dtype=np.intp)[k] for p, hs, k in zip(pos, hists, level.ids)
-    ))
 
 
 def _kid_keys(model: PosgModel, agent: int, codes: np.ndarray, first: int):
@@ -791,25 +719,23 @@ def _normal_form(
     (``_restricted_bytes``) and calls ``_walk`` directly.
     """
     depth = model.horizon - s.t
-    anchors = [_anchors(model, s, i) for i in range(model.n_agents)]
     n_bytes = _predicted_bytes(
-        model, [len(a) for a in anchors], depth, keep, len(agents_of_interest), len(uncontracted)
+        model, level_of(model, s)[0].n_sets, depth, keep, len(agents_of_interest), len(uncontracted)
     )
     if n_bytes > cap_bytes:
         raise CapExceededError("normal form", n_bytes, cap_bytes, " bytes")
-    return _walk(model, s, anchors, agents_of_interest, keep, uncontracted)
+    return _walk(model, s, agents_of_interest, keep, uncontracted)
 
 
 def _walk(
     model: PosgModel,
     s: OccupancyState,
-    anchors: Sequence[Sequence[PrivateHistory]],
     agents_of_interest: Sequence[int],
     keep: Sequence[int] = (),
     uncontracted: Sequence[int] = (),
     weights: Sequence[Sequence[tuple[np.ndarray, np.ndarray]] | None] | None = None,
 ) -> tuple[list, list[np.ndarray | None], list[dict], list[np.ndarray]]:
-    """``_normal_form`` from ``s``'s ``anchors`` after its byte count was
+    """``_normal_form`` below ``s`` after its byte count was
     checked: by ``_normal_form``, or by the zero-sum loop, which counts each
     pair it walks once.  With ``weights`` the walk pushes weighted actions
     only (``_sequence_payoffs``), and the second item is each agent's weight
@@ -818,14 +744,15 @@ def _walk(
     if depth < 1:
         raise ValueError("occupancy state is already at the horizon")
     blocks, kids, played = _sequence_payoffs(
-        model, s, anchors, list(agents_of_interest) + list(uncontracted), weights
+        model, s, list(agents_of_interest) + list(uncontracted), weights
     )
+    n_anchors = level_of(model, s)[0].n_sets
     parents = [
-        _parents(kids[i], len(anchors[i]) + len(kids[i]), len(model.actions[i]))
+        _parents(kids[i], n_anchors[i] + len(kids[i]), len(model.actions[i]))
         for i in range(model.n_agents)
     ]
     realizations = [
-        None if i in keep else _plan_realization(model, i, len(anchors[i]), kids[i], depth)
+        None if i in keep else _plan_realization(model, i, n_anchors[i], kids[i], depth)
         for i in range(model.n_agents)
     ]
     n_c = len(agents_of_interest)
@@ -884,7 +811,7 @@ def suffix_normal_form(
     axis ``i`` indexes agent ``i``'s assignments of one tree per anchor."""
     mats, _, _, _ = _normal_form(model, s, agents_of_interest, CAP_BYTES)
     depth = model.horizon - s.t
-    anchors = [_anchors(model, s, i) for i in range(model.n_agents)]
+    anchors = level_of(model, s)[1]
     return mats, [_anchored_space(model, i, a, depth) for i, a in enumerate(anchors)]
 
 
@@ -1162,10 +1089,8 @@ def _double_oracle(
     restricted sets, and an iteration that adds no sequence raises
     ``CertificateError``."""
     depth = model.horizon - s.t
-    anchors = tuple(tuple(_anchors(model, s, i)) for i in range(2))
-    n_anchors = [len(a) for a in anchors]
-    n_us = [len(labels) for labels in model.actions]
-    level = _anchored_level(model, s, anchors)
+    level, hists = level_of(model, s)
+    n_anchors, n_us = level.n_sets, [len(labels) for labels in model.actions]
 
     def restricted(plans) -> list[list[tuple[np.ndarray, np.ndarray]]]:
         """Each agent's 0/1 rows of the sequences its plans play."""
@@ -1185,7 +1110,7 @@ def _double_oracle(
     for iteration in itertools.count(1):
         if n_bytes > cap_bytes:
             raise CapExceededError("restricted game", n_bytes, cap_bytes, " bytes")
-        (G,), played, kids, parents = _walk(model, s, anchors, [0], (0, 1), weights=sets)
+        (G,), played, kids, parents = _walk(model, s, [0], (0, 1), weights=sets)
         payoffs, method = G, "sequence-form-lp" if whole else "sequence-form-double-oracle"
         if whole and all(len(p) == 1 for p in parents):  # G is the matrix game
             payoffs = G.toarray()
@@ -1228,6 +1153,7 @@ def _double_oracle(
         "method": method, **grew, "duality_gap": gap, "exploitability": exploitability,
         "residual": max(exploitability),
     }
+    anchors = tuple(map(tuple, hists))
     return SequenceFormSolution((value, -value), (x, y), anchors, tuple(kids), metadata), G
 
 
@@ -1409,7 +1335,7 @@ def _stackelberg_kernel(
     value, x, k, follower, regret = _multiple_lp(L, G_F, R_F, parents, n_us)
     if regret > max(tolerance, 1e-7) * max(1.0, float(np.abs(G_F).max(initial=0.0))):
         raise CertificateError(f"stackelberg follower regret {regret:.3g} exceeds tolerance")
-    anchors = tuple(tuple(_anchors(model, s, i)) for i in range(2))
+    anchors = tuple(map(tuple, level_of(model, s)[1]))
     metadata = {"method": "multiple-lp", "shape": L.shape, "follower_regret": regret}
     return SequenceFormSolution((value, follower), (x, R_F[k]), anchors, tuple(kids), metadata)
 

@@ -44,6 +44,7 @@ from .occupancy import (
     expected_reward,
     factorize,
     initial_occupancy,
+    level_of,
     mix_occupancies,
     occupancy_l1,
     private_occupancy,
@@ -66,7 +67,6 @@ from .policies import (
 from .sampling import random_decision_rule, random_joint_policy
 from .solve import (
     _anchored_space,
-    _anchors,
     _trie_size,
     best_response_private_from,
     best_response_value_from,
@@ -502,7 +502,7 @@ def _anchored_plans(
     ``others_rules``, as rules by step (None before ``s.t``); refused above
     ``ORACLE_PLANS``."""
     t = s.t
-    anchors = _anchors(model, s, agent)
+    anchors = level_of(model, s)[1][agent]
     plans = _trie_size(model, agent, len(anchors), model.horizon - t)[1]
     if plans > ORACLE_PLANS:
         raise CapExceededError("anchored plans of the pwlc certificate", plans, ORACLE_PLANS)

@@ -59,6 +59,12 @@ def code_names(code) -> set[str]:
     return names
 
 
+def in_steps_order(hists) -> bool:
+    """Whether each agent's histories of a level (``level_of``'s second
+    item) are numbered in steps order."""
+    return all(list(hs) == sorted(hs, key=lambda h: h.steps) for hs in hists)
+
+
 def private_children(model, s_i, others_rules) -> list[tuple]:
     """``(u_i, z_i, probability, next private occupancy state)`` for every own
     action and observation of positive probability below ``s_i``, in

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -439,6 +441,67 @@ def test_evaluate_refuses_too_many_episodes(capsys):
         "error: simulation too large: 136000000000000 bytes exceeds cap 1073741824 bytes"
     )
     assert "Traceback" not in err
+
+
+LEAF = {"action": "listen"}
+FULL = {"action": "listen", "children": {"hear-left": LEAF, "hear-right": LEAF}}
+
+
+def tree_file(path, *roots) -> str:
+    """A joint policy file of one tree per agent, at the trees' horizon."""
+    agents = [{"type": "tree", "tree": root} for root in roots]
+    path.write_text(json.dumps({"horizon": 3, "agents": agents}))
+    return str(path)
+
+
+@pytest.mark.parametrize("episodes", [[], ["--episodes", "100"]], ids=["exact", "simulated"])
+@pytest.mark.parametrize("policy", ["deleted-history", "ragged-tree"])
+def test_a_policy_that_leaves_a_reached_history_undefined_exits_2(
+    tmp_path, capsys, policy, episodes
+):
+    # a behavioral rule with one history deleted, and a tree whose
+    # hear-right subtree stops one step short at h=3, leave a history the
+    # policy reaches without a decision: a bad policy file, not a failed
+    # property
+    path = tmp_path / "policy.json"
+    if policy == "deleted-history":
+        assert main(["evaluate", TIGER, "--horizon", "2", "--dump-policy", str(path)]) == 0
+        data = json.loads(path.read_text())
+        del data["agents"][0]["rules"][1]["listen:hear-right"]
+        path.write_text(json.dumps(data))
+        argv, where = ["--horizon", "2"], "((0, 1),) (t=1)"
+    else:
+        ragged = {"action": "listen", "children": {"hear-left": FULL, "hear-right": LEAF}}
+        tree_file(path, ragged, {"action": "listen", "children": {"hear-left": FULL, "hear-right": FULL}})
+        argv, where = ["--horizon", "3"], "((0, 1), (0, 0)) (t=2)"
+    capsys.readouterr()
+    code, out, err = run(capsys, "evaluate", TIGER, *argv, "--policy", str(path), *episodes)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.splitlines() == [f"error: undefined decision rule for agent 0 at history {where}"]
+
+
+def test_a_mixture_of_trees_of_unequal_horizons_exits_2(tmp_path, capsys):
+    # the mixture's first component has the model's horizon, its second
+    # does not: the file is refused where it is read
+    mixture = {"type": "mixture", "components": [
+        {"weight": 0.5, "tree": {"action": "listen", "children": {"hear-left": FULL, "hear-right": FULL}}},
+        {"weight": 0.5, "tree": LEAF},
+    ]}
+    path = tmp_path / "mixture.json"
+    path.write_text(json.dumps({"horizon": 3, "agents": [mixture, {"type": "tree", "tree": LEAF}]}))
+    code, out, err = run(capsys, "evaluate", TIGER, "--horizon", "3", "--policy", str(path))
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.startswith(f"error: policy file {path}: mixture components differ in horizon")
+
+
+def test_exact_evaluation_over_the_budget_exits_3(capsys):
+    # tiger at h=6: the step at t=4 would push 228,427,776 rows, refused
+    # before that push, after pushes of at most 6,345,216 rows
+    code, out, err = run(capsys, "evaluate", TIGER, "--horizon", "6")
+    assert code == 3 and out == "" and "Traceback" not in err
+    assert err.splitlines()[-1] == (
+        "error: exact evaluation too large: 17467369552 bytes exceeds cap 1073741824 bytes"
+    )
 
 
 def test_verify_lipschitz_on_zs(capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from occupancy_games import evaluate
-from occupancy_games.errors import CapExceededError
+from occupancy_games.errors import CapExceededError, UndefinedDecisionRuleError
 from occupancy_games.evaluate import (
     evaluate_occupancy,
     simulate,
@@ -479,6 +479,90 @@ def test_simulate_refuses_before_its_first_draw(tiger, monkeypatch):
     assert not draws
     monkeypatch.setattr(evaluate, "CAP_BYTES", n_bytes)
     assert simulate(tiger, policy, 1000, 0).episodes == 1000 and draws
+
+
+def test_simulate_names_the_agent_and_step_of_an_undefined_history(tiger):
+    # simulate reads each rule by trie code below the empty history: a
+    # played history without a rule fails as DecisionRule.dist does, naming
+    # the agent and the step, the empty history at t=0 included; the
+    # children of an action never played need no rule
+    m = tiger.with_horizon(2)
+    listen = (1.0, 0.0, 0.0)
+
+    def policy(first, second, roots=(0, 1)):
+        rules = [
+            (DecisionRule(i, 0, {PrivateHistory(i): listen} if i in roots else {}),
+             DecisionRule(i, 1, {PrivateHistory(i, ((0, z),)): listen for z in (first, second)}))
+            for i in range(2)
+        ]
+        return JointPolicy(tuple(BehavioralPolicy(i, r) for i, r in enumerate(rules)))
+
+    with pytest.raises(UndefinedDecisionRuleError, match=r"for agent 0 .*\(t=1\)"):
+        simulate(m, policy(0, 0), 50, 1)
+    with pytest.raises(UndefinedDecisionRuleError, match=r"for agent 1 .*\(t=0\)"):
+        simulate(m, policy(0, 1, roots=(0,)), 50, 1)
+    # listening twice pays the same in every episode
+    defined = simulate(m, policy(0, 1), 50, 1)
+    assert defined.means[0] == evaluate_occupancy(m, policy(0, 1), initial_occupancy(m), 0)
+
+
+def test_simulate_builds_no_history(tiger, monkeypatch):
+    # simulate numbers each agent's histories by trie code: it neither
+    # builds a history nor reads a rule one history at a time
+    m = tiger.with_horizon(4)
+    policy = random_joint_policy(m, np.random.default_rng(14))
+    calls = []
+    child, dist = PrivateHistory.child, DecisionRule.dist
+    monkeypatch.setattr(PrivateHistory, "child", lambda *a: calls.append("child") or child(*a))
+    monkeypatch.setattr(DecisionRule, "dist", lambda *a: calls.append("dist") or dist(*a))
+    simulate(m, policy, 1000, 2)
+    assert calls == []
+    evaluate_occupancy(m, policy, initial_occupancy(m), 0)  # control: exact evaluation does
+    assert {"child", "dist"} <= set(calls)
+
+
+def pull_counts(monkeypatch) -> list:
+    """Every byte count ``_pull`` checks from here on, in call order."""
+    counts, count = [], evaluate._pull_bytes
+    monkeypatch.setattr(evaluate, "_pull_bytes", lambda *a: counts.append(count(*a)) or counts[-1])
+    return counts
+
+
+@pytest.mark.parametrize("h", [3, 4, 5])
+def test_exact_evaluation_counts_at_least_what_it_holds(tiger, monkeypatch, h):
+    # the largest count of an exact evaluation against its tracemalloc
+    # peak; at h=5 the largest push has 6,345,216 rows and its count stays
+    # within CAP_BYTES
+    m = tiger.with_horizon(h)
+    policy = random_joint_policy(m, np.random.default_rng(15))
+    counts = pull_counts(monkeypatch)
+    tracemalloc.start()
+    try:
+        evaluate_occupancy(m, policy, initial_occupancy(m), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= max(counts) <= evaluate.CAP_BYTES
+
+
+def test_exact_evaluation_refuses_before_the_push_over_its_budget(tiger, monkeypatch):
+    # both sides of the budget at h=3: a cap one byte under the largest
+    # count refuses at that step, before its push; at the count it passes
+    m = tiger.with_horizon(3)
+    policy = random_joint_policy(m, np.random.default_rng(16))
+    s0 = initial_occupancy(m)
+    counts = pull_counts(monkeypatch)
+    value = evaluate_occupancy(m, policy, s0, 0)
+    largest = max(counts)
+    pushes = []
+    push = evaluate.next_level
+    monkeypatch.setattr(evaluate, "next_level", lambda *a, **k: pushes.append(1) or push(*a, **k))
+    monkeypatch.setattr(evaluate, "CAP_BYTES", largest - 1)
+    with pytest.raises(CapExceededError) as info:
+        evaluate_occupancy(m, policy, s0, 0)
+    assert info.value.count == largest and len(pushes) == counts.index(largest)
+    monkeypatch.setattr(evaluate, "CAP_BYTES", largest)
+    assert evaluate_occupancy(m, policy, s0, 0) == value
 
 
 def test_simulate_rejects_bad_episode_count(one_stage):

@@ -9,7 +9,7 @@ from occupancy_games.errors import (
     UnreachableHistoryError,
 )
 from occupancy_games.model import parse_posg
-from occupancy_games import occupancy
+from occupancy_games import occupancy, solve
 from occupancy_games.occupancy import (
     OccupancyState,
     PrivateOccupancyState,
@@ -39,13 +39,14 @@ from occupancy_games.policies import (
 )
 from occupancy_games.solve import best_response_private
 from occupancy_games.sampling import (
+    random_behavioral_policy,
     random_decision_rule,
     random_joint_policy,
     random_posg,
 )
 from occupancy_games.verify import _anchored, _next_measures, _normalized, _outcomes, _played
 
-from conftest import private_children, recorded_pushes
+from conftest import in_steps_order, private_children, recorded_pushes
 
 
 def det_rule(model, agent, t, action, histories):
@@ -140,6 +141,38 @@ def test_step_branches_form_distribution(seed):
         assert sum(nxt.entries.values()) == pytest.approx(1.0, abs=1e-9)
         assert all(v > 0 for v in nxt.entries.values())
         assert all(o.t == 1 for (_, o) in nxt.entries)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_every_level_numbers_its_histories_in_steps_order(seed):
+    # the one numbering of a level's histories, by steps (their trie codes'
+    # order): levels converted from shuffled entries, the children of step
+    # and private_step, and the private DP's sub-levels, whose histories
+    # are trie codes per id
+    rng = np.random.default_rng(seed)
+    m = random_posg(rng, n_states=2, n_actions=(2, 3), n_obs=(2, 2), n_public=2, horizon=3)
+    s, levels = initial_occupancy(m), []
+    for t in range(2):
+        branches = step(m, s, tuple(random_decision_rule(m, i, t, rng) for i in range(2)))
+        levels += [level_of(m, nxt) for _, _, nxt in branches]
+        s = branches[rng.integers(len(branches))][2]
+    items = list(s.entries.items())
+    shuffled = OccupancyState(s.t, dict(items[k] for k in rng.permutation(len(items))))
+    levels.append(level_of(m, shuffled))
+    assert entries_of(*levels[-1]) == shuffled.entries
+    others = [{1: random_decision_rule(m, 1, t, rng)} for t in range(2)]
+    for _, _, _, s_i in private_children(m, initial_private_occupancy(m, 0), others[0]):
+        levels.append(level_of(m, s_i))
+        levels += [level_of(m, c) for *_, c in private_children(m, s_i, others[1])]
+    assert all(in_steps_order(hists) for _, hists in levels)
+    codes, batch = [], solve._private_batch
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(solve, "_private_batch", lambda m, i, level, c, *rest: (
+            codes.append(c) or batch(m, i, level, c, *rest)
+        ))
+        best_response_private(m, {1: random_behavioral_policy(m, 1, rng)}, 0)
+    assert len(codes) > 2 and all((np.diff(c) > 0).all() for per_agent in codes for c in per_agent)
 
 
 # -- expected reward ----------------------------------------------------------

@@ -12,6 +12,8 @@ from occupancy_games.policies import (
     DecisionRule,
     JointHistory,
     JointPolicy,
+    PolicyMixture,
+    PolicyTree,
     PrivateHistory,
     empty_joint_history,
     decision_at,
@@ -129,6 +131,13 @@ def test_decision_rule_validates():
         DecisionRule(0, 0, {PrivateHistory(0): (0.5, 0.2)})
     with pytest.raises(ValueError, match="time step"):
         DecisionRule(0, 1, {PrivateHistory(0): (1.0,)})
+
+
+def test_a_mixture_of_trees_of_unequal_horizons_is_refused(tiger):
+    trees = enumerate_pure_policies(tiger, 0, 2)
+    assert PolicyMixture(0, ((0.5, trees[0]), (0.5, trees[-1]))).horizon == 2
+    with pytest.raises(ValueError, match=r"differ in horizon: \[1, 2\]"):
+        PolicyMixture(0, ((0.5, trees[0]), (0.5, PolicyTree(0, 0))))
 
 
 @pytest.mark.parametrize("n_actions", [(3,), (2, 3), (3, 2, 2)])

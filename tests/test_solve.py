@@ -18,7 +18,7 @@ from occupancy_games.errors import (
     ModelValidationError,
     UnreachableHistoryError,
 )
-from occupancy_games import solve, verify
+from occupancy_games import occupancy, solve, verify
 from occupancy_games.evaluate import evaluate_occupancy, value_tables
 from occupancy_games.model import reinterpret_criterion
 from occupancy_games.occupancy import (
@@ -66,7 +66,14 @@ from occupancy_games.solve import (
     zero_sum_value_from,
 )
 
-from conftest import code_names, load, pairing, private_children, restricted_start
+from conftest import (
+    code_names,
+    in_steps_order,
+    load,
+    pairing,
+    private_children,
+    restricted_start,
+)
 
 
 # -- independent support-enumeration oracle for matrix games -------------------
@@ -859,7 +866,7 @@ def full_lp(m, s):
     numbered as the solver numbers its sets, and ``G``."""
     (G,), _, kids, parents = solve._normal_form(m, s, [0], solve.CAP_BYTES, keep=(0, 1))
     value, x, y, _ = solve._realization_plan_lp(G, parents, [len(u) for u in m.actions])
-    anchors = tuple(tuple(solve._anchors(m, s, i)) for i in range(2))
+    anchors = tuple(tuple(level_of(m, s)[1][i]) for i in range(2))
     return solve.SequenceFormSolution((value, -value), (x, y), anchors, tuple(kids), {}), G
 
 
@@ -1351,15 +1358,16 @@ def test_restricted_count_is_at_least_the_walks_peak(monkeypatch, case):
 
     walk, seen = solve._walk, []
 
-    def traced(model, s, anchors, agents, keep=(), uncontracted=(), weights=None):
+    def traced(model, s, agents, keep=(), uncontracted=(), weights=None):
         if keep != (0, 1):
-            return walk(model, s, anchors, agents, keep, uncontracted, weights)
+            return walk(model, s, agents, keep, uncontracted, weights)
         sets = [None if w is None else [len(c) for c, _ in w] for w in weights or [None, None]]
-        count = solve._restricted_bytes(model, [len(a) for a in anchors], model.horizon - s.t, sets)
+        n_anchors = level_of(model, s)[0].n_sets
+        count = solve._restricted_bytes(model, n_anchors, model.horizon - s.t, sets)
         model._successor_arrays  # built once per model, before the walk
         tracemalloc.start()
         try:
-            out = walk(model, s, anchors, agents, keep, uncontracted, weights)
+            out = walk(model, s, agents, keep, uncontracted, weights)
             seen.append((count, tracemalloc.get_traced_memory()[1]))
         finally:
             tracemalloc.stop()
@@ -1389,7 +1397,7 @@ def agent_zero_reply(m, agent, mixture, s=None) -> float:
     by -R1)."""
     s = initial_occupancy(m) if s is None else s
     other = 1 - agent
-    behaviour = mixture_behaviour(m, other, mixture, solve._anchors(m, s, other))
+    behaviour = mixture_behaviour(m, other, mixture, level_of(m, s)[1][other])
     value = best_response_value_from(m, {other: behaviour}, agent, s)
     return value if agent == 0 else -value
 
@@ -1471,18 +1479,35 @@ def test_best_reply_matches_the_history_route_below_several_anchors(
     # below a t=1 state of tiger-duel h=4 each agent has several anchors, so
     # each reply is one DP with one root per anchor, its value the roots'
     # best q summed; the same state with its entries reversed numbers its
-    # histories out of step order, and the roots still follow the anchors
+    # histories in steps order too and replies as the state does, where a
+    # level numbered by first appearance replies otherwise
     m = tiger_duel.with_horizon(4)
     s = mid_game_root(m, 1)
+    assert min(len(level_of(m, s)[1][i]) for i in range(2)) >= 2
+    with monkeypatch.context() as patched:
+        calls = recorded_replies(m, patched, s=s)
     if order == "entries-reversed":
+        assert not in_steps_order(first_appearance_level(m, reversed_entries(s).entries)[1])
+        with monkeypatch.context() as patched:
+            patched.setattr(occupancy, "to_level", first_appearance_level)
+            assert not same_replies(recorded_replies(m, patched, s=reversed_entries(s)), calls)
         s = reversed_entries(s)
-        hists = level_of(m, s)[1]
-        assert any(list(hs) != solve._anchors(m, s, i) for i, hs in enumerate(hists))
-    assert min(len(solve._anchors(m, s, i)) for i in range(2)) >= 2
-    calls = recorded_replies(m, monkeypatch, s=s)
+        assert in_steps_order(level_of(m, s)[1])
+        with monkeypatch.context() as patched:
+            assert same_replies(recorded_replies(m, patched, s=s), calls)
     assert len(calls) >= 4 and {agent for agent, _, _ in calls} == {0, 1}
     for agent, mixture, value in calls:
         assert abs(value - agent_zero_reply(m, agent, mixture, s)) <= 1e-9
+
+
+def same_replies(got, want) -> bool:
+    """The same replies in the same order: agents and mixtures' plans equal,
+    weights and values within 1e-12."""
+    return len(got) == len(want) and all(
+        a == b and mg.keys() == mw.keys() and abs(vg - vw) <= 1e-12
+        and all(abs(mg[k] - mw[k]) <= 1e-12 for k in mg)
+        for (a, mg, vg), (b, mw, vw) in zip(got, want)
+    )
 
 
 def test_best_reply_control_reads_the_last_action_below_unreached_sets(monkeypatch):
@@ -1577,7 +1602,7 @@ def test_double_oracle_control_raises_on_a_best_response_that_skips_an_action(
     else:
         m = tiger_duel.with_horizon(4)
         s = mid_game_root(m, 1)
-        assert min(len(solve._anchors(m, s, i)) for i in range(2)) >= 2
+        assert min(len(level_of(m, s)[1][i]) for i in range(2)) >= 2
     sol, _ = solve._double_oracle(m, s, solve.DEFAULT_TOLERANCE, solve.CAP_BYTES)
     assert sol.metadata["method"] == "sequence-form-double-oracle"
     assert abs(sol.values[0] - full_lp(m, s)[0].values[0]) <= 1e-9
@@ -1812,7 +1837,7 @@ def test_the_record_means_the_same_for_both_kernels(m, s):
         sol = solve._stackelberg_kernel(m, s, solve.DEFAULT_TOLERANCE, solve.CAP_BYTES)
         payoffs, _, _, _ = solve._normal_form(m, s, [0, 1], solve.CAP_BYTES, keep=(0, 1))
     for i, (plan, kids) in enumerate(zip(sol.plans, sol.kids)):
-        assert sol.anchors[i] == tuple(solve._anchors(m, s, i))
+        assert sol.anchors[i] == tuple(level_of(m, s)[1][i])
         n_u = len(m.actions[i])
         parents = solve._parents(kids, len(sol.anchors[i]) + len(kids), n_u)
         E, e = solve._plan_constraints(parents, n_u)
@@ -1939,14 +1964,32 @@ def test_anchors_are_the_histories_of_the_entries_sorted_by_steps(tiger):
     states += [verify._belief_occupancy(m, [0.3, 0.7]), reversed_entries(states[2])]
     for s in states:
         for i in range(2):
-            anchors = solve._anchors(m, s, i)
+            anchors = level_of(m, s)[1][i]
             assert anchors == sorted({o.privates[i] for (_, o) in s.entries}, key=lambda h: h.steps)
 
 
 def reversed_entries(s):
-    """``s`` rebuilt from its entries in reverse order, so that its level
-    numbers each agent's histories in an order other than by steps."""
+    """``s`` rebuilt from its entries in reverse order, so that the order in
+    which its histories first appear is not their steps order."""
     return OccupancyState(s.t, dict(reversed(list(s.entries.items()))))
+
+
+STEPS_ORDER_LEVEL = occupancy.to_level
+
+
+def first_appearance_level(model, entries):
+    """``occupancy.to_level`` with each agent's histories numbered in order
+    of first appearance in ``entries``, not in steps order."""
+    level, hists = STEPS_ORDER_LEVEL(model, entries)
+    ids, numbered = [], []
+    for k, hs in zip(level.ids, hists):
+        _, first = np.unique(k, return_index=True)
+        order = np.argsort(first)  # the steps-order ids by first appearance
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        ids.append(rank[k])
+        numbered.append([hs[j] for j in order])
+    return level._replace(ids=tuple(ids)), tuple(numbered)
 
 
 def anchored_solution(m, s) -> list:
@@ -1965,23 +2008,18 @@ def anchored_solution(m, s) -> list:
 @pytest.mark.parametrize("control", [False, True], ids=["renumbered", "control"])
 @pytest.mark.parametrize("name", ["tiger", "stackelberg-tiger"])
 def test_the_walk_numbers_anchors_by_steps_whatever_the_entry_order(name, control, monkeypatch):
-    # a state whose level numbers its histories out of step order solves
-    # as the state does; the control, a walk that keeps the level's
-    # first-appearance ids as anchor numbers, changes a value or a plan
+    # a state rebuilt from its entries in reverse order numbers its
+    # histories in steps order, as every level does, and solves as the
+    # state does; the control, a level numbered by first appearance, changes
+    # a value or a plan
     m = load(name).with_horizon(3)
     s = verify._sample_prefix_occupancy(m, 1, np.random.default_rng(4))[0]
     out_of_order = reversed_entries(s)
-    hists = level_of(m, out_of_order)[1]
-    assert any(list(hs) != solve._anchors(m, out_of_order, i) for i, hs in enumerate(hists))
+    assert not in_steps_order(first_appearance_level(m, out_of_order.entries)[1])
     want = anchored_solution(m, s)
     if control:
-        real = solve.level_of
-
-        def in_step_order(model, state):
-            level, hists = real(model, state)
-            return level, tuple(sorted(hs, key=lambda h: h.steps) for hs in hists)
-
-        monkeypatch.setattr(solve, "level_of", in_step_order)
+        monkeypatch.setattr(occupancy, "to_level", first_appearance_level)
+    assert in_steps_order(level_of(m, out_of_order)[1]) != control
     got = anchored_solution(m, out_of_order)
     assert (np.allclose(got, want, rtol=0.0, atol=1e-12) if m.criterion == "common"
             else got == want) != control
@@ -2161,7 +2199,7 @@ def check_plan_realizations(m, s, keep=()):
         if i in keep:
             assert R is None
             continue
-        anchors = solve._anchors(m, s, i)
+        anchors = level_of(m, s)[1][i]
         space = solve._anchored_space(m, i, anchors, depth)
         expected = marked_realization(m, i, anchors, kids[i], space)
         assert R.shape == expected.shape and np.abs(R - expected).max() == 0.0
@@ -2188,7 +2226,7 @@ def test_plan_realization_matches_the_marker_for_a_mid_game_follower(st_tiger):
     rules = tuple(random_decision_rule(m, i, 1, rng) for i in range(2))
     s2 = [s for _, _, s in step(m, s1[0], rules)]
     for s in s1 + s2[:2]:
-        assert len(solve._anchors(m, s, 1)) >= 2
+        assert len(level_of(m, s)[1][1]) >= 2
         check_plan_realizations(m, s, keep=(0,))
     m, _ = random_stackelberg(8, 2, 2)
     for s in first_step_states(m, 9):
@@ -2225,7 +2263,7 @@ def test_plan_realization_check_catches_a_wrong_plan_order(st_tiger, order):
     m = st_tiger.with_horizon(3)
     s = first_step_states(m, 5)[0]
     (_, R), kids = check_plan_realizations(m, s, keep=(0,))
-    anchors = solve._anchors(m, s, 1)
+    anchors = level_of(m, s)[1][1]
     depth = m.horizon - s.t
     if order == "reversed anchors":
         space = solve._anchored_space(m, 1, anchors[::-1], depth)
@@ -2272,7 +2310,7 @@ def test_plan_index_round_trips_below_several_anchors():
     rng = np.random.default_rng(43)
     for agent in range(2):
         n_u, n_z = len(m.actions[agent]), m.n_agent_obs(agent)
-        n_anchors = len(solve._anchors(m, s, agent))
+        n_anchors = len(level_of(m, s)[1][agent])
         assert n_anchors >= 2
         R = solve._plan_realization(m, agent, n_anchors, kids[agent], depth)
         code, level = list(range(n_anchors)), [0] * n_anchors  # per set

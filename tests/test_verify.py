@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from occupancy_games import solve, verify
 from occupancy_games.errors import CapExceededError, ModelValidationError, UnknownSuiteError
 from occupancy_games.evaluate import occupancy_value, value_tables
+from occupancy_games.occupancy import level_of
 from occupancy_games.policies import BehavioralPolicy, agent_rules
 from occupancy_games.sampling import random_behavioral_policy, random_decision_rule, random_posg
 from occupancy_games.verify import (
@@ -406,7 +407,7 @@ def test_the_pwlc_certificate_prices_every_anchored_plan(monkeypatch):
             policies = {j: BehavioralPolicy(j, rules) for j, rules in others.items()}
             verify._pwlc_certificate(model, policies, others, 0, s)
             depth = model.horizon - s.t
-            plans = verify._trie_size(model, 0, len(verify._anchors(model, s, 0)), depth)[1]
+            plans = verify._trie_size(model, 0, len(level_of(model, s)[1][0]), depth)[1]
             assert len(priced) == plans > 1
 
 
