@@ -6,25 +6,29 @@ the linear pairing of those values with an occupancy state.  Both push their
 levels forward through the array kernel ``occupancy.next_level`` and pull
 the values back over the same rows: the tables over every state at each
 reachable history, the occupancy route over the entries its support reaches,
-each step's bytes checked against ``CAP_BYTES`` before it.  Simulation draws
-batched episodes from one seeded PCG64 stream with a fixed draw order
-(episode-major within each time step), so results are reproducible bit for
-bit for a given seed regardless of platform.  Rule rows go by trie code
-(``occupancy.rule_rows``).  Each categorical table is cumulated once per
-call.  A draw is the number of its row's cumulative sums below the
-episode's uniform, at most the row's last positive column.  A guide table
-(Chen and Asau's index table) answers it with one gather: per row and per
-bin of [0, 1) in ``_BINS`` equal bins, the last open above, it holds the
+each step's bytes checked against ``CAP_BYTES`` before it.  Simulation runs
+blocks of ``_BLOCK`` episodes on uniforms from one seeded PCG64 stream in a
+fixed order: one draw after another (the start, then per step each agent's
+action and the outcome), each one uniform per episode.  Every draw reads its
+own cursor, a copy of the stream advanced to where that draw starts, so a
+block gets the same uniforms whatever the block size, and results are
+reproducible bit for bit for a given seed regardless of platform.  Rule rows
+go by trie code (``occupancy.rule_rows``).  Each categorical table is
+cumulated once per call.  A draw is the number of its row's cumulative sums
+below the episode's uniform, at most the row's last positive column.  A guide
+table (Chen and Asau's index table) answers it with one gather: per row and
+per bin of [0, 1) in ``_BINS`` equal bins, the last open above, it holds the
 answer where that is the same for every uniform in the bin.  The episodes
 whose bin holds one of the row's sums, and every draw from a table with
 fewer draws than guide entries, count the sums one column at a time, so the
 guide changes neither the draw order nor any result.  Before its first
-draw, ``simulate`` counts the bytes of its per-episode arrays against
-``CAP_BYTES``.
+draw, ``simulate`` counts the bytes it holds, the whole returns and a
+block's working set, against ``CAP_BYTES``.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -124,7 +128,7 @@ def _pull(
     for t in range(t0, model.horizon):
         push = 0 if t + 1 == model.horizon else int((begin[level.xs + 1] - begin[level.xs]).sum())
         entries += len(level.xs)
-        n_bytes = _pull_bytes(model, rows, entries, len(level.xs), push)
+        n_bytes = _pull_bytes(model, rows, entries, len(level.xs), push, every_state)
         if n_bytes > CAP_BYTES:
             raise CapExceededError("exact evaluation", n_bytes, CAP_BYTES, " bytes")
         rows += push
@@ -148,12 +152,24 @@ def _pull(
     return levels
 
 
-def _pull_bytes(model: PosgModel, rows: int, entries: int, n: int, push: int) -> int:
+def _pull_bytes(
+    model: PosgModel, rows: int, entries: int, n: int, push: int, every_state: bool
+) -> int:
     """The most ``_pull`` holds at a step of ``n`` entries and a ``push``-row
     push, counted high: 3 numbers per earlier row (entry, child, weight),
     ``n_agents + 3`` per entry held, 3 per (entry, joint action) and 9 per
-    row pushed, plus ``WALK_FIXED_BYTES``; value tables' dicts left out."""
-    items = 3 * rows + (model.n_agents + 3) * entries + 3 * model.n_joint_actions * n
+    row pushed, plus ``WALK_FIXED_BYTES``.  With ``every_state``, also the
+    grid built from the push, ``n_agents + 3`` numbers (state, ids, mass,
+    place) per entry: every state at each child history, at most ``n_x``
+    per row pushed and ``n_joint_actions · n_joint_obs`` per entry of a
+    grid; and for each entry held, its value table's dict entry, about
+    ``40 + n_agents`` numbers (slot, key tuple, joint history with its
+    tuple of privates and hash, value)."""
+    n_agents = model.n_agents
+    items = 3 * rows + (n_agents + 3) * entries + 3 * model.n_joint_actions * n
+    if every_state:
+        grid = min(model.n_states * push, n * model.n_joint_actions * model.n_joint_obs)
+        items += (n_agents + 3) * grid + (40 + n_agents) * entries
     return 8 * (items + 9 * push) + WALK_FIXED_BYTES
 
 
@@ -261,6 +277,8 @@ def _rule_arrays(
     return dists, children
 
 
+# the episodes ``simulate`` runs at once
+_BLOCK = 2**14
 # the bins of a guide table: [k, k + 1) / _BINS for k < _BINS - 1, the last
 # bin open above; a power of two, so a uniform's bin is exact
 _BINS = 2**8
@@ -349,36 +367,51 @@ def simulate(
         returns = np.zeros((model.n_agents, episodes))
         combos = list(policy.pure_expansions())
         weights = _cumulative(np.array([[w for w, _ in combos]]), episodes)
-        picks = _draw(rng, weights, np.zeros(episodes, dtype=np.intp))
+        picks = np.empty(episodes, dtype=np.intp)
+        for lo in range(0, episodes, _BLOCK):
+            block = picks[lo : lo + _BLOCK]
+            block[:] = _draw(rng, weights, np.zeros(len(block), dtype=np.intp))
         for c, (_, pure) in enumerate(combos):
             mask = picks == c
             if not mask.any():
                 continue
-            returns[:, mask] = _simulate_pure(model, pure, int(mask.sum()), rng, horizon)
+            part = _simulate_pure(model, pure, int(mask.sum()), rng, horizon)
+            for row, values in zip(returns, part):
+                row[mask] = values
     else:
         returns = _simulate_pure(model, policy, episodes, rng, horizon)
 
-    means = returns.mean(axis=1)
+    # one agent at a time, so std's temporary is one row long
+    means = tuple(float(row.mean()) for row in returns)
     if episodes > 1:
-        stderrs = returns.std(axis=1, ddof=1) / np.sqrt(episodes)
+        stderrs = tuple(float(row.std(ddof=1) / np.sqrt(episodes)) for row in returns)
     else:
-        stderrs = np.zeros(model.n_agents)
-    return SimResult(
-        episodes,
-        tuple(float(v) for v in means),
-        tuple(float(v) for v in stderrs),
-        seed,
-    )
+        stderrs = (0.0,) * model.n_agents
+    return SimResult(episodes, means, stderrs, seed)
 
 
 def _simulate_bytes(model: PosgModel, episodes: int) -> int:
-    """The most ``simulate`` holds at once in arrays of one number per
-    episode, counted high: five per agent (its return, history row and
-    action, and its reward as read and as discounted) and seven for the
-    state, the joint action and the working arrays of a draw.  The drawing
-    tables are left out: a guide holds at most one entry per episode, and
-    the rest grow with the histories the policy reaches."""
-    return 8 * episodes * (5 * model.n_agents + 7)
+    """The most ``simulate`` holds at once, counted high.  Per episode: its
+    return per agent, one agent's ``std`` temporary and, for a mixture, its
+    pick, a byte of a component's mask and a component's return per agent.
+    Per episode of a block, its working set: four numbers per agent
+    (history row, action, reward as read and as discounted) and ten for the
+    state, the joint action, the outcome and a draw's working arrays.  The
+    drawing tables are left out: a guide holds at most one entry per
+    episode, and the rest grow with the histories the policy reaches."""
+    n = model.n_agents
+    return episodes * (8 * (2 * n + 2) + 1) + 8 * _BLOCK * (4 * n + 10)
+
+
+def _cursors(rng: np.random.Generator, n_draws: int, episodes: int) -> list[np.random.Generator]:
+    """A generator per draw, draw ``d``'s at the state of ``rng`` advanced
+    by ``d · episodes`` uniforms: where that draw starts when one stream
+    gives each draw, in turn, one uniform per episode."""
+    cursors = []
+    for d in range(n_draws):
+        bits = copy.deepcopy(rng.bit_generator)
+        cursors.append(np.random.Generator(bits.advance(d * episodes)))
+    return cursors
 
 
 def _simulate_pure(
@@ -388,6 +421,10 @@ def _simulate_pure(
     rng: np.random.Generator,
     horizon: int,
 ) -> np.ndarray:
+    """Each agent's discounted return per episode, run ``_BLOCK`` episodes
+    at a time.  Each draw reads its own cursor (``_cursors``), so every
+    block gets the uniforms that one stream drawn one draw after another
+    gives it, and ``rng`` ends past them all."""
     n_agents = model.n_agents
     n_u = [len(actions) for actions in model.actions]
     dists = []
@@ -407,22 +444,32 @@ def _simulate_pure(
         for i in range(n_agents)
     ]
     rewards = model.rewards.reshape(n_agents, -1)
+    start = _cumulative(model.start[None, :], episodes)
 
-    x = _draw(rng, _cumulative(model.start[None, :], episodes), np.zeros(episodes, dtype=np.intp))
-    rows = [np.zeros(episodes, dtype=np.intp) for _ in range(n_agents)]
+    # the start, then per step each agent's action and, below the horizon,
+    # the outcome
+    n_draws = horizon * (n_agents + 1)
+    cursors = _cursors(rng, n_draws, episodes)
     returns = np.zeros((n_agents, episodes))
-    gamma_t = 1.0
-    for t in range(horizon):
-        us = [_draw(rng, dists[i][t], rows[i]) for i in range(n_agents)]
-        u = np.zeros(episodes, dtype=np.intp)
-        for i in range(n_agents):
-            u = u * n_u[i] + us[i]
-        returns += gamma_t * rewards.take(x * model.n_joint_actions + u, axis=1)
-        gamma_t *= model.discount
-        if t + 1 < horizon:
-            flat = _draw(rng, outcome, u * n_x + x)
-            x = next_x.take(flat)
-            for i in range(n_agents):
-                own = (rows[i] * n_u[i] + us[i]) * model.n_agent_obs(i) + own_obs[i].take(flat)
-                rows[i] = children[i][t].take(own)
+    for lo in range(0, episodes, _BLOCK):
+        block = returns[:, lo : lo + _BLOCK]
+        draws = iter(cursors)
+        root = np.zeros(block.shape[1], dtype=np.intp)
+        x = _draw(next(draws), start, root)
+        rows = [root] * n_agents
+        gamma_t = 1.0
+        for t in range(horizon):
+            us = [_draw(next(draws), dists[i][t], rows[i]) for i in range(n_agents)]
+            u = us[0]
+            for i in range(1, n_agents):
+                u = u * n_u[i] + us[i]
+            block += gamma_t * rewards.take(x * model.n_joint_actions + u, axis=1)
+            gamma_t *= model.discount
+            if t + 1 < horizon:
+                flat = _draw(next(draws), outcome, u * n_x + x)
+                x = next_x.take(flat)
+                for i in range(n_agents):
+                    own = (rows[i] * n_u[i] + us[i]) * model.n_agent_obs(i) + own_obs[i].take(flat)
+                    rows[i] = children[i][t].take(own)
+    rng.bit_generator.advance(n_draws * episodes)
     return returns

@@ -434,11 +434,12 @@ def test_evaluate_with_policy_roundtrip(tmp_path, capsys):
 
 
 def test_evaluate_refuses_too_many_episodes(capsys):
-    # 10^12 episodes of two agents would hold 8 x 10^12 x (5 x 2 + 7) bytes
+    # 10^12 episodes of two agents would hold 10^12 x (8 x (2 x 2 + 2) + 1)
+    # bytes, and a block 8 x 2^14 x (4 x 2 + 10)
     code, out, err = run(capsys, "evaluate", TIGER, "--episodes", "1000000000000")
     assert code == 3 and "value_1:" in out and "simulated_1" not in out
     assert err.splitlines()[-1] == (
-        "error: simulation too large: 136000000000000 bytes exceeds cap 1073741824 bytes"
+        "error: simulation too large: 49000002359296 bytes exceeds cap 1073741824 bytes"
     )
     assert "Traceback" not in err
 

@@ -389,7 +389,7 @@ def test_draw_stays_on_a_row_that_sums_to_less_than_one():
     assert got.tolist() == [2, 0, 2]
 
 
-def test_simulate_keeps_a_short_rule_on_its_agent(tiger):
+def test_simulate_keeps_a_short_rule_on_its_agent(tiger, monkeypatch):
     # agent 2's rule sums to 1 - 5e-10; its draw past the total stays on its
     # last positive action instead of carrying into agent 1's digit of the
     # joint action (both open the left door, not agent 1 opening it alone)
@@ -400,9 +400,12 @@ def test_simulate_keeps_a_short_rule_on_its_agent(tiger):
         rules = [DecisionRule(0, 0, {root[0]: (0.0, 1.0, 0.0)}), DecisionRule(1, 0, {root[1]: dist})]
         return JointPolicy(tuple(BehavioralPolicy(i, (rule,)) for i, rule in enumerate(rules)))
 
-    stub = lambda: FixedUniforms(*[1.0 - 1e-12] * 3)  # start, then each agent's action
-    short = evaluate._simulate_pure(m, policy((0.5, 0.5 - 5e-10, 0.0)), 4, stub(), 1)
-    exact = evaluate._simulate_pure(m, policy((0.5, 0.5, 0.0)), 4, stub(), 1)
+    # every draw (the start, then each agent's action) reads 1 - 1e-12
+    stubs = lambda rng, n_draws, episodes: [FixedUniforms(1.0 - 1e-12) for _ in range(n_draws)]
+    monkeypatch.setattr(evaluate, "_cursors", stubs)
+    rng = np.random.default_rng(0)
+    short = evaluate._simulate_pure(m, policy((0.5, 0.5 - 5e-10, 0.0)), 4, rng, 1)
+    exact = evaluate._simulate_pure(m, policy((0.5, 0.5, 0.0)), 4, rng, 1)
     assert np.array_equal(short, exact)
     assert np.array_equal(exact, np.full((2, 4), 2.0))  # treasure behind the left door
 
@@ -437,29 +440,141 @@ def test_simulate_draws_exactly_as_the_definition(tiger, monkeypatch):
         assert simulate(m, mix, n, 4) == result
 
 
+def step_major_returns(model, policy, episodes, rng, horizon) -> np.ndarray:
+    """The returns ``_simulate_pure`` must give, by its draws' definition:
+    all episodes at once, one draw after another from ``rng`` (the start,
+    then per step each agent's action and, below the horizon, the outcome),
+    each reading one uniform per episode and counting its row's cumulative
+    sums up to the row's last positive column."""
+
+    def draw(probs, key):
+        r = rng.random(len(key))
+        return np.minimum(naive_draw(r, probs, key), last_positive(probs)[key])
+
+    n_agents, n_x, n_z = model.n_agents, model.n_states, model.n_joint_obs
+    n_u = [len(actions) for actions in model.actions]
+    rules = [evaluate._rule_arrays(model, p, i, horizon) for i, p in enumerate(policy.agents)]
+    dynamics = model._dynamics.reshape(model.n_joint_actions * n_x, n_x * n_z)
+    own_obs = [[model.agent_obs_of_joint(i, z) for z in range(n_z)] for i in range(n_agents)]
+    own_obs = np.array(own_obs, dtype=np.intp)
+    rewards = model.rewards.reshape(n_agents, -1)
+    x = draw(model.start[None, :], np.zeros(episodes, dtype=np.intp))
+    rows = [np.zeros(episodes, dtype=np.intp)] * n_agents
+    returns = np.zeros((n_agents, episodes))
+    gamma_t = 1.0
+    for t in range(horizon):
+        us = [draw(rules[i][0][t], rows[i]) for i in range(n_agents)]
+        u = np.zeros(episodes, dtype=np.intp)
+        for i in range(n_agents):
+            u = u * n_u[i] + us[i]
+        returns += gamma_t * rewards[:, x * model.n_joint_actions + u]
+        gamma_t *= model.discount
+        if t + 1 < horizon:
+            flat = draw(dynamics, u * n_x + x)
+            x = flat // n_z
+            rows = [rules[i][1][t][rows[i], us[i], own_obs[i][flat % n_z]] for i in range(n_agents)]
+    return returns
+
+
+def step_major_simulate(model, policy, episodes, seed) -> evaluate.SimResult:
+    """``simulate`` of a mixture by its definition: the picks, then each
+    component's episodes, from one stream (``step_major_returns``), and the
+    statistics over all agents at once."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    returns = np.zeros((model.n_agents, episodes))
+    combos = list(policy.pure_expansions())
+    weights = np.array([[w for w, _ in combos]])
+    picks = naive_draw(rng.random(episodes), weights, np.zeros(episodes, dtype=np.intp))
+    picks = np.minimum(picks, last_positive(weights)[0])
+    for c, (_, pure) in enumerate(combos):
+        mask = picks == c
+        if mask.any():
+            returns[:, mask] = step_major_returns(model, pure, int(mask.sum()), rng, policy.horizon)
+    stderrs = [0.0] * model.n_agents
+    if episodes > 1:
+        stderrs = returns.std(axis=1, ddof=1) / np.sqrt(episodes)
+    return evaluate.SimResult(
+        episodes, tuple(map(float, returns.mean(axis=1))), tuple(map(float, stderrs)), seed
+    )
+
+
+def step_major_cases(tiger):
+    """One-, two- and three-agent models under full-support policies, and
+    two mixtures: of trees at h=1, and of behavioural policies for both
+    agents at h=3."""
+    rng = np.random.default_rng(17)
+    tiger3 = tiger.with_horizon(3)
+    alone = random_posg(rng, n_states=3, n_actions=(3,), n_obs=(2,), n_public=2, horizon=3)
+    three = random_posg(rng, n_states=2, n_actions=(2, 2, 2), n_obs=(2, 2, 2), horizon=3)
+    pures = [(m, random_joint_policy(m, rng)) for m in (alone, tiger3, three)]
+    one, other = pures[1][1], random_joint_policy(tiger3, rng)
+    trees = PolicyMixture(0, ((0.25, PolicyTree(0, 0)), (0.75, PolicyTree(0, 1))))
+    mixes = [
+        (tiger.with_horizon(1), JointPolicy((trees, PolicyTree(1, 1)))),
+        (tiger3, JointPolicy(tuple(
+            PolicyMixture(i, ((0.4, one.agents[i]), (0.6, other.agents[i]))) for i in range(2)
+        ))),
+    ]
+    return pures, mixes
+
+
+BLOCK = evaluate._BLOCK
+
+
+@pytest.mark.parametrize("episodes", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+def test_simulate_in_blocks_draws_as_one_stream_step_major(tiger, episodes):
+    # every block reads each draw's uniforms from that draw's cursor, so
+    # the episodes are those of one stream drawn step-major, bit for bit,
+    # on either side of every block edge; the caller's generator ends where
+    # the stream does, so two components run in turn draw as one stream
+    pures, mixes = step_major_cases(tiger)
+    for m, p in pures:
+        fast, slow = np.random.default_rng(21), np.random.default_rng(21)
+        for _ in range(2):
+            got = evaluate._simulate_pure(m, p, episodes, fast, m.horizon)
+            assert np.array_equal(got, step_major_returns(m, p, episodes, slow, m.horizon))
+            assert fast.bit_generator.state == slow.bit_generator.state
+    for m, mix in mixes:
+        assert simulate(m, mix, episodes, 4) == step_major_simulate(m, mix, episodes, 4)
+
+
+def test_simulate_control_that_reads_one_stream_block_major_fails(tiger, monkeypatch):
+    # every draw of every block from one shared stream: the same episodes
+    # while one block holds them all, others past the first block edge
+    monkeypatch.setattr(evaluate, "_cursors", lambda rng, n_draws, episodes: [rng] * n_draws)
+    (_, (m, p), _), _ = step_major_cases(tiger)
+
+    def same(episodes):
+        got = evaluate._simulate_pure(m, p, episodes, np.random.default_rng(21), m.horizon)
+        want = step_major_returns(m, p, episodes, np.random.default_rng(21), m.horizon)
+        return np.array_equal(got, want)
+
+    assert same(BLOCK)
+    assert not same(BLOCK + 1)
+    assert not same(3 * BLOCK + 7)
+
+
 def test_simulate_counts_at_least_what_it_holds(tiger):
-    # the byte count against the tracemalloc peak at 2 x 10^5 episodes, on
-    # the dynamics workload's shapes, a one-agent model and a mixture
+    # the byte count against the tracemalloc peak at 2 x 10^5 and 2 x 10^6
+    # episodes, on the dynamics workload's shapes, a one-agent model and a
+    # mixture
     rng = np.random.default_rng(12)
     tiger3 = tiger.with_horizon(3)
     wide = random_posg(rng, n_states=2, n_actions=(3, 3), n_obs=(2, 2), n_public=2, horizon=3)
     alone = random_posg(rng, n_states=2, n_actions=(3,), n_obs=(2,), horizon=3)
-    runs = []
-    for m in (tiger3, wide, alone):
-        p = random_joint_policy(m, rng)
-        runs.append((m, lambda m=m, p=p: evaluate._simulate_pure(m, p, 200_000, rng, 3)))
+    runs = [(m, random_joint_policy(m, rng)) for m in (tiger3, wide, alone)]
     one, other = random_joint_policy(tiger3, rng), random_joint_policy(tiger3, rng)
     mixed = PolicyMixture(0, ((0.5, one.agents[0]), (0.5, other.agents[0])))
-    mix = JointPolicy((mixed, one.agents[1]))
-    runs.append((tiger3, lambda: simulate(tiger3, mix, 200_000, 5)))
-    for m, run in runs:
-        tracemalloc.start()
-        try:
-            run()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= evaluate._simulate_bytes(m, 200_000)
+    runs.append((tiger3, JointPolicy((mixed, one.agents[1]))))
+    for episodes in (200_000, 2_000_000):
+        for m, policy in runs:
+            tracemalloc.start()
+            try:
+                simulate(m, policy, episodes, 3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= evaluate._simulate_bytes(m, episodes)
 
 
 def test_simulate_refuses_before_its_first_draw(tiger, monkeypatch):
@@ -470,9 +585,10 @@ def test_simulate_refuses_before_its_first_draw(tiger, monkeypatch):
     with pytest.raises(CapExceededError) as info:
         simulate(tiger, policy, 10**12, 0)
     assert info.value.count == evaluate._simulate_bytes(tiger, 10**12) and not draws
-    # both sides of the cap at 1,000 episodes: 8 x 1,000 x (5 x 2 + 7) bytes
+    # both sides of the cap at 1,000 episodes: 1,000 x (8 x (2 x 2 + 2) + 1)
+    # bytes held whole and 8 x 2^14 x (4 x 2 + 10) for a block
     n_bytes = evaluate._simulate_bytes(tiger, 1000)
-    assert n_bytes == 136_000
+    assert n_bytes == 2_408_296
     monkeypatch.setattr(evaluate, "CAP_BYTES", n_bytes - 1)
     with pytest.raises(CapExceededError):
         simulate(tiger, policy, 1000, 0)
@@ -539,6 +655,23 @@ def test_exact_evaluation_counts_at_least_what_it_holds(tiger, monkeypatch, h):
     tracemalloc.start()
     try:
         evaluate_occupancy(m, policy, initial_occupancy(m), 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= max(counts) <= evaluate.CAP_BYTES
+
+
+@pytest.mark.parametrize("h", [3, 4])
+def test_value_tables_count_at_least_what_they_hold(tiger, monkeypatch, h):
+    # the largest count of value_tables against its tracemalloc peak, which
+    # comes after the last step: the grids of every state at each history,
+    # and the tables' dicts of (state, joint history) entries
+    m = tiger.with_horizon(h)
+    rules = random_joint_policy(m, np.random.default_rng(15)).joint_rules(m)
+    counts = pull_counts(monkeypatch)
+    tracemalloc.start()
+    try:
+        value_tables(m, rules, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
