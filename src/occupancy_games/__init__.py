@@ -3,7 +3,6 @@
 from .errors import (
     CapExceededError,
     CertificateError,
-    ImpossibleObservationError,
     InconsistentOccupancyError,
     ModelValidationError,
     OccupancyGamesError,

@@ -55,10 +55,6 @@ class UndefinedDecisionRuleError(OccupancyGamesError):
     """Raised when a decision rule lacks an entry for a required history."""
 
 
-class ImpossibleObservationError(OccupancyGamesError):
-    """Raised when conditioning on a zero-probability observation."""
-
-
 class InconsistentOccupancyError(OccupancyGamesError):
     """Raised when an occupancy state does not match its generating policy."""
 

@@ -13,11 +13,11 @@ Every update pushes mass through one array kernel, ``next_level``, which
 works level by level over integer history ids: a level holds a state, one
 history id per agent and a mass per entry (``Level``), and the kernel expands
 it through every joint action and outcome at once, weighted by per-agent
-rule arrays indexed by (history id, own action).  An update then groups the
-children it pushed and normalizes each group on its own
-(``normalized_groups``): a joint update groups them by the public
-observation, a private update by the agent's own child history, with the
-agent's rule a point mass on the action it played.
+rule arrays indexed by (history id, own action).  Both updates split the
+children into branches, each normalized on its own (``_branches``): ``step``
+one per public observation, ``private_step`` one per own observation (the
+agent's own child history), the agent's rule a point mass on the action it
+played.
 A level numbers each agent's histories in steps order, which pushes keep
 and ``to_level`` sorts into; below a level they go by trie code.
 History objects are built only at the public boundary: once per private
@@ -40,7 +40,6 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import (
-    ImpossibleObservationError,
     InconsistentOccupancyError,
     UndefinedDecisionRuleError,
     UnreachableHistoryError,
@@ -446,6 +445,21 @@ def sub_level(
     return Level(level.xs[entries], ids, mass, tuple(map(len, used))), used
 
 
+def _branches(
+    model: PosgModel, hists: Histories, pushed: Pushed, group: np.ndarray, n: int
+) -> list[tuple[int, float, tuple[Level, Histories]]]:
+    """The children of a push (with ``rows``) from histories ``hists`` in ``n``
+    groups, ``group`` per child entry, each normalized on its own: ``(g, ω,
+    (sub-level, histories))`` per group ``g`` of positive ``ω``, increasing."""
+    omega, keep, p, ends = normalized_groups(pushed, group, n)
+    out = []
+    for g in np.flatnonzero(omega).tolist():
+        sub, used = sub_level(pushed.level, keep[ends[g] : ends[g + 1]], p[ends[g] : ends[g + 1]])
+        nxt = (sub, child_histories(model, hists, [r[u] for r, u in zip(pushed.reached, used)]))
+        out.append((g, float(omega[g]), nxt))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # occupancy dynamics
 # ---------------------------------------------------------------------------
@@ -478,13 +492,10 @@ def step(
     n_pub = len(model.public_obs)
     # a child's public observation ends each agent's observation code
     public = pushed.reached[0][pushed.level.ids[0]] % n_pub
-    omega, keep, p, ends = normalized_groups(pushed, public, n_pub)
-    out = []
-    for w in np.flatnonzero(omega).tolist():
-        sub, used = sub_level(pushed.level, keep[ends[w] : ends[w + 1]], p[ends[w] : ends[w + 1]])
-        nxt = (sub, child_histories(model, hists, [r[u] for r, u in zip(pushed.reached, used)]))
-        out.append((w, float(omega[w]), _pushed(OccupancyState, nxt, t=s.t + 1)))
-    return out
+    return [
+        (w, omega, _pushed(OccupancyState, nxt, t=s.t + 1))
+        for w, omega, nxt in _branches(model, hists, pushed, public, n_pub)
+    ]
 
 
 def expected_reward(
@@ -541,33 +552,23 @@ def private_step(
     s_i: PrivateOccupancyState,
     others_rules: Mapping[int, DecisionRule],
     u_i: int,
-    z_i: int,
-) -> tuple[float, PrivateOccupancyState]:
-    """One private update: probability of observing ``z_i`` after playing
-    ``u_i``, and the renormalized next private occupancy state.
-
-    ``z_i`` is the agent's flattened observation (private and public parts),
-    so only joint observations whose public component matches contribute.
-    The agent's rule is a point mass on ``u_i``, so only that action's rows
-    are pushed; its children are grouped by the agent's own history.
-    """
+) -> list[tuple[int, float, PrivateOccupancyState]]:
+    """One private update after the agent plays ``u_i``, as ``step``: (own
+    observation, probability, next private occupancy state) for every own
+    observation (private and public parts) with positive probability, in
+    increasing own observation.  Only ``u_i``'s rows are pushed."""
     agent = s_i.agent
     level, hists = level_of(model, s_i)
     probs = others_rule_arrays(model, others_rules, agent, hists)
     probs[agent] = np.eye(len(model.actions[agent]))[np.full(level.n_sets[agent], u_i)]
     pushed = next_level(model, level, action_probs(model, level, probs), rows=True, first_seen=True)
-    codes = pushed.reached[agent]
-    hit = np.flatnonzero(codes == u_i * model.n_agent_obs(agent) + z_i)
-    if not len(hit):
-        raise ImpossibleObservationError(
-            f"observation {z_i} has probability 0 after action {u_i} for agent {agent}"
-        )
-    omega, keep, p, ends = normalized_groups(pushed, pushed.level.ids[agent], len(codes))
-    lo, hi = ends[hit[0]], ends[hit[0] + 1]
-    sub, used = sub_level(pushed.level, keep[lo:hi], p[lo:hi])
-    anchor = s_i.anchor.child(u_i, z_i)
-    nxt = (sub, child_histories(model, hists, [r[u] for r, u in zip(pushed.reached, used)]))
-    return float(omega[hit[0]]), _pushed(PrivateOccupancyState, nxt, agent=agent, anchor=anchor)
+    codes, n_z = pushed.reached[agent], model.n_agent_obs(agent)
+    out = []
+    for c, omega, nxt in _branches(model, hists, pushed, pushed.level.ids[agent], len(codes)):
+        z_i = int(codes[c]) % n_z  # the anchor's child code is u_i * n_z + z_i
+        anchor = s_i.anchor.child(u_i, z_i)
+        out.append((z_i, omega, _pushed(PrivateOccupancyState, nxt, agent=agent, anchor=anchor)))
+    return out
 
 
 def private_reward(
@@ -595,12 +596,10 @@ def private_occupancy(
     """
     s = initial_private_occupancy(model, o_i.agent)
     for k, (u, z) in enumerate(o_i.steps):
-        try:
-            _, s = private_step(model, s, others_rules_by_step[k], u, z)
-        except ImpossibleObservationError as exc:
-            raise UnreachableHistoryError(
-                f"history {o_i.steps[: k + 1]} has probability 0"
-            ) from exc
+        branches = {z_i: s_z for z_i, _, s_z in private_step(model, s, others_rules_by_step[k], u)}
+        if z not in branches:
+            raise UnreachableHistoryError(f"history {o_i.steps[: k + 1]} has probability 0")
+        s = branches[z]
     return s
 
 

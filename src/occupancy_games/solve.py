@@ -164,6 +164,12 @@ class Equilibrium:
 # ---------------------------------------------------------------------------
 
 
+def _certificate_bound(tolerance: float, payoffs: np.ndarray) -> float:
+    """The largest certificate (duality gap, gap plus exploitability, regret) a
+    solver accepts: ``max(tolerance, 1e-7) · max(1, max |payoffs|)``."""
+    return max(tolerance, 1e-7) * max(1.0, float(np.abs(payoffs).max(initial=0.0)))
+
+
 def matrix_game_value(payoffs, tolerance: float = DEFAULT_TOLERANCE) -> MatrixGameSolution:
     """Minimax value and eps-optimal mixtures of the zero-sum matrix game
     ``payoffs`` for the row maximizer.
@@ -191,7 +197,7 @@ def matrix_game_value(payoffs, tolerance: float = DEFAULT_TOLERANCE) -> MatrixGa
     value, x, y, gap = _realization_plan_lp(
         _block_diagonal([A[np.ix_(rows, cols)]]), (one_set, one_set), (len(rows), len(cols))
     )
-    if gap > max(tolerance, 1e-7) * max(1.0, np.abs(A).max()):
+    if gap > _certificate_bound(tolerance, A):
         raise CertificateError(f"matrix game duality gap {gap:.3g} exceeds tolerance")
     row, col = np.zeros(m), np.zeros(n)
     row[rows], col[cols] = x, y
@@ -1084,8 +1090,8 @@ def _double_oracle(
     against the plan's Kuhn mixture as action rows by trie code; agent 1's
     reply is priced in its own payoff, ``-G``.  It stops when the full LP's
     certificate, the duality gap plus what each side's opponent gains by its
-    best reply, is within ``max(tolerance, 1e-7)`` times the largest payoff
-    in ``G`` (no larger than the full one); otherwise the replies join the
+    best reply, is within ``_certificate_bound`` of the payoffs in ``G``
+    (no larger than the full one); otherwise the replies join the
     restricted sets, and an iteration that adds no sequence raises
     ``CertificateError``."""
     depth = model.horizon - s.t
@@ -1138,7 +1144,7 @@ def _double_oracle(
                 replies.append((best if i == 0 else -best, index))
         exploitability = (max(0.0, value - replies[1][0]), max(0.0, replies[0][0] - value))
         certificate = gap + sum(exploitability)
-        if certificate <= max(tolerance, 1e-7) * max(1.0, float(np.abs(G.data).max(initial=0.0))):
+        if certificate <= _certificate_bound(tolerance, G.data):
             break
         if not whole:
             plans = [{**p, index: 1.0} for p, (_, index) in zip(plans, replies)]
@@ -1327,13 +1333,13 @@ def _stackelberg_kernel(
 
     The certificate, the follower's regret (its best pure plan's value
     against the leader's plan less the chosen plan's), must stay within
-    ``max(tolerance, 1e-7)`` times the follower's largest payoff magnitude."""
+    ``_certificate_bound`` of the follower's payoffs."""
     (L, G_F), (_, R_F), kids, parents = _normal_form(
         model, s, [0], cap_bytes, keep=(0,), uncontracted=(1,)
     )
     n_us = [len(model.actions[i]) for i in range(2)]
     value, x, k, follower, regret = _multiple_lp(L, G_F, R_F, parents, n_us)
-    if regret > max(tolerance, 1e-7) * max(1.0, float(np.abs(G_F).max(initial=0.0))):
+    if regret > _certificate_bound(tolerance, G_F):
         raise CertificateError(f"stackelberg follower regret {regret:.3g} exceeds tolerance")
     anchors = tuple(map(tuple, level_of(model, s)[1]))
     metadata = {"method": "multiple-lp", "shape": L.shape, "follower_regret": regret}

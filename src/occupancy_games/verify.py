@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapExceededError, ImpossibleObservationError, UnknownSuiteError
+from .errors import CapExceededError, UnknownSuiteError
 from .evaluate import occupancy_value
 from .model import PosgModel
 from .occupancy import (
@@ -346,11 +346,9 @@ def check_sufficiency_private(
         # observation and next-state sufficiency
         om_raw = _obs_dist(_outcomes(model, raw, dists), n_obs, own_obs)
         raw_next = _next_measures(model, _outcomes(model, measure, dists), own_obs)
+        branches = {z: (omega, nxt) for z, omega, nxt in private_step(model, s_i, profiles[t], u_i)}
         for z_i in range(n_obs):
-            try:
-                omega, nxt = private_step(model, s_i, profiles[t], u_i, z_i)
-            except ImpossibleObservationError:
-                omega, nxt = 0.0, None
+            omega, nxt = branches.get(z_i, (0.0, None))
             worst = max(worst, abs(om_raw[z_i] - omega))
             if nxt is not None and om_raw[z_i] > 1e-12:
                 worst = max(worst, _dist_diff(_normalized(raw_next.get(z_i, {})), nxt.entries))

@@ -1,4 +1,3 @@
-import itertools
 import pathlib
 
 import pytest
@@ -68,19 +67,14 @@ def in_steps_order(hists) -> bool:
 def private_children(model, s_i, others_rules) -> list[tuple]:
     """``(u_i, z_i, probability, next private occupancy state)`` for every own
     action and observation of positive probability below ``s_i``, in
-    increasing ``(u_i, z_i)``: one ``private_step`` per pair."""
-    from occupancy_games.errors import ImpossibleObservationError
+    increasing ``(u_i, z_i)``: one ``private_step`` per own action."""
     from occupancy_games.occupancy import private_step
 
-    out = []
-    for u_i, z_i in itertools.product(
-        range(len(model.actions[s_i.agent])), range(model.n_agent_obs(s_i.agent))
-    ):
-        try:
-            out.append((u_i, z_i, *private_step(model, s_i, others_rules, u_i, z_i)))
-        except ImpossibleObservationError:
-            pass
-    return out
+    return [
+        (u_i, z_i, omega, nxt)
+        for u_i in range(len(model.actions[s_i.agent]))
+        for z_i, omega, nxt in private_step(model, s_i, others_rules, u_i)
+    ]
 
 
 def recorded_pushes(monkeypatch) -> list:

@@ -17,7 +17,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from occupancy_games import evaluate, occupancy, solve
-from occupancy_games.errors import ImpossibleObservationError
 from occupancy_games.evaluate import evaluate_occupancy, simulate, value_tables
 from occupancy_games.occupancy import (
     PRUNE_EPS,
@@ -303,14 +302,10 @@ def private_gap(seed: int, shape, production=lambda m: m) -> float:
         u = int(rng.integers(n_u))
         dists = _anchored(model, agent, profiles[t], u)
         omega = _obs_dist(_outcomes(model, raw, dists), model.n_agent_obs(agent), own_obs)
-        children = {}
+        children = {z: (w, c) for z, w, c in private_step(bad, s_i, profiles[t], u)}
         for z in range(model.n_agent_obs(agent)):
-            try:
-                children[z] = private_step(bad, s_i, profiles[t], u, z)
-            except ImpossibleObservationError:
-                children[z] = (0.0, None)
-            worst = max(worst, abs(children[z][0] - omega[z]))
-        if (omega > 0).tolist() != [c is not None for _, c in children.values()]:
+            worst = max(worst, abs(children.get(z, (0.0,))[0] - omega[z]))
+        if np.flatnonzero(omega).tolist() != list(children):
             return np.inf
         z = int(rng.choice(len(omega), p=omega / omega.sum()))
         s_i = children[z][1]
@@ -421,12 +416,7 @@ def br_gap(seed: int, shape, production=lambda m: m) -> float:
     best = best_raw(model, agent, rules_by_step, dict(s.entries), 1, anchors)
     worst = max(worst, abs(best_response_value_from(bad, others, agent, s) - best))
     profiles = [{j: r[j] for j in others} for r in rules_by_step]
-    for z in range(model.n_agent_obs(agent)):
-        try:
-            _, s_i = private_step(bad, initial_private_occupancy(bad, agent), profiles[0], 0, z)
-            break
-        except ImpossibleObservationError:
-            continue
+    _, _, s_i = private_step(bad, initial_private_occupancy(bad, agent), profiles[0], 0)[0]
     best = best_raw(model, agent, rules_by_step, dict(s_i.entries), 1, [s_i.anchor])
     return max(worst, abs(best_response_private_from(bad, others, agent, s_i, 1) - best))
 

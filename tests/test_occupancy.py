@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from occupancy_games.errors import (
-    ImpossibleObservationError,
     InconsistentOccupancyError,
     UndefinedDecisionRuleError,
     UnreachableHistoryError,
@@ -314,12 +313,12 @@ def test_private_step_observation_probabilities(tiger):
 
     others = {1: det_rule(tiger, 1, 0, 0, [PrivateHistory(1)])}
     s0 = initial_private_occupancy(tiger, 0)
-    omega, _ = private_step(tiger, s0, others, 0, 0)
-    assert omega == pytest.approx(0.5 * 0.85 + 0.5 * 0.15, abs=1e-12)
+    z, omega, _ = private_step(tiger, s0, others, 0)[0]
+    assert z == 0 and omega == pytest.approx(0.5 * 0.85 + 0.5 * 0.15, abs=1e-12)
 
     anchored = initial_private_occupancy(tiger.with_start([1.0, 0.0]), 0)
-    omega, _ = private_step(tiger, anchored, others, 0, 0)
-    assert omega == pytest.approx(0.85, abs=1e-12)
+    z, omega, _ = private_step(tiger, anchored, others, 0)[0]
+    assert z == 0 and omega == pytest.approx(0.85, abs=1e-12)
 
 
 @settings(max_examples=20, deadline=None)
@@ -335,16 +334,13 @@ def test_private_step_probs_sum_to_one(seed):
     }
     s0 = initial_private_occupancy(m, agent)
     u = int(rng.integers(0, len(m.actions[agent])))
-    total = 0.0
-    for z in range(m.n_agent_obs(agent)):
-        try:
-            omega, nxt = private_step(m, s0, others, u, z)
-        except ImpossibleObservationError:
-            continue
-        total += omega
+    branches = private_step(m, s0, others, u)
+    assert [z for z, _, _ in branches] == sorted({z for z, _, _ in branches})
+    for z, omega, nxt in branches:
+        assert omega > 0 and nxt.anchor == s0.anchor.child(u, z)
         assert sum(nxt.entries.values()) == pytest.approx(1.0, abs=1e-9)
         assert all(o.privates[agent] == nxt.anchor for (_, o) in nxt.entries)
-    assert total == pytest.approx(1.0, abs=1e-9)
+    assert sum(omega for _, omega, _ in branches) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_private_reward_one_stage(one_stage_zs):
@@ -376,13 +372,13 @@ def test_private_step_pushes_only_the_rows_of_its_own_action(tiger, monkeypatch)
         weighted = other[level.ids[1][entry], arrays.acts[out, 1]] > 0.0
         return int((weighted & (arrays.acts[out, 0] == u)).sum()), int(weighted.sum())
 
-    _, s1 = private_step(m, s0, {1: rules[0][1]}, 0, 1)
+    _, _, s1 = private_step(m, s0, {1: rules[0][1]}, 0)[1]
     del pushes[:]
     for t, s_i in enumerate((s0, s1)):
         for u in range(n_u):
             private_reward(m, s_i, {1: rules[t][1]}, u)
             assert pushes == []
-            private_step(m, s_i, {1: rules[t][1]}, u, 0)
+            private_step(m, s_i, {1: rules[t][1]}, u)
             (pushed,) = pushes
             assert len(pushed.weight) == own_rows(s_i, t, u)[0]
             del pushes[:]
@@ -414,8 +410,12 @@ O: * * : * : y y : 1.0
     from occupancy_games.occupancy import initial_private_occupancy
 
     others = {1: det_rule(m, 1, 0, 0, [PrivateHistory(1)])}
-    with pytest.raises(ImpossibleObservationError):
-        private_step(m, initial_private_occupancy(m, 0), others, 0, 1)
+    # both agents always observe y: the branch list leaves n out, and a
+    # history through n is unreachable
+    (branch,) = private_step(m, initial_private_occupancy(m, 0), others, 0)
+    assert branch[:2] == (0, 1.0)
+    with pytest.raises(UnreachableHistoryError, match="probability 0"):
+        private_occupancy(m, [others], PrivateHistory(0, ((0, 1),)))
 
 
 # -- decompose / recombine ----------------------------------------------------

@@ -20,7 +20,7 @@ from occupancy_games.errors import (
 )
 from occupancy_games import occupancy, solve, verify
 from occupancy_games.evaluate import evaluate_occupancy, value_tables
-from occupancy_games.model import reinterpret_criterion
+from occupancy_games.model import parse_posg, reinterpret_criterion
 from occupancy_games.occupancy import (
     OccupancyState,
     expected_reward,
@@ -70,6 +70,7 @@ from conftest import (
     code_names,
     in_steps_order,
     load,
+    model_path,
     pairing,
     private_children,
     restricted_start,
@@ -428,7 +429,8 @@ def test_private_route_pushes_each_state_once_from_a_mid_game_state(tiger, monke
     # a t=1 state of tiger h=3 and its 3 x 2 children, in one push
     m = tiger.with_horizon(3)
     other = random_behavioral_policy(m, 1, np.random.default_rng(5))
-    _, s_i = private_step(m, initial_private_occupancy(m, 0), {1: other.rules[0]}, 2, 1)
+    branches = private_step(m, initial_private_occupancy(m, 0), {1: other.rules[0]}, 2)
+    (s_i,) = [s for z, _, s in branches if z == 1]
     batches, pushes = _batches(monkeypatch)
     best_response_private_from(m, {1: other}, 0, s_i, 1)
     hists = [h for batch in batches for h in batch]
@@ -511,6 +513,37 @@ def test_solve_dec_respects_cap(tiger):
     assert solve_dec(tiger, cap_bytes=11_736).values[0] == pytest.approx(2.4)
     with pytest.raises(CapExceededError, match="11736 bytes exceeds cap 11735 bytes"):
         solve_dec(tiger, cap_bytes=11_735)
+
+
+# Dec-Tiger's optimal values as published (Szer, Charpillet & Zilberstein,
+# MAA*, UAI 2005), to their 6 printed decimals: an outside reference
+DEC_TIGER_OPTIMA = {2: -4.0, 3: 5.190812}
+
+
+def dec_tiger_pins(model) -> list[bool]:
+    """Whether ``solve_dec`` gives each agent the published optimum at each
+    pinned horizon, rounded to 6 decimals."""
+    return [
+        all(round(v, 6) == value for v in solve_dec(model.with_horizon(h)).values)
+        for h, value in DEC_TIGER_OPTIMA.items()
+    ]
+
+
+def test_solve_dec_matches_the_published_dec_tiger_optima():
+    assert dec_tiger_pins(load("dec-tiger")) == [True, True]
+
+
+def test_dec_tiger_pins_fail_with_one_reward_entry_off():
+    # control: each (joint action, state) entry of the common reward table
+    # moved by 1e-3, in both agents' rows, fails a pin
+    text = model_path("dec-tiger").read_text()
+    entries = [line[4:] for line in text.splitlines() if line.startswith("R1: ")]
+    assert len(entries) == 18
+    for entry in entries:
+        label, value = entry.rsplit(": ", 1)
+        off = text.replace(f": {entry}\n", f": {label}: {float(value) + 1e-3!r}\n")
+        assert off.count(f"{float(value) + 1e-3!r}") == 2
+        assert not all(dec_tiger_pins(parse_posg(off))), entry
 
 
 def three_agent_common(horizon: int):

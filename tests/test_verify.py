@@ -21,7 +21,7 @@ from occupancy_games.verify import (
     run_suite,
 )
 
-from conftest import code_names, load, pairing, restricted_start
+from conftest import code_names, load, pairing, recorded_pushes, restricted_start
 
 
 def test_sufficiency_master_tiger(tiger):
@@ -57,8 +57,22 @@ def test_sufficiency_private_negative_control(tiger):
     assert not report.passed
 
 
+def test_sufficiency_private_pushes_once_per_step(tiger, monkeypatch):
+    # private_step returns every own observation's branch from one push, so
+    # the check pushes once per prefix step (in private_occupancy) and once
+    # per sample
+    prefix, reach = [], verify.private_occupancy
+    monkeypatch.setattr(verify, "private_occupancy", lambda m, profiles, o_i: (
+        prefix.append(len(o_i.steps)) or reach(m, profiles, o_i)
+    ))
+    pushes = recorded_pushes(monkeypatch)
+    report = check_sufficiency_private(tiger.with_horizon(3), 0, n_samples=10, seed=1)
+    assert report.passed and len(prefix) == 10
+    assert len(pushes) == sum(prefix) + 10 == 19
+
+
 def test_sufficiency_private_propagates_step_faults(tiger, monkeypatch):
-    # only an impossible observation is an expected outcome of private_step
+    # the check catches nothing that private_step raises
     def broken(*args, **kwargs):
         raise RuntimeError("broken private_step")
 
@@ -220,6 +234,12 @@ def test_run_suite_all_passes(tiger):
     names = [r.name for r in reports]
     assert "sufficiency-master" in names
     assert "master-structure-common" in names
+
+
+def test_run_suite_every_suite_and_control_passes_on_dec_tiger():
+    m = load("dec-tiger")
+    reports = run_suite(m, verify.selected_suites(m, "all") + ["controls"], n_samples=8)
+    assert len(reports) == 10 and all(r.passed for r in reports), report_lines(reports)
 
 
 def test_run_suite_reproducible(tiger_zs):
