@@ -340,9 +340,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite",
         default="all",
-        help="comma-separated: sufficiency, slave, master, lipschitz, controls, or all.  "
-        "controls reruns the checks of the suites named beside it with their "
-        "corruptions injected, or every check that applies if named alone",
+        help="comma-separated, run in order and each once: sufficiency, slave, master, "
+        "lipschitz, controls, or all (every suite but controls that applies), anywhere "
+        "in the list.  controls reruns the checks of the suites named beside it with "
+        "their corruptions injected, or every check that applies if named alone",
     )
     p.add_argument(
         "--samples", type=_count_at_least(1), default=50, help="samples per check"

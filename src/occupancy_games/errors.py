@@ -32,7 +32,7 @@ class ModelValidationError(OccupancyGamesError):
 # the byte budget of the solvers', exact evaluation's and simulate's arrays
 CAP_BYTES = 2**30
 # what a walk holds besides the arrays a byte count counts item by item
-# (dicts, headers, scratch): it outweighs them on small walks (tiger-zs's
+# (per-level trie rows, headers, scratch): it outweighs them on small walks (tiger-zs's
 # whole-trie zero-sum walk peaks at 24 KB at h=2 against 16 KB counted)
 WALK_FIXED_BYTES = 2**17
 

@@ -137,7 +137,7 @@ def _pull(
         if t + 1 == model.horizon:
             break
         unit = level._replace(mass=np.ones(len(level.xs)))
-        pushed = next_level(model, unit, a, rows=True)
+        pushed = next_level(model, unit, a)
         level, place = pushed.level, np.arange(len(pushed.level.xs))
         if every_state:
             level, place = _every_state(model, level)
@@ -250,7 +250,7 @@ def occupancy_value(
 
 
 def _rule_arrays(
-    model: PosgModel, agent_policy, agent: int, horizon: int
+    model: PosgModel, agent_policy, agent: int
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per step, the agent's rule as action rows by trie code below the empty
     history (``rule_rows``) and, below the last step, next_row[row, u, z]:
@@ -263,7 +263,7 @@ def _rule_arrays(
     rows = rule_rows(model, agent, rules[0], root, 0)
     reached = rows_at(rows, np.zeros(1, dtype=np.intp), agent, 0)
     dists, children = [rows[1]], []
-    for t in range(1, horizon):
+    for t in range(1, model.horizon):
         codes, probs = rows
         kids = (codes[:, None, None] * n_u + np.arange(n_u)[:, None]) * n_z + np.arange(n_z)
         played = np.zeros(probs.shape, dtype=bool)
@@ -360,7 +360,6 @@ def simulate(
     if n_bytes > CAP_BYTES:
         raise CapExceededError("simulation", n_bytes, CAP_BYTES, " bytes")
     rng = np.random.Generator(np.random.PCG64(seed))
-    horizon = policy.horizon
 
     if policy.is_mixed:
         # sample one pure component per episode, then merge by episode index
@@ -375,11 +374,11 @@ def simulate(
             mask = picks == c
             if not mask.any():
                 continue
-            part = _simulate_pure(model, pure, int(mask.sum()), rng, horizon)
+            part = _simulate_pure(model, pure, int(mask.sum()), rng)
             for row, values in zip(returns, part):
                 row[mask] = values
     else:
-        returns = _simulate_pure(model, policy, episodes, rng, horizon)
+        returns = _simulate_pure(model, policy, episodes, rng)
 
     # one agent at a time, so std's temporary is one row long
     means = tuple(float(row.mean()) for row in returns)
@@ -419,10 +418,10 @@ def _simulate_pure(
     policy: JointPolicy,
     episodes: int,
     rng: np.random.Generator,
-    horizon: int,
 ) -> np.ndarray:
     """Each agent's discounted return per episode, run ``_BLOCK`` episodes
-    at a time.  Each draw reads its own cursor (``_cursors``), so every
+    at a time, over the model's horizon (``simulate`` checked that the
+    policy spans it).  Each draw reads its own cursor (``_cursors``), so every
     block gets the uniforms that one stream drawn one draw after another
     gives it, and ``rng`` ends past them all."""
     n_agents = model.n_agents
@@ -430,7 +429,7 @@ def _simulate_pure(
     dists = []
     children = []
     for i, agent_policy in enumerate(policy.agents):
-        d, c = _rule_arrays(model, agent_policy, i, horizon)
+        d, c = _rule_arrays(model, agent_policy, i)
         dists.append([_cumulative(rule, episodes) for rule in d])
         children.append([table.ravel() for table in c])
 
@@ -448,6 +447,7 @@ def _simulate_pure(
 
     # the start, then per step each agent's action and, below the horizon,
     # the outcome
+    horizon = model.horizon
     n_draws = horizon * (n_agents + 1)
     cursors = _cursors(rng, n_draws, episodes)
     returns = np.zeros((n_agents, episodes))

@@ -96,13 +96,6 @@ class OccupancyState(_PushedEntries):
     # (Level, histories) once converted or pushed; entries are not mutated
     _level: object = field(default=None, init=False, repr=False, compare=False)
 
-    @property
-    def support(self):
-        return self.entries.keys()
-
-    def prob(self, x: int, o: JointHistory) -> float:
-        return self.entries.get((x, o), 0.0)
-
     def items(self):
         return _sorted_items(self.entries)
 
@@ -144,9 +137,6 @@ class PrivateOccupancyState(_PushedEntries):
     def t(self) -> int:
         return self.anchor.t
 
-    def items(self):
-        return _sorted_items(self.entries)
-
 
 @dataclass(frozen=True)
 class Mixture:
@@ -186,21 +176,22 @@ Histories = tuple[list[PrivateHistory], ...]  # each agent's histories by id
 class Pushed(NamedTuple):
     """What ``next_level`` returns: the children; each agent's child codes
     ``(parent id * n_u + u) * n_z + z``, child ``c`` of agent ``i`` having
-    code ``reached[i][c]``; and, if asked for, each row's (one outcome of one
-    joint action at one entry) entry, child entry and mass."""
+    code ``reached[i][c]``; and each row's (one outcome of one joint action
+    at one entry) entry, child entry and mass.  A caller that needs only
+    the first two takes ``next_level(...)[:2]``, so the rows go with the
+    push."""
 
     level: Level
     reached: tuple[np.ndarray, ...]
-    entry: np.ndarray | None = None
-    where: np.ndarray | None = None
-    weight: np.ndarray | None = None
+    entry: np.ndarray
+    where: np.ndarray
+    weight: np.ndarray
 
 
 def next_level(
     model: PosgModel,
     level: Level,
     a: np.ndarray | None = None,
-    rows: bool = False,
     first_seen: bool = False,
 ) -> Pushed:
     """Every outcome of every joint action at each entry of ``level``, equal
@@ -253,10 +244,7 @@ def next_level(
     n_sets = tuple(len(codes) for codes in reached)
     xs, *ids = np.unravel_index(merged, (model.n_states,) + n_sets)
     mass = np.bincount(where, weights=weight, minlength=len(merged))
-    children = Level(xs, tuple(ids), mass, n_sets)
-    if not rows:
-        return Pushed(children, tuple(reached))
-    return Pushed(children, tuple(reached), entry, where, weight)
+    return Pushed(Level(xs, tuple(ids), mass, n_sets), tuple(reached), entry, where, weight)
 
 
 def _rank(codes: np.ndarray, space: int) -> tuple[np.ndarray, np.ndarray]:
@@ -419,7 +407,7 @@ def entries_of(level: Level, hists: Histories) -> dict[Entry, float]:
 def normalized_groups(
     pushed: Pushed, group: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The children of a push (with ``rows``) split into ``n`` groups, child
+    """The children of a push split into ``n`` groups, child
     entry ``k`` in group ``group[k]``, each normalized on its own: every
     group's probability ``ω``, its rows' mass summed in row order, and the
     entries kept, those whose mass over ``ω`` is above ``PRUNE_EPS``, at
@@ -448,7 +436,7 @@ def sub_level(
 def _branches(
     model: PosgModel, hists: Histories, pushed: Pushed, group: np.ndarray, n: int
 ) -> list[tuple[int, float, tuple[Level, Histories]]]:
-    """The children of a push (with ``rows``) from histories ``hists`` in ``n``
+    """The children of a push from histories ``hists`` in ``n``
     groups, ``group`` per child entry, each normalized on its own: ``(g, ω,
     (sub-level, histories))`` per group ``g`` of positive ``ω``, increasing."""
     omega, keep, p, ends = normalized_groups(pushed, group, n)
@@ -488,7 +476,7 @@ def step(
         raise ValueError("one decision rule per agent required")
     level, hists = level_of(model, s)
     a = action_probs(model, level, rule_arrays(model, rules, hists))
-    pushed = next_level(model, level, a, rows=True, first_seen=True)
+    pushed = next_level(model, level, a, first_seen=True)
     n_pub = len(model.public_obs)
     # a child's public observation ends each agent's observation code
     public = pushed.reached[0][pushed.level.ids[0]] % n_pub
@@ -561,7 +549,7 @@ def private_step(
     level, hists = level_of(model, s_i)
     probs = others_rule_arrays(model, others_rules, agent, hists)
     probs[agent] = np.eye(len(model.actions[agent]))[np.full(level.n_sets[agent], u_i)]
-    pushed = next_level(model, level, action_probs(model, level, probs), rows=True, first_seen=True)
+    pushed = next_level(model, level, action_probs(model, level, probs), first_seen=True)
     codes, n_z = pushed.reached[agent], model.n_agent_obs(agent)
     out = []
     for c, omega, nxt in _branches(model, hists, pushed, pushed.level.ids[agent], len(codes)):

@@ -55,7 +55,11 @@ payoffs' scale above 1.
 called directly by the zero-sum loop, which counts its own walks), and it
 starts from the state's level (``occupancy.level_of``), never from its
 entries: a level numbers each agent's histories in steps order, so its ids
-are the anchor numbers, and below it histories go by trie code.
+are the anchor numbers, and below it histories go by trie code.  Every walk
+(this one and both best responses') keeps each agent's information sets as
+one trie of two integer arrays, ``(parents, obs)``: set ``c``'s parent
+sequence, -1 at an anchor, and the own observation that reached it;
+``E x = e``, the folds and the plan decoders read nothing else.
 ``cap_bytes`` is one budget for every criterion, checked before each walk.
 Where some agent is enumerated (common payoff and Stackelberg) it bounds the
 dense arrays the walk and the enumeration would build, predicted from the
@@ -87,7 +91,6 @@ from .errors import (
 )
 from .model import PosgModel
 from .occupancy import (
-    Histories,
     Level,
     OccupancyState,
     PrivateOccupancyState,
@@ -296,8 +299,7 @@ def _history_br(
     level, hists = level_of(model, s)
     seeds = hists[agent]
     own_hists = list(seeds)
-    parents = [-1] * len(seeds)
-    kids: dict[tuple[int, int, int], int] = {}
+    trie = ([-1] * len(seeds), [-1] * len(seeds))  # each set's parent sequence and own obs
     g, mass = [], []
     for t in range(s.t, model.horizon):
         a = action_probs(model, level, others_rule_arrays(model, profiles[t], agent, hists))
@@ -305,22 +307,21 @@ def _history_br(
         mass.append(np.bincount(level.ids[agent], level.mass, level.n_sets[agent]))
         if t + 1 == model.horizon:
             break
-        pushed = next_level(model, level, a)
         first = len(own_hists) - level.n_sets[agent]
-        for c, (j, u, z) in enumerate(_kid_keys(model, agent, pushed.reached[agent], first)):
-            kids[(j, u, z)] = len(own_hists) + c
-            parents.append(j * n_u + u)
-        hists = child_histories(model, hists, pushed.reached)
+        level, reached = next_level(model, level, a)[:2]
+        _extend_trie(trie, model, agent, reached[agent], first)
+        hists = child_histories(model, hists, reached)
         own_hists.extend(hists[agent])
-        level = pushed.level
-    v = _trie_fold(np.concatenate(g), np.array(parents), n_u, np.max, model.discount)
+    parents, obs = map(np.array, trie)
+    v = _trie_fold(np.concatenate(g), parents, n_u, np.max, model.discount)
     mass = np.concatenate(mass)
     q_out = {
         h: tuple((v[j] / mass[j]).tolist()) for j, h in enumerate(own_hists) if mass[j] > 0.0
     }
     depth = model.horizon - s.t
+    below = _children(parents, obs)
     greedy = [
-        _pure_tree(model, agent, kids, lambda j: _argmax_lowest(v[j]), (root,), depth)[0]
+        _pure_tree(model, agent, below, lambda j: _argmax_lowest(v[j]), (root,), depth)[0]
         for root in range(len(seeds))
     ]
     trees = {h: _tree(model, agent, k, depth) for h, k in zip(seeds, greedy)}
@@ -340,24 +341,24 @@ def _private_dp(
     profiles: list[dict[int, DecisionRule]],
     agent: int,
     s_i: PrivateOccupancyState,
-    t: int,
 ) -> tuple[float, PolicyTree, dict[PrivateHistory, tuple[float, ...]]]:
-    """Bellman optimality over private occupancy states below ``s_i`` at step
-    ``t`` (``_private_best``, the others' rules turned into rows once): its
-    value, its greedy tree, and the q per own action on every history that
-    tree reaches, the only own histories built."""
+    """Bellman optimality over private occupancy states below ``s_i``, from
+    its step (``_private_best``, the others' rules turned into rows once):
+    its value, its greedy tree, and the q per own action on every history
+    that tree reaches, the only own histories built."""
+    t = s_i.t
     level, hists = level_of(model, s_i)
     others = [
         None if j == agent
         else {k: rule_rows(model, j, profiles[k][j], hs, t) for k in range(t, len(profiles))}
         for j, hs in enumerate(hists)
     ]
-    value, index, played, q, kids = _private_best(model, agent, level, others, t)
-    above = {c: key for key, c in kids.items()}
+    value, index, played, q, (parents, obs) = _private_best(model, agent, level, others, t)
+    n_u = len(model.actions[agent])
     own = {0: s_i.anchor}
-    for j in (np.array(played[1:], dtype=np.intp) // len(model.actions[agent])).tolist():
-        parent, u, z = above[j]  # played in preorder: a parent comes first
-        own[j] = own[parent].child(u, z)
+    for j in (np.array(played[1:], dtype=np.intp) // n_u).tolist():
+        p = int(parents[j])  # played in preorder: a parent comes first
+        own[j] = own[p // n_u].child(p % n_u, int(obs[j]))
     table = {h: tuple(q[j].tolist()) for j, h in own.items()}
     return value, _tree(model, agent, index, model.horizon - t), table
 
@@ -368,24 +369,27 @@ def _private_best(
     level: Level,
     others: Sequence[Mapping[int, tuple[np.ndarray, np.ndarray]] | None],
     t: int,
-) -> tuple[float, int, list[int], np.ndarray, dict[tuple[int, int, int], int]]:
+) -> tuple[float, int, list[int], np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """The agent's best response at step ``t`` by the batched private DP
     (``_private_batch``), one root state per own history ``a`` of ``level``
     at its mass, the others playing ``others[j][step]`` by trie code, code
     ``a`` at their history ``a``.  Returns the roots' best q summed, the
     greedy plan's index (one tree per root, ``_pure_tree``) and sequences,
-    the q per state and the ``kids`` numbering the states, roots first."""
+    the q per state and the trie of the states, roots first: each state's
+    parent sequence (-1 at a root) and own observation."""
     n = level.n_sets[agent]
     batches: list[tuple[int, np.ndarray]] = []
-    kids = {(-1, 0, a): a for a in range(n)}  # the roots, children of no state
+    trie = ([-1] * n, [-1] * n)  # each state's parent sequence and own observation
     codes = tuple(np.arange(k) for k in level.n_sets)
-    _private_batch(model, agent, level, codes, others, t, 0, batches, kids)
+    _private_batch(model, agent, level, codes, others, t, 0, batches, trie)
     batches.sort(key=lambda batch: batch[0])
     q = np.concatenate([qs for _, qs in batches]).reshape(-1, len(model.actions[agent]))
+    parents, obs = map(np.array, trie)
     index, played = _pure_tree(
-        model, agent, kids, lambda j: _argmax_lowest(q[j]), range(n), model.horizon - t
+        model, agent, _children(parents, obs), lambda j: _argmax_lowest(q[j]), range(n),
+        model.horizon - t,
     )
-    return float(q[:n].max(axis=1).sum()), index, played, q, kids
+    return float(q[:n].max(axis=1).sum()), index, played, q, (parents, obs)
 
 
 def _private_batch(
@@ -397,7 +401,7 @@ def _private_batch(
     t: int,
     first: int,
     batches: list,
-    kids: dict[tuple[int, int, int], int],
+    trie: tuple[list[int], list[int]],
 ) -> np.ndarray:
     """The values at step ``t`` of a batch of private occupancy states: one
     per own history of ``level`` (numbered from ``first``), whose entries
@@ -414,8 +418,8 @@ def _private_batch(
     rows: the rows their own push holds or, at the last step, which pushes
     nothing, their (entry, joint action) pairs.  Each q then adds ``γ·ω·V``
     of its children in increasing own observation.  Appends ``(first, flat
-    q)`` to ``batches`` and each child's number to ``kids``, and returns
-    each state's best q."""
+    q)`` to ``batches`` and the children to ``trie`` (``_extend_trie``),
+    numbered in order, and returns each state's best q."""
     n_u, n_z = len(model.actions[agent]), model.n_agent_obs(agent)
     n = level.n_sets[agent]
     probs = [None if r is None else r[t][1][rows_at(r[t], c, j, t)]
@@ -425,11 +429,11 @@ def _private_batch(
     batches.append((first, q))
     if t + 1 == model.horizon:
         return q.reshape(n, n_u).max(axis=1)
-    pushed = next_level(model, level, a, rows=True, first_seen=True)
+    pushed = next_level(model, level, a, first_seen=True)
     del a  # the children are solved depth first: hold no more than needed
     reached = pushed.reached[agent]
-    base = len(kids)  # the first child's number
-    kids.update(zip(_kid_keys(model, agent, reached, first), range(base, base + len(reached))))
+    base = len(trie[0])  # the first child's number
+    _extend_trie(trie, model, agent, reached, first)
     omega, keep, p, ends = normalized_groups(pushed, pushed.level.ids[agent], len(reached))
     level, codes = pushed.level, child_codes(model, codes, pushed.reached)
     del pushed
@@ -450,7 +454,7 @@ def _private_batch(
         sub, used = sub_level(level, keep[entries], p[entries])
         v[lo:hi] = _private_batch(
             model, agent, sub, tuple(c[u] for c, u in zip(codes, used)), others,
-            t + 1, base + lo, batches, kids,
+            t + 1, base + lo, batches, trie,
         )
         lo = hi
     for z in range(n_z):  # increasing own observation within each (state, action)
@@ -464,18 +468,16 @@ def best_response_private(model: PosgModel, others, agent: int) -> BestResponse:
     start, with the greedy tree and its q-table."""
     profiles = _others_profiles(model, others, agent)
     root = initial_private_occupancy(model, agent)
-    value, tree, q = _private_dp(model, profiles, agent, root, 0)
+    value, tree, q = _private_dp(model, profiles, agent, root)
     return BestResponse(agent, value, tree, q, "private-occupancy-dp")
 
 
 def best_response_private_from(
-    model: PosgModel, others, agent: int, s_i: PrivateOccupancyState, t0: int
+    model: PosgModel, others, agent: int, s_i: PrivateOccupancyState
 ) -> float:
-    """Private-route best-response value from one private occupancy state;
-    0 at or past the horizon."""
-    if t0 >= model.horizon:
-        return 0.0
-    return _private_dp(model, _others_profiles(model, others, agent), agent, s_i, t0)[0]
+    """Private-route best-response value from one private occupancy state,
+    from its step on."""
+    return _private_dp(model, _others_profiles(model, others, agent), agent, s_i)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -500,17 +502,19 @@ def _sequence_payoffs(
     s: OccupancyState,
     agents_of_interest: Sequence[int],
     weights: Sequence[Sequence[tuple[np.ndarray, np.ndarray]] | None] | None = None,
-) -> tuple[list[np.ndarray], list[dict[tuple[int, int, int], int]], list | None]:
-    """Sequence-form payoff tensor below occupancy ``s``, one block per depth.
+) -> tuple[list[np.ndarray], list[tuple[np.ndarray, np.ndarray]], list | None]:
+    """Sequence-form payoff tensor below occupancy ``s``, one block per depth,
+    and each agent's trie.
 
     One forward walk, level by level, pushes the mass of ``s`` through
     (state, per-agent information set) pairs, every joint action and outcome
     of a level at once, starting from the level of ``s`` (``level_of``).
     Agent ``i``'s sets are numbered level by level: set ``a`` is its anchor
     ``a`` (history ``a`` of the level of ``s``), then each level's reached
-    sets follow in (parent set, own action, own observation) order, and
-    ``kids[i][(j, u, z)]`` is the set after action ``u`` and observation
-    ``z`` at set ``j``.  Sets the walk never reaches get no number.
+    sets follow in (parent set, own action, own observation) order.  Its
+    trie is the pair ``(parents, obs)``: set ``c``'s parent sequence
+    (-1 at an anchor) and the own observation that reached it (-1 at an
+    anchor).  Sets the walk never reaches get no number.
     Sequence ``j * n_u + u`` is action ``u`` at set ``j``, so the sequences
     of one depth are contiguous, and a sequence pairs only with the others'
     sequences of its depth: ``blocks[d]`` has one axis per agent over its
@@ -532,40 +536,47 @@ def _sequence_payoffs(
     rewards = rewards.reshape((model.n_states,) + n_us + (-1,))
     level = level_of(model, s)[0]
     n_sets = level.n_sets
-    first = [0] * model.n_agents  # id of the level's first set, per agent
-    kids: list[dict[tuple[int, int, int], int]] = [{} for _ in n_sets]
-    trie = [np.arange(n) for n in n_sets]  # trie code of each set of the level
+    tries = [([-1] * n, [-1] * n) for n in n_sets]  # each set's parent sequence and own obs
+    level_codes = [np.arange(n) for n in n_sets]  # trie code of each set of the level
     played: list[list[np.ndarray]] = [[] for _ in n_sets]  # weights by set, per level
     blocks, a = [], None
     for d in range(model.horizon - s.t):
         if weights is not None:
-            for i, (codes, w) in enumerate(zip(trie, weights)):
+            for i, (codes, w) in enumerate(zip(level_codes, weights)):
                 at = None if w is None else rows_at(w[d], codes, i, s.t + d)
                 played[i].append(np.ones((len(codes), n_us[i])) if w is None else w[d][1][at])
             a = action_probs(model, level, [p[-1] for p in played])
         blocks.append(_payoff_block(level, rewards))
         if d + 1 == model.horizon - s.t:
             break
-        level = level._replace(mass=level.mass * model.discount)
-        pushed = next_level(model, level, a)
-        for i, codes in enumerate(pushed.reached):
-            base = first[i] + level.n_sets[i]
-            keys = _kid_keys(model, i, codes, first[i])
-            kids[i].update(zip(keys, range(base, base + len(codes))))
-            first[i] = base
-        trie = child_codes(model, trie, pushed.reached)
-        level = pushed.level
+        n_parents = level.n_sets  # the last sets of each trie so far
+        level, reached = next_level(model, level._replace(mass=level.mass * model.discount), a)[:2]
+        for i, (codes, n) in enumerate(zip(reached, n_parents)):
+            _extend_trie(tries[i], model, i, codes, len(tries[i][0]) - n)
+        level_codes = child_codes(model, level_codes, reached)
+    tries = [tuple(map(np.array, rows)) for rows in tries]
     if weights is None:
-        return blocks, kids, None
-    return blocks, kids, [np.concatenate(p, axis=None) for p in played]
+        return blocks, tries, None
+    return blocks, tries, [np.concatenate(p, axis=None) for p in played]
 
 
-def _kid_keys(model: PosgModel, agent: int, codes: np.ndarray, first: int):
-    """``(parent set, own action, own observation)`` of each child code, the
-    parent numbered from ``first``."""
-    n_z = model.n_agent_obs(agent)
-    j, uz = np.divmod(codes, len(model.actions[agent]) * n_z)
-    return zip((j + first).tolist(), *(c.tolist() for c in np.divmod(uz, n_z)))
+def _extend_trie(
+    trie: tuple[list[int], list[int]], model: PosgModel, agent: int, codes: np.ndarray, first: int
+) -> None:
+    """Append to the trie ``(parents, obs)`` the sets a push reached, from
+    their child codes ``(parent id * n_u + u) * n_z + z`` (``next_level``'s
+    ``reached``), the parent sets numbered from ``first``: parent sequence
+    ``(first + parent id) * n_u + u`` and own observation ``z``."""
+    seq, z = np.divmod(codes, model.n_agent_obs(agent))
+    trie[0].extend((seq + first * len(model.actions[agent])).tolist())
+    trie[1].extend(z.tolist())
+
+
+def _children(parents: np.ndarray, obs: np.ndarray) -> dict[tuple[int, int], int]:
+    """Each set of a trie below an anchor, keyed by its parent sequence and
+    the own observation that reached it: how ``_pure_tree`` walks down."""
+    keys = zip(parents.tolist(), obs.tolist())
+    return {key: c for c, key in enumerate(keys) if key[0] >= 0}
 
 
 def _payoff_block(level: Level, rewards: np.ndarray) -> np.ndarray:
@@ -586,7 +597,7 @@ def _payoff_block(level: Level, rewards: np.ndarray) -> np.ndarray:
 
 
 def _plan_realization(
-    model: PosgModel, agent: int, n_anchors: int, kids: Mapping, depth: int
+    model: PosgModel, agent: int, trie: tuple[np.ndarray, np.ndarray], depth: int
 ) -> np.ndarray:
     """0/1 matrix over (pure plan, sequence of ``_sequence_payoffs``): 1 where
     the plan plays every action along the sequence.
@@ -597,19 +608,20 @@ def _plan_realization(
     (``k``'s digit at set ``c``'s trie position is ``u``) times its parent
     sequence's column.  A reached set sits 1 + ``z`` subtries below its
     parent set's position, ``z`` its own observation."""
-    n_u, n_z = len(model.actions[agent]), model.n_agent_obs(agent)
-    nodes = [sum(n_z**e for e in range(d)) for d in range(depth + 1)]  # of a d-level trie
+    n_u = len(model.actions[agent])
+    parents, obs = trie
+    n_anchors = int(np.count_nonzero(parents < 0))
+    nodes = [sum(model.n_agent_obs(agent) ** e for e in range(d)) for d in range(depth + 1)]
     n_digits = n_anchors * nodes[depth]
     pos = [a * nodes[depth] for a in range(n_anchors)]
     levels = [depth] * n_anchors  # levels of each set's subtrie, itself included
-    above = [-1] * n_anchors  # parent sequence
-    for (j, u, z), _ in sorted(kids.items(), key=lambda kv: kv[1]):
+    for seq, z in zip(parents[n_anchors:].tolist(), obs[n_anchors:].tolist()):
+        j = seq // n_u
         pos.append(pos[j] + 1 + z * nodes[levels[j] - 1])
         levels.append(levels[j] - 1)
-        above.append(j * n_u + u)
     plans = np.arange(n_u**n_digits)
     plays = np.empty((len(pos) * n_u, len(plans)), dtype=bool)  # (sequence, plan)
-    for c, (p, a) in enumerate(zip(pos, above)):
+    for c, (p, a) in enumerate(zip(pos, parents.tolist())):
         seqs = slice(c * n_u, (c + 1) * n_u)
         plays[seqs] = plans // n_u ** (n_digits - 1 - p) % n_u == np.arange(n_u)[:, None]
         if a >= 0:
@@ -689,14 +701,6 @@ def _restricted_bytes(
     return 8 * max(peak, 6 * sum(cells)) + WALK_FIXED_BYTES
 
 
-def _parents(kids: Mapping[tuple[int, int, int], int], n_sets: int, n_u: int) -> np.ndarray:
-    """Parent sequence of each information set, -1 at the anchors."""
-    parents = [-1] * n_sets
-    for (j, u, _), c in kids.items():
-        parents[c] = j * n_u + u
-    return np.array(parents, dtype=np.intp)
-
-
 def _normal_form(
     model: PosgModel,
     s: OccupancyState,
@@ -704,10 +708,10 @@ def _normal_form(
     cap_bytes: int,
     keep: Sequence[int] = (),
     uncontracted: Sequence[int] = (),
-) -> tuple[list, list[np.ndarray | None], list[dict], list[np.ndarray]]:
+) -> tuple[list, list[np.ndarray | None], list[tuple[np.ndarray, np.ndarray]]]:
     """Payoff tensors below occupancy ``s``, one per agent of interest and one
-    axis per agent, with each agent's realization matrix, the ``kids`` of
-    ``_sequence_payoffs`` and each agent's parent sequences.
+    axis per agent, with each agent's realization matrix and its trie
+    ``(parents, obs)`` of ``_sequence_payoffs``.
 
     Under perfect recall a pure profile's payoff is multilinear in the
     agents' 0/1 sequence realizations, so every tensor is the sequence-form
@@ -740,7 +744,7 @@ def _walk(
     keep: Sequence[int] = (),
     uncontracted: Sequence[int] = (),
     weights: Sequence[Sequence[tuple[np.ndarray, np.ndarray]] | None] | None = None,
-) -> tuple[list, list[np.ndarray | None], list[dict], list[np.ndarray]]:
+) -> tuple[list, list[np.ndarray | None], list[tuple[np.ndarray, np.ndarray]]]:
     """``_normal_form`` below ``s`` after its byte count was
     checked: by ``_normal_form``, or by the zero-sum loop, which counts each
     pair it walks once.  With ``weights`` the walk pushes weighted actions
@@ -749,16 +753,11 @@ def _walk(
     depth = model.horizon - s.t
     if depth < 1:
         raise ValueError("occupancy state is already at the horizon")
-    blocks, kids, played = _sequence_payoffs(
+    blocks, tries, played = _sequence_payoffs(
         model, s, list(agents_of_interest) + list(uncontracted), weights
     )
-    n_anchors = level_of(model, s)[0].n_sets
-    parents = [
-        _parents(kids[i], n_anchors[i] + len(kids[i]), len(model.actions[i]))
-        for i in range(model.n_agents)
-    ]
     realizations = [
-        None if i in keep else _plan_realization(model, i, n_anchors[i], kids[i], depth)
+        None if i in keep else _plan_realization(model, i, tries[i], depth)
         for i in range(model.n_agents)
     ]
     n_c = len(agents_of_interest)
@@ -787,7 +786,7 @@ def _walk(
         mats = list(np.concatenate(parts, axis=1 + kept[0]))
     else:  # both agents of a two-agent game kept: block diagonal, stored sparse
         mats = [_block_diagonal([part[k] for part in parts]) for k in range(n_c)]
-    return mats + dense, realizations if weights is None else played, kids, parents
+    return mats + dense, realizations if weights is None else played, tries
 
 
 def _block_diagonal(blocks: Sequence[np.ndarray]):
@@ -815,7 +814,7 @@ def suffix_normal_form(
 ) -> tuple[list[np.ndarray], list[list[dict]]]:
     """Payoff tensors over anchored pure policy suffixes from occupancy ``s``;
     axis ``i`` indexes agent ``i``'s assignments of one tree per anchor."""
-    mats, _, _, _ = _normal_form(model, s, agents_of_interest, CAP_BYTES)
+    mats, _, _ = _normal_form(model, s, agents_of_interest, CAP_BYTES)
     depth = model.horizon - s.t
     anchors = level_of(model, s)[1]
     return mats, [_anchored_space(model, i, a, depth) for i, a in enumerate(anchors)]
@@ -827,7 +826,7 @@ def induced_normal_form(
     """Payoff tensors over reduced pure policy profiles at the start belief,
     one axis per agent: the occupancy-rooted normal form at the initial
     occupancy state, each one-anchor assignment unwrapped to its tree."""
-    mats, _, _, _ = _normal_form(model, initial_occupancy(model), agents_of_interest, CAP_BYTES)
+    mats, _, _ = _normal_form(model, initial_occupancy(model), agents_of_interest, CAP_BYTES)
     roots = [PrivateHistory(i) for i in range(model.n_agents)]
     spaces = [_anchored_space(model, i, [root], model.horizon) for i, root in enumerate(roots)]
     return mats, [[a[root] for a in space] for root, space in zip(roots, spaces)]
@@ -857,9 +856,10 @@ class SequenceFormSolution:
     Sets and sequences are numbered as in ``_sequence_payoffs``: agent ``i``'s
     set ``a`` is its anchor ``anchors[i][a]``, then each depth's reached sets
     follow in (parent set, own action, own observation) order;
-    ``kids[i][(j, u, z)]`` is the set after own action ``u`` and observation
-    ``z`` at set ``j``, and sequence ``j * n_u + u`` is action ``u`` at set
-    ``j``.  ``plans[i]`` is agent ``i``'s realization plan: mass 1 over the
+    ``tries[i] = (parents, obs)`` holds set ``c``'s parent sequence (-1 at an
+    anchor) and the own observation that reached it, and sequence
+    ``j * n_u + u`` is action ``u`` at set ``j``.  ``plans[i]`` is agent
+    ``i``'s realization plan: mass 1 over the
     actions at each anchor, and each sequence's mass spread over the actions
     at every set below it.  The Stackelberg follower's plan is its pure
     plan's 0/1 realization, which ``_kuhn_mixture`` returns as that plan.
@@ -868,7 +868,7 @@ class SequenceFormSolution:
     values: tuple[float, ...]
     plans: tuple[np.ndarray, ...]
     anchors: tuple[tuple[PrivateHistory, ...], ...]
-    kids: tuple[Mapping[tuple[int, int, int], int], ...]
+    tries: tuple[tuple[np.ndarray, np.ndarray], ...]
     metadata: Mapping[str, object]
 
 
@@ -898,20 +898,16 @@ def _trie_best(g: np.ndarray, parents: np.ndarray, n_u: int, best) -> np.ndarray
     return best(v[..., parents < 0, :], axis=-1).sum(axis=-1)
 
 
-def _plan_constraints(parents: np.ndarray, n_u: int, dense: bool = False):
-    """``E`` (``scipy.sparse`` unless ``dense``) and right-hand side ``e`` of
-    ``E x = e``: one row per set, its actions' mass minus its parent
-    sequence's mass, 1 at the anchors."""
+def _plan_constraints(parents: np.ndarray, n_u: int):
+    """``E`` (``scipy.sparse``) and right-hand side ``e`` of ``E x = e``: one
+    row per set, its actions' mass minus its parent sequence's mass, 1 at
+    the anchors."""
     n = len(parents)
     # row c: -1 at its parent sequence (none at an anchor), then 1 at its own
     cols = np.column_stack([parents, np.arange(n * n_u).reshape(n, n_u)])
     values = np.column_stack([-np.ones(n), np.ones((n, n_u))])
     stored = cols >= 0
     e = (parents < 0).astype(float)
-    if dense:
-        E = np.zeros((n, n * n_u))
-        E[np.nonzero(stored)[0], cols[stored]] = values[stored]
-        return E, e
     from scipy import sparse
 
     indptr = np.concatenate([[0], np.cumsum(stored.sum(axis=1))])
@@ -965,7 +961,7 @@ def _realization_plan_lp(
 def _pure_tree(
     model: PosgModel,
     agent: int,
-    kids: Mapping[tuple[int, int, int], int],
+    below: Mapping[tuple[int, int], int],
     pick,
     roots: Sequence[int] = (0,),
     depth: int | None = None,
@@ -976,7 +972,8 @@ def _pure_tree(
     never reached: its index (each tree's preorder actions as base-``n_u``
     digits, the first tree's most significant, as ``_plan_realization``
     orders them; ``_tree`` decodes a one-tree plan) and the sequences it
-    plays."""
+    plays.  ``below`` holds the trie's sets by (parent sequence, own
+    observation), as ``_children`` builds it."""
     n_u, n_z = len(model.actions[agent]), model.n_agent_obs(agent)
     played: list[int] = []
     index = 0
@@ -988,7 +985,7 @@ def _pure_tree(
         if j is not None:
             played.append(j * n_u + u)
         for z in range(n_z if depth > 1 else 0):
-            visit(None if j is None else kids.get((j, u, z)), depth - 1)
+            visit(None if j is None else below.get((j * n_u + u, z)), depth - 1)
 
     for root in roots:
         visit(root, model.horizon if depth is None else depth)
@@ -1010,25 +1007,25 @@ def _kuhn_mixture(
     model: PosgModel,
     agent: int,
     plan: np.ndarray,
-    kids: Mapping[tuple[int, int, int], int],
-    n_anchors: int = 1,
+    trie: tuple[np.ndarray, np.ndarray],
     depth: int | None = None,
 ) -> dict[int, float]:
     """The weights of pure plans, one depth-``depth`` (default: the horizon)
-    tree per anchor, whose mixture realizes ``plan``, keyed by their index
-    (``_pure_tree``; ``_tree`` decodes a one-anchor plan).
+    tree per anchor of ``trie``, whose mixture realizes ``plan``, keyed by
+    their index (``_pure_tree``; ``_tree`` decodes a one-anchor plan).
 
     Each round takes the plan playing the heaviest remaining action at every
     set it reaches, weighs it by the least remaining mass on its sequences
     and subtracts it; that empties at least one sequence, so there are at
     most ``len(plan)`` plans."""
     n_u = len(model.actions[agent])
+    below, anchors = _children(*trie), np.flatnonzero(trie[0] < 0).tolist()
     rest = plan.copy()
     weights: dict[int, float] = {}
     for _ in range(len(plan)):
         index, played = _pure_tree(
-            model, agent, kids, lambda j: int(np.argmax(rest[j * n_u : (j + 1) * n_u])),
-            range(n_anchors), depth,
+            model, agent, below, lambda j: int(np.argmax(rest[j * n_u : (j + 1) * n_u])),
+            anchors, depth,
         )
         w = float(rest[played].min())
         if w <= 1e-12:  # what is left is LP round-off
@@ -1116,7 +1113,8 @@ def _double_oracle(
     for iteration in itertools.count(1):
         if n_bytes > cap_bytes:
             raise CapExceededError("restricted game", n_bytes, cap_bytes, " bytes")
-        (G,), played, kids, parents = _walk(model, s, [0], (0, 1), weights=sets)
+        (G,), played, tries = _walk(model, s, [0], (0, 1), weights=sets)
+        parents = [p for p, _ in tries]
         payoffs, method = G, "sequence-form-lp" if whole else "sequence-form-double-oracle"
         if whole and all(len(p) == 1 for p in parents):  # G is the matrix game
             payoffs = G.toarray()
@@ -1132,10 +1130,7 @@ def _double_oracle(
                 (float(_trie_best(x @ payoffs, parents[1], n_us[1], np.min)), None),
             ]
         else:
-            kuhn = [
-                _kuhn_mixture(model, i, plan, kids[i], n_anchors[i], depth)
-                for i, plan in enumerate((x, y))
-            ]
+            kuhn = [_kuhn_mixture(model, i, plan, tries[i], depth) for i, plan in enumerate((x, y))]
             rows = [_plan_rows(model, i, kuhn[i], n_anchors[i], depth) for i in range(2)]
             replies = []
             for i in range(2):  # agent 1 replies in its own payoff, -G
@@ -1160,7 +1155,7 @@ def _double_oracle(
         "residual": max(exploitability),
     }
     anchors = tuple(map(tuple, hists))
-    return SequenceFormSolution((value, -value), (x, y), anchors, tuple(kids), metadata), G
+    return SequenceFormSolution((value, -value), (x, y), anchors, tuple(tries), metadata), G
 
 
 def _equilibrium(
@@ -1195,7 +1190,7 @@ def solve_zero_sum(
     a Kuhn mixture."""
     _require(model, "zerosum", "solve_zero_sum")
     sol, _ = _double_oracle(model, initial_occupancy(model), tolerance, cap_bytes)
-    mixtures = [_kuhn_mixture(model, i, plan, sol.kids[i]) for i, plan in enumerate(sol.plans)]
+    mixtures = [_kuhn_mixture(model, i, plan, sol.tries[i]) for i, plan in enumerate(sol.plans)]
     return _equilibrium(model, "zerosum", sol.values, mixtures, sol.metadata)
 
 
@@ -1204,13 +1199,13 @@ def _one_sided(model: PosgModel, s: OccupancyState, cap_bytes: int, best) -> tup
     sequence form: agent 0's payoff for each enumerated profile (C order) when
     the last agent plays its ``best`` (``np.max`` or ``np.min``) pure plan, one
     reverse trie pass each; the profiles' payoffs ``Y`` over its sequences; the
-    enumerated agents' plan counts; its ``kids`` and parent sequences.  No
-    joint tensor is built."""
+    enumerated agents' plan counts; its trie ``(parents, obs)``.  No joint
+    tensor is built."""
     last = model.n_agents - 1
-    (Y,), _, kids, parents = _normal_form(model, s, [0], cap_bytes, keep=(last,))
+    (Y,), _, tries = _normal_form(model, s, [0], cap_bytes, keep=(last,))
     flat = Y.reshape(-1, Y.shape[-1])
-    values = _trie_best(flat, parents[last], len(model.actions[last]), best)
-    return values, flat, Y.shape[:-1], kids[last], parents[last]
+    values = _trie_best(flat, tries[last][0], len(model.actions[last]), best)
+    return values, flat, Y.shape[:-1], tries[last]
 
 
 def zero_sum_guarantees(model: PosgModel, cap_bytes: int = CAP_BYTES) -> np.ndarray:
@@ -1231,7 +1226,7 @@ def solve_dec(model: PosgModel, cap_bytes: int = CAP_BYTES) -> Equilibrium:
     whose best completion still reaches that floor."""
     _require(model, "common", "solve_dec")
     s0 = initial_occupancy(model)
-    values, Y, n_plans, kids, parents = _one_sided(model, s0, cap_bytes, np.max)
+    values, Y, n_plans, (parents, obs) = _one_sided(model, s0, cap_bytes, np.max)
     floor = _tie_floor(values.max())
     row = int(np.flatnonzero(values >= floor)[0])
     last = model.n_agents - 1
@@ -1246,7 +1241,7 @@ def solve_dec(model: PosgModel, cap_bytes: int = CAP_BYTES) -> Equilibrium:
         slack -= loss[u]
         return u
 
-    col, played = _pure_tree(model, last, kids, lowest_within)
+    col, played = _pure_tree(model, last, _children(parents, obs), lowest_within)
     realization = np.zeros(Y.shape[-1])
     realization[played] = 1.0
     best = [int(c) for c in np.unravel_index(row, n_plans)] + [col]
@@ -1280,8 +1275,9 @@ def _multiple_lp(
     that bound no longer ties with the best LP value (``_tie_floor``); the
     pick is the lowest plan whose LP value ties with the best, so it does
     not depend on the payoffs' scale."""
-    E, e = _plan_constraints(parents[0], n_us[0], dense=True)
-    F, f = _plan_constraints(parents[1], n_us[1], dense=True)
+    E, e = _plan_constraints(parents[0], n_us[0])
+    F, f = _plan_constraints(parents[1], n_us[1])
+    E, F = E.toarray(), F.toarray()
     n_x, n_v = E.shape[1], F.shape[0]
     # G_F^T x - F^T v <= 0, then f^T v - x G_F r_k <= 0 (set per plan)
     A_ub = np.zeros((G_F.shape[1] + 1, n_x + n_v))
@@ -1334,16 +1330,16 @@ def _stackelberg_kernel(
     The certificate, the follower's regret (its best pure plan's value
     against the leader's plan less the chosen plan's), must stay within
     ``_certificate_bound`` of the follower's payoffs."""
-    (L, G_F), (_, R_F), kids, parents = _normal_form(
+    (L, G_F), (_, R_F), tries = _normal_form(
         model, s, [0], cap_bytes, keep=(0,), uncontracted=(1,)
     )
     n_us = [len(model.actions[i]) for i in range(2)]
-    value, x, k, follower, regret = _multiple_lp(L, G_F, R_F, parents, n_us)
+    value, x, k, follower, regret = _multiple_lp(L, G_F, R_F, [p for p, _ in tries], n_us)
     if regret > _certificate_bound(tolerance, G_F):
         raise CertificateError(f"stackelberg follower regret {regret:.3g} exceeds tolerance")
     anchors = tuple(map(tuple, level_of(model, s)[1]))
     metadata = {"method": "multiple-lp", "shape": L.shape, "follower_regret": regret}
-    return SequenceFormSolution((value, follower), (x, R_F[k]), anchors, tuple(kids), metadata)
+    return SequenceFormSolution((value, follower), (x, R_F[k]), anchors, tuple(tries), metadata)
 
 
 def solve_stackelberg(
@@ -1356,7 +1352,7 @@ def solve_stackelberg(
     follower's as its one pure plan."""
     _require(model, "stackelberg", "solve_stackelberg")
     sol = _stackelberg_kernel(model, initial_occupancy(model), tolerance, cap_bytes)
-    mixtures = [_kuhn_mixture(model, i, plan, sol.kids[i]) for i, plan in enumerate(sol.plans)]
+    mixtures = [_kuhn_mixture(model, i, plan, sol.tries[i]) for i, plan in enumerate(sol.plans)]
     return _equilibrium(model, "stackelberg", sol.values, mixtures, sol.metadata)
 
 

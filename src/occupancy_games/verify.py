@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import CapExceededError, UnknownSuiteError
+from .errors import CAP_BYTES, CapExceededError, UnknownSuiteError
 from .evaluate import occupancy_value
 from .model import PosgModel
 from .occupancy import (
@@ -58,7 +58,6 @@ from .occupancy import (
 from .policies import (
     AgentPolicy,
     DecisionRule,
-    JointPolicy,
     PrivateHistory,
     agent_rules,
     empty_joint_history,
@@ -67,12 +66,12 @@ from .policies import (
 from .sampling import random_decision_rule, random_joint_policy
 from .solve import (
     _anchored_space,
+    _normal_form,
     _trie_size,
     best_response_private_from,
     best_response_value_from,
     dec_value_from,
     stackelberg_value_from,
-    suffix_normal_form,
     zero_sum_value_from,
 )
 
@@ -417,12 +416,7 @@ def check_slave_structure(
         enumerated pure policy suffixes of their linear evaluations.
     """
     rng = np.random.default_rng(seed)
-    if isinstance(others_policy, JointPolicy):
-        others = {
-            j: p for j, p in enumerate(others_policy.agents) if j != agent
-        }
-    else:
-        others = dict(others_policy)
+    others = dict(others_policy)
     others_rules = {j: agent_rules(model, p) for j, p in others.items()}
     worst_lin = 0.0
     worst_cert = 0.0
@@ -438,7 +432,7 @@ def check_slave_structure(
         if negative_control:
             lhs += _CORRUPTION
         # each component priced once, for both weightings
-        values = [best_response_private_from(model, others, agent, c, t) for c in comps]
+        values = [best_response_private_from(model, others, agent, c) for c in comps]
         rhs = sum(float(l) * v for l, v in zip(lam, values))
         worst_lin = max(worst_lin, abs(lhs - rhs))
         # also the natural weights, recombining to the sampled state itself
@@ -588,8 +582,8 @@ def _dec_structure(model, rng, n_samples, negative_control) -> float:
         # PWLC certificate: the one-sided search equals the brute-force max
         # of linear functions on the full suffix product
         if k < 8:
-            mats, _ = suffix_normal_form(model, s_a, (0,))
-            brute = float(mats[0].max())
+            (mat,), _, _ = _normal_form(model, s_a, [0], CAP_BYTES)
+            brute = float(mat.max())
             sep = v_a
             if negative_control:
                 sep += _CORRUPTION
@@ -661,11 +655,11 @@ def _zs_priced(model: PosgModel, s: OccupancyState):
     return v, sol, G
 
 
-def _sets_below(kids) -> dict[tuple[int, int], list[int]]:
-    """Information sets right after each (set, own action) pair."""
-    below: dict[tuple[int, int], list[int]] = {}
-    for (j, u, _), c in kids.items():
-        below.setdefault((j, u), []).append(c)
+def _sets_below(parents: np.ndarray) -> dict[int, list[int]]:
+    """Information sets right after each sequence, the anchors after -1."""
+    below: dict[int, list[int]] = {}
+    for c, p in enumerate(parents.tolist()):
+        below.setdefault(p, []).append(c)
     return below
 
 
@@ -674,31 +668,32 @@ def _follower_reply(model: PosgModel, sol, g: np.ndarray) -> float:
     leader's payoff per follower sequence (a leader plan times ``G``): a
     backward min over the follower's information sets, set by set."""
     n_u = len(model.actions[1])
-    below = _sets_below(sol.kids[1])
+    below = _sets_below(sol.tries[1][0])
 
     def worst_case(j: int) -> float:
         return min(
-            g[j * n_u + u] + sum(worst_case(c) for c in below.get((j, u), ()))
+            g[j * n_u + u] + sum(worst_case(c) for c in below.get(j * n_u + u, ()))
             for u in range(n_u)
         )
 
-    return float(sum(worst_case(a) for a in range(len(sol.anchors[1]))))
+    return float(sum(worst_case(a) for a in below[-1]))
 
 
 def _random_leader_plan(model: PosgModel, sol, rng) -> np.ndarray:
     """Realization plan of a random behavioral leader strategy: Dirichlet
     action weights at each set, times the mass of the sequence leading to it."""
     n_u = len(model.actions[0])
-    below = _sets_below(sol.kids[0])
-    x = np.zeros((len(sol.anchors[0]) + len(sol.kids[0])) * n_u)
+    parents = sol.tries[0][0]
+    below = _sets_below(parents)
+    x = np.zeros(len(parents) * n_u)
 
     def spread(j: int, mass: float) -> None:
         x[j * n_u : (j + 1) * n_u] = mass * rng.dirichlet(np.ones(n_u))
         for u in range(n_u):
-            for c in below.get((j, u), ()):
+            for c in below.get(j * n_u + u, ()):
                 spread(c, x[j * n_u + u])
 
-    for a in range(len(sol.anchors[0])):
+    for a in below[-1]:
         spread(a, 1.0)
     return x
 
@@ -853,16 +848,14 @@ CONTROL_SAMPLES = 4  # each corruption is injected into every sample
 
 
 def selected_suites(model: PosgModel, suites: str | Sequence[str] = "all") -> list[str]:
-    """The suite names ``suites`` selects for ``model``: a comma-separated
-    string or a sequence of names, where ``all`` stands for every suite that
-    applies to the model's criterion except ``controls``.  An unknown name, or
-    one that does not apply, raises ``UnknownSuiteError``."""
-    if isinstance(suites, str):
-        names = [s.strip() for s in suites.split(",")] if suites != "all" else ["all"]
-    else:
-        names = list(suites)
-    if names == ["all"]:
-        names = [s for s in SUITES if s != "controls" and _applies(model, s)]
+    """The suite names ``suites`` selects for ``model``, in order and each
+    once: a comma-separated string or a sequence of names, where ``all``,
+    wherever it is named, stands for every suite that applies to the model's
+    criterion except ``controls``.  An unknown name, or one that does not
+    apply, raises ``UnknownSuiteError``."""
+    given = [s.strip() for s in suites.split(",")] if isinstance(suites, str) else list(suites)
+    every = [s for s in SUITES if s != "controls" and _applies(model, s)]
+    names = list(dict.fromkeys(itertools.chain(*(every if s == "all" else [s] for s in given))))
     for name in names:
         if name not in SUITES:
             raise UnknownSuiteError(

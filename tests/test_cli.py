@@ -15,6 +15,7 @@ TIGER_ZS = str(model_path("tiger-zs"))
 ONE_STAGE = str(model_path("tiger-one-stage"))
 ST_TIGER = str(model_path("stackelberg-tiger"))
 TIGER_DUEL = str(model_path("tiger-duel"))
+DEC_TIGER = str(model_path("dec-tiger"))
 
 
 def run(capsys, *argv):
@@ -231,6 +232,31 @@ def test_verify_sufficiency(capsys):
 def test_verify_unknown_suite(capsys):
     code, _, err = run(capsys, "verify", TIGER, "--suite", "bogus")
     assert code == 4 and "unknown suite" in err
+
+
+def test_verify_all_beside_controls_runs_each_check_and_its_control(capsys):
+    argv = ("--suite", "all,controls", "--horizon", "2", "--samples", "2")
+    code, out, err = run(capsys, "verify", DEC_TIGER, *argv)
+    names = [line.split(" ")[0].removeprefix("property=") for line in out.splitlines()]
+    checks = [
+        "sufficiency-master", "sufficiency-private-agent1", "sufficiency-private-agent2",
+        "slave-structure-agent1", "master-structure-common",
+    ]
+    assert code == 0 and err == "" and "passed=false" not in out
+    assert names == checks + [f"{c}-negative-control" for c in checks]
+
+
+def test_verify_one_stage_zero_sum_master_and_its_control(capsys):
+    # at one stage the zero-sum master check prices a belief grid, and its
+    # control corrupts the grid certificate
+    argv = ("--criterion", "zerosum", "--suite", "master,controls", "--samples", "3")
+    code, out, _ = run(capsys, "verify", ONE_STAGE, *argv)
+    check, control = out.splitlines()
+    assert code == 0
+    assert check.startswith("property=master-structure-zerosum ") and "passed=true" in check
+    assert '"grid_points": 101' in check
+    assert control.startswith("property=master-structure-zerosum-negative-control ")
+    assert "passed=true" in control
 
 
 def test_verify_failure_exit_code(capsys, monkeypatch):

@@ -404,8 +404,8 @@ def test_simulate_keeps_a_short_rule_on_its_agent(tiger, monkeypatch):
     stubs = lambda rng, n_draws, episodes: [FixedUniforms(1.0 - 1e-12) for _ in range(n_draws)]
     monkeypatch.setattr(evaluate, "_cursors", stubs)
     rng = np.random.default_rng(0)
-    short = evaluate._simulate_pure(m, policy((0.5, 0.5 - 5e-10, 0.0)), 4, rng, 1)
-    exact = evaluate._simulate_pure(m, policy((0.5, 0.5, 0.0)), 4, rng, 1)
+    short = evaluate._simulate_pure(m, policy((0.5, 0.5 - 5e-10, 0.0)), 4, rng)
+    exact = evaluate._simulate_pure(m, policy((0.5, 0.5, 0.0)), 4, rng)
     assert np.array_equal(short, exact)
     assert np.array_equal(exact, np.full((2, 4), 2.0))  # treasure behind the left door
 
@@ -421,7 +421,7 @@ def test_simulate_draws_exactly_as_the_definition(tiger, monkeypatch):
     wide = random_posg(rng, n_states=2, n_actions=(3, 3), n_obs=(2, 2), n_public=2, horizon=3)
     cases = [(m, random_joint_policy(m, rng), n) for m, n in ((tiger3, 500), (small, 500))]
     cases += [(m, random_joint_policy(m, rng), 20_000) for m in (tiger3, wide)]
-    fast = [evaluate._simulate_pure(m, p, n, np.random.default_rng(3), 3) for m, p, n in cases]
+    fast = [evaluate._simulate_pure(m, p, n, np.random.default_rng(3)) for m, p, n in cases]
     trees = PolicyMixture(0, ((0.25, PolicyTree(0, 0)), (0.75, PolicyTree(0, 1))))
     rules = PolicyMixture(0, ((0.4, cases[2][1].agents[0]), (0.6, cases[0][1].agents[0])))
     mixes = [
@@ -434,7 +434,7 @@ def test_simulate_draws_exactly_as_the_definition(tiger, monkeypatch):
         evaluate, "_draw", lambda rng, probs, key: naive_draw(rng.random(len(key)), probs, key)
     )
     for (m, p, n), returns in zip(cases, fast):
-        slow = evaluate._simulate_pure(m, p, n, np.random.default_rng(3), 3)
+        slow = evaluate._simulate_pure(m, p, n, np.random.default_rng(3))
         assert np.array_equal(returns, slow)
     for (m, n, mix), result in zip(mixes, fast_mixes):
         assert simulate(m, mix, n, 4) == result
@@ -453,7 +453,7 @@ def step_major_returns(model, policy, episodes, rng, horizon) -> np.ndarray:
 
     n_agents, n_x, n_z = model.n_agents, model.n_states, model.n_joint_obs
     n_u = [len(actions) for actions in model.actions]
-    rules = [evaluate._rule_arrays(model, p, i, horizon) for i, p in enumerate(policy.agents)]
+    rules = [evaluate._rule_arrays(model, p, i) for i, p in enumerate(policy.agents)]
     dynamics = model._dynamics.reshape(model.n_joint_actions * n_x, n_x * n_z)
     own_obs = [[model.agent_obs_of_joint(i, z) for z in range(n_z)] for i in range(n_agents)]
     own_obs = np.array(own_obs, dtype=np.intp)
@@ -531,7 +531,7 @@ def test_simulate_in_blocks_draws_as_one_stream_step_major(tiger, episodes):
     for m, p in pures:
         fast, slow = np.random.default_rng(21), np.random.default_rng(21)
         for _ in range(2):
-            got = evaluate._simulate_pure(m, p, episodes, fast, m.horizon)
+            got = evaluate._simulate_pure(m, p, episodes, fast)
             assert np.array_equal(got, step_major_returns(m, p, episodes, slow, m.horizon))
             assert fast.bit_generator.state == slow.bit_generator.state
     for m, mix in mixes:
@@ -545,7 +545,7 @@ def test_simulate_control_that_reads_one_stream_block_major_fails(tiger, monkeyp
     (_, (m, p), _), _ = step_major_cases(tiger)
 
     def same(episodes):
-        got = evaluate._simulate_pure(m, p, episodes, np.random.default_rng(21), m.horizon)
+        got = evaluate._simulate_pure(m, p, episodes, np.random.default_rng(21))
         want = step_major_returns(m, p, episodes, np.random.default_rng(21), m.horizon)
         return np.array_equal(got, want)
 

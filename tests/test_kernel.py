@@ -418,7 +418,7 @@ def br_gap(seed: int, shape, production=lambda m: m) -> float:
     profiles = [{j: r[j] for j in others} for r in rules_by_step]
     _, _, s_i = private_step(bad, initial_private_occupancy(bad, agent), profiles[0], 0)[0]
     best = best_raw(model, agent, rules_by_step, dict(s_i.entries), 1, [s_i.anchor])
-    return max(worst, abs(best_response_private_from(bad, others, agent, s_i, 1) - best))
+    return max(worst, abs(best_response_private_from(bad, others, agent, s_i) - best))
 
 
 @settings(max_examples=10, deadline=None)

@@ -213,6 +213,15 @@ def test_reinterpret_criterion_rebuilds_rewards(one_stage):
     assert reinterpret_criterion(zs, "zerosum") is zs
 
 
+def test_reinterpret_criterion_to_common_copies_agent_one_rewards(tiger_zs):
+    common = reinterpret_criterion(tiger_zs, "common")
+    assert common.criterion == "common" and classify(common) == "common"
+    assert np.array_equal(common.rewards[1], common.rewards[0])
+    assert np.array_equal(common.rewards[0], tiger_zs.rewards[0])
+    # the model it came from keeps its own tables
+    assert np.array_equal(tiger_zs.rewards[1], -tiger_zs.rewards[0])
+
+
 def test_start_override_and_validation(one_stage):
     m = one_stage.with_start([1.0, 0.0])
     assert m.start[0] == 1.0
@@ -244,6 +253,17 @@ O: * * : s1 : y y w1 : 1.0
     # the public label is required in O lines once declared
     with pytest.raises(PosgParseError, match="expected 3 observation labels"):
         parse_posg(text.replace("O: * * : s0 : y y w0 : 1.0", "O: * * : s0 : y y : 1.0"))
+
+
+def test_history_labels_name_both_observations_where_two_are_public():
+    from occupancy_games.policies import PrivateHistory
+
+    m = random_posg(np.random.default_rng(3), n_obs=(2, 1), n_public=2)
+    for agent in range(2):
+        labels = [m.agent_obs_label(agent, z) for z in range(m.n_agent_obs(agent))]
+        assert labels == [f"{p}|{w}" for p in m.private_obs[agent] for w in m.public_obs]
+    h = PrivateHistory(0, ((1, m.agent_obs_index(0, 1, 0)), (0, m.agent_obs_index(0, 0, 1))))
+    assert h.label(m) == "a01:z01|w0|a00:z00|w1"
 
 
 @pytest.mark.parametrize("n_public", [1, 2])

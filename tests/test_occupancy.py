@@ -387,7 +387,7 @@ def test_private_step_pushes_only_the_rows_of_its_own_action(tiger, monkeypatch)
     # control: a push with weight 1 on every own action holds more rows
     level, hists = level_of(m, s1)
     a = action_probs(m, level, others_rule_arrays(m, {1: rules[1][1]}, 0, hists))
-    every = occupancy.next_level(m, level, a, rows=True)
+    every = occupancy.next_level(m, level, a)
     assert len(every.weight) == own_rows(s1, 1, 0)[1] != own_rows(s1, 1, 0)[0]
 
 

@@ -126,6 +126,17 @@ def test_policy_json_roundtrip(tiger):
     assert policy_from_json(tiger, text) == tree_policy
 
 
+def test_policy_mixture_json_roundtrip(tiger):
+    trees = [enumerate_pure_policies(tiger, i, 2) for i in range(2)]
+    mixture = PolicyMixture(0, ((0.25, trees[0][3]), (0.75, trees[0][10])))
+    policy = JointPolicy((mixture, trees[1][5]))
+    text = policy_to_json(tiger, policy)
+    assert '"type": "mixture"' in text
+    back = policy_from_json(tiger, text)
+    assert back == policy and isinstance(back.agents[0], PolicyMixture)
+    assert policy_to_json(tiger, back) == text
+
+
 def test_decision_rule_validates():
     with pytest.raises(ValueError, match="distribution"):
         DecisionRule(0, 0, {PrivateHistory(0): (0.5, 0.2)})

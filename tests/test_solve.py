@@ -275,7 +275,7 @@ def test_three_agent_routes_agree(seed, agent):
     assert abs(best_response_private(m, policy, agent).value - value) <= 1e-9
     assert abs(best_response_value_from(m, policy, agent, s0) - value) <= 1e-9
     root = initial_private_occupancy(m, agent)
-    assert abs(best_response_private_from(m, policy, agent, root, 0) - value) <= 1e-9
+    assert abs(best_response_private_from(m, policy, agent, root) - value) <= 1e-9
 
 
 def _reached_histories(m, policy, agent, tree):
@@ -387,8 +387,8 @@ def test_private_batches_equal_the_per_state_recursion(m, seed, budget, monkeypa
         # probability
         _, _, _, s_i = private_children(m, root, profiles[0])[-1]
         below = recursion_private_dp(m, profiles, agent, s_i, 1)
-        assert solve._private_dp(m, profiles, agent, s_i, 1) == below
-        assert best_response_private_from(m, policy, agent, s_i, 1) == below[0]
+        assert solve._private_dp(m, profiles, agent, s_i) == below
+        assert best_response_private_from(m, policy, agent, s_i) == below[0]
 
 
 def _batches(monkeypatch) -> tuple[list[list[tuple[int, int]]], list[tuple[int, int]]]:
@@ -432,7 +432,7 @@ def test_private_route_pushes_each_state_once_from_a_mid_game_state(tiger, monke
     branches = private_step(m, initial_private_occupancy(m, 0), {1: other.rules[0]}, 2)
     (s_i,) = [s for z, _, s in branches if z == 1]
     batches, pushes = _batches(monkeypatch)
-    best_response_private_from(m, {1: other}, 0, s_i, 1)
+    best_response_private_from(m, {1: other}, 0, s_i)
     hists = [h for batch in batches for h in batch]
     # the root, code 0 at t=1, and its 6 children below it, codes 0..5 at t=2
     assert sorted(hists) == [(1, 0)] + [(2, code) for code in range(6)]
@@ -700,7 +700,7 @@ def test_only_normal_form_sets_up_a_sequence_form():
         solve._double_oracle, solve._private_best, solve._one_sided, solve._stackelberg_kernel,
     ):
         code = compile(inspect.getsource(fn), solve.__file__, "exec")
-        forbidden = {"_sequence_payoffs", "_trie_size", "_predicted_bytes", "_parents"}
+        forbidden = {"_sequence_payoffs", "_trie_size", "_predicted_bytes", "_extend_trie"}
         assert not code_names(code) & forbidden, fn
     assert "pure_policy_count" not in inspect.getsource(solve)
 
@@ -794,7 +794,8 @@ def dense_row_sse(L, F, parents, n_u):
     best so far by more than 1e-12.  Rows of ``L`` and ``F`` are the
     leader's sequences, numbered by ``parents``.  Returns (value, leader
     plan, k)."""
-    E, e = solve._plan_constraints(parents, n_u, dense=True)
+    E, e = solve._plan_constraints(parents, n_u)
+    E = E.toarray()
     best = None
     for k in range(F.shape[1]):
         res = solve.linprog(
@@ -897,10 +898,11 @@ def full_lp(m, s):
     Megiddo & von Stengel 1996), one realization-plan LP with no masks over
     the walk of both agents' whole tries.  Returns its saddle point,
     numbered as the solver numbers its sets, and ``G``."""
-    (G,), _, kids, parents = solve._normal_form(m, s, [0], solve.CAP_BYTES, keep=(0, 1))
+    (G,), _, tries = solve._normal_form(m, s, [0], solve.CAP_BYTES, keep=(0, 1))
+    parents = [p for p, _ in tries]
     value, x, y, _ = solve._realization_plan_lp(G, parents, [len(u) for u in m.actions])
     anchors = tuple(tuple(level_of(m, s)[1][i]) for i in range(2))
-    return solve.SequenceFormSolution((value, -value), (x, y), anchors, tuple(kids), {}), G
+    return solve.SequenceFormSolution((value, -value), (x, y), anchors, tuple(tries), {}), G
 
 
 @settings(max_examples=12, deadline=None)
@@ -939,12 +941,20 @@ def test_zero_sum_sequence_form_matches_normal_form_three_steps():
     assert abs(eq.values[0] - brute_force_zero_sum(m, s0)) <= 1e-9
 
 
-def marked_realization(m, agent, anchors, kids, space) -> np.ndarray:
+def kids_of(trie, n_u) -> dict:
+    """The sets of a trie ``(parents, obs)`` below its anchors, keyed by
+    (parent set, own action, own observation)."""
+    parents, obs = (a.tolist() for a in trie)
+    return {(p // n_u, p % n_u, z): c for c, (p, z) in enumerate(zip(parents, obs)) if p >= 0}
+
+
+def marked_realization(m, agent, anchors, trie, space) -> np.ndarray:
     """0/1 realization of each assignment of one tree per anchor (rows in
     ``space`` order), marked by one walk down each tree from its anchor's
-    set along the sets ``kids`` numbers."""
+    set along the sets the trie ``(parents, obs)`` numbers."""
     n_u = len(m.actions[agent])
-    R = np.zeros((len(space), (len(anchors) + len(kids)) * n_u))
+    kids = kids_of(trie, n_u)
+    R = np.zeros((len(space), len(trie[0]) * n_u))
 
     def mark(r, node, j):
         R[r, j * n_u + node.action] = 1.0
@@ -962,19 +972,19 @@ def marked_realization(m, agent, anchors, kids, space) -> np.ndarray:
 def plan_from_tree(m, agent, sol, tree) -> np.ndarray:
     """0/1 realization of a tree rooted at the single anchor."""
     (root,) = sol.anchors[agent]
-    return marked_realization(m, agent, [root], sol.kids[agent], [{root: tree}])[0]
+    return marked_realization(m, agent, [root], sol.tries[agent], [{root: tree}])[0]
 
 
-def set_histories(sol, agent) -> dict:
+def set_histories(sol, agent, n_u) -> dict:
     """Private history of each of the agent's information sets."""
     hist = dict(enumerate(sol.anchors[agent]))
-    for (j, u, z), c in sorted(sol.kids[agent].items(), key=lambda kv: kv[1]):
+    for (j, u, z), c in sorted(kids_of(sol.tries[agent], n_u).items(), key=lambda kv: kv[1]):
         hist[c] = hist[j].child(u, z)
     return hist
 
 
 def parent_sequences(sol, agent, n_u) -> dict:
-    return {c: j * n_u + u for (j, u, _), c in sol.kids[agent].items()}
+    return {c: j * n_u + u for (j, u, _), c in kids_of(sol.tries[agent], n_u).items()}
 
 
 def behavioral_from_plan(m, agent, sol) -> BehavioralPolicy:
@@ -983,7 +993,7 @@ def behavioral_from_plan(m, agent, sol) -> BehavioralPolicy:
     x = sol.plans[agent]
     n_u = len(m.actions[agent])
     parents = parent_sequences(sol, agent, n_u)
-    sets = {h: j for j, h in set_histories(sol, agent).items()}
+    sets = {h: j for j, h in set_histories(sol, agent, n_u).items()}
     rules = []
     for t in range(m.horizon):
         probs = {}
@@ -1005,7 +1015,7 @@ def realization_of(m, agent, sol, policy) -> np.ndarray:
     n_u = len(m.actions[agent])
     parents = parent_sequences(sol, agent, n_u)
     x = np.zeros(len(sol.plans[agent]))
-    for j, h in sorted(set_histories(sol, agent).items()):  # parents first
+    for j, h in sorted(set_histories(sol, agent, n_u).items()):  # parents first
         mass = x[parents[j]] if j in parents else 1.0
         x[j * n_u : (j + 1) * n_u] = mass * np.array(policy.rules[h.t].dist(h))
     return x
@@ -1045,7 +1055,7 @@ def test_zero_sum_exploitability_matches_history_best_response(request, name, ho
     assert abs(full.values[0] - v) <= 1e-9
     rng = np.random.default_rng(11)
     n_u = len(m.actions[0])
-    parents = solve._parents(full.kids[0], len(full.plans[0]) // n_u, n_u)
+    parents = full.tries[0][0]
     for _ in range(3):
         pi = random_behavioral_policy(m, 1, rng)
         br = best_response_history(m, {1: pi}, 0)
@@ -1458,13 +1468,14 @@ def recorded_replies(m, monkeypatch, default: int = 0, s=None) -> list:
     real_kuhn, real_pure, real_best = solve._kuhn_mixture, solve._pure_tree, solve._private_best
     mixtures, calls = [], []
 
-    def kuhn(model, agent, plan, kids, n_anchors=1, depth=None):
+    def kuhn(model, agent, plan, trie, depth=None):
         relabelled = {}
         n_u, depth = len(model.actions[agent]), model.horizon if depth is None else depth
         nodes = sum(model.n_agent_obs(agent) ** d for d in range(depth))
+        kids = kids_of(trie, n_u)
 
-        def pure(model, agent, kids, pick, roots=(0,), depth=None):
-            index, played = real_pure(model, agent, kids, pick, roots, depth)
+        def pure(model, agent, below, pick, roots=(0,), depth=None):
+            index, played = real_pure(model, agent, below, pick, roots, depth)
             relabelled[index] = 0
             for root in roots:  # one tree per anchor, anchor 0's digits first
                 tree = picked_tree(model, agent, kids, pick, root, depth, default)
@@ -1473,7 +1484,7 @@ def recorded_replies(m, monkeypatch, default: int = 0, s=None) -> list:
             return index, played
 
         monkeypatch.setattr(solve, "_pure_tree", pure)
-        mixtures.append(real_kuhn(model, agent, plan, kids, n_anchors, depth))
+        mixtures.append(real_kuhn(model, agent, plan, trie, depth))
         monkeypatch.setattr(solve, "_pure_tree", real_pure)
         return {relabelled[k]: w for k, w in mixtures[-1].items()}
 
@@ -1732,11 +1743,11 @@ def test_common_one_sided_kernel_matches_normal_form(seed, horizon, n_public):
     assert abs(eq.values[0] - top) <= 1e-12
 
 
-def leader_realization(m, mixture, kids) -> np.ndarray:
+def leader_realization(m, mixture, trie) -> np.ndarray:
     """Realization plan of a mixture over the leader's pure policy trees."""
     root = PrivateHistory(0)
     space = [{root: t} for t in enumerate_pure_policies(m, 0, m.horizon)]
-    R = marked_realization(m, 0, [root], kids, space)
+    R = marked_realization(m, 0, [root], trie, space)
     return sum(w * R[i] for i, w in mixture.items())
 
 
@@ -1752,17 +1763,15 @@ def random_stackelberg(seed, horizon, n_public):
 def dense_row_oracle(m, s):
     """``dense_row_sse`` below ``s`` on the leader-sequence by follower-plan
     payoffs: (leader value, follower plan, follower payoffs ``F``)."""
-    (L, F), _, _, parents = solve._normal_form(m, s, [0, 1], solve.CAP_BYTES, keep=(0,))
-    value, _, k = dense_row_sse(L, F, parents[0], len(m.actions[0]))
+    (L, F), _, tries = solve._normal_form(m, s, [0, 1], solve.CAP_BYTES, keep=(0,))
+    value, _, k = dense_row_sse(L, F, tries[0][0], len(m.actions[0]))
     return value, k, F
 
 
 def follower_plan(m, s, sol) -> int:
     """The index of the follower's pure plan in a Stackelberg record: the one
     plan ``_kuhn_mixture`` splits its 0/1 realization into."""
-    ((k, w),) = solve._kuhn_mixture(
-        m, 1, sol.plans[1], sol.kids[1], len(sol.anchors[1]), m.horizon - s.t
-    ).items()
+    ((k, w),) = solve._kuhn_mixture(m, 1, sol.plans[1], sol.tries[1], m.horizon - s.t).items()
     assert w == 1.0
     return k
 
@@ -1803,7 +1812,7 @@ def test_stackelberg_sequence_form_leader_matches_normal_form(seed, horizon, n_p
     eq = solve_stackelberg(m)
     assert eq.values == sol.values and eq.mixtures[1] == {follower_plan(m, s0, sol): 1.0}
     assert abs(sum(eq.mixtures[0].values()) - 1.0) <= 1e-9
-    realized = leader_realization(m, eq.mixtures[0], sol.kids[0])
+    realized = leader_realization(m, eq.mixtures[0], sol.tries[0])
     assert np.abs(realized - sol.plans[0]).max() <= 1e-9
 
 
@@ -1868,11 +1877,12 @@ def test_the_record_means_the_same_for_both_kernels(m, s):
         payoffs = [G, -G]
     else:
         sol = solve._stackelberg_kernel(m, s, solve.DEFAULT_TOLERANCE, solve.CAP_BYTES)
-        payoffs, _, _, _ = solve._normal_form(m, s, [0, 1], solve.CAP_BYTES, keep=(0, 1))
-    for i, (plan, kids) in enumerate(zip(sol.plans, sol.kids)):
+        payoffs, _, _ = solve._normal_form(m, s, [0, 1], solve.CAP_BYTES, keep=(0, 1))
+    for i, (plan, (parents, obs)) in enumerate(zip(sol.plans, sol.tries)):
         assert sol.anchors[i] == tuple(level_of(m, s)[1][i])
+        assert np.array_equal(parents < 0, np.arange(len(parents)) < len(sol.anchors[i]))
+        assert np.array_equal(parents < 0, obs < 0)
         n_u = len(m.actions[i])
-        parents = solve._parents(kids, len(sol.anchors[i]) + len(kids), n_u)
         E, e = solve._plan_constraints(parents, n_u)
         assert len(plan) == len(parents) * n_u and plan.min() >= 0.0
         assert np.abs(E @ plan - e).max() <= 1e-9
@@ -1883,9 +1893,10 @@ def test_the_record_means_the_same_for_both_kernels(m, s):
 
 def kernel_pick(m, s) -> int:
     """The index of the follower plan ``_multiple_lp`` picks below ``s``."""
-    (L, G_F), (_, R_F), _, parents = solve._normal_form(
+    (L, G_F), (_, R_F), tries = solve._normal_form(
         m, s, [0], solve.CAP_BYTES, keep=(0,), uncontracted=(1,)
     )
+    parents = [p for p, _ in tries]
     return solve._multiple_lp(L, G_F, R_F, parents, [len(u) for u in m.actions])[2]
 
 
@@ -1914,8 +1925,8 @@ def test_follower_round_trip_control(monkeypatch):
     sol = solve._stackelberg_kernel(m, s0, solve.DEFAULT_TOLERANCE, solve.CAP_BYTES)
     n_u = len(m.actions[1])
     # digits in preorder: the first action, then one per own observation
-    assert (0, k // n_u**2, 1) not in sol.kids[1] and k % n_u == 0
-    R = solve._plan_realization(m, 1, 1, sol.kids[1], m.horizon)
+    assert (0, k // n_u**2, 1) not in kids_of(sol.tries[1], n_u) and k % n_u == 0
+    R = solve._plan_realization(m, 1, sol.tries[1], m.horizon)
     assert np.array_equal(R[k + 1], R[k]) and np.array_equal(R[k], sol.plans[1])
     assert follower_plan(m, s0, sol) == k
     real = solve._multiple_lp
@@ -2033,8 +2044,8 @@ def anchored_solution(m, s) -> list:
     sol = solve._stackelberg_kernel(m, s, solve.DEFAULT_TOLERANCE, solve.CAP_BYTES)
     depth = m.horizon - s.t
     return [
-        solve._kuhn_mixture(m, i, plan, kids, len(anchors), depth)
-        for i, (plan, kids, anchors) in enumerate(zip(sol.plans, sol.kids, sol.anchors))
+        solve._kuhn_mixture(m, i, plan, trie, depth)
+        for i, (plan, trie) in enumerate(zip(sol.plans, sol.tries))
     ]
 
 
@@ -2058,22 +2069,23 @@ def test_the_walk_numbers_anchors_by_steps_whatever_the_entry_order(name, contro
             else got == want) != control
 
 
-def set_levels(sol, agent) -> dict:
+def set_levels(sol, agent, n_u) -> dict:
     """Depth of each of the agent's information sets below its anchors."""
     level = {a: 0 for a in range(len(sol.anchors[agent]))}
-    for (j, _, _), c in sorted(sol.kids[agent].items(), key=lambda kv: kv[1]):
+    for (j, _, _), c in sorted(kids_of(sol.tries[agent], n_u).items(), key=lambda kv: kv[1]):
         level[c] = level[j] + 1
     return level
 
 
-def assert_sorted_numbering(sol, agent):
+def assert_sorted_numbering(sol, agent, n_u):
     # anchors first, then each level's sets in (parent, action, observation)
     # order, right after the level above
-    level = set_levels(sol, agent)
+    level = set_levels(sol, agent, n_u)
     assert sorted(level) == list(range(len(level)))
     assert [level[c] for c in sorted(level)] == sorted(level.values())
+    kids = sorted(kids_of(sol.tries[agent], n_u).items(), key=lambda kv: kv[1])
     for d in range(1, max(level.values(), default=0) + 1):
-        keys = [k for k, c in sorted(sol.kids[agent].items(), key=lambda kv: kv[1]) if level[c] == d]
+        keys = [k for k, c in kids if level[c] == d]
         assert keys == sorted(keys)
 
 
@@ -2103,7 +2115,7 @@ def reached_histories(m, s) -> list[set]:
 
 
 def realization_matrix(m, agent, sol, space) -> np.ndarray:
-    return marked_realization(m, agent, sol.anchors[agent], sol.kids[agent], space)
+    return marked_realization(m, agent, sol.anchors[agent], sol.tries[agent], space)
 
 
 def check_walk_against_brute_force(m, s, rng, cells=12):
@@ -2115,12 +2127,12 @@ def check_walk_against_brute_force(m, s, rng, cells=12):
     assert abs(v - matrix_game_value(A).value) <= 1e-9
     R = [realization_matrix(m, i, sol, spaces[i]) for i in range(2)]
     assert np.abs(R[0] @ G @ R[1].T - A).max() <= 1e-12
-    for i in range(2):
-        assert_sorted_numbering(sol, i)
-        below = {h for c, h in set_histories(sol, i).items() if c >= len(sol.anchors[i])}
-        assert below == reached_histories(m, s)[i]
-    levels = [set_levels(sol, i) for i in range(2)]
     n_us = [len(m.actions[i]) for i in range(2)]
+    for i in range(2):
+        assert_sorted_numbering(sol, i, n_us[i])
+        below = {h for c, h in set_histories(sol, i, n_us[i]).items() if c >= len(sol.anchors[i])}
+        assert below == reached_histories(m, s)[i]
+    levels = [set_levels(sol, i, n_us[i]) for i in range(2)]
     rows, cols = G.nonzero()
     assert all(levels[0][r // n_us[0]] == levels[1][c // n_us[1]] for r, c in zip(rows, cols))
     for cell in zip(rng.integers(len(spaces[0]), size=cells), rng.integers(len(spaces[1]), size=cells)):
@@ -2177,7 +2189,7 @@ def test_walk_keeps_unreached_sets_unnumbered():
     m, rng = unreached_sets_model()
     s0 = initial_occupancy(m)
     sol = check_walk_against_brute_force(m, s0, rng)
-    assert [len(kids) for kids in sol.kids] == [4 + 8, 2 + 4]
+    assert [np.count_nonzero(parents >= 0) for parents, _ in sol.tries] == [4 + 8, 2 + 4]
     # and below a mid-game state whose anchors already split on the state
     rules = tuple(random_decision_rule(m, i, 0, rng) for i in range(2))
     (s1,) = [s1 for _, _, s1 in step(m, s0, rules)]
@@ -2224,9 +2236,9 @@ def test_solve_dec_does_not_enumerate_the_last_agent(tiger, monkeypatch):
 def check_plan_realizations(m, s, keep=()):
     """``_normal_form``'s realization matrices below ``s``, built from plan
     index digits, against the naive marker over ``_anchored_space``'s trees,
-    bit for bit, for every enumerated agent; returns the matrices and
-    ``kids``."""
-    _, realizations, kids, _ = solve._normal_form(m, s, [0], solve.CAP_BYTES, keep=keep)
+    bit for bit, for every enumerated agent; returns the matrices and the
+    tries."""
+    _, realizations, tries = solve._normal_form(m, s, [0], solve.CAP_BYTES, keep=keep)
     depth = m.horizon - s.t
     for i, R in enumerate(realizations):
         if i in keep:
@@ -2234,9 +2246,9 @@ def check_plan_realizations(m, s, keep=()):
             continue
         anchors = level_of(m, s)[1][i]
         space = solve._anchored_space(m, i, anchors, depth)
-        expected = marked_realization(m, i, anchors, kids[i], space)
+        expected = marked_realization(m, i, anchors, tries[i], space)
         assert R.shape == expected.shape and np.abs(R - expected).max() == 0.0
-    return realizations, kids
+    return realizations, tries
 
 
 def first_step_states(m, seed):
@@ -2268,8 +2280,8 @@ def test_plan_realization_matches_the_marker_for_a_mid_game_follower(st_tiger):
 
 def test_plan_realization_matches_the_marker_with_unreached_sets():
     m, _ = unreached_sets_model()
-    _, kids = check_plan_realizations(m, initial_occupancy(m))
-    assert len(kids[0]) == 4 + 8 < 4 + 16  # 8 depth-2 sets of agent 1 unreached
+    _, tries = check_plan_realizations(m, initial_occupancy(m))
+    assert np.count_nonzero(tries[0][0] >= 0) == 4 + 8 < 4 + 16  # 8 depth-2 sets of agent 1 unreached
     for s in first_step_states(m, 32):
         check_plan_realizations(m, s)
 
@@ -2295,7 +2307,7 @@ def test_plan_realization_check_catches_a_wrong_plan_order(st_tiger, order):
     # the same rows, and the bit-for-bit check tells the orders apart
     m = st_tiger.with_horizon(3)
     s = first_step_states(m, 5)[0]
-    (_, R), kids = check_plan_realizations(m, s, keep=(0,))
+    (_, R), tries = check_plan_realizations(m, s, keep=(0,))
     anchors = level_of(m, s)[1][1]
     depth = m.horizon - s.t
     if order == "reversed anchors":
@@ -2305,7 +2317,7 @@ def test_plan_realization_check_catches_a_wrong_plan_order(st_tiger, order):
         n_digits = len(anchors) * 3  # 2 actions, 1 + 2 nodes per anchor's trie
         assert len(space) == 2**n_digits
         space = [space[reversed_digits(k, 2, n_digits)] for k in range(len(space))]
-    wrong = marked_realization(m, 1, anchors, kids[1], space)
+    wrong = marked_realization(m, 1, anchors, tries[1], space)
     assert np.array_equal(np.unique(wrong, axis=0), np.unique(R, axis=0))
     assert np.abs(R - wrong).max() == 1.0
 
@@ -2339,21 +2351,22 @@ def test_plan_index_round_trips_below_several_anchors():
     m = dict(loop_models())["random-5-3"]
     s = mid_game_root(m, 1)
     depth = m.horizon - s.t
-    _, _, kids, parents = solve._normal_form(m, s, [0], solve.CAP_BYTES, keep=(0, 1))
+    _, _, tries = solve._normal_form(m, s, [0], solve.CAP_BYTES, keep=(0, 1))
     rng = np.random.default_rng(43)
     for agent in range(2):
         n_u, n_z = len(m.actions[agent]), m.n_agent_obs(agent)
         n_anchors = len(level_of(m, s)[1][agent])
         assert n_anchors >= 2
-        R = solve._plan_realization(m, agent, n_anchors, kids[agent], depth)
+        R = solve._plan_realization(m, agent, tries[agent], depth)
         code, level = list(range(n_anchors)), [0] * n_anchors  # per set
-        for (j, u, z), c in sorted(kids[agent].items(), key=lambda kv: kv[1]):
+        for (j, u, z), c in sorted(kids_of(tries[agent], n_u).items(), key=lambda kv: kv[1]):
             code.append((code[j] * n_u + u) * n_z + z)
             level.append(level[j] + 1)
+        below = solve._children(*tries[agent])
         for _ in range(5):
-            picks = rng.integers(n_u, size=len(parents[agent]))
+            picks = rng.integers(n_u, size=len(tries[agent][0]))
             index, played = solve._pure_tree(
-                m, agent, kids[agent], lambda j: int(picks[j]), range(n_anchors), depth
+                m, agent, below, lambda j: int(picks[j]), range(n_anchors), depth
             )
             assert set(np.flatnonzero(R[index])) == set(played)
             rows = solve._plan_rows(m, agent, {index: 1.0}, n_anchors, depth)
@@ -2369,16 +2382,17 @@ def test_pure_tree_index_round_trips_through_tree(request, name):
     else:
         m = request.getfixturevalue(name).with_horizon(3)
     s0 = initial_occupancy(m)
-    _, _, kids, _ = solve._normal_form(m, s0, [0], solve.CAP_BYTES, keep=(0, 1))
+    _, _, tries = solve._normal_form(m, s0, [0], solve.CAP_BYTES, keep=(0, 1))
     rng = np.random.default_rng(41)
     for agent in range(2):
         n_u = len(m.actions[agent])
         trees = enumerate_pure_policies(m, agent, m.horizon, cap=10**4)
-        R = solve._plan_realization(m, agent, 1, kids[agent], m.horizon)
+        R = solve._plan_realization(m, agent, tries[agent], m.horizon)
+        kids, below = kids_of(tries[agent], n_u), solve._children(*tries[agent])
         for _ in range(5):
-            picks = rng.integers(n_u, size=1 + len(kids[agent]))
-            index, played = solve._pure_tree(m, agent, kids[agent], lambda j: int(picks[j]))
-            tree = picked_tree(m, agent, kids[agent], lambda j: int(picks[j]), 0, m.horizon)
+            picks = rng.integers(n_u, size=1 + len(kids))
+            index, played = solve._pure_tree(m, agent, below, lambda j: int(picks[j]))
+            tree = picked_tree(m, agent, kids, lambda j: int(picks[j]), 0, m.horizon)
             assert solve._tree(m, agent, index, m.horizon) == tree == trees[index]
             assert tree_index(tree, n_u) == index
             assert sorted(played) == np.flatnonzero(R[index]).tolist()

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from occupancy_games import solve, verify
 from occupancy_games.errors import CapExceededError, ModelValidationError, UnknownSuiteError
 from occupancy_games.evaluate import occupancy_value, value_tables
-from occupancy_games.occupancy import level_of
+from occupancy_games.occupancy import initial_occupancy, level_of
 from occupancy_games.policies import BehavioralPolicy, agent_rules
 from occupancy_games.sampling import random_behavioral_policy, random_decision_rule, random_posg
 from occupancy_games.verify import (
@@ -299,6 +299,35 @@ def test_tiger_duel_three_steps_master_and_lipschitz_with_their_controls():
     assert all(r.passed for r in checks), report_lines(checks)
     assert [c.name for c in controls] == [f"{r.name}-negative-control" for r in checks]
     assert all(c.passed for c in controls), report_lines(controls)
+
+
+def test_all_stands_for_its_suites_wherever_it_is_named(tiger_zs):
+    every = ["sufficiency", "slave", "master", "lipschitz"]
+    assert verify.selected_suites(tiger_zs, "all,controls") == every + ["controls"]
+    assert verify.selected_suites(tiger_zs, "master,all") == ["master", "sufficiency", "slave", "lipschitz"]
+    assert verify.selected_suites(tiger_zs, ["all", "sufficiency", "all"]) == every
+    names = [r.name for r in run_suite(tiger_zs, "master,all", n_samples=1)]
+    assert names.count("master-structure-zerosum") == 1 and names[0] == "master-structure-zerosum"
+
+
+def test_zero_sum_certificate_on_a_two_step_trie():
+    # tiger-duel h=2 from the start: both tries two steps deep, value 0.5.
+    # The optimal leader plan achieves the value against the follower's
+    # backward reply over every set, and random behavioural leader plans,
+    # spread over both depths, stay below it
+    m = load("tiger-duel")
+    v, sol, G = verify._zs_priced(m, initial_occupancy(m))
+    n_u, n_z = len(m.actions[0]), m.n_agent_obs(0)
+    assert m.horizon == 2 and abs(v - 0.5) <= 1e-9
+    assert G.shape == (n_u + n_u * n_z * n_u,) * 2
+    assert abs(verify._follower_reply(m, sol, sol.plans[0] @ G) - v) <= 1e-9
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        x = verify._random_leader_plan(m, sol, rng)
+        assert len(x) == G.shape[0] and (x > 0.0).all()
+        # mass 1 at the anchor, and each sequence's mass on each set below it
+        assert abs(x[:n_u].sum() - 1.0) <= 1e-12 and abs(x[n_u:].sum() - n_z) <= 1e-12
+        assert verify._follower_reply(m, sol, x @ G) <= v - 0.1
 
 
 def test_controls_named_beside_other_suites_rerun_only_their_checks(tiger):
