@@ -367,16 +367,24 @@ def _tree_from_obj(model: PosgModel, agent: int, obj: dict) -> PolicyTree:
 
 
 def _history_from_key(model: PosgModel, agent: int, key: str) -> PrivateHistory:
+    """The history ``PrivateHistory.label`` wrote as ``key``: its steps read
+    one ``action:observation`` label at a time, where an observation label
+    carries its ``|public`` part once the model has public observations."""
     if key == "()":
         return PrivateHistory(agent)
-    steps = []
-    for part in key.split("|"):
-        u_lab, z_lab = part.split(":", 1)
-        u = model.actions[agent].index(u_lab)
-        z = [
-            model.agent_obs_label(agent, z) for z in range(model.n_agent_obs(agent))
-        ].index(z_lab)
-        steps.append((u, z))
+    labels = {
+        f"{u_lab}:{model.agent_obs_label(agent, z)}": (u, z)
+        for u, u_lab in enumerate(model.actions[agent])
+        for z in range(model.n_agent_obs(agent))
+    }
+    steps, part = [], ""
+    for piece in key.split("|"):
+        part = f"{part}|{piece}" if part else piece
+        if part in labels:
+            steps.append(labels[part])
+            part = ""
+    if part:
+        raise ValueError(f"history {key!r} of agent {agent + 1} ends in no step label: {part!r}")
     return PrivateHistory(agent, tuple(steps))
 
 

@@ -7,10 +7,17 @@ The oracles share one naive enumerator, ``_outcomes``: every positive-
 probability outcome of one step from a raw (state, joint history) measure,
 read straight from the transition and observation rows (as Python floats,
 once per step), with three small reducers: the next measure per observation,
-an observation distribution and the reward.  The sufficiency checks carry
-the unnormalized raw measure forward one expansion per step and normalize it
-only where a distribution is read; a step's one enumeration gives the next
-measure of every branch (public observation, or the agent's own) at once.
+an observation distribution and the reward.  Both sufficiency checks walk
+one raw prefix, ``_raw_prefix``: it carries the unnormalized raw measure
+forward one expansion per step, drawing each step's observation (public, or
+the agent's own) from the raw route, and normalizes only where a
+distribution is read.  One step gap, ``_raw_gap``, then compares a
+production step with the raw one: the reward, each observation's
+probability, and the next state of every branch production returns, all
+from one enumeration.  The structure checks draw their pairs of states from
+one sampler, ``_state_pair`` (two start beliefs at t=0, else two sampled
+prefixes, optionally under one shared leader prefix), and the zero-sum ones
+price one max-of-concave certificate, ``_concave_certificate``.
 Reports carry the worst observed discrepancy against a tolerance: 1e-9 for
 exact identities (sufficiency, mixtures, linearity), 1e-6 for quantities
 routed through iterative solvers (convexity, saddle certificates, Lipschitz
@@ -230,6 +237,42 @@ def _dist_diff(a: Mapping, b: Mapping) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _raw_prefix(model: PosgModel, rng, t: int, dists, n_obs: int, of) -> tuple[dict, list]:
+    """The unnormalized raw measure ``t`` steps on, where ``dists(tau)``
+    gives step ``tau``'s action distributions (as ``_outcomes`` reads them),
+    and each step's observation ``of(z)`` is drawn from its raw distribution:
+    ``(measure, picks)``, the drawn observations in step order."""
+    measure = _start_measure(model)
+    picks: list[int] = []
+    for tau in range(t):
+        played = dists(tau)
+        om = _obs_dist(_outcomes(model, _normalized(measure), played), n_obs, of)
+        picks.append(int(rng.choice(n_obs, p=om / om.sum())))
+        measure = _next_measures(model, _outcomes(model, measure, played), of)[picks[-1]]
+    return measure, picks
+
+
+def _raw_gap(
+    model: PosgModel, measure, played, agent: int, n_obs: int, of, reward: float, branches
+) -> float:
+    """The largest gap between one production step from the raw ``measure``
+    under ``played`` and the raw step itself: ``agent``'s ``reward``, each
+    observation ``of(z)``'s probability, and the next state of every branch
+    ``(obs, probability, next state)`` that production returns."""
+    raw = _normalized(measure)
+    om = np.zeros(n_obs)
+    for z, omega, _ in branches:
+        om[z] = omega
+    gap = max(
+        abs(_raw_reward(model, raw, played, agent) - reward),
+        float(np.abs(_obs_dist(_outcomes(model, raw, played), n_obs, of) - om).max()),
+    )
+    raw_next = _next_measures(model, _outcomes(model, measure, played), of)
+    for z, _, nxt in branches:
+        gap = max(gap, _dist_diff(_normalized(raw_next.get(z, {})), nxt.entries))
+    return gap
+
+
 def check_sufficiency_master(
     model: PosgModel,
     n_samples: int = 100,
@@ -240,54 +283,25 @@ def check_sufficiency_master(
     """Reward, public-observation, and next-state predictions from occupancy
     states match the raw plan-time definitions on random plan-time data."""
     rng = np.random.default_rng(seed)
-    n_pub = len(model.public_obs)
+    n_pub, of = len(model.public_obs), model.public_of_joint_obs
+    shift = _CORRUPTION if negative_control else 0.0
     worst = 0.0
     for _ in range(n_samples):
         t = int(rng.integers(0, model.horizon))
         rules_by_step = [
-            tuple(
-                random_decision_rule(model, i, tau, rng)
-                for i in range(model.n_agents)
-            )
+            tuple(random_decision_rule(model, i, tau, rng) for i in range(model.n_agents))
             for tau in range(t + 1)
         ]
-        # sample a positive-probability public stream from the raw route,
-        # carrying the unnormalized raw measure forward
-        measure = _start_measure(model)
+        played = [_played(rules) for rules in rules_by_step]
+        # a positive-probability public stream, drawn on the raw route
+        measure, stream = _raw_prefix(model, rng, t, lambda tau: played[tau], n_pub, of)
         s = initial_occupancy(model)
-        for tau in range(t):
-            played = _played(rules_by_step[tau])
-            om = _obs_dist(
-                _outcomes(model, _normalized(measure), played), n_pub, model.public_of_joint_obs
-            )
-            w = int(rng.choice(len(om), p=om / om.sum()))
-            measure = _next_measures(
-                model, _outcomes(model, measure, played), model.public_of_joint_obs
-            )[w]
-            branches = {b: nxt for b, _, nxt in step(model, s, rules_by_step[tau])}
-            s = branches[w]
-
-        raw = _normalized(measure)
+        for rules, w in zip(rules_by_step, stream):
+            s = next(nxt for b, _, nxt in step(model, s, rules) if b == w)
         a_t = rules_by_step[t]
-        played = _played(a_t)
-        # reward sufficiency
-        r_raw = _raw_reward(model, raw, played, 0)
-        r_impl = expected_reward(model, s, a_t, 0)
-        if negative_control:
-            r_impl += _CORRUPTION
-        worst = max(worst, abs(r_raw - r_impl))
-        # public observation sufficiency
-        om_raw = _obs_dist(_outcomes(model, raw, played), n_pub, model.public_of_joint_obs)
+        reward = expected_reward(model, s, a_t, 0) + shift
         branches = step(model, s, a_t)
-        om_impl = np.zeros(n_pub)
-        for w, p, _ in branches:
-            om_impl[w] = p
-        worst = max(worst, float(np.abs(om_raw - om_impl).max()))
-        # next-state sufficiency, every positive public branch
-        outcomes = _outcomes(model, measure, played)
-        raw_next = _next_measures(model, outcomes, model.public_of_joint_obs)
-        for w, p, nxt in branches:
-            worst = max(worst, _dist_diff(_normalized(raw_next.get(w, {})), nxt.entries))
+        worst = max(worst, _raw_gap(model, measure, played[t], 0, n_pub, of, reward, branches))
     return _report(
         "sufficiency-master", fixture, n_samples, worst, EXACT_TOL, seed, negative_control
     )
@@ -303,61 +317,33 @@ def check_sufficiency_private(
 ) -> PropertyReport:
     """Private-side analogue over random private plan-time histories."""
     rng = np.random.default_rng(seed)
-    n_u = len(model.actions[agent])
-    n_obs = model.n_agent_obs(agent)
-
-    def own_obs(z):
-        return model.agent_obs_of_joint(agent, z)
-
+    n_u, n_obs = len(model.actions[agent]), model.n_agent_obs(agent)
+    of = partial(model.agent_obs_of_joint, agent)
+    others = [j for j in range(model.n_agents) if j != agent]
+    shift = _CORRUPTION if negative_control else 0.0
     worst = 0.0
     for _ in range(n_samples):
         t = int(rng.integers(0, model.horizon))
         profiles = [
-            {
-                j: random_decision_rule(model, j, tau, rng)
-                for j in range(model.n_agents)
-                if j != agent
-            }
-            for tau in range(t + 1)
+            {j: random_decision_rule(model, j, tau, rng) for j in others} for tau in range(t + 1)
         ]
-        # sample a positive-probability own history from the raw route,
-        # carrying the unnormalized raw measure forward
-        measure = _start_measure(model)
-        steps: list[tuple[int, int]] = []
-        for tau in range(t):
-            u_i = int(rng.integers(0, n_u))
-            dists = _anchored(model, agent, profiles[tau], u_i)
-            om = _obs_dist(_outcomes(model, _normalized(measure), dists), n_obs, own_obs)
-            z_i = int(rng.choice(len(om), p=om / om.sum()))
-            steps.append((u_i, z_i))
-            measure = _next_measures(model, _outcomes(model, measure, dists), own_obs)[z_i]
+        actions: list[int] = []
 
-        raw = _normalized(measure)
-        s_i = private_occupancy(model, profiles, PrivateHistory(agent, tuple(steps)))
-        u_i = int(rng.integers(0, n_u))
-        dists = _anchored(model, agent, profiles[t], u_i)
-        # reward sufficiency
-        r_raw = _raw_reward(model, raw, dists, agent)
-        r_impl = private_reward(model, s_i, profiles[t], u_i)
-        if negative_control:
-            r_impl += _CORRUPTION
-        worst = max(worst, abs(r_raw - r_impl))
-        # observation and next-state sufficiency
-        om_raw = _obs_dist(_outcomes(model, raw, dists), n_obs, own_obs)
-        raw_next = _next_measures(model, _outcomes(model, measure, dists), own_obs)
-        branches = {z: (omega, nxt) for z, omega, nxt in private_step(model, s_i, profiles[t], u_i)}
-        for z_i in range(n_obs):
-            omega, nxt = branches.get(z_i, (0.0, None))
-            worst = max(worst, abs(om_raw[z_i] - omega))
-            if nxt is not None and om_raw[z_i] > 1e-12:
-                worst = max(worst, _dist_diff(_normalized(raw_next.get(z_i, {})), nxt.entries))
+        def dists(tau):  # draws the own action of step tau
+            actions.append(int(rng.integers(0, n_u)))
+            return _anchored(model, agent, profiles[tau], actions[-1])
+
+        # a positive-probability own history, drawn on the raw route, then
+        # the last own action
+        measure, own = _raw_prefix(model, rng, t, dists, n_obs, of)
+        played = dists(t)
+        s_i = private_occupancy(model, profiles, PrivateHistory(agent, tuple(zip(actions, own))))
+        u_i = actions[t]
+        reward = private_reward(model, s_i, profiles[t], u_i) + shift
+        branches = private_step(model, s_i, profiles[t], u_i)
+        worst = max(worst, _raw_gap(model, measure, played, agent, n_obs, of, reward, branches))
     return _report(
-        f"sufficiency-private-agent{agent + 1}",
-        fixture,
-        n_samples,
-        worst,
-        EXACT_TOL,
-        seed,
+        f"sufficiency-private-agent{agent + 1}", fixture, n_samples, worst, EXACT_TOL, seed,
         negative_control,
     )
 
@@ -390,6 +376,21 @@ def _sample_prefix_occupancy(
         s = branches[pick][2]
         prefix.append(rules)
     return s, prefix
+
+
+def _state_pair(
+    model: PosgModel, t: int, rng: np.random.Generator, shared_leader: bool
+) -> tuple[OccupancyState, OccupancyState]:
+    """Two occupancy states at step ``t``: two random start beliefs at t=0,
+    else two sampled prefixes, under one random leader prefix drawn first if
+    ``shared_leader`` (mixing them then stays on the follower basis)."""
+    if t == 0:
+        beliefs = (rng.dirichlet(np.ones(model.n_states)) for _ in range(2))
+        return tuple(_belief_occupancy(model, b) for b in beliefs)
+    leader = None
+    if shared_leader:
+        leader = {0: [random_decision_rule(model, 0, tau, rng, support=2) for tau in range(t)]}
+    return tuple(_sample_prefix_occupancy(model, t, rng, fixed_rules=leader)[0] for _ in range(2))
 
 
 def _lambda_grid(n: int) -> list[float]:
@@ -570,8 +571,7 @@ def _dec_structure(model, rng, n_samples, negative_control) -> float:
             s_a = initial_occupancy(model)
             s_b = _belief_occupancy(model, rng.dirichlet(np.ones(model.n_states)))
         else:
-            s_a, _ = _sample_prefix_occupancy(model, t, rng)
-            s_b, _ = _sample_prefix_occupancy(model, t, rng)
+            s_a, s_b = _state_pair(model, t, rng, False)
         lam = lams[k]
         v_a = dec_value_from(model, s_a)
         v_b = dec_value_from(model, s_b)
@@ -604,15 +604,7 @@ def _zs_structure(model, rng, n_samples, negative_control) -> tuple[float, dict]
             if negative_control:
                 v_mix += _CORRUPTION
         else:
-            # common leader prefix keeps the follower-basis components fixed
-            leader_rules = {
-                0: [
-                    random_decision_rule(model, 0, tau, rng, support=2)
-                    for tau in range(t)
-                ]
-            }
-            s_a, _ = _sample_prefix_occupancy(model, t, rng, fixed_rules=leader_rules)
-            s_b, _ = _sample_prefix_occupancy(model, t, rng, fixed_rules=leader_rules)
+            s_a, s_b = _state_pair(model, t, rng, True)
             lam = lams[k]
             v_a, _, _ = zero_sum_value_from(model, s_a)
             v_b, _, _ = zero_sum_value_from(model, s_b)
@@ -623,13 +615,7 @@ def _zs_structure(model, rng, n_samples, negative_control) -> tuple[float, dict]
             worst = max(worst, _convexity_violation(v_mix, lam, v_a, v_b))
             # convexity over marginals at a fixed conditional (opponent factor)
             worst = max(worst, _marginal_convexity(model, s_a, rng, negative_control))
-        # max-of-concave certificate: the optimal leader plan achieves the
-        # value, arbitrary leader plans never exceed it
-        achieve = v_mix - _follower_reply(model, sol, sol.plans[0] @ G)
-        worst = max(worst, abs(achieve))
-        for _ in range(3):
-            x = _random_leader_plan(model, sol, rng)
-            worst = max(worst, _follower_reply(model, sol, x @ G) - v_mix)
+        worst = max(worst, _concave_certificate(model, v_mix, sol, G, rng, 3))
     notes: dict[str, object] = {}
     if model.n_states == 2 and model.horizon == 1:
         cert, gap, grid_points = _zs_grid_certificate(model, rng, negative_control)
@@ -653,6 +639,17 @@ def _zs_priced(model: PosgModel, s: OccupancyState):
         kept = sum(sol.metadata["sequences"])
         raise CapExceededError("sequence form of the leader-plan check", full, kept, " sequences")
     return v, sol, G
+
+
+def _concave_certificate(model: PosgModel, v: float, sol, G, rng, n_plans: int, shift=0.0):
+    """Max-of-concave certificate at one state of zero-sum value ``v``: the
+    optimal leader plan achieves ``v`` (its gap moved by ``shift``), and
+    ``n_plans`` random leader plans never exceed it."""
+    worst = abs(v - _follower_reply(model, sol, sol.plans[0] @ G) + shift)
+    for _ in range(n_plans):
+        x = _random_leader_plan(model, sol, rng)
+        worst = max(worst, _follower_reply(model, sol, x @ G) - v)
+    return worst
 
 
 def _sets_below(parents: np.ndarray) -> dict[int, list[int]]:
@@ -734,17 +731,12 @@ def _zs_grid_certificate(model, rng, negative_control) -> tuple[float, float, in
     grid = np.linspace(0.0, 1.0, 101)
     values = []
     worst = 0.0
+    shift = _CORRUPTION if negative_control else 0.0
     for b in grid:
         s = _belief_occupancy(model, np.array([b, 1.0 - b]))
         v, sol, G = _zs_priced(model, s)
         values.append(v)
-        achieve = v - _follower_reply(model, sol, sol.plans[0] @ G)
-        if negative_control:
-            achieve += _CORRUPTION
-        worst = max(worst, abs(achieve))
-        for _ in range(2):
-            x = _random_leader_plan(model, sol, rng)
-            worst = max(worst, _follower_reply(model, sol, x @ G) - v)
+        worst = max(worst, _concave_certificate(model, v, sol, G, rng, 2, shift))
     # expected-positive diagnostic: convexity on the standard basis fails
     gap = 0.0
     values = np.array(values)
@@ -766,11 +758,7 @@ def _st_structure(model, rng, n_samples, negative_control) -> float:
     t = model.horizon - 1
     lams = _lambda_grid(n_samples)
     for k in range(n_samples):
-        leader_rules = {
-            0: [random_decision_rule(model, 0, tau, rng, support=2) for tau in range(t)]
-        }
-        s_a, _ = _sample_prefix_occupancy(model, t, rng, fixed_rules=leader_rules)
-        s_b, _ = _sample_prefix_occupancy(model, t, rng, fixed_rules=leader_rules)
+        s_a, s_b = _state_pair(model, t, rng, True)
         lam = lams[k]
         v_a = stackelberg_value_from(model, s_a)
         v_b = stackelberg_value_from(model, s_b)
@@ -803,12 +791,7 @@ def check_lipschitz(
     kappas = {}
     for _ in range(n_samples):
         t = int(rng.integers(1, model.horizon)) if model.horizon > 1 else 0
-        if t == 0:
-            s_a = _belief_occupancy(model, rng.dirichlet(np.ones(model.n_states)))
-            s_b = _belief_occupancy(model, rng.dirichlet(np.ones(model.n_states)))
-        else:
-            s_a, _ = _sample_prefix_occupancy(model, t, rng)
-            s_b, _ = _sample_prefix_occupancy(model, t, rng)
+        s_a, s_b = _state_pair(model, t, rng, False)
         kappa = lipschitz_constant(model.discount, c, model.horizon, t)
         kappas[t] = kappa
         v_a, _, _ = zero_sum_value_from(model, s_a)

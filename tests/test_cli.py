@@ -589,6 +589,72 @@ def test_flags_at_zero_and_bad_counts(capsys, argv, code):
 
 
 @pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["parse", TIGER, "--start", "1"], 2, "error: --start needs 2 probabilities, got 1"),
+        (
+            ["solve", TIGER, "--criterion", "general"], 2,
+            "error: no solver for criterion 'general'; pass --criterion to choose one",
+        ),
+        (
+            ["sweep", TIGER, "--criterion", "general"], 5,
+            "error: sweep needs a zerosum/common/stackelberg criterion",
+        ),
+        (
+            ["solve", TIGER, "--tolerance", "abc"], 2,
+            "ogs solve: error: argument --tolerance: must be a finite number >= 0, got abc",
+        ),
+        (
+            ["verify", TIGER, "--suite", "slave", "--horizon", "3"], 3,
+            "error: anchored plans of the pwlc certificate too large: 43046721 exceeds cap 10000",
+        ),
+    ],
+    ids=["start-count", "solve-general", "sweep-general", "tolerance-not-a-number", "slave-h3"],
+)
+def test_each_refusal_exits_with_its_code_and_one_error_line(capsys, argv, code, message):
+    assert exit_code(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert [line for line in captured.err.splitlines() if "error:" in line] == [message]
+
+
+# the public-observation grammar model of tests/test_model.py, with rewards
+PUBLIC_OBS = """
+agents: 2
+horizon: 2
+states: s0 s1
+actions:
+a b
+a b
+observations:
+y
+y
+public-observations: w0 w1
+start: 1.0 0.0
+T: * * : * : s0 : 0.5
+T: * * : * : s1 : 0.5
+O: * * : s0 : y y w0 : 1.0
+O: * * : s1 : y y w1 : 1.0
+R1: a a : * : 1.0
+R1: b * : s1 : -0.5
+R2: * b : s0 : 2.0
+"""
+
+
+def test_a_dumped_policy_reads_back_where_two_observations_are_public(tmp_path, capsys):
+    # a history label there reads "a:y|w0|b:y|w1": each step's observation
+    # label carries its public part
+    model = tmp_path / "public.posg"
+    model.write_text(PUBLIC_OBS)
+    policy = tmp_path / "p.json"
+    code, dumped, _ = run(capsys, "evaluate", str(model), "--dump-policy", str(policy))
+    assert code == 0 and '"a:y|w0"' in policy.read_text()
+    code, out, err = run(capsys, "evaluate", str(model), "--policy", str(policy))
+    assert (code, out, err) == (0, dumped, "")
+    assert out.startswith("value_1: ")
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["parse", str(model_path("tiger").parent)],

@@ -64,6 +64,118 @@ def test_parse_errors_report_position():
         )
 
 
+# a two-agent model whose line numbers the error table below refers to
+GOOD = """agents: 2
+horizon: 2
+states: s0 s1
+actions:
+a b
+a b
+observations:
+y
+y
+start: 1.0 0.0
+T: * * : * : s0 : 0.5
+T: * * : * : s1 : 0.5
+O: * * : * : y y : 1.0
+R1: a a : * : 1.0
+R2: a a : * : 1.0
+"""
+
+
+def _edit(old, new):
+    assert GOOD.count(old) == 1, old
+    return GOOD.replace(old, new)
+
+
+@pytest.mark.parametrize(
+    "text, kind, message, line",
+    [
+        ("states: s0 s1\n", PosgParseError, "missing 'agents:' declaration", None),
+        (_edit("states: s0 s1\n", ""), PosgParseError, "missing 'states:' declaration", None),
+        (
+            _edit("observations:\ny\ny\n", ""),
+            PosgParseError, "missing 'observations:' section", None,
+        ),
+        (
+            _edit("agents: 2\n", "") + "agents: 2\n",
+            PosgParseError, "'agents:' must precede 'actions'", 3,
+        ),
+        (
+            "agents: 2\nstates: s\nactions:\na b\n",
+            PosgParseError, "expected 2 label lines after 'actions'", 3,
+        ),
+        (_edit("R2:", "Rx:"), PosgParseError, "unknown key 'Rx'", 15),
+        (_edit("agents: 2", "agents: 0"), PosgParseError, "agents must be >= 1", 1),
+        (
+            _edit("horizon: 2", "criterion: best"),
+            PosgParseError, "criterion must be one of zerosum/common/stackelberg/general, "
+            "got 'best'", 2,
+        ),
+        (_edit("horizon: 2", "horizon: two"), PosgParseError, "bad value for 'horizon'", 2),
+        (
+            _edit("T: * * : * : s0 : 0.5", "T: * * : * : s0"),
+            PosgParseError, "expected 4 ':'-separated fields, got 3", 11,
+        ),
+        (
+            _edit("states: s0 s1", "states: s0 s0"),
+            PosgParseError, "duplicate label in 'states'", None,
+        ),
+        (
+            _edit("actions:\na b", "actions:\na a"),
+            PosgParseError, "duplicate label in agent 1 'actions'", None,
+        ),
+        (_edit("R2:", "R3:"), PosgParseError, "reward for unknown agent 3", 15),
+        (_edit("s0 : 0.5", "s0 : half"), PosgParseError, "expected a number, got 'half'", 11),
+        (
+            _edit("start: 1.0 0.0", "start: 1.0"),
+            PosgParseError, "start has 1 entries, expected 2", None,
+        ),
+        (
+            _edit("s0 : 0.5\nT: * * : * : s1 : 0.5", "s0 : -0.5\nT: * * : * : s1 : 1.5"),
+            ModelValidationError, "negative probability entry", None,
+        ),
+        (
+            _edit("y y : 1.0", "y y : 0.5"),
+            ModelValidationError, "observation row sum for \\(action 0, state s0\\) is 0.5", None,
+        ),
+        (
+            "criterion: common\n" + _edit("R2: a a : * : 1.0", "R2: a a : * : 2.0"),
+            ModelValidationError, "declared common but rewards differ across agents", None,
+        ),
+    ],
+    ids=[
+        "no-agents", "no-states", "no-observations", "agents-after-actions", "too-few-label-lines",
+        "bad-reward-key", "zero-agents", "bad-criterion", "non-numeric-header", "field-count",
+        "duplicate-states", "duplicate-actions", "unknown-reward-agent", "non-numeric-probability",
+        "start-length", "negative-probability", "observation-row-sum", "common-rewards-differ",
+    ],
+)
+def test_malformed_models_are_refused_with_their_line(text, kind, message, line):
+    with pytest.raises(kind, match=message) as exc:
+        parse_posg(text)
+    assert type(exc.value) is kind
+    assert getattr(exc.value, "line", None) == line
+    if line is not None:
+        assert str(exc.value).startswith(f"line {line}")
+
+
+def test_the_table_model_parses():
+    m = parse_posg(GOOD)
+    assert m.criterion == "common" and m.horizon == 2 and m.n_joint_obs == 1
+
+
+def test_parse_command_exits_2_on_a_malformed_model(tmp_path, capsys):
+    from occupancy_games.cli import main
+
+    path = tmp_path / "bad.posg"
+    path.write_text(_edit("s0 : 0.5", "s0 : half"))
+    assert main(["parse", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 11, col 19: expected a number, got 'half'\n"
+
+
 def test_later_lines_override():
     text = MINIMAL.replace("T: a : s : s : 1.0", "T: a : s : s : 0.3\nT: * : * : * : 1.0")
     m = parse_posg(text)

@@ -137,6 +137,27 @@ def test_policy_mixture_json_roundtrip(tiger):
     assert policy_to_json(tiger, back) == text
 
 
+@pytest.mark.parametrize("n_public", [1, 2])
+def test_behavioral_json_reads_back_labels_that_carry_a_public_part(n_public):
+    # with two public observations an own-observation label reads
+    # "z00|w1", so a history label holds one "|" inside each step as well
+    # as one between steps
+    m = random_posg(np.random.default_rng(0), n_obs=(2, 1), n_public=n_public, horizon=3)
+    text = policy_to_json(m, random_joint_policy(m, np.random.default_rng(1)))
+    back = policy_from_json(m, text)
+    assert policy_to_json(m, back) == text
+    rule = back.agents[0].rules[2]
+    assert len(rule.probs) == (2 * 2 * n_public) ** 2
+    assert all(len(h.steps) == 2 for h in rule.probs)
+
+
+def test_a_history_label_that_ends_inside_a_step_is_refused():
+    m = random_posg(np.random.default_rng(0), n_obs=(2, 1), n_public=2, horizon=2)
+    text = policy_to_json(m, random_joint_policy(m, np.random.default_rng(1)))
+    with pytest.raises(ValueError, match="ends in no step label: 'a00:z00'"):
+        policy_from_json(m, text.replace('"a00:z00|w0"', '"a00:z00"'))
+
+
 def test_decision_rule_validates():
     with pytest.raises(ValueError, match="distribution"):
         DecisionRule(0, 0, {PrivateHistory(0): (0.5, 0.2)})

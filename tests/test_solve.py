@@ -2449,3 +2449,12 @@ def test_solver_path_builds_no_policy_tree_space():
             if "PolicyTree" in code_names(body):  # in the body, not an annotation
                 tree_makers.add(name)
     assert tree_makers == {"_tree"}
+
+
+@pytest.mark.parametrize("best_response", [best_response_history, best_response_private])
+def test_a_best_response_refuses_an_opponent_policy_shorter_than_the_horizon(
+    tiger, best_response
+):
+    short = random_behavioral_policy(tiger.with_horizon(2), 1, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="shorter than the model horizon"):
+        best_response(tiger.with_horizon(3), {1: short}, 0)
