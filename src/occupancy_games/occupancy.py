@@ -22,9 +22,10 @@ A level numbers each agent's histories in steps order, which pushes keep
 and ``to_level`` sorts into; below a level they go by trie code.
 History objects are built only at the public boundary: once per private
 history of a pushed level, and, the first time a returned state's
-``entries`` is read, once per entry.  Each returned state keeps its level, so
-the next update skips the conversion from its entries, and a state that is
-only pushed on, priced or solved from never builds its joint histories.
+``entries`` is read, once per joint history.  Each returned state keeps its
+level, so the next update skips the conversion from its entries, and a state
+that is only pushed on, priced or solved from never builds its joint
+histories.
 
 Within each group, entries whose mass over the group's probability is at or
 below ``PRUNE_EPS`` are dropped and the rest renormalized; two states are
@@ -188,12 +189,7 @@ class Pushed(NamedTuple):
     weight: np.ndarray
 
 
-def next_level(
-    model: PosgModel,
-    level: Level,
-    a: np.ndarray | None = None,
-    first_seen: bool = False,
-) -> Pushed:
+def next_level(model: PosgModel, level: Level, a: np.ndarray | None = None) -> Pushed:
     """Every outcome of every joint action at each entry of ``level``, equal
     (state, joint history) keys merged: the one push behind every occupancy
     update, value table, best response and sequence-form walk.
@@ -202,11 +198,10 @@ def next_level(
     carries entry mass x action probability x outcome probability, and rows
     without mass are dropped.  Without ``a`` every row is kept at entry mass
     x outcome probability, so each agent's actions stay sequences.  Children
-    are numbered by their codes, merged entries by (state, child id per
-    agent) or, with ``first_seen``, in order of first appearance, and each
-    entry's mass is summed over its rows in row order: (entry, joint action,
-    outcome).  An update splits the children into groups afterwards
-    (``normalized_groups``)."""
+    are numbered by their codes and merged entries by (state, child id per
+    agent), in increasing key; each entry's mass is summed over its rows in
+    row order: (entry, joint action, outcome).  An update splits the
+    children into groups afterwards (``normalized_groups``)."""
     arrays = model._successor_arrays
     begin = arrays.begin
     counts = begin[level.xs + 1] - begin[level.xs]
@@ -232,14 +227,7 @@ def next_level(
         key += child
         reached.append(codes)
     del out, child
-    if not first_seen:
-        merged, where = np.unique(key, return_inverse=True)
-    else:
-        merged, first, where = np.unique(key, return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(len(order))
-        merged, where = merged[order], rank[where]
+    merged, where = np.unique(key, return_inverse=True)
     del key
     n_sets = tuple(len(codes) for codes in reached)
     xs, *ids = np.unravel_index(merged, (model.n_states,) + n_sets)
@@ -398,10 +386,13 @@ def to_level(model: PosgModel, entries: Mapping[Entry, float]) -> tuple[Level, H
 
 
 def entries_of(level: Level, hists: Histories) -> dict[Entry, float]:
-    """The public form of a level: one joint history per entry."""
-    privates = zip(*([hs[k] for k in ids.tolist()] for hs, ids in zip(hists, level.ids)))
-    keys = zip(level.xs.tolist(), map(JointHistory.unchecked, privates))
-    return dict(zip(keys, level.mass.tolist()))
+    """The public form of a level: one joint history per distinct (history
+    id per agent), shared by the keys of all its states."""
+    joint, at = np.unique(np.ravel_multi_index(level.ids, level.n_sets), return_inverse=True)
+    ids = np.unravel_index(joint, level.n_sets)
+    privates = zip(*([hs[k] for k in i.tolist()] for hs, i in zip(hists, ids)))
+    keys = list(map(JointHistory.unchecked, privates))
+    return dict(zip(zip(level.xs.tolist(), [keys[k] for k in at.tolist()]), level.mass.tolist()))
 
 
 def normalized_groups(
@@ -476,7 +467,7 @@ def step(
         raise ValueError("one decision rule per agent required")
     level, hists = level_of(model, s)
     a = action_probs(model, level, rule_arrays(model, rules, hists))
-    pushed = next_level(model, level, a, first_seen=True)
+    pushed = next_level(model, level, a)
     n_pub = len(model.public_obs)
     # a child's public observation ends each agent's observation code
     public = pushed.reached[0][pushed.level.ids[0]] % n_pub
@@ -549,7 +540,7 @@ def private_step(
     level, hists = level_of(model, s_i)
     probs = others_rule_arrays(model, others_rules, agent, hists)
     probs[agent] = np.eye(len(model.actions[agent]))[np.full(level.n_sets[agent], u_i)]
-    pushed = next_level(model, level, action_probs(model, level, probs), first_seen=True)
+    pushed = next_level(model, level, action_probs(model, level, probs))
     codes, n_z = pushed.reached[agent], model.n_agent_obs(agent)
     out = []
     for c, omega, nxt in _branches(model, hists, pushed, pushed.level.ids[agent], len(codes)):

@@ -429,7 +429,7 @@ def _private_batch(
     batches.append((first, q))
     if t + 1 == model.horizon:
         return q.reshape(n, n_u).max(axis=1)
-    pushed = next_level(model, level, a, first_seen=True)
+    pushed = next_level(model, level, a)
     del a  # the children are solved depth first: hold no more than needed
     reached = pushed.reached[agent]
     base = len(trie[0])  # the first child's number

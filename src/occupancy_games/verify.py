@@ -6,18 +6,18 @@ path through occupancy updates, best-response solvers, and normal forms.
 The oracles share one naive enumerator, ``_outcomes``: every positive-
 probability outcome of one step from a raw (state, joint history) measure,
 read straight from the transition and observation rows (as Python floats,
-once per step), with three small reducers: the next measure per observation,
-an observation distribution and the reward.  Both sufficiency checks walk
-one raw prefix, ``_raw_prefix``: it carries the unnormalized raw measure
-forward one expansion per step, drawing each step's observation (public, or
-the agent's own) from the raw route, and normalizes only where a
-distribution is read.  One step gap, ``_raw_gap``, then compares a
-production step with the raw one: the reward, each observation's
-probability, and the next state of every branch production returns, all
-from one enumeration.  The structure checks draw their pairs of states from
-one sampler, ``_state_pair`` (two start beliefs at t=0, else two sampled
-prefixes, optionally under one shared leader prefix), and the zero-sum ones
-price one max-of-concave certificate, ``_concave_certificate``.
+once per step), with two small reducers: each observation's mass with its
+next measure, and the reward.  Both sufficiency checks walk one raw prefix,
+``_raw_prefix``: it carries the unnormalized raw measure forward one
+expansion per step, drawing each step's observation (public, or the agent's
+own) from the raw route, and normalizes only where a distribution is read.
+One step gap, ``_raw_gap``, then compares a production step with the raw
+one: the reward, each observation's probability, and the next state of
+every branch production returns.  Each raw step is enumerated once.  The
+structure checks draw their pairs of states from one sampler,
+``_state_pair`` (two start beliefs at t=0, else two sampled prefixes,
+optionally under one shared leader prefix), and the zero-sum ones price one
+max-of-concave certificate, ``_concave_certificate``.
 Reports carry the worst observed discrepancy against a tolerance: 1e-9 for
 exact identities (sufficiency, mixtures, linearity), 1e-6 for quantities
 routed through iterative solvers (convexity, saddle certificates, Lipschitz
@@ -188,29 +188,25 @@ def _outcomes(model: PosgModel, measure: Mapping, dists):
                         yield x2, o, us, z, p * a_p * t_p * o_p
 
 
-def _next_measures(model: PosgModel, outcomes, of) -> dict:
-    """The unnormalized measure one step on per observation ``of(z)`` of the
-    outcomes' joint observations ``z``: ``{of(z): measure}``, each measure
-    summed in outcome order over the outcomes of its observation.  Each
-    joint observation is split into the agents' observations once."""
+def _next_measures(model: PosgModel, outcomes, of, n_obs: int) -> tuple[np.ndarray, dict]:
+    """Each observation ``of(z)`` in ``range(n_obs)`` of the outcomes' joint
+    observations ``z``, with its mass and the unnormalized measure one step
+    on: ``(mass per observation, {of(z): measure})``, both summed in outcome
+    order over the outcomes of each observation.  Each joint observation is
+    split into the agents' observations once."""
     agent_obs = []
     for z in range(model.n_joint_obs):
         zs, w = model.split_joint_obs(z)
         agent_obs.append(tuple(model.agent_obs_index(i, zs[i], w) for i in range(model.n_agents)))
+    om = [0.0] * n_obs
     by_obs: dict = {}
     for x2, o, us, z, mass in outcomes:
-        new = by_obs.setdefault(of(z), {})
+        seen = of(z)
+        om[seen] += mass
+        new = by_obs.setdefault(seen, {})
         key = (x2, o.child(us, agent_obs[z]))
         new[key] = new.get(key, 0.0) + mass
-    return by_obs
-
-
-def _obs_dist(outcomes, size: int, of) -> np.ndarray:
-    """Mass per observation ``of(z)`` of each outcome's joint observation."""
-    om = np.zeros(size)
-    for _, _, _, z, mass in outcomes:
-        om[of(z)] += mass
-    return om
+    return np.array(om), by_obs
 
 
 def _raw_reward(model: PosgModel, measure: Mapping, dists, agent: int) -> float:
@@ -245,10 +241,9 @@ def _raw_prefix(model: PosgModel, rng, t: int, dists, n_obs: int, of) -> tuple[d
     measure = _start_measure(model)
     picks: list[int] = []
     for tau in range(t):
-        played = dists(tau)
-        om = _obs_dist(_outcomes(model, _normalized(measure), played), n_obs, of)
+        om, by_obs = _next_measures(model, _outcomes(model, measure, dists(tau)), of, n_obs)
         picks.append(int(rng.choice(n_obs, p=om / om.sum())))
-        measure = _next_measures(model, _outcomes(model, measure, played), of)[picks[-1]]
+        measure = by_obs[picks[-1]]
     return measure, picks
 
 
@@ -259,15 +254,14 @@ def _raw_gap(
     under ``played`` and the raw step itself: ``agent``'s ``reward``, each
     observation ``of(z)``'s probability, and the next state of every branch
     ``(obs, probability, next state)`` that production returns."""
-    raw = _normalized(measure)
+    raw_om, raw_next = _next_measures(model, _outcomes(model, measure, played), of, n_obs)
     om = np.zeros(n_obs)
     for z, omega, _ in branches:
         om[z] = omega
     gap = max(
-        abs(_raw_reward(model, raw, played, agent) - reward),
-        float(np.abs(_obs_dist(_outcomes(model, raw, played), n_obs, of) - om).max()),
+        abs(_raw_reward(model, _normalized(measure), played, agent) - reward),
+        float(np.abs(raw_om / sum(measure.values()) - om).max()),
     )
-    raw_next = _next_measures(model, _outcomes(model, measure, played), of)
     for z, _, nxt in branches:
         gap = max(gap, _dist_diff(_normalized(raw_next.get(z, {})), nxt.entries))
     return gap
@@ -567,11 +561,7 @@ def _dec_structure(model, rng, n_samples, negative_control) -> float:
     t = model.horizon - 1 if model.horizon > 1 else 0
     lams = _lambda_grid(n_samples)
     for k in range(n_samples):
-        if t == 0:
-            s_a = initial_occupancy(model)
-            s_b = _belief_occupancy(model, rng.dirichlet(np.ones(model.n_states)))
-        else:
-            s_a, s_b = _state_pair(model, t, rng, False)
+        s_a, s_b = _state_pair(model, t, rng, False)
         lam = lams[k]
         v_a = dec_value_from(model, s_a)
         v_b = dec_value_from(model, s_b)

@@ -3,7 +3,7 @@
 Every occupancy update, reward, value table and best response runs through
 ``occupancy.next_level``; here each is checked against the raw trajectory-tree
 expansions of ``verify`` (its one-step enumerator ``_outcomes`` and the
-reducers ``_next_measures``, ``_obs_dist`` and ``_raw_reward``) on random
+reducers ``_next_measures`` and ``_raw_reward``) on random
 models: 1e-12 on values, identical supports.  Each check has a negative
 control: the same comparison with the production route on a copy of the
 model whose outcome probabilities and rewards are off by 1e-6 must fail.
@@ -46,7 +46,6 @@ from occupancy_games.verify import (
     _anchored,
     _next_measures,
     _normalized,
-    _obs_dist,
     _outcomes,
     _played,
     _raw_reward,
@@ -123,10 +122,11 @@ def policy_of(rules_by_step, model) -> JointPolicy:
     )
 
 
-def expand(model, measure: dict, rules, of=lambda z: None, seen=None) -> dict:
+def expand(model, measure: dict, rules, of=lambda z: 0, seen=0) -> dict:
     """The raw measure one step on under ``rules``, over the outcomes whose
     joint observation ``z`` has ``of(z) == seen`` (every outcome by default)."""
-    return _next_measures(model, _outcomes(model, measure, _played(rules)), of).get(seen, {})
+    outcomes = _outcomes(model, measure, _played(rules))
+    return _next_measures(model, outcomes, of, model.n_joint_obs)[1].get(seen, {})
 
 
 def mid_game(model, production, rules_by_step, rng):
@@ -301,7 +301,8 @@ def private_gap(seed: int, shape, production=lambda m: m) -> float:
             break
         u = int(rng.integers(n_u))
         dists = _anchored(model, agent, profiles[t], u)
-        omega = _obs_dist(_outcomes(model, raw, dists), model.n_agent_obs(agent), own_obs)
+        n_obs = model.n_agent_obs(agent)
+        omega = _next_measures(model, _outcomes(model, raw, dists), own_obs, n_obs)[0]
         children = {z: (w, c) for z, w, c in private_step(bad, s_i, profiles[t], u)}
         for z in range(model.n_agent_obs(agent)):
             worst = max(worst, abs(children.get(z, (0.0,))[0] - omega[z]))
@@ -309,7 +310,7 @@ def private_gap(seed: int, shape, production=lambda m: m) -> float:
             return np.inf
         z = int(rng.choice(len(omega), p=omega / omega.sum()))
         s_i = children[z][1]
-        measure = _next_measures(model, _outcomes(model, measure, dists), own_obs)[z]
+        measure = _next_measures(model, _outcomes(model, measure, dists), own_obs, n_obs)[1][z]
     return worst
 
 

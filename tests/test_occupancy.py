@@ -538,12 +538,14 @@ def pushed_children(m, rng):
     rules = random_joint_policy(m, rng).joint_rules(m)[0]
     s0 = initial_occupancy(m)
     public = lambda z: m.split_joint_obs(z)[1]
-    raw = _next_measures(m, _outcomes(m, s0.entries, _played(rules)), public)
+    outcomes = _outcomes(m, s0.entries, _played(rules))
+    raw = _next_measures(m, outcomes, public, len(m.public_obs))[1]
     out = [(s, _normalized(raw[w])) for w, _, s in step(m, s0, rules)]
     s_i, others = initial_private_occupancy(m, 0), {1: rules[1]}
     own = lambda z: m.agent_obs_of_joint(0, z)
     for u, z, _, s in private_children(m, s_i, others):
-        raw = _next_measures(m, _outcomes(m, s_i.entries, _anchored(m, 0, others, u)), own)
+        dists = _anchored(m, 0, others, u)
+        raw = _next_measures(m, _outcomes(m, s_i.entries, dists), own, m.n_agent_obs(0))[1]
         out.append((s, _normalized(raw[z])))
     return out
 
@@ -583,3 +585,55 @@ def test_private_best_response_builds_no_joint_history(tiger, monkeypatch):
     # a pushed state still builds them when read, once
     _, _, s = step(m, initial_occupancy(m), policy.joint_rules(m)[0])[0]
     assert s.entries is s.entries and calls == [1]
+
+
+# -- the one merge order and shared joint histories ------------------------------
+
+
+def level_keys(m, s) -> list[tuple[int, ...]]:
+    """Each entry's (state, id per agent) key, in the state's level order."""
+    level, _ = level_of(m, s)
+    return list(zip(level.xs.tolist(), *(ids.tolist() for ids in level.ids)))
+
+
+def test_step_and_private_step_merge_entries_in_increasing_key(tiger):
+    # every push numbers its merged entries by (state, child id per agent),
+    # so every branch's level is sorted by that key, strictly
+    m = tiger.with_horizon(3)
+    rng = np.random.default_rng(3)
+    rules = random_joint_policy(m, rng).joint_rules(m)
+    states, checked = [initial_occupancy(m)], 0
+    for t in range(m.horizon):
+        states = [nxt for s in states for _, _, nxt in step(m, s, rules[t])]
+        for s in states:
+            keys = level_keys(m, s)
+            assert keys == sorted(set(keys))
+            checked += len(keys)
+    for agent in range(m.n_agents):
+        others = [{j: r[j] for j in range(m.n_agents) if j != agent} for r in rules]
+        frontier = [initial_private_occupancy(m, agent)]
+        for t in range(m.horizon):
+            frontier = [c for s_i in frontier for *_, c in private_children(m, s_i, others[t])]
+            for s_i in frontier:
+                keys = level_keys(m, s_i)
+                assert keys == sorted(set(keys))
+                checked += len(keys)
+    assert checked > 10**4
+
+
+def test_entries_share_one_joint_history_per_history_pair(tiger):
+    m = tiger.with_horizon(2)
+    rules = random_joint_policy(m, np.random.default_rng(4)).joint_rules(m)
+    (_, _, s), = step(m, initial_occupancy(m), rules[0])
+    level, hists = level_of(m, s)
+    entries = entries_of(level, hists)
+    # the same keys, values and order as one joint history per entry
+    privates = zip(*([hs[k] for k in ids.tolist()] for hs, ids in zip(hists, level.ids)))
+    one_each = dict(zip(zip(level.xs.tolist(), map(JointHistory, privates)), level.mass.tolist()))
+    assert list(entries.items()) == list(one_each.items())
+    # both states at one joint history hold one key object
+    by_history: dict = {}
+    for x, o in entries:
+        by_history.setdefault(o, []).append(o)
+    assert {len(keys) for keys in by_history.values()} == {2}
+    assert all(a is b for a, b in by_history.values())

@@ -71,6 +71,25 @@ def test_sufficiency_private_pushes_once_per_step(tiger, monkeypatch):
     assert len(pushes) == sum(prefix) + 10 == 19
 
 
+def test_sufficiency_checks_enumerate_each_raw_step_once(tiger, monkeypatch):
+    # one _outcomes pass per raw step gives both the observation law and the
+    # next measures: t prefix steps and the compared step, per sample
+    events, prefix, outcomes = [], verify._raw_prefix, verify._outcomes
+    monkeypatch.setattr(verify, "_raw_prefix", lambda m, rng, t, *rest: (
+        events.append(t) or prefix(m, rng, t, *rest)
+    ))
+    monkeypatch.setattr(verify, "_outcomes", lambda *args: (
+        events.append(None) or outcomes(*args)
+    ))
+    m = tiger.with_horizon(3)
+    assert check_sufficiency_master(m, n_samples=4, seed=3).passed
+    assert check_sufficiency_private(m, 1, n_samples=6, seed=2).passed
+    starts = [k for k, e in enumerate(events) if e is not None] + [len(events)]
+    samples = [(events[a], b - a - 1) for a, b in zip(starts, starts[1:])]
+    assert len(samples) == 10 and {t for t, _ in samples} == {0, 1, 2}
+    assert all(calls == t + 1 for t, calls in samples), samples
+
+
 def test_sufficiency_private_propagates_step_faults(tiger, monkeypatch):
     # the check catches nothing that private_step raises
     def broken(*args, **kwargs):
@@ -369,7 +388,7 @@ def test_run_suite_all_skips_the_suites_that_do_not_apply(tiger):
 
 ORACLES = (
     "_action_product", "_played", "_anchored", "_start_measure", "_outcomes",
-    "_next_measures", "_obs_dist", "_raw_reward", "_normalized", "_dist_diff",
+    "_next_measures", "_raw_reward", "_normalized", "_dist_diff",
 )
 
 
@@ -501,12 +520,14 @@ def grouped_cases():
 
 def test_grouped_next_measures_equal_the_filtered_ones():
     for model, outcomes, of, n in grouped_cases():
-        grouped = verify._next_measures(model, outcomes, of)
+        mass, grouped = verify._next_measures(model, outcomes, of, n)
         assert set(grouped) <= set(range(n)) and all(grouped.values())
         for seen in range(n):
             # same keys, in the same order, with the same values
             want = filtered_next_measure(model, outcomes, of, seen)
             assert list(grouped.get(seen, {}).items()) == list(want.items())
+            # the observation's mass, summed in outcome order in the same pass
+            assert mass[seen] == sum(m for *_, z, m in outcomes if of(z) == seen)
 
 
 def test_grouped_next_measures_control_reversed_outcomes_fail():
@@ -514,7 +535,7 @@ def test_grouped_next_measures_control_reversed_outcomes_fail():
     # order, which the comparison above must see
     differ = 0
     for model, outcomes, of, n in grouped_cases():
-        grouped = verify._next_measures(model, outcomes[::-1], of)
+        grouped = verify._next_measures(model, outcomes[::-1], of, n)[1]
         for seen in range(n):
             want = filtered_next_measure(model, outcomes, of, seen)
             differ += list(grouped.get(seen, {}).items()) != list(want.items())
