@@ -78,7 +78,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -126,13 +126,74 @@ DEFAULT_TOLERANCE = 1e-9
 PRIVATE_BATCH_ROWS = 2**17
 
 
-def linprog(*args, **kwargs):
-    """``scipy.optimize.linprog``, imported on first use: ``scipy.optimize``
-    is most of the package's import time and many commands never solve an
-    LP."""
-    from scipy.optimize import linprog as highs_linprog
+# the options ``scipy.optimize.linprog(method="highs")`` sets: no output,
+# presolve on, dual simplex (1), no debugging (0)
+HIGHS_OPTIONS = (
+    ("output_flag", False), ("log_to_console", False), ("presolve", "on"),
+    ("simplex_strategy", 1), ("highs_debug_level", 0),
+)
+# the slack ``scipy.optimize.linprog`` allows a solution's bounds: 10·√(1e-9)
+LP_FEASIBILITY_SLACK = 10 * math.sqrt(1e-9)
 
-    return highs_linprog(*args, **kwargs)
+
+class LpResult(NamedTuple):
+    """An LP's outcome: on success the solution ``x``, one dual per row and
+    the objective value; otherwise None, None and NaN, and ``message``
+    names HiGHS's model status."""
+
+    success: bool
+    message: str
+    x: np.ndarray | None
+    duals: np.ndarray | None
+    value: float
+
+
+def linprog(c, A, row_lo, row_hi, col_lo, col_hi) -> LpResult:
+    """min c^T x  s.t.  row_lo <= A x <= row_hi,  col_lo <= x <= col_hi, by
+    HiGHS through the bindings scipy ships (``scipy.optimize._highspy``),
+    imported on first use: ``scipy.optimize`` is most of the package's
+    import time and many commands never solve an LP.  ``A`` is a dense array
+    or a ``scipy.sparse`` CSC array with sorted indices; an infinite bound is
+    ``±np.inf``.
+
+    The options and the check after the solve are
+    ``scipy.optimize.linprog``'s: success is an optimal model status with
+    ``x`` and every row activity within ``LP_FEASIBILITY_SLACK`` of their
+    bounds, NaN failing.  Given the same rows (the inequalities first), each
+    result is linprog's bit for bit, without its wrapper's cost."""
+    from scipy.optimize._highspy import _core as highs
+
+    if isinstance(A, np.ndarray):  # the nonzeros by column, as a CSC array holds them
+        cols, index = np.nonzero(A.T)
+        start, value = np.searchsorted(cols, np.arange(A.shape[1] + 1)), A.T[cols, index]
+    else:
+        start, index, value = A.indptr, A.indices, A.data
+    lp = highs.HighsLp()
+    lp.num_row_, lp.num_col_ = lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = A.shape
+    lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = start, index, value
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, col_lo, col_hi
+    lp.row_lower_, lp.row_upper_ = row_lo, row_hi
+    solver = highs._Highs()
+    for option, setting in HIGHS_OPTIONS:
+        solver.setOptionValue(option, setting)
+    status = highs.HighsModelStatus.kModelError
+    if solver.passModel(lp) != highs.HighsStatus.kError:
+        solver.run()
+        status = solver.getModelStatus()
+    message = f"HiGHS model status: {solver.modelStatusToString(status)}"
+    if status != highs.HighsModelStatus.kOptimal:
+        return LpResult(False, message, None, None, math.nan)
+    solution = solver.getSolution()
+    x, activity = np.array(solution.col_value), np.array(solution.row_value)
+    value, slack = solver.getInfo().objective_function_value, LP_FEASIBILITY_SLACK
+    if not (
+        np.all((x >= col_lo - slack) & (x <= col_hi + slack))
+        and np.all((activity >= row_lo - slack) & (activity <= row_hi + slack))
+        and not math.isnan(value)
+    ):
+        return LpResult(False, f"{message}, but outside its bounds", None, None, math.nan)
+    return LpResult(True, message, x, np.array(solution.row_dual), value)
 
 
 @dataclass(frozen=True)
@@ -899,19 +960,16 @@ def _trie_best(g: np.ndarray, parents: np.ndarray, n_u: int, best) -> np.ndarray
 
 
 def _plan_constraints(parents: np.ndarray, n_u: int):
-    """``E`` (``scipy.sparse``) and right-hand side ``e`` of ``E x = e``: one
-    row per set, its actions' mass minus its parent sequence's mass, 1 at
-    the anchors."""
+    """``E x = e`` as the nonzeros of ``E`` (rows, columns and values, row by
+    row) and ``e``: one row per set, its actions' mass minus its parent
+    sequence's mass, 1 at the anchors."""
     n = len(parents)
     # row c: -1 at its parent sequence (none at an anchor), then 1 at its own
     cols = np.column_stack([parents, np.arange(n * n_u).reshape(n, n_u)])
     values = np.column_stack([-np.ones(n), np.ones((n, n_u))])
     stored = cols >= 0
-    e = (parents < 0).astype(float)
-    from scipy import sparse
-
-    indptr = np.concatenate([[0], np.cumsum(stored.sum(axis=1))])
-    return sparse.csr_array((values[stored], cols[stored], indptr), shape=(n, n * n_u)), e
+    rows = np.broadcast_to(np.arange(n)[:, None], cols.shape)
+    return (rows[stored], cols[stored], values[stored]), (parents < 0).astype(float)
 
 
 def _realization_plan_lp(
@@ -921,41 +979,51 @@ def _realization_plan_lp(
     played: Sequence[np.ndarray] | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray, float]:
     """max f^T q  s.t.  E x = e, x >= 0, F^T q <= G^T x, via HiGHS, with
-    ``G`` a ``scipy.sparse`` array.
+    ``G`` a ``scipy.sparse`` CSR array.
 
     ``x`` is agent 0's realization plan and ``q`` one free value per set of
     agent 1; the duals of the ``F^T q <= G^T x`` rows are agent 1's plan.
     With 0/1 masks ``played`` over each agent's sequences, agent 0's
     masked-out sequences are held at 0 and agent 1's have no row, so both
-    plans stay on the played sequences.  Returns (value, x, y, duality gap)."""
+    plans stay on the played sequences.  The rows ``[-G^T, F^T]`` (agent 1's
+    played sequences) and ``[E, 0]`` are one CSC array, built from the
+    nonzeros of ``G``, ``E`` and ``F``.  Returns (value, x, y, duality gap);
+    an LP HiGHS does not solve raises ``CertificateError``."""
     from scipy import sparse
 
-    E, e = _plan_constraints(parents[0], n_us[0])
-    F, f = _plan_constraints(parents[1], n_us[1])
-    n_x, n_q = E.shape[1], F.shape[0]
-    A_ub = sparse.hstack([-G.T, F.T])
-    x_bounds = [(0, None)] * n_x
-    rows = slice(None)
-    if played is not None:
-        rows = played[1]
-        A_ub = sparse.csr_array(A_ub)[rows]
-        x_bounds = [(0, None if p else 0) for p in played[0]]
+    (e_row, e_col, e_val), e = _plan_constraints(parents[0], n_us[0])
+    (f_row, f_col, f_val), f = _plan_constraints(parents[1], n_us[1])
+    n_x, n_q = G.shape[0], len(f)
+    rows = np.ones(G.shape[1], dtype=bool) if played is None else played[1]
+    at, n_rows = np.cumsum(rows) - 1, int(rows.sum())  # each played sequence's row
+    g_row = np.repeat(np.arange(n_x), np.diff(G.indptr))
+    kept_g, kept_f = rows[G.indices], rows[f_col]
+    A = sparse.csc_array(
+        (
+            np.concatenate([-G.data[kept_g], f_val[kept_f], e_val]),
+            (
+                np.concatenate([at[G.indices[kept_g]], at[f_col[kept_f]], n_rows + e_row]),
+                np.concatenate([g_row[kept_g], n_x + f_row[kept_f], e_col]),
+            ),
+        ),
+        shape=(n_rows + len(e), n_x + n_q),
+    )
+    x_hi = np.full(n_x, np.inf) if played is None else np.where(played[0], np.inf, 0.0)
     res = linprog(
         np.concatenate([np.zeros(n_x), -f]),
-        A_ub=A_ub,
-        b_ub=np.zeros(A_ub.shape[0]),
-        A_eq=sparse.hstack([E, sparse.csr_array((E.shape[0], n_q))]),
-        b_eq=e,
-        bounds=x_bounds + [(None, None)] * n_q,
-        method="highs",
+        A,
+        np.concatenate([np.full(n_rows, -np.inf), e]),
+        np.concatenate([np.zeros(n_rows), e]),
+        np.concatenate([np.zeros(n_x), np.full(n_q, -np.inf)]),
+        np.concatenate([x_hi, np.full(n_q, np.inf)]),
     )
-    if not res.success:  # pragma: no cover - plans exist and payoffs are bounded
-        raise RuntimeError(f"sequence-form LP failed: {res.message}")
+    if not res.success:
+        raise CertificateError(f"sequence-form LP failed: {res.message}")
     x = np.clip(res.x[:n_x], 0.0, None)
     y = np.zeros(G.shape[1])
-    y[rows] = np.clip(-res.ineqlin.marginals, 0.0, None)
-    gap = abs(float(res.fun - e @ res.eqlin.marginals))
-    return -float(res.fun), x, y, gap
+    y[rows] = np.clip(-res.duals[:n_rows], 0.0, None)
+    gap = abs(float(res.value - e @ res.duals[n_rows:]))
+    return -res.value, x, y, gap
 
 
 def _pure_tree(
@@ -1275,17 +1343,18 @@ def _multiple_lp(
     that bound no longer ties with the best LP value (``_tie_floor``); the
     pick is the lowest plan whose LP value ties with the best, so it does
     not depend on the payoffs' scale."""
-    E, e = _plan_constraints(parents[0], n_us[0])
-    F, f = _plan_constraints(parents[1], n_us[1])
-    E, F = E.toarray(), F.toarray()
-    n_x, n_v = E.shape[1], F.shape[0]
-    # G_F^T x - F^T v <= 0, then f^T v - x G_F r_k <= 0 (set per plan)
-    A_ub = np.zeros((G_F.shape[1] + 1, n_x + n_v))
-    A_ub[:-1, :n_x] = G_F.T
-    A_ub[:-1, n_x:] = -F.T
-    A_ub[-1, n_x:] = f
-    A_eq = np.hstack([E, np.zeros((len(e), n_v))])
-    bounds = [(0, None)] * n_x + [(None, None)] * n_v
+    (e_row, e_col, e_val), e = _plan_constraints(parents[0], n_us[0])
+    (f_row, f_col, f_val), f = _plan_constraints(parents[1], n_us[1])
+    n_x, n_y, n_v = G_F.shape[0], G_F.shape[1], len(f)
+    # G_F^T x - F^T v <= 0, then f^T v - x G_F r_k <= 0 (set per plan), then E x = e
+    A = np.zeros((n_y + 1 + len(e), n_x + n_v))
+    A[:n_y, :n_x] = G_F.T
+    A[f_col, n_x + f_row] = -f_val
+    A[n_y, n_x:] = f
+    A[n_y + 1 + e_row, e_col] = e_val
+    row_lo, row_hi = np.full(len(A), -np.inf), np.zeros(len(A))
+    row_lo[n_y + 1:] = row_hi[n_y + 1:] = e
+    col_lo = np.concatenate([np.zeros(n_x), np.full(n_v, -np.inf)])
     top = _trie_best(L.T, parents[0], n_us[0], np.max)
     solved: dict[int, tuple[float, np.ndarray, np.ndarray]] = {}
     best = -np.inf
@@ -1293,17 +1362,18 @@ def _multiple_lp(
         if top[k] < _tie_floor(best):
             break  # neither this plan nor any later one can reach ``best``
         r = R_F[k]
-        A_ub[-1, :n_x] = -(G_F @ r)
+        A[n_y, :n_x] = -(G_F @ r)
         res = linprog(
-            np.concatenate([-L[:, k], np.zeros(n_v)]),
-            A_ub=A_ub, b_ub=np.zeros(len(A_ub)), A_eq=A_eq, b_eq=e,
-            bounds=bounds, method="highs",
+            np.concatenate([-L[:, k], np.zeros(n_v)]), A, row_lo, row_hi, col_lo,
+            np.full(n_x + n_v, np.inf),
         )
         if res.success:
-            solved[k] = (-float(res.fun), np.clip(res.x[:n_x], 0.0, None), r)
+            solved[k] = (-res.value, np.clip(res.x[:n_x], 0.0, None), r)
             best = max(best, solved[k][0])
-    if not solved:  # pragma: no cover - some plan is always a best response
-        raise RuntimeError("no follower plan admits an incentive-compatible leader plan")
+    if not solved:  # some plan is a best response; its LP failed
+        raise CertificateError(
+            f"no follower plan admits an incentive-compatible leader plan: {res.message}"
+        )
     k = min(j for j, (v, _, _) in solved.items() if v >= _tie_floor(best))
     value, x, r = solved[k]
     payoffs = x @ G_F

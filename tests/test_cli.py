@@ -137,6 +137,24 @@ def test_an_uncertified_solve_exits_6(capsys, monkeypatch):
     assert err.startswith("error: zero-sum certificate") and "exceeds tolerance" in err
 
 
+@pytest.mark.parametrize(
+    "model, error",
+    [
+        (TIGER_ZS, "sequence-form LP failed"),
+        (ST_TIGER, "no follower plan admits an incentive-compatible leader plan"),
+    ],
+    ids=["zerosum", "stackelberg"],
+)
+def test_a_failed_lp_exits_6(capsys, monkeypatch, model, error):
+    # an LP HiGHS does not solve is an uncertified result: one error line
+    # naming HiGHS's model status, exit 6, no traceback
+    failed = solve.LpResult(False, "HiGHS model status: Solve error", None, None, float("nan"))
+    monkeypatch.setattr(solve, "linprog", lambda *lp: failed)
+    code, out, err = run(capsys, "solve", model)
+    assert code == 6 and out == "" and "Traceback" not in err
+    assert err == f"error: {error}: HiGHS model status: Solve error\n"
+
+
 def test_verify_tiger_duel(capsys):
     code, out, _ = run(capsys, "verify", TIGER_DUEL, "--samples", "5")
     names = [line.split(" ")[0] for line in out.splitlines()]

@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import linprog as scipy_linprog
 
 from occupancy_games.errors import (
     CapExceededError,
@@ -787,6 +788,14 @@ def test_sse_follower_tie_window_scales_with_the_payoffs(scale):
     assert k == 0 and value == scale * (1 - 5e-13)
 
 
+def plan_matrix(parents, n_u):
+    """``E`` of ``E x = e`` as a dense array, and ``e``."""
+    (rows, cols, values), e = solve._plan_constraints(parents, n_u)
+    E = np.zeros((len(parents), len(parents) * n_u))
+    E[rows, cols] = values
+    return E, e
+
+
 def dense_row_sse(L, F, parents, n_u):
     """Oracle: strong Stackelberg equilibrium by one LP per follower pure plan
     ``k``, each with one row per follower plan (``F.T - F[:, k]``), every
@@ -794,11 +803,10 @@ def dense_row_sse(L, F, parents, n_u):
     best so far by more than 1e-12.  Rows of ``L`` and ``F`` are the
     leader's sequences, numbered by ``parents``.  Returns (value, leader
     plan, k)."""
-    E, e = solve._plan_constraints(parents, n_u)
-    E = E.toarray()
+    E, e = plan_matrix(parents, n_u)
     best = None
     for k in range(F.shape[1]):
-        res = solve.linprog(
+        res = scipy_linprog(
             -L[:, k], A_ub=F.T - F[:, k], b_ub=np.zeros(F.shape[1]), A_eq=E, b_eq=e,
             method="highs",
         )
@@ -818,9 +826,8 @@ def test_sse_pruning_keeps_the_unpruned_result(monkeypatch):
         # small integer payoffs make ties between columns common
         L = rng.integers(-3, 4, size=(m, n)).astype(float)
         F = rng.integers(-3, 4, size=(m, n)).astype(float)
-        calls.clear()
         best = dense_row_sse(L, F, one_set, m)
-        before = len(calls)
+        before = n  # the oracle's LPs, one per follower plan
         calls.clear()
         value, sigma, k = stackelberg_from_matrices(L, F)
         assert len(calls) <= before
@@ -1883,7 +1890,7 @@ def test_the_record_means_the_same_for_both_kernels(m, s):
         assert np.array_equal(parents < 0, np.arange(len(parents)) < len(sol.anchors[i]))
         assert np.array_equal(parents < 0, obs < 0)
         n_u = len(m.actions[i])
-        E, e = solve._plan_constraints(parents, n_u)
+        E, e = plan_matrix(parents, n_u)
         assert len(plan) == len(parents) * n_u and plan.min() >= 0.0
         assert np.abs(E @ plan - e).max() <= 1e-9
     x, y = sol.plans
@@ -1951,8 +1958,8 @@ def test_dense_rows_catch_a_dropped_dual_row(monkeypatch):
     value, k, _ = dense_row_oracle(m, s0)
     real = solve.linprog
 
-    def drop_first_row(c, A_ub, b_ub, **kwargs):
-        return real(c, A_ub=A_ub[1:], b_ub=b_ub[1:], **kwargs)
+    def drop_first_row(c, A, row_lo, row_hi, col_lo, col_hi):
+        return real(c, A[1:], row_lo[1:], row_hi[1:], col_lo, col_hi)
 
     monkeypatch.setattr(solve, "linprog", drop_first_row)
     sol = solve._stackelberg_kernel(m, s0, np.inf, solve.CAP_BYTES)

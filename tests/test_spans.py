@@ -71,3 +71,18 @@ def test_a_binding_left_in_place_is_caught():
     problems = spans_problems(spans)
     assert "occupancy_games.solve.best_response_private is not restored" in problems
     assert spans_problems(load_spans()) == []  # the check put every attribute back
+
+
+def test_traced_solve_counts_its_lps(st_tiger):
+    # spans' LP counter reads ``success`` from what ``solve.linprog``
+    # returns: a traced Stackelberg solve counts its LPs and their successes
+    spans = load_spans()
+    tracer = spans.Tracer()
+    bindings = spans.install(tracer)
+    try:
+        tracer.enabled = True
+        solve.solve_stackelberg(st_tiger.with_horizon(2))
+    finally:
+        spans.bind(bindings, False)
+    assert tracer.counts["solve.lp_calls"] >= 1
+    assert tracer.counts["solve.lp_success"] >= 1
