@@ -14,28 +14,21 @@ from .errors import (
 from .model import (
     PosgModel,
     classify,
-    horizon_for_epsilon,
-    joint_dynamics,
     parse_posg,
     reinterpret_criterion,
 )
 from .occupancy import (
-    ConditionalOccupancy,
-    MarginalOccupancy,
     Mixture,
     OccupancyState,
     PrivateOccupancyState,
     decompose,
     expected_reward,
-    factorize,
     initial_occupancy,
     occupancy_to_csv,
-    occupancy_to_tree_text,
     private_occupancy,
     private_reward,
     private_step,
     recombine,
-    recompose,
     step,
 )
 from .policies import (
@@ -53,9 +46,7 @@ from .policies import (
 )
 from .evaluate import (
     SimResult,
-    ValueTable,
     evaluate_occupancy,
-    sim_result_to_csv,
     simulate,
 )
 from .solve import (
@@ -63,7 +54,6 @@ from .solve import (
     Equilibrium,
     best_response_history,
     best_response_private,
-    matrix_game_value,
     solve_dec,
     solve_stackelberg,
     solve_zero_sum,

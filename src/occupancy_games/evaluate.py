@@ -202,13 +202,6 @@ def check_policy_fits(model: PosgModel, policy: JointPolicy) -> None:
         )
 
 
-def sim_result_to_csv(result: SimResult) -> str:
-    rows = ["agent,mean,stderr,episodes,seed"]
-    for i, (mean, err) in enumerate(zip(result.means, result.stderrs)):
-        rows.append(f"{i + 1},{mean:.10g},{err:.10g},{result.episodes},{result.seed}")
-    return "\n".join(rows) + "\n"
-
-
 def evaluate_occupancy(
     model: PosgModel, policy: JointPolicy, s: OccupancyState, agent: int
 ) -> float:

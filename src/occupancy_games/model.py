@@ -31,7 +31,6 @@ required exactly when the declared public space has more than one label.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -318,41 +317,6 @@ def reinterpret_criterion(model: PosgModel, criterion: str) -> PosgModel:
     elif criterion == "stackelberg" and model.n_agents != 2:
         raise ModelValidationError("stackelberg requires exactly 2 agents")
     return replace(model, rewards=rewards, criterion=criterion)
-
-
-def joint_dynamics(model: PosgModel, x: int, u: int) -> np.ndarray:
-    """Distribution over (next state, joint observation) after action ``u`` in ``x``.
-
-    Entry [x', z] is the transition probability into x' times the probability
-    of joint observation z given x'; rows of both tables are stochastic, so
-    the result sums to 1.  The result is a read-only view of the model's
-    product.
-    """
-    if not (0 <= x < model.n_states):
-        raise IndexError(f"state index {x} out of range")
-    if not (0 <= u < model.n_joint_actions):
-        raise IndexError(f"joint action index {u} out of range")
-    return model._dynamics[u, x]
-
-
-def horizon_for_epsilon(gamma: float, c: float, epsilon: float) -> int:
-    """Planning horizon whose truncation error is at most epsilon.
-
-    Returns ceil(log_gamma((1 - gamma) * epsilon / c)), clamped below at 1.
-    Requires gamma < 1; the geometric tail bound is undefined at gamma = 1.
-    """
-    if not (0.0 <= gamma < 1.0):
-        raise ValueError(f"discount must lie in [0, 1), got {gamma}")
-    if c <= 0:
-        raise ValueError(f"reward bound must be positive, got {c}")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if gamma == 0.0:
-        return 1
-    arg = (1.0 - gamma) * epsilon / c
-    if arg >= 1.0:
-        return 1
-    return max(1, math.ceil(math.log(arg) / math.log(gamma)))
 
 
 # ---------------------------------------------------------------------------

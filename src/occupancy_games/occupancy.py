@@ -107,23 +107,6 @@ class OccupancyState(_PushedEntries):
 
 
 @dataclass(frozen=True)
-class MarginalOccupancy:
-    """Distribution over one agent's private histories."""
-
-    agent: int
-    probs: Mapping[PrivateHistory, float]
-
-
-@dataclass(frozen=True)
-class ConditionalOccupancy:
-    """Per private history of one agent, a distribution over (state, others'
-    histories)."""
-
-    agent: int
-    slices: Mapping[PrivateHistory, Mapping[tuple[int, tuple[PrivateHistory, ...]], float]]
-
-
-@dataclass(frozen=True)
 class PrivateOccupancyState(_PushedEntries):
     """Posterior over (state, joint history) given one agent's history and the
     others' fixed policy; every support history agrees with the anchor on the
@@ -486,37 +469,6 @@ def expected_reward(
     return sum_in_order((level.mass[:, None] * a * model.rewards[agent][level.xs]).ravel())
 
 
-def factorize(
-    s: OccupancyState, agent: int
-) -> tuple[MarginalOccupancy, ConditionalOccupancy]:
-    """Split s into the agent's history marginal and the conditional over
-    (state, others' histories); recompose reproduces s exactly on support."""
-    marginal: dict[PrivateHistory, float] = {}
-    groups: dict[PrivateHistory, dict] = {}
-    for (x, o), p in s.entries.items():
-        own = o.privates[agent]
-        marginal[own] = marginal.get(own, 0.0) + p
-        groups.setdefault(own, {})[(x, o.others(agent))] = p
-    slices = {
-        own: {k: v / marginal[own] for k, v in group.items()}
-        for own, group in groups.items()
-    }
-    return MarginalOccupancy(agent, marginal), ConditionalOccupancy(agent, slices)
-
-
-def recompose(
-    marginal: MarginalOccupancy, conditional: ConditionalOccupancy, t: int
-) -> OccupancyState:
-    if marginal.agent != conditional.agent:
-        raise ValueError("marginal and conditional must describe the same agent")
-    i = marginal.agent
-    entries: dict[Entry, float] = {}
-    for own, m in marginal.probs.items():
-        for (x, others), c in conditional.slices[own].items():
-            entries[(x, JointHistory(others[:i] + (own,) + others[i:]))] = m * c
-    return OccupancyState(t, entries)
-
-
 # ---------------------------------------------------------------------------
 # private occupancy dynamics
 # ---------------------------------------------------------------------------
@@ -607,16 +559,19 @@ def decompose(
         {j: rules[j] for j in range(model.n_agents) if j != agent}
         for rules in rules_by_step
     ]
-    marginal, _ = factorize(s, agent)
+    marginal: dict[PrivateHistory, float] = {}
+    for (_, o), p in s.entries.items():
+        own = o.privates[agent]
+        marginal[own] = marginal.get(own, 0.0) + p
     components = []
-    for own in sorted(marginal.probs, key=lambda h: h.steps):
+    for own in sorted(marginal, key=lambda h: h.steps):
         try:
             comp = private_occupancy(model, others_by_step, own)
         except UnreachableHistoryError as exc:
             raise InconsistentOccupancyError(
                 f"support history {own.steps} unreachable under the generating policy"
             ) from exc
-        components.append((marginal.probs[own], comp))
+        components.append((marginal[own], comp))
     mixture = Mixture(agent, tuple(components))
     recombined = recombine(mixture)
     for key in set(s.entries) | set(recombined.entries):
@@ -672,15 +627,3 @@ def occupancy_to_csv(model: PosgModel, s: OccupancyState) -> str:
         rows.append(f"{model.states[x]},{hist},{p:.10g}")
     return "\n".join(rows) + "\n"
 
-
-def occupancy_to_tree_text(model: PosgModel, s: OccupancyState) -> str:
-    """Deterministic indented rendering grouped by joint history."""
-    groups: dict[JointHistory, list[tuple[int, float]]] = {}
-    for (x, o), p in s.items():
-        groups.setdefault(o, []).append((x, p))
-    lines = []
-    for o in sorted(groups, key=lambda o: o.sort_key()):
-        lines.append("(" + ", ".join(h.label(model) for h in o.privates) + ")")
-        for x, p in groups[o]:
-            lines.append(f"  {model.states[x]}: {p:.10g}")
-    return "\n".join(lines) + "\n"

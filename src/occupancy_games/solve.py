@@ -1278,9 +1278,10 @@ def _one_sided(model: PosgModel, s: OccupancyState, cap_bytes: int, best) -> tup
 
 def zero_sum_guarantees(model: PosgModel, cap_bytes: int = CAP_BYTES) -> np.ndarray:
     """What each of agent 0's pure policy trees (``enumerate_pure_policies``
-    order) guarantees it at the start belief of a zero-sum game: the
-    components of the value's max-of-concave decomposition, each tree's
-    payoff minimised over agent 1's pure plans."""
+    order) guarantees it at the start belief of a zero-sum game: each tree's
+    payoff minimised over agent 1's pure plans.  Their maximum can fall
+    below the value, which may need a mixture: on tiger-one-stage read as
+    zero-sum at belief 0.75 the value is 0.5 and every guarantee is 0."""
     return _one_sided(model, initial_occupancy(model), cap_bytes, np.min)[0]
 
 

@@ -46,10 +46,8 @@ from .errors import CAP_BYTES, CapExceededError, UnknownSuiteError
 from .evaluate import occupancy_value
 from .model import PosgModel
 from .occupancy import (
-    MarginalOccupancy,
     OccupancyState,
     expected_reward,
-    factorize,
     initial_occupancy,
     level_of,
     mix_occupancies,
@@ -59,7 +57,6 @@ from .occupancy import (
     private_step,
     decompose,
     recombine,
-    recompose,
     step,
 )
 from .policies import (
@@ -692,17 +689,36 @@ def _belief_occupancy(model: PosgModel, belief) -> OccupancyState:
     )
 
 
+def _marginal_swap(s: OccupancyState, agent: int):
+    """The agent's histories, sorted by steps, and the map from weights over
+    them to ``s`` with that marginal: each entry's mass over its history's
+    mass, times the history's weight, in ``s.entries`` order within each
+    history."""
+    marginal: dict[PrivateHistory, float] = {}
+    groups: dict[PrivateHistory, list] = {}
+    for key, p in s.entries.items():
+        own = key[1].privates[agent]
+        marginal[own] = marginal.get(own, 0.0) + p
+        groups.setdefault(own, []).append((key, p))
+    anchors = sorted(marginal, key=lambda h: h.steps)
+
+    def with_marginal(weights) -> OccupancyState:
+        entries = {
+            key: w * (p / marginal[own])
+            for own, w in zip(anchors, weights)
+            for key, p in groups[own]
+        }
+        return OccupancyState(s.t, entries)
+
+    return anchors, with_marginal
+
+
 def _marginal_convexity(model, s, rng, negative_control) -> float:
     """Convexity of the zero-sum value over the opponent's marginal at the
     sampled state's conditional."""
-    marg, cond = factorize(s, 1)
-    anchors = sorted(marg.probs, key=lambda h: h.steps)
+    anchors, with_marginal = _marginal_swap(s, 1)
     if len(anchors) < 2:
         return 0.0
-
-    def with_marginal(weights) -> OccupancyState:
-        m = MarginalOccupancy(1, dict(zip(anchors, weights)))
-        return recompose(m, cond, s.t)
 
     m_a = rng.dirichlet(np.ones(len(anchors)))
     m_b = rng.dirichlet(np.ones(len(anchors)))

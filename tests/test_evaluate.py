@@ -701,14 +701,3 @@ def test_exact_evaluation_refuses_before_the_push_over_its_budget(tiger, monkeyp
 def test_simulate_rejects_bad_episode_count(one_stage):
     with pytest.raises(ValueError):
         simulate(one_stage, tree_policy(0, 0), episodes=0, seed=0)
-
-
-def test_csv_dumps(tiger):
-    from occupancy_games.evaluate import sim_result_to_csv
-
-    rng = np.random.default_rng(6)
-    policy = random_joint_policy(tiger, rng)
-    result = simulate(tiger, policy, episodes=10, seed=4)
-    csv = sim_result_to_csv(result)
-    assert csv.splitlines()[0] == "agent,mean,stderr,episodes,seed"
-    assert csv.splitlines()[1].endswith(",10,4")

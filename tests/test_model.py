@@ -5,13 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from occupancy_games.errors import ModelValidationError, PosgParseError
-from occupancy_games.model import (
-    classify,
-    horizon_for_epsilon,
-    joint_dynamics,
-    parse_posg,
-    reinterpret_criterion,
-)
+from occupancy_games.model import classify, parse_posg, reinterpret_criterion
 from occupancy_games.sampling import random_posg
 
 from conftest import MINIMAL, model_path
@@ -223,17 +217,17 @@ def test_declared_zerosum_must_match():
 
 def test_joint_dynamics_tiger(tiger):
     u_listen = tiger.joint_action_index((0, 0))
-    d = joint_dynamics(tiger, 0, u_listen)
+    d = tiger._dynamics[u_listen, 0]
     assert d[0, tiger.joint_obs_index((0, 0), 0)] == pytest.approx(0.7225)
     assert d.sum() == pytest.approx(1.0, abs=1e-12)
     # any open action resets: every (state, joint obs) cell is 0.5 * 0.25
     u_open = tiger.joint_action_index((0, 1))
-    d = joint_dynamics(tiger, 0, u_open)
+    d = tiger._dynamics[u_open, 0]
     assert np.allclose(d, 0.125)
 
 
 def test_joint_dynamics_minimal(minimal):
-    d = joint_dynamics(minimal, 0, 0)
+    d = minimal._dynamics[0, 0]
     assert d.shape == (1, 1) and d[0, 0] == 1.0
 
 
@@ -255,12 +249,12 @@ def successor_rows(model, arrays) -> list[tuple]:
 
 
 def dynamics_rows(model) -> list[tuple]:
-    """The nonzero cells of ``joint_dynamics`` in the same form, in (state,
+    """The nonzero cells of ``_dynamics`` in the same form, in (state,
     joint action, next state, joint observation) order."""
     rows = []
     for x in range(model.n_states):
         for u in range(model.n_joint_actions):
-            dyn = joint_dynamics(model, x, u)
+            dyn = model._dynamics[u, x]
             for x2, z in zip(*np.nonzero(dyn)):
                 rows.append(
                     (
@@ -284,7 +278,7 @@ def test_joint_dynamics_sums_to_one(seed):
     m3 = random_posg(rng, n_actions=(2, 2, 2), n_obs=(2, 1, 2), n_public=2)
     for x in range(m.n_states):
         for u in range(m.n_joint_actions):
-            assert abs(joint_dynamics(m, x, u).sum() - 1.0) < 1e-9
+            assert abs(m._dynamics[u, x].sum() - 1.0) < 1e-9
     for model in (m, m3):
         # every field equal, probabilities bit for bit
         arrays = model._successor_arrays
@@ -295,28 +289,6 @@ def test_joint_dynamics_sums_to_one(seed):
         k = int(rng.integers(len(prob)))
         prob[k] = np.nextafter(prob[k], 2.0)
         assert successor_rows(model, arrays._replace(prob=prob)) != expected
-
-
-def test_horizon_for_epsilon_values():
-    assert horizon_for_epsilon(0.9, 2.0, 0.1) == 51
-    assert horizon_for_epsilon(0.5, 1.0, 1.0) == 1
-    assert horizon_for_epsilon(0.5, 1.0, 10.0) == 1  # clamped
-    with pytest.raises(ValueError):
-        horizon_for_epsilon(1.0, 1.0, 0.1)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    gamma=st.floats(0.0, 0.99),
-    c=st.floats(0.01, 10.0),
-    eps=st.floats(1e-6, 10.0),
-)
-def test_horizon_for_epsilon_properties(gamma, c, eps):
-    ell = horizon_for_epsilon(gamma, c, eps)
-    assert ell >= 1
-    if gamma > 0.0:
-        # the tail bound at the returned horizon is within epsilon
-        assert gamma**ell * c / (1.0 - gamma) <= eps * (1.0 + 1e-9)
 
 
 def test_reinterpret_criterion_rebuilds_rewards(one_stage):

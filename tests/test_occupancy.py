@@ -15,19 +15,16 @@ from occupancy_games.occupancy import (
     action_probs,
     decompose,
     expected_reward,
-    factorize,
     entries_of,
     initial_occupancy,
     initial_private_occupancy,
     level_of,
     occupancy_to_csv,
-    occupancy_to_tree_text,
     others_rule_arrays,
     private_occupancy,
     private_reward,
     private_step,
     recombine,
-    recompose,
     step,
 )
 from occupancy_games.policies import (
@@ -189,44 +186,6 @@ def test_expected_reward_zero_table(one_stage):
     zero = dataclasses.replace(one_stage, rewards=np.zeros_like(one_stage.rewards))
     s0 = initial_occupancy(zero)
     assert expected_reward(zero, s0, root_rules(zero, (1, 1)), 0) == 0.0
-
-
-# -- factorize / recompose ----------------------------------------------------
-
-
-def test_factorize_occupancy_update_marginal(tiger):
-    (_, _, s1), = step(tiger, initial_occupancy(tiger), root_rules(tiger, (0, 1)))
-    marginal, conditional = factorize(s1, 0)
-    assert {h.steps: p for h, p in marginal.probs.items()} == {
-        (((0, 0),)): pytest.approx(0.5),
-        (((0, 1),)): pytest.approx(0.5),
-    }
-    for own, sl in conditional.slices.items():
-        assert sum(sl.values()) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_factorize_point_mass(one_stage):
-    s0 = initial_occupancy(one_stage.with_start([1.0, 0.0]))
-    marginal, conditional = factorize(s0, 0)
-    assert list(marginal.probs.values()) == [1.0]
-    assert recompose(marginal, conditional, 0).entries == s0.entries
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 10**6))
-def test_factorize_recompose_roundtrip(seed):
-    rng = np.random.default_rng(seed)
-    m = random_posg(rng, n_states=3, horizon=2)
-    s = initial_occupancy(m)
-    rules = tuple(random_decision_rule(m, i, 0, rng) for i in range(2))
-    branches = step(m, s, rules)
-    s1 = branches[int(rng.integers(len(branches)))][2]
-    for agent in range(2):
-        marginal, conditional = factorize(s1, agent)
-        back = recompose(marginal, conditional, s1.t)
-        assert back.entries.keys() == s1.entries.keys()
-        for k, v in s1.entries.items():
-            assert back.entries[k] == pytest.approx(v, abs=1e-15)
 
 
 # -- private occupancy --------------------------------------------------------
@@ -489,13 +448,6 @@ tiger-right,listen:hear-right,open-left:hear-right,0.125
 def test_occupancy_csv_golden(tiger):
     (_, _, s1), = step(tiger, initial_occupancy(tiger), root_rules(tiger, (0, 1)))
     assert occupancy_to_csv(tiger, s1) == LISTEN_OPENLEFT_CSV
-
-
-def test_occupancy_tree_text(tiger):
-    (_, _, s1), = step(tiger, initial_occupancy(tiger), root_rules(tiger, (0, 1)))
-    text = occupancy_to_tree_text(tiger, s1)
-    assert text.count("tiger-left: 0.125") == 4
-    assert text.splitlines()[0] == "(listen:hear-left, open-left:hear-left)"
 
 
 def test_transition_probability_recoverable_from_branches():

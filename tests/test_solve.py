@@ -140,6 +140,12 @@ def test_matrix_game_examples():
     assert sol.value == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert np.allclose(sol.row_mix, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
     assert matrix_game_value(np.array([[3.5]])).value == 3.5
+    # one side without a choice: the other picks its best action, here away
+    # from index 0
+    sol = matrix_game_value(np.array([[3.0, 1.0, 2.0]]))
+    assert (sol.value, sol.col_mix.tolist()) == (1.0, [0.0, 1.0, 0.0])
+    sol = matrix_game_value(np.array([[1.0], [3.0], [2.0]]))
+    assert (sol.value, sol.row_mix.tolist()) == (3.0, [0.0, 1.0, 0.0])
 
 
 def test_matrix_game_lp_matches_support_enumeration():

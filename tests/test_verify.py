@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from occupancy_games import solve, verify
 from occupancy_games.errors import CapExceededError, ModelValidationError, UnknownSuiteError
 from occupancy_games.evaluate import occupancy_value, value_tables
-from occupancy_games.occupancy import initial_occupancy, level_of
-from occupancy_games.policies import BehavioralPolicy, agent_rules
+from occupancy_games.occupancy import initial_occupancy, level_of, step
+from occupancy_games.policies import BehavioralPolicy, DecisionRule, PrivateHistory, agent_rules
 from occupancy_games.sampling import random_behavioral_policy, random_decision_rule, random_posg
 from occupancy_games.verify import (
     check_lipschitz,
@@ -140,6 +140,79 @@ def test_master_structure_zs_grid(one_stage_zs):
 def test_master_structure_zs_tiger(tiger_zs):
     report = check_master_structure(tiger_zs, "zerosum", n_samples=10, seed=3)
     assert report.passed, report.line()
+
+
+# -- the zero-sum master check's marginal swap -----------------------------------
+
+
+def marginal_of(s, agent) -> dict:
+    out = {}
+    for (_, o), p in s.entries.items():
+        out[o.privates[agent]] = out.get(o.privates[agent], 0.0) + p
+    return out
+
+
+def swap_case(seed):
+    """A random two-agent state one step in, and a seeded generator."""
+    rng = np.random.default_rng(seed)
+    m = random_posg(rng, n_states=3, horizon=2)
+    rules = tuple(random_decision_rule(m, i, 0, rng) for i in range(2))
+    branches = step(m, initial_occupancy(m), rules)
+    return branches[int(rng.integers(len(branches)))][2], rng
+
+
+def test_marginal_swap_of_the_own_marginal_gives_back_the_state(tiger):
+    # agent 2 opens left: two histories of mass 0.5 each, so the swap's
+    # division and product are exact; entries go by history in steps order,
+    # then in the state's own order
+    rules = tuple(
+        DecisionRule(i, 0, {PrivateHistory(i): tuple(np.eye(3)[u])})
+        for i, u in enumerate((0, 1))
+    )
+    (_, _, s1), = step(tiger, initial_occupancy(tiger), rules)
+    anchors, with_marginal = verify._marginal_swap(s1, 1)
+    marginal = marginal_of(s1, 1)
+    assert [h.steps for h in anchors] == [((1, 0),), ((1, 1),)]
+    back = with_marginal([marginal[h] for h in anchors])
+    assert back.t == s1.t and back.entries == s1.entries
+    assert list(back.entries) == [
+        k for h in anchors for k in s1.entries if k[1].privates[1] == h
+    ]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_marginal_swap_sets_the_marginal_and_keeps_each_conditional(seed):
+    s1, rng = swap_case(seed)
+    anchors, with_marginal = verify._marginal_swap(s1, 1)
+    marginal = marginal_of(s1, 1)
+    assert anchors == sorted(marginal, key=lambda h: h.steps)
+    # the own marginal back, to the rounding of one division and one product
+    back = with_marginal([marginal[h] for h in anchors])
+    assert back.entries.keys() == s1.entries.keys()
+    for k, v in s1.entries.items():
+        assert abs(back.entries[k] - v) <= 2 * np.spacing(v)
+    # new weights: agent 2's marginal is those weights, each history's
+    # conditional stays as it was
+    weights = rng.dirichlet(np.ones(len(anchors)))
+    swapped = with_marginal(weights)
+    assert swapped.entries.keys() == s1.entries.keys()
+    new = marginal_of(swapped, 1)
+    for h, w in zip(anchors, weights):
+        assert new[h] == pytest.approx(w, rel=1e-12, abs=1e-300)
+    for k, v in s1.entries.items():
+        h = k[1].privates[1]
+        assert swapped.entries[k] / new[h] == pytest.approx(v / marginal[h], rel=1e-12)
+
+
+def test_master_structure_zs_swaps_the_opponent_marginal(tiger_zs, monkeypatch):
+    swaps = []
+    swap = verify._marginal_swap
+    monkeypatch.setattr(
+        verify, "_marginal_swap", lambda s, agent: swaps.append(agent) or swap(s, agent)
+    )
+    assert check_master_structure(tiger_zs, "zerosum", n_samples=3, seed=3).passed
+    assert swaps == [1, 1, 1]
 
 
 @pytest.mark.parametrize("name", ["one_stage_zs", "tiger_zs"])
