@@ -54,6 +54,11 @@ class UnreachableHistoryError(OccupancyGamesError):
 class UndefinedDecisionRuleError(OccupancyGamesError):
     """Raised when a decision rule lacks an entry for a required history."""
 
+    @classmethod
+    def at(cls, agent: int, steps: tuple, t: int) -> "UndefinedDecisionRuleError":
+        """The error naming ``agent``'s history ``steps`` at step ``t``."""
+        return cls(f"undefined decision rule for agent {agent} at history {steps} (t={t})")
+
 
 class InconsistentOccupancyError(OccupancyGamesError):
     """Raised when an occupancy state does not match its generating policy."""

@@ -12,8 +12,11 @@ fixed order: one draw after another (the start, then per step each agent's
 action and the outcome), each one uniform per episode.  Every draw reads its
 own cursor, a copy of the stream advanced to where that draw starts, so a
 block gets the same uniforms whatever the block size, and results are
-reproducible bit for bit for a given seed regardless of platform.  Rule rows
-go by trie code (``occupancy.rule_rows``).  Each categorical table is
+reproducible bit for bit for a given seed regardless of platform.  Each
+agent's policy is read as ``occupancy.RuleRows`` below the empty history:
+an episode holds its row per agent and steps to the child's row, and a
+played child without a rule is refused before the first draw.  Each
+categorical table is
 cumulated once per call.  A draw is the number of its row's cumulative sums
 below the episode's uniform, at most the row's last positive column.  A guide
 table (Chen and Asau's index table) answers it with one gather: per row and
@@ -44,9 +47,8 @@ from .occupancy import (
     entries_of,
     level_of,
     next_level,
-    rows_at,
     rule_arrays,
-    rule_rows,
+    rule_table,
     sum_in_order,
     to_level,
 )
@@ -242,34 +244,6 @@ def occupancy_value(
 # ---------------------------------------------------------------------------
 
 
-def _rule_arrays(
-    model: PosgModel, agent_policy, agent: int
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per step, the agent's rule as action rows by trie code below the empty
-    history (``rule_rows``) and, below the last step, next_row[row, u, z]:
-    the row of the child after ``u`` and ``z``, -1 where the policy never
-    plays ``u`` or never reaches the row.  Raises
-    ``UndefinedDecisionRuleError`` where a played child has no row."""
-    rules = agent_rules(model, agent_policy)
-    n_u, n_z = len(model.actions[agent]), model.n_agent_obs(agent)
-    root = [PrivateHistory(agent)]
-    rows = rule_rows(model, agent, rules[0], root, 0)
-    reached = rows_at(rows, np.zeros(1, dtype=np.intp), agent, 0)
-    dists, children = [rows[1]], []
-    for t in range(1, model.horizon):
-        codes, probs = rows
-        kids = (codes[:, None, None] * n_u + np.arange(n_u)[:, None]) * n_z + np.arange(n_z)
-        played = np.zeros(probs.shape, dtype=bool)
-        played[reached] = probs[reached] > 0.0
-        played = np.broadcast_to(played[:, :, None], kids.shape)
-        rows = rule_rows(model, agent, rules[t], root, 0)
-        table = np.full(kids.shape, -1, dtype=np.intp)
-        table[played] = reached = rows_at(rows, kids[played], agent, t)
-        dists.append(rows[1])
-        children.append(table)
-    return dists, children
-
-
 # the episodes ``simulate`` runs at once
 _BLOCK = 2**14
 # the bins of a guide table: [k, k + 1) / _BINS for k < _BINS - 1, the last
@@ -422,9 +396,14 @@ def _simulate_pure(
     dists = []
     children = []
     for i, agent_policy in enumerate(policy.agents):
-        d, c = _rule_arrays(model, agent_policy, i)
-        dists.append([_cumulative(rule, episodes) for rule in d])
-        children.append([table.ravel() for table in c])
+        table = rule_table(model, i, agent_rules(model, agent_policy), [PrivateHistory(i)])
+        for d, (rows, below) in enumerate(zip(table.rows, table.children)):
+            # a played child without a rule fails before any draw
+            r, u, z = np.nonzero((below < 0) & (rows > 0.0)[:, :, None])
+            if len(r):
+                raise table.undefined(i, d, r[0], u[0], z[0])
+        dists.append([_cumulative(rows, episodes) for rows in table.rows])
+        children.append([below.ravel() for below in table.children])
 
     # per (joint action, state) row, a distribution over flattened (x', z),
     # and per flattened (x', z) the next state and each agent's observation

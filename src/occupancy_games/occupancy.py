@@ -19,13 +19,18 @@ one per public observation, ``private_step`` one per own observation (the
 agent's own child history), the agent's rule a point mass on the action it
 played.
 A level numbers each agent's histories in steps order, which pushes keep
-and ``to_level`` sorts into; below a level they go by trie code.
-History objects are built only at the public boundary: once per private
-history of a pushed level, and, the first time a returned state's
-``entries`` is read, once per joint history.  Each returned state keeps its
-level, so the next update skips the conversion from its entries, and a state
-that is only pushed on, priced or solved from never builds its joint
-histories.
+and ``to_level`` sorts into.  A walk that holds no history objects reads a
+fixed policy in one form, ``RuleRows``: per depth below its roots, one row
+of action probabilities per history and a table of each child's row, so
+each level entry carries one row per agent and no number grows with depth.
+``rule_table`` builds it from decision rules, history by history;
+``step``, ``private_step`` and the rewards, which hold the histories, read
+rules by history.  History objects are built only at the public boundary:
+once per private history of a pushed level, and, the first time a returned
+state's ``entries`` is read, once per joint history.  Each returned state
+keeps its level, so the next update skips the conversion from its entries,
+and a state that is only pushed on, priced or solved from never builds its
+joint histories.  Each update counts its push against ``CAP_BYTES`` first.
 
 Within each group, entries whose mass over the group's probability is at or
 below ``PRUNE_EPS`` are dropped and the rest renormalized; two states are
@@ -41,6 +46,9 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import (
+    CAP_BYTES,
+    WALK_FIXED_BYTES,
+    CapExceededError,
     InconsistentOccupancyError,
     UndefinedDecisionRuleError,
     UnreachableHistoryError,
@@ -302,43 +310,74 @@ def child_histories(
     return tuple(out)
 
 
-def child_codes(
-    model: PosgModel, codes: Sequence[np.ndarray], reached: Sequence[np.ndarray]
-) -> tuple[np.ndarray, ...]:
-    """Each agent's trie code per child id of a push (``next_level``'s
-    ``reached``) from its code per parent id: ``(code * n_u + u) * n_z + z``."""
-    widths = [len(u) * model.n_agent_obs(i) for i, u in enumerate(model.actions)]
-    return tuple(c[r // w] * w + r % w for c, r, w in zip(codes, reached, widths))
+class RuleRows(NamedTuple):
+    """One agent's policy as a walk reads it, per depth ``d`` below the
+    walk's roots (root ``r`` is row ``r`` of depth 0): ``rows[d][r, u]`` is
+    the probability of own action ``u`` at row ``r``, ``children[d][r, u,
+    z]`` the row after ``u`` and own observation ``z`` (-1 where the policy
+    defines none), and ``steps[d][r]`` the row's history, or None for plan
+    rows (``solve._plan_rows``), which define every child of what they play."""
+
+    rows: list[np.ndarray]
+    children: list[np.ndarray]
+    steps: list[list[tuple]] | None
+
+    def below(self) -> "RuleRows":
+        """The table one depth down."""
+        return RuleRows(self.rows[1:], self.children[1:], self.steps and self.steps[1:])
+
+    def child_rows(self, model: PosgModel, agent: int, rows: np.ndarray, reached: np.ndarray):
+        """The depth-1 row of each child ``(parent id * n_u + u) * n_z + z``
+        of a push (``next_level``'s ``reached``), ``rows[parent id]`` its
+        parent's depth-0 row; a child without one raises as
+        ``DecisionRule.dist`` does."""
+        shape = (len(rows), len(model.actions[agent]), model.n_agent_obs(agent))
+        parent, u, z = np.unravel_index(reached, shape)
+        out = self.children[0][rows[parent], u, z]
+        if (out < 0).any():
+            k = np.argmax(out < 0)
+            raise self.undefined(agent, 0, rows[parent[k]], u[k], z[k])
+        return out
+
+    def undefined(self, agent: int, d: int, r: int, u: int, z: int):
+        """The error naming the child of row ``r`` of depth ``d`` after
+        ``u`` and ``z``."""
+        steps = self.steps[d][int(r)] + ((int(u), int(z)),)
+        return UndefinedDecisionRuleError.at(agent, steps, len(steps))
 
 
-def rule_rows(
-    model: PosgModel, agent: int, rule: DecisionRule, roots: Sequence[PrivateHistory], t: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The agent's decision rule as action rows by trie code below its
-    histories ``roots`` at step ``t``: sorted codes and one row each, code
-    ``a`` at ``roots[a]``; entries below no root are left out."""
+def rule_table(
+    model: PosgModel, agent: int, rules: Sequence[DecisionRule], roots: Sequence[PrivateHistory]
+) -> RuleRows:
+    """``RuleRows`` of the agent's ``rules`` (one per step from the roots'
+    step on) below ``roots``: every history the rules' actions reach, in
+    (parent row, action, observation) order, looked up by its steps.  A
+    root without a rule raises ``UndefinedDecisionRuleError``."""
     n_u, n_z = len(model.actions[agent]), model.n_agent_obs(agent)
-    at = {h.steps: a for a, h in enumerate(roots)}
-    rows = {}
-    for h, dist in rule.probs.items():
-        if h.steps[:t] in at:
-            code = at[h.steps[:t]]
-            for u, z in h.steps[t:]:
-                code = (code * n_u + u) * n_z + z
-            rows[code] = dist
-    codes = sorted(rows)
-    table = np.array([rows[c] for c in codes], dtype=float).reshape(len(codes), n_u)
-    return np.array(codes, dtype=np.intp), table
-
-
-def rows_at(rows: tuple[np.ndarray, np.ndarray], codes: np.ndarray, agent: int, t: int):
-    """The position of each of ``codes`` among ``rows``' sorted trie codes
-    (``rule_rows``' form); a code without a row raises
-    ``UndefinedDecisionRuleError``, naming the agent and the step ``t``."""
-    at = np.searchsorted(rows[0], codes)
-    if not np.array_equal(np.append(rows[0], -1)[at], codes):  # -1 equals no code
-        raise UndefinedDecisionRuleError(f"undefined decision rule for agent {agent} (t={t})")
-    return at
+    rows, children, steps = [], [], []
+    kept = [h.steps for h in roots]
+    for d, rule in enumerate(rules):
+        by_steps = {h.steps: dist for h, dist in rule.probs.items()}
+        if d == 0:
+            dists = [by_steps.get(h) for h in kept]
+            if None in dists:
+                h = kept[dists.index(None)]
+                raise UndefinedDecisionRuleError.at(agent, h, len(h))
+        else:
+            parents, kept, dists, at = kept, [], [], []
+            for r, u in np.argwhere(rows[-1] > 0.0).tolist():
+                for z in range(n_z):
+                    h = parents[r] + ((u, z),)
+                    if (dist := by_steps.get(h)) is not None:
+                        at.append((r * n_u + u) * n_z + z)
+                        kept.append(h)
+                        dists.append(dist)
+            table = np.full(len(parents) * n_u * n_z, -1, dtype=np.intp)
+            table[at] = np.arange(len(at))
+            children.append(table.reshape(len(parents), n_u, n_z))
+        steps.append(kept)
+        rows.append(np.array(dists, dtype=float).reshape(len(kept), n_u))
+    return RuleRows(rows, children, steps)
 
 
 def level_of(model: PosgModel, s) -> tuple[Level, Histories]:
@@ -351,7 +390,7 @@ def level_of(model: PosgModel, s) -> tuple[Level, Histories]:
 
 def to_level(model: PosgModel, entries: Mapping[Entry, float]) -> tuple[Level, Histories]:
     """``entries`` as a level, each agent's histories numbered in steps
-    order: the order of their trie codes, which every push keeps."""
+    order, which every push keeps."""
     privates = [o.privates for _, o in entries]
     hists, ids = [], []
     for i in range(model.n_agents):
@@ -427,6 +466,18 @@ def _branches(
 # ---------------------------------------------------------------------------
 
 
+def _check_push(model: PosgModel, level: Level) -> None:
+    """Raise ``CapExceededError`` unless an update's push of ``level`` fits
+    ``CAP_BYTES``, counted high as ``evaluate._pull_bytes`` counts a push: 9
+    numbers per row before rows without mass are dropped, 3 per (entry,
+    joint action), plus ``WALK_FIXED_BYTES``."""
+    begin = model._successor_arrays.begin
+    rows = int((begin[level.xs + 1] - begin[level.xs]).sum())
+    n_bytes = 8 * (9 * rows + 3 * model.n_joint_actions * len(level.xs)) + WALK_FIXED_BYTES
+    if n_bytes > CAP_BYTES:
+        raise CapExceededError("occupancy update", n_bytes, CAP_BYTES, " bytes")
+
+
 def _start_entries(model: PosgModel) -> dict[Entry, float]:
     """The start belief over states, every history empty, pruned."""
     empty = empty_joint_history(model.n_agents)
@@ -449,6 +500,7 @@ def step(
     if len(rules) != model.n_agents:
         raise ValueError("one decision rule per agent required")
     level, hists = level_of(model, s)
+    _check_push(model, level)
     a = action_probs(model, level, rule_arrays(model, rules, hists))
     pushed = next_level(model, level, a)
     n_pub = len(model.public_obs)
@@ -490,6 +542,7 @@ def private_step(
     increasing own observation.  Only ``u_i``'s rows are pushed."""
     agent = s_i.agent
     level, hists = level_of(model, s_i)
+    _check_push(model, level)
     probs = others_rule_arrays(model, others_rules, agent, hists)
     probs[agent] = np.eye(len(model.actions[agent]))[np.full(level.n_sets[agent], u_i)]
     pushed = next_level(model, level, action_probs(model, level, probs))

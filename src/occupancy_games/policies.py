@@ -143,6 +143,12 @@ def empty_joint_history(n_agents: int) -> JointHistory:
     return JointHistory(tuple(PrivateHistory(i) for i in range(n_agents)))
 
 
+def _is_distribution(probs) -> bool:
+    """Whether ``probs`` are nonnegative and sum to 1 within 1e-9: a NaN or
+    an infinity makes the sum NaN or infinite, which fails the test."""
+    return abs(sum(probs) - 1.0) <= 1e-9 and min(probs) >= 0.0
+
+
 @dataclass(frozen=True, eq=False)
 class DecisionRule:
     """Map from private histories of one time step to action distributions."""
@@ -155,16 +161,13 @@ class DecisionRule:
         try:
             return self.probs[history]
         except KeyError:
-            raise UndefinedDecisionRuleError(
-                f"undefined decision rule for agent {self.agent} at history "
-                f"{history.steps} (t={self.t})"
-            ) from None
+            raise UndefinedDecisionRuleError.at(self.agent, history.steps, self.t) from None
 
     def __post_init__(self):
         for hist, dist in self.probs.items():
             if hist.t != self.t:
                 raise ValueError("decision rule domain must match its time step")
-            if abs(sum(dist) - 1.0) > 1e-9:
+            if not _is_distribution(dist):
                 raise ValueError("decision rule image must be a distribution")
 
 
@@ -201,8 +204,8 @@ class PolicyMixture:
     components: tuple[tuple[float, PolicyTree], ...]
 
     def __post_init__(self):
-        if abs(sum(w for w, _ in self.components) - 1.0) > 1e-9:
-            raise ValueError("mixture weights must sum to 1")
+        if not _is_distribution([w for w, _ in self.components]):
+            raise ValueError("mixture weights must be nonnegative and sum to 1")
         horizons = sorted({tree.horizon for _, tree in self.components})
         if len(horizons) > 1:
             raise ValueError(f"mixture components differ in horizon: {horizons}")

@@ -10,6 +10,7 @@ import itertools
 
 import numpy as np
 
+from .errors import CAP_BYTES, CapExceededError
 from .model import PosgModel
 from .policies import (
     BehavioralPolicy,
@@ -66,6 +67,20 @@ def all_histories(model: PosgModel, agent: int, t: int) -> list[PrivateHistory]:
     return out
 
 
+def _check_draw(model: PosgModel, rules) -> None:
+    """Raise ``CapExceededError`` unless random rules for the (agent, step)
+    pairs ``rules`` fit ``CAP_BYTES``, counted before the first draw: per
+    history, its object, steps, distribution and dict slot, ``300 + 32 n_u
+    + 8 t`` bytes, above the 360-920 bytes ``tracemalloc`` measures on
+    tiger and on a 20-action model."""
+    n_bytes = 0
+    for i, t in rules:
+        n_u = len(model.actions[i])
+        n_bytes += (n_u * model.n_agent_obs(i)) ** t * (300 + 32 * n_u + 8 * t)
+    if n_bytes > CAP_BYTES:
+        raise CapExceededError("random policy", n_bytes, CAP_BYTES, " bytes")
+
+
 def random_decision_rule(
     model: PosgModel,
     agent: int,
@@ -78,6 +93,7 @@ def random_decision_rule(
     ``support`` caps how many actions get positive probability per history;
     ``support=1`` yields a uniformly random deterministic rule.
     """
+    _check_draw(model, [(agent, t)])
     n_u = len(model.actions[agent])
     probs = {}
     for hist in all_histories(model, agent, t):
@@ -101,11 +117,13 @@ def random_behavioral_policy(
     horizon: int | None = None,
 ) -> BehavioralPolicy:
     horizon = model.horizon if horizon is None else horizon
+    _check_draw(model, [(agent, t) for t in range(horizon)])
     rules = tuple(random_decision_rule(model, agent, t, rng) for t in range(horizon))
     return BehavioralPolicy(agent, rules)
 
 
 def random_joint_policy(model: PosgModel, rng: np.random.Generator) -> JointPolicy:
+    _check_draw(model, itertools.product(range(model.n_agents), range(model.horizon)))
     return JointPolicy(
         tuple(random_behavioral_policy(model, i, rng) for i in range(model.n_agents))
     )

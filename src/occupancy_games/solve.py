@@ -7,9 +7,8 @@ histories), and dynamic programming over private occupancy states with
 normalized Bayesian updates (states pushed in batches of consecutive own
 histories, depth first, each state once with all its own actions, each
 normalized on its own and backed up as ``γ·ω·V``; the others play action
-rows looked up by trie code, their decision rules turned into rows once at
-the root).  Both break ties toward the lowest action whose value ties with
-the best.
+rows, ``occupancy.RuleRows`` built from their rules once at the root).
+Both break ties toward the lowest action whose value ties with the best.
 Equality of their values on every input is the operational form of the
 sufficiency of private occupancy states.
 
@@ -22,8 +21,9 @@ occupancy state, solve by one loop: the sequence-form double oracle
 (Bošanský, Kiekintveld, Lisý & Pěchouček 2014) over the realization-plan
 linear program (Koller, Megiddo & von Stengel 1996), in sequence form
 throughout.  Each agent's set of sequences is its whole trie or a union of
-pure plans; restricted sets and the opponents' mixtures are rows of action
-weights by trie code.  Every step is the same walk under those weights, the
+pure plans; restricted sets and the opponents' mixtures are ``RuleRows`` of
+action weights (``_plan_rows``), one row per information set.  Every step
+is the same walk under those weights, the
 LP, or a best reply: the private occupancy-state DP above from the state's
 level, one root per anchor, against the other's rows; trees are decoded
 only for the returned mixtures.  It stops when the full LP's certificate
@@ -55,8 +55,8 @@ payoffs' scale above 1.
 called directly by the zero-sum loop, which counts its own walks), and it
 starts from the state's level (``occupancy.level_of``), never from its
 entries: a level numbers each agent's histories in steps order, so its ids
-are the anchor numbers, and below it histories go by trie code.  Every walk
-(this one and both best responses') keeps each agent's information sets as
+are the anchor numbers, and below it sets are numbered as they are reached.
+Every walk (this one and both best responses') keeps each agent's sets as
 one trie of two integer arrays, ``(parents, obs)``: set ``c``'s parent
 sequence, -1 at an anchor, and the own observation that reached it;
 ``E x = e``, the folds and the plan decoders read nothing else.
@@ -94,8 +94,8 @@ from .occupancy import (
     Level,
     OccupancyState,
     PrivateOccupancyState,
+    RuleRows,
     action_probs,
-    child_codes,
     child_histories,
     initial_occupancy,
     initial_private_occupancy,
@@ -104,8 +104,7 @@ from .occupancy import (
     normalized_groups,
     others_rule_arrays,
     own_rewards,
-    rows_at,
-    rule_rows,
+    rule_table,
     sub_level,
 )
 from .policies import (
@@ -404,14 +403,14 @@ def _private_dp(
     s_i: PrivateOccupancyState,
 ) -> tuple[float, PolicyTree, dict[PrivateHistory, tuple[float, ...]]]:
     """Bellman optimality over private occupancy states below ``s_i``, from
-    its step (``_private_best``, the others' rules turned into rows once):
-    its value, its greedy tree, and the q per own action on every history
-    that tree reaches, the only own histories built."""
+    its step (``_private_best``, the others' rules turned into rows once,
+    ``rule_table``): its value, its greedy tree, and the q per own action on
+    every history that tree reaches, the only own histories built."""
     t = s_i.t
     level, hists = level_of(model, s_i)
     others = [
         None if j == agent
-        else {k: rule_rows(model, j, profiles[k][j], hs, t) for k in range(t, len(profiles))}
+        else rule_table(model, j, [rules[j] for rules in profiles[t:]], hs)
         for j, hs in enumerate(hists)
     ]
     value, index, played, q, (parents, obs) = _private_best(model, agent, level, others, t)
@@ -428,21 +427,21 @@ def _private_best(
     model: PosgModel,
     agent: int,
     level: Level,
-    others: Sequence[Mapping[int, tuple[np.ndarray, np.ndarray]] | None],
+    others: Sequence[RuleRows | None],
     t: int,
 ) -> tuple[float, int, list[int], np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """The agent's best response at step ``t`` by the batched private DP
     (``_private_batch``), one root state per own history ``a`` of ``level``
-    at its mass, the others playing ``others[j][step]`` by trie code, code
-    ``a`` at their history ``a``.  Returns the roots' best q summed, the
+    at its mass, each other agent ``j`` playing by its rows ``others[j]``,
+    row ``a`` at its history ``a``.  Returns the roots' best q summed, the
     greedy plan's index (one tree per root, ``_pure_tree``) and sequences,
     the q per state and the trie of the states, roots first: each state's
     parent sequence (-1 at a root) and own observation."""
     n = level.n_sets[agent]
     batches: list[tuple[int, np.ndarray]] = []
     trie = ([-1] * n, [-1] * n)  # each state's parent sequence and own observation
-    codes = tuple(np.arange(k) for k in level.n_sets)
-    _private_batch(model, agent, level, codes, others, t, 0, batches, trie)
+    rows = tuple(None if o is None else np.arange(k) for o, k in zip(others, level.n_sets))
+    _private_batch(model, agent, level, rows, others, t, 0, batches, trie)
     batches.sort(key=lambda batch: batch[0])
     q = np.concatenate([qs for _, qs in batches]).reshape(-1, len(model.actions[agent]))
     parents, obs = map(np.array, trie)
@@ -457,8 +456,8 @@ def _private_batch(
     model: PosgModel,
     agent: int,
     level: Level,
-    codes: tuple[np.ndarray, ...],
-    others: Sequence[Mapping[int, tuple[np.ndarray, np.ndarray]] | None],
+    rows: tuple[np.ndarray | None, ...],
+    others: Sequence[RuleRows | None],
     t: int,
     first: int,
     batches: list,
@@ -466,11 +465,11 @@ def _private_batch(
 ) -> np.ndarray:
     """The values at step ``t`` of a batch of private occupancy states: one
     per own history of ``level`` (numbered from ``first``), whose entries
-    are those states' entries, each state normalized on its own; ``codes[i]``
-    is agent ``i``'s trie code per history id.
+    are those states' entries, each state normalized on its own; ``rows[j]``
+    is other agent ``j``'s depth-0 row of ``others[j]`` per history id.
 
-    One push weighs every own action 1, the others acting by their rows at
-    their codes (``rows_at``); each own action's reward is its rows' sum
+    One push weighs every own action 1, the others acting by those rows;
+    each own action's reward is its rows' sum
     per state (``own_rewards``), and the children are grouped by the agent's
     own history, one child state per (state, own action, own observation)
     reached, each normalized on its own with its probability ``ω``
@@ -483,8 +482,7 @@ def _private_batch(
     numbered in order, and returns each state's best q."""
     n_u, n_z = len(model.actions[agent]), model.n_agent_obs(agent)
     n = level.n_sets[agent]
-    probs = [None if r is None else r[t][1][rows_at(r[t], c, j, t)]
-             for j, (r, c) in enumerate(zip(others, codes))]
+    probs = [None if o is None else o.rows[0][r] for o, r in zip(others, rows)]
     a = action_probs(model, level, probs)
     q = own_rewards(model, level, a, agent)
     batches.append((first, q))
@@ -492,31 +490,33 @@ def _private_batch(
         return q.reshape(n, n_u).max(axis=1)
     pushed = next_level(model, level, a)
     del a  # the children are solved depth first: hold no more than needed
-    reached = pushed.reached[agent]
+    codes, reached = pushed.reached, pushed.reached[agent]
     base = len(trie[0])  # the first child's number
     _extend_trie(trie, model, agent, reached, first)
     omega, keep, p, ends = normalized_groups(pushed, pushed.level.ids[agent], len(reached))
-    level, codes = pushed.level, child_codes(model, codes, pushed.reached)
+    level = pushed.level
     del pushed
+    below = [None if o is None else o.below() for o in others]
     # child states lo..hi-1 hold entries ends[lo]:ends[hi] and cost
-    # rows[hi] - rows[lo]: the rows they push or, at the last step, which
+    # cost[hi] - cost[lo]: the rows they push or, at the last step, which
     # pushes nothing, their (entry, joint action) pairs
     if t + 2 == model.horizon:
-        rows = ends * model.n_joint_actions
+        cost = ends * model.n_joint_actions
     else:
         counts = np.diff(model._successor_arrays.begin)[level.xs[keep]]
-        rows = np.concatenate([[0], np.cumsum(counts)])[ends]
+        cost = np.concatenate([[0], np.cumsum(counts)])[ends]
     v = np.empty(len(reached))
     lo = 0
     while lo < len(reached):
-        hi = int(np.searchsorted(rows, rows[lo] + PRIVATE_BATCH_ROWS, side="right")) - 1
+        hi = int(np.searchsorted(cost, cost[lo] + PRIVATE_BATCH_ROWS, side="right")) - 1
         hi = max(lo + 1, hi)
         entries = slice(ends[lo], ends[hi])
         sub, used = sub_level(level, keep[entries], p[entries])
-        v[lo:hi] = _private_batch(
-            model, agent, sub, tuple(c[u] for c, u in zip(codes, used)), others,
-            t + 1, base + lo, batches, trie,
+        kids = tuple(
+            None if o is None else o.child_rows(model, j, r, c[u])
+            for j, (o, r, c, u) in enumerate(zip(others, rows, codes, used))
         )
+        v[lo:hi] = _private_batch(model, agent, sub, kids, below, t + 1, base + lo, batches, trie)
         lo = hi
     for z in range(n_z):  # increasing own observation within each (state, action)
         at = reached % n_z == z
@@ -562,7 +562,7 @@ def _sequence_payoffs(
     model: PosgModel,
     s: OccupancyState,
     agents_of_interest: Sequence[int],
-    weights: Sequence[Sequence[tuple[np.ndarray, np.ndarray]] | None] | None = None,
+    weights: Sequence[RuleRows | None] | None = None,
 ) -> tuple[list[np.ndarray], list[tuple[np.ndarray, np.ndarray]], list | None]:
     """Sequence-form payoff tensor below occupancy ``s``, one block per depth,
     and each agent's trie.
@@ -583,29 +583,26 @@ def _sequence_payoffs(
     discounted reward at those joint sequences weighted by the probability
     of the outcomes along them.  The full tensor is block diagonal in them.
 
-    With ``weights``, agent ``i`` plays ``rows[k]`` at the set of trie code
-    ``codes[k]`` (``weights[i][d] = (codes, rows)`` at depth ``d``, as
-    ``_plan_rows`` builds them; every set the walk reaches listed) as
-    ``next_level``'s action probabilities, so only weighted actions are
-    pushed, and the third item is each agent's weight per sequence (None
-    without ``weights``).  An agent whose weights are None plays each action
-    with weight 1, as every agent does without ``weights``.
+    With ``weights``, agent ``i`` plays the rows of ``weights[i]``
+    (``_plan_rows``; one row per set the walk reaches, anchor ``a`` at row
+    ``a``) as ``next_level``'s action probabilities, so only weighted
+    actions are pushed, and the third item is each agent's weight per
+    sequence (None without ``weights``).  An agent whose weights are None
+    plays each action with weight 1, as every agent does without ``weights``.
     """
     n_us = tuple(len(labels) for labels in model.actions)
     # rewards[x, u_0, ..., u_{n-1}, k] for the k-th agent of interest
     rewards = np.moveaxis(model.rewards[list(agents_of_interest)], 0, -1)
     rewards = rewards.reshape((model.n_states,) + n_us + (-1,))
     level = level_of(model, s)[0]
-    n_sets = level.n_sets
-    tries = [([-1] * n, [-1] * n) for n in n_sets]  # each set's parent sequence and own obs
-    level_codes = [np.arange(n) for n in n_sets]  # trie code of each set of the level
-    played: list[list[np.ndarray]] = [[] for _ in n_sets]  # weights by set, per level
+    tries = [([-1] * n, [-1] * n) for n in level.n_sets]  # each set's parent sequence and own obs
+    rows = [np.arange(n) for n in level.n_sets]  # each set's row of its agent's weights
+    played: list[list[np.ndarray]] = [[] for _ in level.n_sets]  # weights by set, per level
     blocks, a = [], None
     for d in range(model.horizon - s.t):
         if weights is not None:
-            for i, (codes, w) in enumerate(zip(level_codes, weights)):
-                at = None if w is None else rows_at(w[d], codes, i, s.t + d)
-                played[i].append(np.ones((len(codes), n_us[i])) if w is None else w[d][1][at])
+            for i, (r, w, n) in enumerate(zip(rows, weights, level.n_sets)):
+                played[i].append(np.ones((n, n_us[i])) if w is None else w.rows[0][r])
             a = action_probs(model, level, [p[-1] for p in played])
         blocks.append(_payoff_block(level, rewards))
         if d + 1 == model.horizon - s.t:
@@ -614,7 +611,12 @@ def _sequence_payoffs(
         level, reached = next_level(model, level._replace(mass=level.mass * model.discount), a)[:2]
         for i, (codes, n) in enumerate(zip(reached, n_parents)):
             _extend_trie(tries[i], model, i, codes, len(tries[i][0]) - n)
-        level_codes = child_codes(model, level_codes, reached)
+        if weights is not None:
+            rows = [
+                None if w is None else w.child_rows(model, i, r, c)
+                for i, (w, r, c) in enumerate(zip(weights, rows, reached))
+            ]
+            weights = [None if w is None else w.below() for w in weights]
     tries = [tuple(map(np.array, rows)) for rows in tries]
     if weights is None:
         return blocks, tries, None
@@ -1106,31 +1108,37 @@ def _kuhn_mixture(
 
 def _plan_rows(
     model: PosgModel, agent: int, mixture: Mapping[int, float], n_anchors: int, depth: int
-) -> list[tuple[np.ndarray, np.ndarray]]:
+) -> RuleRows:
     """Kuhn's behavioural form of a mixture of pure plans (weights by plan
-    index), one depth-``depth`` tree per anchor, by trie code: per depth,
-    the sorted codes of every set of each plan, action-0 defaults included,
-    and per set each action's share of the weight of the plans there.  A
-    set's code is ``a`` at anchor ``a`` and ``(code * n_u + u) * n_z + z``
-    after own action ``u`` and observation ``z``; a plan's index digits are
-    its actions in preorder, anchor 0's tree first (``_pure_tree``)."""
+    index), one depth-``depth`` tree per anchor, as ``RuleRows`` below the
+    anchors: one row per set of each plan, action-0 defaults included, and
+    per row each action's share of the weight of the plans there.  Plans
+    share a set where they share its parent row, action and observation; a
+    plan's index digits are its actions in preorder, anchor 0's tree first
+    (``_pure_tree``)."""
     n_u, n_z = len(model.actions[agent]), model.n_agent_obs(agent)
     played: list[list[tuple[int, int, float]]] = [[] for _ in range(depth)]
+    below: list[dict[tuple[int, int, int], int]] = [{} for _ in range(depth)]  # rows by key
     for index, w in mixture.items():
-        nodes = [(0, a) for a in range(n_anchors - 1, -1, -1)]  # (depth, code), popped in preorder
+        nodes = [(0, a) for a in range(n_anchors - 1, -1, -1)]  # (depth, row), popped in preorder
         for e in range(n_anchors * sum(n_z**d for d in range(depth)) - 1, -1, -1):
-            d, code = nodes.pop()
+            d, r = nodes.pop()
             u = index // n_u**e % n_u
-            played[d].append((code, u, w))
+            played[d].append((r, u, w))
             if d + 1 < depth:
-                nodes += [(d + 1, (code * n_u + u) * n_z + z) for z in range(n_z - 1, -1, -1)]
-    out = []
-    for code, u, w in (map(np.array, zip(*at_depth)) for at_depth in played):
-        codes, where = np.unique(code, return_inverse=True)
-        rows = np.zeros((len(codes), n_u))
-        np.add.at(rows, (where, u), w)
-        out.append((codes, rows / rows.sum(axis=1, keepdims=True)))
-    return out
+                kids = [below[d + 1].setdefault((r, u, z), len(below[d + 1])) for z in range(n_z)]
+                nodes += [(d + 1, k) for k in reversed(kids)]
+    rows, children = [], []
+    for d, at_depth in enumerate(played):
+        r, u, w = map(np.array, zip(*at_depth))
+        shares = np.zeros((len(below[d]) if d else n_anchors, n_u))
+        np.add.at(shares, (r, u), w)
+        rows.append(shares / shares.sum(axis=1, keepdims=True))
+        if d:
+            kids = np.full((len(rows[d - 1]), n_u, n_z), -1, dtype=np.intp)
+            kids[tuple(np.array(list(below[d])).T)] = list(below[d].values())
+            children.append(kids)
+    return RuleRows(rows, children, None)
 
 
 def _double_oracle(
@@ -1141,8 +1149,8 @@ def _double_oracle(
     matrix ``G`` of its last walk (a ``scipy.sparse`` CSR array).
 
     Each agent's set of sequences is its whole trie (None) or a union of
-    pure plans, one tree per anchor, held as 0/1 rows by trie code
-    (``_plan_rows``).  Each pair's walk is counted once, before it
+    pure plans, one tree per anchor, held as 0/1 rows (``_plan_rows``).
+    Each pair's walk is counted once, before it
     (``_restricted_bytes``), and refused over ``cap_bytes``.  Both sets start
     whole where the whole pair's walk fits ``cap_bytes`` and counts no more
     than four walks of the seed pair, plan 0 each (on the bundled and test
@@ -1152,7 +1160,7 @@ def _double_oracle(
     full LP (``sequence-form-lp``, or ``normal-form+…`` for the matrix game
     of one set each), and on restricted ones the batched private DP
     (``_private_best``) from the level of ``s``, one root per anchor,
-    against the plan's Kuhn mixture as action rows by trie code; agent 1's
+    against the plan's Kuhn mixture as action rows (``_plan_rows``); agent 1's
     reply is priced in its own payoff, ``-G``.  It stops when the full LP's
     certificate, the duality gap plus what each side's opponent gains by its
     best reply, is within ``_certificate_bound`` of the payoffs in ``G``
@@ -1163,13 +1171,13 @@ def _double_oracle(
     level, hists = level_of(model, s)
     n_anchors, n_us = level.n_sets, [len(labels) for labels in model.actions]
 
-    def restricted(plans) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+    def restricted(plans) -> list[RuleRows]:
         """Each agent's 0/1 rows of the sequences its plans play."""
         rows = [_plan_rows(model, i, p, n_anchors[i], depth) for i, p in enumerate(plans)]
-        return [[(codes, (w > 0.0) * 1.0) for codes, w in per_depth] for per_depth in rows]
+        return [t._replace(rows=[(w > 0.0) * 1.0 for w in t.rows]) for t in rows]
 
     def sizes(sets) -> tuple[int, ...]:
-        return tuple(int(sum(rows.sum() for _, rows in per_depth)) for per_depth in sets)
+        return tuple(int(sum(w.sum() for w in t.rows)) for t in sets)
 
     # plan 0's sets per depth: one per own observation path below each anchor
     seed = [[n * model.n_agent_obs(i) ** d for d in range(depth)] for i, n in enumerate(n_anchors)]
@@ -1202,7 +1210,7 @@ def _double_oracle(
             rows = [_plan_rows(model, i, kuhn[i], n_anchors[i], depth) for i in range(2)]
             replies = []
             for i in range(2):  # agent 1 replies in its own payoff, -G
-                others = [None if j == i else dict(enumerate(rows[j], s.t)) for j in range(2)]
+                others = [None if j == i else rows[j] for j in range(2)]
                 best, index, *_ = _private_best(model, i, level, others, s.t)
                 replies.append((best if i == 0 else -best, index))
         exploitability = (max(0.0, value - replies[1][0]), max(0.0, replies[0][0] - value))
@@ -1215,7 +1223,7 @@ def _double_oracle(
         if whole or sizes(grown) == sizes(sets):  # nothing left to add
             raise CertificateError(f"zero-sum certificate {certificate:.3g} exceeds tolerance")
         sets = grown
-        counts = [[len(codes) for codes, _ in per_depth] for per_depth in sets]
+        counts = [[len(w) for w in t.rows] for t in sets]
         n_bytes = _restricted_bytes(model, n_anchors, depth, counts)
     grew = {"sequences": G.shape} if whole else {"sequences": sizes(sets), "iterations": iteration}
     metadata = {

@@ -904,20 +904,26 @@ def _checks(
     """Every check call that applies to ``model``, after its suite's name:
     each bound to its model, agent, seed and fixture, and the master and
     lipschitz checks to ``tolerance_solver``; only the samples are left."""
-    policy = random_joint_policy(model, np.random.default_rng(seed + 10_000))
-    others = {j: policy.agents[j] for j in range(model.n_agents) if j != 0}
     at = dict(seed=seed, fixture=fixture)
     checks = [("sufficiency", partial(check_sufficiency_master, model, **at))]
     for i in range(model.n_agents):
         private = partial(check_sufficiency_private, model, i, seed=seed + i + 1, fixture=fixture)
         checks.append(("sufficiency", private))
-    checks.append(("slave", partial(check_slave_structure, model, others, 0, **at)))
+    checks.append(("slave", partial(_slave_check, model, **at)))
     solver = dict(at, tolerance=tolerance_solver)
     if _applies(model, "master"):
         checks.append(("master", partial(check_master_structure, model, **solver)))
     if _applies(model, "lipschitz"):
         checks.append(("lipschitz", partial(check_lipschitz, model, **solver)))
     return checks
+
+
+def _slave_check(model: PosgModel, seed: int, **kwargs) -> PropertyReport:
+    """``check_slave_structure`` for agent 0 against the others' random
+    joint policy from ``seed + 10_000``, drawn only when the check runs."""
+    policy = random_joint_policy(model, np.random.default_rng(seed + 10_000))
+    others = {j: policy.agents[j] for j in range(1, model.n_agents)}
+    return check_slave_structure(model, others, 0, seed=seed, **kwargs)
 
 
 def _suites_run(names: Sequence[str]) -> Sequence[str]:

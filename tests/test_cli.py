@@ -1,4 +1,5 @@
 import json
+import time
 
 import numpy as np
 import pytest
@@ -547,6 +548,65 @@ def test_exact_evaluation_over_the_budget_exits_3(capsys):
     assert err.splitlines()[-1] == (
         "error: exact evaluation too large: 17467369552 bytes exceeds cap 1073741824 bytes"
     )
+
+
+def test_a_random_policy_over_the_budget_exits_3_before_any_draw(capsys):
+    # tiger at h=12 would draw rules for 2 x 435,356,467 histories: the
+    # draw is counted first and refused at once
+    start = time.perf_counter()
+    code, out, err = run(capsys, "evaluate", TIGER, "--horizon", "12")
+    assert time.perf_counter() - start < 5.0
+    assert code == 3 and out == "" and "Traceback" not in err
+    assert err.splitlines() == [
+        "error: random policy too large: 420031919400 bytes exceeds cap 1073741824 bytes"
+    ]
+
+
+def test_an_occupancy_update_over_the_budget_exits_3(capsys):
+    # the master check samples tiger h=8 prefixes by step, whose push at
+    # t=6 would hold 141,426,672 rows: refused before it, with no random
+    # policy drawn for the tolerance check
+    code, out, err = run(
+        capsys, "verify", TIGER, "--suite", "master", "--horizon", "8", "--tolerance", "1e-6"
+    )
+    assert code == 3 and out == "" and "Traceback" not in err
+    assert err.splitlines() == [
+        "error: occupancy update too large: 10632089120 bytes exceeds cap 1073741824 bytes"
+    ]
+
+
+@pytest.mark.parametrize("episodes", [[], ["--episodes", "1000"]], ids=["exact", "simulated"])
+@pytest.mark.parametrize("dist", [{"listen": 1.5, "open-left": -0.5}, {"listen": float("nan")}],
+                         ids=["negative", "nan"])
+def test_a_policy_with_a_negative_or_nan_probability_exits_2(tmp_path, capsys, dist, episodes):
+    # (1.5, -0.5) sums to 1 and NaN fails no comparison: both are refused
+    # where the file is read, exact and simulated
+    path = tmp_path / "policy.json"
+    assert main(["evaluate", TIGER, "--horizon", "1", "--dump-policy", str(path)]) == 0
+    data = json.loads(path.read_text())
+    data["agents"][1]["rules"][0]["()"] = dist
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    argv = ["evaluate", TIGER, "--horizon", "1", "--policy", str(path), *episodes]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.splitlines() == [
+        f"error: policy file {path}: decision rule image must be a distribution"
+    ]
+
+
+def test_a_mixture_with_a_negative_weight_exits_2(tmp_path, capsys):
+    leaf = {"action": "listen"}
+    mixture = {"type": "mixture", "components": [
+        {"weight": 1.5, "tree": leaf}, {"weight": -0.5, "tree": leaf},
+    ]}
+    path = tmp_path / "policy.json"
+    path.write_text(json.dumps({"horizon": 1, "agents": [mixture, {"type": "tree", "tree": leaf}]}))
+    code, out, err = run(capsys, "evaluate", TIGER, "--horizon", "1", "--policy", str(path))
+    assert code == 2 and out == "" and "Traceback" not in err
+    assert err.splitlines() == [
+        f"error: policy file {path}: mixture weights must be nonnegative and sum to 1"
+    ]
 
 
 def test_verify_lipschitz_on_zs(capsys):

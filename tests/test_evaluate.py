@@ -12,7 +12,7 @@ from occupancy_games.evaluate import (
     value_tables,
 )
 from occupancy_games.model import parse_posg
-from occupancy_games.occupancy import initial_occupancy, mix_occupancies, step
+from occupancy_games.occupancy import initial_occupancy, mix_occupancies, rule_table, step
 from occupancy_games.policies import (
     BehavioralPolicy,
     DecisionRule,
@@ -20,6 +20,7 @@ from occupancy_games.policies import (
     PolicyMixture,
     PolicyTree,
     PrivateHistory,
+    agent_rules,
     empty_joint_history,
 )
 from occupancy_games.sampling import random_joint_policy, random_posg
@@ -453,7 +454,10 @@ def step_major_returns(model, policy, episodes, rng, horizon) -> np.ndarray:
 
     n_agents, n_x, n_z = model.n_agents, model.n_states, model.n_joint_obs
     n_u = [len(actions) for actions in model.actions]
-    rules = [evaluate._rule_arrays(model, p, i) for i, p in enumerate(policy.agents)]
+    rules = [
+        rule_table(model, i, agent_rules(model, p), [PrivateHistory(i)])
+        for i, p in enumerate(policy.agents)
+    ]
     dynamics = model._dynamics.reshape(model.n_joint_actions * n_x, n_x * n_z)
     own_obs = [[model.agent_obs_of_joint(i, z) for z in range(n_z)] for i in range(n_agents)]
     own_obs = np.array(own_obs, dtype=np.intp)
@@ -463,7 +467,7 @@ def step_major_returns(model, policy, episodes, rng, horizon) -> np.ndarray:
     returns = np.zeros((n_agents, episodes))
     gamma_t = 1.0
     for t in range(horizon):
-        us = [draw(rules[i][0][t], rows[i]) for i in range(n_agents)]
+        us = [draw(rules[i].rows[t], rows[i]) for i in range(n_agents)]
         u = np.zeros(episodes, dtype=np.intp)
         for i in range(n_agents):
             u = u * n_u[i] + us[i]
@@ -472,7 +476,10 @@ def step_major_returns(model, policy, episodes, rng, horizon) -> np.ndarray:
         if t + 1 < horizon:
             flat = draw(dynamics, u * n_x + x)
             x = flat // n_z
-            rows = [rules[i][1][t][rows[i], us[i], own_obs[i][flat % n_z]] for i in range(n_agents)]
+            rows = [
+                rules[i].children[t][rows[i], us[i], own_obs[i][flat % n_z]]
+                for i in range(n_agents)
+            ]
     return returns
 
 
@@ -598,10 +605,10 @@ def test_simulate_refuses_before_its_first_draw(tiger, monkeypatch):
 
 
 def test_simulate_names_the_agent_and_step_of_an_undefined_history(tiger):
-    # simulate reads each rule by trie code below the empty history: a
-    # played history without a rule fails as DecisionRule.dist does, naming
-    # the agent and the step, the empty history at t=0 included; the
-    # children of an action never played need no rule
+    # simulate reads each rule as rows below the empty history: a played
+    # history without a rule fails as DecisionRule.dist does, naming the
+    # agent and the step, the empty history at t=0 included; the children
+    # of an action never played need no rule
     m = tiger.with_horizon(2)
     listen = (1.0, 0.0, 0.0)
 
@@ -623,8 +630,8 @@ def test_simulate_names_the_agent_and_step_of_an_undefined_history(tiger):
 
 
 def test_simulate_builds_no_history(tiger, monkeypatch):
-    # simulate numbers each agent's histories by trie code: it neither
-    # builds a history nor reads a rule one history at a time
+    # simulate looks each agent's rules up by the histories' steps: it
+    # neither builds a history nor reads a rule through DecisionRule.dist
     m = tiger.with_horizon(4)
     policy = random_joint_policy(m, np.random.default_rng(14))
     calls = []

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from occupancy_games.errors import (
+    CapExceededError,
     InconsistentOccupancyError,
     UndefinedDecisionRuleError,
     UnreachableHistoryError,
@@ -117,6 +118,22 @@ def test_step_single_observation_is_belief_update(one_stage):
         assert marg.get(x, 0.0) == pytest.approx(b, abs=1e-12)
 
 
+def test_updates_refuse_a_push_over_the_budget_before_making_it(tiger, monkeypatch):
+    # step and private_step count their push against CAP_BYTES first: under
+    # a budget that leaves nothing past the fixed bytes neither pushes
+    rules = root_rules(tiger, (0, 0))
+    pushes = []
+    push = occupancy.next_level
+    monkeypatch.setattr(occupancy, "next_level", lambda *a: pushes.append(1) or push(*a))
+    assert step(tiger, initial_occupancy(tiger), rules) and len(pushes) == 1
+    monkeypatch.setattr(occupancy, "CAP_BYTES", occupancy.WALK_FIXED_BYTES)
+    with pytest.raises(CapExceededError, match="^occupancy update too large"):
+        step(tiger, initial_occupancy(tiger), rules)
+    with pytest.raises(CapExceededError, match="^occupancy update too large"):
+        private_step(tiger, initial_private_occupancy(tiger, 0), {1: rules[1]}, 0)
+    assert len(pushes) == 1
+
+
 def test_step_missing_rule_entry(tiger):
     s0 = initial_occupancy(tiger)
     incomplete = DecisionRule(0, 0, {})
@@ -144,8 +161,8 @@ def test_step_branches_form_distribution(seed):
 def test_every_level_numbers_its_histories_in_steps_order(seed):
     # the one numbering of a level's histories, by steps (their trie codes'
     # order): levels converted from shuffled entries, the children of step
-    # and private_step, and the private DP's sub-levels, whose histories
-    # are trie codes per id
+    # and private_step, and the private DP's sub-levels, whose other
+    # agents' rows per id follow their histories' steps
     rng = np.random.default_rng(seed)
     m = random_posg(rng, n_states=2, n_actions=(2, 3), n_obs=(2, 2), n_public=2, horizon=3)
     s, levels = initial_occupancy(m), []
@@ -168,7 +185,9 @@ def test_every_level_numbers_its_histories_in_steps_order(seed):
             codes.append(c) or batch(m, i, level, c, *rest)
         ))
         best_response_private(m, {1: random_behavioral_policy(m, 1, rng)}, 0)
-    assert len(codes) > 2 and all((np.diff(c) > 0).all() for per_agent in codes for c in per_agent)
+    assert len(codes) > 2 and all(
+        (np.diff(c) > 0).all() for per_agent in codes for c in per_agent if c is not None
+    )
 
 
 # -- expected reward ----------------------------------------------------------

@@ -17,10 +17,11 @@ from scipy.optimize import linprog as scipy_linprog
 from occupancy_games.errors import (
     CapExceededError,
     ModelValidationError,
+    UndefinedDecisionRuleError,
     UnreachableHistoryError,
 )
 from occupancy_games import occupancy, solve, verify
-from occupancy_games.evaluate import evaluate_occupancy, value_tables
+from occupancy_games.evaluate import evaluate_occupancy, simulate, value_tables
 from occupancy_games.model import parse_posg, reinterpret_criterion
 from occupancy_games.occupancy import (
     OccupancyState,
@@ -399,15 +400,15 @@ def test_private_batches_equal_the_per_state_recursion(m, seed, budget, monkeypa
 
 
 def _batches(monkeypatch) -> tuple[list[list[tuple[int, int]]], list[tuple[int, int]]]:
-    """The own histories, as (step, trie code), of every batch agent 0's
+    """The own histories, as (step, state number), of every batch agent 0's
     private route makes, and the states and rows (before rows without mass
     are dropped) of each of its pushes (``next_level`` calls)."""
     batches, pushes = [], []
     batch, push = solve._private_batch, solve.next_level
 
-    def recorded_batch(model, agent, level, codes, others, t, *args):
-        batches.append([(t, code) for code in codes[agent].tolist()])
-        return batch(model, agent, level, codes, others, t, *args)
+    def recorded_batch(model, agent, level, rows, others, t, first, *args):
+        batches.append([(t, first + k) for k in range(level.n_sets[agent])])
+        return batch(model, agent, level, rows, others, t, first, *args)
 
     def recorded_push(model, level, *args, **kwargs):
         rows = int(np.diff(model._successor_arrays.begin)[level.xs].sum())
@@ -441,8 +442,8 @@ def test_private_route_pushes_each_state_once_from_a_mid_game_state(tiger, monke
     batches, pushes = _batches(monkeypatch)
     best_response_private_from(m, {1: other}, 0, s_i)
     hists = [h for batch in batches for h in batch]
-    # the root, code 0 at t=1, and its 6 children below it, codes 0..5 at t=2
-    assert sorted(hists) == [(1, 0)] + [(2, code) for code in range(6)]
+    # the root, state 0 at t=1, and its 6 children below it, states 1..6 at t=2
+    assert sorted(hists) == [(1, 0)] + [(2, k) for k in range(1, 7)]
     assert [states for states, _ in pushes] == [1]
 
 
@@ -485,6 +486,58 @@ def test_best_responses_name_a_missing_agent(tiger):
     for route in (best_response_history, best_response_private):
         with pytest.raises(ValueError, match=r"agent\(s\) 2"):
             route(tiger, {}, 0)
+
+
+def random_tree(m, agent, depth, rng) -> PolicyTree:
+    """A depth-``depth`` tree of random actions."""
+    below = () if depth == 1 else tuple(
+        random_tree(m, agent, depth - 1, rng) for _ in range(m.n_agent_obs(agent))
+    )
+    return PolicyTree(agent, int(rng.integers(len(m.actions[agent]))), below)
+
+
+def test_a_wide_model_reads_its_policy_by_rows_on_every_route():
+    # agent 0 plays a fixed depth-9 tree over 200 actions and 2 observations:
+    # a trie code of its depth-8 histories would reach 400**8, past int64.
+    # Each walk holds rows, so the private route answers as the history
+    # route does and simulate lands within 5 standard errors of the exact
+    # value
+    m = random_posg(
+        np.random.default_rng(0), n_states=2, n_actions=(200, 1), n_obs=(2, 1), horizon=9
+    )
+    rng = np.random.default_rng(1)
+    policy = JointPolicy((random_tree(m, 0, 9, rng), random_tree(m, 1, 9, rng)))
+    assert 400**8 > np.iinfo(np.int64).max
+    history = best_response_history(m, {0: policy.agents[0]}, 1)
+    private = best_response_private(m, {0: policy.agents[0]}, 1)
+    assert abs(private.value - history.value) <= 1e-9 and private.policy == history.policy
+    assert private.q.keys() == history.q.keys()
+    for hist, qs in private.q.items():
+        assert np.allclose(qs, history.q[hist], rtol=0.0, atol=1e-9)
+    result = simulate(m, policy, 2000, 1)
+    for i in range(2):
+        exact = evaluate_occupancy(m, policy, initial_occupancy(m), i)
+        assert abs(result.means[i] - exact) <= 5 * result.stderrs[i]
+
+
+def test_a_reached_history_without_a_rule_is_named_alike_on_every_route(tiger):
+    # tiger h=3 against a tree whose hear-right subtree stops one step
+    # short: the history route, the private route and simulate name the
+    # first history left without a rule as DecisionRule.dist does
+    m = tiger.with_horizon(3)
+    leaf = PolicyTree(0, 0)
+    ragged = PolicyTree(0, 0, (PolicyTree(0, 0, (leaf, leaf)), leaf))
+    policy = JointPolicy((ragged, solve._tree(m, 1, 0, 3)))
+    text = "undefined decision rule for agent 0 at history ((0, 1), (0, 0)) (t=2)"
+    routes = (
+        lambda: best_response_history(m, {0: ragged}, 1),
+        lambda: best_response_private(m, {0: ragged}, 1),
+        lambda: simulate(m, policy, 100, 1),
+    )
+    for route in routes:
+        with pytest.raises(UndefinedDecisionRuleError) as error:
+            route()
+        assert str(error.value) == text
 
 
 # -- solve_dec -------------------------------------------------------------------
@@ -1417,7 +1470,7 @@ def test_restricted_count_is_at_least_the_walks_peak(monkeypatch, case):
     def traced(model, s, agents, keep=(), uncontracted=(), weights=None):
         if keep != (0, 1):
             return walk(model, s, agents, keep, uncontracted, weights)
-        sets = [None if w is None else [len(c) for c, _ in w] for w in weights or [None, None]]
+        sets = [None if w is None else [len(r) for r in w.rows] for w in weights or [None, None]]
         n_anchors = level_of(model, s)[0].n_sets
         count = solve._restricted_bytes(model, n_anchors, model.horizon - s.t, sets)
         model._successor_arrays  # built once per model, before the walk
@@ -2360,21 +2413,18 @@ def picked_tree(m, agent, kids, pick, j, depth, default=0):
 def test_plan_index_round_trips_below_several_anchors():
     # one tree per anchor, anchor 0's digits first: _pure_tree's index is
     # the row of _plan_realization that plays exactly its sequences, and
-    # _plan_rows reads its picks back at every set's trie code
+    # _plan_rows reads its picks back at every set's row
     m = dict(loop_models())["random-5-3"]
     s = mid_game_root(m, 1)
     depth = m.horizon - s.t
     _, _, tries = solve._normal_form(m, s, [0], solve.CAP_BYTES, keep=(0, 1))
     rng = np.random.default_rng(43)
     for agent in range(2):
-        n_u, n_z = len(m.actions[agent]), m.n_agent_obs(agent)
+        n_u = len(m.actions[agent])
         n_anchors = len(level_of(m, s)[1][agent])
         assert n_anchors >= 2
         R = solve._plan_realization(m, agent, tries[agent], depth)
-        code, level = list(range(n_anchors)), [0] * n_anchors  # per set
-        for (j, u, z), c in sorted(kids_of(tries[agent], n_u).items(), key=lambda kv: kv[1]):
-            code.append((code[j] * n_u + u) * n_z + z)
-            level.append(level[j] + 1)
+        kids = sorted(kids_of(tries[agent], n_u).items(), key=lambda kv: kv[1])
         below = solve._children(*tries[agent])
         for _ in range(5):
             picks = rng.integers(n_u, size=len(tries[agent][0]))
@@ -2382,10 +2432,14 @@ def test_plan_index_round_trips_below_several_anchors():
                 m, agent, below, lambda j: int(picks[j]), range(n_anchors), depth
             )
             assert set(np.flatnonzero(R[index])) == set(played)
-            rows = solve._plan_rows(m, agent, {index: 1.0}, n_anchors, depth)
+            table = solve._plan_rows(m, agent, {index: 1.0}, n_anchors, depth)
+            row, level = list(range(n_anchors)), [0] * n_anchors  # per set
+            for (j, u, z), _ in kids:
+                on_plan = row[j] >= 0 and u == picks[j]
+                row.append(table.children[level[j]][row[j], u, z] if on_plan else -1)
+                level.append(level[j] + 1)
             for c in {q // n_u for q in played}:
-                codes, weights = rows[level[c]]
-                assert np.flatnonzero(weights[np.searchsorted(codes, code[c])]) == [picks[c]]
+                assert np.flatnonzero(table.rows[level[c]][row[c]]) == [picks[c]]
 
 
 @pytest.mark.parametrize("name", ["tiger", "unreached"])

@@ -644,3 +644,16 @@ measures = st.dictionaries(st.integers(0, 8), st.floats(-2.0, 2.0), max_size=6)
 @given(a=measures, b=measures)
 def test_dist_diff_matches_the_union_definition(a, b):
     assert verify._dist_diff(a, b) == union_diff(a, b)
+
+
+def test_the_tolerance_check_draws_no_policy(tiger, monkeypatch):
+    # which checks read --tolerance is known from their keywords alone; the
+    # slave check draws its others' random policy when it runs
+    drawn, draw = [], verify.random_joint_policy
+    monkeypatch.setattr(verify, "random_joint_policy", lambda *a: drawn.append(1) or draw(*a))
+    assert verify._reads_tolerance(tiger, ["master"])
+    assert not verify._reads_tolerance(tiger, ["sufficiency", "slave"])
+    assert run_suite(tiger.with_horizon(1), suites="sufficiency", n_samples=1)
+    assert drawn == []
+    (report,) = run_suite(tiger.with_horizon(1), suites="slave", n_samples=1)
+    assert drawn == [1] and report.passed
