@@ -13,20 +13,19 @@ action and the outcome), each one uniform per episode.  Every draw reads its
 own cursor, a copy of the stream advanced to where that draw starts, so a
 block gets the same uniforms whatever the block size, and results are
 reproducible bit for bit for a given seed regardless of platform.  Each
-agent's policy is read as ``occupancy.RuleRows`` below the empty history:
-an episode holds its row per agent and steps to the child's row, and a
-played child without a rule is refused before the first draw.  Each
-categorical table is
-cumulated once per call.  A draw is the number of its row's cumulative sums
-below the episode's uniform, at most the row's last positive column.  A guide
-table (Chen and Asau's index table) answers it with one gather: per row and
-per bin of [0, 1) in ``_BINS`` equal bins, the last open above, it holds the
-answer where that is the same for every uniform in the bin.  The episodes
-whose bin holds one of the row's sums, and every draw from a table with
-fewer draws than guide entries, count the sums one column at a time, so the
-guide changes neither the draw order nor any result.  Before its first
-draw, ``simulate`` counts the bytes it holds, the whole returns and a
-block's working set, against ``CAP_BYTES``.
+agent's policy is read as ``occupancy.RuleRows`` below the empty history: an
+episode holds its row per agent and steps to the child's row, and a played
+child without a rule is refused before the first draw.  Each categorical
+table is cumulated once per call.  A draw is the number of its row's
+cumulative sums below the episode's uniform, at most the row's last positive
+column.  A guide table (Chen and Asau's index table) answers it with one
+gather: per row and per bin of [0, 1) in ``_BINS`` equal bins, the last open
+above, it holds the answer where that is the same for every uniform in the
+bin.  The episodes whose bin holds one of the row's sums, and every draw
+from a table with fewer draws than guide entries, count the sums one column
+at a time, so the guide changes neither the draw order nor any result.
+Before its first draw, ``simulate`` counts the bytes it holds, the whole
+returns and a block's working set, against ``CAP_BYTES``.
 """
 
 from __future__ import annotations
@@ -47,6 +46,7 @@ from .occupancy import (
     entries_of,
     level_of,
     next_level,
+    push_items,
     rule_arrays,
     rule_table,
     sum_in_order,
@@ -126,11 +126,10 @@ def _pull(
     its bytes, ``_pull_bytes``, are checked against ``CAP_BYTES``."""
     levels, pulls = [], []
     rows = entries = 0  # rows pushed and entries held so far
-    begin = model._successor_arrays.begin
     for t in range(t0, model.horizon):
-        push = 0 if t + 1 == model.horizon else int((begin[level.xs + 1] - begin[level.xs]).sum())
+        push, items = push_items(model, level, t + 1 == model.horizon)
         entries += len(level.xs)
-        n_bytes = _pull_bytes(model, rows, entries, len(level.xs), push, every_state)
+        n_bytes = _pull_bytes(model, rows, entries, len(level.xs), push, items, every_state)
         if n_bytes > CAP_BYTES:
             raise CapExceededError("exact evaluation", n_bytes, CAP_BYTES, " bytes")
         rows += push
@@ -155,12 +154,12 @@ def _pull(
 
 
 def _pull_bytes(
-    model: PosgModel, rows: int, entries: int, n: int, push: int, every_state: bool
+    model: PosgModel, rows: int, entries: int, n: int, push: int, items: int, every_state: bool
 ) -> int:
     """The most ``_pull`` holds at a step of ``n`` entries and a ``push``-row
-    push, counted high: 3 numbers per earlier row (entry, child, weight),
-    ``n_agents + 3`` per entry held, 3 per (entry, joint action) and 9 per
-    row pushed, plus ``WALK_FIXED_BYTES``.  With ``every_state``, also the
+    push holding ``items`` numbers (``push_items``), counted high: also 3
+    numbers per earlier row (entry, child, weight) and ``n_agents + 3`` per
+    entry held, plus ``WALK_FIXED_BYTES``.  With ``every_state``, also the
     grid built from the push, ``n_agents + 3`` numbers (state, ids, mass,
     place) per entry: every state at each child history, at most ``n_x``
     per row pushed and ``n_joint_actions · n_joint_obs`` per entry of a
@@ -168,11 +167,11 @@ def _pull_bytes(
     ``40 + n_agents`` numbers (slot, key tuple, joint history with its
     tuple of privates and hash, value)."""
     n_agents = model.n_agents
-    items = 3 * rows + (n_agents + 3) * entries + 3 * model.n_joint_actions * n
+    items += 3 * rows + (n_agents + 3) * entries
     if every_state:
         grid = min(model.n_states * push, n * model.n_joint_actions * model.n_joint_obs)
         items += (n_agents + 3) * grid + (40 + n_agents) * entries
-    return 8 * (items + 9 * push) + WALK_FIXED_BYTES
+    return 8 * items + WALK_FIXED_BYTES
 
 
 def _every_state(model: PosgModel, level: Level) -> tuple[Level, np.ndarray]:

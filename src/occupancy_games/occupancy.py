@@ -18,19 +18,20 @@ children into branches, each normalized on its own (``_branches``): ``step``
 one per public observation, ``private_step`` one per own observation (the
 agent's own child history), the agent's rule a point mass on the action it
 played.
-A level numbers each agent's histories in steps order, which pushes keep
-and ``to_level`` sorts into.  A walk that holds no history objects reads a
-fixed policy in one form, ``RuleRows``: per depth below its roots, one row
-of action probabilities per history and a table of each child's row, so
-each level entry carries one row per agent and no number grows with depth.
-``rule_table`` builds it from decision rules, history by history;
-``step``, ``private_step`` and the rewards, which hold the histories, read
-rules by history.  History objects are built only at the public boundary:
-once per private history of a pushed level, and, the first time a returned
-state's ``entries`` is read, once per joint history.  Each returned state
-keeps its level, so the next update skips the conversion from its entries,
-and a state that is only pushed on, priced or solved from never builds its
-joint histories.  Each update counts its push against ``CAP_BYTES`` first.
+A level numbers each agent's histories in steps order, which pushes keep and
+``to_level`` sorts into.  A walk that holds no history objects reads a fixed
+policy in one form, ``RuleRows``: per depth below its roots, one row of
+action probabilities per history and a table of each child's row, so each
+level entry carries one row per agent and no number grows with depth.
+``rule_table`` builds it from decision rules, each history found under its
+parent's row; ``step``, ``private_step`` and the rewards, which hold the
+histories, read rules by history.  History objects are built only at the
+public boundary: once per private history of a pushed level, and, the first
+time a returned state's ``entries`` is read, once per joint history.  Each
+returned state keeps its level, so the next update skips the conversion from
+its entries, and a state that is only pushed on, priced or solved from never
+builds its joint histories.  Each update counts its push against
+``CAP_BYTES`` first.
 
 Within each group, entries whose mass over the group's probability is at or
 below ``PRUNE_EPS`` are dropped and the rest renormalized; two states are
@@ -351,32 +352,31 @@ def rule_table(
 ) -> RuleRows:
     """``RuleRows`` of the agent's ``rules`` (one per step from the roots'
     step on) below ``roots``: every history the rules' actions reach, in
-    (parent row, action, observation) order, looked up by its steps.  A
-    root without a rule raises ``UndefinedDecisionRuleError``."""
+    (parent row, action, observation) order, found by its parent's steps.
+    A root without a rule raises ``UndefinedDecisionRuleError``."""
     n_u, n_z = len(model.actions[agent]), model.n_agent_obs(agent)
-    rows, children, steps = [], [], []
+    dists = [rules[0].probs.get(h) for h in roots]
+    if None in dists:
+        h = roots[dists.index(None)]
+        raise UndefinedDecisionRuleError.at(agent, h.steps, h.t)
     kept = [h.steps for h in roots]
-    for d, rule in enumerate(rules):
-        by_steps = {h.steps: dist for h, dist in rule.probs.items()}
-        if d == 0:
-            dists = [by_steps.get(h) for h in kept]
-            if None in dists:
-                h = kept[dists.index(None)]
-                raise UndefinedDecisionRuleError.at(agent, h, len(h))
-        else:
-            parents, kept, dists, at = kept, [], [], []
-            for r, u in np.argwhere(rows[-1] > 0.0).tolist():
-                for z in range(n_z):
-                    h = parents[r] + ((u, z),)
-                    if (dist := by_steps.get(h)) is not None:
-                        at.append((r * n_u + u) * n_z + z)
-                        kept.append(h)
-                        dists.append(dist)
-            table = np.full(len(parents) * n_u * n_z, -1, dtype=np.intp)
-            table[at] = np.arange(len(at))
-            children.append(table.reshape(len(parents), n_u, n_z))
+    rows, children, steps = [np.array(dists, dtype=float).reshape(len(kept), n_u)], [], [kept]
+    for rule in rules[1:]:
+        index = {h: r for r, h in enumerate(kept)}
+        hs, dists = list(rule.probs), list(rule.probs.values())
+        parent = np.array([index.get(h.steps[:-1], -1) for h in hs], dtype=np.intp)
+        u, z = np.array([h.steps[-1] for h in hs], dtype=np.intp).reshape(-1, 2).T
+        live = parent >= 0
+        live[live] = rows[-1][parent[live], u[live]] > 0.0
+        at = (parent * n_u + u) * n_z + z
+        order = np.flatnonzero(live)
+        order = order[np.argsort(at[order])].tolist()
+        table = np.full(len(kept) * n_u * n_z, -1, dtype=np.intp)
+        table[at[order]] = np.arange(len(order))
+        children.append(table.reshape(len(kept), n_u, n_z))
+        kept = [hs[k].steps for k in order]
+        rows.append(np.array([dists[k] for k in order], dtype=float).reshape(len(kept), n_u))
         steps.append(kept)
-        rows.append(np.array(dists, dtype=float).reshape(len(kept), n_u))
     return RuleRows(rows, children, steps)
 
 
@@ -466,14 +466,20 @@ def _branches(
 # ---------------------------------------------------------------------------
 
 
-def _check_push(model: PosgModel, level: Level) -> None:
-    """Raise ``CapExceededError`` unless an update's push of ``level`` fits
-    ``CAP_BYTES``, counted high as ``evaluate._pull_bytes`` counts a push: 9
-    numbers per row before rows without mass are dropped, 3 per (entry,
-    joint action), plus ``WALK_FIXED_BYTES``."""
+def push_items(model: PosgModel, level: Level, last: bool = False) -> tuple[int, int]:
+    """The rows a push of ``level`` makes before rows without mass are
+    dropped (none at the ``last`` step, which pushes nothing), and the
+    numbers its step holds, counted high: 3 per (entry, joint action) and 9
+    per row pushed."""
     begin = model._successor_arrays.begin
-    rows = int((begin[level.xs + 1] - begin[level.xs]).sum())
-    n_bytes = 8 * (9 * rows + 3 * model.n_joint_actions * len(level.xs)) + WALK_FIXED_BYTES
+    rows = 0 if last else int((begin[level.xs + 1] - begin[level.xs]).sum())
+    return rows, 3 * model.n_joint_actions * len(level.xs) + 9 * rows
+
+
+def _check_push(model: PosgModel, level: Level) -> None:
+    """Raise ``CapExceededError`` unless an update's push of ``level``
+    (``push_items``) and ``WALK_FIXED_BYTES`` fit ``CAP_BYTES``."""
+    n_bytes = 8 * push_items(model, level)[1] + WALK_FIXED_BYTES
     if n_bytes > CAP_BYTES:
         raise CapExceededError("occupancy update", n_bytes, CAP_BYTES, " bytes")
 

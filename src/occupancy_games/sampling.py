@@ -94,6 +94,13 @@ def random_decision_rule(
     ``support=1`` yields a uniformly random deterministic rule.
     """
     _check_draw(model, [(agent, t)])
+    return _draw_rule(model, agent, t, rng, support)
+
+
+def _draw_rule(
+    model: PosgModel, agent: int, t: int, rng: np.random.Generator, support: int | None = None
+) -> DecisionRule:
+    """``random_decision_rule`` without its budget check."""
     n_u = len(model.actions[agent])
     probs = {}
     for hist in all_histories(model, agent, t):
@@ -118,13 +125,12 @@ def random_behavioral_policy(
 ) -> BehavioralPolicy:
     horizon = model.horizon if horizon is None else horizon
     _check_draw(model, [(agent, t) for t in range(horizon)])
-    rules = tuple(random_decision_rule(model, agent, t, rng) for t in range(horizon))
-    return BehavioralPolicy(agent, rules)
+    return BehavioralPolicy(agent, tuple(_draw_rule(model, agent, t, rng) for t in range(horizon)))
 
 
 def random_joint_policy(model: PosgModel, rng: np.random.Generator) -> JointPolicy:
     _check_draw(model, itertools.product(range(model.n_agents), range(model.horizon)))
-    return JointPolicy(
-        tuple(random_behavioral_policy(model, i, rng) for i in range(model.n_agents))
-    )
-
+    return JointPolicy(tuple(
+        BehavioralPolicy(i, tuple(_draw_rule(model, i, t, rng) for t in range(model.horizon)))
+        for i in range(model.n_agents)
+    ))

@@ -806,7 +806,7 @@ def _walk(
     agents_of_interest: Sequence[int],
     keep: Sequence[int] = (),
     uncontracted: Sequence[int] = (),
-    weights: Sequence[Sequence[tuple[np.ndarray, np.ndarray]] | None] | None = None,
+    weights: Sequence[RuleRows | None] | None = None,
 ) -> tuple[list, list[np.ndarray | None], list[tuple[np.ndarray, np.ndarray]]]:
     """``_normal_form`` below ``s`` after its byte count was
     checked: by ``_normal_form``, or by the zero-sum loop, which counts each

@@ -159,10 +159,10 @@ def test_step_branches_form_distribution(seed):
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 10**6))
 def test_every_level_numbers_its_histories_in_steps_order(seed):
-    # the one numbering of a level's histories, by steps (their trie codes'
-    # order): levels converted from shuffled entries, the children of step
-    # and private_step, and the private DP's sub-levels, whose other
-    # agents' rows per id follow their histories' steps
+    # the one numbering of a level's histories, by steps: levels converted
+    # from shuffled entries, the children of step and private_step, and the
+    # private DP's sub-levels, whose own states' (parent sequence, own
+    # observation) and other agents' rows per id follow their histories' steps
     rng = np.random.default_rng(seed)
     m = random_posg(rng, n_states=2, n_actions=(2, 3), n_obs=(2, 2), n_public=2, horizon=3)
     s, levels = initial_occupancy(m), []
@@ -179,15 +179,17 @@ def test_every_level_numbers_its_histories_in_steps_order(seed):
         levels.append(level_of(m, s_i))
         levels += [level_of(m, c) for *_, c in private_children(m, s_i, others[1])]
     assert all(in_steps_order(hists) for _, hists in levels)
-    codes, batch = [], solve._private_batch
+    rows, own, batch = [], [], solve._private_batch
+    def record(m, i, level, r, others, t, first, batches, trie):
+        rows.append(r)
+        n = level.n_sets[i]
+        own.append(list(zip(trie[0][first : first + n], trie[1][first : first + n])))
+        return batch(m, i, level, r, others, t, first, batches, trie)
     with pytest.MonkeyPatch.context() as patched:
-        patched.setattr(solve, "_private_batch", lambda m, i, level, c, *rest: (
-            codes.append(c) or batch(m, i, level, c, *rest)
-        ))
+        patched.setattr(solve, "_private_batch", record)
         best_response_private(m, {1: random_behavioral_policy(m, 1, rng)}, 0)
-    assert len(codes) > 2 and all(
-        (np.diff(c) > 0).all() for per_agent in codes for c in per_agent if c is not None
-    )
+    assert len(rows) > 2 and all(own[k] == sorted(set(own[k])) for k in range(len(own)))
+    assert all((np.diff(r) > 0).all() for per_agent in rows for r in per_agent if r is not None)
 
 
 # -- expected reward ----------------------------------------------------------
