@@ -60,6 +60,7 @@ from .policies import (
     JointHistory,
     JointPolicy,
     PrivateHistory,
+    _is_distribution,
     empty_joint_history,
 )
 
@@ -140,8 +141,8 @@ class Mixture:
     components: tuple[tuple[float, PrivateOccupancyState], ...]
 
     def __post_init__(self):
-        if abs(sum(w for w, _ in self.components) - 1.0) > 1e-9:
-            raise ValueError("mixture weights must sum to 1")
+        if not _is_distribution([w for w, _ in self.components]):
+            raise ValueError("mixture weights must be nonnegative and sum to 1")
         anchors = [c.anchor for _, c in self.components]
         if len(set(anchors)) != len(anchors):
             raise ValueError("mixture anchors must be pairwise distinct")

@@ -75,8 +75,12 @@ another.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple, Sequence
 
@@ -149,26 +153,44 @@ class LpResult(NamedTuple):
 
 def linprog(c, A, row_lo, row_hi, col_lo, col_hi) -> LpResult:
     """min c^T x  s.t.  row_lo <= A x <= row_hi,  col_lo <= x <= col_hi, by
-    HiGHS through the bindings scipy ships (``scipy.optimize._highspy``),
-    imported on first use: ``scipy.optimize`` is most of the package's
-    import time and many commands never solve an LP.  ``A`` is a dense array
-    or a ``scipy.sparse`` CSC array with sorted indices; an infinite bound is
-    ``±np.inf``.
+    HiGHS through the bindings scipy ships (``scipy.optimize._highspy``).
+    Their extension module is loaded on first use from its file, without
+    its packages: importing ``scipy.optimize`` costs more than the
+    package's own import, and many commands never solve an LP.  Where the
+    file is not found the package import loads it.  ``A`` is a dense array
+    or a CSC matrix of numpy arrays ``(indptr, indices, data, shape)``, its
+    indices sorted in each column; an infinite bound is ``±np.inf``.
 
     The options and the check after the solve are
     ``scipy.optimize.linprog``'s: success is an optimal model status with
     ``x`` and every row activity within ``LP_FEASIBILITY_SLACK`` of their
     bounds, NaN failing.  Given the same rows (the inequalities first), each
     result is linprog's bit for bit, without its wrapper's cost."""
-    from scipy.optimize._highspy import _core as highs
-
-    if isinstance(A, np.ndarray):  # the nonzeros by column, as a CSC array holds them
+    name = "scipy.optimize._highspy._core"
+    highs = sys.modules.get(name)
+    if highs is None:
+        scipy = importlib.util.find_spec("scipy")
+        files = [
+            os.path.join(root, "optimize", "_highspy", "_core" + suffix)
+            for root in (scipy.submodule_search_locations if scipy else [])
+            for suffix in importlib.machinery.EXTENSION_SUFFIXES
+        ]
+        path = next(filter(os.path.isfile, files), None)
+        if path is None:
+            from scipy.optimize._highspy import _core as highs
+        else:
+            loader = importlib.machinery.ExtensionFileLoader(name, path)
+            highs = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
+            sys.modules[name] = highs
+            loader.exec_module(highs)
+    if isinstance(A, np.ndarray):  # the nonzeros by column, as a CSC matrix holds them
         cols, index = np.nonzero(A.T)
         start, value = np.searchsorted(cols, np.arange(A.shape[1] + 1)), A.T[cols, index]
+        shape = A.shape
     else:
-        start, index, value = A.indptr, A.indices, A.data
+        start, index, value, shape = A
     lp = highs.HighsLp()
-    lp.num_row_, lp.num_col_ = lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = A.shape
+    lp.num_row_, lp.num_col_ = lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = shape
     lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
     lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = start, index, value
     lp.col_cost_, lp.col_lower_, lp.col_upper_ = c, col_lo, col_hi
@@ -783,7 +805,7 @@ def _normal_form(
     time.  The agents in ``keep`` are left uncontracted: their axes stay over
     their sequences and their matrices are ``None``.  When both agents of a
     two-agent game are kept, each tensor is the block-diagonal ``G`` itself,
-    as a ``scipy.sparse`` CSR array.  The payoffs of the agents in
+    as a ``Csr`` matrix.  The payoffs of the agents in
     ``uncontracted`` follow, each the dense block-diagonal ``G`` over the two
     agents' sequences.
 
@@ -824,14 +846,15 @@ def _walk(
         for i in range(model.n_agents)
     ]
     n_c = len(agents_of_interest)
-    if uncontracted:
-        from scipy.linalg import block_diag
-    dense = [
-        block_diag(*(block[..., n_c + k] for block in blocks)) for k in range(len(uncontracted))
-    ]
+    # each uncontracted payoff dense over the two agents' sequences, with
+    # each depth's block on its diagonal
+    n_seqs = [sum(block.shape[i] for block in blocks) for i in range(2)]
+    dense = [np.zeros(n_seqs) for _ in uncontracted]
     parts = []
     lo = [0] * model.n_agents  # each agent's first sequence of the block
     for block in blocks:
+        for k, D in enumerate(dense):
+            D[lo[0] : lo[0] + block.shape[0], lo[1] : lo[1] + block.shape[1]] = block[..., n_c + k]
         out = block[..., :n_c]
         for i, R in enumerate(realizations):
             hi = lo[i] + block.shape[i]
@@ -852,11 +875,40 @@ def _walk(
     return mats + dense, realizations if weights is None else played, tries
 
 
-def _block_diagonal(blocks: Sequence[np.ndarray]):
-    """The block-diagonal matrix of 2-d ``blocks`` as a ``scipy.sparse`` CSR
-    array that stores their nonzero entries only."""
-    from scipy import sparse
+class Csr(NamedTuple):
+    """A sparse matrix in numpy arrays laid out as ``scipy.sparse`` lays out
+    CSR: row ``r`` holds ``data[indptr[r]:indptr[r + 1]]`` in the columns
+    ``indices[indptr[r]:indptr[r + 1]]``, increasing.  ``G @ y`` and
+    ``x @ G`` add the products in the order the nonzeros are stored, as
+    scipy's CSR and CSC products do, so they give scipy's results bit for
+    bit."""
 
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    __array_ufunc__ = None  # ``x @ G`` with an array ``x`` comes to ``__rmatmul__``
+
+    def rows(self) -> np.ndarray:
+        """The row of each nonzero."""
+        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+
+    def __matmul__(self, y: np.ndarray) -> np.ndarray:
+        return np.bincount(self.rows(), self.data * y[self.indices], self.shape[0])
+
+    def __rmatmul__(self, x: np.ndarray) -> np.ndarray:
+        return np.bincount(self.indices, self.data * x[self.rows()], self.shape[1])
+
+    def toarray(self) -> np.ndarray:
+        dense = np.zeros(self.shape)
+        dense[self.rows(), self.indices] = self.data
+        return dense
+
+
+def _block_diagonal(blocks: Sequence[np.ndarray]) -> Csr:
+    """The block-diagonal matrix of 2-d ``blocks``, storing their nonzero
+    entries only."""
     indptr, indices, data = [np.zeros(1, dtype=np.int64)], [], []
     n_cols = 0
     for block in blocks:
@@ -866,9 +918,8 @@ def _block_diagonal(blocks: Sequence[np.ndarray]):
         data.append(block[nonzero])
         n_cols += block.shape[1]
     n_rows = sum(block.shape[0] for block in blocks)
-    return sparse.csr_array(
-        (np.concatenate(data), np.concatenate(indices), np.concatenate(indptr)),
-        shape=(n_rows, n_cols),
+    return Csr(
+        np.concatenate(indptr), np.concatenate(indices), np.concatenate(data), (n_rows, n_cols)
     )
 
 
@@ -981,35 +1032,29 @@ def _realization_plan_lp(
     played: Sequence[np.ndarray] | None = None,
 ) -> tuple[float, np.ndarray, np.ndarray, float]:
     """max f^T q  s.t.  E x = e, x >= 0, F^T q <= G^T x, via HiGHS, with
-    ``G`` a ``scipy.sparse`` CSR array.
+    ``G`` a ``Csr`` matrix.
 
     ``x`` is agent 0's realization plan and ``q`` one free value per set of
     agent 1; the duals of the ``F^T q <= G^T x`` rows are agent 1's plan.
     With 0/1 masks ``played`` over each agent's sequences, agent 0's
     masked-out sequences are held at 0 and agent 1's have no row, so both
     plans stay on the played sequences.  The rows ``[-G^T, F^T]`` (agent 1's
-    played sequences) and ``[E, 0]`` are one CSC array, built from the
-    nonzeros of ``G``, ``E`` and ``F``.  Returns (value, x, y, duality gap);
-    an LP HiGHS does not solve raises ``CertificateError``."""
-    from scipy import sparse
-
+    played sequences) and ``[E, 0]`` are one CSC matrix, built from the
+    nonzeros of ``G``, ``E`` and ``F``: sorted by column, then row, as
+    ``scipy.sparse`` stores them.  Returns (value, x, y, duality gap); an LP
+    HiGHS does not solve raises ``CertificateError``."""
     (e_row, e_col, e_val), e = _plan_constraints(parents[0], n_us[0])
     (f_row, f_col, f_val), f = _plan_constraints(parents[1], n_us[1])
     n_x, n_q = G.shape[0], len(f)
     rows = np.ones(G.shape[1], dtype=bool) if played is None else played[1]
     at, n_rows = np.cumsum(rows) - 1, int(rows.sum())  # each played sequence's row
-    g_row = np.repeat(np.arange(n_x), np.diff(G.indptr))
     kept_g, kept_f = rows[G.indices], rows[f_col]
-    A = sparse.csc_array(
-        (
-            np.concatenate([-G.data[kept_g], f_val[kept_f], e_val]),
-            (
-                np.concatenate([at[G.indices[kept_g]], at[f_col[kept_f]], n_rows + e_row]),
-                np.concatenate([g_row[kept_g], n_x + f_row[kept_f], e_col]),
-            ),
-        ),
-        shape=(n_rows + len(e), n_x + n_q),
-    )
+    row = np.concatenate([at[G.indices[kept_g]], at[f_col[kept_f]], n_rows + e_row])
+    col = np.concatenate([G.rows()[kept_g], n_x + f_row[kept_f], e_col])
+    order = np.lexsort((row, col))
+    value = np.concatenate([-G.data[kept_g], f_val[kept_f], e_val])[order]
+    start = np.searchsorted(col[order], np.arange(n_x + n_q + 1))
+    A = (start, row[order], value, (n_rows + len(e), n_x + n_q))
     x_hi = np.full(n_x, np.inf) if played is None else np.where(played[0], np.inf, 0.0)
     res = linprog(
         np.concatenate([np.zeros(n_x), -f]),
@@ -1146,7 +1191,7 @@ def _double_oracle(
 ) -> tuple[SequenceFormSolution, object]:
     """Saddle point below occupancy ``s`` by the sequence-form double oracle
     (Bošanský, Kiekintveld, Lisý & Pěchouček 2014), with agent 0's payoff
-    matrix ``G`` of its last walk (a ``scipy.sparse`` CSR array).
+    matrix ``G`` of its last walk (a ``Csr`` matrix).
 
     Each agent's set of sequences is its whole trie (None) or a union of
     pure plans, one tree per anchor, held as 0/1 rows (``_plan_rows``).
@@ -1445,7 +1490,7 @@ def zero_sum_value_from(
 ) -> tuple[float, SequenceFormSolution, object]:
     """Saddle value of the zero-sum subgame rooted at occupancy ``s``, with
     the saddle point and agent 0's sequence-form payoff matrix of the
-    loop's last walk (a ``scipy.sparse`` CSR array): over both agents' whole
+    loop's last walk (a ``Csr`` matrix): over both agents' whole
     tries unless the method is ``sequence-form-double-oracle``."""
     sol, G = _double_oracle(model, s, DEFAULT_TOLERANCE, CAP_BYTES)
     return sol.values[0], sol, G

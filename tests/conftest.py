@@ -1,4 +1,9 @@
+import functools
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -114,6 +119,57 @@ def restricted_start(monkeypatch) -> None:
         return count(model, n_anchors, depth, sets)
 
     monkeypatch.setattr(solve, "_restricted_bytes", over_any_cap)
+
+
+# ``ogs`` commands that solve LPs, each run in one fresh interpreter by
+# ``fresh_ogs``: both solver criteria with an LP, the zero-sum loop on
+# restricted sets, and the zero-sum master check
+LP_COMMANDS = (
+    "solve models/tiger-duel.posg",
+    "solve models/stackelberg-tiger.posg",
+    "solve models/tiger-duel.posg --horizon 4",
+    "verify models/tiger-duel.posg --suite master",
+)
+
+FRESH_OGS = """
+import hashlib, importlib.util, json, sys
+if sys.argv[1] == "package":  # the file lookup finds nothing: scipy is not searched
+    find_spec = importlib.util.find_spec
+    importlib.util.find_spec = lambda name, *rest: None if name == "scipy" else find_spec(name, *rest)
+from occupancy_games import solve
+from occupancy_games.cli import main
+digest, lps, linprog = hashlib.sha256(), [], solve.linprog
+
+def record(*lp):
+    res = linprog(*lp)
+    lps.append(res.success)
+    digest.update(repr((res.success, res.message, res.value)).encode())
+    if res.success:
+        digest.update(res.x.tobytes() + res.duals.tobytes())
+    return res
+
+solve.linprog = record
+codes = [main(command.split()) for command in sys.argv[2:]]
+loaded = [m for m in ("scipy.optimize", "scipy.sparse", "scipy.linalg") if m in sys.modules]
+print(json.dumps({"codes": codes, "lps": len(lps), "digest": digest.hexdigest(), "loaded": loaded}))
+"""
+
+
+@functools.cache
+def fresh_ogs(lookup: str, commands: tuple[str, ...] = LP_COMMANDS) -> tuple[str, dict]:
+    """``ogs`` commands run by the CLI's ``main`` in one fresh interpreter,
+    HiGHS's extension found by ``solve.linprog``'s file lookup (``lookup``
+    "file") or, with that lookup finding nothing, through the package
+    ("package").  Returns the commands' output and what the run saw: exit
+    codes, the LP count, a digest of every LP result's bits, and which of
+    ``scipy.optimize``, ``scipy.sparse`` and ``scipy.linalg`` were loaded."""
+    env = dict(os.environ, PYTHONPATH=str(MODELS.parent / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", FRESH_OGS, lookup, *commands], cwd=MODELS.parent, env=env,
+        capture_output=True, text=True, check=True, timeout=300,
+    )
+    *lines, last = out.stdout.splitlines()
+    return "\n".join(lines), json.loads(last)
 
 
 def model_path(name: str) -> pathlib.Path:

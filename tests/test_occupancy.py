@@ -11,6 +11,7 @@ from occupancy_games.errors import (
 from occupancy_games.model import parse_posg
 from occupancy_games import occupancy, solve
 from occupancy_games.occupancy import (
+    Mixture,
     OccupancyState,
     PrivateOccupancyState,
     action_probs,
@@ -43,7 +44,7 @@ from occupancy_games.sampling import (
 )
 from occupancy_games.verify import _anchored, _next_measures, _normalized, _outcomes, _played
 
-from conftest import in_steps_order, private_children, recorded_pushes
+from conftest import MODELS, in_steps_order, load, private_children, recorded_pushes
 
 
 def det_rule(model, agent, t, action, histories):
@@ -450,6 +451,36 @@ def test_decompose_rejects_inconsistent_occupancy(tiger):
     bad = OccupancyState(1, {k: v / total for k, v in entries.items()})
     with pytest.raises(InconsistentOccupancyError):
         decompose(bad, tiger, [rules], 0)
+
+
+@pytest.mark.parametrize(
+    "weights", [(1.5, -0.5), (float("nan"), 1.0)], ids=["negative", "nan"]
+)
+def test_mixture_rejects_negative_and_non_finite_weights(tiger, weights):
+    # both pairs slip past a check of the sum alone: 1.5 - 0.5 is 1, and a
+    # NaN compares false with any bound
+    rules = root_rules(tiger, (0, 1))
+    (_, _, s1), = step(tiger, initial_occupancy(tiger), rules)
+    components = decompose(s1, tiger, [rules], 0).components
+    assert Mixture(0, components).components == components
+    with pytest.raises(ValueError, match="nonnegative and sum to 1"):
+        Mixture(0, tuple(zip(weights, (c for _, c in components))))
+
+
+@pytest.mark.parametrize("name", sorted(path.stem for path in MODELS.glob("*.posg")))
+def test_decompose_builds_every_mixture_on_the_bundled_models(name):
+    # every state step reaches under a seeded random policy, up to t=2, on
+    # each agent's basis: its weights are positive and sum to 1
+    m = load(name)
+    rules = random_joint_policy(m, np.random.default_rng(7)).joint_rules(m)
+    states = [initial_occupancy(m)]
+    for t in range(min(m.horizon, 3)):
+        for s in states:
+            for agent in range(m.n_agents):
+                weights = [w for w, _ in decompose(s, m, rules[:t], agent).components]
+                assert min(weights) > 0.0 and sum(weights) == pytest.approx(1.0, abs=1e-9)
+        if t + 1 < min(m.horizon, 3):
+            states = [s1 for s in states for _, _, s1 in step(m, s, rules[t])]
 
 
 # -- serialization ------------------------------------------------------------

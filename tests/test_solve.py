@@ -69,7 +69,9 @@ from occupancy_games.solve import (
 )
 
 from conftest import (
+    LP_COMMANDS,
     code_names,
+    fresh_ogs,
     in_steps_order,
     load,
     model_path,
@@ -1463,8 +1465,6 @@ def test_restricted_count_is_at_least_the_walks_peak(monkeypatch, case):
     # tracemalloc peak: on tiger-zs h=1..4 one walk of both agents' whole
     # tries, on a "loop:" case every pair's walk of the loop from the seed
     # pair on that loop_models() case
-    from scipy import sparse  # noqa: F401  (imported for the first G, before any walk)
-
     walk, seen = solve._walk, []
 
     def traced(model, s, agents, keep=(), uncontracted=(), weights=None):
@@ -1752,13 +1752,25 @@ def test_double_oracle_builds_no_history_or_policy_object(tiger_duel, monkeypatc
 
 
 def test_package_import_leaves_scipy_optimize_unloaded():
+    # neither the import nor a command that solves LPs loads scipy.optimize,
+    # scipy.sparse or scipy.linalg: linprog loads HiGHS's extension from its
+    # file, and G and the LP rows are numpy arrays
     src = pathlib.Path(solve.__file__).resolve().parents[1]
-    code = "import sys, occupancy_games; print('scipy.optimize' in sys.modules)"
+    code = (
+        "import sys, occupancy_games; "
+        "print([m for m in ('scipy.optimize', 'scipy.sparse', 'scipy.linalg') if m in sys.modules])"
+    )
     env = dict(os.environ, PYTHONPATH=str(src))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+    _, run = fresh_ogs("file")
+    assert run["codes"] == [0] * len(LP_COMMANDS) and run["lps"] > 0 and run["loaded"] == []
+    # control: where the file lookup finds nothing, the package import loads
+    # HiGHS's extension and the check sees scipy.optimize
+    _, package = fresh_ogs("package")
+    assert package["lps"] == run["lps"] and "scipy.optimize" in package["loaded"]
 
 
 def test_benchmark_span_targets_resolve():
@@ -1940,7 +1952,7 @@ def test_the_record_means_the_same_for_both_kernels(m, s):
     # zero sum, on the whole tries' G_i for Stackelberg
     if m.criterion == "zerosum":
         sol, G = solve._double_oracle(m, s, solve.DEFAULT_TOLERANCE, solve.CAP_BYTES)
-        payoffs = [G, -G]
+        payoffs = [G, G._replace(data=-G.data)]
     else:
         sol = solve._stackelberg_kernel(m, s, solve.DEFAULT_TOLERANCE, solve.CAP_BYTES)
         payoffs, _, _ = solve._normal_form(m, s, [0, 1], solve.CAP_BYTES, keep=(0, 1))
@@ -2192,14 +2204,14 @@ def check_walk_against_brute_force(m, s, rng, cells=12):
     (A,), spaces = suffix_normal_form(m, s, (0,))
     assert abs(v - matrix_game_value(A).value) <= 1e-9
     R = [realization_matrix(m, i, sol, spaces[i]) for i in range(2)]
-    assert np.abs(R[0] @ G @ R[1].T - A).max() <= 1e-12
+    assert np.abs(np.array([r @ G for r in R[0]]) @ R[1].T - A).max() <= 1e-12
     n_us = [len(m.actions[i]) for i in range(2)]
     for i in range(2):
         assert_sorted_numbering(sol, i, n_us[i])
         below = {h for c, h in set_histories(sol, i, n_us[i]).items() if c >= len(sol.anchors[i])}
         assert below == reached_histories(m, s)[i]
     levels = [set_levels(sol, i, n_us[i]) for i in range(2)]
-    rows, cols = G.nonzero()
+    rows, cols = G.rows(), G.indices
     assert all(levels[0][r // n_us[0]] == levels[1][c // n_us[1]] for r, c in zip(rows, cols))
     for cell in zip(rng.integers(len(spaces[0]), size=cells), rng.integers(len(spaces[1]), size=cells)):
         assert abs(A[cell] - per_cell_value(m, s, spaces, cell, 0)) <= 1e-12
