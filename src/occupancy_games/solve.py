@@ -1188,7 +1188,7 @@ def _plan_rows(
 
 def _double_oracle(
     model: PosgModel, s: OccupancyState, tolerance: float, cap_bytes: int
-) -> tuple[SequenceFormSolution, object]:
+) -> tuple[SequenceFormSolution, Csr]:
     """Saddle point below occupancy ``s`` by the sequence-form double oracle
     (Bošanský, Kiekintveld, Lisý & Pěchouček 2014), with agent 0's payoff
     matrix ``G`` of its last walk (a ``Csr`` matrix).
@@ -1487,7 +1487,7 @@ def solve_stackelberg(
 
 def zero_sum_value_from(
     model: PosgModel, s: OccupancyState
-) -> tuple[float, SequenceFormSolution, object]:
+) -> tuple[float, SequenceFormSolution, Csr]:
     """Saddle value of the zero-sum subgame rooted at occupancy ``s``, with
     the saddle point and agent 0's sequence-form payoff matrix of the
     loop's last walk (a ``Csr`` matrix): over both agents' whole
