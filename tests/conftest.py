@@ -121,9 +121,9 @@ def restricted_start(monkeypatch) -> None:
     monkeypatch.setattr(solve, "_restricted_bytes", over_any_cap)
 
 
-# ``ogs`` commands that solve LPs, each run in one fresh interpreter by
-# ``fresh_ogs``: both solver criteria with an LP, the zero-sum loop on
-# restricted sets, and the zero-sum master check
+# ``ogs`` commands that solve LPs, run one after another in one fresh
+# interpreter by ``fresh_ogs``: both solver criteria with an LP, the
+# zero-sum loop on restricted sets, and the zero-sum master check
 LP_COMMANDS = (
     "solve models/tiger-duel.posg",
     "solve models/stackelberg-tiger.posg",
@@ -135,7 +135,9 @@ FRESH_OGS = """
 import hashlib, importlib.util, json, sys
 if sys.argv[1] == "package":  # the file lookup finds nothing: scipy is not searched
     find_spec = importlib.util.find_spec
-    importlib.util.find_spec = lambda name, *rest: None if name == "scipy" else find_spec(name, *rest)
+    importlib.util.find_spec = (
+        lambda name, *rest: None if name == "scipy" else find_spec(name, *rest)
+    )
 from occupancy_games import solve
 from occupancy_games.cli import main
 digest, lps, linprog = hashlib.sha256(), [], solve.linprog
