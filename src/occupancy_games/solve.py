@@ -151,15 +151,29 @@ class LpResult(NamedTuple):
     value: float
 
 
+class Csc(NamedTuple):
+    """An LP's rows in numpy arrays laid out as ``scipy.sparse`` lays out
+    CSC: column ``j`` holds ``data[indptr[j]:indptr[j + 1]]`` in the rows
+    ``indices[indptr[j]:indptr[j + 1]]``, increasing.  Its own type, so a
+    ``Csr`` matrix, whose fields read the same, is never taken for it."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+
 def linprog(c, A, row_lo, row_hi, col_lo, col_hi) -> LpResult:
     """min c^T x  s.t.  row_lo <= A x <= row_hi,  col_lo <= x <= col_hi, by
     HiGHS through the bindings scipy ships (``scipy.optimize._highspy``).
     Their extension module is loaded on first use from its file, without
     its packages: importing ``scipy.optimize`` costs more than the
-    package's own import, and many commands never solve an LP.  Where the
-    file is not found the package import loads it.  ``A`` is a dense array
-    or a CSC matrix of numpy arrays ``(indptr, indices, data, shape)``, its
-    indices sorted in each column; an infinite bound is ``±np.inf``.
+    package's own import, and many commands never solve an LP.  It is
+    registered in ``sys.modules`` under its own name, so a later import of
+    ``scipy.optimize`` uses this module (the package ``_highspy`` then does
+    not hold it as an attribute; imports of it by name still find it).
+    Where the file is not found the package import loads it.  ``A`` is a
+    dense array or a ``Csc`` matrix; an infinite bound is ``±np.inf``.
 
     The options and the check after the solve are
     ``scipy.optimize.linprog``'s: success is an optimal model status with
@@ -170,25 +184,26 @@ def linprog(c, A, row_lo, row_hi, col_lo, col_hi) -> LpResult:
     highs = sys.modules.get(name)
     if highs is None:
         scipy = importlib.util.find_spec("scipy")
-        files = [
-            os.path.join(root, "optimize", "_highspy", "_core" + suffix)
-            for root in (scipy.submodule_search_locations if scipy else [])
-            for suffix in importlib.machinery.EXTENSION_SUFFIXES
-        ]
-        path = next(filter(os.path.isfile, files), None)
-        if path is None:
+        spec = scipy and importlib.machinery.PathFinder.find_spec(
+            name, [os.path.join(d, "optimize", "_highspy") for d in scipy.submodule_search_locations]
+        )
+        if spec is None:
             from scipy.optimize._highspy import _core as highs
         else:
-            loader = importlib.machinery.ExtensionFileLoader(name, path)
-            highs = importlib.util.module_from_spec(importlib.util.spec_from_loader(name, loader))
-            sys.modules[name] = highs
-            loader.exec_module(highs)
+            highs = sys.modules[name] = importlib.util.module_from_spec(spec)
+            try:
+                spec.loader.exec_module(highs)
+            except BaseException:
+                del sys.modules[name]
+                raise
     if isinstance(A, np.ndarray):  # the nonzeros by column, as a CSC matrix holds them
         cols, index = np.nonzero(A.T)
         start, value = np.searchsorted(cols, np.arange(A.shape[1] + 1)), A.T[cols, index]
         shape = A.shape
-    else:
+    elif isinstance(A, Csc):
         start, index, value, shape = A
+    else:
+        raise TypeError(f"linprog takes a dense array or a Csc matrix, not {type(A).__name__}")
     lp = highs.HighsLp()
     lp.num_row_, lp.num_col_ = lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = shape
     lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
@@ -1039,7 +1054,7 @@ def _realization_plan_lp(
     With 0/1 masks ``played`` over each agent's sequences, agent 0's
     masked-out sequences are held at 0 and agent 1's have no row, so both
     plans stay on the played sequences.  The rows ``[-G^T, F^T]`` (agent 1's
-    played sequences) and ``[E, 0]`` are one CSC matrix, built from the
+    played sequences) and ``[E, 0]`` are one ``Csc`` matrix, built from the
     nonzeros of ``G``, ``E`` and ``F``: sorted by column, then row, as
     ``scipy.sparse`` stores them.  Returns (value, x, y, duality gap); an LP
     HiGHS does not solve raises ``CertificateError``."""
@@ -1054,7 +1069,7 @@ def _realization_plan_lp(
     order = np.lexsort((row, col))
     value = np.concatenate([-G.data[kept_g], f_val[kept_f], e_val])[order]
     start = np.searchsorted(col[order], np.arange(n_x + n_q + 1))
-    A = (start, row[order], value, (n_rows + len(e), n_x + n_q))
+    A = Csc(start, row[order], value, (n_rows + len(e), n_x + n_q))
     x_hi = np.full(n_x, np.inf) if played is None else np.where(played[0], np.inf, 0.0)
     res = linprog(
         np.concatenate([np.zeros(n_x), -f]),

@@ -11,9 +11,15 @@ of random zero-sum models, must give the products and the LP's CSC arrays
 that ``scipy.sparse`` gives on the same nonzeros, bit for bit.
 """
 
+import importlib.machinery
+import importlib.util
 import inspect
+import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -26,7 +32,7 @@ from occupancy_games.model import reinterpret_criterion
 from occupancy_games.sampling import random_posg
 from occupancy_games.solve import solve_stackelberg, solve_zero_sum
 
-from conftest import fresh_ogs, load
+from conftest import MODELS, fresh_ogs, load
 
 
 def public_linprog(c, A, row_lo, row_hi, col_lo, col_hi):
@@ -65,7 +71,7 @@ def public_copy(a):
     Stackelberg kernel rewrites one row of its matrix between calls): a CSC
     matrix of numpy arrays as the ``scipy.sparse`` CSC array of the same
     arrays, which the public linprog takes."""
-    if isinstance(a, tuple):
+    if isinstance(a, solve.Csc):
         start, index, value, shape = a
         return sparse.csc_array((value.copy(), index.copy(), start.copy()), shape=shape)
     return a.copy()
@@ -148,7 +154,7 @@ def test_infeasible_and_unbounded_lps_fail_with_their_status(dense):
     A = np.array([[1.0, 1.0], [1.0, -1.0]])
     if not dense:
         csc = sparse.csc_array(A)
-        A = (csc.indptr, csc.indices, csc.data, csc.shape)
+        A = solve.Csc(csc.indptr, csc.indices, csc.data, csc.shape)
     free = (np.full(2, -np.inf), np.full(2, np.inf))
     # x + y <= -1 with x, y >= 0
     res = solve.linprog(
@@ -178,6 +184,94 @@ def test_highs_through_the_package_when_its_file_is_not_found():
     assert package["codes"] == direct["codes"] and package["lps"] == direct["lps"] > 0
     assert package["digest"] == direct["digest"]
     assert "scipy.optimize" in package["loaded"] and direct["loaded"] == []
+
+
+# solves tiger-duel's LPs through ``solve.linprog`` in a fresh interpreter,
+# then imports ``scipy.optimize`` and solves them again through the public
+# linprog; prints whether the extension module was shared and the results
+# were the same bit for bit
+LINPROG_THEN_SCIPY = """
+import json, sys
+import numpy as np
+from occupancy_games import solve
+from occupancy_games.model import parse_posg
+name, lps, linprog = "scipy.optimize._highspy._core", [], solve.linprog
+
+def record(*lp):
+    res = linprog(*lp)
+    lps.append(([a.copy() if isinstance(a, np.ndarray) else a for a in lp], res))
+    return res
+
+solve.linprog = record
+solve.solve_zero_sum(parse_posg(open("models/tiger-duel.posg").read()))
+unloaded, loaded = "scipy.optimize" not in sys.modules, sys.modules[name]
+import scipy.optimize
+from scipy import sparse
+from scipy.optimize._highspy import _core, _highs_wrapper
+
+same = []
+for (c, A, row_lo, row_hi, col_lo, col_hi), res in lps:
+    if isinstance(A, solve.Csc):
+        A = sparse.csc_array((A.data, A.indices, A.indptr), shape=A.shape)
+    n_ub = int(np.isneginf(row_lo).sum())
+    pub = scipy.optimize.linprog(
+        c, A_ub=A[:n_ub], b_ub=row_hi[:n_ub], A_eq=A[n_ub:], b_eq=row_hi[n_ub:],
+        bounds=np.column_stack([col_lo, col_hi]), method="highs",
+    )
+    duals = np.concatenate([pub.ineqlin.marginals, pub.eqlin.marginals])
+    same.append(
+        res.success and pub.success and np.array_equal(res.x, pub.x)
+        and np.array_equal(res.duals, duals) and res.value == pub.fun
+    )
+print(json.dumps({
+    "unloaded_before": unloaded, "same": same,
+    "shared": sys.modules[name] is loaded and _core is loaded and _highs_wrapper._h is loaded,
+}))
+"""
+
+
+def test_scipy_optimize_imported_after_linprog_uses_its_extension():
+    # a library user who solves first and calls scipy.optimize.linprog after
+    # gets the module linprog loaded from its file, and the same bits
+    env = dict(os.environ, PYTHONPATH=str(MODELS.parent / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", LINPROG_THEN_SCIPY], cwd=MODELS.parent, env=env,
+        capture_output=True, text=True, check=True, timeout=120,
+    )
+    run = json.loads(out.stdout)
+    assert run["unloaded_before"] and run["shared"]
+    assert run["same"] and all(run["same"])
+
+
+class BrokenExtension(importlib.machinery.ExtensionFileLoader):
+    """A loader whose module fails as it runs."""
+
+    def create_module(self, spec):
+        return None
+
+    def exec_module(self, module):
+        raise ImportError("broken extension")
+
+
+def test_a_failed_load_leaves_no_module_registered(monkeypatch):
+    # a half-run module left in sys.modules would serve every later linprog
+    name = "scipy.optimize._highspy._core"
+    spec = importlib.util.spec_from_loader(name, BrokenExtension(name, "_core.so"))
+    monkeypatch.delitem(sys.modules, name)
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", lambda *_: spec)
+    lp = np.ones(1), np.ones((1, 1)), np.ones(1), np.ones(1), np.zeros(1), np.ones(1)
+    for _ in range(2):
+        with pytest.raises(ImportError, match="broken extension"):
+            solve.linprog(*lp)
+        assert name not in sys.modules
+
+
+def test_linprog_refuses_a_csr_matrix():
+    # a Csr holds its fields in Csc's order; read as Csc it would be the
+    # transpose
+    G = solve._block_diagonal([np.array([[1.0, 2.0], [0.0, 3.0]])])
+    with pytest.raises(TypeError, match="not Csr"):
+        solve.linprog(np.ones(2), G, np.zeros(2), np.ones(2), np.zeros(2), np.ones(2))
 
 
 def test_highs_is_reached_only_through_linprog():
