@@ -3,18 +3,22 @@
 Each check contrasts two computational routes: a raw-definition oracle that
 expands full trajectory trees from the model primitives, and the production
 path through occupancy updates, best-response solvers, and normal forms.
-The oracles share one naive enumerator, ``_outcomes``: every positive-
-probability outcome of one step from a raw (state, joint history) measure,
-read straight from the transition and observation rows (as Python floats,
-once per step), with two small reducers: each observation's mass with its
-next measure, and the reward.  Both sufficiency checks walk one raw prefix,
+The oracles share one naive step, ``_raw_step``, over plain tuples: a raw
+measure is keyed ``(state, each agent's tuple of (action, observation)
+steps)``, and one pass enumerates every positive-probability outcome of one
+step, read straight from the transition and observation rows (as Python
+floats, once per step), into each observation's mass and its next measure;
+``_raw_reward`` prices the reward.  The oracles build no history object and
+read no production update: each decision rule is read once into a dict by
+its histories' steps.  Both sufficiency checks walk one raw prefix,
 ``_raw_prefix``: it carries the unnormalized raw measure forward one
 expansion per step, drawing each step's observation (public, or the agent's
 own) from the raw route, and normalizes only where a distribution is read.
 One step gap, ``_raw_gap``, then compares a production step with the raw
-one: the reward, each observation's probability, and the next state of
-every branch production returns.  Each raw step is enumerated once.  The
-structure checks draw their pairs of states from one sampler,
+one: the reward (every agent's in the master check), each observation's
+probability, and the next state of every branch production returns, read
+from its level by steps (``_by_steps``).  Each raw step is enumerated once.
+The structure checks draw their pairs of states from one sampler,
 ``_state_pair`` (two start beliefs at t=0, else two sampled prefixes,
 optionally under one shared leader prefix), and the zero-sum ones price one
 max-of-concave certificate, ``_concave_certificate``.
@@ -36,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Mapping, Sequence
@@ -147,62 +152,74 @@ def _action_product(dists: Sequence[Sequence[float]]) -> list[tuple[tuple[int, .
     return out
 
 
+def _steps_table(rule: DecisionRule) -> dict:
+    """``rule``'s action distributions keyed by each history's steps."""
+    return {h.steps: dist for h, dist in rule.probs.items()}
+
+
 def _played(rules: Sequence[DecisionRule]):
-    """Each agent's action distribution at a joint history under ``rules``."""
-    return lambda o: [rule.dist(h) for rule, h in zip(rules, o.privates)]
+    """Each agent's action distribution at a raw joint history ``o`` (each
+    agent's steps) under ``rules``, each rule read once."""
+    tables = [_steps_table(rule) for rule in rules]
+    return lambda o: [table[steps] for table, steps in zip(tables, o)]
 
 
 def _anchored(model: PosgModel, agent: int, profile: Mapping[int, DecisionRule], u_i: int):
     """The others' distributions under ``profile``, and a point mass on
     ``u_i`` for ``agent``."""
     point = tuple(float(u == u_i) for u in range(len(model.actions[agent])))
-    return lambda o: [
-        point if j == agent else profile[j].dist(h) for j, h in enumerate(o.privates)
-    ]
+    tables = {j: _steps_table(rule) for j, rule in profile.items()}
+    return lambda o: [point if j == agent else tables[j][steps] for j, steps in enumerate(o)]
 
 
 def _start_measure(model: PosgModel) -> dict:
-    empty = empty_joint_history(model.n_agents)
+    empty = ((),) * model.n_agents
     return {(x, empty): float(p) for x, p in enumerate(model.start) if p > 0.0}
 
 
-def _outcomes(model: PosgModel, measure: Mapping, dists):
-    """Every positive-probability outcome of one step from the raw measure
-    ``{(state, joint history): mass}``, where ``dists(o)`` lists each agent's
-    action distribution at joint history ``o``: (next state, history, joint
-    actions, joint observation, mass), in (entry, joint action, next state,
-    joint observation) order."""
+def _raw_step(
+    model: PosgModel, measure: Mapping, dists, of, n_obs: int
+) -> tuple[np.ndarray, dict]:
+    """One step from the raw measure ``{(state, each agent's steps): mass}``,
+    where ``dists(o)`` lists each agent's action distribution at steps
+    ``o``: each observation ``of(z)`` in ``range(n_obs)`` of the joint
+    observations ``z``, with its mass and its unnormalized measure one step
+    on, ``(mass per observation, {of(z): measure})``.  Every positive-
+    probability outcome is read straight from the transition and observation
+    rows (as Python floats, once per call) in (entry, joint action, next
+    state, joint observation) order, and its mass ``p * a_p * t_p * o_p`` is
+    added to both in that order.  A child key is each agent's steps plus its
+    (action, own observation), built once per (entry, joint action, z)."""
     transition = model.transition.tolist()
     observation = model.observation.tolist()
+    agent_obs, seen_of = [], []
+    for z in range(model.n_joint_obs):
+        zs, w = model.split_joint_obs(z)
+        agent_obs.append(tuple(model.agent_obs_index(i, zs[i], w) for i in range(model.n_agents)))
+        seen_of.append(of(z))
+    grown: dict = {}  # per joint action and z, each agent's step as a 1-tuple
+    om = [0.0] * n_obs
+    by_obs: dict = {}
     for (x, o), p in measure.items():
         for us, a_p in _action_product(dists(o)):
             u = model.joint_action_index(us)
+            if u not in grown:
+                grown[u] = [tuple(((u_i, z_i),) for u_i, z_i in zip(us, zs)) for zs in agent_obs]
+            kids: dict = {}
             for x2, t_p in enumerate(transition[u][x]):
                 if t_p == 0.0:
                     continue
                 for z, o_p in enumerate(observation[u][x2]):
                     if o_p > 0.0:
-                        yield x2, o, us, z, p * a_p * t_p * o_p
-
-
-def _next_measures(model: PosgModel, outcomes, of, n_obs: int) -> tuple[np.ndarray, dict]:
-    """Each observation ``of(z)`` in ``range(n_obs)`` of the outcomes' joint
-    observations ``z``, with its mass and the unnormalized measure one step
-    on: ``(mass per observation, {of(z): measure})``, both summed in outcome
-    order over the outcomes of each observation.  Each joint observation is
-    split into the agents' observations once."""
-    agent_obs = []
-    for z in range(model.n_joint_obs):
-        zs, w = model.split_joint_obs(z)
-        agent_obs.append(tuple(model.agent_obs_index(i, zs[i], w) for i in range(model.n_agents)))
-    om = [0.0] * n_obs
-    by_obs: dict = {}
-    for x2, o, us, z, mass in outcomes:
-        seen = of(z)
-        om[seen] += mass
-        new = by_obs.setdefault(seen, {})
-        key = (x2, o.child(us, agent_obs[z]))
-        new[key] = new.get(key, 0.0) + mass
+                        mass = p * a_p * t_p * o_p
+                        seen = seen_of[z]
+                        om[seen] += mass
+                        kid = kids.get(z)
+                        if kid is None:
+                            kid = kids[z] = tuple(map(operator.add, o, grown[u][z]))
+                        new = by_obs.setdefault(seen, {})
+                        key = (x2, kid)
+                        new[key] = new.get(key, 0.0) + mass
     return np.array(om), by_obs
 
 
@@ -232,35 +249,45 @@ def _dist_diff(a: Mapping, b: Mapping) -> float:
 
 def _raw_prefix(model: PosgModel, rng, t: int, dists, n_obs: int, of) -> tuple[dict, list]:
     """The unnormalized raw measure ``t`` steps on, where ``dists(tau)``
-    gives step ``tau``'s action distributions (as ``_outcomes`` reads them),
+    gives step ``tau``'s action distributions (as ``_raw_step`` reads them),
     and each step's observation ``of(z)`` is drawn from its raw distribution:
     ``(measure, picks)``, the drawn observations in step order."""
     measure = _start_measure(model)
     picks: list[int] = []
     for tau in range(t):
-        om, by_obs = _next_measures(model, _outcomes(model, measure, dists(tau)), of, n_obs)
+        om, by_obs = _raw_step(model, measure, dists(tau), of, n_obs)
         picks.append(int(rng.choice(n_obs, p=om / om.sum())))
         measure = by_obs[picks[-1]]
     return measure, picks
 
 
+def _by_steps(model: PosgModel, s) -> dict:
+    """The entries of a state an update returned, keyed as the raw measures
+    are, ``{(state, each agent's steps): mass}``, read from its level."""
+    level, hists = level_of(model, s)
+    steps = [[hs[k].steps for k in ids.tolist()] for hs, ids in zip(hists, level.ids)]
+    return dict(zip(zip(level.xs.tolist(), zip(*steps)), level.mass.tolist()))
+
+
 def _raw_gap(
-    model: PosgModel, measure, played, agent: int, n_obs: int, of, reward: float, branches
+    model: PosgModel, measure, played, n_obs: int, of, rewards: Mapping[int, float], branches
 ) -> float:
     """The largest gap between one production step from the raw ``measure``
-    under ``played`` and the raw step itself: ``agent``'s ``reward``, each
-    observation ``of(z)``'s probability, and the next state of every branch
-    ``(obs, probability, next state)`` that production returns."""
-    raw_om, raw_next = _next_measures(model, _outcomes(model, measure, played), of, n_obs)
+    under ``played`` and the raw step itself: each agent's reward in
+    ``rewards`` (``{agent: reward}``), each observation ``of(z)``'s
+    probability, and the next state of every branch ``(obs, probability,
+    next state)`` that production returns."""
+    raw_om, raw_next = _raw_step(model, measure, played, of, n_obs)
     om = np.zeros(n_obs)
     for z, omega, _ in branches:
         om[z] = omega
+    raw = _normalized(measure)
     gap = max(
-        abs(_raw_reward(model, _normalized(measure), played, agent) - reward),
+        max(abs(_raw_reward(model, raw, played, i) - r) for i, r in rewards.items()),
         float(np.abs(raw_om / sum(measure.values()) - om).max()),
     )
     for z, _, nxt in branches:
-        gap = max(gap, _dist_diff(_normalized(raw_next.get(z, {})), nxt.entries))
+        gap = max(gap, _dist_diff(_normalized(raw_next.get(z, {})), _by_steps(model, nxt)))
     return gap
 
 
@@ -271,8 +298,9 @@ def check_sufficiency_master(
     fixture: str = "model",
     negative_control: bool = False,
 ) -> PropertyReport:
-    """Reward, public-observation, and next-state predictions from occupancy
-    states match the raw plan-time definitions on random plan-time data."""
+    """Every agent's reward, public-observation, and next-state predictions
+    from occupancy states match the raw plan-time definitions on random
+    plan-time data."""
     rng = np.random.default_rng(seed)
     n_pub, of = len(model.public_obs), model.public_of_joint_obs
     shift = _CORRUPTION if negative_control else 0.0
@@ -290,9 +318,10 @@ def check_sufficiency_master(
         for rules, w in zip(rules_by_step, stream):
             s = next(nxt for b, _, nxt in step(model, s, rules) if b == w)
         a_t = rules_by_step[t]
-        reward = expected_reward(model, s, a_t, 0) + shift
+        rewards = {i: expected_reward(model, s, a_t, i) for i in range(model.n_agents)}
+        rewards[0] += shift
         branches = step(model, s, a_t)
-        worst = max(worst, _raw_gap(model, measure, played[t], 0, n_pub, of, reward, branches))
+        worst = max(worst, _raw_gap(model, measure, played[t], n_pub, of, rewards, branches))
     return _report(
         "sufficiency-master", fixture, n_samples, worst, EXACT_TOL, seed, negative_control
     )
@@ -330,9 +359,9 @@ def check_sufficiency_private(
         played = dists(t)
         s_i = private_occupancy(model, profiles, PrivateHistory(agent, tuple(zip(actions, own))))
         u_i = actions[t]
-        reward = private_reward(model, s_i, profiles[t], u_i) + shift
+        rewards = {agent: private_reward(model, s_i, profiles[t], u_i) + shift}
         branches = private_step(model, s_i, profiles[t], u_i)
-        worst = max(worst, _raw_gap(model, measure, played, agent, n_obs, of, reward, branches))
+        worst = max(worst, _raw_gap(model, measure, played, n_obs, of, rewards, branches))
     return _report(
         f"sufficiency-private-agent{agent + 1}", fixture, n_samples, worst, EXACT_TOL, seed,
         negative_control,

@@ -63,6 +63,13 @@ def code_names(code) -> set[str]:
     return names
 
 
+def raw_keys(entries) -> dict:
+    """Production entries ``{(state, joint history): mass}`` keyed as the
+    raw oracles of ``verify`` key their measures: ``{(state, each agent's
+    steps): mass}``, in entry order."""
+    return {(x, tuple(h.steps for h in o.privates)): p for (x, o), p in entries.items()}
+
+
 def in_steps_order(hists) -> bool:
     """Whether each agent's histories of a level (``level_of``'s second
     item) are numbered in steps order."""

@@ -2,8 +2,9 @@
 
 Every occupancy update, reward, value table and best response runs through
 ``occupancy.next_level``; here each is checked against the raw trajectory-tree
-expansions of ``verify`` (its one-step enumerator ``_outcomes`` and the
-reducers ``_next_measures`` and ``_raw_reward``) on random
+expansions of ``verify`` (its one raw step ``_raw_step`` and
+``_raw_reward``, over measures keyed by each agent's steps, against which
+production entries are read through ``conftest.raw_keys``) on random
 models: 1e-12 on values, identical supports.  Each check has a negative
 control: the same comparison with the production route on a copy of the
 model whose outcome probabilities and rewards are off by 1e-6 must fail.
@@ -31,7 +32,6 @@ from occupancy_games.policies import (
     BehavioralPolicy,
     JointPolicy,
     PrivateHistory,
-    empty_joint_history,
     enumerate_pure_policies,
     rules_from_trees,
 )
@@ -44,15 +44,14 @@ from occupancy_games.solve import (
 )
 from occupancy_games.verify import (
     _anchored,
-    _next_measures,
     _normalized,
-    _outcomes,
     _played,
     _raw_reward,
+    _raw_step,
     _start_measure,
 )
 
-from conftest import code_names, pairing, recorded_pushes
+from conftest import code_names, pairing, raw_keys, recorded_pushes
 
 TOL = 1e-12
 
@@ -125,8 +124,7 @@ def policy_of(rules_by_step, model) -> JointPolicy:
 def expand(model, measure: dict, rules, of=lambda z: 0, seen=0) -> dict:
     """The raw measure one step on under ``rules``, over the outcomes whose
     joint observation ``z`` has ``of(z) == seen`` (every outcome by default)."""
-    outcomes = _outcomes(model, measure, _played(rules))
-    return _next_measures(model, outcomes, of, model.n_joint_obs)[1].get(seen, {})
+    return _raw_step(model, measure, _played(rules), of, model.n_joint_obs)[1].get(seen, {})
 
 
 def mid_game(model, production, rules_by_step, rng):
@@ -186,14 +184,15 @@ def step_gap(seed: int, shape, production=lambda m: m) -> float:
     n_pub = len(model.public_obs)
     by_w: dict[int, dict] = {}
     for key, v in expand(model, raw, rules).items():
-        w = key[1].privates[0].steps[-1][1] % n_pub
+        w = key[1][0][-1][1] % n_pub
         by_w.setdefault(w, {})[key] = v
     branches = step(bad, s, rules)
     if [w for w, _, _ in branches] != sorted(by_w):
         return np.inf
     for w, p, nxt in branches:
         raw_w = by_w[w]
-        worst = max(worst, abs(p - sum(raw_w.values())), compare(normalized(raw_w), nxt.entries))
+        got = raw_keys(nxt.entries)
+        worst = max(worst, abs(p - sum(raw_w.values())), compare(normalized(raw_w), got))
     return worst
 
 
@@ -230,10 +229,10 @@ def branch_gap(model, rules, branches: dict) -> float:
     n_pub = len(model.public_obs)
     by_w: dict[int, dict] = {}
     for key, v in expand(model, _start_measure(model), rules).items():
-        by_w.setdefault(key[1].privates[0].steps[-1][1] % n_pub, {})[key] = v
+        by_w.setdefault(key[1][0][-1][1] % n_pub, {})[key] = v
     if sorted(branches) != sorted(by_w):
         return np.inf
-    return max(compare(normalized(normalized(by_w[w])), branches[w]) for w in by_w)
+    return max(compare(normalized(normalized(by_w[w])), raw_keys(branches[w])) for w in by_w)
 
 
 def misnormalized(model, s, pushed, whole: bool) -> dict:
@@ -292,7 +291,7 @@ def private_gap(seed: int, shape, production=lambda m: m) -> float:
     s_i, measure, worst = initial_private_occupancy(bad, agent), _start_measure(model), 0.0
     for t in range(model.horizon):
         raw = _normalized(measure)
-        worst = max(worst, compare(normalized(raw), s_i.entries))
+        worst = max(worst, compare(normalized(raw), raw_keys(s_i.entries)))
         for u in range(n_u):
             got = private_reward(bad, s_i, profiles[t], u)
             exact = _raw_reward(model, raw, _anchored(model, agent, profiles[t], u), agent)
@@ -302,7 +301,7 @@ def private_gap(seed: int, shape, production=lambda m: m) -> float:
         u = int(rng.integers(n_u))
         dists = _anchored(model, agent, profiles[t], u)
         n_obs = model.n_agent_obs(agent)
-        omega = _next_measures(model, _outcomes(model, raw, dists), own_obs, n_obs)[0]
+        omega = _raw_step(model, raw, dists, own_obs, n_obs)[0]
         children = {z: (w, c) for z, w, c in private_step(bad, s_i, profiles[t], u)}
         for z in range(model.n_agent_obs(agent)):
             worst = max(worst, abs(children.get(z, (0.0,))[0] - omega[z]))
@@ -310,7 +309,7 @@ def private_gap(seed: int, shape, production=lambda m: m) -> float:
             return np.inf
         z = int(rng.choice(len(omega), p=omega / omega.sum()))
         s_i = children[z][1]
-        measure = _next_measures(model, _outcomes(model, measure, dists), own_obs, n_obs)[1][z]
+        measure = _raw_step(model, measure, dists, own_obs, n_obs)[1][z]
     return worst
 
 
@@ -338,7 +337,7 @@ def value_gap(seed: int, shape, production=lambda m: m) -> float:
     seeds = sorted({o for (_, o) in s.entries}, key=lambda o: o.sort_key())
     worst = 0.0
     for agent in range(model.n_agents):
-        exact = raw_return(model, dict(s.entries), rules_by_step, t, agent)
+        exact = raw_return(model, raw_keys(s.entries), rules_by_step, t, agent)
         tables = value_tables(bad, rules_by_step, agent, t, seeds)
         worst = max(
             worst,
@@ -346,9 +345,9 @@ def value_gap(seed: int, shape, production=lambda m: m) -> float:
             abs(pairing(s, tables[0]) - exact),
         )
         # the tables hold every state at each history the raw expansion reaches
-        histories = set(seeds)
+        histories = {o for _, o in raw_keys(s.entries)}
         for tau, table in enumerate(tables[:-1], t):
-            if {o for _, o in table.values} != histories or len(table.values) != len(
+            if {o for _, o in raw_keys(table.values)} != histories or len(table.values) != len(
                 histories
             ) * model.n_states:
                 return np.inf
@@ -378,7 +377,7 @@ def best_raw(model, agent, rules_by_step, dist, t0, anchors) -> float:
     by their rules."""
     total = 0.0
     for anchor in anchors:
-        part = {k: v for k, v in dist.items() if k[1].privates[agent] == anchor}
+        part = {k: v for k, v in dist.items() if k[1][agent] == anchor.steps}
         values = []
         for tree in enumerate_pure_policies(model, agent, model.horizon - t0):
             own = rules_from_trees(model, agent, {anchor: tree}, t0)
@@ -400,7 +399,7 @@ def br_gap(seed: int, shape, production=lambda m: m) -> float:
     others = {
         j: a for j, a in enumerate(policy_of(rules_by_step, model).agents) if j != agent
     }
-    start = {(x, empty_joint_history(model.n_agents)): float(p) for x, p in enumerate(model.start)}
+    start = {(x, ((),) * model.n_agents): float(p) for x, p in enumerate(model.start)}
     root = PrivateHistory(agent)
     best = best_raw(model, agent, rules_by_step, start, 0, [root])
     worst = 0.0
@@ -414,11 +413,11 @@ def br_gap(seed: int, shape, production=lambda m: m) -> float:
     # the twins, one step in
     s = step(bad, initial_occupancy(bad), rules_by_step[0])[0][2]
     anchors = sorted({o.privates[agent] for _, o in s.entries}, key=lambda h: h.steps)
-    best = best_raw(model, agent, rules_by_step, dict(s.entries), 1, anchors)
+    best = best_raw(model, agent, rules_by_step, raw_keys(s.entries), 1, anchors)
     worst = max(worst, abs(best_response_value_from(bad, others, agent, s) - best))
     profiles = [{j: r[j] for j in others} for r in rules_by_step]
     _, _, s_i = private_step(bad, initial_private_occupancy(bad, agent), profiles[0], 0)[0]
-    best = best_raw(model, agent, rules_by_step, dict(s_i.entries), 1, [s_i.anchor])
+    best = best_raw(model, agent, rules_by_step, raw_keys(s_i.entries), 1, [s_i.anchor])
     return max(worst, abs(best_response_private_from(bad, others, agent, s_i) - best))
 
 

@@ -42,9 +42,9 @@ from occupancy_games.sampling import (
     random_joint_policy,
     random_posg,
 )
-from occupancy_games.verify import _anchored, _next_measures, _normalized, _outcomes, _played
+from occupancy_games.verify import _anchored, _normalized, _played, _raw_step
 
-from conftest import MODELS, in_steps_order, load, private_children, recorded_pushes
+from conftest import MODELS, in_steps_order, load, private_children, raw_keys, recorded_pushes
 
 
 def det_rule(model, agent, t, action, histories):
@@ -537,19 +537,18 @@ def test_decompose_with_public_observations():
 
 def pushed_children(m, rng):
     """``step`` and ``private_step`` children from the start under a random
-    policy, each with its entries by the raw definition (``verify``'s
-    enumerator, normalized per branch)."""
+    policy, each with its entries by the raw definition (``verify``'s raw
+    step, normalized per branch), keyed by each agent's steps."""
     rules = random_joint_policy(m, rng).joint_rules(m)[0]
     s0 = initial_occupancy(m)
     public = lambda z: m.split_joint_obs(z)[1]
-    outcomes = _outcomes(m, s0.entries, _played(rules))
-    raw = _next_measures(m, outcomes, public, len(m.public_obs))[1]
+    raw = _raw_step(m, raw_keys(s0.entries), _played(rules), public, len(m.public_obs))[1]
     out = [(s, _normalized(raw[w])) for w, _, s in step(m, s0, rules)]
     s_i, others = initial_private_occupancy(m, 0), {1: rules[1]}
     own = lambda z: m.agent_obs_of_joint(0, z)
     for u, z, _, s in private_children(m, s_i, others):
         dists = _anchored(m, 0, others, u)
-        raw = _next_measures(m, _outcomes(m, s_i.entries, dists), own, m.n_agent_obs(0))[1]
+        raw = _raw_step(m, raw_keys(s_i.entries), dists, own, m.n_agent_obs(0))[1]
         out.append((s, _normalized(raw[z])))
     return out
 
@@ -565,11 +564,12 @@ def test_pushed_states_build_their_entries_on_first_read(seed):
         assert type(first) is dict
         if isinstance(s, OccupancyState):
             copy = OccupancyState(s.t, dict(first))
-            assert s.equals(OccupancyState(s.t, raw)) and copy.equals(s)
+            by_steps = OccupancyState(s.t, raw_keys(first))
+            assert by_steps.equals(OccupancyState(s.t, raw)) and copy.equals(s)
         else:
             copy = PrivateOccupancyState(s.agent, s.anchor, dict(first))
-            assert first.keys() == raw.keys()
-            assert all(abs(p - raw[k]) <= 1e-12 for k, p in first.items())
+            assert raw_keys(first).keys() == raw.keys()
+            assert all(abs(p - raw[k]) <= 1e-12 for k, p in raw_keys(first).items())
             assert all(o.privates[0] == s.anchor for _, o in first)
         assert s == copy and copy == s and repr(s) == repr(copy)
     # equality reads entries: two branches of one update differ

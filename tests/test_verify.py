@@ -1,4 +1,6 @@
 import dataclasses
+import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -7,8 +9,20 @@ from hypothesis import given, settings, strategies as st
 from occupancy_games import solve, verify
 from occupancy_games.errors import CapExceededError, ModelValidationError, UnknownSuiteError
 from occupancy_games.evaluate import occupancy_value, value_tables
-from occupancy_games.occupancy import initial_occupancy, level_of, step
-from occupancy_games.policies import BehavioralPolicy, DecisionRule, PrivateHistory, agent_rules
+from occupancy_games.occupancy import (
+    initial_occupancy,
+    initial_private_occupancy,
+    level_of,
+    private_step,
+    step,
+)
+from occupancy_games.policies import (
+    BehavioralPolicy,
+    DecisionRule,
+    JointHistory,
+    PrivateHistory,
+    agent_rules,
+)
 from occupancy_games.sampling import random_behavioral_policy, random_decision_rule, random_posg
 from occupancy_games.verify import (
     check_lipschitz,
@@ -21,7 +35,7 @@ from occupancy_games.verify import (
     run_suite,
 )
 
-from conftest import code_names, load, pairing, recorded_pushes, restricted_start
+from conftest import code_names, load, pairing, raw_keys, recorded_pushes, restricted_start
 
 
 def test_sufficiency_master_tiger(tiger):
@@ -37,6 +51,19 @@ def test_sufficiency_master_single_state(minimal):
 def test_sufficiency_master_negative_control(tiger):
     report = check_sufficiency_master(tiger, n_samples=3, seed=7, negative_control=True)
     assert not report.passed
+
+
+def test_sufficiency_master_prices_every_agents_reward(monkeypatch):
+    # stackelberg-tiger is general-sum: agent 2's reward is not agent 1's,
+    # so a fault in agent 2's alone must show
+    m = load("stackelberg-tiger")
+    assert check_sufficiency_master(m, n_samples=5, seed=0).max_violation <= 1e-12
+    real = verify.expected_reward
+    monkeypatch.setattr(verify, "expected_reward", lambda model, s, rules, agent: (
+        real(model, s, rules, agent) + (1e-3 if agent == 1 else 0.0)
+    ))
+    report = check_sufficiency_master(m, n_samples=5, seed=0)
+    assert not report.passed and report.max_violation == pytest.approx(1e-3)
 
 
 def test_sufficiency_private_tiger(tiger):
@@ -72,14 +99,14 @@ def test_sufficiency_private_pushes_once_per_step(tiger, monkeypatch):
 
 
 def test_sufficiency_checks_enumerate_each_raw_step_once(tiger, monkeypatch):
-    # one _outcomes pass per raw step gives both the observation law and the
+    # one _raw_step call per raw step gives both the observation law and the
     # next measures: t prefix steps and the compared step, per sample
-    events, prefix, outcomes = [], verify._raw_prefix, verify._outcomes
+    events, prefix, raw_step = [], verify._raw_prefix, verify._raw_step
     monkeypatch.setattr(verify, "_raw_prefix", lambda m, rng, t, *rest: (
         events.append(t) or prefix(m, rng, t, *rest)
     ))
-    monkeypatch.setattr(verify, "_outcomes", lambda *args: (
-        events.append(None) or outcomes(*args)
+    monkeypatch.setattr(verify, "_raw_step", lambda *args: (
+        events.append(None) or raw_step(*args)
     ))
     m = tiger.with_horizon(3)
     assert check_sufficiency_master(m, n_samples=4, seed=3).passed
@@ -460,21 +487,116 @@ def test_run_suite_all_skips_the_suites_that_do_not_apply(tiger):
 
 
 ORACLES = (
-    "_action_product", "_played", "_anchored", "_start_measure", "_outcomes",
-    "_next_measures", "_raw_reward", "_normalized", "_dist_diff",
+    "_action_product", "_steps_table", "_played", "_anchored", "_start_measure", "_raw_step",
+    "_raw_reward", "_normalized", "_dist_diff",
 )
+# the production dynamics, and the history objects production keys its
+# states by
+PRODUCTION = {
+    "_dynamics", "_successor_arrays", "joint_dynamics", "step", "private_step",
+    "next_level", "action_probs", "child", "JointHistory", "PrivateHistory", "entries_of",
+}
 
 
 def test_raw_oracles_stay_off_the_production_dynamics():
-    production = {
-        "_dynamics", "_successor_arrays", "joint_dynamics", "step", "private_step",
-        "next_level", "action_probs",
-    }
     for name in ORACLES:
         fn = getattr(verify, name)
-        assert not code_names(fn.__code__) & production, name
-    # control: the checks themselves do reach the production route
-    assert code_names(verify.check_sufficiency_master.__code__) & production
+        assert not code_names(fn.__code__) & PRODUCTION, name
+    # control: the checks themselves do reach the production route, and a
+    # key grown as a history's child is seen
+    assert code_names(verify.check_sufficiency_master.__code__) & PRODUCTION
+    assert "PrivateHistory" in code_names(verify.check_sufficiency_private.__code__)
+    grown = compile("def f(o, us, obs):\n    return o.child(us, obs)\n", "<snippet>", "exec")
+    assert code_names(grown) & PRODUCTION == {"child"}
+
+
+def history_constructions(monkeypatch) -> list:
+    """The class of every ``PrivateHistory`` and ``JointHistory`` built from
+    here on, in order: through the constructor or ``JointHistory.unchecked``."""
+    built = []
+    for cls in (PrivateHistory, JointHistory):
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, _init=cls.__init__, **kwargs: (
+            built.append(type(self)) or _init(self, *args, **kwargs)
+        ))
+    unchecked = JointHistory.unchecked
+    monkeypatch.setattr(JointHistory, "unchecked", classmethod(lambda cls, privates: (
+        built.append(cls) or unchecked(privates)
+    )))
+    return built
+
+
+def raw_walk(model, rng, t, dists, of, n):
+    """The raw prefix ``t`` steps on under ``dists`` (by step), then the
+    step after it, observed through ``of``."""
+    measure = verify._raw_prefix(model, rng, t, dists.__getitem__, n, of)[0]
+    return verify._raw_step(model, measure, dists[t], of, n)
+
+
+def raw_walks(model, rng):
+    """For a random step ``t`` of ``model``: the raw prefix and the step
+    after it, first under random rules observed publicly, then with agent
+    1's actions drawn and its own observations, as the two sufficiency
+    checks walk them; the rules are drawn, and read, before the walk."""
+    t = int(rng.integers(model.horizon))
+    rules = [[random_decision_rule(model, i, tau, rng) for i in range(2)] for tau in range(t + 1)]
+    played = [verify._played(r) for r in rules]
+    anchored = [verify._anchored(model, 0, {1: r[1]}, int(rng.integers(2))) for r in rules]
+    own = functools.partial(model.agent_obs_of_joint, 0)
+    return [
+        functools.partial(
+            raw_walk, model, rng, t, played, model.public_of_joint_obs, len(model.public_obs)
+        ),
+        functools.partial(raw_walk, model, rng, t, anchored, own, model.n_agent_obs(0)),
+    ]
+
+
+@pytest.mark.parametrize("n_public", [1, 2])
+def test_the_raw_route_builds_no_history(n_public, monkeypatch):
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        model = random_posg(rng, 2, (2, 3), (2, 2), n_public, horizon=3)
+        walks = raw_walks(model, rng)
+        built = history_constructions(monkeypatch)
+        assert all(walk()[1] for walk in walks)
+        assert built == []
+        monkeypatch.undo()
+
+
+def test_the_history_count_control_a_step_grown_by_child_builds_histories(monkeypatch):
+    rng = np.random.default_rng(0)
+    model = random_posg(rng, 2, (2, 3), (2, 2), 2, horizon=3)
+    walks = raw_walks(model, np.random.default_rng(1))
+    want = [walk() for walk in walks]
+    walks = raw_walks(model, np.random.default_rng(1))
+    built = history_constructions(monkeypatch)
+    monkeypatch.setattr(verify, "_raw_step", lambda *args: literal_step(*args, grow=by_child))
+    got = [walk() for walk in walks]
+    assert built and set(built) == {PrivateHistory, JointHistory}
+    assert [(list(m), b) for m, b in got] == [(list(m), b) for m, b in want]
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10**6), n_public=st.sampled_from([1, 2]))
+def test_a_level_read_by_steps_equals_the_converted_entries(seed, n_public):
+    # the states step and private_step (of agent 1, each own action) return
+    # over two steps from the start
+    rng = np.random.default_rng(seed)
+    model = random_posg(rng, 2, (2, 3), (2, 2), n_public, horizon=3)
+    states = [initial_occupancy(model), initial_private_occupancy(model, 0)]
+    for t in range(2):
+        rules = [random_decision_rule(model, i, t, rng) for i in range(2)]
+        pushed = []
+        for s in states:
+            if hasattr(s, "anchor"):  # a private occupancy state
+                branches = [b for u in range(2) for b in private_step(model, s, {1: rules[1]}, u)]
+            else:
+                branches = step(model, s, rules)
+            pushed += [nxt for _, _, nxt in branches]
+        states = pushed
+        for s in states:
+            read = verify._by_steps(model, s)
+            assert "entries" not in vars(s)  # the level was read, not the entries
+            assert list(read.items()) == list(raw_keys(s.entries).items())
 
 
 # -- the slave check's pricing on the state's own level ------------------------
@@ -552,66 +674,148 @@ def test_the_pwlc_certificate_prices_every_anchored_plan(monkeypatch):
             assert len(priced) == plans > 1
 
 
-# -- the raw oracles' reducers ---------------------------------------------------
+# -- the raw step against a literal enumeration --------------------------------
 
 
-def filtered_next_measure(model, outcomes, of, seen) -> dict:
-    """The unnormalized measure one step on over the outcomes whose joint
-    observation ``z`` has ``of(z) == seen``: the per-branch reducer the
-    grouped one replaces, kept here as its reference."""
-    new: dict = {}
-    for x2, o, us, z, mass in outcomes:
-        if of(z) != seen:
-            continue
-        zs, w = model.split_joint_obs(z)
-        obs = tuple(model.agent_obs_index(i, zs[i], w) for i in range(model.n_agents))
-        key = (x2, o.child(us, obs))
-        new[key] = new.get(key, 0.0) + mass
-    return new
+def literal_outcomes(model, measure, dists):
+    """Every positive-probability outcome of one step from a raw measure, by
+    the definition: (next state, steps, joint actions, joint observation,
+    mass) in (entry, joint action, next state, joint observation) order, the
+    mass entry x actions (in agent order) x transition x observation."""
+    for (x, o), p in measure.items():
+        for us in itertools.product(*(range(len(d)) for d in dists(o))):
+            a_p = 1.0
+            for d, u in zip(dists(o), us):
+                a_p *= d[u]
+            if a_p == 0.0:
+                continue
+            u = model.joint_action_index(us)
+            for x2 in range(model.n_states):
+                t_p = float(model.transition[u, x, x2])
+                for z in range(model.n_joint_obs):
+                    o_p = float(model.observation[u, x2, z])
+                    if t_p > 0.0 and o_p > 0.0:
+                        yield x2, o, us, z, p * a_p * t_p * o_p
+
+
+def by_steps(model, o, us, z):
+    """Each agent's steps ``o`` one step on: its action in ``us`` and its
+    own part of the joint observation ``z``."""
+    zs, w = model.split_joint_obs(z)
+    return tuple(
+        steps + ((u, model.agent_obs_index(i, zs[i], w)),)
+        for i, (steps, u) in enumerate(zip(o, us))
+    )
+
+
+def by_child(model, o, us, z):
+    """``by_steps`` through the production histories: ``o`` as a
+    ``JointHistory``, grown by its ``child``."""
+    zs, w = model.split_joint_obs(z)
+    obs = tuple(model.agent_obs_index(i, zs[i], w) for i in range(model.n_agents))
+    root = JointHistory(tuple(PrivateHistory(i, steps) for i, steps in enumerate(o)))
+    return tuple(h.steps for h in root.child(us, obs).privates)
+
+
+def filtered_next_measure(model, outcomes, of, seen, grow=by_steps) -> tuple[float, dict]:
+    """The mass of observation ``seen`` and the unnormalized measure one
+    step on, over the outcomes whose joint observation ``z`` has ``of(z) ==
+    seen``, each summed in outcome order."""
+    mass, new = 0.0, {}
+    for x2, o, us, z, m in outcomes:
+        if of(z) == seen:
+            mass += m
+            key = (x2, grow(model, o, us, z))
+            new[key] = new.get(key, 0.0) + m
+    return mass, new
+
+
+def literal_step(model, measure, dists, of, n_obs, grow=by_steps):
+    """``_raw_step`` by the definition: one filtered pass per observation."""
+    outcomes = list(literal_outcomes(model, measure, dists))
+    per_obs = [filtered_next_measure(model, outcomes, of, seen, grow) for seen in range(n_obs)]
+    grouped = {seen: new for seen, (_, new) in enumerate(per_obs) if new}
+    return np.array([m for m, _ in per_obs]), grouped
+
+
+def observers(model):
+    """Each observation function that branches a step, with its number of
+    values: the public observation, and each agent's own."""
+    return [(model.public_of_joint_obs, len(model.public_obs))] + [
+        (lambda z, i=i: model.agent_obs_of_joint(i, z), model.n_agent_obs(i))
+        for i in range(model.n_agents)
+    ]
+
+
+def raw_step_cases(rng, n_public, horizon=2):
+    """Each step of a raw run under random rules on a random model with
+    ``n_public`` public observations: the measure, the action
+    distributions and each observer of ``observers``."""
+    model = random_posg(rng, 2, (2, 3), (2, 2), n_public, horizon=horizon)
+    measure = verify._start_measure(model)
+    for t in range(model.horizon):
+        rules = [random_decision_rule(model, i, t, rng) for i in range(model.n_agents)]
+        dists = verify._played(rules)
+        for of, n in observers(model):
+            yield model, measure, dists, of, n
+        _, grouped = literal_step(model, measure, dists, lambda z: 0, 1)
+        measure = grouped[0]
 
 
 def grouped_cases():
-    """Each step's outcomes along a raw run under random rules, with each
-    observation function that branches them and its number of values, on
-    random models with one and two public observations."""
     for n_public in (1, 2):
         for seed in range(3):
-            rng = np.random.default_rng(seed + 10 * n_public)
-            model = random_posg(rng, 2, (2, 3), (2, 2), n_public, horizon=2)
-            observers = [(model.public_of_joint_obs, n_public)] + [
-                (lambda z, i=i: model.agent_obs_of_joint(i, z), model.n_agent_obs(i))
-                for i in range(model.n_agents)
-            ]
-            measure = verify._start_measure(model)
-            for t in range(model.horizon):
-                rules = [random_decision_rule(model, i, t, rng) for i in range(model.n_agents)]
-                outcomes = list(verify._outcomes(model, measure, verify._played(rules)))
-                for of, n in observers:
-                    yield model, outcomes, of, n
-                measure = filtered_next_measure(model, outcomes, lambda z: 0, 0)
+            yield from raw_step_cases(np.random.default_rng(seed + 10 * n_public), n_public)
+
+
+def assert_raw_step_is_literal(model, measure, dists, of, n):
+    mass, grouped = verify._raw_step(model, measure, dists, of, n)
+    assert set(grouped) <= set(range(n)) and all(grouped.values())
+    outcomes = list(literal_outcomes(model, measure, dists))
+    for seen in range(n):
+        want_mass, want = filtered_next_measure(model, outcomes, of, seen)
+        # same keys, in the same order, with the same values
+        assert list(grouped.get(seen, {}).items()) == list(want.items())
+        # the observation's mass, summed in outcome order in the same pass
+        assert mass[seen] == want_mass
 
 
 def test_grouped_next_measures_equal_the_filtered_ones():
-    for model, outcomes, of, n in grouped_cases():
-        mass, grouped = verify._next_measures(model, outcomes, of, n)
-        assert set(grouped) <= set(range(n)) and all(grouped.values())
-        for seen in range(n):
-            # same keys, in the same order, with the same values
-            want = filtered_next_measure(model, outcomes, of, seen)
-            assert list(grouped.get(seen, {}).items()) == list(want.items())
-            # the observation's mass, summed in outcome order in the same pass
-            assert mass[seen] == sum(m for *_, z, m in outcomes if of(z) == seen)
+    for case in grouped_cases():
+        assert_raw_step_is_literal(*case)
 
 
 def test_grouped_next_measures_control_reversed_outcomes_fail():
     # outcomes taken in the other order build each measure in another key
     # order, which the comparison above must see
     differ = 0
-    for model, outcomes, of, n in grouped_cases():
-        grouped = verify._next_measures(model, outcomes[::-1], of, n)[1]
+    for model, measure, dists, of, n in grouped_cases():
+        grouped = verify._raw_step(model, measure, dists, of, n)[1]
+        outcomes = list(literal_outcomes(model, measure, dists))[::-1]
         for seen in range(n):
-            want = filtered_next_measure(model, outcomes, of, seen)
+            want = filtered_next_measure(model, outcomes, of, seen)[1]
             differ += list(grouped.get(seen, {}).items()) != list(want.items())
+    assert differ > 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10**6), n_public=st.sampled_from([1, 2]), horizon=st.integers(1, 2))
+def test_raw_step_equals_the_literal_enumeration(seed, n_public, horizon):
+    for case in raw_step_cases(np.random.default_rng(seed), n_public, horizon):
+        assert_raw_step_is_literal(*case)
+
+
+def test_raw_step_control_one_observation_summed_in_reverse_fails():
+    # the same outcomes of one observation added up the other way round
+    # differ in the last bits somewhere, which == on the values must see
+    differ = 0
+    for model, measure, dists, of, n in grouped_cases():
+        mass, grouped = verify._raw_step(model, measure, dists, of, n)
+        outcomes = list(literal_outcomes(model, measure, dists))
+        for seen in range(n):
+            mine = [o for o in outcomes if of(o[3]) == seen]
+            want_mass, want = filtered_next_measure(model, mine[::-1], of, seen)
+            differ += mass[seen] != want_mass or grouped.get(seen, {}) != want
     assert differ > 0
 
 
