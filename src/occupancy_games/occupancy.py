@@ -611,6 +611,9 @@ def decompose(
     probability of each of the agent's histories) and the components (the
     filtered private occupancy states).  An occupancy state that recombination
     fails to reproduce within ``EQUALITY_ATOL`` is rejected as inconsistent.
+    The components are filtered in one walk over the agent's histories, one
+    ``private_step`` per (prefix, own action), shared by every history below
+    it; each is the state ``private_occupancy`` reaches.
     """
     rules_by_step = (
         policy.joint_rules(model) if isinstance(policy, JointPolicy) else list(policy)
@@ -623,15 +626,22 @@ def decompose(
     for (_, o), p in s.entries.items():
         own = o.privates[agent]
         marginal[own] = marginal.get(own, 0.0) + p
+    root = initial_private_occupancy(model, agent)
+    pushes: dict = {}  # per (steps before, own action): {own observation: state}
     components = []
     for own in sorted(marginal, key=lambda h: h.steps):
-        try:
-            comp = private_occupancy(model, others_by_step, own)
-        except UnreachableHistoryError as exc:
-            raise InconsistentOccupancyError(
-                f"support history {own.steps} unreachable under the generating policy"
-            ) from exc
-        components.append((marginal[own], comp))
+        s_i = root
+        for k, (u, z) in enumerate(own.steps):
+            key = (own.steps[:k], u)
+            if key not in pushes:
+                branches = private_step(model, s_i, others_by_step[k], u)
+                pushes[key] = {z_i: s_z for z_i, _, s_z in branches}
+            if z not in pushes[key]:
+                raise InconsistentOccupancyError(
+                    f"support history {own.steps} unreachable under the generating policy"
+                )
+            s_i = pushes[key][z]
+        components.append((marginal[own], s_i))
     mixture = Mixture(agent, tuple(components))
     recombined = recombine(mixture)
     for key in set(s.entries) | set(recombined.entries):

@@ -3,21 +3,28 @@
 Each check contrasts two computational routes: a raw-definition oracle that
 expands full trajectory trees from the model primitives, and the production
 path through occupancy updates, best-response solvers, and normal forms.
-The oracles share one naive step, ``_raw_step``, over plain tuples: a raw
-measure is keyed ``(state, each agent's tuple of (action, observation)
-steps)``, and one pass enumerates every positive-probability outcome of one
-step, read straight from the transition and observation rows (as Python
-floats, once per step), into each observation's mass and its next measure;
-``_raw_reward`` prices the reward.  The oracles build no history object and
-read no production update: each decision rule is read once into a dict by
-its histories' steps.  Both sufficiency checks walk one raw prefix,
-``_raw_prefix``: it carries the unnormalized raw measure forward one
-expansion per step, drawing each step's observation (public, or the agent's
-own) from the raw route, and normalizes only where a distribution is read.
-One step gap, ``_raw_gap``, then compares a production step with the raw
-one: the reward (every agent's in the master check), each observation's
-probability, and the next state of every branch production returns, read
-from its level by steps (``_by_steps``).  Each raw step is enumerated once.
+The oracles share one naive step, ``_raw_step``, over plain ints and
+tuples: a raw measure is keyed ``(state, each agent's number)``, where each
+agent's numbering (``names``, built by the walk) numbers every tuple of
+(action, observation) steps it reaches, each child once by (parent's
+number, action, own observation), and keeps each number's steps.  One pass
+enumerates every positive-probability outcome of one step, read straight
+from the transition and observation rows (as Python floats, once per step),
+into each observation's mass and its next measure; ``_raw_rewards`` prices
+every agent's reward in one pass.  ``_decoded`` keys a numbered measure by
+steps again.  The oracles build no history object and read no production
+update: each decision rule is read once into a dict by its histories'
+steps, and looked up once per joint history and step.  Both sufficiency
+checks walk one raw prefix, ``_raw_prefix``: it carries the unnormalized raw
+measure forward one expansion per step, drawing each step's observation
+(public, or the agent's own) from the raw route, and normalizes only where a
+distribution is read.  One step gap, ``_raw_gap``, then compares a
+production step with the raw one: the reward (every agent's in the master
+check), each observation's probability, and the next state of every branch
+production returns, read from its level into the walk's numbering
+(``_by_numbers``; a history the walk never reached gets a fresh number).
+Each raw step is enumerated once.  Every worst case is taken by ``_worst``,
+which keeps a NaN, and a report with a non-finite violation fails.
 The structure checks draw their pairs of states from one sampler,
 ``_state_pair`` (two start beliefs at t=0, else two sampled prefixes,
 optionally under one shared leader prefix), and the zero-sum ones price one
@@ -40,7 +47,7 @@ from __future__ import annotations
 
 import itertools
 import json
-import operator
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Mapping, Sequence
@@ -124,7 +131,7 @@ def _report(
         samples=samples,
         max_violation=violation,
         tolerance=tol,
-        passed=violation <= tol,
+        passed=math.isfinite(violation) and violation <= tol,
         seed=seed,
         notes={**dict(notes), **({"negative_control": True} if negative_control else {})},
     )
@@ -172,24 +179,63 @@ def _anchored(model: PosgModel, agent: int, profile: Mapping[int, DecisionRule],
     return lambda o: [point if j == agent else tables[j][steps] for j, steps in enumerate(o)]
 
 
-def _start_measure(model: PosgModel) -> dict:
-    empty = ((),) * model.n_agents
-    return {(x, empty): float(p) for x, p in enumerate(model.start) if p > 0.0}
+def _child(name, n: int, u: int, z: int) -> int:
+    """The number of the child by action ``u`` and own observation ``z`` of
+    number ``n`` in one agent's numbering ``name``, ``({(number, action,
+    observation): child's number}, [steps by number])``: a fresh one,
+    appended with its steps, if it has none."""
+    kids, by_number = name
+    c = kids.get((n, u, z))
+    if c is None:
+        c = kids[n, u, z] = len(by_number)
+        by_number.append(by_number[n] + ((u, z),))
+    return c
+
+
+def _number(name, steps) -> int:
+    """The number of ``steps`` in one agent's numbering ``name``, each step
+    numbered as a child of the steps before it."""
+    n = 0
+    for u, z in steps:
+        n = _child(name, n, u, z)
+    return n
+
+
+def _steps_of(names, o) -> tuple:
+    """Each agent's steps at the numbered joint history ``o``."""
+    return tuple(by_number[n] for (_, by_number), n in zip(names, o))
+
+
+def _decoded(measure: Mapping, names) -> dict:
+    """A numbered raw measure keyed by each agent's steps, ``{(state, each
+    agent's steps): mass}``, in its key order."""
+    return {(x, _steps_of(names, o)): p for (x, o), p in measure.items()}
+
+
+def _start_measure(model: PosgModel) -> tuple[dict, list]:
+    """The start belief as a raw measure, every agent's steps empty and
+    numbered 0, with each agent's numbering: ``(measure, names)``."""
+    names = [({}, [()]) for _ in range(model.n_agents)]
+    empty = (0,) * model.n_agents
+    return {(x, empty): float(p) for x, p in enumerate(model.start) if p > 0.0}, names
 
 
 def _raw_step(
-    model: PosgModel, measure: Mapping, dists, of, n_obs: int
+    model: PosgModel, measure: Mapping, names, dists, of, n_obs: int
 ) -> tuple[np.ndarray, dict]:
-    """One step from the raw measure ``{(state, each agent's steps): mass}``,
-    where ``dists(o)`` lists each agent's action distribution at steps
-    ``o``: each observation ``of(z)`` in ``range(n_obs)`` of the joint
-    observations ``z``, with its mass and its unnormalized measure one step
-    on, ``(mass per observation, {of(z): measure})``.  Every positive-
-    probability outcome is read straight from the transition and observation
-    rows (as Python floats, once per call) in (entry, joint action, next
-    state, joint observation) order, and its mass ``p * a_p * t_p * o_p`` is
-    added to both in that order.  A child key is each agent's steps plus its
-    (action, own observation), built once per (entry, joint action, z)."""
+    """One step from the raw measure ``{(state, each agent's number): mass}``
+    numbered by ``names``, where ``dists(o)`` lists each agent's action
+    distribution at steps ``o``: each observation ``of(z)`` in
+    ``range(n_obs)`` of the joint observations ``z``, with its mass and its
+    unnormalized measure one step on, ``(mass per observation, {of(z):
+    measure})``.  Every positive-probability outcome is read straight from
+    the transition and observation rows (as Python floats, once per call) in
+    (entry, joint action, next state, joint observation) order, and its mass
+    ``p * a_p * t_p * o_p`` is added to both in that order.  Each joint
+    history's joint actions and each (joint action, state)'s outcomes are
+    read once per call, and each child is numbered once per (joint history,
+    joint action, z): each agent's number for its (action, own observation)
+    below the parent's, in ``names``."""
     transition = model.transition.tolist()
     observation = model.observation.tolist()
     agent_obs, seen_of = [], []
@@ -197,38 +243,63 @@ def _raw_step(
         zs, w = model.split_joint_obs(z)
         agent_obs.append(tuple(model.agent_obs_index(i, zs[i], w) for i in range(model.n_agents)))
         seen_of.append(of(z))
-    grown: dict = {}  # per joint action and z, each agent's step as a 1-tuple
+    played: dict = {}  # per joint history: (joint action, us, a_p, {z: child})
+    outcomes: dict = {}  # per (joint action, state): (x2, t_p, [(z, o_p)])
     om = [0.0] * n_obs
     by_obs: dict = {}
     for (x, o), p in measure.items():
-        for us, a_p in _action_product(dists(o)):
-            u = model.joint_action_index(us)
-            if u not in grown:
-                grown[u] = [tuple(((u_i, z_i),) for u_i, z_i in zip(us, zs)) for zs in agent_obs]
-            kids: dict = {}
-            for x2, t_p in enumerate(transition[u][x]):
-                if t_p == 0.0:
-                    continue
-                for z, o_p in enumerate(observation[u][x2]):
-                    if o_p > 0.0:
-                        mass = p * a_p * t_p * o_p
+        acts = played.get(o)
+        if acts is None:
+            acts = played[o] = [
+                (model.joint_action_index(us), us, a_p, {})
+                for us, a_p in _action_product(dists(_steps_of(names, o)))
+            ]
+        for u, us, a_p, kids in acts:
+            outs = outcomes.get((u, x))
+            if outs is None:
+                outs = outcomes[u, x] = [
+                    (x2, t_p, [(z, o_p) for z, o_p in enumerate(observation[u][x2]) if o_p > 0.0])
+                    for x2, t_p in enumerate(transition[u][x])
+                    if t_p != 0.0
+                ]
+            pa = p * a_p
+            for x2, t_p, obs in outs:
+                pat = pa * t_p
+                for z, o_p in obs:
+                    mass = pat * o_p
+                    kid = kids.get(z)
+                    if kid is None:
                         seen = seen_of[z]
-                        om[seen] += mass
-                        kid = kids.get(z)
-                        if kid is None:
-                            kid = kids[z] = tuple(map(operator.add, o, grown[u][z]))
-                        new = by_obs.setdefault(seen, {})
-                        key = (x2, kid)
-                        new[key] = new.get(key, 0.0) + mass
+                        kid = kids[z] = (seen, by_obs.setdefault(seen, {}), tuple(
+                            _child(name, n, u_i, z_i)
+                            for name, n, u_i, z_i in zip(names, o, us, agent_obs[z])
+                        ))
+                    seen, new, child = kid
+                    om[seen] += mass
+                    key = (x2, child)
+                    new[key] = new.get(key, 0.0) + mass
     return np.array(om), by_obs
 
 
-def _raw_reward(model: PosgModel, measure: Mapping, dists, agent: int) -> float:
-    total = 0.0
+def _raw_rewards(model: PosgModel, measure: Mapping, names, dists, agents) -> list[float]:
+    """Each of ``agents``' expected reward under the numbered raw
+    ``measure``, all in one pass: ``p * a_p * r`` added in (entry, joint
+    action) order, the rewards read as Python floats."""
+    rewards = [model.rewards[i].tolist() for i in agents]
+    totals = [0.0] * len(rewards)
+    played: dict = {}
     for (x, o), p in measure.items():
-        for us, a_p in _action_product(dists(o)):
-            total += p * a_p * model.rewards[agent, x, model.joint_action_index(us)]
-    return total
+        acts = played.get(o)
+        if acts is None:
+            acts = played[o] = [
+                (model.joint_action_index(us), a_p)
+                for us, a_p in _action_product(dists(_steps_of(names, o)))
+            ]
+        for u, a_p in acts:
+            pa = p * a_p
+            for k, r in enumerate(rewards):
+                totals[k] += pa * r[x][u]
+    return totals
 
 
 def _normalized(measure: Mapping) -> dict:
@@ -236,10 +307,24 @@ def _normalized(measure: Mapping) -> dict:
     return {k: v / total for k, v in measure.items()}
 
 
+def _worst(*values: float) -> float:
+    """The largest of ``values``, or NaN if one is NaN: ``max`` keeps a NaN
+    only where it comes first, so a NaN from production would read as no
+    violation."""
+    worst = values[0]
+    for v in values[1:]:
+        if v > worst or v != v:
+            worst = v
+    return worst
+
+
 def _dist_diff(a: Mapping, b: Mapping) -> float:
     """The largest absolute difference over the keys of either measure."""
-    shared = max((abs(p - b.get(k, 0.0)) for k, p in a.items()), default=0.0)
-    return max(shared, max((abs(p) for k, p in b.items() if k not in a), default=0.0))
+    return _worst(
+        0.0,
+        *(abs(p - b.get(k, 0.0)) for k, p in a.items()),
+        *(abs(p) for k, p in b.items() if k not in a),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -247,47 +332,54 @@ def _dist_diff(a: Mapping, b: Mapping) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _raw_prefix(model: PosgModel, rng, t: int, dists, n_obs: int, of) -> tuple[dict, list]:
+def _raw_prefix(model: PosgModel, rng, t: int, dists, n_obs: int, of) -> tuple[dict, list, list]:
     """The unnormalized raw measure ``t`` steps on, where ``dists(tau)``
     gives step ``tau``'s action distributions (as ``_raw_step`` reads them),
     and each step's observation ``of(z)`` is drawn from its raw distribution:
-    ``(measure, picks)``, the drawn observations in step order."""
-    measure = _start_measure(model)
+    ``(measure, names, picks)``, its numbering and the drawn observations in
+    step order."""
+    measure, names = _start_measure(model)
     picks: list[int] = []
     for tau in range(t):
-        om, by_obs = _raw_step(model, measure, dists(tau), of, n_obs)
+        om, by_obs = _raw_step(model, measure, names, dists(tau), of, n_obs)
         picks.append(int(rng.choice(n_obs, p=om / om.sum())))
         measure = by_obs[picks[-1]]
-    return measure, picks
+    return measure, names, picks
 
 
-def _by_steps(model: PosgModel, s) -> dict:
+def _by_numbers(model: PosgModel, s, names) -> dict:
     """The entries of a state an update returned, keyed as the raw measures
-    are, ``{(state, each agent's steps): mass}``, read from its level."""
+    are, ``{(state, each agent's number): mass}``, read from its level: each
+    history numbered in ``names`` once, a fresh number for one the raw walk
+    never reached."""
     level, hists = level_of(model, s)
-    steps = [[hs[k].steps for k in ids.tolist()] for hs, ids in zip(hists, level.ids)]
-    return dict(zip(zip(level.xs.tolist(), zip(*steps)), level.mass.tolist()))
+    numbers = [[_number(name, h.steps) for h in hs] for name, hs in zip(names, hists)]
+    ids = [[own[k] for k in ids.tolist()] for own, ids in zip(numbers, level.ids)]
+    return dict(zip(zip(level.xs.tolist(), zip(*ids)), level.mass.tolist()))
 
 
 def _raw_gap(
-    model: PosgModel, measure, played, n_obs: int, of, rewards: Mapping[int, float], branches
+    model: PosgModel, measure, names, played, n_obs: int, of, rewards: Mapping[int, float],
+    branches,
 ) -> float:
     """The largest gap between one production step from the raw ``measure``
-    under ``played`` and the raw step itself: each agent's reward in
-    ``rewards`` (``{agent: reward}``), each observation ``of(z)``'s
-    probability, and the next state of every branch ``(obs, probability,
-    next state)`` that production returns."""
-    raw_om, raw_next = _raw_step(model, measure, played, of, n_obs)
+    (numbered by ``names``) under ``played`` and the raw step itself: each
+    agent's reward in ``rewards`` (``{agent: reward}``), each observation
+    ``of(z)``'s probability, and the next state of every branch ``(obs,
+    probability, next state)`` that production returns."""
+    raw_om, raw_next = _raw_step(model, measure, names, played, of, n_obs)
     om = np.zeros(n_obs)
     for z, omega, _ in branches:
         om[z] = omega
     raw = _normalized(measure)
-    gap = max(
-        max(abs(_raw_reward(model, raw, played, i) - r) for i, r in rewards.items()),
+    exact = _raw_rewards(model, raw, names, played, list(rewards))
+    gap = _worst(
         float(np.abs(raw_om / sum(measure.values()) - om).max()),
+        *(abs(e - r) for e, r in zip(exact, rewards.values())),
     )
     for z, _, nxt in branches:
-        gap = max(gap, _dist_diff(_normalized(raw_next.get(z, {})), _by_steps(model, nxt)))
+        nxt_gap = _dist_diff(_normalized(raw_next.get(z, {})), _by_numbers(model, nxt, names))
+        gap = _worst(gap, nxt_gap)
     return gap
 
 
@@ -313,7 +405,7 @@ def check_sufficiency_master(
         ]
         played = [_played(rules) for rules in rules_by_step]
         # a positive-probability public stream, drawn on the raw route
-        measure, stream = _raw_prefix(model, rng, t, lambda tau: played[tau], n_pub, of)
+        measure, names, stream = _raw_prefix(model, rng, t, lambda tau: played[tau], n_pub, of)
         s = initial_occupancy(model)
         for rules, w in zip(rules_by_step, stream):
             s = next(nxt for b, _, nxt in step(model, s, rules) if b == w)
@@ -321,7 +413,8 @@ def check_sufficiency_master(
         rewards = {i: expected_reward(model, s, a_t, i) for i in range(model.n_agents)}
         rewards[0] += shift
         branches = step(model, s, a_t)
-        worst = max(worst, _raw_gap(model, measure, played[t], n_pub, of, rewards, branches))
+        gap = _raw_gap(model, measure, names, played[t], n_pub, of, rewards, branches)
+        worst = _worst(worst, gap)
     return _report(
         "sufficiency-master", fixture, n_samples, worst, EXACT_TOL, seed, negative_control
     )
@@ -355,13 +448,13 @@ def check_sufficiency_private(
 
         # a positive-probability own history, drawn on the raw route, then
         # the last own action
-        measure, own = _raw_prefix(model, rng, t, dists, n_obs, of)
+        measure, names, own = _raw_prefix(model, rng, t, dists, n_obs, of)
         played = dists(t)
         s_i = private_occupancy(model, profiles, PrivateHistory(agent, tuple(zip(actions, own))))
         u_i = actions[t]
         rewards = {agent: private_reward(model, s_i, profiles[t], u_i) + shift}
         branches = private_step(model, s_i, profiles[t], u_i)
-        worst = max(worst, _raw_gap(model, measure, played, n_obs, of, rewards, branches))
+        worst = _worst(worst, _raw_gap(model, measure, names, played, n_obs, of, rewards, branches))
     return _report(
         f"sufficiency-private-agent{agent + 1}", fixture, n_samples, worst, EXACT_TOL, seed,
         negative_control,
@@ -455,23 +548,23 @@ def check_slave_structure(
         # each component priced once, for both weightings
         values = [best_response_private_from(model, others, agent, c) for c in comps]
         rhs = sum(float(l) * v for l, v in zip(lam, values))
-        worst_lin = max(worst_lin, abs(lhs - rhs))
+        worst_lin = _worst(worst_lin, abs(lhs - rhs))
         # also the natural weights, recombining to the sampled state itself
         lhs0 = best_response_value_from(model, others, agent, recombine(mixture))
         rhs0 = sum(float(w) * v for w, v in zip(weights, values))
-        worst_lin = max(worst_lin, abs(lhs0 - rhs0))
+        worst_lin = _worst(worst_lin, abs(lhs0 - rhs0))
 
         if k < certificate_samples:
-            worst_cert = max(
+            worst_cert = _worst(
                 worst_cert,
                 _pwlc_certificate(model, others, others_rules, agent, s, negative_control),
             )
     # the full game itself (t=0) is one more certificate point
     s0 = initial_occupancy(model)
-    worst_cert = max(
+    worst_cert = _worst(
         worst_cert, _pwlc_certificate(model, others, others_rules, agent, s0, negative_control)
     )
-    worst = max(worst_lin, worst_cert)
+    worst = _worst(worst_lin, worst_cert)
     return _report(
         f"slave-structure-agent{agent + 1}",
         fixture,
@@ -495,10 +588,10 @@ def _pwlc_certificate(
     """|DP best-response value - max over pure suffixes of linear evals|
     against the others' policies ``others`` (their rules by step
     ``others_rules``), each suffix priced on ``s``'s own level."""
-    best = max(
+    best = _worst(*(
         occupancy_value(model, rules_by_step, agent, s)
         for rules_by_step in _anchored_plans(model, others_rules, agent, s)
-    )
+    ))
     dp = best_response_value_from(model, others, agent, s)
     if negative_control:
         dp += _CORRUPTION
@@ -594,7 +687,7 @@ def _dec_structure(model, rng, n_samples, negative_control) -> float:
         v_mix = dec_value_from(model, mix_occupancies([s_a, s_b], [lam, 1 - lam]))
         if negative_control:
             v_mix += _BIG_CORRUPTION
-        worst = max(worst, _convexity_violation(v_mix, lam, v_a, v_b))
+        worst = _worst(worst, _convexity_violation(v_mix, lam, v_a, v_b))
         # PWLC certificate: the one-sided search equals the brute-force max
         # of linear functions on the full suffix product
         if k < 8:
@@ -603,7 +696,7 @@ def _dec_structure(model, rng, n_samples, negative_control) -> float:
             sep = v_a
             if negative_control:
                 sep += _CORRUPTION
-            worst = max(worst, abs(brute - sep))
+            worst = _worst(worst, abs(brute - sep))
     return worst
 
 
@@ -628,14 +721,14 @@ def _zs_structure(model, rng, n_samples, negative_control) -> tuple[float, dict]
             v_mix, sol, G = _zs_priced(model, s_mix)
             if negative_control:
                 v_mix += _BIG_CORRUPTION
-            worst = max(worst, _convexity_violation(v_mix, lam, v_a, v_b))
+            worst = _worst(worst, _convexity_violation(v_mix, lam, v_a, v_b))
             # convexity over marginals at a fixed conditional (opponent factor)
-            worst = max(worst, _marginal_convexity(model, s_a, rng, negative_control))
-        worst = max(worst, _concave_certificate(model, v_mix, sol, G, rng, 3))
+            worst = _worst(worst, _marginal_convexity(model, s_a, rng, negative_control))
+        worst = _worst(worst, _concave_certificate(model, v_mix, sol, G, rng, 3))
     notes: dict[str, object] = {}
     if model.n_states == 2 and model.horizon == 1:
         cert, gap, grid_points = _zs_grid_certificate(model, rng, negative_control)
-        worst = max(worst, cert)
+        worst = _worst(worst, cert)
         notes["nonconvexity_gap"] = gap
         notes["grid_points"] = grid_points
     notes["norm"] = "l1"
@@ -664,7 +757,7 @@ def _concave_certificate(model: PosgModel, v: float, sol, G, rng, n_plans: int, 
     worst = abs(v - _follower_reply(model, sol, sol.plans[0] @ G) + shift)
     for _ in range(n_plans):
         x = _random_leader_plan(model, sol, rng)
-        worst = max(worst, _follower_reply(model, sol, x @ G) - v)
+        worst = _worst(worst, _follower_reply(model, sol, x @ G) - v)
     return worst
 
 
@@ -771,7 +864,7 @@ def _zs_grid_certificate(model, rng, negative_control) -> tuple[float, float, in
         s = _belief_occupancy(model, np.array([b, 1.0 - b]))
         v, sol, G = _zs_priced(model, s)
         values.append(v)
-        worst = max(worst, _concave_certificate(model, v, sol, G, rng, 2, shift))
+        worst = _worst(worst, _concave_certificate(model, v, sol, G, rng, 2, shift))
     # expected-positive diagnostic: convexity on the standard basis fails
     gap = 0.0
     values = np.array(values)
@@ -802,7 +895,7 @@ def _st_structure(model, rng, n_samples, negative_control) -> float:
         )
         if negative_control:
             v_mix += _BIG_CORRUPTION
-        worst = max(worst, _convexity_violation(v_mix, lam, v_a, v_b))
+        worst = _worst(worst, _convexity_violation(v_mix, lam, v_a, v_b))
     return worst
 
 
@@ -833,14 +926,12 @@ def check_lipschitz(
         v_b, _, _ = zero_sum_value_from(model, s_b)
         if negative_control:  # ||s_a - s_b||_1 <= 2: over the bound by construction
             v_a += _BIG_CORRUPTION + 4.0 * kappa
-        worst = max(
-            worst, abs(v_a - v_b) - kappa * occupancy_l1(s_a, s_b)
-        )
+        worst = _worst(worst, abs(v_a - v_b) - kappa * occupancy_l1(s_a, s_b))
     return _report(
         "lipschitz-zerosum",
         fixture,
         n_samples,
-        max(worst, 0.0),
+        _worst(worst, 0.0),
         tolerance,
         seed,
         negative_control,

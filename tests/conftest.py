@@ -70,6 +70,37 @@ def raw_keys(entries) -> dict:
     return {(x, tuple(h.steps for h in o.privates)): p for (x, o), p in entries.items()}
 
 
+def numbered(model, measure: dict, names=None) -> tuple[dict, list]:
+    """A measure keyed by each agent's steps, numbered as the raw oracles of
+    ``verify`` key theirs, in ``names`` (a fresh numbering by default):
+    ``(measure, names)``."""
+    from occupancy_games import verify
+
+    names = names or verify._start_measure(model)[1]
+    return {
+        (x, tuple(verify._number(name, steps) for name, steps in zip(names, o))): p
+        for (x, o), p in measure.items()
+    }, names
+
+
+def raw_step(model, measure: dict, dists, of, n_obs) -> tuple:
+    """``verify._raw_step`` on a measure keyed by each agent's steps, its
+    next measures decoded to the same keys."""
+    from occupancy_games import verify
+
+    measure, names = numbered(model, measure)
+    mass, by_obs = verify._raw_step(model, measure, names, dists, of, n_obs)
+    return mass, {seen: verify._decoded(new, names) for seen, new in by_obs.items()}
+
+
+def raw_reward(model, measure: dict, dists, agent: int) -> float:
+    """``verify._raw_rewards`` of one agent on a measure keyed by each
+    agent's steps."""
+    from occupancy_games import verify
+
+    return verify._raw_rewards(model, *numbered(model, measure), dists, [agent])[0]
+
+
 def in_steps_order(hists) -> bool:
     """Whether each agent's histories of a level (``level_of``'s second
     item) are numbered in steps order."""

@@ -3,8 +3,9 @@
 Every occupancy update, reward, value table and best response runs through
 ``occupancy.next_level``; here each is checked against the raw trajectory-tree
 expansions of ``verify`` (its one raw step ``_raw_step`` and
-``_raw_reward``, over measures keyed by each agent's steps, against which
-production entries are read through ``conftest.raw_keys``) on random
+``_raw_rewards``, run through ``conftest.raw_step`` and ``conftest.raw_reward``
+on measures keyed by each agent's steps, against which production entries are
+read through ``conftest.raw_keys``) on random
 models: 1e-12 on values, identical supports.  Each check has a negative
 control: the same comparison with the production route on a copy of the
 model whose outcome probabilities and rewards are off by 1e-6 must fail.
@@ -42,16 +43,9 @@ from occupancy_games.solve import (
     best_response_private_from,
     best_response_value_from,
 )
-from occupancy_games.verify import (
-    _anchored,
-    _normalized,
-    _played,
-    _raw_reward,
-    _raw_step,
-    _start_measure,
-)
+from occupancy_games.verify import _anchored, _decoded, _normalized, _played, _start_measure
 
-from conftest import code_names, pairing, raw_keys, recorded_pushes
+from conftest import code_names, pairing, raw_keys, raw_reward, raw_step, recorded_pushes
 
 TOL = 1e-12
 
@@ -124,14 +118,14 @@ def policy_of(rules_by_step, model) -> JointPolicy:
 def expand(model, measure: dict, rules, of=lambda z: 0, seen=0) -> dict:
     """The raw measure one step on under ``rules``, over the outcomes whose
     joint observation ``z`` has ``of(z) == seen`` (every outcome by default)."""
-    return _raw_step(model, measure, _played(rules), of, model.n_joint_obs)[1].get(seen, {})
+    return raw_step(model, measure, _played(rules), of, model.n_joint_obs)[1].get(seen, {})
 
 
 def mid_game(model, production, rules_by_step, rng):
     """A random time step, a public stream drawn along the production route,
     the production state there and the raw distribution of the same stream."""
     t = int(rng.integers(model.horizon))
-    s, raw = initial_occupancy(production), _start_measure(model)
+    s, raw = initial_occupancy(production), _decoded(*_start_measure(model))
     for tau in range(t):
         branches = step(production, s, rules_by_step[tau])
         probs = np.array([p for _, p, _ in branches])
@@ -158,7 +152,7 @@ def raw_return(model, dist: dict, rules_by_step, t0: int, agent: int) -> float:
     rolled out by the raw expansion."""
     total, scale = 0.0, 1.0
     for t in range(t0, model.horizon):
-        total += scale * _raw_reward(model, dist, _played(rules_by_step[t]), agent)
+        total += scale * raw_reward(model, dist, _played(rules_by_step[t]), agent)
         if t + 1 < model.horizon:
             dist = expand(model, dist, rules_by_step[t])
         scale *= model.discount
@@ -176,7 +170,7 @@ def step_gap(seed: int, shape, production=lambda m: m) -> float:
     t, s, raw = mid_game(model, bad, rules_by_step, rng)
     rules = rules_by_step[t]
     worst = max(
-        abs(expected_reward(bad, s, rules, i) - _raw_reward(model, raw, _played(rules), i))
+        abs(expected_reward(bad, s, rules, i) - raw_reward(model, raw, _played(rules), i))
         for i in range(model.n_agents)
     )
     if t + 1 == model.horizon:
@@ -228,7 +222,7 @@ def branch_gap(model, rules, branches: dict) -> float:
     kept; inf when a branch or a support differs."""
     n_pub = len(model.public_obs)
     by_w: dict[int, dict] = {}
-    for key, v in expand(model, _start_measure(model), rules).items():
+    for key, v in expand(model, _decoded(*_start_measure(model)), rules).items():
         by_w.setdefault(key[1][0][-1][1] % n_pub, {})[key] = v
     if sorted(branches) != sorted(by_w):
         return np.inf
@@ -288,20 +282,21 @@ def private_gap(seed: int, shape, production=lambda m: m) -> float:
     def own_obs(z):
         return model.agent_obs_of_joint(agent, z)
 
-    s_i, measure, worst = initial_private_occupancy(bad, agent), _start_measure(model), 0.0
+    s_i, worst = initial_private_occupancy(bad, agent), 0.0
+    measure = _decoded(*_start_measure(model))
     for t in range(model.horizon):
         raw = _normalized(measure)
         worst = max(worst, compare(normalized(raw), raw_keys(s_i.entries)))
         for u in range(n_u):
             got = private_reward(bad, s_i, profiles[t], u)
-            exact = _raw_reward(model, raw, _anchored(model, agent, profiles[t], u), agent)
+            exact = raw_reward(model, raw, _anchored(model, agent, profiles[t], u), agent)
             worst = max(worst, abs(got - exact))
         if t + 1 == model.horizon:
             break
         u = int(rng.integers(n_u))
         dists = _anchored(model, agent, profiles[t], u)
         n_obs = model.n_agent_obs(agent)
-        omega = _raw_step(model, raw, dists, own_obs, n_obs)[0]
+        omega = raw_step(model, raw, dists, own_obs, n_obs)[0]
         children = {z: (w, c) for z, w, c in private_step(bad, s_i, profiles[t], u)}
         for z in range(model.n_agent_obs(agent)):
             worst = max(worst, abs(children.get(z, (0.0,))[0] - omega[z]))
@@ -309,7 +304,7 @@ def private_gap(seed: int, shape, production=lambda m: m) -> float:
             return np.inf
         z = int(rng.choice(len(omega), p=omega / omega.sum()))
         s_i = children[z][1]
-        measure = _raw_step(model, measure, dists, own_obs, n_obs)[1][z]
+        measure = raw_step(model, measure, dists, own_obs, n_obs)[1][z]
     return worst
 
 

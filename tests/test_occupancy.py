@@ -42,9 +42,11 @@ from occupancy_games.sampling import (
     random_joint_policy,
     random_posg,
 )
-from occupancy_games.verify import _anchored, _normalized, _played, _raw_step
+from occupancy_games.verify import _anchored, _normalized, _played
 
-from conftest import MODELS, in_steps_order, load, private_children, raw_keys, recorded_pushes
+from conftest import (
+    MODELS, in_steps_order, load, private_children, raw_keys, raw_step, recorded_pushes,
+)
 
 
 def det_rule(model, agent, t, action, histories):
@@ -483,6 +485,54 @@ def test_decompose_builds_every_mixture_on_the_bundled_models(name):
             states = [s1 for s in states for _, _, s1 in step(m, s, rules[t])]
 
 
+def per_history_components(s, model, rules_by_step, agent) -> list:
+    """``decompose``'s components by the definition: ``private_occupancy``
+    of each of the agent's histories in ``s``, in steps order."""
+    others = [{j: r[j] for j in range(model.n_agents) if j != agent} for r in rules_by_step]
+    anchors = sorted({o.privates[agent] for _, o in s.entries}, key=lambda h: h.steps)
+    return [private_occupancy(model, others, h) for h in anchors]
+
+
+@pytest.mark.parametrize("name", ["tiger", "tiger-duel", "stackelberg-tiger"])
+def test_decompose_components_equal_each_historys_private_occupancy(name):
+    # down to t=2, where histories share their first step's push
+    m = load(name).with_horizon(3)
+    rules = random_joint_policy(m, np.random.default_rng(5)).joint_rules(m)
+    s = initial_occupancy(m)
+    for t in range(3):
+        for agent in range(2):
+            components = [c for _, c in decompose(s, m, rules[:t], agent).components]
+            assert components == per_history_components(s, m, rules[:t], agent)
+        if t < 2:
+            s = step(m, s, rules[t])[-1][2]
+
+
+def test_decompose_pushes_once_per_prefix_and_own_action(tiger, monkeypatch):
+    # agent 1 plays two actions, each heard two ways: four histories under
+    # two pushes, where filtering each history on its own pushes four times
+    rng = np.random.default_rng(3)
+    rules = tuple(random_decision_rule(tiger, i, 0, rng, support=2) for i in range(2))
+    ((_, _, s1),) = step(tiger, initial_occupancy(tiger), rules)
+    pushed, real = [], occupancy.private_step
+    monkeypatch.setattr(occupancy, "private_step", lambda *a: pushed.append(a[3]) or real(*a))
+    components = [c for _, c in decompose(s1, tiger, [rules], 0).components]
+    assert len(components) == 4 and sorted(pushed) == sorted(set(pushed)) and len(pushed) == 2
+    pushed.clear()
+    assert components == per_history_components(s1, tiger, [rules], 0) and len(pushed) == 4
+
+
+def test_decompose_refuses_a_support_history_the_policy_never_reaches(one_sided):
+    # agent 1 opens, so agent 2 never hears the listen observation L-hl (0):
+    # an entry on agent 2's history ((stay, L-hl),) is unreachable
+    rules = root_rules(one_sided, (1, 0))
+    ((_, _, s1),) = step(one_sided, initial_occupancy(one_sided), rules)
+    x, o = next(iter(s1.entries))
+    heard = JointHistory((o.privates[0], PrivateHistory(1, ((0, 0),))))
+    entries = {k: v / 2 for k, v in {**s1.entries, (x, heard): 1.0}.items()}
+    with pytest.raises(InconsistentOccupancyError, match=r"history \(\(0, 0\),\) unreachable"):
+        decompose(OccupancyState(1, entries), one_sided, [rules], 1)
+
+
 # -- serialization ------------------------------------------------------------
 
 LISTEN_OPENLEFT_CSV = """state,history_1,history_2,probability
@@ -542,13 +592,13 @@ def pushed_children(m, rng):
     rules = random_joint_policy(m, rng).joint_rules(m)[0]
     s0 = initial_occupancy(m)
     public = lambda z: m.split_joint_obs(z)[1]
-    raw = _raw_step(m, raw_keys(s0.entries), _played(rules), public, len(m.public_obs))[1]
+    raw = raw_step(m, raw_keys(s0.entries), _played(rules), public, len(m.public_obs))[1]
     out = [(s, _normalized(raw[w])) for w, _, s in step(m, s0, rules)]
     s_i, others = initial_private_occupancy(m, 0), {1: rules[1]}
     own = lambda z: m.agent_obs_of_joint(0, z)
     for u, z, _, s in private_children(m, s_i, others):
         dists = _anchored(m, 0, others, u)
-        raw = _raw_step(m, raw_keys(s_i.entries), dists, own, m.n_agent_obs(0))[1]
+        raw = raw_step(m, raw_keys(s_i.entries), dists, own, m.n_agent_obs(0))[1]
         out.append((s, _normalized(raw[z])))
     return out
 

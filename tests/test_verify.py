@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from occupancy_games import solve, verify
+from occupancy_games.cli import main
 from occupancy_games.errors import CapExceededError, ModelValidationError, UnknownSuiteError
 from occupancy_games.evaluate import occupancy_value, value_tables
 from occupancy_games.occupancy import (
@@ -35,7 +36,17 @@ from occupancy_games.verify import (
     run_suite,
 )
 
-from conftest import code_names, load, pairing, raw_keys, recorded_pushes, restricted_start
+from conftest import (
+    code_names,
+    load,
+    model_path,
+    numbered,
+    pairing,
+    raw_keys,
+    raw_step,
+    recorded_pushes,
+    restricted_start,
+)
 
 
 def test_sufficiency_master_tiger(tiger):
@@ -487,8 +498,8 @@ def test_run_suite_all_skips_the_suites_that_do_not_apply(tiger):
 
 
 ORACLES = (
-    "_action_product", "_steps_table", "_played", "_anchored", "_start_measure", "_raw_step",
-    "_raw_reward", "_normalized", "_dist_diff",
+    "_action_product", "_steps_table", "_played", "_anchored", "_child", "_number", "_steps_of",
+    "_decoded", "_start_measure", "_raw_step", "_raw_rewards", "_normalized", "_dist_diff",
 )
 # the production dynamics, and the history objects production keys its
 # states by
@@ -527,9 +538,10 @@ def history_constructions(monkeypatch) -> list:
 
 def raw_walk(model, rng, t, dists, of, n):
     """The raw prefix ``t`` steps on under ``dists`` (by step), then the
-    step after it, observed through ``of``."""
-    measure = verify._raw_prefix(model, rng, t, dists.__getitem__, n, of)[0]
-    return verify._raw_step(model, measure, dists[t], of, n)
+    step after it, observed through ``of``, its next measures decoded."""
+    measure, names, _ = verify._raw_prefix(model, rng, t, dists.__getitem__, n, of)
+    mass, by_obs = verify._raw_step(model, measure, names, dists[t], of, n)
+    return mass, {seen: verify._decoded(new, names) for seen, new in by_obs.items()}
 
 
 def raw_walks(model, rng):
@@ -569,7 +581,9 @@ def test_the_history_count_control_a_step_grown_by_child_builds_histories(monkey
     want = [walk() for walk in walks]
     walks = raw_walks(model, np.random.default_rng(1))
     built = history_constructions(monkeypatch)
-    monkeypatch.setattr(verify, "_raw_step", lambda *args: literal_step(*args, grow=by_child))
+    monkeypatch.setattr(
+        verify, "_raw_step", lambda *args: numbered_literal_step(*args, grow=by_child)
+    )
     got = [walk() for walk in walks]
     assert built and set(built) == {PrivateHistory, JointHistory}
     assert [(list(m), b) for m, b in got] == [(list(m), b) for m, b in want]
@@ -594,7 +608,8 @@ def test_a_level_read_by_steps_equals_the_converted_entries(seed, n_public):
             pushed += [nxt for _, _, nxt in branches]
         states = pushed
         for s in states:
-            read = verify._by_steps(model, s)
+            names = verify._start_measure(model)[1]
+            read = verify._decoded(verify._by_numbers(model, s, names), names)
             assert "entries" not in vars(s)  # the level was read, not the entries
             assert list(read.items()) == list(raw_keys(s.entries).items())
 
@@ -738,6 +753,13 @@ def literal_step(model, measure, dists, of, n_obs, grow=by_steps):
     return np.array([m for m, _ in per_obs]), grouped
 
 
+def numbered_literal_step(model, measure, names, dists, of, n_obs, grow=by_steps):
+    """``literal_step`` in ``_raw_step``'s form: from a numbered measure,
+    each next measure numbered in ``names``."""
+    mass, grouped = literal_step(model, verify._decoded(measure, names), dists, of, n_obs, grow)
+    return mass, {seen: numbered(model, new, names)[0] for seen, new in grouped.items()}
+
+
 def observers(model):
     """Each observation function that branches a step, with its number of
     values: the public observation, and each agent's own."""
@@ -752,7 +774,7 @@ def raw_step_cases(rng, n_public, horizon=2):
     ``n_public`` public observations: the measure, the action
     distributions and each observer of ``observers``."""
     model = random_posg(rng, 2, (2, 3), (2, 2), n_public, horizon=horizon)
-    measure = verify._start_measure(model)
+    measure = verify._decoded(*verify._start_measure(model))
     for t in range(model.horizon):
         rules = [random_decision_rule(model, i, t, rng) for i in range(model.n_agents)]
         dists = verify._played(rules)
@@ -769,7 +791,7 @@ def grouped_cases():
 
 
 def assert_raw_step_is_literal(model, measure, dists, of, n):
-    mass, grouped = verify._raw_step(model, measure, dists, of, n)
+    mass, grouped = raw_step(model, measure, dists, of, n)
     assert set(grouped) <= set(range(n)) and all(grouped.values())
     outcomes = list(literal_outcomes(model, measure, dists))
     for seen in range(n):
@@ -790,7 +812,7 @@ def test_grouped_next_measures_control_reversed_outcomes_fail():
     # order, which the comparison above must see
     differ = 0
     for model, measure, dists, of, n in grouped_cases():
-        grouped = verify._raw_step(model, measure, dists, of, n)[1]
+        grouped = raw_step(model, measure, dists, of, n)[1]
         outcomes = list(literal_outcomes(model, measure, dists))[::-1]
         for seen in range(n):
             want = filtered_next_measure(model, outcomes, of, seen)[1]
@@ -810,7 +832,7 @@ def test_raw_step_control_one_observation_summed_in_reverse_fails():
     # differ in the last bits somewhere, which == on the values must see
     differ = 0
     for model, measure, dists, of, n in grouped_cases():
-        mass, grouped = verify._raw_step(model, measure, dists, of, n)
+        mass, grouped = raw_step(model, measure, dists, of, n)
         outcomes = list(literal_outcomes(model, measure, dists))
         for seen in range(n):
             mine = [o for o in outcomes if of(o[3]) == seen]
@@ -861,3 +883,130 @@ def test_the_tolerance_check_draws_no_policy(tiger, monkeypatch):
     assert drawn == []
     (report,) = run_suite(tiger.with_horizon(1), suites="slave", n_samples=1)
     assert drawn == [1] and report.passed
+
+
+# -- the raw walk's numbering ---------------------------------------------------
+
+
+def test_raw_step_numbers_each_child_by_its_action_and_observation(tiger):
+    # from the start under full-support rules every agent reaches each
+    # (action, own observation): one number each, beside the root's 0
+    rng = np.random.default_rng(0)
+    dists = verify._played([random_decision_rule(tiger, i, 0, rng) for i in range(2)])
+    measure, names = verify._start_measure(tiger)
+    verify._raw_step(tiger, measure, names, dists, lambda z: 0, 1)
+    for i, (kids, by_number) in enumerate(names):
+        n_u, n_z = len(tiger.actions[i]), tiger.n_agent_obs(i)
+        assert by_number[0] == () and len(by_number) == 1 + n_u * n_z
+        assert sorted(kids) == [(0, u, z) for u in range(n_u) for z in range(n_z)]
+        assert all(by_number[c] == ((u, z),) for (_, u, z), c in kids.items())
+        numbers = [verify._number(names[i], steps) for steps in by_number]
+        assert numbers == list(range(len(by_number)))
+
+
+def test_raw_gap_counts_an_entry_on_a_history_the_raw_step_never_reached(tiger):
+    # both agents listen, so no raw history of agent 1 opens a door: an entry
+    # that production put on one must count in the gap with its whole mass
+    rules = tuple(DecisionRule(i, 0, {PrivateHistory(i): (1.0, 0.0, 0.0)}) for i in range(2))
+    measure, names = verify._start_measure(tiger)
+    played, of, n_pub = verify._played(rules), tiger.public_of_joint_obs, len(tiger.public_obs)
+    branches = step(tiger, initial_occupancy(tiger), rules)
+    assert verify._raw_gap(tiger, measure, names, played, n_pub, of, {}, branches) <= 1e-15
+    ((w, omega, s1),) = branches
+    x, o = next(iter(s1.entries))
+    opened = JointHistory((PrivateHistory(0, ((1, 0),)), o.privates[1]))
+    bad = dataclasses.replace(s1, entries={**s1.entries, (x, opened): 0.25})
+    assert verify._raw_gap(tiger, measure, names, played, n_pub, of, {}, [(w, omega, bad)]) == 0.25
+
+
+def literal_reward(model, measure, names, dists, agent) -> float:
+    """One agent's expected reward under a numbered raw measure, by the
+    definition: entry x actions (in agent order) x reward, in entry order."""
+    total = 0.0
+    for (x, o), p in measure.items():
+        d = dists(verify._steps_of(names, o))
+        for us in itertools.product(*(range(len(d_i)) for d_i in d)):
+            a_p = 1.0
+            for d_i, u in zip(d, us):
+                a_p *= d_i[u]
+            if a_p > 0.0:
+                total += p * a_p * float(model.rewards[agent, x, model.joint_action_index(us)])
+    return total
+
+
+def test_raw_rewards_price_each_agent_by_its_own_rewards():
+    # a random general-sum model: one agent's rewards priced for the other
+    # show
+    rng = np.random.default_rng(2)
+    m = random_posg(rng, 2, (2, 3), (2, 2), 1, horizon=2)
+    rules = [[random_decision_rule(m, i, t, rng) for i in range(2)] for t in range(2)]
+    played = [verify._played(r) for r in rules]
+    measure, names, _ = verify._raw_prefix(m, rng, 1, played.__getitem__, 1, lambda z: 0)
+    want = [literal_reward(m, measure, names, played[1], i) for i in range(2)]
+    assert want[0] != want[1]
+    for agents in ([0, 1], [1, 0], [1]):
+        got = verify._raw_rewards(m, measure, names, played[1], agents)
+        assert got == [want[i] for i in agents]
+
+
+# -- a NaN from production fails its check ----------------------------------------
+
+
+NAN = float("nan")
+
+
+def poisoned(value, nan: bool):
+    """A production result, with its value replaced by NaN if ``nan``: the
+    zero-sum solver's (value, solution, G) keeps its other parts."""
+    if isinstance(value, tuple):
+        return (NAN if nan else value[0], *value[1:])
+    return NAN if nan else value
+
+
+NAN_CASES = {
+    "expected_reward": lambda m: check_sufficiency_master(m["tiger"], n_samples=3, seed=7),
+    "private_reward": lambda m: check_sufficiency_private(m["tiger"], 0, n_samples=3, seed=7),
+    "best_response_value_from": lambda m: check_slave_structure(
+        m["tiger"], {1: random_behavioral_policy(m["tiger"], 1, np.random.default_rng(8))}, 0,
+        n_samples=2, seed=2, certificate_samples=1,
+    ),
+    "dec_value_from": lambda m: check_master_structure(m["tiger"], n_samples=2, seed=3),
+    "stackelberg_value_from": lambda m: check_master_structure(
+        m["stackelberg-tiger"], n_samples=2, seed=3
+    ),
+    "zero_sum_value_from": lambda m: check_lipschitz(m["tiger-zs"], n_samples=3, seed=5),
+}
+
+
+@pytest.mark.parametrize("nan", [True, False], ids=["nan", "finite"])
+@pytest.mark.parametrize("name", list(NAN_CASES))
+def test_a_nan_from_production_fails_its_check(name, nan, monkeypatch):
+    # the same patch, once returning NaN and once the value itself
+    real = getattr(verify, name)
+    monkeypatch.setattr(verify, name, lambda *a, **k: poisoned(real(*a, **k), nan))
+    models = {n: load(n) for n in ("tiger", "tiger-zs", "stackelberg-tiger")}
+    report = NAN_CASES[name](models)
+    if nan:
+        assert not report.passed and np.isnan(report.max_violation), report.line()
+        assert "max_violation=nan" in report.line()
+    else:
+        assert report.passed and np.isfinite(report.max_violation), report.line()
+
+
+def test_ogs_verify_exits_1_on_a_nan_from_production(monkeypatch, capsys):
+    real = verify.expected_reward
+    monkeypatch.setattr(verify, "expected_reward", lambda *a: poisoned(real(*a), True))
+    args = ["verify", str(model_path("tiger")), "--suite", "sufficiency", "--samples", "2"]
+    assert main(args) == 1
+    master = capsys.readouterr().out.splitlines()[0]
+    assert "property=sufficiency-master " in master
+    assert "max_violation=nan" in master and "passed=false" in master
+
+
+def test_worst_keeps_a_nan_wherever_it_comes():
+    for values in ((0.0, NAN, 1.0), (0.0, 1.0, NAN), (NAN, 1.0), (NAN, NAN)):
+        assert np.isnan(verify._worst(*values))
+    assert verify._worst(0.0, 2.0, 1.0) == 2.0 and verify._worst(0.0, -1.0) == 0.0
+    for bad in (NAN, np.inf, -np.inf):
+        assert not verify._report("p", "f", 1, bad, 1e-9, 0, False).passed
+    assert verify._report("p", "f", 1, -1.0, 1e-9, 0, False).passed
