@@ -24,11 +24,16 @@ from .errors import (
     UndefinedDecisionRuleError,
     UnknownSuiteError,
 )
-from .evaluate import check_policy_fits, evaluate_occupancy, simulate
+from .evaluate import (
+    check_full_support_fits,
+    check_policy_fits,
+    evaluate_occupancy,
+    simulate,
+)
 from .model import CRITERIA, PosgModel, classify, parse_posg, reinterpret_criterion
 from .occupancy import initial_occupancy
 from .policies import JointPolicy, policy_from_json, policy_to_json
-from .sampling import random_joint_policy
+from .sampling import check_random_policy_fits, random_joint_policy
 from .solve import (
     Equilibrium,
     solve_dec,
@@ -194,8 +199,11 @@ def cmd_evaluate(args) -> int:
     if args.policy:
         policy = _load_policy(model, args.policy)
     else:
-        rng = np.random.default_rng(args.seed)
-        policy = random_joint_policy(model, rng)
+        # a Dirichlet-drawn rule plays every action: exact evaluation's
+        # bytes are counted before the draw
+        check_random_policy_fits(model)
+        check_full_support_fits(model)
+        policy = random_joint_policy(model, np.random.default_rng(args.seed))
         print("policy: random behavioral (seeded)", file=sys.stderr)
     s0 = initial_occupancy(model)
     for i in range(model.n_agents):

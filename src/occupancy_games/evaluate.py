@@ -12,25 +12,37 @@ fixed order: one draw after another (the start, then per step each agent's
 action and the outcome), each one uniform per episode.  Every draw reads its
 own cursor, a copy of the stream advanced to where that draw starts, so a
 block gets the same uniforms whatever the block size, and results are
-reproducible bit for bit for a given seed regardless of platform.  Each
-agent's policy is read as ``occupancy.RuleRows`` below the empty history: an
-episode holds its row per agent and steps to the child's row, and a played
-child without a rule is refused before the first draw.  Each categorical
-table is cumulated once per call.  A draw is the number of its row's
-cumulative sums below the episode's uniform, at most the row's last positive
-column.  A guide table (Chen and Asau's index table) answers it with one
-gather: per row and per bin of [0, 1) in ``_BINS`` equal bins, the last open
-above, it holds the answer where that is the same for every uniform in the
-bin.  The episodes whose bin holds one of the row's sums, and every draw
-from a table with fewer draws than guide entries, count the sums one column
-at a time, so the guide changes neither the draw order nor any result.
-Before its first draw, ``simulate`` counts the bytes it holds, the whole
-returns and a block's working set, against ``CAP_BYTES``.
+reproducible bit for bit for a given seed regardless of platform.  A draw
+reads each uniform as the PCG64 word ``w`` that ``Generator.random`` reads
+as ``(w >> 11) · 2⁻⁵³``.  Each agent's policy is read as
+``occupancy.RuleRows`` below the empty history, and a played child without
+a rule is refused before the first draw.  Each categorical table is
+cumulated once per call.  A draw is the number of its row's cumulative sums
+below the episode's uniform, at most the row's last positive column.  A
+guide table (Chen and Asau's index table) answers it with one gather: per
+row and per bin of [0, 1) in ``_BINS`` equal bins, the word's top 8 bits,
+it holds the answer where that is the same for every uniform in the bin.
+The episodes whose bin holds one of the row's sums, and every draw from a
+table with fewer draws than guide entries, count the sums one column at a
+time, so the guide changes neither the draw order nor any result.
+
+Per step, the block loop makes each gather index the next.  An agent's draw
+answers its (row, action) code; the code gathers the agent's digit of the
+key ``u · n_x + x`` of joint action and state, formed once per step, and,
+with the outcome flattened over (x', z), its child's row, kept times
+``_BINS`` where the next table has a guide, as that guide's first entry.
+The key gathers the step's discounted rewards ``γᵗ · r`` per agent and the
+outcome's row.  At h=3 with two agents a block of 2¹⁴ episodes makes about
+85 array passes (132 when each draw answered a column and every index was
+recomputed from it).  Before its first draw, ``simulate`` counts the bytes
+it holds, the whole returns and a block's working set, against
+``CAP_BYTES``.
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -39,6 +51,7 @@ import numpy as np
 from .errors import CAP_BYTES, WALK_FIXED_BYTES, CapExceededError
 from .model import PosgModel
 from .occupancy import (
+    PRUNE_EPS,
     Level,
     OccupancyState,
     action_probs,
@@ -174,6 +187,48 @@ def _pull_bytes(
     return 8 * items + WALK_FIXED_BYTES
 
 
+def check_full_support_fits(model: PosgModel) -> None:
+    """Raise ``CapExceededError`` where exact evaluation from the start
+    belief (``evaluate_occupancy``) of any policy that plays every action at
+    every history would, with the same count, without a policy: its levels
+    then hold every (state, joint history) the successor table reaches.
+    Each level is kept as the number of joint histories per set of states
+    they reach, each child found by (joint action, own observations)."""
+    arrays = model._successor_arrays
+    begin = arrays.begin
+    pushed = np.diff(begin).tolist()
+    below = []  # per state, per child, its next states
+    for x in range(model.n_states):
+        children = {}
+        for r in range(begin[x], begin[x + 1]):
+            children.setdefault((arrays.joint[r], *arrays.obs[r]), set()).add(int(arrays.nxt[r]))
+        below.append(children)
+    level = {frozenset(np.flatnonzero(model.start > PRUNE_EPS).tolist()): 1}
+    rows = entries = 0
+    for t in range(model.horizon):
+        last = t + 1 == model.horizon
+        n = sum(len(xs) * k for xs, k in level.items())
+        push = 0 if last else sum(sum(pushed[x] for x in xs) * k for xs, k in level.items())
+        entries += n
+        # as push_items counts
+        items = 3 * model.n_joint_actions * n + 9 * push
+        n_bytes = _pull_bytes(model, rows, entries, n, push, items, False)
+        if n_bytes > CAP_BYTES:
+            raise CapExceededError("exact evaluation", n_bytes, CAP_BYTES, " bytes")
+        rows += push
+        if last:
+            break
+        nxt = {}
+        for xs, count in level.items():
+            children = {}
+            for x in xs:
+                for child, ys in below[x].items():
+                    children.setdefault(child, set()).update(ys)
+            for ys in map(frozenset, children.values()):
+                nxt[ys] = nxt.get(ys, 0) + count
+        level = nxt
+
+
 def _every_state(model: PosgModel, level: Level) -> tuple[Level, np.ndarray]:
     """Every state at each joint history of ``level`` (histories in id
     order, states inner, mass 1), and the place of each entry of ``level``
@@ -245,70 +300,105 @@ def occupancy_value(
 
 # the episodes ``simulate`` runs at once
 _BLOCK = 2**14
-# the bins of a guide table: [k, k + 1) / _BINS for k < _BINS - 1, the last
-# bin open above; a power of two, so a uniform's bin is exact
+# the bins of a guide table, [k, k + 1) / _BINS: a uniform's bin is the top
+# 8 bits of the PCG64 word ``w`` it is read from, as ``Generator.random``
+# reads ``(w >> 11) · 2⁻⁵³``
 _BINS = 2**8
 
 
 class _Cumulative(NamedTuple):
-    """A table of categorical rows, cumulated once: ``cum[j]`` holds column
-    ``j`` of every row's cumulative sums, ``last`` each row's last column
-    with positive probability, and ``guide[row * _BINS + k]`` the draw's
-    answer for every uniform in bin ``k``, or -1 where one of the row's
-    cumulative sums lies in the bin (``None`` where no guide was built)."""
+    """A table of categorical rows, cumulated once.  ``cum[j]`` holds column
+    ``j`` of every row's cumulative sums, the sums a draw counts: those
+    before the row's last column with positive probability, +inf from there
+    on, so that no draw passes that column.  ``guide[row * _BINS + k]``
+    holds the draw's answer for every uniform in bin ``k``, or -1 where one
+    of the row's counted sums lies in the bin (``None`` where no guide was
+    built).  A draw answers ``row * stride + column``: the column where
+    ``stride`` is 0, the (row, column) code where it is the width."""
 
     cum: np.ndarray
-    last: np.ndarray
     guide: np.ndarray | None
+    stride: int = 0
+
+    @property
+    def scale(self) -> int:
+        """A draw's key for row ``r`` is ``r · scale``: the place of the
+        row's first guide entry, or the row where the table has no guide."""
+        return 1 if self.guide is None else _BINS
 
 
-def _cumulative(probs: np.ndarray, draws: float = np.inf) -> _Cumulative:
-    """``probs`` (row, column) as a table to draw from, with a guide if
-    ``draws`` are at least as many as its entries: a table of many rows
-    drawn by few episodes counts its columns instead."""
+def _cumulative(probs: np.ndarray, draws: float = np.inf, coded: bool = False) -> _Cumulative:
+    """``probs`` (row, column) as a table to draw from, answering with
+    (row, column) codes if ``coded``, with a guide if ``draws`` are at least
+    as many as its entries: a table of many rows drawn by few episodes
+    counts its columns instead."""
     n_rows, width = probs.shape
     positive = probs[:, ::-1] > 0.0
     last = width - 1 - np.argmax(positive, axis=1)
     cum = np.cumsum(probs, axis=1)
-    table = _Cumulative(np.ascontiguousarray(cum.T), last, None)
+    counted = np.arange(width - 1) < last[:, None]
+    table = _Cumulative(
+        np.ascontiguousarray(np.where(counted, cum[:, :-1], np.inf).T), None, width if coded else 0
+    )
     if n_rows * _BINS > draws:
         return table
-    bins = np.minimum(cum * _BINS, _BINS - 1).astype(np.intp)
-    rows = np.arange(n_rows)[:, None] * _BINS
-    hits = np.bincount((rows + bins).ravel(), minlength=n_rows * _BINS).reshape(n_rows, _BINS)
-    # the sums below each bin, clamped to the last positive column
+    row, column = np.nonzero(counted)
+    bins = np.minimum(cum[row, column] * _BINS, _BINS - 1).astype(np.intp)
+    hits = np.bincount(row * _BINS + bins, minlength=n_rows * _BINS).reshape(n_rows, _BINS)
+    # the counted sums below each bin
     guide = np.cumsum(hits, axis=1)
     guide -= hits
-    np.minimum(guide, last[:, None], out=guide)
+    guide += np.arange(n_rows)[:, None] * table.stride
     guide[hits > 0] = -1
     return table._replace(guide=guide.ravel())
 
 
-def _draw(rng: np.random.Generator, table: _Cumulative, key: np.ndarray) -> np.ndarray:
-    """One categorical draw from row ``key[e]`` of ``table`` per episode
-    ``e``: the number of the row's cumulative sums below one uniform, at
-    most the row's last positive column (a row may sum to a little less
-    than 1).  The guide answers the uniforms whose bin holds none of the
-    row's sums; the rest count the sums one column at a time."""
-    r = rng.random(len(key))
+def _draw(bits: np.random.BitGenerator, table: _Cumulative, n: int, key=None) -> np.ndarray:
+    """One categorical draw per episode ``e < n``, from row ``key[e] //
+    table.scale`` of ``table`` (row 0 if ``key`` is None): the number of the
+    row's cumulative sums below one uniform, at most the row's last positive
+    column (a row may sum to a little less than 1), as ``table`` answers it.
+    Each uniform is read from one word of ``bits``.  The guide answers the
+    words whose bin holds none of the row's counted sums; the rest count
+    them (``_count``)."""
+    words = bits.random_raw(n)
     if table.guide is None:
-        return _count(table, r, key)
-    at = (r * _BINS).astype(np.intp)
-    np.minimum(at, _BINS - 1, out=at)
-    at += key * _BINS
+        return _count(table, _uniforms(words), _rows(table, n, key))
+    at = (words >> 56).view(np.intp)
+    if key is not None:
+        at += key
     out = table.guide.take(at)
     miss = np.flatnonzero(out < 0)
-    out[miss] = _count(table, r[miss], key[miss])
+    if len(miss):
+        rows = _rows(table, len(miss), None if key is None else key.take(miss))
+        out[miss] = _count(table, _uniforms(words.take(miss)), rows)
     return out
 
 
-def _count(table: _Cumulative, r: np.ndarray, key: np.ndarray) -> np.ndarray:
-    """The number of row ``key[e]``'s cumulative sums below ``r[e]``, at
-    most the row's last positive column."""
-    n = np.zeros(len(key), dtype=np.intp)
-    for column in table.cum:
-        n += r > column.take(key)
-    return np.minimum(n, table.last.take(key))
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """The uniforms ``Generator.random`` reads from PCG64 ``words``."""
+    return (words >> 11) * 2.0**-53
+
+
+def _rows(table: _Cumulative, n: int, key) -> np.ndarray:
+    """The rows that ``n`` keys of ``table`` name (all 0 if ``key`` is None)."""
+    return np.zeros(n, dtype=np.intp) if key is None else key // table.scale
+
+
+def _count(table: _Cumulative, r: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The number of row ``rows[e]``'s cumulative sums below ``r[e]`` up to
+    the row's last positive column, as ``table`` answers it: every column at
+    once where that holds at most ``_BLOCK`` sums (a guide's misses), else
+    one column at a time."""
+    if len(table.cum) * len(rows) <= _BLOCK:
+        n = (r > table.cum.take(rows, axis=1)).sum(axis=0)
+    else:
+        n = np.zeros(len(rows), dtype=np.intp)
+        for column in table.cum:
+            n += r > column.take(rows)
+    if table.stride:
+        n += rows * table.stride
+    return n
 
 
 def simulate(
@@ -335,7 +425,7 @@ def simulate(
         picks = np.empty(episodes, dtype=np.intp)
         for lo in range(0, episodes, _BLOCK):
             block = picks[lo : lo + _BLOCK]
-            block[:] = _draw(rng, weights, np.zeros(len(block), dtype=np.intp))
+            block[:] = _draw(rng.bit_generator, weights, len(block))
         for c, (_, pure) in enumerate(combos):
             mask = picks == c
             if not mask.any():
@@ -359,24 +449,24 @@ def _simulate_bytes(model: PosgModel, episodes: int) -> int:
     """The most ``simulate`` holds at once, counted high.  Per episode: its
     return per agent, one agent's ``std`` temporary and, for a mixture, its
     pick, a byte of a component's mask and a component's return per agent.
-    Per episode of a block, its working set: four numbers per agent
-    (history row, action, reward as read and as discounted) and ten for the
-    state, the joint action, the outcome and a draw's working arrays.  The
-    drawing tables are left out: a guide holds at most one entry per
-    episode, and the rest grow with the histories the policy reaches."""
+    Per episode of a block, its working set: four numbers per agent (key
+    into its rule rows, its code, the next step's key and the reward as
+    read) and ten for the state, the key of joint action and state, the
+    outcome and a draw's working arrays (words, guide positions and
+    answers).  The drawing tables are left out: a guide holds at most one
+    entry per episode, and the rest grow with the histories the policy
+    reaches and with the dynamics table."""
     n = model.n_agents
     return episodes * (8 * (2 * n + 2) + 1) + 8 * _BLOCK * (4 * n + 10)
 
 
-def _cursors(rng: np.random.Generator, n_draws: int, episodes: int) -> list[np.random.Generator]:
-    """A generator per draw, draw ``d``'s at the state of ``rng`` advanced
-    by ``d · episodes`` uniforms: where that draw starts when one stream
-    gives each draw, in turn, one uniform per episode."""
-    cursors = []
-    for d in range(n_draws):
-        bits = copy.deepcopy(rng.bit_generator)
-        cursors.append(np.random.Generator(bits.advance(d * episodes)))
-    return cursors
+def _cursors(
+    rng: np.random.Generator, n_draws: int, episodes: int
+) -> list[np.random.BitGenerator]:
+    """A bit generator per draw, draw ``d``'s at the state of ``rng``'s
+    advanced by ``d · episodes`` words: where that draw starts when one
+    stream gives each draw, in turn, one uniform per episode."""
+    return [copy.deepcopy(rng.bit_generator).advance(d * episodes) for d in range(n_draws)]
 
 
 def _simulate_pure(
@@ -389,11 +479,15 @@ def _simulate_pure(
     at a time, over the model's horizon (``simulate`` checked that the
     policy spans it).  Each draw reads its own cursor (``_cursors``), so every
     block gets the uniforms that one stream drawn one draw after another
-    gives it, and ``rng`` ends past them all."""
-    n_agents = model.n_agents
+    gives it, and ``rng`` ends past them all.  Per step, each agent's
+    (row, action) code gathers its digit of the key ``u · n_x + x`` and,
+    with the outcome, its child's key; the key gathers the rewards and the
+    outcome's row (see the module docstring)."""
+    n_agents, horizon = model.n_agents, model.horizon
+    n_x, n_z = model.n_states, model.n_joint_obs
+    n_flat = n_x * n_z
     n_u = [len(actions) for actions in model.actions]
-    dists = []
-    children = []
+    dists, digits, children = [], [], []
     for i, agent_policy in enumerate(policy.agents):
         table = rule_table(model, i, agent_rules(model, agent_policy), [PrivateHistory(i)])
         for d, (rows, below) in enumerate(zip(table.rows, table.children)):
@@ -401,46 +495,55 @@ def _simulate_pure(
             r, u, z = np.nonzero((below < 0) & (rows > 0.0)[:, :, None])
             if len(r):
                 raise table.undefined(i, d, r[0], u[0], z[0])
-        dists.append([_cumulative(rows, episodes) for rows in table.rows])
-        children.append([below.ravel() for below in table.children])
+        dists.append([_cumulative(rows, episodes, coded=True) for rows in table.rows])
+        # the agent's action adds its digit of u, times n_x, to the key
+        digit = n_x * math.prod(n_u[i + 1 :])
+        digits.append([np.tile(np.arange(n_u[i]) * digit, len(rows)) for rows in table.rows])
+        # per (code, flattened outcome) the child's key, by own observation
+        own = np.tile([model.agent_obs_of_joint(i, z) for z in range(n_z)], n_x)
+        children.append(
+            [
+                below[:, :, own].ravel() * dists[i][t + 1].scale
+                for t, below in enumerate(table.children)
+            ]
+        )
 
     # per (joint action, state) row, a distribution over flattened (x', z),
-    # and per flattened (x', z) the next state and each agent's observation
-    n_x, n_z = model.n_states, model.n_joint_obs
-    outcome = _cumulative(model._dynamics.reshape(model.n_joint_actions * n_x, n_x * n_z), episodes)
+    # the next state of each, and per step the discounted rewards by key
+    n_ja = model.n_joint_actions
+    outcome = _cumulative(model._dynamics.reshape(n_ja * n_x, n_flat), episodes)
     next_x = np.repeat(np.arange(n_x), n_z)
-    own_obs = [
-        np.tile([model.agent_obs_of_joint(i, z) for z in range(n_z)], n_x)
-        for i in range(n_agents)
-    ]
-    rewards = model.rewards.reshape(n_agents, -1)
+    by_key = model.rewards.transpose(0, 2, 1).reshape(n_agents, n_ja * n_x)
+    discounted, gamma_t = [], 1.0
+    for t in range(horizon):
+        discounted.append(gamma_t * by_key)
+        gamma_t *= model.discount
     start = _cumulative(model.start[None, :], episodes)
 
     # the start, then per step each agent's action and, below the horizon,
     # the outcome
-    horizon = model.horizon
     n_draws = horizon * (n_agents + 1)
     cursors = _cursors(rng, n_draws, episodes)
     returns = np.zeros((n_agents, episodes))
     for lo in range(0, episodes, _BLOCK):
         block = returns[:, lo : lo + _BLOCK]
+        n = block.shape[1]
         draws = iter(cursors)
-        root = np.zeros(block.shape[1], dtype=np.intp)
-        x = _draw(next(draws), start, root)
-        rows = [root] * n_agents
-        gamma_t = 1.0
+        key = _draw(next(draws), start, n)  # the state, each agent's digit added
+        rows = [None] * n_agents
         for t in range(horizon):
-            us = [_draw(next(draws), dists[i][t], rows[i]) for i in range(n_agents)]
-            u = us[0]
-            for i in range(1, n_agents):
-                u = u * n_u[i] + us[i]
-            block += gamma_t * rewards.take(x * model.n_joint_actions + u, axis=1)
-            gamma_t *= model.discount
+            codes = [_draw(next(draws), dists[i][t], n, rows[i]) for i in range(n_agents)]
+            for i, code in enumerate(codes):
+                key += digits[i][t].take(code)
+            for row, rewards in zip(block, discounted[t]):
+                row += rewards.take(key)
             if t + 1 < horizon:
-                flat = _draw(next(draws), outcome, u * n_x + x)
-                x = next_x.take(flat)
-                for i in range(n_agents):
-                    own = (rows[i] * n_u[i] + us[i]) * model.n_agent_obs(i) + own_obs[i].take(flat)
-                    rows[i] = children[i][t].take(own)
+                key *= outcome.scale
+                flat = _draw(next(draws), outcome, n, key)
+                for i, code in enumerate(codes):
+                    code *= n_flat
+                    code += flat
+                    rows[i] = children[i][t].take(code)
+                key = next_x.take(flat)  # the next state
     rng.bit_generator.advance(n_draws * episodes)
     return returns

@@ -128,8 +128,14 @@ def random_behavioral_policy(
     return BehavioralPolicy(agent, tuple(_draw_rule(model, agent, t, rng) for t in range(horizon)))
 
 
-def random_joint_policy(model: PosgModel, rng: np.random.Generator) -> JointPolicy:
+def check_random_policy_fits(model: PosgModel) -> None:
+    """Raise ``CapExceededError`` unless ``random_joint_policy``'s rules fit
+    ``CAP_BYTES``."""
     _check_draw(model, itertools.product(range(model.n_agents), range(model.horizon)))
+
+
+def random_joint_policy(model: PosgModel, rng: np.random.Generator) -> JointPolicy:
+    check_random_policy_fits(model)
     return JointPolicy(tuple(
         BehavioralPolicy(i, tuple(_draw_rule(model, i, t, rng) for t in range(model.horizon)))
         for i in range(model.n_agents)

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from occupancy_games import solve, verify
+from occupancy_games import cli, solve, verify
 from occupancy_games.cli import main
 from occupancy_games.model import parse_posg
 from occupancy_games.solve import induced_normal_form
@@ -548,6 +548,23 @@ def test_exact_evaluation_over_the_budget_exits_3(capsys):
     assert err.splitlines()[-1] == (
         "error: exact evaluation too large: 17467369552 bytes exceeds cap 1073741824 bytes"
     )
+
+
+@pytest.mark.parametrize("h", [6, 8])
+def test_exact_evaluation_over_the_budget_exits_3_before_the_random_policy(capsys, monkeypatch, h):
+    # a drawn rule plays every action, so exact evaluation is counted, and
+    # refused at t=4 on the same line, before the policy is drawn
+    def no_draw(*args):
+        raise AssertionError("random policy drawn")
+
+    monkeypatch.setattr(cli, "random_joint_policy", no_draw)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "evaluate", TIGER, "--horizon", str(h))
+    assert time.perf_counter() - start < 5.0
+    assert code == 3 and out == "" and "Traceback" not in err
+    assert err.splitlines() == [
+        "error: exact evaluation too large: 17467369552 bytes exceeds cap 1073741824 bytes"
+    ]
 
 
 def test_a_random_policy_over_the_budget_exits_3_before_any_draw(capsys):

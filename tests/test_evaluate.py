@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -248,14 +249,57 @@ def test_simulate_mixture_policy(one_stage):
 # -- the categorical draw --------------------------------------------------------
 
 
-class FixedUniforms:
-    """A stand-in generator whose uniforms are given, in order."""
+WORD = 2.0**-53  # the spacing of the uniforms Generator.random reads from PCG64 words
+
+
+class FixedWords:
+    """A stand-in bit generator whose uniforms are given, in order, and
+    yielded as the PCG64 words ``Generator.random`` reads them from: ``u`` as
+    ``u · 2⁵³ << 11``, so each must be a multiple of 2⁻⁵³ in [0, 1)."""
 
     def __init__(self, *draws):
         self.draws = list(draws)
 
-    def random(self, n):
-        return np.broadcast_to(np.asarray(self.draws.pop(0), dtype=float), (n,)).copy()
+    def random_raw(self, n):
+        u = np.broadcast_to(np.asarray(self.draws.pop(0), dtype=float), (n,))
+        assert ((u >= 0.0) & (u < 1.0) & (u / WORD % 1.0 == 0.0)).all()
+        return (u / WORD).astype(np.uint64) << np.uint64(11)
+
+
+def uniforms(bits, n):
+    """``n`` uniforms read from ``bits`` as ``Generator.random`` reads them."""
+    return (bits.random_raw(n) >> np.uint64(11)) * WORD
+
+
+def on_grid(u, up=False):
+    """``u`` moved to the next multiple of 2⁻⁵³ in [0, 1) below it, or above
+    it with ``up``."""
+    steps = np.ceil(u / WORD) if up else np.floor(u / WORD)
+    return np.minimum(steps, 2.0**53 - 1) * WORD
+
+
+def test_pcg64_words_give_the_uniforms_and_their_bins():
+    # Generator.random reads each PCG64 word w as (w >> 11) · 2⁻⁵³, so the
+    # draw may read a word where Generator.random would read its uniform
+    words = np.random.PCG64(31).random_raw(10**5)
+    u = np.random.Generator(np.random.PCG64(31)).random(10**5)
+    assert np.array_equal(evaluate._uniforms(words), u)
+    assert np.array_equal((words >> np.uint64(11)) * WORD, u)
+    # and the top 8 bits are the uniform's bin, on both sides of every
+    # edge k / 256: per edge, words whose uniform is one step below it (the
+    # largest such word and the smallest), at it, and one step above it
+    k = np.arange(1, evaluate._BINS, dtype=np.uint64)
+    edge, ulp, one = k << np.uint64(56), np.uint64(2**11), np.uint64(1)
+    sides = [(edge - ulp, -WORD), (edge - one, -WORD), (edge, 0.0), (edge + ulp - one, 0.0),
+             (edge + ulp, WORD)]
+    for w, offset in sides:
+        u = evaluate._uniforms(w)
+        assert np.array_equal(u, k / 256.0 + offset)
+        assert np.array_equal(w >> np.uint64(56), np.floor(256.0 * u).astype(np.uint64))
+    # the smallest and largest words: uniforms 0 and 1 - 2⁻⁵³, bins 0 and 255
+    ends = np.array([0, 2**64 - 1], dtype=np.uint64)
+    assert evaluate._uniforms(ends).tolist() == [0.0, 1.0 - WORD]
+    assert (ends >> np.uint64(56)).tolist() == [0, evaluate._BINS - 1]
 
 
 def naive_draw(r, probs, key):
@@ -273,13 +317,15 @@ def draw_mismatches(draw, n_tables=400, seed=0, edges=False) -> int:
     row's last positive column, differ: integer weights give zero columns
     and tied cumulative sums, some rows have one positive column, widths run
     from 1; uniforms run up to each row's total and include 0 and each
-    cumulative sum itself.
+    cumulative sum itself, or the uniforms next to it where it is not one.
+    Half the tables answer with (row, column) codes; a one-row table is
+    sometimes drawn without keys.
 
     With ``edges``, the guide table's edge cases: dyadic weights in units of
     1/256 put the cumulative sums on bin edges (some rows scaled a little
     short of 1, some to half), widths run to 16 and rows to 40, and
-    uniforms also fall on bin edges, just below them, at 1.0 and past the
-    row's total."""
+    uniforms also fall on bin edges, just below them, at the largest
+    uniform a word gives and just past the row's total."""
     rng = np.random.default_rng(seed)
     bins = evaluate._BINS
     bad = 0
@@ -301,20 +347,25 @@ def draw_mismatches(draw, n_tables=400, seed=0, edges=False) -> int:
             probs /= probs.sum(axis=1, keepdims=True)
         key = rng.integers(n_rows, size=n)
         cum = np.cumsum(probs[key], axis=1)
-        r = rng.random(n) * cum[:, -1]
+        r = on_grid(rng.random(n) * cum[:, -1])
         tie = rng.random(n) < 0.4
-        r[tie] = cum[tie, rng.integers(width, size=n)[tie]]
+        r[tie] = on_grid(cum[tie, rng.integers(width, size=n)[tie]], up=rng.random() < 0.5)
         r[rng.random(n) < 0.05] = 0.0
         if edges:
             edge = rng.integers(bins + 1, size=n) / bins
             on, below = rng.random(n) < 0.2, rng.random(n) < 0.1
-            r[on] = edge[on]
-            r[below] = np.nextafter(edge[below], -1.0)
+            r[on] = on_grid(edge[on])
+            r[below] = np.maximum(edge[below] - WORD, 0.0)
             past = rng.random(n) < 0.1
-            r[past] = rng.choice([1.0, 1.0 + 1.0 / bins, 1.5], past.sum())
-            r[past] = np.maximum(r[past], np.nextafter(cum[past, -1], 2.0))
+            above = on_grid(np.nextafter(cum[past, -1], 2.0), up=True)
+            r[past] = np.where(rng.random(past.sum()) < 0.5, 1.0 - WORD, above)
+        table = evaluate._cumulative(probs, coded=rng.random() < 0.5)
         want = np.minimum(naive_draw(r, probs, key), last_positive(probs)[key])
-        got = draw(FixedUniforms(r), evaluate._cumulative(probs), key)
+        want += key * table.stride
+        keys = key * table.scale
+        if n_rows == 1 and rng.random() < 0.5:
+            keys = None
+        got = draw(FixedWords(r), table, n, keys)
         bad += not np.array_equal(got, want)
     return bad
 
@@ -324,33 +375,38 @@ def test_draw_matches_the_definition():
 
 
 def test_draw_control_with_an_off_by_one_column_loop_fails():
-    def late_draw(rng, table, key):
-        r = rng.random(len(key))
-        out = np.zeros(len(key), dtype=np.intp)
+    def late_draw(bits, table, n, key=None):
+        r = uniforms(bits, n)
+        rows = np.zeros(n, dtype=np.intp) if key is None else key // table.scale
+        out = np.zeros(n, dtype=np.intp)
         for column in table.cum[1:]:
-            out += r > column.take(key)
-        return np.minimum(out, table.last.take(key))
+            out += r > column.take(rows)
+        return out + rows * table.stride
 
     assert draw_mismatches(late_draw) > 0
 
 
-def test_draw_matches_the_definition_on_guide_table_edges():
+def test_draw_matches_the_definition_on_guide_table_edges(monkeypatch):
     assert draw_mismatches(evaluate._draw, n_tables=200, seed=1, edges=True) == 0
 
-    # and without a guide, as for a table of more entries than draws
-    def unguided_draw(rng, table, key):
-        return evaluate._draw(rng, table._replace(guide=None), key)
+    # and without a guide, as for a table of more entries than draws,
+    # counting every column at once and, past a block's worth of sums, one
+    # column at a time
+    def unguided_draw(bits, table, n, key=None):
+        rows = None if key is None else key // table.scale
+        return evaluate._draw(bits, table._replace(guide=None), n, rows)
 
+    assert draw_mismatches(unguided_draw, n_tables=200, seed=1, edges=True) == 0
+    monkeypatch.setattr(evaluate, "_BLOCK", 0)
     assert draw_mismatches(unguided_draw, n_tables=200, seed=1, edges=True) == 0
 
 
 def test_draw_control_that_trusts_the_guide_in_every_bin_fails():
     # every uniform answered as its bin's low edge, as a guide would answer
     # it with no fallback where a cumulative sum lies inside the bin
-    def trusting_draw(rng, table, key):
-        bins = evaluate._BINS
-        low = np.minimum(np.floor(rng.random(len(key)) * bins), bins - 1) / bins
-        return evaluate._draw(FixedUniforms(low), table, key)
+    def trusting_draw(bits, table, n, key=None):
+        low = (bits.random_raw(n) >> np.uint64(56)) / evaluate._BINS
+        return evaluate._draw(FixedWords(low), table, n, key)
 
     assert draw_mismatches(trusting_draw) > 0
     assert draw_mismatches(trusting_draw, n_tables=200, seed=1, edges=True) > 0
@@ -365,8 +421,8 @@ def test_a_table_drawn_fewer_times_than_its_guide_has_entries_builds_none(tiger,
     built = []
     cumulative = evaluate._cumulative
 
-    def recording(probs, draws):
-        table = cumulative(probs, draws)
+    def recording(probs, draws, coded=False):
+        table = cumulative(probs, draws, coded)
         built.append((len(probs), table.guide is not None))
         return table
 
@@ -386,7 +442,8 @@ def test_draw_stays_on_a_row_that_sums_to_less_than_one():
     key = np.array([0, 1, 0])
     r = 1.0 - 1e-12
     assert naive_draw(np.full(3, r), probs, key).tolist() == [5, 0, 5]
-    got = evaluate._draw(FixedUniforms(r), evaluate._cumulative(probs), key)
+    table = evaluate._cumulative(probs)
+    got = evaluate._draw(FixedWords(r), table, 3, key * table.scale)
     assert got.tolist() == [2, 0, 2]
 
 
@@ -402,13 +459,31 @@ def test_simulate_keeps_a_short_rule_on_its_agent(tiger, monkeypatch):
         return JointPolicy(tuple(BehavioralPolicy(i, (rule,)) for i, rule in enumerate(rules)))
 
     # every draw (the start, then each agent's action) reads 1 - 1e-12
-    stubs = lambda rng, n_draws, episodes: [FixedUniforms(1.0 - 1e-12) for _ in range(n_draws)]
+    stubs = lambda rng, n_draws, episodes: [FixedWords(1.0 - 1e-12) for _ in range(n_draws)]
     monkeypatch.setattr(evaluate, "_cursors", stubs)
     rng = np.random.default_rng(0)
     short = evaluate._simulate_pure(m, policy((0.5, 0.5 - 5e-10, 0.0)), 4, rng)
     exact = evaluate._simulate_pure(m, policy((0.5, 0.5, 0.0)), 4, rng)
     assert np.array_equal(short, exact)
     assert np.array_equal(exact, np.full((2, 4), 2.0))  # treasure behind the left door
+
+
+class Rows(NamedTuple):
+    """A table as the definition draws from it: its rows, uncumulated, and
+    the stride its answers are coded with; keys hold rows."""
+
+    probs: np.ndarray
+    stride: int
+    scale: int = 1
+
+    @staticmethod
+    def of(probs, draws, coded=False):
+        return Rows(probs, probs.shape[1] if coded else 0)
+
+    @staticmethod
+    def draw(bits, table, n, key=None):
+        rows = np.zeros(n, dtype=np.intp) if key is None else key
+        return naive_draw(uniforms(bits, n), table.probs, rows) + rows * table.stride
 
 
 def test_simulate_draws_exactly_as_the_definition(tiger, monkeypatch):
@@ -430,10 +505,8 @@ def test_simulate_draws_exactly_as_the_definition(tiger, monkeypatch):
         (tiger3, 20_000, JointPolicy((rules, cases[2][1].agents[1]))),
     ]
     fast_mixes = [simulate(m, mix, n, 4) for m, n, mix in mixes]
-    monkeypatch.setattr(evaluate, "_cumulative", lambda probs, draws: probs)
-    monkeypatch.setattr(
-        evaluate, "_draw", lambda rng, probs, key: naive_draw(rng.random(len(key)), probs, key)
-    )
+    monkeypatch.setattr(evaluate, "_cumulative", Rows.of)
+    monkeypatch.setattr(evaluate, "_draw", Rows.draw)
     for (m, p, n), returns in zip(cases, fast):
         slow = evaluate._simulate_pure(m, p, n, np.random.default_rng(3))
         assert np.array_equal(returns, slow)
@@ -548,7 +621,9 @@ def test_simulate_in_blocks_draws_as_one_stream_step_major(tiger, episodes):
 def test_simulate_control_that_reads_one_stream_block_major_fails(tiger, monkeypatch):
     # every draw of every block from one shared stream: the same episodes
     # while one block holds them all, others past the first block edge
-    monkeypatch.setattr(evaluate, "_cursors", lambda rng, n_draws, episodes: [rng] * n_draws)
+    monkeypatch.setattr(
+        evaluate, "_cursors", lambda rng, n_draws, episodes: [rng.bit_generator] * n_draws
+    )
     (_, (m, p), _), _ = step_major_cases(tiger)
 
     def same(episodes):
@@ -683,6 +758,45 @@ def test_value_tables_count_at_least_what_they_hold(tiger, monkeypatch, h):
     finally:
         tracemalloc.stop()
     assert peak <= max(counts) <= evaluate.CAP_BYTES
+
+
+def test_full_support_count_is_exact_evaluations(tiger, monkeypatch):
+    # the count made without a policy is the one exact evaluation of a
+    # full-support policy makes, step by step: tiger from h=1 to h=4, tiger
+    # from one start state (its other pruned), public observations, three
+    # agents and a model whose dynamics have zeros
+    rng = np.random.default_rng(18)
+    sparse = random_posg(rng, n_states=3, n_actions=(2, 2), n_obs=(2, 2), horizon=3)
+    kept = sparse.transition == sparse.transition.max(axis=2, keepdims=True)
+    kept |= sparse.transition > 0.3
+    transition = np.where(kept, sparse.transition, 0.0)
+    transition /= transition.sum(axis=2, keepdims=True)
+    sparse = dataclasses.replace(sparse, transition=transition)
+    models = [tiger.with_horizon(h) for h in range(1, 5)]
+    models += [
+        tiger.with_horizon(3).with_start([1.0, 0.0]),
+        random_posg(rng, n_states=2, n_actions=(3, 3), n_obs=(2, 2), n_public=2, horizon=3),
+        random_posg(rng, n_states=2, n_actions=(2, 2, 2), n_obs=(2, 2, 2), horizon=2),
+        sparse,
+    ]
+    counts = pull_counts(monkeypatch)
+    for m in models:
+        evaluate.check_full_support_fits(m)
+        counted = counts[:]
+        counts.clear()
+        evaluate_occupancy(m, random_joint_policy(m, rng), initial_occupancy(m), 0)
+        assert counted == counts and len(counts) == m.horizon
+        counts.clear()
+    # refused at the step exact evaluation is refused at, with its count
+    m = tiger.with_horizon(4)
+    evaluate_occupancy(m, random_joint_policy(m, rng), initial_occupancy(m), 0)
+    largest = max(counts)
+    monkeypatch.setattr(evaluate, "CAP_BYTES", largest - 1)
+    with pytest.raises(CapExceededError) as info:
+        evaluate.check_full_support_fits(m)
+    assert info.value.count == largest
+    monkeypatch.setattr(evaluate, "CAP_BYTES", largest)
+    evaluate.check_full_support_fits(m)
 
 
 def test_exact_evaluation_refuses_before_the_push_over_its_budget(tiger, monkeypatch):

@@ -65,8 +65,9 @@ def test_sufficiency_master_negative_control(tiger):
 
 
 def test_sufficiency_master_prices_every_agents_reward(monkeypatch):
-    # stackelberg-tiger is general-sum: agent 2's reward is not agent 1's,
-    # so a fault in agent 2's alone must show
+    # stackelberg-tiger is a team game (its R1 and R2 lines are equal), yet
+    # the check prices each agent's reward on its own, so a fault in agent
+    # 2's alone must show
     m = load("stackelberg-tiger")
     assert check_sufficiency_master(m, n_samples=5, seed=0).max_violation <= 1e-12
     real = verify.expected_reward
