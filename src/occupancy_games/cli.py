@@ -30,7 +30,14 @@ from .evaluate import (
     evaluate_occupancy,
     simulate,
 )
-from .model import CRITERIA, PosgModel, classify, parse_posg, reinterpret_criterion
+from .model import (
+    CRITERIA,
+    PosgModel,
+    _infer_reward_tag,
+    classify,
+    parse_posg,
+    reinterpret_criterion,
+)
 from .occupancy import initial_occupancy
 from .policies import JointPolicy, policy_from_json, policy_to_json
 from .sampling import check_random_policy_fits, random_joint_policy
@@ -165,6 +172,7 @@ def cmd_parse(args) -> int:
     print(f"start: {' '.join(_fmt(p) for p in model.start)}")
     print(f"criterion: {model.criterion}")
     print(f"classified: {classify(model)}")
+    print(f"rewards: {_infer_reward_tag(model)}")
     print(f"reward_bound: {_fmt(model.reward_bound)}")
     return EXIT_OK
 

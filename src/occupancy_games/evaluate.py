@@ -6,7 +6,10 @@ the linear pairing of those values with an occupancy state.  Both push their
 levels forward through the array kernel ``occupancy.next_level`` and pull
 the values back over the same rows: the tables over every state at each
 reachable history, the occupancy route over the entries its support reaches,
-each step's bytes checked against ``CAP_BYTES`` before it.  Simulation runs
+each step's bytes checked against ``CAP_BYTES`` before it.  Every anchored
+pure plan of one agent is priced from one push, the agent playing every own
+action, and one pull over (plan, entry) per block of plans
+(``anchored_plan_values``), each price the occupancy route's.  Simulation runs
 blocks of ``_BLOCK`` episodes on uniforms from one seeded PCG64 stream in a
 fixed order: one draw after another (the start, then per step each agent's
 action and the outcome), each one uniform per episode.  Every draw reads its
@@ -31,7 +34,8 @@ answers its (row, action) code; the code gathers the agent's digit of the
 key ``u · n_x + x`` of joint action and state, formed once per step, and,
 with the outcome flattened over (x', z), its child's row, kept times
 ``_BINS`` where the next table has a guide, as that guide's first entry.
-The key gathers the step's discounted rewards ``γᵗ · r`` per agent and the
+The key gathers the step's discounted rewards ``γᵗ · r`` once per distinct
+reward table, added to each agent's returns whose table it is, and the
 outcome's row.  At h=3 with two agents a block of 2¹⁴ episodes makes about
 85 array passes (132 when each draw answered a column and every index was
 recomputed from it).  Before its first draw, ``simulate`` counts the bytes
@@ -133,21 +137,48 @@ def _pull(
     """Per step from ``t0`` on: the level (every state at each of its joint
     histories if ``every_state``), its histories and each entry's value.
 
-    The levels are pushed forward once at unit mass; the values are pulled
-    back over the same rows, so an entry's value depends only on the entries
-    below it, whichever level it sits in.  Before each step (and its push)
-    its bytes, ``_pull_bytes``, are checked against ``CAP_BYTES``."""
-    levels, pulls = [], []
-    rows = entries = 0  # rows pushed and entries held so far
+    The levels are pushed forward once at unit mass (``_push``); the values
+    are pulled back over the same rows (``_pulled``), so an entry's value
+    depends only on the entries below it, whichever level it sits in."""
+    levels, pulls = _push(model, rules_by_step, agent, t0, level, hists, every_state)[:2]
+    values = _pulled(model, [v for *_, v in levels], pulls)
+    return [(level, hists, v) for (level, hists, _), v in zip(levels, values)]
+
+
+def _push(
+    model: PosgModel,
+    rules_by_step: Sequence[Sequence[DecisionRule | None]],
+    agent: int,
+    t0: int,
+    level: Level,
+    hists,
+    every_state: bool,
+    plans: bool = False,
+) -> tuple[list, list, list, int]:
+    """``_pull``'s forward half.  Per step from ``t0`` on: the level (every
+    state at each of its joint histories if ``every_state``), its histories
+    and ``agent``'s reward terms, each (entry, joint action) probability
+    times the reward, summed per entry unless ``plans``; per push, its rows'
+    (entry, child entry, weight) and ``agent``'s child codes (``next_level``'s
+    ``reached``); and the most bytes counted at a step.  Each level is pushed
+    at unit mass.  Before each step (and its push) its bytes, ``_pull_bytes``
+    and, with ``plans``, the terms kept, are checked against ``CAP_BYTES``."""
+    levels, pulls, codes = [], [], []
+    rows = entries = most = 0  # rows pushed and entries held so far
     for t in range(t0, model.horizon):
         push, items = push_items(model, level, t + 1 == model.horizon)
         entries += len(level.xs)
+        if plans:
+            items += model.n_joint_actions * entries
         n_bytes = _pull_bytes(model, rows, entries, len(level.xs), push, items, every_state)
         if n_bytes > CAP_BYTES:
             raise CapExceededError("exact evaluation", n_bytes, CAP_BYTES, " bytes")
+        most = max(most, n_bytes)
         rows += push
         a = action_probs(model, level, rule_arrays(model, rules_by_step[t], hists))
-        levels.append((level, hists, (a * model.rewards[agent][level.xs]).sum(axis=1)))
+        terms = a * model.rewards[agent][level.xs]
+        levels.append((level, hists, terms if plans else terms.sum(axis=1)))
+        del terms
         if t + 1 == model.horizon:
             break
         unit = level._replace(mass=np.ones(len(level.xs)))
@@ -156,14 +187,22 @@ def _pull(
         if every_state:
             level, place = _every_state(model, level)
         pulls.append((pushed.entry, place[pushed.where], pushed.weight))
+        codes.append(pushed.reached[agent])
         hists = child_histories(model, hists, pushed.reached)
+    return levels, pulls, codes, most
+
+
+def _pulled(model: PosgModel, values: list, pulls: list) -> list:
+    """Each level's values: its own terms ``values[k]`` plus the discounted
+    values below, pulled back over the rows ``pulls[k]`` (entry, child entry,
+    weight), each entry's in row order."""
     for k in range(len(pulls) - 1, -1, -1):
         entry, child, weight = pulls[k]
-        below = levels[k + 1][2]
-        level, hists, v = levels[k]
-        v = v + model.discount * np.bincount(entry, weight * below[child], len(v))
-        levels[k] = (level, hists, v)
-    return levels
+        below = values[k + 1]
+        values[k] = values[k] + model.discount * np.bincount(
+            entry, weight * below[child], len(values[k])
+        )
+    return values
 
 
 def _pull_bytes(
@@ -291,6 +330,74 @@ def occupancy_value(
     level, hists = level_of(model, s)
     levels = _pull(model, rules_by_step, agent, s.t, level, hists, False)
     return sum_in_order(level.mass * levels[0][2])
+
+
+def anchored_plan_values(
+    model: PosgModel,
+    others_rules: Mapping[int, Sequence[DecisionRule]],
+    agent: int,
+    s: OccupancyState,
+) -> np.ndarray:
+    """``occupancy_value`` on ``s`` (before the horizon) of every pure plan of
+    ``agent`` from the anchors of ``s``, its histories at ``s.t``, against
+    the others' rules by step ``others_rules``, bit for bit, in plan index
+    order: plan ``k`` plays the base-``n_u`` digits of ``k``, most
+    significant first, in preorder over each anchor's full trie below it,
+    anchor 0 first (``solve._anchored_space``'s order).
+
+    The level of ``s`` is pushed once, the agent playing every own action;
+    the values are pulled back over (plan, entry) for consecutive blocks of
+    plans.  A plan's own-action indicator masks its reward terms, and its
+    rows are those playing its own action, so each entry adds the terms
+    ``occupancy_value`` adds, in its order.  A block holds as many plans as
+    fit ``CAP_BYTES`` beside the push, each counted high: per entry its
+    digit, masked terms and value, per row its mask, indices and products."""
+    t0, n_u, n_z = s.t, len(model.actions[agent]), model.n_agent_obs(agent)
+    level, hists = level_of(model, s)
+    rules = [None] * t0 + [
+        tuple(None if j == agent else others_rules[j][t] for j in range(model.n_agents))
+        for t in range(t0, model.horizon)
+    ]
+    levels, pulls, codes, held = _push(model, rules, agent, t0, level, hists, False, True)
+    depth = model.horizon - t0
+    nodes = [sum(n_z**e for e in range(d)) for d in range(depth + 1)]  # per subtrie depth
+    n_digits = level.n_sets[agent] * nodes[depth]
+    # per level, each entry's place value: n_u to the digits after its own
+    # history's trie position, a child 1 + z subtries below its parent
+    pos = np.arange(level.n_sets[agent]) * nodes[depth]
+    scales, acts = [], []
+    for d, (at, *_) in enumerate(levels):
+        if d:
+            parent, uz = np.divmod(codes[d - 1], n_u * n_z)
+            pos = pos[parent] + 1 + uz % n_z * nodes[depth - d]
+            # each row's own action, read from its child's code
+            acts.append(uz[at.ids[agent][pulls[d - 1][1]]] // n_z)
+        scales.append(n_u ** (n_digits - 1 - pos[at.ids[agent]]))
+    shape = [len(labels) for labels in model.actions]
+    own = np.unravel_index(np.arange(model.n_joint_actions), shape)[agent]  # per joint action
+    sizes = [len(at.xs) for at, *_ in levels]
+    per_plan = 8 * ((model.n_joint_actions + 4) * sum(sizes) + 8 * sum(len(p[0]) for p in pulls))
+    block = (CAP_BYTES - held) // per_plan
+    if block < 1:
+        raise CapExceededError("exact evaluation", held + per_plan, CAP_BYTES, " bytes")
+    n_plans = n_u**n_digits
+    prices = []
+    for lo in range(0, n_plans, block):
+        k = np.arange(lo, min(lo + block, n_plans))[:, None]
+        digits = [k // scale % n_u for scale in scales]
+        values = [
+            ((digit[:, :, None] == own) * terms).sum(axis=2).ravel()
+            for digit, (_, _, terms) in zip(digits, levels)
+        ]
+        rows = []
+        for d, (entry, child, weight) in enumerate(pulls):
+            plan, row = np.nonzero(digits[d][:, entry] == acts[d])
+            rows.append(
+                (plan * sizes[d] + entry[row], plan * sizes[d + 1] + child[row], weight[row])
+            )
+        top = _pulled(model, values, rows)[0].reshape(len(k), sizes[0])
+        prices.append(np.cumsum(level.mass * top, axis=1)[:, -1])
+    return np.concatenate(prices)
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +567,16 @@ def _simulate_bytes(model: PosgModel, episodes: int) -> int:
     return episodes * (8 * (2 * n + 2) + 1) + 8 * _BLOCK * (4 * n + 10)
 
 
+def _reward_tables(model: PosgModel) -> tuple[np.ndarray, list[list[int]]]:
+    """The model's distinct reward tables, equal bit for bit, in agent order,
+    and the agents of each."""
+    agents: dict[bytes, list[int]] = {}
+    for i, rewards in enumerate(model.rewards):
+        agents.setdefault(rewards.tobytes(), []).append(i)
+    shared = list(agents.values())
+    return model.rewards[[first for first, *_ in shared]], shared
+
+
 def _cursors(
     rng: np.random.Generator, n_draws: int, episodes: int
 ) -> list[np.random.BitGenerator]:
@@ -509,11 +626,13 @@ def _simulate_pure(
         )
 
     # per (joint action, state) row, a distribution over flattened (x', z),
-    # the next state of each, and per step the discounted rewards by key
+    # the next state of each, and per step the discounted rewards by key,
+    # once per distinct reward table, ``shared[k]`` the agents of table k
     n_ja = model.n_joint_actions
     outcome = _cumulative(model._dynamics.reshape(n_ja * n_x, n_flat), episodes)
     next_x = np.repeat(np.arange(n_x), n_z)
-    by_key = model.rewards.transpose(0, 2, 1).reshape(n_agents, n_ja * n_x)
+    tables, shared = _reward_tables(model)
+    by_key = tables.transpose(0, 2, 1).reshape(len(tables), n_ja * n_x)
     discounted, gamma_t = [], 1.0
     for t in range(horizon):
         discounted.append(gamma_t * by_key)
@@ -535,8 +654,10 @@ def _simulate_pure(
             codes = [_draw(next(draws), dists[i][t], n, rows[i]) for i in range(n_agents)]
             for i, code in enumerate(codes):
                 key += digits[i][t].take(code)
-            for row, rewards in zip(block, discounted[t]):
-                row += rewards.take(key)
+            for rewards, agents in zip(discounted[t], shared):
+                gathered = rewards.take(key)
+                for i in agents:
+                    block[i] += gathered
             if t + 1 < horizon:
                 key *= outcome.scale
                 flat = _draw(next(draws), outcome, n, key)

@@ -55,7 +55,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import CAP_BYTES, CapExceededError, UnknownSuiteError
-from .evaluate import occupancy_value
+from .evaluate import anchored_plan_values
 from .model import PosgModel
 from .occupancy import (
     OccupancyState,
@@ -77,11 +77,9 @@ from .policies import (
     PrivateHistory,
     agent_rules,
     empty_joint_history,
-    rules_from_trees,
 )
 from .sampling import random_decision_rule, random_joint_policy
 from .solve import (
-    _anchored_space,
     _normal_form,
     _trie_size,
     best_response_private_from,
@@ -93,7 +91,9 @@ from .solve import (
 
 EXACT_TOL = 1e-9
 SOLVER_TOL = 1e-6
-ORACLE_PLANS = 10**4  # the pwlc certificate evaluates each anchored plan on its own
+# the pwlc certificate still enumerates its anchored plans, priced a block at a
+# time: the count grows as n_u to the power of the anchors' trie nodes
+ORACLE_PLANS = 10**4
 _CORRUPTION = 1e-3
 _BIG_CORRUPTION = 100.0
 
@@ -587,40 +587,18 @@ def _pwlc_certificate(
 ) -> float:
     """|DP best-response value - max over pure suffixes of linear evals|
     against the others' policies ``others`` (their rules by step
-    ``others_rules``), each suffix priced on ``s``'s own level."""
-    best = _worst(*(
-        occupancy_value(model, rules_by_step, agent, s)
-        for rules_by_step in _anchored_plans(model, others_rules, agent, s)
-    ))
+    ``others_rules``): every pure suffix from the anchors of ``s``, priced
+    on ``s``'s own level (``evaluate.anchored_plan_values``), refused above
+    ``ORACLE_PLANS`` before any is built."""
+    n_anchors = level_of(model, s)[0].n_sets[agent]
+    plans = _trie_size(model, agent, n_anchors, model.horizon - s.t)[1]
+    if plans > ORACLE_PLANS:
+        raise CapExceededError("anchored plans of the pwlc certificate", plans, ORACLE_PLANS)
+    best = _worst(*anchored_plan_values(model, others_rules, agent, s).tolist())
     dp = best_response_value_from(model, others, agent, s)
     if negative_control:
         dp += _CORRUPTION
     return abs(dp - best)
-
-
-def _anchored_plans(
-    model: PosgModel,
-    others_rules: Mapping[int, Sequence[DecisionRule]],
-    agent: int,
-    s: OccupancyState,
-):
-    """Every pure suffix of ``agent`` from the anchors of ``s`` against
-    ``others_rules``, as rules by step (None before ``s.t``); refused above
-    ``ORACLE_PLANS``."""
-    t = s.t
-    anchors = level_of(model, s)[1][agent]
-    plans = _trie_size(model, agent, len(anchors), model.horizon - t)[1]
-    if plans > ORACLE_PLANS:
-        raise CapExceededError("anchored plans of the pwlc certificate", plans, ORACLE_PLANS)
-    for assign in _anchored_space(model, agent, anchors, model.horizon - t):
-        own_rules = rules_from_trees(model, agent, assign, t)
-        yield [None] * t + [
-            tuple(
-                own_rules[tau - t] if j == agent else others_rules[j][tau]
-                for j in range(model.n_agents)
-            )
-            for tau in range(t, model.horizon)
-        ]
 
 
 def check_master_structure(

@@ -32,6 +32,19 @@ def test_parse_command(capsys):
     assert "reward_bound: 2" in out
 
 
+@pytest.mark.parametrize("name, rewards", [
+    ("tiger", "common"), ("tiger-one-stage", "common"), ("dec-tiger", "common"),
+    ("stackelberg-tiger", "common"), ("tiger-zs", "zerosum"), ("tiger-duel", "zerosum"),
+])
+def test_parse_prints_the_reward_relation_after_the_classification(capsys, name, rewards):
+    # stackelberg-tiger is classified by its declared criterion, and its
+    # equal reward tables make it a team game
+    code, out, _ = run(capsys, "parse", str(model_path(name)))
+    lines = out.splitlines()
+    assert code == 0 and lines[lines.index(f"rewards: {rewards}") - 1].startswith("classified: ")
+    assert sum(line.startswith("rewards: ") for line in lines) == 1
+
+
 def test_parse_missing_file(capsys):
     code, _, err = run(capsys, "parse", "no-such-model.posg")
     assert code == 2 and "error" in err

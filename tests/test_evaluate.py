@@ -636,6 +636,39 @@ def test_simulate_control_that_reads_one_stream_block_major_fails(tiger, monkeyp
     assert not same(3 * BLOCK + 7)
 
 
+def test_simulate_gathers_each_distinct_reward_table_once(tiger, monkeypatch):
+    # agents with equal reward tables share one gather per step, the rest
+    # keep their own: a team game, a zero-sum game, three agents of which
+    # the first and the last share a table, and a general-sum model
+    rng = np.random.default_rng(19)
+    three = random_posg(rng, n_states=2, n_actions=(2, 2, 2), n_obs=(2, 2, 2), horizon=3)
+    shared = dataclasses.replace(three, rewards=three.rewards[[0, 1, 0]])
+    general = random_posg(rng, n_states=3, n_actions=(2, 3), n_obs=(2, 2), horizon=3)
+    zero_sum = dataclasses.replace(
+        general, rewards=np.stack([general.rewards[0], -general.rewards[0]])
+    )
+    cases = [(tiger.with_horizon(3), [[0, 1]]), (zero_sum, [[0], [1]]), (shared, [[0, 2], [1]]),
+             (general, [[0], [1]])]
+
+    def same(m):
+        p = random_joint_policy(m, np.random.default_rng(22))
+        got = evaluate._simulate_pure(m, p, 1000, np.random.default_rng(21))
+        return np.array_equal(got, step_major_returns(m, p, 1000, np.random.default_rng(21), 3))
+
+    for m, agents in cases:
+        tables, got = evaluate._reward_tables(m)
+        assert got == agents and len(tables) == len(agents)
+        for k, owners in enumerate(agents):
+            assert all(np.array_equal(tables[k], m.rewards[i]) for i in owners)
+        assert same(m)
+    # control: every agent adding agent 1's gather passes on the team game
+    # and fails on the general-sum model
+    monkeypatch.setattr(
+        evaluate, "_reward_tables", lambda m: (m.rewards[:1], [list(range(m.n_agents))])
+    )
+    assert same(tiger.with_horizon(3)) and not same(general)
+
+
 def test_simulate_counts_at_least_what_it_holds(tiger):
     # the byte count against the tracemalloc peak at 2 x 10^5 and 2 x 10^6
     # episodes, on the dynamics workload's shapes, a one-agent model and a

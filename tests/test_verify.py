@@ -1,12 +1,14 @@
 import dataclasses
 import functools
+import inspect
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from occupancy_games import solve, verify
+from occupancy_games import evaluate, solve, verify
 from occupancy_games.cli import main
 from occupancy_games.errors import CapExceededError, ModelValidationError, UnknownSuiteError
 from occupancy_games.evaluate import occupancy_value, value_tables
@@ -23,6 +25,7 @@ from occupancy_games.policies import (
     JointHistory,
     PrivateHistory,
     agent_rules,
+    rules_from_trees,
 )
 from occupancy_games.sampling import random_behavioral_policy, random_decision_rule, random_posg
 from occupancy_games.verify import (
@@ -639,14 +642,38 @@ def slave_states(model, rng, n=3):
         yield others, verify._sample_prefix_occupancy(model, t, rng, fixed_rules=others)[0]
 
 
+def anchored_plans(model, others, agent, s):
+    """Every pure suffix of ``agent`` from the anchors of ``s`` against
+    ``others`` (rules by step), as rules by step (None before ``s.t``), in
+    plan index order: one tree per anchor from ``solve._anchored_space``,
+    read into rules by ``rules_from_trees``."""
+    t = s.t
+    anchors = level_of(model, s)[1][agent]
+    for assign in solve._anchored_space(model, agent, anchors, model.horizon - t):
+        own = rules_from_trees(model, agent, assign, t)
+        yield [None] * t + [
+            tuple(own[tau - t] if j == agent else others[j][tau] for j in range(model.n_agents))
+            for tau in range(t, model.horizon)
+        ]
+
+
+def each_plans_price(model, others, agent, s) -> list[float]:
+    """``occupancy_value`` of every anchored plan, one plan at a time."""
+    plans = anchored_plans(model, others, agent, s)
+    return [occupancy_value(model, rules, agent, s) for rules in plans]
+
+
 def plan_prices(model, rng):
     """For every anchored plan of agent 1 on each sampled state: the state,
-    the plan's price as the pwlc certificate takes it, and its value table."""
+    the plan's price as the pwlc certificate takes it, and its value table;
+    each state's prices are those of its plans one at a time."""
     for others, s in slave_states(model, rng):
         seeds = sorted({o for (_, o) in s.entries}, key=lambda o: o.sort_key())
-        for rules in verify._anchored_plans(model, others, 0, s):
+        prices = evaluate.anchored_plan_values(model, others, 0, s)
+        assert prices.tolist() == each_plans_price(model, others, 0, s)
+        for price, rules in zip(prices.tolist(), anchored_plans(model, others, 0, s)):
             table = value_tables(model, rules, 0, s.t, seeds)[0]
-            yield s, occupancy_value(model, rules, 0, s), table
+            yield s, price, table
 
 
 @pytest.mark.parametrize("case", PRICING_CASES)
@@ -671,14 +698,129 @@ def test_slave_pricing_control_pairing_in_reversed_entry_order_fails():
     assert differ > 0
 
 
+def both_agents_states(model, rng, ts=(0, 1)):
+    """For each agent, a random fixed policy of the others' rules and a
+    state at each step of ``ts`` sampled under it (the start at t=0)."""
+    for agent in range(model.n_agents):
+        others = {
+            j: agent_rules(model, random_behavioral_policy(model, j, rng))
+            for j in range(model.n_agents) if j != agent
+        }
+        for t in ts:
+            yield agent, others, verify._sample_prefix_occupancy(model, t, rng, others)[0]
+
+
+BUNDLED = ("tiger", "tiger-zs", "tiger-duel", "stackelberg-tiger", "dec-tiger", "tiger-one-stage")
+
+
+@pytest.mark.parametrize("name", BUNDLED)
+def test_batched_plan_prices_equal_each_plans_price_on_bundled_models(name):
+    # each plan's price from the one push and pull equals occupancy_value of
+    # that plan, built as trees and read into rules, in plan index order
+    model, rng = load(name).with_horizon(2), np.random.default_rng(33)
+    for agent, others, s in both_agents_states(model, rng):
+        prices = evaluate.anchored_plan_values(model, others, agent, s)
+        assert prices.tolist() == each_plans_price(model, others, agent, s)
+        n_anchors = len(level_of(model, s)[1][agent])
+        assert len(prices) == verify._trie_size(model, agent, n_anchors, 2 - s.t)[1] > 1
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10**6), n_public=st.sampled_from([1, 2]))
+def test_batched_plan_prices_equal_each_plans_price_on_random_models(seed, n_public):
+    rng = np.random.default_rng(seed)
+    model = random_posg(rng, n_states=3, n_actions=(2, 3), n_obs=(2, 2), n_public=n_public)
+    for agent, others, s in both_agents_states(model, rng):
+        prices = evaluate.anchored_plan_values(model, others, agent, s)
+        assert prices.tolist() == each_plans_price(model, others, agent, s)
+
+
+def priced_in_blocks(monkeypatch, cap, model, others, s):
+    """The prices at ``CAP_BYTES = cap`` and the blocks they took."""
+    monkeypatch.setattr(evaluate, "CAP_BYTES", cap)
+    blocks, pulled = [], evaluate._pulled
+    monkeypatch.setattr(evaluate, "_pulled", lambda *a: blocks.append(1) or pulled(*a))
+    try:
+        return evaluate.anchored_plan_values(model, others, 0, s), len(blocks)
+    finally:
+        monkeypatch.undo()
+
+
+def least_cap(holds) -> int:
+    """The least ``CAP_BYTES`` at which ``holds(cap)``, which holds at every
+    cap above it up to the real one."""
+    fits, fails = evaluate.CAP_BYTES, 0
+    while fits - fails > 1:
+        cap = (fits + fails) // 2
+        try:
+            fits, fails = (cap, fails) if holds(cap) else (fits, cap)
+        except CapExceededError:
+            fails = cap
+    return fits
+
+
+def test_batched_plan_prices_in_small_blocks_equal_one_block(monkeypatch):
+    for case in PRICING_CASES:
+        model, rng = pricing_case(case)
+        for others, s in slave_states(model, rng, n=2):
+            def priced(cap):
+                return priced_in_blocks(monkeypatch, cap, model, others, s)
+
+            whole, n_blocks = priced(evaluate.CAP_BYTES)
+            n = len(whole)
+            assert n_blocks == 1 and n > 2
+            # the least cap that prices a plan holds one plan per block, the
+            # least that holds two one plan's bytes more
+            one = least_cap(lambda cap: priced(cap))
+            two = least_cap(lambda cap: priced(cap)[1] <= -(-n // 2))
+            for plans, cap in ((1, one), (2, two), (3, 2 * two - one)):
+                tracemalloc.start()
+                try:
+                    prices, n_blocks = priced(cap)
+                    peak = tracemalloc.get_traced_memory()[1]
+                finally:
+                    tracemalloc.stop()
+                assert np.array_equal(prices, whole) and n_blocks == -(-n // plans)
+                assert peak <= cap  # each block counted at least what it holds
+            with pytest.raises(CapExceededError, match=f"exact evaluation too large: {one} "):
+                priced(one - 1)
+
+
+def mutant(old: str, new: str):
+    """``evaluate.anchored_plan_values`` with ``old`` replaced by ``new``."""
+    source = inspect.getsource(evaluate.anchored_plan_values)
+    assert old in source
+    namespace = dict(vars(evaluate))
+    exec(compile(source.replace(old, new), evaluate.__file__, "exec"), namespace)
+    return namespace["anchored_plan_values"]
+
+
+@pytest.mark.parametrize("old, new", [
+    # a child placed at its parent's first subtrie, whatever its observation
+    ("pos = pos[parent] + 1 + uz % n_z * nodes[depth - d]", "pos = pos[parent] + 1"),
+    # every row pulled back for every plan
+    ("np.nonzero(digits[d][:, entry] == acts[d])", "np.nonzero(digits[d][:, entry] >= 0)"),
+])
+def test_batched_plan_prices_control_mutants_fail(old, new):
+    priced = mutant(old, new)
+    differ = 0
+    for name in ("tiger", "tiger-zs", "stackelberg-tiger"):
+        model, rng = load(name), np.random.default_rng(33)
+        for agent, others, s in both_agents_states(model, rng):
+            differ += priced(model, others, agent, s).tolist() != each_plans_price(
+                model, others, agent, s
+            )
+    assert differ > 0
+
+
 def test_the_pwlc_certificate_prices_every_anchored_plan(monkeypatch):
     priced = []
 
     def counting(*args):
-        priced.append(args)
-        return occupancy_value(*args)
+        priced.append(evaluate.anchored_plan_values(*args))
+        return priced[-1]
 
-    monkeypatch.setattr(verify, "occupancy_value", counting)
+    monkeypatch.setattr(verify, "anchored_plan_values", counting)
     for case in PRICING_CASES:
         model, rng = pricing_case(case)
         for others, s in slave_states(model, rng, n=2):
@@ -687,7 +829,8 @@ def test_the_pwlc_certificate_prices_every_anchored_plan(monkeypatch):
             verify._pwlc_certificate(model, policies, others, 0, s)
             depth = model.horizon - s.t
             plans = verify._trie_size(model, 0, len(level_of(model, s)[1][0]), depth)[1]
-            assert len(priced) == plans > 1
+            (prices,) = priced
+            assert len(prices) == plans > 1
 
 
 # -- the raw step against a literal enumeration --------------------------------
@@ -961,6 +1104,8 @@ def poisoned(value, nan: bool):
     zero-sum solver's (value, solution, G) keeps its other parts."""
     if isinstance(value, tuple):
         return (NAN if nan else value[0], *value[1:])
+    if isinstance(value, np.ndarray):  # one plan's price of many
+        return np.where(np.arange(len(value)) == len(value) // 2, NAN, value) if nan else value
     return NAN if nan else value
 
 
@@ -968,6 +1113,10 @@ NAN_CASES = {
     "expected_reward": lambda m: check_sufficiency_master(m["tiger"], n_samples=3, seed=7),
     "private_reward": lambda m: check_sufficiency_private(m["tiger"], 0, n_samples=3, seed=7),
     "best_response_value_from": lambda m: check_slave_structure(
+        m["tiger"], {1: random_behavioral_policy(m["tiger"], 1, np.random.default_rng(8))}, 0,
+        n_samples=2, seed=2, certificate_samples=1,
+    ),
+    "anchored_plan_values": lambda m: check_slave_structure(
         m["tiger"], {1: random_behavioral_policy(m["tiger"], 1, np.random.default_rng(8))}, 0,
         n_samples=2, seed=2, certificate_samples=1,
     ),
