@@ -6,20 +6,23 @@ the linear pairing of those values with an occupancy state.  Both push their
 levels forward through the array kernel ``occupancy.next_level`` and pull
 the values back over the same rows: the tables over every state at each
 reachable history, the occupancy route over the entries its support reaches,
-each step's bytes checked against ``CAP_BYTES`` before it.  Every anchored
-pure plan of one agent is priced from one push, the agent playing every own
-action, and one pull over (plan, entry) per block of plans
-(``anchored_plan_values``), each price the occupancy route's.  Simulation runs
-blocks of ``_BLOCK`` episodes on uniforms from one seeded PCG64 stream in a
-fixed order: one draw after another (the start, then per step each agent's
-action and the outcome), each one uniform per episode.  Every draw reads its
-own cursor, a copy of the stream advanced to where that draw starts, so a
-block gets the same uniforms whatever the block size, and results are
-reproducible bit for bit for a given seed regardless of platform.  A draw
-reads each uniform as the PCG64 word ``w`` that ``Generator.random`` reads
-as ``(w >> 11) · 2⁻⁵³``.  Each agent's policy is read as
-``occupancy.RuleRows`` below the empty history, and a played child without
-a rule is refused before the first draw.  Each categorical table is
+each step's bytes checked against ``CAP_BYTES`` before it.  The push,
+``_push``, is the one walk under a fixed policy: it reads every policy as
+``occupancy.RuleRows`` and builds no history object.  An agent whose rule
+is None plays every own action, so its actions stay sequences: every
+anchored pure plan of one agent is priced from one push and one pull over
+(plan, entry) per block of plans (``anchored_plan_values``), and the
+history-route best response (``solve._history_br``) folds one push.
+Simulation runs blocks of ``_BLOCK`` episodes on uniforms from one seeded
+PCG64 stream in a fixed order: one draw after another (the start, then per
+step each agent's action and the outcome), each one uniform per episode.
+Every draw reads its own cursor, a copy of the stream advanced to where that
+draw starts, so a block gets the same uniforms whatever the block size, and
+results are reproducible bit for bit for a given seed regardless of
+platform.  A draw reads each uniform as the PCG64 word ``w`` that
+``Generator.random`` reads as ``(w >> 11) · 2⁻⁵³``.  Each agent's policy is
+read as ``occupancy.RuleRows`` below the empty history, and a played child
+without a rule is refused before the first draw.  Each categorical table is
 cumulated once per call.  A draw is the number of its row's cumulative sums
 below the episode's uniform, at most the row's last positive column.  A
 guide table (Chen and Asau's index table) answers it with one gather: per
@@ -64,7 +67,6 @@ from .occupancy import (
     level_of,
     next_level,
     push_items,
-    rule_arrays,
     rule_table,
     sum_in_order,
     to_level,
@@ -118,31 +120,15 @@ def value_tables(
         seed_histories = [empty_joint_history(model.n_agents)]
     # one entry per seed history, then every state at each
     level, hists = to_level(model, {(0, o): 1.0 for o in seed_histories})
-    levels = _pull(model, rules_by_step, agent, t0, _every_state(model, level)[0], hists, True)
-    tables = [ValueTable(agent, model.horizon, {})]
-    for t, (level, hists, v) in reversed(list(enumerate(levels, t0))):
-        tables.insert(0, ValueTable(agent, t, entries_of(level._replace(mass=v), hists)))
-    return tables
-
-
-def _pull(
-    model: PosgModel,
-    rules_by_step: Sequence[Sequence[DecisionRule]],
-    agent: int,
-    t0: int,
-    level: Level,
-    hists,
-    every_state: bool,
-) -> list[tuple[Level, tuple, np.ndarray]]:
-    """Per step from ``t0`` on: the level (every state at each of its joint
-    histories if ``every_state``), its histories and each entry's value.
-
-    The levels are pushed forward once at unit mass (``_push``); the values
-    are pulled back over the same rows (``_pulled``), so an entry's value
-    depends only on the entries below it, whichever level it sits in."""
-    levels, pulls = _push(model, rules_by_step, agent, t0, level, hists, every_state)[:2]
-    values = _pulled(model, [v for *_, v in levels], pulls)
-    return [(level, hists, v) for (level, hists, _), v in zip(levels, values)]
+    grid = _every_state(model, level)[0]
+    levels, pulls, codes = _push(model, rules_by_step, agent, t0, grid, hists, True)[:3]
+    values = _pulled(model, [terms for _, terms in levels], pulls)
+    tables = []
+    for t, ((level, _), v) in enumerate(zip(levels, values), t0):
+        tables.append(ValueTable(agent, t, entries_of(level._replace(mass=v), hists)))
+        if codes:  # the keys one step down, built once from the pushed codes
+            hists = child_histories(model, hists, codes.pop(0))
+    return tables + [ValueTable(agent, model.horizon, {})]
 
 
 def _push(
@@ -155,14 +141,27 @@ def _push(
     every_state: bool,
     plans: bool = False,
 ) -> tuple[list, list, list, int]:
-    """``_pull``'s forward half.  Per step from ``t0`` on: the level (every
-    state at each of its joint histories if ``every_state``), its histories
-    and ``agent``'s reward terms, each (entry, joint action) probability
-    times the reward, summed per entry unless ``plans``; per push, its rows'
-    (entry, child entry, weight) and ``agent``'s child codes (``next_level``'s
-    ``reached``); and the most bytes counted at a step.  Each level is pushed
-    at unit mass.  Before each step (and its push) its bytes, ``_pull_bytes``
-    and, with ``plans``, the terms kept, are checked against ``CAP_BYTES``."""
+    """The one walk under a fixed policy, exact evaluation's forward half,
+    whose values ``_pulled`` pulls back over the same rows, so an entry's
+    value depends only on the entries below it.  Per step from ``t0`` on:
+    the level (every state at each of its joint histories if
+    ``every_state``) and ``agent``'s reward terms, each (entry, joint action)
+    probability times the reward, summed per entry unless ``plans``; per
+    push, at unit mass, its rows' (entry, child entry, weight) and each
+    agent's child codes (``next_level``'s ``reached``); and the most bytes
+    counted at a step.  Agent ``i`` reads its rules ``rules_by_step[t][i]``
+    as ``RuleRows`` built once below its histories ``hists`` (``rule_table``);
+    with rules None it plays each own action with weight 1, so its actions
+    stay sequences.  Before each step (and its push) its bytes,
+    ``_pull_bytes`` and, with ``plans``, the terms kept, are checked against
+    ``CAP_BYTES``."""
+    by_step = rules_by_step[t0 : model.horizon]
+    tables = [
+        None if not by_step or by_step[0][i] is None
+        else rule_table(model, i, [rules[i] for rules in by_step], hs)
+        for i, hs in enumerate(hists)
+    ]
+    row_of = [np.arange(n) for n in level.n_sets]  # each history id's row
     levels, pulls, codes = [], [], []
     rows = entries = most = 0  # rows pushed and entries held so far
     for t in range(t0, model.horizon):
@@ -175,9 +174,10 @@ def _push(
             raise CapExceededError("exact evaluation", n_bytes, CAP_BYTES, " bytes")
         most = max(most, n_bytes)
         rows += push
-        a = action_probs(model, level, rule_arrays(model, rules_by_step[t], hists))
+        probs = [None if table is None else table.rows[0][r] for table, r in zip(tables, row_of)]
+        a = action_probs(model, level, probs)
         terms = a * model.rewards[agent][level.xs]
-        levels.append((level, hists, terms if plans else terms.sum(axis=1)))
+        levels.append((level, terms if plans else terms.sum(axis=1)))
         del terms
         if t + 1 == model.horizon:
             break
@@ -187,8 +187,12 @@ def _push(
         if every_state:
             level, place = _every_state(model, level)
         pulls.append((pushed.entry, place[pushed.where], pushed.weight))
-        codes.append(pushed.reached[agent])
-        hists = child_histories(model, hists, pushed.reached)
+        codes.append(pushed.reached)
+        row_of = [
+            None if table is None else table.child_rows(model, i, r, c)
+            for i, (table, r, c) in enumerate(zip(tables, row_of, pushed.reached))
+        ]
+        tables = [None if table is None else table.below() for table in tables]
     return levels, pulls, codes, most
 
 
@@ -208,7 +212,7 @@ def _pulled(model: PosgModel, values: list, pulls: list) -> list:
 def _pull_bytes(
     model: PosgModel, rows: int, entries: int, n: int, push: int, items: int, every_state: bool
 ) -> int:
-    """The most ``_pull`` holds at a step of ``n`` entries and a ``push``-row
+    """The most exact evaluation holds at a step of ``n`` entries and a ``push``-row
     push holding ``items`` numbers (``push_items``), counted high: also 3
     numbers per earlier row (entry, child, weight) and ``n_agents + 3`` per
     entry held, plus ``WALK_FIXED_BYTES``.  With ``every_state``, also the
@@ -328,8 +332,8 @@ def occupancy_value(
     if s.t >= model.horizon:
         return 0.0
     level, hists = level_of(model, s)
-    levels = _pull(model, rules_by_step, agent, s.t, level, hists, False)
-    return sum_in_order(level.mass * levels[0][2])
+    levels, pulls = _push(model, rules_by_step, agent, s.t, level, hists, False)[:2]
+    return sum_in_order(level.mass * _pulled(model, [terms for _, terms in levels], pulls)[0])
 
 
 def anchored_plan_values(
@@ -368,7 +372,7 @@ def anchored_plan_values(
     scales, acts = [], []
     for d, (at, *_) in enumerate(levels):
         if d:
-            parent, uz = np.divmod(codes[d - 1], n_u * n_z)
+            parent, uz = np.divmod(codes[d - 1][agent], n_u * n_z)
             pos = pos[parent] + 1 + uz % n_z * nodes[depth - d]
             # each row's own action, read from its child's code
             acts.append(uz[at.ids[agent][pulls[d - 1][1]]] // n_z)
@@ -387,7 +391,7 @@ def anchored_plan_values(
         digits = [k // scale % n_u for scale in scales]
         values = [
             ((digit[:, :, None] == own) * terms).sum(axis=2).ravel()
-            for digit, (_, _, terms) in zip(digits, levels)
+            for digit, (_, terms) in zip(digits, levels)
         ]
         rows = []
         for d, (entry, child, weight) in enumerate(pulls):

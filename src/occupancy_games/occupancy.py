@@ -19,15 +19,19 @@ one per public observation, ``private_step`` one per own observation (the
 agent's own child history), the agent's rule a point mass on the action it
 played.
 A level numbers each agent's histories in steps order, which pushes keep and
-``to_level`` sorts into.  A walk that holds no history objects reads a fixed
-policy in one form, ``RuleRows``: per depth below its roots, one row of
-action probabilities per history and a table of each child's row, so each
-level entry carries one row per agent and no number grows with depth.
+``to_level`` sorts into.  Every reader of a fixed policy reads it in one
+form, ``RuleRows``: per depth below its roots, one row of action
+probabilities per history and a table of each child's row, so each level
+entry carries one row per agent and no number grows with depth.
 ``rule_table`` builds it from decision rules, each history found under its
-parent's row; ``step``, ``private_step`` and the rewards, which hold the
-histories, read rules by history.  History objects are built only at the
-public boundary: once per private history of a pushed level, and, the first
-time a returned state's ``entries`` is read, once per joint history.  Each
+parent's row, and is the one reader that turns rules into arrays and names
+a history without a rule.  A walk (exact evaluation and the history-route
+best response, the private DP, the sequence-form walk, ``simulate``) builds
+it once at its roots and follows each child's row from its parent's;
+``step``, ``private_step`` and the rewards take its depth-0 rows at the
+state's histories.  History objects are built only at the public boundary:
+once per private history of a state an update returns, and, the first time
+a returned state's ``entries`` is read, once per joint history.  Each
 returned state keeps its level, so the next update skips the conversion from
 its entries, and a state that is only pushed on, priced or solved from never
 builds its joint histories.  Each update counts its push against
@@ -252,31 +256,6 @@ def action_probs(
     return a
 
 
-def rule_arrays(
-    model: PosgModel,
-    rules: Sequence[DecisionRule | None],
-    hists: Sequence[Sequence[PrivateHistory]],
-) -> list[np.ndarray | None]:
-    """Each agent's rule as an array over (history id, own action); None
-    where its rule is None."""
-    return [
-        None
-        if rule is None
-        else np.array([rule.dist(h) for h in hs], dtype=float).reshape(len(hs), len(labels))
-        for rule, hs, labels in zip(rules, hists, model.actions)
-    ]
-
-
-def others_rule_arrays(
-    model: PosgModel, rules: Mapping[int, DecisionRule], agent: int, hists: Histories
-) -> list[np.ndarray | None]:
-    """``rule_arrays`` of the others' ``rules`` at ``hists``; None for
-    ``agent``, which plays each own action with weight 1."""
-    return rule_arrays(
-        model, [None if j == agent else rules[j] for j in range(model.n_agents)], hists
-    )
-
-
 def own_rewards(model: PosgModel, level: Level, a: np.ndarray, agent: int) -> np.ndarray:
     """``agent``'s immediate reward on ``level`` under the (entry, joint
     action) probabilities ``a``, mass-weighted and summed per own sequence
@@ -379,6 +358,18 @@ def rule_table(
         rows.append(np.array([dists[k] for k in order], dtype=float).reshape(len(kept), n_u))
         steps.append(kept)
     return RuleRows(rows, children, steps)
+
+
+def _rule_rows(
+    model: PosgModel, rules, hists: Histories, skip: int | None = None
+) -> list[np.ndarray | None]:
+    """Each agent's rule ``rules[i]`` at its histories ``hists[i]``, as
+    ``rule_table``'s depth-0 rows, one per history id; None for agent
+    ``skip``, which plays each own action with weight 1."""
+    return [
+        None if i == skip else rule_table(model, i, [rules[i]], hs).rows[0]
+        for i, hs in enumerate(hists)
+    ]
 
 
 def level_of(model: PosgModel, s) -> tuple[Level, Histories]:
@@ -508,7 +499,7 @@ def step(
         raise ValueError("one decision rule per agent required")
     level, hists = level_of(model, s)
     _check_push(model, level)
-    a = action_probs(model, level, rule_arrays(model, rules, hists))
+    a = action_probs(model, level, _rule_rows(model, rules, hists))
     pushed = next_level(model, level, a)
     n_pub = len(model.public_obs)
     # a child's public observation ends each agent's observation code
@@ -524,7 +515,7 @@ def expected_reward(
 ) -> float:
     """Immediate expected reward of one agent under a joint decision rule."""
     level, hists = level_of(model, s)
-    a = action_probs(model, level, rule_arrays(model, rules, hists))
+    a = action_probs(model, level, _rule_rows(model, rules, hists))
     return sum_in_order((level.mass[:, None] * a * model.rewards[agent][level.xs]).ravel())
 
 
@@ -550,7 +541,7 @@ def private_step(
     agent = s_i.agent
     level, hists = level_of(model, s_i)
     _check_push(model, level)
-    probs = others_rule_arrays(model, others_rules, agent, hists)
+    probs = _rule_rows(model, others_rules, hists, agent)
     probs[agent] = np.eye(len(model.actions[agent]))[np.full(level.n_sets[agent], u_i)]
     pushed = next_level(model, level, action_probs(model, level, probs))
     codes, n_z = pushed.reached[agent], model.n_agent_obs(agent)
@@ -571,7 +562,7 @@ def private_reward(
     """Immediate expected reward of the anchored agent for its action, the
     others acting by their rules."""
     level, hists = level_of(model, s_i)
-    a = action_probs(model, level, others_rule_arrays(model, others_rules, s_i.agent, hists))
+    a = action_probs(model, level, _rule_rows(model, others_rules, hists, s_i.agent))
     return float(own_rewards(model, level, a, s_i.agent)[u_i])
 
 

@@ -1,13 +1,15 @@
 """Best-response and equilibrium solvers at desk scale.
 
 Best responses come in two exchangeable routes: backward induction over the
-agent's private histories carrying unnormalized measures (one forward walk
-with the agent's actions as sequences, then one reverse fold over its
-histories), and dynamic programming over private occupancy states with
-normalized Bayesian updates (states pushed in batches of consecutive own
-histories, depth first, each state once with all its own actions, each
-normalized on its own and backed up as ``γ·ω·V``; the others play action
-rows, ``occupancy.RuleRows`` built from their rules once at the root).
+agent's private histories carrying unnormalized measures (exact
+evaluation's walk, ``evaluate._push``, the agent's actions kept as
+sequences, then one reverse fold over its histories, whose trie
+``best_response_history`` decodes once), and dynamic programming over
+private occupancy states with normalized Bayesian updates (states pushed in
+batches of consecutive own histories, depth first, each state once with all
+its own actions, each normalized on its own and backed up as ``γ·ω·V``).
+Both read the others' rules as ``occupancy.RuleRows``, built once at the
+root.
 Both break ties toward the lowest action whose value ties with the best.
 Equality of their values on every input is the operational form of the
 sufficiency of private occupancy states.
@@ -93,6 +95,7 @@ from .errors import (
     CertificateError,
     ModelValidationError,
 )
+from .evaluate import _push
 from .model import PosgModel
 from .occupancy import (
     Level,
@@ -100,13 +103,11 @@ from .occupancy import (
     PrivateOccupancyState,
     RuleRows,
     action_probs,
-    child_histories,
     initial_occupancy,
     initial_private_occupancy,
     level_of,
     next_level,
     normalized_groups,
-    others_rule_arrays,
     own_rewards,
     rule_table,
     sub_level,
@@ -372,58 +373,57 @@ def best_response_history(model: PosgModel, others, agent: int) -> BestResponse:
 
     Carries unnormalized conditional measures forward, so no per-branch
     renormalization is ever needed; reported q-values are normalized by each
-    history's probability.
+    history's probability.  The q-table's histories and the greedy tree are
+    decoded once, from the walk's trie.
     """
-    value, trees, q = _history_br(model, others, agent, initial_occupancy(model))
-    return BestResponse(agent, value, trees[PrivateHistory(agent)], q, "history-dp")
+    value, v, mass, (parents, obs) = _history_br(model, others, agent, initial_occupancy(model))
+    n_u = len(model.actions[agent])
+    own = [PrivateHistory(agent)]
+    for p, z in zip(parents[1:].tolist(), obs[1:].tolist()):  # a parent comes first
+        own.append(own[p // n_u].child(p % n_u, z))
+    q = {h: tuple((v[j] / mass[j]).tolist()) for j, h in enumerate(own) if mass[j] > 0.0}
+    index = _pure_tree(model, agent, _children(parents, obs), lambda j: _argmax_lowest(v[j]))[0]
+    return BestResponse(agent, value, _tree(model, agent, index, model.horizon), q, "history-dp")
 
 
 def _history_br(
     model: PosgModel, others, agent: int, s: OccupancyState
-) -> tuple[float, dict[PrivateHistory, PolicyTree], dict]:
+) -> tuple[float, np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Backward induction over private histories from the unnormalized
-    measure ``s`` puts on each of the agent's histories; returns (total
-    mass-weighted value, greedy tree per seed history, normalized q per
-    visited history).
+    measure ``s`` puts on each of the agent's histories; returns the total
+    mass-weighted value, and per set of the agent's trie (its histories, the
+    anchors of ``s`` first, then level by level in id order) its
+    mass-weighted q per own action, its mass, and the trie ``(parents,
+    obs)``.
 
-    One forward walk keeps every own action as a sequence, the others acting
-    by their rules, and collects each sequence's mass-weighted reward; one
-    reverse fold over the agent's histories (numbered level by level, as in
-    ``_sequence_payoffs``) then adds each history's best discounted
-    continuation to its parent sequence."""
+    The walk is exact evaluation's (``evaluate._push``), the agent's rule
+    None, so its actions stay sequences, and its bytes are counted against
+    ``CAP_BYTES``.  Each level's mass is carried forward over the push's
+    rows and the kept reward terms summed per own sequence; one reverse fold
+    over the agent's sets (``_trie_fold``) then adds each set's best
+    discounted continuation to its parent sequence."""
     profiles = _others_profiles(model, others, agent)
+    rules = [tuple(map(profile.get, range(model.n_agents))) for profile in profiles]
     n_u = len(model.actions[agent])
     level, hists = level_of(model, s)
-    seeds = hists[agent]
-    own_hists = list(seeds)
-    trie = ([-1] * len(seeds), [-1] * len(seeds))  # each set's parent sequence and own obs
-    g, mass = [], []
-    for t in range(s.t, model.horizon):
-        a = action_probs(model, level, others_rule_arrays(model, profiles[t], agent, hists))
-        g.append(own_rewards(model, level, a, agent))
-        mass.append(np.bincount(level.ids[agent], level.mass, level.n_sets[agent]))
-        if t + 1 == model.horizon:
-            break
-        first = len(own_hists) - level.n_sets[agent]
-        level, reached = next_level(model, level, a)[:2]
-        _extend_trie(trie, model, agent, reached[agent], first)
-        hists = child_histories(model, hists, reached)
-        own_hists.extend(hists[agent])
+    levels, pulls, codes = _push(model, rules, agent, s.t, level, hists, False, True)[:3]
+    shape = [len(labels) for labels in model.actions]
+    own = np.unravel_index(np.arange(model.n_joint_actions), shape)[agent]  # per joint action
+    trie = ([-1] * level.n_sets[agent], [-1] * level.n_sets[agent])
+    mass, g, masses = level.mass, [], []
+    for d, (at, terms) in enumerate(levels):
+        if d:  # the parents' sets are the last added
+            entry, child, weight = pulls[d - 1]
+            mass = np.bincount(child, mass[entry] * weight, len(at.xs))
+            first = len(trie[0]) - levels[d - 1][0].n_sets[agent]
+            _extend_trie(trie, model, agent, codes[d - 1][agent], first)
+        seq = at.ids[agent][:, None] * n_u + own
+        g.append(np.bincount(seq.ravel(), (mass[:, None] * terms).ravel(), at.n_sets[agent] * n_u))
+        masses.append(np.bincount(at.ids[agent], mass, at.n_sets[agent]))
     parents, obs = map(np.array, trie)
     v = _trie_fold(np.concatenate(g), parents, n_u, np.max, model.discount)
-    mass = np.concatenate(mass)
-    q_out = {
-        h: tuple((v[j] / mass[j]).tolist()) for j, h in enumerate(own_hists) if mass[j] > 0.0
-    }
-    depth = model.horizon - s.t
-    below = _children(parents, obs)
-    greedy = [
-        _pure_tree(model, agent, below, lambda j: _argmax_lowest(v[j]), (root,), depth)[0]
-        for root in range(len(seeds))
-    ]
-    trees = {h: _tree(model, agent, k, depth) for h, k in zip(seeds, greedy)}
-    total = float(sum(v[root].max() for root in range(len(seeds))))
-    return total, trees, q_out
+    total = float(sum(v[parents < 0].max(axis=1).tolist()))
+    return total, v, np.concatenate(masses), (parents, obs)
 
 
 def best_response_value_from(

@@ -738,8 +738,9 @@ def test_simulate_names_the_agent_and_step_of_an_undefined_history(tiger):
 
 
 def test_simulate_builds_no_history(tiger, monkeypatch):
-    # simulate looks each agent's rules up by the histories' steps: it
-    # neither builds a history nor reads a rule through DecisionRule.dist
+    # simulate and exact evaluation look each agent's rules up by the
+    # histories' steps (rule_table): neither builds a history nor reads a
+    # rule through DecisionRule.dist
     m = tiger.with_horizon(4)
     policy = random_joint_policy(m, np.random.default_rng(14))
     calls = []
@@ -747,13 +748,14 @@ def test_simulate_builds_no_history(tiger, monkeypatch):
     monkeypatch.setattr(PrivateHistory, "child", lambda *a: calls.append("child") or child(*a))
     monkeypatch.setattr(DecisionRule, "dist", lambda *a: calls.append("dist") or dist(*a))
     simulate(m, policy, 1000, 2)
+    evaluate_occupancy(m, policy, initial_occupancy(m), 0)
     assert calls == []
-    evaluate_occupancy(m, policy, initial_occupancy(m), 0)  # control: exact evaluation does
-    assert {"child", "dist"} <= set(calls)
+    value_tables(m, policy.joint_rules(m), 0)  # control: the tables' keys are histories
+    assert "child" in calls
 
 
 def pull_counts(monkeypatch) -> list:
-    """Every byte count ``_pull`` checks from here on, in call order."""
+    """Every byte count exact evaluation checks from here on, in call order."""
     counts, count = [], evaluate._pull_bytes
     monkeypatch.setattr(evaluate, "_pull_bytes", lambda *a: counts.append(count(*a)) or counts[-1])
     return counts

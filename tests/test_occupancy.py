@@ -22,11 +22,11 @@ from occupancy_games.occupancy import (
     initial_private_occupancy,
     level_of,
     occupancy_to_csv,
-    others_rule_arrays,
     private_occupancy,
     private_reward,
     private_step,
     recombine,
+    rule_table,
     step,
 )
 from occupancy_games.policies import (
@@ -351,7 +351,7 @@ def test_private_step_pushes_only_the_rows_of_its_own_action(tiger, monkeypatch)
         level, hists = level_of(m, s_i)
         entry = np.repeat(np.arange(len(level.xs)), np.diff(arrays.begin)[level.xs])
         out = np.concatenate([np.arange(arrays.begin[x], arrays.begin[x + 1]) for x in level.xs])
-        other = others_rule_arrays(m, {1: rules[t][1]}, 0, hists)[1]
+        other = rule_table(m, 1, [rules[t][1]], hists[1]).rows[0]
         weighted = other[level.ids[1][entry], arrays.acts[out, 1]] > 0.0
         return int((weighted & (arrays.acts[out, 0] == u)).sum()), int(weighted.sum())
 
@@ -369,7 +369,7 @@ def test_private_step_pushes_only_the_rows_of_its_own_action(tiger, monkeypatch)
     assert len(pushes) == 1
     # control: a push with weight 1 on every own action holds more rows
     level, hists = level_of(m, s1)
-    a = action_probs(m, level, others_rule_arrays(m, {1: rules[1][1]}, 0, hists))
+    a = action_probs(m, level, [None, rule_table(m, 1, [rules[1][1]], hists[1]).rows[0]])
     every = occupancy.next_level(m, level, a)
     assert len(every.weight) == own_rows(s1, 1, 0)[1] != own_rows(s1, 1, 0)[0]
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from occupancy_games.errors import CapExceededError, UnreachableHistoryError
-from occupancy_games.occupancy import Level, action_probs, initial_occupancy, rule_arrays, step
+from occupancy_games.occupancy import Level, action_probs, initial_occupancy, rule_table, step
 from occupancy_games.policies import (
     DecisionRule,
     JointHistory,
@@ -188,7 +188,8 @@ def test_joint_action_dist_matches_brute_force_product(n_actions, support):
         np.ones(len(joints)),
         tuple(len(hs) for hs in histories),
     )
-    got = action_probs(m, level, rule_arrays(m, rules, histories))
+    rows = [rule_table(m, i, [rule], hs).rows[0] for i, (rule, hs) in enumerate(zip(rules, histories))]
+    got = action_probs(m, level, rows)
     for privates, row in zip(joints, got):
         dists = [rule.dist(h) for rule, h in zip(rules, privates)]
         expected = [0.0] * m.n_joint_actions

@@ -1,6 +1,4 @@
 import dataclasses
-import importlib
-import importlib.util
 import inspect
 import itertools
 import os
@@ -20,8 +18,13 @@ from occupancy_games.errors import (
     UndefinedDecisionRuleError,
     UnreachableHistoryError,
 )
-from occupancy_games import occupancy, solve, verify
-from occupancy_games.evaluate import evaluate_occupancy, simulate, value_tables
+from occupancy_games import evaluate, occupancy, solve, verify
+from occupancy_games.evaluate import (
+    anchored_plan_values,
+    evaluate_occupancy,
+    simulate,
+    value_tables,
+)
 from occupancy_games.model import parse_posg, reinterpret_criterion
 from occupancy_games.occupancy import (
     OccupancyState,
@@ -40,6 +43,7 @@ from occupancy_games.policies import (
     JointPolicy,
     PolicyTree,
     PrivateHistory,
+    agent_rules,
     decision_at,
     enumerate_pure_policies,
     rules_from_trees,
@@ -524,8 +528,9 @@ def test_a_wide_model_reads_its_policy_by_rows_on_every_route():
 
 def test_a_reached_history_without_a_rule_is_named_alike_on_every_route(tiger):
     # tiger h=3 against a tree whose hear-right subtree stops one step
-    # short: the history route, the private route and simulate name the
-    # first history left without a rule as DecisionRule.dist does
+    # short: both best-response routes, the history route's value, exact
+    # evaluation and simulate name the first history left without a rule as
+    # DecisionRule.dist does
     m = tiger.with_horizon(3)
     leaf = PolicyTree(0, 0)
     ragged = PolicyTree(0, 0, (PolicyTree(0, 0, (leaf, leaf)), leaf))
@@ -533,13 +538,89 @@ def test_a_reached_history_without_a_rule_is_named_alike_on_every_route(tiger):
     text = "undefined decision rule for agent 0 at history ((0, 1), (0, 0)) (t=2)"
     routes = (
         lambda: best_response_history(m, {0: ragged}, 1),
+        lambda: best_response_value_from(m, {0: ragged}, 1, initial_occupancy(m)),
         lambda: best_response_private(m, {0: ragged}, 1),
+        lambda: evaluate_occupancy(m, policy, initial_occupancy(m), 1),
         lambda: simulate(m, policy, 100, 1),
     )
     for route in routes:
         with pytest.raises(UndefinedDecisionRuleError) as error:
             route()
         assert str(error.value) == text
+
+
+def test_the_history_route_counts_its_bytes_before_it_pushes(tiger, monkeypatch):
+    # the history route walks through exact evaluation's push: with the cap
+    # below its first step's count, both of its entry points refuse before
+    # any next_level call
+    m = tiger.with_horizon(3)
+    other = {1: solve._tree(m, 1, 0, 3)}
+    pushes = []
+    for module in (occupancy, evaluate, solve):
+        push = module.next_level
+        monkeypatch.setattr(
+            module, "next_level", lambda *a, push=push, **k: pushes.append(1) or push(*a, **k)
+        )
+    routes = (
+        lambda: best_response_history(m, other, 0),
+        lambda: best_response_value_from(m, other, 0, initial_occupancy(m)),
+    )
+    monkeypatch.setattr(evaluate, "CAP_BYTES", evaluate.WALK_FIXED_BYTES)
+    for route in routes:
+        with pytest.raises(CapExceededError, match="^exact evaluation too large"):
+            route()
+    assert pushes == []
+    # control: under the real cap both push and answer alike
+    monkeypatch.setattr(evaluate, "CAP_BYTES", solve.CAP_BYTES)
+    assert routes[0]().value == routes[1]() and pushes
+
+
+def test_the_history_route_is_refused_at_tiger_h7(tiger):
+    # its walk keeps every (entry, joint action) reward term of every level:
+    # at h=7 that is counted at 2,678,829,856 bytes, past the cap; control:
+    # the private route, which pushes in bounded batches, answers
+    m = tiger.with_horizon(7)
+    other = {1: solve._tree(m, 1, 0, 7)}
+    with pytest.raises(CapExceededError, match="^exact evaluation too large: 2678829856 bytes"):
+        best_response_history(m, other, 0)
+    assert abs(best_response_private(m, other, 0).value - 7.0) <= 1e-9
+
+
+def test_walks_under_a_fixed_policy_build_no_history(tiger, monkeypatch):
+    # from a t=1 state, exact evaluation, the anchored plan prices and the
+    # history route's value read the policy as rule rows and decode nothing:
+    # no PrivateHistory is constructed while they run (each gets a fresh
+    # state, so no child is cached on its histories)
+    m = tiger.with_horizon(3)
+    rng = np.random.default_rng(3)
+    policy = JointPolicy(tuple(random_behavioral_policy(m, i, rng) for i in range(2)))
+    others = {1: policy.agents[1]}
+    # agent 0 plays one action first, so its 2 anchors have 3^6 plans
+    first = (random_decision_rule(m, 0, 0, rng, support=1), random_decision_rule(m, 1, 0, rng))
+    routes = {
+        "evaluate_occupancy": lambda s: evaluate_occupancy(m, policy, s, 0),
+        "anchored_plan_values": lambda s: anchored_plan_values(
+            m, {1: agent_rules(m, policy.agents[1])}, 0, s
+        ),
+        "best_response_value_from": lambda s: best_response_value_from(m, others, 0, s),
+    }
+    built = []
+    init = PrivateHistory.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PrivateHistory, "__init__", counting_init)
+    for name, route in routes.items():
+        (_, _, s), *_ = step(m, initial_occupancy(m), first)
+        assert len(level_of(m, s)[1][0]) == 2
+        del built[:]
+        route(s)
+        assert built == [], name
+    # control: best_response_history builds the keys of its q-table
+    br = best_response_history(m, others, 0)
+    assert set(br.q) <= set(built) and len(br.q) > 1
 
 
 # -- solve_dec -------------------------------------------------------------------
@@ -1771,18 +1852,6 @@ def test_package_import_leaves_scipy_optimize_unloaded():
     # HiGHS's extension and the check sees scipy.optimize
     _, package = fresh_ogs("package")
     assert package["lps"] == run["lps"] and "scipy.optimize" in package["loaded"]
-
-
-def test_benchmark_span_targets_resolve():
-    # perfbench/spans.py binds its spans by (module, attribute); read the list
-    # without installing, so nothing is rebound
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    assert spans.TARGETS
-    for _, module, attr, _ in spans.TARGETS:
-        assert callable(getattr(importlib.import_module(f"occupancy_games.{module}"), attr))
 
 
 # -- common payoff and Stackelberg: one agent enumerated, one in sequence form ----

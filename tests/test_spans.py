@@ -26,13 +26,13 @@ def package_modules() -> list[types.ModuleType]:
 
 def spans_problems(spans) -> list[str]:
     """What keeps ``spans`` from tracing the package and leaving it as it
-    was: targets that do not resolve, and module attributes that ``install``
-    then ``bind(..., False)`` do not put back (restored here before
-    returning)."""
+    was: targets that do not resolve to a callable, and module attributes
+    that ``install`` then ``bind(..., False)`` do not put back (restored
+    here before returning)."""
     missing = [
         f"occupancy_games.{module}.{attr} does not resolve"
         for _, module, attr, _ in spans.TARGETS
-        if not hasattr(importlib.import_module(f"occupancy_games.{module}"), attr)
+        if not callable(getattr(importlib.import_module(f"occupancy_games.{module}"), attr, None))
     ]
     if missing:
         return missing
