@@ -1,4 +1,6 @@
 import dataclasses
+import importlib
+import importlib.util
 import inspect
 import itertools
 import os
@@ -1852,6 +1854,18 @@ def test_package_import_leaves_scipy_optimize_unloaded():
     # HiGHS's extension and the check sees scipy.optimize
     _, package = fresh_ogs("package")
     assert package["lps"] == run["lps"] and "scipy.optimize" in package["loaded"]
+
+
+def test_benchmark_span_targets_resolve():
+    # perfbench/spans.py binds its spans by (module, attribute); read the list
+    # without installing, so nothing is rebound
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    for _, module, attr, _ in spans.TARGETS:
+        assert callable(getattr(importlib.import_module(f"occupancy_games.{module}"), attr))
 
 
 # -- common payoff and Stackelberg: one agent enumerated, one in sequence form ----
