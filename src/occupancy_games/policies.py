@@ -132,9 +132,6 @@ class JointHistory:
             )
         return kid
 
-    def others(self, agent: int) -> tuple[PrivateHistory, ...]:
-        return tuple(h for i, h in enumerate(self.privates) if i != agent)
-
     def sort_key(self):
         return tuple(h.steps for h in self.privates)
 

@@ -174,7 +174,7 @@ def linprog(c, A, row_lo, row_hi, col_lo, col_hi) -> LpResult:
     ``scipy.optimize`` uses this module (the package ``_highspy`` then does
     not hold it as an attribute; imports of it by name still find it).
     Where the file is not found the package import loads it.  ``A`` is a
-    dense array or a ``Csc`` matrix; an infinite bound is ``±np.inf``.
+    ``Csc`` matrix (``_sequence_form_rows``); an infinite bound is ``±np.inf``.
 
     The options and the check after the solve are
     ``scipy.optimize.linprog``'s: success is an optimal model status with
@@ -197,14 +197,9 @@ def linprog(c, A, row_lo, row_hi, col_lo, col_hi) -> LpResult:
             except BaseException:
                 del sys.modules[name]
                 raise
-    if isinstance(A, np.ndarray):  # the nonzeros by column, as a CSC matrix holds them
-        cols, index = np.nonzero(A.T)
-        start, value = np.searchsorted(cols, np.arange(A.shape[1] + 1)), A.T[cols, index]
-        shape = A.shape
-    elif isinstance(A, Csc):
-        start, index, value, shape = A
-    else:
-        raise TypeError(f"linprog takes a dense array or a Csc matrix, not {type(A).__name__}")
+    if not isinstance(A, Csc):
+        raise TypeError(f"linprog takes a Csc matrix, not {type(A).__name__}")
+    start, index, value, shape = A
     lp = highs.HighsLp()
     lp.num_row_, lp.num_col_ = lp.a_matrix_.num_row_, lp.a_matrix_.num_col_ = shape
     lp.a_matrix_.format_ = highs.MatrixFormat.kColwise
@@ -433,6 +428,18 @@ def best_response_value_from(
     return _history_br(model, others, agent, s)[0]
 
 
+def _private_from(model: PosgModel, profiles: list, agent: int, s_i: PrivateOccupancyState):
+    """``_private_best`` below ``s_i``, from its step, the others' rules
+    turned into rows once (``rule_table``)."""
+    level, hists = level_of(model, s_i)
+    others = [
+        None if j == agent
+        else rule_table(model, j, [rules[j] for rules in profiles[s_i.t:]], hs)
+        for j, hs in enumerate(hists)
+    ]
+    return _private_best(model, agent, level, others, s_i.t)
+
+
 def _private_dp(
     model: PosgModel,
     profiles: list[dict[int, DecisionRule]],
@@ -440,24 +447,17 @@ def _private_dp(
     s_i: PrivateOccupancyState,
 ) -> tuple[float, PolicyTree, dict[PrivateHistory, tuple[float, ...]]]:
     """Bellman optimality over private occupancy states below ``s_i``, from
-    its step (``_private_best``, the others' rules turned into rows once,
-    ``rule_table``): its value, its greedy tree, and the q per own action on
-    every history that tree reaches, the only own histories built."""
-    t = s_i.t
-    level, hists = level_of(model, s_i)
-    others = [
-        None if j == agent
-        else rule_table(model, j, [rules[j] for rules in profiles[t:]], hs)
-        for j, hs in enumerate(hists)
-    ]
-    value, index, played, q, (parents, obs) = _private_best(model, agent, level, others, t)
+    its step (``_private_from``): its value, its greedy tree, and the q per
+    own action on every history that tree reaches, the only own histories
+    built."""
+    value, index, played, q, (parents, obs) = _private_from(model, profiles, agent, s_i)
     n_u = len(model.actions[agent])
     own = {0: s_i.anchor}
     for j in (np.array(played[1:], dtype=np.intp) // n_u).tolist():
         p = int(parents[j])  # played in preorder: a parent comes first
         own[j] = own[p // n_u].child(p % n_u, int(obs[j]))
     table = {h: tuple(q[j].tolist()) for j, h in own.items()}
-    return value, _tree(model, agent, index, model.horizon - t), table
+    return value, _tree(model, agent, index, model.horizon - s_i.t), table
 
 
 def _private_best(
@@ -574,8 +574,8 @@ def best_response_private_from(
     model: PosgModel, others, agent: int, s_i: PrivateOccupancyState
 ) -> float:
     """Private-route best-response value from one private occupancy state,
-    from its step on."""
-    return _private_dp(model, _others_profiles(model, others, agent), agent, s_i)[0]
+    from its step on; no history or tree is decoded."""
+    return _private_from(model, _others_profiles(model, others, agent), agent, s_i)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -821,8 +821,8 @@ def _normal_form(
     their sequences and their matrices are ``None``.  When both agents of a
     two-agent game are kept, each tensor is the block-diagonal ``G`` itself,
     as a ``Csr`` matrix.  The payoffs of the agents in
-    ``uncontracted`` follow, each the dense block-diagonal ``G`` over the two
-    agents' sequences.
+    ``uncontracted`` follow, each its own block-diagonal ``G`` over the two
+    agents' sequences, also as a ``Csr`` matrix.
 
     ``_predicted_bytes`` must stay within ``cap_bytes``, checked before the
     walk and any enumeration.  The zero-sum loop counts its own walks
@@ -861,15 +861,9 @@ def _walk(
         for i in range(model.n_agents)
     ]
     n_c = len(agents_of_interest)
-    # each uncontracted payoff dense over the two agents' sequences, with
-    # each depth's block on its diagonal
-    n_seqs = [sum(block.shape[i] for block in blocks) for i in range(2)]
-    dense = [np.zeros(n_seqs) for _ in uncontracted]
     parts = []
     lo = [0] * model.n_agents  # each agent's first sequence of the block
     for block in blocks:
-        for k, D in enumerate(dense):
-            D[lo[0] : lo[0] + block.shape[0], lo[1] : lo[1] + block.shape[1]] = block[..., n_c + k]
         out = block[..., :n_c]
         for i, R in enumerate(realizations):
             hi = lo[i] + block.shape[i]
@@ -887,7 +881,8 @@ def _walk(
         mats = list(np.concatenate(parts, axis=1 + kept[0]))
     else:  # both agents of a two-agent game kept: block diagonal, stored sparse
         mats = [_block_diagonal([part[k] for part in parts]) for k in range(n_c)]
-    return mats + dense, realizations if weights is None else played, tries
+    mats += [_block_diagonal([b[..., k] for b in blocks]) for k in range(n_c, blocks[0].shape[-1])]
+    return mats, realizations if weights is None else played, tries
 
 
 class Csr(NamedTuple):
@@ -907,7 +902,7 @@ class Csr(NamedTuple):
 
     def rows(self) -> np.ndarray:
         """The row of each nonzero."""
-        return np.repeat(np.arange(self.shape[0]), np.diff(self.indptr))
+        return np.arange(self.shape[0]).repeat(self.indptr[1:] - self.indptr[:-1])
 
     def __matmul__(self, y: np.ndarray) -> np.ndarray:
         return np.bincount(self.rows(), self.data * y[self.indices], self.shape[0])
@@ -927,10 +922,10 @@ def _block_diagonal(blocks: Sequence[np.ndarray]) -> Csr:
     indptr, indices, data = [np.zeros(1, dtype=np.int64)], [], []
     n_cols = 0
     for block in blocks:
-        nonzero = block != 0.0
-        indptr.append(indptr[-1][-1] + np.cumsum(np.count_nonzero(nonzero, axis=1)))
-        indices.append(np.flatnonzero(nonzero) % block.shape[1] + n_cols)
-        data.append(block[nonzero])
+        rows, cols = np.nonzero(block)
+        indptr.append(indptr[-1][-1] + np.cumsum(np.bincount(rows, minlength=len(block))))
+        indices.append(cols + n_cols)
+        data.append(block[rows, cols])
         n_cols += block.shape[1]
     n_rows = sum(block.shape[0] for block in blocks)
     return Csr(
@@ -1033,59 +1028,69 @@ def _plan_constraints(parents: np.ndarray, n_u: int):
     sequence's mass, 1 at the anchors."""
     n = len(parents)
     # row c: -1 at its parent sequence (none at an anchor), then 1 at its own
-    cols = np.column_stack([parents, np.arange(n * n_u).reshape(n, n_u)])
-    values = np.column_stack([-np.ones(n), np.ones((n, n_u))])
-    stored = cols >= 0
-    rows = np.broadcast_to(np.arange(n)[:, None], cols.shape)
-    return (rows[stored], cols[stored], values[stored]), (parents < 0).astype(float)
+    cols = np.arange(n * (n_u + 1)).reshape(n, n_u + 1) - np.arange(1, n + 1)[:, None]
+    cols[:, 0] = parents
+    rows, k = np.nonzero(cols >= 0)
+    return (rows, cols[rows, k], np.where(k == 0, -1.0, 1.0)), (parents < 0).astype(float)
 
 
-def _realization_plan_lp(
-    G,
-    parents: Sequence[np.ndarray],
-    n_us: Sequence[int],
-    played: Sequence[np.ndarray] | None = None,
-) -> tuple[float, np.ndarray, np.ndarray, float]:
-    """max f^T q  s.t.  E x = e, x >= 0, F^T q <= G^T x, via HiGHS, with
-    ``G`` a ``Csr`` matrix.
-
-    ``x`` is agent 0's realization plan and ``q`` one free value per set of
-    agent 1; the duals of the ``F^T q <= G^T x`` rows are agent 1's plan.
-    With 0/1 masks ``played`` over each agent's sequences, agent 0's
-    masked-out sequences are held at 0 and agent 1's have no row, so both
-    plans stay on the played sequences.  The rows ``[-G^T, F^T]`` (agent 1's
-    played sequences) and ``[E, 0]`` are one ``Csc`` matrix, built from the
-    nonzeros of ``G``, ``E`` and ``F``: sorted by column, then row, as
-    ``scipy.sparse`` stores them.  Returns (value, x, y, duality gap); an LP
-    HiGHS does not solve raises ``CertificateError``."""
+def _sequence_form_rows(
+    G: Csr, parents: Sequence[np.ndarray], n_us: Sequence[int], sign: int, played=None, c=None
+) -> tuple[Csc, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The rows and bounds, in ``linprog``'s order, of every sequence-form
+    LP over agent 0's realization plan ``x`` (``E x = e``, ``x >= 0``) and
+    one free value ``q`` per set of agent 1, whose plans have ``F y = f``,
+    with ``G`` a ``Csr`` matrix over their sequences: ``sign · [-G^T, F^T]
+    <= 0`` on agent 1's sequences, then, given ``c``, ``[c^T, f^T] <= 0``,
+    then ``[E, 0] = e``; with 0/1 masks ``played``, agent 1's masked-out
+    sequences have no row and agent 0's are held at 0.  One ``Csc`` of the
+    nonzeros, sorted by column, then row, as ``scipy.sparse`` stores them.
+    The saddle LP (``_realization_plan_lp``) takes ``sign = 1``: ``F^T q <=
+    G^T x``, whose duals are agent 1's plan.  The Stackelberg LP of follower
+    plan ``r`` (``_multiple_lp``) takes ``sign = -1`` and ``c = -G r``:
+    ``r`` is a best response to ``x`` when some ``q`` has ``F^T q >= G^T x``
+    and ``f^T q <= x G r`` (LP duality on ``F y = f``; Bošanský & Čermák
+    2015)."""
     (e_row, e_col, e_val), e = _plan_constraints(parents[0], n_us[0])
     (f_row, f_col, f_val), f = _plan_constraints(parents[1], n_us[1])
     n_x, n_q = G.shape[0], len(f)
     rows = np.ones(G.shape[1], dtype=bool) if played is None else played[1]
-    at, n_rows = np.cumsum(rows) - 1, int(rows.sum())  # each played sequence's row
+    at, n_rows = rows.cumsum() - 1, int(np.count_nonzero(rows))  # each played sequence's row
     kept_g, kept_f = rows[G.indices], rows[f_col]
-    row = np.concatenate([at[G.indices[kept_g]], at[f_col[kept_f]], n_rows + e_row])
-    col = np.concatenate([G.rows()[kept_g], n_x + f_row[kept_f], e_col])
-    order = np.lexsort((row, col))
-    value = np.concatenate([-G.data[kept_g], f_val[kept_f], e_val])[order]
-    start = np.searchsorted(col[order], np.arange(n_x + n_q + 1))
-    A = Csc(start, row[order], value, (n_rows + len(e), n_x + n_q))
-    x_hi = np.full(n_x, np.inf) if played is None else np.where(played[0], np.inf, 0.0)
-    res = linprog(
-        np.concatenate([np.zeros(n_x), -f]),
-        A,
-        np.concatenate([np.full(n_rows, -np.inf), e]),
-        np.concatenate([np.zeros(n_rows), e]),
-        np.concatenate([np.zeros(n_x), np.full(n_q, -np.inf)]),
-        np.concatenate([x_hi, np.full(n_q, np.inf)]),
+    extra = np.zeros(0) if c is None else np.concatenate([c, f])
+    n_le, on = n_rows + (c is not None), extra.nonzero()[0]  # rows bounded by 0
+    row = np.concatenate(
+        [at[G.indices[kept_g]], at[f_col[kept_f]], np.full_like(on, n_rows), n_le + e_row]
     )
+    col = np.concatenate([G.rows()[kept_g], n_x + f_row[kept_f], on, e_col])
+    order = np.lexsort((row, col))
+    value = np.concatenate([-sign * G.data[kept_g], sign * f_val[kept_f], extra[on], e_val])
+    start = col[order].searchsorted(np.arange(n_x + n_q + 1))
+    free = np.full(n_q, np.inf)
+    x_hi = np.full(n_x, np.inf) if played is None else np.where(played[0], np.inf, 0.0)
+    return (
+        Csc(start, row[order], value[order], (n_le + len(e), n_x + n_q)),
+        np.concatenate([np.full(n_le, -np.inf), e]), np.concatenate([np.zeros(n_le), e]),
+        np.concatenate([np.zeros(n_x), -free]), np.concatenate([x_hi, free]),
+    )
+
+
+def _realization_plan_lp(
+    G: Csr, parents: Sequence[np.ndarray], n_us: Sequence[int], played=None
+) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """The saddle LP (Koller, Megiddo & von Stengel 1996), max f^T q over
+    ``_sequence_form_rows`` with sign 1, via HiGHS: (value, agent 0's plan
+    ``x``, agent 1's plan ``y`` from the duals, duality gap); an LP HiGHS
+    does not solve raises ``CertificateError``."""
+    A, *bounds = _sequence_form_rows(G, parents, n_us, 1, played)
+    n_x, n_rows = G.shape[0], A.shape[0] - len(parents[0])
+    res = linprog(np.concatenate([np.zeros(n_x), -(parents[1] < 0).astype(float)]), A, *bounds)
     if not res.success:
         raise CertificateError(f"sequence-form LP failed: {res.message}")
-    x = np.clip(res.x[:n_x], 0.0, None)
     y = np.zeros(G.shape[1])
-    y[rows] = np.clip(-res.duals[:n_rows], 0.0, None)
-    gap = abs(float(res.value - e @ res.duals[n_rows:]))
-    return -res.value, x, y, gap
+    y[slice(None) if played is None else played[1]] = np.clip(-res.duals[:n_rows], 0.0, None)
+    gap = abs(float(res.value - bounds[0][n_rows:] @ res.duals[n_rows:]))  # e of the E rows
+    return -res.value, np.clip(res.x[:n_x], 0.0, None), y, gap
 
 
 def _pure_tree(
@@ -1390,11 +1395,7 @@ def solve_dec(model: PosgModel, cap_bytes: int = CAP_BYTES) -> Equilibrium:
 
 
 def _multiple_lp(
-    L: np.ndarray,
-    G_F,
-    R_F: np.ndarray,
-    parents: Sequence[np.ndarray],
-    n_us: Sequence[int],
+    L: np.ndarray, G_F: Csr, R_F: np.ndarray, parents: Sequence[np.ndarray], n_us: Sequence[int]
 ) -> tuple[float, np.ndarray, int, float, float]:
     """Strong Stackelberg equilibrium, one LP per follower pure plan (Conitzer
     & Sandholm 2006; follower ties break in the leader's favor): (leader
@@ -1402,28 +1403,21 @@ def _multiple_lp(
     ``x G_F r_k``, follower regret).
 
     Rows of ``L`` (leader payoff over follower plans) and of ``G_F`` (follower
-    payoff over follower sequences) are the leader's sequences; row ``k`` of
-    ``R_F`` is follower plan ``k``'s 0/1 realization ``r_k``.  Plan ``k`` is a
-    best response to ``x`` when some value ``v`` per follower set has
-    ``F^T v >= G_F^T x`` and ``f^T v <= x G_F r_k`` (LP duality on the
-    follower's plans ``F r = f``; Bošanský & Čermák 2015), so each LP has
-    one row per follower sequence, not one per plan.  Plans are tried in
+    payoff over follower sequences, a ``Csr`` matrix) are the leader's
+    sequences; row ``k`` of ``R_F`` is follower plan ``k``'s 0/1 realization
+    ``r_k``.  Plan ``k``'s LP maximises ``x L[:, k]`` over
+    ``_sequence_form_rows`` with sign -1 and ``c = -G_F r_k``, one row per
+    follower sequence, not one per plan: laid out once with ``c = 1``, each
+    LP writes its ``c`` there and drops its zeros.  Plans are tried in
     descending order of the leader's best pure value against them, until
     that bound no longer ties with the best LP value (``_tie_floor``); the
     pick is the lowest plan whose LP value ties with the best, so it does
     not depend on the payoffs' scale."""
-    (e_row, e_col, e_val), e = _plan_constraints(parents[0], n_us[0])
-    (f_row, f_col, f_val), f = _plan_constraints(parents[1], n_us[1])
-    n_x, n_y, n_v = G_F.shape[0], G_F.shape[1], len(f)
-    # G_F^T x - F^T v <= 0, then f^T v - x G_F r_k <= 0 (set per plan), then E x = e
-    A = np.zeros((n_y + 1 + len(e), n_x + n_v))
-    A[:n_y, :n_x] = G_F.T
-    A[f_col, n_x + f_row] = -f_val
-    A[n_y, n_x:] = f
-    A[n_y + 1 + e_row, e_col] = e_val
-    row_lo, row_hi = np.full(len(A), -np.inf), np.zeros(len(A))
-    row_lo[n_y + 1:] = row_hi[n_y + 1:] = e
-    col_lo = np.concatenate([np.zeros(n_x), np.full(n_v, -np.inf)])
+    dense, (n_x, n_y) = G_F.toarray(), G_F.shape  # dense once, for the products
+    A, *bounds = _sequence_form_rows(G_F, parents, n_us, -1, c=np.ones(n_x))
+    # the plan row's entry in each leader column, after its G_F^T rows
+    slot, cols = np.flatnonzero(A.indices[: A.indptr[n_x]] == n_y), np.arange(A.shape[1] + 1)
+    zeros, data = np.zeros(A.shape[1] - n_x), A.data.copy()
     top = _trie_best(L.T, parents[0], n_us[0], np.max)
     solved: dict[int, tuple[float, np.ndarray, np.ndarray]] = {}
     best = -np.inf
@@ -1431,11 +1425,11 @@ def _multiple_lp(
         if top[k] < _tie_floor(best):
             break  # neither this plan nor any later one can reach ``best``
         r = R_F[k]
-        A[n_y, :n_x] = -(G_F @ r)
-        res = linprog(
-            np.concatenate([-L[:, k], np.zeros(n_v)]), A, row_lo, row_hi, col_lo,
-            np.full(n_x + n_v, np.inf),
-        )
+        c = data[slot] = -(dense @ r)
+        kept = data != 0.0  # the plan row's zeros dropped
+        indptr = A.indptr - np.searchsorted(np.flatnonzero(c == 0.0), cols)
+        plan = Csc(indptr, A.indices[kept], data[kept], A.shape)
+        res = linprog(np.concatenate([-L[:, k], zeros]), plan, *bounds)
         if res.success:
             solved[k] = (-res.value, np.clip(res.x[:n_x], 0.0, None), r)
             best = max(best, solved[k][0])
@@ -1445,7 +1439,7 @@ def _multiple_lp(
         )
     k = min(j for j, (v, _, _) in solved.items() if v >= _tie_floor(best))
     value, x, r = solved[k]
-    payoffs = x @ G_F
+    payoffs = x @ dense
     follower = float(payoffs @ r)
     regret = max(0.0, float(_trie_best(payoffs, parents[1], n_us[1], np.max)) - follower)
     return value, x, k, follower, regret
@@ -1455,8 +1449,8 @@ def stackelberg_from_matrices(L: np.ndarray, F: np.ndarray) -> tuple[float, np.n
     """Strong Stackelberg equilibrium of a bimatrix game: (leader value,
     leader mixture, follower pure response); one information set each."""
     one_set = np.full(1, -1, dtype=np.intp)
-    value, x, k, _, _ = _multiple_lp(L, F, np.eye(F.shape[1]), (one_set, one_set), F.shape)
-    return value, x, k
+    G_F, R_F = _block_diagonal([F]), np.eye(F.shape[1])
+    return _multiple_lp(L, G_F, R_F, (one_set, one_set), F.shape)[:3]
 
 
 def _stackelberg_kernel(
@@ -1474,7 +1468,7 @@ def _stackelberg_kernel(
     )
     n_us = [len(model.actions[i]) for i in range(2)]
     value, x, k, follower, regret = _multiple_lp(L, G_F, R_F, [p for p, _ in tries], n_us)
-    if regret > _certificate_bound(tolerance, G_F):
+    if regret > _certificate_bound(tolerance, G_F.data):
         raise CertificateError(f"stackelberg follower regret {regret:.3g} exceeds tolerance")
     anchors = tuple(map(tuple, level_of(model, s)[1]))
     metadata = {"method": "multiple-lp", "shape": L.shape, "follower_regret": regret}

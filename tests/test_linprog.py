@@ -67,10 +67,10 @@ def as_stackelberg(model):
 
 
 def public_copy(a):
-    """A copy of one argument of ``solve.linprog``, taken at the call (the
-    Stackelberg kernel rewrites one row of its matrix between calls): a CSC
-    matrix of numpy arrays as the ``scipy.sparse`` CSC array of the same
-    arrays, which the public linprog takes."""
+    """A copy of one argument of ``solve.linprog``, taken at the call, so
+    that no later call can change what was recorded: the CSC matrix of numpy
+    arrays, its only matrix form, as the ``scipy.sparse`` CSC array of the
+    same arrays, which the public linprog takes."""
     if isinstance(a, solve.Csc):
         start, index, value, shape = a
         return sparse.csc_array((value.copy(), index.copy(), start.copy()), shape=shape)
@@ -149,12 +149,10 @@ def test_a_dropped_row_is_told_apart(recorded):
     assert public_linprog(*dropped)[3] != result.value
 
 
-@pytest.mark.parametrize("dense", [True, False], ids=["dense", "csc"])
-def test_infeasible_and_unbounded_lps_fail_with_their_status(dense):
-    A = np.array([[1.0, 1.0], [1.0, -1.0]])
-    if not dense:
-        csc = sparse.csc_array(A)
-        A = solve.Csc(csc.indptr, csc.indices, csc.data, csc.shape)
+@pytest.mark.parametrize("form", ["csc"])  # linprog's one matrix form
+def test_infeasible_and_unbounded_lps_fail_with_their_status(form):
+    csc = sparse.csc_array(np.array([[1.0, 1.0], [1.0, -1.0]]))
+    A = solve.Csc(csc.indptr, csc.indices, csc.data, csc.shape)
     free = (np.full(2, -np.inf), np.full(2, np.inf))
     # x + y <= -1 with x, y >= 0
     res = solve.linprog(
@@ -268,10 +266,11 @@ def test_a_failed_load_leaves_no_module_registered(monkeypatch):
 
 def test_linprog_refuses_a_csr_matrix():
     # a Csr holds its fields in Csc's order; read as Csc it would be the
-    # transpose
-    G = solve._block_diagonal([np.array([[1.0, 2.0], [0.0, 3.0]])])
-    with pytest.raises(TypeError, match="not Csr"):
-        solve.linprog(np.ones(2), G, np.zeros(2), np.ones(2), np.zeros(2), np.ones(2))
+    # transpose.  A dense array is refused too: Csc is linprog's one form
+    dense = np.array([[1.0, 2.0], [0.0, 3.0]])
+    for A, name in [(solve._block_diagonal([dense]), "Csr"), (dense, "ndarray")]:
+        with pytest.raises(TypeError, match=f"takes a Csc matrix, not {name}$"):
+            solve.linprog(np.ones(2), A, np.zeros(2), np.ones(2), np.zeros(2), np.ones(2))
 
 
 def test_highs_is_reached_only_through_linprog():
@@ -306,23 +305,37 @@ def record_plans(mp, lps) -> list:
     return calls
 
 
-def lp_rows(S, parents, n_us, played) -> sparse.csc_array:
-    """The realization-plan LP's rows built dense from ``S``'s entries:
-    ``[-G^T, F^T]`` on agent 1's played sequences above ``[E, 0]``, with
-    ``E`` and ``F`` written out set by set; as the ``scipy.sparse`` CSC
-    array of their nonzeros."""
-    E, F = [], []
-    for plan, p, n_u in zip((E, F), parents, n_us):
+def plan_matrices(parents, n_us) -> list[np.ndarray]:
+    """Each agent's plan constraints' matrix (``E``, then ``F``) written out
+    set by set: 1 at the set's own sequences, -1 at its parent sequence."""
+    plans = [[], []]
+    for plan, p, n_u in zip(plans, parents, n_us):
         for c, parent in enumerate(p.tolist()):
             row = np.zeros(len(p) * n_u)
             row[c * n_u : (c + 1) * n_u] = 1.0
             if parent >= 0:
                 row[parent] = -1.0
             plan.append(row)
-    E, F = np.array(E), np.array(F)
+    return [np.array(plan) for plan in plans]
+
+
+def lp_rows(S, parents, n_us, played) -> sparse.csc_array:
+    """The realization-plan LP's rows built dense from ``S``'s entries:
+    ``[-G^T, F^T]`` on agent 1's played sequences above ``[E, 0]``; as the
+    ``scipy.sparse`` CSC array of their nonzeros."""
+    E, F = plan_matrices(parents, n_us)
     kept = np.ones(S.shape[1], dtype=bool) if played is None else played[1]
     top = np.hstack([-S.toarray().T, F.T])[kept]
     return sparse.csc_array(np.vstack([top, np.hstack([E, np.zeros((len(E), len(F)))])]))
+
+
+def csc_mismatches(A, oracle) -> list[str]:
+    """Which of the CSC arrays and shape of ``A`` differ from ``oracle``'s."""
+    wrong = [
+        f"LP {name}" for name in ("indptr", "indices", "data")
+        if not np.array_equal(getattr(A, name), getattr(oracle, name))
+    ]
+    return wrong + ["LP shape"] * (A.shape != oracle.shape)
 
 
 def scipy_mismatches(call, S, rng) -> list[str]:
@@ -335,12 +348,7 @@ def scipy_mismatches(call, S, rng) -> list[str]:
     wrong += [f"x[{k}] @ G" for k, v in enumerate(xs) if not np.array_equal(v @ G, v @ S)]
     if not np.array_equal(G.toarray(), S.toarray()):
         wrong.append("dense G")
-    oracle = lp_rows(S, parents, n_us, played)
-    wrong += [
-        f"LP {name}" for name in ("indptr", "indices", "data")
-        if not np.array_equal(getattr(A, name), getattr(oracle, name))
-    ]
-    return wrong + ["LP shape"] * (A.shape != oracle.shape)
+    return wrong + csc_mismatches(A, lp_rows(S, parents, n_us, played))
 
 
 def as_scipy(G) -> sparse.csr_array:
@@ -390,3 +398,70 @@ def test_an_entry_moved_within_its_column_is_told_apart(recorded, monkeypatch):
     S = sparse.csr_array((data, (moved, cols)), shape=G.shape)
     wrong = scipy_mismatches(call, S, rng)
     assert {"G @ y[1]", "x[1] @ G", "dense G", "LP indptr", "LP indices"} <= set(wrong), wrong
+
+
+# -- the Stackelberg LPs' rows against dense rows ---------------------------------
+
+
+class ReadRows(np.ndarray):
+    """A 2-d array that notes, in ``read``, the index of each row read from
+    it, and hands out plain rows."""
+
+    def __getitem__(self, k):
+        self.read.append(k)
+        return np.asarray(self)[k]
+
+
+def record_stackelberg(mp, lps) -> list:
+    """Every LP ``_multiple_lp`` hands to linprog, as recorded in ``lps``
+    (``recorded``'s list, whose recorder ``mp`` already installed), with the
+    follower payoff ``G_F``, the realization ``r`` of the follower plan the
+    LP is for, and the tries' parents and action counts."""
+    calls, real = [], solve._multiple_lp
+
+    def record(L, G_F, R_F, parents, n_us):
+        rows, start = R_F.view(ReadRows), len(lps)
+        rows.read = []
+        out = real(L, G_F, rows, parents, n_us)
+        assert len(rows.read) == len(lps) - start  # one plan read per LP
+        for k, (lp, _) in zip(rows.read, lps[start:]):
+            calls.append((G_F, R_F[k], parents, n_us, lp[1]))
+        return out
+
+    mp.setattr(solve, "_multiple_lp", record)
+    return calls
+
+
+def stackelberg_rows(D, r, parents, n_us) -> sparse.csc_array:
+    """The Stackelberg LP of follower plan ``r`` built dense from the
+    follower payoff ``D``: ``[G_F^T, -F^T]`` over ``[-(G_F r)^T, f^T]`` over
+    ``[E, 0]``, ``f`` 1 at the follower's anchors; as the ``scipy.sparse``
+    CSC array of their nonzeros."""
+    E, F = plan_matrices(parents, n_us)
+    f = (parents[1] < 0) * 1.0
+    plan = np.concatenate([-(D @ r), f])
+    bottom = np.hstack([E, np.zeros((len(E), len(F)))])
+    return sparse.csc_array(np.vstack([np.hstack([D.T, -F.T]), plan, bottom]))
+
+
+def test_every_stackelberg_lp_matches_its_dense_rows(recorded, monkeypatch):
+    calls = record_stackelberg(monkeypatch, recorded)
+    run_solvers(recorded)
+    n_bundled = len(calls)
+    m = random_posg(
+        np.random.default_rng(2), n_states=2, n_actions=(2, 2), n_obs=(2, 2), horizon=3,
+        criterion="stackelberg",
+    )
+    solve_stackelberg(m)
+    # many follower plans each, not a team game's one LP
+    assert n_bundled > 20 and len(calls) - n_bundled > 20
+    for k, (G_F, r, parents, n_us, A) in enumerate(calls):
+        D = as_scipy(G_F).toarray()
+        assert (D @ r != 0.0).any(), k
+        assert csc_mismatches(A, stackelberg_rows(D, r, parents, n_us)) == [], k
+    # negative control: the last LP's rows with the first nonzero of its
+    # first column moved to an empty row of that column
+    M = stackelberg_rows(D, r, parents, n_us).toarray()
+    full, empty = np.flatnonzero(M[:, 0]), np.flatnonzero(M[:, 0] == 0.0)
+    M[empty[0], 0], M[full[0], 0] = M[full[0], 0], 0.0
+    assert "LP indices" in csc_mismatches(A, sparse.csc_array(M))

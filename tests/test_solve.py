@@ -625,6 +625,34 @@ def test_walks_under_a_fixed_policy_build_no_history(tiger, monkeypatch):
     assert set(br.q) <= set(built) and len(br.q) > 1
 
 
+def test_the_private_twin_decodes_nothing(tiger, monkeypatch):
+    # best_response_private_from prices through the batched private DP: no
+    # PolicyTree and no q-table key is constructed while it runs, from the
+    # start or from t=1 states, and each value is the decoding route's
+    m = tiger.with_horizon(3)
+    other = random_behavioral_policy(m, 1, np.random.default_rng(5))
+    root = initial_private_occupancy(m, 0)
+    rules = {1: other.rules[0]}
+    states = [root] + [s for u in range(3) for _, _, s in private_step(m, root, rules, u)]
+    profiles = solve._others_profiles(m, {1: other}, 0)
+    expected = [solve._private_dp(m, profiles, 0, s)[0] for s in states]
+    built = []
+    for cls in (PolicyTree, PrivateHistory):
+        def counting_init(self, *args, _init=cls.__init__, **kwargs):
+            built.append(self)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    assert [best_response_private_from(m, {1: other}, 0, s) for s in states] == expected
+    assert len(states) == 7 and built == []
+    # control: the decoding route builds its tree and the keys of its q-table
+    # (from a fresh root, so no child is cached on its histories)
+    fresh = initial_private_occupancy(m, 0)
+    del built[:]
+    solve._private_dp(m, profiles, 0, fresh)
+    assert {type(b) for b in built} == {PolicyTree, PrivateHistory}
+
+
 # -- solve_dec -------------------------------------------------------------------
 
 
@@ -2101,6 +2129,13 @@ def test_follower_round_trip_control(monkeypatch):
     assert kernel_pick(m, s0) == k + 1 and follower_plan(m, s0, sol) == k
 
 
+def without_row_0(A: solve.Csc) -> solve.Csc:
+    """``A`` less its row 0, the rows below it moved up one."""
+    kept = A.indices != 0
+    indptr = np.concatenate([[0], np.cumsum(kept)])[A.indptr]
+    return solve.Csc(indptr, A.indices[kept] - 1, A.data[kept], (A.shape[0] - 1, A.shape[1]))
+
+
 def test_dense_rows_catch_a_dropped_dual_row(monkeypatch):
     # without the dual row of the follower's first sequence the follower may
     # seem to best-respond when it does not: the kernel's value or plan
@@ -2113,7 +2148,7 @@ def test_dense_rows_catch_a_dropped_dual_row(monkeypatch):
     real = solve.linprog
 
     def drop_first_row(c, A, row_lo, row_hi, col_lo, col_hi):
-        return real(c, A[1:], row_lo[1:], row_hi[1:], col_lo, col_hi)
+        return real(c, without_row_0(A), row_lo[1:], row_hi[1:], col_lo, col_hi)
 
     monkeypatch.setattr(solve, "linprog", drop_first_row)
     sol = solve._stackelberg_kernel(m, s0, np.inf, solve.CAP_BYTES)

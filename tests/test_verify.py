@@ -786,6 +786,25 @@ def test_batched_plan_prices_in_small_blocks_equal_one_block(monkeypatch):
                 priced(one - 1)
 
 
+def test_plan_prices_at_tiger_h3_take_a_fixed_working_set():
+    # tiger h=3 from the start, 2,187 plans: blocks that filled CAP_BYTES
+    # peaked at 396 MB of tracemalloc; a fixed working set per block holds
+    # the peak to a few MB, and each sampled price is still the plan's own
+    model = load("tiger").with_horizon(3)
+    others = {1: agent_rules(model, random_behavioral_policy(model, 1, np.random.default_rng(5)))}
+    s = initial_occupancy(model)
+    tracemalloc.start()
+    try:
+        prices = evaluate.anchored_plan_values(model, others, 0, s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(prices) == 2187 and peak < 64 * 2**20, peak
+    sample = itertools.islice(enumerate(anchored_plans(model, others, 0, s)), 0, None, 97)
+    for k, rules in sample:
+        assert prices[k] == occupancy_value(model, rules, 0, s), k
+
+
 def mutant(old: str, new: str):
     """``evaluate.anchored_plan_values`` with ``old`` replaced by ``new``."""
     source = inspect.getsource(evaluate.anchored_plan_values)
